@@ -1,18 +1,15 @@
-//! Metadata microbenchmark: the master contention yardstick. ROADMAP
-//! item 1 sharded the former single `RwLock<Inner>` into path-striped
-//! namespace shards with a group-commit edit log; this experiment is the
-//! before/after measurement. An in-process [`Master`] is preloaded with a
-//! large namespace (1M files in the full run), then 1/4/16 concurrent
-//! client threads sweep a fixed create/stat/list/delete mix against it,
-//! and a second sweep holds 16 clients while varying the shard count
-//! (1/4/8) to isolate the sharding win. Per-op throughput and latency
-//! quantiles come from the master's own `master_meta_op_us` histograms
-//! (bucket deltas per sweep, the same series `octofs-remote perf` reads),
-//! so the bench exercises the observability path it reports through. The
-//! gate requires a minimum aggregate ops/sec *and* that ≥90% of measured
-//! operation time is attributed to the named segments (lock wait, work
-//! under lock, edit-log append) — i.e. the instrumentation accounts for
-//! where the time went. Mirrors `results/metadata.{txt,json}`.
+//! Metadata microbenchmark: the master contention yardstick (DESIGN.md
+//! §7, §11). An in-process [`Master`] is preloaded with a large namespace
+//! (1M files in the full run), then 1/4/16 concurrent client threads
+//! sweep a fixed create/stat/list/delete mix against it. Per-op
+//! throughput and latency quantiles come from the master's own
+//! `master_meta_op_us` histograms (bucket deltas per sweep, the same
+//! series `octofs-remote perf` reads), so the bench exercises the
+//! observability path it reports through. The gate requires a minimum
+//! aggregate ops/sec *and* that ≥90% of measured operation time is
+//! attributed to the named segments (lock wait, work under lock, edit-log
+//! append) — i.e. the instrumentation accounts for where the time went.
+//! Mirrors `results/metadata.{txt,json}`.
 
 use std::time::Instant;
 
@@ -30,12 +27,10 @@ const CLIENTS: [usize; 3] = [1, 4, 16];
 /// Files per preloaded directory.
 const FILES_PER_DIR: usize = 1_000;
 
-/// Gate floor on the best sweep's aggregate metadata ops/sec. The
-/// sharded master sustains ~190k on the single-core CI container (where
-/// no parallel speedup is physically observable — thread counts only add
-/// scheduling overhead); the floor is set at under half of that so only a
-/// real regression (or a lock pathology) trips it, not machine variance.
-/// Raised from the pre-shard 25k floor.
+/// Gate floor on the best sweep's aggregate metadata ops/sec: under half
+/// of what the master sustains on a 2-core container (EXPERIMENTS.md), so
+/// only a real regression (or a lock pathology) trips it, not machine
+/// variance.
 const MIN_OPS_PER_SEC: f64 = 80_000.0;
 
 /// Gate floor on segment attribution: the fraction of total measured op
@@ -44,13 +39,6 @@ const MIN_ATTRIBUTION: f64 = 0.90;
 
 /// The operation labels the mixed workload drives, in table order.
 const OPS: [&str; 5] = ["create", "complete", "stat", "list", "delete"];
-
-/// Shard counts swept at the top concurrency level.
-const SHARDS: [usize; 3] = [1, 4, 8];
-
-/// The default shard count (`ClusterConfig::test_cluster`), used for the
-/// client sweep and reused as the matching row of the shard sweep.
-const DEFAULT_SHARDS: usize = 8;
 
 /// Full run (the `run_all` entry): 1M preloaded files.
 pub fn run() -> String {
@@ -62,10 +50,8 @@ pub fn run_quick() -> String {
     run_mode(true)
 }
 
-fn boot_master(shards: usize) -> Master {
-    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
-    config.master_shards = shards;
-    let master = Master::new(config).unwrap();
+fn boot_master() -> Master {
+    let master = Master::new(ClusterConfig::test_cluster(4, 64 * MB, MB)).unwrap();
     for w in 0..4u32 {
         let rack = RackId((w % 2) as u16);
         master.register_worker(WorkerId(w), rack, 1e9, 0);
@@ -213,36 +199,11 @@ fn preload(master: &Master, preload_files: usize) -> f64 {
 fn run_mode(quick: bool) -> String {
     let preload_files: usize = if quick { 100_000 } else { 1_000_000 };
     let iters = if quick { 2_000 } else { 10_000 };
-    let master = boot_master(DEFAULT_SHARDS);
+    let master = boot_master();
     let preload_s = preload(&master, preload_files);
 
     let sweeps: Vec<SweepResult> =
         CLIENTS.iter().map(|&c| sweep(&master, c, iters, preload_files)).collect();
-
-    // Shard-count sweep: hold the heaviest concurrency (16 clients) and
-    // vary `master_shards` on fresh, identically-preloaded masters. The
-    // default-shard row reuses the client sweep above (same workload).
-    let shard_sweeps: Vec<(usize, SweepResult)> = SHARDS
-        .iter()
-        .map(|&n| {
-            if n == DEFAULT_SHARDS {
-                let s = sweeps.last().unwrap();
-                return (
-                    n,
-                    SweepResult {
-                        clients: s.clients,
-                        wall_s: s.wall_s,
-                        agg_ops_per_sec: s.agg_ops_per_sec,
-                        attribution: s.attribution,
-                        ops: s.ops.clone(),
-                    },
-                );
-            }
-            let m = boot_master(n);
-            preload(&m, preload_files);
-            (n, sweep(&m, *CLIENTS.last().unwrap(), iters, preload_files))
-        })
-        .collect();
 
     let mut rows = Vec::new();
     for s in &sweeps {
@@ -283,22 +244,8 @@ fn run_mode(quick: bool) -> String {
         &rows,
     ));
 
-    // Shard sweep table: the sharding win in isolation.
-    let mut srows = Vec::new();
-    for (n, s) in &shard_sweeps {
-        srows.push(vec![
-            n.to_string(),
-            s.clients.to_string(),
-            format!("{:.0}", s.agg_ops_per_sec),
-            f2(s.attribution),
-        ]);
-    }
-    out.push_str("\nshard sweep (top concurrency, fresh identically-preloaded masters):\n");
-    out.push_str(&render(&["shards", "clients", "ops/sec", "attribution"], &srows));
-
-    // Lock table: every instrumented master lock as the default-shard
-    // sweeps saw it (cumulative over the whole run), busiest waits first.
-    // Per-shard labels (master.shard0..N, master.blocks0..N) expose skew.
+    // Lock table: every instrumented master lock as the sweeps saw it
+    // (cumulative over the whole run), busiest waits first.
     let snap = master.metrics().snapshot();
     let mut locks: Vec<(String, String)> = snap
         .counters
@@ -360,15 +307,13 @@ fn run_mode(quick: bool) -> String {
     ));
 
     emit("metadata", &out);
-    emit_json(&sweeps, &shard_sweeps, preload_files, preload_s, best, min_attr, pass, quick);
+    emit_json(&sweeps, preload_files, preload_s, best, min_attr, pass, quick);
     out
 }
 
 /// Writes `results/metadata.json` (CI uploads and diffs it across runs).
-#[allow(clippy::too_many_arguments)]
 fn emit_json(
     sweeps: &[SweepResult],
-    shard_sweeps: &[(usize, SweepResult)],
     preload_files: usize,
     preload_s: f64,
     best: f64,
@@ -398,24 +343,12 @@ fn emit_json(
             ops.join(",\n")
         ));
     }
-    let shard_entries: Vec<String> = shard_sweeps
-        .iter()
-        .map(|(n, s)| {
-            format!(
-                "    {{\"shards\": {n}, \"clients\": {}, \"agg_ops_per_sec\": {:.0}, \
-                 \"attribution\": {:.4}}}",
-                s.clients, s.agg_ops_per_sec, s.attribution
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"metadata\",\n  \"quick\": {quick},\n  \
          \"preload_files\": {preload_files},\n  \"preload_s\": {preload_s:.1},\n  \
          \"best_ops_per_sec\": {best:.0},\n  \"min_ops_per_sec\": {MIN_OPS_PER_SEC:.0},\n  \
-         \"attribution\": {attribution:.4},\n  \"pass\": {pass},\n  \"sweeps\": [\n{}\n  ],\n  \
-         \"shard_sweeps\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-        shard_entries.join(",\n")
+         \"attribution\": {attribution:.4},\n  \"pass\": {pass},\n  \"sweeps\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
     );
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_ok() {

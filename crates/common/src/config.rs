@@ -271,11 +271,6 @@ pub struct ClusterConfig {
     /// default: latency-sensitive unit tests keep raw loopback speed.
     #[serde(default = "default_emulate_media_bps")]
     pub emulate_media_bps: bool,
-    /// Number of namespace/blockmap stripes in the master. Paths hash to a
-    /// stripe; metadata ops on different stripes proceed in parallel.
-    /// `1` restores the single-lock master.
-    #[serde(default = "default_master_shards")]
-    pub master_shards: usize,
 }
 
 /// Default client I/O window (blocks in flight per file transfer). Four
@@ -289,16 +284,6 @@ fn default_io_window() -> u32 {
 
 fn default_emulate_media_bps() -> bool {
     false
-}
-
-/// Default master shard count. Eight stripes keep the per-shard lock
-/// tables small while covering the client parallelism the metadata
-/// benchmark sweeps (1–16 clients); the cost of unused stripes is a few
-/// empty maps.
-pub const DEFAULT_MASTER_SHARDS: usize = 8;
-
-fn default_master_shards() -> usize {
-    DEFAULT_MASTER_SHARDS
 }
 
 impl ClusterConfig {
@@ -412,7 +397,6 @@ impl ClusterConfig {
             rack_uplink_bps: None,
             io_window: default_io_window(),
             emulate_media_bps: default_emulate_media_bps(),
-            master_shards: default_master_shards(),
         }
     }
 
@@ -482,7 +466,6 @@ impl ClusterConfig {
             rack_uplink_bps: None,
             io_window: default_io_window(),
             emulate_media_bps: default_emulate_media_bps(),
-            master_shards: default_master_shards(),
         }
     }
 }

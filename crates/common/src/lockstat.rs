@@ -3,11 +3,12 @@
 //! and **hold time** (how long the guard lived) into per-lock latency
 //! histograms, split by acquisition mode (shared vs. exclusive).
 //!
-//! The master's `RwLock<Inner>` is the system's global lock; before any
-//! sharding/striping refactor we need to know *where* master time goes —
-//! queueing on the lock, working under it, or appending to the edit log.
-//! This module provides the lock-side half of that breakdown (the op-side
-//! half lives in the master's per-operation histograms).
+//! The master serializes metadata behind a handful of named locks
+//! (`master.namespace`, `master.blocks`, `master.cluster`, … — DESIGN.md
+//! §11); any change to that structure has to start from *where* master
+//! time goes — queueing on a lock, working under it, or appending to the
+//! edit log. This module provides the lock-side half of that breakdown
+//! (the op-side half lives in the master's per-operation histograms).
 //!
 //! Design:
 //!
@@ -85,24 +86,13 @@ pub struct LockStats {
 
 impl LockStats {
     /// Registers the metric series for a lock named `lock` (by convention
-    /// `<component>.<field>`, e.g. `master.inner`).
+    /// `<component>.<field>`, e.g. `master.namespace`).
     pub fn register(reg: &MetricsRegistry, lock: &'static str) -> Arc<Self> {
         Arc::new(LockStats {
             name: lock,
             sh: ModeStats::register(reg, lock, "sh"),
             ex: ModeStats::register(reg, lock, "ex"),
         })
-    }
-
-    /// Registers the metric series for a lock whose name is built at
-    /// runtime — the sharded master labels each namespace/blockmap stripe
-    /// individually (`master.shard0`, `master.shard1`, …) so contention
-    /// rankings (`octofs-remote perf`) show per-shard hot spots instead of
-    /// aggregating every stripe under one fixed name. Lock names are
-    /// process-lifetime static by design (metric labels outlive any lock),
-    /// so the handful of shard names are interned once here.
-    pub fn register_owned(reg: &MetricsRegistry, lock: String) -> Arc<Self> {
-        Self::register(reg, Box::leak(lock.into_boxed_str()))
     }
 
     /// The lock's name.

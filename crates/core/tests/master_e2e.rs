@@ -1,9 +1,9 @@
-//! End-to-end concurrency test of the sharded master over real RPC
-//! (ROADMAP item 1): multiple client connections drive shard-crossing
-//! metadata traffic — including data writes, renames between directories
-//! that hash to different shards, and deletes racing listings — against a
-//! live [`NetCluster`], then the final namespace is audited for
-//! consistency and data integrity through the same public surface.
+//! End-to-end concurrency test of the master over real RPC (DESIGN.md
+//! §11): multiple client connections drive colliding metadata traffic —
+//! including data writes, renames between directories, and deletes racing
+//! listings — against a live [`NetCluster`], then the final namespace is
+//! audited for consistency and data integrity through the same public
+//! surface.
 
 use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, MB};
 use octopus_core::NetCluster;
@@ -27,7 +27,7 @@ fn rf(n: u8) -> ReplicationVector {
 }
 
 #[test]
-fn concurrent_shard_crossing_metadata_over_rpc() {
+fn concurrent_metadata_over_rpc() {
     let cluster = NetCluster::start(config()).unwrap();
     let setup = cluster.client(ClientLocation::OffCluster);
     for d in ["/a", "/b", "/c"] {
@@ -42,9 +42,9 @@ fn concurrent_shard_crossing_metadata_over_rpc() {
             s.spawn(move || {
                 let data = payload(MB as usize / 4, t as u64);
                 for i in 0..files_per_thread {
-                    // Write under /a, bounce a→b→c via cross-shard
-                    // renames, interleaved with list/stat/delete races
-                    // against the other threads' traffic.
+                    // Write under /a, bounce a→b→c via renames,
+                    // interleaved with list/stat/delete races against
+                    // the other threads' traffic.
                     let name = format!("t{t}f{i}");
                     client.write_file(&format!("/a/{name}"), &data, rf(2)).unwrap();
                     client.rename(&format!("/a/{name}"), &format!("/b/{name}")).unwrap();
@@ -72,7 +72,7 @@ fn concurrent_shard_crossing_metadata_over_rpc() {
         let expect = payload(MB as usize / 4, t as u64);
         for i in (1..files_per_thread).step_by(2) {
             let got = client.read_file(&format!("/c/t{t}f{i}")).unwrap();
-            assert_eq!(got, expect, "data corrupted across shard-crossing renames (t{t}f{i})");
+            assert_eq!(got, expect, "data corrupted across renames (t{t}f{i})");
         }
     }
 

@@ -253,19 +253,18 @@ fn metadata_op_histograms_populate_through_rpc_scrape() {
         assert_eq!(counted, h.count, "ops counter diverges for op={op}");
     }
 
-    // Lockstat series surface through the same scrape, one label per
-    // namespace shard. mkdir writes every mirror and list reads every
-    // mirror, so shard 0 has recorded holds in both modes by now.
+    // Lockstat series surface through the same scrape: the mkdirs and
+    // listings above held the namespace lock in both modes.
     for mode in ["sh", "ex"] {
         let hold = snap
             .histograms
             .iter()
             .find(|h| {
                 h.name == "lock_hold_us"
-                    && h.labels.op.as_deref() == Some("master.shard0")
+                    && h.labels.op.as_deref() == Some("master.namespace")
                     && h.labels.mode.as_deref() == Some(mode)
             })
-            .unwrap_or_else(|| panic!("no lock_hold_us sample for master.shard0 mode={mode}"));
-        assert!(hold.count > 0, "master.shard0 {mode} lock recorded no holds");
+            .unwrap_or_else(|| panic!("no lock_hold_us sample for master.namespace mode={mode}"));
+        assert!(hold.count > 0, "master.namespace {mode} lock recorded no holds");
     }
 }

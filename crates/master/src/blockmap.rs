@@ -6,7 +6,7 @@
 //! [`replication_state`] function computes per-tier deficits and surpluses
 //! against a file's replication vector — the trigger conditions of §5.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use octopus_common::{
     Block, BlockId, FsError, INodeId, Location, MediaId, ReplicationVector, Result, TierId,
@@ -34,12 +34,25 @@ impl BlockInfo {
         v.extend_from_slice(&self.pending);
         v
     }
+
+    /// Moves `loc` from pending to confirmed (or records it outright).
+    fn confirm(&mut self, loc: Location) {
+        self.pending.retain(|l| l != &loc);
+        if !self.locations.contains(&loc) {
+            self.locations.push(loc);
+        }
+    }
 }
 
 /// The map of all blocks.
 #[derive(Debug, Default)]
 pub struct BlockMap {
     blocks: HashMap<BlockId, BlockInfo>,
+    /// Per worker, the replicas confirmed since that worker's last full
+    /// block report was applied. A report is a snapshot taken on the
+    /// worker: a replica that commits after the snapshot is absent from
+    /// it, and [`BlockMap::apply_report`] must not take it for lost.
+    fresh: HashMap<WorkerId, HashSet<(BlockId, MediaId)>>,
 }
 
 impl BlockMap {
@@ -69,17 +82,46 @@ impl BlockMap {
     }
 
     /// Marks a replica confirmed (moves it from pending, or records it
-    /// outright — e.g. discovered via a block report).
+    /// outright), and remembers it as newer than its worker's last report.
     pub fn confirm(&mut self, id: BlockId, loc: Location) -> Result<()> {
-        let info = self
-            .blocks
+        self.blocks
             .get_mut(&id)
-            .ok_or_else(|| FsError::Internal(format!("confirm of unknown block {id}")))?;
-        info.pending.retain(|l| l != &loc);
-        if !info.locations.contains(&loc) {
-            info.locations.push(loc);
-        }
+            .ok_or_else(|| FsError::Internal(format!("confirm of unknown block {id}")))?
+            .confirm(loc);
+        self.fresh.entry(loc.worker).or_default().insert((id, loc.media));
         Ok(())
+    }
+
+    /// Applies a full block report from `worker`: confirms every reported
+    /// replica of a known block, drops the locations on `worker` that were
+    /// neither reported nor confirmed since its previous report (a lost
+    /// replica therefore goes at the latest one report after its commit),
+    /// and returns the reported blocks the map does not know — the worker
+    /// should delete those.
+    pub fn apply_report(
+        &mut self,
+        worker: WorkerId,
+        reported: &[(BlockId, Location)],
+    ) -> Vec<BlockId> {
+        let fresh = self.fresh.remove(&worker).unwrap_or_default();
+        let mut seen: HashSet<(BlockId, MediaId)> = HashSet::with_capacity(reported.len());
+        let mut unknown = Vec::new();
+        for &(id, loc) in reported {
+            match self.blocks.get_mut(&id) {
+                Some(info) => {
+                    info.confirm(loc);
+                    seen.insert((id, loc.media));
+                }
+                None => unknown.push(id),
+            }
+        }
+        for (id, info) in &mut self.blocks {
+            info.locations.retain(|l| {
+                let key = (*id, l.media);
+                l.worker != worker || seen.contains(&key) || fresh.contains(&key)
+            });
+        }
+        unknown
     }
 
     /// Drops a pending replica that will never be written (pipeline
@@ -115,7 +157,15 @@ impl BlockMap {
 
     /// Forgets a block entirely (file deletion). Returns its last state.
     pub fn remove_block(&mut self, id: BlockId) -> Option<BlockInfo> {
-        self.blocks.remove(&id)
+        let info = self.blocks.remove(&id)?;
+        // Keeps `fresh` bounded by live replicas even for a worker that
+        // never sends a full report (the in-process cluster).
+        for l in &info.locations {
+            if let Some(f) = self.fresh.get_mut(&l.worker) {
+                f.remove(&(id, l.media));
+            }
+        }
+        Some(info)
     }
 
     /// Drops every replica hosted by a dead worker; returns the ids of
@@ -132,11 +182,6 @@ impl BlockMap {
         }
         affected.sort_unstable();
         affected
-    }
-
-    /// All block ids, unordered.
-    pub fn block_ids(&self) -> Vec<BlockId> {
-        self.blocks.keys().copied().collect()
     }
 
     /// Iterates `(id, info)`.
@@ -260,6 +305,27 @@ mod tests {
         assert!(bm.get(BlockId(1)).unwrap().locations.is_empty());
         assert!(bm.remove_block(BlockId(1)).is_some());
         assert!(bm.get(BlockId(1)).is_none());
+    }
+
+    #[test]
+    fn report_keeps_replicas_newer_than_its_snapshot() {
+        let mut bm = BlockMap::new();
+        let (old, new) = (loc(0, 0, 2), loc(0, 1, 1));
+        bm.insert(blk(1), INodeId(1), vec![]);
+        bm.insert(blk(2), INodeId(1), vec![]);
+        bm.confirm(BlockId(1), old).unwrap();
+        assert!(bm.apply_report(WorkerId(0), &[(BlockId(1), old)]).is_empty());
+        // Block 2 commits after the worker snapshotted its next report:
+        // the stale report must not drop it, nor touch other workers.
+        bm.confirm(BlockId(2), new).unwrap();
+        bm.confirm(BlockId(2), loc(1, 5, 2)).unwrap();
+        let unknown = bm.apply_report(WorkerId(0), &[(BlockId(1), old), (BlockId(9), old)]);
+        assert_eq!(unknown, vec![BlockId(9)]);
+        assert_eq!(bm.get(BlockId(2)).unwrap().locations, vec![new, loc(1, 5, 2)]);
+        // One report later the grace is over: unreported means lost.
+        bm.apply_report(WorkerId(0), &[(BlockId(1), old)]);
+        assert_eq!(bm.get(BlockId(2)).unwrap().locations, vec![loc(1, 5, 2)]);
+        assert_eq!(bm.get(BlockId(1)).unwrap().locations, vec![old]);
     }
 
     #[test]

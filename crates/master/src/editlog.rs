@@ -456,13 +456,13 @@ struct GroupState {
 }
 
 /// A group-commit edit log: writers *stage* ops (cheap, done while still
-/// holding the namespace-shard lock so the log order is a valid
-/// linearization), then *wait* for durability after releasing the shard
-/// lock. The first waiter that finds no committer running becomes the
-/// committer: it takes the whole staged batch, writes and fsyncs it as one
-/// coalesced record run, and wakes every waiter the batch covered. Log
-/// latency thus amortizes across all concurrently-staging writers instead
-/// of serializing behind per-op fsyncs under a lock.
+/// holding the namespace lock so the log order is a valid linearization),
+/// then *wait* for durability after releasing it. The first waiter that
+/// finds no committer running becomes the committer: it takes the whole
+/// staged batch, writes and fsyncs it as one coalesced record run, and
+/// wakes every waiter the batch covered. Log latency thus amortizes across
+/// all concurrently-staging writers instead of serializing behind per-op
+/// fsyncs under a lock.
 pub struct GroupCommitLog {
     state: Mutex<GroupState>,
     /// The durable log. Separate from `state` so stagers are never blocked
@@ -491,8 +491,8 @@ impl GroupCommitLog {
     }
 
     /// Stages an op for the next batch and returns its sequence number.
-    /// Call while holding the lock that ordered the op (its namespace
-    /// shard); the assigned sequence then agrees with every dependency.
+    /// Call while holding the lock that ordered the op (the namespace
+    /// lock); the assigned sequence then agrees with every dependency.
     pub fn stage(&self, op: EditOp) -> u64 {
         let mut st = self.state.lock();
         let seq = st.next_seq;

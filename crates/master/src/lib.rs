@@ -25,7 +25,6 @@ pub mod blockmap;
 pub mod cluster;
 pub mod editlog;
 pub mod lease;
-pub mod ledger;
 pub mod master;
 pub mod mount;
 pub mod namespace;
@@ -36,7 +35,6 @@ pub use blockmap::{BlockInfo, BlockMap};
 pub use cluster::{ClusterState, WorkerInfo};
 pub use editlog::{EditLog, EditOp, GroupCommitLog};
 pub use lease::{ClientId, LeaseManager};
-pub use ledger::QuotaLedger;
 pub use master::{Master, ReplicationTask};
 pub use mount::{ExternalCatalog, ExternalStatus, InMemoryCatalog, LocalDirCatalog, MountTable};
 pub use namespace::{DirEntry, FileStatus, Namespace, TierQuota};

@@ -1,18 +1,17 @@
 //! The [`Master`] facade: the client-facing namespace/block API (Table 1),
 //! heartbeat and block-report processing, and the replication monitor (§5).
 //!
-//! # Sharded metadata (ROADMAP item 1)
+//! # Concurrency (DESIGN.md §11)
 //!
-//! The namespace and block map are striped across `config.master_shards`
-//! independently locked shards. Directories are mirrored into every
-//! namespace shard; a file lives in exactly one shard, chosen by hashing
-//! its *parsed* path components (so `//a///b` and `/a/b` land together).
-//! Blocks stripe by `block_id % shards`. Single-path operations touch one
-//! shard; cross-shard operations (rename, directory ops) take shard locks
-//! in ascending index order — see DESIGN.md §11 for the full lock-order
-//! discipline. Durability is group-committed: mutations stage their
-//! [`EditOp`] under the shard lock and wait for a batched fsync after
-//! releasing it, so the disk sync never serializes the namespace.
+//! One [`Namespace`] behind one lock (`master.namespace`) and one
+//! [`BlockMap`] behind another (`master.blocks`) — kept apart so the three
+//! `CommitReplica`s a worker pipeline sends per block never touch the
+//! namespace lock. Lock order: namespace → blocks → cluster; the heat
+//! tracker and the audit and series rings are leaves. Durability is
+//! group-committed: a mutation stages its [`EditOp`] under the namespace
+//! guard (so log order is the linearization order) and waits for the
+//! batched fsync after releasing it, so the disk sync never serializes
+//! the namespace.
 
 use octopus_common::lockstat::{
     LockStats, StatMutex, StatMutexGuard, StatReadGuard, StatRwLock, StatWriteGuard,
@@ -36,11 +35,10 @@ use crate::blockmap::{replication_state, BlockMap};
 use crate::cluster::ClusterState;
 use crate::editlog::{decode_stream, encode_image, EditLog, EditOp, GroupCommitLog};
 use crate::lease::{ClientId, LeaseManager};
-use crate::ledger::QuotaLedger;
 use crate::mount::{ExternalCatalog, MountTable};
 use crate::namespace::{parse_path, DirEntry, FileStatus, Namespace, TierQuota};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,8 +75,8 @@ pub enum ReplicationTask {
 }
 
 /// Normalizes a path to its canonical form: `/` + parsed components
-/// joined by `/` (so `//a///b/` becomes `/a/b`). All shard hashing, lease
-/// keys, and quota-ledger keys use normalized paths.
+/// joined by `/` (so `//a///b/` becomes `/a/b`). Lease keys are normalized
+/// paths, so aliased spellings of one path share one lease.
 fn normalize(path: &str) -> Result<String> {
     let comps = parse_path(path)?;
     if comps.is_empty() {
@@ -87,55 +85,22 @@ fn normalize(path: &str) -> Result<String> {
     Ok(format!("/{}", comps.join("/")))
 }
 
-/// The namespace shard a path hashes to: FNV-1a over the *parsed*
-/// components (with a separator folded in per component), never the raw
-/// string — `parse_path` collapses empty components, and aliased
-/// spellings of one path must land in one shard.
-fn shard_index(path: &str, n: usize) -> Result<usize> {
-    let comps = parse_path(path)?;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in comps {
-        h ^= u64::from(b'/');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        for &b in c.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    Ok((h % n as u64) as usize)
-}
-
-/// Parent of a normalized path (`/a/b` → `/a`, `/a` → `/`, `/` → `/`).
-fn parent_path(npath: &str) -> String {
-    match npath.rfind('/') {
-        Some(0) | None => "/".to_string(),
-        Some(i) => npath[..i].to_string(),
-    }
-}
-
-/// Splits a mutable slice of shard write guards into the guards at `i`
-/// and `j` (the two shards a cross-shard file rename touches). `i == j`
-/// yields the single guard and `None`.
-fn pair_mut<'a, 'l, T>(
-    guards: &'a mut [StatWriteGuard<'l, T>],
-    i: usize,
-    j: usize,
-) -> (&'a mut T, Option<&'a mut T>) {
-    if i == j {
-        (&mut *guards[i], None)
-    } else if i < j {
-        let (lo, hi) = guards.split_at_mut(j);
-        (&mut *lo[i], Some(&mut *hi[0]))
-    } else {
-        let (lo, hi) = guards.split_at_mut(i);
-        (&mut *hi[0], Some(&mut *lo[j]))
-    }
+/// Resolves placement output to full locations under one cluster guard.
+fn locate_all(c: &ClusterState, media: &[MediaId]) -> Result<Vec<Location>> {
+    media
+        .iter()
+        .map(|&m| {
+            let (worker, tier) =
+                c.locate_media(m).ok_or_else(|| FsError::UnknownMedia(m.to_string()))?;
+            Ok(Location { worker, media: m, tier })
+        })
+        .collect()
 }
 
 /// The metadata operations the master profiles individually. Every public
 /// metadata entry point maps to one of these; its latency lands in
 /// `master_meta_op_us{op=…}` split into lock-wait / work / edit-log
-/// segments (the contention observatory feeding ROADMAP item 1).
+/// segments (the contention observatory, DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MetaOp {
     Mkdir,
@@ -279,7 +244,7 @@ impl OpCtx<'_> {
 
     /// Waits for a staged edit to become durable (the group commit),
     /// timing the wait into this op's log segment. Called *after* the
-    /// shard lock is released, so slow fsyncs never hold up other ops.
+    /// namespace guard is released, so slow fsyncs never hold up other ops.
     fn wait_durable(&self, log: &GroupCommitLog, seq: u64) -> Result<()> {
         let t = Instant::now();
         let r = log.wait_durable(seq);
@@ -313,31 +278,29 @@ impl OpCtx<'_> {
     }
 }
 
-/// What the single-shard delete fast path hands back: the staged edit-log
-/// sequence, the blocks to drop from the block map, and the inode ids
-/// whose heat entries must be forgotten.
-type FastDelete = (u64, Vec<BlockId>, Vec<INodeId>);
+/// What the namespace lock guards: the inode tree, plus the two tables
+/// that only ever change together with it — write leases (every lease
+/// operation is part of a namespace mutation) and the mount table (its
+/// only writer, [`Master::mount_external`], needs the write guard anyway
+/// to check that the mount point is free).
+struct NamespaceState {
+    ns: Namespace,
+    leases: LeaseManager,
+    mounts: MountTable,
+}
 
 /// The OctopusFS (primary) master.
 ///
-/// Lock-order discipline (DESIGN.md §11): namespace shards in ascending
-/// index → block shards (one at a time) → `cluster` → `leases` → `ledger`
-/// → `mounts`; `heat`, the audit ring, and the series ring are leaves.
-/// Never acquire a namespace shard while holding a block shard or the
-/// cluster lock.
+/// Lock order (DESIGN.md §11): `namespace` → `blocks` → `cluster`; `heat`,
+/// the audit ring, and the series ring are leaves. No client-facing op
+/// holds a guard across an edit-log fsync or external-catalog I/O (the
+/// background `autotier_scan` syncs under the guard so it can roll back).
 pub struct Master {
-    /// Namespace stripes: directories mirrored everywhere, each file in
-    /// the shard its path hashes to.
-    shards: Vec<StatRwLock<Namespace>>,
-    /// Block-map stripes, keyed by `block_id % shards`.
-    blocks: Vec<StatRwLock<BlockMap>>,
+    namespace: StatRwLock<NamespaceState>,
+    /// Apart from the namespace so `commit_replica` (three per block
+    /// written) never takes the namespace lock.
+    blocks: StatRwLock<BlockMap>,
     cluster: StatMutex<ClusterState>,
-    leases: StatMutex<LeaseManager>,
-    /// The sole quota authority: shard mirrors keep unlimited quotas (a
-    /// per-shard limit would multiply by the shard count), and every
-    /// charge/check goes through this ledger.
-    ledger: StatMutex<QuotaLedger>,
-    mounts: StatRwLock<MountTable>,
     log: GroupCommitLog,
     safe_mode: AtomicBool,
     clock_ms: AtomicU64,
@@ -349,10 +312,10 @@ pub struct Master {
     metrics: MetricsRegistry,
     trace: TraceCollector,
     ops: MetaOpStats,
-    // Telemetry state lives outside the shard locks on purpose: heat
+    // Telemetry state lives outside the namespace lock on purpose: heat
     // queries and audit lookups must not contend with the namespace, and
     // `get_file_block_locations` records retrieval decisions while
-    // holding only a read lock.
+    // holding only read guards.
     heat: StatMutex<HeatTracker>,
     audit: AuditRing,
     series: SeriesRing,
@@ -365,56 +328,32 @@ impl Master {
     }
 
     /// Creates a master with the supplied edit log (file-backed for
-    /// durability). Existing log contents are replayed into one merged
-    /// namespace, then scattered across the configured shards.
+    /// durability). Existing log contents are replayed into the namespace.
     pub fn with_log(config: ClusterConfig, log: EditLog) -> Result<Self> {
         config.validate()?;
-        let nshards = config.master_shards.max(1);
 
-        // Replay the whole log into ONE merged namespace. The block
-        // catalog keeps every allocated block (deleted files included)
-        // so the id generator never re-issues an id, but the block map
-        // is derived from the *merged namespace* afterwards — blocks of
-        // deleted files must not survive replay.
-        // One inode-id generator is shared by the replay namespace and
-        // every shard mirror, so ids issued during replay, ids issued for
-        // mirrored directories, and ids issued after boot never collide.
-        let inode_ids = Arc::new(IdGenerator::new(1));
-        let mut merged = Namespace::with_ids(Arc::clone(&inode_ids));
-        let mut block_catalog: HashMap<BlockId, Block> = HashMap::new();
+        // The catalog keeps every block the log ever allocated so the id
+        // generator never re-issues one, but the block map is derived
+        // from the replayed namespace afterwards — blocks of deleted
+        // files and abandoned blocks must not survive replay.
+        let mut ns = Namespace::new();
+        let mut catalog: HashMap<BlockId, Block> = HashMap::new();
         let mut max_block = 0u64;
         for op in log.ops() {
-            op.apply(&mut merged)?;
+            op.apply(&mut ns)?;
             if let EditOp::AddBlock { block, gen, len, .. } = op {
-                block_catalog.insert(*block, Block { id: *block, gen: GenStamp(*gen), len: *len });
+                catalog.insert(*block, Block { id: *block, gen: GenStamp(*gen), len: *len });
                 max_block = max_block.max(block.0);
             }
         }
-
-        // Scatter: every directory mirrors into every shard; each file
-        // implants into the shard its path hashes to.
-        let mut shard_ns: Vec<Namespace> =
-            (0..nshards).map(|_| Namespace::with_ids(Arc::clone(&inode_ids))).collect();
-        let mut ledger = QuotaLedger::new();
-        for (path, quota) in merged.iter_dirs() {
-            for ns in &mut shard_ns {
-                ns.mkdir(&path, true)?;
-            }
-            ledger.register_dirs(&path);
-            let (_, usage) = merged.quota_usage(&path)?;
-            ledger.restore_entry(&path, quota, usage);
-        }
-        let mut shard_blocks: Vec<BlockMap> = (0..nshards).map(|_| BlockMap::new()).collect();
-        for (id, path, meta) in merged.iter_files() {
-            let meta = meta.clone();
-            let s = shard_index(&path, nshards)?;
+        let mut blocks = BlockMap::new();
+        for (file, meta) in ns.files() {
             for bid in &meta.blocks {
-                let block = *block_catalog
+                let block = *catalog
                     .get(bid)
                     .ok_or_else(|| FsError::Internal(format!("block {bid} missing from log")))?;
-                shard_blocks[bid.0 as usize % nshards].insert(block, id, Vec::new());
+                blocks.insert(block, file, Vec::new());
             }
-            shard_ns[s].implant_file(&path, id, meta)?;
         }
 
         let block_ids = IdGenerator::new(1);
@@ -423,50 +362,30 @@ impl Master {
         let retrieval = build_retrieval_policy(config.policy.retrieval, 0x0c70);
         // A master that boots with pre-existing blocks (restart/failover)
         // starts in safe mode until block reports confirm the data (§2.1).
-        let safe_mode = shard_blocks.iter().any(|b| !b.is_empty());
+        let safe_mode = !blocks.is_empty();
         let metrics = MetricsRegistry::new();
         // Pre-register the scrape-time drop counters so they are present
         // (at zero) in every snapshot, not only after the first wrap.
         metrics.counter("master_audit_dropped_total", Labels::NONE);
         metrics.counter("master_series_dropped_total", Labels::NONE);
         let ops = MetaOpStats::register(&metrics);
-        let shards = shard_ns
-            .into_iter()
-            .enumerate()
-            .map(|(i, ns)| {
-                StatRwLock::instrumented(
-                    ns,
-                    LockStats::register_owned(&metrics, format!("master.shard{i}")),
-                )
-            })
-            .collect();
-        let blocks = shard_blocks
-            .into_iter()
-            .enumerate()
-            .map(|(i, bm)| {
-                StatRwLock::instrumented(
-                    bm,
-                    LockStats::register_owned(&metrics, format!("master.blocks{i}")),
-                )
-            })
-            .collect();
+        let namespace_stats = LockStats::register(&metrics, "master.namespace");
+        let block_stats = LockStats::register(&metrics, "master.blocks");
         let cluster_stats = LockStats::register(&metrics, "master.cluster");
-        let lease_stats = LockStats::register(&metrics, "master.leases");
-        let ledger_stats = LockStats::register(&metrics, "master.ledger");
-        let mount_stats = LockStats::register(&metrics, "master.mounts");
         let heat_stats = LockStats::register(&metrics, "master.heat");
         let audit_stats = LockStats::register(&metrics, "master.audit");
         let series_stats = LockStats::register(&metrics, "master.series");
         Ok(Self {
-            shards,
-            blocks,
-            cluster: StatMutex::instrumented(ClusterState::new(&config), cluster_stats),
-            leases: StatMutex::instrumented(
-                LeaseManager::new(config.heartbeat_ms * LEASE_HEARTBEATS),
-                lease_stats,
+            namespace: StatRwLock::instrumented(
+                NamespaceState {
+                    ns,
+                    leases: LeaseManager::new(config.heartbeat_ms * LEASE_HEARTBEATS),
+                    mounts: MountTable::new(),
+                },
+                namespace_stats,
             ),
-            ledger: StatMutex::instrumented(ledger, ledger_stats),
-            mounts: StatRwLock::instrumented(MountTable::new(), mount_stats),
+            blocks: StatRwLock::instrumented(blocks, block_stats),
+            cluster: StatMutex::instrumented(ClusterState::new(&config), cluster_stats),
             log: GroupCommitLog::new(log),
             safe_mode: AtomicBool::new(safe_mode),
             clock_ms: AtomicU64::new(0),
@@ -505,27 +424,6 @@ impl Master {
             lock_wait_us: Cell::new(0),
             log_us: Cell::new(0),
         }
-    }
-
-    /// Number of namespace/block shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a path hashes to (diagnostics and tests).
-    pub fn shard_of(&self, path: &str) -> Result<usize> {
-        shard_index(path, self.shards.len())
-    }
-
-    /// The block-map stripe of a block id.
-    fn block_shard(&self, id: BlockId) -> &StatRwLock<BlockMap> {
-        &self.blocks[id.0 as usize % self.blocks.len()]
-    }
-
-    /// Write-locks every namespace shard in ascending index order (the
-    /// cross-shard lock discipline), folding waits into `ctx`.
-    fn lock_all_ns_write<'a>(&'a self, ctx: &OpCtx<'_>) -> Vec<StatWriteGuard<'a, Namespace>> {
-        self.shards.iter().map(|s| ctx.write(s)).collect()
     }
 
     /// Stamps externally accumulated drop totals (trace spans, audit and
@@ -634,19 +532,11 @@ impl Master {
         if touches.is_empty() {
             return;
         }
-        let n = self.blocks.len();
-        let mut by_shard: Vec<Vec<&BlockTouches>> = vec![Vec::new(); n];
-        for t in touches {
-            by_shard[t.block.0 as usize % n].push(t);
-        }
         let mut per_file: HashMap<INodeId, (u64, u64)> = HashMap::new();
-        for (s, ts) in by_shard.into_iter().enumerate() {
-            if ts.is_empty() {
-                continue;
-            }
-            let g = self.blocks[s].read();
-            for t in ts {
-                if let Some(info) = g.get(t.block) {
+        {
+            let blocks = self.blocks.read();
+            for t in touches {
+                if let Some(info) = blocks.get(t.block) {
                     let e = per_file.entry(info.file).or_insert((0, 0));
                     e.0 += t.reads as u64;
                     e.1 += t.writes as u64;
@@ -666,88 +556,41 @@ impl Master {
 
     /// Processes a full block report from a worker: confirms reported
     /// replicas, drops replicas the master believed were on this worker
-    /// but were not reported, and returns block ids the worker should
-    /// delete (blocks unknown to the namespace). The sweep walks block
-    /// shards one at a time — no global barrier.
+    /// but were neither reported nor committed since the worker's previous
+    /// report (the report is a snapshot taken before it was sent — see
+    /// [`BlockMap::apply_report`]), and returns block ids the worker
+    /// should delete (blocks unknown to the namespace).
     pub fn block_report(
         &self,
         worker: WorkerId,
-        reported: &[(Block, octopus_common::MediaId)],
+        reported: &[(Block, MediaId)],
     ) -> Result<Vec<BlockId>> {
         let ctx = self.op(MetaOp::BlockReport);
-        let out = self.block_report_inner(&ctx, worker, reported);
-        ctx.finish(out.is_ok());
-        out
-    }
-
-    fn block_report_inner(
-        &self,
-        ctx: &OpCtx<'_>,
-        worker: WorkerId,
-        reported: &[(Block, octopus_common::MediaId)],
-    ) -> Result<Vec<BlockId>> {
-        let n = self.blocks.len();
-        // Resolve reported media up front under one cluster lock, so the
-        // per-shard sweep never nests cluster inside a block-shard lock.
-        let locate: HashMap<MediaId, (WorkerId, TierId)> = {
-            let c = ctx.lock(&self.cluster);
-            reported.iter().filter_map(|(_, m)| c.locate_media(*m).map(|wt| (*m, wt))).collect()
-        };
-        let reported_media: Vec<_> = reported.iter().map(|(b, m)| (b.id, *m)).collect();
-        let mut by_shard: Vec<Vec<&(Block, MediaId)>> = vec![Vec::new(); n];
-        for r in reported {
-            by_shard[r.0.id.0 as usize % n].push(r);
-        }
-        let mut invalidate = Vec::new();
-        for (s, rs) in by_shard.into_iter().enumerate() {
-            let mut g = ctx.write(&self.blocks[s]);
-            // Confirm (or reject) this stripe's reported replicas.
-            for (block, media) in rs {
-                let Some(&(w, tier)) = locate.get(media) else {
-                    continue;
-                };
-                debug_assert_eq!(w, worker);
-                let loc = Location { worker, media: *media, tier };
-                if g.get(block.id).is_some() {
-                    g.confirm(block.id, loc)?;
-                } else {
-                    invalidate.push(block.id);
-                }
-            }
-            // Drop stale locations on this worker that were not reported
-            // (every stripe is swept, even when the report is empty).
-            let ids = g.block_ids();
-            for id in ids {
-                let stale: Vec<Location> = g
-                    .get(id)
-                    .map(|info| {
-                        info.locations
-                            .iter()
-                            .filter(|l| l.worker == worker)
-                            .filter(|l| !reported_media.contains(&(id, l.media)))
-                            .copied()
-                            .collect()
+        ctx.finish_with(|| {
+            // Media the cluster cannot place (a report racing the worker's
+            // first heartbeat) are skipped; the next report covers them.
+            let located: Vec<(BlockId, Location)> = {
+                let c = ctx.lock(&self.cluster);
+                reported
+                    .iter()
+                    .filter_map(|(b, m)| {
+                        let (_, tier) = c.locate_media(*m)?;
+                        Some((b.id, Location { worker, media: *m, tier }))
                     })
-                    .unwrap_or_default();
-                for l in stale {
-                    g.remove_replica(id, l.media);
+                    .collect()
+            };
+            let mut blocks = ctx.write(&self.blocks);
+            let invalidate = blocks.apply_report(worker, &located);
+            // Safe mode exits once enough blocks have a confirmed replica.
+            if self.safe_mode.load(Ordering::Acquire) {
+                let total = blocks.len();
+                let available = blocks.iter().filter(|(_, i)| !i.locations.is_empty()).count();
+                if total == 0 || available as f64 / total as f64 >= SAFE_MODE_THRESHOLD {
+                    self.safe_mode.store(false, Ordering::Release);
                 }
             }
-        }
-        // Safe mode exits once enough blocks have a confirmed replica.
-        if self.safe_mode.load(Ordering::Acquire) {
-            let mut total = 0usize;
-            let mut available = 0usize;
-            for b in &self.blocks {
-                let g = ctx.read(b);
-                total += g.len();
-                available += g.iter().filter(|(_, i)| !i.locations.is_empty()).count();
-            }
-            if total == 0 || available as f64 / total as f64 >= SAFE_MODE_THRESHOLD {
-                self.safe_mode.store(false, Ordering::Release);
-            }
-        }
-        Ok(invalidate)
+            Ok(invalidate)
+        })
     }
 
     /// Advances the master's failure detector; newly dead workers lose all
@@ -755,42 +598,35 @@ impl Master {
     /// candidates on the next scan).
     pub fn tick(&self, now_ms: u64) -> Vec<WorkerId> {
         self.advance_clock(now_ms);
-        // Collect the dead under the cluster lock, then sweep block shards
-        // with the lock released (cluster never nests over block shards).
         let dead = self.cluster.lock().tick(now_ms);
         if !dead.is_empty() {
-            for b in &self.blocks {
-                let mut g = b.write();
-                for &w in &dead {
-                    g.remove_worker_replicas(w);
-                }
+            let mut blocks = self.blocks.write();
+            for &w in &dead {
+                blocks.remove_worker_replicas(w);
             }
         }
         // Lease recovery: finalize files whose writers disappeared, so
-        // their blocks become readable and re-replicable. Expired paths
-        // are collected first; each recovery re-verifies under its shard
-        // lock + the lease lock (a client may have renewed in between).
+        // their blocks become readable and re-replicable. The expired set
+        // is re-read under the write guard — a client may have renewed
+        // between the shared-mode probe and here.
         let now = self.now_ms();
-        let expired = self.leases.lock().expired(now);
-        let mut recovered = false;
-        for path in expired {
-            let Ok(s) = shard_index(&path, self.shards.len()) else { continue };
-            let mut ns = self.shards[s].write();
-            let mut lm = self.leases.lock();
-            if !lm.expired(now).iter().any(|p| p == &path) {
-                continue; // renewed since we looked
-            }
-            if let Ok(file) = ns.resolve(&path) {
-                if ns.file_meta(file).map(|m| !m.complete).unwrap_or(false) {
-                    let _ = ns.finalize_file(file);
-                    self.log.stage(EditOp::CloseFile { path: path.clone() });
-                    recovered = true;
+        if !self.namespace.read().leases.expired(now).is_empty() {
+            let mut g = self.namespace.write();
+            let mut recovered = false;
+            for path in g.leases.expired(now) {
+                if let Ok(file) = g.ns.resolve(&path) {
+                    if g.ns.file_meta(file).is_ok_and(|m| !m.complete) {
+                        let _ = g.ns.finalize_file(file);
+                        self.log.stage(EditOp::CloseFile { path: path.clone() });
+                        recovered = true;
+                    }
                 }
+                g.leases.release(&path);
             }
-            lm.release(&path);
-        }
-        if recovered {
-            let _ = self.log.flush();
+            drop(g);
+            if recovered {
+                let _ = self.log.flush();
+            }
         }
         // Heat hygiene: drop files whose EWMA has decayed to nothing, so
         // the tracker is bounded by *recently active* files rather than
@@ -799,14 +635,11 @@ impl Master {
         if gc_dropped > 0 {
             self.metrics.add("master_heat_gc_dropped_total", Labels::NONE, gc_dropped as u64);
         }
-        {
-            let c = self.cluster.lock();
-            self.update_liveness_gauge(&c);
-        }
+        self.update_liveness_gauge(&self.cluster.lock());
         let sample_at = self.now_ms();
         self.series.maybe_sample(sample_at, || {
-            let files: usize = self.shards.iter().map(|s| s.read().counts().0).sum();
-            let blocks: usize = self.blocks.iter().map(|b| b.read().len()).sum();
+            let files = self.namespace.read().ns.counts().0;
+            let blocks = self.blocks.read().len();
             let (live, scheduled, reports) = {
                 let c = self.cluster.lock();
                 (
@@ -830,22 +663,13 @@ impl Master {
                 ));
             }
             // Cumulative lock pressure, so operators can see contention
-            // *trends* (the histograms only give totals). The pre-shard
-            // series key `lock_inner_*` is kept for continuity: it now
-            // aggregates every namespace shard.
-            let mut wait = 0u64;
-            let mut hold = 0u64;
-            let mut contended = 0u64;
-            for s in &self.shards {
-                if let Some(st) = s.stats() {
-                    wait += st.wait_total_us();
-                    hold += st.hold_total_us();
-                    contended += st.contended_total();
-                }
+            // *trends* (the histograms only give totals). `lock_inner_*`
+            // is the namespace lock; the key predates its current name.
+            if let Some(s) = self.namespace.stats() {
+                values.push(("lock_inner_wait_us".to_string(), s.wait_total_us() as i64));
+                values.push(("lock_inner_hold_us".to_string(), s.hold_total_us() as i64));
+                values.push(("lock_inner_contended".to_string(), s.contended_total() as i64));
             }
-            values.push(("lock_inner_wait_us".to_string(), wait as i64));
-            values.push(("lock_inner_hold_us".to_string(), hold as i64));
-            values.push(("lock_inner_contended".to_string(), contended as i64));
             if let Some(s) = self.heat.stats() {
                 values.push(("lock_heat_wait_us".to_string(), s.wait_total_us() as i64));
                 values.push(("lock_heat_hold_us".to_string(), s.hold_total_us() as i64));
@@ -859,16 +683,14 @@ impl Master {
     /// Administratively kills a worker (tests, decommissioning).
     pub fn kill_worker(&self, worker: WorkerId) {
         self.cluster.lock().mark_dead(worker);
-        for b in &self.blocks {
-            b.write().remove_worker_replicas(worker);
-        }
+        self.blocks.write().remove_worker_replicas(worker);
     }
 
     /// A worker's scrubber found a corrupt replica (§5: "block
     /// corruption"): drop the location so the next replication scan
     /// re-replicates from a healthy copy.
     pub fn report_corrupt(&self, block: BlockId, location: Location) {
-        self.block_shard(block).write().remove_replica(block, location.media);
+        self.blocks.write().remove_replica(block, location.media);
         self.metrics.inc("master_scrub_corrupt_total", Labels::worker(location.worker));
     }
 
@@ -882,38 +704,27 @@ impl Master {
     /// Whether every block with a replica on the draining worker is fully
     /// replicated elsewhere (safe to stop the worker).
     pub fn decommission_complete(&self, worker: WorkerId) -> bool {
-        // Prefetch every file's replication vector from the namespace
-        // shards first: block shards must never nest inside a namespace
-        // lock (or vice versa), so the scan below runs against this map.
-        let mut rv_of: HashMap<INodeId, ReplicationVector> = HashMap::new();
-        for s in &self.shards {
-            let g = s.read();
-            for (id, _, meta) in g.iter_files() {
-                rv_of.insert(id, meta.rv);
-            }
-        }
-        let draining: std::collections::HashSet<WorkerId> = {
+        let draining: HashSet<WorkerId> = {
             let c = self.cluster.lock();
             if !c.is_decommissioning(worker) {
                 return false;
             }
             c.workers().filter(|w| c.is_decommissioning(w.worker)).map(|w| w.worker).collect()
         };
-        for b in &self.blocks {
-            let g = b.read();
-            for (_, info) in g.iter() {
-                if !info.locations.iter().any(|l| l.worker == worker) {
-                    continue;
-                }
-                let Some(&rv) = rv_of.get(&info.file) else { continue };
-                let counted: Vec<Location> = info
-                    .all_locations()
-                    .into_iter()
-                    .filter(|l| !draining.contains(&l.worker))
-                    .collect();
-                if !replication_state(rv, &counted).is_satisfied() {
-                    return false;
-                }
+        let g = self.namespace.read();
+        let blocks = self.blocks.read();
+        for (_, info) in blocks.iter() {
+            if !info.locations.iter().any(|l| l.worker == worker) {
+                continue;
+            }
+            let Ok(meta) = g.ns.file_meta(info.file) else { continue };
+            let counted: Vec<Location> = info
+                .all_locations()
+                .into_iter()
+                .filter(|l| !draining.contains(&l.worker))
+                .collect();
+            if !replication_state(meta.rv, &counted).is_satisfied() {
+                return false;
             }
         }
         true
@@ -926,9 +737,7 @@ impl Master {
             c.clear_decommission(worker);
             c.mark_dead(worker);
         }
-        for b in &self.blocks {
-            b.write().remove_worker_replicas(worker);
-        }
+        self.blocks.write().remove_worker_replicas(worker);
     }
 
     // -- Namespace API (Table 1 + standard operations) ----------------------
@@ -950,39 +759,15 @@ impl Master {
         self.safe_mode.store(false, Ordering::Release);
     }
 
-    /// Creates a directory (and parents). Directories are mirrored into
-    /// every namespace shard, so the op takes all shard locks (ascending).
+    /// Creates a directory (and parents).
     pub fn mkdir(&self, path: &str) -> Result<()> {
         let ctx = self.op(MetaOp::Mkdir);
         ctx.finish_with(|| {
             self.check_writable()?;
-            let comps = parse_path(path)?;
-            let mut guards = self.lock_all_ns_write(&ctx);
-            // A file may shadow a prefix of the new path — but it lives
-            // only in its hash shard, and the other mirrors would happily
-            // create a directory over it. Check each prefix against its
-            // authoritative shard before mutating anything.
-            let mut prefix = String::new();
-            for (k, c) in comps.iter().enumerate() {
-                prefix.push('/');
-                prefix.push_str(c);
-                let s = shard_index(&prefix, guards.len())?;
-                if let Ok(id) = guards[s].resolve(&prefix) {
-                    if guards[s].file_meta(id).is_ok() {
-                        return Err(if k == comps.len() - 1 {
-                            FsError::AlreadyExists(prefix.clone())
-                        } else {
-                            FsError::NotADirectory(prefix.clone())
-                        });
-                    }
-                }
-            }
-            for g in guards.iter_mut() {
-                g.mkdir(path, true)?;
-            }
-            self.ledger.lock().register_dirs(&normalize(path)?);
+            let mut g = ctx.write(&self.namespace);
+            g.ns.mkdir(path, true)?;
             let seq = self.log.stage(EditOp::Mkdir { path: path.to_string() });
-            drop(guards);
+            drop(g);
             ctx.wait_durable(&self.log, seq)
         })
     }
@@ -1000,7 +785,7 @@ impl Master {
     }
 
     /// [`Master::create_file`] on behalf of a specific client, which takes
-    /// the file's write lease. Touches exactly one namespace shard.
+    /// the file's write lease.
     pub fn create_file_as(
         &self,
         path: &str,
@@ -1019,20 +804,28 @@ impl Master {
             self.check_writable()?;
             let bs = block_size.unwrap_or(self.config.block_size);
             let npath = normalize(path)?;
-            let s = shard_index(&npath, self.shards.len())?;
-            let mut ns = ctx.write(&self.shards[s]);
-            let now = self.now_ms();
-            ctx.lock(&self.leases).acquire(&npath, holder, now)?;
-            if let Err(e) = ns.create_file(path, rv, bs) {
-                self.leases.lock().release(&npath);
-                return Err(e);
-            }
-            let seq =
-                self.log.stage(EditOp::CreateFile { path: path.to_string(), rv, block_size: bs });
-            let st = ns.status(path)?;
-            drop(ns);
+            let edit = EditOp::CreateFile { path: path.to_string(), rv, block_size: bs };
+            let mut g = ctx.write(&self.namespace);
+            g.leases.acquire(&npath, holder, self.now_ms())?;
+            let id = match g.ns.create_file(path, rv, bs) {
+                Ok(id) => id,
+                Err(e) => {
+                    g.leases.release(&npath);
+                    return Err(e);
+                }
+            };
+            let seq = self.log.stage(edit);
+            drop(g);
             ctx.wait_durable(&self.log, seq)?;
-            Ok(st)
+            Ok(FileStatus {
+                id,
+                path: npath,
+                is_dir: false,
+                len: 0,
+                rv,
+                block_size: bs,
+                complete: false,
+            })
         })
     }
 
@@ -1073,117 +866,89 @@ impl Master {
         excluded: &[WorkerId],
     ) -> Result<(Block, Vec<Location>)> {
         let ctx = self.op(MetaOp::AddBlock);
-        let r = self.add_block_timed(&ctx, path, len, client, holder, excluded);
-        ctx.finish(r.is_ok());
-        r
-    }
-
-    fn add_block_timed(
-        &self,
-        ctx: &OpCtx<'_>,
-        path: &str,
-        len: u64,
-        client: ClientLocation,
-        holder: ClientId,
-        excluded: &[WorkerId],
-    ) -> Result<(Block, Vec<Location>)> {
-        self.check_writable()?;
-        let npath = normalize(path)?;
-        let mut ns = ctx.write(&self.shards[shard_index(&npath, self.shards.len())?]);
-        let now = self.now_ms();
-        ctx.lock(&self.leases).check(&npath, holder, now)?;
-        let file = ns.resolve(path)?;
-        let meta = ns.file_meta(file)?;
-        if meta.complete {
-            return Err(FsError::InvalidArgument(format!("{path} is not open for writing")));
-        }
-        if len == 0 || len > meta.block_size {
-            return Err(FsError::InvalidArgument(format!(
-                "block length {len} not in (0, {}]",
-                meta.block_size
-            )));
-        }
-        let rv = meta.rv;
-        let mut req = PlacementRequest::from_vector(rv, len, client);
-        req.excluded_workers = excluded.to_vec();
-        let snap = ctx.lock(&self.cluster).snapshot();
-        let (media, rounds) = self.placement.place_with_audit(&snap, &req)?;
-        if media.len() < req.tier_pins.len() {
-            // Partial placement is tolerated (the replication monitor will
-            // top the block up later) but at least one replica must exist.
-            if media.is_empty() {
-                return Err(FsError::PlacementFailed(format!(
-                    "no media available for block of {path}"
+        ctx.finish_with(|| {
+            self.check_writable()?;
+            let npath = normalize(path)?;
+            let mut g = ctx.write(&self.namespace);
+            let now = self.now_ms();
+            g.leases.check(&npath, holder, now)?;
+            let file = g.ns.resolve(path)?;
+            let meta = g.ns.file_meta(file)?;
+            if meta.complete {
+                return Err(FsError::InvalidArgument(format!("{path} is not open for writing")));
+            }
+            if len == 0 || len > meta.block_size {
+                return Err(FsError::InvalidArgument(format!(
+                    "block length {len} not in (0, {}]",
+                    meta.block_size
                 )));
             }
-        }
-        // Resolve + reserve under one cluster lock, so a concurrent
-        // heartbeat cannot slip between the lookup and the reservation.
-        let locations: Vec<Location> = {
-            let mut c = ctx.lock(&self.cluster);
-            let locs: Vec<Location> = media
-                .iter()
-                .map(|&m| {
-                    let (worker, tier) =
-                        c.locate_media(m).ok_or_else(|| FsError::UnknownMedia(m.to_string()))?;
-                    Ok(Location { worker, media: m, tier })
-                })
-                .collect::<Result<_>>()?;
-            for l in &locs {
-                c.schedule_write(l.media, len);
+            let rv = meta.rv;
+            let mut req = PlacementRequest::from_vector(rv, len, client);
+            req.excluded_workers = excluded.to_vec();
+            let snap = ctx.lock(&self.cluster).snapshot();
+            let (media, rounds) = self.placement.place_with_audit(&snap, &req)?;
+            if media.len() < req.tier_pins.len() {
+                // Partial placement is tolerated (the replication monitor will
+                // top the block up later) but at least one replica must exist.
+                if media.is_empty() {
+                    return Err(FsError::PlacementFailed(format!(
+                        "no media available for block of {path}"
+                    )));
+                }
             }
-            locs
-        };
-        let block = Block {
-            id: BlockId(self.block_ids.next()),
-            gen: GenStamp(self.gen_stamps.next()),
-            len,
-        };
-        // Quota check through the ledger (the shard mirrors carry no
-        // limits); cancel the reservations if it trips.
-        let charge = Namespace::charge_of(rv, len);
-        if let Err(e) = self.ledger.lock().charge(&npath, &charge) {
-            let mut c = self.cluster.lock();
-            for l in &locations {
-                c.cancel_write(l.media, len);
+            // Resolve + reserve under one cluster lock, so a concurrent
+            // heartbeat cannot slip between the lookup and the reservation.
+            let locations = {
+                let mut c = ctx.lock(&self.cluster);
+                let locs = locate_all(&c, &media)?;
+                for l in &locs {
+                    c.schedule_write(l.media, len);
+                }
+                locs
+            };
+            let block = Block {
+                id: BlockId(self.block_ids.next()),
+                gen: GenStamp(self.gen_stamps.next()),
+                len,
+            };
+            // The namespace append charges the tier quotas; cancel the
+            // reservations if it trips.
+            if let Err(e) = g.ns.add_block(file, block.id, len) {
+                let mut c = self.cluster.lock();
+                for l in &locations {
+                    c.cancel_write(l.media, len);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
-        if let Err(e) = ns.add_block(file, block.id, len) {
-            self.ledger.lock().uncharge(&npath, &charge);
-            let mut c = self.cluster.lock();
-            for l in &locations {
-                c.cancel_write(l.media, len);
-            }
-            return Err(e);
-        }
-        self.block_shard(block.id).write().insert(block, file, locations.clone());
-        let seq = self.log.stage(EditOp::AddBlock {
-            path: path.to_string(),
-            block: block.id,
-            gen: block.gen.0,
-            len,
-        });
-        drop(ns);
-        ctx.wait_durable(&self.log, seq)?;
-        self.audit.push(DecisionEvent {
-            seq: 0,
-            when_ms: now,
-            kind: DecisionKind::Placement,
-            block: block.id,
-            file,
-            policy: self.placement.name().to_string(),
-            chosen: locations.clone(),
-            rounds,
-        });
-        Ok((block, locations))
+            self.blocks.write().insert(block, file, locations.clone());
+            let seq = self.log.stage(EditOp::AddBlock {
+                path: path.to_string(),
+                block: block.id,
+                gen: block.gen.0,
+                len,
+            });
+            drop(g);
+            ctx.wait_durable(&self.log, seq)?;
+            self.audit.push(DecisionEvent {
+                seq: 0,
+                when_ms: now,
+                kind: DecisionKind::Placement,
+                block: block.id,
+                file,
+                policy: self.placement.name().to_string(),
+                chosen: locations.clone(),
+                rounds,
+            });
+            Ok((block, locations))
+        })
     }
 
     /// Acknowledges that a pipeline stage stored its replica.
     pub fn commit_replica(&self, block: Block, loc: Location) -> Result<()> {
         let ctx = self.op(MetaOp::CommitReplica);
         ctx.finish_with(|| {
-            ctx.write(self.block_shard(block.id)).confirm(block.id, loc)?;
+            ctx.write(&self.blocks).confirm(block.id, loc)?;
             ctx.lock(&self.cluster).complete_write(loc.media, block.len);
             Ok(())
         })
@@ -1198,13 +963,11 @@ impl Master {
     /// capacity is returned (cancelled, not consumed — no bytes landed).
     pub fn abort_replica(&self, block: Block, loc: Location) {
         let ctx = self.op(MetaOp::AbortReplica);
-        let mut g = ctx.write(self.block_shard(block.id));
-        if g.get(block.id).is_some_and(|info| info.locations.contains(&loc)) {
-            ctx.finish(true);
-            return;
-        }
-        let cancelled = g.abandon_pending(block.id, &loc);
-        drop(g);
+        let cancelled = {
+            let mut g = ctx.write(&self.blocks);
+            let committed = g.get(block.id).is_some_and(|info| info.locations.contains(&loc));
+            !committed && g.abandon_pending(block.id, &loc)
+        };
         if cancelled {
             ctx.lock(&self.cluster).cancel_write(loc.media, block.len);
         }
@@ -1219,7 +982,7 @@ impl Master {
     /// replica never left the medium. A no-op if the block was deleted in
     /// the meantime (the worker's next block report purges the replica).
     pub fn reinstate_replica(&self, block: Block, loc: Location) {
-        let _ = self.block_shard(block.id).write().confirm(block.id, loc);
+        let _ = self.blocks.write().confirm(block.id, loc);
     }
 
     /// Abandons an allocated block whose pipeline never stored a replica:
@@ -1232,14 +995,12 @@ impl Master {
         ctx.finish_with(|| {
             self.check_writable()?;
             let npath = normalize(path)?;
-            let mut ns = ctx.write(&self.shards[shard_index(&npath, self.shards.len())?]);
-            let now = self.now_ms();
-            ctx.lock(&self.leases).check(&npath, holder, now)?;
-            let file = ns.resolve(path)?;
-            let rv = ns.file_meta(file)?.rv;
-            ns.remove_last_block(file, block.id, block.len)?;
-            self.ledger.lock().uncharge(&npath, &Namespace::charge_of(rv, block.len));
-            if let Some(info) = self.block_shard(block.id).write().remove_block(block.id) {
+            let mut g = ctx.write(&self.namespace);
+            g.leases.check(&npath, holder, self.now_ms())?;
+            let file = g.ns.resolve(path)?;
+            g.ns.remove_last_block(file, block.id, block.len)?;
+            let removed = self.blocks.write().remove_block(block.id);
+            if let Some(info) = removed {
                 let mut c = self.cluster.lock();
                 for loc in info.pending {
                     c.cancel_write(loc.media, block.len);
@@ -1250,7 +1011,7 @@ impl Master {
                 block: block.id,
                 len: block.len,
             });
-            drop(ns);
+            drop(g);
             ctx.wait_durable(&self.log, seq)
         })
     }
@@ -1286,92 +1047,68 @@ impl Master {
         excluded: &[WorkerId],
     ) -> Result<Vec<Location>> {
         let ctx = self.op(MetaOp::ReassignBlock);
-        let r = self.reassign_block_timed(&ctx, path, block, client, holder, excluded);
-        ctx.finish(r.is_ok());
-        r
-    }
-
-    fn reassign_block_timed(
-        &self,
-        ctx: &OpCtx<'_>,
-        path: &str,
-        block: Block,
-        client: ClientLocation,
-        holder: ClientId,
-        excluded: &[WorkerId],
-    ) -> Result<Vec<Location>> {
-        self.check_writable()?;
-        let npath = normalize(path)?;
-        // The shard write lock pins the file meta (no concurrent abandon
-        // or complete) even though the namespace itself does not change.
-        let ns = ctx.write(&self.shards[shard_index(&npath, self.shards.len())?]);
-        let now = self.now_ms();
-        ctx.lock(&self.leases).check(&npath, holder, now)?;
-        let file = ns.resolve(path)?;
-        let meta = ns.file_meta(file)?;
-        if meta.complete {
-            return Err(FsError::InvalidArgument(format!("{path} is not open for writing")));
-        }
-        if !meta.blocks.contains(&block.id) {
-            return Err(FsError::InvalidArgument(format!(
-                "block {} is not part of {path}",
-                block.id
-            )));
-        }
-        let rv = meta.rv;
-        let mut req = PlacementRequest::from_vector(rv, block.len, client);
-        req.excluded_workers = excluded.to_vec();
-        let snap = ctx.lock(&self.cluster).snapshot();
-        // Place first: a placement failure must leave the old assignment
-        // intact (no edit-log entry either way — replica locations are
-        // never logged, exactly as in `add_block_excluding`).
-        let (media, rounds) = self.placement.place_with_audit(&snap, &req)?;
-        if media.is_empty() {
-            return Err(FsError::PlacementFailed(format!(
-                "no media available for block of {path}"
-            )));
-        }
-        let locations: Vec<Location> = {
-            let c = ctx.lock(&self.cluster);
-            media
-                .iter()
-                .map(|&m| {
-                    let (worker, tier) =
-                        c.locate_media(m).ok_or_else(|| FsError::UnknownMedia(m.to_string()))?;
-                    Ok(Location { worker, media: m, tier })
-                })
-                .collect::<Result<_>>()?
-        };
-        {
-            let mut bs = ctx.write(self.block_shard(block.id));
-            if let Some(info) = bs.remove_block(block.id) {
-                // Refund write reservations of the failed pipeline;
-                // committed replicas become unknown blocks, purged via
-                // block reports.
-                let mut c = self.cluster.lock();
-                for loc in info.pending {
-                    c.cancel_write(loc.media, block.len);
-                }
+        ctx.finish_with(|| {
+            self.check_writable()?;
+            let npath = normalize(path)?;
+            // The namespace write guard pins the file meta (no concurrent
+            // abandon or complete) even though the namespace does not change.
+            let mut g = ctx.write(&self.namespace);
+            let now = self.now_ms();
+            g.leases.check(&npath, holder, now)?;
+            let file = g.ns.resolve(path)?;
+            let meta = g.ns.file_meta(file)?;
+            if meta.complete {
+                return Err(FsError::InvalidArgument(format!("{path} is not open for writing")));
             }
+            if !meta.blocks.contains(&block.id) {
+                return Err(FsError::InvalidArgument(format!(
+                    "block {} is not part of {path}",
+                    block.id
+                )));
+            }
+            let rv = meta.rv;
+            let mut req = PlacementRequest::from_vector(rv, block.len, client);
+            req.excluded_workers = excluded.to_vec();
+            let snap = ctx.lock(&self.cluster).snapshot();
+            // Place first: a placement failure must leave the old assignment
+            // intact (no edit-log entry either way — replica locations are
+            // never logged, exactly as in `add_block_excluding`).
+            let (media, rounds) = self.placement.place_with_audit(&snap, &req)?;
+            if media.is_empty() {
+                return Err(FsError::PlacementFailed(format!(
+                    "no media available for block of {path}"
+                )));
+            }
+            let locations = locate_all(&ctx.lock(&self.cluster), &media)?;
             {
+                let mut bs = ctx.write(&self.blocks);
                 let mut c = self.cluster.lock();
+                if let Some(info) = bs.remove_block(block.id) {
+                    // Refund write reservations of the failed pipeline;
+                    // committed replicas become unknown blocks, purged via
+                    // block reports.
+                    for loc in info.pending {
+                        c.cancel_write(loc.media, block.len);
+                    }
+                }
                 for l in &locations {
                     c.schedule_write(l.media, block.len);
                 }
+                drop(c);
+                bs.insert(block, file, locations.clone());
             }
-            bs.insert(block, file, locations.clone());
-        }
-        self.audit.push(DecisionEvent {
-            seq: 0,
-            when_ms: now,
-            kind: DecisionKind::Reassign,
-            block: block.id,
-            file,
-            policy: self.placement.name().to_string(),
-            chosen: locations.clone(),
-            rounds,
-        });
-        Ok(locations)
+            self.audit.push(DecisionEvent {
+                seq: 0,
+                when_ms: now,
+                kind: DecisionKind::Reassign,
+                block: block.id,
+                file,
+                policy: self.placement.name().to_string(),
+                chosen: locations.clone(),
+                rounds,
+            });
+            Ok(locations)
+        })
     }
 
     /// Reopens a complete file for append (new blocks only; the existing
@@ -1382,23 +1119,16 @@ impl Master {
         ctx.finish_with(|| {
             self.check_writable()?;
             let npath = normalize(path)?;
-            let mut ns = ctx.write(&self.shards[shard_index(&npath, self.shards.len())?]);
-            let now = self.now_ms();
-            ctx.lock(&self.leases).acquire(&npath, holder, now)?;
-            let file = match ns.resolve(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    self.leases.lock().release(&npath);
-                    return Err(e);
-                }
-            };
-            if let Err(e) = ns.reopen_file(file) {
-                self.leases.lock().release(&npath);
+            let mut g = ctx.write(&self.namespace);
+            g.leases.acquire(&npath, holder, self.now_ms())?;
+            let reopened = g.ns.resolve(path).and_then(|file| g.ns.reopen_file(file));
+            if let Err(e) = reopened {
+                g.leases.release(&npath);
                 return Err(e);
             }
             let seq = self.log.stage(EditOp::AppendFile { path: path.to_string() });
-            let st = ns.status(path)?;
-            drop(ns);
+            let st = g.ns.status(path)?;
+            drop(g);
             ctx.wait_durable(&self.log, seq)?;
             Ok(st)
         })
@@ -1416,14 +1146,13 @@ impl Master {
         ctx.finish_with(|| {
             self.check_writable()?;
             let npath = normalize(path)?;
-            let mut ns = ctx.write(&self.shards[shard_index(&npath, self.shards.len())?]);
-            let now = self.now_ms();
-            ctx.lock(&self.leases).check(&npath, holder, now)?;
-            let file = ns.resolve(path)?;
-            ns.finalize_file(file)?;
-            self.leases.lock().release(&npath);
+            let mut g = ctx.write(&self.namespace);
+            g.leases.check(&npath, holder, self.now_ms())?;
+            let file = g.ns.resolve(path)?;
+            g.ns.finalize_file(file)?;
+            g.leases.release(&npath);
             let seq = self.log.stage(EditOp::CloseFile { path: path.to_string() });
-            drop(ns);
+            drop(g);
             ctx.wait_durable(&self.log, seq)
         })
     }
@@ -1438,61 +1167,49 @@ impl Master {
         client: ClientLocation,
     ) -> Result<Vec<LocatedBlock>> {
         let ctx = self.op(MetaOp::Locations);
-        let r = self.block_locations_timed(&ctx, path, start, len, client);
-        ctx.finish(r.is_ok());
-        r
-    }
-
-    fn block_locations_timed(
-        &self,
-        ctx: &OpCtx<'_>,
-        path: &str,
-        start: u64,
-        len: u64,
-        client: ClientLocation,
-    ) -> Result<Vec<LocatedBlock>> {
-        let npath = normalize(path)?;
-        let (file, meta) = {
-            let g = ctx.read(&self.shards[shard_index(&npath, self.shards.len())?]);
-            let file = g.resolve(path)?;
-            (file, g.file_meta(file)?.clone())
-        };
-        let snap = ctx.lock(&self.cluster).snapshot();
-        let now = self.now_ms();
-        let mut out = Vec::new();
-        let mut offset = 0u64;
-        for bid in &meta.blocks {
-            let info =
-                ctx.read(self.block_shard(*bid)).get(*bid).cloned().ok_or_else(|| {
+        ctx.finish_with(|| {
+            let snap = ctx.lock(&self.cluster).snapshot();
+            // Both read guards span the walk, so a concurrent delete cannot
+            // pull a block out from under a file that is being located.
+            let g = ctx.read(&self.namespace);
+            let file = g.ns.resolve(path)?;
+            let meta = g.ns.file_meta(file)?;
+            let blocks = ctx.read(&self.blocks);
+            let now = self.now_ms();
+            let mut out = Vec::new();
+            let mut offset = 0u64;
+            for bid in &meta.blocks {
+                let info = blocks.get(*bid).ok_or_else(|| {
                     FsError::Internal(format!("file block {bid} missing from map"))
                 })?;
-            let (ordered, candidates) =
-                self.retrieval.order_with_audit(&snap, client, &info.locations);
-            let lb = LocatedBlock { block: info.block, offset, locations: ordered };
-            offset = lb.end();
-            if lb.overlaps(start, len) {
-                // Retrieval decisions are audited only for blocks actually
-                // handed to the client (the requested range). The ring has
-                // its own lock, so recording is fine without any guard.
-                self.audit.push(DecisionEvent {
-                    seq: 0,
-                    when_ms: now,
-                    kind: DecisionKind::Retrieval,
-                    block: info.block.id,
-                    file,
-                    policy: self.retrieval.name().to_string(),
-                    chosen: lb.locations.clone(),
-                    rounds: vec![DecisionRound {
-                        replica_index: 0,
-                        tier_pin: None,
-                        chosen_media: lb.locations.first().map(|l| l.media),
-                        candidates,
-                    }],
-                });
-                out.push(lb);
+                let (ordered, candidates) =
+                    self.retrieval.order_with_audit(&snap, client, &info.locations);
+                let lb = LocatedBlock { block: info.block, offset, locations: ordered };
+                offset = lb.end();
+                if lb.overlaps(start, len) {
+                    // Retrieval decisions are audited only for blocks actually
+                    // handed to the client (the requested range). The ring is
+                    // a leaf lock, fine under the read guards.
+                    self.audit.push(DecisionEvent {
+                        seq: 0,
+                        when_ms: now,
+                        kind: DecisionKind::Retrieval,
+                        block: info.block.id,
+                        file,
+                        policy: self.retrieval.name().to_string(),
+                        chosen: lb.locations.clone(),
+                        rounds: vec![DecisionRound {
+                            replica_index: 0,
+                            tier_pin: None,
+                            chosen_media: lb.locations.first().map(|l| l.media),
+                            candidates,
+                        }],
+                    });
+                    out.push(lb);
+                }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// `setReplication` (Table 1): validates and records the new vector.
@@ -1508,31 +1225,10 @@ impl Master {
         let ctx = self.op(MetaOp::SetReplication);
         ctx.finish_with(|| {
             self.check_writable()?;
-            let npath = normalize(path)?;
-            let mut ns = ctx.write(&self.shards[shard_index(&npath, self.shards.len())?]);
-            let file = ns.resolve(path)?;
-            let meta = ns.file_meta(file)?;
-            let (old, flen) = (meta.rv, meta.len);
-            let recharged = flen > 0 && rv != old;
-            if recharged {
-                self.ledger.lock().recharge(
-                    &npath,
-                    &Namespace::charge_of(old, flen),
-                    &Namespace::charge_of(rv, flen),
-                )?;
-            }
-            if let Err(e) = ns.set_replication(path, rv) {
-                if recharged {
-                    self.ledger.lock().recharge(
-                        &npath,
-                        &Namespace::charge_of(rv, flen),
-                        &Namespace::charge_of(old, flen),
-                    )?;
-                }
-                return Err(e);
-            }
+            let mut g = ctx.write(&self.namespace);
+            let old = g.ns.set_replication(path, rv)?;
             let seq = self.log.stage(EditOp::SetReplication { path: path.to_string(), rv });
-            drop(ns);
+            drop(g);
             ctx.wait_durable(&self.log, seq)?;
             Ok(old)
         })
@@ -1544,62 +1240,39 @@ impl Master {
     }
 
     /// Status of a path. Paths under a mount point resolve against the
-    /// external catalog (§2.4, stand-alone mode). A single-shard lookup:
-    /// the path's hash shard sees both the directory mirror and the file
-    /// (if any), so it answers authoritatively.
+    /// external catalog (§2.4, stand-alone mode).
     pub fn status(&self, path: &str) -> Result<FileStatus> {
         let ctx = self.op(MetaOp::Stat);
         ctx.finish_with(|| {
-            {
-                let m = ctx.read(&self.mounts);
-                if let Some((cat, rel)) = m.resolve(path) {
-                    let st = cat.status(&rel)?;
-                    return Ok(FileStatus {
-                        id: INodeId(0),
-                        path: path.to_string(),
-                        is_dir: st.is_dir,
-                        len: st.len,
-                        rv: ReplicationVector::EMPTY,
-                        block_size: 0,
-                        complete: true,
-                    });
-                }
-            }
-            let s = shard_index(path, self.shards.len())?;
-            ctx.read(&self.shards[s]).status(path)
+            let g = ctx.read(&self.namespace);
+            let Some((cat, rel)) = g.mounts.resolve(path) else {
+                return g.ns.status(path);
+            };
+            drop(g); // never hold the namespace across catalog I/O
+            let st = cat.status(&rel)?;
+            Ok(FileStatus {
+                id: INodeId(0),
+                path: path.to_string(),
+                is_dir: st.is_dir,
+                len: st.len,
+                rv: ReplicationVector::EMPTY,
+                block_size: 0,
+                complete: true,
+            })
         })
     }
 
-    /// Lists a directory (external catalogs included — §2.4). The home
-    /// shard provides subdirectories and its files; every other shard
-    /// contributes only the files striped into it.
+    /// Lists a directory (external catalogs included — §2.4): one atomic
+    /// snapshot of its entries.
     pub fn list(&self, path: &str) -> Result<Vec<DirEntry>> {
         let ctx = self.op(MetaOp::List);
         ctx.finish_with(|| {
-            {
-                let m = ctx.read(&self.mounts);
-                if let Some((cat, rel)) = m.resolve(path) {
-                    return cat.list(&rel);
-                }
-            }
-            // One shard guard at a time, never all at once: holding every
-            // read guard for the whole merge convoys writers behind the
-            // first shard (writer-priority rwlocks then stall new readers
-            // too). The price is snapshot atomicity across shards — a
-            // listing is a valid mix of states during concurrent
-            // mutations, like the other global scans (§ sharded master).
-            let home = shard_index(path, self.shards.len())?;
-            let mut entries = ctx.read(&self.shards[home]).list(path)?;
-            for (i, shard) in self.shards.iter().enumerate() {
-                if i == home {
-                    continue;
-                }
-                let mut more = ctx.read(shard).list(path)?;
-                more.retain(|e| !e.is_dir);
-                entries.extend(more);
-            }
-            entries.sort_by(|a, b| a.name.cmp(&b.name));
-            Ok(entries)
+            let g = ctx.read(&self.namespace);
+            let Some((cat, rel)) = g.mounts.resolve(path) else {
+                return g.ns.list(path);
+            };
+            drop(g); // never hold the namespace across catalog I/O
+            cat.list(&rel)
         })
     }
 
@@ -1610,34 +1283,31 @@ impl Master {
         mount_point: &str,
         catalog: Arc<dyn ExternalCatalog>,
     ) -> Result<()> {
-        let npath = normalize(mount_point)?;
-        let ns = self.shards[shard_index(&npath, self.shards.len())?].read();
-        // The mount point must not shadow existing namespace entries; the
-        // shard guard is held across the insert so a concurrent create
-        // cannot slip in underneath (namespace → mounts lock order).
-        if ns.resolve(mount_point).is_ok() {
+        parse_path(mount_point)?;
+        let mut g = self.namespace.write();
+        // The mount point must not shadow existing namespace entries.
+        if g.ns.resolve(mount_point).is_ok() {
             return Err(FsError::AlreadyExists(mount_point.to_string()));
         }
-        self.mounts.write().add(mount_point, catalog)
+        g.mounts.add(mount_point, catalog)
     }
 
     /// Whether a path resolves into a mounted external catalog.
     pub fn is_external(&self, path: &str) -> bool {
-        self.mounts.read().resolve(path).is_some()
+        self.namespace.read().mounts.resolve(path).is_some()
     }
 
     /// Reads a whole file from a mounted external catalog.
     pub fn read_external(&self, path: &str) -> Result<Vec<u8>> {
-        let g = self.mounts.read();
-        let (cat, rel) = g
-            .resolve(path)
-            .ok_or_else(|| FsError::NotFound(format!("{path} is not under a mount")))?;
+        let hit = self.namespace.read().mounts.resolve(path);
+        let (cat, rel) =
+            hit.ok_or_else(|| FsError::NotFound(format!("{path} is not under a mount")))?;
         cat.read(&rel)
     }
 
     /// Registered external mount points.
     pub fn mount_points(&self) -> Vec<String> {
-        self.mounts.read().mount_points().into_iter().map(String::from).collect()
+        self.namespace.read().mounts.mount_points().into_iter().map(String::from).collect()
     }
 
     /// Renames a file or directory. The renamed subtree's heat is reset:
@@ -1645,395 +1315,81 @@ impl Master {
     /// carry a staging file's write heat onto the published path and
     /// wrongly promote it, so a renamed file starts cold and earns its
     /// temperature from post-rename accesses.
-    ///
-    /// A file rename locks at most the two shards involved (ascending
-    /// index order — the cross-shard deadlock discipline); a directory
-    /// rename locks every shard, since all mirrors must move together and
-    /// striped files may need to migrate to their new hash shard.
     pub fn rename(&self, src: &str, dst: &str) -> Result<()> {
         let ctx = self.op(MetaOp::Rename);
         ctx.finish_with(|| {
             self.check_writable()?;
-            let nsrc = normalize(src)?;
-            let ndst = normalize(dst)?;
-            let n = self.shards.len();
-            let i = shard_index(&nsrc, n)?;
-            let j = shard_index(&ndst, n)?;
-            // Peek the source kind from its authoritative shard (the file,
-            // if any, hashes there; the directory mirror is there too).
-            let is_file = {
-                let g = ctx.read(&self.shards[i]);
-                let id = g.resolve(&nsrc)?;
-                g.file_meta(id).is_ok()
-            };
-            let fast = if is_file {
-                self.rename_file_fast(&ctx, src, dst, &nsrc, &ndst, i, j)?
-            } else {
-                None
-            };
-            let (seq, moved) = match fast {
-                Some(x) => x,
-                None => self.rename_slow(&ctx, src, dst, &nsrc, &ndst)?,
-            };
-            {
-                let mut heat = self.heat.lock();
-                for f in moved {
-                    heat.forget(f);
-                }
-            }
+            let mut g = ctx.write(&self.namespace);
+            let src_id = g.ns.resolve(src)?;
+            g.ns.rename(src, dst)?;
+            let moved = g.ns.subtree_files(src_id); // a rename keeps inode ids
+            g.leases.rename(&normalize(src)?, &normalize(dst)?);
+            let seq = self.log.stage(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
+            drop(g);
+            self.forget_heat(moved);
             ctx.wait_durable(&self.log, seq)
         })
-    }
-
-    /// The two-shard file-rename fast path. Returns `Ok(None)` when the
-    /// re-verification under the write locks finds the source is no longer
-    /// a plain file (a racing op changed it) — the caller falls back to
-    /// the all-shards slow path.
-    #[allow(clippy::too_many_arguments)]
-    fn rename_file_fast(
-        &self,
-        ctx: &OpCtx<'_>,
-        src: &str,
-        dst: &str,
-        nsrc: &str,
-        ndst: &str,
-        i: usize,
-        j: usize,
-    ) -> Result<Option<(u64, Vec<INodeId>)>> {
-        // Lock the lower-indexed shard first — every multi-shard op uses
-        // this order, so two cross-shard renames cannot deadlock.
-        let lo = i.min(j);
-        let hi = i.max(j);
-        let mut g_lo = ctx.write(&self.shards[lo]);
-        let mut g_hi_opt = if hi != lo { Some(ctx.write(&self.shards[hi])) } else { None };
-        {
-            let (gi, gj): (&mut Namespace, &mut Namespace) = match g_hi_opt.as_mut() {
-                None => {
-                    // Same shard: re-verify, then let the namespace's own
-                    // rename do the validation and the move.
-                    let g = &mut *g_lo;
-                    let id = g.resolve(nsrc)?;
-                    if g.file_meta(id).is_err() {
-                        return Ok(None);
-                    }
-                    let meta = g.file_meta(id)?.clone();
-                    let charge = Namespace::charge_of(meta.rv, meta.len);
-                    g.rename(nsrc, ndst)?;
-                    if let Err(e) = self.ledger.lock().transfer_file(nsrc, ndst, &charge) {
-                        g.rename(ndst, nsrc)?;
-                        return Err(e);
-                    }
-                    self.leases.lock().rename(nsrc, ndst);
-                    let seq = self
-                        .log
-                        .stage(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
-                    return Ok(Some((seq, vec![id])));
-                }
-                Some(g_hi) => {
-                    if i < j {
-                        (&mut *g_lo, &mut **g_hi)
-                    } else {
-                        (&mut **g_hi, &mut *g_lo)
-                    }
-                }
-            };
-            // Cross-shard: re-verify the source, validate the destination
-            // against its authoritative shard, then move the inode.
-            let id = gi.resolve(nsrc)?;
-            if gi.file_meta(id).is_err() {
-                return Ok(None);
-            }
-            if gj.resolve(ndst).is_ok() {
-                return Err(FsError::AlreadyExists(dst.to_string()));
-            }
-            let parent = parent_path(ndst);
-            if !gj.status(&parent)?.is_dir {
-                return Err(FsError::NotADirectory(parent));
-            }
-            let (fid, meta) = gi.extract_file(nsrc)?;
-            let charge = Namespace::charge_of(meta.rv, meta.len);
-            if let Err(e) = gj.implant_file(ndst, fid, meta.clone()) {
-                gi.implant_file(nsrc, fid, meta)?;
-                return Err(e);
-            }
-            if let Err(e) = self.ledger.lock().transfer_file(nsrc, ndst, &charge) {
-                let (fid2, meta2) = gj.extract_file(ndst)?;
-                gi.implant_file(nsrc, fid2, meta2)?;
-                return Err(e);
-            }
-            self.leases.lock().rename(nsrc, ndst);
-            let seq = self.log.stage(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
-            Ok(Some((seq, vec![fid])))
-        }
-    }
-
-    /// The all-shards rename path: directory renames (mirrors move
-    /// together, striped files migrate to their new hash shards), and the
-    /// fallback when the fast path lost its race.
-    fn rename_slow(
-        &self,
-        ctx: &OpCtx<'_>,
-        src: &str,
-        dst: &str,
-        nsrc: &str,
-        ndst: &str,
-    ) -> Result<(u64, Vec<INodeId>)> {
-        if nsrc == "/" {
-            return Err(FsError::InvalidPath("cannot rename /".into()));
-        }
-        let n = self.shards.len();
-        let i = shard_index(nsrc, n)?;
-        let j = shard_index(ndst, n)?;
-        let mut guards = self.lock_all_ns_write(ctx);
-        let sid = guards[i].resolve(nsrc)?;
-        let src_is_file = guards[i].file_meta(sid).is_ok();
-        // The destination must be free: a directory would mirror into
-        // every shard (check any), a file hashes into shard j.
-        if guards[0].resolve(ndst).is_ok() || guards[j].resolve(ndst).is_ok() {
-            return Err(FsError::AlreadyExists(dst.to_string()));
-        }
-        let parent = parent_path(ndst);
-        if !guards[0].status(&parent)?.is_dir {
-            return Err(FsError::NotADirectory(parent));
-        }
-        if src_is_file {
-            let meta = guards[i].file_meta(sid)?.clone();
-            let charge = Namespace::charge_of(meta.rv, meta.len);
-            if i == j {
-                guards[i].rename(nsrc, ndst)?;
-            } else {
-                let (gi, gj) = pair_mut(&mut guards, i, j);
-                let gj = gj.expect("i != j");
-                let (fid, m) = gi.extract_file(nsrc)?;
-                if let Err(e) = gj.implant_file(ndst, fid, m.clone()) {
-                    gi.implant_file(nsrc, fid, m)?;
-                    return Err(e);
-                }
-            }
-            if let Err(e) = self.ledger.lock().transfer_file(nsrc, ndst, &charge) {
-                if i == j {
-                    guards[i].rename(ndst, nsrc)?;
-                } else {
-                    let (gi, gj) = pair_mut(&mut guards, i, j);
-                    let gj = gj.expect("i != j");
-                    let (fid, m) = gj.extract_file(ndst)?;
-                    gi.implant_file(nsrc, fid, m)?;
-                }
-                return Err(e);
-            }
-            self.leases.lock().rename(nsrc, ndst);
-            let seq = self.log.stage(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
-            return Ok((seq, vec![sid]));
-        }
-        // Directory rename. Reject moving a directory under itself (by
-        // component prefix — string prefixes would conflate `/a` and
-        // `/ab`).
-        let src_comps = parse_path(nsrc)?;
-        let dst_comps = parse_path(ndst)?;
-        if dst_comps.len() >= src_comps.len() && dst_comps[..src_comps.len()] == src_comps[..] {
-            return Err(FsError::InvalidPath(format!(
-                "cannot move {src} into its own subtree {dst}"
-            )));
-        }
-        // Quota admission first: `rename_subtree` verifies the gaining
-        // ancestor chain before anything mutates, so a refusal leaves the
-        // namespace untouched.
-        self.ledger.lock().rename_subtree(nsrc, ndst)?;
-        let prefix = format!("{}/", nsrc.trim_end_matches('/'));
-        let mut moved: Vec<INodeId> = Vec::new();
-        for g in guards.iter() {
-            for (fid, p, _) in g.iter_files() {
-                if p.starts_with(&prefix) {
-                    moved.push(fid);
-                }
-            }
-        }
-        for g in guards.iter_mut() {
-            g.rename(nsrc, ndst)?;
-        }
-        // Re-stripe: a moved file whose new path hashes to a different
-        // shard migrates via extract/implant.
-        let dst_prefix = format!("{}/", ndst.trim_end_matches('/'));
-        let mut migrations: Vec<(usize, usize, String)> = Vec::new();
-        for (s, g) in guards.iter().enumerate() {
-            for (_, p, _) in g.iter_files() {
-                if p.starts_with(&dst_prefix) {
-                    let want = shard_index(&p, n)?;
-                    if want != s {
-                        migrations.push((s, want, p));
-                    }
-                }
-            }
-        }
-        for (from, to, p) in migrations {
-            let (gf, gt) = pair_mut(&mut guards, from, to);
-            let gt = gt.expect("from != to");
-            let (fid, m) = gf.extract_file(&p)?;
-            gt.implant_file(&p, fid, m)?;
-        }
-        self.leases.lock().rename(nsrc, ndst);
-        let seq = self.log.stage(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
-        Ok((seq, moved))
     }
 
     /// Deletes a path; block replicas are dropped from the block map and
     /// returned as `(block, location)` pairs for invalidation at the
     /// workers. Heat entries of the deleted files are forgotten — without
-    /// this the tracker leaks one EWMA per deleted file forever. A file
-    /// delete locks one shard; a directory delete locks all of them.
+    /// this the tracker leaks one EWMA per deleted file forever.
     pub fn delete(&self, path: &str, recursive: bool) -> Result<Vec<(BlockId, Location)>> {
         let ctx = self.op(MetaOp::Delete);
         ctx.finish_with(|| {
             self.check_writable()?;
             let npath = normalize(path)?;
-            if npath == "/" {
-                return Err(FsError::InvalidPath("cannot delete /".into()));
-            }
-            let i = shard_index(&npath, self.shards.len())?;
-            let is_file = {
-                let g = ctx.read(&self.shards[i]);
-                let id = g.resolve(&npath)?;
-                g.file_meta(id).is_ok()
-            };
-            let fast = if is_file { self.delete_file_fast(&ctx, path, &npath, i)? } else { None };
-            let (seq, blocks, doomed) = match fast {
-                Some(x) => x,
-                None => self.delete_slow(&ctx, path, &npath, recursive)?,
-            };
-            // Blocks drop from their stripes after the namespace locks
-            // release — the namespace is the source of truth, and a
-            // lingering map entry is cleaned here or by block reports.
+            let mut g = ctx.write(&self.namespace);
+            let (doomed, blocks) = g.ns.delete(path, recursive)?;
+            g.leases.release(&npath);
+            let seq = self.log.stage(EditOp::Delete { path: path.to_string() });
+            // Blocks leave the map under the namespace guard, so a reader
+            // never finds a file whose blocks are already gone.
             let mut dropped = Vec::new();
-            for b in blocks {
-                if let Some(info) = self.block_shard(b).write().remove_block(b) {
-                    dropped.extend(info.locations.into_iter().map(|l| (b, l)));
+            if !blocks.is_empty() {
+                let mut map = ctx.write(&self.blocks);
+                for b in blocks {
+                    if let Some(info) = map.remove_block(b) {
+                        dropped.extend(info.locations.into_iter().map(|l| (b, l)));
+                    }
                 }
             }
-            {
-                let mut heat = self.heat.lock();
-                for f in doomed {
-                    heat.forget(f);
-                }
-            }
+            drop(g);
+            self.forget_heat(doomed);
             ctx.wait_durable(&self.log, seq)?;
             Ok(dropped)
         })
     }
 
-    /// Single-shard file delete. `Ok(None)` when the path is no longer a
-    /// plain file under the write lock (fall back to the slow path).
-    fn delete_file_fast(
-        &self,
-        ctx: &OpCtx<'_>,
-        path: &str,
-        npath: &str,
-        i: usize,
-    ) -> Result<Option<FastDelete>> {
-        let mut g = ctx.write(&self.shards[i]);
-        let id = g.resolve(npath)?;
-        let Ok(meta) = g.file_meta(id) else { return Ok(None) };
-        let charge = Namespace::charge_of(meta.rv, meta.len);
-        let blocks = g.delete(npath, false)?;
-        self.ledger.lock().uncharge(npath, &charge);
-        self.leases.lock().release(npath);
-        let seq = self.log.stage(EditOp::Delete { path: path.to_string() });
-        Ok(Some((seq, blocks, vec![id])))
+    fn forget_heat(&self, files: Vec<INodeId>) {
+        let mut heat = self.heat.lock();
+        for f in files {
+            heat.forget(f);
+        }
     }
 
-    /// All-shards delete: directories (every mirror drops the subtree,
-    /// striped files across all shards go with it) and the file fallback.
-    fn delete_slow(
-        &self,
-        ctx: &OpCtx<'_>,
-        path: &str,
-        npath: &str,
-        recursive: bool,
-    ) -> Result<(u64, Vec<BlockId>, Vec<INodeId>)> {
-        let i = shard_index(npath, self.shards.len())?;
-        let mut guards = self.lock_all_ns_write(ctx);
-        let id = guards[i].resolve(npath)?;
-        if guards[i].file_meta(id).is_ok() {
-            // Raced back into a file — delete it from its shard inline.
-            let meta = guards[i].file_meta(id)?.clone();
-            let charge = Namespace::charge_of(meta.rv, meta.len);
-            let blocks = guards[i].delete(npath, false)?;
-            self.ledger.lock().uncharge(npath, &charge);
-            self.leases.lock().release(npath);
-            let seq = self.log.stage(EditOp::Delete { path: path.to_string() });
-            return Ok((seq, blocks, vec![id]));
-        }
-        if !recursive {
-            // The emptiness check must pass on EVERY mirror before any of
-            // them mutates — passing `recursive: false` straight through
-            // could delete the subtree from some mirrors and fail on
-            // others, leaving the namespace diverged.
-            for g in guards.iter() {
-                if !g.list(npath)?.is_empty() {
-                    return Err(FsError::DirectoryNotEmpty(path.to_string()));
-                }
-            }
-        }
-        let prefix = format!("{}/", npath.trim_end_matches('/'));
-        let mut doomed: Vec<INodeId> = Vec::new();
-        for g in guards.iter() {
-            for (fid, p, _) in g.iter_files() {
-                if p.starts_with(&prefix) {
-                    doomed.push(fid);
-                }
-            }
-        }
-        let mut blocks = Vec::new();
-        for g in guards.iter_mut() {
-            blocks.extend(g.delete(npath, true)?);
-        }
-        self.ledger.lock().delete_subtree(npath);
-        self.leases.lock().release(npath);
-        let seq = self.log.stage(EditOp::Delete { path: path.to_string() });
-        Ok((seq, blocks, doomed))
-    }
-
-    /// Sets a per-tier quota on a directory. The shard read guard is held
-    /// through staging so a concurrent directory delete (which needs every
-    /// write lock) cannot interleave a `Delete` before this `SetQuota` in
-    /// the log — replay would fault on the missing directory.
+    /// Sets a per-tier quota on a directory.
     pub fn set_quota(&self, path: &str, quota: TierQuota) -> Result<()> {
         let ctx = self.op(MetaOp::SetQuota);
         ctx.finish_with(|| {
             self.check_writable()?;
-            let npath = normalize(path)?;
-            let g = ctx.read(&self.shards[shard_index(&npath, self.shards.len())?]);
-            let st = g.status(&npath)?;
-            if !st.is_dir {
-                return Err(FsError::NotADirectory(path.to_string()));
-            }
-            self.ledger.lock().set_quota(&npath, quota)?;
+            let mut g = ctx.write(&self.namespace);
+            g.ns.set_quota(path, quota)?;
             let seq = self.log.stage(EditOp::SetQuota { path: path.to_string(), quota });
             drop(g);
             ctx.wait_durable(&self.log, seq)
         })
     }
 
-    /// A directory's quota and usage (from the quota ledger — the sole
-    /// quota authority; shard mirrors carry no limits).
+    /// A directory's quota and usage.
     pub fn quota_usage(&self, path: &str) -> Result<(TierQuota, [u64; MAX_TIERS])> {
-        let npath = normalize(path)?;
-        let g = self.shards[shard_index(&npath, self.shards.len())?].read();
-        let st = g.status(&npath)?;
-        if !st.is_dir {
-            return Err(FsError::NotADirectory(path.to_string()));
-        }
-        drop(g);
-        Ok(self.ledger.lock().quota_usage(&npath))
+        self.namespace.read().ns.quota_usage(path)
     }
 
-    /// `(files, directories)` counts. Directories are mirrored, so shard 0
-    /// counts them once; files stripe, so they sum.
+    /// `(files, directories)` counts (directories include `/`).
     pub fn counts(&self) -> (usize, usize) {
-        let guards: Vec<StatReadGuard<'_, Namespace>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let dirs = guards[0].counts().1;
-        let files = guards.iter().map(|g| g.counts().0).sum();
-        (files, dirs)
+        self.namespace.read().ns.counts()
     }
 
     // -- Replication monitor (§5) -------------------------------------------
@@ -2041,145 +1397,140 @@ impl Master {
     /// Scans every block of every complete file, scheduling re-replication
     /// for under-replicated tiers and removal for over-replicated ones.
     /// Returned tasks are to be executed by workers; copies are recorded as
-    /// pending so a rescan does not double-schedule. The scan walks shard
-    /// by shard without a global barrier: concurrent metadata ops on other
-    /// shards proceed while one stripe is inspected.
+    /// pending so a rescan does not double-schedule.
     pub fn replication_scan(&self) -> Vec<ReplicationTask> {
         if self.in_safe_mode() {
             return Vec::new();
         }
         let (snap, draining) = {
             let c = self.cluster.lock();
-            let d: std::collections::HashSet<WorkerId> =
+            let d: HashSet<WorkerId> =
                 c.workers().filter(|w| c.is_decommissioning(w.worker)).map(|w| w.worker).collect();
             (c.snapshot(), d)
         };
         let now = self.now_ms();
         let mut tasks = Vec::new();
-        for shard in &self.shards {
-            let files: Vec<(INodeId, ReplicationVector, Vec<BlockId>)> = {
-                let g = shard.read();
-                g.iter_files()
-                    .into_iter()
-                    .filter(|(_, _, meta)| meta.complete)
-                    .map(|(id, _, meta)| (id, meta.rv, meta.blocks.clone()))
-                    .collect()
-            };
-            for (file, rv, blocks) in files {
-                for bid in blocks {
-                    let mut bg = self.block_shard(bid).write();
-                    let Some(info) = bg.get(bid) else { continue };
-                    let block = info.block;
-                    let confirmed = info.locations.clone();
-                    let all = info.all_locations();
-                    // Replicas on draining workers keep serving reads but
-                    // do not count toward the replication target.
-                    let counted: Vec<Location> =
-                        all.iter().copied().filter(|l| !draining.contains(&l.worker)).collect();
-                    let state = replication_state(rv, &counted);
-                    if state.is_satisfied() {
-                        continue;
-                    }
-                    if confirmed.is_empty() {
-                        continue; // nothing to copy from yet
-                    }
+        // Both guards span the scan: the monitor sees one consistent
+        // namespace and block map, at the price of holding up writers
+        // for its duration.
+        let g = self.namespace.read();
+        let mut bg = self.blocks.write();
+        for (file, meta) in g.ns.files().filter(|(_, meta)| meta.complete) {
+            let rv = meta.rv;
+            for &bid in &meta.blocks {
+                let Some(info) = bg.get(bid) else { continue };
+                let block = info.block;
+                let confirmed = info.locations.clone();
+                let all = info.all_locations();
+                // Replicas on draining workers keep serving reads but
+                // do not count toward the replication target.
+                let counted: Vec<Location> =
+                    all.iter().copied().filter(|l| !draining.contains(&l.worker)).collect();
+                let state = replication_state(rv, &counted);
+                if state.is_satisfied() {
+                    continue;
+                }
+                if confirmed.is_empty() {
+                    continue; // nothing to copy from yet
+                }
 
-                    // Under-replication: build one placement request
-                    // covering all deficits of this block.
-                    let mut pins: Vec<Option<TierId>> = Vec::new();
-                    for &(tier, count) in &state.under_pinned {
-                        for _ in 0..count {
-                            pins.push(Some(tier));
-                        }
+                // Under-replication: build one placement request
+                // covering all deficits of this block.
+                let mut pins: Vec<Option<TierId>> = Vec::new();
+                for &(tier, count) in &state.under_pinned {
+                    for _ in 0..count {
+                        pins.push(Some(tier));
                     }
-                    for _ in 0..state.under_unspecified {
-                        pins.push(None);
-                    }
-                    if !pins.is_empty() {
-                        let req = PlacementRequest {
-                            block_size: block.len,
-                            client: ClientLocation::OffCluster,
-                            tier_pins: pins,
-                            existing: all.iter().map(|l| l.media).collect(),
-                            excluded_workers: Vec::new(),
-                        };
-                        if let Ok((media, rounds)) = self.placement.place_with_audit(&snap, &req) {
-                            let mut targets = Vec::new();
-                            for m in media {
-                                let located = { self.cluster.lock().locate_media(m) };
-                                let Some((worker, tier)) = located else { continue };
-                                let target = Location { worker, media: m, tier };
-                                let sources = self.retrieval.order(
-                                    &snap,
-                                    ClientLocation::OnWorker(worker),
-                                    &confirmed,
-                                );
-                                bg.add_pending(bid, &[target]).ok();
-                                self.cluster.lock().schedule_write(m, block.len);
-                                targets.push(target);
-                                tasks.push(ReplicationTask::Copy { block, sources, target });
-                            }
-                            if !targets.is_empty() {
-                                self.audit.push(DecisionEvent {
-                                    seq: 0,
-                                    when_ms: now,
-                                    kind: DecisionKind::Placement,
-                                    block: bid,
-                                    file,
-                                    policy: self.placement.name().to_string(),
-                                    chosen: targets,
-                                    rounds,
-                                });
-                            }
-                        }
-                    }
-
-                    // Over-replication: pick victims per over-replicated
-                    // tier.
-                    for &(tier, count) in &state.over {
-                        let mut current = confirmed.clone();
-                        for _ in 0..count {
-                            // Never trim the last confirmed replica: a
-                            // demotion like ⟨1,0,0⟩ → ⟨0,0,1⟩ makes the
-                            // memory replica surplus while it is still the
-                            // only copy (and the source of this round's HDD
-                            // copy). The trim waits until the new replica
-                            // confirms.
-                            if current.len() <= 1 {
-                                break;
-                            }
-                            let (victim, candidates) = choose_replica_to_remove_explained(
+                }
+                for _ in 0..state.under_unspecified {
+                    pins.push(None);
+                }
+                if !pins.is_empty() {
+                    let req = PlacementRequest {
+                        block_size: block.len,
+                        client: ClientLocation::OffCluster,
+                        tier_pins: pins,
+                        existing: all.iter().map(|l| l.media).collect(),
+                        excluded_workers: Vec::new(),
+                    };
+                    if let Ok((media, rounds)) = self.placement.place_with_audit(&snap, &req) {
+                        let mut targets = Vec::new();
+                        for m in media {
+                            let located = { self.cluster.lock().locate_media(m) };
+                            let Some((worker, tier)) = located else { continue };
+                            let target = Location { worker, media: m, tier };
+                            let sources = self.retrieval.order(
                                 &snap,
-                                &current,
-                                Some(tier),
-                                block.len,
+                                ClientLocation::OnWorker(worker),
+                                &confirmed,
                             );
-                            let Some(victim) = victim else {
-                                break;
-                            };
-                            current.retain(|l| l != &victim);
-                            bg.remove_replica(bid, victim.media);
+                            bg.add_pending(bid, &[target]).ok();
+                            self.cluster.lock().schedule_write(m, block.len);
+                            targets.push(target);
+                            tasks.push(ReplicationTask::Copy { block, sources, target });
+                        }
+                        if !targets.is_empty() {
                             self.audit.push(DecisionEvent {
                                 seq: 0,
                                 when_ms: now,
-                                kind: DecisionKind::Removal,
+                                kind: DecisionKind::Placement,
                                 block: bid,
                                 file,
-                                policy: "leave-one-out".to_string(),
-                                chosen: vec![victim],
-                                rounds: vec![DecisionRound {
-                                    replica_index: 0,
-                                    tier_pin: Some(tier),
-                                    chosen_media: Some(victim.media),
-                                    candidates,
-                                }],
+                                policy: self.placement.name().to_string(),
+                                chosen: targets,
+                                rounds,
                             });
-                            tasks.push(ReplicationTask::Delete { block, location: victim });
                         }
+                    }
+                }
+
+                // Over-replication: pick victims per over-replicated
+                // tier.
+                for &(tier, count) in &state.over {
+                    let mut current = confirmed.clone();
+                    for _ in 0..count {
+                        // Never trim the last confirmed replica: a
+                        // demotion like ⟨1,0,0⟩ → ⟨0,0,1⟩ makes the
+                        // memory replica surplus while it is still the
+                        // only copy (and the source of this round's HDD
+                        // copy). The trim waits until the new replica
+                        // confirms.
+                        if current.len() <= 1 {
+                            break;
+                        }
+                        let (victim, candidates) = choose_replica_to_remove_explained(
+                            &snap,
+                            &current,
+                            Some(tier),
+                            block.len,
+                        );
+                        let Some(victim) = victim else {
+                            break;
+                        };
+                        current.retain(|l| l != &victim);
+                        bg.remove_replica(bid, victim.media);
+                        self.audit.push(DecisionEvent {
+                            seq: 0,
+                            when_ms: now,
+                            kind: DecisionKind::Removal,
+                            block: bid,
+                            file,
+                            policy: "leave-one-out".to_string(),
+                            chosen: vec![victim],
+                            rounds: vec![DecisionRound {
+                                replica_index: 0,
+                                tier_pin: Some(tier),
+                                chosen_media: Some(victim.media),
+                                candidates,
+                            }],
+                        });
+                        tasks.push(ReplicationTask::Delete { block, location: victim });
                     }
                 }
             }
         }
+        drop(bg);
+        drop(g);
         for task in &tasks {
             let kind = match task {
                 ReplicationTask::Copy { .. } => "copy",
@@ -2234,61 +1585,45 @@ impl Master {
         }
 
         let mut tasks = Vec::new();
-        'media: for src in overloaded {
+        let mut blocks = self.blocks.write();
+        for src in overloaded {
             if tasks.len() >= max_moves {
                 break;
             }
-            for bshard in &self.blocks {
-                // A block hosted on the overloaded medium with no pending
-                // work, collected under a read lock; the commitment below
-                // re-verifies under the write lock.
-                let candidates: Vec<(BlockId, Block, Vec<Location>)> = {
-                    let g = bshard.read();
-                    g.iter()
-                        .filter(|(_, info)| info.pending.is_empty())
-                        .filter(|(_, info)| info.locations.iter().any(|l| l.media == src.media))
-                        .map(|(&id, info)| (id, info.block, info.locations.clone()))
-                        .collect()
-                };
-                for (id, block, locations) in candidates {
+            let src_frac = media_frac.get(&src.media).copied().unwrap_or(0.0);
+            // The first block hosted on the overloaded medium, with no
+            // pending work, that placement can move somewhere better.
+            let planned = blocks
+                .iter()
+                .filter(|(_, info)| info.pending.is_empty())
+                .filter(|(_, info)| info.locations.iter().any(|l| l.media == src.media))
+                .find_map(|(&id, info)| {
                     let req = PlacementRequest {
-                        block_size: block.len,
+                        block_size: info.block.len,
                         client: ClientLocation::OffCluster,
                         tier_pins: vec![Some(src.tier)],
-                        existing: locations.iter().map(|l| l.media).collect(),
+                        existing: info.locations.iter().map(|l| l.media).collect(),
                         excluded_workers: Vec::new(),
                     };
-                    let Ok(placed) = self.placement.place(&snap, &req) else { continue };
-                    let Some(&target_media) = placed.first() else { continue };
+                    let target_media = *self.placement.place(&snap, &req).ok()?.first()?;
                     // Only move toward genuinely less utilized media.
                     let target_frac = media_frac.get(&target_media).copied().unwrap_or(0.0);
-                    let src_frac = media_frac.get(&src.media).copied().unwrap_or(0.0);
                     if target_frac + threshold / 2.0 >= src_frac {
-                        continue;
+                        return None;
                     }
-                    let located = { self.cluster.lock().locate_media(target_media) };
-                    let Some((worker, tier)) = located else { continue };
+                    let (worker, tier) = self.cluster.lock().locate_media(target_media)?;
                     let target = Location { worker, media: target_media, tier };
-                    let sources =
-                        self.retrieval.order(&snap, ClientLocation::OnWorker(worker), &locations);
-                    {
-                        let mut g = bshard.write();
-                        let still = g
-                            .get(id)
-                            .map(|i| {
-                                i.pending.is_empty()
-                                    && i.locations.iter().any(|l| l.media == src.media)
-                            })
-                            .unwrap_or(false);
-                        if !still {
-                            continue;
-                        }
-                        g.add_pending(id, &[target]).ok();
-                    }
-                    self.cluster.lock().schedule_write(target_media, block.len);
-                    tasks.push(ReplicationTask::Copy { block, sources, target });
-                    continue 'media;
-                }
+                    let sources = self.retrieval.order(
+                        &snap,
+                        ClientLocation::OnWorker(worker),
+                        &info.locations,
+                    );
+                    Some((id, info.block, sources, target))
+                });
+            if let Some((id, block, sources, target)) = planned {
+                blocks.add_pending(id, &[target]).ok();
+                self.cluster.lock().schedule_write(target.media, block.len);
+                tasks.push(ReplicationTask::Copy { block, sources, target });
             }
         }
         tasks
@@ -2313,9 +1648,9 @@ impl Master {
     /// so they free budget for promotions, and every move is recorded as a
     /// [`DecisionKind::Migration`] audit event.
     ///
-    /// The scan collects candidates shard by shard (no global barrier) and
-    /// applies each decision under only that file's shard lock,
-    /// re-verifying that nothing raced in between.
+    /// The scan collects candidates under a read guard and applies each
+    /// decision under its own write guard, re-verifying that nothing raced
+    /// in between.
     pub fn autotier_scan(
         &self,
         classifier: &dyn TierClassifier,
@@ -2331,21 +1666,16 @@ impl Master {
             return Vec::new(); // no memory tier configured: nothing to tier
         }
 
-        let mut files: Vec<(INodeId, String, ReplicationVector, u64, BlockId)> = Vec::new();
-        for shard in &self.shards {
-            let g = shard.read();
-            for (id, path, meta) in g.iter_files() {
-                if meta.complete && !meta.blocks.is_empty() {
-                    files.push((
-                        id,
-                        path,
-                        meta.rv,
-                        meta.len,
-                        *meta.blocks.first().expect("non-empty"),
-                    ));
-                }
-            }
-        }
+        let files: Vec<(INodeId, String, ReplicationVector, u64, BlockId)> = {
+            let g = self.namespace.read();
+            g.ns.files()
+                .filter(|(_, meta)| meta.complete)
+                .filter_map(|(id, meta)| {
+                    let first = *meta.blocks.first()?;
+                    Some((id, g.ns.path_of(id), meta.rv, meta.len, first))
+                })
+                .collect()
+        };
         let scored: Vec<(INodeId, String, ReplicationVector, u64, BlockId, HeatInfo)> = {
             let heat = self.heat.lock();
             files
@@ -2416,56 +1746,27 @@ impl Master {
             if to.validate(self.config.tiers.len(), self.config.max_replication).is_err() {
                 continue;
             }
-            // Apply under the file's shard lock, re-verifying the file is
+            // Apply under the write guard, re-verifying the file is
             // unchanged (same inode, vector, and length) — a rename,
             // delete, or setReplication may have raced the scan.
-            let Ok(s) = shard_index(&path, self.shards.len()) else { continue };
-            let mut ns = self.shards[s].write();
-            let unchanged = ns.resolve(&path).is_ok_and(|rid| rid == id)
-                && ns.file_meta(id).map(|m| m.rv == from && m.len == len).unwrap_or(false);
+            let mut g = self.namespace.write();
+            let unchanged = g.ns.resolve(&path).is_ok_and(|rid| rid == id)
+                && g.ns.file_meta(id).is_ok_and(|m| m.rv == from && m.len == len);
             if !unchanged {
                 continue; // raced: skip this round
             }
-            let recharged = len > 0;
-            if recharged
-                && self
-                    .ledger
-                    .lock()
-                    .recharge(
-                        &path,
-                        &Namespace::charge_of(from, len),
-                        &Namespace::charge_of(to, len),
-                    )
-                    .is_err()
-            {
+            if g.ns.set_replication(&path, to).is_err() {
                 continue; // quota: skip this round
             }
-            if ns.set_replication(&path, to).is_err() {
-                if recharged {
-                    let _ = self.ledger.lock().recharge(
-                        &path,
-                        &Namespace::charge_of(to, len),
-                        &Namespace::charge_of(from, len),
-                    );
-                }
-                continue;
-            }
-            // The scan holds the shard lock across the synchronous append
-            // (the committer path of the group commit), keeping namespace
-            // and log consistent if the write fails.
+            // The scan holds the guard across the synchronous append (the
+            // committer path of the group commit), keeping namespace and
+            // log consistent if the write fails.
             if self.log.append_sync(EditOp::SetReplication { path: path.clone(), rv: to }).is_err()
             {
-                let _ = ns.set_replication(&path, from);
-                if recharged {
-                    let _ = self.ledger.lock().recharge(
-                        &path,
-                        &Namespace::charge_of(to, len),
-                        &Namespace::charge_of(from, len),
-                    );
-                }
+                let _ = g.ns.set_replication(&path, from);
                 continue;
             }
-            drop(ns);
+            drop(g);
             copy_bytes_planned += copy_bytes;
             self.audit.push(DecisionEvent {
                 seq: 0,
@@ -2509,37 +1810,9 @@ impl Master {
 
     // -- Checkpointing -------------------------------------------------------
 
-    /// Serializes the namespace to a checkpoint image: the shards merge
-    /// back into one namespace (directories from the mirror, files from
-    /// every stripe, quotas from the ledger), which encodes exactly as the
-    /// pre-shard format — checkpoints are shard-count independent, so a
-    /// restore may use a different `master_shards` than the writer.
+    /// Serializes the namespace to a checkpoint image.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let guards: Vec<StatReadGuard<'_, Namespace>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let ledger = self.ledger.lock();
-        let mut merged = Namespace::new();
-        for (path, _) in guards[0].iter_dirs() {
-            merged.mkdir(&path, true).expect("mirrored directories re-create cleanly");
-        }
-        let mut files: Vec<(INodeId, String, crate::namespace::FileMeta)> = Vec::new();
-        for g in &guards {
-            for (id, p, m) in g.iter_files() {
-                files.push((id, p, m.clone()));
-            }
-        }
-        files.sort_by(|a, b| a.1.cmp(&b.1));
-        for (id, p, m) in files {
-            merged.implant_file(&p, id, m).expect("striped files are disjoint");
-        }
-        // Quotas go on last: usage accumulated during the implants above
-        // always satisfies limits the ledger admitted live.
-        for (path, quota, _) in ledger.entries() {
-            if quota != TierQuota::unlimited() {
-                merged.set_quota(&path, quota).expect("ledger usage within admitted limits");
-            }
-        }
-        encode_image(&merged)
+        encode_image(&self.namespace.read().ns)
     }
 
     /// Restores a master from a checkpoint image (locations empty until
@@ -2571,18 +1844,15 @@ impl Master {
 
     /// Confirmed replica locations of a block (test/diagnostic hook).
     pub fn block_locations(&self, id: BlockId) -> Vec<Location> {
-        self.block_shard(id).read().get(id).map(|i| i.locations.clone()).unwrap_or_default()
+        self.blocks.read().get(id).map(|i| i.locations.clone()).unwrap_or_default()
     }
 
-    /// Every `(block, owning file)` pair across the block-map stripes, in
-    /// block-id order (test/diagnostic hook — the namespace↔blockmap
-    /// bijection invariant of the shard stress suite audits against it).
+    /// Every `(block, owning file)` pair in the block map, in block-id
+    /// order (test/diagnostic hook — the namespace↔blockmap bijection
+    /// invariant of the stress suite audits against it).
     pub fn block_inventory(&self) -> Vec<(BlockId, INodeId)> {
-        let mut out: Vec<(BlockId, INodeId)> = Vec::new();
-        for stripe in &self.blocks {
-            let g = stripe.read();
-            out.extend(g.iter().map(|(id, info)| (*id, info.file)));
-        }
+        let mut out: Vec<(BlockId, INodeId)> =
+            self.blocks.read().iter().map(|(id, info)| (*id, info.file)).collect();
         out.sort_by_key(|(id, _)| *id);
         out
     }
@@ -2590,7 +1860,7 @@ impl Master {
     /// Still-pending (scheduled, uncommitted) replica locations of a block
     /// (test/diagnostic hook).
     pub fn pending_locations(&self, id: BlockId) -> Vec<Location> {
-        self.block_shard(id).read().get(id).map(|i| i.pending.clone()).unwrap_or_default()
+        self.blocks.read().get(id).map(|i| i.pending.clone()).unwrap_or_default()
     }
 
     /// Scheduled-write bytes currently reserved against a medium
@@ -2604,8 +1874,7 @@ impl Master {
     /// Access-heat summary for the file at `path` as of the master's
     /// logical clock. Untouched files report all-zero heat.
     pub fn file_heat(&self, path: &str) -> Result<HeatInfo> {
-        let npath = normalize(path)?;
-        let file = self.shards[shard_index(&npath, self.shards.len())?].read().resolve(path)?;
+        let file = self.namespace.read().ns.resolve(path)?;
         Ok(self.heat.lock().info(file, self.now_ms()))
     }
 
@@ -2623,18 +1892,13 @@ impl Master {
         let now = self.now_ms();
         // Over-fetch so deleted files do not shrink the answer below `k`.
         let hottest = self.heat.lock().hottest(k.saturating_mul(2), now);
-        let guards: Vec<StatReadGuard<'_, Namespace>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let mut out = Vec::new();
-        for heat in hottest {
-            if out.len() >= k {
-                break;
-            }
-            let Some(g) = guards.iter().find(|g| g.file_meta(heat.file).is_ok()) else { continue };
-            let path = g.path_of(heat.file);
-            out.push(HotFile { path, heat });
-        }
-        out
+        let g = self.namespace.read();
+        hottest
+            .into_iter()
+            .filter(|heat| g.ns.file_meta(heat.file).is_ok())
+            .take(k)
+            .map(|heat| HotFile { path: g.ns.path_of(heat.file), heat })
+            .collect()
     }
 
     /// Every audited decision event still retained for `block`, oldest
@@ -2657,13 +1921,11 @@ impl Master {
     /// block counts, per-tier aggregates, per-worker lines, the hottest
     /// files, and audit-ring occupancy.
     pub fn cluster_status(&self, hot_k: usize) -> ClusterStatusReport {
-        let files: u64 = self.shards.iter().map(|s| s.read().counts().0 as u64).sum();
-        let (mut blocks, mut in_flight_blocks) = (0u64, 0u64);
-        for b in &self.blocks {
-            let g = b.read();
-            blocks += g.len() as u64;
-            in_flight_blocks += g.iter().filter(|(_, i)| !i.pending.is_empty()).count() as u64;
-        }
+        let files = self.namespace.read().ns.counts().0 as u64;
+        let (blocks, in_flight_blocks) = {
+            let g = self.blocks.read();
+            (g.len() as u64, g.iter().filter(|(_, i)| !i.pending.is_empty()).count() as u64)
+        };
         let (scheduled_bytes, tiers, workers) = {
             let c = self.cluster.lock();
             let workers: Vec<WorkerStatusLine> = c
@@ -2931,6 +2193,26 @@ mod tests {
         let invalid = m.block_report(loc.worker, &[]).unwrap();
         assert!(invalid.is_empty());
         assert!(m.block_locations(block.id).is_empty());
+    }
+
+    #[test]
+    fn stale_block_report_keeps_a_replica_committed_after_its_snapshot() {
+        for seed in 0..8u32 {
+            let m = boot_master(4);
+            let block = put_file(&m, "/f", rv_u(3));
+            let locs = m.block_locations(block.id);
+            let victim = locs[seed as usize % locs.len()];
+            // The victim worker snapshotted its report before the commit
+            // landed, so the report does not list the new replica.
+            m.block_report(victim.worker, &[]).unwrap();
+            assert_eq!(m.block_locations(block.id).len(), 3, "fresh commit dropped");
+            assert!(m.replication_scan().is_empty(), "healthy block must not be copied");
+            // Its next report is newer than the commit: still absent
+            // means genuinely lost.
+            m.block_report(victim.worker, &[]).unwrap();
+            assert!(!m.block_locations(block.id).contains(&victim));
+            assert_eq!(m.replication_scan().len(), 1);
+        }
     }
 
     #[test]

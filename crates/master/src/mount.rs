@@ -81,15 +81,19 @@ impl MountTable {
     }
 
     /// Resolves a path to `(catalog, relative path)` when it falls under a
-    /// mount point.
-    pub fn resolve(&self, path: &str) -> Option<(&Arc<dyn ExternalCatalog>, String)> {
+    /// mount point. The catalog handle is cloned out so the caller can
+    /// release whatever lock guards the table before doing catalog I/O.
+    pub fn resolve(&self, path: &str) -> Option<(Arc<dyn ExternalCatalog>, String)> {
+        if self.mounts.is_empty() {
+            return None; // every stat/list asks; most clusters mount nothing
+        }
         let p = normalize(path);
         for (mp, cat) in &self.mounts {
             if p == *mp {
-                return Some((cat, String::new()));
+                return Some((Arc::clone(cat), String::new()));
             }
             if let Some(rel) = p.strip_prefix(&format!("{mp}/")) {
-                return Some((cat, rel.to_string()));
+                return Some((Arc::clone(cat), rel.to_string()));
             }
         }
         None

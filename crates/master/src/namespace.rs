@@ -4,7 +4,6 @@
 //! mentioned in §1).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use octopus_common::{
     BlockId, FsError, INodeId, IdGenerator, ReplicationVector, Result, MAX_TIERS,
@@ -53,7 +52,14 @@ pub struct FileMeta {
 
 #[derive(Debug, Clone)]
 enum INodeKind {
-    Dir { children: BTreeMap<String, INodeId>, quota: TierQuota, usage: [u64; MAX_TIERS] },
+    /// Quota and usage are boxed because the enum is as large as its
+    /// largest variant and files outnumber directories by orders of
+    /// magnitude: inline they made every inode 240 bytes, boxed 104.
+    Dir {
+        children: BTreeMap<String, INodeId>,
+        quota: Box<TierQuota>,
+        usage: Box<[u64; MAX_TIERS]>,
+    },
     File(FileMeta),
 }
 
@@ -93,7 +99,7 @@ pub fn parse_path(path: &str) -> Result<Vec<&str>> {
 pub struct Namespace {
     nodes: BTreeMap<INodeId, INode>,
     root: INodeId,
-    ids: Arc<IdGenerator>,
+    ids: IdGenerator,
 }
 
 impl Default for Namespace {
@@ -105,15 +111,7 @@ impl Default for Namespace {
 impl Namespace {
     /// A namespace containing only `/`.
     pub fn new() -> Self {
-        Self::with_ids(Arc::new(IdGenerator::new(1)))
-    }
-
-    /// A namespace containing only `/`, drawing inode ids from a shared
-    /// generator. The sharded master mirrors directories into every
-    /// namespace stripe; sharing one generator keeps inode ids globally
-    /// unique so heat tracking and the blockmap (both keyed by `INodeId`)
-    /// never see collisions across stripes.
-    pub fn with_ids(ids: Arc<IdGenerator>) -> Self {
+        let ids = IdGenerator::new(1);
         let root = INodeId(ids.next());
         let mut nodes = BTreeMap::new();
         nodes.insert(
@@ -124,8 +122,8 @@ impl Namespace {
                 parent: None,
                 kind: INodeKind::Dir {
                     children: BTreeMap::new(),
-                    quota: TierQuota::unlimited(),
-                    usage: [0; MAX_TIERS],
+                    quota: Box::new(TierQuota::unlimited()),
+                    usage: Box::new([0; MAX_TIERS]),
                 },
             },
         );
@@ -145,20 +143,26 @@ impl Namespace {
         self.nodes.get_mut(&id).ok_or_else(|| FsError::Internal(format!("dangling inode {id}")))
     }
 
-    /// Resolves a path to its inode.
-    pub fn resolve(&self, path: &str) -> Result<INodeId> {
-        let comps = parse_path(path)?;
+    /// Walks parsed `comps` down from the root. `path` is the caller's
+    /// spelling, quoted in `NotFound`.
+    fn walk(&self, comps: &[&str], path: &str) -> Result<INodeId> {
         let mut cur = self.root;
         for comp in comps {
             let node = self.node(cur)?;
             match &node.kind {
                 INodeKind::Dir { children, .. } => {
-                    cur = *children.get(comp).ok_or_else(|| FsError::NotFound(path.to_string()))?;
+                    cur =
+                        *children.get(*comp).ok_or_else(|| FsError::NotFound(path.to_string()))?;
                 }
                 INodeKind::File(_) => return Err(FsError::NotADirectory(self.path_of(node.id))),
             }
         }
         Ok(cur)
+    }
+
+    /// Resolves a path to its inode.
+    pub fn resolve(&self, path: &str) -> Result<INodeId> {
+        self.walk(&parse_path(path)?, path)
     }
 
     /// The absolute path of an inode.
@@ -185,18 +189,7 @@ impl Namespace {
         let Some((&name, parents)) = comps.split_last() else {
             return Err(FsError::InvalidPath("operation on root".into()));
         };
-        let mut cur = self.root;
-        for comp in parents {
-            let node = self.node(cur)?;
-            match &node.kind {
-                INodeKind::Dir { children, .. } => {
-                    cur =
-                        *children.get(*comp).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-                }
-                INodeKind::File(_) => return Err(FsError::NotADirectory(self.path_of(node.id))),
-            }
-        }
-        Ok((cur, name))
+        Ok((self.walk(parents, path)?, name))
     }
 
     /// Creates a directory. With `parents`, creates missing ancestors
@@ -242,8 +235,8 @@ impl Namespace {
                             parent: Some(cur),
                             kind: INodeKind::Dir {
                                 children: BTreeMap::new(),
-                                quota: TierQuota::unlimited(),
-                                usage: [0; MAX_TIERS],
+                                quota: Box::new(TierQuota::unlimited()),
+                                usage: Box::new([0; MAX_TIERS]),
                             },
                         },
                     );
@@ -332,6 +325,9 @@ impl Namespace {
     /// Walks ancestors of `id` checking that adding `charge` stays within
     /// every quota, then applies it. `sign` is +1 or -1.
     fn apply_charge(&mut self, id: INodeId, charge: &[u64; MAX_TIERS], sign: i64) -> Result<()> {
+        if charge.iter().all(|&c| c == 0) {
+            return Ok(()); // empty or unpinned file: no ancestor walk
+        }
         // First pass: verify (only needed when increasing).
         if sign > 0 {
             let mut cur = self.node(id)?.parent;
@@ -466,12 +462,15 @@ impl Namespace {
 
     /// Status of a path.
     pub fn status(&self, path: &str) -> Result<FileStatus> {
-        let id = self.resolve(path)?;
-        let node = self.node(id)?;
-        Ok(match &node.kind {
+        let comps = parse_path(path)?;
+        let id = self.walk(&comps, path)?;
+        // The canonical path is the parsed components re-joined — no walk
+        // back up the tree.
+        let path = format!("/{}", comps.join("/"));
+        Ok(match &self.node(id)?.kind {
             INodeKind::Dir { .. } => FileStatus {
                 id,
-                path: self.path_of(id),
+                path,
                 is_dir: true,
                 len: 0,
                 rv: ReplicationVector::EMPTY,
@@ -480,7 +479,7 @@ impl Namespace {
             },
             INodeKind::File(meta) => FileStatus {
                 id,
-                path: self.path_of(id),
+                path,
                 is_dir: false,
                 len: meta.len,
                 rv: meta.rv,
@@ -521,7 +520,7 @@ impl Namespace {
         let node = self.node(id)?;
         Ok(match &node.kind {
             INodeKind::File(meta) => Self::charge_of(meta.rv, meta.len),
-            INodeKind::Dir { usage, .. } => *usage,
+            INodeKind::Dir { usage, .. } => **usage,
         })
     }
 
@@ -617,9 +616,9 @@ impl Namespace {
     }
 
     /// Deletes a path. Directories require `recursive` unless empty.
-    /// Returns the block ids of every deleted file (for invalidation at
-    /// the workers).
-    pub fn delete(&mut self, path: &str, recursive: bool) -> Result<Vec<BlockId>> {
+    /// Returns the inode ids of every deleted file and their block ids
+    /// (for invalidation at the workers).
+    pub fn delete(&mut self, path: &str, recursive: bool) -> Result<(Vec<INodeId>, Vec<BlockId>)> {
         let id = self.resolve(path)?;
         if id == self.root {
             return Err(FsError::InvalidPath("cannot delete /".into()));
@@ -634,13 +633,17 @@ impl Namespace {
 
         // Collect the subtree.
         let mut stack = vec![id];
+        let mut files = Vec::new();
         let mut blocks = Vec::new();
         let mut to_remove = Vec::new();
         while let Some(n) = stack.pop() {
             to_remove.push(n);
             match &self.node(n)?.kind {
                 INodeKind::Dir { children, .. } => stack.extend(children.values().copied()),
-                INodeKind::File(meta) => blocks.extend(meta.blocks.iter().copied()),
+                INodeKind::File(meta) => {
+                    files.push(n);
+                    blocks.extend(meta.blocks.iter().copied());
+                }
             }
         }
         let parent = self.node(id)?.parent.expect("non-root");
@@ -651,7 +654,21 @@ impl Namespace {
         for n in to_remove {
             self.nodes.remove(&n);
         }
-        Ok(blocks)
+        Ok((files, blocks))
+    }
+
+    /// The inode ids of every file at or under `id`.
+    pub fn subtree_files(&self, id: INodeId) -> Vec<INodeId> {
+        let mut stack = vec![id];
+        let mut files = Vec::new();
+        while let Some(n) = stack.pop() {
+            match self.nodes.get(&n).map(|node| &node.kind) {
+                Some(INodeKind::Dir { children, .. }) => stack.extend(children.values().copied()),
+                Some(INodeKind::File(_)) => files.push(n),
+                None => {}
+            }
+        }
+        files
     }
 
     /// Sets a directory's per-tier quota. Fails if current usage already
@@ -671,7 +688,7 @@ impl Namespace {
                         }
                     }
                 }
-                *q = quota;
+                **q = quota;
                 let _ = is_root;
                 Ok(())
             }
@@ -683,7 +700,7 @@ impl Namespace {
     pub fn quota_usage(&self, path: &str) -> Result<(TierQuota, [u64; MAX_TIERS])> {
         let id = self.resolve(path)?;
         match &self.node(id)?.kind {
-            INodeKind::Dir { quota, usage, .. } => Ok((*quota, *usage)),
+            INodeKind::Dir { quota, usage, .. } => Ok((**quota, **usage)),
             INodeKind::File(_) => Err(FsError::NotADirectory(path.to_string())),
         }
     }
@@ -708,7 +725,7 @@ impl Namespace {
             .nodes
             .iter()
             .filter_map(|(&id, n)| match &n.kind {
-                INodeKind::Dir { quota, .. } => Some((self.path_of(id), *quota)),
+                INodeKind::Dir { quota, .. } => Some((self.path_of(id), **quota)),
                 INodeKind::File(_) => None,
             })
             .collect();
@@ -716,75 +733,19 @@ impl Namespace {
         dirs
     }
 
-    /// Removes a file leaf from the tree *without* touching its blocks,
-    /// refunding its quota charge from the ancestor chain, and returns the
-    /// inode id and metadata. Together with [`Namespace::implant_file`]
-    /// this moves a file between namespace stripes when a rename changes
-    /// which stripe its path hashes to.
-    pub fn extract_file(&mut self, path: &str) -> Result<(INodeId, FileMeta)> {
-        let id = self.resolve(path)?;
-        let meta = self.file_meta(id)?.clone();
-        let charge = Self::charge_of(meta.rv, meta.len);
-        self.apply_charge(id, &charge, -1)?;
-        let parent = self.node(id)?.parent.expect("files are never the root");
-        let name = self.node(id)?.name.clone();
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-            children.remove(&name);
-        }
-        self.nodes.remove(&id);
-        Ok((id, meta))
+    /// Iterates all files as `(id, meta)`. Scans that never need a path
+    /// (replay's block-map rebuild, the replication monitor) use this and
+    /// skip building one string per file.
+    pub fn files(&self) -> impl Iterator<Item = (INodeId, &FileMeta)> {
+        self.nodes.iter().filter_map(|(&id, n)| match &n.kind {
+            INodeKind::File(meta) => Some((id, meta)),
+            INodeKind::Dir { .. } => None,
+        })
     }
 
-    /// Inserts a file node with a caller-provided inode id and metadata
-    /// (the inverse of [`Namespace::extract_file`]). The parent directory
-    /// must exist and the name must be free; the file's quota charge is
-    /// applied (and verified) along the new ancestor chain, unwinding the
-    /// insertion on failure. The internal id generator is advanced past
-    /// `id` so future allocations never collide.
-    pub fn implant_file(&mut self, path: &str, id: INodeId, meta: FileMeta) -> Result<()> {
-        let (parent, name) = self.resolve_parent(path)?;
-        {
-            let node = self.node(parent)?;
-            let INodeKind::Dir { children, .. } = &node.kind else {
-                return Err(FsError::NotADirectory(self.path_of(parent)));
-            };
-            if children.contains_key(name) {
-                return Err(FsError::AlreadyExists(path.to_string()));
-            }
-        }
-        if self.nodes.contains_key(&id) {
-            return Err(FsError::Internal(format!("inode {id} already present")));
-        }
-        self.ids.ensure_above(id.0);
-        let charge = Self::charge_of(meta.rv, meta.len);
-        self.nodes.insert(
-            id,
-            INode { id, name: name.to_string(), parent: Some(parent), kind: INodeKind::File(meta) },
-        );
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-            children.insert(name.to_string(), id);
-        }
-        if let Err(e) = self.apply_charge(id, &charge, 1) {
-            // Unwind: the charge was never applied, so only unlink.
-            let name = name.to_string();
-            if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-                children.remove(&name);
-            }
-            self.nodes.remove(&id);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Iterates all files as `(id, path, meta)`.
+    /// All files as `(id, path, meta)`.
     pub fn iter_files(&self) -> Vec<(INodeId, String, &FileMeta)> {
-        self.nodes
-            .iter()
-            .filter_map(|(&id, n)| match &n.kind {
-                INodeKind::File(meta) => Some((id, self.path_of(id), meta)),
-                INodeKind::Dir { .. } => None,
-            })
-            .collect()
+        self.files().map(|(id, meta)| (id, self.path_of(id), meta)).collect()
     }
 }
 
@@ -886,7 +847,9 @@ mod tests {
         ns.add_block(f2, BlockId(21), 128).unwrap();
 
         assert!(matches!(ns.delete("/d", false), Err(FsError::DirectoryNotEmpty(_))));
-        let mut blocks = ns.delete("/d", true).unwrap();
+        let (mut files, mut blocks) = ns.delete("/d", true).unwrap();
+        files.sort_unstable();
+        assert_eq!(files, vec![f1, f2]);
         blocks.sort_unstable();
         assert_eq!(blocks, vec![BlockId(10), BlockId(20), BlockId(21)]);
         assert!(ns.resolve("/d").is_err());
@@ -899,7 +862,7 @@ mod tests {
     fn delete_empty_dir_without_recursive() {
         let mut ns = Namespace::new();
         ns.mkdir("/empty", true).unwrap();
-        assert!(ns.delete("/empty", false).unwrap().is_empty());
+        assert_eq!(ns.delete("/empty", false).unwrap(), (vec![], vec![]));
     }
 
     #[test]
@@ -972,6 +935,94 @@ mod tests {
         assert_eq!(usage_b[2], 50);
         let (_, usage_a) = ns.quota_usage("/a").unwrap();
         assert_eq!(usage_a[2], 500);
+    }
+
+    /// A pinned-memory file of `len` bytes at `path` (one block).
+    fn mem_file(ns: &mut Namespace, path: &str, len: u64) -> Result<INodeId> {
+        let f = ns.create_file(path, ReplicationVector::msh(1, 0, 0), 128)?;
+        ns.add_block(f, BlockId(f.0), len)?;
+        Ok(f)
+    }
+
+    fn usage(ns: &Namespace, dir: &str) -> u64 {
+        ns.quota_usage(dir).unwrap().1[0]
+    }
+
+    #[test]
+    fn quota_checks_every_ancestor_and_aggregates_usage() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/a/b", true).unwrap();
+        ns.set_quota("/a", TierQuota::limit_tier(0, 100)).unwrap();
+        mem_file(&mut ns, "/a/b/f", 80).unwrap();
+        // The limit sits on the grandparent, not the parent.
+        assert!(matches!(mem_file(&mut ns, "/a/b/g", 30), Err(FsError::QuotaExceeded(_))));
+        for dir in ["/", "/a", "/a/b"] {
+            assert_eq!(usage(&ns, dir), 80, "usage aggregates on {dir}");
+        }
+        ns.delete("/a/b/f", false).unwrap();
+        assert_eq!(usage(&ns, "/a"), 0);
+    }
+
+    #[test]
+    fn rename_within_one_quota_dir_never_trips_its_limit() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/q/x", true).unwrap();
+        ns.mkdir("/q/y", true).unwrap();
+        ns.set_quota("/q", TierQuota::limit_tier(0, 100)).unwrap();
+        mem_file(&mut ns, "/q/x/f", 100).unwrap();
+        // /q stays at its limit through the move; only directories that
+        // gain usage are checked.
+        ns.rename("/q/x/f", "/q/y/f").unwrap();
+        assert_eq!(usage(&ns, "/q"), 100);
+        assert_eq!(usage(&ns, "/q/x"), 0);
+        assert_eq!(usage(&ns, "/q/y"), 100);
+    }
+
+    #[test]
+    fn directory_rename_and_delete_carry_subtree_usage() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/src/deep", true).unwrap();
+        ns.mkdir("/tight", true).unwrap();
+        ns.set_quota("/src/deep", TierQuota::limit_tier(0, 1000)).unwrap();
+        ns.set_quota("/tight", TierQuota::limit_tier(0, 5)).unwrap();
+        mem_file(&mut ns, "/src/deep/f", 7).unwrap();
+        // The subtree's aggregate is admitted against the gaining chain.
+        assert!(matches!(ns.rename("/src", "/tight/src"), Err(FsError::QuotaExceeded(_))));
+        assert_eq!(usage(&ns, "/src"), 7, "a refused move leaves usage in place");
+        ns.rename("/src", "/moved").unwrap();
+        assert_eq!(usage(&ns, "/moved"), 7);
+        assert_eq!(usage(&ns, "/moved/deep"), 7);
+        assert_eq!(ns.quota_usage("/moved/deep").unwrap().0, TierQuota::limit_tier(0, 1000));
+        assert_eq!(usage(&ns, "/"), 7);
+        assert!(ns.quota_usage("/src").is_err());
+        // Deleting the subtree refunds every ancestor.
+        ns.delete("/moved/deep", true).unwrap();
+        assert_eq!(usage(&ns, "/moved"), 0);
+        assert_eq!(usage(&ns, "/"), 0);
+    }
+
+    #[test]
+    fn set_replication_checks_net_growth() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/t", true).unwrap();
+        ns.set_quota("/t", TierQuota::limit_tier(0, 100)).unwrap();
+        mem_file(&mut ns, "/t/f", 50).unwrap();
+        // 50 → 100 fits exactly: the old charge is refunded first.
+        ns.set_replication("/t/f", ReplicationVector::msh(2, 0, 0)).unwrap();
+        assert!(ns.set_replication("/t/f", ReplicationVector::msh(3, 0, 0)).is_err());
+        assert_eq!(usage(&ns, "/t"), 100);
+    }
+
+    #[test]
+    fn set_quota_rejects_limit_below_usage() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/d", true).unwrap();
+        mem_file(&mut ns, "/d/f", 50).unwrap();
+        assert!(matches!(
+            ns.set_quota("/d", TierQuota::limit_tier(0, 10)),
+            Err(FsError::QuotaExceeded(_))
+        ));
+        ns.set_quota("/d", TierQuota::limit_tier(0, 50)).unwrap();
     }
 
     #[test]

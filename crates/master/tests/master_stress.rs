@@ -1,15 +1,14 @@
-//! Concurrency torture tests for the sharded master (ROADMAP item 1).
+//! Concurrency torture tests for the master (DESIGN.md §11).
 //!
-//! The master stripes files across path-hashed namespace shards and
-//! block-id-striped block maps, mirrors directories into every shard, and
-//! funnels all mutations through a group-commit edit log. These tests
-//! hammer that machinery with seeded multi-threaded mixes of
-//! create/rename/delete/stat/list/set_replication over shard-crossing
-//! paths, then audit the full invariant set after every run:
+//! The master keeps one namespace and one block map behind separate
+//! locks and funnels all mutations through a group-commit edit log. These
+//! tests hammer that machinery with seeded multi-threaded mixes of
+//! create/rename/delete/stat/list/set_replication over colliding paths,
+//! then audit the full invariant set after every run:
 //!
 //! 1. **Replay equivalence** — replaying the durable edit log into a
-//!    fresh master (same shard count) reproduces the exact final
-//!    namespace image: every path, kind, length, vector, and block list.
+//!    fresh master reproduces the exact final namespace image: every
+//!    path, kind, length, vector, and block list.
 //! 2. **Namespace↔blockmap bijection** — the union of all files' block
 //!    lists equals the block-map inventory exactly: no orphaned blocks
 //!    surviving deletes, no file pointing at a missing block.
@@ -19,8 +18,7 @@
 //!    `/` match the master's own counts.
 //!
 //! Plus two targeted regressions: a lock-order deadlock canary on
-//! cross-shard renames running in opposing directions, and the
-//! rename-vs-delete race (`rename /a/x → /b/x` vs `delete /b`) that must
+//! renames running in opposing directions, and the rename-vs-delete race (`rename /a/x → /b/x` vs `delete /b`) that must
 //! neither deadlock nor leave an unreachable inode.
 
 use std::sync::mpsc;
@@ -33,12 +31,10 @@ use octopus_master::{EditLog, Master};
 
 const BLOCK_SIZE: u64 = 1 << 20;
 
-/// Boots an in-process master with `shards` namespace shards and `n`
-/// registered workers (one medium per tier each), heartbeats applied.
-fn boot(shards: usize, n: u32) -> Master {
-    let mut config = ClusterConfig::test_cluster(n, 10 << 20, BLOCK_SIZE);
-    config.master_shards = shards;
-    let master = Master::new(config).unwrap();
+/// Boots an in-process master with `n` registered workers (one medium per
+/// tier each), heartbeats applied.
+fn boot(n: u32) -> Master {
+    let master = Master::new(ClusterConfig::test_cluster(n, 10 << 20, BLOCK_SIZE)).unwrap();
     for w in 0..n {
         let rack = RackId((w % 2) as u16);
         master.register_worker(WorkerId(w), rack, 1e9, 0);
@@ -79,8 +75,8 @@ impl Lcg {
 }
 
 /// The directories the mix plays in. A small name pool under a handful of
-/// directories guarantees shard-crossing renames and same-path collisions
-/// between threads.
+/// directories guarantees cross-directory renames and same-path
+/// collisions between threads.
 const DIRS: [&str; 4] = ["/a", "/b", "/c/nested", "/d"];
 
 fn rv(r: u8) -> ReplicationVector {
@@ -91,8 +87,8 @@ fn rv(r: u8) -> ReplicationVector {
 /// fail with a namespace error (races make all of them fallible) — what
 /// must not happen is a panic, a deadlock, or an invariant violation
 /// afterwards.
-fn torture(seed: u64, threads: usize, iters: usize, shards: usize) -> Master {
-    let master = boot(shards, 4);
+fn torture(seed: u64, threads: usize, iters: usize) -> Master {
+    let master = boot(4);
     for d in DIRS {
         master.mkdir(d).unwrap();
     }
@@ -178,10 +174,10 @@ fn walk(master: &Master) -> Vec<WalkEntry> {
 }
 
 /// Audits the invariants described in the module docs against `master`.
-fn check_invariants(master: &Master, shards: usize) {
+fn check_invariants(master: &Master) {
     let image = walk(master);
 
-    // 4. Reachability: the walk found exactly what the shards hold.
+    // 4. Reachability: the walk found exactly what the namespace holds.
     let (files, dirs) = master.counts();
     let walked_files = image.iter().filter(|e| !e.1).count();
     let walked_dirs = image.iter().filter(|e| e.1).count();
@@ -213,54 +209,32 @@ fn check_invariants(master: &Master, shards: usize) {
     for op in master.edits_since(0) {
         log.append(op).unwrap();
     }
-    let mut config = ClusterConfig::test_cluster(4, 10 << 20, BLOCK_SIZE);
-    config.master_shards = shards;
+    let config = ClusterConfig::test_cluster(4, 10 << 20, BLOCK_SIZE);
     let replayed = Master::with_log(config, log).unwrap();
     assert_eq!(walk(&replayed), image, "edit-log replay diverged from the live image");
     let (rf, rd) = replayed.counts();
     assert_eq!((rf, rd), (files, dirs), "replayed counts diverged");
 }
 
-/// The headline suite: 20 consecutive seeded runs, shard counts cycling
-/// through 1 (degenerate), 3 (uneven modulo), and 8 (the default), with
-/// the full invariant audit after every run.
+/// The headline suite: 20 consecutive seeded runs with the full invariant
+/// audit after every run.
 #[test]
 fn seeded_torture_runs_hold_invariants() {
     for seed in 0..20u64 {
-        let shards = [1, 3, 8][(seed % 3) as usize];
-        let master = torture(seed, 8, 60, shards);
-        check_invariants(&master, shards);
-    }
-}
-
-/// Replay must also land on the same image when the shard count changes
-/// between writer and reader — the log format is shard-agnostic.
-#[test]
-fn replay_is_shard_count_independent() {
-    let master = torture(77, 6, 60, 4);
-    let image = walk(&master);
-    for shards in [1, 2, 8] {
-        let mut log = EditLog::in_memory();
-        for op in master.edits_since(0) {
-            log.append(op).unwrap();
-        }
-        let mut config = ClusterConfig::test_cluster(4, 10 << 20, BLOCK_SIZE);
-        config.master_shards = shards;
-        let replayed = Master::with_log(config, log).unwrap();
-        assert_eq!(walk(&replayed), image, "replay with {shards} shards diverged");
+        let master = torture(seed, 8, 60);
+        check_invariants(&master);
     }
 }
 
 /// Lock-order deadlock canary: pairs of threads renaming between the same
-/// two shard-crossing directories in *opposite* directions. If the
-/// cross-shard rename path ever acquired shard locks in operand order
-/// instead of index order, these two loops would deadlock; the watchdog
+/// two directories in *opposite* directions. If rename ever acquired
+/// locks in operand order, these two loops would deadlock; the watchdog
 /// turns that hang into a failure.
 #[test]
-fn cross_shard_rename_opposing_directions_no_deadlock() {
+fn rename_opposing_directions_no_deadlock() {
     let (done_tx, done_rx) = mpsc::channel();
     let t = std::thread::spawn(move || {
-        let master = boot(8, 4);
+        let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
         for i in 0..8 {
@@ -274,8 +248,7 @@ fn cross_shard_rename_opposing_directions_no_deadlock() {
                     let mut rng = Lcg::new(t);
                     for _ in 0..200 {
                         let i = rng.below(8);
-                        // Half the threads push a→b, half push b→a, over
-                        // names that hash to different shards.
+                        // Half the threads push a→b, half push b→a.
                         if t % 2 == 0 {
                             let _ = master.rename(&format!("/a/x{i}"), &format!("/b/x{i}"));
                         } else {
@@ -285,23 +258,22 @@ fn cross_shard_rename_opposing_directions_no_deadlock() {
                 });
             }
         });
-        check_invariants(&master, 8);
+        check_invariants(&master);
         done_tx.send(()).unwrap();
     });
     done_rx
         .recv_timeout(Duration::from_secs(120))
-        .expect("cross-shard rename loops deadlocked (lock-order inversion)");
+        .expect("opposing rename loops deadlocked (lock-order inversion)");
     t.join().unwrap();
 }
 
-/// Regression: `rename /a/x → /b/x` racing `delete /b` (different shards)
-/// must not deadlock and must not leave an unreachable inode — the file
+/// Regression: `rename /a/x → /b/x` racing `delete /b` must not deadlock and must not leave an unreachable inode — the file
 /// ends up at `/a/x`, at `/b/x`, or deleted with the subtree; nothing
 /// in between.
 #[test]
 fn rename_racing_recursive_delete_of_destination() {
     for seed in 0..20u64 {
-        let master = boot(4, 4);
+        let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
         master.create_file("/a/x", rv(1), None).unwrap();
@@ -326,7 +298,7 @@ fn rename_racing_recursive_delete_of_destination() {
         let at_a = master.status("/a/x").is_ok();
         let at_b = master.status("/b/x").is_ok();
         assert!(!(at_a && at_b), "file duplicated by rename/delete race");
-        check_invariants(&master, 4);
+        check_invariants(&master);
     }
 }
 
@@ -336,7 +308,7 @@ fn rename_racing_recursive_delete_of_destination() {
 #[test]
 fn rename_racing_recursive_delete_of_source() {
     for seed in 0..10u64 {
-        let master = boot(4, 4);
+        let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
         master.create_file("/a/x", rv(1), None).unwrap();
@@ -354,15 +326,14 @@ fn rename_racing_recursive_delete_of_source() {
                 let _ = m2.delete("/a", true);
             });
         });
-        check_invariants(&master, 4);
+        check_invariants(&master);
     }
 }
 
-/// Directory renames across the mirror set: every shard must agree on the
-/// move, including files striped to other shards under the moved prefix.
+/// A directory rename carries every file under the moved prefix.
 #[test]
-fn directory_rename_carries_striped_children() {
-    let master = boot(8, 4);
+fn directory_rename_carries_children() {
+    let master = boot(4);
     master.mkdir("/src/deep").unwrap();
     for i in 0..32 {
         let p = format!("/src/deep/f{i}");
@@ -374,5 +345,5 @@ fn directory_rename_carries_striped_children() {
     for i in 0..32 {
         assert!(master.status(&format!("/dst/deep/f{i}")).is_ok(), "child f{i} lost in move");
     }
-    check_invariants(&master, 8);
+    check_invariants(&master);
 }

@@ -141,23 +141,25 @@ fi
 grep "^GATE" <<<"$autotier_out"
 
 echo "==> metadata path smoke"
-# The sharded-master torture suites first: seeded multi-threaded
-# create/rename/delete/stat/list/set_replication mixes with full
-# invariant audits (replay equivalence, namespace↔blockmap bijection,
-# contiguous offsets, no unreachable inodes), the cross-shard rename
-# deadlock canary, the rename-vs-delete races, the RPC-level
-# shard-crossing e2e, and the group-commit crash-replay property
-# (byte-level log truncations replay into serially-reachable states).
-cargo test --release -q -p octopus-master --test shard_stress
-cargo test --release -q -p octopus-core --test shard_e2e
+# The whole master crate first: its unit tests, the differential test
+# against the sequential namespace reference (results and error kinds,
+# list atomicity), the edit-log properties, and the torture suite —
+# seeded multi-threaded create/rename/delete/stat/list/set_replication
+# mixes with full invariant audits (replay equivalence,
+# namespace↔blockmap bijection, contiguous offsets, no unreachable
+# inodes), the opposing-rename deadlock canary and the rename-vs-delete
+# races. Then the RPC-level race e2e and the group-commit crash-replay
+# property (byte-level log truncations replay into serially-reachable
+# states).
+cargo test --release -q -p octopus-master
+cargo test --release -q -p octopus-core --test master_e2e
 cargo test --release -q --test properties group_commit_crash_replay
 # Then the lockstat unit suite (contended/uncontended wait accounting)
 # and the quick 100k-file metadata microbenchmark against an in-process
-# master, including the 1/4/8 shard sweep. The GATE line asserts a
-# minimum aggregate ops/sec and that ≥90% of measured op time is
-# attributed to the named segments (lock wait, work under lock,
-# edit-log append); results/metadata.json is the machine-readable
-# artifact CI uploads and diffs across runs.
+# master. The GATE line asserts a minimum aggregate ops/sec and that
+# ≥90% of measured op time is attributed to the named segments (lock
+# wait, work under lock, edit-log append); results/metadata.json is the
+# machine-readable artifact CI uploads and diffs across runs.
 cargo test --release -q -p octopus-common lockstat
 meta_out=$(cargo run --release --quiet -p octopus-bench --bin exp_metadata -- --quick)
 if ! grep -q "^GATE metadata .* pass=true" <<<"$meta_out"; then
@@ -233,8 +235,8 @@ if ! grep -q "^mkdir " <<<"$perf_out"; then
     printf '%s\n' "$perf_out" >&2
     exit 1
 fi
-if ! grep -q "^master.shard0 " <<<"$perf_out"; then
-    echo "perf smoke: master.shard0 missing from the lock table" >&2
+if ! grep -q "^master.namespace " <<<"$perf_out"; then
+    echo "perf smoke: master.namespace missing from the lock table" >&2
     printf '%s\n' "$perf_out" >&2
     exit 1
 fi

@@ -435,7 +435,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit crash replay (ROADMAP item 1: the sharded master's edit log).
+// Group-commit crash replay (DESIGN.md §11: the master's edit log).
 //
 // Concurrent clients hammer a file-backed master; every mutation is acked
 // only after its group-commit batch fsyncs. The property: truncating the
@@ -455,21 +455,19 @@ proptest! {
     fn group_commit_crash_replay_is_serially_reachable(
         seed in 0u64..1_000,
         threads in 2usize..5,
-        shards in 1usize..9,
     ) {
         use octopusfs::master::editlog::decode_stream;
         use octopusfs::master::{EditLog, Master};
 
         let dir = std::env::temp_dir().join(format!(
-            "octofs_prop_gc_{}_{seed}_{threads}_{shards}",
+            "octofs_prop_gc_{}_{seed}_{threads}",
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let log_path = dir.join("edits.log");
 
-        let mut config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
-        config.master_shards = shards;
-        let master = Master::with_log(config, EditLog::open(&log_path).unwrap()).unwrap();
+        let config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
+        let master = Master::with_log(config.clone(), EditLog::open(&log_path).unwrap()).unwrap();
         master.mkdir("/shared").unwrap();
         for t in 0..threads {
             master.mkdir(&format!("/t{t}")).unwrap();
@@ -477,7 +475,7 @@ proptest! {
 
         // Each thread: private creates/deletes (conflict-free, every ack
         // tracked) interleaved with racy ops on /shared (acks ignored —
-        // they only stress batching and cross-shard interleavings).
+        // they only stress batching and interleavings).
         let rv = ReplicationVector::from_replication_factor(1);
         let expected: Vec<Vec<String>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
@@ -536,9 +534,7 @@ proptest! {
             for op in ops {
                 log.append(op).unwrap();
             }
-            let mut config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
-            config.master_shards = shards;
-            let replayed = Master::with_log(config, log);
+            let replayed = Master::with_log(config.clone(), log);
             prop_assert!(
                 replayed.is_ok(),
                 "durable prefix (cut={cut}) not serially reachable: {:?}",
@@ -547,8 +543,6 @@ proptest! {
         }
 
         // The full log holds every acked private op exactly.
-        let mut config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
-        config.master_shards = shards;
         let full = Master::with_log(config, EditLog::open(&log_path).unwrap()).unwrap();
         for (t, alive) in expected.iter().enumerate() {
             let listed: Vec<String> = full
