@@ -7,14 +7,13 @@
 //! experiments so that writing "40 GB" does not allocate 40 GB.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::checksum::{crc32, Crc32};
 use crate::ids::{BlockId, GenStamp, MediaId, WorkerId};
 use crate::tier::TierId;
 
 /// Immutable identity + length of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Block {
     /// Block identifier.
     pub id: BlockId,
@@ -26,7 +25,7 @@ pub struct Block {
 
 /// One replica location: the medium, its worker, and its tier — exactly the
 /// triple the client sees via `getFileBlockLocations` (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Location {
     /// Hosting worker.
     pub worker: WorkerId,
@@ -38,7 +37,7 @@ pub struct Location {
 
 /// A block plus its byte offset within the file and its replica locations,
 /// ordered by the data-retrieval policy (§4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocatedBlock {
     /// The block.
     pub block: Block,

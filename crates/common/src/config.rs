@@ -2,10 +2,7 @@
 //!
 //! [`ClusterConfig`] fully describes an OctopusFS deployment: the tier
 //! registry, every worker with its rack and storage media, network rates,
-//! and the tunables of the management policies. It is serde-serializable so
-//! deployments and experiments can be described declaratively.
-
-use serde::{Deserialize, Serialize};
+//! and the tunables of the management policies.
 
 use crate::error::{FsError, Result};
 use crate::tier::{StorageTier, TierRegistry};
@@ -14,7 +11,7 @@ use crate::units::{mbps_to_bytes_per_sec, DEFAULT_BLOCK_SIZE, GB};
 use crate::WorkerId;
 
 /// Configuration of one storage medium attached to a worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MediaConfig {
     /// Name of the tier this medium belongs to (must exist in the registry).
     pub tier: String,
@@ -28,7 +25,7 @@ pub struct MediaConfig {
 }
 
 /// Configuration of one worker node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerConfig {
     /// Rack the worker lives in.
     pub rack: u16,
@@ -39,7 +36,7 @@ pub struct WorkerConfig {
 }
 
 /// Which block placement policy the master uses (paper §3.3 and §7.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicyKind {
     /// The default multi-objective policy (Algorithms 1 + 2).
     #[default]
@@ -63,7 +60,7 @@ pub enum PlacementPolicyKind {
 }
 
 /// Which data retrieval (replica-ordering) policy the master uses (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalPolicyKind {
     /// OctopusFS rate-based ordering (Eq. 12).
     #[default]
@@ -73,7 +70,7 @@ pub enum RetrievalPolicyKind {
 }
 
 /// Tunables of the automated management policies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyConfig {
     /// Placement policy selection.
     pub placement: PlacementPolicyKind,
@@ -112,7 +109,7 @@ impl Default for PolicyConfig {
 /// control path blocks forever on a dead peer. Retries apply only to
 /// transport-level failures of idempotent requests — application errors
 /// surface immediately (see `FsError::is_retryable`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpcConfig {
     /// TCP connect deadline, milliseconds.
     pub connect_timeout_ms: u64,
@@ -132,22 +129,12 @@ pub struct RpcConfig {
     /// Multiplexed connections kept per peer. Requests from any number of
     /// threads interleave over these few sockets, matched to responses by
     /// request id.
-    #[serde(default = "default_conns_per_peer")]
     pub conns_per_peer: u32,
     /// In-flight cap per peer: at most this many calls to one peer are
     /// outstanding across the whole client; the next caller *blocks*
     /// (backpressure, not an error) until a slot frees or its acquire
     /// budget (one call's write+read deadline) expires.
-    #[serde(default = "default_max_inflight_per_peer")]
     pub max_inflight_per_peer: u32,
-}
-
-fn default_conns_per_peer() -> u32 {
-    2
-}
-
-fn default_max_inflight_per_peer() -> u32 {
-    64
 }
 
 impl Default for RpcConfig {
@@ -159,8 +146,8 @@ impl Default for RpcConfig {
             max_retries: 3,
             backoff_base_ms: 10,
             backoff_max_ms: 500,
-            conns_per_peer: default_conns_per_peer(),
-            max_inflight_per_peer: default_max_inflight_per_peer(),
+            conns_per_peer: 2,
+            max_inflight_per_peer: 64,
         }
     }
 }
@@ -176,8 +163,7 @@ impl RpcConfig {
             max_retries: 2,
             backoff_base_ms: 2,
             backoff_max_ms: 20,
-            conns_per_peer: default_conns_per_peer(),
-            max_inflight_per_peer: default_max_inflight_per_peer(),
+            ..Self::default()
         }
     }
 }
@@ -186,7 +172,7 @@ impl RpcConfig {
 /// server). The accept loop, per-connection request caps, the shared
 /// dispatch pool, and idle-connection reaping are all bounded by these —
 /// nothing in the server scales with the number of misbehaving clients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Threads in the shared dispatch pool executing requests. A slice of
     /// the pool is reserved for pipeline-leaf work (see
@@ -233,7 +219,7 @@ impl ServerConfig {
 }
 
 /// Complete description of an OctopusFS cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Tier registry.
     pub tiers: TierRegistry,
@@ -259,8 +245,7 @@ pub struct ClusterConfig {
     /// Client-side I/O window: how many blocks of one file a networked
     /// client keeps in flight concurrently (writes pipeline into distinct
     /// workers; reads fan out across replicas). `1` restores the fully
-    /// serial data path. Overridable per process via `OCTOPUS_IO_WINDOW`.
-    #[serde(default = "default_io_window")]
+    /// serial data path.
     pub io_window: u32,
     /// When set, networked data servers pace each block transfer to the
     /// serving medium's configured `write_bps`/`read_bps`. Real devices
@@ -269,7 +254,6 @@ pub struct ClusterConfig {
     /// measures memcpy instead of the tiered-device behaviour placement
     /// (§3.2) and the client I/O window are designed around. Off by
     /// default: latency-sensitive unit tests keep raw loopback speed.
-    #[serde(default = "default_emulate_media_bps")]
     pub emulate_media_bps: bool,
 }
 
@@ -277,14 +261,6 @@ pub struct ClusterConfig {
 /// keeps a DFSIO-style client busy without overwhelming small clusters —
 /// the same default window HDFS-style clients use for packet pipelining.
 pub const DEFAULT_IO_WINDOW: u32 = 4;
-
-fn default_io_window() -> u32 {
-    DEFAULT_IO_WINDOW
-}
-
-fn default_emulate_media_bps() -> bool {
-    false
-}
 
 impl ClusterConfig {
     /// Derives the [`Topology`] from the worker descriptions.
@@ -395,8 +371,8 @@ impl ClusterConfig {
             heartbeat_ms: 3000,
             dead_after_missed: 10,
             rack_uplink_bps: None,
-            io_window: default_io_window(),
-            emulate_media_bps: default_emulate_media_bps(),
+            io_window: DEFAULT_IO_WINDOW,
+            emulate_media_bps: false,
         }
     }
 
@@ -464,8 +440,8 @@ impl ClusterConfig {
             heartbeat_ms: 100,
             dead_after_missed: 10,
             rack_uplink_bps: None,
-            io_window: default_io_window(),
-            emulate_media_bps: default_emulate_media_bps(),
+            io_window: DEFAULT_IO_WINDOW,
+            emulate_media_bps: false,
         }
     }
 }
@@ -528,16 +504,5 @@ mod tests {
         assert!(p.rack_pruning);
         assert_eq!(p.placement, PlacementPolicyKind::Moop);
         assert_eq!(p.retrieval, RetrievalPolicyKind::RateBased);
-    }
-
-    #[test]
-    fn config_serde_round_trip() {
-        // serde round-trip through a self-describing format proxy: use JSON
-        // via serde's test-friendly in-memory representation is unavailable
-        // (no serde_json dep), so round-trip PartialEq through clone instead
-        // and assert Serialize compiles by invoking a no-op serializer.
-        let c = ClusterConfig::test_cluster(3, GB, DEFAULT_BLOCK_SIZE);
-        let c2 = c.clone();
-        assert_eq!(c, c2);
     }
 }

@@ -3,17 +3,13 @@
 //! Every entity that crosses a component boundary (blocks, inodes, workers,
 //! storage media) gets a newtype so the compiler catches identifier mix-ups.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize,
-            Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl fmt::Display for $name {
@@ -58,9 +54,7 @@ id_type!(
 
 /// Generation stamp attached to blocks; bumped on re-replication and append
 /// so that stale replicas can be detected, as in HDFS.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GenStamp(pub u64);
 
 impl fmt::Display for GenStamp {

@@ -11,7 +11,6 @@
 //! re-replicate within a tier, delete from a tier) uniformly; [`VectorDiff`]
 //! computes which replicas must be added and removed.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -38,7 +37,7 @@ use crate::tier::{StorageTier, TierId, MAX_TIERS, UNSPECIFIED_SLOT};
 /// assert_eq!(ReplicationVector::from_bits(v.to_bits()), v);
 /// assert_eq!(ReplicationVector::from_replication_factor(3).unspecified(), 3);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct ReplicationVector(u64);
 
 impl ReplicationVector {

@@ -6,14 +6,12 @@
 //! heartbeats (paper §3.2). The master averages throughputs per tier and
 //! exposes [`StorageTierReport`]s through the client API (§2.3, Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{MediaId, WorkerId};
 use crate::tier::TierId;
 use crate::topology::RackId;
 
 /// Per-medium statistics: the policy inputs of §3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaStats {
     /// The medium.
     pub media: MediaId,
@@ -53,7 +51,7 @@ impl MediaStats {
 }
 
 /// Per-worker statistics used by the retrieval policy (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerStats {
     /// The worker.
     pub worker: WorkerId,
@@ -69,7 +67,7 @@ pub struct WorkerStats {
 }
 
 /// Aggregated per-tier statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierStats {
     /// The tier.
     pub tier: TierId,
@@ -115,7 +113,7 @@ impl TierStats {
 }
 
 /// The `getStorageTierReports` API payload (paper Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageTierReport {
     /// Tier name ("Memory", "SSD", ...).
     pub name: String,

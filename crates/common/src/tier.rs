@@ -9,7 +9,6 @@
 //! up to seven tiers, with slot 7 reserved for the vector's "Unspecified"
 //! entry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::{FsError, Result};
@@ -22,7 +21,7 @@ pub const MAX_TIERS: usize = 7;
 pub const UNSPECIFIED_SLOT: u8 = 7;
 
 /// Identifier of a storage tier; also its replication-vector slot (0..=6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(pub u8);
 
 impl TierId {
@@ -41,7 +40,7 @@ impl fmt::Display for TierId {
 /// The four canonical tiers of the paper's running example
 /// ⟨Memory, SSD, HDD, Remote⟩. Custom clusters may define others via
 /// [`TierRegistry`]; these constants are conveniences for the common case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageTier {
     /// Volatile DRAM tier — fastest, smallest, data lost on restart.
     Memory,
@@ -92,7 +91,7 @@ impl fmt::Display for StorageTier {
 }
 
 /// Metadata describing one configured tier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierInfo {
     /// Slot / identifier.
     pub id: TierId,
@@ -108,7 +107,7 @@ pub struct TierInfo {
 ///
 /// Tier ids must be dense starting at 0 so they map directly onto
 /// replication-vector slots.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TierRegistry {
     tiers: Vec<TierInfo>,
 }

@@ -5,7 +5,6 @@
 //! no more than two — Eq. 5) and for locality (prefer node-local, then
 //! rack-local transfers).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,7 +12,7 @@ use crate::error::{FsError, Result};
 use crate::ids::WorkerId;
 
 /// Identifier of a rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RackId(pub u16);
 
 impl fmt::Display for RackId {
@@ -24,7 +23,7 @@ impl fmt::Display for RackId {
 
 /// Where a client runs relative to the cluster. Collocated clients enable
 /// node-local reads/writes; off-cluster clients always pay a network hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClientLocation {
     /// The client shares a node with this worker.
     OnWorker(WorkerId),
@@ -55,7 +54,7 @@ impl NetDistance {
 }
 
 /// The cluster's worker→rack map.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     racks: BTreeMap<WorkerId, RackId>,
 }

@@ -18,7 +18,7 @@ use octopus_common::metrics::{Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{FsError, ReplicationVector, Result, StorageTier};
 
-use crate::client::Client;
+use crate::net::RemoteFs;
 
 /// What the manager did in response to an access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,7 @@ struct Entry {
 /// cluster.run_replication_round().unwrap();                   // realize (§5)
 /// ```
 pub struct CacheManager {
-    client: Client,
+    client: RemoteFs,
     budget: u64,
     promote_after: u64,
     used: u64,
@@ -72,7 +72,7 @@ pub struct CacheManager {
 impl CacheManager {
     /// Creates a manager with a memory budget in bytes. Files are promoted
     /// after `promote_after` accesses (≥1).
-    pub fn new(client: Client, budget: u64, promote_after: u64) -> Self {
+    pub fn new(client: RemoteFs, budget: u64, promote_after: u64) -> Self {
         Self {
             client,
             budget,

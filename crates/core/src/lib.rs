@@ -5,11 +5,18 @@
 //! policies ([`octopus_policies`]) into a running file system and exposes
 //! the client API of the paper's Table 1.
 //!
-//! Two deployment shapes share all control-plane code:
+//! One client ([`RemoteFs`]), one worker dispatch and one §5 monitor run
+//! over a two-implementation transport seam ([`net::Transport`]):
 //!
-//! - [`Cluster`]: a real in-process cluster — workers store actual bytes
-//!   (heap or disk), the client pipelines real data through them, checksums
-//!   are verified end to end. Used by applications, examples, and tests.
+//! - [`NetCluster`] and the daemons: master and workers behind TCP
+//!   servers, real heartbeat threads.
+//! - [`Cluster`]: the same code in one process over function calls, with a
+//!   logical clock — workers store actual bytes (heap or disk), the client
+//!   pipelines real data through them, checksums are verified end to end.
+//!   Used by applications, examples, and tests.
+//!
+//! A third shape shares the master and policies but not the client:
+//!
 //! - [`SimCluster`]: the same master/policies driven by the
 //!   [`octopus_simnet`] flow simulator — every transfer becomes a max-min
 //!   fair flow over calibrated device/NIC resources and time is virtual.
@@ -34,17 +41,14 @@
 //! ```
 
 pub mod cache;
-pub mod client;
 pub mod cluster;
-pub mod federation;
 pub mod net;
 pub mod sim;
 pub mod worker;
 
 pub use cache::{CacheAction, CacheManager};
-pub use client::{Client, FileReader, FileWriter};
 pub use cluster::{build_single_worker, Cluster, StorageMode};
-pub use federation::{FederatedClient, Federation};
+pub use net::client::{FileReader, FileWriter};
 pub use net::{NetCluster, RemoteFs};
 pub use sim::{JobId, JobReport, SimCluster, SimEvent};
 pub use worker::Worker;

@@ -1,4 +1,8 @@
-//! [`RemoteFs`]: the Table 1 client API over the network.
+//! [`RemoteFs`]: the OctopusFS client (paper §2.3) — the file system API
+//! with the Table 1 tiered-storage extensions, the windowed write pipeline
+//! with §3.1 recovery, and the retrieval-ordered read with §4.1 failover —
+//! written once over a [`Transport`]: TCP for deployments, function calls
+//! for the in-process [`crate::Cluster`].
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -17,79 +21,67 @@ use octopus_common::{
     FileStatus, FsError, HeatInfo, HotFile, LocatedBlock, Location, ReplicationVector, Result,
     RpcConfig, SeriesPoint, StorageTierReport, WorkerId, DEFAULT_IO_WINDOW,
 };
+use octopus_master::ClientId;
 
 use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
-use super::rpc::{self, RpcClient};
+use super::rpc;
+use super::transport::{TcpTransport, Transport};
 use super::worker_server::AddressMap;
 
 static NEXT_HOLDER: AtomicU64 = AtomicU64::new(1 << 32);
 
 /// How many placements a single block write tries before giving up; each
 /// failed attempt adds that pipeline's first worker to the exclusion list
-/// of the next `AddBlock` (§3.1 pipeline recovery).
+/// of the next placement (§3.1 pipeline recovery).
 const MAX_PIPELINE_ATTEMPTS: usize = 4;
 
-/// Default end-to-end latency above which a read/write emits a structured
-/// slow-request line (overridable via `OCTOPUS_SLOW_REQUEST_MS` or
-/// [`RemoteFs::with_slow_request_threshold_ms`]).
-const DEFAULT_SLOW_REQUEST_MS: u64 = 1000;
-
-fn default_slow_request_ms() -> u64 {
-    std::env::var("OCTOPUS_SLOW_REQUEST_MS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_SLOW_REQUEST_MS)
-}
-
-/// The `OCTOPUS_IO_WINDOW` override, when set to a positive integer. The
-/// environment wins over `ClusterConfig::io_window` so one process can be
-/// re-windowed without editing cluster config (bench sweeps, triage).
-pub(crate) fn env_io_window() -> Option<u32> {
-    std::env::var("OCTOPUS_IO_WINDOW").ok().and_then(|v| v.trim().parse().ok()).filter(|&n| n >= 1)
-}
+/// End-to-end latency above which a read/write emits a structured
+/// slow-request line.
+const SLOW_REQUEST_MS: u64 = 1000;
 
 /// Per-worker metrics-scrape bookkeeping: how often the scrape failed and
 /// when it last succeeded, so unreachable workers are *visible* in the
 /// merged snapshot instead of silently absent.
 #[derive(Default, Clone, Copy)]
-pub(crate) struct ScrapeState {
-    pub(crate) errors: u64,
-    pub(crate) last_ok: Option<Instant>,
+struct ScrapeState {
+    errors: u64,
+    last_ok: Option<Instant>,
 }
 
-/// A networked OctopusFS client.
+/// An OctopusFS client. Cheap to clone; clones share the same lease
+/// identity.
 #[derive(Clone)]
 pub struct RemoteFs {
-    master: SocketAddr,
-    workers: AddressMap,
+    net: Arc<dyn Transport>,
     location: ClientLocation,
     holder: u64,
-    rpc: Arc<RpcClient>,
-    slow_ms: u64,
     window: usize,
     scrapes: Arc<Mutex<HashMap<WorkerId, ScrapeState>>>,
 }
 
 impl RemoteFs {
-    /// Creates a client against the given master, with `workers` resolving
-    /// data-server addresses.
+    /// Creates a networked client against the given master, with
+    /// `workers` resolving data-server addresses, over the process-wide
+    /// shared [`rpc::RpcClient`].
     pub fn new(master: SocketAddr, workers: AddressMap, location: ClientLocation) -> Self {
+        let net = TcpTransport::new(master, workers, Arc::clone(rpc::shared()));
+        Self::over(Arc::new(net), location)
+    }
+
+    /// Creates a client over any transport.
+    pub fn over(net: Arc<dyn Transport>, location: ClientLocation) -> Self {
         Self {
-            master,
-            workers,
+            net,
             location,
             holder: NEXT_HOLDER.fetch_add(1, Ordering::Relaxed),
-            rpc: Arc::clone(rpc::shared()),
-            slow_ms: default_slow_request_ms(),
-            window: env_io_window().unwrap_or(DEFAULT_IO_WINDOW) as usize,
+            window: DEFAULT_IO_WINDOW as usize,
             scrapes: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
     /// Overrides the I/O window: how many blocks of one transfer are kept
     /// in flight concurrently. `1` restores the fully serial data path;
-    /// values are clamped to at least 1. The `OCTOPUS_IO_WINDOW`
-    /// environment variable seeds the default.
+    /// values are clamped to at least 1.
     pub fn with_io_window(mut self, window: u32) -> Self {
         self.window = window.max(1) as usize;
         self
@@ -100,61 +92,49 @@ impl RemoteFs {
         self.window as u32
     }
 
-    /// Overrides the slow-request log threshold (milliseconds). `0` logs
-    /// every read/write; `u64::MAX` disables the log.
-    pub fn with_slow_request_threshold_ms(mut self, ms: u64) -> Self {
-        self.slow_ms = ms;
-        self
-    }
-
     /// Replaces the RPC deadlines/retry budget with a dedicated client
     /// (tests use [`RpcConfig::fast_test`] to detect failures quickly).
+    /// A no-op over a transport that makes no RPCs.
     pub fn with_rpc_config(mut self, cfg: RpcConfig) -> Self {
-        self.rpc = Arc::new(RpcClient::new(cfg));
+        if let Some(net) = self.net.with_rpc_config(cfg) {
+            self.net = net;
+        }
         self
     }
 
     /// Connects to a master by address alone, fetching the worker
     /// data-server addresses from its registry (daemon deployments).
     pub fn connect(master: SocketAddr, location: ClientLocation) -> Result<Self> {
-        let client = Self::new(
-            master,
-            std::sync::Arc::new(parking_lot::RwLock::new(Default::default())),
-            location,
-        );
-        client.refresh_workers()?;
-        Ok(client)
+        let net = TcpTransport::new(master, AddressMap::default(), Arc::clone(rpc::shared()));
+        net.refresh_workers()?;
+        Ok(Self::over(Arc::new(net), location))
     }
 
-    /// Re-fetches the worker address registry from the master.
-    pub fn refresh_workers(&self) -> Result<()> {
-        match self.call(MasterRequest::WorkerAddresses)? {
-            MasterResponse::Addresses(list) => {
-                let mut map = self.workers.write();
-                for (w, a) in list {
-                    if let Ok(mut it) = std::net::ToSocketAddrs::to_socket_addrs(a.as_str()) {
-                        if let Some(sa) = it.next() {
-                            map.insert(w, sa);
-                        }
-                    }
-                }
-                Ok(())
-            }
-            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
-        }
+    /// Where this client runs.
+    pub fn location(&self) -> ClientLocation {
+        self.location
     }
 
-    /// Snapshot of this client's metrics: the `rpc_client_*` series of the
-    /// underlying [`RpcClient`] plus the `client_*` recovery/failover
+    /// This client's lease identity.
+    pub fn id(&self) -> ClientId {
+        ClientId(self.holder)
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        self.net.metrics()
+    }
+
+    /// Snapshot of this client's metrics: the transport's own series
+    /// (`rpc_client_*` over TCP) plus the `client_*` recovery/failover
     /// counters the read and write paths record into the same registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.rpc.metrics().snapshot()
+        self.metrics().snapshot()
     }
 
     /// This client's trace collector (request root spans plus per-attempt
     /// transport spans).
     pub fn trace(&self) -> &TraceCollector {
-        self.rpc.trace()
+        self.net.trace()
     }
 
     /// The master's registry alone, over one `Metrics` RPC — no worker
@@ -179,12 +159,10 @@ impl RemoteFs {
             MasterResponse::Metrics(s) => s,
             r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
         };
-        let targets: Vec<(WorkerId, SocketAddr)> =
-            self.workers.read().iter().map(|(w, a)| (*w, *a)).collect();
         let mut scrapes = self.scrapes.lock().unwrap();
-        for (w, addr) in targets {
+        for w in self.net.workers() {
             let state = scrapes.entry(w).or_default();
-            match self.call_worker(addr, &WorkerRequest::Metrics) {
+            match self.net.call_worker(w, WorkerRequest::Metrics) {
                 Ok(WorkerResponse::Metrics(s)) => {
                     state.last_ok = Some(Instant::now());
                     snap.merge(s);
@@ -208,16 +186,21 @@ impl RemoteFs {
     /// Cluster-wide trace snapshot: the master's collector, every
     /// reachable worker's, and this client's own spans merged into one
     /// assembly (the trace analogue of
-    /// [`RemoteFs::cluster_metrics_snapshot`]).
+    /// [`RemoteFs::cluster_metrics_snapshot`]). A worker that cannot be
+    /// scraped leaves its spans out of the assembly, counted in this
+    /// client's `trace_scrape_errors_total{worker=…}`.
     pub fn cluster_trace_snapshot(&self) -> Result<TraceSnapshot> {
         let mut snap = match self.call(MasterRequest::Trace)? {
             MasterResponse::Trace(s) => s,
             r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
         };
-        let targets: Vec<SocketAddr> = self.workers.read().values().copied().collect();
-        for addr in targets {
-            if let Ok(WorkerResponse::Trace(s)) = self.call_worker(addr, &WorkerRequest::Trace) {
-                snap.merge(s);
+        for w in self.net.workers() {
+            match self.net.call_worker(w, WorkerRequest::Trace) {
+                Ok(WorkerResponse::Trace(s)) => snap.merge(s),
+                _ => {
+                    self.metrics().inc("trace_scrape_errors_total", Labels::worker(w));
+                    log_warn!(target: "net::client", "msg=\"trace scrape failed\" worker={w}");
+                }
             }
         }
         snap.merge(self.trace().snapshot());
@@ -278,15 +261,14 @@ impl RemoteFs {
 
     /// One worker's sampled local time series, oldest first.
     pub fn worker_series(&self, worker: WorkerId) -> Result<Vec<SeriesPoint>> {
-        let addr = self.worker_addr(worker)?;
-        match self.call_worker(addr, &WorkerRequest::Series)? {
+        match self.net.call_worker(worker, WorkerRequest::Series)? {
             WorkerResponse::Series(s) => Ok(s),
             r => Err(FsError::Io(format!("unexpected response {r:?}"))),
         }
     }
 
     fn call(&self, req: MasterRequest) -> Result<MasterResponse> {
-        self.rpc.call_master(self.master, &req)
+        self.net.call_master(req)
     }
 
     /// Emits one structured warn line when an end-to-end request exceeded
@@ -294,7 +276,7 @@ impl RemoteFs {
     /// the still-active root span) and per-stage breakdown.
     fn maybe_log_slow(&self, op: &str, path: &str, start: Instant, stages: &[(&str, u64)]) {
         let total_ms = start.elapsed().as_millis() as u64;
-        if total_ms < self.slow_ms {
+        if total_ms < SLOW_REQUEST_MS {
             return;
         }
         let mut breakdown = String::new();
@@ -305,14 +287,6 @@ impl RemoteFs {
             target: "net::client",
             "msg=\"slow request\" op={op} path={path} total_ms={total_ms}{breakdown}"
         );
-    }
-
-    fn call_worker(&self, addr: SocketAddr, req: &WorkerRequest) -> Result<WorkerResponse> {
-        self.rpc.call_worker(addr, req)
-    }
-
-    fn worker_addr(&self, w: WorkerId) -> Result<SocketAddr> {
-        self.workers.read().get(&w).copied().ok_or_else(|| FsError::UnknownWorker(w.to_string()))
     }
 
     /// Creates a directory and parents.
@@ -351,9 +325,7 @@ impl RemoteFs {
         // but the master has already dropped the blocks from the block map,
         // so the replica is purged by the worker's next block report.
         for (block, loc) in dropped {
-            if let Ok(addr) = self.worker_addr(loc.worker) {
-                let _ = self.call_worker(addr, &WorkerRequest::DeleteBlock(loc.media, block));
-            }
+            let _ = self.net.call_worker(loc.worker, WorkerRequest::DeleteBlock(loc.media, block));
         }
         Ok(())
     }
@@ -387,6 +359,29 @@ impl RemoteFs {
         }
     }
 
+    /// `create(Path, ReplicationVector, blockSize)` (Table 1): opens a new
+    /// file for writing and returns the output stream.
+    pub fn create(
+        &self,
+        path: &str,
+        rv: ReplicationVector,
+        block_size: Option<u64>,
+    ) -> Result<FileWriter> {
+        match self.call(MasterRequest::CreateFile(path.into(), rv, block_size, self.holder))? {
+            MasterResponse::Status(s) => Ok(FileWriter::new(self, path, s.block_size)),
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
+    }
+
+    /// Reopens a complete file for appending. New data starts a fresh
+    /// block (the existing final block is immutable).
+    pub fn append(&self, path: &str) -> Result<FileWriter> {
+        match self.call(MasterRequest::AppendFile(path.into(), self.holder))? {
+            MasterResponse::Status(s) => Ok(FileWriter::new(self, path, s.block_size)),
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
+    }
+
     /// Creates `path` and writes `data` through worker pipelines (§3.1).
     pub fn write_file(&self, path: &str, data: &[u8], rv: ReplicationVector) -> Result<()> {
         let start = Instant::now();
@@ -409,13 +404,13 @@ impl RemoteFs {
             data.chunks(block_size.max(1)).map(Bytes::copy_from_slice).collect();
         if chunks.len() <= 1 || self.window == 1 {
             for chunk in chunks {
-                self.write_one_block(path, chunk)?;
+                self.write_block(path, chunk)?;
             }
         } else {
             self.write_blocks_windowed(path, chunks, span.context())?;
         }
         let blocks_us = stage.elapsed().as_micros() as u64;
-        self.rpc.metrics().add("client_write_bytes_total", Labels::NONE, data.len() as u64);
+        self.metrics().add("client_write_bytes_total", Labels::NONE, data.len() as u64);
         let stage = Instant::now();
         let out = self.call(MasterRequest::CompleteFile(path.into(), self.holder)).map(|_| ());
         let complete_us = stage.elapsed().as_micros() as u64;
@@ -428,73 +423,27 @@ impl RemoteFs {
         out
     }
 
-    /// Writes one block through a worker pipeline, recovering from stage
-    /// failures (§3.1): when the pipeline's entry worker fails with a
-    /// transport error, the partially-written block is abandoned at the
-    /// master and a fresh placement is requested that excludes every
-    /// worker a previous attempt already failed on.
-    fn write_one_block(&self, path: &str, payload: Bytes) -> Result<()> {
+    /// Allocates the file's next block and its pipeline.
+    fn add_block(&self, path: &str, len: u64) -> Result<(Block, Vec<Location>)> {
+        let req = MasterRequest::AddBlock(path.into(), len, self.location, self.holder, Vec::new());
+        match self.call(req)? {
+            MasterResponse::Allocated(b, p) => Ok((b, p)),
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
+    }
+
+    /// Appends one block to the file on the calling thread: allocate, then
+    /// transfer with §3.1 recovery. A block whose transfer fails for good
+    /// is abandoned, so the file keeps no dangling last block.
+    fn write_block(&self, path: &str, payload: Bytes) -> Result<()> {
         let mut span = trace::child("client.write_block");
-        let len = payload.len() as u64;
         if let Some(s) = span.as_mut() {
-            s.annotate("bytes", len);
+            s.annotate("bytes", payload.len());
         }
-        let mut excluded: Vec<WorkerId> = Vec::new();
-        let mut last_err = FsError::PlacementFailed(format!("no pipeline attempted for {path}"));
-        for attempt in 0..MAX_PIPELINE_ATTEMPTS {
-            if let (Some(s), true) = (span.as_mut(), attempt > 0) {
-                s.annotate("retry", attempt);
-            }
-            let (block, pipeline) = match self.call(MasterRequest::AddBlock(
-                path.into(),
-                len,
-                self.location,
-                self.holder,
-                excluded.clone(),
-            ))? {
-                MasterResponse::Allocated(b, p) => (b, p),
-                r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
-            };
-            let Some((first, rest)) = pipeline.split_first() else {
-                return Err(FsError::PlacementFailed(format!("empty pipeline for {path}")));
-            };
-            let attempt = self.worker_addr(first.worker).and_then(|addr| {
-                self.call_worker(
-                    addr,
-                    &WorkerRequest::WriteBlock(
-                        block,
-                        first.media,
-                        rest.to_vec(),
-                        BlockData::Real(payload.clone()),
-                    ),
-                )
-            });
-            match attempt {
-                Ok(WorkerResponse::Stored(locs)) if !locs.is_empty() => return Ok(()),
-                Ok(WorkerResponse::Stored(_)) => {
-                    last_err = FsError::BlockUnavailable(format!(
-                        "no pipeline stage stored block {}",
-                        block.id
-                    ));
-                }
-                Ok(r) => return Err(FsError::Io(format!("unexpected response {r:?}"))),
-                Err(e) if e.is_retryable() => last_err = e,
-                Err(e) => return Err(e),
-            }
-            // The entry worker failed (or nothing was stored): release the
-            // allocated block so the file has no dangling last block, then
-            // re-request placement avoiding the failed worker.
-            log_warn!(
-                target: "net::client",
-                "msg=\"pipeline recovery\" path={path} block={} failed_worker={} err=\"{last_err}\"",
-                block.id,
-                first.worker
-            );
-            self.rpc.metrics().inc("client_pipeline_recoveries_total", Labels::NONE);
+        let (block, pipeline) = self.add_block(path, payload.len() as u64)?;
+        self.transfer_block(path, block, pipeline, &payload).inspect_err(|_| {
             let _ = self.call(MasterRequest::AbandonBlock(path.into(), block, self.holder));
-            excluded.push(first.worker);
-        }
-        Err(last_err)
+        })
     }
 
     /// Writes `chunks` through up to `window` concurrent pipelines.
@@ -502,9 +451,7 @@ impl RemoteFs {
     /// Block order is the file's byte order (the master's ordering
     /// invariant — see `Master::reassign_block_as`), so `AddBlock` calls
     /// go through a turnstile that admits them strictly in chunk order
-    /// while the transfers themselves overlap. Recovery from a failed
-    /// pipeline stage uses `ReassignBlock` rather than the serial path's
-    /// abandon-and-reallocate: a mid-file block must keep its slot.
+    /// while the transfers themselves overlap.
     ///
     /// First-error cancellation: one failed block stops further blocks
     /// from being issued, in-flight transfers drain, and every reserved
@@ -543,19 +490,8 @@ impl RemoteFs {
                     if !sched.await_turn(i) {
                         break;
                     }
-                    let alloc = self.call(MasterRequest::AddBlock(
-                        path.into(),
-                        chunks[i].len() as u64,
-                        self.location,
-                        self.holder,
-                        Vec::new(),
-                    ));
-                    let (block, pipeline) = match alloc {
-                        Ok(MasterResponse::Allocated(b, p)) => (b, p),
-                        Ok(r) => {
-                            sched.fail(FsError::Io(format!("unexpected response {r:?}")));
-                            break;
-                        }
+                    let (block, pipeline) = match self.add_block(path, chunks[i].len() as u64) {
+                        Ok(allocated) => allocated,
                         Err(e) => {
                             sched.fail(e);
                             break;
@@ -594,11 +530,12 @@ impl RemoteFs {
         Err(err)
     }
 
-    /// Transfers one already-allocated block through its pipeline,
-    /// recovering from retryable entry-stage failures by re-placing the
-    /// block in its slot (`ReassignBlock`) with the failed workers
-    /// excluded — the §3.1 recovery loop of [`RemoteFs::write_one_block`]
-    /// adapted to blocks that may no longer be the file's last.
+    /// Transfers one already-allocated block through its pipeline — the
+    /// one §3.1 recovery loop: when the pipeline's entry worker fails with
+    /// a transport error (or no stage stored the block), the block is
+    /// re-placed *in its slot* (`ReassignBlock`; under a window it may no
+    /// longer be the file's last) on a pipeline that excludes every worker
+    /// a previous attempt already failed on.
     fn transfer_block(
         &self,
         path: &str,
@@ -624,17 +561,15 @@ impl RemoteFs {
             let Some((first, rest)) = pipeline.split_first() else {
                 return Err(FsError::PlacementFailed(format!("empty pipeline for {path}")));
             };
-            let outcome = self.worker_addr(first.worker).and_then(|addr| {
-                self.call_worker(
-                    addr,
-                    &WorkerRequest::WriteBlock(
-                        block,
-                        first.media,
-                        rest.to_vec(),
-                        BlockData::Real(payload.clone()),
-                    ),
-                )
-            });
+            let outcome = self.net.call_worker(
+                first.worker,
+                WorkerRequest::WriteBlock(
+                    block,
+                    first.media,
+                    rest.to_vec(),
+                    BlockData::Real(payload.clone()),
+                ),
+            );
             match outcome {
                 Ok(WorkerResponse::Stored(locs)) if !locs.is_empty() => return Ok(()),
                 Ok(WorkerResponse::Stored(_)) => {
@@ -653,13 +588,15 @@ impl RemoteFs {
                 block.id,
                 first.worker
             );
-            self.rpc.metrics().inc("client_pipeline_recoveries_total", Labels::NONE);
+            self.metrics().inc("client_pipeline_recoveries_total", Labels::NONE);
             excluded.push(first.worker);
         }
         Err(last_err)
     }
 
-    /// Reads a whole file, failing over across replicas (§4.1).
+    /// Reads a whole file, verifying checksums and failing over across
+    /// replicas (§4.1). Paths under an external mount are served by the
+    /// mounted catalog (§2.4).
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>> {
         let start = Instant::now();
         let mut span = self.trace().root_or_child("client.read_file");
@@ -669,6 +606,9 @@ impl RemoteFs {
         let status = self.status(path)?;
         if status.is_dir {
             return Err(FsError::IsADirectory(path.into()));
+        }
+        if status.is_external() {
+            return self.read_external(path);
         }
         let blocks = self.get_file_block_locations(path, 0, u64::MAX)?;
         let locate_us = stage.elapsed().as_micros() as u64;
@@ -685,8 +625,62 @@ impl RemoteFs {
         }
         let blocks_us = stage.elapsed().as_micros() as u64;
         span.annotate("bytes", out.len());
-        self.rpc.metrics().add("client_read_bytes_total", Labels::NONE, out.len() as u64);
+        self.metrics().add("client_read_bytes_total", Labels::NONE, out.len() as u64);
         self.maybe_log_slow("read", path, start, &[("locate", locate_us), ("blocks", blocks_us)]);
+        Ok(out)
+    }
+
+    fn read_external(&self, path: &str) -> Result<Vec<u8>> {
+        match self.call(MasterRequest::ReadExternal(path.into()))? {
+            MasterResponse::External(b) => Ok(b.to_vec()),
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
+    }
+
+    /// Imports a file from a mounted external catalog into the cluster's
+    /// tiers (the MixApart-style caching pattern of §2.4): reads through
+    /// the mount and writes a tiered copy at `dst` with vector `rv`.
+    pub fn import_external(&self, src: &str, dst: &str, rv: ReplicationVector) -> Result<()> {
+        let data = self.read_external(src)?;
+        self.write_file(dst, &data, rv)
+    }
+
+    /// Opens a file for positional reading.
+    pub fn open(&self, path: &str) -> Result<FileReader> {
+        let status = self.status(path)?;
+        if status.is_dir {
+            return Err(FsError::IsADirectory(path.to_string()));
+        }
+        Ok(FileReader {
+            client: self.clone(),
+            path: path.to_string(),
+            len: status.len,
+            pos: 0,
+            cached: None,
+        })
+    }
+
+    /// Reads the byte range `[start, start+len)` of a file.
+    pub fn read_range(&self, path: &str, start: u64, len: u64) -> Result<Vec<u8>> {
+        let status = self.status(path)?;
+        if status.is_dir {
+            return Err(FsError::IsADirectory(path.to_string()));
+        }
+        let end = start.saturating_add(len).min(status.len);
+        if start >= end {
+            return Ok(Vec::new());
+        }
+        if status.is_external() {
+            return Ok(self.read_external(path)?[start as usize..end as usize].to_vec());
+        }
+        let blocks = self.get_file_block_locations(path, start, end - start)?;
+        let mut out = Vec::with_capacity((end - start) as usize);
+        for lb in blocks {
+            let bytes = self.read_block(&lb)?;
+            let b_start = start.max(lb.offset) - lb.offset;
+            let b_end = end.min(lb.end()) - lb.offset;
+            out.extend_from_slice(&bytes[b_start as usize..b_end as usize]);
+        }
         Ok(out)
     }
 
@@ -746,6 +740,8 @@ impl RemoteFs {
         Ok(out)
     }
 
+    /// Reads one block, trying replicas in policy order (§4.1: on failure,
+    /// contact the next worker on the list).
     fn read_block(&self, lb: &LocatedBlock) -> Result<Bytes> {
         let mut last_err = FsError::BlockUnavailable(format!("{}: no replicas", lb.block.id));
         for (i, loc) in lb.locations.iter().enumerate() {
@@ -758,9 +754,8 @@ impl RemoteFs {
                 s.annotate("worker", loc.worker);
                 s.annotate("tier", loc.tier);
             }
-            let attempt = self.worker_addr(loc.worker).and_then(|addr| {
-                self.call_worker(addr, &WorkerRequest::ReadBlock(loc.media, lb.block.id))
-            });
+            let attempt =
+                self.net.call_worker(loc.worker, WorkerRequest::ReadBlock(loc.media, lb.block.id));
             match attempt {
                 Ok(WorkerResponse::Data(BlockData::Real(b), sum))
                     if b.len() as u64 == lb.block.len =>
@@ -780,7 +775,7 @@ impl RemoteFs {
                         lb.block.id,
                         loc.worker
                     );
-                    self.rpc.metrics().inc("client_checksum_failovers_total", Labels::NONE);
+                    self.metrics().inc("client_checksum_failovers_total", Labels::NONE);
                     last_err = FsError::ChecksumMismatch { expected: sum, actual };
                     if let Some(s) = rep_span.as_mut() {
                         s.annotate("error", "checksum mismatch");
@@ -796,6 +791,11 @@ impl RemoteFs {
                 }
                 Ok(r) => last_err = FsError::Io(format!("unexpected response {r:?}")),
                 Err(e) => {
+                    // The worker's own verification caught the replica
+                    // corrupt at rest: the same failover, counted the same.
+                    if matches!(e, FsError::ChecksumMismatch { .. }) {
+                        self.metrics().inc("client_checksum_failovers_total", Labels::NONE);
+                    }
                     if let Some(s) = rep_span.as_mut() {
                         s.annotate("error", &e);
                     }
@@ -804,10 +804,159 @@ impl RemoteFs {
             }
             // A further location exists: this failure becomes a failover.
             if i + 1 < lb.locations.len() {
-                self.rpc.metrics().inc("client_replica_failovers_total", Labels::NONE);
+                self.metrics().inc("client_replica_failovers_total", Labels::NONE);
             }
         }
         Err(last_err)
+    }
+}
+
+/// An output stream for one file (returned by [`RemoteFs::create`]).
+///
+/// Bytes are buffered into blocks of the file's block size; each full block
+/// is pushed through a fresh pipeline obtained from the master (§3.1).
+pub struct FileWriter {
+    client: RemoteFs,
+    path: String,
+    block_size: u64,
+    buf: Vec<u8>,
+    closed: bool,
+}
+
+impl FileWriter {
+    fn new(client: &RemoteFs, path: &str, block_size: u64) -> Self {
+        Self {
+            client: client.clone(),
+            path: path.to_string(),
+            block_size,
+            buf: Vec::new(),
+            closed: false,
+        }
+    }
+
+    /// Appends bytes, flushing complete blocks.
+    pub fn write(&mut self, data: &[u8]) -> Result<()> {
+        if self.closed {
+            return Err(FsError::InvalidArgument("writer is closed".into()));
+        }
+        self.buf.extend_from_slice(data);
+        while self.buf.len() as u64 >= self.block_size {
+            let rest = self.buf.split_off(self.block_size as usize);
+            let block = std::mem::replace(&mut self.buf, rest);
+            self.client.write_block(&self.path, Bytes::from(block))?;
+        }
+        Ok(())
+    }
+
+    /// Flushes the final partial block and closes the file.
+    pub fn close(&mut self) -> Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        if !self.buf.is_empty() {
+            let block = std::mem::take(&mut self.buf);
+            self.client.write_block(&self.path, Bytes::from(block))?;
+        }
+        self.closed = true;
+        self.client
+            .call(MasterRequest::CompleteFile(self.path.clone(), self.client.holder))
+            .map(|_| ())
+    }
+
+    /// The path being written.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+}
+
+impl Drop for FileWriter {
+    fn drop(&mut self) {
+        if !self.closed {
+            let _ = self.close();
+        }
+    }
+}
+
+/// A positional reader over one file (returned by [`RemoteFs::open`]).
+///
+/// Small sequential reads are served from a one-block cache so each block
+/// is fetched (and checksum-verified) once per pass.
+pub struct FileReader {
+    client: RemoteFs,
+    path: String,
+    len: u64,
+    pos: u64,
+    /// `(block byte range start, payload)` of the most recently read block.
+    cached: Option<(u64, Bytes)>,
+}
+
+impl FileReader {
+    /// Total file length in bytes.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the file is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Current read position.
+    pub fn position(&self) -> u64 {
+        self.pos
+    }
+
+    /// Moves the read position (clamped to the file length).
+    pub fn seek(&mut self, pos: u64) {
+        self.pos = pos.min(self.len);
+    }
+
+    /// Reads up to `buf.len()` bytes at the current position, returning
+    /// the count (0 at EOF). Fails over across replicas per §4.1.
+    pub fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
+        if self.pos >= self.len || buf.is_empty() {
+            return Ok(0);
+        }
+        // Serve from the cached block when possible.
+        let in_cache = self
+            .cached
+            .as_ref()
+            .filter(|(start, data)| self.pos >= *start && self.pos < *start + data.len() as u64)
+            .is_some();
+        if !in_cache {
+            let lbs = self.client.get_file_block_locations(&self.path, self.pos, 1)?;
+            let Some(lb) = lbs.first() else {
+                return Err(FsError::Internal(format!(
+                    "no block at offset {} of {}",
+                    self.pos, self.path
+                )));
+            };
+            self.cached = Some((lb.offset, self.client.read_block(lb)?));
+        }
+        let (start, data) = self.cached.as_ref().expect("cache just filled");
+        let off = (self.pos - start) as usize;
+        let n = buf.len().min(data.len() - off).min((self.len - self.pos) as usize);
+        buf[..n].copy_from_slice(&data[off..off + n]);
+        self.pos += n as u64;
+        Ok(n)
+    }
+
+    /// Reads exactly `buf.len()` bytes or fails.
+    pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
+        let mut filled = 0;
+        while filled < buf.len() {
+            let n = self.read(&mut buf[filled..])?;
+            if n == 0 {
+                return Err(FsError::InvalidArgument(format!(
+                    "unexpected EOF at {} of {} ({} bytes short)",
+                    self.pos,
+                    self.path,
+                    buf.len() - filled
+                )));
+            }
+            filled += n;
+        }
+        Ok(())
     }
 }
 
@@ -890,7 +1039,7 @@ impl WriteScheduler {
 /// `metrics_scrape_errors_total{worker=…}` (cumulative failed scrapes) and
 /// `metrics_scrape_age_ms{worker=…}` (time since the last successful
 /// scrape; `-1` when the worker has never been scraped successfully).
-pub(crate) fn scrape_visibility(scrapes: &HashMap<WorkerId, ScrapeState>) -> MetricsSnapshot {
+fn scrape_visibility(scrapes: &HashMap<WorkerId, ScrapeState>) -> MetricsSnapshot {
     let reg = MetricsRegistry::new();
     for (w, state) in scrapes {
         let labels = Labels::worker(*w);

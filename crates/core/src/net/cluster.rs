@@ -2,27 +2,22 @@
 //! master RPC server, one data server per worker, and real heartbeat
 //! threads — from a [`ClusterConfig`].
 
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-use parking_lot::RwLock;
 
 use octopus_common::{log_warn, ClientLocation, ClusterConfig, Result, WorkerId};
 use octopus_master::Master;
 
 use super::client::RemoteFs;
 use super::master_server::MasterServer;
-use super::proto::{MasterRequest, MasterResponse};
-use super::worker_server::{call_master, AddressMap, WorkerServer};
+use super::rpc;
+use super::transport::TcpTransport;
+use super::worker_server::{self, AddressMap, WorkerServer};
 use crate::cluster::{build_workers_for, StorageMode};
 use crate::worker::Worker;
-
-/// Heartbeats between full block reports in the background threads.
-const BEATS_PER_REPORT: u64 = 8;
 
 /// A running networked cluster (loopback TCP).
 pub struct NetCluster {
@@ -31,6 +26,12 @@ pub struct NetCluster {
     worker_servers: Vec<Option<WorkerServer>>,
     workers: Vec<Arc<Worker>>,
     addrs: AddressMap,
+    /// How the cluster's own background work (heartbeats, §5 rounds)
+    /// reaches the master and the workers.
+    net: Arc<TcpTransport>,
+    /// The client behind [`NetCluster::metrics_snapshot`] and
+    /// [`NetCluster::trace_snapshot`] (it keeps the scrape bookkeeping).
+    scraper: RemoteFs,
     heartbeat_ms: u64,
     io_window: u32,
     epoch: Instant,
@@ -38,28 +39,12 @@ pub struct NetCluster {
     hb_threads: Vec<Option<JoinHandle<()>>>,
     autotier_stop: Option<Arc<AtomicBool>>,
     autotier_thread: Option<JoinHandle<()>>,
-    scrapes: Mutex<HashMap<WorkerId, super::client::ScrapeState>>,
 }
 
-/// Sends one full block report for `w` and applies the master's
-/// invalidation reply (replicas the master no longer tracks — e.g. a
-/// delete the worker missed while offline, §5). Returns replicas dropped.
-fn report_blocks(master_addr: SocketAddr, w: &Worker) -> Result<u32> {
-    let mut dropped = 0;
-    if let MasterResponse::Invalidate(stale) =
-        call_master(master_addr, &MasterRequest::BlockReport(w.id(), w.block_report()))?
-    {
-        for b in stale {
-            dropped += w.invalidate_block(b);
-        }
-    }
-    Ok(dropped)
-}
-
-/// Spawns one background heartbeat thread, with a periodic block report
-/// every [`BEATS_PER_REPORT`] beats.
+/// Spawns one worker's background liveness thread
+/// ([`worker_server::beat`] every `heartbeat_ms`).
 fn spawn_heartbeat(
-    master_addr: SocketAddr,
+    net: Arc<TcpTransport>,
     w: Arc<Worker>,
     epoch: Instant,
     heartbeat_ms: u64,
@@ -71,21 +56,8 @@ fn spawn_heartbeat(
             let mut beats = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms));
-                let now_ms = epoch.elapsed().as_millis() as u64;
-                let (stats, conns) = w.heartbeat_stats();
-                // Piggyback the drained heat epoch and sample the local
-                // series on the same cadence — no extra RPC, no extra
-                // thread.
-                let touches = w.drain_heat_epoch();
-                w.sample_series(now_ms);
-                let _ = call_master(
-                    master_addr,
-                    &MasterRequest::Heartbeat(w.id(), stats, conns, now_ms, touches),
-                );
                 beats += 1;
-                if beats.is_multiple_of(BEATS_PER_REPORT) {
-                    let _ = report_blocks(master_addr, &w);
-                }
+                worker_server::beat(&w, &*net, epoch.elapsed().as_millis() as u64, beats);
             }
         })
         .map_err(|e| octopus_common::FsError::Io(e.to_string()))
@@ -114,7 +86,9 @@ impl NetCluster {
         let master_server = MasterServer::spawn(Arc::clone(&master))?;
         let master_addr = master_server.addr();
 
-        let addrs: AddressMap = Arc::new(RwLock::new(HashMap::new()));
+        let addrs = AddressMap::default();
+        let net =
+            Arc::new(TcpTransport::new(master_addr, Arc::clone(&addrs), Arc::clone(rpc::shared())));
         let mut worker_servers = Vec::with_capacity(workers.len());
         for w in &workers {
             let server = WorkerServer::spawn(Arc::clone(w), master_addr, Arc::clone(&addrs))?;
@@ -126,13 +100,7 @@ impl NetCluster {
         let epoch = Instant::now();
         for w in &workers {
             let my_addr = addrs.read()[&w.id()].to_string();
-            call_master(
-                master_addr,
-                &MasterRequest::RegisterWorker(w.id(), w.rack(), w.net_bps(), 0, my_addr),
-            )?;
-            let (stats, conns) = w.heartbeat_stats();
-            call_master(master_addr, &MasterRequest::Heartbeat(w.id(), stats, conns, 0, vec![]))?;
-            call_master(master_addr, &MasterRequest::BlockReport(w.id(), w.block_report()))?;
+            worker_server::join(w, &*net, 0, my_addr)?;
         }
 
         // Background heartbeat threads, one stop flag each so a single
@@ -142,7 +110,7 @@ impl NetCluster {
         for w in &workers {
             let stop = Arc::new(AtomicBool::new(false));
             let handle = spawn_heartbeat(
-                master_addr,
+                Arc::clone(&net),
                 Arc::clone(w),
                 epoch,
                 heartbeat_ms,
@@ -158,6 +126,8 @@ impl NetCluster {
             worker_servers,
             workers,
             addrs,
+            scraper: RemoteFs::over(net.clone(), ClientLocation::OffCluster),
+            net,
             heartbeat_ms,
             io_window,
             epoch,
@@ -165,7 +135,6 @@ impl NetCluster {
             hb_threads,
             autotier_stop: None,
             autotier_thread: None,
-            scrapes: Mutex::new(HashMap::new()),
         })
     }
 
@@ -189,12 +158,16 @@ impl NetCluster {
         &self.workers
     }
 
+    /// The transport the cluster's own background work goes through.
+    pub fn transport(&self) -> &TcpTransport {
+        &self.net
+    }
+
     /// A networked client at the given location. The client's I/O window
-    /// comes from the cluster config unless `OCTOPUS_IO_WINDOW` overrides
-    /// it ([`RemoteFs::with_io_window`] re-windows a single client).
+    /// comes from the cluster config ([`RemoteFs::with_io_window`]
+    /// re-windows a single client).
     pub fn client(&self, location: ClientLocation) -> RemoteFs {
-        let window = super::client::env_io_window().unwrap_or(self.io_window);
-        RemoteFs::new(self.master_addr(), Arc::clone(&self.addrs), location).with_io_window(window)
+        RemoteFs::over(self.net.clone(), location).with_io_window(self.io_window)
     }
 
     /// Advances the master's failure detector to the cluster's current
@@ -207,15 +180,13 @@ impl NetCluster {
     /// Runs one replication round over RPC (§5) — see
     /// [`super::monitor::run_replication_round`].
     pub fn run_replication_round(&self) -> Result<super::monitor::ReplicationOutcome> {
-        let snapshot = self.addrs.read().clone();
-        super::monitor::run_replication_round(&self.master, &snapshot)
+        super::monitor::run_replication_round(&self.master, &*self.net)
     }
 
     /// Runs one fleet-wide scrub round over RPC, reporting per-worker
     /// outcomes (unreachable workers are surfaced, not counted clean).
     pub fn run_scrub_round(&self) -> Result<super::monitor::ScrubRound> {
-        let snapshot = self.addrs.read().clone();
-        super::monitor::run_scrub_round(&self.master, &snapshot)
+        super::monitor::run_scrub_round(&self.master, &*self.net)
     }
 
     /// Runs one auto-tiering round over RPC with bandwidth-capped copies —
@@ -225,8 +196,7 @@ impl NetCluster {
         classifier: &dyn octopus_policies::TierClassifier,
         cfg: &octopus_master::AutoTierConfig,
     ) -> Result<super::monitor::MigrationRound> {
-        let snapshot = self.addrs.read().clone();
-        super::monitor::run_migration_round(&self.master, &snapshot, classifier, cfg)
+        super::monitor::run_migration_round(&self.master, &*self.net, classifier, cfg)
     }
 
     /// Starts the auto-tiering daemon: a background thread that runs one
@@ -244,7 +214,7 @@ impl NetCluster {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let master = Arc::clone(&self.master);
-        let addrs = Arc::clone(&self.addrs);
+        let net = Arc::clone(&self.net);
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("octopus-autotier".to_string())
@@ -254,10 +224,9 @@ impl NetCluster {
                     if thread_stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let snapshot = addrs.read().clone();
                     if let Err(e) = super::monitor::run_migration_round(
                         &master,
-                        &snapshot,
+                        &*net,
                         classifier.as_ref(),
                         &cfg,
                     ) {
@@ -284,81 +253,17 @@ impl NetCluster {
         }
     }
 
-    /// Merged cluster-wide metrics snapshot: the master's registry, every
-    /// reachable worker's registry (fetched over the `Metrics` RPC), and
-    /// the process-shared RPC client's `rpc_client_*` / `client_*` series.
-    /// Workers that cannot be scraped (killed or unreachable) are skipped
-    /// but *counted*: `metrics_scrape_errors_total{worker=…}` and
-    /// `metrics_scrape_age_ms{worker=…}` surface the blind spot.
+    /// Merged cluster-wide metrics snapshot — see
+    /// [`RemoteFs::cluster_metrics_snapshot`]; the client series merged in
+    /// are the process-shared RPC client's (`rpc_client_*` / `client_*`).
     pub fn metrics_snapshot(&self) -> Result<octopus_common::MetricsSnapshot> {
-        use super::proto::{WorkerRequest, WorkerResponse};
-        let mut snap = match call_master(self.master_addr(), &MasterRequest::Metrics)? {
-            MasterResponse::Metrics(s) => s,
-            r => {
-                return Err(octopus_common::FsError::Io(format!("unexpected response {r:?}")));
-            }
-        };
-        let mut scrapes = self.scrapes.lock().unwrap();
-        for (i, w) in self.workers.iter().enumerate() {
-            let state = scrapes.entry(w.id()).or_default();
-            let scraped = self.worker_servers[i].is_some()
-                && match self.worker_addr(w.id()) {
-                    Some(addr) => {
-                        match super::worker_server::call_worker(addr, &WorkerRequest::Metrics) {
-                            Ok(WorkerResponse::Metrics(s)) => {
-                                snap.merge(s);
-                                true
-                            }
-                            _ => false,
-                        }
-                    }
-                    None => false,
-                };
-            if scraped {
-                state.last_ok = Some(Instant::now());
-            } else {
-                state.errors += 1;
-                log_warn!(
-                    target: "net::cluster",
-                    "msg=\"metrics scrape failed\" worker={} errors={}",
-                    w.id(),
-                    state.errors
-                );
-            }
-        }
-        snap.merge(super::client::scrape_visibility(&scrapes));
-        drop(scrapes);
-        // The shared pooled client serves servers and default clients alike;
-        // merge it once (it is a process-wide singleton, not per worker).
-        snap.merge(super::rpc::shared().metrics().snapshot());
-        Ok(snap)
+        self.scraper.cluster_metrics_snapshot()
     }
 
-    /// Merged cluster-wide trace snapshot: the master's collector, every
-    /// reachable worker's, and the process-shared RPC client's spans —
-    /// the assembly point for cross-node traces (the `Trace` analogue of
-    /// [`NetCluster::metrics_snapshot`]).
+    /// Merged cluster-wide trace snapshot — see
+    /// [`RemoteFs::cluster_trace_snapshot`].
     pub fn trace_snapshot(&self) -> Result<octopus_common::TraceSnapshot> {
-        use super::proto::{WorkerRequest, WorkerResponse};
-        let mut snap = match call_master(self.master_addr(), &MasterRequest::Trace)? {
-            MasterResponse::Trace(s) => s,
-            r => {
-                return Err(octopus_common::FsError::Io(format!("unexpected response {r:?}")));
-            }
-        };
-        for (i, w) in self.workers.iter().enumerate() {
-            if self.worker_servers[i].is_none() {
-                continue;
-            }
-            let Some(addr) = self.worker_addr(w.id()) else { continue };
-            if let Ok(WorkerResponse::Trace(s)) =
-                super::worker_server::call_worker(addr, &WorkerRequest::Trace)
-            {
-                snap.merge(s);
-            }
-        }
-        snap.merge(super::rpc::shared().trace().snapshot());
-        Ok(snap)
+        self.scraper.cluster_trace_snapshot()
     }
 
     /// Sends a block report for every worker whose server is up and
@@ -369,7 +274,7 @@ impl NetCluster {
         let mut dropped = 0;
         for (i, w) in self.workers.iter().enumerate() {
             if self.worker_servers[i].is_some() {
-                dropped += report_blocks(self.master_addr(), w)?;
+                dropped += worker_server::report_blocks(w, &*self.net)?;
             }
         }
         Ok(dropped)
@@ -396,30 +301,15 @@ impl NetCluster {
             return Ok(());
         }
         let w = &self.workers[idx];
-        let master_addr = self.master_addr();
-        let server = WorkerServer::spawn(Arc::clone(w), master_addr, Arc::clone(&self.addrs))?;
+        let server =
+            WorkerServer::spawn(Arc::clone(w), self.master_addr(), Arc::clone(&self.addrs))?;
         self.addrs.write().insert(w.id(), server.addr());
-        call_master(
-            master_addr,
-            &MasterRequest::RegisterWorker(
-                w.id(),
-                w.rack(),
-                w.net_bps(),
-                0,
-                server.addr().to_string(),
-            ),
-        )?;
-        let (stats, conns) = w.heartbeat_stats();
         let now_ms = self.epoch.elapsed().as_millis() as u64;
-        call_master(
-            master_addr,
-            &MasterRequest::Heartbeat(w.id(), stats, conns, now_ms, w.drain_heat_epoch()),
-        )?;
-        report_blocks(master_addr, w)?;
+        worker_server::join(w, &*self.net, now_ms, server.addr().to_string())?;
         self.worker_servers[idx] = Some(server);
         let stop = Arc::new(AtomicBool::new(false));
         self.hb_threads[idx] = Some(spawn_heartbeat(
-            master_addr,
+            Arc::clone(&self.net),
             Arc::clone(w),
             self.epoch,
             self.heartbeat_ms,

@@ -3,11 +3,10 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use octopus_common::metrics::Labels;
 use octopus_common::trace::{self, TraceContext};
 use octopus_common::wire::{Wire, WireReader};
 use octopus_common::{Result, ServerConfig, WorkerId};
@@ -15,54 +14,25 @@ use octopus_master::{ClientId, Master};
 
 use super::proto::{encode_master_result_frame, MasterRequest, MasterResponse};
 use super::server::{Handler, ServerCore};
+use super::transport::resolve;
+use super::worker_server::AddressMap;
 
 /// Server-side state: the master plus the registry of worker data-server
 /// addresses (populated by `RegisterWorker`, served by `WorkerAddresses`).
 pub struct MasterState {
     /// The master.
     pub master: Arc<Master>,
-    /// Worker data-server addresses. Mutate through RPC registration (or
-    /// [`MasterState::invalidate_resolved`] after a direct edit) so the
-    /// resolution cache stays coherent.
+    /// Worker data-server addresses, as the workers advertised them.
     pub addrs: Arc<RwLock<HashMap<WorkerId, String>>>,
-    /// Cached DNS resolution of `addrs`, invalidated on (re-)registration.
-    /// The replication monitor calls [`MasterState::resolved_addrs`] every
-    /// round; without the cache each round re-ran a resolver query per
-    /// worker even though registrations change rarely.
-    resolved: Mutex<Option<super::monitor::Addrs>>,
+    /// The same registry resolved to socket addresses at registration —
+    /// what the master's own §5 monitor reaches the workers through.
+    pub peers: AddressMap,
 }
 
 impl MasterState {
     /// Fresh state around a master.
     pub fn new(master: Arc<Master>) -> Self {
-        Self { master, addrs: Arc::new(RwLock::new(HashMap::new())), resolved: Mutex::new(None) }
-    }
-
-    /// The registered worker addresses as socket addresses, resolving (and
-    /// counting a `master_addr_resolutions_total` increment) only when the
-    /// cache is cold; registration invalidates it.
-    pub fn resolved_addrs(&self) -> super::monitor::Addrs {
-        if let Some(cached) = self.resolved.lock().unwrap().as_ref() {
-            return cached.clone();
-        }
-        self.master.metrics().inc("master_addr_resolutions_total", Labels::NONE);
-        let mut out = HashMap::new();
-        for (w, a) in self.addrs.read().iter() {
-            if let Ok(mut it) = a.as_str().to_socket_addrs() {
-                if let Some(sa) = it.next() {
-                    out.insert(*w, sa);
-                }
-            }
-        }
-        *self.resolved.lock().unwrap() = Some(out.clone());
-        out
-    }
-
-    /// Drops the cached resolution (a worker registered or an address was
-    /// edited directly); the next [`MasterState::resolved_addrs`] call
-    /// re-resolves.
-    pub fn invalidate_resolved(&self) {
-        *self.resolved.lock().unwrap() = None;
+        Self { master, addrs: Arc::default(), peers: Arc::default() }
     }
 }
 
@@ -207,10 +177,10 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::TierReports => A::Reports(master.get_storage_tier_reports()),
         Q::RegisterWorker(worker, rack, net_bps, now_ms, addr) => {
             master.register_worker(worker, rack, net_bps, now_ms);
+            if let Some(sa) = resolve(&addr) {
+                state.peers.write().insert(worker, sa);
+            }
             state.addrs.write().insert(worker, addr);
-            // A (re-)registration may carry a new address: drop the DNS
-            // resolution cache so the monitor sees it next round.
-            state.invalidate_resolved();
             A::Unit
         }
         Q::Heartbeat(worker, media, nr_conn, now_ms, touches) => {
@@ -248,5 +218,6 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::HotFiles(k) => A::HotFiles(master.hot_files(k as usize)),
         Q::Series => A::Series(master.series_points()),
         Q::Migrations(n) => A::Decisions(master.recent_migrations(n as usize)),
+        Q::ReadExternal(path) => A::External(master.read_external(&path)?.into()),
     })
 }

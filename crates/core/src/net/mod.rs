@@ -1,9 +1,13 @@
-//! The networked deployment mode: the same master, workers, and policies
-//! as the in-process [`crate::Cluster`], but wired over TCP with a
-//! hand-rolled RPC protocol — the shape the paper's system actually runs
-//! in (§2: clients talk to the master for metadata and stream block data
-//! through worker-to-worker pipelines).
+//! The request protocol and everything written against it: the shape the
+//! paper's system actually runs in (§2: clients talk to the master for
+//! metadata and stream block data through worker-to-worker pipelines),
+//! over TCP with a hand-rolled RPC protocol — or, for the in-process
+//! [`crate::Cluster`], over function calls behind the same [`transport`]
+//! seam.
 //!
+//! - [`transport`]: the [`Transport`] trait — deliver a request to the
+//!   master, deliver a request to worker *W* — with its TCP and local
+//!   implementations;
 //! - [`proto`]: request/response message types over the
 //!   [`octopus_common::wire`] codec, plus the gather/scatter
 //!   [`proto::FramePayload`] that lets block bytes ride as shared slices;
@@ -17,9 +21,11 @@
 //! - [`master_server`] / [`worker_server`]: the master and worker request
 //!   dispatchers mounted on that core, around the existing
 //!   [`octopus_master::Master`] and [`crate::Worker`];
-//! - [`client`]: [`RemoteFs`], the Table 1 client API over the network,
-//!   including the worker-to-worker write pipeline (§3.1) and read
-//!   failover (§4.1);
+//! - [`client`]: [`RemoteFs`], the one client — the Table 1 API, the
+//!   windowed write pipeline with recovery (§3.1) and read failover
+//!   (§4.1);
+//! - [`monitor`]: the one §5 executor (replication, scrub, paced
+//!   migration rounds);
 //! - [`cluster`]: [`NetCluster`], which boots a master and N workers on
 //!   loopback ports with real heartbeat threads;
 //! - [`rpc`]: [`RpcClient`], the multiplexing, deadline-bounded transport
@@ -38,6 +44,7 @@ pub mod monitor;
 pub mod proto;
 pub mod rpc;
 pub mod server;
+pub mod transport;
 pub mod worker_server;
 
 pub use backup::NetBackup;
@@ -47,4 +54,5 @@ pub use faults::FaultAction;
 pub use master_server::MasterServer;
 pub use monitor::{MigrationRound, ReplicationOutcome, ScrubRound, ScrubStatus};
 pub use rpc::RpcClient;
+pub use transport::{LocalTransport, TcpTransport, Transport};
 pub use worker_server::WorkerServer;

@@ -23,7 +23,6 @@
 //! worker's tasks.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use octopus_common::log_warn;
@@ -36,10 +35,7 @@ use octopus_master::{
 use octopus_policies::TierClassifier;
 
 use super::proto::{WorkerRequest, WorkerResponse};
-use super::worker_server::call_worker;
-
-/// Snapshot of worker data-server addresses.
-pub type Addrs = HashMap<WorkerId, SocketAddr>;
+use super::transport::Transport;
 
 /// Tally of one replication round's task executions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,7 +105,7 @@ impl ScrubRound {
 /// [`ReplicationOutcome`].
 fn run_one_task(
     master: &Master,
-    addr: Option<SocketAddr>,
+    net: &dyn Transport,
     task: &ReplicationTask,
     ctx: Option<TraceContext>,
 ) -> bool {
@@ -123,10 +119,12 @@ fn run_one_task(
                 s.annotate("target", target.worker);
                 s.annotate("tier", target.tier);
             }
-            let ok = addr.is_some_and(|a| {
-                call_worker(a, &WorkerRequest::Replicate(*block, sources.clone(), target.media))
-                    .is_ok()
-            });
+            let ok = net
+                .call_worker(
+                    target.worker,
+                    WorkerRequest::Replicate(*block, sources.clone(), target.media),
+                )
+                .is_ok();
             if !ok {
                 log_warn!(
                     target: "net::monitor",
@@ -146,13 +144,13 @@ fn run_one_task(
             }
             // `NotFound` counts as done: a retried delete whose first
             // reply was lost has already removed the replica.
-            let ok = addr.is_some_and(|a| {
-                match call_worker(a, &WorkerRequest::DeleteBlock(location.media, block.id)) {
-                    Ok(_) => true,
-                    Err(octopus_common::FsError::NotFound(_)) => true,
-                    Err(_) => false,
-                }
-            });
+            let ok = matches!(
+                net.call_worker(
+                    location.worker,
+                    WorkerRequest::DeleteBlock(location.media, block.id),
+                ),
+                Ok(_) | Err(octopus_common::FsError::NotFound(_))
+            );
             if !ok {
                 log_warn!(
                     target: "net::monitor",
@@ -184,13 +182,13 @@ fn tally(out: &mut ReplicationOutcome, task: &ReplicationTask, ok: bool) {
 /// one worker share its data server; concurrency lives across workers).
 fn run_worker_batch(
     master: &Master,
-    addr: Option<SocketAddr>,
+    net: &dyn Transport,
     tasks: Vec<ReplicationTask>,
     ctx: Option<TraceContext>,
 ) -> ReplicationOutcome {
     let mut out = ReplicationOutcome::default();
     for task in tasks {
-        let ok = run_one_task(master, addr, &task, ctx);
+        let ok = run_one_task(master, net, &task, ctx);
         tally(&mut out, &task, ok);
     }
     out
@@ -204,30 +202,25 @@ fn executing_worker(task: &ReplicationTask) -> WorkerId {
     }
 }
 
-/// Runs one replication scan and executes the tasks over RPC, one
-/// concurrent batch per executing worker (a dead worker's connect timeout
-/// bounds only its own batch). Failures are counted — and compensated at
-/// the master — rather than swallowed.
-pub fn run_replication_round(master: &Master, addrs: &Addrs) -> Result<ReplicationOutcome> {
-    let mut round_span = master.trace().root_or_child("monitor.replication_round");
-    let ctx = Some(round_span.context());
-    let tasks = master.replication_scan();
-    let attempted = tasks.len();
-    round_span.annotate("tasks", attempted);
-
+/// Executes `tasks` through `net`, one concurrent batch per executing
+/// worker (a dead worker's connect timeout bounds only its own batch).
+/// Failures are counted — and compensated at the master — rather than
+/// swallowed.
+pub fn run_tasks(
+    master: &Master,
+    net: &dyn Transport,
+    tasks: Vec<ReplicationTask>,
+    ctx: Option<TraceContext>,
+) -> ReplicationOutcome {
+    let mut total = ReplicationOutcome { attempted: tasks.len(), ..Default::default() };
     let mut by_worker: HashMap<WorkerId, Vec<ReplicationTask>> = HashMap::new();
     for task in tasks {
         by_worker.entry(executing_worker(&task)).or_default().push(task);
     }
-
-    let mut total = ReplicationOutcome { attempted, ..Default::default() };
     let outcomes: Vec<ReplicationOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = by_worker
-            .into_iter()
-            .map(|(w, batch)| {
-                let addr = addrs.get(&w).copied();
-                s.spawn(move || run_worker_batch(master, addr, batch, ctx))
-            })
+            .into_values()
+            .map(|batch| s.spawn(move || run_worker_batch(master, net, batch, ctx)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()
     });
@@ -241,26 +234,34 @@ pub fn run_replication_round(master: &Master, addrs: &Addrs) -> Result<Replicati
     let m = master.metrics();
     m.add("master_replication_copy_failures_total", Labels::NONE, total.copies_failed as u64);
     m.add("master_replication_delete_failures_total", Labels::NONE, total.deletes_failed as u64);
-    Ok(total)
+    total
+}
+
+/// Runs one replication scan (§5) and executes its tasks — see
+/// [`run_tasks`].
+pub fn run_replication_round(master: &Master, net: &dyn Transport) -> Result<ReplicationOutcome> {
+    let mut round_span = master.trace().root_or_child("monitor.replication_round");
+    let tasks = master.replication_scan();
+    round_span.annotate("tasks", tasks.len());
+    Ok(run_tasks(master, net, tasks, Some(round_span.context())))
 }
 
 /// Asks every registered worker to scrub its replicas, reporting each
 /// worker's outcome individually — an unreachable worker surfaces as
 /// [`ScrubStatus::Unreachable`] instead of being counted as clean.
-pub fn run_scrub_round(master: &Master, addrs: &Addrs) -> Result<ScrubRound> {
+pub fn run_scrub_round(master: &Master, net: &dyn Transport) -> Result<ScrubRound> {
     let round_span = master.trace().root_or_child("monitor.scrub_round");
     let ctx = round_span.context();
     let mut round = ScrubRound::default();
-    let mut targets: Vec<(WorkerId, SocketAddr)> = addrs.iter().map(|(w, a)| (*w, *a)).collect();
-    targets.sort_by_key(|(w, _)| *w);
     let results: Vec<(WorkerId, ScrubStatus)> = std::thread::scope(|s| {
-        let handles: Vec<_> = targets
+        let handles: Vec<_> = net
+            .workers()
             .into_iter()
-            .map(|(w, addr)| {
+            .map(|w| {
                 s.spawn(move || {
                     let mut span = master.trace().child_of("monitor.scrub", ctx);
                     span.annotate("worker", w);
-                    let status = match call_worker(addr, &WorkerRequest::Scrub) {
+                    let status = match net.call_worker(w, WorkerRequest::Scrub) {
                         Ok(WorkerResponse::Scrubbed(0)) => ScrubStatus::Clean,
                         Ok(WorkerResponse::Scrubbed(n)) => ScrubStatus::Corrupt(n),
                         Ok(_) | Err(_) => ScrubStatus::Unreachable,
@@ -324,7 +325,7 @@ pub struct MigrationRound {
 /// deliberately shared.
 pub fn run_migration_round(
     master: &Master,
-    addrs: &Addrs,
+    net: &dyn Transport,
     classifier: &dyn TierClassifier,
     cfg: &AutoTierConfig,
 ) -> Result<MigrationRound> {
@@ -346,8 +347,7 @@ pub fn run_migration_round(
     };
     let started = Instant::now();
     for task in tasks {
-        let addr = addrs.get(&executing_worker(&task)).copied();
-        let ok = run_one_task(master, addr, &task, ctx);
+        let ok = run_one_task(master, net, &task, ctx);
         tally(&mut round.outcome, &task, ok);
         if let (ReplicationTask::Copy { block, .. }, true) = (&task, ok) {
             round.bytes_copied += block.len;

@@ -85,6 +85,8 @@ pub enum MasterRequest {
     Series,
     /// The `n` most recent auto-tiering migration decisions, oldest first.
     Migrations(u32),
+    /// The whole content of a file under an external mount (§2.4).
+    ReadExternal(String),
 }
 
 impl MasterRequest {
@@ -141,6 +143,7 @@ impl MasterRequest {
             HotFiles(..) => "HotFiles",
             Series => "Series",
             Migrations(..) => "Migrations",
+            ReadExternal(..) => "ReadExternal",
         }
     }
 }
@@ -184,6 +187,8 @@ pub enum MasterResponse {
     HotFiles(Vec<HotFile>),
     /// Gauge time-series points, oldest first.
     Series(Vec<SeriesPoint>),
+    /// The content of an externally mounted file.
+    External(bytes::Bytes),
 }
 
 macro_rules! tagged {
@@ -227,6 +232,7 @@ impl Wire for MasterRequest {
             HotFiles(n) => tagged!(buf, 27, n),
             Series => tagged!(buf, 28),
             Migrations(n) => tagged!(buf, 29, n),
+            ReadExternal(p) => tagged!(buf, 30, p),
         }
     }
 
@@ -279,6 +285,7 @@ impl Wire for MasterRequest {
             27 => HotFiles(Wire::get(r)?),
             28 => Series,
             29 => Migrations(Wire::get(r)?),
+            30 => ReadExternal(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master request tag {t}"))),
         })
     }
@@ -306,6 +313,7 @@ impl Wire for MasterResponse {
             ClusterStatus(c) => tagged!(buf, 15, c),
             HotFiles(h) => tagged!(buf, 16, h),
             Series(p) => tagged!(buf, 17, p),
+            External(b) => tagged!(buf, 18, b),
         }
     }
 
@@ -330,6 +338,7 @@ impl Wire for MasterResponse {
             15 => ClusterStatus(Wire::get(r)?),
             16 => HotFiles(Wire::get(r)?),
             17 => Series(Wire::get(r)?),
+            18 => External(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master response tag {t}"))),
         })
     }
@@ -705,6 +714,8 @@ mod tests {
             vec![Location { worker: WorkerId(0), media: MediaId(1), tier: TierId(2) }],
         ));
         rt(MasterResponse::Invalidate(vec![BlockId(4), BlockId(5)]));
+        rt(MasterRequest::ReadExternal("/ext/blob".into()));
+        rt(MasterResponse::External(bytes::Bytes::from_static(b"blob")));
     }
 
     #[test]

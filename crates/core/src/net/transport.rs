@@ -1,0 +1,207 @@
+//! The transport seam: the one thing the networked deployment and the
+//! in-process harness differ in is *how a request reaches the master or a
+//! worker*. Everything above it — the client ([`super::RemoteFs`]), the
+//! worker dispatch's nested calls (replica commits, pipeline forwarding,
+//! re-replication reads, corruption reports), the §5 monitor and the
+//! heartbeat / block-report step — takes a [`Transport`] handle and is
+//! written once.
+//!
+//! Two implementations, no third:
+//!
+//! - [`TcpTransport`]: worker ids resolve through an [`AddressMap`] and
+//!   requests travel over an [`RpcClient`] (deadlines, retries, tracing
+//!   envelopes) — what the daemons, `NetCluster` and octobench run.
+//! - [`LocalTransport`]: requests are handed straight to the master and
+//!   worker dispatchers of the same process. No sockets and no real-time
+//!   clock, which is what lets [`crate::Cluster`] drive heartbeats and
+//!   the failure detector from a logical clock; a worker in the harness's
+//!   dead set answers with the same *retryable* error a refused
+//!   connection produces, so §3.1 recovery and §4.1 failover run the same
+//!   code on both.
+
+use std::collections::HashSet;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::Arc;
+
+use parking_lot::RwLock;
+
+use octopus_common::metrics::MetricsRegistry;
+use octopus_common::trace::{self, TraceCollector};
+use octopus_common::{FsError, Result, RpcConfig, WorkerId};
+use octopus_master::Master;
+
+use super::master_server::{self, MasterState};
+use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
+use super::rpc::RpcClient;
+use super::worker_server::{self, AddressMap};
+use crate::worker::Worker;
+
+/// Delivers requests to the master and to workers by id.
+pub trait Transport: Send + Sync {
+    /// One request to the master.
+    fn call_master(&self, req: MasterRequest) -> Result<MasterResponse>;
+
+    /// One request to worker `to`. An unreachable worker is a retryable
+    /// error ([`FsError::is_retryable`]); an id this transport cannot
+    /// address at all is [`FsError::UnknownWorker`].
+    fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse>;
+
+    /// Every worker this transport can address (scrape and scrub fan-out),
+    /// reachable or not.
+    fn workers(&self) -> Vec<WorkerId>;
+
+    /// Where callers of this transport record their own series
+    /// (`client_*`), next to whatever the transport itself records.
+    fn metrics(&self) -> &MetricsRegistry;
+
+    /// Where callers of this transport root their request spans.
+    fn trace(&self) -> &TraceCollector;
+
+    /// This transport with its RPC deadlines and retry budget replaced,
+    /// or `None` where no RPC is involved.
+    fn with_rpc_config(&self, _cfg: RpcConfig) -> Option<Arc<dyn Transport>> {
+        None
+    }
+}
+
+/// Resolves an advertised `host:port` to a socket address (first hit).
+pub fn resolve(addr: &str) -> Option<SocketAddr> {
+    addr.to_socket_addrs().ok()?.next()
+}
+
+/// Requests over TCP: a master address, a worker address map, and the
+/// [`RpcClient`] that carries them.
+#[derive(Clone)]
+pub struct TcpTransport {
+    master: SocketAddr,
+    workers: AddressMap,
+    rpc: Arc<RpcClient>,
+}
+
+impl TcpTransport {
+    /// A transport to `master`, resolving worker ids through `workers`.
+    pub fn new(master: SocketAddr, workers: AddressMap, rpc: Arc<RpcClient>) -> Self {
+        Self { master, workers, rpc }
+    }
+
+    /// Re-fetches the worker address registry from the master into this
+    /// transport's address map.
+    pub fn refresh_workers(&self) -> Result<()> {
+        match self.call_master(MasterRequest::WorkerAddresses)? {
+            MasterResponse::Addresses(list) => {
+                let mut map = self.workers.write();
+                for (w, a) in list {
+                    if let Some(sa) = resolve(&a) {
+                        map.insert(w, sa);
+                    }
+                }
+                Ok(())
+            }
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn call_master(&self, req: MasterRequest) -> Result<MasterResponse> {
+        self.rpc.call_master(self.master, &req)
+    }
+
+    fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
+        let addr = self.workers.read().get(&to).copied();
+        self.rpc.call_worker(addr.ok_or_else(|| FsError::UnknownWorker(to.to_string()))?, &req)
+    }
+
+    fn workers(&self) -> Vec<WorkerId> {
+        self.workers.read().keys().copied().collect()
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        self.rpc.metrics()
+    }
+
+    fn trace(&self) -> &TraceCollector {
+        self.rpc.trace()
+    }
+
+    fn with_rpc_config(&self, cfg: RpcConfig) -> Option<Arc<dyn Transport>> {
+        Some(Arc::new(Self { rpc: Arc::new(RpcClient::new(cfg)), ..self.clone() }))
+    }
+}
+
+/// Requests by function call: the master and every worker of one process.
+pub struct LocalTransport {
+    state: MasterState,
+    workers: Vec<Arc<Worker>>,
+    dead: RwLock<HashSet<WorkerId>>,
+    metrics: MetricsRegistry,
+    trace: TraceCollector,
+}
+
+impl LocalTransport {
+    /// A transport over `master` and `workers` (indexed by worker id).
+    pub fn new(master: Arc<Master>, workers: Vec<Arc<Worker>>) -> Self {
+        Self {
+            state: MasterState::new(master),
+            workers,
+            dead: RwLock::new(HashSet::new()),
+            metrics: MetricsRegistry::new(),
+            trace: TraceCollector::new("client"),
+        }
+    }
+
+    /// The master.
+    pub fn master(&self) -> &Arc<Master> {
+        &self.state.master
+    }
+
+    /// All workers, including downed ones.
+    pub fn all_workers(&self) -> &[Arc<Worker>] {
+        &self.workers
+    }
+
+    /// The workers not marked down.
+    pub fn live_workers(&self) -> Vec<Arc<Worker>> {
+        let dead = self.dead.read();
+        self.workers.iter().filter(|w| !dead.contains(&w.id())).cloned().collect()
+    }
+
+    /// Marks a worker down (`true`) or back up: calls to a downed worker
+    /// fail as an unreachable peer would.
+    pub fn set_down(&self, id: WorkerId, down: bool) {
+        if down {
+            self.dead.write().insert(id);
+        } else {
+            self.dead.write().remove(&id);
+        }
+    }
+}
+
+impl Transport for LocalTransport {
+    fn call_master(&self, req: MasterRequest) -> Result<MasterResponse> {
+        master_server::dispatch_traced(&self.state, req, trace::current_context())
+    }
+
+    fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
+        let worker = self
+            .workers
+            .get(to.0 as usize)
+            .ok_or_else(|| FsError::UnknownWorker(to.to_string()))?;
+        if self.dead.read().contains(&to) {
+            return Err(FsError::Unreachable(format!("{to} is down")));
+        }
+        worker_server::dispatch_traced(worker, self, req, trace::current_context())
+    }
+
+    fn workers(&self) -> Vec<WorkerId> {
+        self.workers.iter().map(|w| w.id()).collect()
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    fn trace(&self) -> &TraceCollector {
+        &self.trace
+    }
+}

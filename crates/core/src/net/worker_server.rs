@@ -24,6 +24,7 @@ use super::proto::{
     WorkerRequest, WorkerResponse,
 };
 use super::server::{Handler, ServerCore};
+use super::transport::{TcpTransport, Transport};
 use crate::worker::Worker;
 
 /// Shared map of worker data-server addresses (for pipeline forwarding).
@@ -34,10 +35,58 @@ pub fn call_master(addr: SocketAddr, req: &MasterRequest) -> Result<MasterRespon
     super::rpc::shared().call_master(addr, req)
 }
 
-/// One RPC round trip to a worker data server, over the process-wide
-/// shared client.
-pub fn call_worker(addr: SocketAddr, req: &WorkerRequest) -> Result<WorkerResponse> {
-    super::rpc::shared().call_worker(addr, req)
+/// Heartbeats between full block reports in a worker's liveness loop.
+const BEATS_PER_REPORT: u64 = 8;
+
+/// One heartbeat stamped `now_ms`: per-medium statistics and the NIC
+/// connection count, with the heat epoch that just closed piggybacked and
+/// the local series sampled on the same cadence — no extra request.
+pub fn heartbeat(worker: &Worker, net: &dyn Transport, now_ms: u64) -> Result<()> {
+    let (stats, conns) = worker.heartbeat_stats();
+    let touches = worker.drain_heat_epoch();
+    worker.sample_series(now_ms);
+    net.call_master(MasterRequest::Heartbeat(worker.id(), stats, conns, now_ms, touches))?;
+    Ok(())
+}
+
+/// One full block report, applying the master's invalidation reply
+/// (replicas it no longer tracks — e.g. a delete the worker missed while
+/// offline, §5). Returns replicas dropped.
+pub fn report_blocks(worker: &Worker, net: &dyn Transport) -> Result<u32> {
+    let mut dropped = 0;
+    if let MasterResponse::Invalidate(stale) =
+        net.call_master(MasterRequest::BlockReport(worker.id(), worker.block_report()))?
+    {
+        for b in stale {
+            dropped += worker.invalidate_block(b);
+        }
+    }
+    Ok(dropped)
+}
+
+/// Joins the cluster: registers `worker` as served at `addr`, then the
+/// first heartbeat and block report.
+pub fn join(worker: &Worker, net: &dyn Transport, now_ms: u64, addr: String) -> Result<()> {
+    net.call_master(MasterRequest::RegisterWorker(
+        worker.id(),
+        worker.rack(),
+        worker.net_bps(),
+        now_ms,
+        addr,
+    ))?;
+    heartbeat(worker, net, now_ms)?;
+    report_blocks(worker, net)?;
+    Ok(())
+}
+
+/// The `beats`-th periodic beat of a worker's liveness loop: a heartbeat,
+/// plus a full block report every [`BEATS_PER_REPORT`] beats. Failures
+/// are dropped — the next beat is the retry.
+pub fn beat(worker: &Worker, net: &dyn Transport, now_ms: u64, beats: u64) {
+    let _ = heartbeat(worker, net, now_ms);
+    if beats.is_multiple_of(BEATS_PER_REPORT) {
+        let _ = report_blocks(worker, net);
+    }
 }
 
 /// A running worker data server.
@@ -74,6 +123,7 @@ impl WorkerServer {
         cfg: ServerConfig,
     ) -> Result<Self> {
         let name = format!("octopus-{}", worker.id());
+        let net = TcpTransport::new(master, peers, Arc::clone(super::rpc::shared()));
         let handler: Handler = Arc::new(move |frame: bytes::Bytes| {
             let result = (|| {
                 let (ctx, body) = trace::unwrap_envelope(&frame)?;
@@ -81,7 +131,7 @@ impl WorkerServer {
                 let mut r = WireReader::new_shared(&frame, offset);
                 let req = WorkerRequest::get(&mut r)?;
                 r.expect_finished()?;
-                dispatch_traced(&worker, master, &peers, req, ctx)
+                dispatch_traced(&worker, &net, req, ctx)
             })();
             encode_worker_result_frame(&result)
         });
@@ -101,10 +151,12 @@ impl WorkerServer {
     }
 }
 
-fn dispatch_traced(
+/// Serves one request on `worker`; the calls the service itself makes
+/// (replica commit, pipeline forward, source reads, corruption reports)
+/// go out through `net`.
+pub(crate) fn dispatch_traced(
     worker: &Worker,
-    master: SocketAddr,
-    peers: &AddressMap,
+    net: &dyn Transport,
     req: WorkerRequest,
     ctx: Option<TraceContext>,
 ) -> Result<WorkerResponse> {
@@ -118,7 +170,7 @@ fn dispatch_traced(
     let labels = Labels::worker(worker.id()).with_req(req.name());
     worker.metrics().inc("worker_requests_total", labels);
     let start = std::time::Instant::now();
-    let out = dispatch_inner(worker, master, peers, req);
+    let out = dispatch_inner(worker, net, req);
     worker.metrics().observe_since("worker_request_us", labels, start);
     if out.is_err() {
         worker.metrics().inc("worker_request_failures_total", labels);
@@ -136,7 +188,7 @@ fn dispatch_traced(
 /// replicas, some of which may already have been deleted.
 pub fn scrub_and_report(
     worker: &Worker,
-    master: SocketAddr,
+    net: &dyn Transport,
     corrupt: Vec<(BlockId, MediaId)>,
 ) -> u32 {
     let mut handled = 0u32;
@@ -156,7 +208,7 @@ pub fn scrub_and_report(
         };
         let loc = Location { worker: worker.id(), media, tier };
         let _ = worker.delete_block(media, block);
-        let _ = call_master(master, &MasterRequest::ReportCorrupt(block, loc));
+        let _ = net.call_master(MasterRequest::ReportCorrupt(block, loc));
         handled += 1;
     }
     handled
@@ -164,8 +216,7 @@ pub fn scrub_and_report(
 
 fn dispatch_inner(
     worker: &Worker,
-    master: SocketAddr,
-    peers: &AddressMap,
+    net: &dyn Transport,
     req: WorkerRequest,
 ) -> Result<WorkerResponse> {
     match req {
@@ -204,25 +255,15 @@ fn dispatch_inner(
             let my_loc = Location { worker: worker.id(), media, tier: worker.tier_of(media)? };
             // Commit our replica before forwarding, so the master's view
             // converges even if the tail of the pipeline fails.
-            call_master(master, &MasterRequest::CommitReplica(block, my_loc))?;
+            net.call_master(MasterRequest::CommitReplica(block, my_loc))?;
             let mut stored = vec![my_loc];
 
             if let Some((next, remainder)) = rest.split_first() {
                 let fwd_start = std::time::Instant::now();
-                let next_addr = peers.read().get(&next.worker).copied();
-                let forwarded = next_addr
-                    .ok_or_else(|| FsError::UnknownWorker(next.worker.to_string()))
-                    .and_then(|addr| {
-                        call_worker(
-                            addr,
-                            &WorkerRequest::WriteBlock(
-                                block,
-                                next.media,
-                                remainder.to_vec(),
-                                data.clone(),
-                            ),
-                        )
-                    });
+                let forwarded = net.call_worker(
+                    next.worker,
+                    WorkerRequest::WriteBlock(block, next.media, remainder.to_vec(), data.clone()),
+                );
                 worker.metrics().observe_since(
                     "worker_pipeline_forward_us",
                     Labels::worker(worker.id()),
@@ -249,7 +290,7 @@ fn dispatch_inner(
                         // commit (e.g. it stored, committed, and then the
                         // connection died before its ack reached us).
                         for loc in &rest {
-                            let _ = call_master(master, &MasterRequest::AbortReplica(block, *loc));
+                            let _ = net.call_master(MasterRequest::AbortReplica(block, *loc));
                         }
                     }
                 }
@@ -280,9 +321,8 @@ fn dispatch_inner(
             let _io = worker.media_io(media)?;
             let mut data = None;
             for src in &sources {
-                let Some(addr) = peers.read().get(&src.worker).copied() else { continue };
                 if let Ok(WorkerResponse::Data(d, sum)) =
-                    call_worker(addr, &WorkerRequest::ReadBlock(src.media, block.id))
+                    net.call_worker(src.worker, WorkerRequest::ReadBlock(src.media, block.id))
                 {
                     // Don't propagate a replica damaged in flight; the
                     // next source (or a later round) serves it intact.
@@ -299,7 +339,7 @@ fn dispatch_inner(
             match data {
                 Some(d) => {
                     worker.write_block(media, block, &d)?;
-                    call_master(master, &MasterRequest::CommitReplica(block, my_loc))?;
+                    net.call_master(MasterRequest::CommitReplica(block, my_loc))?;
                     Ok(WorkerResponse::Unit)
                 }
                 None => {
@@ -309,7 +349,7 @@ fn dispatch_inner(
                         block.id,
                         sources.len()
                     );
-                    let _ = call_master(master, &MasterRequest::AbortReplica(block, my_loc));
+                    let _ = net.call_master(MasterRequest::AbortReplica(block, my_loc));
                     Err(FsError::BlockUnavailable(format!(
                         "{}: no reachable source replica",
                         block.id
@@ -319,7 +359,7 @@ fn dispatch_inner(
         }
         WorkerRequest::Scrub => {
             let corrupt = worker.scrub();
-            Ok(WorkerResponse::Scrubbed(scrub_and_report(worker, master, corrupt)))
+            Ok(WorkerResponse::Scrubbed(scrub_and_report(worker, net, corrupt)))
         }
         WorkerRequest::Metrics => {
             // Stamp drop counters at scrape time: spans and series points

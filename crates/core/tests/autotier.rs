@@ -248,7 +248,7 @@ fn migration_survives_source_worker_death() {
     let client = cluster.client(ClientLocation::OffCluster);
     let data = payload(MB as usize, 51);
     client.write_file("/src-death", &data, ReplicationVector::msh(0, 0, 2)).unwrap();
-    heat_up(&client, &["/src-death"], &[data.clone()]);
+    heat_up(&client, &["/src-death"], std::slice::from_ref(&data));
 
     // Kill one of the two HDD hosts.
     let victim =
@@ -280,7 +280,7 @@ fn migration_survives_destination_worker_death() {
     let client = cluster.client(ClientLocation::OffCluster);
     let data = payload(MB as usize, 57);
     client.write_file("/dst-death", &data, ReplicationVector::msh(0, 0, 2)).unwrap();
-    heat_up(&client, &["/dst-death"], &[data.clone()]);
+    heat_up(&client, &["/dst-death"], std::slice::from_ref(&data));
 
     // Plan the promotion and peek at the scheduled copy's destination,
     // then kill that worker before any round executes the copy.
@@ -320,7 +320,7 @@ fn failed_migration_copy_is_aborted_and_retried() {
     let client = cluster.client(ClientLocation::OffCluster);
     let data = payload(MB as usize, 63);
     client.write_file("/flaky", &data, ReplicationVector::msh(0, 0, 1)).unwrap();
-    heat_up(&client, &["/flaky"], &[data.clone()]);
+    heat_up(&client, &["/flaky"], std::slice::from_ref(&data));
 
     // Whatever destination the monitor picks, its Replicate response is
     // dropped mid-flight (the ambiguous failure: maybe executed, reply

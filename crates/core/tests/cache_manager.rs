@@ -4,7 +4,7 @@
 use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, StorageTier, MB};
 use octopus_core::{CacheAction, CacheManager, Cluster};
 
-fn setup(files: &[(&str, usize)]) -> (Cluster, octopus_core::Client) {
+fn setup(files: &[(&str, usize)]) -> (Cluster, octopus_core::RemoteFs) {
     let cluster = Cluster::start(ClusterConfig::test_cluster(6, 64 * MB, MB)).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     for (path, len) in files {

@@ -224,6 +224,13 @@ fn dedicated_client_snapshot_counts_scrape_errors() {
         "client-side merge must surface the unreachable worker"
     );
     assert_eq!(snap.gauge_where("metrics_scrape_age_ms", |l| l.worker == Some(dead)), -1);
+
+    // The trace scrape skips the same worker, and says so: an assembly
+    // missing a node's spans is distinguishable from a complete one.
+    client.cluster_trace_snapshot().unwrap();
+    let snap = client.metrics_snapshot();
+    assert_eq!(snap.counter_where("trace_scrape_errors_total", |l| l.worker == Some(dead)), 1);
+    assert_eq!(snap.counter("trace_scrape_errors_total"), 1, "live workers scrape clean");
 }
 
 #[test]

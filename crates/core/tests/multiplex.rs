@@ -11,12 +11,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use octopus_common::{
-    BlockData, ClientLocation, ClusterConfig, MediaId, ReplicationVector, RpcConfig, ServerConfig,
-    MB,
+    BlockData, ClientLocation, ClusterConfig, FsError, MediaId, ReplicationVector, RpcConfig,
+    ServerConfig, MB,
 };
 use octopus_core::net::frame::{read_mux_frame, write_mux_frame};
 use octopus_core::net::proto::{WorkerRequest, WorkerResponse};
-use octopus_core::net::worker_server::{call_worker, scrub_and_report};
+use octopus_core::net::worker_server::scrub_and_report;
 use octopus_core::net::{MasterServer, NetCluster, RpcClient};
 use octopus_master::Master;
 
@@ -24,6 +24,12 @@ fn config() -> ClusterConfig {
     let mut c = ClusterConfig::test_cluster(4, 64 * MB, MB);
     c.heartbeat_ms = 20;
     c
+}
+
+/// One RPC round trip to a worker data server, over the process-wide
+/// shared client (what the servers' own nested calls use).
+fn call_worker(addr: std::net::SocketAddr, req: &WorkerRequest) -> Result<WorkerResponse, FsError> {
+    octopus_core::net::rpc::shared().call_worker(addr, req)
 }
 
 fn client_cfg() -> RpcConfig {
@@ -40,6 +46,8 @@ fn interleaved_responses_reach_their_own_callers() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let mut s = listener.accept().unwrap().0;
+        let (id_w, warm) = read_mux_frame(&mut s).unwrap().unwrap();
+        write_mux_frame(&mut s, id_w, &[&warm]).unwrap();
         let (id_a, frame_a) = read_mux_frame(&mut s).unwrap().unwrap();
         let (id_b, frame_b) = read_mux_frame(&mut s).unwrap().unwrap();
         write_mux_frame(&mut s, id_b, &[&frame_b]).unwrap();
@@ -47,6 +55,10 @@ fn interleaved_responses_reach_their_own_callers() {
     });
 
     let client = Arc::new(RpcClient::new(RpcConfig { conns_per_peer: 1, ..client_cfg() }));
+    // Open the one connection first: two callers racing to *connect* would
+    // each open a socket and the loser's is closed as surplus — which may
+    // be the only one this server accepts.
+    assert_eq!(client.call_raw(addr, b"warm", true).unwrap(), b"warm");
     let mut callers = Vec::new();
     for i in 0..2u8 {
         let client = Arc::clone(&client);
@@ -182,7 +194,7 @@ fn scrub_skips_corrupt_replicas_on_unmapped_media() {
     // not abort it.
     let handled = scrub_and_report(
         &worker,
-        cluster.master_addr(),
+        cluster.transport(),
         vec![(block.id, MediaId(9_999)), (block.id, victim.media)],
     );
     assert_eq!(handled, 1, "the mapped replica must be handled despite the unmapped one");

@@ -3,7 +3,7 @@
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, MB};
 use octopus_core::Cluster;
 
-fn setup(len: usize) -> (Cluster, octopus_core::Client, Vec<u8>) {
+fn setup(len: usize) -> (Cluster, octopus_core::RemoteFs, Vec<u8>) {
     let cluster = Cluster::start(ClusterConfig::test_cluster(5, 64 * MB, MB)).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, 42)

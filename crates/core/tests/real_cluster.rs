@@ -172,14 +172,14 @@ fn rename_preserves_data() {
 fn tier_reports_reflect_usage() {
     let cluster = Cluster::start(test_config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
-    let before = client.get_storage_tier_reports();
+    let before = client.get_storage_tier_reports().unwrap();
     let mem_before = before.iter().find(|r| r.name == "Memory").unwrap().stats.remaining;
 
     let data = payload(MB as usize, 23);
     client.write_file("/m", &data, ReplicationVector::msh(1, 0, 1)).unwrap();
     cluster.pump_heartbeats();
 
-    let after = client.get_storage_tier_reports();
+    let after = client.get_storage_tier_reports().unwrap();
     let mem_after = after.iter().find(|r| r.name == "Memory").unwrap().stats.remaining;
     assert_eq!(mem_before - mem_after, MB);
     assert!(after.iter().any(|r| r.name == "SSD"));
@@ -204,7 +204,7 @@ fn quota_propagates_to_client_writes() {
     let cluster = Cluster::start(test_config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     client.mkdir("/tenant").unwrap();
-    client.set_quota("/tenant", TierQuota::limit_tier(0, MB)).unwrap();
+    cluster.master().set_quota("/tenant", TierQuota::limit_tier(0, MB)).unwrap();
     let data = payload((2 * MB) as usize, 31);
     // 2 MB pinned to memory exceeds the 1 MB quota on the second block.
     let err = client.write_file("/tenant/big", &data, ReplicationVector::msh(1, 0, 1));
@@ -278,7 +278,7 @@ fn paper_cluster_config_boots() {
     let data = payload(MB as usize, 43);
     client.write_file("/p", &data, ReplicationVector::from_replication_factor(3)).unwrap();
     assert_eq!(client.read_file("/p").unwrap(), data);
-    let reports = client.get_storage_tier_reports();
+    let reports = client.get_storage_tier_reports().unwrap();
     assert_eq!(reports.len(), 3);
     let hdd = reports.iter().find(|r| r.name == "HDD").unwrap();
     assert_eq!(hdd.stats.num_media, 27);

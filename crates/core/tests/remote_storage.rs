@@ -35,7 +35,7 @@ fn integrated_remote_tier_stores_pinned_replicas() {
     assert_eq!(tiers, vec![2, 3, 3]);
     assert_eq!(client.read_file("/archive").unwrap(), data);
 
-    let reports = client.get_storage_tier_reports();
+    let reports = client.get_storage_tier_reports().unwrap();
     assert_eq!(reports.len(), 4);
     let remote = reports.iter().find(|r| r.name == "Remote").unwrap();
     assert_eq!(remote.stats.num_media, 9);

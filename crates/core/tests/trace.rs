@@ -27,12 +27,17 @@ fn rf(n: u8) -> ReplicationVector {
     ReplicationVector::from_replication_factor(n)
 }
 
-/// The most recent assembled trace whose root is `root_name`.
-fn latest_trace(snap: &octopus_common::TraceSnapshot, root_name: &str) -> Trace {
+/// The most recent assembled trace whose root is `root_name` on `path`.
+/// Every default client in this process roots its spans in the one shared
+/// collector, and the tests of this file run in parallel: the root's
+/// `path` annotation is what tells this test's request from a sibling
+/// test's on another cluster (whose master and worker spans live in *that*
+/// cluster's collectors).
+fn latest_trace(snap: &octopus_common::TraceSnapshot, root_name: &str, path: &str) -> Trace {
     snap.traces()
         .into_iter()
-        .find(|t| t.root().name == root_name)
-        .unwrap_or_else(|| panic!("no assembled trace rooted at {root_name}"))
+        .find(|t| t.root().name == root_name && t.root().annotation("path") == Some(path))
+        .unwrap_or_else(|| panic!("no assembled trace rooted at {root_name} on {path}"))
 }
 
 /// Faults all-but-one holders of a file's first block with `action` and
@@ -65,7 +70,7 @@ fn read_until_fanout(
         }
         assert_eq!(client.read_file(path).unwrap(), data);
         let snap = client.cluster_trace_snapshot().unwrap();
-        let trace = latest_trace(&snap, "client.read_file");
+        let trace = latest_trace(&snap, "client.read_file", path);
         if sibling_groups(&trace, sibling_name).iter().any(|g| g.len() >= 2) {
             found = Some(trace);
             break;
@@ -98,7 +103,7 @@ fn spans_stitch_across_client_master_and_workers() {
     assert_eq!(client.read_file("/stitch").unwrap(), data);
 
     let snap = client.cluster_trace_snapshot().unwrap();
-    let write = latest_trace(&snap, "client.write_file");
+    let write = latest_trace(&snap, "client.write_file", "/stitch");
     let nodes = write.nodes();
     assert!(nodes.contains("client"), "write trace missing client spans: {nodes:?}");
     assert!(nodes.contains("master"), "write trace missing master spans: {nodes:?}");
@@ -114,7 +119,7 @@ fn spans_stitch_across_client_master_and_workers() {
     let cp = write.critical_path();
     assert_eq!(cp.attributed_us(), write.duration_us());
 
-    let read = latest_trace(&snap, "client.read_file");
+    let read = latest_trace(&snap, "client.read_file", "/stitch");
     assert!(read.nodes().iter().any(|n| n.starts_with("worker-")));
     assert_eq!(read.critical_path().attributed_us(), read.duration_us());
 }

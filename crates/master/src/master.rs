@@ -463,14 +463,6 @@ impl Master {
         self.placement.name()
     }
 
-    /// Reserves the block-id space below `base` for other masters: this
-    /// master will only issue ids above it. Federated deployments (§2.1)
-    /// give each independent master a disjoint id range so block ids stay
-    /// unique on the shared workers (the HDFS "block pool" concept).
-    pub fn reserve_block_id_space(&self, base: u64) {
-        self.block_ids.ensure_above(base);
-    }
-
     /// The master's logical clock (max over all observed timestamps).
     fn now_ms(&self) -> u64 {
         self.clock_ms.load(Ordering::Acquire)

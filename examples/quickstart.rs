@@ -31,7 +31,7 @@ fn main() -> octopusfs::Result<()> {
 
     // --- Tier reports (Table 1: getStorageTierReports) ---------------------
     println!("\nstorage tiers:");
-    for r in client.get_storage_tier_reports() {
+    for r in client.get_storage_tier_reports()? {
         println!(
             "  {:<6} media={} remaining={:.1}% avg_read={:.0} MB/s",
             r.name,

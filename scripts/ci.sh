@@ -7,14 +7,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test --workspace --release"
+# The whole workspace: every crate's unit tests and every integration
+# suite. The smoke sections below run benches and daemons only — no
+# suite is hand-listed, so none can be silently skipped.
+cargo test --workspace --release -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> metrics smoke test"
 # Boot a networked cluster, do one write/read, and check the merged
@@ -55,11 +58,9 @@ done
 echo "trace smoke: stitched client→master→worker tree under trace ${read_trace}"
 
 echo "==> parallel I/O stress smoke"
-# The windowed-data-path concurrency suite, then the quick window sweep on
-# a real TCP cluster. The GATE line asserts window=4 beats the serial
-# client; results/parallel_io.json is the machine-readable artifact CI
-# uploads and diffs across runs.
-cargo test --release -q -p octopus-core --test parallel_io
+# The quick window sweep on a real TCP cluster. The GATE line asserts
+# window=4 beats the serial client; results/parallel_io.json is the
+# machine-readable artifact CI uploads and diffs across runs.
 pio_out=$(cargo run --release --quiet -p octopus-bench --bin exp_parallel_io -- --quick)
 if ! grep -q "^GATE parallel_io .* pass=true" <<<"$pio_out"; then
     echo "parallel I/O smoke: window sweep gate failed" >&2
@@ -73,12 +74,10 @@ fi
 grep "^GATE" <<<"$pio_out"
 
 echo "==> aggregate I/O scaling smoke"
-# The multiplexed-transport suite (interleaved responses, in-flight caps,
-# idle reaping, pipeline tail-kill), then the quick client sweep on a real
-# TCP cluster. The GATE line asserts 64 concurrent clients achieve at
-# least 3x the single-client aggregate; results/aggregate_io.json is the
-# machine-readable artifact CI uploads and diffs across runs.
-cargo test --release -q -p octopus-core --test multiplex
+# The quick client sweep on a real TCP cluster. The GATE line asserts 64
+# concurrent clients achieve at least 3x the single-client aggregate;
+# results/aggregate_io.json is the machine-readable artifact CI uploads
+# and diffs across runs.
 agg_out=$(cargo run --release --quiet -p octopus-bench --bin exp_aggregate_io -- --quick)
 if ! grep -q "^GATE aggregate_io .* pass=true" <<<"$agg_out"; then
     echo "aggregate I/O smoke: client sweep gate failed" >&2
@@ -92,13 +91,11 @@ fi
 grep "^GATE" <<<"$agg_out"
 
 echo "==> heat telemetry smoke"
-# The heat/audit/series suite on a real TCP cluster, then the example
-# (worker touch rings → heartbeat piggyback → master EWMA, plus the
-# audited placement of a block cross-checked against the block map),
-# then the quick hot/cold separation sweep. The GATE line asserts the
-# re-read file scores above its untouched sibling in ≥95% of epochs;
+# The example (worker touch rings → heartbeat piggyback → master EWMA,
+# plus the audited placement of a block cross-checked against the block
+# map), then the quick hot/cold separation sweep. The GATE line asserts
+# the re-read file scores above its untouched sibling in ≥95% of epochs;
 # results/heat.json is the machine-readable artifact CI uploads.
-cargo test --release -q -p octopus-core --test telemetry
 heat_out=$(cargo run --release --quiet --example heat_smoke)
 for line in "^HEAT-SMOKE hot " "^HEAT-SMOKE cold " "^HEAT-SMOKE placement .* ok=true"; do
     if ! grep -q "$line" <<<"$heat_out"; then
@@ -119,15 +116,10 @@ fi
 grep "^GATE" <<<"$heat_sweep"
 
 echo "==> auto-tiering smoke"
-# The migration robustness suite on a real TCP cluster (promote/demote
-# rounds, setrep downgrade convergence, bandwidth-cap pacing, worker
-# death on both sides of a copy, fault-injected abort/retry, foreground
-# p99 under a live autotier daemon), then the quick shifting-working-set
-# sweep. The GATE line asserts auto-tiering beats static placement
-# ≥1.3x end-to-end with every working-set file promoted;
-# results/autotier.json is the machine-readable artifact CI uploads
-# and diffs across runs.
-cargo test --release -q -p octopus-core --test autotier
+# The quick shifting-working-set sweep. The GATE line asserts
+# auto-tiering beats static placement ≥1.3x end-to-end with every
+# working-set file promoted; results/autotier.json is the
+# machine-readable artifact CI uploads and diffs across runs.
 autotier_out=$(cargo run --release --quiet -p octopus-bench --bin exp_autotier -- --quick)
 if ! grep -q "^GATE autotier .* pass=true" <<<"$autotier_out"; then
     echo "auto-tiering smoke: shifting-working-set gate failed" >&2
@@ -141,26 +133,11 @@ fi
 grep "^GATE" <<<"$autotier_out"
 
 echo "==> metadata path smoke"
-# The whole master crate first: its unit tests, the differential test
-# against the sequential namespace reference (results and error kinds,
-# list atomicity), the edit-log properties, and the torture suite —
-# seeded multi-threaded create/rename/delete/stat/list/set_replication
-# mixes with full invariant audits (replay equivalence,
-# namespace↔blockmap bijection, contiguous offsets, no unreachable
-# inodes), the opposing-rename deadlock canary and the rename-vs-delete
-# races. Then the RPC-level race e2e and the group-commit crash-replay
-# property (byte-level log truncations replay into serially-reachable
-# states).
-cargo test --release -q -p octopus-master
-cargo test --release -q -p octopus-core --test master_e2e
-cargo test --release -q --test properties group_commit_crash_replay
-# Then the lockstat unit suite (contended/uncontended wait accounting)
-# and the quick 100k-file metadata microbenchmark against an in-process
+# The quick 100k-file metadata microbenchmark against an in-process
 # master. The GATE line asserts a minimum aggregate ops/sec and that
 # ≥90% of measured op time is attributed to the named segments (lock
 # wait, work under lock, edit-log append); results/metadata.json is the
 # machine-readable artifact CI uploads and diffs across runs.
-cargo test --release -q -p octopus-common lockstat
 meta_out=$(cargo run --release --quiet -p octopus-bench --bin exp_metadata -- --quick)
 if ! grep -q "^GATE metadata .* pass=true" <<<"$meta_out"; then
     echo "metadata smoke: throughput/attribution gate failed" >&2

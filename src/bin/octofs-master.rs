@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use octopusfs::core::net::{monitor, MasterServer};
+use octopusfs::core::net::{monitor, rpc, MasterServer, TcpTransport};
 use octopusfs::master::Master;
 use octopusfs::{ClusterConfig, Result};
 
@@ -74,12 +74,18 @@ fn run(args: &[String]) -> Result<()> {
     let server = MasterServer::spawn_on(Arc::clone(&master), listen.as_str())?;
     // The line below is machine-readable: tests and scripts parse it.
     println!("octofs-master listening on {}", server.addr());
+    // How this process's §5 rounds reach the workers that registered.
+    let net = TcpTransport::new(
+        server.addr(),
+        Arc::clone(&server.state().peers),
+        Arc::clone(rpc::shared()),
+    );
 
     // Auto-tiering daemon (DESIGN.md §10): opt-in paced migration rounds
     // (EWMA classification → vector edits → bandwidth-capped copies).
     if autotier_ms > 0 {
         let master = Arc::clone(&master);
-        let state = Arc::clone(server.state());
+        let net = net.clone();
         let cfg = octopusfs::master::AutoTierConfig {
             max_copy_bps: autotier_bps
                 .unwrap_or(octopusfs::master::AutoTierConfig::default().max_copy_bps),
@@ -91,9 +97,7 @@ fn run(args: &[String]) -> Result<()> {
                 let classifier = octopusfs::policies::EwmaThresholdClassifier::default();
                 loop {
                     std::thread::sleep(std::time::Duration::from_millis(autotier_ms));
-                    let addrs = state.resolved_addrs();
-                    if let Err(e) = monitor::run_migration_round(&master, &addrs, &classifier, &cfg)
-                    {
+                    if let Err(e) = monitor::run_migration_round(&master, &net, &classifier, &cfg) {
                         octopus_common::log_warn!(
                             target: "octofs-master",
                             "msg=\"migration round failed\" err=\"{e}\""
@@ -107,11 +111,9 @@ fn run(args: &[String]) -> Result<()> {
     // Replication monitor (§5): periodically heal under/over-replication
     // by RPC-ing the workers.
     let interval = std::time::Duration::from_millis(heartbeat_ms * 4);
-    let state = Arc::clone(server.state());
     loop {
         std::thread::sleep(interval);
-        let addrs = state.resolved_addrs();
-        let _ = monitor::run_replication_round(&master, &addrs);
+        let _ = monitor::run_replication_round(&master, &net);
     }
 }
 

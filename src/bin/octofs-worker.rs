@@ -11,36 +11,15 @@
 //! With `--dir`, persistent tiers store blocks under that directory and a
 //! restarted worker re-reports them.
 
-use std::collections::HashMap;
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
-
-use octopusfs::core::net::proto::{MasterRequest, MasterResponse};
-use octopusfs::core::net::worker_server::{call_master, WorkerServer};
-use octopusfs::core::worker::Worker;
+use octopusfs::core::net::worker_server::{self, AddressMap, WorkerServer};
+use octopusfs::core::net::{rpc, TcpTransport};
 use octopusfs::core::{build_single_worker, StorageMode};
 use octopusfs::{ClusterConfig, FsError, Result, WorkerId};
-
-/// Heartbeats between full block reports.
-const BEATS_PER_REPORT: u64 = 8;
-
-/// Sends a full block report and applies the master's invalidation reply
-/// — replicas the master no longer tracks, e.g. a delete this worker
-/// missed while offline (§5).
-fn report_blocks(master_addr: std::net::SocketAddr, worker: &Worker) -> Result<()> {
-    if let MasterResponse::Invalidate(stale) =
-        call_master(master_addr, &MasterRequest::BlockReport(worker.id(), worker.block_report()))?
-    {
-        for b in stale {
-            worker.invalidate_block(b);
-        }
-    }
-    Ok(())
-}
 
 fn run(args: &[String]) -> Result<()> {
     let mut master = None;
@@ -104,52 +83,22 @@ fn run(args: &[String]) -> Result<()> {
     let worker = build_single_worker(&config, id, &mode)?;
 
     // Peer map, refreshed from the master on every heartbeat.
-    let peers = Arc::new(RwLock::new(HashMap::new()));
+    let peers = AddressMap::default();
     let server =
         WorkerServer::spawn_on(Arc::clone(&worker), master_addr, Arc::clone(&peers), &*listen)?;
     println!("octofs-worker {} serving on {}", id, server.addr());
 
-    // Register, report blocks, then heartbeat forever.
-    call_master(
-        master_addr,
-        &MasterRequest::RegisterWorker(
-            worker.id(),
-            worker.rack(),
-            worker.net_bps(),
-            0,
-            server.addr().to_string(),
-        ),
-    )?;
-    report_blocks(master_addr, &worker)?;
+    // Register, heartbeat and report blocks, then heartbeat forever.
+    let net = TcpTransport::new(master_addr, peers, Arc::clone(rpc::shared()));
+    worker_server::join(&worker, &net, 0, server.addr().to_string())?;
 
     let epoch = Instant::now();
     let mut beats = 0u64;
     loop {
-        let now_ms = epoch.elapsed().as_millis() as u64;
-        let (stats, conns) = worker.heartbeat_stats();
-        let touches = worker.drain_heat_epoch();
-        worker.sample_series(now_ms);
-        let _ = call_master(
-            master_addr,
-            &MasterRequest::Heartbeat(worker.id(), stats, conns, now_ms, touches),
-        );
-        beats += 1;
-        if beats.is_multiple_of(BEATS_PER_REPORT) {
-            let _ = report_blocks(master_addr, &worker);
-        }
-        if let Ok(MasterResponse::Addresses(list)) =
-            call_master(master_addr, &MasterRequest::WorkerAddresses)
-        {
-            let mut map = peers.write();
-            for (w, a) in list {
-                if let Ok(mut it) = a.as_str().to_socket_addrs() {
-                    if let Some(sa) = it.next() {
-                        map.insert(w, sa);
-                    }
-                }
-            }
-        }
+        let _ = net.refresh_workers();
         std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms));
+        beats += 1;
+        worker_server::beat(&worker, &net, epoch.elapsed().as_millis() as u64, beats);
     }
 }
 

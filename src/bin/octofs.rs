@@ -92,7 +92,6 @@ fn boot(root: &Path) -> Result<Cluster> {
         StorageMode::OnDisk(root.to_path_buf()),
         log,
     )?;
-    cluster.send_block_reports()?;
     cluster.master().leave_safe_mode();
     Ok(cluster)
 }
@@ -258,7 +257,7 @@ fn run(args: &[String]) -> Result<()> {
             let client = cluster.client(ClientLocation::OffCluster);
             let (files, dirs) = cluster.master().counts();
             println!("{files} files, {dirs} directories");
-            for r in client.get_storage_tier_reports() {
+            for r in client.get_storage_tier_reports()? {
                 println!(
                     "{:<8} media={:<3} capacity={:>10} remaining={:>10} ({:.1}%)",
                     r.name,

@@ -6,9 +6,10 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! - [`Cluster`] / [`Client`]: a real in-process cluster storing actual
-//!   bytes, with the paper's Table 1 API extensions (replication vectors,
-//!   tier-aware block locations, storage tier reports);
+//! - [`Cluster`] / [`RemoteFs`]: a real in-process cluster storing actual
+//!   bytes, and the one client (the same over TCP) with the paper's
+//!   Table 1 API extensions (replication vectors, tier-aware block
+//!   locations, storage tier reports);
 //! - [`SimCluster`]: the same control plane driven by a flow-level
 //!   discrete-event simulator for performance experiments;
 //! - [`policies`]: the MOOP placement policy (paper §3), retrieval
@@ -33,5 +34,5 @@ pub use octopus_common::{
     ClientLocation, ClusterConfig, FsError, ReplicationVector, Result, StorageTier,
     StorageTierReport, TierId, WorkerId,
 };
-pub use octopus_core::{Client, Cluster, FileWriter, SimCluster, StorageMode};
+pub use octopus_core::{Cluster, FileWriter, RemoteFs, SimCluster, StorageMode};
 pub use octopus_master::{Master, TierQuota};
