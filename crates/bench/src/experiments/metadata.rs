@@ -6,10 +6,9 @@
 //! `master_meta_op_us` histograms (bucket deltas per sweep, the same
 //! series `octofs-remote perf` reads), so the bench exercises the
 //! observability path it reports through. The gate requires a minimum
-//! aggregate ops/sec *and* that ≥90% of measured operation time is
-//! attributed to the named segments (lock wait, work under lock, edit-log
-//! append) — i.e. the instrumentation accounts for where the time went.
-//! Mirrors `results/metadata.{txt,json}`.
+//! aggregate ops/sec; the share of op time attributed to the named
+//! segments (lock wait, work under lock, edit-log append) is reported
+//! beside it. Mirrors `results/metadata.{txt,json}`.
 
 use std::time::Instant;
 
@@ -32,10 +31,6 @@ const FILES_PER_DIR: usize = 1_000;
 /// only a real regression (or a lock pathology) trips it, not machine
 /// variance.
 const MIN_OPS_PER_SEC: f64 = 80_000.0;
-
-/// Gate floor on segment attribution: the fraction of total measured op
-/// time explained by lock-wait + work-under-lock + edit-log segments.
-const MIN_ATTRIBUTION: f64 = 0.90;
 
 /// The operation labels the mixed workload drives, in table order.
 const OPS: [&str; 5] = ["create", "complete", "stat", "list", "delete"];
@@ -299,7 +294,10 @@ fn run_mode(quick: bool) -> String {
 
     let best = sweeps.iter().map(|s| s.agg_ops_per_sec).fold(0.0, f64::max);
     let min_attr = sweeps.iter().map(|s| s.attribution).fold(1.0, f64::min);
-    let pass = best >= MIN_OPS_PER_SEC && min_attr >= MIN_ATTRIBUTION;
+    // `attribution` is reported, not gated: the master defines
+    // work = total − wait − log, so the segments sum to the total by
+    // construction and the ratio cannot fail.
+    let pass = best >= MIN_OPS_PER_SEC;
     out.push_str(&format!(
         "\nGATE metadata best_ops_per_sec={best:.0} floor={MIN_OPS_PER_SEC:.0} \
          attribution={} pass={pass}\n",

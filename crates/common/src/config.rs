@@ -168,53 +168,19 @@ impl RpcConfig {
     }
 }
 
-/// Sizing and lifecycle knobs of an RPC server (master or worker data
-/// server). The accept loop, per-connection request caps, the shared
-/// dispatch pool, and idle-connection reaping are all bounded by these —
-/// nothing in the server scales with the number of misbehaving clients.
+/// The one lifecycle setting of an RPC server (master or worker data
+/// server). Its pool size, connection cap and per-connection request cap
+/// are constants of `octopus-core::net::server`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// Threads in the shared dispatch pool executing requests. A slice of
-    /// the pool is reserved for pipeline-leaf work (see
-    /// `octopus-core::net::server`), so forwarding stages can never
-    /// deadlock the pool.
-    pub dispatch_threads: u32,
-    /// Maximum concurrently open connections; at the cap the accept loop
-    /// stops accepting (backpressure via the listen backlog).
-    pub max_connections: u32,
-    /// Per-connection in-flight request cap: the connection's reader
-    /// stalls (TCP backpressure) once this many requests from it are
-    /// queued or executing.
-    pub max_inflight_per_conn: u32,
-    /// A connection with no traffic and no in-flight requests for this
-    /// long is severed by the reaper.
+    /// The idle horizon: a connection that lets this long pass with no
+    /// complete frame, no response and nothing in flight is severed.
     pub idle_conn_ms: u64,
-    /// How often the idle reaper scans connections.
-    pub reap_interval_ms: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            dispatch_threads: 16,
-            max_connections: 1024,
-            max_inflight_per_conn: 32,
-            idle_conn_ms: 60_000,
-            reap_interval_ms: 5_000,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Small bounds for tests that exercise the limits themselves.
-    pub fn fast_test() -> Self {
-        Self {
-            dispatch_threads: 8,
-            max_connections: 64,
-            max_inflight_per_conn: 8,
-            idle_conn_ms: 60_000,
-            reap_interval_ms: 25,
-        }
+        Self { idle_conn_ms: 60_000 }
     }
 }
 

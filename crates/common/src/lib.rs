@@ -22,7 +22,6 @@ pub mod lockstat;
 pub mod log;
 pub mod metrics;
 pub mod repvector;
-pub mod series;
 pub mod stats;
 pub mod status;
 pub mod tier;
@@ -47,7 +46,6 @@ pub use metrics::{
     OwnedLabels,
 };
 pub use repvector::{ReplicationVector, VectorDiff};
-pub use series::{SeriesPoint, SeriesRing};
 pub use stats::{MediaStats, StorageTierReport, TierStats, WorkerStats};
 pub use status::{ClusterStatusReport, HotFile, WorkerStatusLine};
 pub use tier::{StorageTier, TierId, TierRegistry, MAX_TIERS, UNSPECIFIED_SLOT};

@@ -22,37 +22,18 @@
 //!   tries the non-blocking path: an uncontended acquire records a wait
 //!   of 0 without reading the clock twice; only a contended acquire pays
 //!   for wait timing (and bumps `lock_contended_total`).
-//! - **Zero overhead when disabled** ([`set_enabled`]): one relaxed
-//!   atomic load, then a plain lock — no `Instant::now()`, no histogram
-//!   traffic.
 //!
 //! Guards expose [`StatReadGuard::wait_us`] (and friends) so callers that
 //! already time whole operations can fold the measured lock wait into
 //! their own segment accounting without a second clock read.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::metrics::{BucketLayout, Counter, Histogram, Labels, MetricsRegistry};
-
-/// Global lockstat switch. Defaults to on; flip off to strip all timing
-/// from instrumented locks (they degrade to plain `parking_lot` locks
-/// behind one relaxed atomic load).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables lock statistics process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether lock statistics are being recorded.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Shared-mode metric handles for one lock class.
 #[derive(Clone)]
@@ -100,22 +81,6 @@ impl LockStats {
         self.name
     }
 
-    /// Total microseconds acquirers spent blocked on this lock (both
-    /// modes).
-    pub fn wait_total_us(&self) -> u64 {
-        self.sh.wait.sum_us() + self.ex.wait.sum_us()
-    }
-
-    /// Total microseconds guards were held (both modes).
-    pub fn hold_total_us(&self) -> u64 {
-        self.sh.hold.sum_us() + self.ex.hold.sum_us()
-    }
-
-    /// Number of contended acquisitions (both modes).
-    pub fn contended_total(&self) -> u64 {
-        self.sh.contended.get() + self.ex.contended.get()
-    }
-
     fn mode(&self, exclusive: bool) -> &ModeStats {
         if exclusive {
             &self.ex
@@ -138,7 +103,7 @@ fn record_acquire<'a, G>(
     try_acquire: impl FnOnce() -> Option<G>,
     acquire: impl FnOnce() -> G,
 ) -> (G, Acquired<'a>) {
-    let Some(stats) = stats.filter(|_| enabled()) else {
+    let Some(stats) = stats else {
         let g = try_acquire().unwrap_or_else(acquire);
         return (g, Acquired { stats: None, wait_us: 0 });
     };
@@ -180,11 +145,6 @@ impl<T> StatRwLock<T> {
     /// A wrapper recording wait/hold into `stats`.
     pub fn instrumented(value: T, stats: Arc<LockStats>) -> Self {
         StatRwLock { lock: RwLock::new(value), stats: Some(stats) }
-    }
-
-    /// The lock's statistics, if instrumented.
-    pub fn stats(&self) -> Option<&LockStats> {
-        self.stats.as_deref()
     }
 
     /// Acquires a shared guard, recording wait (and, at drop, hold) time.
@@ -238,7 +198,7 @@ macro_rules! stat_guard {
     ($name:ident) => {
         impl<'a, T> $name<'a, T> {
             /// Microseconds this acquisition blocked (0 when uncontended
-            /// or lockstat is disabled).
+            /// or the lock is uninstrumented).
             pub fn wait_us(&self) -> u64 {
                 self.acq.wait_us
             }
@@ -293,11 +253,6 @@ impl<T> StatMutex<T> {
         StatMutex { lock: Mutex::new(value), stats: Some(stats) }
     }
 
-    /// The lock's statistics, if instrumented.
-    pub fn stats(&self) -> Option<&LockStats> {
-        self.stats.as_deref()
-    }
-
     /// Acquires the lock, recording wait (and, at drop, hold) time.
     pub fn lock(&self) -> StatMutexGuard<'_, T> {
         let (guard, acq) = record_acquire(
@@ -318,16 +273,8 @@ impl<T> StatMutex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
-
-    // Tests that flip or depend on the global enable flag serialize on
-    // this, so the disabled-window test cannot race recording tests.
-    static FLAG_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn flag_guard() -> std::sync::MutexGuard<'static, ()> {
-        FLAG_GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn stats() -> (MetricsRegistry, Arc<LockStats>) {
         let reg = MetricsRegistry::new();
@@ -337,17 +284,15 @@ mod tests {
 
     #[test]
     fn uncontended_access_records_zero_wait() {
-        let _flag = flag_guard();
         let (reg, stats) = stats();
-        let lock = StatRwLock::instrumented(7u64, stats);
+        let lock = StatRwLock::instrumented(7u64, Arc::clone(&stats));
         for _ in 0..4 {
             assert_eq!(*lock.read(), 7);
         }
         *lock.write() += 1;
         assert_eq!(*lock.read(), 8);
-        let s = lock.stats().unwrap();
-        assert_eq!(s.wait_total_us(), 0, "uncontended waits must be exactly zero");
-        assert_eq!(s.contended_total(), 0);
+        let waited = stats.sh.wait.sum_us() + stats.ex.wait.sum_us();
+        assert_eq!(waited, 0, "uncontended waits must be exactly zero");
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter_where("lock_acquire_total", |l| l.mode.as_deref() == Some("sh")),
@@ -365,9 +310,8 @@ mod tests {
         // One writer holds the lock while N readers and M writers queue:
         // the queued classes must show non-zero wait time and contended
         // counts, and every hold must be recorded.
-        let _flag = flag_guard();
-        let (_reg, stats) = stats();
-        let lock = Arc::new(StatRwLock::instrumented(0u64, stats));
+        let (_reg, s) = stats();
+        let lock = Arc::new(StatRwLock::instrumented(0u64, Arc::clone(&s)));
         let spins = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             let first = lock.write();
@@ -401,44 +345,26 @@ mod tests {
                 h.join().unwrap();
             }
         });
-        let s = lock.stats().unwrap();
-        assert!(s.contended_total() >= 1, "queued acquirers must count as contended");
-        assert!(
-            s.wait_total_us() >= 1_000,
-            "threads blocked ~20ms, wait sum was {}µs",
-            s.wait_total_us()
-        );
+        let contended = s.sh.contended.get() + s.ex.contended.get();
+        assert!(contended >= 1, "queued acquirers must count as contended");
+        let waited = s.sh.wait.sum_us() + s.ex.wait.sum_us();
+        assert!(waited >= 1_000, "threads blocked ~20ms, wait sum was {waited}µs");
         assert_eq!(s.sh.acquired.get(), 3);
         assert_eq!(s.ex.acquired.get(), 4);
         assert_eq!(s.sh.hold.count() + s.ex.hold.count(), 7, "every hold recorded");
-        assert!(s.hold_total_us() >= 1_000, "the 20ms write hold must be visible");
+        let held = s.sh.hold.sum_us() + s.ex.hold.sum_us();
+        assert!(held >= 1_000, "the 20ms write hold must be visible");
     }
 
     #[test]
     fn mutex_records_exclusive_holds() {
-        let _flag = flag_guard();
-        let (_reg, stats) = stats();
-        let m = StatMutex::instrumented(vec![1, 2], stats);
+        let (_reg, s) = stats();
+        let m = StatMutex::instrumented(vec![1, 2], Arc::clone(&s));
         m.lock().push(3);
         assert_eq!(m.lock().len(), 3);
-        let s = m.stats().unwrap();
         assert_eq!(s.ex.acquired.get(), 2);
         assert_eq!(s.sh.acquired.get(), 0);
         assert_eq!(s.ex.hold.count(), 2);
-    }
-
-    #[test]
-    fn disabled_lockstat_records_nothing() {
-        let _flag = flag_guard();
-        let (_reg, stats) = stats();
-        let lock = StatRwLock::instrumented(1u32, stats);
-        set_enabled(false);
-        let out = *lock.read();
-        *lock.write() += out;
-        set_enabled(true);
-        let s = lock.stats().unwrap();
-        assert_eq!(s.sh.acquired.get() + s.ex.acquired.get(), 0);
-        assert_eq!(s.sh.hold.count() + s.ex.hold.count(), 0);
     }
 
     #[test]
@@ -447,7 +373,6 @@ mod tests {
         assert_eq!(*lock.read(), 5);
         *lock.write() += 1;
         assert_eq!(*lock.read(), 6);
-        assert!(lock.stats().is_none());
         let m = StatMutex::new(1u8);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);

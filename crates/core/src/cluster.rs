@@ -184,13 +184,6 @@ impl Cluster {
         self.master().tick(now);
     }
 
-    /// Advances the logical clock without heartbeats (to let the failure
-    /// detector fire). Returns workers newly declared dead.
-    pub fn advance_time(&self, ms: u64) -> Vec<WorkerId> {
-        let now = self.clock_ms.fetch_add(ms, Ordering::Relaxed) + ms;
-        self.master().tick(now)
-    }
-
     /// Sends full block reports from every live worker, applying any
     /// invalidations the master returns.
     pub fn send_block_reports(&self) -> Result<()> {

@@ -18,8 +18,8 @@ use octopus_common::metrics::{Labels, MetricsRegistry, MetricsSnapshot};
 use octopus_common::trace::{self, TraceCollector, TraceContext, TraceSnapshot};
 use octopus_common::{
     Block, BlockData, BlockId, ClientLocation, ClusterStatusReport, DecisionEvent, DirEntry,
-    FileStatus, FsError, HeatInfo, HotFile, LocatedBlock, Location, ReplicationVector, Result,
-    RpcConfig, SeriesPoint, StorageTierReport, WorkerId, DEFAULT_IO_WINDOW,
+    FileStatus, FsError, HeatInfo, LocatedBlock, Location, ReplicationVector, Result, RpcConfig,
+    StorageTierReport, WorkerId, DEFAULT_IO_WINDOW,
 };
 use octopus_master::ClientId;
 
@@ -34,10 +34,6 @@ static NEXT_HOLDER: AtomicU64 = AtomicU64::new(1 << 32);
 /// failed attempt adds that pipeline's first worker to the exclusion list
 /// of the next placement (§3.1 pipeline recovery).
 const MAX_PIPELINE_ATTEMPTS: usize = 4;
-
-/// End-to-end latency above which a read/write emits a structured
-/// slow-request line.
-const SLOW_REQUEST_MS: u64 = 1000;
 
 /// Per-worker metrics-scrape bookkeeping: how often the scrape failed and
 /// when it last succeeded, so unreachable workers are *visible* in the
@@ -242,51 +238,8 @@ impl RemoteFs {
         }
     }
 
-    /// The `k` hottest files, hottest first.
-    pub fn hot_files(&self, k: u32) -> Result<Vec<HotFile>> {
-        match self.call(MasterRequest::HotFiles(k))? {
-            MasterResponse::HotFiles(h) => Ok(h),
-            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
-        }
-    }
-
-    /// The master's sampled time series (per-tier capacity gauges and
-    /// cluster counts), oldest first.
-    pub fn master_series(&self) -> Result<Vec<SeriesPoint>> {
-        match self.call(MasterRequest::Series)? {
-            MasterResponse::Series(s) => Ok(s),
-            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
-        }
-    }
-
-    /// One worker's sampled local time series, oldest first.
-    pub fn worker_series(&self, worker: WorkerId) -> Result<Vec<SeriesPoint>> {
-        match self.net.call_worker(worker, WorkerRequest::Series)? {
-            WorkerResponse::Series(s) => Ok(s),
-            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
-        }
-    }
-
     fn call(&self, req: MasterRequest) -> Result<MasterResponse> {
         self.net.call_master(req)
-    }
-
-    /// Emits one structured warn line when an end-to-end request exceeded
-    /// the slow threshold, with its trace id (stamped by the logger from
-    /// the still-active root span) and per-stage breakdown.
-    fn maybe_log_slow(&self, op: &str, path: &str, start: Instant, stages: &[(&str, u64)]) {
-        let total_ms = start.elapsed().as_millis() as u64;
-        if total_ms < SLOW_REQUEST_MS {
-            return;
-        }
-        let mut breakdown = String::new();
-        for (name, us) in stages {
-            breakdown.push_str(&format!(" {name}_us={us}"));
-        }
-        log_warn!(
-            target: "net::client",
-            "msg=\"slow request\" op={op} path={path} total_ms={total_ms}{breakdown}"
-        );
     }
 
     /// Creates a directory and parents.
@@ -384,22 +337,18 @@ impl RemoteFs {
 
     /// Creates `path` and writes `data` through worker pipelines (§3.1).
     pub fn write_file(&self, path: &str, data: &[u8], rv: ReplicationVector) -> Result<()> {
-        let start = Instant::now();
         let mut span = self.trace().root_or_child("client.write_file");
         span.annotate("path", path);
         span.annotate("bytes", data.len());
 
-        let stage = Instant::now();
         let status =
             match self.call(MasterRequest::CreateFile(path.into(), rv, None, self.holder))? {
                 MasterResponse::Status(s) => s,
                 r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
             };
-        let create_us = stage.elapsed().as_micros() as u64;
         let block_size = status.block_size as usize;
         // Zero-length files have no blocks: `chunks` is empty and the file
         // is closed immediately below.
-        let stage = Instant::now();
         let chunks: Vec<Bytes> =
             data.chunks(block_size.max(1)).map(Bytes::copy_from_slice).collect();
         if chunks.len() <= 1 || self.window == 1 {
@@ -409,18 +358,8 @@ impl RemoteFs {
         } else {
             self.write_blocks_windowed(path, chunks, span.context())?;
         }
-        let blocks_us = stage.elapsed().as_micros() as u64;
         self.metrics().add("client_write_bytes_total", Labels::NONE, data.len() as u64);
-        let stage = Instant::now();
-        let out = self.call(MasterRequest::CompleteFile(path.into(), self.holder)).map(|_| ());
-        let complete_us = stage.elapsed().as_micros() as u64;
-        self.maybe_log_slow(
-            "write",
-            path,
-            start,
-            &[("create", create_us), ("blocks", blocks_us), ("complete", complete_us)],
-        );
-        out
+        self.call(MasterRequest::CompleteFile(path.into(), self.holder)).map(|_| ())
     }
 
     /// Allocates the file's next block and its pipeline.
@@ -598,11 +537,9 @@ impl RemoteFs {
     /// replicas (§4.1). Paths under an external mount are served by the
     /// mounted catalog (§2.4).
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>> {
-        let start = Instant::now();
         let mut span = self.trace().root_or_child("client.read_file");
         span.annotate("path", path);
 
-        let stage = Instant::now();
         let status = self.status(path)?;
         if status.is_dir {
             return Err(FsError::IsADirectory(path.into()));
@@ -611,8 +548,6 @@ impl RemoteFs {
             return self.read_external(path);
         }
         let blocks = self.get_file_block_locations(path, 0, u64::MAX)?;
-        let locate_us = stage.elapsed().as_micros() as u64;
-        let stage = Instant::now();
         let mut out = Vec::with_capacity(status.len as usize);
         if blocks.len() <= 1 || self.window == 1 {
             for lb in blocks {
@@ -623,10 +558,8 @@ impl RemoteFs {
                 out.extend_from_slice(&b);
             }
         }
-        let blocks_us = stage.elapsed().as_micros() as u64;
         span.annotate("bytes", out.len());
         self.metrics().add("client_read_bytes_total", Labels::NONE, out.len() as u64);
-        self.maybe_log_slow("read", path, start, &[("locate", locate_us), ("blocks", blocks_us)]);
         Ok(out)
     }
 

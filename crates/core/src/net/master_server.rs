@@ -53,8 +53,8 @@ impl MasterServer {
         Self::spawn_with(master, bind, ServerConfig::default())
     }
 
-    /// Binds with an explicit server configuration (tests tune the pool,
-    /// connection caps, and idle-reap horizon).
+    /// Binds with an explicit server configuration (tests shorten the idle
+    /// horizon).
     pub fn spawn_with(
         master: Arc<Master>,
         bind: impl ToSocketAddrs,
@@ -74,7 +74,7 @@ impl MasterServer {
             encode_master_result_frame(&result)
         });
         // Master requests never issue nested worker/master RPCs: all
-        // dispatch is class 0.
+        // dispatch is depth 0.
         let core = ServerCore::spawn(bind, "octopus-master", cfg, Arc::new(|_| 0), handler)?;
         Ok(Self { core, state })
     }
@@ -215,8 +215,6 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::Heat(path) => A::Heat(master.file_heat(&path)?),
         Q::ExplainPlacement(block) => A::Decisions(master.explain(block)),
         Q::ClusterStatus => A::ClusterStatus(master.cluster_status(10)),
-        Q::HotFiles(k) => A::HotFiles(master.hot_files(k as usize)),
-        Q::Series => A::Series(master.series_points()),
         Q::Migrations(n) => A::Decisions(master.recent_migrations(n as usize)),
         Q::ReadExternal(path) => A::External(master.read_external(&path)?.into()),
     })

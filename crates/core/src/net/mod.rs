@@ -12,12 +12,11 @@
 //!   [`octopus_common::wire`] codec, plus the gather/scatter
 //!   [`proto::FramePayload`] that lets block bytes ride as shared slices;
 //! - [`frame`]: length-prefixed message framing over a TCP stream — the
-//!   legacy unframed form plus the multiplexed `[len][request id][payload]`
-//!   form every RPC now uses;
+//!   multiplexed `[len][request id][payload]` form every RPC uses;
 //! - [`server`]: [`server::ServerCore`], the shared multiplexed server
-//!   runtime — per-connection demux readers feeding a bounded dispatch
-//!   pool with class-based admission, per-connection in-flight caps, a
-//!   bounded accept loop, and idle-connection reaping;
+//!   runtime — a blocking bounded accept thread and per-connection demux
+//!   readers (which also enforce the in-flight cap and the idle horizon)
+//!   feeding a fixed dispatch pool with admission by pipeline depth;
 //! - [`master_server`] / [`worker_server`]: the master and worker request
 //!   dispatchers mounted on that core, around the existing
 //!   [`octopus_master::Master`] and [`crate::Worker`];

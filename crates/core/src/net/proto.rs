@@ -5,9 +5,8 @@
 use octopus_common::wire::{Wire, WireReader};
 use octopus_common::{
     Block, BlockData, BlockId, BlockTouches, ClientLocation, ClusterStatusReport, DecisionEvent,
-    DirEntry, FileStatus, FsError, HeatInfo, HotFile, LocatedBlock, Location, MediaId, MediaStats,
-    MetricsSnapshot, RackId, ReplicationVector, Result, SeriesPoint, StorageTierReport,
-    TraceSnapshot, WorkerId,
+    DirEntry, FileStatus, FsError, HeatInfo, LocatedBlock, Location, MediaId, MediaStats,
+    MetricsSnapshot, RackId, ReplicationVector, Result, StorageTierReport, TraceSnapshot, WorkerId,
 };
 
 /// A request to the master.
@@ -79,10 +78,6 @@ pub enum MasterRequest {
     ExplainPlacement(BlockId),
     /// The live cluster status report (`octofs-remote status`).
     ClusterStatus,
-    /// The `n` hottest files, hottest first.
-    HotFiles(u32),
-    /// The master's gauge time-series ring.
-    Series,
     /// The `n` most recent auto-tiering migration decisions, oldest first.
     Migrations(u32),
     /// The whole content of a file under an external mount (§2.4).
@@ -140,8 +135,6 @@ impl MasterRequest {
             Heat(..) => "Heat",
             ExplainPlacement(..) => "ExplainPlacement",
             ClusterStatus => "ClusterStatus",
-            HotFiles(..) => "HotFiles",
-            Series => "Series",
             Migrations(..) => "Migrations",
             ReadExternal(..) => "ReadExternal",
         }
@@ -183,10 +176,6 @@ pub enum MasterResponse {
     Decisions(Vec<DecisionEvent>),
     /// The live cluster status report.
     ClusterStatus(ClusterStatusReport),
-    /// The hottest files, hottest first.
-    HotFiles(Vec<HotFile>),
-    /// Gauge time-series points, oldest first.
-    Series(Vec<SeriesPoint>),
     /// The content of an externally mounted file.
     External(bytes::Bytes),
 }
@@ -229,8 +218,7 @@ impl Wire for MasterRequest {
             Heat(p) => tagged!(buf, 24, p),
             ExplainPlacement(b) => tagged!(buf, 25, b),
             ClusterStatus => tagged!(buf, 26),
-            HotFiles(n) => tagged!(buf, 27, n),
-            Series => tagged!(buf, 28),
+            // Tags 27 and 28 are retired (DESIGN.md §7): never reuse them.
             Migrations(n) => tagged!(buf, 29, n),
             ReadExternal(p) => tagged!(buf, 30, p),
         }
@@ -282,8 +270,6 @@ impl Wire for MasterRequest {
             24 => Heat(Wire::get(r)?),
             25 => ExplainPlacement(Wire::get(r)?),
             26 => ClusterStatus,
-            27 => HotFiles(Wire::get(r)?),
-            28 => Series,
             29 => Migrations(Wire::get(r)?),
             30 => ReadExternal(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master request tag {t}"))),
@@ -311,8 +297,7 @@ impl Wire for MasterResponse {
             Heat(h) => tagged!(buf, 13, h),
             Decisions(d) => tagged!(buf, 14, d),
             ClusterStatus(c) => tagged!(buf, 15, c),
-            HotFiles(h) => tagged!(buf, 16, h),
-            Series(p) => tagged!(buf, 17, p),
+            // Tags 16 and 17 are retired (DESIGN.md §7): never reuse them.
             External(b) => tagged!(buf, 18, b),
         }
     }
@@ -336,8 +321,6 @@ impl Wire for MasterResponse {
             13 => Heat(Wire::get(r)?),
             14 => Decisions(Wire::get(r)?),
             15 => ClusterStatus(Wire::get(r)?),
-            16 => HotFiles(Wire::get(r)?),
-            17 => Series(Wire::get(r)?),
             18 => External(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master response tag {t}"))),
         })
@@ -367,8 +350,6 @@ pub enum WorkerRequest {
     Metrics,
     /// The worker's trace-collector snapshot (observability).
     Trace,
-    /// The worker's gauge time-series ring (observability).
-    Series,
 }
 
 impl WorkerRequest {
@@ -391,7 +372,6 @@ impl WorkerRequest {
             Scrub => "Scrub",
             Metrics => "Metrics",
             Trace => "Trace",
-            Series => "Series",
         }
     }
 }
@@ -413,8 +393,6 @@ pub enum WorkerResponse {
     Metrics(MetricsSnapshot),
     /// The worker's trace snapshot.
     Trace(TraceSnapshot),
-    /// The worker's gauge time-series points, oldest first.
-    Series(Vec<SeriesPoint>),
 }
 
 impl Wire for WorkerRequest {
@@ -428,7 +406,7 @@ impl Wire for WorkerRequest {
             Scrub => tagged!(buf, 4),
             Metrics => tagged!(buf, 5),
             Trace => tagged!(buf, 6),
-            Series => tagged!(buf, 7),
+            // Tag 7 is retired (DESIGN.md §7): never reuse it.
         }
     }
 
@@ -442,7 +420,6 @@ impl Wire for WorkerRequest {
             4 => Scrub,
             5 => Metrics,
             6 => Trace,
-            7 => Series,
             t => return Err(FsError::Io(format!("bad worker request tag {t}"))),
         })
     }
@@ -458,7 +435,7 @@ impl Wire for WorkerResponse {
             Scrubbed(n) => tagged!(buf, 3, n),
             Metrics(s) => tagged!(buf, 4, s),
             Trace(s) => tagged!(buf, 5, s),
-            Series(p) => tagged!(buf, 6, p),
+            // Tag 6 is retired (DESIGN.md §7): never reuse it.
         }
     }
 
@@ -471,7 +448,6 @@ impl Wire for WorkerResponse {
             3 => Scrubbed(Wire::get(r)?),
             4 => Metrics(Wire::get(r)?),
             5 => Trace(Wire::get(r)?),
-            6 => Series(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad worker response tag {t}"))),
         })
     }
@@ -622,13 +598,13 @@ pub fn decode_result_bytes<R: Wire>(frame: &bytes::Bytes) -> Result<R> {
     }
 }
 
-/// Dispatch class of an encoded worker request (`body` starts at the
-/// request tag, after any trace envelope): how many further nested RPC
-/// levels serving it can require. `WriteBlock` forwarding through N more
-/// stages is class `min(N, 2)`; `Replicate` issues one nested `ReadBlock`
-/// (class 1); everything else resolves locally (class 0). The dispatch
-/// pool admits higher classes only while enough threads remain free for
-/// the lower ones, which keeps nested pipeline forwards deadlock-free.
+/// Pipeline depth of an encoded worker request (`body` starts at the
+/// request tag, after any trace envelope): how many further nested worker
+/// RPC levels serving it can require. `WriteBlock` forwarding through N
+/// more stages is depth N; `Replicate` issues one nested `ReadBlock`
+/// (depth 1); everything else resolves locally (depth 0). The dispatch
+/// pool admits a depth only while every level it raises keeps threads
+/// free for the shallower ones, which keeps nested forwards deadlock-free.
 pub fn classify_worker_request(body: &[u8]) -> usize {
     let mut r = WireReader::new(body);
     match u8::get(&mut r) {
@@ -638,7 +614,7 @@ pub fn classify_worker_request(body: &[u8]) -> usize {
             }
             // Vec<Location> starts with its u32 element count.
             match u32::get(&mut r) {
-                Ok(n) => (n as usize).min(2),
+                Ok(n) => n as usize,
                 Err(_) => 0,
             }
         }
@@ -739,10 +715,7 @@ mod tests {
         assert!(MasterRequest::Heat("/f".into()).is_idempotent());
         assert!(MasterRequest::ExplainPlacement(BlockId(1)).is_idempotent());
         assert!(MasterRequest::ClusterStatus.is_idempotent());
-        assert!(MasterRequest::HotFiles(5).is_idempotent());
         assert!(MasterRequest::Migrations(5).is_idempotent());
-        assert!(MasterRequest::Series.is_idempotent());
-        assert!(WorkerRequest::Series.is_idempotent());
         assert!(MasterRequest::CommitReplica(
             Block { id: BlockId(1), gen: GenStamp(0), len: 1 },
             Location { worker: WorkerId(0), media: MediaId(0), tier: TierId(0) },
@@ -811,7 +784,7 @@ mod tests {
     fn telemetry_messages_round_trip() {
         use octopus_common::{
             BlockTouches, CandidateScore, ClusterStatusReport, DecisionEvent, DecisionKind,
-            DecisionRound, HeatInfo, HotFile, INodeId, SeriesPoint,
+            DecisionRound, HeatInfo, INodeId,
         };
         rt(MasterRequest::Heartbeat(
             WorkerId(3),
@@ -823,14 +796,10 @@ mod tests {
         rt(MasterRequest::Heat("/f".into()));
         rt(MasterRequest::ExplainPlacement(BlockId(9)));
         rt(MasterRequest::ClusterStatus);
-        rt(MasterRequest::HotFiles(10));
         rt(MasterRequest::Migrations(10));
-        rt(MasterRequest::Series);
-        rt(WorkerRequest::Series);
         assert_eq!(MasterRequest::Heat("/f".into()).name(), "Heat");
         assert_eq!(MasterRequest::ExplainPlacement(BlockId(1)).name(), "ExplainPlacement");
         assert_eq!(MasterRequest::ClusterStatus.name(), "ClusterStatus");
-        assert_eq!(WorkerRequest::Series.name(), "Series");
 
         rt(MasterResponse::Heat(HeatInfo {
             file: INodeId(4),
@@ -866,13 +835,6 @@ mod tests {
             }],
         }]));
         rt(MasterResponse::ClusterStatus(ClusterStatusReport::default()));
-        rt(MasterResponse::HotFiles(vec![HotFile {
-            path: "/f".into(),
-            heat: HeatInfo { file: INodeId(4), score: 2.0, ..Default::default() },
-        }]));
-        let points = vec![SeriesPoint { t_ms: 5, values: vec![("nr_conn".into(), 3)] }];
-        rt(MasterResponse::Series(points.clone()));
-        rt(WorkerResponse::Series(points));
     }
 
     #[test]
@@ -930,7 +892,8 @@ mod tests {
         assert_eq!(classify_worker_request(&wb(vec![])), 0);
         assert_eq!(classify_worker_request(&wb(vec![loc(1)])), 1);
         assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2)])), 2);
-        assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2), loc(3)])), 2);
+        assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2), loc(3)])), 3);
+        assert_eq!(classify_worker_request(&wb((1..16).map(loc).collect())), 15);
         assert_eq!(
             classify_worker_request(&encode(&WorkerRequest::Replicate(block, vec![], MediaId(0)))),
             1

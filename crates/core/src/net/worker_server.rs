@@ -39,12 +39,11 @@ pub fn call_master(addr: SocketAddr, req: &MasterRequest) -> Result<MasterRespon
 const BEATS_PER_REPORT: u64 = 8;
 
 /// One heartbeat stamped `now_ms`: per-medium statistics and the NIC
-/// connection count, with the heat epoch that just closed piggybacked and
-/// the local series sampled on the same cadence — no extra request.
+/// connection count, with the heat epoch that just closed piggybacked —
+/// no extra request.
 pub fn heartbeat(worker: &Worker, net: &dyn Transport, now_ms: u64) -> Result<()> {
     let (stats, conns) = worker.heartbeat_stats();
     let touches = worker.drain_heat_epoch();
-    worker.sample_series(now_ms);
     net.call_master(MasterRequest::Heartbeat(worker.id(), stats, conns, now_ms, touches))?;
     Ok(())
 }
@@ -110,18 +109,6 @@ impl WorkerServer {
         peers: AddressMap,
         bind: impl std::net::ToSocketAddrs,
     ) -> Result<Self> {
-        Self::spawn_with(worker, master, peers, bind, ServerConfig::default())
-    }
-
-    /// Like [`WorkerServer::spawn_on`] with an explicit server
-    /// configuration (tests tune the pool and idle-reap horizon).
-    pub fn spawn_with(
-        worker: Arc<Worker>,
-        master: SocketAddr,
-        peers: AddressMap,
-        bind: impl std::net::ToSocketAddrs,
-        cfg: ServerConfig,
-    ) -> Result<Self> {
         let name = format!("octopus-{}", worker.id());
         let net = TcpTransport::new(master, peers, Arc::clone(super::rpc::shared()));
         let handler: Handler = Arc::new(move |frame: bytes::Bytes| {
@@ -135,7 +122,13 @@ impl WorkerServer {
             })();
             encode_worker_result_frame(&result)
         });
-        let core = ServerCore::spawn(bind, &name, cfg, Arc::new(classify_worker_request), handler)?;
+        let core = ServerCore::spawn(
+            bind,
+            &name,
+            ServerConfig::default(),
+            Arc::new(classify_worker_request),
+            handler,
+        )?;
         Ok(Self { core })
     }
 
@@ -362,20 +355,14 @@ fn dispatch_inner(
             Ok(WorkerResponse::Scrubbed(scrub_and_report(worker, net, corrupt)))
         }
         WorkerRequest::Metrics => {
-            // Stamp drop counters at scrape time: spans and series points
-            // are dropped inside their rings without a metrics hook of
-            // their own.
+            // Stamp the drop counter at scrape time: spans are dropped
+            // inside their ring without a metrics hook of their own.
             worker
                 .metrics()
                 .counter("trace_spans_dropped_total", Labels::worker(worker.id()))
                 .set_max(worker.trace().dropped());
-            worker
-                .metrics()
-                .counter("worker_series_dropped_total", Labels::worker(worker.id()))
-                .set_max(worker.series_dropped());
             Ok(WorkerResponse::Metrics(worker.metrics().snapshot()))
         }
         WorkerRequest::Trace => Ok(WorkerResponse::Trace(worker.trace().snapshot())),
-        WorkerRequest::Series => Ok(WorkerResponse::Series(worker.series_points())),
     }
 }

@@ -10,7 +10,7 @@ use octopus_common::metrics::{GaugeGuard, Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{
     Block, BlockData, BlockId, BlockTouches, FsError, HeatRecorder, MediaId, MediaStats, RackId,
-    Result, SeriesPoint, SeriesRing, TierId, WorkerId,
+    Result, TierId, WorkerId,
 };
 use octopus_storage::{ConnGuard, Media, MediaManager};
 
@@ -33,7 +33,6 @@ pub struct Worker {
     metrics: MetricsRegistry,
     trace: TraceCollector,
     heat: HeatRecorder,
-    series: SeriesRing,
 }
 
 impl Worker {
@@ -47,10 +46,6 @@ impl Worker {
             metrics: MetricsRegistry::new(),
             trace: TraceCollector::new(format!("worker-{}", worker.0)),
             heat: HeatRecorder::new(octopus_common::heat::DEFAULT_HEAT_EPOCHS),
-            series: SeriesRing::new(
-                octopus_common::series::DEFAULT_SERIES_INTERVAL_MS,
-                octopus_common::series::DEFAULT_SERIES_POINTS,
-            ),
         }
     }
 
@@ -190,9 +185,10 @@ impl Worker {
     }
 
     /// The CRC-32 recorded when the replica was stored (served alongside
-    /// remote reads so clients can verify the bytes they received).
+    /// remote reads so clients can verify the bytes they received). An
+    /// index lookup: the payload was already verified by the read.
     pub fn stored_checksum(&self, media: MediaId, block: BlockId) -> Result<u32> {
-        self.manager.get(media)?.store.verify(block)
+        self.manager.get(media)?.store.checksum(block)
     }
 
     /// Deletes every local replica of `block` (a master-directed
@@ -229,32 +225,6 @@ impl Worker {
     /// counts, sorted by block id — the heartbeat piggyback payload.
     pub fn drain_heat_epoch(&self) -> Vec<BlockTouches> {
         self.heat.drain_epoch()
-    }
-
-    /// Samples the worker's local time-series ring if its interval elapsed:
-    /// per-medium remaining bytes plus NIC and I/O connection counts.
-    pub fn sample_series(&self, now_ms: u64) -> bool {
-        self.series.maybe_sample(now_ms, || {
-            let mut values: Vec<(String, i64)> =
-                vec![("net_conn".to_string(), self.net_conn_count() as i64)];
-            let mut io_conn = 0i64;
-            for m in self.manager.stats() {
-                values.push((format!("media{}_remaining_bytes", m.media.0), m.remaining as i64));
-                io_conn += m.nr_conn as i64;
-            }
-            values.push(("io_conn".to_string(), io_conn));
-            values
-        })
-    }
-
-    /// The sampled local time series, oldest first.
-    pub fn series_points(&self) -> Vec<SeriesPoint> {
-        self.series.points()
-    }
-
-    /// Series points evicted by ring wrap, for scrape-time drop counters.
-    pub fn series_dropped(&self) -> u64 {
-        self.series.dropped()
     }
 
     /// Block report payload: every block on every medium (paper §5).

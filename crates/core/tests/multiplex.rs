@@ -1,10 +1,10 @@
 //! Tests of the multiplexed transport: response demultiplexing, per-peer
-//! in-flight caps, server-side idle-connection reaping, and the
-//! pipeline-abort semantics the mux servers rely on (committed replicas
+//! in-flight caps, the server-side idle horizon, admission by pipeline
+//! depth under load, and the pipeline-abort semantics the mux servers rely on (committed replicas
 //! survive late aborts; aborted stages return their write reservations;
 //! scrub handling survives unmapped media).
 
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -137,38 +137,94 @@ fn inflight_cap_blocks_the_next_caller_instead_of_erroring() {
 #[test]
 fn idle_reaper_severs_silent_connections_but_not_active_ones() {
     let master = Arc::new(Master::new(config()).unwrap());
-    let mut server = MasterServer::spawn_with(
-        master,
-        "127.0.0.1:0",
-        ServerConfig { idle_conn_ms: 150, reap_interval_ms: 25, ..ServerConfig::fast_test() },
-    )
-    .unwrap();
+    let mut server =
+        MasterServer::spawn_with(master, "127.0.0.1:0", ServerConfig { idle_conn_ms: 150 })
+            .unwrap();
     let addr = server.addr();
 
     let mut silent = TcpStream::connect(addr).unwrap();
     silent.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
     let mut active = TcpStream::connect(addr).unwrap();
     active.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let mut trickling = TcpStream::connect(addr).unwrap();
+    trickling.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    trickling.set_nodelay(true).unwrap();
+    // A frame header promising 64 payload bytes that never all arrive.
+    let mut promised = (72u32).to_le_bytes().to_vec();
+    promised.extend_from_slice(&7u64.to_le_bytes());
 
     // Keep the active connection talking (any payload earns a response
     // frame — a decode error is still an answer) while the silent one
-    // crosses the idle horizon.
+    // crosses the idle horizon and the trickling one feeds its frame a
+    // byte per 100 ms: bytes keep arriving inside every socket timeout,
+    // but the frame outlives the horizon.
     for id in 0..8u64 {
         write_mux_frame(&mut active, id, &[b"ping"]).unwrap();
         let (rid, _) = read_mux_frame(&mut active).unwrap().expect("active conn must stay served");
         assert_eq!(rid, id);
+        if id % 2 == 0 {
+            // Once severed these writes fail; the read below is the check.
+            let _ = trickling.write_all(&promised[id as usize / 2..][..1]);
+        }
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // The reaper severed the silent connection: its read sees EOF.
+    // The server severed the silent connection: its read sees EOF.
     let mut buf = [0u8; 1];
     let got = silent.read(&mut buf).expect("severed socket reads EOF, not a timeout");
-    assert_eq!(got, 0, "silent connection should have been reaped");
+    assert_eq!(got, 0, "silent connection should have been severed");
+    // And the trickling one: EOF, or a reset if a byte crossed the sever.
+    match trickling.read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe) => {}
+        other => panic!("trickling connection should have been severed, read gave {other:?}"),
+    }
 
     // The active connection still works after the reaping.
     write_mux_frame(&mut active, 99, &[b"still-here"]).unwrap();
     assert!(read_mux_frame(&mut active).unwrap().is_some());
     server.shutdown();
+}
+
+#[test]
+fn deep_pipelines_under_load_complete_without_a_stall() {
+    // 64 concurrent rf=5 block writes on six workers: every data server
+    // holds heads of depth 4 while the same pool must serve the depth-3,
+    // -2, -1 and leaf stages those heads wait on. Admission by depth keeps
+    // a thread for every shallower level, so all of them finish inside the
+    // fast-test RPC deadlines without a single forward failure or a
+    // client-side pipeline recovery.
+    let mut config = ClusterConfig::test_cluster(6, 64 * MB, MB);
+    config.heartbeat_ms = 20;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster).with_rpc_config(client_cfg());
+    let data = vec![0xA5u8; 4096];
+    let writers = 64;
+    let start = std::sync::Barrier::new(writers);
+    std::thread::scope(|s| {
+        for i in 0..writers {
+            let (client, data, start) = (&client, &data, &start);
+            s.spawn(move || {
+                start.wait();
+                client
+                    .write_file(
+                        &format!("/deep{i}"),
+                        data,
+                        ReplicationVector::from_replication_factor(5),
+                    )
+                    .unwrap_or_else(|e| panic!("write {i} failed: {e}"));
+            });
+        }
+    });
+
+    let snap = client.cluster_metrics_snapshot().unwrap();
+    assert_eq!(snap.counter("worker_pipeline_forward_failures_total"), 0);
+    assert_eq!(snap.counter("client_pipeline_recoveries_total"), 0);
+    for i in 0..writers {
+        let blocks = client.get_file_block_locations(&format!("/deep{i}"), 0, u64::MAX).unwrap();
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks[0].locations.len(), 5, "/deep{i}: {:?}", blocks[0].locations);
+    }
 }
 
 #[test]

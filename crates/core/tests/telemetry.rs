@@ -6,9 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use octopus_common::{
-    ClientLocation, ClusterConfig, DecisionKind, ReplicationVector, WorkerId, MB,
-};
+use octopus_common::{ClientLocation, ClusterConfig, DecisionKind, ReplicationVector, MB};
 use octopus_core::NetCluster;
 
 fn config() -> ClusterConfig {
@@ -119,8 +117,8 @@ fn heat_flows_from_workers_to_master() {
     });
     assert!(hotter, "re-read file never became hotter than the untouched one");
 
-    // The hot file leads the hottest-files ranking.
-    let hot_files = client.hot_files(2).unwrap();
+    // The hot file leads the status report's hottest-files ranking.
+    let hot_files = client.cluster_status().unwrap().hot;
     assert!(!hot_files.is_empty());
     assert_eq!(hot_files[0].path, "/hot", "ranking: {hot_files:?}");
 }
@@ -153,37 +151,6 @@ fn cluster_status_reports_capacity_workers_and_decisions() {
 }
 
 #[test]
-fn master_and_worker_series_accumulate_points() {
-    let cluster = NetCluster::start(config()).unwrap();
-    let client = cluster.client(ClientLocation::OffCluster);
-    client.write_file("/series-probe", &payload(MB as usize / 4, 3), rf(2)).unwrap();
-
-    // The first heartbeat tick takes the first master sample immediately;
-    // worker rings sample on their own heartbeat loops.
-    let sampled = eventually(Duration::from_secs(10), || {
-        let m = client.master_series().unwrap_or_default();
-        let w = client.worker_series(WorkerId(0)).unwrap_or_default();
-        // Wait for a master sample taken *after* the write landed, so the
-        // gauge assertions below see the block.
-        m.last().is_some_and(|p| p.value("blocks").unwrap_or(0) >= 1) && !w.is_empty()
-    });
-    assert!(sampled, "series rings never accumulated a post-write point");
-
-    let master_points = client.master_series().unwrap();
-    let last = master_points.last().unwrap();
-    assert!(last.value("blocks").unwrap_or(0) >= 1, "master sample: {last:?}");
-    for tier in 0..3 {
-        let cap = last.value(&format!("tier{tier}_capacity_bytes"));
-        assert!(cap.unwrap_or(0) > 0, "tier {tier} capacity gauge missing: {last:?}");
-    }
-
-    let worker_points = client.worker_series(WorkerId(0)).unwrap();
-    let wl = worker_points.last().unwrap();
-    assert!(wl.value("net_conn").is_some(), "worker sample: {wl:?}");
-    assert!(wl.value("io_conn").is_some());
-}
-
-#[test]
 fn scrape_stamps_ring_drop_counters() {
     let cluster = NetCluster::start(config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
@@ -194,17 +161,9 @@ fn scrape_stamps_ring_drop_counters() {
     // even before any ring has wrapped — a dashboard can alert on them
     // without a blind spot between boot and first eviction.
     let snap = client.cluster_metrics_snapshot().unwrap();
-    for name in
-        ["master_audit_dropped_total", "master_series_dropped_total", "trace_spans_dropped_total"]
-    {
+    for name in ["master_audit_dropped_total", "trace_spans_dropped_total"] {
         assert!(snap.contains(name), "scraped snapshot lacks {name}");
     }
-    assert!(
-        snap.counters
-            .iter()
-            .any(|c| c.name == "worker_series_dropped_total" && c.labels.worker.is_some()),
-        "worker series drop counter missing or unlabeled"
-    );
 }
 
 #[test]

@@ -553,12 +553,6 @@ impl GroupCommitLog {
         self.log.lock().since(from).to_vec()
     }
 
-    /// Flushes anything staged and runs `f` over the durable op sequence.
-    pub fn with_durable<R>(&self, f: impl FnOnce(&[EditOp]) -> R) -> Result<R> {
-        self.flush()?;
-        Ok(f(self.log.lock().ops()))
-    }
-
     /// Forces every staged op to stable storage.
     pub fn flush(&self) -> Result<()> {
         let latest = {

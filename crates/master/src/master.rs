@@ -7,7 +7,7 @@
 //! [`BlockMap`] behind another (`master.blocks`) — kept apart so the three
 //! `CommitReplica`s a worker pipeline sends per block never touch the
 //! namespace lock. Lock order: namespace → blocks → cluster; the heat
-//! tracker and the audit and series rings are leaves. Durability is
+//! tracker and the audit ring are leaves. Durability is
 //! group-committed: a mutation stages its [`EditOp`] under the namespace
 //! guard (so log order is the linearization order) and waits for the
 //! batched fsync after releasing it, so the disk sync never serializes
@@ -22,8 +22,7 @@ use octopus_common::{
     AuditRing, Block, BlockId, BlockTouches, ClientLocation, ClusterConfig, ClusterStatusReport,
     DecisionEvent, DecisionKind, DecisionRound, FsError, GenStamp, HeatInfo, HeatTracker, HotFile,
     INodeId, IdGenerator, LocatedBlock, Location, MediaId, MediaStats, RackId, ReplicationVector,
-    Result, SeriesPoint, SeriesRing, StorageTier, StorageTierReport, TierId, WorkerId,
-    WorkerStatusLine, MAX_TIERS,
+    Result, StorageTier, StorageTierReport, TierId, WorkerId, WorkerStatusLine, MAX_TIERS,
 };
 use octopus_policies::{
     build_placement_policy, build_retrieval_policy, choose_replica_to_remove_explained,
@@ -291,8 +290,8 @@ struct NamespaceState {
 
 /// The OctopusFS (primary) master.
 ///
-/// Lock order (DESIGN.md §11): `namespace` → `blocks` → `cluster`; `heat`,
-/// the audit ring, and the series ring are leaves. No client-facing op
+/// Lock order (DESIGN.md §11): `namespace` → `blocks` → `cluster`; `heat`
+/// and the audit ring are leaves. No client-facing op
 /// holds a guard across an edit-log fsync or external-catalog I/O (the
 /// background `autotier_scan` syncs under the guard so it can roll back).
 pub struct Master {
@@ -318,7 +317,6 @@ pub struct Master {
     // holding only read guards.
     heat: StatMutex<HeatTracker>,
     audit: AuditRing,
-    series: SeriesRing,
 }
 
 impl Master {
@@ -364,17 +362,15 @@ impl Master {
         // starts in safe mode until block reports confirm the data (§2.1).
         let safe_mode = !blocks.is_empty();
         let metrics = MetricsRegistry::new();
-        // Pre-register the scrape-time drop counters so they are present
-        // (at zero) in every snapshot, not only after the first wrap.
+        // Pre-register the scrape-time drop counter so it is present (at
+        // zero) in every snapshot, not only after the first wrap.
         metrics.counter("master_audit_dropped_total", Labels::NONE);
-        metrics.counter("master_series_dropped_total", Labels::NONE);
         let ops = MetaOpStats::register(&metrics);
         let namespace_stats = LockStats::register(&metrics, "master.namespace");
         let block_stats = LockStats::register(&metrics, "master.blocks");
         let cluster_stats = LockStats::register(&metrics, "master.cluster");
         let heat_stats = LockStats::register(&metrics, "master.heat");
         let audit_stats = LockStats::register(&metrics, "master.audit");
-        let series_stats = LockStats::register(&metrics, "master.series");
         Ok(Self {
             namespace: StatRwLock::instrumented(
                 NamespaceState {
@@ -408,11 +404,6 @@ impl Master {
                 octopus_common::audit::DEFAULT_AUDIT_CAPACITY,
                 audit_stats,
             ),
-            series: SeriesRing::with_stats(
-                octopus_common::series::DEFAULT_SERIES_INTERVAL_MS,
-                octopus_common::series::DEFAULT_SERIES_POINTS,
-                series_stats,
-            ),
         })
     }
 
@@ -426,9 +417,9 @@ impl Master {
         }
     }
 
-    /// Stamps externally accumulated drop totals (trace spans, audit and
-    /// series ring evictions) into the registry. Called at `Metrics`
-    /// scrape time: the rings evict without a metrics hook of their own.
+    /// Stamps externally accumulated drop totals (trace spans, audit ring
+    /// evictions) into the registry. Called at `Metrics` scrape time: the
+    /// rings evict without a metrics hook of their own.
     pub fn stamp_scrape_metrics(&self) {
         self.metrics
             .counter("trace_spans_dropped_total", Labels::NONE)
@@ -436,9 +427,6 @@ impl Master {
         self.metrics
             .counter("master_audit_dropped_total", Labels::NONE)
             .set_max(self.audit.dropped());
-        self.metrics
-            .counter("master_series_dropped_total", Labels::NONE)
-            .set_max(self.series.dropped());
     }
 
     /// The master's metrics registry (`master_*` counters, gauges, and
@@ -628,47 +616,6 @@ impl Master {
             self.metrics.add("master_heat_gc_dropped_total", Labels::NONE, gc_dropped as u64);
         }
         self.update_liveness_gauge(&self.cluster.lock());
-        let sample_at = self.now_ms();
-        self.series.maybe_sample(sample_at, || {
-            let files = self.namespace.read().ns.counts().0;
-            let blocks = self.blocks.read().len();
-            let (live, scheduled, reports) = {
-                let c = self.cluster.lock();
-                (
-                    c.workers().filter(|w| w.live).count() as i64,
-                    c.total_scheduled_bytes(),
-                    c.tier_reports(&self.config.tiers),
-                )
-            };
-            let mut values: Vec<(String, i64)> = vec![
-                ("live_workers".to_string(), live),
-                ("files".to_string(), files as i64),
-                ("blocks".to_string(), blocks as i64),
-                ("scheduled_bytes".to_string(), scheduled as i64),
-            ];
-            for r in reports {
-                let used = r.stats.capacity.saturating_sub(r.stats.remaining);
-                values.push((format!("tier{}_used_bytes", r.stats.tier.0), used as i64));
-                values.push((
-                    format!("tier{}_capacity_bytes", r.stats.tier.0),
-                    r.stats.capacity as i64,
-                ));
-            }
-            // Cumulative lock pressure, so operators can see contention
-            // *trends* (the histograms only give totals). `lock_inner_*`
-            // is the namespace lock; the key predates its current name.
-            if let Some(s) = self.namespace.stats() {
-                values.push(("lock_inner_wait_us".to_string(), s.wait_total_us() as i64));
-                values.push(("lock_inner_hold_us".to_string(), s.hold_total_us() as i64));
-                values.push(("lock_inner_contended".to_string(), s.contended_total() as i64));
-            }
-            if let Some(s) = self.heat.stats() {
-                values.push(("lock_heat_wait_us".to_string(), s.wait_total_us() as i64));
-                values.push(("lock_heat_hold_us".to_string(), s.hold_total_us() as i64));
-                values.push(("lock_heat_contended".to_string(), s.contended_total() as i64));
-            }
-            values
-        });
         dead
     }
 
@@ -1897,16 +1844,6 @@ impl Master {
     /// first — placement, reassignment, retrieval orderings, and removals.
     pub fn explain(&self, block: BlockId) -> Vec<DecisionEvent> {
         self.audit.by_block(block)
-    }
-
-    /// The most recent `n` decision events across all blocks.
-    pub fn recent_decisions(&self, n: usize) -> Vec<DecisionEvent> {
-        self.audit.recent(n)
-    }
-
-    /// The master's time-series ring (sampled on [`Master::tick`]).
-    pub fn series_points(&self) -> Vec<SeriesPoint> {
-        self.series.points()
     }
 
     /// One-stop cluster status for the operator surface: namespace and

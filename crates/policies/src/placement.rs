@@ -215,11 +215,6 @@ impl GreedyPolicy {
         Self { objectives, cfg, name, tie_rng: Mutex::new(StdRng::seed_from_u64(0x7135)) }
     }
 
-    /// A policy over an arbitrary objective subset (for experimentation).
-    pub fn with_objectives(objectives: Vec<Objective>, cfg: PolicyConfig) -> Self {
-        Self { objectives, cfg, name: "custom", tie_rng: Mutex::new(StdRng::seed_from_u64(0x7135)) }
-    }
-
     /// Algorithm 1: evaluate appending each option to `chosen` and return
     /// the option with the lowest global-criterion score. Ties (within
     /// epsilon) break uniformly at random so equivalent media share load —

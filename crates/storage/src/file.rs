@@ -210,8 +210,9 @@ impl BlockStore for FileStore {
         self.capacity
     }
 
-    fn verify(&self, id: BlockId) -> Result<u32> {
-        self.get(id).map(|d| d.checksum())
+    fn checksum(&self, id: BlockId) -> Result<u32> {
+        let g = self.inner.read();
+        g.index.get(&id).map(|i| i.checksum).ok_or_else(|| FsError::NotFound(id.to_string()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -284,6 +285,27 @@ mod tests {
         fs::write(&p, raw).unwrap();
         assert!(matches!(s.get(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
         assert!(s.verify(BlockId(1)).is_err());
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn checksum_is_the_recorded_one_and_never_reads_the_file() {
+        let dir = tmpdir("recorded");
+        let s = FileStore::open(&dir, 10_000).unwrap();
+        let data = BlockData::generate_real(100, 1);
+        s.put(blk(1, 100), &data).unwrap();
+        assert_eq!(s.checksum(BlockId(1)).unwrap(), data.checksum());
+        // Flip a payload byte behind the store's back: the recorded CRC is
+        // still served as written, while the paths that read the file
+        // report the mismatch.
+        let p = dir.join("blk_1.dat");
+        let mut raw = fs::read(&p).unwrap();
+        raw[HEADER_LEN] ^= 0xFF;
+        fs::write(&p, raw).unwrap();
+        assert_eq!(s.checksum(BlockId(1)).unwrap(), data.checksum());
+        assert!(matches!(s.get(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
+        assert!(matches!(s.verify(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
+        assert!(matches!(s.checksum(BlockId(2)), Err(FsError::NotFound(_))));
         fs::remove_dir_all(dir).ok();
     }
 

@@ -122,15 +122,9 @@ impl BlockStore for MemoryStore {
         self.capacity
     }
 
-    fn verify(&self, id: BlockId) -> Result<u32> {
+    fn checksum(&self, id: BlockId) -> Result<u32> {
         let g = self.inner.read();
-        let e = g.entries.get(&id).ok_or_else(|| FsError::NotFound(id.to_string()))?;
-        let actual = e.data.checksum();
-        if actual != e.checksum {
-            Err(FsError::ChecksumMismatch { expected: e.checksum, actual })
-        } else {
-            Ok(e.checksum)
-        }
+        g.entries.get(&id).map(|e| e.checksum).ok_or_else(|| FsError::NotFound(id.to_string()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -190,6 +184,21 @@ mod tests {
         s.corrupt(BlockId(1)).unwrap();
         assert!(matches!(s.get(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
         assert!(matches!(s.verify(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
+    }
+
+    #[test]
+    fn checksum_is_the_recorded_one_and_never_reads_the_payload() {
+        let s = MemoryStore::new(1000);
+        let data = BlockData::generate_real(100, 1);
+        s.put(blk(1, 100), &data).unwrap();
+        assert_eq!(s.checksum(BlockId(1)).unwrap(), data.checksum());
+        // Rot the payload: the recorded CRC is still served as written,
+        // while the paths that read the bytes report the mismatch.
+        s.corrupt(BlockId(1)).unwrap();
+        assert_eq!(s.checksum(BlockId(1)).unwrap(), data.checksum());
+        assert!(matches!(s.get(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
+        assert!(matches!(s.verify(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
+        assert!(matches!(s.checksum(BlockId(2)), Err(FsError::NotFound(_))));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl BlockStore for SimStore {
         self.capacity
     }
 
-    fn verify(&self, id: BlockId) -> Result<u32> {
+    fn checksum(&self, id: BlockId) -> Result<u32> {
         let g = self.inner.read();
         let e = g.entries.get(&id).ok_or_else(|| FsError::NotFound(id.to_string()))?;
         Ok(e.info.checksum)

@@ -46,9 +46,16 @@ pub trait BlockStore: Send + Sync {
         self.capacity().saturating_sub(self.used())
     }
 
+    /// The CRC-32 recorded when the block was written: an index lookup
+    /// that never touches the payload (`get` and `verify` do the checking).
+    fn checksum(&self, id: BlockId) -> Result<u32>;
+
     /// Re-reads a block and verifies its checksum, returning the stored
     /// checksum on success. Used by the periodic scrubber.
-    fn verify(&self, id: BlockId) -> Result<u32>;
+    fn verify(&self, id: BlockId) -> Result<u32> {
+        self.get(id)?;
+        self.checksum(id)
+    }
 
     /// Reflection hook for tests and tools that need the concrete store
     /// type (e.g. to inject corruption into a [`crate::MemoryStore`]).

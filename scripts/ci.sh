@@ -60,7 +60,7 @@ echo "trace smoke: stitched client→master→worker tree under trace ${read_tra
 echo "==> parallel I/O stress smoke"
 # The quick window sweep on a real TCP cluster. The GATE line asserts
 # window=4 beats the serial client; results/parallel_io.json is the
-# machine-readable artifact CI uploads and diffs across runs.
+# machine-readable artifact CI uploads.
 pio_out=$(cargo run --release --quiet -p octopus-bench --bin exp_parallel_io -- --quick)
 if ! grep -q "^GATE parallel_io .* pass=true" <<<"$pio_out"; then
     echo "parallel I/O smoke: window sweep gate failed" >&2
@@ -76,8 +76,7 @@ grep "^GATE" <<<"$pio_out"
 echo "==> aggregate I/O scaling smoke"
 # The quick client sweep on a real TCP cluster. The GATE line asserts 64
 # concurrent clients achieve at least 3x the single-client aggregate;
-# results/aggregate_io.json is the machine-readable artifact CI uploads
-# and diffs across runs.
+# results/aggregate_io.json is the machine-readable artifact CI uploads.
 agg_out=$(cargo run --release --quiet -p octopus-bench --bin exp_aggregate_io -- --quick)
 if ! grep -q "^GATE aggregate_io .* pass=true" <<<"$agg_out"; then
     echo "aggregate I/O smoke: client sweep gate failed" >&2
@@ -119,7 +118,7 @@ echo "==> auto-tiering smoke"
 # The quick shifting-working-set sweep. The GATE line asserts
 # auto-tiering beats static placement ≥1.3x end-to-end with every
 # working-set file promoted; results/autotier.json is the
-# machine-readable artifact CI uploads and diffs across runs.
+# machine-readable artifact CI uploads.
 autotier_out=$(cargo run --release --quiet -p octopus-bench --bin exp_autotier -- --quick)
 if ! grep -q "^GATE autotier .* pass=true" <<<"$autotier_out"; then
     echo "auto-tiering smoke: shifting-working-set gate failed" >&2
@@ -134,13 +133,11 @@ grep "^GATE" <<<"$autotier_out"
 
 echo "==> metadata path smoke"
 # The quick 100k-file metadata microbenchmark against an in-process
-# master. The GATE line asserts a minimum aggregate ops/sec and that
-# ≥90% of measured op time is attributed to the named segments (lock
-# wait, work under lock, edit-log append); results/metadata.json is the
-# machine-readable artifact CI uploads and diffs across runs.
+# master. The GATE line asserts a minimum aggregate ops/sec;
+# results/metadata.json is the machine-readable artifact CI uploads.
 meta_out=$(cargo run --release --quiet -p octopus-bench --bin exp_metadata -- --quick)
 if ! grep -q "^GATE metadata .* pass=true" <<<"$meta_out"; then
-    echo "metadata smoke: throughput/attribution gate failed" >&2
+    echo "metadata smoke: throughput gate failed" >&2
     grep "^GATE" <<<"$meta_out" >&2 || true
     exit 1
 fi

@@ -14,7 +14,7 @@
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use octopusfs::core::net::worker_server::{self, AddressMap, WorkerServer};
 use octopusfs::core::net::{rpc, TcpTransport};
@@ -90,16 +90,23 @@ fn run(args: &[String]) -> Result<()> {
 
     // Register, heartbeat and report blocks, then heartbeat forever.
     let net = TcpTransport::new(master_addr, peers, Arc::clone(rpc::shared()));
-    worker_server::join(&worker, &net, 0, server.addr().to_string())?;
+    worker_server::join(&worker, &net, unix_ms(), server.addr().to_string())?;
 
-    let epoch = Instant::now();
     let mut beats = 0u64;
     loop {
         let _ = net.refresh_workers();
         std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms));
         beats += 1;
-        worker_server::beat(&worker, &net, epoch.elapsed().as_millis() as u64, beats);
+        worker_server::beat(&worker, &net, unix_ms(), beats);
     }
+}
+
+/// Heartbeat stamp: UNIX-epoch milliseconds. The master's failure detector
+/// compares stamps from different worker processes, so they must share a
+/// time base — a per-process epoch makes every later-started worker look
+/// long dead to the earlier ones' heartbeats.
+fn unix_ms() -> u64 {
+    SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
 }
 
 fn bad(flag: &str) -> FsError {

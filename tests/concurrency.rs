@@ -2,7 +2,7 @@
 //! The master serializes metadata behind its namespace lock (as the HDFS
 //! NameNode does); workers serve data-path operations concurrently.
 
-use crossbeam::thread;
+use std::thread;
 
 use octopusfs::{ClientLocation, Cluster, ClusterConfig, ReplicationVector, WorkerId};
 
@@ -23,7 +23,7 @@ fn parallel_writers_on_distinct_files() {
     thread::scope(|s| {
         for t in 0..8u64 {
             let client = cluster.client(ClientLocation::OnWorker(WorkerId((t % 6) as u32)));
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..4 {
                     let path = format!("/w{t}/f{i}");
                     client.mkdir(&format!("/w{t}")).unwrap();
@@ -35,8 +35,7 @@ fn parallel_writers_on_distinct_files() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let (files, _) = cluster.master().counts();
     assert_eq!(files, 32);
 }
@@ -52,14 +51,13 @@ fn parallel_readers_on_one_file() {
         for t in 0..12u32 {
             let client = cluster.client(ClientLocation::OnWorker(WorkerId(t % 6)));
             let expect = data.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..3 {
                     assert_eq!(client.read_file("/shared").unwrap(), expect);
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -70,7 +68,7 @@ fn exactly_one_creator_wins_a_contended_path() {
         for _ in 0..8 {
             let client = cluster.client(ClientLocation::OffCluster);
             let successes = &successes;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 if client
                     .write_file(
                         "/contended",
@@ -83,8 +81,7 @@ fn exactly_one_creator_wins_a_contended_path() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(successes.load(std::sync::atomic::Ordering::Relaxed), 1);
     assert_eq!(
         cluster.client(ClientLocation::OffCluster).read_file("/contended").unwrap().len(),
@@ -106,19 +103,18 @@ fn reads_race_with_replication_repair() {
         for t in 0..6u32 {
             let c = cluster.client(ClientLocation::OnWorker(WorkerId(t % 6)));
             let expect = data.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..5 {
                     assert_eq!(c.read_file("/race").unwrap(), expect);
                 }
             });
         }
-        s.spawn(|_| {
+        s.spawn(|| {
             for _ in 0..3 {
                 cluster.run_replication_round().unwrap();
             }
         });
-    })
-    .unwrap();
+    });
 
     let blocks = client.get_file_block_locations("/race", 0, u64::MAX).unwrap();
     for b in &blocks {
@@ -132,7 +128,7 @@ fn concurrent_namespace_churn_stays_consistent() {
     thread::scope(|s| {
         for t in 0..6u64 {
             let client = cluster.client(ClientLocation::OffCluster);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let dir = format!("/churn{t}");
                 client.mkdir(&dir).unwrap();
                 for i in 0..10 {
@@ -161,8 +157,7 @@ fn concurrent_namespace_churn_stays_consistent() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // The namespace is consistent: every listed file reads fully.
     let client = cluster.client(ClientLocation::OffCluster);
     for t in 0..6 {

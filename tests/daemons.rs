@@ -56,6 +56,22 @@ fn remote(master: &str, args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Polls `report` until every tier shows `workers` media, i.e. all the
+/// workers have registered, then waits one more heartbeat round so every
+/// worker has the full peer map (pipeline forwarding needs it).
+fn wait_for_workers(master: &str, workers: u32) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (ok, out, _) = remote(master, &["report"]);
+        if ok && out.contains(&format!("media={workers}")) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "workers never registered");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    std::thread::sleep(Duration::from_millis(150));
+}
+
 #[test]
 fn multiprocess_deployment_end_to_end() {
     let shape = ["--workers", "3", "--block-size", "65536", "--capacity", "67108864"];
@@ -83,20 +99,7 @@ fn multiprocess_deployment_end_to_end() {
         daemons.push(d);
     }
 
-    // Wait until all three workers have registered (peer maps need a
-    // heartbeat round to propagate).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (ok, out, _) = remote(&master_addr, &["report"]);
-        if ok && out.contains("media=3") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    // One extra heartbeat round so every worker has the full peer map
-    // (pipeline forwarding needs it).
-    std::thread::sleep(Duration::from_millis(150));
+    wait_for_workers(&master_addr, 3);
 
     // Drive a full lifecycle through separate octofs-remote invocations.
     let tmp = std::env::temp_dir().join(format!(
@@ -166,16 +169,7 @@ fn daemon_deployment_self_heals_after_worker_crash() {
         daemons.push(d);
     }
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (ok, out, _) = remote(&master_addr, &["report"]);
-        if ok && out.contains("media=4") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    std::thread::sleep(Duration::from_millis(150));
+    wait_for_workers(&master_addr, 4);
 
     let tmp = std::env::temp_dir().join(format!(
         "octofs_heal_{}_{}",
@@ -244,16 +238,7 @@ fn worker_daemon_restart_recovers_on_disk_blocks() {
     let (w0, _) = spawn_worker(0);
     let (_w1, _) = spawn_worker(1);
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (ok, out, _) = remote(&master_addr, &["report"]);
-        if ok && out.contains("media=2") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    std::thread::sleep(Duration::from_millis(150));
+    wait_for_workers(&master_addr, 2);
 
     // Write to persistent tiers only (memory is volatile by design).
     let local = tmp.join("in.bin");
@@ -280,4 +265,62 @@ fn worker_daemon_restart_recovers_on_disk_blocks() {
         std::thread::sleep(Duration::from_millis(100));
     }
     std::fs::remove_dir_all(tmp).ok();
+}
+
+#[test]
+fn a_worker_started_late_stays_live_under_the_earlier_workers_heartbeats() {
+    // Regression: worker daemons stamped heartbeats from their own process
+    // epoch, and the master's failure detector runs on every heartbeat
+    // with *that* worker's stamp — so once worker 0 had been up longer
+    // than the dead-worker horizon (50 ms × 10), each of its heartbeats
+    // declared the freshly started worker 1 dead and stripped its replica
+    // locations, until worker 1's own next heartbeat revived it.
+    let shape = ["--workers", "2", "--block-size", "65536", "--capacity", "67108864"];
+    let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
+    let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
+    margs.extend(shape.clone());
+    margs.extend(["--heartbeat-ms".to_string(), "50".to_string()]);
+    let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+
+    let spawn_worker = |id: u32| {
+        let mut wargs = vec![
+            "--master".to_string(),
+            master_addr.clone(),
+            "--id".to_string(),
+            id.to_string(),
+            "--heartbeat-ms".to_string(),
+            "50".to_string(),
+        ];
+        wargs.extend(shape.clone());
+        spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
+    };
+    let _w0 = spawn_worker(0);
+    std::thread::sleep(Duration::from_millis(1200));
+    let _w1 = spawn_worker(1);
+
+    wait_for_workers(&master_addr, 2);
+
+    let fs = octopusfs::RemoteFs::connect(
+        master_addr.parse().unwrap(),
+        octopusfs::ClientLocation::OffCluster,
+    )
+    .unwrap();
+    let data: Vec<u8> = (0..100_000u32).map(|i| (i % 97) as u8).collect();
+    fs.write_file("/late", &data, octopusfs::ReplicationVector::from_replication_factor(2))
+        .unwrap();
+
+    // Thirty heartbeat intervals: both workers live and both replicas of
+    // every block located at every single poll.
+    for poll in 0..30 {
+        let status = fs.cluster_status().unwrap();
+        assert_eq!(status.workers.len(), 2);
+        for w in &status.workers {
+            assert!(w.live, "poll {poll}: worker {:?} declared dead: {status:?}", w.worker);
+        }
+        for lb in fs.get_file_block_locations("/late", 0, u64::MAX).unwrap() {
+            assert_eq!(lb.locations.len(), 2, "poll {poll}: replica location lost: {lb:?}");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(fs.read_file("/late").unwrap(), data);
 }
