@@ -348,15 +348,16 @@ impl RemoteFs {
             };
         let block_size = status.block_size as usize;
         // Zero-length files have no blocks: `chunks` is empty and the file
-        // is closed immediately below.
-        let chunks: Vec<Bytes> =
-            data.chunks(block_size.max(1)).map(Bytes::copy_from_slice).collect();
+        // is closed immediately below. A chunk is copied out of `data`
+        // only when it is issued, so at most a window of blocks — never
+        // the file — is held twice.
+        let chunks: Vec<&[u8]> = data.chunks(block_size.max(1)).collect();
         if chunks.len() <= 1 || self.window == 1 {
             for chunk in chunks {
-                self.write_block(path, chunk)?;
+                self.write_block(path, Bytes::copy_from_slice(chunk))?;
             }
         } else {
-            self.write_blocks_windowed(path, chunks, span.context())?;
+            self.write_blocks_windowed(path, &chunks, span.context())?;
         }
         self.metrics().add("client_write_bytes_total", Labels::NONE, data.len() as u64);
         self.call(MasterRequest::CompleteFile(path.into(), self.holder)).map(|_| ())
@@ -397,12 +398,7 @@ impl RemoteFs {
     /// block from the tail down to the first incomplete slot is abandoned
     /// in reverse order — the file is left with exactly its completed
     /// prefix of blocks and the first error is returned.
-    fn write_blocks_windowed(
-        &self,
-        path: &str,
-        chunks: Vec<Bytes>,
-        ctx: TraceContext,
-    ) -> Result<()> {
+    fn write_blocks_windowed(&self, path: &str, chunks: &[&[u8]], ctx: TraceContext) -> Result<()> {
         let n = chunks.len();
         let window = self.window.min(n);
         let sched = WriteScheduler::new();
@@ -440,7 +436,9 @@ impl RemoteFs {
                     // while this thread runs the (long) transfer.
                     sched.advance_turn();
                     states[i].lock().unwrap().0 = Some(block);
-                    match self.transfer_block(path, block, pipeline, &chunks[i]) {
+                    // The one client-side copy, alive for this transfer.
+                    let payload = Bytes::copy_from_slice(chunks[i]);
+                    match self.transfer_block(path, block, pipeline, &payload) {
                         Ok(()) => states[i].lock().unwrap().1 = true,
                         Err(e) => {
                             bspan.annotate("error", &e);
@@ -547,16 +545,20 @@ impl RemoteFs {
         if status.is_external() {
             return self.read_external(path);
         }
+        // The layout comes from the located blocks alone: `status` was a
+        // separate RPC, and the file may have been appended to or
+        // re-created since. Each block is copied out of its receive buffer
+        // straight into its range of `out`, so a read holds the file once
+        // plus at most a window of blocks.
         let blocks = self.get_file_block_locations(path, 0, u64::MAX)?;
-        let mut out = Vec::with_capacity(status.len as usize);
+        let mut out = vec![0u8; contiguous_len(&blocks)?];
+        let ranges = block_ranges(&blocks, &mut out);
         if blocks.len() <= 1 || self.window == 1 {
-            for lb in blocks {
-                out.extend_from_slice(&self.read_block(&lb)?);
+            for (lb, range) in blocks.iter().zip(ranges) {
+                range.copy_from_slice(&self.read_block(lb)?);
             }
         } else {
-            for b in self.read_blocks_windowed(&blocks, span.context())? {
-                out.extend_from_slice(&b);
-            }
+            self.read_blocks_windowed(&blocks, ranges, span.context())?;
         }
         span.annotate("bytes", out.len());
         self.metrics().add("client_read_bytes_total", Labels::NONE, out.len() as u64);
@@ -617,38 +619,39 @@ impl RemoteFs {
         Ok(out)
     }
 
-    /// Reads `blocks` with up to `window` fetches in flight; blocks
-    /// complete out of order into their slots and are returned in block
-    /// (byte) order. Each fetch keeps the full per-replica checksum
-    /// failover of [`RemoteFs::read_block`]; the first failed block
-    /// cancels the fan-out and its error is returned.
+    /// Reads `blocks` with up to `window` fetches in flight, each copied
+    /// into its own range of the output as it completes (in any order).
+    /// Each fetch keeps the full per-replica checksum failover of
+    /// [`RemoteFs::read_block`]; the first failed block cancels the
+    /// fan-out and its error is returned.
     fn read_blocks_windowed(
         &self,
         blocks: &[LocatedBlock],
+        ranges: Vec<&mut [u8]>,
         ctx: TraceContext,
-    ) -> Result<Vec<Bytes>> {
-        let n = blocks.len();
-        let window = self.window.min(n);
-        let next = AtomicUsize::new(0);
+    ) -> Result<()> {
+        let window = self.window.min(blocks.len());
+        // The work list: claiming an item hands its thread the block and
+        // the (disjoint) range of the output that block fills.
+        let work = Mutex::new(blocks.iter().zip(ranges).enumerate());
         let cancelled = AtomicBool::new(false);
         let first_err: Mutex<Option<FsError>> = Mutex::new(None);
-        let slots: Vec<Mutex<Option<Bytes>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..window {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n || cancelled.load(Ordering::SeqCst) {
+                    if cancelled.load(Ordering::SeqCst) {
                         break;
                     }
+                    let Some((i, (lb, range))) = work.lock().unwrap().next() else { break };
                     // Explicit context handoff (scoped threads carry no
                     // TLS span): the per-block spans — and the replica
                     // failover spans nested under them — stay in the
                     // read's trace as siblings under the root.
                     let mut bspan = self.trace().child_of("client.read_block", ctx);
                     bspan.annotate("index", i);
-                    bspan.annotate("block", blocks[i].block.id);
-                    match self.read_block(&blocks[i]) {
-                        Ok(b) => *slots[i].lock().unwrap() = Some(b),
+                    bspan.annotate("block", lb.block.id);
+                    match self.read_block(lb) {
+                        Ok(b) => range.copy_from_slice(&b),
                         Err(e) => {
                             bspan.annotate("error", &e);
                             let mut err = first_err.lock().unwrap();
@@ -662,15 +665,8 @@ impl RemoteFs {
                 });
             }
         });
-        if let Some(e) = first_err.lock().unwrap().take() {
-            return Err(e);
-        }
-        let out: Vec<Bytes> = slots
-            .iter()
-            .map(|s| s.lock().unwrap().take())
-            .collect::<Option<_>>()
-            .ok_or_else(|| FsError::Internal("parallel read left an unfilled slot".into()))?;
-        Ok(out)
+        let first_err = first_err.into_inner().unwrap();
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Reads one block, trying replicas in policy order (§4.1: on failure,
@@ -693,9 +689,12 @@ impl RemoteFs {
                 Ok(WorkerResponse::Data(BlockData::Real(b), sum))
                     if b.len() as u64 == lb.block.len =>
                 {
-                    // Verify against the checksum recorded at write time:
-                    // catches both a corrupt replica and bytes damaged in
-                    // flight; either way the next replica is tried (§4.1).
+                    // Verify against the checksum recorded at write time —
+                    // the one end-to-end check of a read (the server sends
+                    // the recorded value without re-reading the payload):
+                    // catches both a replica corrupt at rest and bytes
+                    // damaged in flight; either way the next replica is
+                    // tried (§4.1).
                     let verify = trace::child("client.checksum");
                     let actual = crc32(&b);
                     drop(verify);
@@ -724,11 +723,6 @@ impl RemoteFs {
                 }
                 Ok(r) => last_err = FsError::Io(format!("unexpected response {r:?}")),
                 Err(e) => {
-                    // The worker's own verification caught the replica
-                    // corrupt at rest: the same failover, counted the same.
-                    if matches!(e, FsError::ChecksumMismatch { .. }) {
-                        self.metrics().inc("client_checksum_failovers_total", Labels::NONE);
-                    }
                     if let Some(s) = rep_span.as_mut() {
                         s.annotate("error", &e);
                     }
@@ -891,6 +885,37 @@ impl FileReader {
         }
         Ok(())
     }
+}
+
+/// Total length of `blocks`, which must tile the file from offset 0 with
+/// no gap or overlap (what `GetBlockLocations` over the whole file returns).
+fn contiguous_len(blocks: &[LocatedBlock]) -> Result<usize> {
+    let mut end = 0u64;
+    for lb in blocks {
+        if lb.offset != end {
+            return Err(FsError::Internal(format!(
+                "block {} located at offset {}, expected {end}",
+                lb.block.id, lb.offset
+            )));
+        }
+        end = end.checked_add(lb.block.len).ok_or_else(|| {
+            FsError::Internal(format!("located blocks overflow at {}", lb.block.id))
+        })?;
+    }
+    usize::try_from(end).map_err(|_| FsError::Internal(format!("file of {end} bytes")))
+}
+
+/// Splits `out` (of [`contiguous_len`] bytes) into one range per block.
+fn block_ranges<'a>(blocks: &[LocatedBlock], out: &'a mut [u8]) -> Vec<&'a mut [u8]> {
+    let mut rest = out;
+    blocks
+        .iter()
+        .map(|lb| {
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(lb.block.len as usize);
+            rest = tail;
+            range
+        })
+        .collect()
 }
 
 /// Coordination state of one windowed write: a work counter handing out

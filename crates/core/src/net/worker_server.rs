@@ -294,8 +294,10 @@ fn dispatch_inner(
             let _net = worker.connect_net();
             let _io = worker.media_io(media)?;
             let mut read_span = trace::child("worker.read");
-            let data = worker.read_block(media, block)?;
-            let sum = worker.stored_checksum(media, block)?;
+            // Payload and recorded CRC, no pass over the bytes here: the
+            // receiver's verify is the end-to-end check (at-rest rot is
+            // the scrubber's job, and a mismatch fails over, §4.1).
+            let (data, sum) = worker.read_block_unverified(media, block)?;
             if let Some(d) = worker.transfer_pacing(media, data.len(), false) {
                 std::thread::sleep(d);
             }

@@ -12,7 +12,7 @@ use octopus_common::{
     Block, BlockData, BlockId, BlockTouches, FsError, HeatRecorder, MediaId, MediaStats, RackId,
     Result, TierId, WorkerId,
 };
-use octopus_storage::{ConnGuard, Media, MediaManager};
+use octopus_storage::{BlockStore, ConnGuard, Media, MediaManager};
 
 /// One active I/O span against one medium: counted in the medium's
 /// `NrConn` (feeding heartbeats and thereby §3.2 placement) and mirrored
@@ -160,13 +160,37 @@ impl Worker {
 
     /// Reads a block from the given medium, verifying its checksum.
     pub fn read_block(&self, media: MediaId, block: BlockId) -> Result<BlockData> {
+        self.timed_read(media, block, |store| store.get(block), BlockData::len)
+    }
+
+    /// Reads a block and the CRC-32 recorded when it was stored, with no
+    /// pass over the payload: what the `ReadBlock` server path sends, for
+    /// the receiver to verify end to end. Recorded (latency, bytes, heat)
+    /// exactly as [`Worker::read_block`].
+    pub fn read_block_unverified(
+        &self,
+        media: MediaId,
+        block: BlockId,
+    ) -> Result<(BlockData, u32)> {
+        self.timed_read(media, block, |store| store.read(block), |(data, _)| data.len())
+    }
+
+    /// One store read under the read path's telemetry: `worker_read_us`,
+    /// and on success `worker_read_bytes_total{tier}` and the heat touch.
+    fn timed_read<T>(
+        &self,
+        media: MediaId,
+        block: BlockId,
+        read: impl FnOnce(&dyn BlockStore) -> Result<T>,
+        len: impl FnOnce(&T) -> u64,
+    ) -> Result<T> {
         let m = self.manager.get(media)?;
         let labels = self.labels().with_tier(m.tier);
         let start = Instant::now();
-        let out = m.store.get(block);
+        let out = read(&*m.store);
         self.metrics.observe_since("worker_read_us", labels, start);
-        if let Ok(d) = &out {
-            self.metrics.add("worker_read_bytes_total", labels, d.len());
+        if let Ok(read) = &out {
+            self.metrics.add("worker_read_bytes_total", labels, len(read));
             self.heat.touch_read(block);
         }
         out
@@ -184,9 +208,9 @@ impl Worker {
         self.manager.get(media)?.store.delete(block)
     }
 
-    /// The CRC-32 recorded when the replica was stored (served alongside
-    /// remote reads so clients can verify the bytes they received). An
-    /// index lookup: the payload was already verified by the read.
+    /// The CRC-32 recorded when the replica was stored: an index lookup
+    /// that never touches the payload (how a re-sent write is recognised
+    /// as the block already held).
     pub fn stored_checksum(&self, media: MediaId, block: BlockId) -> Result<u32> {
         self.manager.get(media)?.store.checksum(block)
     }
@@ -269,7 +293,7 @@ impl Worker {
 mod tests {
     use super::*;
     use octopus_common::GenStamp;
-    use octopus_storage::{BlockStore, MemoryStore};
+    use octopus_storage::MemoryStore;
 
     fn worker() -> Worker {
         let media = (0..2)

@@ -1,0 +1,169 @@
+//! The data path's payload-buffer budget, as an exact count: how many
+//! bytes of *large* allocations (≥ 256 KiB — block-sized buffers, nothing
+//! else in the system is that big) one `write_file` and one `read_file`
+//! cost, summed over the client and every worker of a loopback-TCP cluster.
+//!
+//! Per user byte at rf=3 the data path allocates:
+//!
+//! - write: the client's copy of each chunk (1×) and one receive buffer per
+//!   pipeline stage (3×) — the frame a stage received *is* the block it
+//!   stores and forwards;
+//! - read: the client's receive buffer (1×) and the output (1×) — the
+//!   server sends its stored `Bytes`, the client copies each block out of
+//!   its frame straight into the output.
+//!
+//! A counting `#[global_allocator]` is process-wide, which is why this is a
+//! test binary of its own; the tests in it serialize on [`MEASURING`].
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use octopus_common::wire::{Wire, WireReader};
+use octopus_common::{
+    Block, BlockData, BlockId, ClientLocation, ClusterConfig, GenStamp, ReplicationVector, MB,
+};
+use octopus_core::net::proto::{encode_worker_frame, WorkerRequest};
+use octopus_core::{build_single_worker, NetCluster, StorageMode};
+
+const LARGE: usize = 256 * 1024;
+
+static LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
+static MEASURING: Mutex<()> = Mutex::new(());
+
+struct CountLarge;
+
+fn count(size: usize) {
+    if size >= LARGE {
+        LARGE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a relaxed atomic
+// add, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountLarge {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growing buffer may move: charge its whole new size.
+        if new_size > layout.size() {
+            count(new_size);
+        }
+        // SAFETY: `ptr`/`layout` describe a live block of this allocator,
+        // i.e. of `System`, per the caller's contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountLarge = CountLarge;
+
+/// Large-allocation bytes made, process-wide, while `f` ran.
+fn large_bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LARGE_BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (out, LARGE_BYTES.load(Ordering::Relaxed) - before)
+}
+
+fn payload(len: usize, seed: u64) -> Vec<u8> {
+    let BlockData::Real(b) = BlockData::generate_real(len, seed) else { unreachable!() };
+    b.to_vec()
+}
+
+#[test]
+fn write_and_read_stay_within_their_payload_buffer_budget() {
+    let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
+    config.heartbeat_ms = 20;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let rf3 = ReplicationVector::from_replication_factor(3);
+
+    const F: u64 = 8 * MB;
+    const SLACK: u64 = 2 * MB;
+    let data = payload(F as usize, 21);
+    // Connections, thread stacks and pools come up on a first transfer.
+    client.write_file("/warm", &data[..2 * MB as usize], rf3).unwrap();
+    assert_eq!(client.read_file("/warm").unwrap(), &data[..2 * MB as usize]);
+
+    let (written, write_bytes) = large_bytes_during(|| client.write_file("/f", &data, rf3));
+    written.unwrap();
+    assert!(
+        write_bytes <= 4 * F + SLACK,
+        "write_file of {F} B at rf=3 made {write_bytes} B of large allocations \
+         (budget 4 × F: the client's copy + one receive buffer per replica)"
+    );
+    assert!(write_bytes >= 4 * F, "the counter saw the transfer: {write_bytes} B");
+
+    let (read, read_bytes) = large_bytes_during(|| client.read_file("/f"));
+    assert_eq!(read.unwrap(), data);
+    assert!(
+        read_bytes <= 2 * F + SLACK,
+        "read_file of {F} B made {read_bytes} B of large allocations \
+         (budget 2 × F: the receive buffers + the output)"
+    );
+    assert!(read_bytes >= 2 * F, "the counter saw the transfer: {read_bytes} B");
+    eprintln!(
+        "alloc_budget: F = {F} B at rf=3: write {write_bytes} B ({:.2} × F), read {read_bytes} B ({:.2} × F)",
+        write_bytes as f64 / F as f64,
+        read_bytes as f64 / F as f64
+    );
+}
+
+/// The frame a server's reader thread received is the buffer the store
+/// holds: decoding shares it, `put` keeps the shared view, `read` returns it.
+#[test]
+fn a_stored_block_aliases_the_frame_it_arrived_in() {
+    let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let config = ClusterConfig::test_cluster(1, 64 * MB, MB);
+    let worker =
+        build_single_worker(&config, octopus_common::WorkerId(0), &StorageMode::InMemory).unwrap();
+    let media = worker.media()[0].id;
+    let block = Block { id: BlockId(1), gen: GenStamp(1), len: MB };
+    let request = WorkerRequest::WriteBlock(
+        block,
+        media,
+        Vec::new(),
+        BlockData::generate_real(MB as usize, 3),
+    );
+
+    // What `conn_reader` does with the bytes off the socket…
+    let received: Vec<u8> = encode_worker_frame(&request).concat();
+    let (base, frame_len) = (received.as_ptr() as usize, received.len());
+    let (frame, conversion_bytes) = large_bytes_during(|| bytes::Bytes::from(received));
+    assert_eq!(conversion_bytes, 0, "Bytes::from(Vec) must not allocate a payload-sized buffer");
+    // …and the handler with the frame.
+    let mut reader = WireReader::new_shared(&frame, 0);
+    let WorkerRequest::WriteBlock(block, media, _, data) = WorkerRequest::get(&mut reader).unwrap()
+    else {
+        panic!("decoded another request");
+    };
+    let (stored, store_bytes) = large_bytes_during(|| worker.write_block(media, block, &data));
+    stored.unwrap();
+    assert_eq!(store_bytes, 0, "storing a block must not copy it");
+
+    let (BlockData::Real(held), _) = worker.read_block_unverified(media, block.id).unwrap() else {
+        panic!("stored a synthetic block");
+    };
+    let at = held.as_ptr() as usize;
+    assert!(
+        at >= base && at + held.len() <= base + frame_len,
+        "the stored payload lies inside the received frame's buffer"
+    );
+}

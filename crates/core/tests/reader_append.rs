@@ -1,7 +1,15 @@
 //! Tests of positional reads ([`octopus_core::FileReader`]) and append.
 
-use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, MB};
-use octopus_core::Cluster;
+use std::sync::{Arc, Mutex};
+
+use octopus_common::metrics::MetricsRegistry;
+use octopus_common::trace::TraceCollector;
+use octopus_common::{
+    ClientLocation, ClusterConfig, FsError, ReplicationVector, Result, WorkerId, MB,
+};
+use octopus_core::net::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
+use octopus_core::net::Transport;
+use octopus_core::{Cluster, RemoteFs};
 
 fn setup(len: usize) -> (Cluster, octopus_core::RemoteFs, Vec<u8>) {
     let cluster = Cluster::start(ClusterConfig::test_cluster(5, 64 * MB, MB)).unwrap();
@@ -105,4 +113,77 @@ fn append_to_open_file_rejected() {
     let client = cluster.client(ClientLocation::OffCluster);
     let _w = client.create("/open", ReplicationVector::from_replication_factor(2), None).unwrap();
     assert!(client.append("/open").is_err());
+}
+
+/// A transport that runs `after_status` once, right after the first
+/// `Status` reply: what another client does between the two RPCs of a
+/// `read_file` (`Status`, then `GetBlockLocations`).
+struct ChangeAfterStatus {
+    inner: Arc<dyn Transport>,
+    after_status: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl Transport for ChangeAfterStatus {
+    fn call_master(&self, req: MasterRequest) -> Result<MasterResponse> {
+        let is_status = matches!(req, MasterRequest::Status(_));
+        let reply = self.inner.call_master(req);
+        if is_status {
+            if let Some(change) = self.after_status.lock().unwrap().take() {
+                change();
+            }
+        }
+        reply
+    }
+    fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
+        self.inner.call_worker(to, req)
+    }
+    fn workers(&self) -> Vec<WorkerId> {
+        self.inner.workers()
+    }
+    fn metrics(&self) -> &MetricsRegistry {
+        self.inner.metrics()
+    }
+    fn trace(&self) -> &TraceCollector {
+        self.inner.trace()
+    }
+}
+
+/// `read_file` of `/f` with `change` applied between its two RPCs.
+fn read_with_change_after_status(
+    cluster: &Cluster,
+    change: impl FnOnce(RemoteFs) + Send + 'static,
+) -> Result<Vec<u8>> {
+    let other = cluster.client(ClientLocation::OffCluster);
+    let net = Arc::new(ChangeAfterStatus {
+        inner: cluster.transport().clone(),
+        after_status: Mutex::new(Some(Box::new(move || change(other)))),
+    });
+    RemoteFs::over(net, ClientLocation::OffCluster).with_io_window(4).read_file("/f")
+}
+
+/// The output's layout comes from the located blocks, not from the length
+/// an earlier `Status` reported: a file that grew or shrank in between
+/// reads as what it is now — never a panic, never zero padding.
+#[test]
+fn read_file_lays_out_from_the_located_blocks_not_the_earlier_status() {
+    let (cluster, _client, data) = setup(2 * MB as usize + 100);
+
+    let extra: Vec<u8> = (0..70_000u32).map(|i| (i % 251) as u8 + 1).collect();
+    let appended = extra.clone();
+    let grown = read_with_change_after_status(&cluster, move |other| {
+        let mut w = other.append("/f").unwrap();
+        w.write(&appended).unwrap();
+        w.close().unwrap();
+    })
+    .unwrap();
+    assert_eq!(grown, [&data[..], &extra[..]].concat(), "the appended block is read, whole");
+
+    let short: Vec<u8> = data[..MB as usize + 7].to_vec();
+    let rewritten = short.clone();
+    let shrunk = read_with_change_after_status(&cluster, move |other| {
+        other.delete("/f", false).unwrap();
+        other.write_file("/f", &rewritten, ReplicationVector::from_replication_factor(2)).unwrap();
+    })
+    .unwrap();
+    assert_eq!(shrunk, short, "the re-created file is read at its own length, no zero tail");
 }

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use octopus_common::{Block, BlockData, BlockId, FsError, GenStamp, Result};
@@ -32,6 +33,9 @@ pub struct FileStore {
     dir: PathBuf,
     capacity: u64,
     inner: RwLock<Inner>,
+    /// Numbers the temporary file of each `put` attempt, so racing writers
+    /// of one block id never share one.
+    next_tmp: AtomicU64,
 }
 
 fn encode_header(block: &Block, kind: u8, checksum: u32, seed: u64) -> [u8; HEADER_LEN] {
@@ -99,21 +103,64 @@ impl FileStore {
             used += hdr.len;
             index.insert(block.id, StoredBlockInfo { block, checksum: hdr.checksum });
         }
-        Ok(Self { dir, capacity, inner: RwLock::new(Inner { index, used }) })
+        Ok(Self {
+            dir,
+            capacity,
+            inner: RwLock::new(Inner { index, used }),
+            next_tmp: AtomicU64::new(0),
+        })
     }
 
     fn path_of(&self, id: BlockId) -> PathBuf {
         self.dir.join(format!("blk_{}.dat", id.0))
     }
 
+    /// Reads a block file: the header, then the payload straight into the
+    /// buffer that becomes the block's [`Bytes`].
     fn read_file(&self, id: BlockId) -> Result<(Header, Vec<u8>)> {
         let mut f =
             fs::File::open(self.path_of(id)).map_err(|_| FsError::NotFound(id.to_string()))?;
-        let mut all = Vec::new();
-        f.read_to_end(&mut all)?;
-        let hdr = decode_header(&all)?;
-        Ok((hdr, all.split_off(HEADER_LEN)))
+        let mut h = [0u8; HEADER_LEN];
+        f.read_exact(&mut h)?;
+        let hdr = decode_header(&h)?;
+        // `File::read_to_end` reserves the rest of the file up front.
+        let mut payload = Vec::new();
+        f.read_to_end(&mut payload)?;
+        Ok((hdr, payload))
     }
+
+    /// Whether `block` may be added to `inner`: not there yet, and within
+    /// capacity.
+    fn admit(&self, inner: &Inner, block: &Block) -> Result<()> {
+        if inner.index.contains_key(&block.id) {
+            return Err(FsError::AlreadyExists(block.id.to_string()));
+        }
+        if inner.used + block.len > self.capacity {
+            return Err(FsError::OutOfCapacity(format!(
+                "file store {}: {} + {} > {}",
+                self.dir.display(),
+                inner.used,
+                block.len,
+                self.capacity
+            )));
+        }
+        Ok(())
+    }
+}
+
+fn write_block_file(path: &Path, block: &Block, data: &BlockData, checksum: u32) -> Result<()> {
+    let mut f = fs::File::create(path)?;
+    match data {
+        BlockData::Real(b) => {
+            f.write_all(&encode_header(block, KIND_REAL, checksum, 0))?;
+            f.write_all(b)?;
+        }
+        BlockData::Synthetic { seed, .. } => {
+            f.write_all(&encode_header(block, KIND_SYNTHETIC, checksum, *seed))?;
+        }
+    }
+    f.sync_all()?;
+    Ok(())
 }
 
 impl BlockStore for FileStore {
@@ -126,70 +173,45 @@ impl BlockStore for FileStore {
                 data.len()
             )));
         }
-        {
-            let g = self.inner.read();
-            if g.index.contains_key(&block.id) {
-                return Err(FsError::AlreadyExists(block.id.to_string()));
-            }
-            if g.used + block.len > self.capacity {
-                return Err(FsError::OutOfCapacity(format!(
-                    "file store {}: {} + {} > {}",
-                    self.dir.display(),
-                    g.used,
-                    block.len,
-                    self.capacity
-                )));
-            }
-        }
+        // Fail fast before the (slow, unlocked) file write; the verdict
+        // that counts is the one under the write lock below.
+        self.admit(&self.inner.read(), &block)?;
         let checksum = data.checksum();
-        let tmp = self.dir.join(format!("blk_{}.tmp", block.id.0));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            match data {
-                BlockData::Real(b) => {
-                    f.write_all(&encode_header(&block, KIND_REAL, checksum, 0))?;
-                    f.write_all(b)?;
-                }
-                BlockData::Synthetic { seed, .. } => {
-                    f.write_all(&encode_header(&block, KIND_SYNTHETIC, checksum, *seed))?;
-                }
-            }
-            f.sync_all()?;
+        let attempt = self.next_tmp.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!("blk_{}.{attempt}.tmp", block.id.0));
+        let stored = write_block_file(&tmp, &block, data, checksum).and_then(|()| {
+            let mut g = self.inner.write();
+            // A racing put (a §3.1 re-send against the original) may have
+            // landed this id, or others taken the space, since the check.
+            self.admit(&g, &block)?;
+            fs::rename(&tmp, self.path_of(block.id))?;
+            g.used += block.len;
+            g.index.insert(block.id, StoredBlockInfo { block, checksum });
+            Ok(())
+        });
+        if stored.is_err() {
+            let _ = fs::remove_file(&tmp);
         }
-        fs::rename(&tmp, self.path_of(block.id))?;
-        let mut g = self.inner.write();
-        // Re-check under the write lock (another writer may have raced us).
-        if g.index.contains_key(&block.id) {
-            return Err(FsError::AlreadyExists(block.id.to_string()));
-        }
-        g.used += block.len;
-        g.index.insert(block.id, StoredBlockInfo { block, checksum });
-        Ok(())
+        stored
     }
 
-    fn get(&self, id: BlockId) -> Result<BlockData> {
-        let expected = {
-            let g = self.inner.read();
-            g.index.get(&id).ok_or_else(|| FsError::NotFound(id.to_string()))?.checksum
-        };
+    fn read(&self, id: BlockId) -> Result<(BlockData, u32)> {
+        let recorded = self.checksum(id)?;
         let (hdr, payload) = self.read_file(id)?;
         let data = match hdr.kind {
             KIND_REAL => BlockData::Real(Bytes::from(payload)),
             KIND_SYNTHETIC => BlockData::Synthetic { len: hdr.len, seed: hdr.seed },
             k => return Err(FsError::Io(format!("unknown block kind {k}"))),
         };
-        let actual = data.checksum();
-        if actual != expected {
-            return Err(FsError::ChecksumMismatch { expected, actual });
-        }
-        Ok(data)
+        Ok((data, recorded))
     }
 
     fn delete(&self, id: BlockId) -> Result<()> {
         let mut g = self.inner.write();
         let info = g.index.remove(&id).ok_or_else(|| FsError::NotFound(id.to_string()))?;
         g.used -= info.block.len;
-        drop(g);
+        // Still under the lock a `put` renames under: a re-put of this id
+        // cannot land its file between the index removal and the unlink.
         fs::remove_file(self.path_of(id))?;
         Ok(())
     }
@@ -303,6 +325,11 @@ mod tests {
         raw[HEADER_LEN] ^= 0xFF;
         fs::write(&p, raw).unwrap();
         assert_eq!(s.checksum(BlockId(1)).unwrap(), data.checksum());
+        // `read` hands out what is on disk with that recorded CRC and no
+        // verdict: its receiver verifies.
+        let (rotten, recorded) = s.read(BlockId(1)).unwrap();
+        assert_eq!(recorded, data.checksum());
+        assert_ne!(rotten.checksum(), recorded);
         assert!(matches!(s.get(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
         assert!(matches!(s.verify(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
         assert!(matches!(s.checksum(BlockId(2)), Err(FsError::NotFound(_))));

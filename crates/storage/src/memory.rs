@@ -68,6 +68,9 @@ impl BlockStore for MemoryStore {
                 data.len()
             )));
         }
+        // The pass over the payload runs before the lock, so concurrent
+        // writers (and every reader) never wait behind a CRC.
+        let checksum = data.checksum();
         let mut g = self.inner.write();
         if g.entries.contains_key(&block.id) {
             return Err(FsError::AlreadyExists(block.id.to_string()));
@@ -78,20 +81,15 @@ impl BlockStore for MemoryStore {
                 g.used, block.len, self.capacity
             )));
         }
-        let checksum = data.checksum();
         g.used += block.len;
         g.entries.insert(block.id, Entry { block, data: data.clone(), checksum });
         Ok(())
     }
 
-    fn get(&self, id: BlockId) -> Result<BlockData> {
+    fn read(&self, id: BlockId) -> Result<(BlockData, u32)> {
         let g = self.inner.read();
         let e = g.entries.get(&id).ok_or_else(|| FsError::NotFound(id.to_string()))?;
-        let actual = e.data.checksum();
-        if actual != e.checksum {
-            return Err(FsError::ChecksumMismatch { expected: e.checksum, actual });
-        }
-        Ok(e.data.clone())
+        Ok((e.data.clone(), e.checksum))
     }
 
     fn delete(&self, id: BlockId) -> Result<()> {
@@ -196,6 +194,11 @@ mod tests {
         // while the paths that read the bytes report the mismatch.
         s.corrupt(BlockId(1)).unwrap();
         assert_eq!(s.checksum(BlockId(1)).unwrap(), data.checksum());
+        // `read` hands out what is stored with that recorded CRC and no
+        // verdict: its receiver verifies.
+        let (rotten, recorded) = s.read(BlockId(1)).unwrap();
+        assert_eq!(recorded, data.checksum());
+        assert_ne!(rotten.checksum(), recorded);
         assert!(matches!(s.get(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
         assert!(matches!(s.verify(BlockId(1)), Err(FsError::ChecksumMismatch { .. })));
         assert!(matches!(s.checksum(BlockId(2)), Err(FsError::NotFound(_))));

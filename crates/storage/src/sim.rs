@@ -67,10 +67,10 @@ impl BlockStore for SimStore {
         Ok(())
     }
 
-    fn get(&self, id: BlockId) -> Result<BlockData> {
+    fn read(&self, id: BlockId) -> Result<(BlockData, u32)> {
         let g = self.inner.read();
         let e = g.entries.get(&id).ok_or_else(|| FsError::NotFound(id.to_string()))?;
-        Ok(BlockData::Synthetic { len: e.info.block.len, seed: e.seed })
+        Ok((BlockData::Synthetic { len: e.info.block.len, seed: e.seed }, e.info.checksum))
     }
 
     fn delete(&self, id: BlockId) -> Result<()> {

@@ -1,6 +1,6 @@
 //! The [`BlockStore`] trait: the contract of one storage medium.
 
-use octopus_common::{Block, BlockData, BlockId, Result};
+use octopus_common::{Block, BlockData, BlockId, FsError, Result};
 
 /// Summary of one stored block, as carried by block reports (paper §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +22,15 @@ pub trait BlockStore: Send + Sync {
     /// be exceeded.
     fn put(&self, block: Block, data: &BlockData) -> Result<()>;
 
+    /// Retrieves a block's payload and the CRC-32 recorded when it was
+    /// written, **without** a pass over the payload: for callers whose
+    /// receiver verifies end to end (the `ReadBlock` server path).
+    fn read(&self, id: BlockId) -> Result<(BlockData, u32)>;
+
     /// Retrieves a block's payload, verifying its checksum.
-    fn get(&self, id: BlockId) -> Result<BlockData>;
+    fn get(&self, id: BlockId) -> Result<BlockData> {
+        verified(self.read(id)?).map(|(data, _)| data)
+    }
 
     /// Deletes a block, releasing its capacity. Deleting an absent block is
     /// an error (the caller tracks what lives where).
@@ -53,11 +60,19 @@ pub trait BlockStore: Send + Sync {
     /// Re-reads a block and verifies its checksum, returning the stored
     /// checksum on success. Used by the periodic scrubber.
     fn verify(&self, id: BlockId) -> Result<u32> {
-        self.get(id)?;
-        self.checksum(id)
+        verified(self.read(id)?).map(|(_, checksum)| checksum)
     }
 
     /// Reflection hook for tests and tools that need the concrete store
     /// type (e.g. to inject corruption into a [`crate::MemoryStore`]).
     fn as_any(&self) -> &dyn std::any::Any;
+}
+
+/// The one verifying pass over what [`BlockStore::read`] returned.
+fn verified((data, expected): (BlockData, u32)) -> Result<(BlockData, u32)> {
+    let actual = data.checksum();
+    if actual != expected {
+        return Err(FsError::ChecksumMismatch { expected, actual });
+    }
+    Ok((data, expected))
 }

@@ -13,6 +13,13 @@ echo "==> cargo test --workspace --release"
 # suite is hand-listed, so none can be silently skipped.
 cargo test --workspace --release -q
 
+echo "==> third_party/bytes stand-in tests"
+# Outside the workspace (it is a [patch] target), so not covered above:
+# `Bytes::from(Vec)` must keep the Vec's buffer — the data path's
+# zero-copy hops rest on it.
+cargo test --release -q --manifest-path third_party/bytes/Cargo.toml \
+    --target-dir target/third_party
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -146,6 +153,21 @@ if [ ! -s results/metadata.json ]; then
     exit 1
 fi
 grep "^GATE" <<<"$meta_out"
+
+echo "==> octobench data-path smoke"
+# The benchmark's own correctness harness on the two data-moving
+# workloads: a non-zero exit is a failed op, a wrong byte, or a failed
+# audit (stored_per_user_byte = 3.00, empty replication_scan). Smoke
+# numbers are never compared. One traced `stream` run proves the ledger
+# still builds its table against the data path's API.
+octobench() {
+    cargo run --release --quiet --manifest-path crates/benchmark/Cargo.toml \
+        --bin octobench -- "$@" >/dev/null
+}
+octobench --workload stream --smoke --trace 0
+octobench --workload tiered --smoke --trace 0
+octobench --workload stream --smoke --trace 1
+echo "octobench smoke: stream and tiered correct, ledger builds"
 
 echo "==> operator status smoke"
 # Boot the real daemons (one master, two workers) and check that
