@@ -6,6 +6,8 @@
 //! in `src/bin/` (see DESIGN.md §4 for the index); `run_all` regenerates
 //! everything.
 
+#![forbid(unsafe_code)]
+
 pub mod dfsio;
 pub mod experiments;
 pub mod slive;

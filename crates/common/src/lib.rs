@@ -9,6 +9,12 @@
 //! Nothing in this crate performs I/O; it is pure data and arithmetic, which
 //! keeps it trivially testable and lets the policy crate stay free of any
 //! dependency on the running system.
+//!
+//! The workspace's only `unsafe` is here, in one private module of
+//! [`checksum`] (a call into a function compiled for CPU features detected
+//! at run time); every other crate is `#![forbid(unsafe_code)]`.
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod audit;
 pub mod block;

@@ -25,6 +25,8 @@
 //! All I/O flows through [`octopus_core::SimCluster`] — the same master,
 //! policies, and flow-level contention model as the microbenchmarks.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod runner;
 pub mod workloads;

@@ -40,6 +40,8 @@
 //! assert_eq!(client.read_file("/demo/hello").unwrap(), b"tiered storage!");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod cluster;
 pub mod net;

@@ -23,6 +23,7 @@ use octopus_common::{
 };
 use octopus_master::ClientId;
 
+use super::bufpool;
 use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
 use super::rpc;
 use super::transport::{TcpTransport, Transport};
@@ -354,7 +355,7 @@ impl RemoteFs {
         let chunks: Vec<&[u8]> = data.chunks(block_size.max(1)).collect();
         if chunks.len() <= 1 || self.window == 1 {
             for chunk in chunks {
-                self.write_block(path, Bytes::copy_from_slice(chunk))?;
+                self.write_block(path, bufpool::copy_from_slice(chunk))?;
             }
         } else {
             self.write_blocks_windowed(path, &chunks, span.context())?;
@@ -436,8 +437,9 @@ impl RemoteFs {
                     // while this thread runs the (long) transfer.
                     sched.advance_turn();
                     states[i].lock().unwrap().0 = Some(block);
-                    // The one client-side copy, alive for this transfer.
-                    let payload = Bytes::copy_from_slice(chunks[i]);
+                    // The one client-side copy, alive for this transfer
+                    // and then back in the buffer pool.
+                    let payload = bufpool::copy_from_slice(chunks[i]);
                     match self.transfer_block(path, block, pipeline, &payload) {
                         Ok(()) => states[i].lock().unwrap().1 = true,
                         Err(e) => {

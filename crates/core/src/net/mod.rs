@@ -12,11 +12,14 @@
 //!   [`octopus_common::wire`] codec, plus the gather/scatter
 //!   [`proto::FramePayload`] that lets block bytes ride as shared slices;
 //! - [`frame`]: length-prefixed message framing over a TCP stream — the
-//!   multiplexed `[len][request id][payload]` form every RPC uses;
+//!   multiplexed `[len][request id][payload]` form every RPC uses — with
+//!   block-sized payloads received into the process-wide buffer pool
+//!   (`bufpool`: one free list per size class, `pooled ≤ lent`);
 //! - [`server`]: [`server::ServerCore`], the shared multiplexed server
 //!   runtime — a blocking bounded accept thread and per-connection demux
 //!   readers (which also enforce the in-flight cap and the idle horizon)
-//!   feeding a fixed dispatch pool with admission by pipeline depth;
+//!   feeding a dispatch pool (threads started as jobs need them, one
+//!   parked thread woken per job) with admission by pipeline depth;
 //! - [`master_server`] / [`worker_server`]: the master and worker request
 //!   dispatchers mounted on that core, around the existing
 //!   [`octopus_master::Master`] and [`crate::Worker`];
@@ -34,6 +37,7 @@
 //!   boundary, driving the failover test suite.
 
 pub mod backup;
+mod bufpool;
 pub mod client;
 pub mod cluster;
 pub mod faults;
@@ -55,3 +59,14 @@ pub use monitor::{MigrationRound, ReplicationOutcome, ScrubRound, ScrubStatus};
 pub use rpc::RpcClient;
 pub use transport::{LocalTransport, TcpTransport, Transport};
 pub use worker_server::WorkerServer;
+
+/// A seeded splitmix64 walk for this module's tests, so a failure names a
+/// reproducible run.
+#[cfg(test)]
+fn splitmix64(z: &mut u64) -> u64 {
+    *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut x = *z;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

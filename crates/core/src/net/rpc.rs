@@ -125,12 +125,24 @@ impl MuxConn {
     }
 }
 
+/// The per-peer in-flight counting semaphore's state.
+#[derive(Default)]
+struct Inflight {
+    /// Calls holding a slot.
+    calls: u32,
+    /// Callers parked in [`RpcClient::acquire`] at the cap. A release
+    /// notifies only when one registered here, under this same lock:
+    /// below the cap nobody waits, and the wake-up would be a syscall for
+    /// no one on every call.
+    waiters: u32,
+}
+
 /// Per-peer state: the connection set and the in-flight counting
 /// semaphore.
 struct Peer {
     conns: Mutex<Vec<Arc<MuxConn>>>,
     rr: AtomicU64,
-    inflight: Mutex<u32>,
+    inflight: Mutex<Inflight>,
     inflight_cv: Condvar,
 }
 
@@ -141,9 +153,11 @@ struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut n = self.peer.inflight.lock().unwrap();
-        *n = n.saturating_sub(1);
-        self.peer.inflight_cv.notify_one();
+        let mut slots = self.peer.inflight.lock().unwrap();
+        slots.calls = slots.calls.saturating_sub(1);
+        if slots.waiters > 0 {
+            self.peer.inflight_cv.notify_one();
+        }
     }
 }
 
@@ -323,16 +337,15 @@ impl RpcClient {
         let slot = Arc::new(CallSlot::new());
         conn.slots.lock().unwrap().insert(id, Arc::clone(&slot));
 
-        let sent = (|| {
+        let sent = {
             let mut w = conn.writer.lock().unwrap();
-            w.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms.max(1))))?;
             let mut segs: Vec<&[u8]> = Vec::with_capacity(4);
             if let Some(env) = envelope {
                 segs.push(env);
             }
             segs.extend(payload.segs());
             write_mux_frame(&mut *w, id, &segs)
-        })();
+        };
         if let Err(e) = sent {
             conn.slots.lock().unwrap().remove(&id);
             return Err((Stage::Send, e));
@@ -393,7 +406,7 @@ impl RpcClient {
             Arc::new(Peer {
                 conns: Mutex::new(Vec::new()),
                 rr: AtomicU64::new(0),
-                inflight: Mutex::new(0),
+                inflight: Mutex::default(),
                 inflight_cv: Condvar::new(),
             })
         }))
@@ -405,19 +418,21 @@ impl RpcClient {
         let cap = self.cfg.max_inflight_per_peer.max(1);
         let budget = self.cfg.write_timeout_ms.saturating_add(self.cfg.read_timeout_ms).max(1);
         let deadline = Instant::now() + Duration::from_millis(budget);
-        let mut n = peer.inflight.lock().unwrap();
-        while *n >= cap {
+        let mut slots = peer.inflight.lock().unwrap();
+        while slots.calls >= cap {
             let now = Instant::now();
             if now >= deadline {
                 return Err(FsError::Timeout(format!(
                     "peer in-flight cap ({cap}) saturated for {budget}ms"
                 )));
             }
-            let (guard, _) = peer.inflight_cv.wait_timeout(n, deadline - now).unwrap();
-            n = guard;
+            slots.waiters += 1;
+            let (guard, _) = peer.inflight_cv.wait_timeout(slots, deadline - now).unwrap();
+            slots = guard;
+            slots.waiters -= 1;
         }
-        *n += 1;
-        drop(n);
+        slots.calls += 1;
+        drop(slots);
         Ok(Permit { peer: Arc::clone(peer) })
     }
 
@@ -471,6 +486,9 @@ impl RpcClient {
             Duration::from_millis(self.cfg.connect_timeout_ms.max(1)),
         )?;
         stream.set_nodelay(true).ok();
+        // Once per connection, not per request: the option lives on the
+        // socket, which the writer and reader handles below share.
+        stream.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms.max(1))))?;
         let writer = stream.try_clone()?;
         let reader = stream.try_clone()?;
         let conn = Arc::new(MuxConn {
@@ -490,7 +508,7 @@ impl RpcClient {
                 while let Ok(Some((id, frame))) = read_mux_frame(&mut stream) {
                     let slot = demux.slots.lock().unwrap().remove(&id);
                     if let Some(slot) = slot {
-                        slot.resolve(SlotState::Done(bytes::Bytes::from(frame)));
+                        slot.resolve(SlotState::Done(frame));
                     }
                     // A response with no waiter timed out; drop it.
                 }

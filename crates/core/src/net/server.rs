@@ -5,9 +5,10 @@
 //!   connects are refused (closed) instead of spawning unbounded threads.
 //!   Shutdown wakes it with a throwaway connection to itself.
 //! - **A demux reader per connection** feeding a **shared dispatch pool**
-//!   of `DISPATCH_THREADS` threads, so many requests from one connection
-//!   execute concurrently and a slow request does not head-of-line-block
-//!   the rest of its connection. A reader stops pulling frames once
+//!   of up to `DISPATCH_THREADS` threads (started as jobs need them, never
+//!   stopped), so many requests from one connection execute concurrently
+//!   and a slow request does not head-of-line-block the rest of its
+//!   connection. A reader stops pulling frames once
 //!   `MAX_INFLIGHT_PER_CONN` of its requests are outstanding, pushing
 //!   backpressure into the client's TCP window instead of the queue.
 //! - **The idle horizon, enforced by that same reader**: the socket read
@@ -22,13 +23,25 @@
 //!   `T − j` of the `T` threads. At least `j` threads therefore always
 //!   belong to work shallower than `j`, every wait points strictly down in
 //!   depth, and blocked forwards complete bottom-up (DESIGN.md §9).
+//! - **One wake-up per job, at most, and no thread before a job needs
+//!   it.** A pool thread goes idle only when no queued job is admissible,
+//!   and from then on every event that can make one admissible is answered
+//!   by exactly one thread: an enqueue takes one thread off the idle list
+//!   and unparks it — or, if none is idle and fewer than `T` exist, starts
+//!   one; nothing if the job must wait for the running mix anyway — a
+//!   completing thread re-scans the queue itself and wakes nobody, and a
+//!   thread that takes a job passes the baton the same way iff another
+//!   queued job is admissible under the mix it just changed. *No admissible
+//!   job stays queued while a thread is idle (or yet to be started) and
+//!   none is on its way to the queue* — the condition
+//!   `PoolState::a_job_is_owed_a_thread` states, and the tests sample.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use octopus_common::{log_warn, FsError, Result, ServerConfig};
@@ -37,8 +50,8 @@ use super::faults;
 use super::frame::read_mux_frame;
 use super::proto::FramePayload;
 
-/// Threads in the dispatch pool (`T` in the admission rule). One more than
-/// the deepest legal pipeline head (`max_replication` 16 → depth 15).
+/// Threads the dispatch pool grows to (`T` in the admission rule). One more
+/// than the deepest legal pipeline head (`max_replication` 16 → depth 15).
 const DISPATCH_THREADS: usize = 16;
 
 /// Concurrently open connections before the accept thread refuses more.
@@ -64,6 +77,9 @@ struct Window {
     inflight: u32,
     /// A response was written since the reader last checked for idleness.
     served: bool,
+    /// The reader is parked on a full window. A response notifies only
+    /// then: below the cap nobody waits on `window_cv`.
+    reader_stalled: bool,
 }
 
 /// One tracked connection.
@@ -101,9 +117,72 @@ struct Job {
 
 struct PoolState {
     queue: VecDeque<Job>,
-    /// `running[d]`: jobs of depth `d` currently on a pool thread.
+    /// `running[d]`: jobs of depth `d` currently on a pool thread (until
+    /// that thread is back under the pool lock to look for its next one).
     running: [usize; DISPATCH_THREADS],
-    stopped: bool,
+    /// Parked pool threads nobody has woken yet, most recently parked
+    /// last. A waker pops its thread off under the pool lock and unparks
+    /// it after: a listed thread is asleep with nothing on its way to it,
+    /// an unlisted one is running or about to. (A condvar would not do:
+    /// `notify_one` is a futex syscall whether or not anyone waits, says
+    /// nothing of *whom* it woke, and may wake two.)
+    idle: Vec<Thread>,
+    /// Pool threads started so far (counted when one is decided on, under
+    /// the lock, so no two deciders start the same one); at most `T`. The
+    /// pool starts empty: a server nobody calls — a data server during a
+    /// metadata-only set-up — costs no thread.
+    threads: usize,
+    /// The request handler, cloned by a pool thread for the duration of
+    /// one job. `None` once [`ServerCore::shutdown`] has taken it: the
+    /// pool is stopped.
+    handler: Option<Handler>,
+}
+
+impl PoolState {
+    /// Index of the first queued job the running mix admits.
+    fn first_admissible(&self) -> Option<usize> {
+        if self.queue.is_empty() {
+            return None;
+        }
+        let limit = admit_limit(&self.running);
+        self.queue.iter().position(|j| j.depth <= limit)
+    }
+
+    /// Picks who runs an admissible queued job nobody is coming for: the
+    /// most recently parked thread, else a new one while the pool is short
+    /// of `T`, else nobody (every thread is busy and re-scans the queue when
+    /// it is done). The caller acts on it — [`Shared::send`] — once it has
+    /// released the pool lock.
+    fn runner(&mut self) -> Option<Runner> {
+        if let Some(thread) = self.idle.pop() {
+            return Some(Runner::Wake(thread));
+        }
+        (self.threads < DISPATCH_THREADS).then(|| {
+            self.threads += 1;
+            Runner::Start(self.threads - 1)
+        })
+    }
+
+    /// The lost-wake-up condition: a queued job could start, a thread is
+    /// idle or yet to be started, and no thread is on its way to the queue.
+    /// Every pool thread is listed idle, counted in `running` (which it
+    /// leaves only under the lock it then scans the queue with), or —
+    /// woken, or just started — about to take the lock and scan. Never
+    /// true while the lock is free.
+    #[cfg(test)]
+    fn a_job_is_owed_a_thread(&self) -> bool {
+        let on_their_way = self.threads - self.idle.len() - self.running.iter().sum::<usize>();
+        let available = !self.idle.is_empty() || self.threads < DISPATCH_THREADS;
+        on_their_way == 0 && available && self.first_admissible().is_some()
+    }
+}
+
+/// Who [`PoolState::runner`] picked.
+enum Runner {
+    /// A parked thread, already off the idle list, to unpark.
+    Wake(Thread),
+    /// A thread to start, already counted; the number names it.
+    Start(usize),
 }
 
 /// The deepest job the running mix admits: the largest `d` such that, at
@@ -124,18 +203,40 @@ fn admit_limit(running: &[usize; DISPATCH_THREADS]) -> usize {
 }
 
 struct Shared {
+    /// Prefix of the server's thread names.
+    name: String,
     idle: Duration,
     server_addr: SocketAddr,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     next_conn: AtomicU64,
     pool: Mutex<PoolState>,
-    pool_cv: Condvar,
+    /// Times a parked pool thread was woken, for whatever reason.
+    wakeups: AtomicU64,
     shutdown: AtomicBool,
-    handler: Handler,
     classify: Classifier,
 }
 
 impl Shared {
+    /// Sends the picked runner after the queue: unparks the thread, or
+    /// starts the new one. A thread the system refuses is uncounted again
+    /// and the job left to the threads there are.
+    fn send(self: &Arc<Self>, runner: Option<Runner>) {
+        match runner {
+            Some(Runner::Wake(thread)) => thread.unpark(),
+            Some(Runner::Start(i)) => {
+                let shared = Arc::clone(self);
+                let started = std::thread::Builder::new()
+                    .name(format!("{}-pool-{i}", self.name))
+                    .spawn(move || pool_loop(shared));
+                if let Err(e) = started {
+                    log_warn!(target: "net::server", "msg=\"cannot start a pool thread\" err=\"{e}\"");
+                    self.pool.lock().unwrap().threads -= 1;
+                }
+            }
+            None => {}
+        }
+    }
+
     fn untrack(&self, conn_id: u64) {
         self.conns.lock().unwrap().remove(&conn_id);
     }
@@ -160,8 +261,8 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// Binds, then starts the accept thread and the dispatch pool. `name`
-    /// prefixes thread names.
+    /// Binds, then starts the accept thread; the dispatch pool starts its
+    /// threads as jobs arrive. `name` prefixes thread names.
     pub fn spawn(
         bind: impl ToSocketAddrs,
         name: &str,
@@ -172,6 +273,7 @@ impl ServerCore {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
+            name: name.to_string(),
             idle: Duration::from_millis(cfg.idle_conn_ms.max(1)),
             server_addr: addr,
             conns: Mutex::new(HashMap::new()),
@@ -179,26 +281,19 @@ impl ServerCore {
             pool: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 running: [0; DISPATCH_THREADS],
-                stopped: false,
+                idle: Vec::with_capacity(DISPATCH_THREADS),
+                threads: 0,
+                handler: Some(handler),
             }),
-            pool_cv: Condvar::new(),
+            wakeups: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            handler,
             classify,
         });
-        for i in 0..DISPATCH_THREADS {
-            let s = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("{name}-pool-{i}"))
-                .spawn(move || pool_loop(s))
-                .map_err(|e| FsError::Io(e.to_string()))?;
-        }
         let accept = {
             let s = Arc::clone(&shared);
-            let name = name.to_string();
             std::thread::Builder::new()
                 .name(format!("{name}-accept"))
-                .spawn(move || accept_loop(listener, s, name))
+                .spawn(move || accept_loop(listener, s))
                 .map_err(|e| FsError::Io(e.to_string()))?
         };
         Ok(Self { addr, shared, accept: Some(accept) })
@@ -209,9 +304,24 @@ impl ServerCore {
         self.addr
     }
 
+    /// How many times a dispatch-pool thread has woken from its wait for
+    /// work. At most one per enqueued job on an idle pool; what a job costs
+    /// in context switches beyond its own.
+    pub fn wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
+    }
+
     /// Stops the server: the accept thread exits, every tracked connection
     /// is severed (in-flight callers fail fast instead of hanging), and
     /// the dispatch pool drains out.
+    ///
+    /// The handler — and through it the `Master` or `Worker` it serves —
+    /// is taken out of the state the detached threads share and dropped
+    /// here, on the caller's thread. With no request in flight, nothing of
+    /// the server holds it once this returns: the caller's own handle is
+    /// the last, and the (possibly very large) state behind it is freed
+    /// when and where the caller drops that, not by whichever pool thread
+    /// happens to exit last.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
@@ -224,13 +334,16 @@ impl ServerCore {
         }
         self.shared.sever_all();
         let mut pool = self.shared.pool.lock().unwrap();
-        pool.stopped = true;
-        pool.queue.clear();
+        let handler = pool.handler.take();
+        let queued = std::mem::take(&mut pool.queue);
+        let idle = std::mem::take(&mut pool.idle);
         drop(pool);
-        self.shared.pool_cv.notify_all();
+        idle.iter().for_each(Thread::unpark);
         // Pool threads are not joined: one may be blocked inside a nested
-        // RPC bounded by its own deadlines; it observes `stopped` and
-        // exits on its own.
+        // RPC bounded by its own deadlines (it holds its own clone of the
+        // handler until then); it finds the handler gone and exits on its
+        // own.
+        drop((handler, queued));
     }
 }
 
@@ -240,7 +353,7 @@ impl Drop for ServerCore {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, name: String) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while let Ok((stream, _)) = listener.accept() {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
@@ -272,7 +385,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, name: String) {
         shared.conns.lock().unwrap().insert(conn_id, Arc::clone(&conn));
         let s = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
-            .name(format!("{name}-conn"))
+            .name(format!("{}-conn", shared.name))
             .spawn(move || conn_reader(stream, conn_id, conn, s));
         if spawned.is_err() {
             shared.untrack(conn_id);
@@ -328,21 +441,22 @@ impl Read for IdleRead<'_> {
 /// honoring the per-connection in-flight cap and the idle horizon.
 fn conn_reader(stream: TcpStream, conn_id: u64, conn: Arc<Conn>, shared: Arc<Shared>) {
     let mut input = IdleRead { stream: &stream, conn: &conn, idle: shared.idle, frame_due: None };
-    while let Ok(Some((request_id, payload))) = read_mux_frame(&mut input) {
+    while let Ok(Some((request_id, frame))) = read_mux_frame(&mut input) {
         input.frame_due = None;
         // Backpressure: stop pulling frames while this connection has a
         // full window in flight. The client's sends then queue in TCP.
         {
             let mut w = conn.window.lock().unwrap();
             while w.inflight >= MAX_INFLIGHT_PER_CONN && !shared.shutdown.load(Ordering::Acquire) {
+                w.reader_stalled = true;
                 w = conn.window_cv.wait(w).unwrap();
             }
+            w.reader_stalled = false;
             if shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
             w.inflight += 1;
         }
-        let frame = bytes::Bytes::from(payload);
         // The trace envelope (if any) is 19 bytes; classification looks at
         // the request body behind it.
         let body_at = if frame.first() == Some(&octopus_common::trace::ENVELOPE_MAGIC) {
@@ -358,12 +472,16 @@ fn conn_reader(stream: TcpStream, conn_id: u64, conn: Arc<Conn>, shared: Arc<Sha
         }
         let job = Job { conn_id, conn: Arc::clone(&conn), request_id, frame, depth };
         let mut pool = shared.pool.lock().unwrap();
-        if pool.stopped {
+        if pool.handler.is_none() {
             break;
         }
+        // A job the running mix does not admit wakes nobody: the thread
+        // whose completion makes room for it re-scans the queue itself.
+        let admissible = depth <= admit_limit(&pool.running);
         pool.queue.push_back(job);
+        let runner = if admissible { pool.runner() } else { None };
         drop(pool);
-        shared.pool_cv.notify_all();
+        shared.send(runner);
     }
     shared.untrack(conn_id);
     conn.sever();
@@ -372,24 +490,49 @@ fn conn_reader(stream: TcpStream, conn_id: u64, conn: Arc<Conn>, shared: Arc<Sha
 /// One dispatch-pool thread: admit the first eligible job, run the
 /// handler, write the response, release the connection window.
 fn pool_loop(shared: Arc<Shared>) {
+    // Depth of the job this thread just finished, still counted in
+    // `running` until the thread is back under the pool lock: retiring it
+    // and looking for the next job are one critical section, so the thread
+    // that made room is the one that uses it.
+    let mut finished: Option<usize> = None;
+    let me = std::thread::current();
     loop {
-        let job = {
+        let (job, handler) = {
             let mut pool = shared.pool.lock().unwrap();
+            if let Some(depth) = finished.take() {
+                pool.running[depth] -= 1;
+            }
             loop {
-                if pool.stopped {
-                    return;
-                }
-                let limit = admit_limit(&pool.running);
-                if let Some(i) = pool.queue.iter().position(|j| j.depth <= limit) {
+                let Some(handler) = &pool.handler else { return };
+                if let Some(i) = pool.first_admissible() {
+                    let handler = Arc::clone(handler);
                     let job = pool.queue.remove(i).expect("job index valid under lock");
                     pool.running[job.depth] += 1;
-                    break job;
+                    // Pass the baton: this thread is taken now, so if the
+                    // mix it just changed still admits a queued job, one
+                    // more thread comes for it (and passes it on in turn).
+                    let next = if pool.first_admissible().is_some() { pool.runner() } else { None };
+                    drop(pool);
+                    shared.send(next);
+                    break (job, handler);
                 }
-                pool = shared.pool_cv.wait(pool).unwrap();
+                pool.idle.push(me.clone());
+                drop(pool);
+                // An unpark that beat us here makes this return at once.
+                std::thread::park();
+                shared.wakeups.fetch_add(1, Ordering::Relaxed);
+                pool = shared.pool.lock().unwrap();
+                // Whoever unparked this thread unlisted it first; `park`
+                // may also return on its own, and then the thread is
+                // listed still.
+                pool.idle.retain(|t| t.id() != me.id());
             }
         };
 
-        let response = (shared.handler)(job.frame);
+        let response = handler(job.frame);
+        // Before the response leaves: once a caller holds its response,
+        // this thread holds nothing of the handler's state.
+        drop(handler);
         let alive = {
             let mut w = job.conn.writer.lock().unwrap();
             faults::write_response(shared.server_addr, &mut w, job.request_id, &response)
@@ -404,20 +547,138 @@ fn pool_loop(shared: Arc<Shared>) {
             let mut w = job.conn.window.lock().unwrap();
             w.inflight = w.inflight.saturating_sub(1);
             w.served = true;
-            job.conn.window_cv.notify_one();
+            if w.reader_stalled {
+                job.conn.window_cv.notify_one();
+            }
         }
-        let mut pool = shared.pool.lock().unwrap();
-        pool.running[job.depth] -= 1;
-        drop(pool);
-        shared.pool_cv.notify_all();
+        finished = Some(job.depth);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::frame::write_mux_frame;
+    use crate::net::splitmix64;
 
     const T: usize = DISPATCH_THREADS;
+
+    /// A server whose requests are `[depth, handler µs / 100]`: the first
+    /// byte is the pipeline depth the classifier reports, the second how
+    /// long the handler holds its thread. It echoes the request.
+    fn depth_echo_server() -> ServerCore {
+        let classify: Classifier = Arc::new(|body| body[0] as usize);
+        let handler: Handler = Arc::new(|frame: bytes::Bytes| {
+            std::thread::sleep(Duration::from_micros(100 * frame[1] as u64));
+            FramePayload::small(frame.to_vec())
+        });
+        ServerCore::spawn("127.0.0.1:0", "test", ServerConfig::default(), classify, handler)
+            .unwrap()
+    }
+
+    /// Spins until every pool thread there is sits on the idle list — the
+    /// pool's only quiescent state.
+    fn await_idle(core: &ServerCore) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let pool = core.shared.pool.lock().unwrap();
+            if pool.idle.len() == pool.threads {
+                assert!(pool.queue.is_empty() && pool.running == [0; T], "idle with work left");
+                return;
+            }
+            drop(pool);
+            assert!(Instant::now() < deadline, "the pool never went idle");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn an_idle_pool_wakes_at_most_one_thread_per_job() {
+        let core = depth_echo_server();
+        await_idle(&core);
+        let mut conn = TcpStream::connect(core.addr()).unwrap();
+        const N: u64 = 300;
+        let before = core.wakeups();
+        for id in 0..N {
+            write_mux_frame(&mut conn, id, &[&[0, 0]]).unwrap();
+            let (rid, echo) = read_mux_frame(&mut conn).unwrap().unwrap();
+            assert_eq!((rid, &echo[..]), (id, &[0u8, 0][..]));
+        }
+        await_idle(&core);
+        let woken = core.wakeups() - before;
+        // `notify_all` on every enqueue and every completion woke ~13 of
+        // the 15 sleepers twice per job; now an enqueue unparks one thread
+        // and a completion none.
+        assert!(woken <= N, "{N} leaf jobs, one at a time, woke pool threads {woken} times");
+        assert!(woken > 0, "the counter saw the jobs");
+    }
+
+    #[test]
+    fn no_admissible_job_waits_while_a_thread_sleeps() {
+        let core = depth_echo_server();
+        const PRODUCERS: u64 = 8;
+        const JOBS: u64 = 400;
+        let done = AtomicBool::new(false);
+        let samples = std::thread::scope(|scope| {
+            // The sampler: whenever it gets the pool lock, no idle thread
+            // may be owed a job.
+            let sampler = scope.spawn(|| {
+                let mut samples = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    let pool = core.shared.pool.lock().unwrap();
+                    assert!(
+                        !pool.a_job_is_owed_a_thread(),
+                        "lost wake-up: {} of {} threads idle, {} queued, running {:?}",
+                        pool.idle.len(),
+                        pool.threads,
+                        pool.queue.len(),
+                        pool.running
+                    );
+                    drop(pool);
+                    samples += 1;
+                    std::thread::yield_now();
+                }
+                samples
+            });
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let addr = core.addr();
+                    scope.spawn(move || {
+                        // A seeded walk per producer: depths 0–3, handler
+                        // times 0–300 µs, bursts of 1–8 with the pool left
+                        // to drain (and fall asleep) in between.
+                        let mut z = 0x5EED_0000 + p;
+                        let mut next = move || splitmix64(&mut z) >> 33;
+                        let mut conn = TcpStream::connect(addr).unwrap();
+                        // A job nobody wakes for must fail the test, not
+                        // hang it.
+                        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                        let mut sent = 0;
+                        while sent < JOBS {
+                            let burst = (1 + next() % 8).min(JOBS - sent);
+                            for id in sent..sent + burst {
+                                let (depth, hold) = ((next() % 4) as u8, (next() % 4) as u8);
+                                write_mux_frame(&mut conn, id, &[&[depth, hold]]).unwrap();
+                            }
+                            for _ in 0..burst {
+                                read_mux_frame(&mut conn).unwrap().expect("a response per job");
+                            }
+                            sent += burst;
+                        }
+                    })
+                })
+                .collect();
+            let answered: Vec<_> = producers.into_iter().map(|p| p.join()).collect();
+            done.store(true, Ordering::SeqCst);
+            let samples = sampler.join().unwrap();
+            assert!(answered.iter().all(|p| p.is_ok()), "a producer's job went unanswered");
+            samples
+        });
+        // Every job was answered; the pool is whole again and owes nobody.
+        await_idle(&core);
+        assert!(samples > 0);
+        assert!(core.wakeups() > 0, "threads did sleep between bursts");
+    }
 
     fn running(jobs: &[(usize, usize)]) -> [usize; T] {
         let mut r = [0; T];

@@ -3,7 +3,7 @@
 //! else in the system is that big) one `write_file` and one `read_file`
 //! cost, summed over the client and every worker of a loopback-TCP cluster.
 //!
-//! Per user byte at rf=3 the data path allocates:
+//! Per user byte at rf=3 the data path *uses*:
 //!
 //! - write: the client's copy of each chunk (1×) and one receive buffer per
 //!   pipeline stage (3×) — the frame a stage received *is* the block it
@@ -11,6 +11,13 @@
 //! - read: the client's receive buffer (1×) and the output (1×) — the
 //!   server sends its stored `Bytes`, the client copies each block out of
 //!   its frame straight into the output.
+//!
+//! Every one of those but the output is a buffer of the process-wide pool
+//! (`net/bufpool.rs`), so it is *allocated* only while the pool has no
+//! released buffer of its size class to hand back: the first write and the
+//! first read pay the budget above (plus the pool's class rounding, at most
+//! 64 KiB per frame), and from then on a read allocates its output and a
+//! rewrite of deleted bytes allocates nothing.
 //!
 //! A counting `#[global_allocator]` is process-wide, which is why this is a
 //! test binary of its own; the tests in it serialize on [`MEASURING`].
@@ -96,7 +103,10 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     let rf3 = ReplicationVector::from_replication_factor(3);
 
     const F: u64 = 8 * MB;
-    const SLACK: u64 = 2 * MB;
+    /// A block frame is its 1 MiB payload plus a few dozen header bytes,
+    /// which the pool rounds up to the next 64 KiB class: per `F` of
+    /// frames, one granule per block.
+    const ROUNDING: u64 = (F / MB) * 64 * 1024;
     let data = payload(F as usize, 21);
     // Connections, thread stacks and pools come up on a first transfer.
     client.write_file("/warm", &data[..2 * MB as usize], rf3).unwrap();
@@ -105,24 +115,52 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     let (written, write_bytes) = large_bytes_during(|| client.write_file("/f", &data, rf3));
     written.unwrap();
     assert!(
-        write_bytes <= 4 * F + SLACK,
+        write_bytes <= 4 * F + 3 * ROUNDING,
         "write_file of {F} B at rf=3 made {write_bytes} B of large allocations \
-         (budget 4 × F: the client's copy + one receive buffer per replica)"
+         (budget 4 × F: the client's copy + one receive buffer per replica, the latter \
+         rounded up to their pool class)"
     );
-    assert!(write_bytes >= 4 * F, "the counter saw the transfer: {write_bytes} B");
+    // The three stored replicas are new bytes no earlier buffer can back
+    // (the warm-up left four to recycle).
+    assert!(write_bytes >= 3 * F - 4 * MB, "the counter saw the transfer: {write_bytes} B");
 
     let (read, read_bytes) = large_bytes_during(|| client.read_file("/f"));
     assert_eq!(read.unwrap(), data);
     assert!(
-        read_bytes <= 2 * F + SLACK,
+        read_bytes <= 2 * F + ROUNDING,
         "read_file of {F} B made {read_bytes} B of large allocations \
          (budget 2 × F: the receive buffers + the output)"
     );
-    assert!(read_bytes >= 2 * F, "the counter saw the transfer: {read_bytes} B");
+    assert!(read_bytes >= F, "the counter saw the output: {read_bytes} B");
+
+    // From here on the pool is stocked. It parks released buffers only up
+    // to the bytes still lent out (`pooled ≤ lent`), so a second file stays
+    // stored while the first is deleted: its 3 × F live bytes are what lets
+    // the 3 × F released ones be kept.
+    client.write_file("/g", &data, rf3).unwrap();
+    client.delete("/f", false).unwrap();
+
+    // A second read: every receive buffer comes out of the pool (the
+    // window's worth the first read left, and `/f`'s), only the output is
+    // allocated.
+    let (read, reread_bytes) = large_bytes_during(|| client.read_file("/g"));
+    assert_eq!(read.unwrap(), data);
+    assert_eq!(reread_bytes, F, "a second read allocates its output and nothing else");
+
+    // Delete + rewrite of the same F: the client's copies and all three
+    // stages' receive buffers are the ones the first write allocated.
+    let (rewritten, rewrite_bytes) = large_bytes_during(|| client.write_file("/f", &data, rf3));
+    rewritten.unwrap();
+    assert_eq!(rewrite_bytes, 0, "rewriting {F} deleted bytes must allocate no new buffer");
+    assert_eq!(client.read_file("/f").unwrap(), data);
+
     eprintln!(
-        "alloc_budget: F = {F} B at rf=3: write {write_bytes} B ({:.2} × F), read {read_bytes} B ({:.2} × F)",
+        "alloc_budget: F = {F} B at rf=3: first write {write_bytes} B ({:.2} × F), first read \
+         {read_bytes} B ({:.2} × F), second read {reread_bytes} B ({:.2} × F), delete + rewrite \
+         {rewrite_bytes} B",
         write_bytes as f64 / F as f64,
-        read_bytes as f64 / F as f64
+        read_bytes as f64 / F as f64,
+        reread_bytes as f64 / F as f64,
     );
 }
 

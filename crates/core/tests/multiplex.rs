@@ -1,6 +1,7 @@
 //! Tests of the multiplexed transport: response demultiplexing, per-peer
 //! in-flight caps, the server-side idle horizon, admission by pipeline
-//! depth under load, and the pipeline-abort semantics the mux servers rely on (committed replicas
+//! depth under load, who owns the served state after `shutdown`, and the
+//! pipeline-abort semantics the mux servers rely on (committed replicas
 //! survive late aborts; aborted stages return their write reservations;
 //! scrub handling survives unmapped media).
 
@@ -12,12 +13,13 @@ use std::time::{Duration, Instant};
 
 use octopus_common::{
     BlockData, ClientLocation, ClusterConfig, FsError, MediaId, ReplicationVector, RpcConfig,
-    ServerConfig, MB,
+    ServerConfig, WorkerId, MB,
 };
 use octopus_core::net::frame::{read_mux_frame, write_mux_frame};
-use octopus_core::net::proto::{WorkerRequest, WorkerResponse};
+use octopus_core::net::proto::{MasterRequest, WorkerRequest, WorkerResponse};
 use octopus_core::net::worker_server::scrub_and_report;
-use octopus_core::net::{MasterServer, NetCluster, RpcClient};
+use octopus_core::net::{MasterServer, NetCluster, RpcClient, WorkerServer};
+use octopus_core::{build_single_worker, StorageMode};
 use octopus_master::Master;
 
 fn config() -> ClusterConfig {
@@ -224,6 +226,50 @@ fn deep_pipelines_under_load_complete_without_a_stall() {
         let blocks = client.get_file_block_locations(&format!("/deep{i}"), 0, u64::MAX).unwrap();
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].locations.len(), 5, "/deep{i}: {:?}", blocks[0].locations);
+    }
+}
+
+/// `shutdown` takes the handler — and with it the server's hold on the
+/// `Master` — out of the state its detached threads share. With no
+/// request in flight, nothing of the server owns the master once
+/// `shutdown` has returned: the caller's drop is the last one, and runs
+/// on the caller's thread. (It used to be whichever pool or reader thread
+/// exited last: a 200,000-file namespace was then freed on a dying thread
+/// while the caller was already booting the next cluster — `meta`'s
+/// slow-mode set-up.) No sleep: the pool threads are still exiting when
+/// the check runs.
+#[test]
+fn after_shutdown_the_callers_handle_to_the_master_is_the_last() {
+    for round in 0..100 {
+        let master = Arc::new(Master::new(config()).unwrap());
+        let weak = Arc::downgrade(&master);
+        let mut server = MasterServer::spawn(Arc::clone(&master)).unwrap();
+        // A served request: the pool thread that ran it cloned the handler.
+        let client = RpcClient::new(client_cfg());
+        client.call_master(server.addr(), &MasterRequest::Mkdir(format!("/d{round}"))).unwrap();
+        server.shutdown();
+        drop(server);
+        drop(master);
+        assert!(weak.upgrade().is_none(), "round {round}: a server thread still owns the master");
+    }
+}
+
+/// The same for a data server and the `Worker` (and every block) behind it.
+#[test]
+fn after_shutdown_the_callers_handle_to_the_worker_is_the_last() {
+    // Nothing listens here: `Metrics` is answered without calling the master.
+    let no_master = "127.0.0.1:1".parse().unwrap();
+    for round in 0..100 {
+        let worker = build_single_worker(&config(), WorkerId(0), &StorageMode::InMemory).unwrap();
+        let weak = Arc::downgrade(&worker);
+        let mut server =
+            WorkerServer::spawn(Arc::clone(&worker), no_master, Default::default()).unwrap();
+        let client = RpcClient::new(client_cfg());
+        client.call_worker(server.addr(), &WorkerRequest::Metrics).unwrap();
+        server.shutdown();
+        drop(server);
+        drop(worker);
+        assert!(weak.upgrade().is_none(), "round {round}: a server thread still owns the worker");
     }
 }
 

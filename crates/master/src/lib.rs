@@ -19,6 +19,8 @@
 //! - [`backup`]: the backup master that tails the edit log, keeps an
 //!   up-to-date namespace image, and produces checkpoints.
 
+#![forbid(unsafe_code)]
+
 pub mod autotier;
 pub mod backup;
 pub mod blockmap;

@@ -20,6 +20,8 @@
 //! them unit-testable and benchmarkable in isolation, and means the same
 //! code drives both the real in-process cluster and the simulated one.
 
+#![forbid(unsafe_code)]
+
 pub mod objectives;
 pub mod placement;
 pub mod removal;

@@ -33,6 +33,8 @@
 //! # let _ = e2;
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod time;
 

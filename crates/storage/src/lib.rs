@@ -14,6 +14,8 @@
 //! - [`probe`]: the startup I/O test that measures each medium's sustained
 //!   write/read throughput (paper §3.2, "Throughput maximization").
 
+#![forbid(unsafe_code)]
+
 mod file;
 mod media;
 mod memory;

@@ -16,7 +16,9 @@ cargo test --workspace --release -q
 echo "==> third_party/bytes stand-in tests"
 # Outside the workspace (it is a [patch] target), so not covered above:
 # `Bytes::from(Vec)` must keep the Vec's buffer — the data path's
-# zero-copy hops rest on it.
+# zero-copy hops rest on it — and `Bytes::from_owner` must drop its owner
+# exactly once, with the last view, and slice without copying: that drop
+# is what returns a pooled block buffer to its pool.
 cargo test --release -q --manifest-path third_party/bytes/Cargo.toml \
     --target-dir target/third_party
 

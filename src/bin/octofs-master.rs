@@ -19,6 +19,8 @@
 //! and promotes/demotes them across tiers, with background copies
 //! capped at `--autotier-bps` bytes/sec (default 64 MB/s; 0 = unpaced).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

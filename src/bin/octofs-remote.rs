@@ -18,6 +18,8 @@
 //! block, candidate scores included; `migrations [N]` lists the most
 //! recent auto-tiering promote/demote decisions.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;

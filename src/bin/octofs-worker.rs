@@ -11,6 +11,8 @@
 //! With `--dir`, persistent tiers store blocks under that directory and a
 //! restarted worker re-reports them.
 
+#![forbid(unsafe_code)]
+
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -22,6 +22,8 @@
 //! octofs --root DIR fsck
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

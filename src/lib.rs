@@ -22,6 +22,8 @@
 //! EXPERIMENTS.md for the system inventory and the paper-reproduction
 //! index.
 
+#![forbid(unsafe_code)]
+
 pub use octopus_common as common;
 pub use octopus_compute as compute;
 pub use octopus_core as core;
