@@ -10,7 +10,6 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use octopus_common::{ClusterConfig, FsError, Result};
-use octopus_master::editlog::decode_stream;
 use octopus_master::{BackupMaster, Master};
 
 use super::proto::{MasterRequest, MasterResponse};
@@ -42,21 +41,21 @@ impl NetBackup {
         Ok(Self { inner, stop, handle: Some(handle) })
     }
 
-    /// Pulls and applies the primary's edit-log tail once. Returns the
-    /// number of ops applied.
+    /// Pulls and applies the primary's edit-log tail, one capped reply at
+    /// a time until none is left. Returns the number of ops applied.
     pub fn sync_once(inner: &Mutex<BackupMaster>, primary: SocketAddr) -> Result<usize> {
         let mut guard = inner.lock();
-        let from = guard.applied() as u64;
-        match call_master(primary, &MasterRequest::EditsSince(from))? {
-            MasterResponse::Edits(buf) => {
-                let ops = decode_stream(&buf)?;
-                let n = ops.len();
-                for op in ops {
-                    guard.apply(op)?;
+        let before = guard.applied();
+        loop {
+            let from = guard.applied() as u64;
+            match call_master(primary, &MasterRequest::EditsSince(from))? {
+                MasterResponse::Edits(framed) => {
+                    if guard.apply_edits(&framed)? == 0 {
+                        return Ok(guard.applied() - before);
+                    }
                 }
-                Ok(n)
+                r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
             }
-            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
         }
     }
 

@@ -197,6 +197,8 @@ fn remote_lease_blocks_second_writer_on_open_file() {
 
 #[test]
 fn networked_backup_tails_and_takes_over() {
+    use octopus_core::net::proto::{MasterRequest, MasterResponse};
+    use octopus_core::net::worker_server::call_master;
     use octopus_core::net::NetBackup;
 
     let cluster = NetCluster::start(config()).unwrap();
@@ -209,6 +211,17 @@ fn networked_backup_tails_and_takes_over() {
     let backup = NetBackup::start(cluster.master_addr(), 10).unwrap();
     backup.sync_now(cluster.master_addr()).unwrap();
     assert!(backup.applied() >= 4, "mkdir + create + block + close");
+
+    // What it tails is the log's own framing: an `Edits` reply decodes as
+    // a record stream, into the ops the primary logged.
+    let Ok(MasterResponse::Edits(framed)) =
+        call_master(cluster.master_addr(), &MasterRequest::EditsSince(0))
+    else {
+        panic!("EditsSince(0) did not answer Edits");
+    };
+    let shipped = octopus_master::editlog::decode_stream(&framed).unwrap();
+    assert_eq!(shipped, cluster.master().edit_ops_since(0).unwrap());
+    assert_eq!(shipped[0], octopus_master::EditOp::Mkdir { path: "/prod".into() });
 
     // More activity lands via the background tailing thread.
     client

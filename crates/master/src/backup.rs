@@ -5,7 +5,7 @@
 
 use octopus_common::Result;
 
-use crate::editlog::{encode_image, EditOp};
+use crate::editlog::{encode_image, replay_stream};
 use crate::master::Master;
 use crate::namespace::Namespace;
 
@@ -13,7 +13,7 @@ use crate::namespace::Namespace;
 pub struct BackupMaster {
     ns: Namespace,
     applied: usize,
-    checkpoints: Vec<Vec<u8>>,
+    checkpoint: Option<Vec<u8>>,
 }
 
 impl Default for BackupMaster {
@@ -25,25 +25,28 @@ impl Default for BackupMaster {
 impl BackupMaster {
     /// A fresh backup with an empty namespace image.
     pub fn new() -> Self {
-        Self { ns: Namespace::new(), applied: 0, checkpoints: Vec::new() }
+        Self { ns: Namespace::new(), applied: 0, checkpoint: None }
     }
 
-    /// Pulls and applies the primary's edit-log tail. Returns the number of
-    /// ops applied.
+    /// Pulls and applies the primary's edit-log tail, one capped reply at
+    /// a time until none is left. Returns the number of ops applied.
     pub fn sync_from(&mut self, primary: &Master) -> Result<usize> {
-        let ops = primary.edits_since(self.applied);
-        let n = ops.len();
-        for op in ops {
-            self.apply(op)?;
-        }
-        Ok(n)
+        let before = self.applied;
+        while self.apply_edits(&primary.edits_since(self.applied)?)? > 0 {}
+        Ok(self.applied - before)
     }
 
-    /// Applies one streamed edit op.
-    pub fn apply(&mut self, op: EditOp) -> Result<()> {
-        op.apply(&mut self.ns)?;
-        self.applied += 1;
-        Ok(())
+    /// Applies a run of framed edit records as shipped by the primary
+    /// (CRC-checked, decoded and applied one at a time). Returns how many
+    /// it held.
+    pub fn apply_edits(&mut self, framed: &[u8]) -> Result<usize> {
+        let before = self.applied;
+        replay_stream(framed, |op| {
+            op.apply(&mut self.ns)?;
+            self.applied += 1;
+            Ok(())
+        })?;
+        Ok(self.applied - before)
     }
 
     /// Number of ops applied so far.
@@ -51,16 +54,17 @@ impl BackupMaster {
         self.applied
     }
 
-    /// Creates (and retains) a checkpoint of the current image.
+    /// Creates a checkpoint of the current image and retains it as the
+    /// latest.
     pub fn create_checkpoint(&mut self) -> Vec<u8> {
         let image = encode_image(&self.ns);
-        self.checkpoints.push(image.clone());
+        self.checkpoint = Some(image.clone());
         image
     }
 
     /// The most recent checkpoint, if any.
     pub fn latest_checkpoint(&self) -> Option<&[u8]> {
-        self.checkpoints.last().map(|v| v.as_slice())
+        self.checkpoint.as_deref()
     }
 
     /// Read access to the mirrored namespace (for takeover and tests).
@@ -79,6 +83,7 @@ impl BackupMaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::editlog::EditOp;
     use octopus_common::MediaId;
     use octopus_common::{
         ClientLocation, ClusterConfig, MediaStats, RackId, ReplicationVector, TierId, WorkerId,
@@ -158,7 +163,7 @@ mod tests {
         let cp_ops = primary.edit_count();
 
         primary.mkdir("/a/late").unwrap();
-        let tail = primary.edits_since(cp_ops);
+        let tail = primary.edit_ops_since(cp_ops).unwrap();
 
         let recovered = Master::restore(primary.config().clone(), &checkpoint).unwrap();
         for op in tail {
@@ -169,5 +174,54 @@ mod tests {
             }
         }
         assert!(recovered.status("/a/late").is_ok());
+    }
+
+    /// A log several reply caps long is caught up from 0 one capped reply
+    /// at a time — whole records each — to the primary's own image, while
+    /// the primary keeps committing.
+    #[test]
+    fn a_long_log_is_tailed_in_capped_replies_while_commits_continue() {
+        use crate::editlog::{decode_stream, EditLog, TAIL_CAP};
+
+        let dir = std::env::temp_dir().join(format!("octopus_backup_tail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let log_path = dir.join("edits.log");
+        // ~3.5 caps of history: 60k directories with ~230-byte names.
+        let name = "n".repeat(220);
+        let history: Vec<EditOp> =
+            (0..60_000).map(|i| EditOp::Mkdir { path: format!("/{name}{i:06}") }).collect();
+        EditLog::open(&log_path).unwrap().append_batch(history).unwrap();
+        let log_len = std::fs::metadata(&log_path).unwrap().len() as usize;
+        assert!(log_len > 3 * TAIL_CAP);
+        let config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
+        let primary = Master::with_log(config, EditLog::open(&log_path).unwrap()).unwrap();
+
+        let first = primary.edits_since(0).unwrap();
+        assert!(first.len() <= TAIL_CAP && first.len() > TAIL_CAP / 2);
+        let whole = decode_stream(&first).unwrap();
+        assert_eq!(first.len(), whole.len() * (log_len / 60_000), "a reply is whole records");
+
+        let mut backup = BackupMaster::new();
+        std::thread::scope(|s| {
+            let committer = s.spawn(|| {
+                for i in 0..200 {
+                    primary.mkdir(&format!("/live{i}")).unwrap();
+                }
+            });
+            let mut replies = 0;
+            while backup.applied() < 60_000 {
+                let reply = primary.edits_since(backup.applied()).unwrap();
+                assert!(reply.len() <= TAIL_CAP);
+                assert!(backup.apply_edits(&reply).unwrap() > 0);
+                replies += 1;
+            }
+            assert!(replies >= 4, "60k records in {replies} replies");
+            committer.join().unwrap();
+        });
+        backup.sync_from(&primary).unwrap();
+        assert_eq!(backup.applied(), 60_200);
+        assert_eq!(backup.create_checkpoint(), primary.checkpoint());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

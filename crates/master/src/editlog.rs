@@ -8,15 +8,21 @@
 //! re-expressed as the minimal op sequence that recreates it, so restore =
 //! replay(checkpoint) + replay(tail of the log) — exactly the HDFS
 //! fsimage/edits model the paper inherits (§2.1).
+//!
+//! The log has one representation: the framed records themselves, in a
+//! file (or, for [`EditLog::in_memory`], a byte vector). The master's heap
+//! holds its namespace, not its history — replay streams the records
+//! through a fixed buffer, and the backup master is handed the log's own
+//! bytes.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Arc, Condvar, PoisonError};
 
 use octopus_common::checksum::crc32;
 use octopus_common::{BlockId, FsError, ReplicationVector, Result, MAX_TIERS};
 use parking_lot::Mutex;
-use std::sync::{Condvar, PoisonError};
 
 use crate::namespace::{Namespace, TierQuota};
 
@@ -164,61 +170,66 @@ impl EditOp {
     /// Encodes the op body (without record framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(64);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the encoded op body to `b`.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             EditOp::Mkdir { path } => {
                 b.push(TAG_MKDIR);
-                put_str(&mut b, path);
+                put_str(b, path);
             }
             EditOp::CreateFile { path, rv, block_size } => {
                 b.push(TAG_CREATE);
-                put_str(&mut b, path);
-                put_u64(&mut b, rv.to_bits());
-                put_u64(&mut b, *block_size);
+                put_str(b, path);
+                put_u64(b, rv.to_bits());
+                put_u64(b, *block_size);
             }
             EditOp::AddBlock { path, block, gen, len } => {
                 b.push(TAG_ADD_BLOCK);
-                put_str(&mut b, path);
-                put_u64(&mut b, block.0);
-                put_u64(&mut b, *gen);
-                put_u64(&mut b, *len);
+                put_str(b, path);
+                put_u64(b, block.0);
+                put_u64(b, *gen);
+                put_u64(b, *len);
             }
             EditOp::CloseFile { path } => {
                 b.push(TAG_CLOSE);
-                put_str(&mut b, path);
+                put_str(b, path);
             }
             EditOp::AppendFile { path } => {
                 b.push(TAG_APPEND);
-                put_str(&mut b, path);
+                put_str(b, path);
             }
             EditOp::Rename { src, dst } => {
                 b.push(TAG_RENAME);
-                put_str(&mut b, src);
-                put_str(&mut b, dst);
+                put_str(b, src);
+                put_str(b, dst);
             }
             EditOp::Delete { path } => {
                 b.push(TAG_DELETE);
-                put_str(&mut b, path);
+                put_str(b, path);
             }
             EditOp::SetReplication { path, rv } => {
                 b.push(TAG_SET_REP);
-                put_str(&mut b, path);
-                put_u64(&mut b, rv.to_bits());
+                put_str(b, path);
+                put_u64(b, rv.to_bits());
             }
             EditOp::SetQuota { path, quota } => {
                 b.push(TAG_SET_QUOTA);
-                put_str(&mut b, path);
+                put_str(b, path);
                 for t in 0..MAX_TIERS {
-                    put_u64(&mut b, quota.per_tier[t].unwrap_or(NO_QUOTA));
+                    put_u64(b, quota.per_tier[t].unwrap_or(NO_QUOTA));
                 }
             }
             EditOp::AbandonBlock { path, block, len } => {
                 b.push(TAG_ABANDON_BLOCK);
-                put_str(&mut b, path);
-                put_u64(&mut b, block.0);
-                put_u64(&mut b, *len);
+                put_str(b, path);
+                put_u64(b, block.0);
+                put_u64(b, *len);
             }
         }
-        b
     }
 
     /// Decodes one op body.
@@ -309,128 +320,276 @@ impl EditOp {
     }
 }
 
-/// Frames ops as `[len u32][crc u32][body]` records.
-fn frame(op: &EditOp) -> Vec<u8> {
-    let body = op.encode();
-    let mut rec = Vec::with_capacity(body.len() + 8);
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(&body).to_le_bytes());
-    rec.extend_from_slice(&body);
-    rec
+/// Bytes of record framing ahead of each body: `[len u32][crc u32]`.
+const HEADER: usize = 8;
+
+/// The log remembers the byte offset of every `INDEX_STRIDE`-th record —
+/// all the per-record state it keeps, 8 bytes per 4,096 records.
+const INDEX_STRIDE: u64 = 4096;
+
+/// Appends reach the backing in writes of about this size, so the encode
+/// buffer stays fixed however large a batch is.
+const WRITE_CHUNK: usize = 1 << 20;
+
+/// Most bytes one [`GroupCommitLog::tail`] reply carries (whole records; a
+/// single larger record still goes out alone).
+pub(crate) const TAIL_CAP: usize = 4 << 20;
+
+/// Appends `op` to `buf` as one `[len u32][crc u32][body]` record.
+fn frame_into(op: &EditOp, buf: &mut Vec<u8>) {
+    let head = buf.len();
+    buf.extend_from_slice(&[0; HEADER]);
+    op.encode_into(buf);
+    let body = &buf[head + HEADER..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    buf[head..head + 4].copy_from_slice(&len.to_le_bytes());
+    buf[head + 4..head + HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Streams the records in the first `len` bytes of `src` through one
+/// reused buffer, handing each CRC-checked body to `f`. Stops cleanly at a
+/// truncated tail (a crash mid-append), erroring only on corruption of a
+/// complete record. Returns the byte length of the whole records.
+fn scan_records(src: impl Read, len: u64, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
+    let mut src = BufReader::with_capacity(64 << 10, src);
+    let mut head = [0u8; HEADER];
+    let mut body = Vec::new();
+    let mut at = 0u64;
+    while len - at >= HEADER as u64 {
+        src.read_exact(&mut head)?;
+        let mut fields = Reader::new(&head);
+        let (body_len, crc) = (fields.u32()? as u64, fields.u32()?);
+        if len - at - (HEADER as u64) < body_len {
+            break; // truncated tail
+        }
+        body.resize(body_len as usize, 0);
+        src.read_exact(&mut body)?;
+        if crc32(&body) != crc {
+            return Err(FsError::Io("edit record CRC mismatch".into()));
+        }
+        f(&body)?;
+        at += HEADER as u64 + body_len;
+    }
+    Ok(at)
+}
+
+/// Copies whole records out of `src` (positioned at a record boundary,
+/// holding only whole records): hops over the first `skip`, then takes
+/// records while they fit in `cap` bytes — always at least one.
+fn read_tail(src: impl Read, skip: u64, cap: usize) -> Result<Vec<u8>> {
+    let mut src = BufReader::with_capacity(64 << 10, src);
+    let mut head = [0u8; HEADER];
+    let mut out = Vec::new();
+    let mut skipped = 0;
+    loop {
+        match src.read_exact(&mut head) {
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(out),
+            r => r?,
+        }
+        let body_len = Reader::new(&head).u32()? as u64;
+        if skipped < skip {
+            std::io::copy(&mut src.by_ref().take(body_len), &mut std::io::sink())?;
+            skipped += 1;
+            continue;
+        }
+        let body_at = out.len() + HEADER;
+        if !out.is_empty() && body_at + body_len as usize > cap {
+            return Ok(out);
+        }
+        out.extend_from_slice(&head);
+        out.resize(body_at + body_len as usize, 0);
+        src.read_exact(&mut out[body_at..])?;
+    }
+}
+
+/// Decodes and hands to `f` every record of a framed stream (a checkpoint
+/// image, a shipped log tail), with [`scan_records`]' torn-tail rule.
+pub(crate) fn replay_stream(buf: &[u8], mut f: impl FnMut(EditOp) -> Result<()>) -> Result<()> {
+    scan_records(buf, buf.len() as u64, |body| f(EditOp::decode(body)?)).map(drop)
 }
 
 /// Decodes a stream of framed records. Stops cleanly at a truncated tail
 /// (a crash mid-append), erroring only on corruption of complete records.
-pub fn decode_stream(mut buf: &[u8]) -> Result<Vec<EditOp>> {
+pub fn decode_stream(buf: &[u8]) -> Result<Vec<EditOp>> {
     let mut ops = Vec::new();
-    while buf.len() >= 8 {
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if buf.len() < 8 + len {
-            break; // truncated tail
-        }
-        let body = &buf[8..8 + len];
-        if crc32(body) != crc {
-            return Err(FsError::Io("edit record CRC mismatch".into()));
-        }
-        ops.push(EditOp::decode(body)?);
-        buf = &buf[8 + len..];
-    }
+    replay_stream(buf, |op| {
+        ops.push(op);
+        Ok(())
+    })?;
     Ok(ops)
 }
 
-/// The edit log: an in-memory op sequence, optionally write-through to a
-/// file.
+/// Where the framed records live.
+enum Backing {
+    /// Tests, simulations, and masters restored from an image: the one
+    /// backing whose heap grows with history.
+    Mem(Vec<u8>),
+    /// The file, through two handles: appends never share a cursor (or a
+    /// lock) with readers.
+    File { append: File, read: Arc<Mutex<File>> },
+}
+
+/// The edit log: framed records in a file (or a byte vector), plus the
+/// little that is worth keeping in memory about them — how many there are,
+/// where the last whole one ends, and a sparse record → offset index.
 pub struct EditLog {
-    ops: Vec<EditOp>,
-    file: Option<File>,
+    backing: Backing,
+    records: u64,
+    /// Bytes of whole, written records; appends land here.
+    valid_len: u64,
+    /// `index[k]` is the byte offset of record `k * INDEX_STRIDE`.
+    index: Vec<u64>,
+    /// Encode buffer reused by every append.
+    buf: Vec<u8>,
 }
 
 impl EditLog {
     /// An in-memory log (tests, simulations).
     pub fn in_memory() -> Self {
-        Self { ops: Vec::new(), file: None }
+        Self {
+            backing: Backing::Mem(Vec::new()),
+            records: 0,
+            valid_len: 0,
+            index: Vec::new(),
+            buf: Vec::new(),
+        }
     }
 
-    /// Opens (or creates) a file-backed log, loading existing records.
+    /// An in-memory log holding `bytes` — framed records such as a
+    /// checkpoint image — as its history.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+        let len = bytes.len() as u64;
+        Self::recover(Backing::Mem(bytes), len)
+    }
+
+    /// Opens (or creates) a file-backed log. Existing records are counted
+    /// and CRC-checked, not kept; a torn tail — the partial record a crash
+    /// mid-append leaves — is cut off so the next append lands on a record
+    /// boundary. A complete record with a bad CRC is an error.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        let mut existing = Vec::new();
-        if path.exists() {
-            File::open(path)?.read_to_end(&mut existing)?;
-        }
-        let ops = decode_stream(&existing)?;
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { ops, file: Some(file) })
+        let append = OpenOptions::new().create(true).append(true).open(path)?;
+        let read = File::open(path)?;
+        let len = read.metadata()?.len();
+        Self::recover(Backing::File { append, read: Arc::new(Mutex::new(read)) }, len)
     }
 
-    /// Appends an op (write-through when file-backed).
+    /// Scans `len` bytes of existing records into `records`, `valid_len`
+    /// and the index, then truncates the backing to `valid_len`.
+    fn recover(backing: Backing, len: u64) -> Result<Self> {
+        let mut log = Self { backing, ..Self::in_memory() };
+        let (mut records, mut at, mut index) = (0u64, 0u64, Vec::new());
+        let valid_len = log.scan(len, |body| {
+            if records % INDEX_STRIDE == 0 {
+                index.push(at);
+            }
+            records += 1;
+            at += (HEADER + body.len()) as u64;
+            Ok(())
+        })?;
+        if valid_len < len {
+            match &mut log.backing {
+                Backing::Mem(bytes) => bytes.truncate(valid_len as usize),
+                Backing::File { append, .. } => {
+                    append.set_len(valid_len)?;
+                    append.sync_data()?;
+                }
+            }
+        }
+        Ok(Self { records, valid_len, index, ..log })
+    }
+
+    /// [`scan_records`] over the first `len` bytes of the backing.
+    fn scan(&self, len: u64, f: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
+        match &self.backing {
+            Backing::Mem(bytes) => scan_records(&bytes[..len as usize], len, f),
+            Backing::File { read, .. } => {
+                let mut file = read.lock();
+                file.seek(SeekFrom::Start(0))?;
+                scan_records(&mut *file, len, f)
+            }
+        }
+    }
+
+    /// Appends an op (written through when file-backed, not synced).
     pub fn append(&mut self, op: EditOp) -> Result<()> {
-        if let Some(f) = &mut self.file {
-            f.write_all(&frame(&op))?;
-            f.flush()?;
-        }
-        self.ops.push(op);
-        Ok(())
+        self.write_records(std::slice::from_ref(&op), false)
     }
 
-    /// Appends a batch of ops with one coalesced write and a single
-    /// `fsync` — the durability half of group commit. Records only become
-    /// part of the in-memory sequence once the whole batch is on stable
-    /// storage, so tailing readers (the backup master) never see an op
-    /// that a crash could take back.
+    /// Appends a batch of ops with a single `fsync` — the durability half
+    /// of group commit. Records only count (and become visible to tailing
+    /// readers such as the backup master) once the whole batch is on
+    /// stable storage, so no reader sees an op that a crash could take
+    /// back.
     pub fn append_batch(&mut self, ops: Vec<EditOp>) -> Result<()> {
+        self.write_records(&ops, true)
+    }
+
+    fn write_records(&mut self, ops: &[EditOp], sync: bool) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
-        if let Some(f) = &mut self.file {
-            let mut buf = Vec::with_capacity(ops.len() * 64);
-            for op in &ops {
-                buf.extend_from_slice(&frame(op));
+        let indexed = self.index.len();
+        match self.write_framed(ops, sync) {
+            Ok(end) => {
+                self.records += ops.len() as u64;
+                self.valid_len = end;
+                Ok(())
             }
-            f.write_all(&buf)?;
-            f.flush()?;
-            f.sync_data()?;
+            Err(e) => {
+                self.index.truncate(indexed);
+                Err(e)
+            }
         }
-        self.ops.extend(ops);
-        Ok(())
     }
 
-    /// All recorded ops.
-    pub fn ops(&self) -> &[EditOp] {
-        &self.ops
+    /// Encodes `ops` into the reused buffer and writes them out in
+    /// [`WRITE_CHUNK`]s, indexing as it goes. Returns where the records
+    /// end.
+    fn write_framed(&mut self, ops: &[EditOp], sync: bool) -> Result<u64> {
+        let mut end = self.valid_len;
+        self.buf.clear();
+        for (record, op) in (self.records..).zip(ops) {
+            if record % INDEX_STRIDE == 0 {
+                self.index.push(end + self.buf.len() as u64);
+            }
+            frame_into(op, &mut self.buf);
+            if self.buf.len() >= WRITE_CHUNK {
+                self.backing.write_all(&self.buf)?;
+                end += self.buf.len() as u64;
+                self.buf.clear();
+            }
+        }
+        self.backing.write_all(&self.buf)?;
+        end += self.buf.len() as u64;
+        if let (true, Backing::File { append, .. }) = (sync, &self.backing) {
+            append.sync_data()?;
+        }
+        Ok(end)
     }
 
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.records as usize
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.records == 0
     }
 
-    /// Ops recorded at or after index `from` (for incremental tailing by
-    /// the backup master).
-    pub fn since(&self, from: usize) -> &[EditOp] {
-        &self.ops[from.min(self.ops.len())..]
+    /// Streams every recorded op, in order, to `f`: each record is read,
+    /// CRC-checked, decoded, handed over and dropped.
+    pub fn replay(&self, mut f: impl FnMut(EditOp) -> Result<()>) -> Result<()> {
+        self.scan(self.valid_len, |body| f(EditOp::decode(body)?)).map(drop)
     }
+}
 
-    /// Replays the whole log onto a namespace.
-    pub fn replay(&self, ns: &mut Namespace) -> Result<()> {
-        for op in &self.ops {
-            op.apply(ns)?;
-        }
-        Ok(())
-    }
-
-    /// Truncates the in-memory ops (after they are folded into a
-    /// checkpoint). File-backed logs are rewritten empty.
-    pub fn truncate(&mut self) -> Result<()> {
-        self.ops.clear();
-        if let Some(f) = &mut self.file {
-            f.set_len(0)?;
+impl Backing {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        match self {
+            Backing::Mem(bytes) => bytes.extend_from_slice(buf),
+            Backing::File { append, .. } => append.write_all(buf)?,
         }
         Ok(())
     }
@@ -546,11 +705,29 @@ impl GroupCommitLog {
         self.log.lock().len()
     }
 
-    /// Clones the durable ops recorded at or after index `from` (for
-    /// incremental tailing by the backup master). Staged-but-unflushed ops
-    /// are invisible here by design.
-    pub fn since(&self, from: usize) -> Vec<EditOp> {
-        self.log.lock().since(from).to_vec()
+    /// The log's own bytes from record `from` on: whole durable records,
+    /// at most [`TAIL_CAP`] bytes of them (so a reader far behind calls
+    /// again until the reply is empty). Staged-but-unflushed ops are
+    /// invisible here by design. The log's lock is held only to resolve
+    /// `from` to a byte range; the file is read through its second handle
+    /// after release, so a tailing backup never holds up a commit.
+    pub fn tail(&self, from: u64) -> Result<Vec<u8>> {
+        let log = self.log.lock();
+        if from >= log.records {
+            return Ok(Vec::new());
+        }
+        let start = log.index[(from / INDEX_STRIDE) as usize];
+        let (skip, end) = (from % INDEX_STRIDE, log.valid_len);
+        match &log.backing {
+            Backing::Mem(bytes) => read_tail(&bytes[start as usize..end as usize], skip, TAIL_CAP),
+            Backing::File { read, .. } => {
+                let read = Arc::clone(read);
+                drop(log);
+                let mut file = read.lock();
+                file.seek(SeekFrom::Start(start))?;
+                read_tail((&mut *file).take(end - start), skip, TAIL_CAP)
+            }
+        }
     }
 
     /// Forces every staged op to stable storage.
@@ -566,29 +743,23 @@ impl GroupCommitLog {
     }
 }
 
-/// Expresses a namespace as the minimal op sequence recreating it
-/// (a checkpoint image).
-pub fn namespace_to_ops(ns: &Namespace) -> Vec<EditOp> {
-    let mut ops = Vec::new();
+/// Expresses a namespace as the minimal op sequence recreating it (a
+/// checkpoint image), one op at a time.
+fn for_each_image_op(ns: &Namespace, mut f: impl FnMut(EditOp)) {
     for (path, quota) in ns.iter_dirs() {
         if path != "/" {
-            ops.push(EditOp::Mkdir { path: path.clone() });
+            f(EditOp::Mkdir { path: path.clone() });
         }
         if quota != TierQuota::unlimited() {
-            ops.push(EditOp::SetQuota { path, quota });
+            f(EditOp::SetQuota { path, quota });
         }
     }
     let mut files = ns.iter_files();
     files.sort_by(|a, b| a.1.cmp(&b.1));
     for (_, path, meta) in files {
-        ops.push(EditOp::CreateFile {
-            path: path.clone(),
-            rv: meta.rv,
-            block_size: meta.block_size,
-        });
-        let blocks = meta.blocks.clone();
-        let n = blocks.len() as u64;
-        for (i, b) in blocks.iter().enumerate() {
+        f(EditOp::CreateFile { path: path.clone(), rv: meta.rv, block_size: meta.block_size });
+        let n = meta.blocks.len() as u64;
+        for (i, b) in meta.blocks.iter().enumerate() {
             // Per-block lengths are not kept in the namespace (only the
             // total); reconstruct: all but the last block are full.
             let len = if i as u64 + 1 < n {
@@ -596,30 +767,25 @@ pub fn namespace_to_ops(ns: &Namespace) -> Vec<EditOp> {
             } else {
                 meta.len - meta.block_size * (n.saturating_sub(1))
             };
-            ops.push(EditOp::AddBlock { path: path.clone(), block: *b, gen: 0, len });
+            f(EditOp::AddBlock { path: path.clone(), block: *b, gen: 0, len });
         }
         if meta.complete {
-            ops.push(EditOp::CloseFile { path: path.clone() });
+            f(EditOp::CloseFile { path });
         }
     }
-    ops
 }
 
 /// Serializes a checkpoint image to bytes.
 pub fn encode_image(ns: &Namespace) -> Vec<u8> {
     let mut out = Vec::new();
-    for op in namespace_to_ops(ns) {
-        out.extend_from_slice(&frame(&op));
-    }
+    for_each_image_op(ns, |op| frame_into(&op, &mut out));
     out
 }
 
 /// Restores a namespace from a checkpoint image.
 pub fn decode_image(image: &[u8]) -> Result<Namespace> {
     let mut ns = Namespace::new();
-    for op in decode_stream(image)? {
-        op.apply(&mut ns)?;
-    }
+    replay_stream(image, |op| op.apply(&mut ns))?;
     Ok(ns)
 }
 
@@ -671,7 +837,7 @@ mod tests {
     fn stream_survives_truncated_tail_but_not_corruption() {
         let mut buf = Vec::new();
         for op in sample_ops() {
-            buf.extend_from_slice(&frame(&op));
+            frame_into(&op, &mut buf);
         }
         let full = decode_stream(&buf).unwrap();
         assert_eq!(full.len(), sample_ops().len());
@@ -691,7 +857,7 @@ mod tests {
             log.append(op).unwrap();
         }
         let mut ns = Namespace::new();
-        log.replay(&mut ns).unwrap();
+        log.replay(|op| op.apply(&mut ns)).unwrap();
         // After the sample sequence: /a exists with quota, /a/g is the
         // renamed file, /a/b was deleted.
         let st = ns.status("/a/g").unwrap();
@@ -704,33 +870,79 @@ mod tests {
 
     #[test]
     fn file_backed_log_persists() {
-        let dir = std::env::temp_dir().join(format!(
-            "octopus_editlog_{}_{}",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("edits.log");
+        let path = temp_log("persist");
         {
             let mut log = EditLog::open(&path).unwrap();
             for op in sample_ops() {
                 log.append(op).unwrap();
             }
         }
-        let log2 = EditLog::open(&path).unwrap();
-        assert_eq!(log2.ops(), sample_ops().as_slice());
-        std::fs::remove_dir_all(dir).ok();
+        let mut replayed = Vec::new();
+        let replay = EditLog::open(&path).unwrap().replay(|op| {
+            replayed.push(op);
+            Ok(())
+        });
+        assert_eq!((replay, replayed), (Ok(()), sample_ops()));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    fn temp_log(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "octopus_editlog_{tag}_{}_{}",
+            std::process::id(),
+            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("edits.log")
+    }
+
+    /// The tail from any record number is exactly the suffix of the ops
+    /// appended — through the sparse index, on both backings, across
+    /// reopen.
     #[test]
-    fn since_returns_incremental_tail() {
-        let mut log = EditLog::in_memory();
-        for op in sample_ops() {
-            log.append(op).unwrap();
+    fn tail_resolves_any_record_through_the_sparse_index() {
+        let ops: Vec<EditOp> =
+            (0..2 * INDEX_STRIDE + 10).map(|i| EditOp::Mkdir { path: format!("/d{i}") }).collect();
+        let path = temp_log("tail");
+        let mut on_disk = EditLog::open(&path).unwrap();
+        let mut in_memory = EditLog::in_memory();
+        for half in ops.chunks(INDEX_STRIDE as usize + 7) {
+            on_disk.append_batch(half.to_vec()).unwrap();
+            in_memory.append_batch(half.to_vec()).unwrap();
         }
-        assert_eq!(log.since(0).len(), log.len());
-        assert_eq!(log.since(7).len(), sample_ops().len() - 7);
-        assert!(log.since(100).is_empty());
+        drop(on_disk);
+        let reopened = EditLog::open(&path).unwrap();
+        assert_eq!(reopened.index, in_memory.index);
+        assert_eq!(reopened.index.len(), 3);
+        for log in [reopened, in_memory] {
+            let log = GroupCommitLog::new(log);
+            for from in
+                [0, 1, INDEX_STRIDE - 1, INDEX_STRIDE, INDEX_STRIDE + 1, ops.len() as u64 - 1]
+            {
+                let tail = decode_stream(&log.tail(from).unwrap()).unwrap();
+                assert_eq!(tail, ops[from as usize..], "tail from {from}");
+            }
+            assert!(log.tail(ops.len() as u64).unwrap().is_empty());
+            assert!(log.tail(u64::MAX).unwrap().is_empty());
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// A reply holds whole records up to the cap — or one record, however
+    /// large.
+    #[test]
+    fn tail_is_capped_at_whole_records() {
+        let mut buf = Vec::new();
+        let ops: Vec<EditOp> = (0..10).map(|i| EditOp::Mkdir { path: format!("/d{i}") }).collect();
+        for op in &ops {
+            frame_into(op, &mut buf);
+        }
+        let record = buf.len() / ops.len();
+        let cut = read_tail(&buf[..], 2, 3 * record + 1).unwrap();
+        assert_eq!(decode_stream(&cut).unwrap(), ops[2..5]);
+        assert_eq!(cut.len(), 3 * record);
+        let one = read_tail(&buf[..], 9, 1).unwrap();
+        assert_eq!(decode_stream(&one).unwrap(), ops[9..]);
     }
 
     #[test]
@@ -759,13 +971,5 @@ mod tests {
         assert_eq!(q, TierQuota::limit_tier(1, 1 << 30));
         assert_eq!(usage[1], 140); // SSD×1 charge re-derived on replay
         assert_eq!(usage[2], 280);
-    }
-
-    #[test]
-    fn truncate_clears_log() {
-        let mut log = EditLog::in_memory();
-        log.append(EditOp::Mkdir { path: "/x".into() }).unwrap();
-        log.truncate().unwrap();
-        assert!(log.is_empty());
     }
 }

@@ -337,13 +337,14 @@ impl Master {
         let mut ns = Namespace::new();
         let mut catalog: HashMap<BlockId, Block> = HashMap::new();
         let mut max_block = 0u64;
-        for op in log.ops() {
+        log.replay(|op| {
             op.apply(&mut ns)?;
             if let EditOp::AddBlock { block, gen, len, .. } = op {
-                catalog.insert(*block, Block { id: *block, gen: GenStamp(*gen), len: *len });
+                catalog.insert(block, Block { id: block, gen: GenStamp(gen), len });
                 max_block = max_block.max(block.0);
             }
-        }
+            Ok(())
+        })?;
         let mut blocks = BlockMap::new();
         for (file, meta) in ns.files() {
             for bid in &meta.blocks {
@@ -1757,18 +1758,28 @@ impl Master {
     /// Restores a master from a checkpoint image (locations empty until
     /// block reports arrive, as in HDFS).
     pub fn restore(config: ClusterConfig, image: &[u8]) -> Result<Self> {
-        let ops = decode_stream(image)?;
-        let mut log = EditLog::in_memory();
-        for op in ops {
-            log.append(op)?;
-        }
-        Self::with_log(config, log)
+        Self::with_log(config, EditLog::from_bytes(image.to_vec())?)
     }
 
-    /// The *durable* edit-log ops recorded at or after `from` (tailed by
-    /// the backup master — staged-but-unsynced ops are not yet visible).
-    pub fn edits_since(&self, from: usize) -> Vec<EditOp> {
-        self.log.since(from)
+    /// The *durable* edit log from record `from` on, as the log's own
+    /// framed bytes — what the backup master tails; staged-but-unsynced
+    /// ops are not yet visible. One reply is capped at 4 MiB of whole
+    /// records: call again from the next record until it comes back empty.
+    pub fn edits_since(&self, from: usize) -> Result<Vec<u8>> {
+        self.log.tail(from as u64)
+    }
+
+    /// [`Master::edits_since`] to the durable end, decoded (test and
+    /// diagnostic hook).
+    pub fn edit_ops_since(&self, from: usize) -> Result<Vec<EditOp>> {
+        let mut ops = Vec::new();
+        loop {
+            let reply = self.edits_since(from + ops.len())?;
+            if reply.is_empty() {
+                return Ok(ops);
+            }
+            ops.extend(decode_stream(&reply)?);
+        }
     }
 
     /// Number of durable ops in the edit log.

@@ -206,7 +206,7 @@ fn check_invariants(master: &Master) {
 
     // 1. Replay equivalence: the durable log alone rebuilds this image.
     let mut log = EditLog::in_memory();
-    for op in master.edits_since(0) {
+    for op in master.edit_ops_since(0).unwrap() {
         log.append(op).unwrap();
     }
     let config = ClusterConfig::test_cluster(4, 10 << 20, BLOCK_SIZE);

@@ -156,12 +156,15 @@ if [ ! -s results/metadata.json ]; then
 fi
 grep "^GATE" <<<"$meta_out"
 
-echo "==> octobench data-path smoke"
+echo "==> octobench smoke"
 # The benchmark's own correctness harness on the two data-moving
 # workloads: a non-zero exit is a failed op, a wrong byte, or a failed
 # audit (stored_per_user_byte = 3.00, empty replication_scan). Smoke
 # numbers are never compared. One traced `stream` run proves the ledger
-# still builds its table against the data path's API.
+# still builds its table against the data path's API. `meta` is the one
+# workload whose set-up *is* master recovery (write a log, replay it,
+# serve), and its traced run is what compiles and runs `editlog.*` and
+# `master.replay_files_per_s` against the edit log's API.
 octobench() {
     cargo run --release --quiet --manifest-path crates/benchmark/Cargo.toml \
         --bin octobench -- "$@" >/dev/null
@@ -169,7 +172,9 @@ octobench() {
 octobench --workload stream --smoke --trace 0
 octobench --workload tiered --smoke --trace 0
 octobench --workload stream --smoke --trace 1
-echo "octobench smoke: stream and tiered correct, ledger builds"
+octobench --workload meta --smoke --trace 0
+octobench --workload meta --smoke --trace 1
+echo "octobench smoke: stream, tiered and meta correct, ledgers build"
 
 echo "==> operator status smoke"
 # Boot the real daemons (one master, two workers) and check that

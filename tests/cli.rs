@@ -168,3 +168,23 @@ fn append_command_extends_file() {
     assert!(cat.starts_with("AAAA"));
     assert!(cat.ends_with("BBBB"));
 }
+
+/// Every invocation is a master restart, so a crash mid-append (a torn
+/// record at the end of `edits.log`) is followed by many recoveries: the
+/// first must cut the tear off, or the op the next one logs lands behind it
+/// and the instance never boots again.
+#[test]
+fn torn_edit_log_tail_survives_later_invocations() {
+    let cli = Cli::new("torn");
+    cli.ok(&["init", "--workers", "3", "--block-size", "65536"]);
+    cli.ok(&["mkdir", "/before"]);
+    let log = cli.root.join("edits.log");
+    let mut bytes = std::fs::read(&log).unwrap();
+    // Eleven bytes of a record that claimed a 40-byte body.
+    bytes.extend_from_slice(&[40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3]);
+    std::fs::write(&log, &bytes).unwrap();
+
+    cli.ok(&["mkdir", "/after"]);
+    let ls = cli.ok(&["ls", "/"]);
+    assert!(ls.contains("before") && ls.contains("after"), "{ls}");
+}

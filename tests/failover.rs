@@ -97,11 +97,8 @@ fn checkpoint_plus_log_tail_recovery() {
         .unwrap();
 
     // Recovery = checkpoint ops + the log tail, replayed together.
-    let mut log = EditLog::in_memory();
-    for op in octopusfs::master::editlog::decode_stream(&checkpoint).unwrap() {
-        log.append(op).unwrap();
-    }
-    for op in cluster.master().edits_since(tail_from) {
+    let mut log = EditLog::from_bytes(checkpoint).unwrap();
+    for op in cluster.master().edit_ops_since(tail_from).unwrap() {
         log.append(op).unwrap();
     }
     let recovered = Master::with_log(cluster.master().config().clone(), log).unwrap();

@@ -439,14 +439,16 @@ proptest! {
 //
 // Concurrent clients hammer a file-backed master; every mutation is acked
 // only after its group-commit batch fsyncs. The property: truncating the
-// on-disk log at *any* byte (decode_stream drops the torn record tail, so
-// every cut lands on a record boundary — a batch-prefix state) yields an
-// op sequence that replays cleanly into a fresh master. Staged order is
-// the linearization order, so every durable prefix is a state reachable
-// by some serial execution: no partial multi-op transactions, no op that
-// depends on an unlogged predecessor. The full log must additionally
-// contain every acked op: thread-private creates/deletes are tracked
-// exactly and checked against the replayed image.
+// on-disk log at *any* byte leaves a file that recovers (`EditLog::open`
+// cuts the torn record off, so every cut lands on a record boundary — a
+// batch-prefix state) and replays cleanly into a fresh master. Staged
+// order is the linearization order, so every durable prefix is a state
+// reachable by some serial execution: no partial multi-op transactions, no
+// op that depends on an unlogged predecessor. Each recovered master then
+// acknowledges one more op, crashes, and recovers *again* — the torn bytes
+// must not have come between the old records and the new one. The full log
+// must additionally contain every acked op: thread-private creates/deletes
+// are tracked exactly and checked against the replayed image.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -456,7 +458,6 @@ proptest! {
         seed in 0u64..1_000,
         threads in 2usize..5,
     ) {
-        use octopusfs::master::editlog::decode_stream;
         use octopusfs::master::{EditLog, Master};
 
         let dir = std::env::temp_dir().join(format!(
@@ -524,22 +525,30 @@ proptest! {
         let bytes = std::fs::read(&log_path).unwrap();
         prop_assert!(!bytes.is_empty());
 
-        // Any byte-level truncation replays cleanly (16 cuts + the end).
+        // Any byte-level truncation recovers and replays cleanly (16 cuts
+        // + the end), twice, with an acked op in between.
         let step = (bytes.len() / 16).max(1);
         let mut cuts: Vec<usize> = (0..bytes.len()).step_by(step).collect();
         cuts.push(bytes.len());
+        let cut_path = dir.join("cut.log");
         for cut in cuts {
-            let ops = decode_stream(&bytes[..cut]).unwrap();
-            let mut log = EditLog::in_memory();
-            for op in ops {
-                log.append(op).unwrap();
-            }
-            let replayed = Master::with_log(config.clone(), log);
+            std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+            let replayed = Master::with_log(config.clone(), EditLog::open(&cut_path).unwrap());
             prop_assert!(
                 replayed.is_ok(),
                 "durable prefix (cut={cut}) not serially reachable: {:?}",
                 replayed.err()
             );
+            let replayed = replayed.unwrap();
+            let durable = replayed.edit_count();
+            replayed.mkdir("/acked_after_the_cut").unwrap();
+            drop(replayed);
+            let again = EditLog::open(&cut_path)
+                .and_then(|log| Master::with_log(config.clone(), log));
+            prop_assert!(again.is_ok(), "second recovery (cut={cut}): {:?}", again.err());
+            let again = again.unwrap();
+            prop_assert_eq!(again.edit_count(), durable + 1, "cut={}", cut);
+            prop_assert!(again.status("/acked_after_the_cut").is_ok(), "cut={}", cut);
         }
 
         // The full log holds every acked private op exactly.
