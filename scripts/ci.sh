@@ -28,6 +28,21 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> paper figures regenerate byte-identical"
+# The nine simulator-only outputs (virtual clock, seeded RNGs) are
+# deterministic, so what is checked in must be what the generators print
+# (~2 s for all nine). table3 and scalability are wall-clock and stay out.
+fig_files=()
+for fig in table2 fig2 fig3 fig4 fig5 fig6 fig7 ablation usecase_sched; do
+    cargo run --release --quiet -p octopus-bench --bin "exp_${fig}" >/dev/null
+    fig_files+=("results/${fig}.txt")
+done
+if ! git diff --exit-code -- "${fig_files[@]}"; then
+    echo "figures: a checked-in result differs from what its generator prints" >&2
+    exit 1
+fi
+echo "figures: nine deterministic results unchanged"
+
 echo "==> metrics smoke test"
 # Boot a networked cluster, do one write/read, and check the merged
 # metrics snapshot exposes the expected series from every layer.
