@@ -20,7 +20,6 @@ fn main() {
         ("Aggregate I/O scaling", octopus_bench::experiments::aggregate_io::run),
         ("Access-heat separation", octopus_bench::experiments::heat::run),
         ("Auto-tiering vs static", octopus_bench::experiments::autotier::run),
-        ("Master metadata contention", octopus_bench::experiments::metadata::run),
     ];
     for (name, run) in experiments {
         octopus_common::log_info!(target: "bench", "msg=\"experiment starting\" name=\"{name}\"");

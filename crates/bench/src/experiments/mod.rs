@@ -13,7 +13,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod heat;
-pub mod metadata;
 pub mod net_metrics;
 pub mod net_trace;
 pub mod parallel_io;

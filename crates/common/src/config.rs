@@ -85,9 +85,6 @@ pub struct PolicyConfig {
     /// Prune placement candidates to two racks after the first two choices
     /// (§3.3 heuristic). Exposed for the ablation study.
     pub rack_pruning: bool,
-    /// Consider the client-collocated worker first for the first replica
-    /// (§3.3 heuristic).
-    pub prefer_local_client: bool,
 }
 
 impl Default for PolicyConfig {
@@ -98,7 +95,6 @@ impl Default for PolicyConfig {
             memory_placement_enabled: false,
             max_memory_fraction: 1.0 / 3.0,
             rack_pruning: true,
-            prefer_local_client: true,
         }
     }
 }
@@ -200,8 +196,6 @@ pub struct ClusterConfig {
     /// Heartbeat interval in milliseconds (drives staleness detection and
     /// how often NrConn/capacity stats refresh at the master).
     pub heartbeat_ms: u64,
-    /// A worker is declared dead after this many missed heartbeat intervals.
-    pub dead_after_missed: u32,
     /// Optional per-rack uplink bandwidth (bytes/s) for the simulator:
     /// when set, cross-rack flows additionally traverse a shared per-rack
     /// uplink resource, modelling the oversubscribed top-of-rack switches
@@ -335,7 +329,6 @@ impl ClusterConfig {
             max_replication: 16,
             policy: PolicyConfig::default(),
             heartbeat_ms: 3000,
-            dead_after_missed: 10,
             rack_uplink_bps: None,
             io_window: DEFAULT_IO_WINDOW,
             emulate_media_bps: false,
@@ -404,7 +397,6 @@ impl ClusterConfig {
             max_replication: 16,
             policy: PolicyConfig::default(),
             heartbeat_ms: 100,
-            dead_after_missed: 10,
             rack_uplink_bps: None,
             io_window: DEFAULT_IO_WINDOW,
             emulate_media_bps: false,

@@ -97,3 +97,31 @@ fn runs_are_deterministic() {
     let b = run_hibench(&w, Platform::Hadoop, FsMode::OctopusFs).unwrap();
     assert_eq!(a, b, "same seed, same virtual time");
 }
+
+#[test]
+fn a_job_whose_output_tier_is_full_returns_the_placement_error() {
+    use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, MB};
+    use octopus_compute::engine::run_job;
+    use octopus_compute::{EngineConfig, JobSpec};
+
+    // ~4 MB of memory per node: no memory medium can hold one ~10 MB
+    // reduce output, so every reducer's memory-pinned write fails at its
+    // first placement — inside `submit_write`.
+    let mut sim =
+        octopus_core::SimCluster::new(ClusterConfig::paper_cluster_scaled(0.001)).unwrap();
+    sim.submit_write("/in", 64 * MB, ReplicationVector::msh(0, 0, 3), ClientLocation::OffCluster)
+        .unwrap();
+    sim.run_to_completion();
+    let spec = JobSpec {
+        input_paths: vec!["/in".into()],
+        output_path: "/out".into(),
+        map_cpu_secs_per_mb: 0.005,
+        reduce_cpu_secs_per_mb: 0.005,
+        shuffle_ratio: 0.5,
+        output_bytes: 64 * MB,
+        reducers: 6,
+    };
+    let cfg = EngineConfig { output_rv: ReplicationVector::msh(3, 0, 0), ..Default::default() };
+    let err = run_job(&mut sim, &spec, &cfg).unwrap_err().to_string();
+    assert!(err.contains("placement failed"), "the job must fail with its cause, got: {err}");
+}

@@ -97,6 +97,25 @@ fn build_workers(
     Ok(workers)
 }
 
+/// Boots the in-process system both harnesses run — [`Cluster`] on a
+/// logical clock, [`crate::SimCluster`] on a virtual one: the workers and
+/// the master of `config` behind one [`LocalTransport`], every worker
+/// joined at t = 0 (register, first heartbeat, block report).
+pub(crate) fn boot(
+    config: ClusterConfig,
+    mode: &StorageMode,
+    log: octopus_master::EditLog,
+) -> Result<Arc<LocalTransport>> {
+    config.validate()?;
+    let workers = build_workers_for(&config, mode)?;
+    let master = Arc::new(Master::with_log(config, log)?);
+    let net = Arc::new(LocalTransport::new(master, workers));
+    for w in net.all_workers() {
+        worker_server::join(w, &*net, 0, String::new())?;
+    }
+    Ok(net)
+}
+
 /// A running in-process cluster: the harness around a [`LocalTransport`]
 /// that owns the logical clock, the dead-worker set and the background
 /// rounds a deployment runs on timers.
@@ -127,16 +146,7 @@ impl Cluster {
         mode: StorageMode,
         log: octopus_master::EditLog,
     ) -> Result<Self> {
-        config.validate()?;
-        let workers = build_workers_for(&config, &mode)?;
-        let master = Arc::new(Master::with_log(config, log)?);
-        let cluster = Self {
-            net: Arc::new(LocalTransport::new(master, workers)),
-            clock_ms: AtomicU64::new(0),
-        };
-        for w in cluster.workers() {
-            worker_server::join(w, &*cluster.net, 0, String::new())?;
-        }
+        let cluster = Self { net: boot(config, &mode, log)?, clock_ms: AtomicU64::new(0) };
         cluster.pump_heartbeats();
         Ok(cluster)
     }

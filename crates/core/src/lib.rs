@@ -15,11 +15,13 @@
 //!   pipelines real data through them, checksums are verified end to end.
 //!   Used by applications, examples, and tests.
 //!
-//! A third shape shares the master and policies but not the client:
+//! A third shape keeps only the clock for itself:
 //!
-//! - [`SimCluster`]: the same master/policies driven by the
-//!   [`octopus_simnet`] flow simulator — every transfer becomes a max-min
-//!   fair flow over calibrated device/NIC resources and time is virtual.
+//! - [`SimCluster`]: the same code once more, over the same in-process
+//!   transport, with time owned by the [`octopus_simnet`] flow simulator —
+//!   every transfer becomes a max-min fair flow over calibrated device/NIC
+//!   resources, and each state change (commit, heartbeat, §5 copy) is a
+//!   request through the seam at the virtual instant its flow completes.
 //!   Used by the benchmark harness to reproduce the paper's experiments at
 //!   40 GB scale in milliseconds.
 //!

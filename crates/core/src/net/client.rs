@@ -321,10 +321,26 @@ impl RemoteFs {
         rv: ReplicationVector,
         block_size: Option<u64>,
     ) -> Result<FileWriter> {
+        let status = self.open_new(path, rv, block_size)?;
+        Ok(FileWriter::new(self, path, status.block_size))
+    }
+
+    /// Creates `path` open for writing under this client's lease.
+    pub(crate) fn open_new(
+        &self,
+        path: &str,
+        rv: ReplicationVector,
+        block_size: Option<u64>,
+    ) -> Result<FileStatus> {
         match self.call(MasterRequest::CreateFile(path.into(), rv, block_size, self.holder))? {
-            MasterResponse::Status(s) => Ok(FileWriter::new(self, path, s.block_size)),
+            MasterResponse::Status(s) => Ok(s),
             r => Err(FsError::Io(format!("unexpected response {r:?}"))),
         }
+    }
+
+    /// Closes a file this client holds open, releasing its lease.
+    pub(crate) fn close_file(&self, path: &str) -> Result<()> {
+        self.call(MasterRequest::CompleteFile(path.into(), self.holder)).map(|_| ())
     }
 
     /// Reopens a complete file for appending. New data starts a fresh
@@ -342,12 +358,7 @@ impl RemoteFs {
         span.annotate("path", path);
         span.annotate("bytes", data.len());
 
-        let status =
-            match self.call(MasterRequest::CreateFile(path.into(), rv, None, self.holder))? {
-                MasterResponse::Status(s) => s,
-                r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
-            };
-        let block_size = status.block_size as usize;
+        let block_size = self.open_new(path, rv, None)?.block_size as usize;
         // Zero-length files have no blocks: `chunks` is empty and the file
         // is closed immediately below. A chunk is copied out of `data`
         // only when it is issued, so at most a window of blocks — never
@@ -361,11 +372,11 @@ impl RemoteFs {
             self.write_blocks_windowed(path, &chunks, span.context())?;
         }
         self.metrics().add("client_write_bytes_total", Labels::NONE, data.len() as u64);
-        self.call(MasterRequest::CompleteFile(path.into(), self.holder)).map(|_| ())
+        self.close_file(path)
     }
 
     /// Allocates the file's next block and its pipeline.
-    fn add_block(&self, path: &str, len: u64) -> Result<(Block, Vec<Location>)> {
+    pub(crate) fn allocate_block(&self, path: &str, len: u64) -> Result<(Block, Vec<Location>)> {
         let req = MasterRequest::AddBlock(path.into(), len, self.location, self.holder, Vec::new());
         match self.call(req)? {
             MasterResponse::Allocated(b, p) => Ok((b, p)),
@@ -381,8 +392,20 @@ impl RemoteFs {
         if let Some(s) = span.as_mut() {
             s.annotate("bytes", payload.len());
         }
-        let (block, pipeline) = self.add_block(path, payload.len() as u64)?;
-        self.transfer_block(path, block, pipeline, &payload).inspect_err(|_| {
+        let (block, pipeline) = self.allocate_block(path, payload.len() as u64)?;
+        self.store_block(path, block, pipeline, &BlockData::Real(payload))
+    }
+
+    /// Transfers an allocated block ([`RemoteFs::transfer_block`]),
+    /// abandoning it when the transfer fails for good.
+    pub(crate) fn store_block(
+        &self,
+        path: &str,
+        block: Block,
+        pipeline: Vec<Location>,
+        data: &BlockData,
+    ) -> Result<()> {
+        self.transfer_block(path, block, pipeline, data).inspect_err(|_| {
             let _ = self.call(MasterRequest::AbandonBlock(path.into(), block, self.holder));
         })
     }
@@ -426,7 +449,8 @@ impl RemoteFs {
                     if !sched.await_turn(i) {
                         break;
                     }
-                    let (block, pipeline) = match self.add_block(path, chunks[i].len() as u64) {
+                    let (block, pipeline) = match self.allocate_block(path, chunks[i].len() as u64)
+                    {
                         Ok(allocated) => allocated,
                         Err(e) => {
                             sched.fail(e);
@@ -439,7 +463,7 @@ impl RemoteFs {
                     states[i].lock().unwrap().0 = Some(block);
                     // The one client-side copy, alive for this transfer
                     // and then back in the buffer pool.
-                    let payload = bufpool::copy_from_slice(chunks[i]);
+                    let payload = BlockData::Real(bufpool::copy_from_slice(chunks[i]));
                     match self.transfer_block(path, block, pipeline, &payload) {
                         Ok(()) => states[i].lock().unwrap().1 = true,
                         Err(e) => {
@@ -480,7 +504,7 @@ impl RemoteFs {
         path: &str,
         block: Block,
         mut pipeline: Vec<Location>,
-        payload: &Bytes,
+        data: &BlockData,
     ) -> Result<()> {
         let mut excluded: Vec<WorkerId> = Vec::new();
         let mut last_err = FsError::PlacementFailed(format!("no pipeline attempted for {path}"));
@@ -502,12 +526,7 @@ impl RemoteFs {
             };
             let outcome = self.net.call_worker(
                 first.worker,
-                WorkerRequest::WriteBlock(
-                    block,
-                    first.media,
-                    rest.to_vec(),
-                    BlockData::Real(payload.clone()),
-                ),
+                WorkerRequest::WriteBlock(block, first.media, rest.to_vec(), data.clone()),
             );
             match outcome {
                 Ok(WorkerResponse::Stored(locs)) if !locs.is_empty() => return Ok(()),
@@ -787,9 +806,7 @@ impl FileWriter {
             self.client.write_block(&self.path, Bytes::from(block))?;
         }
         self.closed = true;
-        self.client
-            .call(MasterRequest::CompleteFile(self.path.clone(), self.client.holder))
-            .map(|_| ())
+        self.client.close_file(&self.path)
     }
 
     /// The path being written.

@@ -1,31 +1,45 @@
-//! The simulated cluster: the real master, policies, namespace, and worker
-//! state driven by the [`octopus_simnet`] flow simulator.
+//! The simulated cluster: a virtual clock over the system, not a second
+//! copy of it.
+//!
+//! [`SimCluster`] owns what only a *rate* model needs — the
+//! [`octopus_simnet`] flow simulator, the connection guards held while a
+//! flow is in flight, and the job table. Everything that changes state is
+//! the deployment's own code, reached through the same [`LocalTransport`]
+//! seam [`crate::Cluster`] runs on, at the virtual instant the flow model
+//! says it happens: workers join and heartbeat through
+//! [`worker_server`], every job is a [`RemoteFs`] client (create, allocate,
+//! locate, close — under its own lease), a finished write flow is one
+//! `WriteBlock` to the pipeline head (store → commit → forward is the
+//! worker dispatch's), and §5 tasks run through [`monitor::run_tasks`].
 //!
 //! Every block write becomes one flow through the pipeline's resources
 //! (client/worker NIC directions and media write devices); every block read
 //! becomes a flow from the chosen replica's media read device through the
-//! source NIC to the reader. Max-min fair sharing reproduces the contention
-//! behaviour the paper's evaluation measures: device bandwidth splits among
-//! `NrConn` connections, pipelines run at their slowest stage, and network
-//! congestion grows with the degree of parallelism.
+//! source NIC to the reader, and moves no state. Max-min fair sharing
+//! reproduces the contention behaviour the paper's evaluation measures:
+//! device bandwidth splits among `NrConn` connections, pipelines run at
+//! their slowest stage, and network congestion grows with the degree of
+//! parallelism.
 //!
 //! Connection counts are tracked with the same RAII guards the real worker
 //! uses and fed back to the master through heartbeats after every event, so
 //! the placement (§3) and retrieval (§4) policies observe live load exactly
 //! as they would in deployment.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use octopus_common::{
     Block, BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, RackId,
     ReplicationVector, Result, WorkerId,
 };
-use octopus_master::{Master, ReplicationTask};
+use octopus_master::{EditLog, Master, ReplicationTask};
 use octopus_simnet::{EventKind, FlowId, ResourceId, SimNet, SimTime};
 use octopus_storage::ConnGuard;
 
 use crate::cluster::StorageMode;
+use crate::net::transport::LocalTransport;
+use crate::net::{monitor, worker_server, RemoteFs};
 use crate::worker::Worker;
 
 /// Identifier of a submitted I/O job.
@@ -75,17 +89,17 @@ pub enum SimEvent {
 
 enum JobKind {
     Write {
+        client: RemoteFs,
         path: String,
         remaining: u64,
         block_size: u64,
-        client: ClientLocation,
         current: Option<(Block, Vec<Location>)>,
     },
     Read {
+        client: RemoteFs,
         path: String,
         offset: u64,
         len: u64,
-        client: ClientLocation,
         in_flight: u64,
     },
     /// A raw network transfer (shuffle traffic) or a pure delay (CPU).
@@ -105,6 +119,21 @@ struct Job {
     failed: Option<String>,
 }
 
+/// The worker a client shares a node with, if any.
+fn node_of(client: ClientLocation) -> Option<WorkerId> {
+    match client {
+        ClientLocation::OnWorker(w) => Some(w),
+        ClientLocation::OffCluster => None,
+    }
+}
+
+/// What a flow crosses, and the connection guards held while it runs.
+#[derive(Default)]
+struct FlowPath {
+    res: Vec<ResourceId>,
+    guards: Vec<ConnGuard>,
+}
+
 /// The simulated cluster.
 ///
 /// ```
@@ -121,20 +150,25 @@ struct Job {
 /// assert!((report.throughput_mbps() - 126.3).abs() < 5.0);
 /// ```
 pub struct SimCluster {
-    master: Arc<Master>,
-    workers: Vec<Arc<Worker>>,
-    net: SimNet,
+    /// The system under the clock: master and workers behind the seam.
+    net: Arc<LocalTransport>,
+    sim: SimNet,
+    /// When the workers last beat, in virtual milliseconds.
+    last_beat_ms: u64,
     nic_in: Vec<ResourceId>,
     nic_out: Vec<ResourceId>,
     /// Per-rack `(uplink out, uplink in)` resources when the config models
     /// oversubscribed top-of-rack switches.
     rack_uplinks: HashMap<RackId, (ResourceId, ResourceId)>,
-    media_write: HashMap<MediaId, ResourceId>,
-    media_read: HashMap<MediaId, ResourceId>,
+    /// Per-medium `(write device, read device)` resources.
+    media: HashMap<MediaId, (ResourceId, ResourceId)>,
     jobs: Vec<Job>,
+    /// Finished jobs whose `JobDone` has not been surfaced yet.
+    done: VecDeque<JobId>,
     flow_jobs: HashMap<FlowId, JobId>,
     flow_guards: HashMap<FlowId, Vec<ConnGuard>>,
-    repl_flows: HashMap<FlowId, (Block, Location)>,
+    /// In-flight §5 copies: executed when their flow completes.
+    repl_flows: HashMap<FlowId, ReplicationTask>,
     bytes_written: u64,
     bytes_read: u64,
 }
@@ -143,64 +177,56 @@ impl SimCluster {
     /// Builds a simulated cluster from configuration. Workers use
     /// metadata-only stores; device/NIC rates come from the config.
     pub fn new(config: ClusterConfig) -> Result<Self> {
-        config.validate()?;
-        let workers = crate::cluster::build_workers_for(&config, &StorageMode::Simulated)?;
         let rack_uplink_bps = config.rack_uplink_bps;
-        let master = Arc::new(Master::new(config)?);
-        let mut net = SimNet::new();
+        let net = crate::cluster::boot(config, &StorageMode::Simulated, EditLog::in_memory())?;
+        let mut sim = SimNet::new();
         let mut nic_in = Vec::new();
         let mut nic_out = Vec::new();
-        let mut media_write = HashMap::new();
-        let mut media_read = HashMap::new();
+        let mut media = HashMap::new();
         let mut rack_uplinks = HashMap::new();
-        for w in &workers {
-            nic_in.push(net.add_resource(&format!("{}_in", w.id()), w.net_bps()));
-            nic_out.push(net.add_resource(&format!("{}_out", w.id()), w.net_bps()));
+        for w in net.all_workers() {
+            nic_in.push(sim.add_resource(&format!("{}_in", w.id()), w.net_bps()));
+            nic_out.push(sim.add_resource(&format!("{}_out", w.id()), w.net_bps()));
             for m in w.media() {
                 let (wr, rd) = m.throughput();
-                media_write.insert(m.id, net.add_resource(&format!("{}_w", m.id), wr));
-                media_read.insert(m.id, net.add_resource(&format!("{}_r", m.id), rd));
+                let write = sim.add_resource(&format!("{}_w", m.id), wr);
+                media.insert(m.id, (write, sim.add_resource(&format!("{}_r", m.id), rd)));
             }
             if let Some(bps) = rack_uplink_bps {
                 rack_uplinks.entry(w.rack()).or_insert_with(|| {
                     (
-                        net.add_resource(&format!("{}_up_out", w.rack()), bps),
-                        net.add_resource(&format!("{}_up_in", w.rack()), bps),
+                        sim.add_resource(&format!("{}_up_out", w.rack()), bps),
+                        sim.add_resource(&format!("{}_up_in", w.rack()), bps),
                     )
                 });
             }
         }
-        let sim = Self {
-            master,
-            workers,
+        Ok(Self {
             net,
+            sim,
+            last_beat_ms: 0,
             nic_in,
             nic_out,
             rack_uplinks,
-            media_write,
-            media_read,
+            media,
             jobs: Vec::new(),
+            done: VecDeque::new(),
             flow_jobs: HashMap::new(),
             flow_guards: HashMap::new(),
             repl_flows: HashMap::new(),
             bytes_written: 0,
             bytes_read: 0,
-        };
-        for w in &sim.workers {
-            sim.master.register_worker(w.id(), w.rack(), w.net_bps(), 0);
-        }
-        sim.push_heartbeats();
-        Ok(sim)
+        })
     }
 
     /// The master (for namespace operations and tier reports).
     pub fn master(&self) -> &Arc<Master> {
-        &self.master
+        self.net.master()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.net.now()
+        self.sim.now()
     }
 
     /// Finished-job report.
@@ -225,11 +251,30 @@ impl SimCluster {
         self.jobs.iter().all(|j| j.end.is_some())
     }
 
-    fn push_heartbeats(&self) {
-        let now_ms = self.net.now().as_millis();
-        for w in &self.workers {
-            let (stats, net_conn) = w.heartbeat_stats();
-            let _ = self.master.heartbeat(w.id(), stats, net_conn, now_ms);
+    /// Delivers every worker's heartbeat at the current virtual time, after
+    /// every change of load — the model's one idealisation of the liveness
+    /// loop: the master sees load the instant it changes.
+    fn push_heartbeats(&mut self) {
+        self.last_beat_ms = self.sim.now().as_millis();
+        self.beat(self.last_beat_ms);
+    }
+
+    /// Delivers the periodic beats of the stretch the clock just crossed.
+    /// Real workers beat through quiet stretches too, and those beats are
+    /// the master's clock (failure detector, leases); nothing changed
+    /// since the last event, so they are delivered late but identical,
+    /// before anything happens at the new time.
+    fn beat_through_gap(&mut self) {
+        let step = self.master().config().heartbeat_ms.max(1);
+        while self.last_beat_ms + step <= self.sim.now().as_millis() {
+            self.last_beat_ms += step;
+            self.beat(self.last_beat_ms);
+        }
+    }
+
+    fn beat(&self, now_ms: u64) {
+        for w in self.net.all_workers() {
+            let _ = worker_server::heartbeat(w, &*self.net, now_ms);
         }
     }
 
@@ -237,7 +282,19 @@ impl SimCluster {
     /// Tokens at or above `1 << 62` are reserved for internal use.
     pub fn schedule_timer(&mut self, secs: f64, token: u64) {
         assert!(token < DELAY_TOKEN_BASE, "timer tokens >= 2^62 are reserved");
-        self.net.schedule_after(secs, token);
+        self.sim.schedule_after(secs, token);
+    }
+
+    /// A client at `location`: one per job, so each job writes under its
+    /// own lease as a client of the deployment would.
+    fn client(&self, location: ClientLocation) -> RemoteFs {
+        RemoteFs::over(self.net.clone(), location)
+    }
+
+    fn push_job(&mut self, kind: JobKind, bytes_total: u64) -> JobId {
+        let id = JobId(self.jobs.len());
+        self.jobs.push(Job { kind, bytes_total, start: self.sim.now(), end: None, failed: None });
+        id
     }
 
     /// Creates a file and submits a job writing `bytes` to it.
@@ -248,133 +305,131 @@ impl SimCluster {
         rv: ReplicationVector,
         client: ClientLocation,
     ) -> Result<JobId> {
-        let status = self.master.create_file(path, rv, None)?;
-        let id = JobId(self.jobs.len());
-        self.jobs.push(Job {
-            kind: JobKind::Write {
+        let client = self.client(client);
+        let block_size = client.open_new(path, rv, None)?.block_size;
+        let id = self.push_job(
+            JobKind::Write {
+                client,
                 path: path.to_string(),
                 remaining: bytes,
-                block_size: status.block_size,
-                client,
+                block_size,
                 current: None,
             },
-            bytes_total: bytes,
-            start: self.net.now(),
-            end: None,
-            failed: None,
-        });
+            bytes,
+        );
         self.advance_write_job(id);
         Ok(id)
     }
 
     /// Submits a job reading the whole file.
     pub fn submit_read(&mut self, path: &str, client: ClientLocation) -> Result<JobId> {
-        let status = self.master.status(path)?;
-        let id = JobId(self.jobs.len());
-        self.jobs.push(Job {
-            kind: JobKind::Read {
-                path: path.to_string(),
-                offset: 0,
-                len: status.len,
-                client,
-                in_flight: 0,
-            },
-            bytes_total: status.len,
-            start: self.net.now(),
-            end: None,
-            failed: None,
-        });
+        let client = self.client(client);
+        let len = client.status(path)?.len;
+        let id = self.push_job(
+            JobKind::Read { client, path: path.to_string(), offset: 0, len, in_flight: 0 },
+            len,
+        );
         self.advance_read_job(id);
         Ok(id)
     }
 
-    /// Appends the network resources of one hop `from → to` to a flow
-    /// path: sender NIC out, (cross-rack uplinks when modelled), receiver
-    /// NIC in. `from = None` means an off-cluster endpoint reached through
-    /// the core (only the destination rack's uplink applies).
-    fn push_hop(&self, from: Option<WorkerId>, to: Option<WorkerId>, res: &mut Vec<ResourceId>) {
+    fn workers(&self) -> &[Arc<Worker>] {
+        self.net.all_workers()
+    }
+
+    /// Appends one network hop `from → to` to a flow path: sender NIC out,
+    /// (cross-rack uplinks when modelled), receiver NIC in, and a network
+    /// connection on each worker end. `None` is an off-cluster endpoint
+    /// reached through the core (only the on-cluster rack's uplink applies).
+    fn hop(&self, path: &mut FlowPath, from: Option<WorkerId>, to: Option<WorkerId>) {
         if let Some(f) = from {
-            res.push(self.nic_out[f.0 as usize]);
+            path.res.push(self.nic_out[f.0 as usize]);
         }
         if !self.rack_uplinks.is_empty() {
-            let rack_of = |w: WorkerId| self.workers[w.0 as usize].rack();
+            let rack_of = |w: WorkerId| self.workers()[w.0 as usize].rack();
             let fr = from.map(rack_of);
             let tr = to.map(rack_of);
             if fr != tr {
                 if let Some(r) = fr {
-                    res.push(self.rack_uplinks[&r].0);
+                    path.res.push(self.rack_uplinks[&r].0);
                 }
                 if let Some(r) = tr {
-                    res.push(self.rack_uplinks[&r].1);
+                    path.res.push(self.rack_uplinks[&r].1);
                 }
             }
         }
         if let Some(t) = to {
-            res.push(self.nic_in[t.0 as usize]);
+            path.res.push(self.nic_in[t.0 as usize]);
+        }
+        for w in from.into_iter().chain(to) {
+            path.guards.push(self.workers()[w.0 as usize].connect_net());
         }
     }
 
+    /// Appends a replica's device — its write or its read side — to a flow
+    /// path, with an I/O connection on the medium.
+    fn device(&self, path: &mut FlowPath, at: &Location, write: bool) {
+        let (w, r) = self.media[&at.media];
+        path.res.push(if write { w } else { r });
+        let medium = self.workers()[at.worker.0 as usize].medium(at.media).expect("replica media");
+        path.guards.push(medium.connect());
+    }
+
+    /// Starts a flow of `bytes` along `path`, holding its guards until the
+    /// flow completes.
+    fn launch(&mut self, bytes: u64, path: FlowPath) -> FlowId {
+        let flow = self.sim.start_flow(bytes as f64, path.res); // empty path ⇒ instant
+        self.flow_guards.insert(flow, path.guards);
+        flow
+    }
+
+    /// Finishes a job now; its `JobDone` surfaces on the next
+    /// [`SimCluster::next_sim_event`] call, whether the job ended on a
+    /// simulator event or inside the `submit_*` call that created it.
     fn finish_job(&mut self, id: JobId, failed: Option<String>) {
-        let now = self.net.now();
+        let now = self.sim.now();
         let j = &mut self.jobs[id.0];
         j.end = Some(now);
         j.failed = failed;
+        self.done.push_back(id);
     }
 
-    /// Starts the next block write of a write job; finishes the job when
-    /// nothing remains.
+    /// Starts the next block write of a write job; closes the file and
+    /// finishes the job when nothing remains.
     fn advance_write_job(&mut self, id: JobId) {
-        let (path, len, client) = {
-            let j = &mut self.jobs[id.0];
-            let JobKind::Write { path, remaining, block_size, client, current } = &mut j.kind
+        // `Err(None)`: nothing left to write and the file closed cleanly.
+        let allocated = {
+            let JobKind::Write { client, path, remaining, block_size, current } =
+                &mut self.jobs[id.0].kind
             else {
                 unreachable!("advance_write_job on a read job")
             };
             debug_assert!(current.is_none());
             if *remaining == 0 {
-                let path = path.clone();
-                self.finish_job(id, None);
-                if let Err(e) = self.master.complete_file(&path) {
-                    self.jobs[id.0].failed = Some(e.to_string());
-                }
-                return;
+                Err(client.close_file(path).err())
+            } else {
+                let len = (*remaining).min(*block_size);
+                *remaining -= len;
+                client.allocate_block(path, len).map(|a| (a, client.location())).map_err(Some)
             }
-            let len = (*remaining).min(*block_size);
-            *remaining -= len;
-            (path.clone(), len, *client)
         };
-
-        let (block, pipeline) = match self.master.add_block(&path, len, client) {
-            Ok(x) => x,
-            Err(e) => {
-                self.finish_job(id, Some(e.to_string()));
-                return;
-            }
+        let ((block, pipeline), from) = match allocated {
+            Ok(a) => a,
+            Err(failed) => return self.finish_job(id, failed.map(|e| e.to_string())),
         };
 
         // Build the pipeline flow: client → W1 → W2 → … with media writes.
-        let mut res: Vec<ResourceId> = Vec::new();
-        let mut guards: Vec<ConnGuard> = Vec::new();
-        let mut prev: Option<WorkerId> = match client {
-            ClientLocation::OnWorker(w) => Some(w),
-            ClientLocation::OffCluster => None,
-        };
+        let mut path = FlowPath::default();
+        let mut prev = node_of(from);
         for loc in &pipeline {
-            let widx = loc.worker.0 as usize;
             if prev != Some(loc.worker) {
-                self.push_hop(prev, Some(loc.worker), &mut res);
-                if let Some(p) = prev {
-                    guards.push(self.workers[p.0 as usize].connect_net());
-                }
-                guards.push(self.workers[widx].connect_net());
+                self.hop(&mut path, prev, Some(loc.worker));
             }
-            res.push(self.media_write[&loc.media]);
-            guards.push(self.workers[widx].medium(loc.media).expect("pipeline media").connect());
+            self.device(&mut path, loc, true);
             prev = Some(loc.worker);
         }
-        let flow = self.net.start_flow(len as f64, res);
+        let flow = self.launch(block.len, path);
         self.flow_jobs.insert(flow, id);
-        self.flow_guards.insert(flow, guards);
         if let JobKind::Write { current, .. } = &mut self.jobs[id.0].kind {
             *current = Some((block, pipeline));
         }
@@ -383,59 +438,37 @@ impl SimCluster {
 
     /// Starts the next block read of a read job.
     fn advance_read_job(&mut self, id: JobId) {
-        let (path, offset, len, client) = {
-            let j = &self.jobs[id.0];
-            let JobKind::Read { path, offset, len, client, .. } = &j.kind else {
-                unreachable!("advance_read_job on a write job")
-            };
-            if *offset >= *len {
-                self.finish_job(id, None);
-                return;
-            }
-            (path.clone(), *offset, *len, *client)
-        };
-
         // Fetch the ordering for the next block only — the retrieval
         // policy re-evaluates live load for every block (§4.2).
-        let lbs = match self.master.get_file_block_locations(&path, offset, 1, client) {
-            Ok(l) => l,
-            Err(e) => {
-                self.finish_job(id, Some(e.to_string()));
-                return;
+        let JobKind::Read { client, path, offset, len, in_flight } = &mut self.jobs[id.0].kind
+        else {
+            unreachable!("advance_read_job on a write job")
+        };
+        let located = (|| {
+            if *offset >= *len {
+                return Err(None); // read to the end: done, not failed
             }
-        };
-        let Some(lb) = lbs.into_iter().next() else {
-            self.finish_job(id, Some(format!("no block at offset {offset} of {path}")));
-            return;
-        };
-        let Some(loc) = lb.locations.first().copied() else {
-            self.finish_job(id, Some(format!("block {} has no replicas", lb.block.id)));
-            return;
-        };
-        if let JobKind::Read { offset, in_flight, .. } = &mut self.jobs[id.0].kind {
-            *offset = lb.end().min(len);
+            let lbs = client.get_file_block_locations(path, *offset, 1);
+            let lb = lbs.map_err(|e| Some(e.to_string()))?.into_iter().next();
+            let lb = lb.ok_or_else(|| Some(format!("no block at offset {offset} of {path}")))?;
+            let loc = lb.locations.first().copied();
+            let loc = loc.ok_or_else(|| Some(format!("block {} has no replicas", lb.block.id)))?;
+            *offset = lb.end().min(*len);
             *in_flight = lb.block.len;
-        }
+            Ok((lb.block, loc, node_of(client.location())))
+        })();
+        let (block, loc, to) = match located {
+            Ok(l) => l,
+            Err(failed) => return self.finish_job(id, failed),
+        };
 
-        let src = loc.worker.0 as usize;
-        let mut res = vec![self.media_read[&loc.media]];
-        let mut guards =
-            vec![self.workers[src].medium(loc.media).expect("replica media").connect()];
-        let local = matches!(client, ClientLocation::OnWorker(w) if w == loc.worker);
-        if !local {
-            let dst = match client {
-                ClientLocation::OnWorker(c) => Some(c),
-                ClientLocation::OffCluster => None,
-            };
-            self.push_hop(Some(loc.worker), dst, &mut res);
-            guards.push(self.workers[src].connect_net());
-            if let Some(c) = dst {
-                guards.push(self.workers[c.0 as usize].connect_net());
-            }
+        let mut path = FlowPath::default();
+        self.device(&mut path, &loc, false);
+        if to != Some(loc.worker) {
+            self.hop(&mut path, Some(loc.worker), to);
         }
-        let flow = self.net.start_flow(lb.block.len as f64, res);
+        let flow = self.launch(block.len, path);
         self.flow_jobs.insert(flow, id);
-        self.flow_guards.insert(flow, guards);
         self.push_heartbeats();
     }
 
@@ -448,24 +481,21 @@ impl SimCluster {
         offset: u64,
         client: ClientLocation,
     ) -> Result<JobId> {
-        let lbs = self.master.get_file_block_locations(path, offset, 1, client)?;
+        let client = self.client(client);
+        let lbs = client.get_file_block_locations(path, offset, 1)?;
         let Some(lb) = lbs.first() else {
             return Err(FsError::InvalidArgument(format!("no block at offset {offset} of {path}")));
         };
-        let id = JobId(self.jobs.len());
-        self.jobs.push(Job {
-            kind: JobKind::Read {
+        let id = self.push_job(
+            JobKind::Read {
+                client,
                 path: path.to_string(),
                 offset: lb.offset,
                 len: lb.end(),
-                client,
                 in_flight: 0,
             },
-            bytes_total: lb.block.len,
-            start: self.net.now(),
-            end: None,
-            failed: None,
-        });
+            lb.block.len,
+        );
         self.advance_read_job(id);
         Ok(id)
     }
@@ -474,24 +504,13 @@ impl SimCluster {
     /// another (shuffle traffic). Same-node transfers complete at memory
     /// speed (no NIC traversal).
     pub fn submit_transfer(&mut self, from: WorkerId, to: WorkerId, bytes: u64) -> JobId {
-        let id = JobId(self.jobs.len());
-        self.jobs.push(Job {
-            kind: JobKind::Opaque,
-            bytes_total: bytes,
-            start: self.net.now(),
-            end: None,
-            failed: None,
-        });
-        let mut res = Vec::new();
-        let mut guards = Vec::new();
+        let id = self.push_job(JobKind::Opaque, bytes);
+        let mut path = FlowPath::default();
         if from != to {
-            self.push_hop(Some(from), Some(to), &mut res);
-            guards.push(self.workers[from.0 as usize].connect_net());
-            guards.push(self.workers[to.0 as usize].connect_net());
+            self.hop(&mut path, Some(from), Some(to));
         }
-        let flow = self.net.start_flow(bytes as f64, res); // empty path ⇒ instant
+        let flow = self.launch(bytes, path);
         self.flow_jobs.insert(flow, id);
-        self.flow_guards.insert(flow, guards);
         self.push_heartbeats();
         id
     }
@@ -500,54 +519,38 @@ impl SimCluster {
     /// work). CPU contention is modelled by the caller through slot
     /// scheduling, not by the simulator.
     pub fn submit_delay(&mut self, secs: f64) -> JobId {
-        let id = JobId(self.jobs.len());
-        self.jobs.push(Job {
-            kind: JobKind::Opaque,
-            bytes_total: 0,
-            start: self.net.now(),
-            end: None,
-            failed: None,
-        });
-        self.net.schedule_after(secs, DELAY_TOKEN_BASE + id.0 as u64);
+        let id = self.push_job(JobKind::Opaque, 0);
+        self.sim.schedule_after(secs, DELAY_TOKEN_BASE + id.0 as u64);
         id
     }
 
-    /// Runs one replication scan and launches flows for the copy tasks
-    /// (deletions apply immediately). Returns the number of tasks started.
+    /// Runs one replication scan (§5). Each copy becomes a flow source →
+    /// target and executes through the monitor when the flow completes;
+    /// deletions (and copies with no source to read) execute at once.
+    /// Returns the number of tasks started.
     pub fn pump_replication(&mut self) -> usize {
-        let tasks = self.master.replication_scan();
+        let tasks = self.master().replication_scan();
         let n = tasks.len();
-        for t in tasks {
-            match t {
-                ReplicationTask::Copy { block, sources, target } => {
-                    let Some(src) = sources.first() else {
-                        self.master.abort_replica(block, target);
-                        continue;
-                    };
-                    let sw = src.worker.0 as usize;
-                    let tw = target.worker.0 as usize;
-                    let mut res = vec![self.media_read[&src.media]];
-                    let mut guards =
-                        vec![self.workers[sw].medium(src.media).expect("source media").connect()];
-                    if src.worker != target.worker {
-                        self.push_hop(Some(src.worker), Some(target.worker), &mut res);
-                        guards.push(self.workers[sw].connect_net());
-                        guards.push(self.workers[tw].connect_net());
-                    }
-                    res.push(self.media_write[&target.media]);
-                    guards.push(
-                        self.workers[tw].medium(target.media).expect("target media").connect(),
-                    );
-                    let flow = self.net.start_flow(block.len as f64, res);
-                    self.flow_guards.insert(flow, guards);
-                    self.repl_flows.insert(flow, (block, target));
-                }
-                ReplicationTask::Delete { block, location } => {
-                    let w = location.worker.0 as usize;
-                    let _ = self.workers[w].delete_block(location.media, block.id);
-                }
+        let mut immediate = Vec::new();
+        for task in tasks {
+            let ReplicationTask::Copy { block, sources, target } = &task else {
+                immediate.push(task);
+                continue;
+            };
+            let Some(src) = sources.first() else {
+                immediate.push(task);
+                continue;
+            };
+            let mut path = FlowPath::default();
+            self.device(&mut path, src, false);
+            if src.worker != target.worker {
+                self.hop(&mut path, Some(src.worker), Some(target.worker));
             }
+            self.device(&mut path, target, true);
+            let flow = self.launch(block.len, path);
+            self.repl_flows.insert(flow, task);
         }
+        monitor::run_tasks(self.master(), &*self.net, immediate, None);
         self.push_heartbeats();
         n
     }
@@ -558,87 +561,62 @@ impl SimCluster {
     }
 
     /// Processes simulator events until one is worth surfacing (a job
-    /// completion or a user timer). Returns `None` when the simulation has
-    /// fully drained.
+    /// completion or a user timer). Every submitted job surfaces exactly
+    /// one `JobDone`. Returns `None` when the simulation has fully drained.
     pub fn next_sim_event(&mut self) -> Option<SimEvent> {
         loop {
-            let e = self.net.next_event()?;
+            if let Some(job) = self.done.pop_front() {
+                return Some(SimEvent::JobDone(job));
+            }
+            let e = self.sim.next_event()?;
+            self.beat_through_gap();
             match e.kind {
                 EventKind::Timer(token) if token >= DELAY_TOKEN_BASE => {
-                    let job = JobId((token - DELAY_TOKEN_BASE) as usize);
-                    self.finish_job(job, None);
-                    return Some(SimEvent::JobDone(job));
+                    self.finish_job(JobId((token - DELAY_TOKEN_BASE) as usize), None);
                 }
                 EventKind::Timer(token) => return Some(SimEvent::Timer(token)),
                 EventKind::FlowDone(f) => {
                     self.flow_guards.remove(&f);
-                    if let Some((block, target)) = self.repl_flows.remove(&f) {
-                        self.complete_replica_write(block, target);
-                        self.push_heartbeats();
+                    if let Some(task) = self.repl_flows.remove(&f) {
+                        monitor::run_tasks(self.master(), &*self.net, vec![task], None);
+                    } else if let Some(job) = self.flow_jobs.remove(&f) {
+                        self.complete_job_flow(job);
+                    } else {
                         continue;
                     }
-                    let Some(job) = self.flow_jobs.remove(&f) else { continue };
-                    self.complete_job_flow(job);
                     self.push_heartbeats();
-                    if self.jobs[job.0].end.is_some() {
-                        return Some(SimEvent::JobDone(job));
-                    }
                 }
             }
-        }
-    }
-
-    fn complete_replica_write(&mut self, block: Block, target: Location) {
-        let w = target.worker.0 as usize;
-        let data = BlockData::Synthetic { len: block.len, seed: block.id.0 };
-        match self.workers[w].write_block(target.media, block, &data) {
-            Ok(()) => {
-                let _ = self.master.commit_replica(block, target);
-            }
-            Err(_) => self.master.abort_replica(block, target),
         }
     }
 
     fn complete_job_flow(&mut self, id: JobId) {
-        if matches!(self.jobs[id.0].kind, JobKind::Opaque) {
-            self.finish_job(id, None);
-            return;
-        }
-        let is_write = matches!(self.jobs[id.0].kind, JobKind::Write { .. });
-        if is_write {
-            let current = {
-                let JobKind::Write { current, .. } = &mut self.jobs[id.0].kind else {
-                    unreachable!()
-                };
-                current.take()
-            };
-            if let Some((block, pipeline)) = current {
+        match &mut self.jobs[id.0].kind {
+            JobKind::Opaque => self.finish_job(id, None),
+            JobKind::Write { client, path, current, .. } => {
+                // The block's bytes have arrived: one `WriteBlock` to the
+                // pipeline head, as the client of the deployment sends it.
+                let (block, pipeline) = current.take().expect("write flow without a block");
                 let data = BlockData::Synthetic { len: block.len, seed: block.id.0 };
-                for loc in pipeline {
-                    let w = loc.worker.0 as usize;
-                    match self.workers[w].write_block(loc.media, block, &data) {
-                        Ok(()) => {
-                            let _ = self.master.commit_replica(block, loc);
-                        }
-                        Err(_) => self.master.abort_replica(block, loc),
+                match client.store_block(path, block, pipeline, &data) {
+                    Ok(()) => {
+                        self.bytes_written += block.len;
+                        self.advance_write_job(id);
                     }
+                    Err(e) => self.finish_job(id, Some(e.to_string())),
                 }
-                self.bytes_written += block.len;
             }
-            self.advance_write_job(id);
-        } else {
-            if let JobKind::Read { in_flight, .. } = &mut self.jobs[id.0].kind {
-                self.bytes_read += *in_flight;
-                *in_flight = 0;
+            JobKind::Read { in_flight, .. } => {
+                self.bytes_read += std::mem::take(in_flight);
+                self.advance_read_job(id);
             }
-            self.advance_read_job(id);
         }
     }
 
-    /// Drives the simulation until every submitted job completes. Returns
-    /// the job reports.
+    /// Drives the simulation until every submitted job completes and its
+    /// `JobDone` has been consumed. Returns the job reports.
     pub fn run_to_completion(&mut self) -> Vec<JobReport> {
-        while !self.all_jobs_done() {
+        while !(self.all_jobs_done() && self.done.is_empty()) {
             if self.next_sim_event().is_none() {
                 break;
             }
@@ -656,7 +634,7 @@ impl SimCluster {
     ) -> Vec<JobReport> {
         const SAMPLE_TOKEN: u64 = DELAY_TOKEN_BASE - 1;
         self.schedule_timer(interval_secs, SAMPLE_TOKEN);
-        while !self.all_jobs_done() {
+        while !(self.all_jobs_done() && self.done.is_empty()) {
             match self.next_sim_event() {
                 Some(SimEvent::Timer(SAMPLE_TOKEN)) => {
                     sampler(self.now());
@@ -692,7 +670,7 @@ impl SimCluster {
 
     /// Direct access to a worker (diagnostics/tests).
     pub fn worker(&self, id: WorkerId) -> &Arc<Worker> {
-        &self.workers[id.0 as usize]
+        &self.workers()[id.0 as usize]
     }
 
     /// Logical bytes written by completed block writes so far (not

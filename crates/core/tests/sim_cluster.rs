@@ -218,3 +218,115 @@ fn throughput_units_sane() {
     let rate = mbps_to_bytes_per_sec(126.3);
     assert!((mbps(rate) - 126.3).abs() < 1e-9);
 }
+
+#[test]
+fn a_job_that_finishes_inside_submit_still_surfaces_job_done() {
+    let mut sim = SimCluster::new(sim_config()).unwrap();
+    // A zero-byte write has no block to move: it closes the file and is
+    // final before `submit_write` returns.
+    let write = sim
+        .submit_write("/empty", 0, ReplicationVector::msh(0, 0, 3), ClientLocation::OffCluster)
+        .unwrap();
+    assert!(sim.all_jobs_done());
+    assert_eq!(sim.next_sim_event(), Some(SimEvent::JobDone(write)));
+    assert_eq!(sim.next_sim_event(), None);
+    assert!(sim.master().status("/empty").unwrap().complete);
+    // So has a read of it: no block to fetch.
+    let read = sim.submit_read("/empty", ClientLocation::OffCluster).unwrap();
+    assert_eq!(sim.next_sim_event(), Some(SimEvent::JobDone(read)));
+    assert_eq!(sim.next_sim_event(), None, "exactly one JobDone per job");
+    assert!(sim.reports().iter().all(|r| r.failed.is_none()));
+}
+
+#[test]
+fn a_tier_full_write_surfaces_job_done_with_the_placement_error() {
+    let mut c = ClusterConfig::paper_cluster_scaled(0.0001); // ~0.4 MB of memory per node
+    c.block_size = MB;
+    let mut sim = SimCluster::new(c).unwrap();
+    let job = sim
+        .submit_write(
+            "/pinned",
+            64 * MB,
+            ReplicationVector::msh(3, 0, 0),
+            ClientLocation::OffCluster,
+        )
+        .unwrap();
+    let failed = sim.report(job).unwrap().failed.expect("no memory medium holds a block");
+    assert!(failed.contains("placement failed"), "{failed}");
+    assert_eq!(sim.next_sim_event(), Some(SimEvent::JobDone(job)));
+    assert_eq!(sim.next_sim_event(), None);
+    // `run_to_completion` consumes the event too: nothing stale is left
+    // for a later driver loop.
+    let job = sim
+        .submit_write(
+            "/again",
+            64 * MB,
+            ReplicationVector::msh(3, 0, 0),
+            ClientLocation::OffCluster,
+        )
+        .unwrap();
+    assert!(sim.run_to_completion()[job.0].failed.is_some());
+    assert_eq!(sim.next_sim_event(), None);
+}
+
+#[test]
+fn a_simulated_write_is_the_systems_traffic_in_the_registries() {
+    let mut sim = SimCluster::new(sim_config()).unwrap();
+    sim.submit_write("/t", 10 * MB, ReplicationVector::msh(0, 0, 3), ClientLocation::OffCluster)
+        .unwrap();
+    sim.run_to_completion();
+    let blocks = sim
+        .master()
+        .get_file_block_locations("/t", 0, u64::MAX, ClientLocation::OffCluster)
+        .unwrap();
+    assert_eq!(blocks.len(), 10);
+    // One `WriteBlock` per block reached a pipeline head (the other two
+    // stages were forwarded to by the worker dispatch) ...
+    let is = |name: &'static str| {
+        move |l: &octopus_common::metrics::OwnedLabels| l.request_type.as_deref() == Some(name)
+    };
+    let stages: u64 = (0..9)
+        .map(|w| sim.worker(octopus_common::WorkerId(w)).metrics().snapshot())
+        .map(|s| s.counter_where("worker_requests_total", is("WriteBlock")))
+        .sum();
+    assert_eq!(stages, 30, "10 blocks x 3 pipeline stages, each a WriteBlock");
+    // ... and every stage committed its replica through the master's
+    // dispatch, under a lease the job's client took with `CreateFile`.
+    let master = sim.master().metrics().snapshot();
+    assert_eq!(master.counter_where("master_requests_total", is("CommitReplica")), 30);
+    assert_eq!(master.counter_where("master_requests_total", is("AddBlock")), 10);
+    assert_eq!(master.counter_where("master_requests_total", is("CreateFile")), 1);
+    assert_eq!(master.counter_where("master_requests_total", is("CompleteFile")), 1);
+}
+
+#[test]
+fn write_heat_reaches_the_master_with_the_next_heartbeat() {
+    let mut sim = SimCluster::new(sim_config()).unwrap();
+    sim.submit_write("/warm", 4 * MB, ReplicationVector::msh(0, 0, 3), ClientLocation::OffCluster)
+        .unwrap();
+    sim.run_to_completion();
+    // Every finished flow is followed by a heartbeat, which carries the
+    // workers' drained heat epoch.
+    let heat = sim.master().file_heat("/warm").unwrap();
+    assert!(heat.cur_writes + (heat.writes_ewma > 0.0) as u64 > 0, "no write heat: {heat:?}");
+    assert!(heat.score > 0.0, "{heat:?}");
+}
+
+#[test]
+fn a_quiet_stretch_longer_than_the_failure_deadline_kills_no_worker() {
+    let mut sim = SimCluster::new(sim_config()).unwrap();
+    // Nothing happens for 120 virtual seconds — four failure-detector
+    // deadlines (3 s x 10). The workers of a deployment keep beating.
+    sim.schedule_timer(120.0, 1);
+    assert_eq!(sim.next_sim_event(), Some(SimEvent::Timer(1)));
+    sim.submit_write("/late", 3 * MB, ReplicationVector::msh(0, 0, 3), ClientLocation::OffCluster)
+        .unwrap();
+    let reports = sim.run_to_completion();
+    assert!(reports[0].failed.is_none(), "{:?}", reports[0].failed);
+    assert_eq!(sim.master().snapshot().workers.len(), 9, "every worker still live");
+    let blocks = sim
+        .master()
+        .get_file_block_locations("/late", 0, u64::MAX, ClientLocation::OffCluster)
+        .unwrap();
+    assert!(blocks.iter().all(|b| b.locations.len() == 3));
+}

@@ -28,6 +28,10 @@ pub struct WorkerInfo {
     pub live: bool,
 }
 
+/// A worker is declared dead after this many missed heartbeat intervals
+/// (§5: the master learns of a worker failure from its missing heartbeats).
+const DEAD_AFTER_MISSED: u64 = 10;
+
 /// All workers plus scheduled-write accounting.
 ///
 /// Between heartbeats the master adjusts its view of remaining capacity by
@@ -39,7 +43,6 @@ pub struct ClusterState {
     decommissioning: std::collections::BTreeSet<WorkerId>,
     scheduled: HashMap<MediaId, u64>,
     heartbeat_ms: u64,
-    dead_after_missed: u32,
     num_tiers: usize,
     volatile: [bool; MAX_TIERS],
 }
@@ -56,7 +59,6 @@ impl ClusterState {
             decommissioning: std::collections::BTreeSet::new(),
             scheduled: HashMap::new(),
             heartbeat_ms: config.heartbeat_ms,
-            dead_after_missed: config.dead_after_missed,
             num_tiers: config.tiers.len(),
             volatile,
         }
@@ -152,7 +154,7 @@ impl ClusterState {
 
     /// Marks workers dead whose heartbeats stopped; returns the newly dead.
     pub fn tick(&mut self, now_ms: u64) -> Vec<WorkerId> {
-        let deadline = self.heartbeat_ms * self.dead_after_missed as u64;
+        let deadline = self.heartbeat_ms * DEAD_AFTER_MISSED;
         let mut newly_dead = Vec::new();
         for w in self.workers.values_mut() {
             if w.live && now_ms.saturating_sub(w.last_heartbeat_ms) > deadline {
@@ -328,7 +330,7 @@ mod tests {
     #[test]
     fn liveness_tracking() {
         let mut cs = state();
-        // heartbeat_ms=100, dead_after_missed=10 → deadline 1000 ms.
+        // heartbeat_ms=100 × DEAD_AFTER_MISSED → deadline 1000 ms.
         assert!(cs.tick(900).is_empty());
         let dead = cs.tick(1500);
         assert_eq!(dead, vec![WorkerId(0), WorkerId(1)]);

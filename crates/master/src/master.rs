@@ -2203,7 +2203,7 @@ mod tests {
         for l in &locs {
             m.commit_replica(block, *l).unwrap();
         }
-        // heartbeat_ms=100, dead_after_missed=10 → all workers dead at t>1000.
+        // heartbeat_ms=100, dead after 10 missed → all workers dead at t>1000.
         let dead = m.tick(5000);
         assert_eq!(dead.len(), 4);
         assert!(m.block_locations(block.id).is_empty());

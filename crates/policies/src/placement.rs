@@ -300,8 +300,9 @@ impl GreedyPolicy {
             })
             .collect();
 
-        // Client-collocation heuristic for the very first replica.
-        if replica_index == 0 && rack_order.is_empty() && self.cfg.prefer_local_client {
+        // Client-collocation heuristic (§3.3): the very first replica
+        // considers the client's own worker first.
+        if replica_index == 0 && rack_order.is_empty() {
             if let ClientLocation::OnWorker(w) = req.client {
                 let local: Vec<&MediaStats> =
                     base.iter().copied().filter(|m| m.worker == w).collect();

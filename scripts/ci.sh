@@ -31,7 +31,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> paper figures regenerate byte-identical"
 # The nine simulator-only outputs (virtual clock, seeded RNGs) are
 # deterministic, so what is checked in must be what the generators print
-# (~2 s for all nine). table3 and scalability are wall-clock and stay out.
+# (~4 s for all nine). table3 and scalability are wall-clock and stay out.
 fig_files=()
 for fig in table2 fig2 fig3 fig4 fig5 fig6 fig7 ablation usecase_sched; do
     cargo run --release --quiet -p octopus-bench --bin "exp_${fig}" >/dev/null
@@ -154,22 +154,6 @@ if [ ! -s results/autotier.json ]; then
     exit 1
 fi
 grep "^GATE" <<<"$autotier_out"
-
-echo "==> metadata path smoke"
-# The quick 100k-file metadata microbenchmark against an in-process
-# master. The GATE line asserts a minimum aggregate ops/sec;
-# results/metadata.json is the machine-readable artifact CI uploads.
-meta_out=$(cargo run --release --quiet -p octopus-bench --bin exp_metadata -- --quick)
-if ! grep -q "^GATE metadata .* pass=true" <<<"$meta_out"; then
-    echo "metadata smoke: throughput gate failed" >&2
-    grep "^GATE" <<<"$meta_out" >&2 || true
-    exit 1
-fi
-if [ ! -s results/metadata.json ]; then
-    echo "metadata smoke: missing results/metadata.json" >&2
-    exit 1
-fi
-grep "^GATE" <<<"$meta_out"
 
 echo "==> octobench smoke"
 # The benchmark's own correctness harness on the two data-moving
