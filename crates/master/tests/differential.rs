@@ -24,6 +24,9 @@ use octopus_common::{
 };
 use octopus_master::{Master, Namespace, TierQuota};
 
+mod ops;
+use ops::{random_ops, scripted, u, Op};
+
 const BLOCK_SIZE: u64 = 1 << 20;
 
 fn boot() -> Master {
@@ -47,21 +50,6 @@ fn boot() -> Master {
         master.heartbeat(WorkerId(w), media, 0, 0).unwrap();
     }
     master
-}
-
-#[derive(Debug, Clone)]
-enum Op {
-    Mkdir(String),
-    Create(String, ReplicationVector),
-    AddBlock(String, u64),
-    Complete(String),
-    Rename(String, String),
-    Delete(String, bool),
-    List(String),
-    Status(String),
-    SetQuota(String, TierQuota),
-    SetReplication(String, ReplicationVector),
-    QuotaUsage(String),
 }
 
 /// What an op answered, reduced to what both sides must agree on.
@@ -184,115 +172,6 @@ fn run(label: &str, ops: &[Op]) -> BTreeSet<String> {
     assert_eq!(live, reference, "{label}: final images diverge");
     assert_eq!(master.counts(), ns.counts(), "{label}: counts diverge");
     seen
-}
-
-fn u(r: u8) -> ReplicationVector {
-    ReplicationVector::from_replication_factor(r)
-}
-
-/// One HDD-pinned replica: charged against tier-2 quotas.
-fn hdd() -> ReplicationVector {
-    ReplicationVector::msh(0, 0, 1)
-}
-
-/// The answers that need the whole tree in view, and every quota refusal
-/// path, in a fixed order.
-fn scripted() -> Vec<Op> {
-    let s = String::from;
-    vec![
-        Op::Mkdir(s("/a/d")),
-        Op::Mkdir(s("/b")),
-        Op::Mkdir(s("/q")),
-        Op::Create(s("/a/f0"), u(2)),
-        // A file shadowing a path component: NotADirectory, whatever the
-        // names are.
-        Op::Create(s("/a/f0/x"), u(1)),
-        Op::Mkdir(s("/a/f0/x/y")),
-        Op::Status(s("/a/f0/x")),
-        Op::List(s("/a/f0/x")),
-        Op::Rename(s("/b"), s("/a/f0/x")),
-        Op::Delete(s("/a/f0/x"), true),
-        // mkdir over a file; list of a file.
-        Op::Mkdir(s("/a/f0")),
-        Op::List(s("/a/f0")),
-        // Rename into the own subtree, onto an existing name, of `/`.
-        Op::Rename(s("/a"), s("/a/d/z")),
-        Op::Rename(s("/a"), s("/b")),
-        Op::Rename(s("/"), s("/r")),
-        Op::Delete(s("/"), true),
-        Op::Delete(s("/a"), false),
-        Op::Status(s("relative")),
-        Op::Mkdir(s("/a/../b")),
-        // Quota refusals: append, rename into, set_replication, set_quota.
-        Op::SetQuota(s("/q"), TierQuota::limit_tier(2, 3000)),
-        Op::Create(s("/q/f"), hdd()),
-        Op::AddBlock(s("/q/f"), 2000),
-        Op::AddBlock(s("/q/f"), 2000),
-        Op::Create(s("/b/g"), hdd()),
-        Op::AddBlock(s("/b/g"), 2000),
-        Op::Complete(s("/b/g")),
-        Op::AddBlock(s("/b/g"), 10),
-        Op::Rename(s("/b/g"), s("/q/g")),
-        Op::Rename(s("/b"), s("/q/b")),
-        Op::SetReplication(s("/q/f"), ReplicationVector::msh(0, 0, 2)),
-        Op::SetQuota(s("/q"), TierQuota::limit_tier(2, 1000)),
-        Op::SetQuota(s("/q/f"), TierQuota::unlimited()),
-        Op::QuotaUsage(s("/q")),
-        Op::QuotaUsage(s("/q/f")),
-        // A rename inside one quota'd directory is always admissible.
-        Op::Rename(s("/q/f"), s("/q/f2")),
-        Op::Complete(s("/q")),
-        Op::Delete(s("/q"), true),
-        Op::QuotaUsage(s("/")),
-    ]
-}
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 33) % n
-    }
-
-    fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
-        xs[self.below(xs.len() as u64) as usize]
-    }
-}
-
-/// A seeded sequence over a universe small enough that files and
-/// directories keep colliding on the same names.
-fn random_ops(seed: u64, n: usize) -> Vec<Op> {
-    const DIRS: [&str; 5] = ["/a", "/b", "/a/d", "/q", "/"];
-    const NAMES: [&str; 4] = ["f0", "f1", "d", "x"];
-    let mut rng = Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
-    let path = |rng: &mut Lcg| {
-        let base = format!("{}/{}", rng.pick(&DIRS).trim_end_matches('/'), rng.pick(&NAMES));
-        match rng.below(8) {
-            0 => format!("{base}/{}", rng.pick(&NAMES)), // through a file or a dir
-            1 => rng.pick(&DIRS).to_string(),
-            _ => base,
-        }
-    };
-    let mut ops = vec![Op::Mkdir("/a/d".into()), Op::Mkdir("/b".into()), Op::Mkdir("/q".into())];
-    for _ in 0..n {
-        let p = path(&mut rng);
-        let rv = [u(1), u(3), hdd(), ReplicationVector::msh(1, 0, 1)][rng.below(4) as usize];
-        ops.push(match rng.below(100) {
-            0..=9 => Op::Mkdir(p),
-            10..=29 => Op::Create(p, rv),
-            30..=41 => Op::AddBlock(p, (rng.below(4) + 1) * 500),
-            42..=49 => Op::Complete(p),
-            50..=61 => Op::Rename(p, path(&mut rng)),
-            62..=71 => Op::Delete(p, rng.below(2) == 0),
-            72..=79 => Op::List(p),
-            80..=87 => Op::Status(p),
-            88..=91 => Op::SetQuota(p, TierQuota::limit_tier(2, rng.below(6) * 1000)),
-            92..=96 => Op::SetReplication(p, rv),
-            _ => Op::QuotaUsage(p),
-        });
-    }
-    ops
 }
 
 #[test]
