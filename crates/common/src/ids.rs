@@ -33,11 +33,36 @@ id_type!(
     "blk_"
 );
 id_type!(
-    /// Identifier of an inode (file or directory) in the directory namespace.
+    /// Identifier of an inode (file or directory) in the directory namespace:
+    /// the inode's slot in the master's inode table (low 32 bits) and that
+    /// slot's generation (high 32 bits). Deleting an inode frees its slot for
+    /// the next create and bumps the generation, so an id held past a delete
+    /// — in a `FileStatus`, a heat entry, an audit event, a block's owner —
+    /// never names whatever moved in afterwards. A slot on its first inode has
+    /// generation 0, so until something is deleted ids read 1, 2, 3, … in
+    /// creation order (1 is `/`). Slot 0 is never an inode: `INodeId(0)`
+    /// marks entries of an external mount.
     INodeId,
     u64,
     "inode_"
 );
+
+impl INodeId {
+    /// The id of generation `generation` of slot `slot`.
+    pub fn new(slot: u32, generation: u32) -> Self {
+        Self((generation as u64) << 32 | slot as u64)
+    }
+
+    /// The inode-table slot (truncation to the low half is the point).
+    pub fn slot(self) -> u32 {
+        self.0 as u32
+    }
+
+    /// How many inodes lived in the slot before this one.
+    pub fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 id_type!(
     /// Identifier of a worker node in the cluster.
     WorkerId,
@@ -110,6 +135,14 @@ mod tests {
         assert_eq!(MediaId(9).to_string(), "media_9");
         assert_eq!(INodeId(1).to_string(), "inode_1");
         assert_eq!(GenStamp(3).to_string(), "gs_3");
+    }
+
+    #[test]
+    fn inode_id_packs_slot_and_generation() {
+        assert_eq!(INodeId::new(7, 0), INodeId(7), "first generation: the plain slot number");
+        let id = INodeId::new(u32::MAX, u32::MAX);
+        assert_eq!((id.slot(), id.generation()), (u32::MAX, u32::MAX));
+        assert!(INodeId::new(1, 1) > INodeId::new(u32::MAX, 0), "generation is the major key");
     }
 
     #[test]

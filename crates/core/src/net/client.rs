@@ -21,7 +21,7 @@ use octopus_common::{
     FileStatus, FsError, HeatInfo, LocatedBlock, Location, ReplicationVector, Result, RpcConfig,
     StorageTierReport, WorkerId, DEFAULT_IO_WINDOW,
 };
-use octopus_master::ClientId;
+use octopus_master::{ClientId, TierQuota};
 
 use super::bufpool;
 use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
@@ -288,6 +288,19 @@ impl RemoteFs {
     pub fn set_replication(&self, path: &str, rv: ReplicationVector) -> Result<ReplicationVector> {
         match self.call(MasterRequest::SetReplication(path.into(), rv))? {
             MasterResponse::Vector(v) => Ok(v),
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
+    }
+
+    /// Sets a directory's per-tier quota (§1's multi-tenancy mechanism).
+    pub fn set_quota(&self, path: &str, quota: TierQuota) -> Result<()> {
+        self.call(MasterRequest::SetQuota(path.into(), quota)).map(|_| ())
+    }
+
+    /// A directory's quota and the bytes charged against it, per tier slot.
+    pub fn quota_usage(&self, path: &str) -> Result<(TierQuota, Vec<u64>)> {
+        match self.call(MasterRequest::QuotaUsage(path.into()))? {
+            MasterResponse::Quota(quota, usage) => Ok((quota, usage)),
             r => Err(FsError::Io(format!("unexpected response {r:?}"))),
         }
     }

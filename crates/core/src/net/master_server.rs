@@ -207,5 +207,13 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::ClusterStatus => A::ClusterStatus(master.cluster_status(10)),
         Q::Migrations(n) => A::Decisions(master.recent_migrations(n as usize)),
         Q::ReadExternal(path) => A::External(master.read_external(&path)?.into()),
+        Q::SetQuota(path, quota) => {
+            master.set_quota(&path, quota)?;
+            A::Unit
+        }
+        Q::QuotaUsage(path) => {
+            let (quota, usage) = master.quota_usage(&path)?;
+            A::Quota(quota, usage.to_vec())
+        }
     })
 }

@@ -8,6 +8,7 @@ use octopus_common::{
     DirEntry, FileStatus, FsError, HeatInfo, LocatedBlock, Location, MediaId, MediaStats,
     MetricsSnapshot, RackId, ReplicationVector, Result, StorageTierReport, TraceSnapshot, WorkerId,
 };
+use octopus_master::TierQuota;
 
 /// A request to the master.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +83,10 @@ pub enum MasterRequest {
     Migrations(u32),
     /// The whole content of a file under an external mount (§2.4).
     ReadExternal(String),
+    /// Set a directory's per-tier quota; `(path, quota)`.
+    SetQuota(String, TierQuota),
+    /// A directory's per-tier quota and the usage charged against it.
+    QuotaUsage(String),
 }
 
 impl MasterRequest {
@@ -137,6 +142,8 @@ impl MasterRequest {
             ClusterStatus => "ClusterStatus",
             Migrations(..) => "Migrations",
             ReadExternal(..) => "ReadExternal",
+            SetQuota(..) => "SetQuota",
+            QuotaUsage(..) => "QuotaUsage",
         }
     }
 }
@@ -178,6 +185,8 @@ pub enum MasterResponse {
     ClusterStatus(ClusterStatusReport),
     /// The content of an externally mounted file.
     External(bytes::Bytes),
+    /// A directory's quota and its usage per tier slot.
+    Quota(TierQuota, Vec<u64>),
 }
 
 macro_rules! tagged {
@@ -221,6 +230,8 @@ impl Wire for MasterRequest {
             // Tags 27 and 28 are retired (DESIGN.md §7): never reuse them.
             Migrations(n) => tagged!(buf, 29, n),
             ReadExternal(p) => tagged!(buf, 30, p),
+            SetQuota(p, q) => tagged!(buf, 31, p, q),
+            QuotaUsage(p) => tagged!(buf, 32, p),
         }
     }
 
@@ -272,6 +283,8 @@ impl Wire for MasterRequest {
             26 => ClusterStatus,
             29 => Migrations(Wire::get(r)?),
             30 => ReadExternal(Wire::get(r)?),
+            31 => SetQuota(Wire::get(r)?, Wire::get(r)?),
+            32 => QuotaUsage(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master request tag {t}"))),
         })
     }
@@ -299,6 +312,7 @@ impl Wire for MasterResponse {
             ClusterStatus(c) => tagged!(buf, 15, c),
             // Tags 16 and 17 are retired (DESIGN.md §7): never reuse them.
             External(b) => tagged!(buf, 18, b),
+            Quota(q, u) => tagged!(buf, 19, q, u),
         }
     }
 
@@ -322,6 +336,7 @@ impl Wire for MasterResponse {
             14 => Decisions(Wire::get(r)?),
             15 => ClusterStatus(Wire::get(r)?),
             18 => External(Wire::get(r)?),
+            19 => Quota(Wire::get(r)?, Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master response tag {t}"))),
         })
     }
@@ -835,6 +850,17 @@ mod tests {
             }],
         }]));
         rt(MasterResponse::ClusterStatus(ClusterStatusReport::default()));
+    }
+
+    #[test]
+    fn quota_messages_round_trip() {
+        let mut quota = TierQuota::limit_tier(2, 1 << 40);
+        quota.per_tier[0] = Some(0);
+        rt(MasterRequest::SetQuota("/tenant".into(), quota));
+        rt(MasterRequest::QuotaUsage("/tenant".into()));
+        rt(MasterResponse::Quota(quota, vec![0, 0, 7 << 30, 0, 0, 0, 0]));
+        assert!(MasterRequest::SetQuota("/t".into(), quota).is_idempotent());
+        assert_eq!(MasterRequest::QuotaUsage("/t".into()).name(), "QuotaUsage");
     }
 
     #[test]

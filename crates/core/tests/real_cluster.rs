@@ -204,7 +204,7 @@ fn quota_propagates_to_client_writes() {
     let cluster = Cluster::start(test_config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     client.mkdir("/tenant").unwrap();
-    cluster.master().set_quota("/tenant", TierQuota::limit_tier(0, MB)).unwrap();
+    client.set_quota("/tenant", TierQuota::limit_tier(0, MB)).unwrap();
     let data = payload((2 * MB) as usize, 31);
     // 2 MB pinned to memory exceeds the 1 MB quota on the second block.
     let err = client.write_file("/tenant/big", &data, ReplicationVector::msh(1, 0, 1));

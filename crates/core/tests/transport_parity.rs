@@ -1,15 +1,17 @@
 //! Transport parity: one client, one worker dispatch and one §5 monitor
 //! run over two transports, so one seeded scenario must hold — with the
-//! same assertions — over both: a windowed multi-block write and read,
-//! §3.1 pipeline recovery around a crashed entry worker, §4.1 checksum
+//! same assertions — over both: a windowed multi-block write and read, a
+//! quota set, tripped and lifted through the client, §3.1 pipeline recovery around a crashed entry worker, §4.1 checksum
 //! failover past corrupt replicas, and a replication round that leaves the
 //! master nothing to repair.
 
 use std::sync::Arc;
 
-use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, RpcConfig, WorkerId, MB};
+use octopus_common::{
+    ClientLocation, ClusterConfig, FsError, ReplicationVector, RpcConfig, WorkerId, MB,
+};
 use octopus_core::{Cluster, NetCluster, RemoteFs, Worker};
-use octopus_master::Master;
+use octopus_master::{Master, TierQuota};
 use octopus_storage::MemoryStore;
 
 /// What the scenario needs from a cluster, whatever carries its requests.
@@ -78,6 +80,20 @@ fn scenario(rig: &mut dyn Rig) {
     let blocks = client.get_file_block_locations("/five", 0, u64::MAX).unwrap();
     assert_eq!(blocks.len(), 5);
     assert!(blocks.iter().all(|lb| lb.locations.len() == 3));
+
+    // A quota set through the client refuses the second memory-pinned
+    // block, variant intact across the wire, and is lifted the same way.
+    let pinned = ReplicationVector::msh(1, 0, 1);
+    client.mkdir("/tenant").unwrap();
+    client.set_quota("/tenant", TierQuota::limit_tier(0, MB)).unwrap();
+    let refused = client.write_file("/tenant/big", &data[..2 * MB as usize], pinned);
+    assert!(matches!(refused, Err(FsError::QuotaExceeded(_))), "{refused:?}");
+    client.delete("/tenant/big", false).unwrap();
+    let (quota, usage) = client.quota_usage("/tenant").unwrap();
+    assert_eq!((quota, usage.iter().sum::<u64>()), (TierQuota::limit_tier(0, MB), 0));
+    client.set_quota("/tenant", TierQuota::unlimited()).unwrap();
+    client.write_file("/tenant/big", &data[..2 * MB as usize], pinned).unwrap();
+    assert_eq!(client.quota_usage("/tenant").unwrap().1[..3], [2 * MB, 0, 2 * MB]);
 
     // A writer co-located with a crashed worker: the master still places
     // the first replica there, so every pipeline's entry stage is down and

@@ -21,23 +21,27 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, PoisonError};
 
 use octopus_common::checksum::crc32;
-use octopus_common::{BlockId, FsError, ReplicationVector, Result, MAX_TIERS};
+use octopus_common::{
+    Block, BlockId, FsError, GenStamp, INodeId, ReplicationVector, Result, MAX_TIERS,
+};
 use parking_lot::Mutex;
 
 use crate::namespace::{Namespace, TierQuota};
 
-/// One namespace mutation.
+/// One namespace mutation. `S` is how it holds its paths: `String` for an
+/// op on its way into the log, `&str` for one borrowed out of a record
+/// during replay ([`EditRef`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EditOp {
+pub enum EditOp<S = String> {
     /// `mkdir -p path`.
     Mkdir {
         /// Directory path.
-        path: String,
+        path: S,
     },
     /// Create an empty file open for writing.
     CreateFile {
         /// File path.
-        path: String,
+        path: S,
         /// Replication vector (64-bit encoding).
         rv: ReplicationVector,
         /// Block size.
@@ -46,7 +50,7 @@ pub enum EditOp {
     /// Append a block to an open file.
     AddBlock {
         /// File path.
-        path: String,
+        path: S,
         /// Block id.
         block: BlockId,
         /// Generation stamp.
@@ -57,50 +61,59 @@ pub enum EditOp {
     /// Close (complete) a file.
     CloseFile {
         /// File path.
-        path: String,
+        path: S,
     },
     /// Reopen a complete file for append.
     AppendFile {
         /// File path.
-        path: String,
+        path: S,
     },
     /// Rename a file or directory.
     Rename {
         /// Source path.
-        src: String,
+        src: S,
         /// Destination path.
-        dst: String,
+        dst: S,
     },
     /// Delete a file or directory subtree.
     Delete {
         /// Path to delete.
-        path: String,
+        path: S,
     },
     /// Replace a file's replication vector.
     SetReplication {
         /// File path.
-        path: String,
+        path: S,
         /// The new vector.
         rv: ReplicationVector,
     },
     /// Set a directory's per-tier quota.
     SetQuota {
         /// Directory path.
-        path: String,
-        /// The quota.
-        quota: TierQuota,
+        path: S,
+        /// The quota, boxed: it is 112 bytes, and inline it made every op
+        /// in every staged batch and every caller's vector 136.
+        quota: Box<TierQuota>,
     },
     /// Remove the last (uncommitted) block of an open file — pipeline
     /// recovery abandoned it after a write failure.
     AbandonBlock {
         /// File path.
-        path: String,
+        path: S,
         /// The abandoned block.
         block: BlockId,
         /// Its length (for the quota refund on replay).
         len: u64,
     },
 }
+
+/// An op whose paths point into the record it was decoded from.
+pub type EditRef<'a> = EditOp<&'a str>;
+
+/// The group committer's staging vector and every `append_batch` caller's
+/// vector hold one of these per op: 136 bytes each while `SetQuota` carried
+/// its quota inline.
+const _: () = assert!(std::mem::size_of::<EditOp>() <= 56);
 
 const TAG_MKDIR: u8 = 1;
 const TAG_CREATE: u8 = 2;
@@ -155,10 +168,9 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String> {
+    fn str(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| FsError::Io(e.to_string()))
+        std::str::from_utf8(self.take(len)?).map_err(|e| FsError::Io(e.to_string()))
     }
 
     fn done(&self) -> bool {
@@ -166,7 +178,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl EditOp {
+impl<S: AsRef<str>> EditOp<S> {
     /// Encodes the op body (without record framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(64);
@@ -179,61 +191,118 @@ impl EditOp {
         match self {
             EditOp::Mkdir { path } => {
                 b.push(TAG_MKDIR);
-                put_str(b, path);
+                put_str(b, path.as_ref());
             }
             EditOp::CreateFile { path, rv, block_size } => {
                 b.push(TAG_CREATE);
-                put_str(b, path);
+                put_str(b, path.as_ref());
                 put_u64(b, rv.to_bits());
                 put_u64(b, *block_size);
             }
             EditOp::AddBlock { path, block, gen, len } => {
                 b.push(TAG_ADD_BLOCK);
-                put_str(b, path);
+                put_str(b, path.as_ref());
                 put_u64(b, block.0);
                 put_u64(b, *gen);
                 put_u64(b, *len);
             }
             EditOp::CloseFile { path } => {
                 b.push(TAG_CLOSE);
-                put_str(b, path);
+                put_str(b, path.as_ref());
             }
             EditOp::AppendFile { path } => {
                 b.push(TAG_APPEND);
-                put_str(b, path);
+                put_str(b, path.as_ref());
             }
             EditOp::Rename { src, dst } => {
                 b.push(TAG_RENAME);
-                put_str(b, src);
-                put_str(b, dst);
+                put_str(b, src.as_ref());
+                put_str(b, dst.as_ref());
             }
             EditOp::Delete { path } => {
                 b.push(TAG_DELETE);
-                put_str(b, path);
+                put_str(b, path.as_ref());
             }
             EditOp::SetReplication { path, rv } => {
                 b.push(TAG_SET_REP);
-                put_str(b, path);
+                put_str(b, path.as_ref());
                 put_u64(b, rv.to_bits());
             }
             EditOp::SetQuota { path, quota } => {
                 b.push(TAG_SET_QUOTA);
-                put_str(b, path);
+                put_str(b, path.as_ref());
                 for t in 0..MAX_TIERS {
                     put_u64(b, quota.per_tier[t].unwrap_or(NO_QUOTA));
                 }
             }
             EditOp::AbandonBlock { path, block, len } => {
                 b.push(TAG_ABANDON_BLOCK);
-                put_str(b, path);
+                put_str(b, path.as_ref());
                 put_u64(b, block.0);
                 put_u64(b, *len);
             }
         }
     }
 
-    /// Decodes one op body.
-    pub fn decode(buf: &[u8]) -> Result<EditOp> {
+    /// Applies the op to a namespace (replay, the backup master) and says
+    /// what that did to the set of blocks.
+    pub fn apply(&self, ns: &mut Namespace) -> Result<BlockChange> {
+        match self {
+            EditOp::Mkdir { path } => drop(ns.mkdir(path.as_ref(), true)?),
+            EditOp::CreateFile { path, rv, block_size } => {
+                ns.create_file(path.as_ref(), *rv, *block_size)?;
+            }
+            EditOp::AddBlock { path, block, gen, len } => {
+                let file = ns.resolve(path.as_ref())?;
+                ns.add_block(file, *block, *len)?;
+                let block = Block { id: *block, gen: GenStamp(*gen), len: *len };
+                return Ok(BlockChange::Added { file, block });
+            }
+            EditOp::CloseFile { path } => {
+                let id = ns.resolve(path.as_ref())?;
+                ns.finalize_file(id)?;
+            }
+            EditOp::AppendFile { path } => {
+                let id = ns.resolve(path.as_ref())?;
+                ns.reopen_file(id)?;
+            }
+            EditOp::Rename { src, dst } => ns.rename(src.as_ref(), dst.as_ref())?,
+            EditOp::Delete { path } => {
+                return Ok(BlockChange::Removed(ns.delete(path.as_ref(), true)?.1));
+            }
+            EditOp::SetReplication { path, rv } => drop(ns.set_replication(path.as_ref(), *rv)?),
+            EditOp::SetQuota { path, quota } => ns.set_quota(path.as_ref(), **quota)?,
+            EditOp::AbandonBlock { path, block, len } => {
+                let id = ns.resolve(path.as_ref())?;
+                ns.remove_last_block(id, *block, *len)?;
+                return Ok(BlockChange::Removed(vec![*block]));
+            }
+        }
+        Ok(BlockChange::None)
+    }
+}
+
+/// What applying an op did to the set of blocks — all a replaying master
+/// needs to keep its block map in step, the way the live path does.
+#[derive(Debug, PartialEq, Eq)]
+pub enum BlockChange {
+    /// Nothing.
+    None,
+    /// `file` gained `block`.
+    Added {
+        /// The owning file.
+        file: INodeId,
+        /// The block as logged.
+        block: Block,
+    },
+    /// These blocks are gone (a delete, an abandoned block).
+    Removed(Vec<BlockId>),
+}
+
+impl<'a> EditRef<'a> {
+    /// Decodes one op body in place: paths borrow from `buf`, so replay
+    /// allocates nothing it is about to throw away.
+    pub fn decode_borrowed(buf: &'a [u8]) -> Result<Self> {
         let mut r = Reader::new(buf);
         let tag = r.u8()?;
         let op = match tag {
@@ -259,7 +328,7 @@ impl EditOp {
             },
             TAG_SET_QUOTA => {
                 let path = r.str()?;
-                let mut quota = TierQuota::unlimited();
+                let mut quota = Box::new(TierQuota::unlimited());
                 for t in 0..MAX_TIERS {
                     let v = r.u64()?;
                     quota.per_tier[t] = if v == NO_QUOTA { None } else { Some(v) };
@@ -277,46 +346,34 @@ impl EditOp {
         Ok(op)
     }
 
-    /// Applies the op to a namespace (used for replay and by the backup
-    /// master).
-    pub fn apply(&self, ns: &mut Namespace) -> Result<()> {
+    /// The same op, owning its paths.
+    pub fn into_owned(self) -> EditOp {
+        let s = str::to_string;
         match self {
-            EditOp::Mkdir { path } => {
-                ns.mkdir(path, true)?;
-            }
+            EditOp::Mkdir { path } => EditOp::Mkdir { path: s(path) },
             EditOp::CreateFile { path, rv, block_size } => {
-                ns.create_file(path, *rv, *block_size)?;
+                EditOp::CreateFile { path: s(path), rv, block_size }
             }
-            EditOp::AddBlock { path, block, len, .. } => {
-                let id = ns.resolve(path)?;
-                ns.add_block(id, *block, *len)?;
+            EditOp::AddBlock { path, block, gen, len } => {
+                EditOp::AddBlock { path: s(path), block, gen, len }
             }
-            EditOp::CloseFile { path } => {
-                let id = ns.resolve(path)?;
-                ns.finalize_file(id)?;
-            }
-            EditOp::AppendFile { path } => {
-                let id = ns.resolve(path)?;
-                ns.reopen_file(id)?;
-            }
-            EditOp::Rename { src, dst } => {
-                ns.rename(src, dst)?;
-            }
-            EditOp::Delete { path } => {
-                ns.delete(path, true)?;
-            }
-            EditOp::SetReplication { path, rv } => {
-                ns.set_replication(path, *rv)?;
-            }
-            EditOp::SetQuota { path, quota } => {
-                ns.set_quota(path, *quota)?;
-            }
+            EditOp::CloseFile { path } => EditOp::CloseFile { path: s(path) },
+            EditOp::AppendFile { path } => EditOp::AppendFile { path: s(path) },
+            EditOp::Rename { src, dst } => EditOp::Rename { src: s(src), dst: s(dst) },
+            EditOp::Delete { path } => EditOp::Delete { path: s(path) },
+            EditOp::SetReplication { path, rv } => EditOp::SetReplication { path: s(path), rv },
+            EditOp::SetQuota { path, quota } => EditOp::SetQuota { path: s(path), quota },
             EditOp::AbandonBlock { path, block, len } => {
-                let id = ns.resolve(path)?;
-                ns.remove_last_block(id, *block, *len)?;
+                EditOp::AbandonBlock { path: s(path), block, len }
             }
         }
-        Ok(())
+    }
+}
+
+impl EditOp {
+    /// Decodes one op body.
+    pub fn decode(buf: &[u8]) -> Result<EditOp> {
+        Ok(EditRef::decode_borrowed(buf)?.into_owned())
     }
 }
 
@@ -404,8 +461,11 @@ fn read_tail(src: impl Read, skip: u64, cap: usize) -> Result<Vec<u8>> {
 
 /// Decodes and hands to `f` every record of a framed stream (a checkpoint
 /// image, a shipped log tail), with [`scan_records`]' torn-tail rule.
-pub(crate) fn replay_stream(buf: &[u8], mut f: impl FnMut(EditOp) -> Result<()>) -> Result<()> {
-    scan_records(buf, buf.len() as u64, |body| f(EditOp::decode(body)?)).map(drop)
+pub(crate) fn replay_stream(
+    buf: &[u8],
+    mut f: impl FnMut(EditRef<'_>) -> Result<()>,
+) -> Result<()> {
+    scan_records(buf, buf.len() as u64, |body| f(EditRef::decode_borrowed(body)?)).map(drop)
 }
 
 /// Decodes a stream of framed records. Stops cleanly at a truncated tail
@@ -413,7 +473,7 @@ pub(crate) fn replay_stream(buf: &[u8], mut f: impl FnMut(EditOp) -> Result<()>)
 pub fn decode_stream(buf: &[u8]) -> Result<Vec<EditOp>> {
     let mut ops = Vec::new();
     replay_stream(buf, |op| {
-        ops.push(op);
+        ops.push(op.into_owned());
         Ok(())
     })?;
     Ok(ops)
@@ -578,10 +638,11 @@ impl EditLog {
         self.records == 0
     }
 
-    /// Streams every recorded op, in order, to `f`: each record is read,
-    /// CRC-checked, decoded, handed over and dropped.
-    pub fn replay(&self, mut f: impl FnMut(EditOp) -> Result<()>) -> Result<()> {
-        self.scan(self.valid_len, |body| f(EditOp::decode(body)?)).map(drop)
+    /// Streams every recorded op, in order, to `f`: each record is read
+    /// into the scanner's one buffer, CRC-checked, decoded in place and
+    /// handed over borrowed.
+    pub fn replay(&self, mut f: impl FnMut(EditRef<'_>) -> Result<()>) -> Result<()> {
+        self.scan(self.valid_len, |body| f(EditRef::decode_borrowed(body)?)).map(drop)
     }
 }
 
@@ -751,7 +812,7 @@ fn for_each_image_op(ns: &Namespace, mut f: impl FnMut(EditOp)) {
             f(EditOp::Mkdir { path: path.clone() });
         }
         if quota != TierQuota::unlimited() {
-            f(EditOp::SetQuota { path, quota });
+            f(EditOp::SetQuota { path, quota: Box::new(quota) });
         }
     }
     let mut files = ns.iter_files();
@@ -785,7 +846,7 @@ pub fn encode_image(ns: &Namespace) -> Vec<u8> {
 /// Restores a namespace from a checkpoint image.
 pub fn decode_image(image: &[u8]) -> Result<Namespace> {
     let mut ns = Namespace::new();
-    replay_stream(image, |op| op.apply(&mut ns))?;
+    replay_stream(image, |op| op.apply(&mut ns).map(drop))?;
     Ok(ns)
 }
 
@@ -810,7 +871,10 @@ mod tests {
             EditOp::CloseFile { path: "/a/b/f".into() },
             EditOp::SetReplication { path: "/a/b/f".into(), rv: ReplicationVector::msh(0, 1, 2) },
             EditOp::Rename { src: "/a/b/f".into(), dst: "/a/g".into() },
-            EditOp::SetQuota { path: "/a".into(), quota: TierQuota::limit_tier(0, 1 << 20) },
+            EditOp::SetQuota {
+                path: "/a".into(),
+                quota: Box::new(TierQuota::limit_tier(0, 1 << 20)),
+            },
             EditOp::Delete { path: "/a/b".into() },
         ]
     }
@@ -828,7 +892,7 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(EditOp::decode(&[99, 0, 0]).is_err());
         // Trailing bytes rejected.
-        let mut enc = EditOp::Mkdir { path: "/x".into() }.encode();
+        let mut enc = EditOp::Mkdir { path: "/x" }.encode();
         enc.push(0);
         assert!(EditOp::decode(&enc).is_err());
     }
@@ -857,7 +921,7 @@ mod tests {
             log.append(op).unwrap();
         }
         let mut ns = Namespace::new();
-        log.replay(|op| op.apply(&mut ns)).unwrap();
+        log.replay(|op| op.apply(&mut ns).map(drop)).unwrap();
         // After the sample sequence: /a exists with quota, /a/g is the
         // renamed file, /a/b was deleted.
         let st = ns.status("/a/g").unwrap();
@@ -879,7 +943,7 @@ mod tests {
         }
         let mut replayed = Vec::new();
         let replay = EditLog::open(&path).unwrap().replay(|op| {
-            replayed.push(op);
+            replayed.push(op.into_owned());
             Ok(())
         });
         assert_eq!((replay, replayed), (Ok(()), sample_ops()));

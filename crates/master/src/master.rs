@@ -32,10 +32,10 @@ use octopus_policies::{
 use crate::autotier::{AutoTierConfig, MigrationDecision, MigrationDirection};
 use crate::blockmap::{replication_state, BlockMap};
 use crate::cluster::ClusterState;
-use crate::editlog::{decode_stream, encode_image, EditLog, EditOp, GroupCommitLog};
+use crate::editlog::{decode_stream, encode_image, BlockChange, EditLog, EditOp, GroupCommitLog};
 use crate::lease::{ClientId, LeaseManager};
 use crate::mount::{ExternalCatalog, MountTable};
-use crate::namespace::{parse_path, DirEntry, FileStatus, Namespace, TierQuota};
+use crate::namespace::{normalize, DirEntry, FileMeta, FileStatus, Namespace, TierQuota};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,17 +71,6 @@ pub enum ReplicationTask {
         /// The replica to remove.
         location: Location,
     },
-}
-
-/// Normalizes a path to its canonical form: `/` + parsed components
-/// joined by `/` (so `//a///b/` becomes `/a/b`). Lease keys are normalized
-/// paths, so aliased spellings of one path share one lease.
-fn normalize(path: &str) -> Result<String> {
-    let comps = parse_path(path)?;
-    if comps.is_empty() {
-        return Ok("/".to_string());
-    }
-    Ok(format!("/{}", comps.join("/")))
 }
 
 /// Resolves placement output to full locations under one cluster guard.
@@ -330,30 +319,29 @@ impl Master {
     pub fn with_log(config: ClusterConfig, log: EditLog) -> Result<Self> {
         config.validate()?;
 
-        // The catalog keeps every block the log ever allocated so the id
-        // generator never re-issues one, but the block map is derived
-        // from the replayed namespace afterwards — blocks of deleted
-        // files and abandoned blocks must not survive replay.
+        // The block map follows the replay the way it follows the live
+        // path — a block enters on `AddBlock` and leaves with its file or
+        // when abandoned — so nothing here grows with the log's length.
+        // `max_block` remembers every id the log ever issued, so the
+        // generator never re-issues one.
         let mut ns = Namespace::new();
-        let mut catalog: HashMap<BlockId, Block> = HashMap::new();
+        let mut blocks = BlockMap::new();
         let mut max_block = 0u64;
         log.replay(|op| {
-            op.apply(&mut ns)?;
-            if let EditOp::AddBlock { block, gen, len, .. } = op {
-                catalog.insert(block, Block { id: block, gen: GenStamp(gen), len });
-                max_block = max_block.max(block.0);
+            match op.apply(&mut ns)? {
+                BlockChange::Added { file, block } => {
+                    max_block = max_block.max(block.id.0);
+                    blocks.insert(block, file, Vec::new());
+                }
+                BlockChange::Removed(gone) => {
+                    for id in gone {
+                        blocks.remove_block(id);
+                    }
+                }
+                BlockChange::None => {}
             }
             Ok(())
         })?;
-        let mut blocks = BlockMap::new();
-        for (file, meta) in ns.files() {
-            for bid in &meta.blocks {
-                let block = *catalog
-                    .get(bid)
-                    .ok_or_else(|| FsError::Internal(format!("block {bid} missing from log")))?;
-                blocks.insert(block, file, Vec::new());
-            }
-        }
 
         let block_ids = IdGenerator::new(1);
         block_ids.ensure_above(max_block);
@@ -1223,7 +1211,7 @@ impl Master {
         mount_point: &str,
         catalog: Arc<dyn ExternalCatalog>,
     ) -> Result<()> {
-        parse_path(mount_point)?;
+        normalize(mount_point)?;
         let mut g = self.namespace.write();
         // The mount point must not shadow existing namespace entries.
         if g.ns.resolve(mount_point).is_ok() {
@@ -1316,7 +1304,8 @@ impl Master {
             self.check_writable()?;
             let mut g = ctx.write(&self.namespace);
             g.ns.set_quota(path, quota)?;
-            let seq = self.log.stage(EditOp::SetQuota { path: path.to_string(), quota });
+            let seq =
+                self.log.stage(EditOp::SetQuota { path: path.to_string(), quota: Box::new(quota) });
             drop(g);
             ctx.wait_durable(&self.log, seq)
         })
@@ -1355,7 +1344,13 @@ impl Master {
         // for its duration.
         let g = self.namespace.read();
         let mut bg = self.blocks.write();
-        for (file, meta) in g.ns.files().filter(|(_, meta)| meta.complete) {
+        // In ascending inode id — creation order, until a slot is reused —
+        // so the order of the tasks does not depend on where the inode
+        // table happens to keep a file.
+        let mut files: Vec<(INodeId, &FileMeta)> =
+            g.ns.files().filter(|(_, meta)| meta.complete && !meta.blocks.is_empty()).collect();
+        files.sort_unstable_by_key(|&(id, _)| id);
+        for (file, meta) in files {
             let rv = meta.rv;
             for &bid in &meta.blocks {
                 let Some(info) = bg.get(bid) else { continue };
@@ -1606,15 +1601,20 @@ impl Master {
             return Vec::new(); // no memory tier configured: nothing to tier
         }
 
+        // Candidates in ascending inode id: demotions are applied in this
+        // order, promotions by score and then by it.
         let files: Vec<(INodeId, String, ReplicationVector, u64, BlockId)> = {
             let g = self.namespace.read();
-            g.ns.files()
-                .filter(|(_, meta)| meta.complete)
-                .filter_map(|(id, meta)| {
-                    let first = *meta.blocks.first()?;
-                    Some((id, g.ns.path_of(id), meta.rv, meta.len, first))
-                })
-                .collect()
+            let mut files: Vec<_> =
+                g.ns.files()
+                    .filter(|(_, meta)| meta.complete)
+                    .filter_map(|(id, meta)| {
+                        let first = *meta.blocks.first()?;
+                        Some((id, g.ns.path_of(id).ok()?, meta.rv, meta.len, first))
+                    })
+                    .collect();
+            files.sort_unstable_by_key(|f| f.0);
+            files
         };
         let scored: Vec<(INodeId, String, ReplicationVector, u64, BlockId, HeatInfo)> = {
             let heat = self.heat.lock();
@@ -1845,9 +1845,11 @@ impl Master {
         let g = self.namespace.read();
         hottest
             .into_iter()
-            .filter(|heat| g.ns.file_meta(heat.file).is_ok())
+            .filter_map(|heat| {
+                g.ns.file_meta(heat.file).ok()?;
+                Some(HotFile { path: g.ns.path_of(heat.file).ok()?, heat })
+            })
             .take(k)
-            .map(|heat| HotFile { path: g.ns.path_of(heat.file), heat })
             .collect()
     }
 
@@ -2274,6 +2276,40 @@ mod tests {
             !decisions.iter().any(|d| d.direction == MigrationDirection::Promote),
             "recreated file must start cold"
         );
+    }
+
+    #[test]
+    fn what_held_a_deleted_files_id_does_not_see_its_slots_next_tenant() {
+        let m = boot_master(3);
+        let old_block = put_file(&m, "/old", rv_u(1));
+        let old = m.status("/old").unwrap().id;
+        touch(&m, old_block, 9, 0);
+        m.delete("/old", false).unwrap();
+        // Create until a file moves into the freed slot.
+        let tenant = (0..100)
+            .map(|i| format!("/new{i}"))
+            .find(|path| {
+                put_file(&m, path, rv_u(1));
+                m.status(path).unwrap().id.slot() == old.slot()
+            })
+            .expect("a freed slot is reused");
+        let id = m.status(&tenant).unwrap().id;
+        assert_eq!((id.slot(), id.generation()), (old.slot(), old.generation() + 1));
+
+        // Heat: a heartbeat that still reports touches of the deleted block
+        // warms nothing, and the tenant starts cold.
+        touch(&m, old_block, 9, 0);
+        assert_eq!(m.heat_tracked_files(), 0);
+        assert_eq!(m.file_heat(&tenant).unwrap().score, 0.0);
+        assert!(m.hot_files(10).is_empty());
+        // Audit: the old block's events still name the old id, which the
+        // namespace no longer resolves — not to the tenant, not to anything.
+        let events = m.explain(old_block.id);
+        assert!(!events.is_empty() && events.iter().all(|e| e.file == old));
+        let g = m.namespace.read();
+        assert!(matches!(g.ns.path_of(old), Err(FsError::Internal(_))));
+        assert!(matches!(g.ns.file_meta(old), Err(FsError::Internal(_))));
+        assert_eq!(g.ns.path_of(id).unwrap(), tenant);
     }
 
     #[test]

@@ -2,12 +2,21 @@
 //! directories, per-file replication vectors, and per-tier directory quotas
 //! (paper §2.1; quotas per storage medium are the multi-tenancy mechanism
 //! mentioned in §1).
+//!
+//! # Layout (DESIGN.md §11, "What a file costs")
+//!
+//! Inodes live in one slab of fixed-size chunks, addressed by *slot*. An
+//! [`INodeId`] is a slot plus the slot's generation: deleting an inode
+//! bumps the generation and puts the slot on a free list, so the next
+//! create reuses it — the heap is a function of the live namespace — while
+//! an id that outlived its file never resolves to the newcomer. Each name
+//! is stored once, in its inode; a directory's children are slots kept
+//! sorted by name and binary-searched (HDFS's `INodeDirectory` does the
+//! same); quota and usage are boxed together and exist only for
+//! directories that have either.
 
-use std::collections::BTreeMap;
-
-use octopus_common::{
-    BlockId, FsError, INodeId, IdGenerator, ReplicationVector, Result, MAX_TIERS,
-};
+use octopus_common::wire::{Wire, WireReader};
+use octopus_common::{BlockId, FsError, INodeId, ReplicationVector, Result, MAX_TIERS};
 
 /// Per-tier byte quotas attachable to a directory. `None` means unlimited.
 /// Usage charged against a quota is *logical replicated bytes pinned to the
@@ -34,6 +43,22 @@ impl TierQuota {
     }
 }
 
+/// On the wire (the `SetQuota` / `QuotaUsage` RPCs): one `Option<u64>` per
+/// tier slot, in slot order.
+impl Wire for TierQuota {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.per_tier.iter().for_each(|limit| limit.put(buf));
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let mut quota = Self::default();
+        for limit in &mut quota.per_tier {
+            *limit = Wire::get(r)?;
+        }
+        Ok(quota)
+    }
+}
+
 /// Metadata of a regular file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
@@ -50,56 +75,114 @@ pub struct FileMeta {
     pub complete: bool,
 }
 
-#[derive(Debug, Clone)]
-enum INodeKind {
-    /// Quota and usage are boxed because the enum is as large as its
-    /// largest variant and files outnumber directories by orders of
-    /// magnitude: inline they made every inode 240 bytes, boxed 104.
-    Dir {
-        children: BTreeMap<String, INodeId>,
-        quota: Box<TierQuota>,
-        usage: Box<[u64; MAX_TIERS]>,
-    },
+/// Per-tier bytes, indexed by tier slot.
+type Charge = [u64; MAX_TIERS];
+
+/// A directory's quota and the usage charged against it: 168 bytes that
+/// most directories never need.
+#[derive(Debug, Default)]
+struct Account {
+    quota: TierQuota,
+    usage: Charge,
+}
+
+#[derive(Debug, Default)]
+struct Dir {
+    /// Child slots, sorted by the children's names.
+    children: Vec<u32>,
+    /// Present iff the quota is limited somewhere or some usage is not 0.
+    account: Option<Box<Account>>,
+}
+
+impl Dir {
+    fn quota_usage(&self) -> (TierQuota, Charge) {
+        self.account.as_ref().map_or_else(Default::default, |a| (a.quota, a.usage))
+    }
+
+    /// Drops an account that says nothing.
+    fn settle(&mut self) {
+        if self.quota_usage() == Default::default() {
+            self.account = None;
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Kind {
+    /// On the free list (or retired); `INode::parent` links to the next
+    /// free slot.
+    Free,
+    Dir(Dir),
     File(FileMeta),
 }
 
-#[derive(Debug, Clone)]
+/// One slot of the slab: 80 bytes.
+#[derive(Debug)]
 struct INode {
-    #[allow(dead_code)]
-    id: INodeId,
-    name: String,
-    parent: Option<INodeId>,
-    kind: INodeKind,
+    name: Box<str>,
+    /// The parent directory's slot; [`NO_SLOT`] for the root.
+    parent: u32,
+    /// How many inodes have lived in this slot before this one.
+    generation: u32,
+    kind: Kind,
 }
+
+/// A file's fixed cost; its name and its entry in the parent come on top.
+const _: () = assert!(std::mem::size_of::<INode>() <= 80);
 
 pub use octopus_common::{DirEntry, FileStatus};
 
-/// Splits and validates an absolute path into components.
-pub fn parse_path(path: &str) -> Result<Vec<&str>> {
+/// Slot 0 holds no inode, so "no parent", "end of the free list" and the
+/// external-mount marker `INodeId(0)` never name one.
+const NO_SLOT: u32 = 0;
+const ROOT: u32 = 1;
+
+/// Slots per full chunk of the slab (320 KB). Only the last chunk grows
+/// (doubling, to exactly this), so growth never copies more than one
+/// chunk and a file's cost does not depend on how full one big doubling
+/// vector happens to be.
+const CHUNK: usize = 1 << 12;
+
+/// The non-empty components of an absolute path, checked for `.` and `..`
+/// before the first is handed out.
+fn components(path: &str) -> Result<impl DoubleEndedIterator<Item = &str> + Clone> {
     if !path.starts_with('/') {
         return Err(FsError::InvalidPath(format!("{path:?} is not absolute")));
     }
-    let mut out = Vec::new();
-    for comp in path.split('/') {
-        match comp {
-            "" => continue,
-            "." | ".." => {
-                return Err(FsError::InvalidPath(format!(
-                    "{path:?} contains relative component {comp:?}"
-                )))
-            }
-            c => out.push(c),
-        }
+    let comps = path.split('/').filter(|c| !c.is_empty());
+    if let Some(comp) = comps.clone().find(|c| matches!(*c, "." | "..")) {
+        return Err(FsError::InvalidPath(format!("{path:?} contains relative component {comp:?}")));
+    }
+    Ok(comps)
+}
+
+/// Validates an absolute path and returns its canonical form: `/` + the
+/// components joined by `/` (so `//a///b/` becomes `/a/b`).
+pub fn normalize(path: &str) -> Result<String> {
+    let mut out = String::with_capacity(path.len());
+    for comp in components(path)? {
+        out.push('/');
+        out.push_str(comp);
+    }
+    if out.is_empty() {
+        out.push('/');
     }
     Ok(out)
+}
+
+fn dangling(id: INodeId) -> FsError {
+    FsError::Internal(format!("dangling inode {id}"))
 }
 
 /// The inode tree.
 #[derive(Debug)]
 pub struct Namespace {
-    nodes: BTreeMap<INodeId, INode>,
-    root: INodeId,
-    ids: IdGenerator,
+    /// The slab: every chunk but the last holds [`CHUNK`] slots.
+    chunks: Vec<Vec<INode>>,
+    /// Head of the free list ([`NO_SLOT`] when empty).
+    free: u32,
+    files: usize,
+    dirs: usize,
 }
 
 impl Default for Namespace {
@@ -111,143 +194,220 @@ impl Default for Namespace {
 impl Namespace {
     /// A namespace containing only `/`.
     pub fn new() -> Self {
-        let ids = IdGenerator::new(1);
-        let root = INodeId(ids.next());
-        let mut nodes = BTreeMap::new();
-        nodes.insert(
-            root,
-            INode {
-                id: root,
-                name: String::new(),
-                parent: None,
-                kind: INodeKind::Dir {
-                    children: BTreeMap::new(),
-                    quota: Box::new(TierQuota::unlimited()),
-                    usage: Box::new([0; MAX_TIERS]),
-                },
-            },
-        );
-        Self { nodes, root, ids }
+        let mut ns = Self { chunks: Vec::new(), free: NO_SLOT, files: 0, dirs: 1 };
+        for kind in [Kind::Free, Kind::Dir(Dir::default())] {
+            ns.occupy("", NO_SLOT, kind).expect("an empty slab has room");
+        }
+        ns
     }
 
     /// The root inode.
     pub fn root(&self) -> INodeId {
-        self.root
+        self.id_of(ROOT)
     }
 
-    fn node(&self, id: INodeId) -> Result<&INode> {
-        self.nodes.get(&id).ok_or_else(|| FsError::Internal(format!("dangling inode {id}")))
+    fn at(&self, slot: u32) -> &INode {
+        &self.chunks[slot as usize / CHUNK][slot as usize % CHUNK]
     }
 
-    fn node_mut(&mut self, id: INodeId) -> Result<&mut INode> {
-        self.nodes.get_mut(&id).ok_or_else(|| FsError::Internal(format!("dangling inode {id}")))
+    fn at_mut(&mut self, slot: u32) -> &mut INode {
+        &mut self.chunks[slot as usize / CHUNK][slot as usize % CHUNK]
     }
 
-    /// Walks parsed `comps` down from the root. `path` is the caller's
-    /// spelling, quoted in `NotFound`.
-    fn walk(&self, comps: &[&str], path: &str) -> Result<INodeId> {
-        let mut cur = self.root;
+    fn id_of(&self, slot: u32) -> INodeId {
+        INodeId::new(slot, self.at(slot).generation)
+    }
+
+    /// The slot `id` names, if the inode it was issued for still lives
+    /// there.
+    fn slot_of(&self, id: INodeId) -> Result<u32> {
+        let slot = id.slot();
+        let node =
+            self.chunks.get(slot as usize / CHUNK).and_then(|c| c.get(slot as usize % CHUNK));
+        match node {
+            Some(n) if n.generation == id.generation() && !matches!(n.kind, Kind::Free) => Ok(slot),
+            _ => Err(dangling(id)),
+        }
+    }
+
+    /// Puts an inode in a free slot, or in a new one at the end of the
+    /// slab.
+    fn occupy(&mut self, name: &str, parent: u32, kind: Kind) -> Result<u32> {
+        let name = Box::from(name);
+        if self.free != NO_SLOT {
+            let slot = self.free;
+            let node = self.at_mut(slot);
+            let next = std::mem::replace(&mut node.parent, parent);
+            node.name = name;
+            node.kind = kind;
+            self.free = next;
+            return Ok(slot);
+        }
+        let len = self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len());
+        let slot =
+            u32::try_from(len).map_err(|_| FsError::Internal("the inode table is full".into()))?;
+        if len.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::new());
+        }
+        let last = self.chunks.last_mut().expect("just ensured");
+        last.push(INode { name, parent, generation: 0, kind });
+        Ok(slot)
+    }
+
+    /// Frees a slot for reuse under the next generation. A slot that has
+    /// run out of generations is retired instead: an id never comes round
+    /// again.
+    fn vacate(&mut self, slot: u32) {
+        let head = self.free;
+        let node = self.at_mut(slot);
+        node.name = Box::default();
+        node.kind = Kind::Free;
+        node.parent = NO_SLOT;
+        if let Some(next) = node.generation.checked_add(1) {
+            node.generation = next;
+            node.parent = head;
+            self.free = slot;
+        }
+    }
+
+    /// Where `name` is (`Ok`) or belongs (`Err`) among sorted `children`.
+    fn position(&self, children: &[u32], name: &str) -> std::result::Result<usize, usize> {
+        children.binary_search_by(|&c| (*self.at(c).name).cmp(name))
+    }
+
+    fn dir_at(&self, slot: u32) -> Option<&Dir> {
+        match &self.at(slot).kind {
+            Kind::Dir(dir) => Some(dir),
+            _ => None,
+        }
+    }
+
+    fn dir_mut(&mut self, slot: u32) -> &mut Dir {
+        match &mut self.at_mut(slot).kind {
+            Kind::Dir(dir) => dir,
+            _ => unreachable!("slot {slot} was checked to hold a directory"),
+        }
+    }
+
+    /// Creates an inode and links it at `index` of `parent`'s children.
+    fn link_new(&mut self, parent: u32, index: usize, name: &str, kind: Kind) -> Result<u32> {
+        let slot = self.occupy(name, parent, kind)?;
+        self.dir_mut(parent).children.insert(index, slot);
+        Ok(slot)
+    }
+
+    /// Unlinks `slot` from its parent's children. A directory that has
+    /// emptied to a quarter of its capacity gives half of it back.
+    fn unlink(&mut self, slot: u32) {
+        let node = self.at(slot);
+        let parent = node.parent;
+        let siblings = &self.dir_at(parent).expect("a parent is a directory").children;
+        let index = self.position(siblings, &node.name).expect("a child is linked");
+        let children = &mut self.dir_mut(parent).children;
+        children.remove(index);
+        if children.len() <= children.capacity() / 4 {
+            children.shrink_to(children.capacity() / 2);
+        }
+    }
+
+    /// Walks `comps` down from the root. `path` is the caller's spelling,
+    /// quoted in `NotFound`.
+    fn walk<'p>(&self, comps: impl Iterator<Item = &'p str>, path: &str) -> Result<u32> {
+        let mut cur = ROOT;
         for comp in comps {
-            let node = self.node(cur)?;
-            match &node.kind {
-                INodeKind::Dir { children, .. } => {
-                    cur =
-                        *children.get(*comp).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-                }
-                INodeKind::File(_) => return Err(FsError::NotADirectory(self.path_of(node.id))),
-            }
+            let Some(dir) = self.dir_at(cur) else {
+                return Err(FsError::NotADirectory(self.path_at(cur)));
+            };
+            let index = self
+                .position(&dir.children, comp)
+                .map_err(|_| FsError::NotFound(path.to_string()))?;
+            cur = dir.children[index];
         }
         Ok(cur)
     }
 
+    fn lookup(&self, path: &str) -> Result<u32> {
+        self.walk(components(path)?, path)
+    }
+
     /// Resolves a path to its inode.
     pub fn resolve(&self, path: &str) -> Result<INodeId> {
-        self.walk(&parse_path(path)?, path)
+        Ok(self.id_of(self.lookup(path)?))
+    }
+
+    fn path_at(&self, slot: u32) -> String {
+        let mut names = Vec::new();
+        let mut cur = slot;
+        while cur != ROOT {
+            let node = self.at(cur);
+            names.push(&*node.name);
+            cur = node.parent;
+        }
+        if names.is_empty() {
+            return "/".to_string();
+        }
+        let mut path = String::new();
+        for name in names.iter().rev() {
+            path.push('/');
+            path.push_str(name);
+        }
+        path
     }
 
     /// The absolute path of an inode.
-    pub fn path_of(&self, id: INodeId) -> String {
-        let mut parts = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let Ok(node) = self.node(c) else { break };
-            if node.parent.is_some() {
-                parts.push(node.name.clone());
-            }
-            cur = node.parent;
-        }
-        if parts.is_empty() {
-            "/".to_string()
-        } else {
-            parts.reverse();
-            format!("/{}", parts.join("/"))
-        }
+    pub fn path_of(&self, id: INodeId) -> Result<String> {
+        Ok(self.path_at(self.slot_of(id)?))
     }
 
-    fn resolve_parent<'p>(&self, path: &'p str) -> Result<(INodeId, &'p str)> {
-        let comps = parse_path(path)?;
-        let Some((&name, parents)) = comps.split_last() else {
+    /// The parent directory's slot and the last component of `path`.
+    fn lookup_parent<'p>(&self, path: &'p str) -> Result<(u32, &'p str)> {
+        let mut comps = components(path)?;
+        let Some(name) = comps.next_back() else {
             return Err(FsError::InvalidPath("operation on root".into()));
         };
-        Ok((self.walk(parents, path)?, name))
+        Ok((self.walk(comps, path)?, name))
+    }
+
+    /// Where a new entry `name` goes in directory `parent`; `path` is the
+    /// caller's spelling of the entry.
+    fn vacancy(&self, parent: u32, name: &str, path: &str) -> Result<usize> {
+        let Some(dir) = self.dir_at(parent) else {
+            return Err(FsError::NotADirectory(self.path_at(parent)));
+        };
+        match self.position(&dir.children, name) {
+            Ok(_) => Err(FsError::AlreadyExists(path.to_string())),
+            Err(index) => Ok(index),
+        }
     }
 
     /// Creates a directory. With `parents`, creates missing ancestors
     /// (like `mkdir -p`) and is idempotent on existing directories.
     pub fn mkdir(&mut self, path: &str, parents: bool) -> Result<INodeId> {
-        let comps = parse_path(path)?;
-        if comps.is_empty() {
-            return if parents { Ok(self.root) } else { Err(FsError::AlreadyExists("/".into())) };
+        let mut comps = components(path)?.peekable();
+        if comps.peek().is_none() {
+            return if parents { Ok(self.root()) } else { Err(FsError::AlreadyExists("/".into())) };
         }
-        let mut cur = self.root;
-        for (i, comp) in comps.iter().enumerate() {
-            let last = i == comps.len() - 1;
-            let existing = {
-                let node = self.node(cur)?;
-                match &node.kind {
-                    INodeKind::Dir { children, .. } => children.get(*comp).copied(),
-                    INodeKind::File(_) => {
-                        return Err(FsError::NotADirectory(self.path_of(node.id)))
-                    }
-                }
+        let mut cur = ROOT;
+        while let Some(comp) = comps.next() {
+            let last = comps.peek().is_none();
+            let Some(dir) = self.dir_at(cur) else {
+                return Err(FsError::NotADirectory(self.path_at(cur)));
             };
-            match existing {
-                Some(id) => {
-                    if last {
-                        return match &self.node(id)?.kind {
-                            INodeKind::Dir { .. } if parents => Ok(id),
-                            INodeKind::Dir { .. } => Err(FsError::AlreadyExists(path.to_string())),
-                            INodeKind::File(_) => Err(FsError::AlreadyExists(path.to_string())),
-                        };
+            match self.position(&dir.children, comp) {
+                Ok(index) => {
+                    cur = dir.children[index];
+                    if last && !(parents && self.dir_at(cur).is_some()) {
+                        return Err(FsError::AlreadyExists(path.to_string()));
                     }
-                    cur = id;
                 }
-                None => {
-                    if !last && !parents {
-                        return Err(FsError::NotFound(path.to_string()));
-                    }
-                    let id = INodeId(self.ids.next());
-                    self.nodes.insert(
-                        id,
-                        INode {
-                            id,
-                            name: comp.to_string(),
-                            parent: Some(cur),
-                            kind: INodeKind::Dir {
-                                children: BTreeMap::new(),
-                                quota: Box::new(TierQuota::unlimited()),
-                                usage: Box::new([0; MAX_TIERS]),
-                            },
-                        },
-                    );
-                    if let INodeKind::Dir { children, .. } = &mut self.node_mut(cur)?.kind {
-                        children.insert(comp.to_string(), id);
-                    }
-                    cur = id;
+                Err(_) if !last && !parents => return Err(FsError::NotFound(path.to_string())),
+                Err(index) => {
+                    cur = self.link_new(cur, index, comp, Kind::Dir(Dir::default()))?;
+                    self.dirs += 1;
                 }
             }
         }
-        Ok(cur)
+        Ok(self.id_of(cur))
     }
 
     /// Creates an empty file open for writing. Parent directories must
@@ -261,60 +421,37 @@ impl Namespace {
         if block_size == 0 {
             return Err(FsError::InvalidArgument("block size must be positive".into()));
         }
-        let (parent, name) = self.resolve_parent(path)?;
-        {
-            let node = self.node(parent)?;
-            let INodeKind::Dir { children, .. } = &node.kind else {
-                return Err(FsError::NotADirectory(self.path_of(parent)));
-            };
-            if children.contains_key(name) {
-                return Err(FsError::AlreadyExists(path.to_string()));
-            }
+        let (parent, name) = self.lookup_parent(path)?;
+        let index = self.vacancy(parent, name, path)?;
+        let meta = FileMeta { rv, block_size, blocks: Vec::new(), len: 0, complete: false };
+        let slot = self.link_new(parent, index, name, Kind::File(meta))?;
+        self.files += 1;
+        Ok(self.id_of(slot))
+    }
+
+    fn file_at(&self, slot: u32) -> Result<&FileMeta> {
+        match &self.at(slot).kind {
+            Kind::File(meta) => Ok(meta),
+            _ => Err(FsError::IsADirectory(self.path_at(slot))),
         }
-        let id = INodeId(self.ids.next());
-        self.nodes.insert(
-            id,
-            INode {
-                id,
-                name: name.to_string(),
-                parent: Some(parent),
-                kind: INodeKind::File(FileMeta {
-                    rv,
-                    block_size,
-                    blocks: Vec::new(),
-                    len: 0,
-                    complete: false,
-                }),
-            },
-        );
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-            children.insert(name.to_string(), id);
-        }
-        Ok(id)
     }
 
     /// Read access to a file's metadata.
     pub fn file_meta(&self, id: INodeId) -> Result<&FileMeta> {
-        match &self.node(id)?.kind {
-            INodeKind::File(meta) => Ok(meta),
-            INodeKind::Dir { .. } => Err(FsError::IsADirectory(self.path_of(id))),
+        self.file_at(self.slot_of(id)?)
+    }
+
+    fn file_at_mut(&mut self, slot: u32) -> Result<&mut FileMeta> {
+        self.file_at(slot)?;
+        match &mut self.at_mut(slot).kind {
+            Kind::File(meta) => Ok(meta),
+            _ => unreachable!("checked by file_at"),
         }
     }
 
-    fn file_meta_mut(&mut self, id: INodeId) -> Result<&mut FileMeta> {
-        let is_dir = matches!(self.node(id)?.kind, INodeKind::Dir { .. });
-        if is_dir {
-            return Err(FsError::IsADirectory(self.path_of(id)));
-        }
-        match &mut self.node_mut(id)?.kind {
-            INodeKind::File(meta) => Ok(meta),
-            INodeKind::Dir { .. } => unreachable!(),
-        }
-    }
-
-    /// The per-tier quota charge of growing/shrinking a file by
-    /// `len_delta` bytes with vector `rv` (pinned tiers only).
-    pub(crate) fn charge_of(rv: ReplicationVector, len: u64) -> [u64; MAX_TIERS] {
+    /// The per-tier quota charge of `len` bytes stored under vector `rv`
+    /// (pinned tiers only).
+    pub(crate) fn charge_of(rv: ReplicationVector, len: u64) -> Charge {
         let mut c = [0u64; MAX_TIERS];
         for (tier, count) in rv.iter_tiers() {
             c[tier.0 as usize] = len * count as u64;
@@ -322,67 +459,80 @@ impl Namespace {
         c
     }
 
-    /// Walks ancestors of `id` checking that adding `charge` stays within
-    /// every quota, then applies it. `sign` is +1 or -1.
-    fn apply_charge(&mut self, id: INodeId, charge: &[u64; MAX_TIERS], sign: i64) -> Result<()> {
+    /// The first directory from `dir` up to the root, and the tier slot in
+    /// it, whose quota cannot take `charge` more.
+    fn refusing(&self, mut dir: u32, charge: &Charge) -> Option<(u32, usize)> {
+        while dir != NO_SLOT {
+            let node = self.at(dir);
+            if let Kind::Dir(Dir { account: Some(a), .. }) = &node.kind {
+                let over = (0..MAX_TIERS).find(|&t| {
+                    a.quota.per_tier[t].is_some_and(|limit| a.usage[t] + charge[t] > limit)
+                });
+                if let Some(t) = over {
+                    return Some((dir, t));
+                }
+            }
+            dir = node.parent;
+        }
+        None
+    }
+
+    /// Adds `charge` to (or takes it from) the usage of every directory
+    /// from `dir` up to the root.
+    fn charge(&mut self, mut dir: u32, charge: &Charge, add: bool) {
         if charge.iter().all(|&c| c == 0) {
-            return Ok(()); // empty or unpinned file: no ancestor walk
+            return; // empty or unpinned file: no ancestor walk
         }
-        // First pass: verify (only needed when increasing).
-        if sign > 0 {
-            let mut cur = self.node(id)?.parent;
-            while let Some(d) = cur {
-                let node = self.node(d)?;
-                if let INodeKind::Dir { quota, usage, .. } = &node.kind {
-                    for t in 0..MAX_TIERS {
-                        if let Some(limit) = quota.per_tier[t] {
-                            if usage[t] + charge[t] > limit {
-                                return Err(FsError::QuotaExceeded(format!(
-                                    "directory {} tier slot {t}: {} + {} > {limit}",
-                                    self.path_of(d),
-                                    usage[t],
-                                    charge[t]
-                                )));
-                            }
-                        }
-                    }
-                }
-                cur = node.parent;
-            }
-        }
-        // Second pass: apply.
-        let mut cur = self.node(id)?.parent;
-        while let Some(d) = cur {
-            let parent = self.node(d)?.parent;
-            if let INodeKind::Dir { usage, .. } = &mut self.node_mut(d)?.kind {
-                for t in 0..MAX_TIERS {
-                    if sign > 0 {
-                        usage[t] += charge[t];
-                    } else {
-                        usage[t] = usage[t].saturating_sub(charge[t]);
-                    }
+        while dir != NO_SLOT {
+            let node = self.at_mut(dir);
+            if let Kind::Dir(d) = &mut node.kind {
+                if add {
+                    let usage = &mut d.account.get_or_insert_default().usage;
+                    usage.iter_mut().zip(charge).for_each(|(u, c)| *u += c);
+                } else if let Some(a) = &mut d.account {
+                    a.usage.iter_mut().zip(charge).for_each(|(u, c)| *u = u.saturating_sub(*c));
+                    d.settle();
                 }
             }
-            cur = parent;
+            dir = node.parent;
         }
+    }
+
+    /// Charges the ancestors of `slot` with `charge` more, if every quota
+    /// on the way up admits it.
+    fn charge_ancestors(&mut self, slot: u32, charge: &Charge) -> Result<()> {
+        let parent = self.at(slot).parent;
+        if let Some((dir, t)) = self.refusing(parent, charge) {
+            let (quota, usage) = self.dir_at(dir).expect("only a directory refuses").quota_usage();
+            return Err(FsError::QuotaExceeded(format!(
+                "directory {} tier slot {t}: {} + {} > {}",
+                self.path_at(dir),
+                usage[t],
+                charge[t],
+                quota.per_tier[t].expect("a refusing tier is limited"),
+            )));
+        }
+        self.charge(parent, charge, true);
         Ok(())
+    }
+
+    fn refund_ancestors(&mut self, slot: u32, charge: &Charge) {
+        self.charge(self.at(slot).parent, charge, false);
     }
 
     /// Appends a block to an open file, charging tier quotas.
     pub fn add_block(&mut self, file: INodeId, block: BlockId, len: u64) -> Result<()> {
-        let (rv, complete) = {
-            let meta = self.file_meta(file)?;
-            (meta.rv, meta.complete)
-        };
-        if complete {
+        let slot = self.slot_of(file)?;
+        let meta = self.file_at(slot)?;
+        if meta.complete {
             return Err(FsError::InvalidArgument(format!(
                 "file {} is complete; cannot append blocks",
-                self.path_of(file)
+                self.path_at(slot)
             )));
         }
-        let charge = Self::charge_of(rv, len);
-        self.apply_charge(file, &charge, 1)?;
-        let meta = self.file_meta_mut(file)?;
+        let charge = Self::charge_of(meta.rv, len);
+        self.charge_ancestors(slot, &charge)?;
+        let meta = self.file_at_mut(slot)?;
         meta.blocks.push(block);
         meta.len += len;
         Ok(())
@@ -394,25 +544,23 @@ impl Namespace {
     /// failed before requesting a fresh placement, and nothing can have
     /// been appended after it while the client holds the lease.
     pub fn remove_last_block(&mut self, file: INodeId, block: BlockId, len: u64) -> Result<()> {
-        let (rv, complete, last) = {
-            let meta = self.file_meta(file)?;
-            (meta.rv, meta.complete, meta.blocks.last().copied())
-        };
-        if complete {
+        let slot = self.slot_of(file)?;
+        let meta = self.file_at(slot)?;
+        if meta.complete {
             return Err(FsError::InvalidArgument(format!(
                 "file {} is complete; cannot abandon blocks",
-                self.path_of(file)
+                self.path_at(slot)
             )));
         }
-        if last != Some(block) {
+        if meta.blocks.last() != Some(&block) {
             return Err(FsError::InvalidArgument(format!(
                 "{block} is not the last block of {}",
-                self.path_of(file)
+                self.path_at(slot)
             )));
         }
-        let charge = Self::charge_of(rv, len);
-        self.apply_charge(file, &charge, -1)?;
-        let meta = self.file_meta_mut(file)?;
+        let charge = Self::charge_of(meta.rv, len);
+        self.refund_ancestors(slot, &charge);
+        let meta = self.file_at_mut(slot)?;
         meta.blocks.pop();
         meta.len = meta.len.saturating_sub(len);
         Ok(())
@@ -420,14 +568,14 @@ impl Namespace {
 
     /// Marks a file complete (closed).
     pub fn finalize_file(&mut self, file: INodeId) -> Result<()> {
-        let meta = self.file_meta_mut(file)?;
+        let meta = self.file_at_mut(self.slot_of(file)?)?;
         meta.complete = true;
         Ok(())
     }
 
     /// Reopens a complete file for appending.
     pub fn reopen_file(&mut self, file: INodeId) -> Result<()> {
-        let meta = self.file_meta_mut(file)?;
+        let meta = self.file_at_mut(self.slot_of(file)?)?;
         if !meta.complete {
             return Err(FsError::LeaseConflict(format!("{} is already open for writing", file)));
         }
@@ -442,176 +590,119 @@ impl Namespace {
         path: &str,
         rv: ReplicationVector,
     ) -> Result<ReplicationVector> {
-        let id = self.resolve(path)?;
-        let (old, len) = {
-            let meta = self.file_meta(id)?;
-            (meta.rv, meta.len)
-        };
+        let slot = self.lookup(path)?;
+        let meta = self.file_at(slot)?;
+        let old = meta.rv;
         // Refund the old pinned charge, apply the new one.
-        let old_charge = Self::charge_of(old, len);
-        let new_charge = Self::charge_of(rv, len);
-        self.apply_charge(id, &old_charge, -1)?;
-        if let Err(e) = self.apply_charge(id, &new_charge, 1) {
+        let old_charge = Self::charge_of(old, meta.len);
+        let new_charge = Self::charge_of(rv, meta.len);
+        self.refund_ancestors(slot, &old_charge);
+        if let Err(e) = self.charge_ancestors(slot, &new_charge) {
             // Roll back.
-            self.apply_charge(id, &old_charge, 1)?;
+            self.charge_ancestors(slot, &old_charge)?;
             return Err(e);
         }
-        self.file_meta_mut(id)?.rv = rv;
+        self.file_at_mut(slot)?.rv = rv;
         Ok(old)
     }
 
     /// Status of a path.
     pub fn status(&self, path: &str) -> Result<FileStatus> {
-        let comps = parse_path(path)?;
-        let id = self.walk(&comps, path)?;
-        // The canonical path is the parsed components re-joined — no walk
-        // back up the tree.
-        let path = format!("/{}", comps.join("/"));
-        Ok(match &self.node(id)?.kind {
-            INodeKind::Dir { .. } => FileStatus {
-                id,
-                path,
-                is_dir: true,
-                len: 0,
-                rv: ReplicationVector::EMPTY,
-                block_size: 0,
-                complete: true,
-            },
-            INodeKind::File(meta) => FileStatus {
-                id,
-                path,
+        let slot = self.lookup(path)?;
+        let dir = FileStatus {
+            id: self.id_of(slot),
+            path: normalize(path)?,
+            is_dir: true,
+            len: 0,
+            rv: ReplicationVector::EMPTY,
+            block_size: 0,
+            complete: true,
+        };
+        Ok(match &self.at(slot).kind {
+            Kind::File(meta) => FileStatus {
                 is_dir: false,
                 len: meta.len,
                 rv: meta.rv,
                 block_size: meta.block_size,
                 complete: meta.complete,
+                ..dir
             },
+            _ => dir,
         })
     }
 
-    /// Lists a directory.
+    /// Lists a directory, in name order.
     pub fn list(&self, path: &str) -> Result<Vec<DirEntry>> {
-        let id = self.resolve(path)?;
-        let node = self.node(id)?;
-        let INodeKind::Dir { children, .. } = &node.kind else {
+        let Some(dir) = self.dir_at(self.lookup(path)?) else {
             return Err(FsError::NotADirectory(path.to_string()));
         };
-        children
-            .iter()
-            .map(|(name, &cid)| {
-                let child = self.node(cid)?;
-                Ok(match &child.kind {
-                    INodeKind::Dir { .. } => DirEntry {
-                        name: name.clone(),
-                        is_dir: true,
-                        len: 0,
-                        rv: ReplicationVector::EMPTY,
-                    },
-                    INodeKind::File(meta) => {
-                        DirEntry { name: name.clone(), is_dir: false, len: meta.len, rv: meta.rv }
-                    }
-                })
-            })
-            .collect()
+        let entries = dir.children.iter().map(|&c| {
+            let child = self.at(c);
+            let dir = DirEntry {
+                name: child.name.to_string(),
+                is_dir: true,
+                len: 0,
+                rv: ReplicationVector::EMPTY,
+            };
+            match &child.kind {
+                Kind::File(meta) => DirEntry { is_dir: false, len: meta.len, rv: meta.rv, ..dir },
+                _ => dir,
+            }
+        });
+        Ok(entries.collect())
     }
 
-    /// Per-tier usage of the subtree rooted at `id` (files only).
-    fn subtree_charge(&self, id: INodeId) -> Result<[u64; MAX_TIERS]> {
-        let node = self.node(id)?;
-        Ok(match &node.kind {
-            INodeKind::File(meta) => Self::charge_of(meta.rv, meta.len),
-            INodeKind::Dir { usage, .. } => **usage,
-        })
+    /// Per-tier usage of the subtree rooted at `slot` (files only).
+    fn subtree_charge(&self, slot: u32) -> Charge {
+        match &self.at(slot).kind {
+            Kind::File(meta) => Self::charge_of(meta.rv, meta.len),
+            Kind::Dir(dir) => dir.quota_usage().1,
+            Kind::Free => unreachable!("slot {slot} is linked in the tree"),
+        }
     }
 
     /// Renames `src` to `dst`. `dst` must not exist and its parent must be
     /// an existing directory. Moving a directory into its own subtree is
     /// rejected. Quota usage transfers from the old ancestors to the new.
     pub fn rename(&mut self, src: &str, dst: &str) -> Result<()> {
-        let src_id = self.resolve(src)?;
-        if src_id == self.root {
+        let moved = self.lookup(src)?;
+        if moved == ROOT {
             return Err(FsError::InvalidPath("cannot rename /".into()));
         }
-        let (dst_parent, dst_name) = self.resolve_parent(dst)?;
-        {
-            let node = self.node(dst_parent)?;
-            let INodeKind::Dir { children, .. } = &node.kind else {
-                return Err(FsError::NotADirectory(self.path_of(dst_parent)));
-            };
-            if children.contains_key(dst_name) {
-                return Err(FsError::AlreadyExists(dst.to_string()));
-            }
-        }
+        let (dst_parent, dst_name) = self.lookup_parent(dst)?;
+        self.vacancy(dst_parent, dst_name, dst)?;
         // Reject moving a directory under itself.
-        let mut cur = Some(dst_parent);
-        while let Some(c) = cur {
-            if c == src_id {
+        let mut cur = dst_parent;
+        while cur != NO_SLOT {
+            if cur == moved {
                 return Err(FsError::InvalidPath(format!(
                     "cannot move {src} into its own subtree {dst}"
                 )));
             }
-            cur = self.node(c)?.parent;
+            cur = self.at(cur).parent;
         }
 
-        let charge = self.subtree_charge(src_id)?;
-        let old_parent = self.node(src_id)?.parent.expect("non-root has parent");
-        let old_name = self.node(src_id)?.name.clone();
-
-        // Refund from the old ancestor chain, charge the new one (with
-        // quota verification); roll back on failure.
-        self.apply_charge(src_id, &charge, -1)?;
-
-        // Temporarily link under the new parent for the charge walk: we
-        // verify against the *new* ancestors by walking from dst_parent.
-        let verify = (|| -> Result<()> {
-            let mut cur = Some(dst_parent);
-            while let Some(d) = cur {
-                let node = self.node(d)?;
-                if let INodeKind::Dir { quota, usage, .. } = &node.kind {
-                    for t in 0..MAX_TIERS {
-                        if let Some(limit) = quota.per_tier[t] {
-                            if usage[t] + charge[t] > limit {
-                                return Err(FsError::QuotaExceeded(format!(
-                                    "directory {} tier slot {t}",
-                                    self.path_of(d)
-                                )));
-                            }
-                        }
-                    }
-                }
-                cur = node.parent;
-            }
-            Ok(())
-        })();
-        if let Err(e) = verify {
-            self.apply_charge(src_id, &charge, 1)?;
-            return Err(e);
+        // Refund the old ancestor chain first, so a directory on both
+        // chains is checked against what it will hold, not double.
+        let charge = self.subtree_charge(moved);
+        self.refund_ancestors(moved, &charge);
+        if let Some((dir, t)) = self.refusing(dst_parent, &charge) {
+            self.charge(self.at(moved).parent, &charge, true);
+            return Err(FsError::QuotaExceeded(format!(
+                "directory {} tier slot {t}",
+                self.path_at(dir)
+            )));
         }
 
-        // Unlink from the old parent.
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(old_parent)?.kind {
-            children.remove(&old_name);
-        }
-        // Link under the new parent.
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(dst_parent)?.kind {
-            children.insert(dst_name.to_string(), src_id);
-        }
-        {
-            let node = self.node_mut(src_id)?;
-            node.parent = Some(dst_parent);
-            node.name = dst_name.to_string();
-        }
-        // Apply the charge along the new chain.
-        let mut cur = Some(dst_parent);
-        while let Some(d) = cur {
-            let parent = self.node(d)?.parent;
-            if let INodeKind::Dir { usage, .. } = &mut self.node_mut(d)?.kind {
-                for (u, c) in usage.iter_mut().zip(charge.iter()) {
-                    *u += c;
-                }
-            }
-            cur = parent;
-        }
+        self.unlink(moved);
+        let node = self.at_mut(moved);
+        node.parent = dst_parent;
+        node.name = Box::from(dst_name);
+        // Searched only now: unlinking may have shifted the position.
+        let siblings = &self.dir_at(dst_parent).expect("checked by vacancy above").children;
+        let index = self.position(siblings, dst_name).expect_err("checked vacant above");
+        self.dir_mut(dst_parent).children.insert(index, moved);
+        self.charge(dst_parent, &charge, true);
         Ok(())
     }
 
@@ -619,53 +710,48 @@ impl Namespace {
     /// Returns the inode ids of every deleted file and their block ids
     /// (for invalidation at the workers).
     pub fn delete(&mut self, path: &str, recursive: bool) -> Result<(Vec<INodeId>, Vec<BlockId>)> {
-        let id = self.resolve(path)?;
-        if id == self.root {
+        let doomed = self.lookup(path)?;
+        if doomed == ROOT {
             return Err(FsError::InvalidPath("cannot delete /".into()));
         }
-        if let INodeKind::Dir { children, .. } = &self.node(id)?.kind {
-            if !children.is_empty() && !recursive {
-                return Err(FsError::DirectoryNotEmpty(path.to_string()));
-            }
+        if !recursive && self.dir_at(doomed).is_some_and(|dir| !dir.children.is_empty()) {
+            return Err(FsError::DirectoryNotEmpty(path.to_string()));
         }
-        let charge = self.subtree_charge(id)?;
-        self.apply_charge(id, &charge, -1)?;
+        let charge = self.subtree_charge(doomed);
+        self.refund_ancestors(doomed, &charge);
+        self.unlink(doomed);
 
-        // Collect the subtree.
-        let mut stack = vec![id];
+        let mut stack = vec![doomed];
         let mut files = Vec::new();
         let mut blocks = Vec::new();
-        let mut to_remove = Vec::new();
-        while let Some(n) = stack.pop() {
-            to_remove.push(n);
-            match &self.node(n)?.kind {
-                INodeKind::Dir { children, .. } => stack.extend(children.values().copied()),
-                INodeKind::File(meta) => {
-                    files.push(n);
-                    blocks.extend(meta.blocks.iter().copied());
+        while let Some(slot) = stack.pop() {
+            match std::mem::replace(&mut self.at_mut(slot).kind, Kind::Free) {
+                Kind::Dir(dir) => {
+                    stack.extend(dir.children);
+                    self.dirs -= 1;
                 }
+                Kind::File(meta) => {
+                    files.push(self.id_of(slot));
+                    blocks.extend(meta.blocks);
+                    self.files -= 1;
+                }
+                Kind::Free => unreachable!("slot {slot} was linked in the tree"),
             }
-        }
-        let parent = self.node(id)?.parent.expect("non-root");
-        let name = self.node(id)?.name.clone();
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-            children.remove(&name);
-        }
-        for n in to_remove {
-            self.nodes.remove(&n);
+            self.vacate(slot);
         }
         Ok((files, blocks))
     }
 
-    /// The inode ids of every file at or under `id`.
+    /// The inode ids of every file at or under `id` (none if `id` is
+    /// stale).
     pub fn subtree_files(&self, id: INodeId) -> Vec<INodeId> {
-        let mut stack = vec![id];
+        let mut stack = Vec::from_iter(self.slot_of(id).ok());
         let mut files = Vec::new();
-        while let Some(n) = stack.pop() {
-            match self.nodes.get(&n).map(|node| &node.kind) {
-                Some(INodeKind::Dir { children, .. }) => stack.extend(children.values().copied()),
-                Some(INodeKind::File(_)) => files.push(n),
-                None => {}
+        while let Some(slot) = stack.pop() {
+            match &self.at(slot).kind {
+                Kind::Dir(dir) => stack.extend(&dir.children),
+                Kind::File(_) => files.push(self.id_of(slot)),
+                Kind::Free => unreachable!("slot {slot} is linked in the tree"),
             }
         }
         files
@@ -674,78 +760,70 @@ impl Namespace {
     /// Sets a directory's per-tier quota. Fails if current usage already
     /// exceeds the new limit.
     pub fn set_quota(&mut self, path: &str, quota: TierQuota) -> Result<()> {
-        let id = self.resolve(path)?;
-        let is_root = id == self.root;
-        let node = self.node_mut(id)?;
-        match &mut node.kind {
-            INodeKind::Dir { quota: q, usage, .. } => {
-                for (u, limit) in usage.iter().zip(quota.per_tier.iter()) {
-                    if let Some(limit) = limit {
-                        if u > limit {
-                            return Err(FsError::QuotaExceeded(format!(
-                                "current usage {u} exceeds new quota {limit}"
-                            )));
-                        }
-                    }
-                }
-                **q = quota;
-                let _ = is_root;
-                Ok(())
+        let slot = self.lookup(path)?;
+        let Kind::Dir(dir) = &mut self.at_mut(slot).kind else {
+            return Err(FsError::NotADirectory(path.to_string()));
+        };
+        let (_, usage) = dir.quota_usage();
+        for (u, limit) in usage.iter().zip(quota.per_tier) {
+            if limit.is_some_and(|limit| *u > limit) {
+                return Err(FsError::QuotaExceeded(format!(
+                    "current usage {u} exceeds new quota {}",
+                    limit.expect("checked")
+                )));
             }
-            INodeKind::File(_) => Err(FsError::NotADirectory(path.to_string())),
         }
+        dir.account.get_or_insert_default().quota = quota;
+        dir.settle();
+        Ok(())
     }
 
     /// A directory's quota and current per-tier usage.
     pub fn quota_usage(&self, path: &str) -> Result<(TierQuota, [u64; MAX_TIERS])> {
-        let id = self.resolve(path)?;
-        match &self.node(id)?.kind {
-            INodeKind::Dir { quota, usage, .. } => Ok((**quota, **usage)),
-            INodeKind::File(_) => Err(FsError::NotADirectory(path.to_string())),
-        }
+        let dir = self.dir_at(self.lookup(path)?);
+        dir.map(Dir::quota_usage).ok_or_else(|| FsError::NotADirectory(path.to_string()))
     }
 
-    /// `(files, directories)` counts (directories include `/`).
+    /// `(files, directories)` counts (directories include `/`), kept as
+    /// create, mkdir and delete go — not a walk.
     pub fn counts(&self) -> (usize, usize) {
-        let mut files = 0;
-        let mut dirs = 0;
-        for n in self.nodes.values() {
-            match n.kind {
-                INodeKind::Dir { .. } => dirs += 1,
-                INodeKind::File(_) => files += 1,
-            }
-        }
-        (files, dirs)
+        (self.files, self.dirs)
     }
 
-    /// All directories as `(path, quota)`, parents before children (sorted
-    /// by path). Used by checkpointing.
+    /// Every live inode with its slot, in slot order.
+    fn inodes(&self) -> impl Iterator<Item = (u32, &INode)> {
+        (0u32..).zip(self.chunks.iter().flatten()).filter(|(_, n)| !matches!(n.kind, Kind::Free))
+    }
+
+    /// All directories as `(path, quota)`, sorted by path (so parents come
+    /// before children). Used by checkpointing.
     pub fn iter_dirs(&self) -> Vec<(String, TierQuota)> {
         let mut dirs: Vec<(String, TierQuota)> = self
-            .nodes
-            .iter()
-            .filter_map(|(&id, n)| match &n.kind {
-                INodeKind::Dir { quota, .. } => Some((self.path_of(id), **quota)),
-                INodeKind::File(_) => None,
+            .inodes()
+            .filter_map(|(slot, n)| match &n.kind {
+                Kind::Dir(dir) => Some((self.path_at(slot), dir.quota_usage().0)),
+                _ => None,
             })
             .collect();
         dirs.sort_by(|a, b| a.0.cmp(&b.0));
         dirs
     }
 
-    /// Iterates all files as `(id, meta)`. Scans that never need a path
-    /// (replay's block-map rebuild, the replication monitor) use this and
-    /// skip building one string per file.
+    /// Iterates all files as `(id, meta)`, without building a path per
+    /// file. The order is the slab's: creation order until a slot has been
+    /// reused, nothing a caller can lean on after — a scan whose outcome
+    /// depends on order sorts by what it means.
     pub fn files(&self) -> impl Iterator<Item = (INodeId, &FileMeta)> {
-        self.nodes.iter().filter_map(|(&id, n)| match &n.kind {
-            INodeKind::File(meta) => Some((id, meta)),
-            INodeKind::Dir { .. } => None,
+        self.inodes().filter_map(|(slot, n)| match &n.kind {
+            Kind::File(meta) => Some((INodeId::new(slot, n.generation), meta)),
+            _ => None,
         })
     }
 
-    /// All files as `(id, path, meta)`.
+    /// All files as `(id, path, meta)`, in the order of
+    /// [`Namespace::files`].
     pub fn iter_files(&self) -> Vec<(INodeId, String, &FileMeta)> {
-        self.files().map(|(id, meta)| (id, self.path_of(id), meta)).collect()
+        self.files().map(|(id, meta)| (id, self.path_at(id.slot()), meta)).collect()
     }
 }
 
@@ -762,7 +840,7 @@ mod tests {
         let mut ns = Namespace::new();
         let d = ns.mkdir("/a/b/c", true).unwrap();
         assert_eq!(ns.resolve("/a/b/c").unwrap(), d);
-        assert_eq!(ns.path_of(d), "/a/b/c");
+        assert_eq!(ns.path_of(d).unwrap(), "/a/b/c");
         assert!(ns.mkdir("/a/b/c", false).is_err());
         assert_eq!(ns.mkdir("/a/b/c", true).unwrap(), d); // idempotent with -p
         assert!(matches!(ns.mkdir("/x/y", false), Err(FsError::NotFound(_))));
@@ -825,7 +903,7 @@ mod tests {
         ns.rename("/a/f", "/b/g").unwrap();
         assert!(ns.resolve("/a/f").is_err());
         assert_eq!(ns.resolve("/b/g").unwrap(), f);
-        assert_eq!(ns.path_of(f), "/b/g");
+        assert_eq!(ns.path_of(f).unwrap(), "/b/g");
 
         ns.rename("/a", "/b/a-moved").unwrap();
         assert!(ns.resolve("/b/a-moved").is_ok());
@@ -1047,6 +1125,115 @@ mod tests {
         assert!(paths.contains(&"/a/f1"));
         assert!(paths.contains(&"/a/b/f2"));
         assert_eq!(ns.counts(), (2, 3));
+    }
+
+    #[test]
+    fn an_id_that_outlived_its_inode_never_names_the_slots_next_tenant() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/d", true).unwrap();
+        let old = ns.create_file("/d/old", rv3(), 128).unwrap();
+        ns.add_block(old, BlockId(1), 10).unwrap();
+        ns.delete("/d/old", false).unwrap();
+        // Create until something moves into the old slot (the first create
+        // does, today; the loop does not depend on the free list's policy).
+        let tenant = (0..1_000)
+            .map(|i| ns.create_file(&format!("/d/new{i}"), rv3(), 128).unwrap())
+            .find(|id| id.slot() == old.slot())
+            .expect("a freed slot is reused");
+        assert_eq!(tenant.generation(), old.generation() + 1);
+        assert_ne!(tenant, old);
+
+        let dangling = |r: Result<()>| match r {
+            Err(FsError::Internal(m)) => assert!(m.contains("dangling inode"), "{m}"),
+            other => panic!("a stale id answered {other:?}"),
+        };
+        dangling(ns.file_meta(old).map(drop));
+        dangling(ns.path_of(old).map(drop));
+        dangling(ns.add_block(old, BlockId(2), 10));
+        dangling(ns.remove_last_block(old, BlockId(1), 10));
+        dangling(ns.finalize_file(old));
+        dangling(ns.reopen_file(old));
+        assert!(ns.subtree_files(old).is_empty());
+        // The tenant is untouched by any of it.
+        let meta = ns.file_meta(tenant).unwrap();
+        assert_eq!((meta.len, meta.blocks.len(), meta.complete), (0, 0, false));
+        // Ids nobody was ever given: beyond the slab, slot 0, a future
+        // generation.
+        dangling(ns.path_of(INodeId::new(1 << 20, 0)).map(drop));
+        dangling(ns.path_of(INodeId(0)).map(drop));
+        dangling(ns.path_of(INodeId::new(tenant.slot(), tenant.generation() + 1)).map(drop));
+    }
+
+    #[test]
+    fn a_slot_out_of_generations_is_retired_not_reused() {
+        let mut ns = Namespace::new();
+        let f = ns.create_file("/f", rv3(), 128).unwrap();
+        ns.at_mut(f.slot()).generation = u32::MAX;
+        let last = ns.resolve("/f").unwrap();
+        ns.delete("/f", false).unwrap();
+        let next = ns.create_file("/g", rv3(), 128).unwrap();
+        assert_ne!(next.slot(), last.slot(), "generation u32::MAX + 1 would repeat an id");
+        assert!(ns.path_of(last).is_err());
+        assert_eq!(ns.counts(), (1, 1));
+    }
+
+    /// A splitmix64 step, for the seeded tests below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb) >> 11
+    }
+
+    #[test]
+    fn list_stays_sorted_through_random_inserts_renames_and_deletes() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/d", true).unwrap();
+        ns.mkdir("/e", true).unwrap();
+        let mut model = std::collections::BTreeSet::new();
+        let mut rng = 7u64;
+        for _ in 0..10_000 {
+            let name = format!("n{}", next(&mut rng) % 600);
+            let path = format!("/d/{name}");
+            match next(&mut rng) % 4 {
+                0 | 1 => {
+                    let made = if next(&mut rng).is_multiple_of(5) {
+                        ns.mkdir(&path, false).is_ok()
+                    } else {
+                        ns.create_file(&path, rv3(), 128).is_ok()
+                    };
+                    assert_eq!(made, model.insert(name));
+                }
+                2 => {
+                    // Within the directory, or out to /e and back in under
+                    // another name (or, having left, its own).
+                    let to = format!("n{}", next(&mut rng) % 600);
+                    let via_e = next(&mut rng).is_multiple_of(2);
+                    let moved = if via_e {
+                        ns.rename(&path, "/e/tmp")
+                            .and_then(|()| ns.rename("/e/tmp", &format!("/d/{to}")))
+                            .or_else(|e| ns.rename("/e/tmp", &path).and(Err(e)))
+                            .is_ok()
+                    } else {
+                        ns.rename(&path, &format!("/d/{to}")).is_ok()
+                    };
+                    let free = !model.contains(&to) || (via_e && to == name);
+                    assert_eq!(moved, model.contains(&name) && free);
+                    if moved {
+                        model.remove(&name);
+                        model.insert(to);
+                    }
+                }
+                _ => assert_eq!(ns.delete(&path, true).is_ok(), model.remove(&name)),
+            }
+            if next(&mut rng).is_multiple_of(64) {
+                let listed: Vec<String> =
+                    ns.list("/d").unwrap().into_iter().map(|e| e.name).collect();
+                assert!(listed.iter().eq(model.iter()), "listing is the model, in order");
+            }
+        }
+        assert!(model.len() > 100, "the directory stayed populated: {}", model.len());
+        let listed: Vec<String> = ns.list("/d").unwrap().into_iter().map(|e| e.name).collect();
+        assert!(listed.iter().eq(model.iter()));
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn arb_op() -> impl Strategy<Value = EditOp> {
         (arb_path(), 0u8..7, proptest::option::of(any::<u64>())).prop_map(|(path, tier, limit)| {
             let mut quota = TierQuota::unlimited();
             quota.per_tier[tier as usize] = limit;
-            EditOp::SetQuota { path, quota }
+            EditOp::SetQuota { path, quota: Box::new(quota) }
         }),
     ]
 }

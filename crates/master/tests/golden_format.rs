@@ -22,7 +22,7 @@ fn golden_ops() -> Vec<EditOp> {
     vec![
         EditOp::Mkdir { path: "/a/b".into() },
         EditOp::Mkdir { path: "/q/ü".into() },
-        EditOp::SetQuota { path: "/q".into(), quota: TierQuota::limit_tier(1, 1 << 30) },
+        EditOp::SetQuota { path: "/q".into(), quota: TierQuota::limit_tier(1, 1 << 30).into() },
         EditOp::CreateFile { path: f(), rv: ReplicationVector::msh(1, 0, 2), block_size: 128 },
         EditOp::AddBlock { path: f(), block: BlockId(5), gen: 3, len: 128 },
         EditOp::AddBlock { path: f(), block: BlockId(9), gen: 3, len: 32 },

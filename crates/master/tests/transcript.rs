@@ -121,6 +121,41 @@ fn the_namespace_answers_what_the_previous_layout_answered() {
     assert_eq!(recorded.next(), None, "the fixture holds more than the sequences produce");
 }
 
+/// `(files, directories)` under `dir`, by listing.
+fn walk_counts(ns: &Namespace, dir: &str) -> (usize, usize) {
+    let mut counts = (0, 1);
+    for e in ns.list(dir).unwrap() {
+        let (files, dirs) = if e.is_dir {
+            walk_counts(ns, &format!("{}/{}", dir.trim_end_matches('/'), e.name))
+        } else {
+            (1, 0)
+        };
+        counts = (counts.0 + files, counts.1 + dirs);
+    }
+    counts
+}
+
+/// `counts()` is two counters kept by create, mkdir and delete; a full walk
+/// agrees with them after every step of a churn that deletes recursively
+/// and renames directories.
+#[test]
+fn counts_agree_with_a_full_walk_after_every_op() {
+    let mut ns = Namespace::new();
+    let mut next_block = 0;
+    let (mut most, mut recursive_deletes) = (0, 0);
+    for (i, op) in churn(5, 5_000).iter().enumerate() {
+        let answer = apply(&mut ns, &mut next_block, op);
+        assert_eq!(ns.counts(), walk_counts(&ns, "/"), "after op {i} {op:?}");
+        most = most.max(ns.counts().0 + ns.counts().1);
+        let deleted: Option<usize> = answer
+            .strip_prefix("deleted ")
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok());
+        recursive_deletes += usize::from(deleted.is_some_and(|files| files > 1));
+    }
+    assert!(most > 100 && recursive_deletes > 10, "{most} inodes, {recursive_deletes} subtrees");
+}
+
 #[test]
 #[ignore = "writes the fixture; see the module docs"]
 fn write_the_transcript() {

@@ -19,9 +19,7 @@ fn main() -> octopusfs::Result<()> {
     // Two tenants, each with a 4 MB memory-tier quota.
     for tenant in ["/tenants/alice", "/tenants/bob"] {
         client.mkdir(tenant)?;
-        cluster
-            .master()
-            .set_quota(tenant, TierQuota::limit_tier(StorageTier::Memory.id().0, 4 << 20))?;
+        client.set_quota(tenant, TierQuota::limit_tier(StorageTier::Memory.id().0, 4 << 20))?;
     }
 
     // Alice lands three 2 MB tables on disk.

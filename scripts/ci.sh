@@ -13,6 +13,12 @@ echo "==> cargo test --workspace --release"
 # suite is hand-listed, so none can be silently skipped.
 cargo test --workspace --release -q
 
+echo "==> cargo test -p octopus-master (debug)"
+# Release builds wrap on integer overflow; an inode id packs a slot and a
+# generation into one u64, and quota charges multiply lengths. The
+# master's suites run once more with overflow checks on.
+cargo test -p octopus-master -q
+
 echo "==> third_party/bytes stand-in tests"
 # Outside the workspace (it is a [patch] target), so not covered above:
 # `Bytes::from(Vec)` must keep the Vec's buffer — the data path's

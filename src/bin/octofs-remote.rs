@@ -2,9 +2,14 @@
 //! `octofs-master`/`octofs-worker` deployment.
 //!
 //! ```text
-//! octofs-remote --master ADDR <mkdir|put|get|cat|ls|rm|mv|setrep|report|
+//! octofs-remote --master ADDR <mkdir|put|get|cat|ls|rm|mv|setrep|quota|report|
 //!                              status|heat|explain-placement|migrations|metrics|perf|trace> [args]
 //! ```
+//!
+//! `quota PATH` prints a directory's per-tier quota and usage; `quota PATH
+//! --tier T --bytes N` limits tier slot `T` (0 = memory, 1 = SSD, 2 = HDD)
+//! to `N` bytes of pinned replicas, leaving the other tiers as they are;
+//! `quota PATH --clear` lifts every limit.
 //!
 //! `trace read PATH` / `trace write PATH [BYTES]` runs the operation with
 //! distributed tracing, prints the assembled critical path, and dumps the
@@ -27,7 +32,7 @@ use std::process::ExitCode;
 use octopusfs::common::metrics::{HistogramSample, MetricsSnapshot};
 use octopusfs::common::units::fmt_bytes;
 use octopusfs::core::net::RemoteFs;
-use octopusfs::{ClientLocation, FsError, ReplicationVector, Result};
+use octopusfs::{ClientLocation, FsError, ReplicationVector, Result, TierQuota};
 
 /// The histogram sample carrying `name{op="<op>"}`, if recorded.
 fn hist<'s>(snap: &'s MetricsSnapshot, name: &str, op: &str) -> Option<&'s HistogramSample> {
@@ -98,8 +103,8 @@ fn run(args: &[String]) -> Result<()> {
     let Some(cmd) = rest.first().cloned() else {
         return Err(FsError::InvalidArgument(
             "usage: octofs-remote --master ADDR \
-             <mkdir|put|get|cat|ls|rm|mv|setrep|report|status|heat|explain-placement|\
-             migrations|metrics|perf|trace>"
+             <mkdir|put|get|cat|ls|rm|mv|setrep|quota|report|status|heat|\
+             explain-placement|migrations|metrics|perf|trace>"
                 .into(),
         ));
     };
@@ -343,6 +348,29 @@ fn run(args: &[String]) -> Result<()> {
                         "meta {:<22} count={} errors={} p50={}us p99={}us",
                         op, r.count, r.errors, r.p50, r.p99
                     );
+                }
+            }
+        }
+        "quota" => {
+            let help = || usage("quota PATH [--tier T --bytes N | --clear]");
+            let path = args.first().ok_or_else(help)?;
+            match &args[1..] {
+                [] => {}
+                [clear] if clear == "--clear" => fs.set_quota(path, TierQuota::unlimited())?,
+                [tier, t, bytes, n] if tier == "--tier" && bytes == "--bytes" => {
+                    let (mut quota, _) = fs.quota_usage(path)?;
+                    let limit = quota.per_tier.get_mut(t.parse::<usize>().map_err(|_| help())?);
+                    *limit.ok_or_else(help)? = Some(n.parse().map_err(|_| help())?);
+                    fs.set_quota(path, quota)?;
+                }
+                _ => return Err(help()),
+            }
+            let (quota, usage) = fs.quota_usage(path)?;
+            for (t, (limit, used)) in quota.per_tier.iter().zip(usage).enumerate() {
+                match limit {
+                    Some(limit) => println!("{path} tier {t}: {used} of {limit} bytes"),
+                    None if used > 0 => println!("{path} tier {t}: {used} bytes, unlimited"),
+                    None => {}
                 }
             }
         }

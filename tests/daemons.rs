@@ -140,6 +140,26 @@ fn multiprocess_deployment_end_to_end() {
     let (ok, _, _) = remote(&master_addr, &["cat", "/data/f"]);
     assert!(!ok, "deleted file must not be readable");
 
+    // A quota set by one invocation refuses the write of the next: 300,000
+    // bytes pinned to SSD do not fit under 100,000, and do once it is lifted.
+    let put_ssd = ["put", local.to_str().unwrap(), "/data/q", "--rv", "<0,1,0>"];
+    let (ok, out, err) =
+        remote(&master_addr, &["quota", "/data", "--tier", "1", "--bytes", "100000"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("/data tier 1: 0 of 100000 bytes"), "{out}");
+    let (ok, _, err) = remote(&master_addr, &put_ssd);
+    assert!(!ok && err.contains("quota exceeded"), "a write over the quota went through: {err}");
+    let (ok, _, err) = remote(&master_addr, &["rm", "/data/q"]);
+    assert!(ok, "{err}");
+    let (ok, out, err) = remote(&master_addr, &["quota", "/data", "--clear"]);
+    assert!(ok, "{err}");
+    assert_eq!(out, "", "no limit and no usage: nothing to print");
+    let (ok, _, err) = remote(&master_addr, &put_ssd);
+    assert!(ok, "{err}");
+    let (ok, out, err) = remote(&master_addr, &["quota", "/data"]);
+    assert!(ok, "{err}");
+    assert_eq!(out, "/data tier 1: 300000 bytes, unlimited\n");
+
     std::fs::remove_dir_all(tmp).ok();
     drop(daemons);
 }
