@@ -7,11 +7,13 @@ use octopus_common::Result;
 
 use crate::editlog::{encode_image, replay_stream};
 use crate::master::Master;
-use crate::namespace::Namespace;
+use crate::namespace::{Cursor, Namespace};
 
 /// A backup master instance.
 pub struct BackupMaster {
     ns: Namespace,
+    /// Where the last applied op landed; `ns` changes through it alone.
+    cursor: Cursor,
     applied: usize,
     checkpoint: Option<Vec<u8>>,
 }
@@ -25,7 +27,7 @@ impl Default for BackupMaster {
 impl BackupMaster {
     /// A fresh backup with an empty namespace image.
     pub fn new() -> Self {
-        Self { ns: Namespace::new(), applied: 0, checkpoint: None }
+        Self { ns: Namespace::new(), cursor: Cursor::default(), applied: 0, checkpoint: None }
     }
 
     /// Pulls and applies the primary's edit-log tail, one capped reply at
@@ -42,7 +44,7 @@ impl BackupMaster {
     pub fn apply_edits(&mut self, framed: &[u8]) -> Result<usize> {
         let before = self.applied;
         replay_stream(framed, |op| {
-            op.apply(&mut self.ns)?;
+            op.apply(&mut self.ns, &mut self.cursor)?;
             self.applied += 1;
             Ok(())
         })?;

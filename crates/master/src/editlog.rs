@@ -26,7 +26,7 @@ use octopus_common::{
 };
 use parking_lot::Mutex;
 
-use crate::namespace::{Namespace, TierQuota};
+use crate::namespace::{Cursor, Namespace, TierQuota};
 
 /// One namespace mutation. `S` is how it holds its paths: `String` for an
 /// op on its way into the log, `&str` for one borrowed out of a record
@@ -245,25 +245,29 @@ impl<S: AsRef<str>> EditOp<S> {
     }
 
     /// Applies the op to a namespace (replay, the backup master) and says
-    /// what that did to the set of blocks.
-    pub fn apply(&self, ns: &mut Namespace) -> Result<BlockChange> {
+    /// what that did to the set of blocks. `cursor` is the stream's: the
+    /// one every earlier op of it was applied with.
+    pub fn apply(&self, ns: &mut Namespace, cursor: &mut Cursor) -> Result<BlockChange> {
+        if matches!(self, EditOp::Rename { .. } | EditOp::Delete { .. }) {
+            cursor.clear(); // what it remembers may be unlinked or moved
+        }
         match self {
             EditOp::Mkdir { path } => drop(ns.mkdir(path.as_ref(), true)?),
             EditOp::CreateFile { path, rv, block_size } => {
-                ns.create_file(path.as_ref(), *rv, *block_size)?;
+                ns.create_file_from(Some(cursor), path.as_ref(), *rv, *block_size)?;
             }
             EditOp::AddBlock { path, block, gen, len } => {
-                let file = ns.resolve(path.as_ref())?;
+                let file = ns.resolve_from(cursor, path.as_ref())?;
                 ns.add_block(file, *block, *len)?;
                 let block = Block { id: *block, gen: GenStamp(*gen), len: *len };
                 return Ok(BlockChange::Added { file, block });
             }
             EditOp::CloseFile { path } => {
-                let id = ns.resolve(path.as_ref())?;
+                let id = ns.resolve_from(cursor, path.as_ref())?;
                 ns.finalize_file(id)?;
             }
             EditOp::AppendFile { path } => {
-                let id = ns.resolve(path.as_ref())?;
+                let id = ns.resolve_from(cursor, path.as_ref())?;
                 ns.reopen_file(id)?;
             }
             EditOp::Rename { src, dst } => ns.rename(src.as_ref(), dst.as_ref())?,
@@ -273,7 +277,7 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::SetReplication { path, rv } => drop(ns.set_replication(path.as_ref(), *rv)?),
             EditOp::SetQuota { path, quota } => ns.set_quota(path.as_ref(), **quota)?,
             EditOp::AbandonBlock { path, block, len } => {
-                let id = ns.resolve(path.as_ref())?;
+                let id = ns.resolve_from(cursor, path.as_ref())?;
                 ns.remove_last_block(id, *block, *len)?;
                 return Ok(BlockChange::Removed(vec![*block]));
             }
@@ -403,31 +407,61 @@ fn frame_into(op: &EditOp, buf: &mut Vec<u8>) {
     buf[head + 4..head + HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// A file is scanned through one buffer of this size (or of its largest
+/// record's, if that is larger).
+const SCAN_CHUNK: usize = 64 << 10;
+
+/// Hands each whole record at the front of `buf` to `f` in place, its CRC
+/// checked. Returns the bytes those took and the bytes the record after
+/// them needs — more than are left of `buf`.
+fn parse_records(buf: &[u8], f: &mut impl FnMut(&[u8]) -> Result<()>) -> Result<(usize, usize)> {
+    let mut at = 0;
+    loop {
+        let Some((head, rest)) = buf[at..].split_first_chunk::<HEADER>() else {
+            return Ok((at, HEADER));
+        };
+        let mut fields = Reader::new(head);
+        let (body_len, crc) = (fields.u32()? as usize, fields.u32()?);
+        let Some(body) = rest.get(..body_len) else {
+            return Ok((at, HEADER + body_len));
+        };
+        if crc32(body) != crc {
+            return Err(FsError::Io("edit record CRC mismatch".into()));
+        }
+        f(body)?;
+        at += HEADER + body_len;
+    }
+}
+
 /// Streams the records in the first `len` bytes of `src` through one
 /// reused buffer, handing each CRC-checked body to `f`. Stops cleanly at a
 /// truncated tail (a crash mid-append), erroring only on corruption of a
 /// complete record. Returns the byte length of the whole records.
-fn scan_records(src: impl Read, len: u64, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
-    let mut src = BufReader::with_capacity(64 << 10, src);
-    let mut head = [0u8; HEADER];
-    let mut body = Vec::new();
-    let mut at = 0u64;
-    while len - at >= HEADER as u64 {
-        src.read_exact(&mut head)?;
-        let mut fields = Reader::new(&head);
-        let (body_len, crc) = (fields.u32()? as u64, fields.u32()?);
-        if len - at - (HEADER as u64) < body_len {
-            break; // truncated tail
+fn scan_records(
+    mut src: impl Read,
+    len: u64,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<u64> {
+    let mut chunk = vec![0u8; len.min(SCAN_CHUNK as u64) as usize];
+    // `chunk[..held]` is read and not yet parsed; `at` bytes are parsed.
+    let (mut held, mut at) = (0, 0u64);
+    loop {
+        let unread = len - at - held as u64;
+        let fill = unread.min((chunk.len() - held) as u64) as usize;
+        src.read_exact(&mut chunk[held..held + fill])?;
+        held += fill;
+        let (used, need) = parse_records(&chunk[..held], &mut f)?;
+        at += used as u64;
+        // The record straddling the end of the chunk goes to its front.
+        chunk.copy_within(used..held, 0);
+        held -= used;
+        if need as u64 > len - at {
+            return Ok(at); // truncated tail
         }
-        body.resize(body_len as usize, 0);
-        src.read_exact(&mut body)?;
-        if crc32(&body) != crc {
-            return Err(FsError::Io("edit record CRC mismatch".into()));
+        if need > chunk.len() {
+            chunk.resize(need, 0);
         }
-        f(&body)?;
-        at += HEADER as u64 + body_len;
     }
-    Ok(at)
 }
 
 /// Copies whole records out of `src` (positioned at a record boundary,
@@ -465,7 +499,7 @@ pub(crate) fn replay_stream(
     buf: &[u8],
     mut f: impl FnMut(EditRef<'_>) -> Result<()>,
 ) -> Result<()> {
-    scan_records(buf, buf.len() as u64, |body| f(EditRef::decode_borrowed(body)?)).map(drop)
+    parse_records(buf, &mut |body| f(EditRef::decode_borrowed(body)?)).map(drop)
 }
 
 /// Decodes a stream of framed records. Stops cleanly at a truncated tail
@@ -560,9 +594,9 @@ impl EditLog {
     }
 
     /// [`scan_records`] over the first `len` bytes of the backing.
-    fn scan(&self, len: u64, f: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
+    fn scan(&self, len: u64, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
         match &self.backing {
-            Backing::Mem(bytes) => scan_records(&bytes[..len as usize], len, f),
+            Backing::Mem(bytes) => Ok(parse_records(&bytes[..len as usize], &mut f)?.0 as u64),
             Backing::File { read, .. } => {
                 let mut file = read.lock();
                 file.seek(SeekFrom::Start(0))?;
@@ -845,8 +879,8 @@ pub fn encode_image(ns: &Namespace) -> Vec<u8> {
 
 /// Restores a namespace from a checkpoint image.
 pub fn decode_image(image: &[u8]) -> Result<Namespace> {
-    let mut ns = Namespace::new();
-    replay_stream(image, |op| op.apply(&mut ns).map(drop))?;
+    let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+    replay_stream(image, |op| op.apply(&mut ns, &mut cursor).map(drop))?;
     Ok(ns)
 }
 
@@ -914,14 +948,58 @@ mod tests {
         assert!(decode_stream(&bad).is_err());
     }
 
+    /// A file scan hands out what an in-place parse of the same bytes does
+    /// — records that straddle a chunk's end, one larger than a chunk —
+    /// and stops where it stops at every tear of the last two records.
+    #[test]
+    fn a_scan_through_chunks_is_a_parse_in_place() {
+        let mkdir =
+            |len: usize, i: usize| EditOp::Mkdir { path: format!("/{}{i:04}", "n".repeat(len)) };
+        let mut ops: Vec<EditOp> = (0..1_800).map(|i| mkdir(600, i)).collect();
+        ops.push(mkdir(SCAN_CHUNK + 1_000, 0));
+        ops.extend((0..200).map(|i| mkdir(700, i)));
+        let mut buf = Vec::new();
+        ops.iter().for_each(|op| frame_into(op, &mut buf));
+        assert!(buf.len() > 2 * SCAN_CHUNK);
+
+        let tail = 2 * (HEADER + 710);
+        let tears = (buf.len() - tail..buf.len()).step_by(7).chain([buf.len()]);
+        for cut in tears.chain([0, 3, HEADER, SCAN_CHUNK, SCAN_CHUNK + 1]) {
+            let bytes = &buf[..cut];
+            let (mut in_place, mut chunked) = (Vec::new(), Vec::new());
+            let mut keep = |body: &[u8]| {
+                in_place.push(crc32(body));
+                Ok(())
+            };
+            let parsed = parse_records(bytes, &mut keep).map(|(used, _)| used as u64);
+            let scanned = scan_records(bytes, cut as u64, |body| {
+                chunked.push(crc32(body));
+                Ok(())
+            });
+            assert!((&parsed, &in_place) == (&scanned, &chunked), "cut {cut}");
+            if cut == buf.len() {
+                let appended: Vec<u32> = ops.iter().map(|op| crc32(&op.encode())).collect();
+                assert_eq!((parsed, in_place), (Ok(cut as u64), appended));
+            }
+        }
+
+        // A flipped byte is a CRC error on both, wherever in a chunk it is.
+        for at in [10, SCAN_CHUNK - 1, SCAN_CHUNK + 600, buf.len() - 1] {
+            buf[at] ^= 0x40;
+            assert!(parse_records(&buf, &mut |_| Ok(())).is_err(), "flip at {at}");
+            assert!(scan_records(&buf[..], buf.len() as u64, |_| Ok(())).is_err(), "flip at {at}");
+            buf[at] ^= 0x40;
+        }
+    }
+
     #[test]
     fn replay_reconstructs_namespace() {
         let mut log = EditLog::in_memory();
         for op in sample_ops() {
             log.append(op).unwrap();
         }
-        let mut ns = Namespace::new();
-        log.replay(|op| op.apply(&mut ns).map(drop)).unwrap();
+        let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+        log.replay(|op| op.apply(&mut ns, &mut cursor).map(drop)).unwrap();
         // After the sample sequence: /a exists with quota, /a/g is the
         // renamed file, /a/b was deleted.
         let st = ns.status("/a/g").unwrap();

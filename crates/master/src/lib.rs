@@ -39,4 +39,4 @@ pub use editlog::{EditLog, EditOp, GroupCommitLog};
 pub use lease::{ClientId, LeaseManager};
 pub use master::{Master, ReplicationTask};
 pub use mount::{ExternalCatalog, ExternalStatus, InMemoryCatalog, LocalDirCatalog, MountTable};
-pub use namespace::{DirEntry, FileStatus, Namespace, TierQuota};
+pub use namespace::{Cursor, DirEntry, FileStatus, Namespace, TierQuota};

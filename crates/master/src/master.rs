@@ -35,7 +35,7 @@ use crate::cluster::ClusterState;
 use crate::editlog::{decode_stream, encode_image, BlockChange, EditLog, EditOp, GroupCommitLog};
 use crate::lease::{ClientId, LeaseManager};
 use crate::mount::{ExternalCatalog, MountTable};
-use crate::namespace::{normalize, DirEntry, FileMeta, FileStatus, Namespace, TierQuota};
+use crate::namespace::{normalize, Cursor, DirEntry, FileMeta, FileStatus, Namespace, TierQuota};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -322,15 +322,17 @@ impl Master {
         // The block map follows the replay the way it follows the live
         // path — a block enters on `AddBlock` and leaves with its file or
         // when abandoned — so nothing here grows with the log's length.
-        // `max_block` remembers every id the log ever issued, so the
-        // generator never re-issues one.
-        let mut ns = Namespace::new();
+        // `max_block` and `max_gen` remember every id and stamp the log
+        // ever issued, so the generators never re-issue one.
+        let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
         let mut blocks = BlockMap::new();
-        let mut max_block = 0u64;
+        let (mut max_block, mut max_gen) = (0u64, 0u64);
+        let started = Instant::now();
         log.replay(|op| {
-            match op.apply(&mut ns)? {
+            match op.apply(&mut ns, &mut cursor)? {
                 BlockChange::Added { file, block } => {
                     max_block = max_block.max(block.id.0);
+                    max_gen = max_gen.max(block.gen.0);
                     blocks.insert(block, file, Vec::new());
                 }
                 BlockChange::Removed(gone) => {
@@ -343,8 +345,14 @@ impl Master {
             Ok(())
         })?;
 
-        let block_ids = IdGenerator::new(1);
+        let (replayed, replay_us) = (log.len() as u64, started.elapsed().as_micros() as u64);
+        if replayed > 0 {
+            octopus_common::log_info!("msg=\"replayed {replayed} ops in {} ms\"", replay_us / 1000);
+        }
+
+        let (block_ids, gen_stamps) = (IdGenerator::new(1), IdGenerator::new(1));
         block_ids.ensure_above(max_block);
+        gen_stamps.ensure_above(max_gen);
         let placement = build_placement_policy(config.policy.placement, &config.policy, 0x0c70);
         let retrieval = build_retrieval_policy(config.policy.retrieval, 0x0c70);
         // A master that boots with pre-existing blocks (restart/failover)
@@ -354,6 +362,16 @@ impl Master {
         // Pre-register the scrape-time drop counter so it is present (at
         // zero) in every snapshot, not only after the first wrap.
         metrics.counter("master_audit_dropped_total", Labels::NONE);
+        // What the last recovery cost, and how the cursor resolved its paths.
+        for (name, n) in [
+            ("master_replay_ops_total", replayed),
+            ("master_replay_us", replay_us),
+            ("master_replay_path_hits_total", cursor.path_hits),
+            ("master_replay_parent_hits_total", cursor.parent_hits),
+            ("master_replay_walks_total", cursor.walks),
+        ] {
+            metrics.add(name, Labels::NONE, n);
+        }
         let ops = MetaOpStats::register(&metrics);
         let namespace_stats = LockStats::register(&metrics, "master.namespace");
         let block_stats = LockStats::register(&metrics, "master.blocks");
@@ -378,7 +396,7 @@ impl Master {
             placement,
             retrieval,
             block_ids,
-            gen_stamps: IdGenerator::new(1),
+            gen_stamps,
             metrics,
             trace: TraceCollector::new("master"),
             ops,
@@ -1908,8 +1926,13 @@ mod tests {
     /// Registers `n` live workers with one medium per tier each, as if
     /// heartbeats had arrived.
     fn boot_master(n: u32) -> Master {
+        boot_master_from(n, EditLog::in_memory())
+    }
+
+    /// [`boot_master`] on the history in `log`.
+    fn boot_master_from(n: u32, log: EditLog) -> Master {
         let config = ClusterConfig::test_cluster(n, 10 << 20, 1 << 20);
-        let master = Master::new(config.clone()).unwrap();
+        let master = Master::with_log(config, log).unwrap();
         for w in 0..n {
             let rack = RackId((w % 2) as u16);
             master.register_worker(WorkerId(w), rack, 1e9, 0);
@@ -1933,6 +1956,24 @@ mod tests {
 
     fn rv_u(r: u8) -> ReplicationVector {
         ReplicationVector::from_replication_factor(r)
+    }
+
+    /// A stamp the log holds is not issued again by the master that boots
+    /// from it.
+    #[test]
+    fn a_recovered_master_issues_generation_stamps_above_the_replayed_ones() {
+        let m = boot_master(3);
+        m.create_file("/f", rv_u(1), None).unwrap();
+        let replayed: Vec<GenStamp> = (0..3)
+            .map(|_| m.add_block("/f", 1 << 20, ClientLocation::OffCluster).unwrap().0.gen)
+            .collect();
+        let log = EditLog::from_bytes(m.edits_since(0).unwrap()).unwrap();
+        let recovered = boot_master_from(3, log);
+        assert_eq!(recovered.block_inventory().len(), 3);
+        recovered.leave_safe_mode();
+        recovered.create_file("/g", rv_u(1), None).unwrap();
+        let (fresh, _) = recovered.add_block("/g", 1 << 20, ClientLocation::OffCluster).unwrap();
+        assert!(replayed.iter().all(|gen| fresh.gen > *gen), "{:?} after {replayed:?}", fresh.gen);
     }
 
     #[test]

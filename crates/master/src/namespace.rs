@@ -174,6 +174,60 @@ fn dangling(id: INodeId) -> FsError {
     FsError::Internal(format!("dangling inode {id}"))
 }
 
+/// What replay carries from op to op: the last path one named, as spelled,
+/// and the inode it resolved to (DESIGN.md §11, "Boot"). A log is runs of
+/// ops on one path inside runs on one directory, so the next op mostly needs
+/// no walk from `/`. Whatever unlinks or moves an inode must `clear` it.
+#[derive(Debug, Default)]
+pub struct Cursor {
+    /// Empty when nothing is remembered; never ends in `/`, so up to its
+    /// last `/` it spells the parent directory.
+    path: String,
+    id: INodeId,
+    /// Ops that named the remembered path itself.
+    pub path_hits: u64,
+    /// Ops that named another entry of the remembered path's directory.
+    pub parent_hits: u64,
+    /// Ops that walked from `/`.
+    pub walks: u64,
+}
+
+impl Cursor {
+    /// Forgets the path; the counts stay.
+    pub fn clear(&mut self) {
+        self.path.clear();
+    }
+
+    fn remember(&mut self, path: &str, id: INodeId) -> INodeId {
+        self.path.clear();
+        // `/a/f/` would make the file's own spelling the parent's.
+        if !path.ends_with('/') {
+            self.path.push_str(path);
+            self.id = id;
+        }
+        id
+    }
+
+    /// The parent directory's slot and the last component of `path`, if it
+    /// is the remembered path (then its own slot too) or names a sibling,
+    /// and the remembered inode still lives. Counts which.
+    fn recall<'p>(&mut self, ns: &Namespace, path: &'p str) -> Option<(u32, &'p str, Option<u32>)> {
+        let cut = self.path.rfind('/').map_or(0, |at| at + 1);
+        let slot = ns.slot_of(self.id).ok().filter(|_| cut > 0);
+        let known = slot.zip(path.split_at_checked(cut)).and_then(|(slot, (dir, name))| {
+            let valid = !name.contains('/') && !matches!(name, "" | "." | "..");
+            let hit = (name == &self.path[cut..]).then_some(slot);
+            (valid && dir == &self.path[..cut]).then(|| (ns.at(slot).parent, name, hit))
+        });
+        match known {
+            Some((.., Some(_))) => self.path_hits += 1,
+            Some(_) => self.parent_hits += 1,
+            None => self.walks += 1,
+        }
+        known
+    }
+}
+
 /// The inode tree.
 #[derive(Debug)]
 pub struct Namespace {
@@ -310,20 +364,20 @@ impl Namespace {
         }
     }
 
-    /// Walks `comps` down from the root. `path` is the caller's spelling,
-    /// quoted in `NotFound`.
-    fn walk<'p>(&self, comps: impl Iterator<Item = &'p str>, path: &str) -> Result<u32> {
-        let mut cur = ROOT;
-        for comp in comps {
-            let Some(dir) = self.dir_at(cur) else {
-                return Err(FsError::NotADirectory(self.path_at(cur)));
-            };
-            let index = self
-                .position(&dir.children, comp)
-                .map_err(|_| FsError::NotFound(path.to_string()))?;
-            cur = dir.children[index];
-        }
-        Ok(cur)
+    /// One step of a walk: the child `name` of `dir`. `path` is the
+    /// caller's spelling, quoted in `NotFound`.
+    fn step(&self, dir: u32, name: &str, path: &str) -> Result<u32> {
+        let Some(children) = self.dir_at(dir).map(|dir| &dir.children) else {
+            return Err(FsError::NotADirectory(self.path_at(dir)));
+        };
+        let index =
+            self.position(children, name).map_err(|_| FsError::NotFound(path.to_string()))?;
+        Ok(children[index])
+    }
+
+    /// Walks `comps` down from the root.
+    fn walk<'p>(&self, mut comps: impl Iterator<Item = &'p str>, path: &str) -> Result<u32> {
+        comps.try_fold(ROOT, |cur, comp| self.step(cur, comp, path))
     }
 
     fn lookup(&self, path: &str) -> Result<u32> {
@@ -333,6 +387,18 @@ impl Namespace {
     /// Resolves a path to its inode.
     pub fn resolve(&self, path: &str) -> Result<INodeId> {
         Ok(self.id_of(self.lookup(path)?))
+    }
+
+    /// [`Namespace::resolve`] for one op of a stream: no walk if `cursor`
+    /// remembers `path`, one step if it remembers a sibling, and what it
+    /// resolves to is remembered next.
+    pub fn resolve_from(&self, cursor: &mut Cursor, path: &str) -> Result<INodeId> {
+        let slot = match cursor.recall(self, path) {
+            Some((.., Some(slot))) => return Ok(self.id_of(slot)),
+            Some((parent, name, None)) => self.step(parent, name, path)?,
+            None => self.lookup(path)?,
+        };
+        Ok(cursor.remember(path, self.id_of(slot)))
     }
 
     fn path_at(&self, slot: u32) -> String {
@@ -374,6 +440,10 @@ impl Namespace {
         let Some(dir) = self.dir_at(parent) else {
             return Err(FsError::NotADirectory(self.path_at(parent)));
         };
+        // Past the last child (a sorted image, rising names): no search.
+        if dir.children.last().is_some_and(|&last| *self.at(last).name < *name) {
+            return Ok(dir.children.len());
+        }
         match self.position(&dir.children, name) {
             Ok(_) => Err(FsError::AlreadyExists(path.to_string())),
             Err(index) => Ok(index),
@@ -418,15 +488,32 @@ impl Namespace {
         rv: ReplicationVector,
         block_size: u64,
     ) -> Result<INodeId> {
+        self.create_file_from(None, path, rv, block_size)
+    }
+
+    /// [`Namespace::create_file`] for one op of a stream: the parent comes
+    /// from `cursor` if it remembers a sibling, and the new file is
+    /// remembered next. Without one, a walk and nothing remembered.
+    pub fn create_file_from(
+        &mut self,
+        mut cursor: Option<&mut Cursor>,
+        path: &str,
+        rv: ReplicationVector,
+        block_size: u64,
+    ) -> Result<INodeId> {
         if block_size == 0 {
             return Err(FsError::InvalidArgument("block size must be positive".into()));
         }
-        let (parent, name) = self.lookup_parent(path)?;
+        let (parent, name) = match cursor.as_deref_mut().and_then(|c| c.recall(self, path)) {
+            Some((parent, name, _)) => (parent, name),
+            None => self.lookup_parent(path)?,
+        };
         let index = self.vacancy(parent, name, path)?;
         let meta = FileMeta { rv, block_size, blocks: Vec::new(), len: 0, complete: false };
         let slot = self.link_new(parent, index, name, Kind::File(meta))?;
         self.files += 1;
-        Ok(self.id_of(slot))
+        let id = self.id_of(slot);
+        Ok(cursor.map_or(id, |c| c.remember(path, id)))
     }
 
     fn file_at(&self, slot: u32) -> Result<&FileMeta> {

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use octopus_common::{BlockId, ReplicationVector};
 use octopus_master::editlog::decode_stream;
-use octopus_master::{EditLog, EditOp, Namespace, TierQuota};
+use octopus_master::{Cursor, EditLog, EditOp, Namespace, TierQuota};
 
 /// A path made of safe components (the namespace validates real paths;
 /// the codec itself must handle arbitrary strings).
@@ -115,9 +115,9 @@ proptest! {
     /// panics (errors are fine — e.g. closing a non-existent file).
     #[test]
     fn replay_never_panics(ops in proptest::collection::vec(arb_op(), 0..20)) {
-        let mut ns = Namespace::new();
+        let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
         for op in ops {
-            let _ = op.apply(&mut ns);
+            let _ = op.apply(&mut ns, &mut cursor);
         }
         let _ = ns.counts();
     }

@@ -4,7 +4,9 @@
 //!
 //! - a file of `octobench meta`'s shape costs at most 140 bytes and 1.1
 //!   live allocations, and replaying the log that creates it calls the
-//!   allocator for what stays and for nothing else;
+//!   allocator for what stays and for nothing else — with exactly one walk
+//!   from `/` per directory the log moves to, and in at most 0.6 × the time
+//!   a replay that walks for every op takes;
 //! - create + delete pairs on a warm namespace reuse their slots;
 //! - a recovered master holds what the bare `Namespace` replayed from the
 //!   same ops holds, plus a constant that does not grow with the log;
@@ -23,7 +25,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use octopus_common::{BlockId, ClusterConfig, ReplicationVector};
-use octopus_master::{EditLog, EditOp, Master, Namespace};
+use octopus_master::{Cursor, EditLog, EditOp, Master, Namespace};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -178,13 +180,20 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
     let mut log = EditLog::in_memory();
     log.append_batch(meta_ops()).unwrap();
     let started = Instant::now();
-    let (ns, heap) = heap_during(|| {
-        let mut ns = Namespace::new();
-        log.replay(|op| op.apply(&mut ns).map(drop)).unwrap();
-        ns
+    let ((ns, cursor), heap) = heap_during(|| {
+        let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+        log.replay(|op| op.apply(&mut ns, &mut cursor).map(drop)).unwrap();
+        (ns, cursor)
     });
     let replay_s = started.elapsed().as_secs_f64();
     assert_eq!(ns.counts(), (FILES, DIRS + 2));
+    // Every close finds the file its create just made; a create walks from
+    // `/` when the log moves to another directory and otherwise searches the
+    // one it is in. (`mkdir -p` walks by itself and asks the cursor nothing.)
+    assert_eq!(
+        (cursor.path_hits, cursor.parent_hits, cursor.walks),
+        (FILES as u64, (FILES - DIRS) as u64, DIRS as u64)
+    );
     let per_file = |n: isize| n as f64 / FILES as f64;
     println!(
         "{FILES} files in {DIRS} directories: {:.1} B and {:.3} live allocations per file; \
@@ -205,7 +214,7 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
     );
     // Nothing is allocated per op and dropped. What is not kept is growth: a
     // directory's child vector doubles its way to 1,000 entries (a dozen
-    // calls per directory), and the scanner's two buffers.
+    // calls per directory), and the cursor's one path.
     let growth = 12 * (DIRS + 2) + 64;
     assert!(
         heap.calls <= heap.kept_blocks as usize + growth,
@@ -223,12 +232,46 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
     assert!(t.elapsed().as_millis() < 1_000, "10,000 counts() took {:?}", t.elapsed());
 }
 
+/// The same process, the same log, the same checks: carrying the cursor
+/// against forgetting it before every op, which is the walk from `/` that
+/// every op made before there was one. Best of three each, interleaved.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing ratio of the optimised build")]
+fn replay_with_the_cursor_takes_at_most_six_tenths_of_replay_without() {
+    let _serial = serial();
+    let mut log = EditLog::in_memory();
+    log.append_batch(meta_ops()).unwrap();
+    let replay_s = |carry: bool| {
+        let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+        let started = Instant::now();
+        log.replay(|op| {
+            if !carry {
+                cursor.clear();
+            }
+            op.apply(&mut ns, &mut cursor).map(drop)
+        })
+        .unwrap();
+        assert_eq!(ns.counts(), (FILES, DIRS + 2));
+        started.elapsed().as_secs_f64()
+    };
+    let (mut with, mut without) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        with = with.min(replay_s(true));
+        without = without.min(replay_s(false));
+    }
+    println!(
+        "replay of {FILES} files: {with:.3} s with the cursor, {without:.3} s without ({:.2} x)",
+        with / without
+    );
+    assert!(with <= 0.6 * without, "{with:.3} s with the cursor, {without:.3} s without");
+}
+
 #[test]
 fn create_delete_pairs_reuse_their_slots() {
     let _serial = serial();
     let rv = ReplicationVector::from_replication_factor(1);
-    let mut ns = Namespace::new();
-    file_ops(1_000, true).for_each(|op| drop(op.apply(&mut ns).unwrap()));
+    let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+    file_ops(1_000, true).for_each(|op| drop(op.apply(&mut ns, &mut cursor).unwrap()));
     let pair = |ns: &mut Namespace, i: usize| {
         let path = format!("/r/t{:05}", i % 7);
         ns.create_file(&path, rv, 1 << 20).unwrap();
@@ -288,8 +331,8 @@ fn a_recovered_master_holds_its_namespace_and_a_constant() {
         assert_eq!(master.counts().0, n);
         drop(master);
         let (ns, bare) = heap_during(|| {
-            let mut ns = Namespace::new();
-            file_ops(n, true).for_each(|op| drop(op.apply(&mut ns).unwrap()));
+            let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+            file_ops(n, true).for_each(|op| drop(op.apply(&mut ns, &mut cursor).unwrap()));
             ns
         });
         assert_eq!(ns.counts().0, n);

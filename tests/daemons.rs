@@ -101,6 +101,17 @@ fn multiprocess_deployment_end_to_end() {
 
     wait_for_workers(&master_addr, 3);
 
+    // How the master's last recovery went is a scrape away — here, from an
+    // empty log.
+    let (ok, out, err) = remote(&master_addr, &["metrics"]);
+    assert!(ok, "{err}");
+    for series in
+        ["ops_total 0", "us ", "path_hits_total 0", "parent_hits_total 0", "walks_total 0"]
+    {
+        let line = format!("master_replay_{series}");
+        assert!(out.lines().any(|l| l.starts_with(&line)), "no `{line}` in:\n{out}");
+    }
+
     // Drive a full lifecycle through separate octofs-remote invocations.
     let tmp = std::env::temp_dir().join(format!(
         "octofs_daemon_{}_{}",

@@ -75,6 +75,13 @@ fn file_backed_edit_log_survives_restart() {
     let master2 = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();
     assert!(master2.status("/a/g").unwrap().complete);
     assert!(master2.status("/a/b/f").is_err());
+    // The recovery is on the registry: four ops, of which the create walked
+    // from `/` and the close found the file the create had just made.
+    let recovery = master2.metrics().snapshot();
+    assert_eq!(recovery.counter("master_replay_ops_total"), 4);
+    assert_eq!(recovery.counter("master_replay_walks_total"), 1);
+    assert_eq!(recovery.counter("master_replay_path_hits_total"), 1);
+    assert_eq!(recovery.counter("master_replay_parent_hits_total"), 0);
     std::fs::remove_dir_all(dir).ok();
 }
 
