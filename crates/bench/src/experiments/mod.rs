@@ -13,8 +13,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod heat;
-pub mod net_metrics;
-pub mod net_trace;
 pub mod parallel_io;
 pub mod scalability;
 pub mod table2;

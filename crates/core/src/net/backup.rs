@@ -3,42 +3,34 @@
 //! image, and can produce checkpoints or take over as primary.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
 use octopus_common::{ClusterConfig, FsError, Result};
 use octopus_master::{BackupMaster, Master};
 
+use super::node::Periodic;
 use super::proto::{MasterRequest, MasterResponse};
 use super::worker_server::call_master;
 
 /// A backup master tailing a remote primary.
 pub struct NetBackup {
     inner: Arc<Mutex<BackupMaster>>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _tail: Periodic,
 }
 
 impl NetBackup {
-    /// Starts tailing `primary` every `interval_ms` milliseconds.
+    /// Catches up with `primary`, then tails it every `interval_ms`
+    /// milliseconds until dropped.
     pub fn start(primary: SocketAddr, interval_ms: u64) -> Result<Self> {
         let inner = Arc::new(Mutex::new(BackupMaster::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let tail_inner = Arc::clone(&inner);
-        let tail_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("octopus-backup-tail".into())
-            .spawn(move || {
-                while !tail_stop.load(Ordering::Relaxed) {
-                    let _ = Self::sync_once(&tail_inner, primary);
-                    std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-                }
-            })
-            .map_err(|e| FsError::Io(e.to_string()))?;
-        Ok(Self { inner, stop, handle: Some(handle) })
+        let _ = Self::sync_once(&inner, primary);
+        let tailed = Arc::clone(&inner);
+        let tail = Periodic::spawn("octopus-backup-tail".into(), interval_ms, move || {
+            let _ = Self::sync_once(&tailed, primary);
+        })?;
+        Ok(Self { inner, _tail: tail })
     }
 
     /// Pulls and applies the primary's edit-log tail, one capped reply at
@@ -79,19 +71,5 @@ impl NetBackup {
     /// starts in safe mode when blocks exist).
     pub fn take_over(&self, config: ClusterConfig) -> Result<Master> {
         self.inner.lock().take_over(config)
-    }
-
-    /// Stops the tailing thread.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for NetBackup {
-    fn drop(&mut self) {
-        self.stop();
     }
 }

@@ -28,8 +28,12 @@
 //!   (§4.1);
 //! - [`monitor`]: the one §5 executor (replication, scrub, paced
 //!   migration rounds);
-//! - [`cluster`]: [`NetCluster`], which boots a master and N workers on
-//!   loopback ports with real heartbeat threads;
+//! - [`node`]: the one node lifecycle — [`WorkerNode`] (data server,
+//!   join, periodic beat) and [`MasterNode`] (RPC server, its transport,
+//!   the periodic §5 rounds asked for) — that `octofs-worker`,
+//!   `octofs-master` and [`NetCluster`] all run;
+//! - [`cluster`]: [`NetCluster`], a master node and N worker nodes on
+//!   loopback ports;
 //! - [`rpc`]: [`RpcClient`], the multiplexing, deadline-bounded transport
 //!   every networked call goes through — few connections per peer, an
 //!   in-flight map keyed by request id, and absolute per-call deadlines;
@@ -44,6 +48,7 @@ pub mod faults;
 pub mod frame;
 pub mod master_server;
 pub mod monitor;
+pub mod node;
 pub mod proto;
 pub mod rpc;
 pub mod server;
@@ -56,6 +61,7 @@ pub use cluster::NetCluster;
 pub use faults::FaultAction;
 pub use master_server::MasterServer;
 pub use monitor::{MigrationRound, ReplicationOutcome, ScrubRound, ScrubStatus};
+pub use node::{MasterNode, WorkerNode};
 pub use rpc::RpcClient;
 pub use transport::{LocalTransport, TcpTransport, Transport};
 pub use worker_server::WorkerServer;

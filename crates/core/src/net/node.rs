@@ -1,0 +1,188 @@
+//! The node lifecycle, written once: what `octofs-master`, `octofs-worker`
+//! and [`super::NetCluster`] all run. A [`WorkerNode`] is a data server
+//! that has joined the master and keeps beating; a [`MasterNode`] is the
+//! RPC server, the transport its §5 rounds go out through, and whichever
+//! periodic rounds the caller starts. Dropping a node stops it. Every
+//! periodic thread of `net` is one [`Periodic`].
+
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
+
+use octopus_common::{log_warn, FsError, Result};
+use octopus_master::Master;
+
+use super::master_server::MasterServer;
+use super::rpc;
+use super::transport::TcpTransport;
+use super::worker_server::{self, AddressMap, WorkerServer};
+use crate::worker::Worker;
+
+/// Heartbeat stamp: UNIX-epoch milliseconds. The master's failure detector
+/// compares stamps from different nodes, so they must share a time base —
+/// a per-process epoch makes every later-started worker look long dead to
+/// the earlier ones' heartbeats.
+pub(super) fn unix_ms() -> u64 {
+    SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
+}
+
+/// Blocks the calling thread for the life of the process, keeping `node`
+/// (and its threads) running: a daemon's `main` once its node is up.
+pub fn serve<N>(_node: N) -> ! {
+    loop {
+        std::thread::park();
+    }
+}
+
+/// A thread that runs `round` once per `interval_ms` until dropped. It
+/// waits parked on a channel nothing is ever sent on, and dropping the
+/// sender unparks it: stopping costs the round in flight, not the rest of
+/// an interval.
+pub(super) struct Periodic {
+    stop: Option<Sender<()>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Periodic {
+    pub(super) fn spawn(
+        name: String,
+        interval_ms: u64,
+        mut round: impl FnMut() + Send + 'static,
+    ) -> Result<Self> {
+        let (stop, stopped) = channel::<()>();
+        let interval = Duration::from_millis(interval_ms);
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                    round();
+                }
+            })
+            .map_err(|e| FsError::Io(e.to_string()))?;
+        Ok(Self { stop: Some(stop), thread: Some(thread) })
+    }
+}
+
+impl Drop for Periodic {
+    fn drop(&mut self) {
+        self.stop = None;
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// A running worker: its data server, registered with the master, and the
+/// liveness thread ([`worker_server::beat`] every `heartbeat_ms`).
+pub struct WorkerNode {
+    // Declared first so it stops first: no beat outlives the server.
+    _beat: Periodic,
+    server: WorkerServer,
+}
+
+impl WorkerNode {
+    /// Serves `worker` on `bind`, joins the master at `master` (register,
+    /// first heartbeat, block report) and starts beating.
+    ///
+    /// `peers` is where pipeline forwards look up the other workers. Given
+    /// a map, the caller keeps it current ([`super::NetCluster`] shares the
+    /// master's registry); given `None`, the node keeps a private one and
+    /// re-fetches it from the master with every beat, as a worker in a
+    /// process of its own must.
+    pub fn start(
+        worker: Arc<Worker>,
+        master: SocketAddr,
+        bind: impl ToSocketAddrs,
+        peers: Option<AddressMap>,
+        heartbeat_ms: u64,
+    ) -> Result<Self> {
+        let refresh = peers.is_none();
+        let peers = peers.unwrap_or_default();
+        let server = WorkerServer::spawn_on(Arc::clone(&worker), master, Arc::clone(&peers), bind)?;
+        let net = TcpTransport::new(master, peers, Arc::clone(rpc::shared()));
+        worker_server::join(&worker, &net, unix_ms(), server.addr().to_string())?;
+        if refresh {
+            let _ = net.refresh_workers();
+        }
+        let mut beats = 0u64;
+        let beat =
+            Periodic::spawn(format!("octopus-{}-hb", worker.id()), heartbeat_ms, move || {
+                beats += 1;
+                worker_server::beat(&worker, &net, unix_ms(), beats);
+                if refresh {
+                    let _ = net.refresh_workers();
+                }
+            })?;
+        Ok(Self { _beat: beat, server })
+    }
+
+    /// The data server's bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.server.addr()
+    }
+}
+
+/// A running master: its RPC server, the transport its own background
+/// work reaches the registered workers through, and the periodic rounds
+/// the caller has asked for (none until then).
+pub struct MasterNode {
+    // Before the server, so the rounds stop before it does.
+    rounds: Vec<(&'static str, Periodic)>,
+    /// To this master and the workers registered with it.
+    pub(super) net: Arc<TcpTransport>,
+    pub(super) server: MasterServer,
+}
+
+impl MasterNode {
+    /// Serves `master` on `bind`.
+    pub fn start(master: Arc<Master>, bind: impl ToSocketAddrs) -> Result<Self> {
+        let server = MasterServer::spawn_on(master, bind)?;
+        let net = Arc::new(TcpTransport::new(
+            server.addr(),
+            Arc::clone(&server.state().peers),
+            Arc::clone(rpc::shared()),
+        ));
+        Ok(Self { rounds: Vec::new(), net, server })
+    }
+
+    /// The RPC address.
+    pub fn addr(&self) -> SocketAddr {
+        self.server.addr()
+    }
+
+    /// Starts the periodic round called `what`: `round` — a §5 replication
+    /// round, a paced migration round ([`super::monitor`]) — against this
+    /// master every `interval_ms`. A failed round is logged and the next
+    /// one is the retry. A no-op while a round of that name is running.
+    pub fn every<T>(
+        &mut self,
+        what: &'static str,
+        interval_ms: u64,
+        round: impl Fn(&Master, &TcpTransport) -> Result<T> + Send + 'static,
+    ) -> Result<()> {
+        if self.rounds.iter().all(|(name, _)| *name != what) {
+            let (master, net) = (Arc::clone(&self.server.state().master), Arc::clone(&self.net));
+            let thread = Periodic::spawn(format!("octopus-{what}"), interval_ms, move || {
+                if let Err(e) = round(&master, &net) {
+                    log_warn!(target: "net::node", "msg=\"{what} round failed\" err=\"{e}\"");
+                }
+            })?;
+            self.rounds.push((what, thread));
+        }
+        Ok(())
+    }
+
+    /// Stops the periodic round called `what`, waiting out one in flight.
+    pub fn stop(&mut self, what: &str) {
+        self.rounds.retain(|(name, _)| *name != what);
+    }
+
+    /// Stops the periodic rounds, then the server (severing open
+    /// connections so in-flight callers fail fast).
+    pub fn shutdown(&mut self) {
+        self.rounds.clear();
+        self.server.shutdown();
+    }
+}

@@ -302,3 +302,71 @@ fn networked_set_replication_realized_by_monitor() {
     let hdds = blocks[0].locations.iter().filter(|l| l.tier.0 == 2).count();
     assert_eq!((mems, hdds), (1, 2), "move realized over the network");
 }
+
+/// Killing and restarting a worker is dropping and starting its node: three
+/// cycles leave one liveness thread for it — it beats once per interval,
+/// not once per thread ever started — and every acknowledged write, those
+/// made while it was down included, reads back.
+#[test]
+fn kill_restart_cycles_leave_one_liveness_thread_and_every_file_readable() {
+    const HEARTBEAT_MS: u64 = 20;
+    let mut cluster = NetCluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let rf3 = ReplicationVector::from_replication_factor(3);
+    let mut files = Vec::new();
+    let write = |client: &octopus_core::RemoteFs, files: &mut Vec<(String, Vec<u8>)>| {
+        let path = format!("/cycle{}", files.len());
+        let data = payload(MB as usize + 31 * files.len(), files.len() as u64);
+        client.write_file(&path, &data, rf3).unwrap();
+        files.push((path, data));
+    };
+    for _ in 0..3 {
+        write(&client, &mut files);
+        cluster.kill_worker(1);
+        write(&client, &mut files);
+        cluster.restart_worker(1).unwrap();
+    }
+
+    let beats = || {
+        let snap = cluster.master().metrics().snapshot();
+        snap.counter_where("master_heartbeats_total", |l| l.worker == Some(WorkerId(1)))
+    };
+    let (start, before) = (std::time::Instant::now(), beats());
+    std::thread::sleep(std::time::Duration::from_millis(20 * HEARTBEAT_MS));
+    let (after, window_ms) = (beats(), start.elapsed().as_millis() as u64);
+    assert!(after > before, "the restarted worker has no liveness thread");
+    assert!(
+        after - before <= window_ms / HEARTBEAT_MS + 2,
+        "{} beats in {window_ms} ms: more than one liveness thread",
+        after - before
+    );
+
+    assert!(cluster.tick().is_empty(), "no worker may look dead after the last restart");
+    for (path, data) in &files {
+        assert_eq!(&client.read_file(path).unwrap(), data, "{path}");
+    }
+}
+
+/// Stopping a node interrupts its threads' wait instead of sitting it out:
+/// with a one-minute heartbeat and a one-minute auto-tiering interval, a
+/// kill, a stop and the shutdown together still take well under a second.
+#[test]
+fn shutdown_does_not_wait_out_a_heartbeat_interval() {
+    let mut c = config();
+    c.heartbeat_ms = 60_000;
+    let mut cluster = NetCluster::start(c).unwrap();
+    cluster.start_autotier(
+        std::sync::Arc::new(octopus_policies::EwmaThresholdClassifier::default()),
+        octopus_master::AutoTierConfig::default(),
+        60_000,
+    );
+    let client = cluster.client(ClientLocation::OffCluster);
+    client.write_file("/f", &payload(1000, 3), ReplicationVector::msh(0, 1, 1)).unwrap();
+
+    let start = std::time::Instant::now();
+    cluster.kill_worker(0);
+    cluster.stop_autotier();
+    cluster.shutdown();
+    let took = start.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "shutdown took {took:?}");
+}

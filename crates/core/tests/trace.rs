@@ -99,7 +99,9 @@ fn spans_stitch_across_client_master_and_workers() {
     let cluster = NetCluster::start(config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     let data = payload(2 * MB as usize + 99, 7);
+    let started = std::time::Instant::now();
     client.write_file("/stitch", &data, rf(3)).unwrap();
+    let wall_us = started.elapsed().as_micros() as u64;
     assert_eq!(client.read_file("/stitch").unwrap(), data);
 
     let snap = client.cluster_trace_snapshot().unwrap();
@@ -118,6 +120,14 @@ fn spans_stitch_across_client_master_and_workers() {
     // time sums to the root's duration, with no gaps or double counting.
     let cp = write.critical_path();
     assert_eq!(cp.attributed_us(), write.duration_us());
+    // And the root is the request: what is attributed is the wall time a
+    // caller measures around the call (5 %, plus scheduling slack for the
+    // call's entry and exit).
+    assert!(
+        wall_us.abs_diff(cp.attributed_us()) <= wall_us / 20 + 5_000,
+        "attributed {} µs of a {wall_us} µs write",
+        cp.attributed_us()
+    );
 
     let read = latest_trace(&snap, "client.read_file", "/stitch");
     assert!(read.nodes().iter().any(|n| n.starts_with("worker-")));

@@ -233,6 +233,26 @@ if grep "^tier " <<<"$status_out" | grep -q "capacity=0 B"; then
 fi
 echo "status smoke: $(grep -c "^tier " <<<"$status_out") tiers with non-zero capacity"
 
+# The single-process shell runs the same command table over the same
+# client, so a fresh `octofs --root … init` must render the same operator
+# view: `status` tier lines and `report` lines, none at zero capacity.
+./target/release/octofs --root "$status_dir/root" init --workers 2 >/dev/null
+local_status=$(./target/release/octofs --root "$status_dir/root" status)
+local_report=$(./target/release/octofs --root "$status_dir/root" report)
+if ! grep -q "^tier " <<<"$local_status" ||
+    grep "^tier " <<<"$local_status" | grep -q "capacity=0 B" ||
+    ! grep -q "^worker .* live " <<<"$local_status"; then
+    echo "status smoke: octofs --root status does not render the live cluster" >&2
+    printf '%s\n' "$local_status" >&2
+    exit 1
+fi
+if ! grep -q " capacity=" <<<"$local_report" || grep -q "capacity= *0 B" <<<"$local_report"; then
+    echo "status smoke: octofs --root report shows no tier or a zero capacity" >&2
+    printf '%s\n' "$local_report" >&2
+    exit 1
+fi
+echo "status smoke: octofs --root renders the same operator view"
+
 # The contention observatory against the same live daemons: after one
 # metadata op, `status` must render per-op latency lines and `perf` must
 # rank ops and tabulate master lock wait/hold statistics.

@@ -18,11 +18,17 @@
 //! - [`compute`]: task-level Hadoop/Spark/Pegasus execution simulation for
 //!   the end-to-end experiments (§7.5–7.6).
 //!
+//! [`args`] is the four binaries' one argument parser and [`shell`] the
+//! one command table `octofs` and `octofs-remote` both run.
+//!
 //! See `examples/quickstart.rs` for a five-minute tour, and DESIGN.md /
 //! EXPERIMENTS.md for the system inventory and the paper-reproduction
 //! index.
 
 #![forbid(unsafe_code)]
+
+pub mod args;
+pub mod shell;
 
 pub use octopus_common as common;
 pub use octopus_compute as compute;

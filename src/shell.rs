@@ -1,0 +1,482 @@
+//! The file-system shell, written once: every command `octofs` and
+//! `octofs-remote` share, as one table over [`RemoteFs`]. The client is
+//! the same over function calls and over TCP, so the two binaries differ
+//! only in how they come by one — and in the handful of commands that need
+//! the in-process cluster itself, which `octofs` keeps.
+
+use std::io::Write as _;
+
+use crate::args::Args;
+use crate::common::metrics::{HistogramSample, MetricsSnapshot};
+use crate::common::units::fmt_bytes;
+use crate::common::{BlockId, TraceSnapshot};
+use crate::{FsError, RemoteFs, ReplicationVector, Result, TierQuota};
+
+/// One shell command.
+pub struct Command {
+    /// What the user types.
+    pub name: &'static str,
+    /// Its arguments, as the usage line shows them.
+    pub args: &'static str,
+    run: fn(&RemoteFs, Args) -> Result<()>,
+}
+
+/// Every command of the shared shell, in the order usage lists them.
+pub const COMMANDS: &[Command] = &[
+    Command { name: "mkdir", args: "PATH", run: mkdir },
+    Command { name: "put", args: "LOCAL PATH [--rv V]", run: put },
+    Command { name: "get", args: "PATH LOCAL", run: get },
+    Command { name: "cat", args: "PATH", run: cat },
+    Command { name: "ls", args: "[PATH]", run: ls },
+    Command { name: "rm", args: "[-r] PATH", run: rm },
+    Command { name: "mv", args: "SRC DST", run: mv },
+    Command { name: "append", args: "LOCAL PATH", run: append },
+    Command { name: "setrep", args: "PATH VECTOR", run: setrep },
+    Command { name: "quota", args: "PATH [--tier T --bytes N | --clear]", run: quota },
+    Command { name: "report", args: "", run: report },
+    Command { name: "status", args: "", run: status },
+    Command { name: "heat", args: "PATH", run: heat },
+    Command { name: "explain-placement", args: "BLOCK_ID", run: explain_placement },
+    Command { name: "migrations", args: "[N]", run: migrations },
+    Command { name: "metrics", args: "", run: metrics },
+    Command { name: "perf", args: "[N]", run: perf },
+    Command { name: "trace", args: "read PATH | write PATH [BYTES]", run: trace },
+];
+
+impl Command {
+    /// The command called `name`.
+    pub fn find(name: &str) -> Option<&'static Command> {
+        COMMANDS.iter().find(|c| c.name == name)
+    }
+
+    /// `name ARGS`, as the binaries' headers and README list it.
+    pub fn usage(&self) -> String {
+        format!("{} {}", self.name, self.args).trim_end().to_string()
+    }
+
+    /// Runs the command against `fs`; `args` are parsed against
+    /// [`Command::usage`].
+    pub fn run(&self, fs: &RemoteFs, args: &[String]) -> Result<()> {
+        (self.run)(fs, Args::new(self.usage(), args))
+    }
+}
+
+/// `mkdir|put|…`: the shared command names for a top-level usage line.
+pub fn names() -> String {
+    COMMANDS.iter().map(|c| c.name).collect::<Vec<_>>().join("|")
+}
+
+/// A replication vector `<m,s,h>`, or a bare replication factor for HDFS
+/// compatibility.
+fn parse_rv(s: &str, args: &Args) -> Result<ReplicationVector> {
+    s.parse::<ReplicationVector>()
+        .or_else(|_| s.parse::<u8>().map(ReplicationVector::from_replication_factor))
+        .map_err(|_| args.bad(format_args!("bad replication vector {s:?}")))
+}
+
+/// The optional count of `perf [N]` / `migrations [N]`.
+fn count<T: std::str::FromStr>(mut args: Args, default: T) -> Result<T> {
+    match args.positionals(0, 1)?.first() {
+        Some(n) => n.parse().map_err(|_| args.bad(format_args!("bad count {n:?}"))),
+        None => Ok(default),
+    }
+}
+
+fn mkdir(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [path] = args.exactly()?;
+    fs.mkdir(&path)
+}
+
+fn put(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let rv = match args.value::<String>("--rv")? {
+        Some(v) => parse_rv(&v, &args)?,
+        None => ReplicationVector::from_replication_factor(2),
+    };
+    let [local, path] = args.exactly()?;
+    let data = std::fs::read(local)?;
+    fs.write_file(&path, &data, rv)?;
+    println!("wrote {path} ({}) with vector {rv}", fmt_bytes(data.len() as u64));
+    Ok(())
+}
+
+fn get(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [path, local] = args.exactly()?;
+    let data = fs.read_file(&path)?;
+    std::fs::write(&local, &data)?;
+    println!("copied {path} -> {local} ({})", fmt_bytes(data.len() as u64));
+    Ok(())
+}
+
+fn cat(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [path] = args.exactly()?;
+    let data = fs.read_file(&path)?;
+    std::io::stdout().write_all(&data)?;
+    Ok(())
+}
+
+fn ls(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let path = args.positionals(0, 1)?;
+    for e in fs.list(path.first().map_or("/", String::as_str))? {
+        if e.is_dir {
+            println!("d {:>10}  {}", "-", e.name);
+        } else {
+            println!("- {:>10}  {}  {}", fmt_bytes(e.len), e.name, e.rv);
+        }
+    }
+    Ok(())
+}
+
+fn rm(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let recursive = args.flag("-r");
+    let [path] = args.exactly()?;
+    fs.delete(&path, recursive)
+}
+
+fn mv(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [src, dst] = args.exactly()?;
+    fs.rename(&src, &dst)
+}
+
+fn append(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [local, path] = args.exactly()?;
+    let data = std::fs::read(local)?;
+    let mut w = fs.append(&path)?;
+    w.write(&data)?;
+    w.close()?;
+    println!("appended {} to {path}", fmt_bytes(data.len() as u64));
+    Ok(())
+}
+
+fn setrep(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [path, rv] = args.exactly()?;
+    let rv = parse_rv(&rv, &args)?;
+    let old = fs.set_replication(&path, rv)?;
+    println!("replication of {path}: {old} -> {rv}");
+    Ok(())
+}
+
+fn quota(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let clear = args.flag("--clear");
+    let tier = args.value::<usize>("--tier")?;
+    let bytes = args.value::<u64>("--bytes")?;
+    let [path] = args.exactly()?;
+    let bad = || args.bad("--tier T and --bytes N go together, without --clear");
+    match (clear, tier, bytes) {
+        (false, None, None) => {}
+        (true, None, None) => fs.set_quota(&path, TierQuota::unlimited())?,
+        (false, Some(t), Some(n)) => {
+            let (mut quota, _) = fs.quota_usage(&path)?;
+            *quota.per_tier.get_mut(t).ok_or_else(bad)? = Some(n);
+            fs.set_quota(&path, quota)?;
+        }
+        _ => return Err(bad()),
+    }
+    let (quota, usage) = fs.quota_usage(&path)?;
+    for (t, (limit, used)) in quota.per_tier.iter().zip(usage).enumerate() {
+        match limit {
+            Some(limit) => println!("{path} tier {t}: {used} of {limit} bytes"),
+            None if used > 0 => println!("{path} tier {t}: {used} bytes, unlimited"),
+            None => {}
+        }
+    }
+    Ok(())
+}
+
+fn report(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    args.exactly::<0>()?;
+    let s = fs.cluster_status()?;
+    println!("{} files, {} blocks", s.files, s.blocks);
+    for r in &s.tiers {
+        println!(
+            "{:<8} media={:<3} capacity={:>10} remaining={:>10} ({:.1}%)",
+            r.name,
+            r.stats.num_media,
+            fmt_bytes(r.stats.capacity),
+            fmt_bytes(r.stats.remaining),
+            r.stats.remaining_fraction() * 100.0
+        );
+    }
+    Ok(())
+}
+
+/// One per-op metadata latency row, joined across the `master_meta_*`
+/// series by `op` label.
+struct MetaRow {
+    op: String,
+    count: u64,
+    errors: u64,
+    p50: u64,
+    p99: u64,
+    mean: f64,
+    wait_p99: u64,
+    log_p99: u64,
+}
+
+/// A [`MetaRow`] for every op invoked at least once.
+fn meta_rows(snap: &MetricsSnapshot) -> Vec<MetaRow> {
+    let of = |name: &str, op: &str| -> Option<&HistogramSample> {
+        snap.histograms.iter().find(|h| h.name == name && h.labels.op.as_deref() == Some(op))
+    };
+    let mut rows = Vec::new();
+    for total in snap.histograms.iter().filter(|h| h.name == "master_meta_op_us" && h.count > 0) {
+        let Some(op) = total.labels.op.as_deref() else { continue };
+        rows.push(MetaRow {
+            op: op.to_string(),
+            count: total.count,
+            errors: snap
+                .counter_where("master_meta_op_errors_total", |l| l.op.as_deref() == Some(op)),
+            p50: total.quantile_us(0.50),
+            p99: total.quantile_us(0.99),
+            mean: total.mean_us(),
+            wait_p99: of("master_meta_op_lock_wait_us", op).map_or(0, |h| h.quantile_us(0.99)),
+            log_p99: of("master_meta_op_log_us", op).map_or(0, |h| h.quantile_us(0.99)),
+        });
+    }
+    rows
+}
+
+fn status(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    args.exactly::<0>()?;
+    let s = fs.cluster_status()?;
+    println!(
+        "cluster: {} files, {} blocks ({} in flight), scheduled={}{}",
+        s.files,
+        s.blocks,
+        s.in_flight_blocks,
+        fmt_bytes(s.scheduled_bytes),
+        if s.safe_mode { ", SAFE MODE" } else { "" }
+    );
+    println!(
+        "decisions: {} recorded, {} retained in audit ring",
+        s.decisions_recorded, s.decisions_retained
+    );
+    for t in &s.tiers {
+        let used = t.stats.capacity.saturating_sub(t.stats.remaining);
+        let pct =
+            if t.stats.capacity > 0 { used as f64 / t.stats.capacity as f64 * 100.0 } else { 0.0 };
+        println!(
+            "tier {:<8} media={:<3} capacity={} used={} ({pct:.1}%)",
+            t.name,
+            t.stats.num_media,
+            fmt_bytes(t.stats.capacity),
+            fmt_bytes(used),
+        );
+    }
+    for w in &s.workers {
+        let used: u64 = w.media.iter().map(|m| m.capacity.saturating_sub(m.remaining)).sum();
+        let cap: u64 = w.media.iter().map(|m| m.capacity).sum();
+        println!(
+            "worker {:<4} rack={} {} conn={} used={}/{} hb={}ms",
+            w.worker.0,
+            w.rack.0,
+            if w.live { "live" } else { "DEAD" },
+            w.nr_conn,
+            fmt_bytes(used),
+            fmt_bytes(cap),
+            s.now_ms.saturating_sub(w.last_heartbeat_ms),
+        );
+    }
+    for h in &s.hot {
+        println!(
+            "hot {:<30} score={:.3} reads_ewma={:.2} writes_ewma={:.2}",
+            h.path, h.heat.score, h.heat.reads_ewma, h.heat.writes_ewma
+        );
+    }
+    let mut rows = meta_rows(&fs.master_metrics_snapshot()?);
+    rows.sort_by(|a, b| a.op.cmp(&b.op));
+    for r in rows {
+        println!(
+            "meta {:<22} count={} errors={} p50={}us p99={}us",
+            r.op, r.count, r.errors, r.p50, r.p99
+        );
+    }
+    Ok(())
+}
+
+fn heat(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [path] = args.exactly()?;
+    let h = fs.heat(&path)?;
+    println!(
+        "{path}: score={:.3} reads_ewma={:.2} writes_ewma={:.2} \
+         cur_reads={} cur_writes={}",
+        h.score, h.reads_ewma, h.writes_ewma, h.cur_reads, h.cur_writes
+    );
+    Ok(())
+}
+
+fn explain_placement(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let [id] = args.exactly()?;
+    let id: u64 = id.parse().map_err(|_| args.bad("bad block id"))?;
+    let events = fs.explain_placement(BlockId(id))?;
+    if events.is_empty() {
+        println!("no retained decisions for block {id}");
+    }
+    for e in events {
+        let chosen: Vec<String> = e
+            .chosen
+            .iter()
+            .map(|l| format!("w{}:m{}:t{}", l.worker.0, l.media.0, l.tier.0))
+            .collect();
+        println!(
+            "#{} t={}ms {} policy={} chosen=[{}]",
+            e.seq,
+            e.when_ms,
+            e.kind.label(),
+            e.policy,
+            chosen.join(", ")
+        );
+        for r in &e.rounds {
+            let pin = match r.tier_pin {
+                Some(t) => format!("tier {}", t.0),
+                None => "unpinned".to_string(),
+            };
+            println!("  replica {} ({pin}):", r.replica_index);
+            for c in &r.candidates {
+                println!(
+                    "    {}w{}:m{}:t{} total={:.6} db={:.4} lb={:.4} ft={:.4} tm={:.4}",
+                    if c.chosen { "* " } else { "  " },
+                    c.worker.0,
+                    c.media.0,
+                    c.tier.0,
+                    c.total,
+                    c.db,
+                    c.lb,
+                    c.ft,
+                    c.tm,
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+fn migrations(fs: &RemoteFs, args: Args) -> Result<()> {
+    let events = fs.migrations(count(args, 20u32)?)?;
+    if events.is_empty() {
+        println!("no retained migration decisions");
+    }
+    for e in events {
+        println!("#{} t={}ms file={} block={} {}", e.seq, e.when_ms, e.file, e.block, e.policy);
+    }
+    Ok(())
+}
+
+fn metrics(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    args.exactly::<0>()?;
+    print!("{}", fs.cluster_metrics_snapshot()?.render_text());
+    Ok(())
+}
+
+fn perf(fs: &RemoteFs, args: Args) -> Result<()> {
+    let n = count(args, 10usize)?;
+    let snap = fs.master_metrics_snapshot()?;
+    let mut rows = meta_rows(&snap);
+    if rows.is_empty() {
+        println!("no metadata operations recorded yet");
+        return Ok(());
+    }
+    // Slowest tail first: the contention view, not the volume view.
+    rows.sort_by(|a, b| b.p99.cmp(&a.p99).then_with(|| a.op.cmp(&b.op)));
+    println!(
+        "{:<22} {:>9} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8}",
+        "op", "count", "errors", "p50_us", "p99_us", "mean_us", "wait_p99", "log_p99"
+    );
+    for r in rows.iter().take(n) {
+        println!(
+            "{:<22} {:>9} {:>7} {:>8} {:>8} {:>9.1} {:>9} {:>8}",
+            r.op, r.count, r.errors, r.p50, r.p99, r.mean, r.wait_p99, r.log_p99
+        );
+    }
+    let mut locks: Vec<(String, String)> = snap
+        .counters
+        .iter()
+        .filter(|c| c.name == "lock_acquire_total")
+        .filter_map(|c| Some((c.labels.op.clone()?, c.labels.mode.clone()?)))
+        .collect();
+    locks.sort();
+    if !locks.is_empty() {
+        println!();
+        println!(
+            "{:<16} {:>4} {:>10} {:>10} {:>11} {:>11} {:>11} {:>11}",
+            "lock", "mode", "acquires", "contended", "wait_p99", "wait_us", "hold_p99", "hold_us"
+        );
+    }
+    for (lock, mode) in locks {
+        let by = |name: &str| {
+            snap.counter_where(name, |l| {
+                l.op.as_deref() == Some(&lock) && l.mode.as_deref() == Some(&mode)
+            })
+        };
+        let sample = |name: &str| {
+            snap.histograms.iter().find(|h| {
+                h.name == name
+                    && h.labels.op.as_deref() == Some(&lock)
+                    && h.labels.mode.as_deref() == Some(&mode)
+            })
+        };
+        let wait = sample("lock_wait_us");
+        let hold = sample("lock_hold_us");
+        println!(
+            "{lock:<16} {mode:>4} {:>10} {:>10} {:>11} {:>11} {:>11} {:>11}",
+            by("lock_acquire_total"),
+            by("lock_contended_total"),
+            wait.map_or(0, |h| h.quantile_us(0.99)),
+            wait.map_or(0, |h| h.sum),
+            hold.map_or(0, |h| h.quantile_us(0.99)),
+            hold.map_or(0, |h| h.sum),
+        );
+    }
+    Ok(())
+}
+
+fn trace(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    let p = args.positionals(2, 3)?;
+    let (op, path) = (p[0].as_str(), &p[1]);
+    match op {
+        "read" if p.len() == 2 => {
+            let data = fs.read_file(path)?;
+            println!("read {path} ({})", fmt_bytes(data.len() as u64));
+        }
+        "write" => {
+            let n: usize = p.get(2).and_then(|s| s.parse().ok()).unwrap_or(1 << 20);
+            let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            fs.write_file(path, &data, ReplicationVector::from_replication_factor(2))?;
+            println!("wrote {path} ({})", fmt_bytes(n as u64));
+        }
+        _ => return Err(args.bad(format_args!("trace reads or writes, not {op:?}"))),
+    }
+    let snap = fs.cluster_trace_snapshot()?;
+    let want = format!("client.{op}_file");
+    let trace = snap
+        .traces()
+        .into_iter()
+        .find(|t| t.spans.iter().any(|s| s.name == want))
+        .ok_or_else(|| FsError::NotFound("no assembled trace for operation".into()))?;
+    print!("{}", trace.critical_path().render());
+    std::fs::create_dir_all("results/traces")?;
+    let out = format!("results/traces/trace-{}.jsonl", trace.trace_id);
+    let dump = TraceSnapshot { spans: trace.spans.clone() };
+    std::fs::write(&out, dump.to_jsonl())?;
+    println!("{} spans ({} nodes) -> {out}", trace.spans.len(), trace.nodes().len());
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What keeps the lists of commands outside this file the table's: both
+    /// binaries' headers name every command, in order, and README's CLI
+    /// section spells each with its arguments.
+    #[test]
+    fn headers_and_readme_list_the_table() {
+        for header in [include_str!("bin/octofs.rs"), include_str!("bin/octofs-remote.rs")] {
+            let squeezed: String = header.replace("//!", "").split_whitespace().collect();
+            assert!(squeezed.contains(&format!("{}>[args]", names())), "{squeezed}");
+        }
+        let readme: Vec<&str> = include_str!("../README.md").lines().collect();
+        for c in COMMANDS {
+            assert!(readme.contains(&c.usage().as_str()), "README lacks `{}`", c.usage());
+        }
+    }
+}

@@ -188,3 +188,27 @@ fn torn_edit_log_tail_survives_later_invocations() {
     let ls = cli.ok(&["ls", "/"]);
     assert!(ls.contains("before") && ls.contains("after"), "{ls}");
 }
+
+/// A flag with no value, and an argument nobody asked for, are usage
+/// errors — not an out-of-bounds panic, and not a silent default (`put …
+/// --rv` used to write at rf = 2).
+#[test]
+fn a_flag_without_its_value_prints_usage() {
+    let cli = Cli::new("usage");
+    let (success, _, stderr) = cli.run(&["init", "--workers"]);
+    assert!(!success && stderr.contains("usage: init") && !stderr.contains("panicked"), "{stderr}");
+    assert!(!cli.root.join("octofs.conf").exists(), "a refused init must not initialize");
+
+    cli.ok(&["init"]);
+    let local = cli.root.join("f.bin");
+    std::fs::write(&local, b"x").unwrap();
+    for bad in [
+        &["put", local.to_str().unwrap(), "/f", "--rv"][..],
+        &["put", local.to_str().unwrap(), "/f", "3"],
+        &["ls", "/", "--bogus"],
+    ] {
+        let (success, _, stderr) = cli.run(bad);
+        assert!(!success && stderr.contains("usage: ") && !stderr.contains("panicked"), "{stderr}");
+    }
+    assert_eq!(cli.ok(&["ls", "/"]), "", "a refused put must not write");
+}

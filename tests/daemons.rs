@@ -355,3 +355,114 @@ fn a_worker_started_late_stays_live_under_the_earlier_workers_heartbeats() {
     }
     assert_eq!(fs.read_file("/late").unwrap(), data);
 }
+
+/// A flag with no value used to index past the argument list and panic;
+/// it is a usage error in every binary (`octofs` has its case in
+/// `tests/cli.rs`).
+#[test]
+fn a_flag_without_its_value_prints_usage_in_every_daemon_binary() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_octofs-master"), &["--workers", "3", "--listen"][..]),
+        (env!("CARGO_BIN_EXE_octofs-worker"), &["--master", "127.0.0.1:1", "--id"]),
+        (env!("CARGO_BIN_EXE_octofs-remote"), &["ls", "/", "--master"]),
+        (env!("CARGO_BIN_EXE_octofs-master"), &["--bogus", "1"]),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bin} {args:?} succeeded");
+        assert!(stderr.contains("usage: octofs-"), "{bin} {args:?}: no usage line: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+}
+
+/// The CLI counterpart of `transport_parity.rs`: `octofs --root` and
+/// `octofs-remote --master` run one command table over one client, so one
+/// script prints the same lines and fails with the same errors through
+/// both — the single-process shell over function calls, the remote one
+/// over three daemon processes and TCP.
+#[test]
+fn one_script_prints_the_same_through_both_shells() {
+    let tmp = std::env::temp_dir().join(format!(
+        "octofs_parity_{}_{}",
+        std::process::id(),
+        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+    ));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let (a, b) = (tmp.join("a.bin"), tmp.join("b.bin"));
+    std::fs::write(&a, (0..150_000u32).map(|i| (i % 83) as u8).collect::<Vec<u8>>()).unwrap();
+    std::fs::write(&b, vec![b'B'; 70_000]).unwrap();
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+
+    let shape = ["--workers", "3", "--block-size", "65536", "--capacity", "67108864"];
+    let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
+    let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
+    margs.extend(shape.clone());
+    margs.extend(["--heartbeat-ms".to_string(), "50".to_string()]);
+    let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+    let mut daemons = Vec::new();
+    for id in 0..3 {
+        let mut wargs = vec!["--master".to_string(), master_addr.clone(), "--id".to_string()];
+        wargs.extend([id.to_string(), "--heartbeat-ms".to_string(), "50".to_string()]);
+        wargs.extend(shape.clone());
+        daemons.push(spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0);
+    }
+    wait_for_workers(&master_addr, 3);
+
+    let root = tmp.join("root");
+    let local = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_octofs"))
+            .arg("--root")
+            .arg(&root)
+            .args(args)
+            .output()
+            .expect("run octofs");
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let mut init = vec!["init"];
+    init.extend(shape.iter().map(String::as_str));
+    assert!(local(&init).0);
+
+    // What a failed command says: the logged error, without the log
+    // line's timestamp and target (the binary's own name).
+    let error = |stderr: &str| stderr.split_once("err=").map(|(_, e)| e.trim().to_string());
+
+    let script: &[(bool, &[&str])] = &[
+        (true, &["mkdir", "/d"]),
+        (true, &["mkdir", "/d/sub"]),
+        (true, &["put", a, "/d/f", "--rv", "<0,1,1>"]),
+        (true, &["ls", "/d"]),
+        (true, &["cat", "/d/f"]),
+        (true, &["append", b, "/d/f"]),
+        (true, &["cat", "/d/f"]),
+        (true, &["setrep", "/d/f", "<0,2,0>"]),
+        (true, &["ls", "/d"]),
+        (true, &["quota", "/d", "--tier", "1", "--bytes", "500000"]),
+        (true, &["quota", "/d"]),
+        (false, &["put", a, "/d/over", "--rv", "<0,1,0>"]),
+        (false, &["put", a, "/d/f"]),
+        (false, &["put", a, "/d/g", "--rv"]),
+        (false, &["mv", "/d/missing", "/d/x"]),
+        (false, &["rm", "/d"]),
+        (true, &["rm", "-r", "/d"]),
+        (false, &["cat", "/d/f"]),
+        (false, &["ls", "/d"]),
+        (true, &["ls", "/"]),
+    ];
+    for (ok, step) in script {
+        let (l_ok, l_out, l_err) = local(step);
+        let (r_ok, r_out, r_err) = remote(&master_addr, step);
+        assert_eq!((l_ok, r_ok), (*ok, *ok), "{step:?}: octofs {l_err:?}, octofs-remote {r_err:?}");
+        assert_eq!(l_out, r_out, "{step:?}: stdout differs");
+        if !ok {
+            assert!(error(&l_err).is_some(), "{step:?}: nothing logged: {l_err}");
+            assert_eq!(error(&l_err), error(&r_err), "{step:?}: errors differ");
+        }
+    }
+
+    std::fs::remove_dir_all(tmp).ok();
+    drop(daemons);
+}
