@@ -328,7 +328,7 @@ impl Master {
         let mut blocks = BlockMap::new();
         let (mut max_block, mut max_gen) = (0u64, 0u64);
         let started = Instant::now();
-        log.replay(|op| {
+        let scan_wait = log.replay(|op| {
             match op.apply(&mut ns, &mut cursor)? {
                 BlockChange::Added { file, block } => {
                     max_block = max_block.max(block.id.0);
@@ -346,8 +346,13 @@ impl Master {
         })?;
 
         let (replayed, replay_us) = (log.len() as u64, started.elapsed().as_micros() as u64);
+        let scan_wait_us = scan_wait.as_micros() as u64;
         if replayed > 0 {
-            octopus_common::log_info!("msg=\"replayed {replayed} ops in {} ms\"", replay_us / 1000);
+            octopus_common::log_info!(
+                "msg=\"replayed {replayed} ops in {} ms\" finger_hits={} scan_wait_us={scan_wait_us}",
+                replay_us / 1000,
+                cursor.finger_hits
+            );
         }
 
         let (block_ids, gen_stamps) = (IdGenerator::new(1), IdGenerator::new(1));
@@ -362,13 +367,16 @@ impl Master {
         // Pre-register the scrape-time drop counter so it is present (at
         // zero) in every snapshot, not only after the first wrap.
         metrics.counter("master_audit_dropped_total", Labels::NONE);
-        // What the last recovery cost, and how the cursor resolved its paths.
+        // What the last recovery cost, how the cursor resolved its paths and
+        // placed its creates, and how long apply waited for the log's scan.
         for (name, n) in [
             ("master_replay_ops_total", replayed),
             ("master_replay_us", replay_us),
             ("master_replay_path_hits_total", cursor.path_hits),
             ("master_replay_parent_hits_total", cursor.parent_hits),
             ("master_replay_walks_total", cursor.walks),
+            ("master_replay_finger_hits_total", cursor.finger_hits),
+            ("master_replay_scan_wait_us", scan_wait_us),
         ] {
             metrics.add(name, Labels::NONE, n);
         }
@@ -1006,7 +1014,7 @@ impl Master {
             if meta.complete {
                 return Err(FsError::InvalidArgument(format!("{path} is not open for writing")));
             }
-            if !meta.blocks.contains(&block.id) {
+            if !meta.blocks.iter().any(|&(id, _)| id == block.id) {
                 return Err(FsError::InvalidArgument(format!(
                     "block {} is not part of {path}",
                     block.id
@@ -1124,8 +1132,8 @@ impl Master {
             let now = self.now_ms();
             let mut out = Vec::new();
             let mut offset = 0u64;
-            for bid in &meta.blocks {
-                let info = blocks.get(*bid).ok_or_else(|| {
+            for &(bid, _) in &meta.blocks {
+                let info = blocks.get(bid).ok_or_else(|| {
                     FsError::Internal(format!("file block {bid} missing from map"))
                 })?;
                 let (ordered, candidates) =
@@ -1370,7 +1378,7 @@ impl Master {
         files.sort_unstable_by_key(|&(id, _)| id);
         for (file, meta) in files {
             let rv = meta.rv;
-            for &bid in &meta.blocks {
+            for &(bid, _) in &meta.blocks {
                 let Some(info) = bg.get(bid) else { continue };
                 let block = info.block;
                 let confirmed = info.locations.clone();
@@ -1627,7 +1635,7 @@ impl Master {
                 g.ns.files()
                     .filter(|(_, meta)| meta.complete)
                     .filter_map(|(id, meta)| {
-                        let first = *meta.blocks.first()?;
+                        let (first, _) = *meta.blocks.first()?;
                         Some((id, g.ns.path_of(id).ok()?, meta.rv, meta.len, first))
                     })
                     .collect();
@@ -1974,6 +1982,30 @@ mod tests {
         recovered.create_file("/g", rv_u(1), None).unwrap();
         let (fresh, _) = recovered.add_block("/g", 1 << 20, ClientLocation::OffCluster).unwrap();
         assert!(replayed.iter().all(|gen| fresh.gen > *gen), "{:?} after {replayed:?}", fresh.gen);
+    }
+
+    /// Every append starts a fresh block, so a block before the last may be
+    /// short; a checkpoint gives each block back at the length it was added
+    /// with (it wrote "full but the last": 1 MiB and an underflow).
+    #[test]
+    fn a_checkpoint_keeps_a_short_block_before_the_last() {
+        let m = boot_master(3);
+        m.create_file("/f", rv_u(1), None).unwrap();
+        m.add_block("/f", 100, ClientLocation::OffCluster).unwrap();
+        m.complete_file("/f").unwrap();
+        m.append_file_as("/f", ClientId::SYSTEM).unwrap();
+        m.add_block("/f", 50, ClientLocation::OffCluster).unwrap();
+        m.complete_file("/f").unwrap();
+
+        let config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
+        let restored = Master::restore(config, &m.checkpoint()).unwrap();
+        let located =
+            restored.get_file_block_locations("/f", 0, u64::MAX, ClientLocation::OffCluster);
+        let lengths: Vec<(u64, u64)> =
+            located.unwrap().iter().map(|b| (b.offset, b.block.len)).collect();
+        assert_eq!(lengths, [(0, 100), (100, 50)]);
+        assert_eq!(restored.status("/f").unwrap().len, 150);
+        assert_eq!(restored.checkpoint(), m.checkpoint());
     }
 
     #[test]

@@ -66,8 +66,9 @@ pub struct FileMeta {
     pub rv: ReplicationVector,
     /// Block size used when writing the file.
     pub block_size: u64,
-    /// Ordered block ids.
-    pub blocks: Vec<BlockId>,
+    /// Ordered blocks, each with the length it was added with: any block
+    /// may be short, since every append starts a fresh one.
+    pub blocks: Vec<(BlockId, u64)>,
     /// Total length in bytes.
     pub len: u64,
     /// Whether the file has been closed (complete) or is still being
@@ -174,28 +175,65 @@ fn dangling(id: INodeId) -> FsError {
     FsError::Internal(format!("dangling inode {id}"))
 }
 
+/// How [`Namespace::vacancy`] found a new entry's place.
+enum Found {
+    /// At the index it was handed.
+    Finger,
+    /// Past the last child.
+    Push,
+    /// By binary search.
+    Search,
+}
+
 /// What replay carries from op to op: the last path one named, as spelled,
 /// and the inode it resolved to (DESIGN.md §11, "Boot"). A log is runs of
 /// ops on one path inside runs on one directory, so the next op mostly needs
-/// no walk from `/`. Whatever unlinks or moves an inode must `clear` it.
+/// no walk from `/`, and a create mostly links next to the one before it.
+/// Whatever unlinks or moves an inode must `clear` it.
 #[derive(Debug, Default)]
 pub struct Cursor {
     /// Empty when nothing is remembered; never ends in `/`, so up to its
     /// last `/` it spells the parent directory.
     path: String,
     id: INodeId,
+    /// Where the last create linked: the parent's slot and the index just
+    /// after the new child. A hint, checked against names before use.
+    finger: Option<(u32, usize)>,
     /// Ops that named the remembered path itself.
     pub path_hits: u64,
     /// Ops that named another entry of the remembered path's directory.
     pub parent_hits: u64,
     /// Ops that walked from `/`.
     pub walks: u64,
+    /// Creates that linked at the finger: no search.
+    pub finger_hits: u64,
+    /// Creates that went past the directory's last child: no search.
+    pub pushes: u64,
+    /// Creates that binary-searched their directory.
+    pub searches: u64,
 }
 
 impl Cursor {
-    /// Forgets the path; the counts stay.
+    /// Forgets the path and the finger; the counts stay.
     pub fn clear(&mut self) {
         self.path.clear();
+        self.finger = None;
+    }
+
+    /// The finger's index, if the last create linked into `parent`.
+    fn finger_in(&self, parent: u32) -> Option<usize> {
+        self.finger.filter(|&(slot, _)| slot == parent).map(|(_, index)| index)
+    }
+
+    /// A create linked its child at `index` of `parent`, found as `found`
+    /// says.
+    fn linked(&mut self, parent: u32, index: usize, found: Found) {
+        self.finger = Some((parent, index + 1));
+        *match found {
+            Found::Finger => &mut self.finger_hits,
+            Found::Push => &mut self.pushes,
+            Found::Search => &mut self.searches,
+        } += 1;
     }
 
     fn remember(&mut self, path: &str, id: INodeId) -> INodeId {
@@ -434,19 +472,35 @@ impl Namespace {
         Ok((self.walk(comps, path)?, name))
     }
 
-    /// Where a new entry `name` goes in directory `parent`; `path` is the
-    /// caller's spelling of the entry.
-    fn vacancy(&self, parent: u32, name: &str, path: &str) -> Result<usize> {
+    /// Where a new entry `name` goes in directory `parent`, and how that was
+    /// found; `path` is the caller's spelling of the entry. `finger` is an
+    /// index to try first: taken only if `name` sorts strictly between the
+    /// children on either side of it, so a stale one costs a miss, never a
+    /// wrong link, and every answer is the search's.
+    fn vacancy(
+        &self,
+        parent: u32,
+        name: &str,
+        path: &str,
+        finger: Option<usize>,
+    ) -> Result<(usize, Found)> {
         let Some(dir) = self.dir_at(parent) else {
             return Err(FsError::NotADirectory(self.path_at(parent)));
         };
-        // Past the last child (a sorted image, rising names): no search.
-        if dir.children.last().is_some_and(|&last| *self.at(last).name < *name) {
-            return Ok(dir.children.len());
+        let children = &dir.children;
+        let name_at = |index: usize| &*self.at(children[index]).name;
+        if let Some(at) = finger.filter(|&at| at <= children.len()) {
+            if (at == 0 || name_at(at - 1) < name) && (at == children.len() || name < name_at(at)) {
+                return Ok((at, Found::Finger));
+            }
         }
-        match self.position(&dir.children, name) {
+        // Past the last child (a sorted image, rising names): no search.
+        if children.last().is_some_and(|&last| *self.at(last).name < *name) {
+            return Ok((children.len(), Found::Push));
+        }
+        match self.position(children, name) {
             Ok(_) => Err(FsError::AlreadyExists(path.to_string())),
-            Err(index) => Ok(index),
+            Err(index) => Ok((index, Found::Search)),
         }
     }
 
@@ -492,8 +546,9 @@ impl Namespace {
     }
 
     /// [`Namespace::create_file`] for one op of a stream: the parent comes
-    /// from `cursor` if it remembers a sibling, and the new file is
-    /// remembered next. Without one, a walk and nothing remembered.
+    /// from `cursor` if it remembers a sibling, the new file is tried at
+    /// the cursor's finger first, and it is remembered next. Without one, a
+    /// walk and nothing remembered.
     pub fn create_file_from(
         &mut self,
         mut cursor: Option<&mut Cursor>,
@@ -508,12 +563,19 @@ impl Namespace {
             Some((parent, name, _)) => (parent, name),
             None => self.lookup_parent(path)?,
         };
-        let index = self.vacancy(parent, name, path)?;
+        let finger = cursor.as_deref().and_then(|c| c.finger_in(parent));
+        let (index, found) = self.vacancy(parent, name, path, finger)?;
         let meta = FileMeta { rv, block_size, blocks: Vec::new(), len: 0, complete: false };
         let slot = self.link_new(parent, index, name, Kind::File(meta))?;
         self.files += 1;
         let id = self.id_of(slot);
-        Ok(cursor.map_or(id, |c| c.remember(path, id)))
+        Ok(match cursor {
+            Some(c) => {
+                c.linked(parent, index, found);
+                c.remember(path, id)
+            }
+            None => id,
+        })
     }
 
     fn file_at(&self, slot: u32) -> Result<&FileMeta> {
@@ -620,7 +682,7 @@ impl Namespace {
         let charge = Self::charge_of(meta.rv, len);
         self.charge_ancestors(slot, &charge)?;
         let meta = self.file_at_mut(slot)?;
-        meta.blocks.push(block);
+        meta.blocks.push((block, len));
         meta.len += len;
         Ok(())
     }
@@ -639,7 +701,7 @@ impl Namespace {
                 self.path_at(slot)
             )));
         }
-        if meta.blocks.last() != Some(&block) {
+        if meta.blocks.last().map(|&(id, _)| id) != Some(block) {
             return Err(FsError::InvalidArgument(format!(
                 "{block} is not the last block of {}",
                 self.path_at(slot)
@@ -757,7 +819,7 @@ impl Namespace {
             return Err(FsError::InvalidPath("cannot rename /".into()));
         }
         let (dst_parent, dst_name) = self.lookup_parent(dst)?;
-        self.vacancy(dst_parent, dst_name, dst)?;
+        self.vacancy(dst_parent, dst_name, dst, None)?;
         // Reject moving a directory under itself.
         let mut cur = dst_parent;
         while cur != NO_SLOT {
@@ -819,7 +881,7 @@ impl Namespace {
                 }
                 Kind::File(meta) => {
                     files.push(self.id_of(slot));
-                    blocks.extend(meta.blocks);
+                    blocks.extend(meta.blocks.into_iter().map(|(id, _)| id));
                     self.files -= 1;
                 }
                 Kind::Free => unreachable!("slot {slot} was linked in the tree"),
@@ -956,7 +1018,7 @@ mod tests {
         assert!(!st.is_dir);
         assert_eq!(st.len, 192);
         assert!(st.complete);
-        assert_eq!(ns.file_meta(f).unwrap().blocks, vec![BlockId(1), BlockId(2)]);
+        assert_eq!(ns.file_meta(f).unwrap().blocks, [(BlockId(1), 128), (BlockId(2), 64)]);
         // Cannot append after close.
         assert!(ns.add_block(f, BlockId(3), 10).is_err());
         // Duplicate create fails.

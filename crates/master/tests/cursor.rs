@@ -17,7 +17,7 @@ use octopus_master::{Cursor, EditOp, Namespace};
 mod ops;
 use ops::{big_directory, churn, random_ops, scripted, u, Op};
 
-/// As in `transcript.rs`: no block before a file's last is shorter.
+/// As in `transcript.rs`.
 const BLOCK_SIZE: u64 = 500;
 
 /// The stream a sequence logs. Ops that log nothing stand in for the two
@@ -76,11 +76,13 @@ fn a_carried_cursor_and_a_walk_per_op_answer_alike() {
     sequences.push(("churn".to_string(), churn(2017, 20_000)));
     sequences.push(("big directory".to_string(), big_directory()));
     let (mut path_hits, mut parent_hits, mut failed, mut abandoned) = (0, 0, 0, 0);
+    let mut finger_hits = 0;
     for (label, ops) in &sequences {
         let edits = edits(ops);
         let (answers, cursor) = both_ways(label, &edits);
         path_hits += cursor.path_hits;
         parent_hits += cursor.parent_hits;
+        finger_hits += cursor.finger_hits;
         failed += answers.iter().filter(|a| a.is_err()).count();
         abandoned += edits
             .iter()
@@ -89,11 +91,12 @@ fn a_carried_cursor_and_a_walk_per_op_answer_alike() {
             .count();
     }
     println!(
-        "{path_hits} whole-path hits, {parent_hits} parent hits, {failed} failed ops, \
-         {abandoned} blocks abandoned"
+        "{path_hits} whole-path hits, {parent_hits} parent hits, {finger_hits} finger hits, \
+         {failed} failed ops, {abandoned} blocks abandoned"
     );
     // Not vacuous: the cursor was used, ops failed, blocks were abandoned.
     assert!(path_hits > 1_000 && parent_hits > 1_000 && failed > 1_000 && abandoned > 10);
+    assert!(finger_hits > 10, "{finger_hits} finger hits");
 }
 
 fn mkdir(path: &str) -> EditOp {
@@ -114,6 +117,30 @@ fn delete(path: &str) -> EditOp {
 
 fn not_found(path: &str) -> Result<BlockChange, FsError> {
     Err(FsError::NotFound(path.into()))
+}
+
+/// The finger is where the last create linked; a create takes it only if
+/// its name sorts strictly between the finger's neighbours, so a stale
+/// finger — a duplicate name, a `mkdir` that shifted the children, another
+/// directory — is a miss, and a miss is the search.
+#[test]
+fn the_finger_is_a_hint_checked_against_names() {
+    let edits = [
+        mkdir("/a"),
+        create("/a/m"),  // an empty directory: searched
+        create("/a/n"),  // after `m`: at the finger
+        create("/a/m"),  // the finger's left neighbour itself
+        mkdir("/a/b"),   // `b m n`: the finger now sits between `m` and `n`
+        create("/a/o"),  // not below `n`: past the last child
+        create("/a/mm"), // not above `o`: searched
+        create("/a/mn"), // between `mm` and `n`: at the finger
+        mkdir("/c"),
+        create("/c/mo"), // another directory: searched
+    ];
+    let (answers, cursor) = both_ways("finger", &edits);
+    assert_eq!(answers[3], Err(FsError::AlreadyExists("/a/m".into())));
+    assert!(answers.iter().enumerate().all(|(i, a)| i == 3 || a.is_ok()), "{answers:?}");
+    assert_eq!((cursor.finger_hits, cursor.pushes, cursor.searches), (2, 1, 3));
 }
 
 #[test]

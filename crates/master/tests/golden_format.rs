@@ -54,7 +54,7 @@ fn assert_golden_namespace(ns: &Namespace) {
     let g = ns.status("/q/g").unwrap();
     assert_eq!((g.len, g.complete, g.rv), (192, true, ReplicationVector::msh(0, 1, 2)));
     let blocks = &ns.file_meta(ns.resolve("/q/g").unwrap()).unwrap().blocks;
-    assert_eq!(blocks, &[BlockId(5), BlockId(6)], "the abandoned block stays gone");
+    assert_eq!(blocks, &[(BlockId(5), 128), (BlockId(6), 64)], "the abandoned block stays gone");
     let open = ns.status("/a/open").unwrap();
     assert_eq!((open.len, open.complete), (256, false));
     assert!(ns.status("/q/ü").unwrap().is_dir);

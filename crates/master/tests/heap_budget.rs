@@ -5,13 +5,15 @@
 //! - a file of `octobench meta`'s shape costs at most 140 bytes and 1.1
 //!   live allocations, and replaying the log that creates it calls the
 //!   allocator for what stays and for nothing else — with exactly one walk
-//!   from `/` per directory the log moves to, and in at most 0.6 × the time
-//!   a replay that walks for every op takes;
+//!   from `/` per directory the log moves to, a binary search for 0.098 of
+//!   its creates (the rest link at the cursor's finger or past the last
+//!   child), and in at most 0.6 × the time a replay that walks for every op
+//!   takes;
 //! - create + delete pairs on a warm namespace reuse their slots;
 //! - a recovered master holds what the bare `Namespace` replayed from the
 //!   same ops holds, plus a constant that does not grow with the log;
 //! - replay's transient (peak minus final) does not depend on how long the
-//!   log is, block map included;
+//!   log is, block map and the scan helper's ring of chunks included;
 //! - a running master's heap does not grow with the ops it logs.
 //!
 //! A counting `#[global_allocator]` is process-wide, which is why this is a
@@ -194,17 +196,27 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
         (cursor.path_hits, cursor.parent_hits, cursor.walks),
         (FILES as u64, (FILES - DIRS) as u64, DIRS as u64)
     );
+    // And a create mostly links next to the one before it. Per directory:
+    // 900 at the cursor's finger; `f90` and `f990` pushed past the last
+    // child; 98 searched — `f0` in the empty directory and every name that
+    // opens a decade below an earlier one (`f10`…`f80`, `f100`, `f110`, …,
+    // `f980`).
+    assert_eq!(
+        (cursor.finger_hits, cursor.pushes, cursor.searches),
+        (900 * DIRS as u64, 2 * DIRS as u64, 98 * DIRS as u64)
+    );
     let per_file = |n: isize| n as f64 / FILES as f64;
     println!(
         "{FILES} files in {DIRS} directories: {:.1} B and {:.3} live allocations per file; \
          replay made {} allocator calls for {} allocations kept ({:.3} per op), \
-         {:.0} files/s",
+         {:.0} files/s, {:.3} binary searches per file",
         per_file(heap.kept),
         per_file(heap.kept_blocks),
         heap.calls,
         heap.kept_blocks,
         heap.calls as f64 / log.len() as f64,
         FILES as f64 / replay_s,
+        cursor.searches as f64 / FILES as f64,
     );
     assert!(per_file(heap.kept) <= 140.0, "{:.1} B per file", per_file(heap.kept));
     assert!(
@@ -352,6 +364,9 @@ fn a_recovered_master_holds_its_namespace_and_a_constant() {
     }
 }
 
+/// Exactly equal, not close: the file's scan runs ahead on a helper thread
+/// into a ring of buffers allocated once, so no byte of it depends on how
+/// far ahead the scan got or how often either thread waited.
 #[test]
 fn replay_transient_does_not_depend_on_log_length() {
     let _serial = serial();

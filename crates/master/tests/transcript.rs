@@ -10,6 +10,10 @@
 //! Inode ids are left out of the transcript on purpose: an id is an opaque
 //! handle, and a layout that reuses slots hands out different ones.
 //!
+//! The image lines were rewritten once, when images began to carry each
+//! block's own length instead of "all full but the last": only `AddBlock`
+//! lengths (and their records' CRCs) moved, never an answer line.
+//!
 //! Regenerate (only when the *generators* change, never to make a layout
 //! pass): `cargo test -p octopus-master --test transcript -- --ignored`.
 
@@ -23,9 +27,8 @@ use octopus_master::Namespace;
 mod ops;
 use ops::{big_directory, churn, random_ops, scripted, Op};
 
-/// No sequence gives a file a block shorter than this before its last: a
-/// checkpoint image rebuilds block lengths as "all full but the last", and
-/// underflows on a short one.
+/// Every file's block size. The sequences add blocks of 500–2,000 B, which
+/// an image writes as they were added.
 const BLOCK_SIZE: u64 = 500;
 
 fn fixture() -> PathBuf {

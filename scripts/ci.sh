@@ -13,6 +13,21 @@ echo "==> cargo test --workspace --release"
 # suite is hand-listed, so none can be silently skipped.
 cargo test --workspace --release -q
 
+echo "==> pipelined replay: 20 runs under parallel load"
+# The master crate's first thread is the helper a file-backed replay scans
+# the log on. Its failure-equivalence suite (pipelined vs sequential scan:
+# CRC flips, cuts, tears, a failed apply; the helper joined every time)
+# and the torn-tail suite run 20 times back to back, 8 test threads each.
+for run in $(seq 20); do
+    if ! out=$(cargo test --release -q -p octopus-master --test scan_pipeline \
+        --test torn_tail -- --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "pipelined replay: run ${run} of 20 failed" >&2
+        exit 1
+    fi
+done
+echo "pipelined replay: 20/20"
+
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
 # generation into one u64, and quota charges multiply lengths. The

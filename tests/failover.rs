@@ -85,6 +85,35 @@ fn file_backed_edit_log_survives_restart() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A boot from a file with records also reports how many creates linked at
+/// the cursor's finger and how long apply waited for the helper thread that
+/// scanned the file.
+#[test]
+fn a_file_log_boot_reports_finger_hits_and_scan_wait() {
+    let dir = std::env::temp_dir().join(format!("octopus_finger_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("edits.log");
+    {
+        let master = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();
+        master.mkdir("/d").unwrap();
+        for name in ["/d/a", "/d/b", "/d/c"] {
+            master.create_file(name, ReplicationVector::from_replication_factor(1), None).unwrap();
+            master.complete_file(name).unwrap();
+        }
+    }
+    let recovery = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();
+    let recovery = recovery.metrics().snapshot();
+    assert_eq!(recovery.counter("master_replay_ops_total"), 7);
+    // `a` went into an empty directory; `b` and `c` each linked after the
+    // create before them.
+    assert_eq!(recovery.counter("master_replay_finger_hits_total"), 2);
+    assert!(recovery.contains("master_replay_scan_wait_us"));
+    let waited = recovery.counter("master_replay_scan_wait_us");
+    assert!(waited <= recovery.counter("master_replay_us"), "waited {waited} us");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn checkpoint_plus_log_tail_recovery() {
     // The paper's recovery model: start from the latest checkpoint, then
