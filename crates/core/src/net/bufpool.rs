@@ -1,15 +1,16 @@
-//! The process-wide pool of block-sized buffers: what a block frame is
-//! received into and what the client copies a chunk into, recycled across
-//! threads.
+//! The process-wide pool of frame buffers: what a frame of 4 KiB or more
+//! is received into and what the client copies a chunk into, recycled
+//! across threads.
 //!
-//! A block buffer is taken by whichever thread receives the frame (one of
+//! Such a buffer is taken by whichever thread receives the frame (one of
 //! dozens of connection readers) and released by whichever thread drops the
 //! last [`Bytes`] view of it (a store delete, a consumed response, a
 //! finished transfer). Left to `malloc`, that traffic strands every freed
 //! buffer in the arena of the thread that allocated it, where only that
 //! arena's threads can reuse it: resident memory grows with the number of
-//! arenas and with loop speed, and every miss faults a megabyte of fresh
-//! pages (DESIGN.md §8, "Where the buffers live"). Here a released buffer
+//! arenas and with loop speed, and every miss faults fresh pages
+//! (DESIGN.md §8, "Where the buffers live"). A 16 KiB block strands the
+//! same way a 1 MiB one does, only in more pieces. Here a released buffer
 //! goes to one free list per size class and the next [`BufPool::take`] on
 //! *any* thread gets it back.
 //!
@@ -17,7 +18,7 @@
 //! the bytes parked in free lists never exceed the bytes currently lent
 //! out. A release that would break the rule frees the buffer instead, and
 //! as `lent` falls the free lists are trimmed to it. So a process holds at
-//! most twice its live block buffers, and one that drops every block holds
+//! most twice its live frame buffers, and one that drops every block holds
 //! none.
 //!
 //! No recycled byte is ever visible: [`BufPool::take`] hands out a
@@ -32,15 +33,21 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 
-/// The size-class granule, and the smallest request served from the pool:
-/// anything shorter is not a block and takes the plain allocator. Classes
-/// are whole multiples of it, coarse enough that the frames of one block at
-/// the head, middle and tail of a pipeline — which differ by one encoded
-/// `Location` each — and the read response carrying it share a class.
-pub(crate) const GRANULE: usize = 64 * 1024;
+/// The shortest buffer the data path takes from the pool, and the class
+/// granule below [`GRANULE`]: anything shorter (a metadata request, a
+/// heartbeat, a reply carrying no data) takes the plain allocator.
+pub(crate) const SMALLEST: usize = 4 * 1024;
+
+/// The class granule from 64 KiB up. Classes are whole multiples of their
+/// granule, coarse enough that the frames of one block at the head, middle
+/// and tail of a pipeline — which differ by one encoded `Location` each —
+/// and the read response carrying it share a class. Below 64 KiB classes
+/// are 4 KiB apart, so a 16 KiB block's frames take 20 KiB each, not 64.
+const GRANULE: usize = 64 * 1024;
 
 fn class_of(len: usize) -> usize {
-    len.div_ceil(GRANULE) * GRANULE
+    let granule = if len < GRANULE { SMALLEST } else { GRANULE };
+    len.div_ceil(granule) * granule
 }
 
 #[derive(Default)]
@@ -75,7 +82,7 @@ impl State {
     }
 }
 
-/// A pool of block-sized buffers. The data path shares [`BufPool::global`];
+/// A pool of frame buffers. The data path shares [`BufPool::global`];
 /// tests build their own.
 #[derive(Default)]
 pub(crate) struct BufPool {
@@ -180,10 +187,10 @@ impl Drop for PooledBuf {
     }
 }
 
-/// `Bytes::copy_from_slice`, into a pooled buffer when `data` is
-/// block-sized: the client's one copy of a chunk it is about to send.
+/// `Bytes::copy_from_slice`, into a pooled buffer when `data` is at least
+/// [`SMALLEST`]: the client's one copy of a chunk it is about to send.
 pub(crate) fn copy_from_slice(data: &[u8]) -> Bytes {
-    if data.len() < GRANULE {
+    if data.len() < SMALLEST {
         return Bytes::copy_from_slice(data);
     }
     let mut buf = BufPool::global().take(data.len());
@@ -215,9 +222,12 @@ mod tests {
                     for step in 0..400 {
                         let r = next(&mut z);
                         if held.is_empty() || r % 5 < 3 {
-                            // Three classes, lengths scattered inside them.
-                            let len =
-                                GRANULE * (1 + (r >> 8) as usize % 3) - (r >> 16) as usize % 999;
+                            // Three large classes and fifteen small ones,
+                            // lengths scattered inside them.
+                            let (granule, classes) =
+                                if (r >> 40) & 1 == 0 { (GRANULE, 3) } else { (SMALLEST, 15) };
+                            let len = granule * (1 + (r >> 8) as usize % classes)
+                                - (r >> 16) as usize % 999;
                             let mut buf = pool.take(len);
                             buf.as_mut_slice().fill(t as u8);
                             let b = buf.freeze();
@@ -285,6 +295,39 @@ mod tests {
         assert_eq!(pool.counts(), (GRANULE, 0));
         drop(pool.take(GRANULE));
         assert_eq!(pool.counts(), (GRANULE, GRANULE), "as much parked as lent, no more");
+        drop(held);
+        assert_eq!(pool.counts(), (0, 0), "falling `lent` trims the pool");
+    }
+
+    #[test]
+    fn a_class_below_64_kib_is_recycled_under_the_same_rule() {
+        const KIB: usize = 1024;
+        let pool = pool();
+        // A 16 KiB block's frame, header and all, is the 20 KiB class — not
+        // the 64 KiB one.
+        let held = pool.take(16 * KIB + 61);
+        assert_eq!(pool.counts(), (20 * KIB, 0));
+
+        let mut first = pool.take(16 * KIB + 40);
+        first.as_mut_slice().fill(0xAA);
+        let at = first.as_ref().as_ptr();
+        drop(first.freeze());
+        assert_eq!(pool.counts(), (20 * KIB, 20 * KIB), "parked: as much as is lent, no more");
+
+        // The next frame of that class, from any length inside it, gets the
+        // very buffer back.
+        let mut again = pool.take(17 * KIB);
+        assert!(std::ptr::eq(again.as_ref().as_ptr(), at), "same class: the parked buffer");
+        assert_eq!(again.as_mut_slice().len(), 17 * KIB, "exactly the asked length");
+        assert_eq!(pool.counts(), (40 * KIB, 0));
+        drop(again);
+
+        // A smaller class does not take it, and may not park beside it:
+        // that would put 24 KiB in the pool against 20 KiB lent.
+        let small = pool.take(SMALLEST);
+        assert_eq!(pool.counts(), (24 * KIB, 20 * KIB));
+        drop(small);
+        assert_eq!(pool.counts(), (20 * KIB, 20 * KIB), "the 4 KiB buffer was freed");
         drop(held);
         assert_eq!(pool.counts(), (0, 0), "falling `lent` trims the pool");
     }

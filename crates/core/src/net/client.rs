@@ -15,7 +15,7 @@ use bytes::Bytes;
 use octopus_common::checksum::crc32;
 use octopus_common::log_warn;
 use octopus_common::metrics::{Labels, MetricsRegistry, MetricsSnapshot};
-use octopus_common::trace::{self, TraceCollector, TraceContext, TraceSnapshot};
+use octopus_common::trace::{self, SpanGuard, TraceCollector, TraceContext, TraceSnapshot};
 use octopus_common::{
     Block, BlockData, BlockId, ClientLocation, ClusterStatusReport, DecisionEvent, DirEntry,
     FileStatus, FsError, HeatInfo, LocatedBlock, Location, ReplicationVector, Result, RpcConfig,
@@ -128,8 +128,10 @@ impl RemoteFs {
         self.metrics().snapshot()
     }
 
-    /// This client's trace collector (request root spans plus per-attempt
-    /// transport spans).
+    /// This client's trace collector: open a root here (`fs.trace().root(..)`)
+    /// and the calls made under it — and every span they cause on the
+    /// master and the workers — join its trace. Calls made outside any
+    /// trace record nothing.
     pub fn trace(&self) -> &TraceCollector {
         self.net.trace()
     }
@@ -366,10 +368,13 @@ impl RemoteFs {
     }
 
     /// Creates `path` and writes `data` through worker pipelines (§3.1).
+    /// Spans are recorded only inside a trace the caller opened (DESIGN §7).
     pub fn write_file(&self, path: &str, data: &[u8], rv: ReplicationVector) -> Result<()> {
-        let mut span = self.trace().root_or_child("client.write_file");
-        span.annotate("path", path);
-        span.annotate("bytes", data.len());
+        let mut span = trace::child("client.write_file");
+        if let Some(s) = span.as_mut() {
+            s.annotate("path", path);
+            s.annotate("bytes", data.len());
+        }
 
         let block_size = self.open_new(path, rv, None)?.block_size as usize;
         // Zero-length files have no blocks: `chunks` is empty and the file
@@ -382,7 +387,7 @@ impl RemoteFs {
                 self.write_block(path, bufpool::copy_from_slice(chunk))?;
             }
         } else {
-            self.write_blocks_windowed(path, &chunks, span.context())?;
+            self.write_blocks_windowed(path, &chunks, span.as_ref().map(SpanGuard::context))?;
         }
         self.metrics().add("client_write_bytes_total", Labels::NONE, data.len() as u64);
         self.close_file(path)
@@ -435,7 +440,12 @@ impl RemoteFs {
     /// block from the tail down to the first incomplete slot is abandoned
     /// in reverse order — the file is left with exactly its completed
     /// prefix of blocks and the first error is returned.
-    fn write_blocks_windowed(&self, path: &str, chunks: &[&[u8]], ctx: TraceContext) -> Result<()> {
+    fn write_blocks_windowed(
+        &self,
+        path: &str,
+        chunks: &[&[u8]],
+        ctx: Option<TraceContext>,
+    ) -> Result<()> {
         let n = chunks.len();
         let window = self.window.min(n);
         let sched = WriteScheduler::new();
@@ -455,10 +465,12 @@ impl RemoteFs {
                     // Scoped threads have no span on their TLS stack: the
                     // explicit context handoff keeps every per-block span
                     // (and everything nested under it) in the write's
-                    // trace, as siblings under the root.
-                    let mut bspan = self.trace().child_of("client.write_block", ctx);
-                    bspan.annotate("index", i);
-                    bspan.annotate("bytes", chunks[i].len());
+                    // trace, as siblings under its `client.write_file`.
+                    let mut bspan = ctx.map(|c| self.trace().child_of("client.write_block", c));
+                    if let Some(s) = bspan.as_mut() {
+                        s.annotate("index", i);
+                        s.annotate("bytes", chunks[i].len());
+                    }
                     if !sched.await_turn(i) {
                         break;
                     }
@@ -480,7 +492,9 @@ impl RemoteFs {
                     match self.transfer_block(path, block, pipeline, &payload) {
                         Ok(()) => states[i].lock().unwrap().1 = true,
                         Err(e) => {
-                            bspan.annotate("error", &e);
+                            if let Some(s) = bspan.as_mut() {
+                                s.annotate("error", &e);
+                            }
                             sched.fail(e);
                             break;
                         }
@@ -567,10 +581,13 @@ impl RemoteFs {
 
     /// Reads a whole file, verifying checksums and failing over across
     /// replicas (§4.1). Paths under an external mount are served by the
-    /// mounted catalog (§2.4).
+    /// mounted catalog (§2.4). Spans are recorded only inside a trace the
+    /// caller opened (DESIGN §7).
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>> {
-        let mut span = self.trace().root_or_child("client.read_file");
-        span.annotate("path", path);
+        let mut span = trace::child("client.read_file");
+        if let Some(s) = span.as_mut() {
+            s.annotate("path", path);
+        }
 
         let status = self.status(path)?;
         if status.is_dir {
@@ -592,9 +609,11 @@ impl RemoteFs {
                 range.copy_from_slice(&self.read_block(lb)?);
             }
         } else {
-            self.read_blocks_windowed(&blocks, ranges, span.context())?;
+            self.read_blocks_windowed(&blocks, ranges, span.as_ref().map(SpanGuard::context))?;
         }
-        span.annotate("bytes", out.len());
+        if let Some(s) = span.as_mut() {
+            s.annotate("bytes", out.len());
+        }
         self.metrics().add("client_read_bytes_total", Labels::NONE, out.len() as u64);
         Ok(out)
     }
@@ -662,7 +681,7 @@ impl RemoteFs {
         &self,
         blocks: &[LocatedBlock],
         ranges: Vec<&mut [u8]>,
-        ctx: TraceContext,
+        ctx: Option<TraceContext>,
     ) -> Result<()> {
         let window = self.window.min(blocks.len());
         // The work list: claiming an item hands its thread the block and
@@ -680,14 +699,18 @@ impl RemoteFs {
                     // Explicit context handoff (scoped threads carry no
                     // TLS span): the per-block spans — and the replica
                     // failover spans nested under them — stay in the
-                    // read's trace as siblings under the root.
-                    let mut bspan = self.trace().child_of("client.read_block", ctx);
-                    bspan.annotate("index", i);
-                    bspan.annotate("block", lb.block.id);
+                    // read's trace as siblings under its `client.read_file`.
+                    let mut bspan = ctx.map(|c| self.trace().child_of("client.read_block", c));
+                    if let Some(s) = bspan.as_mut() {
+                        s.annotate("index", i);
+                        s.annotate("block", lb.block.id);
+                    }
                     match self.read_block(lb) {
                         Ok(b) => range.copy_from_slice(&b),
                         Err(e) => {
-                            bspan.annotate("error", &e);
+                            if let Some(s) = bspan.as_mut() {
+                                s.annotate("error", &e);
+                            }
                             let mut err = first_err.lock().unwrap();
                             if err.is_none() {
                                 *err = Some(e);

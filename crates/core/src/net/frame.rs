@@ -9,7 +9,7 @@
 //! and one wake-up of the peer's reader per frame, and no staging copy:
 //! a block payload handed around as [`bytes::Bytes`] goes to the socket
 //! straight from its backing buffer. [`read_mux_frame`] returns the
-//! payload as [`bytes::Bytes`]; a block-sized one is received into a
+//! payload as [`bytes::Bytes`]; one of 4 KiB or more is received into a
 //! buffer of the process-wide pool (`net/bufpool.rs`), which gets it
 //! back when the last view of the frame is dropped.
 
@@ -79,9 +79,9 @@ pub fn read_mux_frame(stream: &mut impl Read) -> Result<Option<(u64, Bytes)>> {
     }
     let id = u64::from_le_bytes(head[4..].try_into().unwrap());
     let len = len - MUX_ID_LEN;
-    let payload = if len >= bufpool::GRANULE {
-        // A block: into a pooled buffer, published only once `read_exact`
-        // has overwritten all of it (on an error it drops back unexposed).
+    let payload = if len >= bufpool::SMALLEST {
+        // Data: into a pooled buffer, published only once `read_exact` has
+        // overwritten all of it (on an error it drops back unexposed).
         let mut buf = BufPool::global().take(len);
         stream.read_exact(buf.as_mut_slice())?;
         buf.freeze()

@@ -34,22 +34,29 @@ use octopus_core::net::proto::{encode_worker_frame, WorkerRequest};
 use octopus_core::{build_single_worker, NetCluster, StorageMode};
 
 const LARGE: usize = 256 * 1024;
+/// The smallest frame the buffer pool serves: a 16 KiB file's frames are
+/// above it, and a metadata request or reply is below it.
+const SMALL: usize = 4 * 1024;
 
 static LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
+static SMALL_BYTES: AtomicU64 = AtomicU64::new(0);
 static MEASURING: Mutex<()> = Mutex::new(());
 
-struct CountLarge;
+struct Count;
 
 fn count(size: usize) {
+    if size >= SMALL {
+        SMALL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
     if size >= LARGE {
         LARGE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a relaxed atomic
-// add, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountLarge {
+// upholds the `GlobalAlloc` contract; the only addition is relaxed atomic
+// adds, which neither allocate nor unwind.
+unsafe impl GlobalAlloc for Count {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
@@ -79,13 +86,19 @@ unsafe impl GlobalAlloc for CountLarge {
 }
 
 #[global_allocator]
-static ALLOC: CountLarge = CountLarge;
+static ALLOC: Count = Count;
+
+/// Bytes of allocations of `counter`'s size made, process-wide, while `f`
+/// ran.
+fn bytes_during<T>(counter: &AtomicU64, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = counter.load(Ordering::Relaxed);
+    let out = f();
+    (out, counter.load(Ordering::Relaxed) - before)
+}
 
 /// Large-allocation bytes made, process-wide, while `f` ran.
 fn large_bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = LARGE_BYTES.load(Ordering::Relaxed);
-    let out = f();
-    (out, LARGE_BYTES.load(Ordering::Relaxed) - before)
+    bytes_during(&LARGE_BYTES, f)
 }
 
 fn payload(len: usize, seed: u64) -> Vec<u8> {
@@ -162,6 +175,53 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
         read_bytes as f64 / F as f64,
         reread_bytes as f64 / F as f64,
     );
+}
+
+/// `smallfile`'s file, as exact counts of allocations ≥ 4 KiB: once the
+/// pool is stocked, a 16 KiB rf=3 delete + rewrite allocates nothing and a
+/// read allocates the 16 KiB it returns. Every other buffer of that size —
+/// the client's copy, the three stages' receive buffers, the read response
+/// — is one the pool hands back, on whichever thread asks.
+#[test]
+fn a_small_file_rewrite_allocates_nothing_and_a_read_only_its_output() {
+    let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
+    // No heartbeat inside the measured calls: a beat's own allocations
+    // would land in the same process-wide counter.
+    config.heartbeat_ms = 60_000;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let rf3 = ReplicationVector::from_replication_factor(3);
+
+    const S: usize = 16 * 1024;
+    let data = payload(S, 33);
+    // Connections, thread stacks and the pool's classes come up on a first
+    // write, read, delete and rewrite. `/keep` stays stored throughout: its
+    // live replicas are what lets `/f`'s released buffers be parked
+    // (`pooled ≤ lent`). Once `/f` is deleted the pool holds its three
+    // 20 KiB frames (16 KiB + header), the client's 16 KiB copy, a 20 KiB
+    // read response and `/keep`'s own 48 KiB copy — 144 KiB, against the
+    // 3 × 52 KiB of `/keep`'s frames lent.
+    client.write_file("/keep", &payload(3 * S, 34), rf3).unwrap();
+    client.write_file("/f", &data, rf3).unwrap();
+    assert_eq!(client.read_file("/f").unwrap(), data);
+    client.delete("/f", false).unwrap();
+    client.write_file("/f", &data, rf3).unwrap();
+    assert_eq!(client.read_file("/f").unwrap(), data);
+
+    let (rewritten, rewrite_bytes) = bytes_during(&SMALL_BYTES, || {
+        client.delete("/f", false)?;
+        client.write_file("/f", &data, rf3)
+    });
+    rewritten.unwrap();
+    let (read, read_bytes) = bytes_during(&SMALL_BYTES, || client.read_file("/f"));
+    assert_eq!(read.unwrap(), data);
+    eprintln!(
+        "alloc_budget: S = {S} B at rf=3: delete + rewrite {rewrite_bytes} B, read {read_bytes} B \
+         of allocations ≥ {SMALL} B"
+    );
+    assert_eq!(rewrite_bytes, 0, "a 16 KiB delete + rewrite must allocate no buffer ≥ 4 KiB");
+    assert_eq!(read_bytes, S as u64, "a read allocates its output and nothing else");
 }
 
 /// The frame a server's reader thread received is the buffer the store

@@ -1,12 +1,18 @@
 //! Distributed-tracing integration tests: trace context must survive the
 //! wire (client→master→worker), RPC retries must appear as sibling spans
-//! under the original parent, and §4.1 checksum failover must keep the
-//! replacement replica read inside the original request's trace.
+//! under the original parent, §4.1 checksum failover must keep the
+//! replacement replica read inside the original request's trace — and a
+//! request outside any trace must record nothing anywhere.
+//!
+//! The client records spans only inside a trace its caller opened, so each
+//! traced operation here runs under a root of the test's own ([`traced`]),
+//! and the assembled tree is picked out by that root's id.
 
 use octopus_common::{
-    ClientLocation, ClusterConfig, ReplicationVector, SpanRecord, Trace, WorkerId, MB,
+    ClientLocation, ClusterConfig, ReplicationVector, RpcConfig, SpanRecord, Trace, TraceId,
+    WorkerId, MB,
 };
-use octopus_core::net::{faults, FaultAction};
+use octopus_core::net::{faults, FaultAction, RemoteFs};
 use octopus_core::NetCluster;
 
 fn config() -> ClusterConfig {
@@ -27,17 +33,29 @@ fn rf(n: u8) -> ReplicationVector {
     ReplicationVector::from_replication_factor(n)
 }
 
-/// The most recent assembled trace whose root is `root_name` on `path`.
-/// Every default client in this process roots its spans in the one shared
-/// collector, and the tests of this file run in parallel: the root's
-/// `path` annotation is what tells this test's request from a sibling
-/// test's on another cluster (whose master and worker spans live in *that*
-/// cluster's collectors).
-fn latest_trace(snap: &octopus_common::TraceSnapshot, root_name: &str, path: &str) -> Trace {
-    snap.traces()
-        .into_iter()
-        .find(|t| t.root().name == root_name && t.root().annotation("path") == Some(path))
-        .unwrap_or_else(|| panic!("no assembled trace rooted at {root_name} on {path}"))
+/// Runs `op` under a fresh root span on `client`'s collector, returning
+/// what it returned and the root's trace id.
+fn traced<T>(client: &RemoteFs, op: impl FnOnce() -> T) -> (T, TraceId) {
+    let root = client.trace().root("test.op");
+    let out = op();
+    (out, root.trace_id())
+}
+
+/// The assembled trace `id`, from every node this client can scrape. Every
+/// default client in this process records into the one shared collector,
+/// and the tests of this file run in parallel: the id is what tells this
+/// test's request from a sibling test's.
+fn assembled(client: &RemoteFs, id: TraceId) -> Trace {
+    let snap = client.cluster_trace_snapshot().unwrap();
+    snap.trace(id).unwrap_or_else(|| panic!("no assembled trace {id}"))
+}
+
+/// The one span called `name` in `trace`.
+fn span<'a>(trace: &'a Trace, name: &str) -> &'a SpanRecord {
+    let mut named = trace.spans.iter().filter(|s| s.name == name);
+    let one = named.next().unwrap_or_else(|| panic!("no {name} span in trace {}", trace.trace_id));
+    assert!(named.next().is_none(), "more than one {name} span");
+    one
 }
 
 /// Faults all-but-one holders of a file's first block with `action` and
@@ -49,7 +67,7 @@ fn latest_trace(snap: &octopus_common::TraceSnapshot, root_name: &str, path: &st
 /// probability 2/3, so ten rounds are overwhelmingly sufficient.
 fn read_until_fanout(
     cluster: &NetCluster,
-    client: &octopus_core::net::RemoteFs,
+    client: &RemoteFs,
     path: &str,
     data: &[u8],
     action: FaultAction,
@@ -68,9 +86,9 @@ fn read_until_fanout(
                 faults::inject(addr, action.clone());
             }
         }
-        assert_eq!(client.read_file(path).unwrap(), data);
-        let snap = client.cluster_trace_snapshot().unwrap();
-        let trace = latest_trace(&snap, "client.read_file", path);
+        let (read, id) = traced(client, || client.read_file(path));
+        assert_eq!(read.unwrap(), data);
+        let trace = assembled(client, id);
         if sibling_groups(&trace, sibling_name).iter().any(|g| g.len() >= 2) {
             found = Some(trace);
             break;
@@ -100,12 +118,19 @@ fn spans_stitch_across_client_master_and_workers() {
     let client = cluster.client(ClientLocation::OffCluster);
     let data = payload(2 * MB as usize + 99, 7);
     let started = std::time::Instant::now();
-    client.write_file("/stitch", &data, rf(3)).unwrap();
+    let (written, write_id) = traced(&client, || client.write_file("/stitch", &data, rf(3)));
     let wall_us = started.elapsed().as_micros() as u64;
-    assert_eq!(client.read_file("/stitch").unwrap(), data);
+    written.unwrap();
+    let (read, read_id) = traced(&client, || client.read_file("/stitch"));
+    assert_eq!(read.unwrap(), data);
 
-    let snap = client.cluster_trace_snapshot().unwrap();
-    let write = latest_trace(&snap, "client.write_file", "/stitch");
+    let write = assembled(&client, write_id);
+    // The caller's root, and the write as its one child.
+    assert_eq!(write.root().name, "test.op");
+    let file = span(&write, "client.write_file");
+    assert_eq!(file.parent_span, write.root().span_id);
+    assert_eq!(file.annotation("path"), Some("/stitch"));
+    assert_eq!(write.children_of(write.root().span_id).len(), 1);
     let nodes = write.nodes();
     assert!(nodes.contains("client"), "write trace missing client spans: {nodes:?}");
     assert!(nodes.contains("master"), "write trace missing master spans: {nodes:?}");
@@ -129,7 +154,8 @@ fn spans_stitch_across_client_master_and_workers() {
         cp.attributed_us()
     );
 
-    let read = latest_trace(&snap, "client.read_file", "/stitch");
+    let read = assembled(&client, read_id);
+    assert_eq!(span(&read, "client.read_file").parent_span, read.root().span_id);
     assert!(read.nodes().iter().any(|n| n.starts_with("worker-")));
     assert_eq!(read.critical_path().attributed_us(), read.duration_us());
 }
@@ -186,7 +212,8 @@ fn checksum_failover_spans_share_the_original_trace_and_parent() {
         .find(|g| g.len() >= 2)
         .expect("checksum failover must produce sibling read_replica spans");
     assert!(replicas.iter().all(|s| s.trace_id == trace.trace_id));
-    assert!(replicas.iter().all(|s| s.parent_span == trace.root().span_id));
+    let read = span(&trace, "client.read_file");
+    assert!(replicas.iter().all(|s| s.parent_span == read.span_id));
     // The failed replica attempt is annotated; the successful one is not.
     assert!(replicas.iter().any(|s| s.annotation("error").is_some()));
     assert!(replicas.iter().any(|s| s.annotation("error").is_none()));
@@ -232,14 +259,33 @@ fn untraced_requests_still_use_the_bare_wire_format() {
     // heartbeats, background traffic) carry no envelope, and a fresh
     // cluster serves them — decode of both forms coexists on one socket.
     let cluster = NetCluster::start(config()).unwrap();
-    let client = cluster.client(ClientLocation::OffCluster);
-    // Status/mkdir have no client-side root span, so they go enveloped
-    // only when nested under a traced operation — bare here.
+    // A client with a collector of its own: the process-shared one takes
+    // the other tests' traced requests.
+    let client = cluster.client(ClientLocation::OffCluster).with_rpc_config(RpcConfig::default());
+    // No call opens a root span of its own, so every one goes enveloped
+    // only when nested under a trace its caller opened — bare here.
     client.mkdir("/plain").unwrap();
     assert!(client.status("/plain").unwrap().is_dir);
-    let snap = client.trace().snapshot();
-    assert!(
-        !snap.spans.iter().any(|s| s.name == "rpc.Mkdir"),
-        "untraced requests must not record spans"
-    );
+
+    // The data path too: a single-block file (the serial path) and a
+    // multi-block one (the windowed path), written, read and deleted.
+    let small = payload(16 * 1024, 13);
+    let large = payload(2 * MB as usize + 99, 17);
+    for (path, data) in [("/plain/small", &small), ("/plain/large", &large)] {
+        client.write_file(path, data, rf(3)).unwrap();
+        assert_eq!(&client.read_file(path).unwrap(), data);
+        client.delete(path, false).unwrap();
+    }
+
+    // Nothing was recorded on any node, so nothing was dropped either.
+    assert_eq!(client.trace().len(), 0, "client spans: {:?}", client.trace().snapshot());
+    assert_eq!(cluster.master().trace().len(), 0, "{:?}", cluster.master().trace().snapshot());
+    for w in cluster.workers() {
+        assert_eq!(w.trace().len(), 0, "worker {}: {:?}", w.id(), w.trace().snapshot());
+    }
+    let metrics = client.cluster_metrics_snapshot().unwrap();
+    let dropped: Vec<_> =
+        metrics.counters.iter().filter(|s| s.name == "trace_spans_dropped_total").collect();
+    assert_eq!(dropped.len(), 1 + cluster.workers().len(), "{dropped:?}");
+    assert!(dropped.iter().all(|s| s.value == 0), "{dropped:?}");
 }

@@ -28,6 +28,23 @@ for run in $(seq 20); do
 done
 echo "pipelined replay: 20/20"
 
+echo "==> traces on demand and the buffer pool: 20 runs under parallel load"
+# The tracing suite (roots opened by the caller; untraced traffic records
+# nothing on any node), the exact allocation counts of large and small
+# files, and the pool's own unit tests, 20 times back to back, 8 test
+# threads each.
+for run in $(seq 20); do
+    if ! out=$(cargo test --release -q -p octopus-core --test trace --test alloc_budget \
+        -- --test-threads 8 2>&1) ||
+        ! out=$(cargo test --release -q -p octopus-core --lib net::bufpool \
+            -- --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "traces and buffer pool: run ${run} of 20 failed" >&2
+        exit 1
+    fi
+done
+echo "traces and buffer pool: 20/20"
+
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
 # generation into one u64, and quota charges multiply lengths. The
@@ -86,21 +103,22 @@ done
 echo "metrics smoke: all expected series present"
 
 echo "==> trace smoke test"
-# Boot a networked cluster, run a traced write/read, and check the JSONL
-# dump stitches one client→master→worker span tree under a single trace id.
+# Boot a networked cluster, run a write and a read each under a root the
+# example opens (the client traces nothing on its own), and check the JSONL
+# dump stitches one client→master→worker span tree under the read's root.
 cargo run --release --quiet --example trace_smoke >/dev/null
 dump=results/traces/smoke.jsonl
 if [ ! -s "$dump" ]; then
     echo "trace smoke: missing or empty ${dump}" >&2
     exit 1
 fi
-read_trace=$(grep '"name":"client.read_file"' "$dump" | head -1 |
+read_trace=$(grep '"name":"trace_smoke.read"' "$dump" | head -1 |
     sed 's/.*"trace_id":"\([0-9a-f]*\)".*/\1/')
 if [ -z "$read_trace" ]; then
-    echo "trace smoke: no client.read_file root span in ${dump}" >&2
+    echo "trace smoke: no trace_smoke.read root span in ${dump}" >&2
     exit 1
 fi
-for node in '"node":"client"' '"node":"master"' '"node":"worker-'; do
+for node in '"name":"client.read_file"' '"node":"client"' '"node":"master"' '"node":"worker-'; do
     if ! grep "\"trace_id\":\"${read_trace}\"" "$dump" | grep -q "$node"; then
         echo "trace smoke: trace ${read_trace} has no span with ${node}" >&2
         exit 1

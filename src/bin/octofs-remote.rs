@@ -15,9 +15,13 @@
 //! to `N` bytes of pinned replicas, leaving the other tiers as they are;
 //! `quota PATH --clear` lifts every limit.
 //!
-//! `trace read PATH` / `trace write PATH [BYTES]` runs the operation with
-//! distributed tracing, prints the assembled critical path, and dumps the
-//! full span tree to `results/traces/trace-<id>.jsonl`.
+//! `trace read PATH` / `trace write PATH [BYTES]` (BYTES defaults to 1 MiB;
+//! one that does not parse is a usage error) runs the operation under a
+//! trace root it opens itself, `shell.trace` — the client records spans
+//! only inside a trace its caller opened, so nothing else is traced. It
+//! prints the critical path assembled under that root's id from the
+//! client's, the master's and every worker's ring, and dumps the span tree
+//! to `results/traces/trace-<id>.jsonl` under the working directory.
 //!
 //! `status` prints the live cluster summary (per-tier capacity, per-worker
 //! lines, hottest files, per-op metadata latency); `perf [N]` ranks the

@@ -432,25 +432,37 @@ fn perf(fs: &RemoteFs, args: Args) -> Result<()> {
 fn trace(fs: &RemoteFs, mut args: Args) -> Result<()> {
     let p = args.positionals(2, 3)?;
     let (op, path) = (p[0].as_str(), &p[1]);
-    match op {
-        "read" if p.len() == 2 => {
+    // `None` reads; `Some(n)` writes n bytes.
+    let write: Option<usize> = match (op, p.get(2)) {
+        ("read", None) => None,
+        ("write", None) => Some(1 << 20),
+        ("write", Some(n)) => {
+            Some(n.parse().map_err(|_| args.bad(format_args!("bad byte count {n:?}")))?)
+        }
+        _ => return Err(args.bad(format_args!("trace reads or writes, not {op:?}"))),
+    };
+    // The client records spans only inside a trace its caller opened: this
+    // root is what traces the operation, and its id is what picks the
+    // operation's tree out of every node's ring.
+    let mut root = fs.trace().root("shell.trace");
+    root.annotate("op", op);
+    root.annotate("path", path);
+    match write {
+        None => {
             let data = fs.read_file(path)?;
             println!("read {path} ({})", fmt_bytes(data.len() as u64));
         }
-        "write" => {
-            let n: usize = p.get(2).and_then(|s| s.parse().ok()).unwrap_or(1 << 20);
+        Some(n) => {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
             fs.write_file(path, &data, ReplicationVector::from_replication_factor(2))?;
             println!("wrote {path} ({})", fmt_bytes(n as u64));
         }
-        _ => return Err(args.bad(format_args!("trace reads or writes, not {op:?}"))),
     }
-    let snap = fs.cluster_trace_snapshot()?;
-    let want = format!("client.{op}_file");
-    let trace = snap
-        .traces()
-        .into_iter()
-        .find(|t| t.spans.iter().any(|s| s.name == want))
+    let id = root.trace_id();
+    drop(root);
+    let trace = fs
+        .cluster_trace_snapshot()?
+        .trace(id)
         .ok_or_else(|| FsError::NotFound("no assembled trace for operation".into()))?;
     print!("{}", trace.critical_path().render());
     std::fs::create_dir_all("results/traces")?;

@@ -206,9 +206,11 @@ fn a_flag_without_its_value_prints_usage() {
         &["put", local.to_str().unwrap(), "/f", "--rv"][..],
         &["put", local.to_str().unwrap(), "/f", "3"],
         &["ls", "/", "--bogus"],
+        // A byte count that does not parse once meant 1 MiB.
+        &["trace", "write", "/f", "12x"],
     ] {
         let (success, _, stderr) = cli.run(bad);
         assert!(!success && stderr.contains("usage: ") && !stderr.contains("panicked"), "{stderr}");
     }
-    assert_eq!(cli.ok(&["ls", "/"]), "", "a refused put must not write");
+    assert_eq!(cli.ok(&["ls", "/"]), "", "a refused put or trace must not write");
 }

@@ -4,6 +4,7 @@
 //! cluster deployment.
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -43,7 +44,13 @@ fn spawn_with_addr(bin: &str, args: &[String]) -> (Daemon, String) {
 }
 
 fn remote(master: &str, args: &[&str]) -> (bool, String, String) {
+    remote_in(Path::new("."), master, args)
+}
+
+/// [`remote`], run with `dir` as its working directory.
+fn remote_in(dir: &Path, master: &str, args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_octofs-remote"))
+        .current_dir(dir)
         .arg("--master")
         .arg(master)
         .args(args)
@@ -145,6 +152,19 @@ fn multiprocess_deployment_end_to_end() {
     let (ok, out, err) = remote(&master_addr, &["setrep", "/data/f", "<0,2,1>"]);
     assert!(ok, "{err}");
     assert!(out.contains("->"), "{out}");
+
+    // `trace` opens a root of its own around the operation (the client
+    // traces nothing unasked) and prints the critical path stitched across
+    // the three kinds of process. It dumps the span tree under
+    // `results/traces/` of its working directory: here, `tmp`.
+    for step in [&["trace", "write", "/traced", "200000"][..], &["trace", "read", "/traced"]] {
+        let (ok, out, err) = remote_in(&tmp, &master_addr, step);
+        assert!(ok, "{step:?}: {err}");
+        for node in ["[client]", "[master]", "[worker-"] {
+            assert!(out.contains(node), "{step:?}: no {node} segment in:\n{out}");
+        }
+    }
+    assert_eq!(std::fs::read_dir(tmp.join("results/traces")).unwrap().count(), 2, "two dumps");
 
     let (ok, _, err) = remote(&master_addr, &["rm", "/data/f"]);
     assert!(ok, "{err}");
