@@ -28,11 +28,10 @@ fn spread(fracs: &[f64]) -> f64 {
     fracs.first().unwrap() - fracs.last().unwrap()
 }
 
-#[test]
-fn balancer_reduces_skew() {
+/// A cluster skewed by twelve single-replica files written from worker 0:
+/// they all land on worker 0's HDD (writer-local first replica).
+fn skewed_cluster() -> Cluster {
     let cluster = Cluster::start(ClusterConfig::test_cluster(6, 64 * MB, MB)).unwrap();
-    // Skew the cluster: single-replica files written from worker 0 land on
-    // worker 0's HDD (writer-local first replica).
     let client = cluster.client(ClientLocation::OnWorker(WorkerId(0)));
     for i in 0..12 {
         client
@@ -44,6 +43,13 @@ fn balancer_reduces_skew() {
             .unwrap();
     }
     cluster.pump_heartbeats();
+    cluster
+}
+
+#[test]
+fn balancer_reduces_skew() {
+    let cluster = skewed_cluster();
+    let client = cluster.client(ClientLocation::OnWorker(WorkerId(0)));
     let before = hdd_fracs(&cluster);
     assert!(spread(&before) > 0.10, "setup must be skewed, spread {:.3}", spread(&before));
 
@@ -72,6 +78,21 @@ fn balancer_reduces_skew() {
             .unwrap();
         assert_eq!(blocks[0].locations.len(), 1);
     }
+}
+
+/// Two masters with the same history plan the same moves: the balancer
+/// takes the lowest eligible block id, not the block map's hash order.
+/// A planned move stays pending, so each round moves on to the next block.
+#[test]
+fn identical_masters_plan_identical_moves() {
+    let plans: Vec<Vec<_>> = (0..2)
+        .map(|_| {
+            let cluster = skewed_cluster();
+            (0..4).flat_map(|_| cluster.master().balancer_scan(0.05, 4)).collect()
+        })
+        .collect();
+    assert!(plans[0].len() >= 4, "{:?}", plans[0]);
+    assert_eq!(plans[0], plans[1]);
 }
 
 #[test]
