@@ -12,7 +12,7 @@ use octopus_common::{
     ClientLocation, ClusterConfig, MediaId, MediaStats, RackId, ReplicationVector, Result, TierId,
     WorkerId,
 };
-use octopus_master::Master;
+use octopus_master::{ClientId, Master};
 
 /// Measured rates for the Table 3 operation mix, ops/sec *per worker*.
 #[derive(Debug, Clone)]
@@ -49,7 +49,7 @@ pub fn boot_master(config: ClusterConfig) -> Result<Master> {
                 m
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0)?;
+        master.heartbeat(WorkerId(w), media, 0, 0, &[])?;
     }
     Ok(master)
 }
@@ -77,8 +77,13 @@ pub fn run_slive(master: &Master, ops: usize, rv: ReplicationVector) -> Result<S
 
     let create = rate(ops, || {
         for i in 0..ops {
-            master.create_file(&format!("/slive/dirs/d{}/f", i % ops), rv, None)?;
-            master.complete_file(&format!("/slive/dirs/d{}/f", i % ops))?;
+            master.create_file_as(
+                &format!("/slive/dirs/d{}/f", i % ops),
+                rv,
+                None,
+                ClientId::SYSTEM,
+            )?;
+            master.complete_file_as(&format!("/slive/dirs/d{}/f", i % ops), ClientId::SYSTEM)?;
         }
         Ok(())
     })?;

@@ -184,7 +184,7 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
             A::Unit
         }
         Q::Heartbeat(worker, media, nr_conn, now_ms, touches) => {
-            master.heartbeat_with_heat(worker, media, nr_conn, now_ms, &touches)?;
+            master.heartbeat(worker, media, nr_conn, now_ms, &touches)?;
             master.tick(now_ms);
             A::Unit
         }

@@ -3,7 +3,7 @@
 
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, MB};
 use octopus_core::Cluster;
-use octopus_master::Master;
+use octopus_master::{ClientId, EditLog, Master};
 
 fn config() -> ClusterConfig {
     ClusterConfig::test_cluster(4, 64 * MB, MB)
@@ -30,7 +30,13 @@ fn second_client_cannot_write_an_open_file() {
     // Bob cannot recreate, append to, or close Alice's open file.
     let err = bob.create("/shared", ReplicationVector::from_replication_factor(2), None);
     assert!(matches!(err, Err(FsError::AlreadyExists(_)) | Err(FsError::LeaseConflict(_))));
-    let err = cluster.master().add_block_as("/shared", 1024, ClientLocation::OffCluster, bob.id());
+    let err = cluster.master().add_block_excluding(
+        "/shared",
+        1024,
+        ClientLocation::OffCluster,
+        bob.id(),
+        &[],
+    );
     assert!(matches!(err, Err(FsError::LeaseConflict(_))), "got {err:?}");
 
     // Alice closes; the lease is released and the file is readable.
@@ -74,13 +80,19 @@ fn restored_master_starts_in_safe_mode_until_reports_arrive() {
         .unwrap();
 
     let image = cluster.master().checkpoint();
-    let restored = Master::restore(cluster.master().config().clone(), &image).unwrap();
+    let log = EditLog::from_bytes(image).unwrap();
+    let restored = Master::with_log(cluster.master().config().clone(), log).unwrap();
     assert!(restored.in_safe_mode());
 
     // Mutations are rejected in safe mode; reads of metadata still work.
     assert!(matches!(restored.mkdir("/new"), Err(FsError::NotReady(_))));
     assert!(matches!(
-        restored.create_file("/new2", ReplicationVector::from_replication_factor(1), None),
+        restored.create_file_as(
+            "/new2",
+            ReplicationVector::from_replication_factor(1),
+            None,
+            ClientId::SYSTEM
+        ),
         Err(FsError::NotReady(_))
     ));
     assert!(matches!(
@@ -95,7 +107,7 @@ fn restored_master_starts_in_safe_mode_until_reports_arrive() {
     for w in cluster.workers() {
         restored.register_worker(w.id(), w.rack(), w.net_bps(), 0);
         let (stats, conns) = w.heartbeat_stats();
-        restored.heartbeat(w.id(), stats, conns, 0).unwrap();
+        restored.heartbeat(w.id(), stats, conns, 0, &[]).unwrap();
         restored.block_report(w.id(), &w.block_report()).unwrap();
     }
     assert!(!restored.in_safe_mode());
@@ -109,8 +121,11 @@ fn manual_safe_mode_exit() {
     client
         .write_file("/x", &payload(1024, 4), ReplicationVector::from_replication_factor(2))
         .unwrap();
-    let restored =
-        Master::restore(cluster.master().config().clone(), &cluster.master().checkpoint()).unwrap();
+    let restored = Master::with_log(
+        cluster.master().config().clone(),
+        EditLog::from_bytes(cluster.master().checkpoint()).unwrap(),
+    )
+    .unwrap();
     assert!(restored.in_safe_mode());
     restored.leave_safe_mode();
     assert!(!restored.in_safe_mode());
@@ -148,7 +163,13 @@ fn rename_transfers_lease() {
     w.write(&payload(100, 7)).unwrap();
     cluster.master().rename("/moving", "/moved").unwrap();
     // Bob still cannot touch it under the new name.
-    let err = cluster.master().add_block_as("/moved", 100, ClientLocation::OffCluster, bob.id());
+    let err = cluster.master().add_block_excluding(
+        "/moved",
+        100,
+        ClientLocation::OffCluster,
+        bob.id(),
+        &[],
+    );
     assert!(matches!(err, Err(FsError::LeaseConflict(_))));
     // NOTE: Alice's writer still targets the old path; closing it now
     // fails cleanly (path gone), which is the HDFS behaviour too.

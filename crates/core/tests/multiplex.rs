@@ -20,7 +20,7 @@ use octopus_core::net::proto::{MasterRequest, WorkerRequest, WorkerResponse};
 use octopus_core::net::worker_server::scrub_and_report;
 use octopus_core::net::{MasterServer, NetCluster, RpcClient, WorkerServer};
 use octopus_core::{build_single_worker, StorageMode};
-use octopus_master::Master;
+use octopus_master::{ClientId, Master};
 
 fn config() -> ClusterConfig {
     let mut c = ClusterConfig::test_cluster(4, 64 * MB, MB);
@@ -316,8 +316,12 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     // alone and (b) return the tail's scheduled-write reservation.
     let mut cluster = NetCluster::start(config()).unwrap();
     let master = Arc::clone(cluster.master());
-    master.create_file("/p", ReplicationVector::from_replication_factor(3), None).unwrap();
-    let (block, pipeline) = master.add_block("/p", MB, ClientLocation::OffCluster).unwrap();
+    master
+        .create_file_as("/p", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)
+        .unwrap();
+    let (block, pipeline) = master
+        .add_block_excluding("/p", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
+        .unwrap();
     assert_eq!(pipeline.len(), 3);
     let tail = pipeline[2];
 
@@ -360,8 +364,12 @@ fn late_abort_after_tail_commit_is_refused() {
     // committed replica.
     let cluster = NetCluster::start(config()).unwrap();
     let master = Arc::clone(cluster.master());
-    master.create_file("/q", ReplicationVector::from_replication_factor(3), None).unwrap();
-    let (block, pipeline) = master.add_block("/q", MB, ClientLocation::OffCluster).unwrap();
+    master
+        .create_file_as("/q", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)
+        .unwrap();
+    let (block, pipeline) = master
+        .add_block_excluding("/q", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
+        .unwrap();
     let tail_addr = cluster.worker_addr(pipeline[2].worker).unwrap();
     octopus_core::net::faults::inject(tail_addr, octopus_core::net::FaultAction::DropConnection);
 
@@ -391,8 +399,12 @@ fn resending_a_stored_block_is_idempotent_when_the_bytes_match() {
     // under the same block id must still be refused.
     let cluster = NetCluster::start(config()).unwrap();
     let master = Arc::clone(cluster.master());
-    master.create_file("/r", ReplicationVector::from_replication_factor(1), None).unwrap();
-    let (block, pipeline) = master.add_block("/r", MB, ClientLocation::OffCluster).unwrap();
+    master
+        .create_file_as("/r", ReplicationVector::from_replication_factor(1), None, ClientId::SYSTEM)
+        .unwrap();
+    let (block, pipeline) = master
+        .add_block_excluding("/r", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
+        .unwrap();
     let head = cluster.worker_addr(pipeline[0].worker).unwrap();
 
     let data = BlockData::generate_real(MB as usize, 5);

@@ -239,7 +239,7 @@ fn networked_backup_tails_and_takes_over() {
     for w in cluster.workers() {
         new_master.register_worker(w.id(), w.rack(), w.net_bps(), 0);
         let (stats, conns) = w.heartbeat_stats();
-        new_master.heartbeat(w.id(), stats, conns, 0).unwrap();
+        new_master.heartbeat(w.id(), stats, conns, 0, &[]).unwrap();
         new_master.block_report(w.id(), &w.block_report()).unwrap();
     }
     assert!(!new_master.in_safe_mode());

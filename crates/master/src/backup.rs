@@ -5,7 +5,7 @@
 
 use octopus_common::Result;
 
-use crate::editlog::{encode_image, replay_stream};
+use crate::editlog::{encode_image, replay_stream, EditLog};
 use crate::master::Master;
 use crate::namespace::{Cursor, Namespace};
 
@@ -78,7 +78,7 @@ impl BackupMaster {
     /// current image. Block locations repopulate from block reports, as in
     /// HDFS.
     pub fn take_over(&self, config: octopus_common::ClusterConfig) -> Result<Master> {
-        Master::restore(config, &encode_image(&self.ns))
+        Master::with_log(config, EditLog::from_bytes(encode_image(&self.ns))?)
     }
 }
 
@@ -86,6 +86,7 @@ impl BackupMaster {
 mod tests {
     use super::*;
     use crate::editlog::EditOp;
+    use crate::lease::ClientId;
     use octopus_common::MediaId;
     use octopus_common::{
         ClientLocation, ClusterConfig, MediaStats, RackId, ReplicationVector, TierId, WorkerId,
@@ -110,7 +111,7 @@ mod tests {
                     read_thru: 1e8,
                 })
                 .collect();
-            master.heartbeat(WorkerId(w), media, 0, 0).unwrap();
+            master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
         }
         master
     }
@@ -120,7 +121,14 @@ mod tests {
         let primary = boot_master(3);
         let mut backup = BackupMaster::new();
         primary.mkdir("/a").unwrap();
-        primary.create_file("/a/f", ReplicationVector::from_replication_factor(2), None).unwrap();
+        primary
+            .create_file_as(
+                "/a/f",
+                ReplicationVector::from_replication_factor(2),
+                None,
+                ClientId::SYSTEM,
+            )
+            .unwrap();
         let n = backup.sync_from(&primary).unwrap();
         assert_eq!(n, 2);
         assert!(backup.namespace().resolve("/a/f").is_ok());
@@ -135,12 +143,21 @@ mod tests {
     fn checkpoint_and_takeover() {
         let primary = boot_master(3);
         primary.mkdir("/x").unwrap();
-        primary.create_file("/x/f", ReplicationVector::from_replication_factor(1), None).unwrap();
-        let (block, locs) = primary.add_block("/x/f", 1 << 20, ClientLocation::OffCluster).unwrap();
+        primary
+            .create_file_as(
+                "/x/f",
+                ReplicationVector::from_replication_factor(1),
+                None,
+                ClientId::SYSTEM,
+            )
+            .unwrap();
+        let (block, locs) = primary
+            .add_block_excluding("/x/f", 1 << 20, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
+            .unwrap();
         for l in &locs {
             primary.commit_replica(block, *l).unwrap();
         }
-        primary.complete_file("/x/f").unwrap();
+        primary.complete_file_as("/x/f", ClientId::SYSTEM).unwrap();
 
         let mut backup = BackupMaster::new();
         backup.sync_from(&primary).unwrap();
@@ -167,7 +184,8 @@ mod tests {
         primary.mkdir("/a/late").unwrap();
         let tail = primary.edit_ops_since(cp_ops).unwrap();
 
-        let recovered = Master::restore(primary.config().clone(), &checkpoint).unwrap();
+        let log = EditLog::from_bytes(checkpoint).unwrap();
+        let recovered = Master::with_log(primary.config().clone(), log).unwrap();
         for op in tail {
             // Re-apply the tail through the public surface.
             match op {
@@ -183,7 +201,7 @@ mod tests {
     /// the primary keeps committing.
     #[test]
     fn a_long_log_is_tailed_in_capped_replies_while_commits_continue() {
-        use crate::editlog::{decode_stream, EditLog, TAIL_CAP};
+        use crate::editlog::{decode_stream, TAIL_CAP};
 
         let dir = std::env::temp_dir().join(format!("octopus_backup_tail_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

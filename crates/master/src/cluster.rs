@@ -109,12 +109,7 @@ impl ClusterState {
     /// Releases a reservation once the write is confirmed (the worker's
     /// own accounting takes over) or abandoned.
     pub fn complete_write(&mut self, media: MediaId, bytes: u64) {
-        if let Some(v) = self.scheduled.get_mut(&media) {
-            *v = v.saturating_sub(bytes);
-            if *v == 0 {
-                self.scheduled.remove(&media);
-            }
-        }
+        self.cancel_write(media, bytes);
         // Reflect the consumption immediately so the view stays accurate
         // until the next heartbeat.
         for w in self.workers.values_mut() {

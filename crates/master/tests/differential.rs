@@ -22,7 +22,7 @@ use octopus_common::{
     BlockId, ClientLocation, ClusterConfig, FsError, MediaId, MediaStats, RackId,
     ReplicationVector, Result, TierId, WorkerId,
 };
-use octopus_master::{Master, Namespace, TierQuota};
+use octopus_master::{ClientId, Master, Namespace, TierQuota};
 
 mod ops;
 use ops::{random_ops, scripted, u, Op};
@@ -47,7 +47,7 @@ fn boot() -> Master {
                 read_thru: 1e9,
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0).unwrap();
+        master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
     }
     master
 }
@@ -77,11 +77,14 @@ fn listing(entries: Vec<octopus_master::DirEntry>) -> Answer {
 fn on_master(m: &Master, op: &Op) -> (Answer, Option<FsError>) {
     match op {
         Op::Mkdir(p) => answer(m.mkdir(p), |()| Answer::Done),
-        Op::Create(p, rv) => answer(m.create_file(p, *rv, None), Answer::Status),
-        Op::AddBlock(p, len) => {
-            answer(m.add_block(p, *len, ClientLocation::OffCluster), |_| Answer::Done)
+        Op::Create(p, rv) => {
+            answer(m.create_file_as(p, *rv, None, ClientId::SYSTEM), Answer::Status)
         }
-        Op::Complete(p) => answer(m.complete_file(p), |()| Answer::Done),
+        Op::AddBlock(p, len) => answer(
+            m.add_block_excluding(p, *len, ClientLocation::OffCluster, ClientId::SYSTEM, &[]),
+            |_| Answer::Done,
+        ),
+        Op::Complete(p) => answer(m.complete_file_as(p, ClientId::SYSTEM), |()| Answer::Done),
         Op::Rename(s, d) => answer(m.rename(s, d), |()| Answer::Done),
         Op::Delete(p, r) => answer(m.delete(p, *r), |_| Answer::Done),
         Op::List(p) => answer(m.list(p), listing),
@@ -198,8 +201,8 @@ fn master_agrees_with_the_sequential_reference() {
 fn list_is_an_atomic_snapshot() {
     let master = boot();
     master.mkdir("/d").unwrap();
-    master.create_file("/d/a", u(1), None).unwrap();
-    master.complete_file("/d/a").unwrap();
+    master.create_file_as("/d/a", u(1), None, ClientId::SYSTEM).unwrap();
+    master.complete_file_as("/d/a", ClientId::SYSTEM).unwrap();
     let stop = AtomicBool::new(false);
     let start = Barrier::new(3);
     std::thread::scope(|s| {

@@ -99,6 +99,7 @@ fn golden_image_restores_and_reencodes_byte_identically() {
     let ns = decode_image(&golden).unwrap();
     assert_golden_namespace(&ns);
     assert_eq!(encode_image(&ns), golden);
-    let restored = Master::restore(ClusterConfig::test_cluster(3, 10 << 20, 128), &golden).unwrap();
+    let config = ClusterConfig::test_cluster(3, 10 << 20, 128);
+    let restored = Master::with_log(config, EditLog::from_bytes(golden.clone()).unwrap()).unwrap();
     assert_eq!(restored.checkpoint(), golden);
 }

@@ -27,7 +27,7 @@ use std::time::Duration;
 use octopus_common::{
     ClientLocation, ClusterConfig, MediaId, MediaStats, RackId, ReplicationVector, TierId, WorkerId,
 };
-use octopus_master::{EditLog, Master};
+use octopus_master::{ClientId, EditLog, Master};
 
 const BLOCK_SIZE: u64 = 1 << 20;
 
@@ -51,7 +51,7 @@ fn boot(n: u32) -> Master {
                 read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0).unwrap();
+        master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
     }
     master
 }
@@ -105,19 +105,31 @@ fn torture(seed: u64, threads: usize, iters: usize) -> Master {
                         0..=34 => {
                             // Create; half the time also write a block and
                             // seal, sometimes leave the file open.
-                            if master.create_file(&path, rv(rng.below(3) as u8 + 1), None).is_ok() {
+                            if master
+                                .create_file_as(
+                                    &path,
+                                    rv(rng.below(3) as u8 + 1),
+                                    None,
+                                    ClientId::SYSTEM,
+                                )
+                                .is_ok()
+                            {
                                 if rng.below(2) == 0 {
                                     let len = (rng.below(4) + 1) * 1024;
-                                    if let Ok((block, locs)) =
-                                        master.add_block(&path, len, ClientLocation::OffCluster)
-                                    {
+                                    if let Ok((block, locs)) = master.add_block_excluding(
+                                        &path,
+                                        len,
+                                        ClientLocation::OffCluster,
+                                        ClientId::SYSTEM,
+                                        &[],
+                                    ) {
                                         for l in locs {
                                             let _ = master.commit_replica(block, l);
                                         }
                                     }
-                                    let _ = master.complete_file(&path);
+                                    let _ = master.complete_file_as(&path, ClientId::SYSTEM);
                                 } else if rng.below(2) == 0 {
-                                    let _ = master.complete_file(&path);
+                                    let _ = master.complete_file_as(&path, ClientId::SYSTEM);
                                 }
                             }
                         }
@@ -238,8 +250,8 @@ fn rename_opposing_directions_no_deadlock() {
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
         for i in 0..8 {
-            master.create_file(&format!("/a/x{i}"), rv(1), None).unwrap();
-            master.complete_file(&format!("/a/x{i}")).unwrap();
+            master.create_file_as(&format!("/a/x{i}"), rv(1), None, ClientId::SYSTEM).unwrap();
+            master.complete_file_as(&format!("/a/x{i}"), ClientId::SYSTEM).unwrap();
         }
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -276,8 +288,8 @@ fn rename_racing_recursive_delete_of_destination() {
         let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
-        master.create_file("/a/x", rv(1), None).unwrap();
-        master.complete_file("/a/x").unwrap();
+        master.create_file_as("/a/x", rv(1), None, ClientId::SYSTEM).unwrap();
+        master.complete_file_as("/a/x", ClientId::SYSTEM).unwrap();
         std::thread::scope(|s| {
             let m1 = &master;
             let m2 = &master;
@@ -311,8 +323,8 @@ fn rename_racing_recursive_delete_of_source() {
         let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
-        master.create_file("/a/x", rv(1), None).unwrap();
-        master.complete_file("/a/x").unwrap();
+        master.create_file_as("/a/x", rv(1), None, ClientId::SYSTEM).unwrap();
+        master.complete_file_as("/a/x", ClientId::SYSTEM).unwrap();
         std::thread::scope(|s| {
             let m1 = &master;
             let m2 = &master;
@@ -337,8 +349,8 @@ fn directory_rename_carries_children() {
     master.mkdir("/src/deep").unwrap();
     for i in 0..32 {
         let p = format!("/src/deep/f{i}");
-        master.create_file(&p, rv(1), None).unwrap();
-        master.complete_file(&p).unwrap();
+        master.create_file_as(&p, rv(1), None, ClientId::SYSTEM).unwrap();
+        master.complete_file_as(&p, ClientId::SYSTEM).unwrap();
     }
     master.rename("/src", "/dst").unwrap();
     assert!(master.status("/src").is_err());

@@ -4,6 +4,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> master crate size"
+# The master is split by concern (crates/master/src/master/): no file there
+# may pass 800 lines, tests included, so the split does not grow back into
+# one file. A file's non-test lines are those above its first
+# #[cfg(test)]; a `tests.rs` is compiled only under cfg(test) and counts
+# as test lines.
+non_test=0
+for f in $(find crates/master/src -name '*.rs' ! -name tests.rs | sort); do
+    non_test=$((non_test + $(awk '/^ *#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")))
+done
+echo "master crate: ${non_test} non-test lines"
+for f in crates/master/src/master/*.rs; do
+    if [ "$(wc -l <"$f")" -gt 800 ]; then
+        echo "master split: ${f} has $(wc -l <"$f") lines, over 800" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

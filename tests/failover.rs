@@ -2,7 +2,7 @@
 //! master mirroring, checkpoint + takeover, and block-report repopulation
 //! after a failover.
 
-use octopusfs::master::{BackupMaster, EditLog, Master};
+use octopusfs::master::{BackupMaster, ClientId, EditLog, Master};
 use octopusfs::{ClientLocation, Cluster, ClusterConfig, ReplicationVector};
 
 fn config() -> ClusterConfig {
@@ -32,7 +32,8 @@ fn backup_takeover_preserves_namespace_and_data() {
     let image = backup.create_checkpoint();
 
     // "Fail" the primary: build a new master from the backup's checkpoint.
-    let recovered = Master::restore(cluster.master().config().clone(), &image).unwrap();
+    let log = EditLog::from_bytes(image).unwrap();
+    let recovered = Master::with_log(cluster.master().config().clone(), log).unwrap();
     let st = recovered.status("/prod/db").unwrap();
     assert_eq!(st.len, data.len() as u64);
     assert_eq!(st.rv, ReplicationVector::msh(0, 1, 2));
@@ -42,7 +43,7 @@ fn backup_takeover_preserves_namespace_and_data() {
     for w in cluster.workers() {
         recovered.register_worker(w.id(), w.rack(), w.net_bps(), 0);
         let (stats, conns) = w.heartbeat_stats();
-        recovered.heartbeat(w.id(), stats, conns, 0).unwrap();
+        recovered.heartbeat(w.id(), stats, conns, 0, &[]).unwrap();
         recovered.block_report(w.id(), &w.block_report()).unwrap();
     }
     let blocks = recovered
@@ -67,8 +68,15 @@ fn file_backed_edit_log_survives_restart() {
     {
         let master = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();
         master.mkdir("/a/b").unwrap();
-        master.create_file("/a/b/f", ReplicationVector::from_replication_factor(2), None).unwrap();
-        master.complete_file("/a/b/f").unwrap();
+        master
+            .create_file_as(
+                "/a/b/f",
+                ReplicationVector::from_replication_factor(2),
+                None,
+                ClientId::SYSTEM,
+            )
+            .unwrap();
+        master.complete_file_as("/a/b/f", ClientId::SYSTEM).unwrap();
         master.rename("/a/b/f", "/a/g").unwrap();
     }
     // Restart: the log is replayed from disk.
@@ -98,8 +106,15 @@ fn a_file_log_boot_reports_finger_hits_and_scan_wait() {
         let master = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();
         master.mkdir("/d").unwrap();
         for name in ["/d/a", "/d/b", "/d/c"] {
-            master.create_file(name, ReplicationVector::from_replication_factor(1), None).unwrap();
-            master.complete_file(name).unwrap();
+            master
+                .create_file_as(
+                    name,
+                    ReplicationVector::from_replication_factor(1),
+                    None,
+                    ClientId::SYSTEM,
+                )
+                .unwrap();
+            master.complete_file_as(name, ClientId::SYSTEM).unwrap();
         }
     }
     let recovery = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();

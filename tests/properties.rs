@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use octopusfs::common::config::PolicyConfig;
 use octopusfs::common::{ClientLocation, Location, MediaId, TierId, WorkerId};
 use octopusfs::master::blockmap::replication_state;
+use octopusfs::master::ClientId;
 use octopusfs::policies::{ClusterSnapshot, GreedyPolicy, PlacementPolicy, PlacementRequest};
 use octopusfs::simnet::{EventKind, SimNet};
 use octopusfs::{ClusterConfig, ReplicationVector};
@@ -493,8 +494,8 @@ proptest! {
                         let mut alive = Vec::new();
                         for i in 0..24 {
                             let private = format!("/t{t}/f{i}");
-                            master.create_file(&private, rv, None).unwrap();
-                            master.complete_file(&private).unwrap();
+                            master.create_file_as(&private, rv, None, ClientId::SYSTEM).unwrap();
+                            master.complete_file_as(&private, ClientId::SYSTEM).unwrap();
                             if next() % 3 == 0 {
                                 master.delete(&private, false).unwrap();
                             } else {
@@ -503,7 +504,7 @@ proptest! {
                             let shared = format!("/shared/f{}", next() % 6);
                             match next() % 3 {
                                 0 => {
-                                    let _ = master.create_file(&shared, rv, None);
+                                    let _ = master.create_file_as(&shared, rv, None, ClientId::SYSTEM);
                                 }
                                 1 => {
                                     let _ = master.delete(&shared, false);
