@@ -36,11 +36,15 @@ impl BlockInfo {
     }
 
     /// Moves `loc` from pending to confirmed (or records it outright).
-    fn confirm(&mut self, loc: Location) {
+    /// Returns whether it was pending: the one moment its write
+    /// reservation is released.
+    fn confirm(&mut self, loc: Location) -> bool {
+        let before = self.pending.len();
         self.pending.retain(|l| l != &loc);
         if !self.locations.contains(&loc) {
             self.locations.push(loc);
         }
+        self.pending.len() != before
     }
 }
 
@@ -83,33 +87,40 @@ impl BlockMap {
 
     /// Marks a replica confirmed (moves it from pending, or records it
     /// outright), and remembers it as newer than its worker's last report.
-    pub fn confirm(&mut self, id: BlockId, loc: Location) -> Result<()> {
-        self.blocks
+    /// Returns whether the location was pending — whether this confirm,
+    /// and no other, releases its write reservation.
+    pub fn confirm(&mut self, id: BlockId, loc: Location) -> Result<bool> {
+        let was_pending = self
+            .blocks
             .get_mut(&id)
             .ok_or_else(|| FsError::Internal(format!("confirm of unknown block {id}")))?
             .confirm(loc);
         self.fresh.entry(loc.worker).or_default().insert((id, loc.media));
-        Ok(())
+        Ok(was_pending)
     }
 
     /// Applies a full block report from `worker`: confirms every reported
     /// replica of a known block, drops the locations on `worker` that were
     /// neither reported nor confirmed since its previous report (a lost
-    /// replica therefore goes at the latest one report after its commit),
-    /// and returns the reported blocks the map does not know — the worker
-    /// should delete those.
+    /// replica therefore goes at the latest one report after its commit).
+    /// Returns the reported blocks the map does not know — the worker
+    /// should delete those — and the `(medium, length)` of every reported
+    /// replica that was still pending, whose reservation the report
+    /// releases.
     pub fn apply_report(
         &mut self,
         worker: WorkerId,
         reported: &[(BlockId, Location)],
-    ) -> Vec<BlockId> {
+    ) -> (Vec<BlockId>, Vec<(MediaId, u64)>) {
         let fresh = self.fresh.remove(&worker).unwrap_or_default();
         let mut seen: HashSet<(BlockId, MediaId)> = HashSet::with_capacity(reported.len());
-        let mut unknown = Vec::new();
+        let (mut unknown, mut released) = (Vec::new(), Vec::new());
         for &(id, loc) in reported {
             match self.blocks.get_mut(&id) {
                 Some(info) => {
-                    info.confirm(loc);
+                    if info.confirm(loc) {
+                        released.push((loc.media, info.block.len));
+                    }
                     seen.insert((id, loc.media));
                 }
                 None => unknown.push(id),
@@ -121,7 +132,7 @@ impl BlockMap {
                 l.worker != worker || seen.contains(&key) || fresh.contains(&key)
             });
         }
-        unknown
+        (unknown, released)
     }
 
     /// Drops a pending replica that will never be written (pipeline
@@ -277,14 +288,14 @@ mod tests {
         let pipeline = vec![loc(0, 0, 0), loc(1, 5, 2), loc(2, 10, 2)];
         bm.insert(blk(1), INodeId(9), pipeline.clone());
         assert_eq!(bm.get(BlockId(1)).unwrap().pending.len(), 3);
-        bm.confirm(BlockId(1), pipeline[0]).unwrap();
-        bm.confirm(BlockId(1), pipeline[1]).unwrap();
+        assert!(bm.confirm(BlockId(1), pipeline[0]).unwrap());
+        assert!(bm.confirm(BlockId(1), pipeline[1]).unwrap());
         let info = bm.get(BlockId(1)).unwrap();
         assert_eq!(info.locations.len(), 2);
         assert_eq!(info.pending.len(), 1);
         assert_eq!(info.all_locations().len(), 3);
-        // Confirming again is idempotent.
-        bm.confirm(BlockId(1), pipeline[0]).unwrap();
+        // Confirming again is idempotent, and was not pending this time.
+        assert!(!bm.confirm(BlockId(1), pipeline[0]).unwrap());
         assert_eq!(bm.get(BlockId(1)).unwrap().locations.len(), 2);
         // Confirming an unknown block errors.
         assert!(bm.confirm(BlockId(2), pipeline[0]).is_err());
@@ -314,12 +325,12 @@ mod tests {
         bm.insert(blk(1), INodeId(1), vec![]);
         bm.insert(blk(2), INodeId(1), vec![]);
         bm.confirm(BlockId(1), old).unwrap();
-        assert!(bm.apply_report(WorkerId(0), &[(BlockId(1), old)]).is_empty());
+        assert_eq!(bm.apply_report(WorkerId(0), &[(BlockId(1), old)]), (vec![], vec![]));
         // Block 2 commits after the worker snapshotted its next report:
         // the stale report must not drop it, nor touch other workers.
         bm.confirm(BlockId(2), new).unwrap();
         bm.confirm(BlockId(2), loc(1, 5, 2)).unwrap();
-        let unknown = bm.apply_report(WorkerId(0), &[(BlockId(1), old), (BlockId(9), old)]);
+        let (unknown, _) = bm.apply_report(WorkerId(0), &[(BlockId(1), old), (BlockId(9), old)]);
         assert_eq!(unknown, vec![BlockId(9)]);
         assert_eq!(bm.get(BlockId(2)).unwrap().locations, vec![new, loc(1, 5, 2)]);
         // One report later the grace is over: unreported means lost.

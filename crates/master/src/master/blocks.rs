@@ -104,7 +104,13 @@ impl Master {
                     .collect()
             };
             let mut blocks = ctx.write(&self.blocks);
-            let invalidate = blocks.apply_report(worker, &located);
+            let (invalidate, released) = blocks.apply_report(worker, &located);
+            if !released.is_empty() {
+                let mut c = ctx.lock(&self.cluster);
+                for (media, len) in released {
+                    c.complete_write(media, len);
+                }
+            }
             // Safe mode exits once enough blocks have a confirmed replica.
             if self.safe_mode.load(Ordering::Acquire) {
                 let total = blocks.len();
@@ -293,12 +299,16 @@ impl Master {
         })
     }
 
-    /// Acknowledges that a pipeline stage stored its replica.
+    /// Acknowledges that a pipeline stage stored its replica. Idempotent:
+    /// the write reservation is released only by the commit (or report)
+    /// that takes the location out of pending, so a resent commit cannot
+    /// release another write's reservation on the same medium.
     pub fn commit_replica(&self, block: Block, loc: Location) -> Result<()> {
         let ctx = self.op(MetaOp::CommitReplica);
         ctx.finish_with(|| {
-            ctx.write(&self.blocks).confirm(block.id, loc)?;
-            ctx.lock(&self.cluster).complete_write(loc.media, block.len);
+            if ctx.write(&self.blocks).confirm(block.id, loc)? {
+                ctx.lock(&self.cluster).complete_write(loc.media, block.len);
+            }
             Ok(())
         })
     }

@@ -244,6 +244,33 @@ fn abort_replica_refuses_to_demote_a_committed_location() {
     assert_eq!(m.scheduled_bytes(locs[1].media), 0);
 }
 
+/// `CommitReplica` is resent after a lost reply: the second commit of a
+/// replica must not release the reservation of another write on its
+/// medium, and a block report that confirms a pending replica releases it
+/// exactly once, whichever of report and commit comes first.
+#[test]
+fn a_reservation_is_released_once_by_whichever_confirm_ends_its_pending() {
+    let m = boot_master(1);
+    let hdd = ReplicationVector::msh(0, 0, 1);
+    m.create_file_as("/f", hdd, None, SYS).unwrap();
+    let (a, at) = m.add_block_excluding("/f", 1 << 20, OFF, SYS, &[]).unwrap();
+    let (b, bt) = m.add_block_excluding("/f", 300 << 10, OFF, SYS, &[]).unwrap();
+    assert_eq!(at, bt, "both blocks reserve the one HDD medium");
+    let medium = at[0].media;
+    assert_eq!(m.scheduled_bytes(medium), a.len + b.len);
+    m.commit_replica(a, at[0]).unwrap();
+    m.commit_replica(a, at[0]).unwrap();
+    assert_eq!(m.scheduled_bytes(medium), b.len, "a resent commit released B's reservation");
+
+    // B's replica is reported before its commit arrives; C is in flight.
+    m.create_file_as("/g", hdd, None, SYS).unwrap();
+    let (c, _) = m.add_block_excluding("/g", 200 << 10, OFF, SYS, &[]).unwrap();
+    m.block_report(WorkerId(0), &[(a, medium), (b, medium)]).unwrap();
+    assert_eq!(m.scheduled_bytes(medium), c.len, "the report takes B out of pending");
+    m.commit_replica(b, bt[0]).unwrap();
+    assert_eq!(m.scheduled_bytes(medium), c.len, "report + commit release B once");
+}
+
 #[test]
 fn replication_scan_restores_lost_replicas() {
     let m = boot_master(6);
