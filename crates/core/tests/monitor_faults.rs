@@ -79,6 +79,36 @@ fn failed_delete_reinstates_replica_and_reconverges() {
     assert_eq!(client.read_file("/del").unwrap(), data);
 }
 
+/// `Replicate` is resent blindly when its reply is lost. The copy landed
+/// and committed the first time, so the resend must find the same bytes
+/// already stored and succeed: the round counts one good copy, and the
+/// target's reservation is released exactly once.
+#[test]
+fn a_resent_copy_whose_first_reply_was_lost_counts_as_done() {
+    let cluster = NetCluster::start(config(3)).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(MB as usize, 9);
+    client.write_file("/resend", &data, rf(2)).unwrap();
+    let holders: Vec<_> = client.get_file_block_locations("/resend", 0, u64::MAX).unwrap()[0]
+        .locations
+        .iter()
+        .map(|l| l.worker)
+        .collect();
+    let target = cluster.workers().iter().map(|w| w.id()).find(|w| !holders.contains(w)).unwrap();
+    client.set_replication("/resend", rf(3)).unwrap();
+
+    let addr = cluster.worker_addr(target).unwrap();
+    faults::inject(addr, FaultAction::DropConnection);
+    let outcome = cluster.run_replication_round().unwrap();
+    assert_eq!(faults::pending(addr), 0, "the copy's first reply was the one dropped");
+    assert_eq!((outcome.copies_ok, outcome.copies_failed), (1, 0), "{outcome:?}");
+
+    let located = client.get_file_block_locations("/resend", 0, u64::MAX).unwrap();
+    let copy = located[0].locations.iter().find(|l| l.worker == target).expect("copy committed");
+    assert_eq!(cluster.master().scheduled_bytes(copy.media), 0, "reservation left behind");
+    assert_eq!(client.read_file("/resend").unwrap(), data);
+}
+
 /// An unreachable worker is not "0 corrupt replicas": scrub reports it
 /// per worker, and the master's metrics count it.
 #[test]
