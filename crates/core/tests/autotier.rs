@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use octopus_common::{
-    BlockTouches, ClientLocation, ClusterConfig, DecisionKind, ReplicationVector, StorageTier,
-    TierId, MB,
+    BlockTouches, ClientLocation, ClusterConfig, DecisionKind, ReplicationVector, RpcConfig,
+    StorageTier, TierId, MB,
 };
 use octopus_core::net::monitor::MigrationRound;
 use octopus_core::net::{faults, FaultAction};
@@ -324,9 +324,12 @@ fn failed_migration_copy_is_aborted_and_retried() {
 
     // Whatever destination the monitor picks, its Replicate response is
     // dropped mid-flight (the ambiguous failure: maybe executed, reply
-    // lost).
+    // lost) on every attempt the RPC layer makes: a reply lost once is
+    // resent, and the resend of a copy that landed succeeds.
     for w in cluster.workers() {
-        faults::inject(cluster.worker_addr(w.id()).unwrap(), FaultAction::DropConnection);
+        for _ in 0..=RpcConfig::default().max_retries {
+            faults::inject(cluster.worker_addr(w.id()).unwrap(), FaultAction::DropConnection);
+        }
     }
     let classifier = EwmaThresholdClassifier::default();
     let round = cluster.run_migration_round(&classifier, &AutoTierConfig::default()).unwrap();
