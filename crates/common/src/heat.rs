@@ -8,8 +8,7 @@
 //!
 //! - [`HeatRecorder`] (one per worker): counts per-block read/write touches
 //!   in the current epoch under a single mutex (two map lookups per block
-//!   I/O — negligible against a block transfer), and keeps a bounded ring
-//!   of recently drained epochs for inspection. The heartbeat thread calls
+//!   I/O — negligible against a block transfer). The heartbeat thread calls
 //!   [`HeatRecorder::drain_epoch`] and piggybacks the counts on the
 //!   heartbeat RPC — heat shipping adds no extra round trips.
 //! - [`HeatTracker`] (one per master): folds shipped touches into per-file
@@ -23,15 +22,12 @@
 //! still-open epoch (`α·current + (1-α)·ewma`), so a file touched moments
 //! ago already ranks hot instead of waiting out the epoch boundary.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::ids::{BlockId, INodeId};
 use crate::wire::{Wire, WireReader};
 use crate::Result;
-
-/// Default worker-side ring depth of drained epochs.
-pub const DEFAULT_HEAT_EPOCHS: usize = 16;
 
 /// Default master-side epoch length.
 pub const DEFAULT_HEAT_EPOCH_MS: u64 = 2_000;
@@ -61,68 +57,40 @@ impl Wire for BlockTouches {
     }
 }
 
-struct RecorderInner {
-    current: HashMap<BlockId, (u32, u32)>,
-    ring: VecDeque<Vec<BlockTouches>>,
-}
-
-/// Worker-side per-block touch counter with a bounded epoch ring.
+/// Worker-side per-block touch counter for the open epoch.
+#[derive(Default)]
 pub struct HeatRecorder {
-    epochs: usize,
-    inner: Mutex<RecorderInner>,
-}
-
-impl Default for HeatRecorder {
-    fn default() -> Self {
-        Self::new(DEFAULT_HEAT_EPOCHS)
-    }
+    current: Mutex<HashMap<BlockId, (u32, u32)>>,
 }
 
 impl HeatRecorder {
-    /// A recorder keeping up to `epochs` drained epochs (≥1).
-    pub fn new(epochs: usize) -> Self {
-        HeatRecorder {
-            epochs: epochs.max(1),
-            inner: Mutex::new(RecorderInner { current: HashMap::new(), ring: VecDeque::new() }),
-        }
+    /// A recorder with an empty open epoch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Counts one read touch.
     pub fn touch_read(&self, block: BlockId) {
-        self.inner.lock().unwrap().current.entry(block).or_insert((0, 0)).0 += 1;
+        self.current.lock().unwrap().entry(block).or_insert((0, 0)).0 += 1;
     }
 
     /// Counts one write touch.
     pub fn touch_write(&self, block: BlockId) {
-        self.inner.lock().unwrap().current.entry(block).or_insert((0, 0)).1 += 1;
+        self.current.lock().unwrap().entry(block).or_insert((0, 0)).1 += 1;
     }
 
     /// Closes the current epoch: returns its touches (sorted by block id,
-    /// so the wire payload is deterministic), pushes them onto the ring
-    /// (evicting the oldest epoch past the cap), and starts a fresh epoch.
+    /// so the wire payload is deterministic) and starts a fresh epoch.
     pub fn drain_epoch(&self) -> Vec<BlockTouches> {
-        let mut g = self.inner.lock().unwrap();
-        let mut out: Vec<BlockTouches> = g
+        let mut out: Vec<BlockTouches> = self
             .current
+            .lock()
+            .unwrap()
             .drain()
             .map(|(block, (reads, writes))| BlockTouches { block, reads, writes })
             .collect();
         out.sort_unstable_by_key(|t| t.block);
-        g.ring.push_back(out.clone());
-        while g.ring.len() > self.epochs {
-            g.ring.pop_front();
-        }
         out
-    }
-
-    /// The ring of drained epochs, oldest first.
-    pub fn epochs(&self) -> Vec<Vec<BlockTouches>> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
-    }
-
-    /// Number of distinct blocks touched in the open epoch.
-    pub fn current_blocks(&self) -> usize {
-        self.inner.lock().unwrap().current.len()
     }
 }
 
@@ -308,12 +276,11 @@ mod tests {
 
     #[test]
     fn recorder_counts_and_drains_sorted() {
-        let r = HeatRecorder::new(4);
+        let r = HeatRecorder::new();
         r.touch_write(b(9));
         r.touch_read(b(3));
         r.touch_read(b(3));
         r.touch_read(b(9));
-        assert_eq!(r.current_blocks(), 2);
         let epoch = r.drain_epoch();
         assert_eq!(
             epoch,
@@ -322,22 +289,7 @@ mod tests {
                 BlockTouches { block: b(9), reads: 1, writes: 1 },
             ]
         );
-        assert_eq!(r.current_blocks(), 0);
         assert!(r.drain_epoch().is_empty(), "fresh epoch has no touches");
-    }
-
-    #[test]
-    fn recorder_ring_wraps_evicting_oldest() {
-        let r = HeatRecorder::new(3);
-        for i in 0..7u64 {
-            r.touch_read(b(i));
-            r.drain_epoch();
-        }
-        let epochs = r.epochs();
-        assert_eq!(epochs.len(), 3, "ring stays at its cap");
-        // Oldest-first: epochs 4, 5, 6 survive.
-        let survivors: Vec<u64> = epochs.iter().map(|e| e[0].block.0).collect();
-        assert_eq!(survivors, vec![4, 5, 6]);
     }
 
     #[test]

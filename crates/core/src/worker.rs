@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use octopus_common::metrics::{GaugeGuard, Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{
-    Block, BlockData, BlockId, BlockTouches, FsError, HeatRecorder, MediaId, MediaStats, RackId,
-    Result, TierId, WorkerId,
+    Block, BlockData, BlockId, BlockTouches, HeatRecorder, MediaId, MediaStats, RackId, Result,
+    TierId, WorkerId,
 };
 use octopus_storage::{BlockStore, ConnGuard, Media, MediaManager};
 
@@ -45,7 +45,7 @@ impl Worker {
             emulate_bps: AtomicBool::new(false),
             metrics: MetricsRegistry::new(),
             trace: TraceCollector::new(format!("worker-{}", worker.0)),
-            heat: HeatRecorder::new(octopus_common::heat::DEFAULT_HEAT_EPOCHS),
+            heat: HeatRecorder::new(),
         }
     }
 
@@ -196,13 +196,6 @@ impl Worker {
         out
     }
 
-    /// Reads a block from whichever local medium holds it.
-    pub fn read_block_any(&self, block: BlockId) -> Result<(MediaId, BlockData)> {
-        let m =
-            self.manager.find_block(block).ok_or_else(|| FsError::NotFound(block.to_string()))?;
-        Ok((m.id, self.read_block(m.id, block)?))
-    }
-
     /// Deletes a replica.
     pub fn delete_block(&self, media: MediaId, block: BlockId) -> Result<()> {
         self.manager.get(media)?.store.delete(block)
@@ -321,9 +314,6 @@ mod tests {
         w.write_block(MediaId(0), blk(1, 1024), &data).unwrap();
         assert!(w.contains(BlockId(1)));
         assert_eq!(w.read_block(MediaId(0), BlockId(1)).unwrap(), data);
-        let (m, d) = w.read_block_any(BlockId(1)).unwrap();
-        assert_eq!(m, MediaId(0));
-        assert_eq!(d, data);
         w.delete_block(MediaId(0), BlockId(1)).unwrap();
         assert!(!w.contains(BlockId(1)));
     }

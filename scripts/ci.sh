@@ -63,6 +63,23 @@ for run in $(seq 20); do
 done
 echo "traces and buffer pool: 20/20"
 
+echo "==> one data path: 10 runs under parallel load"
+# The write and read engines (every size at windows 1 and 4, FileWriter,
+# read_range), the replica walk and the store-and-commit step shared by
+# the client and the worker's Replicate (a resent copy, a copy paced at
+# its target), recovery around dead workers, and the exact allocation
+# counts, 10 times back to back, 8 test threads each.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q -p octopus-core --test parallel_io \
+        --test monitor_faults --test failover --test alloc_budget \
+        -- --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "one data path: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "one data path: 10/10"
+
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
 # generation into one u64, and quota charges multiply lengths. The
@@ -177,7 +194,7 @@ fi
 grep "^GATE" <<<"$agg_out"
 
 echo "==> heat telemetry smoke"
-# The example (worker touch rings → heartbeat piggyback → master EWMA,
+# The example (worker touch counts → heartbeat piggyback → master EWMA,
 # plus the audited placement of a block cross-checked against the block
 # map), then the quick hot/cold separation sweep. The GATE line asserts
 # the re-read file scores above its untouched sibling in ≥95% of epochs;
