@@ -56,7 +56,11 @@ fn exactly_one_block_file_roundtrip() {
 
 #[test]
 fn delayed_response_times_out_within_deadline() {
-    let cluster = NetCluster::start(config()).unwrap();
+    // The delay goes to the master's next response: no worker heartbeat
+    // may arrive in between and take it.
+    let mut config = config();
+    config.heartbeat_ms = 60_000;
+    let cluster = NetCluster::start(config).unwrap();
     let client = cluster.client(ClientLocation::OffCluster).with_rpc_config(RpcConfig {
         connect_timeout_ms: 250,
         read_timeout_ms: 250,

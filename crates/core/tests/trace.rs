@@ -267,8 +267,8 @@ fn untraced_requests_still_use_the_bare_wire_format() {
     client.mkdir("/plain").unwrap();
     assert!(client.status("/plain").unwrap().is_dir);
 
-    // The data path too: a single-block file (the serial path) and a
-    // multi-block one (the windowed path), written, read and deleted.
+    // The data path too: a single-block file (the caller's lane alone) and
+    // a multi-block one (spawned lanes too), written, read and deleted.
     let small = payload(16 * 1024, 13);
     let large = payload(2 * MB as usize + 99, 17);
     for (path, data) in [("/plain/small", &small), ("/plain/large", &large)] {
