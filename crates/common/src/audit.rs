@@ -262,17 +262,18 @@ impl AuditRing {
     }
 
     /// Records an event, stamping its `seq`, and returns that sequence
-    /// number. Evicts the oldest event when full.
+    /// number. Evicts the oldest event when full — before the push, so a
+    /// full ring never grows its deque past `capacity` slots.
     pub fn push(&self, mut event: DecisionEvent) -> u64 {
         let mut g = self.inner.lock();
         let seq = g.next_seq;
         g.next_seq += 1;
         event.seq = seq;
-        g.events.push_back(event);
-        while g.events.len() > self.capacity {
+        if g.events.len() == self.capacity {
             g.events.pop_front();
             g.dropped += 1;
         }
+        g.events.push_back(event);
         seq
     }
 
@@ -377,6 +378,21 @@ mod tests {
         assert_eq!(kept.iter().map(|e| e.block.0).collect::<Vec<_>>(), vec![7, 8, 9]);
         assert_eq!(kept.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![7, 8, 9]);
         assert_eq!(ring.recent(1)[0].block, BlockId(9));
+    }
+
+    #[test]
+    fn a_full_ring_keeps_its_deque_at_capacity() {
+        // Pushing before evicting grew the deque at the first event past
+        // capacity, to twice the slots it ever used.
+        for capacity in [100, DEFAULT_AUDIT_CAPACITY] {
+            let ring = AuditRing::new(capacity);
+            for i in 0..3 * capacity as u64 {
+                ring.push(DecisionEvent { block: BlockId(i), ..Default::default() });
+            }
+            assert_eq!((ring.len(), ring.dropped()), (capacity, 2 * capacity as u64));
+            let slots = ring.inner.lock().events.capacity();
+            assert!(slots < 2 * capacity, "{slots} slots for a ring of {capacity}");
+        }
     }
 
     #[test]
