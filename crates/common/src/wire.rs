@@ -3,8 +3,10 @@
 //! A deliberately small, hand-rolled, little-endian format (a DFS wants a
 //! stable wire format, not a generic serializer): primitives are
 //! fixed-width, strings and vectors are length-prefixed, and every
-//! compound type implements [`Wire`]. The RPC layer frames messages as
-//! `[u32 length][payload]`.
+//! compound type implements [`Wire`]. A message's one bulk field (a block
+//! payload) is always its last, so the RPC layer can send everything before
+//! it as a frame's head and the field's bytes as the frame's body, and
+//! [`WireReader::with_body`] decodes the two as the one message they spell.
 
 use crate::{
     Block, BlockData, BlockId, ClientLocation, DirEntry, FileStatus, FsError, GenStamp, INodeId,
@@ -20,23 +22,39 @@ pub struct WireReader<'a> {
     /// plus the offset of `buf` within it. Byte payloads then decode as
     /// zero-copy slices of the frame instead of fresh allocations.
     shared: Option<(&'a bytes::Bytes, usize)>,
+    /// A frame's body, read once `buf` is used up.
+    body: Option<&'a bytes::Bytes>,
 }
 
 impl<'a> WireReader<'a> {
     /// Wraps a payload.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0, shared: None }
+        Self { buf, pos: 0, shared: None, body: None }
     }
 
     /// Wraps a suffix of a shared frame buffer, starting at `offset`.
     /// [`bytes::Bytes`] values decoded through this reader are zero-copy
     /// views into `frame` (they share its allocation).
     pub fn new_shared(frame: &'a bytes::Bytes, offset: usize) -> Self {
-        Self { buf: &frame[offset..], pos: 0, shared: Some((frame, offset)) }
+        Self { buf: &frame[offset..], pos: 0, shared: Some((frame, offset)), body: None }
+    }
+
+    /// Continues with `body` once this reader's buffer is used up: the
+    /// message is the buffer followed by the body, and a field that starts
+    /// where the buffer ends is read from the body — a bulk field there
+    /// decodes as a view of the body itself. No field may straddle the two.
+    pub fn with_body(self, body: Option<&'a bytes::Bytes>) -> Self {
+        Self { body, ..self }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
+            if self.pos == self.buf.len() {
+                if let Some(body) = self.body.take() {
+                    *self = Self::new_shared(body, 0);
+                    return self.take(n);
+                }
+            }
             return Err(FsError::Io("truncated wire message".into()));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -47,19 +65,26 @@ impl<'a> WireReader<'a> {
     /// Takes `n` bytes as a [`bytes::Bytes`]: a zero-copy slice when the
     /// reader is backed by a shared frame, a copy otherwise.
     pub fn take_bytes(&mut self, n: usize) -> Result<bytes::Bytes> {
+        // Bounds check and advance first: they may move the reader on to
+        // the body, which the view is then cut from.
+        let taken = self.take(n)?;
         match self.shared {
             Some((frame, off)) => {
-                let start = off + self.pos;
-                self.take(n)?; // bounds check + advance
-                Ok(frame.slice(start..start + n))
+                let end = off + self.pos;
+                Ok(frame.slice(end - n..end))
             }
-            None => Ok(bytes::Bytes::copy_from_slice(self.take(n)?)),
+            None => Ok(bytes::Bytes::copy_from_slice(taken)),
         }
     }
 
     /// Whether every byte has been consumed.
     pub fn finished(&self) -> bool {
-        self.pos == self.buf.len()
+        self.left() == 0
+    }
+
+    /// Bytes not yet consumed, the body's included.
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos + self.body.map_or(0, |b| b.len())
     }
 
     /// Asserts full consumption (protocol hygiene).
@@ -67,10 +92,7 @@ impl<'a> WireReader<'a> {
         if self.finished() {
             Ok(())
         } else {
-            Err(FsError::Io(format!(
-                "{} trailing bytes in wire message",
-                self.buf.len() - self.pos
-            )))
+            Err(FsError::Io(format!("{} trailing bytes in wire message", self.left())))
         }
     }
 }
@@ -670,6 +692,41 @@ mod tests {
         assert_eq!(got, payload);
         // The decoded value aliases the frame's allocation (no copy).
         assert!(std::ptr::eq(got.as_ref().as_ptr(), frame[7..].as_ptr()));
+        r.expect_finished().unwrap();
+    }
+
+    #[test]
+    fn a_bulk_field_is_read_from_the_body_as_a_view_of_it() {
+        let block = bytes::Bytes::from(vec![5u8; 4096]);
+        let value = (7u64, BlockData::Real(block.clone()));
+        let flat = encode(&value);
+        // Everything up to the bulk bytes is the head; the bytes the body.
+        let head = bytes::Bytes::from(flat[..flat.len() - block.len()].to_vec());
+        let body = bytes::Bytes::from(block.to_vec());
+        let mut r = WireReader::new_shared(&head, 0).with_body(Some(&body));
+        let got = <(u64, BlockData)>::get(&mut r).unwrap();
+        r.expect_finished().unwrap();
+        assert_eq!(got, value);
+        let (_, BlockData::Real(got)) = got else { unreachable!() };
+        assert!(std::ptr::eq(got.as_ptr(), body.as_ptr()), "the field is the body, not a copy");
+
+        // A body nobody reads is trailing bytes; a field may not straddle
+        // the head's end; a body too short for its field is truncated.
+        let mut r = WireReader::new_shared(&head, 0).with_body(Some(&body));
+        u64::get(&mut r).unwrap();
+        assert!(r.expect_finished().is_err());
+        let cut = bytes::Bytes::from(flat[..flat.len() - block.len() - 2].to_vec());
+        let mut r = WireReader::new_shared(&cut, 0).with_body(Some(&body));
+        assert!(<(u64, BlockData)>::get(&mut r).is_err());
+        let short = body.slice(0..4095);
+        let mut r = WireReader::new_shared(&head, 0).with_body(Some(&short));
+        assert!(<(u64, BlockData)>::get(&mut r).is_err());
+        // An empty body is no body.
+        let empty = (1u64, BlockData::Real(bytes::Bytes::new()));
+        let head = bytes::Bytes::from(encode(&empty));
+        let none = bytes::Bytes::new();
+        let mut r = WireReader::new_shared(&head, 0).with_body(Some(&none));
+        assert_eq!(<(u64, BlockData)>::get(&mut r).unwrap(), empty);
         r.expect_finished().unwrap();
     }
 

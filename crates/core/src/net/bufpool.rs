@@ -1,6 +1,8 @@
-//! The process-wide pool of frame buffers: what a frame of 4 KiB or more
-//! is received into and what the client copies a chunk into, recycled
-//! across threads.
+//! The process-wide pool of data buffers: what a frame's head or body of
+//! 4 KiB or more is received into and what the client copies a chunk into,
+//! recycled across threads. A block travels as its frame's body, so the
+//! buffer a worker stores a replica in is one of these, of exactly the
+//! block's length.
 //!
 //! Such a buffer is taken by whichever thread receives the frame (one of
 //! dozens of connection readers) and released by whichever thread drops the
@@ -18,7 +20,7 @@
 //! the bytes parked in free lists never exceed the bytes currently lent
 //! out. A release that would break the rule frees the buffer instead, and
 //! as `lent` falls the free lists are trimmed to it. So a process holds at
-//! most twice its live frame buffers, and one that drops every block holds
+//! most twice its live data buffers, and one that drops every block holds
 //! none.
 //!
 //! No recycled byte is ever visible: [`BufPool::take`] hands out a
@@ -39,10 +41,9 @@ use bytes::Bytes;
 pub(crate) const SMALLEST: usize = 4 * 1024;
 
 /// The class granule from 64 KiB up. Classes are whole multiples of their
-/// granule, coarse enough that the frames of one block at the head, middle
-/// and tail of a pipeline — which differ by one encoded `Location` each —
-/// and the read response carrying it share a class. Below 64 KiB classes
-/// are 4 KiB apart, so a 16 KiB block's frames take 20 KiB each, not 64.
+/// granule, so a block of a whole number of granules — 1 MiB — or, below
+/// 64 KiB, of 4 KiB pieces — 16 KiB — is exactly its class, and the
+/// coarser granule keeps the free lists few where lengths are large.
 const GRANULE: usize = 64 * 1024;
 
 fn class_of(len: usize) -> usize {
@@ -82,7 +83,7 @@ impl State {
     }
 }
 
-/// A pool of frame buffers. The data path shares [`BufPool::global`];
+/// A pool of data buffers. The data path shares [`BufPool::global`];
 /// tests build their own.
 #[derive(Default)]
 pub(crate) struct BufPool {
@@ -127,8 +128,9 @@ impl BufPool {
         };
         // Fresh buffers come zeroed from the allocator (`calloc`: untouched
         // pages, no memset); a parked one keeps the length it was lent at
-        // last, within one granule of this one, so `resize` writes less
-        // than a granule and never reallocates.
+        // last, within one granule of this one (the same, for blocks of one
+        // size), so `resize` writes less than a granule and never
+        // reallocates.
         let mut buf = parked.unwrap_or_else(|| vec![0u8; class]);
         buf.resize(len, 0);
         PooledBuf { buf, pool: self }
@@ -303,8 +305,9 @@ mod tests {
     fn a_class_below_64_kib_is_recycled_under_the_same_rule() {
         const KIB: usize = 1024;
         let pool = pool();
-        // A 16 KiB block's frame, header and all, is the 20 KiB class — not
-        // the 64 KiB one.
+        // A length just past 16 KiB is the 20 KiB class — not the 64 KiB
+        // one — and 16 KiB itself is exactly its own.
+        assert_eq!(class_of(16 * KIB), 16 * KIB);
         let held = pool.take(16 * KIB + 61);
         assert_eq!(pool.counts(), (20 * KIB, 0));
 

@@ -403,7 +403,7 @@ impl RemoteFs {
         pipeline: Vec<Location>,
         data: &BlockData,
     ) -> Result<()> {
-        self.transfer_block(path, block, pipeline, data).inspect_err(|_| {
+        self.transfer_block(path, block, pipeline, || data.clone()).inspect_err(|_| {
             let _ = self.call(MasterRequest::AbandonBlock(path.into(), block, self.holder));
         })
     }
@@ -472,10 +472,10 @@ impl RemoteFs {
             // this lane runs the (long) transfer.
             sched.advance_turn();
             states[i].lock().unwrap().0 = Some(block);
-            // The one client-side copy, alive for this transfer and then
-            // back in the buffer pool.
-            let payload = BlockData::Real(bufpool::copy_from_slice(chunks[i]));
-            match self.transfer_block(path, block, pipeline, &payload) {
+            // The one client-side copy per attempt, back in the buffer pool
+            // once its request has left.
+            let copy = || BlockData::Real(bufpool::copy_from_slice(chunks[i]));
+            match self.transfer_block(path, block, pipeline, copy) {
                 Ok(()) => states[i].lock().unwrap().1 = true,
                 Err(e) => {
                     if let Some(s) = bspan.as_mut() {
@@ -509,13 +509,16 @@ impl RemoteFs {
     /// a transport error (or no stage stored the block), the block is
     /// re-placed *in its slot* (`ReassignBlock`; under a window it may no
     /// longer be the file's last) on a pipeline that excludes every worker
-    /// a previous attempt already failed on.
+    /// a previous attempt already failed on. Each attempt sends what
+    /// `data` makes, and holds nothing of it once it is sent: a
+    /// `WriteBlock` is never resent by the transport, so over TCP the
+    /// client's copy of a block lives only until its request has left.
     fn transfer_block(
         &self,
         path: &str,
         block: Block,
         mut pipeline: Vec<Location>,
-        data: &BlockData,
+        data: impl Fn() -> BlockData,
     ) -> Result<()> {
         let mut excluded: Vec<WorkerId> = Vec::new();
         let mut last_err = FsError::PlacementFailed(format!("no pipeline attempted for {path}"));
@@ -537,7 +540,7 @@ impl RemoteFs {
             };
             let outcome = self.net.call_worker(
                 first.worker,
-                WorkerRequest::WriteBlock(block, first.media, rest.to_vec(), data.clone()),
+                WorkerRequest::WriteBlock(block, first.media, rest.to_vec(), data()),
             );
             match outcome {
                 Ok(WorkerResponse::Stored(locs)) if !locs.is_empty() => return Ok(()),

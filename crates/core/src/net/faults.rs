@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use octopus_common::Result;
 
-use super::frame::{write_mux_frame, MUX_ID_LEN};
+use super::frame::write_mux_frame;
 use super::proto::FramePayload;
 
 /// One injected fault, applied to the next response of the target server.
@@ -31,7 +31,8 @@ pub enum FaultAction {
     /// Write a frame header claiming the full length, send only half the
     /// payload, then close (a peer dying mid-write).
     TruncateFrame,
-    /// Flip one byte in the middle of the response payload (in-flight
+    /// Flip one byte in the middle of the response's body — its block —
+    /// or, for a response without one, of its payload (in-flight
     /// corruption the checksum must catch).
     CorruptPayload,
 }
@@ -73,22 +74,22 @@ fn take(server: SocketAddr) -> Option<FaultAction> {
 /// the server at `server`, applying at most one pending fault. Returns
 /// `Ok(true)` when the connection is still usable, `Ok(false)` when the
 /// fault consumed it (the caller should drop the connection without
-/// writing anything else). The fault-free path writes the payload's
-/// segments without concatenating them; only the mangling faults flatten.
+/// writing anything else). Only the mangling faults copy the payload.
 pub fn write_response(
     server: SocketAddr,
     stream: &mut TcpStream,
     id: u64,
     payload: &FramePayload,
 ) -> Result<bool> {
+    let (head, body) = (&payload.head[..], payload.body.as_deref());
     match take(server) {
         None => {
-            write_mux_frame(stream, id, &payload.segs())?;
+            write_mux_frame(stream, id, &[head], body)?;
             Ok(true)
         }
         Some(FaultAction::Delay(d)) => {
             std::thread::sleep(d);
-            write_mux_frame(stream, id, &payload.segs())?;
+            write_mux_frame(stream, id, &[head], body)?;
             Ok(true)
         }
         Some(FaultAction::DropConnection) => {
@@ -97,21 +98,26 @@ pub fn write_response(
         }
         Some(FaultAction::TruncateFrame) => {
             use std::io::Write;
-            let flat = payload.concat();
-            let _ = stream.write_all(&((flat.len() + MUX_ID_LEN) as u32).to_le_bytes());
-            let _ = stream.write_all(&id.to_le_bytes());
-            let _ = stream.write_all(&flat[..flat.len() / 2]);
+            // The frame as it would have left: its header, then half of
+            // what follows.
+            let mut whole = Vec::new();
+            write_mux_frame(&mut whole, id, &[head], body)?;
+            let rest = head.len() + body.map_or(0, <[u8]>::len);
+            let _ = stream.write_all(&whole[..whole.len() - rest + rest / 2]);
             let _ = stream.flush();
             let _ = stream.shutdown(Shutdown::Both);
             Ok(false)
         }
         Some(FaultAction::CorruptPayload) => {
-            let mut bad = payload.concat();
-            if !bad.is_empty() {
-                let mid = bad.len() / 2;
-                bad[mid] ^= 0xFF;
+            // The middle byte of the body if there is one (the block), else
+            // of the head; the frame keeps its shape.
+            let (mut head, mut body) = (head.to_vec(), body.map(<[u8]>::to_vec));
+            let bad = body.as_mut().filter(|b| !b.is_empty()).unwrap_or(&mut head);
+            let mid = bad.len() / 2;
+            if let Some(byte) = bad.get_mut(mid) {
+                *byte ^= 0xFF;
             }
-            write_mux_frame(stream, id, &[&bad])?;
+            write_mux_frame(stream, id, &[&head], body.as_deref())?;
             Ok(true)
         }
     }

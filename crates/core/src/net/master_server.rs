@@ -7,12 +7,12 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use octopus_common::trace::{self, TraceContext};
-use octopus_common::wire::{Wire, WireReader};
+use octopus_common::trace::TraceContext;
 use octopus_common::{Result, ServerConfig, WorkerId};
 use octopus_master::{ClientId, Master};
 
-use super::proto::{encode_master_result_frame, MasterRequest, MasterResponse};
+use super::frame::Frame;
+use super::proto::{decode_request, encode_master_result_frame, MasterRequest, MasterResponse};
 use super::server::{Handler, ServerCore};
 use super::transport::resolve;
 use super::worker_server::AddressMap;
@@ -62,15 +62,9 @@ impl MasterServer {
     ) -> Result<Self> {
         let state = Arc::new(MasterState::new(master));
         let handler_state = Arc::clone(&state);
-        let handler: Handler = Arc::new(move |frame: bytes::Bytes| {
-            let result = (|| {
-                let (ctx, body) = trace::unwrap_envelope(&frame)?;
-                let offset = frame.len() - body.len();
-                let mut r = WireReader::new_shared(&frame, offset);
-                let req = MasterRequest::get(&mut r)?;
-                r.expect_finished()?;
-                dispatch_traced(&handler_state, req, ctx)
-            })();
+        let handler: Handler = Arc::new(move |frame: Frame| {
+            let result = decode_request(&frame)
+                .and_then(|(ctx, req)| dispatch_traced(&handler_state, req, ctx));
             encode_master_result_frame(&result)
         });
         // Master requests never issue nested worker/master RPCs: all

@@ -9,12 +9,14 @@
 //!   master, deliver a request to worker *W* — with its TCP and local
 //!   implementations;
 //! - [`proto`]: request/response message types over the
-//!   [`octopus_common::wire`] codec, plus the gather/scatter
-//!   [`proto::FramePayload`] that lets block bytes ride as shared slices;
+//!   [`octopus_common::wire`] codec, each encoded as a
+//!   [`frame::FramePayload`] whose body, if any, is its bulk field;
 //! - [`frame`]: length-prefixed message framing over a TCP stream — the
-//!   multiplexed `[len][request id][payload]` form every RPC uses — with
-//!   block-sized payloads received into the process-wide buffer pool
-//!   (`bufpool`: one free list per size class, `pooled ≤ lent`);
+//!   multiplexed `[len][request id][payload]` form every RPC uses, or
+//!   `[len][request id][body len][head][body]` for a message with a bulk
+//!   field — with a body received into a buffer of exactly its length
+//!   from the process-wide buffer pool (`bufpool`: one free list per size
+//!   class, `pooled ≤ lent`);
 //! - [`server`]: [`server::ServerCore`], the shared multiplexed server
 //!   runtime — a blocking bounded accept thread and per-connection demux
 //!   readers (which also enforce the in-flight cap and the idle horizon)

@@ -1,7 +1,10 @@
 //! RPC message types. Every message implements [`Wire`]; responses are
-//! framed as `[status u8][body]` where status 0 carries the response and
-//! status 1 carries a [`FsError`] with its variant preserved.
+//! encoded as `[status u8][response]` where status 0 carries the response
+//! and status 1 carries a [`FsError`] with its variant preserved. A
+//! message with a bulk field (`WriteBlock`, `Data`, `Edits`, `External`)
+//! encodes it last, and travels with it as its frame's body.
 
+use octopus_common::trace::{self, TraceContext};
 use octopus_common::wire::{Wire, WireReader};
 use octopus_common::{
     Block, BlockData, BlockId, BlockTouches, ClientLocation, ClusterStatusReport, DecisionEvent,
@@ -9,6 +12,8 @@ use octopus_common::{
     MetricsSnapshot, RackId, ReplicationVector, Result, StorageTierReport, TraceSnapshot, WorkerId,
 };
 use octopus_master::TierQuota;
+
+use super::frame::Frame;
 
 /// A request to the master.
 #[derive(Debug, Clone, PartialEq)]
@@ -445,12 +450,15 @@ impl Wire for WorkerResponse {
         use WorkerResponse::*;
         match self {
             Stored(l) => tagged!(buf, 0, l),
-            Data(d, sum) => tagged!(buf, 1, d, sum),
             Unit => tagged!(buf, 2),
             Scrubbed(n) => tagged!(buf, 3, n),
             Metrics(s) => tagged!(buf, 4, s),
             Trace(s) => tagged!(buf, 5, s),
-            // Tag 6 is retired (DESIGN.md §7): never reuse it.
+            // The checksum goes ahead of the block, so the block is last
+            // and travels as the frame's body.
+            Data(d, sum) => tagged!(buf, 7, sum, d),
+            // Tags 1 (`Data` with the checksum after the block) and 6 are
+            // retired (DESIGN.md §7): never reuse them.
         }
     }
 
@@ -458,11 +466,14 @@ impl Wire for WorkerResponse {
         use WorkerResponse::*;
         Ok(match u8::get(r)? {
             0 => Stored(Wire::get(r)?),
-            1 => Data(Wire::get(r)?, Wire::get(r)?),
             2 => Unit,
             3 => Scrubbed(Wire::get(r)?),
             4 => Metrics(Wire::get(r)?),
             5 => Trace(Wire::get(r)?),
+            7 => {
+                let sum = u32::get(r)?;
+                Data(Wire::get(r)?, sum)
+            }
             t => return Err(FsError::Io(format!("bad worker response tag {t}"))),
         })
     }
@@ -484,120 +495,94 @@ pub fn encode_result<R: Wire>(res: &Result<R>) -> Vec<u8> {
     buf
 }
 
-/// An RPC payload as scatter/gather segments: a small encoded `head`, an
-/// optional large `body` (a block payload, shared, never copied), and a
-/// small `tail` (fields the wire format places after the payload, like
-/// the `Data` response checksum). The framing layer writes the segments
-/// directly to the socket, so a block travels from the caller's buffer to
-/// the kernel with no intermediate copy.
+/// An RPC payload to send: the encoded `head` and, for a message whose
+/// last field is bulk bytes, those bytes as the `body`. Laid end to end
+/// the two are the message's plain encoding. The body is shared, never
+/// copied: it goes to the socket from the caller's buffer.
 #[derive(Debug, Clone)]
 pub struct FramePayload {
-    /// Encoded fields up to (and including) the body's length prefix.
+    /// Encoded fields up to the body (its length prefix included).
     pub head: Vec<u8>,
-    /// The block payload, if the message carries one.
+    /// The bulk field's bytes, if the message travels with a body.
     pub body: Option<bytes::Bytes>,
-    /// Encoded fields after the body.
-    pub tail: Vec<u8>,
 }
 
 impl FramePayload {
-    /// A payload with no large body (the common small-message case).
+    /// A payload with no body (every message without a bulk field).
     pub fn small(head: Vec<u8>) -> Self {
-        Self { head, body: None, tail: Vec::new() }
+        Self { head, body: None }
     }
 
-    /// Total encoded length.
-    pub fn len(&self) -> usize {
-        self.head.len() + self.body.as_ref().map_or(0, |b| b.len()) + self.tail.len()
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The non-empty segments, in wire order.
-    pub fn segs(&self) -> Vec<&[u8]> {
-        let mut v: Vec<&[u8]> = Vec::with_capacity(3);
-        if !self.head.is_empty() {
-            v.push(&self.head);
-        }
-        if let Some(b) = &self.body {
-            v.push(b);
-        }
-        if !self.tail.is_empty() {
-            v.push(&self.tail);
-        }
-        v
-    }
-
-    /// Flattens into one contiguous buffer. Only the fault-injection
-    /// paths use this (they must mangle the full encoded payload); the
-    /// normal path writes the segments without concatenating.
+    /// Flattens into one contiguous buffer: the message's plain encoding.
+    /// The data path never does this.
     pub fn concat(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        for s in self.segs() {
-            out.extend_from_slice(s);
-        }
-        out
+        [&self.head[..], self.body.as_deref().unwrap_or_default()].concat()
     }
 }
 
+/// A payload whose last field is the bulk `body`: `head` holds every field
+/// before it, and gets the body's `u32` length prefix here — end to end,
+/// the message's `Wire` encoding.
+fn with_body(mut head: Vec<u8>, body: &bytes::Bytes) -> FramePayload {
+    (body.len() as u32).put(&mut head);
+    FramePayload { head, body: Some(body.clone()) }
+}
+
 /// Encodes a worker request as a [`FramePayload`]. A `WriteBlock` carrying
-/// real bytes keeps the block as a shared `body` segment; everything else
-/// encodes into the head.
+/// real bytes sends the block as the body; everything else has no body.
 pub fn encode_worker_frame(req: &WorkerRequest) -> FramePayload {
     if let WorkerRequest::WriteBlock(b, m, rest, BlockData::Real(bytes)) = req {
-        // Mirrors the `Wire` layout of `WriteBlock`: tag, block, media,
-        // rest, then `BlockData::Real` = `[0u8][u32 len][bytes]` — with
-        // the bytes as a shared segment instead of a copy.
+        // `WriteBlock`'s fields, then `BlockData::Real`'s tag.
         let mut head = Vec::with_capacity(64);
+        tagged!(&mut head, 0, b, m, rest);
         head.push(0);
-        b.put(&mut head);
-        m.put(&mut head);
-        rest.put(&mut head);
-        head.push(0);
-        (bytes.len() as u32).put(&mut head);
-        FramePayload { head, body: Some(bytes.clone()), tail: Vec::new() }
+        with_body(head, bytes)
     } else {
         FramePayload::small(octopus_common::wire::encode(req))
     }
 }
 
 /// Encodes a worker result as a [`FramePayload`]. A `Data` response with
-/// real bytes keeps the block as a shared `body` segment; the trailing
-/// checksum becomes the tail.
+/// real bytes sends the block as the body.
 pub fn encode_worker_result_frame(res: &Result<WorkerResponse>) -> FramePayload {
     if let Ok(WorkerResponse::Data(BlockData::Real(bytes), sum)) = res {
-        // `[status 0][tag 1][BlockData tag 0][u32 len]` + bytes + `[u32 sum]`.
-        let mut head = vec![0u8, 1, 0];
-        (bytes.len() as u32).put(&mut head);
-        let mut tail = Vec::with_capacity(4);
-        sum.put(&mut tail);
-        FramePayload { head, body: Some(bytes.clone()), tail }
+        // Status 0, `Data`'s tag and checksum, then `BlockData::Real`'s tag.
+        let mut head = vec![0u8, 7];
+        sum.put(&mut head);
+        head.push(0);
+        with_body(head, bytes)
     } else {
         FramePayload::small(encode_result(res))
     }
 }
 
-/// Encodes a master result as a [`FramePayload`]. An `Edits` response
-/// keeps the edit-log byte stream as a shared `body` segment.
+/// Encodes a master result as a [`FramePayload`]. An `Edits` range or an
+/// external file's content is sent as the body.
 pub fn encode_master_result_frame(res: &Result<MasterResponse>) -> FramePayload {
-    if let Ok(MasterResponse::Edits(bytes)) = res {
-        // `[status 0][tag 10][u32 len]` + bytes.
-        let mut head = vec![0u8, 10];
-        (bytes.len() as u32).put(&mut head);
-        FramePayload { head, body: Some(bytes.clone()), tail: Vec::new() }
-    } else {
-        FramePayload::small(encode_result(res))
+    match res {
+        // Status 0, then the response's tag.
+        Ok(MasterResponse::Edits(bytes)) => with_body(vec![0, 10], bytes),
+        Ok(MasterResponse::External(bytes)) => with_body(vec![0, 18], bytes),
+        _ => FramePayload::small(encode_result(res)),
     }
 }
 
-/// Decodes a status-tagged response frame into `Result<R>` *sharing* the
-/// frame's allocation: any `bytes::Bytes` field (block payloads) becomes a
-/// view into `frame` instead of a copy.
-pub fn decode_result_bytes<R: Wire>(frame: &bytes::Bytes) -> Result<R> {
-    let mut r = WireReader::new_shared(frame, 0);
+/// Decodes a request frame into its trace context, if it came behind an
+/// envelope, and the request. A bulk field decodes as a view of the
+/// frame's body, not a copy.
+pub fn decode_request<R: Wire>(frame: &Frame) -> Result<(Option<TraceContext>, R)> {
+    let (ctx, bare) = trace::unwrap_envelope(&frame.head)?;
+    let mut r = WireReader::new_shared(&frame.head, frame.head.len() - bare.len())
+        .with_body(frame.body.as_ref());
+    let req = R::get(&mut r)?;
+    r.expect_finished()?;
+    Ok((ctx, req))
+}
+
+/// Decodes a status-tagged response frame into `Result<R>`. A bulk field
+/// decodes as a view of the frame's body, not a copy.
+pub fn decode_result<R: Wire>(frame: &Frame) -> Result<R> {
+    let mut r = WireReader::new_shared(&frame.head, 0).with_body(frame.body.as_ref());
     match u8::get(&mut r)? {
         0 => {
             let v = R::get(&mut r)?;
@@ -613,15 +598,16 @@ pub fn decode_result_bytes<R: Wire>(frame: &bytes::Bytes) -> Result<R> {
     }
 }
 
-/// Pipeline depth of an encoded worker request (`body` starts at the
-/// request tag, after any trace envelope): how many further nested worker
-/// RPC levels serving it can require. `WriteBlock` forwarding through N
-/// more stages is depth N; `Replicate` issues one nested `ReadBlock`
-/// (depth 1); everything else resolves locally (depth 0). The dispatch
-/// pool admits a depth only while every level it raises keeps threads
-/// free for the shallower ones, which keeps nested forwards deadlock-free.
-pub fn classify_worker_request(body: &[u8]) -> usize {
-    let mut r = WireReader::new(body);
+/// Pipeline depth of an encoded worker request (`head` is its frame's
+/// head from the request tag on, after any trace envelope): how many
+/// further nested worker RPC levels serving it can require. `WriteBlock`
+/// forwarding through N more stages is depth N; `Replicate` issues one
+/// nested `ReadBlock` (depth 1); everything else resolves locally (depth
+/// 0). The dispatch pool admits a depth only while every level it raises
+/// keeps threads free for the shallower ones, which keeps nested forwards
+/// deadlock-free.
+pub fn classify_worker_request(head: &[u8]) -> usize {
+    let mut r = WireReader::new(head);
     match u8::get(&mut r) {
         Ok(0) => {
             if Block::get(&mut r).is_err() || MediaId::get(&mut r).is_err() {
@@ -638,24 +624,6 @@ pub fn classify_worker_request(body: &[u8]) -> usize {
     }
 }
 
-/// Decodes a status-tagged payload back into `Result<R>`.
-pub fn decode_result<R: Wire>(buf: &[u8]) -> Result<R> {
-    let mut r = WireReader::new(buf);
-    match u8::get(&mut r)? {
-        0 => {
-            let v = R::get(&mut r)?;
-            r.expect_finished()?;
-            Ok(v)
-        }
-        1 => {
-            let e = FsError::get(&mut r)?;
-            r.expect_finished()?;
-            Err(e)
-        }
-        t => Err(FsError::Io(format!("bad result status {t}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,6 +632,11 @@ mod tests {
 
     fn rt<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         assert_eq!(decode::<T>(&encode(&v)).unwrap(), v);
+    }
+
+    /// `payload` as its receiver gets it.
+    fn received(payload: &FramePayload) -> Frame {
+        Frame { head: payload.head.clone().into(), body: payload.body.clone() }
     }
 
     #[test]
@@ -879,9 +852,15 @@ mod tests {
             Ok(WorkerResponse::Data(BlockData::Real(bytes::Bytes::from_static(b"data")), 0xfeed));
         assert_eq!(encode_worker_result_frame(&res).concat(), encode_result(&res));
 
-        let mres: Result<MasterResponse> =
-            Ok(MasterResponse::Edits(bytes::Bytes::from_static(b"oplog")));
-        assert_eq!(encode_master_result_frame(&mres).concat(), encode_result(&mres));
+        for mres in [
+            MasterResponse::Edits(bytes::Bytes::from_static(b"oplog")),
+            MasterResponse::External(bytes::Bytes::from_static(b"blob")),
+        ] {
+            let mres = Ok(mres);
+            let frame = encode_master_result_frame(&mres);
+            assert!(frame.body.is_some());
+            assert_eq!(frame.concat(), encode_result(&mres));
+        }
 
         // Small messages take the head-only path.
         let small = encode_worker_frame(&WorkerRequest::Scrub);
@@ -890,17 +869,24 @@ mod tests {
     }
 
     #[test]
-    fn decode_result_bytes_shares_the_frame() {
+    fn a_block_is_the_last_field_and_decodes_as_a_view_of_the_body() {
         let data = bytes::Bytes::from(vec![42u8; 4096]);
         let res: Result<WorkerResponse> = Ok(WorkerResponse::Data(BlockData::Real(data), 7));
-        let frame = bytes::Bytes::from(encode_result(&res));
-        let decoded: WorkerResponse = decode_result_bytes(&frame).unwrap();
-        let WorkerResponse::Data(BlockData::Real(out), 7) = decoded else {
+        let sent = encode_worker_result_frame(&res);
+        // `[status][tag][u32 checksum][BlockData tag][u32 len]`, then the block.
+        assert_eq!(&sent.head[..], &[0, 7, 7, 0, 0, 0, 0, 0, 16, 0, 0][..]);
+        let frame = received(&sent);
+        let body = frame.body.clone().unwrap();
+        let WorkerResponse::Data(BlockData::Real(out), 7) = decode_result(&frame).unwrap() else {
             panic!("wrong decode");
         };
-        assert_eq!(out, vec![42u8; 4096]);
-        // The decoded payload aliases the frame allocation (no copy).
-        assert!(std::ptr::eq(out.as_ref().as_ptr(), frame[7..].as_ptr()));
+        assert!(std::ptr::eq(out.as_ptr(), body.as_ptr()), "the block is the body, not a copy");
+        // The same bytes in one flat buffer decode the same.
+        assert_eq!(decode_result(&received(&FramePayload::small(sent.concat()))), res);
+        // The tag of `Data` with its checksum after the block is retired.
+        let mut old = encode_result(&res);
+        old[1] = 1;
+        assert!(decode_result::<WorkerResponse>(&received(&FramePayload::small(old))).is_err());
     }
 
     #[test]
@@ -935,11 +921,11 @@ mod tests {
     #[test]
     fn results_round_trip_with_error_variants() {
         let ok: Result<MasterResponse> = Ok(MasterResponse::Unit);
-        let enc = encode_result(&ok);
+        let enc = received(&encode_master_result_frame(&ok));
         assert_eq!(decode_result::<MasterResponse>(&enc).unwrap(), MasterResponse::Unit);
 
         let err: Result<MasterResponse> = Err(FsError::LeaseConflict("held".into()));
-        let enc = encode_result(&err);
+        let enc = received(&encode_master_result_frame(&err));
         assert!(matches!(
             decode_result::<MasterResponse>(&enc),
             Err(FsError::LeaseConflict(m)) if m == "held"

@@ -36,9 +36,9 @@
 //! Application-level errors ([`FsError::is_retryable`] = false) never
 //! retry: they are deterministic for a given cluster state.
 //!
-//! Block payloads are written as shared [`bytes::Bytes`] segments and
-//! decoded as views into the received frame (see
-//! [`super::proto::FramePayload`]); the client never copies a block
+//! A block travels as its frame's body: written from the caller's shared
+//! [`bytes::Bytes`], received into a buffer of its own and decoded as a
+//! view of it (see [`FramePayload`]); the client never copies a block
 //! between the caller and the socket.
 
 use std::collections::HashMap;
@@ -52,10 +52,10 @@ use octopus_common::trace::{self, TraceCollector};
 use octopus_common::wire::encode;
 use octopus_common::{FsError, Result, RpcConfig};
 
-use super::frame::{read_mux_frame, write_mux_frame};
+use super::frame::{read_mux_frame, write_mux_frame, Frame};
 use super::proto::{
-    decode_result_bytes, encode_worker_frame, FramePayload, MasterRequest, MasterResponse,
-    WorkerRequest, WorkerResponse,
+    decode_result, encode_worker_frame, FramePayload, MasterRequest, MasterResponse, WorkerRequest,
+    WorkerResponse,
 };
 
 /// Which phase of the round trip failed — determines retry eligibility.
@@ -68,7 +68,7 @@ enum Stage {
 /// Where a waiting call stands.
 enum SlotState {
     Waiting,
-    Done(bytes::Bytes),
+    Done(Frame),
     Failed(FsError),
 }
 
@@ -207,32 +207,46 @@ impl RpcClient {
     /// One typed round trip to the master.
     pub fn call_master(&self, addr: SocketAddr, req: &MasterRequest) -> Result<MasterResponse> {
         let payload = FramePayload::small(encode(req));
-        let frame = self.call_labeled(addr, &payload, req.is_idempotent(), req.name())?;
-        decode_result_bytes::<MasterResponse>(&frame)
+        let frame = self.call_labeled(addr, payload, req.is_idempotent(), req.name())?;
+        decode_result::<MasterResponse>(&frame)
     }
 
-    /// One typed round trip to a worker data server. `WriteBlock` payloads
-    /// travel as shared byte segments (never copied into the frame).
+    /// One typed round trip to a worker data server. A `WriteBlock`'s
+    /// block travels as the frame's body (never copied into the frame).
     pub fn call_worker(&self, addr: SocketAddr, req: &WorkerRequest) -> Result<WorkerResponse> {
-        let payload = encode_worker_frame(req);
-        let frame = self.call_labeled(addr, &payload, req.is_idempotent(), req.name())?;
-        decode_result_bytes::<WorkerResponse>(&frame)
+        self.call_worker_owned(addr, req.clone())
+    }
+
+    /// [`RpcClient::call_worker`], handed the request rather than lent it:
+    /// once a request that is never sent twice has left, nothing here
+    /// holds its block any more.
+    pub(crate) fn call_worker_owned(
+        &self,
+        addr: SocketAddr,
+        req: WorkerRequest,
+    ) -> Result<WorkerResponse> {
+        let (idempotent, name) = (req.is_idempotent(), req.name());
+        let payload = encode_worker_frame(&req);
+        drop(req);
+        let frame = self.call_labeled(addr, payload, idempotent, name)?;
+        decode_result::<WorkerResponse>(&frame)
     }
 
     /// Sends one request payload and returns the raw response payload,
     /// applying multiplexing, deadlines, and the retry policy.
     pub fn call_raw(&self, addr: SocketAddr, payload: &[u8], idempotent: bool) -> Result<Vec<u8>> {
         let payload = FramePayload::small(payload.to_vec());
-        Ok(self.call_labeled(addr, &payload, idempotent, "raw")?.to_vec())
+        let frame = self.call_labeled(addr, payload, idempotent, "raw")?;
+        Ok([&frame.head[..], frame.body.as_deref().unwrap_or_default()].concat())
     }
 
     fn call_labeled(
         &self,
         addr: SocketAddr,
-        payload: &FramePayload,
+        payload: FramePayload,
         idempotent: bool,
         request_type: &'static str,
-    ) -> Result<bytes::Bytes> {
+    ) -> Result<Frame> {
         let labels = Labels::req(request_type);
         self.metrics.inc("rpc_client_requests_total", labels);
         let start = Instant::now();
@@ -250,11 +264,11 @@ impl RpcClient {
     fn attempt_loop(
         &self,
         addr: SocketAddr,
-        payload: &FramePayload,
+        mut payload: FramePayload,
         idempotent: bool,
         labels: Labels,
         request_type: &'static str,
-    ) -> Result<bytes::Bytes> {
+    ) -> Result<Frame> {
         let peer = self.peer(addr);
         let _permit = self.acquire(&peer)?;
         let mut last_err = FsError::Unreachable(format!("{addr}: no attempt made"));
@@ -295,7 +309,7 @@ impl RpcClient {
                         break;
                     }
                 };
-                match self.round_trip(&conn, payload, envelope.as_deref()) {
+                match self.round_trip(&conn, &mut payload, envelope.as_deref(), idempotent) {
                     Ok(frame) => return Ok(frame),
                     Err((Stage::Send, e)) => {
                         let free = !fresh && conn.seasoned.load(Ordering::Acquire);
@@ -325,30 +339,32 @@ impl RpcClient {
     }
 
     /// One request/response exchange over an established connection: frame
-    /// the segments under the writer lock, then wait on the call slot for
-    /// the absolute deadline.
+    /// the envelope (if any) and the payload under the writer lock, then
+    /// wait on the call slot for the absolute deadline. A request that is
+    /// not `idempotent` is never sent again once it has left, so its body
+    /// is let go then, not when the response comes.
     fn round_trip(
         &self,
         conn: &MuxConn,
-        payload: &FramePayload,
+        payload: &mut FramePayload,
         envelope: Option<&[u8]>,
-    ) -> std::result::Result<bytes::Bytes, (Stage, FsError)> {
+        idempotent: bool,
+    ) -> std::result::Result<Frame, (Stage, FsError)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(CallSlot::new());
         conn.slots.lock().unwrap().insert(id, Arc::clone(&slot));
 
         let sent = {
             let mut w = conn.writer.lock().unwrap();
-            let mut segs: Vec<&[u8]> = Vec::with_capacity(4);
-            if let Some(env) = envelope {
-                segs.push(env);
-            }
-            segs.extend(payload.segs());
-            write_mux_frame(&mut *w, id, &segs)
+            let head = [envelope.unwrap_or_default(), &payload.head[..]];
+            write_mux_frame(&mut *w, id, &head, payload.body.as_deref())
         };
         if let Err(e) = sent {
             conn.slots.lock().unwrap().remove(&id);
             return Err((Stage::Send, e));
+        }
+        if !idempotent {
+            payload.body = None;
         }
 
         // Absolute deadline: the full wall-clock budget for the response,
@@ -571,7 +587,7 @@ mod tests {
     /// under its own request id.
     fn mux_echo(mut s: TcpStream) {
         while let Ok(Some((id, frame))) = read_mux_frame(&mut s) {
-            if write_mux_frame(&mut s, id, &[&frame]).is_err() {
+            if write_mux_frame(&mut s, id, &[&frame.head[..]], frame.body.as_deref()).is_err() {
                 break;
             }
         }
@@ -692,7 +708,7 @@ mod tests {
             // Connection 1: one frame, then close.
             let (mut s, _) = listener.accept().unwrap();
             let (id, frame) = read_mux_frame(&mut s).unwrap().unwrap();
-            write_mux_frame(&mut s, id, &[&frame]).unwrap();
+            write_mux_frame(&mut s, id, &[&frame.head[..]], None).unwrap();
             drop(s);
             // Connection 2: serve until the client is done.
             let (s, _) = listener.accept().unwrap();

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use octopus_common::{log_warn, FsError, Result, ServerConfig};
 
 use super::faults;
-use super::frame::read_mux_frame;
+use super::frame::{read_mux_frame, Frame};
 use super::proto::FramePayload;
 
 /// Threads the dispatch pool grows to (`T` in the admission rule). One more
@@ -61,11 +61,11 @@ const MAX_CONNECTIONS: usize = 1024;
 /// stalls (TCP backpressure).
 const MAX_INFLIGHT_PER_CONN: u32 = 32;
 
-/// Maps one received request payload (possibly trace-enveloped) to its
-/// response payload. Runs on a dispatch-pool thread.
-pub type Handler = Arc<dyn Fn(bytes::Bytes) -> FramePayload + Send + Sync>;
+/// Maps one received request payload (its head possibly trace-enveloped)
+/// to its response payload. Runs on a dispatch-pool thread.
+pub type Handler = Arc<dyn Fn(Frame) -> FramePayload + Send + Sync>;
 
-/// Returns the pipeline depth of an encoded request body (the bytes after
+/// Returns the pipeline depth of an encoded request head (the bytes after
 /// any trace envelope): the number of further nested worker RPC levels
 /// serving it can require.
 pub type Classifier = Arc<dyn Fn(&[u8]) -> usize + Send + Sync>;
@@ -111,7 +111,7 @@ struct Job {
     conn_id: u64,
     conn: Arc<Conn>,
     request_id: u64,
-    frame: bytes::Bytes,
+    frame: Frame,
     depth: usize,
 }
 
@@ -458,13 +458,14 @@ fn conn_reader(stream: TcpStream, conn_id: u64, conn: Arc<Conn>, shared: Arc<Sha
             w.inflight += 1;
         }
         // The trace envelope (if any) is 19 bytes; classification looks at
-        // the request body behind it.
-        let body_at = if frame.first() == Some(&octopus_common::trace::ENVELOPE_MAGIC) {
-            19.min(frame.len())
+        // the request head behind it.
+        let head = &frame.head;
+        let bare_at = if head.first() == Some(&octopus_common::trace::ENVELOPE_MAGIC) {
+            19.min(head.len())
         } else {
             0
         };
-        let depth = (shared.classify)(&frame[body_at..]);
+        let depth = (shared.classify)(&head[bare_at..]);
         if depth >= DISPATCH_THREADS {
             // Deeper than any pipeline the master places: no thread count
             // could ever admit it, so the frame is hostile or corrupt.
@@ -567,10 +568,10 @@ mod tests {
     /// byte is the pipeline depth the classifier reports, the second how
     /// long the handler holds its thread. It echoes the request.
     fn depth_echo_server() -> ServerCore {
-        let classify: Classifier = Arc::new(|body| body[0] as usize);
-        let handler: Handler = Arc::new(|frame: bytes::Bytes| {
-            std::thread::sleep(Duration::from_micros(100 * frame[1] as u64));
-            FramePayload::small(frame.to_vec())
+        let classify: Classifier = Arc::new(|head| head[0] as usize);
+        let handler: Handler = Arc::new(|frame: Frame| {
+            std::thread::sleep(Duration::from_micros(100 * frame.head[1] as u64));
+            FramePayload::small(frame.head.to_vec())
         });
         ServerCore::spawn("127.0.0.1:0", "test", ServerConfig::default(), classify, handler)
             .unwrap()
@@ -600,9 +601,9 @@ mod tests {
         const N: u64 = 300;
         let before = core.wakeups();
         for id in 0..N {
-            write_mux_frame(&mut conn, id, &[&[0, 0]]).unwrap();
+            write_mux_frame(&mut conn, id, &[&[0, 0]], None).unwrap();
             let (rid, echo) = read_mux_frame(&mut conn).unwrap().unwrap();
-            assert_eq!((rid, &echo[..]), (id, &[0u8, 0][..]));
+            assert_eq!((rid, &echo.head[..]), (id, &[0u8, 0][..]));
         }
         await_idle(&core);
         let woken = core.wakeups() - before;
@@ -658,7 +659,7 @@ mod tests {
                             let burst = (1 + next() % 8).min(JOBS - sent);
                             for id in sent..sent + burst {
                                 let (depth, hold) = ((next() % 4) as u8, (next() % 4) as u8);
-                                write_mux_frame(&mut conn, id, &[&[depth, hold]]).unwrap();
+                                write_mux_frame(&mut conn, id, &[&[depth, hold]], None).unwrap();
                             }
                             for _ in 0..burst {
                                 read_mux_frame(&mut conn).unwrap().expect("a response per job");

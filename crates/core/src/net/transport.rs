@@ -109,7 +109,8 @@ impl Transport for TcpTransport {
 
     fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
         let addr = self.workers.read().get(&to).copied();
-        self.rpc.call_worker(addr.ok_or_else(|| FsError::UnknownWorker(to.to_string()))?, &req)
+        let addr = addr.ok_or_else(|| FsError::UnknownWorker(to.to_string()))?;
+        self.rpc.call_worker_owned(addr, req)
     }
 
     fn workers(&self) -> Vec<WorkerId> {

@@ -1,8 +1,10 @@
 //! The worker's data server: stores and serves block replicas over TCP,
 //! forwarding pipelined writes to the next stage (§3.1) and committing its
 //! own replica to the master. Runs on the multiplexed
-//! [`super::server::ServerCore`]; block payloads enter and leave as shared
-//! [`bytes::Bytes`] views into the received frames (no copy per hop).
+//! [`super::server::ServerCore`]; a block enters as the body of the frame
+//! it arrived in, and that buffer — exactly the block's length — is what
+//! the store keeps and what leaves again as the next hop's or a reader's
+//! body (no copy per hop).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -13,15 +15,15 @@ use parking_lot::RwLock;
 use octopus_common::log_warn;
 use octopus_common::metrics::Labels;
 use octopus_common::trace::{self, TraceContext};
-use octopus_common::wire::{Wire, WireReader};
 use octopus_common::{
     Block, BlockData, BlockId, FsError, Location, MediaId, Result, ServerConfig, WorkerId,
 };
 
 use super::client::read_replica;
+use super::frame::Frame;
 use super::proto::{
-    classify_worker_request, encode_worker_result_frame, MasterRequest, MasterResponse,
-    WorkerRequest, WorkerResponse,
+    classify_worker_request, decode_request, encode_worker_result_frame, MasterRequest,
+    MasterResponse, WorkerRequest, WorkerResponse,
 };
 use super::server::{Handler, ServerCore};
 use super::transport::{TcpTransport, Transport};
@@ -111,15 +113,9 @@ impl WorkerServer {
     ) -> Result<Self> {
         let name = format!("octopus-{}", worker.id());
         let net = TcpTransport::new(master, peers, Arc::clone(super::rpc::shared()));
-        let handler: Handler = Arc::new(move |frame: bytes::Bytes| {
-            let result = (|| {
-                let (ctx, body) = trace::unwrap_envelope(&frame)?;
-                let offset = frame.len() - body.len();
-                let mut r = WireReader::new_shared(&frame, offset);
-                let req = WorkerRequest::get(&mut r)?;
-                r.expect_finished()?;
-                dispatch_traced(&worker, &net, req, ctx)
-            })();
+        let handler: Handler = Arc::new(move |frame: Frame| {
+            let result = decode_request(&frame)
+                .and_then(|(ctx, req)| dispatch_traced(&worker, &net, req, ctx));
             encode_worker_result_frame(&result)
         });
         let core = ServerCore::spawn(

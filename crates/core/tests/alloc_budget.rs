@@ -6,18 +6,19 @@
 //! Per user byte at rf=3 the data path *uses*:
 //!
 //! - write: the client's copy of each chunk (1×) and one receive buffer per
-//!   pipeline stage (3×) — the frame a stage received *is* the block it
+//!   pipeline stage (3×) — the body a stage received *is* the block it
 //!   stores and forwards;
 //! - read: the client's receive buffer (1×) and the output (1×) — the
 //!   server sends its stored `Bytes`, the client copies each block out of
-//!   its frame straight into the output.
+//!   the body it arrived in straight into the output.
 //!
 //! Every one of those but the output is a buffer of the process-wide pool
 //! (`net/bufpool.rs`), so it is *allocated* only while the pool has no
 //! released buffer of its size class to hand back: the first write and the
-//! first read pay the budget above (plus the pool's class rounding, at most
-//! 64 KiB per frame), and from then on a read allocates its output and a
-//! rewrite of deleted bytes allocates nothing.
+//! first read pay the budget above, exactly — a block travels as its
+//! frame's body, in a buffer of its own length, and the frame's header and
+//! head never share it — and from then on a read allocates its output and
+//! a rewrite of deleted bytes allocates nothing.
 //!
 //! A counting `#[global_allocator]` is process-wide, which is why this is a
 //! test binary of its own; the tests in it serialize on [`MEASURING`].
@@ -26,20 +27,22 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use octopus_common::wire::{Wire, WireReader};
 use octopus_common::{
     Block, BlockData, BlockId, ClientLocation, ClusterConfig, GenStamp, ReplicationVector, MB,
 };
-use octopus_core::net::proto::{encode_worker_frame, WorkerRequest};
+use octopus_core::net::frame::{read_mux_frame, write_mux_frame};
+use octopus_core::net::proto::{decode_request, encode_worker_frame, WorkerRequest};
 use octopus_core::{build_single_worker, NetCluster, StorageMode};
 
 const LARGE: usize = 256 * 1024;
-/// The smallest frame the buffer pool serves: a 16 KiB file's frames are
+/// The smallest buffer the buffer pool serves: a 16 KiB file's blocks are
 /// above it, and a metadata request or reply is below it.
 const SMALL: usize = 4 * 1024;
 
 static LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
 static SMALL_BYTES: AtomicU64 = AtomicU64::new(0);
+/// How many allocations [`SMALL_BYTES`] counted.
+static SMALL_COUNT: AtomicU64 = AtomicU64::new(0);
 static MEASURING: Mutex<()> = Mutex::new(());
 
 struct Count;
@@ -47,6 +50,7 @@ struct Count;
 fn count(size: usize) {
     if size >= SMALL {
         SMALL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+        SMALL_COUNT.fetch_add(1, Ordering::Relaxed);
     }
     if size >= LARGE {
         LARGE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
@@ -116,10 +120,6 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     let rf3 = ReplicationVector::from_replication_factor(3);
 
     const F: u64 = 8 * MB;
-    /// A block frame is its 1 MiB payload plus a few dozen header bytes,
-    /// which the pool rounds up to the next 64 KiB class: per `F` of
-    /// frames, one granule per block.
-    const ROUNDING: u64 = (F / MB) * 64 * 1024;
     let data = payload(F as usize, 21);
     // Connections, thread stacks and pools come up on a first transfer.
     client.write_file("/warm", &data[..2 * MB as usize], rf3).unwrap();
@@ -128,10 +128,9 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     let (written, write_bytes) = large_bytes_during(|| client.write_file("/f", &data, rf3));
     written.unwrap();
     assert!(
-        write_bytes <= 4 * F + 3 * ROUNDING,
+        write_bytes <= 4 * F,
         "write_file of {F} B at rf=3 made {write_bytes} B of large allocations \
-         (budget 4 × F: the client's copy + one receive buffer per replica, the latter \
-         rounded up to their pool class)"
+         (budget 4 × F: the client's copy + one receive buffer per replica)"
     );
     // The three stored replicas are new bytes no earlier buffer can back
     // (the warm-up left four to recycle).
@@ -140,7 +139,7 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     let (read, read_bytes) = large_bytes_during(|| client.read_file("/f"));
     assert_eq!(read.unwrap(), data);
     assert!(
-        read_bytes <= 2 * F + ROUNDING,
+        read_bytes <= 2 * F,
         "read_file of {F} B made {read_bytes} B of large allocations \
          (budget 2 × F: the receive buffers + the output)"
     );
@@ -235,9 +234,9 @@ fn a_small_file_rewrite_allocates_nothing_and_a_read_only_its_output() {
     // write, read, delete and rewrite. `/keep` stays stored throughout: its
     // live replicas are what lets `/f`'s released buffers be parked
     // (`pooled ≤ lent`). Once `/f` is deleted the pool holds its three
-    // 20 KiB frames (16 KiB + header), the client's 16 KiB copy, a 20 KiB
-    // read response and `/keep`'s own 48 KiB copy — 144 KiB, against the
-    // 3 × 52 KiB of `/keep`'s frames lent.
+    // 16 KiB replicas (each the body it arrived as), the client's 16 KiB
+    // copy, a 16 KiB read response and `/keep`'s own 48 KiB copy — 128 KiB,
+    // against the 3 × 48 KiB of `/keep`'s replicas lent.
     client.write_file("/keep", &payload(3 * S, 34), rf3).unwrap();
     client.write_file("/f", &data, rf3).unwrap();
     assert_eq!(client.read_file("/f").unwrap(), data);
@@ -260,44 +259,58 @@ fn a_small_file_rewrite_allocates_nothing_and_a_read_only_its_output() {
     assert_eq!(read_bytes, S as u64, "a read allocates its output and nothing else");
 }
 
-/// The frame a server's reader thread received is the buffer the store
-/// holds: decoding shares it, `put` keeps the shared view, `read` returns it.
+/// The body a server's reader thread received is the buffer the store
+/// holds, and that buffer is exactly the block: decoding takes the block as
+/// a view of the body, `put` keeps it, `read` returns it. A 16 KiB block
+/// and a 1 MiB one each arrive in one allocation of their own length — no
+/// frame header or request head rounds them up to a larger pool class.
 #[test]
-fn a_stored_block_aliases_the_frame_it_arrived_in() {
+fn a_stored_block_is_the_body_it_arrived_in() {
     let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let config = ClusterConfig::test_cluster(1, 64 * MB, MB);
     let worker =
         build_single_worker(&config, octopus_common::WorkerId(0), &StorageMode::InMemory).unwrap();
     let media = worker.media()[0].id;
-    let block = Block { id: BlockId(1), gen: GenStamp(1), len: MB };
-    let request = WorkerRequest::WriteBlock(
-        block,
-        media,
-        Vec::new(),
-        BlockData::generate_real(MB as usize, 3),
-    );
+    for (id, len) in [(1, 16 * 1024), (2, MB as usize)] {
+        let block = Block { id: BlockId(id), gen: GenStamp(1), len: len as u64 };
+        let request =
+            WorkerRequest::WriteBlock(block, media, Vec::new(), BlockData::generate_real(len, id));
+        // The bytes a client sends…
+        let payload = encode_worker_frame(&request);
+        let mut wire = Vec::new();
+        write_mux_frame(&mut wire, 7, &[&payload.head[..]], payload.body.as_deref()).unwrap();
 
-    // What `conn_reader` does with the bytes off the socket…
-    let received: Vec<u8> = encode_worker_frame(&request).concat();
-    let (base, frame_len) = (received.as_ptr() as usize, received.len());
-    let (frame, conversion_bytes) = large_bytes_during(|| bytes::Bytes::from(received));
-    assert_eq!(conversion_bytes, 0, "Bytes::from(Vec) must not allocate a payload-sized buffer");
-    // …and the handler with the frame.
-    let mut reader = WireReader::new_shared(&frame, 0);
-    let WorkerRequest::WriteBlock(block, media, _, data) = WorkerRequest::get(&mut reader).unwrap()
-    else {
-        panic!("decoded another request");
-    };
-    let (stored, store_bytes) = large_bytes_during(|| worker.write_block(media, block, &data));
-    stored.unwrap();
-    assert_eq!(store_bytes, 0, "storing a block must not copy it");
+        // …as a connection reader receives them: one allocation of 4 KiB or
+        // more, exactly the block's length (the head is a few dozen bytes).
+        let before = SMALL_COUNT.load(Ordering::Relaxed);
+        let (received, frame_bytes) =
+            bytes_during(&SMALL_BYTES, || read_mux_frame(&mut std::io::Cursor::new(&wire)));
+        let allocations = SMALL_COUNT.load(Ordering::Relaxed) - before;
+        let (_, frame) = received.unwrap().unwrap();
+        assert_eq!(
+            (allocations, frame_bytes),
+            (1, len as u64),
+            "receiving a {len} B block must allocate one {len} B buffer"
+        );
+        let body = frame.body.clone().expect("the block travels as the frame's body");
 
-    let (BlockData::Real(held), _) = worker.read_block_unverified(media, block.id).unwrap() else {
-        panic!("stored a synthetic block");
-    };
-    let at = held.as_ptr() as usize;
-    assert!(
-        at >= base && at + held.len() <= base + frame_len,
-        "the stored payload lies inside the received frame's buffer"
-    );
+        // …and the handler with the frame.
+        let (_, WorkerRequest::WriteBlock(block, media, _, data)) = decode_request(&frame).unwrap()
+        else {
+            panic!("decoded another request");
+        };
+        let (stored, store_bytes) =
+            bytes_during(&SMALL_BYTES, || worker.write_block(media, block, &data));
+        stored.unwrap();
+        assert_eq!(store_bytes, 0, "storing a block must not copy it");
+
+        let (BlockData::Real(held), _) = worker.read_block_unverified(media, block.id).unwrap()
+        else {
+            panic!("stored a synthetic block");
+        };
+        assert!(
+            std::ptr::eq(held.as_ptr(), body.as_ptr()) && held.len() == body.len(),
+            "the stored payload is the received body, whole"
+        );
+    }
 }

@@ -49,11 +49,11 @@ fn interleaved_responses_reach_their_own_callers() {
     let server = std::thread::spawn(move || {
         let mut s = listener.accept().unwrap().0;
         let (id_w, warm) = read_mux_frame(&mut s).unwrap().unwrap();
-        write_mux_frame(&mut s, id_w, &[&warm]).unwrap();
+        write_mux_frame(&mut s, id_w, &[&warm.head[..]], None).unwrap();
         let (id_a, frame_a) = read_mux_frame(&mut s).unwrap().unwrap();
         let (id_b, frame_b) = read_mux_frame(&mut s).unwrap().unwrap();
-        write_mux_frame(&mut s, id_b, &[&frame_b]).unwrap();
-        write_mux_frame(&mut s, id_a, &[&frame_a]).unwrap();
+        write_mux_frame(&mut s, id_b, &[&frame_b.head[..]], None).unwrap();
+        write_mux_frame(&mut s, id_a, &[&frame_a.head[..]], None).unwrap();
     });
 
     let client = Arc::new(RpcClient::new(RpcConfig { conns_per_peer: 1, ..client_cfg() }));
@@ -96,7 +96,7 @@ fn inflight_cap_blocks_the_next_caller_instead_of_erroring() {
                     if n < 2 {
                         std::thread::sleep(Duration::from_millis(400));
                     }
-                    if write_mux_frame(&mut s, id, &[&frame]).is_err() {
+                    if write_mux_frame(&mut s, id, &[&frame.head[..]], None).is_err() {
                         break;
                     }
                     if n >= 2 {
@@ -161,7 +161,7 @@ fn idle_reaper_severs_silent_connections_but_not_active_ones() {
     // byte per 100 ms: bytes keep arriving inside every socket timeout,
     // but the frame outlives the horizon.
     for id in 0..8u64 {
-        write_mux_frame(&mut active, id, &[b"ping"]).unwrap();
+        write_mux_frame(&mut active, id, &[b"ping"], None).unwrap();
         let (rid, _) = read_mux_frame(&mut active).unwrap().expect("active conn must stay served");
         assert_eq!(rid, id);
         if id % 2 == 0 {
@@ -183,7 +183,7 @@ fn idle_reaper_severs_silent_connections_but_not_active_ones() {
     }
 
     // The active connection still works after the reaping.
-    write_mux_frame(&mut active, 99, &[b"still-here"]).unwrap();
+    write_mux_frame(&mut active, 99, &[b"still-here"], None).unwrap();
     assert!(read_mux_frame(&mut active).unwrap().is_some());
     server.shutdown();
 }

@@ -80,6 +80,24 @@ for run in $(seq 10); do
 done
 echo "one data path: 10/10"
 
+echo "==> frames with bodies: 10 runs under parallel load"
+# Every RPC goes through the one frame reader: a block travels as its
+# frame's body. The frame and message unit tests (every body length, bare
+# and enveloped; hostile and cut-short bodies), the transport suite, the
+# TCP/in-process parity suite and the fault-driven failover suite, 10
+# times back to back, 8 test threads each.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q -p octopus-core --test multiplex \
+        --test transport_parity --test failover -- --test-threads 8 2>&1) ||
+        ! out=$(cargo test --release -q -p octopus-core --lib \
+            -- net::frame net::proto --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "frames with bodies: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "frames with bodies: 10/10"
+
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
 # generation into one u64, and quota charges multiply lengths. The

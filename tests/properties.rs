@@ -314,7 +314,7 @@ proptest! {
                 let Ok(mut s) = conn else { break };
                 std::thread::spawn(move || {
                     while let Ok(Some((id, frame))) = read_mux_frame(&mut s) {
-                        let payload = FramePayload::small(frame.to_vec());
+                        let payload = FramePayload::small(frame.head.to_vec());
                         match faults::write_response(addr, &mut s, id, &payload) {
                             Ok(true) => {}
                             _ => break,
