@@ -144,12 +144,8 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
                 master.reassign_block_as(&path, block, client, ClientId(holder), &excluded)?;
             A::Allocated(block, pipeline)
         }
-        Q::CommitReplica(block, loc) => {
-            master.commit_replica(block, loc)?;
-            A::Unit
-        }
-        Q::AbortReplica(block, loc) => {
-            master.abort_replica(block, loc);
+        Q::CommitReplica(block, stored, unreached) => {
+            master.commit_replicas(block, &stored, &unreached)?;
             A::Unit
         }
         Q::CompleteFile(path, holder) => {

@@ -4,8 +4,10 @@
 //!
 //! Failure handling (the silent-swallowing bugs this module used to have):
 //!
-//! - A failed `Copy` aborts the pending replica at the master, so the next
-//!   scan re-schedules it (unchanged behaviour).
+//! - A copy is settled here, in-process: a `Copy` whose `Replicate`
+//!   succeeded is committed at the master, and one that failed (or whose
+//!   commit failed) drops its pending replica, so the next scan
+//!   re-schedules it.
 //! - A failed `Delete` **reinstates** the replica in the master's block
 //!   map ([`octopus_master::Master::reinstate_replica`]): the scan removed
 //!   the location before the RPC ran, so dropping the error would leave
@@ -44,7 +46,7 @@ pub struct ReplicationOutcome {
     pub attempted: usize,
     /// Copies that reached the target worker and committed.
     pub copies_ok: usize,
-    /// Copies that failed (aborted at the master; rescheduled next scan).
+    /// Copies that failed (dropped at the master; rescheduled next scan).
     pub copies_failed: usize,
     /// Deletes acknowledged by the hosting worker.
     pub deletes_ok: usize,
@@ -119,12 +121,9 @@ fn run_one_task(
                 s.annotate("target", target.worker);
                 s.annotate("tier", target.tier);
             }
-            let ok = net
-                .call_worker(
-                    target.worker,
-                    WorkerRequest::Replicate(*block, sources.clone(), target.media),
-                )
-                .is_ok();
+            let copy = WorkerRequest::Replicate(*block, sources.clone(), target.media);
+            let ok = net.call_worker(target.worker, copy).is_ok()
+                && master.commit_replica(*block, *target).is_ok();
             if !ok {
                 log_warn!(
                     target: "net::monitor",
@@ -132,7 +131,7 @@ fn run_one_task(
                     block.id,
                     target.worker
                 );
-                master.abort_replica(*block, *target);
+                let _ = master.commit_replicas(*block, &[], &[*target]);
             }
             ok
         }

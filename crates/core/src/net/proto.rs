@@ -1,7 +1,7 @@
 //! RPC message types. Every message implements [`Wire`]; responses are
 //! encoded as `[status u8][response]` where status 0 carries the response
 //! and status 1 carries a [`FsError`] with its variant preserved. A
-//! message with a bulk field (`WriteBlock`, `Data`, `Edits`, `External`)
+//! message with a bulk field (a pipeline hop, `Data`, `Edits`, `External`)
 //! encodes it last, and travels with it as its frame's body.
 
 use octopus_common::trace::{self, TraceContext};
@@ -27,10 +27,9 @@ pub enum MasterRequest {
     /// client's failed pipeline attempts already hit, so the replacement
     /// placement avoids them (§3.1 recovery).
     AddBlock(String, u64, ClientLocation, u64, Vec<WorkerId>),
-    /// A pipeline stage stored its replica.
-    CommitReplica(Block, Location),
-    /// A pipeline stage failed.
-    AbortReplica(Block, Location),
+    /// Settles a written block, sent once by its pipeline head; `(block,
+    /// stages that stored it in pipeline order, stages it never reached)`.
+    CommitReplica(Block, Vec<Location>, Vec<Location>),
     /// Close a file; `(path, holder)`.
     CompleteFile(String, u64),
     /// Reopen for append; `(path, holder)`.
@@ -122,7 +121,6 @@ impl MasterRequest {
             CreateFile(..) => "CreateFile",
             AddBlock(..) => "AddBlock",
             CommitReplica(..) => "CommitReplica",
-            AbortReplica(..) => "AbortReplica",
             CompleteFile(..) => "CompleteFile",
             AppendFile(..) => "AppendFile",
             GetBlockLocations(..) => "GetBlockLocations",
@@ -208,8 +206,6 @@ impl Wire for MasterRequest {
             Mkdir(p) => tagged!(buf, 0, p),
             CreateFile(p, rv, bs, h) => tagged!(buf, 1, p, rv, bs, h),
             AddBlock(p, len, c, h, x) => tagged!(buf, 2, p, len, c, h, x),
-            CommitReplica(b, l) => tagged!(buf, 3, b, l),
-            AbortReplica(b, l) => tagged!(buf, 4, b, l),
             CompleteFile(p, h) => tagged!(buf, 5, p, h),
             AppendFile(p, h) => tagged!(buf, 6, p, h),
             GetBlockLocations(p, s, l, c) => tagged!(buf, 7, p, s, l, c),
@@ -232,11 +228,12 @@ impl Wire for MasterRequest {
             Heat(p) => tagged!(buf, 24, p),
             ExplainPlacement(b) => tagged!(buf, 25, b),
             ClusterStatus => tagged!(buf, 26),
-            // Tags 27 and 28 are retired (DESIGN.md §7): never reuse them.
+            // Tags 3, 4, 27 and 28 are retired (DESIGN.md §7): never reuse them.
             Migrations(n) => tagged!(buf, 29, n),
             ReadExternal(p) => tagged!(buf, 30, p),
             SetQuota(p, q) => tagged!(buf, 31, p, q),
             QuotaUsage(p) => tagged!(buf, 32, p),
+            CommitReplica(b, s, u) => tagged!(buf, 33, b, s, u),
         }
     }
 
@@ -248,8 +245,6 @@ impl Wire for MasterRequest {
             2 => {
                 AddBlock(Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?)
             }
-            3 => CommitReplica(Wire::get(r)?, Wire::get(r)?),
-            4 => AbortReplica(Wire::get(r)?, Wire::get(r)?),
             5 => CompleteFile(Wire::get(r)?, Wire::get(r)?),
             6 => AppendFile(Wire::get(r)?, Wire::get(r)?),
             7 => GetBlockLocations(Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?),
@@ -290,6 +285,7 @@ impl Wire for MasterRequest {
             30 => ReadExternal(Wire::get(r)?),
             31 => SetQuota(Wire::get(r)?, Wire::get(r)?),
             32 => QuotaUsage(Wire::get(r)?),
+            33 => CommitReplica(Wire::get(r)?, Wire::get(r)?, Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master request tag {t}"))),
         })
     }
@@ -350,17 +346,21 @@ impl Wire for MasterResponse {
 /// A request to a worker's data server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerRequest {
-    /// Store a block on `media` and forward down the remaining pipeline;
-    /// `(block, media, rest of pipeline, payload)`. The worker commits its
-    /// replica to the master itself and the ack aggregates every stored
-    /// location.
+    /// A client's write to a pipeline head: store a block on `media` and
+    /// forward down the remaining pipeline; `(block, media, rest of
+    /// pipeline, payload)`. The ack aggregates every stored location, and
+    /// the head settles the block with one `CommitReplica` before it acks.
     WriteBlock(Block, MediaId, Vec<Location>, BlockData),
+    /// One stage-to-stage hop of a `WriteBlock`, with its fields: store and
+    /// forward, with no call to the master.
+    Forward(Block, MediaId, Vec<Location>, BlockData),
     /// Read a block replica.
     ReadBlock(MediaId, BlockId),
     /// Invalidate a replica.
     DeleteBlock(MediaId, BlockId),
-    /// Re-replicate: pull `block` from one of `sources` (best first),
-    /// store it on the local `media`, and commit to the master (§5).
+    /// Re-replicate: pull `block` from one of `sources` (best first) and
+    /// store it on the local `media` (§5). The monitor that sent the copy
+    /// settles it at the master.
     Replicate(Block, Vec<Location>, MediaId),
     /// Verify every local replica's checksum; corrupt ones are deleted
     /// and reported to the master (the §5 scrubber). Responds with the
@@ -374,18 +374,19 @@ pub enum WorkerRequest {
 
 impl WorkerRequest {
     /// Whether a transport-level failure after the request may have
-    /// executed can be retried blindly. Only `WriteBlock` is not: a blind
-    /// resend would re-run the whole pipeline and double-commit replicas;
-    /// its caller recovers by abandoning the block and re-placing it.
+    /// executed can be retried blindly. Only a pipeline hop (`WriteBlock`
+    /// or `Forward`) is not: a blind resend would re-run the rest of the
+    /// pipeline; its caller recovers by re-placing the block.
     pub fn is_idempotent(&self) -> bool {
-        !matches!(self, WorkerRequest::WriteBlock(..))
+        !matches!(self, WorkerRequest::WriteBlock(..) | WorkerRequest::Forward(..))
     }
 
     /// Stable request-type label for metrics (`request_type="..."`).
     pub fn name(&self) -> &'static str {
         use WorkerRequest::*;
         match self {
-            WriteBlock(..) => "WriteBlock",
+            // One label for every hop, whoever sent it: hop counts read it.
+            WriteBlock(..) | Forward(..) => "WriteBlock",
             ReadBlock(..) => "ReadBlock",
             DeleteBlock(..) => "DeleteBlock",
             Replicate(..) => "Replicate",
@@ -427,6 +428,7 @@ impl Wire for WorkerRequest {
             Metrics => tagged!(buf, 5),
             Trace => tagged!(buf, 6),
             // Tag 7 is retired (DESIGN.md §7): never reuse it.
+            Forward(b, m, rest, d) => tagged!(buf, 8, b, m, rest, d),
         }
     }
 
@@ -440,6 +442,7 @@ impl Wire for WorkerRequest {
             4 => Scrub,
             5 => Metrics,
             6 => Trace,
+            8 => Forward(Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad worker request tag {t}"))),
         })
     }
@@ -528,18 +531,19 @@ fn with_body(mut head: Vec<u8>, body: &bytes::Bytes) -> FramePayload {
     FramePayload { head, body: Some(body.clone()) }
 }
 
-/// Encodes a worker request as a [`FramePayload`]. A `WriteBlock` carrying
+/// Encodes a worker request as a [`FramePayload`]. A pipeline hop carrying
 /// real bytes sends the block as the body; everything else has no body.
 pub fn encode_worker_frame(req: &WorkerRequest) -> FramePayload {
-    if let WorkerRequest::WriteBlock(b, m, rest, BlockData::Real(bytes)) = req {
-        // `WriteBlock`'s fields, then `BlockData::Real`'s tag.
-        let mut head = Vec::with_capacity(64);
-        tagged!(&mut head, 0, b, m, rest);
-        head.push(0);
-        with_body(head, bytes)
-    } else {
-        FramePayload::small(octopus_common::wire::encode(req))
-    }
+    let (tag, b, m, rest, bytes) = match req {
+        WorkerRequest::WriteBlock(b, m, rest, BlockData::Real(bytes)) => (0, b, m, rest, bytes),
+        WorkerRequest::Forward(b, m, rest, BlockData::Real(bytes)) => (8, b, m, rest, bytes),
+        _ => return FramePayload::small(octopus_common::wire::encode(req)),
+    };
+    // The hop's fields, then `BlockData::Real`'s tag.
+    let mut head = Vec::with_capacity(64);
+    tagged!(&mut head, tag, b, m, rest);
+    head.push(0);
+    with_body(head, bytes)
 }
 
 /// Encodes a worker result as a [`FramePayload`]. A `Data` response with
@@ -600,16 +604,17 @@ pub fn decode_result<R: Wire>(frame: &Frame) -> Result<R> {
 
 /// Pipeline depth of an encoded worker request (`head` is its frame's
 /// head from the request tag on, after any trace envelope): how many
-/// further nested worker RPC levels serving it can require. `WriteBlock`
-/// forwarding through N more stages is depth N; `Replicate` issues one
-/// nested `ReadBlock` (depth 1); everything else resolves locally (depth
-/// 0). The dispatch pool admits a depth only while every level it raises
-/// keeps threads free for the shallower ones, which keeps nested forwards
-/// deadlock-free.
+/// further nested worker RPC levels serving it can require. A pipeline
+/// hop (`WriteBlock` or `Forward`) with N more stages is depth N (the
+/// head's commit goes to the master, which calls nobody); `Replicate`
+/// issues one nested `ReadBlock` (depth 1); everything else resolves
+/// locally (depth 0). The dispatch pool admits a depth only while every
+/// level it raises keeps threads free for the shallower ones, which keeps
+/// nested forwards deadlock-free.
 pub fn classify_worker_request(head: &[u8]) -> usize {
     let mut r = WireReader::new(head);
     match u8::get(&mut r) {
-        Ok(0) => {
+        Ok(0 | 8) => {
             if Block::get(&mut r).is_err() || MediaId::get(&mut r).is_err() {
                 return 0;
             }
@@ -679,6 +684,12 @@ mod tests {
         ));
         rt(MasterResponse::Invalidate(vec![BlockId(4), BlockId(5)]));
         rt(MasterRequest::ReadExternal("/ext/blob".into()));
+        let loc = |w| Location { worker: WorkerId(w), media: MediaId(w), tier: TierId(0) };
+        rt(MasterRequest::CommitReplica(
+            Block { id: BlockId(8), gen: GenStamp(2), len: 100 },
+            vec![loc(0), loc(1)],
+            vec![loc(2)],
+        ));
         rt(MasterResponse::External(bytes::Bytes::from_static(b"blob")));
     }
 
@@ -688,6 +699,12 @@ mod tests {
             Block { id: BlockId(1), gen: GenStamp(0), len: 3 },
             MediaId(0),
             vec![],
+            BlockData::Real(bytes::Bytes::from_static(b"abc")),
+        ));
+        rt(WorkerRequest::Forward(
+            Block { id: BlockId(1), gen: GenStamp(0), len: 3 },
+            MediaId(2),
+            vec![Location { worker: WorkerId(4), media: MediaId(9), tier: TierId(1) }],
             BlockData::Real(bytes::Bytes::from_static(b"abc")),
         ));
         rt(WorkerRequest::ReadBlock(MediaId(1), BlockId(2)));
@@ -706,7 +723,8 @@ mod tests {
         assert!(MasterRequest::Migrations(5).is_idempotent());
         assert!(MasterRequest::CommitReplica(
             Block { id: BlockId(1), gen: GenStamp(0), len: 1 },
-            Location { worker: WorkerId(0), media: MediaId(0), tier: TierId(0) },
+            vec![Location { worker: WorkerId(0), media: MediaId(0), tier: TierId(0) }],
+            vec![],
         )
         .is_idempotent());
         assert!(!MasterRequest::AddBlock("/f".into(), 1, ClientLocation::OffCluster, 1, vec![],)
@@ -724,13 +742,16 @@ mod tests {
 
         assert!(WorkerRequest::ReadBlock(MediaId(0), BlockId(1)).is_idempotent());
         assert!(WorkerRequest::Scrub.is_idempotent());
-        assert!(!WorkerRequest::WriteBlock(
-            Block { id: BlockId(1), gen: GenStamp(0), len: 1 },
-            MediaId(0),
-            vec![],
-            BlockData::Synthetic { len: 1, seed: 0 },
-        )
-        .is_idempotent());
+        for hop in [WorkerRequest::WriteBlock, WorkerRequest::Forward] {
+            let req = hop(
+                Block { id: BlockId(1), gen: GenStamp(0), len: 1 },
+                MediaId(0),
+                vec![],
+                BlockData::Synthetic { len: 1, seed: 0 },
+            );
+            assert!(!req.is_idempotent());
+            assert_eq!(req.name(), "WriteBlock", "a hop keeps its label");
+        }
     }
 
     #[test]
@@ -840,13 +861,17 @@ mod tests {
     fn frame_payloads_match_wire_encoding() {
         // The scatter/gather encodings must byte-for-byte match the plain
         // `Wire` encodings — a receiver cannot tell them apart.
-        let req = WorkerRequest::WriteBlock(
-            Block { id: BlockId(5), gen: GenStamp(1), len: 6 },
-            MediaId(2),
-            vec![Location { worker: WorkerId(1), media: MediaId(0), tier: TierId(0) }],
-            BlockData::Real(bytes::Bytes::from_static(b"payload")),
-        );
-        assert_eq!(encode_worker_frame(&req).concat(), encode(&req));
+        for hop in [WorkerRequest::WriteBlock, WorkerRequest::Forward] {
+            let req = hop(
+                Block { id: BlockId(5), gen: GenStamp(1), len: 6 },
+                MediaId(2),
+                vec![Location { worker: WorkerId(1), media: MediaId(0), tier: TierId(0) }],
+                BlockData::Real(bytes::Bytes::from_static(b"payload")),
+            );
+            let frame = encode_worker_frame(&req);
+            assert!(frame.body.is_some());
+            assert_eq!(frame.concat(), encode(&req));
+        }
 
         let res: Result<WorkerResponse> =
             Ok(WorkerResponse::Data(BlockData::Real(bytes::Bytes::from_static(b"data")), 0xfeed));
@@ -893,19 +918,16 @@ mod tests {
     fn worker_requests_classify_by_forward_depth() {
         let block = Block { id: BlockId(1), gen: GenStamp(0), len: 1 };
         let loc = |w| Location { worker: WorkerId(w), media: MediaId(0), tier: TierId(0) };
-        let wb = |rest: Vec<Location>| {
-            encode(&WorkerRequest::WriteBlock(
-                block,
-                MediaId(0),
-                rest,
-                BlockData::Synthetic { len: 1, seed: 0 },
-            ))
-        };
-        assert_eq!(classify_worker_request(&wb(vec![])), 0);
-        assert_eq!(classify_worker_request(&wb(vec![loc(1)])), 1);
-        assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2)])), 2);
-        assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2), loc(3)])), 3);
-        assert_eq!(classify_worker_request(&wb((1..16).map(loc).collect())), 15);
+        for hop in [WorkerRequest::WriteBlock, WorkerRequest::Forward] {
+            let wb = |rest: Vec<Location>| {
+                encode(&hop(block, MediaId(0), rest, BlockData::Synthetic { len: 1, seed: 0 }))
+            };
+            assert_eq!(classify_worker_request(&wb(vec![])), 0);
+            assert_eq!(classify_worker_request(&wb(vec![loc(1)])), 1);
+            assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2)])), 2);
+            assert_eq!(classify_worker_request(&wb(vec![loc(1), loc(2), loc(3)])), 3);
+            assert_eq!(classify_worker_request(&wb((1..16).map(loc).collect())), 15);
+        }
         assert_eq!(
             classify_worker_request(&encode(&WorkerRequest::Replicate(block, vec![], MediaId(0)))),
             1

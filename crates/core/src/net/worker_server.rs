@@ -1,10 +1,10 @@
 //! The worker's data server: stores and serves block replicas over TCP,
-//! forwarding pipelined writes to the next stage (§3.1) and committing its
-//! own replica to the master. Runs on the multiplexed
-//! [`super::server::ServerCore`]; a block enters as the body of the frame
-//! it arrived in, and that buffer — exactly the block's length — is what
-//! the store keeps and what leaves again as the next hop's or a reader's
-//! body (no copy per hop).
+//! forwarding pipelined writes to the next stage (§3.1); a pipeline head
+//! settles the whole block at the master with one commit. Runs on the
+//! multiplexed [`super::server::ServerCore`]; a block enters as the body
+//! of the frame it arrived in, and that buffer — exactly the block's
+//! length — is what the store keeps and what leaves again as the next
+//! hop's or a reader's body (no copy per hop).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -97,7 +97,7 @@ pub struct WorkerServer {
 
 impl WorkerServer {
     /// Binds to `127.0.0.1:0` and starts serving `worker`. `master` is the
-    /// master's RPC address (for replica commits); `peers` resolves
+    /// master's RPC address (for a pipeline head's commit); `peers` resolves
     /// pipeline-forwarding targets.
     pub fn spawn(worker: Arc<Worker>, master: SocketAddr, peers: AddressMap) -> Result<Self> {
         Self::spawn_on(worker, master, peers, ("127.0.0.1", 0))
@@ -141,7 +141,7 @@ impl WorkerServer {
 }
 
 /// Serves one request on `worker`; the calls the service itself makes
-/// (replica commit, pipeline forward, source reads, corruption reports)
+/// (a head's commit, pipeline forward, source reads, corruption reports)
 /// go out through `net`.
 pub(crate) fn dispatch_traced(
     worker: &Worker,
@@ -210,53 +210,16 @@ fn dispatch_inner(
 ) -> Result<WorkerResponse> {
     match req {
         WorkerRequest::WriteBlock(block, media, rest, data) => {
-            // Hold the NIC connection and the medium's I/O-connection span
-            // across the whole service of this write (store + commit +
-            // forward), so the heartbeat `NrConn` the placement policy
-            // consumes reflects transfer-duration contention (§3.2).
-            let _io = (worker.connect_net(), worker.media_io(media)?);
-            // Commit our replica before forwarding, so the master's view
-            // converges even if the tail of the pipeline fails.
-            let mut stored = vec![store_and_commit(worker, net, block, media, &data)?];
-
-            if let Some((next, remainder)) = rest.split_first() {
-                let fwd_start = std::time::Instant::now();
-                let forwarded = net.call_worker(
-                    next.worker,
-                    WorkerRequest::WriteBlock(block, next.media, remainder.to_vec(), data.clone()),
-                );
-                worker.metrics().observe_since(
-                    "worker_pipeline_forward_us",
-                    Labels::worker(worker.id()),
-                    fwd_start,
-                );
-                match forwarded {
-                    Ok(WorkerResponse::Stored(locs)) => stored.extend(locs),
-                    Ok(_) => return Err(FsError::Internal("unexpected forward response".into())),
-                    Err(e) => {
-                        log_warn!(
-                            target: "net::worker_server",
-                            "msg=\"pipeline forward failed\" block={} next={} err=\"{e}\"",
-                            block.id,
-                            next.worker
-                        );
-                        worker.metrics().inc(
-                            "worker_pipeline_forward_failures_total",
-                            Labels::worker(worker.id()),
-                        );
-                        // Downstream failed: release the master's pending
-                        // reservations for the unreached stages; the
-                        // replication monitor heals the block later (§5).
-                        // The master refuses to demote a stage that did
-                        // commit (e.g. it stored, committed, and then the
-                        // connection died before its ack reached us).
-                        for loc in &rest {
-                            let _ = net.call_master(MasterRequest::AbortReplica(block, *loc));
-                        }
-                    }
-                }
-            }
+            // Only the head learns the write's outcome, so only the head
+            // settles it: one commit of every stage that stored, dropping
+            // the reservations of the stages the pipeline never reached.
+            let stored = store_and_forward(worker, net, block, media, &rest, data)?;
+            let unreached = rest.iter().filter(|l| !stored.contains(l)).copied().collect();
+            net.call_master(MasterRequest::CommitReplica(block, stored.clone(), unreached))?;
             Ok(WorkerResponse::Stored(stored))
+        }
+        WorkerRequest::Forward(block, media, rest, data) => {
+            Ok(WorkerResponse::Stored(store_and_forward(worker, net, block, media, &rest, data)?))
         }
         WorkerRequest::ReadBlock(media, block) => {
             let _io = (worker.connect_net(), worker.media_io(media)?);
@@ -282,10 +245,9 @@ fn dispatch_inner(
         WorkerRequest::Replicate(block, sources, media) => {
             let _io = (worker.connect_net(), worker.media_io(media)?);
             // The client's walk: a replica damaged at rest or in flight is
-            // never propagated. A failed copy is aborted at the master by
-            // the monitor that sent it.
+            // never propagated. The monitor that sent the copy settles it.
             let data = read_replica(net, block, &sources)?;
-            store_and_commit(worker, net, block, media, &data)?;
+            store(worker, block, media, &data)?;
             Ok(WorkerResponse::Unit)
         }
         WorkerRequest::Scrub => {
@@ -305,44 +267,75 @@ fn dispatch_inner(
     }
 }
 
-/// The one store-and-commit step, of `WriteBlock` and `Replicate` alike:
-/// stores `data` as `block` on `media`, paces the store to the medium's
-/// write rate under device emulation, then commits the replica at the
-/// master and returns its location. The caller holds the transfer's NIC
-/// and medium guards.
-///
-/// Both requests can arrive twice for bytes that already landed: §3.1
-/// recovery re-sends a `WriteBlock` whose response was lost (a severed
-/// connection fails every call in flight on it), and the RPC layer
-/// resends a `Replicate` blindly. Re-storing identical bytes is a no-op
-/// followed by the same (idempotent) commit; any other collision is a
-/// real error.
-fn store_and_commit(
+/// The one pipeline step, of `WriteBlock` and `Forward` alike: stores
+/// `data` as `block` on `media`, then forwards it down `rest`, and returns
+/// the locations that stored it, in pipeline order. A failed forward ends
+/// the list where it failed; settling the block is the head's business.
+/// The NIC connection and the medium's I/O-connection span are held
+/// across store and forward, so the heartbeat `NrConn` the placement
+/// policy consumes reflects transfer-duration contention (§3.2).
+fn store_and_forward(
     worker: &Worker,
     net: &dyn Transport,
     block: Block,
     media: MediaId,
-    data: &BlockData,
-) -> Result<Location> {
-    let loc = Location { worker: worker.id(), media, tier: worker.tier_of(media)? };
-    {
-        let mut store_span = trace::child("worker.store");
-        if let Some(s) = store_span.as_mut() {
-            s.annotate("block", block.id);
-            s.annotate("bytes", block.len);
-            s.annotate("tier", loc.tier);
-        }
-        if let Err(e) = worker.write_block(media, block, data) {
-            let resent = matches!(&e, FsError::AlreadyExists(_))
-                && worker.stored_checksum(media, block.id).is_ok_and(|c| c == data.checksum());
-            if !resent {
-                return Err(e);
-            }
-        }
-        if let Some(d) = worker.transfer_pacing(media, block.len, true) {
-            std::thread::sleep(d);
+    rest: &[Location],
+    data: BlockData,
+) -> Result<Vec<Location>> {
+    let _io = (worker.connect_net(), worker.media_io(media)?);
+    let mut stored = vec![store(worker, block, media, &data)?];
+    let Some((next, remainder)) = rest.split_first() else {
+        return Ok(stored);
+    };
+    let fwd_start = std::time::Instant::now();
+    let forwarded = net.call_worker(
+        next.worker,
+        WorkerRequest::Forward(block, next.media, remainder.to_vec(), data),
+    );
+    let labels = Labels::worker(worker.id());
+    worker.metrics().observe_since("worker_pipeline_forward_us", labels, fwd_start);
+    match forwarded {
+        Ok(WorkerResponse::Stored(locs)) => stored.extend(locs),
+        Ok(_) => return Err(FsError::Internal("unexpected forward response".into())),
+        Err(e) => {
+            log_warn!(
+                target: "net::worker_server",
+                "msg=\"pipeline forward failed\" block={} next={} err=\"{e}\"",
+                block.id,
+                next.worker
+            );
+            worker.metrics().inc("worker_pipeline_forward_failures_total", labels);
         }
     }
-    net.call_master(MasterRequest::CommitReplica(block, loc))?;
+    Ok(stored)
+}
+
+/// The one store step, of a pipeline stage and a §5 copy alike: stores
+/// `data` as `block` on `media`, paces the store to the medium's write
+/// rate under device emulation, and returns the replica's location.
+///
+/// Both can arrive twice for bytes that already landed: §3.1 recovery
+/// re-sends a `WriteBlock` whose response was lost (a severed connection
+/// fails every call in flight on it), and the RPC layer resends a
+/// `Replicate` blindly. Re-storing identical bytes is a no-op; any other
+/// collision is a real error.
+fn store(worker: &Worker, block: Block, media: MediaId, data: &BlockData) -> Result<Location> {
+    let loc = Location { worker: worker.id(), media, tier: worker.tier_of(media)? };
+    let mut store_span = trace::child("worker.store");
+    if let Some(s) = store_span.as_mut() {
+        s.annotate("block", block.id);
+        s.annotate("bytes", block.len);
+        s.annotate("tier", loc.tier);
+    }
+    if let Err(e) = worker.write_block(media, block, data) {
+        let resent = matches!(&e, FsError::AlreadyExists(_))
+            && worker.stored_checksum(media, block.id).is_ok_and(|c| c == data.checksum());
+        if !resent {
+            return Err(e);
+        }
+    }
+    if let Some(d) = worker.transfer_pacing(media, block.len, true) {
+        std::thread::sleep(d);
+    }
     Ok(loc)
 }

@@ -338,8 +338,8 @@ fn failed_migration_copy_is_aborted_and_retried() {
     }
     assert!(round.outcome.copies_failed >= 1, "round: {round:?}");
 
-    // The abort cleared the pending replica, so later rounds re-plan and
-    // the promotion lands.
+    // Dropping the failed copy cleared its pending replica, so later
+    // rounds re-plan and the promotion lands.
     let promoted = eventually(Duration::from_secs(15), || {
         let _ = cluster.run_migration_round(&classifier, &AutoTierConfig::default());
         client.get_file_block_locations("/flaky", 0, u64::MAX).unwrap()[0]

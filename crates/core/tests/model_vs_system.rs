@@ -126,13 +126,14 @@ fn per_tier_single_stream_times_agree_and_the_rf3_gap_is_the_known_one() {
     // stream through the stages, so the block lands on all three nearly
     // together and the write runs at one HDD's rate (ratio 1 would be a
     // perfect match). The system stores and forwards whole blocks — each
-    // stage stores, commits, then forwards (`pipeline_stretch` ≈ 3,
-    // ROADMAP item 1) — so it takes up to three device times per block,
-    // plus its per-block RPCs. Above 3.5 the system has a cost the model
-    // does not know about; at or below 1 the system would be beating the
-    // device it emulates. And that is a single stream: `transfer_pacing`
-    // sleeps per transfer and does not divide a device between concurrent
-    // transfers, so d > 1 is outside what this comparison validates.
+    // stage stores, then forwards, and the head commits once
+    // (`pipeline_stretch` ≈ 3, ROADMAP item 2) — so it takes up to three
+    // device times per block, plus its per-block RPCs. Above 3.5 the
+    // system has a cost the model does not know about; at or below 1 the
+    // system would be beating the device it emulates. And that is a
+    // single stream: `transfer_pacing` sleeps per transfer and does not
+    // divide a device between concurrent transfers, so d > 1 is outside
+    // what this comparison validates.
     let rv = ReplicationVector::msh(0, 0, 3);
     let (sys_w, _) = system_times(&cluster, "/hdd3", rv, &data);
     let (mod_w, _) = model_times(&mut sim, "/hdd3", rv);

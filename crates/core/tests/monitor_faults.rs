@@ -80,8 +80,9 @@ fn failed_delete_reinstates_replica_and_reconverges() {
 }
 
 /// `Replicate` is resent blindly when its reply is lost. The copy landed
-/// and committed the first time, so the resend must find the same bytes
-/// already stored and succeed: the round counts one good copy, and the
+/// the first time, so the resend must find the same bytes already stored
+/// and succeed: the round counts one good copy, the monitor commits it
+/// in-process (no `CommitReplica` reaches the master's server), and the
 /// target's reservation is released exactly once.
 #[test]
 fn a_resent_copy_whose_first_reply_was_lost_counts_as_done() {
@@ -97,9 +98,16 @@ fn a_resent_copy_whose_first_reply_was_lost_counts_as_done() {
     let target = cluster.workers().iter().map(|w| w.id()).find(|w| !holders.contains(w)).unwrap();
     client.set_replication("/resend", rf(3)).unwrap();
 
+    let commits = || {
+        cluster.master().metrics().snapshot().counter_where("master_requests_total", |l| {
+            l.request_type.as_deref() == Some("CommitReplica")
+        })
+    };
+    let commits_before = commits();
     let addr = cluster.worker_addr(target).unwrap();
     faults::inject(addr, FaultAction::DropConnection);
     let outcome = cluster.run_replication_round().unwrap();
+    assert_eq!(commits() - commits_before, 0, "a copy is committed by its monitor");
     assert_eq!(faults::pending(addr), 0, "the copy's first reply was the one dropped");
     assert_eq!((outcome.copies_ok, outcome.copies_failed), (1, 0), "{outcome:?}");
 

@@ -1,13 +1,13 @@
 //! Tests of the multiplexed transport: response demultiplexing, per-peer
 //! in-flight caps, the server-side idle horizon, admission by pipeline
 //! depth under load, who owns the served state after `shutdown`, and the
-//! pipeline-abort semantics the mux servers rely on (committed replicas
-//! survive late aborts; aborted stages return their write reservations;
-//! scrub handling survives unmapped media).
+//! pipeline-failure semantics the mux servers rely on (the head commits
+//! the stages that acked; unreached stages return their write
+//! reservations; scrub handling survives unmapped media).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -311,10 +311,13 @@ fn scrub_skips_corrupt_replicas_on_unmapped_media() {
 #[test]
 fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     // Kill the tail of a 3-stage pipeline before the write: stages 1 and 2
-    // store and commit, the forward to the tail fails, and the abort for
-    // the tail's pending replica must (a) leave the two committed replicas
-    // alone and (b) return the tail's scheduled-write reservation.
-    let mut cluster = NetCluster::start(config()).unwrap();
+    // store, the forward to the tail fails, and the head's one commit must
+    // (a) confirm the two stored replicas and (b) drop the tail's pending
+    // replica, returning its scheduled-write reservation. No failure
+    // detector runs meanwhile: a tail declared dead first loses its
+    // pending entry with its reservation still held.
+    let mut cluster =
+        NetCluster::start(ClusterConfig { heartbeat_ms: 60_000, ..config() }).unwrap();
     let master = Arc::clone(cluster.master());
     master
         .create_file_as("/p", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)
@@ -328,14 +331,32 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     let tail_idx = (0..cluster.workers().len())
         .find(|&i| cluster.workers()[i].id() == tail.worker)
         .expect("tail worker exists");
+    let tail_addr = cluster.worker_addr(tail.worker).unwrap();
     cluster.kill_worker(tail_idx);
+    // Hold the dead tail's port through the write, closing every
+    // connection unanswered: tests share the process, and a worker of
+    // another test's cluster that bound it would take the forward (a
+    // forward calls no master).
+    let squatter = TcpListener::bind(tail_addr).unwrap();
+    squatter.set_nonblocking(true).unwrap();
+    let written = AtomicBool::new(false);
 
     let data = BlockData::generate_real(MB as usize, 3);
     let first = cluster.worker_addr(pipeline[0].worker).unwrap();
-    let res = call_worker(
-        first,
-        &WorkerRequest::WriteBlock(block, pipeline[0].media, pipeline[1..].to_vec(), data),
-    )
+    let res = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !written.load(Ordering::Acquire) {
+                drop(squatter.accept());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let res = call_worker(
+            first,
+            &WorkerRequest::WriteBlock(block, pipeline[0].media, pipeline[1..].to_vec(), data),
+        );
+        written.store(true, Ordering::Release);
+        res
+    })
     .unwrap();
     let WorkerResponse::Stored(stored) = res else { panic!("expected Stored, got {res:?}") };
     assert_eq!(stored.len(), 2, "only the two live stages stored");
@@ -347,22 +368,23 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
         master.pending_locations(block.id).is_empty(),
         "the dead tail's pending entry must be cleared"
     );
-    // Regression: the abort used to release 0 of the reserved bytes,
-    // leaking the tail's scheduled-write reservation forever.
+    // Regression: dropping a stage used to release 0 of the reserved
+    // bytes, leaking the tail's scheduled-write reservation forever.
     assert_eq!(
         master.scheduled_bytes(tail.media),
         0,
-        "aborting the unreachable tail must return its reservation"
+        "dropping the unreachable tail must return its reservation"
     );
 }
 
 #[test]
-fn late_abort_after_tail_commit_is_refused() {
-    // The tail stores and commits but its response is lost (connection
-    // dropped): the forwarding stage sees the failure and sends an abort
-    // for the tail's location. The master must refuse to demote the
-    // committed replica.
-    let cluster = NetCluster::start(config()).unwrap();
+fn a_tail_whose_ack_was_lost_is_confirmed_by_its_next_block_report() {
+    // The tail stores but its response is lost (connection dropped): the
+    // stage before it sees the failure, so the head commits two stages and
+    // drops the tail's pending entry. The tail's replica is real, and its
+    // worker's next block report confirms it — the one this test sends, as
+    // no heartbeat runs meanwhile.
+    let cluster = NetCluster::start(ClusterConfig { heartbeat_ms: 60_000, ..config() }).unwrap();
     let master = Arc::clone(cluster.master());
     master
         .create_file_as("/q", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)
@@ -370,7 +392,8 @@ fn late_abort_after_tail_commit_is_refused() {
     let (block, pipeline) = master
         .add_block_excluding("/q", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
         .unwrap();
-    let tail_addr = cluster.worker_addr(pipeline[2].worker).unwrap();
+    let tail = pipeline[2];
+    let tail_addr = cluster.worker_addr(tail.worker).unwrap();
     octopus_core::net::faults::inject(tail_addr, octopus_core::net::FaultAction::DropConnection);
 
     let data = BlockData::generate_real(MB as usize, 4);
@@ -383,11 +406,13 @@ fn late_abort_after_tail_commit_is_refused() {
     octopus_core::net::faults::clear(tail_addr);
 
     let live = master.block_locations(block.id);
-    assert_eq!(
-        live.len(),
-        3,
-        "all three stages committed; the late abort must not demote the tail ({live:?})"
-    );
+    assert_eq!(live, pipeline[..2], "the head commits the stages that acked");
+    assert!(master.pending_locations(block.id).is_empty(), "the tail's entry is dropped");
+    assert_eq!(master.scheduled_bytes(tail.media), 0, "the tail's reservation is released");
+
+    cluster.run_block_report_round().unwrap();
+    let live = master.block_locations(block.id);
+    assert_eq!(live.len(), 3, "the tail's report confirms its replica ({live:?})");
 }
 
 #[test]

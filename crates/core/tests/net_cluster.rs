@@ -27,14 +27,25 @@ fn networked_write_read_lifecycle() {
 
     client.mkdir("/data").unwrap();
     let data = payload((2 * MB + 777) as usize, 1);
+    let requests = |name: &'static str| {
+        cluster
+            .master()
+            .metrics()
+            .snapshot()
+            .counter_where("master_requests_total", |l| l.request_type.as_deref() == Some(name))
+    };
+    let commits = requests("CommitReplica");
     client.write_file("/data/f", &data, ReplicationVector::from_replication_factor(3)).unwrap();
 
-    // The pipeline stored 3 replicas per block, committed over RPC.
+    // The pipeline stored 3 replicas per block, and each head committed
+    // its block over RPC once.
     let blocks = client.get_file_block_locations("/data/f", 0, u64::MAX).unwrap();
     assert_eq!(blocks.len(), 3);
     for b in &blocks {
         assert_eq!(b.locations.len(), 3);
     }
+    assert_eq!(requests("CommitReplica") - commits, 3, "one commit per block");
+    assert_eq!(requests("AbortReplica"), 0);
 
     // Read back over the network.
     assert_eq!(client.read_file("/data/f").unwrap(), data);

@@ -290,10 +290,11 @@ fn a_simulated_write_is_the_systems_traffic_in_the_registries() {
         .map(|s| s.counter_where("worker_requests_total", is("WriteBlock")))
         .sum();
     assert_eq!(stages, 30, "10 blocks x 3 pipeline stages, each a WriteBlock");
-    // ... and every stage committed its replica through the master's
-    // dispatch, under a lease the job's client took with `CreateFile`.
+    // ... and each head settled its block with one commit through the
+    // master's dispatch, under a lease the job's client took with
+    // `CreateFile`.
     let master = sim.master().metrics().snapshot();
-    assert_eq!(master.counter_where("master_requests_total", is("CommitReplica")), 30);
+    assert_eq!(master.counter_where("master_requests_total", is("CommitReplica")), 10);
     assert_eq!(master.counter_where("master_requests_total", is("AddBlock")), 10);
     assert_eq!(master.counter_where("master_requests_total", is("CreateFile")), 1);
     assert_eq!(master.counter_where("master_requests_total", is("CompleteFile")), 1);

@@ -135,10 +135,10 @@ impl BlockMap {
         (unknown, released)
     }
 
-    /// Drops a pending replica that will never be written (pipeline
-    /// failure). Returns whether the location was actually pending — the
-    /// caller only releases the write reservation when it was, so repeated
-    /// or spurious aborts can't double-release.
+    /// Drops a pending replica that will never be written (an unreached
+    /// pipeline stage, a failed copy). Returns whether the location was
+    /// actually pending — the caller only releases the write reservation
+    /// when it was, so a repeated drop can't double-release.
     pub fn abandon_pending(&mut self, id: BlockId, loc: &Location) -> bool {
         if let Some(info) = self.blocks.get_mut(&id) {
             let before = info.pending.len();

@@ -1,4 +1,4 @@
-//! Block lifecycle (add, reassign, abandon, commit, abort) and the
+//! Block lifecycle (add, reassign, abandon, commit) and the
 //! worker-facing calls (registration, heartbeat, block report, the failure
 //! detector, decommission), with the one place-and-reserve step and the
 //! one block-forget step every caller shares.
@@ -299,37 +299,38 @@ impl Master {
         })
     }
 
-    /// Acknowledges that a pipeline stage stored its replica. Idempotent:
-    /// the write reservation is released only by the commit (or report)
-    /// that takes the location out of pending, so a resent commit cannot
-    /// release another write's reservation on the same medium.
-    pub fn commit_replica(&self, block: Block, loc: Location) -> Result<()> {
+    /// Settles a written block as its pipeline head reports it: confirms
+    /// `stored` in order, then drops each `unreached` location still
+    /// pending. Only the confirm (or drop) that ends a location's pending
+    /// releases (or cancels) its reservation, so a resend releases nothing
+    /// twice; a confirmed replica is never demoted.
+    pub fn commit_replicas(
+        &self,
+        block: Block,
+        stored: &[Location],
+        unreached: &[Location],
+    ) -> Result<()> {
         let ctx = self.op(MetaOp::CommitReplica);
         ctx.finish_with(|| {
-            if ctx.write(&self.blocks).confirm(block.id, loc)? {
-                ctx.lock(&self.cluster).complete_write(loc.media, block.len);
+            let mut blocks = ctx.write(&self.blocks);
+            let mut cluster = ctx.lock(&self.cluster);
+            for loc in stored {
+                if blocks.confirm(block.id, *loc)? {
+                    cluster.complete_write(loc.media, block.len);
+                }
+            }
+            for loc in unreached {
+                if blocks.abandon_pending(block.id, loc) {
+                    cluster.cancel_write(loc.media, block.len);
+                }
             }
             Ok(())
         })
     }
 
-    /// Records that a scheduled replica will not be written (pipeline
-    /// failure). Refuses to demote a location that already committed: a
-    /// forwarding stage that loses its connection *after* the tail stored
-    /// and committed still sends an abort for it, and honoring that late
-    /// abort would strip a live replica from the block map. Only a
-    /// still-pending reservation is cleared, and its scheduled-write
-    /// capacity is returned (cancelled, not consumed — no bytes landed).
-    pub fn abort_replica(&self, block: Block, loc: Location) {
-        let ctx = self.op(MetaOp::AbortReplica);
-        let _ = ctx.finish_with(|| {
-            let mut g = ctx.write(&self.blocks);
-            let committed = g.get(block.id).is_some_and(|info| info.locations.contains(&loc));
-            if !committed && g.abandon_pending(block.id, &loc) {
-                ctx.lock(&self.cluster).cancel_write(loc.media, block.len);
-            }
-            Ok(())
-        });
+    /// Confirms one replica: [`Master::commit_replicas`] of `loc` alone.
+    pub fn commit_replica(&self, block: Block, loc: Location) -> Result<()> {
+        self.commit_replicas(block, &[loc], &[])
     }
 
     /// Re-records a replica the replication monitor failed to delete: the

@@ -8,9 +8,9 @@
 //! # Concurrency (DESIGN.md §11)
 //!
 //! One [`Namespace`] behind one lock (`master.namespace`) and one
-//! [`BlockMap`] behind another (`master.blocks`) — kept apart so the three
-//! `CommitReplica`s a worker pipeline sends per block never touch the
-//! namespace lock. Lock order: namespace → blocks → cluster; the heat
+//! [`BlockMap`] behind another (`master.blocks`) — kept apart so the one
+//! `CommitReplica` a pipeline head sends per block, and the monitor's
+//! commit of each copy, never touch the namespace lock. Lock order: namespace → blocks → cluster; the heat
 //! tracker and the audit ring are leaves. Every guard a metadata op takes
 //! goes through its [`OpCtx`], so its wait is counted as lock wait.
 //! Durability is group-committed: a mutation stages its [`EditOp`] under
@@ -79,7 +79,6 @@ meta_ops! {
     ReassignBlock => "reassign_block",
     AbandonBlock => "abandon_block",
     CommitReplica => "commit_replica",
-    AbortReplica => "abort_replica",
     Append => "append",
     Complete => "complete",
     Locations => "get_block_locations",
@@ -204,7 +203,7 @@ struct NamespaceState {
 /// background `autotier_scan` syncs under the guard so it can roll back).
 pub struct Master {
     namespace: StatRwLock<NamespaceState>,
-    /// Apart from the namespace so `commit_replica` (three per block
+    /// Apart from the namespace so `commit_replicas` (one per block
     /// written) never takes the namespace lock.
     blocks: StatRwLock<BlockMap>,
     cluster: StatMutex<ClusterState>,

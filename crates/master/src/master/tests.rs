@@ -153,10 +153,10 @@ fn scheduled_writes_prevent_oversubscription() {
 }
 
 #[test]
-fn abort_replica_releases_the_scheduled_reservation() {
-    // Regression: abort_replica used to call complete_write(media, 0),
+fn an_unreached_stage_releases_its_scheduled_reservation() {
+    // Regression: dropping a stage used to call complete_write(media, 0),
     // which released zero of the `len` bytes add_block reserved via
-    // schedule_write — every aborted pipeline stage leaked its
+    // schedule_write — every failed pipeline stage leaked its
     // reservation until the medium looked permanently full.
     let m = boot_master(6);
     m.create_file_as("/f", rv_u(3), None, SYS).unwrap();
@@ -165,21 +165,19 @@ fn abort_replica_releases_the_scheduled_reservation() {
         assert_eq!(m.scheduled_bytes(l.media), 1 << 20);
     }
     // The whole pipeline fails before storing anything.
+    m.commit_replicas(block, &[], &locs).unwrap();
     for l in &locs {
-        m.abort_replica(block, *l);
-    }
-    for l in &locs {
-        assert_eq!(m.scheduled_bytes(l.media), 0, "aborted stage must return its reservation");
+        assert_eq!(m.scheduled_bytes(l.media), 0, "an unreached stage must return its reservation");
     }
     assert!(m.pending_locations(block.id).is_empty());
-    // A repeated (spurious) abort must not underflow or double-release.
-    m.abort_replica(block, locs[0]);
+    // A repeated (resent) commit must not underflow or double-release.
+    m.commit_replicas(block, &[], &locs[..1]).unwrap();
     assert_eq!(m.scheduled_bytes(locs[0].media), 0);
 }
 
 /// A file deleted with its pipeline in flight gives the pipeline's
-/// reservations back: the late commit finds no block and the late
-/// abort nothing pending, so nothing else would.
+/// reservations back: the late commit finds no block, and a late drop
+/// of an unreached stage nothing pending, so nothing else would.
 #[test]
 fn delete_refunds_the_reservations_of_a_pipeline_in_flight() {
     let m = boot_master(6);
@@ -190,7 +188,7 @@ fn delete_refunds_the_reservations_of_a_pipeline_in_flight() {
     assert_eq!(m.pending_locations(block.id).len(), 3);
     m.delete("/f", false).unwrap();
     assert!(m.commit_replica(block, locs[0]).is_err());
-    m.abort_replica(block, locs[1]);
+    m.commit_replicas(block, &[], &locs[1..]).unwrap();
     for l in &locs {
         assert_eq!(m.scheduled_bytes(l.media), 0, "{l:?} is still reserved");
     }
@@ -226,22 +224,21 @@ fn add_block_counts_its_wait_for_the_block_map_as_lock_wait() {
 }
 
 #[test]
-fn abort_replica_refuses_to_demote_a_committed_location() {
+fn a_late_drop_never_demotes_a_committed_location() {
     let m = boot_master(6);
     m.create_file_as("/f", rv_u(3), None, SYS).unwrap();
     let (block, locs) = m.add_block_excluding("/f", 1 << 20, OFF, SYS, &[]).unwrap();
-    // Stages 1 and 2 store and commit; the forwarder then loses the
-    // connection and sends aborts for every downstream stage.
-    m.commit_replica(block, locs[1]).unwrap();
-    m.commit_replica(block, locs[2]).unwrap();
-    m.abort_replica(block, locs[1]);
-    m.abort_replica(block, locs[2]);
+    // Stages 1 and 2 are confirmed (a commit, or a block report); a late
+    // commit then names both among the stages it never reached.
+    m.commit_replicas(block, &locs[1..], &[]).unwrap();
+    m.commit_replicas(block, &locs[..1], &locs[1..]).unwrap();
     let live = m.block_locations(block.id);
-    assert!(live.contains(&locs[1]) && live.contains(&locs[2]));
-    assert_eq!(live.len(), 2, "late aborts must not strip committed replicas");
-    // Committed stages already consumed their reservation via
-    // commit_replica; the late abort must not touch it again.
-    assert_eq!(m.scheduled_bytes(locs[1].media), 0);
+    assert_eq!(live, [&locs[1..], &locs[..1]].concat(), "a late drop stripped a replica");
+    // Confirmed stages already consumed their reservation; the late drop
+    // must not touch it again.
+    for l in &locs {
+        assert_eq!(m.scheduled_bytes(l.media), 0);
+    }
 }
 
 /// `CommitReplica` is resent after a lost reply: the second commit of a

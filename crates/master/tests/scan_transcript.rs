@@ -3,13 +3,13 @@
 //! as `fixtures/scan_transcript.txt`.
 //!
 //! Each scenario boots six workers, applies a sequence (every `AddBlock`
-//! line records the pipeline placement chose; some stages then commit, some
-//! never ack, some abort, and some blocks are reassigned or abandoned),
-//! gives every file it left one to three more blocks and closes it, and
-//! then drives the monitor through a fixed script: a settle round, a killed
-//! worker, corrupt replicas, vector edits, a decommission, heat with a
-//! fixed classifier and auto-tiering, and a skewed writer for the
-//! balancer. Every `replication_scan`, `balancer_scan` and `autotier_scan`
+//! line records the pipeline placement chose; the head then commits, some
+//! tails never ack, some are unreached, and some blocks are reassigned or
+//! abandoned), gives every file it left one to three more blocks and
+//! closes it, and then drives the monitor through a fixed script: a settle
+//! round, a killed worker, corrupt replicas, vector edits, a
+//! decommission, heat with a fixed classifier and auto-tiering, and a
+//! skewed writer for the balancer. Every `replication_scan`, `balancer_scan` and `autotier_scan`
 //! answer is recorded, with `explain(block)` for every block a round
 //! touched and the reservations still held. Planned copies then commit, as
 //! a worker would confirm them.
@@ -146,9 +146,10 @@ fn reservations(m: &Master, out: &mut Vec<String>) {
     ));
 }
 
-/// One sequence op against the master. A new block's stages commit, except
-/// that some never ack, some abort, and some blocks are re-placed off their
-/// first stage's worker or abandoned, by block id.
+/// One sequence op against the master. A new block's head commits its
+/// stages, except that some tails never ack, some are unreached, and some
+/// blocks are re-placed off their first stage's worker or abandoned, by
+/// block id.
 fn apply(m: &Master, out: &mut Vec<String>, op: &Op) {
     let off = ClientLocation::OffCluster;
     let _ = match op {
@@ -171,15 +172,14 @@ fn apply(m: &Master, out: &mut Vec<String>, op: &Op) {
                 },
                 _ => {}
             }
+            // The head's one commit.
             let (last, rest) = ls.split_last().unwrap();
-            for l in rest {
-                m.commit_replica(b, *l).unwrap();
-            }
             match b.id.0 % 4 {
-                0 => {}                         // the tail never acks
-                1 => m.abort_replica(b, *last), // the tail aborts
-                _ => m.commit_replica(b, *last).unwrap(),
+                0 => m.commit_replicas(b, rest, &[]), // the tail's ack is lost
+                1 => m.commit_replicas(b, rest, &[*last]), // the tail is unreached
+                _ => m.commit_replicas(b, &ls, &[]),
             }
+            .unwrap();
         }),
         Op::Complete(p) => m.complete_file_as(p, SYS),
         Op::Rename(s, d) => m.rename(s, d),

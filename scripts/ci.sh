@@ -65,9 +65,9 @@ echo "traces and buffer pool: 20/20"
 
 echo "==> one data path: 10 runs under parallel load"
 # The write and read engines (every size at windows 1 and 4, FileWriter,
-# read_range), the replica walk and the store-and-commit step shared by
-# the client and the worker's Replicate (a resent copy, a copy paced at
-# its target), recovery around dead workers, and the exact allocation
+# read_range), the replica walk and the store step shared by the client
+# and the worker's Replicate (a resent copy, a copy paced at its target),
+# recovery around dead workers, and the exact allocation
 # counts, 10 times back to back, 8 test threads each.
 for run in $(seq 10); do
     if ! out=$(cargo test --release -q -p octopus-core --test parallel_io \
@@ -97,6 +97,23 @@ for run in $(seq 10); do
     fi
 done
 echo "frames with bodies: 10/10"
+
+echo "==> one commit per block: 10 runs under parallel load"
+# A write is settled by its pipeline head and a §5 copy by its monitor:
+# the exact commit counts over TCP and on the virtual clock, a tail whose
+# ack was lost (confirmed by its block report), an unreached tail's
+# reservation, resent and failed copies, and migration rounds, 10 times
+# back to back, 8 test threads each.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q -p octopus-core --test multiplex \
+        --test monitor_faults --test autotier --test sim_cluster --test net_cluster \
+        -- --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "one commit per block: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "one commit per block: 10/10"
 
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
