@@ -313,11 +313,8 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     // Kill the tail of a 3-stage pipeline before the write: stages 1 and 2
     // store, the forward to the tail fails, and the head's one commit must
     // (a) confirm the two stored replicas and (b) drop the tail's pending
-    // replica, returning its scheduled-write reservation. No failure
-    // detector runs meanwhile: a tail declared dead first loses its
-    // pending entry with its reservation still held.
-    let mut cluster =
-        NetCluster::start(ClusterConfig { heartbeat_ms: 60_000, ..config() }).unwrap();
+    // replica, returning its reservation.
+    let mut cluster = NetCluster::start(config()).unwrap();
     let master = Arc::clone(cluster.master());
     master
         .create_file_as("/p", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)

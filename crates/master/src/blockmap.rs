@@ -2,7 +2,10 @@
 //!
 //! The master tracks, for every block, the confirmed replica locations
 //! (reported by workers) and the pending ones (scheduled into a write
-//! pipeline or a re-replication task but not yet acknowledged). The
+//! pipeline or a re-replication task but not yet acknowledged). A pending
+//! location is its medium's write reservation: the map keeps each medium's
+//! reserved bytes, which change only where a pending location is added or
+//! ends, so no caller can end one without its reservation. The
 //! [`replication_state`] function computes per-tier deficits and surpluses
 //! against a file's replication vector — the trigger conditions of §5.
 
@@ -35,16 +38,41 @@ impl BlockInfo {
         v
     }
 
+    /// Ends every pending location `ends` picks, releasing its
+    /// reservation: the one place a pending location ends. Returns
+    /// whether any did.
+    fn end_pending(&mut self, reserved: &mut Reserved, ends: impl Fn(&Location) -> bool) -> bool {
+        let (before, len) = (self.pending.len(), self.block.len);
+        self.pending.retain(|l| {
+            let ended = ends(l);
+            if ended {
+                let v = reserved.entry(l.media).or_default();
+                debug_assert!(*v >= len, "{} releases {len} B of {v} B reserved", l.media);
+                *v = v.saturating_sub(len);
+            }
+            !ended
+        });
+        self.pending.len() != before
+    }
+
     /// Moves `loc` from pending to confirmed (or records it outright).
-    /// Returns whether it was pending: the one moment its write
-    /// reservation is released.
-    fn confirm(&mut self, loc: Location) -> bool {
-        let before = self.pending.len();
-        self.pending.retain(|l| l != &loc);
+    /// Returns whether it was pending.
+    fn confirm(&mut self, loc: Location, reserved: &mut Reserved) -> bool {
+        let was_pending = self.end_pending(reserved, |l| *l == loc);
         if !self.locations.contains(&loc) {
             self.locations.push(loc);
         }
-        self.pending.len() != before
+        was_pending
+    }
+}
+
+/// Per medium, the bytes its pending locations will take (§3.2: placement
+/// sees a medium's heartbeated `remaining` less these).
+type Reserved = HashMap<MediaId, u64>;
+
+fn reserve(reserved: &mut Reserved, locs: &[Location], len: u64) {
+    for l in locs {
+        *reserved.entry(l.media).or_default() += len;
     }
 }
 
@@ -57,6 +85,7 @@ pub struct BlockMap {
     /// worker: a replica that commits after the snapshot is absent from
     /// it, and [`BlockMap::apply_report`] must not take it for lost.
     fresh: HashMap<WorkerId, HashSet<(BlockId, MediaId)>>,
+    reserved: Reserved,
 }
 
 impl BlockMap {
@@ -65,8 +94,11 @@ impl BlockMap {
         Self::default()
     }
 
-    /// Registers a new block with its scheduled pipeline locations.
+    /// Registers a block with its scheduled pipeline locations, replacing
+    /// (as [`BlockMap::remove_block`] does) any earlier placement of it.
     pub fn insert(&mut self, block: Block, file: INodeId, pending: Vec<Location>) {
+        self.remove_block(block.id);
+        reserve(&mut self.reserved, &pending, block.len);
         self.blocks.insert(block.id, BlockInfo { block, file, locations: Vec::new(), pending });
     }
 
@@ -85,16 +117,26 @@ impl BlockMap {
         self.blocks.is_empty()
     }
 
+    /// Bytes reserved on `media`: the length of every block pending there.
+    pub fn reserved(&self, media: MediaId) -> u64 {
+        self.reserved.get(&media).copied().unwrap_or(0)
+    }
+
+    /// Bytes reserved across every medium (the in-flight write volume).
+    pub fn total_reserved(&self) -> u64 {
+        self.reserved.values().sum()
+    }
+
     /// Marks a replica confirmed (moves it from pending, or records it
     /// outright), and remembers it as newer than its worker's last report.
     /// Returns whether the location was pending — whether this confirm,
-    /// and no other, releases its write reservation.
+    /// and no other, lands the block's bytes on the medium.
     pub fn confirm(&mut self, id: BlockId, loc: Location) -> Result<bool> {
         let was_pending = self
             .blocks
             .get_mut(&id)
             .ok_or_else(|| FsError::Internal(format!("confirm of unknown block {id}")))?
-            .confirm(loc);
+            .confirm(loc, &mut self.reserved);
         self.fresh.entry(loc.worker).or_default().insert((id, loc.media));
         Ok(was_pending)
     }
@@ -105,8 +147,7 @@ impl BlockMap {
     /// replica therefore goes at the latest one report after its commit).
     /// Returns the reported blocks the map does not know — the worker
     /// should delete those — and the `(medium, length)` of every reported
-    /// replica that was still pending, whose reservation the report
-    /// releases.
+    /// replica that was still pending, whose bytes the report lands.
     pub fn apply_report(
         &mut self,
         worker: WorkerId,
@@ -114,12 +155,12 @@ impl BlockMap {
     ) -> (Vec<BlockId>, Vec<(MediaId, u64)>) {
         let fresh = self.fresh.remove(&worker).unwrap_or_default();
         let mut seen: HashSet<(BlockId, MediaId)> = HashSet::with_capacity(reported.len());
-        let (mut unknown, mut released) = (Vec::new(), Vec::new());
+        let (mut unknown, mut confirmed) = (Vec::new(), Vec::new());
         for &(id, loc) in reported {
             match self.blocks.get_mut(&id) {
                 Some(info) => {
-                    if info.confirm(loc) {
-                        released.push((loc.media, info.block.len));
+                    if info.confirm(loc, &mut self.reserved) {
+                        confirmed.push((loc.media, info.block.len));
                     }
                     seen.insert((id, loc.media));
                 }
@@ -132,20 +173,16 @@ impl BlockMap {
                 l.worker != worker || seen.contains(&key) || fresh.contains(&key)
             });
         }
-        (unknown, released)
+        (unknown, confirmed)
     }
 
     /// Drops a pending replica that will never be written (an unreached
-    /// pipeline stage, a failed copy). Returns whether the location was
-    /// actually pending — the caller only releases the write reservation
-    /// when it was, so a repeated drop can't double-release.
-    pub fn abandon_pending(&mut self, id: BlockId, loc: &Location) -> bool {
+    /// pipeline stage, a failed copy). A location no longer pending — a
+    /// repeated drop, a confirmed replica — is left alone.
+    pub fn abandon_pending(&mut self, id: BlockId, loc: &Location) {
         if let Some(info) = self.blocks.get_mut(&id) {
-            let before = info.pending.len();
-            info.pending.retain(|l| l != loc);
-            return info.pending.len() != before;
+            info.end_pending(&mut self.reserved, |l| l == loc);
         }
-        false
     }
 
     /// Adds pending replicas (re-replication tasks).
@@ -154,21 +191,25 @@ impl BlockMap {
             .blocks
             .get_mut(&id)
             .ok_or_else(|| FsError::Internal(format!("add_pending on unknown block {id}")))?;
+        reserve(&mut self.reserved, locs, info.block.len);
         info.pending.extend_from_slice(locs);
         Ok(())
     }
 
-    /// Removes one confirmed replica (invalidation).
+    /// Removes a block's replica on `media`, confirmed or pending
+    /// (invalidation, a corrupt replica).
     pub fn remove_replica(&mut self, id: BlockId, media: MediaId) {
         if let Some(info) = self.blocks.get_mut(&id) {
             info.locations.retain(|l| l.media != media);
-            info.pending.retain(|l| l.media != media);
+            info.end_pending(&mut self.reserved, |l| l.media == media);
         }
     }
 
-    /// Forgets a block entirely (file deletion). Returns its last state.
+    /// Forgets a block entirely (file deletion, an abandoned block).
+    /// Returns its last state.
     pub fn remove_block(&mut self, id: BlockId) -> Option<BlockInfo> {
-        let info = self.blocks.remove(&id)?;
+        let mut info = self.blocks.remove(&id)?;
+        info.end_pending(&mut self.reserved, |_| true);
         // Keeps `fresh` bounded by live replicas even for a worker that
         // never sends a full report (the in-process cluster).
         for l in &info.locations {
@@ -179,15 +220,15 @@ impl BlockMap {
         Some(info)
     }
 
-    /// Drops every replica hosted by a dead worker; returns the ids of
-    /// blocks that lost a replica (re-replication candidates).
+    /// Drops every replica, confirmed or pending, hosted by a dead worker;
+    /// returns the ids of blocks that lost one (re-replication candidates).
     pub fn remove_worker_replicas(&mut self, worker: WorkerId) -> Vec<BlockId> {
         let mut affected = Vec::new();
         for (id, info) in self.blocks.iter_mut() {
-            let before = info.locations.len() + info.pending.len();
+            let before = info.locations.len();
             info.locations.retain(|l| l.worker != worker);
-            info.pending.retain(|l| l.worker != worker);
-            if info.locations.len() + info.pending.len() != before {
+            let ended = info.end_pending(&mut self.reserved, |l| l.worker == worker);
+            if ended || info.locations.len() != before {
                 affected.push(*id);
             }
         }
@@ -306,16 +347,47 @@ mod tests {
         let mut bm = BlockMap::new();
         let pipeline = vec![loc(0, 0, 0), loc(1, 5, 2)];
         bm.insert(blk(1), INodeId(1), pipeline.clone());
-        assert!(bm.abandon_pending(BlockId(1), &pipeline[1]));
+        bm.abandon_pending(BlockId(1), &pipeline[1]);
+        assert_eq!(bm.reserved(MediaId(5)), 0);
         // Idempotent: already removed, so nothing to release twice.
-        assert!(!bm.abandon_pending(BlockId(1), &pipeline[1]));
-        assert!(!bm.abandon_pending(BlockId(9), &pipeline[1]));
+        bm.abandon_pending(BlockId(1), &pipeline[1]);
+        bm.abandon_pending(BlockId(9), &pipeline[1]);
         assert_eq!(bm.get(BlockId(1)).unwrap().pending, vec![pipeline[0]]);
+        assert_eq!(bm.total_reserved(), 128);
         bm.confirm(BlockId(1), pipeline[0]).unwrap();
         bm.remove_replica(BlockId(1), MediaId(0));
         assert!(bm.get(BlockId(1)).unwrap().locations.is_empty());
         assert!(bm.remove_block(BlockId(1)).is_some());
         assert!(bm.get(BlockId(1)).is_none());
+    }
+
+    /// Every way a pending location ends releases exactly its block's
+    /// length on its medium, and only once.
+    #[test]
+    fn a_reservation_ends_with_its_pending_location() {
+        let mut bm = BlockMap::new();
+        let (a, b, c) = (loc(0, 0, 0), loc(1, 5, 2), loc(2, 10, 2));
+        bm.insert(blk(1), INodeId(1), vec![a, b, c]);
+        bm.insert(blk(2), INodeId(1), vec![b]);
+        bm.add_pending(BlockId(2), &[c]).unwrap();
+        let reserved = |bm: &BlockMap| [0, 5, 10].map(|m| bm.reserved(MediaId(m)));
+        assert_eq!(reserved(&bm), [128, 256, 256]);
+        assert!(bm.confirm(BlockId(1), a).unwrap());
+        assert_eq!(reserved(&bm), [0, 256, 256]);
+        bm.remove_worker_replicas(WorkerId(1));
+        assert_eq!(reserved(&bm), [0, 0, 256]);
+        bm.remove_replica(BlockId(1), MediaId(10));
+        assert_eq!(reserved(&bm), [0, 0, 128]);
+        // A report of a pending replica confirms it; of an ended one, not.
+        let (_, confirmed) = bm.apply_report(WorkerId(2), &[(BlockId(2), c), (BlockId(1), c)]);
+        assert_eq!(confirmed, vec![(MediaId(10), 128)]);
+        assert_eq!(bm.total_reserved(), 0);
+        // Re-placing a block and forgetting it give its pipeline back.
+        bm.insert(blk(2), INodeId(1), vec![a]);
+        bm.insert(blk(2), INodeId(1), vec![b]);
+        assert_eq!(reserved(&bm), [0, 128, 0]);
+        bm.remove_block(BlockId(2));
+        assert_eq!(bm.total_reserved(), 0);
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Master-side cluster state: registered workers, heartbeat statistics,
-//! scheduled-write accounting, and liveness tracking (paper §2.1/§3.2).
+//! and liveness tracking (paper §2.1/§3.2). The bytes scheduled into
+//! pipelines and copies are the block map's pending locations
+//! ([`BlockMap::reserved`]); the placement view subtracts them here.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use octopus_common::{
     ClusterConfig, FsError, MediaId, MediaStats, RackId, Result, StorageTierReport, TierId,
     TierRegistry, TierStats, WorkerId, WorkerStats, MAX_TIERS,
 };
 use octopus_policies::ClusterSnapshot;
+
+use crate::blockmap::BlockMap;
 
 /// Master-side record of one worker.
 #[derive(Debug, Clone)]
@@ -32,16 +36,11 @@ pub struct WorkerInfo {
 /// (§5: the master learns of a worker failure from its missing heartbeats).
 const DEAD_AFTER_MISSED: u64 = 10;
 
-/// All workers plus scheduled-write accounting.
-///
-/// Between heartbeats the master adjusts its view of remaining capacity by
-/// the bytes it has scheduled into pipelines (`schedule_write`) so that
-/// consecutive placements do not oversubscribe a medium.
+/// All workers, their media as last heartbeated, and their liveness.
 #[derive(Debug)]
 pub struct ClusterState {
     workers: BTreeMap<WorkerId, WorkerInfo>,
     decommissioning: std::collections::BTreeSet<WorkerId>,
-    scheduled: HashMap<MediaId, u64>,
     heartbeat_ms: u64,
     num_tiers: usize,
     volatile: [bool; MAX_TIERS],
@@ -57,7 +56,6 @@ impl ClusterState {
         Self {
             workers: BTreeMap::new(),
             decommissioning: std::collections::BTreeSet::new(),
-            scheduled: HashMap::new(),
             heartbeat_ms: config.heartbeat_ms,
             num_tiers: config.tiers.len(),
             volatile,
@@ -81,8 +79,7 @@ impl ClusterState {
     }
 
     /// Processes a heartbeat: refreshes media stats, connection counts, and
-    /// liveness. Scheduled-write adjustments for the reported media are
-    /// retained (they describe writes still in flight).
+    /// liveness. Writes still in flight stay reserved in the block map.
     pub fn heartbeat(
         &mut self,
         worker: WorkerId,
@@ -101,17 +98,10 @@ impl ClusterState {
         Ok(())
     }
 
-    /// Reserves capacity for a block scheduled to be written.
-    pub fn schedule_write(&mut self, media: MediaId, bytes: u64) {
-        *self.scheduled.entry(media).or_insert(0) += bytes;
-    }
-
-    /// Releases a reservation once the write is confirmed (the worker's
-    /// own accounting takes over) or abandoned.
+    /// Charges a confirmed write to its medium's cached `remaining`, so
+    /// the view stays accurate until the next heartbeat: called where a
+    /// confirm ends a pending location, whose reservation ends with it.
     pub fn complete_write(&mut self, media: MediaId, bytes: u64) {
-        self.cancel_write(media, bytes);
-        // Reflect the consumption immediately so the view stays accurate
-        // until the next heartbeat.
         for w in self.workers.values_mut() {
             for m in w.media.iter_mut() {
                 if m.media == media {
@@ -119,32 +109,6 @@ impl ClusterState {
                 }
             }
         }
-    }
-
-    /// Cancels a reservation for a write that never happened (pipeline
-    /// stage aborted before storing). Unlike [`ClusterState::complete_write`]
-    /// this does *not* charge the medium's cached `remaining` — no bytes
-    /// landed — it only returns the scheduled capacity to the placement
-    /// view.
-    pub fn cancel_write(&mut self, media: MediaId, bytes: u64) {
-        if let Some(v) = self.scheduled.get_mut(&media) {
-            *v = v.saturating_sub(bytes);
-            if *v == 0 {
-                self.scheduled.remove(&media);
-            }
-        }
-    }
-
-    /// Total scheduled-write reservation currently held against a medium
-    /// (test observability for reservation-leak regressions).
-    pub fn scheduled_bytes(&self, media: MediaId) -> u64 {
-        self.scheduled.get(&media).copied().unwrap_or(0)
-    }
-
-    /// Sum of scheduled-write reservations across every medium (the
-    /// cluster-wide in-flight write volume).
-    pub fn total_scheduled_bytes(&self) -> u64 {
-        self.scheduled.values().sum()
     }
 
     /// Marks workers dead whose heartbeats stopped; returns the newly dead.
@@ -213,8 +177,8 @@ impl ClusterState {
     }
 
     /// Builds the policy-facing snapshot over live workers, with remaining
-    /// capacities reduced by scheduled writes.
-    pub fn snapshot(&self) -> ClusterSnapshot {
+    /// capacities reduced by the bytes `blocks` has reserved on them.
+    pub fn snapshot(&self, blocks: &BlockMap) -> ClusterSnapshot {
         let mut media = Vec::new();
         let mut workers = Vec::new();
         for w in self.workers.values().filter(|w| w.live) {
@@ -228,9 +192,7 @@ impl ClusterState {
             let draining = self.decommissioning.contains(&w.worker);
             for m in &w.media {
                 let mut m = *m;
-                if let Some(&s) = self.scheduled.get(&m.media) {
-                    m.remaining = m.remaining.saturating_sub(s);
-                }
+                m.remaining = m.remaining.saturating_sub(blocks.reserved(m.media));
                 if draining {
                     m.remaining = 0; // never a placement target
                 }
@@ -241,8 +203,12 @@ impl ClusterState {
     }
 
     /// The `getStorageTierReports` payload (Table 1).
-    pub fn tier_reports(&self, registry: &TierRegistry) -> Vec<StorageTierReport> {
-        let snap = self.snapshot();
+    pub fn tier_reports(
+        &self,
+        registry: &TierRegistry,
+        blocks: &BlockMap,
+    ) -> Vec<StorageTierReport> {
+        let snap = self.snapshot(blocks);
         registry
             .iter()
             .filter_map(|t| {
@@ -259,7 +225,7 @@ impl ClusterState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octopus_common::ClusterConfig;
+    use octopus_common::{Block, BlockId, ClusterConfig, GenStamp, INodeId, Location};
 
     fn media_stats(media: u32, worker: u32, tier: u8, rem: u64) -> MediaStats {
         MediaStats {
@@ -288,7 +254,7 @@ mod tests {
     #[test]
     fn snapshot_reflects_heartbeats() {
         let cs = state();
-        let snap = cs.snapshot();
+        let snap = cs.snapshot(&BlockMap::new());
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.media.len(), 2);
         assert_eq!(snap.media_stats(MediaId(0)).unwrap().remaining, 800);
@@ -297,29 +263,35 @@ mod tests {
         assert!(snap.volatile[0]);
     }
 
-    #[test]
-    fn scheduled_writes_shrink_view_until_completed() {
-        let mut cs = state();
-        cs.schedule_write(MediaId(0), 300);
-        assert_eq!(cs.snapshot().media_stats(MediaId(0)).unwrap().remaining, 500);
-        cs.complete_write(MediaId(0), 300);
-        // Reservation released but consumption applied to the cached stats.
-        assert_eq!(cs.snapshot().media_stats(MediaId(0)).unwrap().remaining, 500);
-        // Next heartbeat refreshes authoritative numbers.
-        cs.heartbeat(WorkerId(0), vec![media_stats(0, 0, 0, 500)], 0, 10).unwrap();
-        assert_eq!(cs.snapshot().media_stats(MediaId(0)).unwrap().remaining, 500);
+    /// A block pending on medium 0: 300 B reserved there.
+    fn pending_300() -> (BlockMap, Location) {
+        let mut bm = BlockMap::new();
+        let at = Location { worker: WorkerId(0), media: MediaId(0), tier: TierId(0) };
+        bm.insert(Block { id: BlockId(1), gen: GenStamp(0), len: 300 }, INodeId(1), vec![at]);
+        (bm, at)
     }
 
     #[test]
-    fn cancelled_writes_release_reservation_without_charging_capacity() {
+    fn reservations_shrink_view_until_completed() {
         let mut cs = state();
-        cs.schedule_write(MediaId(0), 300);
-        assert_eq!(cs.scheduled_bytes(MediaId(0)), 300);
-        assert_eq!(cs.snapshot().media_stats(MediaId(0)).unwrap().remaining, 500);
-        cs.cancel_write(MediaId(0), 300);
-        assert_eq!(cs.scheduled_bytes(MediaId(0)), 0);
+        let (mut bm, at) = pending_300();
+        assert_eq!(cs.snapshot(&bm).media_stats(MediaId(0)).unwrap().remaining, 500);
+        assert!(bm.confirm(BlockId(1), at).unwrap());
+        cs.complete_write(MediaId(0), 300);
+        // Reservation released but consumption applied to the cached stats.
+        assert_eq!(cs.snapshot(&bm).media_stats(MediaId(0)).unwrap().remaining, 500);
+        // Next heartbeat refreshes authoritative numbers.
+        cs.heartbeat(WorkerId(0), vec![media_stats(0, 0, 0, 500)], 0, 10).unwrap();
+        assert_eq!(cs.snapshot(&bm).media_stats(MediaId(0)).unwrap().remaining, 500);
+    }
+
+    #[test]
+    fn abandoned_writes_release_reservation_without_charging_capacity() {
+        let cs = state();
+        let (mut bm, at) = pending_300();
+        bm.abandon_pending(BlockId(1), &at);
         // Nothing was written: the full capacity is visible again.
-        assert_eq!(cs.snapshot().media_stats(MediaId(0)).unwrap().remaining, 800);
+        assert_eq!(cs.snapshot(&bm).media_stats(MediaId(0)).unwrap().remaining, 800);
     }
 
     #[test]
@@ -330,7 +302,7 @@ mod tests {
         let dead = cs.tick(1500);
         assert_eq!(dead, vec![WorkerId(0), WorkerId(1)]);
         assert!(!cs.is_live(WorkerId(0)));
-        assert!(cs.snapshot().workers.is_empty());
+        assert!(cs.snapshot(&BlockMap::new()).workers.is_empty());
         // A heartbeat revives.
         cs.heartbeat(WorkerId(0), vec![media_stats(0, 0, 0, 800)], 0, 1600).unwrap();
         assert!(cs.is_live(WorkerId(0)));
@@ -348,7 +320,7 @@ mod tests {
     fn tier_reports_aggregate() {
         let cs = state();
         let registry = TierRegistry::standard_three();
-        let reports = cs.tier_reports(&registry);
+        let reports = cs.tier_reports(&registry, &BlockMap::new());
         assert_eq!(reports.len(), 2); // Memory (1 medium) + HDD (1 medium)
         let mem = reports.iter().find(|r| r.name == "Memory").unwrap();
         assert!(mem.volatile);

@@ -11,9 +11,10 @@
 //! - [`editlog`]: a durable, self-describing binary log of namespace
 //!   mutations, with checkpointing for the backup master;
 //! - [`blockmap`]: block → replica-location mapping with per-tier
-//!   replication accounting;
-//! - [`cluster`]: registered workers, heartbeat statistics, scheduled-write
-//!   accounting, and liveness tracking;
+//!   replication accounting; a pending location is its medium's write
+//!   reservation;
+//! - [`cluster`]: registered workers, heartbeat statistics, and liveness
+//!   tracking;
 //! - [`master`]: the [`Master`] facade tying everything together behind the
 //!   client-facing API (Table 1), including the replication monitor (§5);
 //! - [`backup`]: the backup master that tails the edit log, keeps an

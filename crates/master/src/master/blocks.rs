@@ -1,7 +1,8 @@
 //! Block lifecycle (add, reassign, abandon, commit) and the
 //! worker-facing calls (registration, heartbeat, block report, the failure
-//! detector, decommission), with the one place-and-reserve step and the
-//! one block-forget step every caller shares.
+//! detector, decommission), with the one placement step every caller
+//! shares. A placed location reserves its medium when it enters the block
+//! map as pending, and the reservation ends with it there.
 
 use octopus_common::metrics::Labels;
 use octopus_common::{
@@ -14,7 +15,7 @@ use std::sync::atomic::Ordering;
 
 use super::monitor::counted_replicas;
 use super::{Master, MetaOp, NamespaceState, OpCtx, SAFE_MODE_THRESHOLD};
-use crate::blockmap::{replication_state, BlockMap};
+use crate::blockmap::replication_state;
 use crate::cluster::ClusterState;
 use crate::editlog::EditOp;
 use crate::lease::ClientId;
@@ -82,7 +83,7 @@ impl Master {
     /// replicas, drops replicas the master believed were on this worker
     /// but were neither reported nor committed since the worker's previous
     /// report (the report is a snapshot taken before it was sent — see
-    /// [`BlockMap::apply_report`]), and returns block ids the worker
+    /// [`crate::BlockMap::apply_report`]), and returns block ids the worker
     /// should delete (blocks unknown to the namespace).
     pub fn block_report(
         &self,
@@ -104,10 +105,10 @@ impl Master {
                     .collect()
             };
             let mut blocks = ctx.write(&self.blocks);
-            let (invalidate, released) = blocks.apply_report(worker, &located);
-            if !released.is_empty() {
+            let (invalidate, confirmed) = blocks.apply_report(worker, &located);
+            if !confirmed.is_empty() {
                 let mut c = ctx.lock(&self.cluster);
-                for (media, len) in released {
+                for (media, len) in confirmed {
                     c.complete_write(media, len);
                 }
             }
@@ -176,8 +177,8 @@ impl Master {
     }
 
     /// A worker's scrubber found a corrupt replica (§5: "block
-    /// corruption"): drop the location so the next replication scan
-    /// re-replicates from a healthy copy.
+    /// corruption"): drop the location, confirmed or pending, so the next
+    /// replication scan re-replicates from a healthy copy.
     pub fn report_corrupt(&self, block: BlockId, location: Location) {
         self.blocks.write().remove_replica(block, location.media);
         self.metrics.inc("master_scrub_corrupt_total", Labels::worker(location.worker));
@@ -261,8 +262,10 @@ impl Master {
             }
             let mut req = PlacementRequest::from_vector(meta.rv, len, client);
             req.excluded_workers = excluded.to_vec();
-            let snap = ctx.lock(&self.cluster).snapshot();
-            let (locations, rounds) = self.place_and_reserve(Some(&ctx), &snap, &req, |_| true)?;
+            let bs = ctx.read(&self.blocks);
+            let snap = ctx.lock(&self.cluster).snapshot(&bs);
+            drop(bs);
+            let (locations, rounds) = self.place_and_locate(Some(&ctx), &snap, &req, |_| true)?;
             // Partial placement is tolerated (the replication monitor tops
             // the block up later) but at least one replica must exist.
             if locations.is_empty() {
@@ -278,9 +281,9 @@ impl Master {
             let mut bs = ctx.write(&self.blocks);
             bs.insert(block, file, locations.clone());
             // The namespace append charges the tier quotas; forgetting the
-            // block refunds the reservations if it trips.
+            // block ends its reservations if it trips.
             if let Err(e) = g.ns.add_block(file, block.id, len) {
-                self.forget_blocks(&ctx, &mut bs, [block.id]);
+                bs.remove_block(block.id);
                 return Err(e);
             }
             drop(bs);
@@ -301,9 +304,9 @@ impl Master {
 
     /// Settles a written block as its pipeline head reports it: confirms
     /// `stored` in order, then drops each `unreached` location still
-    /// pending. Only the confirm (or drop) that ends a location's pending
-    /// releases (or cancels) its reservation, so a resend releases nothing
-    /// twice; a confirmed replica is never demoted.
+    /// pending. Only the confirm that ends a location's pending charges
+    /// its medium, so a resend charges nothing twice; a confirmed replica
+    /// is never demoted.
     pub fn commit_replicas(
         &self,
         block: Block,
@@ -320,9 +323,7 @@ impl Master {
                 }
             }
             for loc in unreached {
-                if blocks.abandon_pending(block.id, loc) {
-                    cluster.cancel_write(loc.media, block.len);
-                }
+                blocks.abandon_pending(block.id, loc);
             }
             Ok(())
         })
@@ -345,8 +346,8 @@ impl Master {
     }
 
     /// Abandons an allocated block whose pipeline never stored a replica:
-    /// reverses the namespace append (refunding quota), releases every
-    /// pending write reservation, and drops the block from the block map.
+    /// reverses the namespace append (refunding quota) and drops the block,
+    /// with its pending reservations, from the block map.
     /// Replicas that *did* commit before the failure become unknown blocks
     /// and are invalidated through their owners' next block reports.
     pub fn abandon_block_as(&self, path: &str, block: Block, holder: ClientId) -> Result<()> {
@@ -356,7 +357,7 @@ impl Master {
             let mut g = ctx.write(&self.namespace);
             let (file, _) = self.leased(&mut g, path, holder)?;
             g.ns.remove_last_block(file, block.id, block.len)?;
-            self.forget_blocks(&ctx, &mut ctx.write(&self.blocks), [block.id]);
+            ctx.write(&self.blocks).remove_block(block.id);
             let seq = self.log.stage(EditOp::AbandonBlock {
                 path: path.to_string(),
                 block: block.id,
@@ -412,20 +413,20 @@ impl Master {
             }
             let mut req = PlacementRequest::from_vector(meta.rv, block.len, client);
             req.excluded_workers = excluded.to_vec();
-            let snap = ctx.lock(&self.cluster).snapshot();
+            let bs = ctx.read(&self.blocks);
+            let snap = ctx.lock(&self.cluster).snapshot(&bs);
+            drop(bs);
             // Place first: a placement failure must leave the old assignment
             // intact (no edit-log entry either way — replica locations are
             // never logged, exactly as in `add_block_excluding`).
-            let (locations, rounds) = self.place_and_reserve(Some(&ctx), &snap, &req, |_| true)?;
+            let (locations, rounds) = self.place_and_locate(Some(&ctx), &snap, &req, |_| true)?;
             if locations.is_empty() {
                 return Err(FsError::PlacementFailed(format!(
                     "no media available for block of {path}"
                 )));
             }
-            let mut bs = ctx.write(&self.blocks);
-            self.forget_blocks(&ctx, &mut bs, [block.id]);
-            bs.insert(block, file, locations.clone());
-            drop(bs);
+            // The new pipeline replaces the old one and its reservations.
+            ctx.write(&self.blocks).insert(block, file, locations.clone());
             let policy = self.placement.name().to_string();
             let chosen = locations.clone();
             self.record(DecisionKind::Reassign, block.id, file, policy, chosen, rounds);
@@ -433,14 +434,13 @@ impl Master {
         })
     }
 
-    /// The one place-and-reserve step: runs the placement policy for `req`
-    /// on `snap`, then resolves every chosen medium to its location and
-    /// reserves the block's bytes there under one cluster guard, so a
-    /// heartbeat cannot slip between the lookup and the reservation.
-    /// `accept` may turn the placement down before anything is reserved.
-    /// A client op (`ctx`) fails on a medium the cluster cannot locate; a
-    /// scan skips it.
-    pub(super) fn place_and_reserve(
+    /// The one placement step: runs the placement policy for `req` on
+    /// `snap`, then resolves every chosen medium to its location under one
+    /// cluster guard. `accept` may turn the placement down. A client op
+    /// (`ctx`) fails on a medium the cluster cannot locate; a scan skips
+    /// it. The locations reserve their media once the caller records them
+    /// as pending (`BlockMap::insert`, `BlockMap::add_pending`).
+    pub(super) fn place_and_locate(
         &self,
         ctx: Option<&OpCtx>,
         snap: &ClusterSnapshot,
@@ -451,7 +451,7 @@ impl Master {
         if !accept(&media) {
             return Ok((Vec::new(), rounds));
         }
-        let mut c = ctx.map_or_else(|| self.cluster.lock(), |ctx| ctx.lock(&self.cluster));
+        let c = ctx.map_or_else(|| self.cluster.lock(), |ctx| ctx.lock(&self.cluster));
         let mut located = Vec::with_capacity(media.len());
         for m in media {
             match c.locate_media(m) {
@@ -460,35 +460,6 @@ impl Master {
                 None => {}
             }
         }
-        for l in &located {
-            c.schedule_write(l.media, req.block_size);
-        }
         Ok((located, rounds))
-    }
-
-    /// The one block-forget step: drops `ids` from the block map and
-    /// refunds every write reservation still pending on them; returns the
-    /// dropped blocks' confirmed replicas. Replicas the caller does not
-    /// invalidate become unknown blocks, purged through their owners'
-    /// block reports.
-    pub(super) fn forget_blocks(
-        &self,
-        ctx: &OpCtx,
-        map: &mut BlockMap,
-        ids: impl IntoIterator<Item = BlockId>,
-    ) -> Vec<(BlockId, Location)> {
-        let (mut dropped, mut refunds) = (Vec::new(), Vec::new());
-        for id in ids {
-            let Some(info) = map.remove_block(id) else { continue };
-            refunds.extend(info.pending.iter().map(|l| (l.media, info.block.len)));
-            dropped.extend(info.locations.into_iter().map(|l| (id, l)));
-        }
-        if !refunds.is_empty() {
-            let mut c = ctx.lock(&self.cluster);
-            for (media, len) in refunds {
-                c.cancel_write(media, len);
-            }
-        }
-        dropped
     }
 }

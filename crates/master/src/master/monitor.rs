@@ -60,16 +60,16 @@ impl Master {
         if self.in_safe_mode() {
             return Vec::new();
         }
-        let (snap, counted) = {
-            let c = self.cluster.lock();
-            (c.snapshot(), counted_replicas(&c))
-        };
         let mut tasks = Vec::new();
         // Both guards span the scan: the monitor sees one consistent
         // namespace and block map, at the price of holding up writers
         // for its duration.
         let g = self.namespace.read();
         let mut bg = self.blocks.write();
+        let (snap, counted) = {
+            let c = self.cluster.lock();
+            (c.snapshot(&bg), counted_replicas(&c))
+        };
         // In ascending inode id — creation order, until a slot is reused —
         // so the order of the tasks does not depend on where the inode
         // table happens to keep a file.
@@ -100,7 +100,7 @@ impl Master {
                     excluded_workers: Vec::new(),
                 };
                 let placed = (!req.tier_pins.is_empty())
-                    .then(|| self.place_and_reserve(None, &snap, &req, |_| true).ok())
+                    .then(|| self.place_and_locate(None, &snap, &req, |_| true).ok())
                     .flatten()
                     .filter(|(targets, _)| !targets.is_empty());
                 if let Some((targets, rounds)) = placed {
@@ -164,7 +164,8 @@ impl Master {
         if self.in_safe_mode() {
             return Vec::new();
         }
-        let snap = self.cluster.lock().snapshot();
+        let mut blocks = self.blocks.write();
+        let snap = self.cluster.lock().snapshot(&blocks);
 
         // Per-media and per-tier utilization.
         let mut tier_used = vec![(0u64, 0u64); snap.num_tiers]; // (used, cap)
@@ -194,7 +195,6 @@ impl Master {
         }
 
         let mut tasks = Vec::new();
-        let mut blocks = self.blocks.write();
         for src in overloaded {
             if tasks.len() >= max_moves {
                 break;
@@ -221,7 +221,7 @@ impl Master {
                 let better = |media: &[MediaId]| {
                     media.first().is_some_and(|m| frac(m) + threshold / 2.0 < src_frac)
                 };
-                let (targets, _) = self.place_and_reserve(None, &snap, &req, better).ok()?;
+                let (targets, _) = self.place_and_locate(None, &snap, &req, better).ok()?;
                 let target = *targets.first()?;
                 let reader = ClientLocation::OnWorker(target.worker);
                 let sources = self.retrieval.order(&snap, reader, &info.locations);
@@ -287,7 +287,7 @@ impl Master {
         scored.sort_unstable_by_key(|f| f.0);
 
         // Headroom for promotions: what the Memory tier can still absorb.
-        let reports = self.cluster.lock().tier_reports(&self.config.tiers);
+        let reports = self.get_storage_tier_reports();
         let mem_report = reports.iter().find(|r| r.stats.tier == mem);
         let mut mem_remaining = mem_report.map_or(0, |r| r.stats.remaining);
 

@@ -115,13 +115,13 @@ impl Master {
     ) -> Result<Vec<LocatedBlock>> {
         let ctx = self.op(MetaOp::Locations);
         ctx.finish_with(|| {
-            let snap = ctx.lock(&self.cluster).snapshot();
             // Both read guards span the walk, so a concurrent delete cannot
             // pull a block out from under a file that is being located.
             let g = ctx.read(&self.namespace);
             let file = g.ns.resolve(path)?;
             let meta = g.ns.file_meta(file)?;
             let blocks = ctx.read(&self.blocks);
+            let snap = ctx.lock(&self.cluster).snapshot(&blocks);
             let mut out = Vec::new();
             let mut offset = 0u64;
             for &(bid, _) in &meta.blocks {
@@ -268,7 +268,7 @@ impl Master {
 
     /// Deletes a path; block replicas are dropped from the block map and
     /// returned as `(block, location)` pairs for invalidation at the
-    /// workers, and the writes still pending on them are refunded. Heat
+    /// workers, and the writes still pending on them end with them. Heat
     /// entries of the deleted files are forgotten — without this the
     /// tracker leaks one EWMA per deleted file forever.
     pub fn delete(&self, path: &str, recursive: bool) -> Result<Vec<(BlockId, Location)>> {
@@ -282,11 +282,13 @@ impl Master {
             let seq = self.log.stage(EditOp::Delete { path: path.to_string() });
             // Blocks leave the map under the namespace guard, so a reader
             // never finds a file whose blocks are already gone.
-            let dropped = if blocks.is_empty() {
-                Vec::new()
-            } else {
-                self.forget_blocks(&ctx, &mut ctx.write(&self.blocks), blocks)
-            };
+            let mut dropped = Vec::new();
+            if !blocks.is_empty() {
+                let mut map = ctx.write(&self.blocks);
+                for info in blocks.into_iter().filter_map(|id| map.remove_block(id)) {
+                    dropped.extend(info.locations.into_iter().map(|l| (info.block.id, l)));
+                }
+            }
             drop(g);
             self.forget_heat(&ctx, doomed);
             ctx.wait_durable(&self.log, seq)?;

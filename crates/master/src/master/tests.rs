@@ -26,24 +26,27 @@ fn boot_master_from(n: u32, log: EditLog) -> Master {
     let config = ClusterConfig::test_cluster(n, 10 << 20, 1 << 20);
     let master = Master::with_log(config, log).unwrap();
     for w in 0..n {
-        let rack = RackId((w % 2) as u16);
-        master.register_worker(WorkerId(w), rack, 1e9, 0);
-        let media: Vec<MediaStats> = (0..3u8)
-            .map(|t| MediaStats {
-                media: MediaId(w * 3 + t as u32),
-                worker: WorkerId(w),
-                rack,
-                tier: TierId(t),
-                capacity: 10 << 20,
-                remaining: 10 << 20,
-                nr_conn: 0,
-                write_thru: [1900.0, 340.0, 126.0][t as usize] * 1048576.0,
-                read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
-            })
-            .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
+        master.register_worker(WorkerId(w), RackId((w % 2) as u16), 1e9, 0);
+        master.heartbeat(WorkerId(w), media_of(w, 10 << 20), 0, 0, &[]).unwrap();
     }
     master
+}
+
+/// Worker `w`'s three media of 10 MiB, as its heartbeat reports them.
+fn media_of(w: u32, remaining: u64) -> Vec<MediaStats> {
+    (0..3u8)
+        .map(|t| MediaStats {
+            media: MediaId(w * 3 + t as u32),
+            worker: WorkerId(w),
+            rack: RackId((w % 2) as u16),
+            tier: TierId(t),
+            capacity: 10 << 20,
+            remaining,
+            nr_conn: 0,
+            write_thru: [1900.0, 340.0, 126.0][t as usize] * 1048576.0,
+            read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
+        })
+        .collect()
 }
 
 fn rv_u(r: u8) -> ReplicationVector {
@@ -154,9 +157,8 @@ fn scheduled_writes_prevent_oversubscription() {
 
 #[test]
 fn an_unreached_stage_releases_its_scheduled_reservation() {
-    // Regression: dropping a stage used to call complete_write(media, 0),
-    // which released zero of the `len` bytes add_block reserved via
-    // schedule_write — every failed pipeline stage leaked its
+    // Regression: dropping a stage used to release zero of the `len`
+    // bytes add_block reserved — every failed pipeline stage leaked its
     // reservation until the medium looked permanently full.
     let m = boot_master(6);
     m.create_file_as("/f", rv_u(3), None, SYS).unwrap();
@@ -173,6 +175,49 @@ fn an_unreached_stage_releases_its_scheduled_reservation() {
     // A repeated (resent) commit must not underflow or double-release.
     m.commit_replicas(block, &[], &locs[..1]).unwrap();
     assert_eq!(m.scheduled_bytes(locs[0].media), 0);
+}
+
+/// A pending stage also ends off the commit path: its worker is killed,
+/// the failure detector declares it dead, or the stage is reported
+/// corrupt. Each takes the stage's reservation with it; the head's late
+/// commit then releases nothing twice, and a worker that comes back is
+/// seen with exactly the capacity it heartbeats.
+#[test]
+fn a_stage_that_ends_off_the_commit_path_takes_its_reservation_with_it() {
+    for way in ["kill_worker", "tick", "report_corrupt"] {
+        let m = boot_master(2);
+        m.create_file_as("/f", ReplicationVector::msh(0, 0, 2), None, SYS).unwrap();
+        let (a, pipeline) = m.add_block_excluding("/f", 1 << 20, OFF, SYS, &[]).unwrap();
+        let (head, tail) = (pipeline[0], pipeline[1]);
+        let later = 10 * m.config().heartbeat_ms + 1;
+        match way {
+            "kill_worker" => m.kill_worker(tail.worker),
+            "tick" => {
+                m.heartbeat(head.worker, media_of(head.worker.0, 10 << 20), 0, later, &[]).unwrap();
+                assert_eq!(m.tick(later), [tail.worker]);
+            }
+            _ => m.report_corrupt(a.id, tail),
+        }
+        assert_eq!(m.scheduled_bytes(tail.media), 0, "{way} kept the tail's reservation");
+        assert_eq!(m.scheduled_bytes(head.media), a.len, "{way}");
+
+        // The tail's worker comes back: it is seen as it heartbeats.
+        m.register_worker(tail.worker, RackId((tail.worker.0 % 2) as u16), 1e9, later);
+        m.heartbeat(tail.worker, media_of(tail.worker.0, 7 << 20), 0, later, &[]).unwrap();
+        let snap = m.snapshot();
+        let seen = snap.media.iter().filter(|s| s.worker == tail.worker);
+        assert!(seen.map(|s| s.remaining).eq([7 << 20; 3]), "{way}: {:?}", snap.media);
+
+        // A second write reserves both media; the first block's late
+        // commit confirms its head once and drops nothing else.
+        let (b, again) = m.add_block_excluding("/f", 300 << 10, OFF, SYS, &[]).unwrap();
+        assert_eq!(again.iter().map(|l| l.media).collect::<Vec<_>>(), [head.media, tail.media]);
+        m.commit_replicas(a, &[head], &[tail]).unwrap();
+        for l in [head, tail] {
+            assert_eq!(m.scheduled_bytes(l.media), b.len, "{way}: {l:?}");
+        }
+        assert_eq!(m.pending_locations(a.id), []);
+    }
 }
 
 /// A file deleted with its pipeline in flight gives the pipeline's

@@ -63,12 +63,14 @@ impl Master {
 
     /// `getStorageTierReports` (Table 1).
     pub fn get_storage_tier_reports(&self) -> Vec<StorageTierReport> {
-        self.cluster.lock().tier_reports(&self.config.tiers)
+        let blocks = self.blocks.read();
+        self.cluster.lock().tier_reports(&self.config.tiers, &blocks)
     }
 
     /// The policy-facing snapshot (exposed for harnesses and tests).
     pub fn snapshot(&self) -> ClusterSnapshot {
-        self.cluster.lock().snapshot()
+        let blocks = self.blocks.read();
+        self.cluster.lock().snapshot(&blocks)
     }
 
     /// Confirmed replica locations of a block (test/diagnostic hook).
@@ -92,10 +94,11 @@ impl Master {
         self.blocks.read().get(id).map(|i| i.pending.clone()).unwrap_or_default()
     }
 
-    /// Scheduled-write bytes currently reserved against a medium
-    /// (test/diagnostic hook for reservation-leak regressions).
+    /// Scheduled-write bytes currently reserved against a medium: the
+    /// length of every block pending there (test/diagnostic hook for
+    /// reservation-leak regressions).
     pub fn scheduled_bytes(&self, media: MediaId) -> u64 {
-        self.cluster.lock().scheduled_bytes(media)
+        self.blocks.read().reserved(media)
     }
 
     /// Access-heat summary for the file at `path` as of the master's
@@ -152,11 +155,9 @@ impl Master {
     /// files, and audit-ring occupancy.
     pub fn cluster_status(&self, hot_k: usize) -> ClusterStatusReport {
         let files = self.namespace.read().ns.counts().0 as u64;
-        let (blocks, in_flight_blocks) = {
+        let (blocks, in_flight_blocks, scheduled_bytes, tiers, workers) = {
             let g = self.blocks.read();
-            (g.len() as u64, g.iter().filter(|(_, i)| !i.pending.is_empty()).count() as u64)
-        };
-        let (scheduled_bytes, tiers, workers) = {
+            let in_flight = g.iter().filter(|(_, i)| !i.pending.is_empty()).count() as u64;
             let c = self.cluster.lock();
             let workers: Vec<WorkerStatusLine> = c
                 .workers()
@@ -169,7 +170,8 @@ impl Master {
                     media: w.media.clone(),
                 })
                 .collect();
-            (c.total_scheduled_bytes(), c.tier_reports(&self.config.tiers), workers)
+            let tiers = c.tier_reports(&self.config.tiers, &g);
+            (g.len() as u64, in_flight, g.total_reserved(), tiers, workers)
         };
         ClusterStatusReport {
             now_ms: self.now_ms(),

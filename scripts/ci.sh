@@ -31,6 +31,13 @@ echo "==> cargo test --workspace --release"
 # suite is hand-listed, so none can be silently skipped.
 cargo test --workspace --release -q
 
+echo "==> reservation oracle: 1,000 seeds"
+# The scan transcript's oracle (the reserved bytes the master reports are
+# a walk of its pending replicas, at every round) over 1,000 more seeded
+# sequences, with no fixture to compare (~2 s).
+cargo test --release -q -p octopus-master --test scan_transcript -- --ignored --exact \
+    reserved_bytes_are_the_pending_walk_over_a_thousand_seeds
+
 echo "==> pipelined replay: 20 runs under parallel load"
 # The master crate's first thread is the helper a file-backed replay scans
 # the log on. Its failure-equivalence suite (pipelined vs sequential scan:
