@@ -4,8 +4,8 @@
 //! histograms, split by acquisition mode (shared vs. exclusive).
 //!
 //! The master serializes metadata behind a handful of named locks
-//! (`master.namespace`, `master.blocks`, `master.cluster`, … — DESIGN.md
-//! §11); any change to that structure has to start from *where* master
+//! (`master.namespace`, `master.blocks`, and the `master.heat` and
+//! `master.audit` leaves — DESIGN.md §11); any change to that structure has to start from *where* master
 //! time goes — queueing on a lock, working under it, or appending to the
 //! edit log. This module provides the lock-side half of that breakdown
 //! (the op-side half lives in the master's per-operation histograms).

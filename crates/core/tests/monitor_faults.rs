@@ -5,9 +5,10 @@
 
 use std::time::{Duration, Instant};
 
-use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, MB};
-use octopus_core::net::{faults, FaultAction, ScrubStatus};
-use octopus_core::NetCluster;
+use octopus_common::{BlockId, ClientLocation, ClusterConfig, Location, ReplicationVector, MB};
+use octopus_core::net::{faults, monitor, FaultAction, ScrubStatus};
+use octopus_core::{Cluster, NetCluster};
+use octopus_master::{Master, ReplicationTask};
 
 fn config(n: u32) -> ClusterConfig {
     let mut c = ClusterConfig::test_cluster(n, 64 * MB, MB);
@@ -227,4 +228,42 @@ fn replication_round_with_dead_worker_stays_bounded_and_heals() {
         std::thread::sleep(Duration::from_millis(25));
     }
     assert!(converged, "all files must trim to 2 replicas with no leaked bytes");
+}
+
+/// A block's confirmed replicas on workers the master holds live.
+fn live_replicas(m: &Master, block: BlockId) -> Vec<Location> {
+    let live: Vec<_> =
+        m.cluster_status(0).workers.into_iter().filter(|w| w.live).map(|w| w.worker).collect();
+    m.block_locations(block).into_iter().filter(|l| live.contains(&l.worker)).collect()
+}
+
+/// A trim's victim and one other holder die between the scan that planned
+/// the trim and its delete. The failed delete must not put the dead victim
+/// back, or the block would count it and stay at one live replica: the
+/// next rounds copy it back up to its vector's two.
+#[test]
+fn a_trim_whose_victim_died_before_its_delete_heals_to_the_vector() {
+    let cluster = Cluster::start(ClusterConfig::test_cluster(4, 64 * MB, MB)).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(MB as usize, 11);
+    client.write_file("/trim", &data, rf(3)).unwrap();
+    client.set_replication("/trim", rf(2)).unwrap();
+    let master = cluster.master();
+    let tasks = master.replication_scan();
+    let [ReplicationTask::Delete { block, location: victim }] = tasks[..] else {
+        panic!("one trim expected: {tasks:?}")
+    };
+    let holders = master.block_locations(block.id);
+    let other = holders.iter().find(|l| l.worker != victim.worker).unwrap().worker;
+    cluster.kill_worker(victim.worker);
+    cluster.kill_worker(other);
+    let outcome = monitor::run_tasks(master, &**cluster.transport(), tasks, None);
+    assert_eq!(outcome.deletes_failed, 1);
+    for _ in 0..3 {
+        cluster.run_replication_round().unwrap();
+    }
+    let live = live_replicas(master, block.id);
+    assert_eq!(live.len(), 2, "{live:?} of {:?}", master.block_locations(block.id));
+    assert!(live.iter().all(|l| l.worker != victim.worker && l.worker != other), "{live:?}");
+    assert_eq!(client.read_file("/trim").unwrap(), data);
 }

@@ -5,9 +5,10 @@
 //! pipeline or a re-replication task but not yet acknowledged). A pending
 //! location is its medium's write reservation: the map keeps each medium's
 //! reserved bytes, which change only where a pending location is added or
-//! ends, so no caller can end one without its reservation. The
-//! [`replication_state`] function computes per-tier deficits and surpluses
-//! against a file's replication vector — the trigger conditions of §5.
+//! ends, so no caller can end one without its reservation. The master
+//! confirms a replica only on a worker its [`crate::ClusterState`], under
+//! the same guard, holds live. [`replication_state`] computes per-tier
+//! deficits and surpluses against a file's replication vector (§5).
 
 use std::collections::{HashMap, HashSet};
 
@@ -53,16 +54,6 @@ impl BlockInfo {
             !ended
         });
         self.pending.len() != before
-    }
-
-    /// Moves `loc` from pending to confirmed (or records it outright).
-    /// Returns whether it was pending.
-    fn confirm(&mut self, loc: Location, reserved: &mut Reserved) -> bool {
-        let was_pending = self.end_pending(reserved, |l| *l == loc);
-        if !self.locations.contains(&loc) {
-            self.locations.push(loc);
-        }
-        was_pending
     }
 }
 
@@ -132,48 +123,32 @@ impl BlockMap {
     /// Returns whether the location was pending — whether this confirm,
     /// and no other, lands the block's bytes on the medium.
     pub fn confirm(&mut self, id: BlockId, loc: Location) -> Result<bool> {
-        let was_pending = self
-            .blocks
-            .get_mut(&id)
-            .ok_or_else(|| FsError::Internal(format!("confirm of unknown block {id}")))?
-            .confirm(loc, &mut self.reserved);
+        let Some(info) = self.blocks.get_mut(&id) else {
+            return Err(FsError::Internal(format!("confirm of unknown block {id}")));
+        };
+        let was_pending = info.end_pending(&mut self.reserved, |l| *l == loc);
+        if !info.locations.contains(&loc) {
+            info.locations.push(loc);
+        }
         self.fresh.entry(loc.worker).or_default().insert((id, loc.media));
         Ok(was_pending)
     }
 
-    /// Applies a full block report from `worker`: confirms every reported
-    /// replica of a known block, drops the locations on `worker` that were
-    /// neither reported nor confirmed since its previous report (a lost
-    /// replica therefore goes at the latest one report after its commit).
-    /// Returns the reported blocks the map does not know — the worker
-    /// should delete those — and the `(medium, length)` of every reported
-    /// replica that was still pending, whose bytes the report lands.
+    /// Applies a full block report from `worker`, whose replicas the caller
+    /// has just confirmed: drops its locations not confirmed since its
+    /// previous report, so a lost replica goes at the latest one report
+    /// after its commit. Returns the reported blocks the map does not
+    /// know; the worker should delete those.
     pub fn apply_report(
         &mut self,
         worker: WorkerId,
         reported: &[(BlockId, Location)],
-    ) -> (Vec<BlockId>, Vec<(MediaId, u64)>) {
+    ) -> Vec<BlockId> {
         let fresh = self.fresh.remove(&worker).unwrap_or_default();
-        let mut seen: HashSet<(BlockId, MediaId)> = HashSet::with_capacity(reported.len());
-        let (mut unknown, mut confirmed) = (Vec::new(), Vec::new());
-        for &(id, loc) in reported {
-            match self.blocks.get_mut(&id) {
-                Some(info) => {
-                    if info.confirm(loc, &mut self.reserved) {
-                        confirmed.push((loc.media, info.block.len));
-                    }
-                    seen.insert((id, loc.media));
-                }
-                None => unknown.push(id),
-            }
-        }
         for (id, info) in &mut self.blocks {
-            info.locations.retain(|l| {
-                let key = (*id, l.media);
-                l.worker != worker || seen.contains(&key) || fresh.contains(&key)
-            });
+            info.locations.retain(|l| l.worker != worker || fresh.contains(&(*id, l.media)));
         }
-        (unknown, confirmed)
+        reported.iter().map(|&(id, _)| id).filter(|id| !self.blocks.contains_key(id)).collect()
     }
 
     /// Drops a pending replica that will never be written (an unreached
@@ -378,9 +353,10 @@ mod tests {
         assert_eq!(reserved(&bm), [0, 0, 256]);
         bm.remove_replica(BlockId(1), MediaId(10));
         assert_eq!(reserved(&bm), [0, 0, 128]);
-        // A report of a pending replica confirms it; of an ended one, not.
-        let (_, confirmed) = bm.apply_report(WorkerId(2), &[(BlockId(2), c), (BlockId(1), c)]);
-        assert_eq!(confirmed, vec![(MediaId(10), 128)]);
+        // A reported replica that was pending ends its pending; one whose
+        // pending already ended is recorded and releases nothing.
+        assert_eq!(report(&mut bm, WorkerId(2), &[(BlockId(2), c), (BlockId(1), c)]), []);
+        assert_eq!(bm.get(BlockId(1)).unwrap().locations, vec![a, c]);
         assert_eq!(bm.total_reserved(), 0);
         // Re-placing a block and forgetting it give its pipeline back.
         bm.insert(blk(2), INodeId(1), vec![a]);
@@ -390,6 +366,19 @@ mod tests {
         assert_eq!(bm.total_reserved(), 0);
     }
 
+    /// A block report as the master applies one: every reported replica
+    /// confirmed, then the report swept in.
+    fn report(
+        bm: &mut BlockMap,
+        worker: WorkerId,
+        reported: &[(BlockId, Location)],
+    ) -> Vec<BlockId> {
+        for &(id, at) in reported {
+            let _ = bm.confirm(id, at);
+        }
+        bm.apply_report(worker, reported)
+    }
+
     #[test]
     fn report_keeps_replicas_newer_than_its_snapshot() {
         let mut bm = BlockMap::new();
@@ -397,16 +386,16 @@ mod tests {
         bm.insert(blk(1), INodeId(1), vec![]);
         bm.insert(blk(2), INodeId(1), vec![]);
         bm.confirm(BlockId(1), old).unwrap();
-        assert_eq!(bm.apply_report(WorkerId(0), &[(BlockId(1), old)]), (vec![], vec![]));
+        assert_eq!(report(&mut bm, WorkerId(0), &[(BlockId(1), old)]), []);
         // Block 2 commits after the worker snapshotted its next report:
         // the stale report must not drop it, nor touch other workers.
         bm.confirm(BlockId(2), new).unwrap();
         bm.confirm(BlockId(2), loc(1, 5, 2)).unwrap();
-        let (unknown, _) = bm.apply_report(WorkerId(0), &[(BlockId(1), old), (BlockId(9), old)]);
+        let unknown = report(&mut bm, WorkerId(0), &[(BlockId(1), old), (BlockId(9), old)]);
         assert_eq!(unknown, vec![BlockId(9)]);
         assert_eq!(bm.get(BlockId(2)).unwrap().locations, vec![new, loc(1, 5, 2)]);
         // One report later the grace is over: unreported means lost.
-        bm.apply_report(WorkerId(0), &[(BlockId(1), old)]);
+        report(&mut bm, WorkerId(0), &[(BlockId(1), old)]);
         assert_eq!(bm.get(BlockId(2)).unwrap().locations, vec![loc(1, 5, 2)]);
         assert_eq!(bm.get(BlockId(1)).unwrap().locations, vec![old]);
     }

@@ -1,7 +1,10 @@
 //! Master-side cluster state: registered workers, heartbeat statistics,
 //! and liveness tracking (paper §2.1/§3.2). The bytes scheduled into
 //! pipelines and copies are the block map's pending locations
-//! ([`BlockMap::reserved`]); the placement view subtracts them here.
+//! ([`BlockMap::reserved`]); the placement view subtracts them here. The
+//! master keeps this state under one guard with the [`BlockMap`]: a worker
+//! declared dead loses its replicas in the same step, and a replica is
+//! recorded only on a live one.
 
 use std::collections::BTreeMap;
 
@@ -99,8 +102,9 @@ impl ClusterState {
     }
 
     /// Charges a confirmed write to its medium's cached `remaining`, so
-    /// the view stays accurate until the next heartbeat: called where a
-    /// confirm ends a pending location, whose reservation ends with it.
+    /// the view stays accurate until the next heartbeat: called by the
+    /// master's one confirm when it ends a pending location, whose
+    /// reservation ends with it.
     pub fn complete_write(&mut self, media: MediaId, bytes: u64) {
         for w in self.workers.values_mut() {
             for m in w.media.iter_mut() {
@@ -154,11 +158,6 @@ impl ClusterState {
         self.decommissioning.remove(&worker);
     }
 
-    /// Worker info.
-    pub fn worker(&self, id: WorkerId) -> Option<&WorkerInfo> {
-        self.workers.get(&id)
-    }
-
     /// All registered workers.
     pub fn workers(&self) -> impl Iterator<Item = &WorkerInfo> {
         self.workers.values()
@@ -166,7 +165,7 @@ impl ClusterState {
 
     /// `(worker, tier)` of a medium, searching live workers.
     pub fn locate_media(&self, media: MediaId) -> Option<(WorkerId, TierId)> {
-        for w in self.workers.values() {
+        for w in self.workers.values().filter(|w| w.live) {
             for m in &w.media {
                 if m.media == media {
                     return Some((w.worker, m.tier));
@@ -303,6 +302,7 @@ mod tests {
         assert_eq!(dead, vec![WorkerId(0), WorkerId(1)]);
         assert!(!cs.is_live(WorkerId(0)));
         assert!(cs.snapshot(&BlockMap::new()).workers.is_empty());
+        assert_eq!(cs.locate_media(MediaId(0)), None, "a dead worker's media are not placed");
         // A heartbeat revives.
         cs.heartbeat(WorkerId(0), vec![media_stats(0, 0, 0, 800)], 0, 1600).unwrap();
         assert!(cs.is_live(WorkerId(0)));

@@ -1,9 +1,15 @@
 //! Block lifecycle (add, reassign, abandon, commit) and the
 //! worker-facing calls (registration, heartbeat, block report, the failure
-//! detector, decommission), with the one placement step every caller
-//! shares. A placed location reserves its medium when it enters the block
+//! detector, decommission), with the placement steps of client ops and
+//! scans. A placed location reserves its medium when it enters the block
 //! map as pending, and the reservation ends with it there.
+//!
+//! The block map and the workers its replicas sit on share one guard, and
+//! one rule joins them: a replica is recorded only on a worker that guard
+//! holds live ([`BlockState::confirm`]), and a worker declared dead loses
+//! its replicas in the step that declares it ([`BlockState::mark_dead`]).
 
+use octopus_common::lockstat::StatWriteGuard;
 use octopus_common::metrics::Labels;
 use octopus_common::{
     Block, BlockId, BlockTouches, ClientLocation, DecisionKind, DecisionRound, FsError, GenStamp,
@@ -14,17 +20,54 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use super::monitor::counted_replicas;
-use super::{Master, MetaOp, NamespaceState, OpCtx, SAFE_MODE_THRESHOLD};
+use super::{BlockState, Master, MetaOp, NamespaceState, OpCtx, SAFE_MODE_THRESHOLD};
 use crate::blockmap::replication_state;
 use crate::cluster::ClusterState;
 use crate::editlog::EditOp;
 use crate::lease::ClientId;
 use crate::namespace::FileMeta;
 
+impl BlockState {
+    /// The policy-facing view: live workers' media, less what is reserved
+    /// on them.
+    pub(super) fn snapshot(&self) -> ClusterSnapshot {
+        self.cluster.snapshot(&self.map)
+    }
+
+    /// Confirms a replica — a head's commit, a monitor's copy, a block
+    /// report, a reinstated delete — only on a worker this guard holds
+    /// live; on any other worker it is not recorded. The confirm that ends
+    /// a pending location charges its medium's cached `remaining`, so the
+    /// view stays right until the next heartbeat.
+    fn confirm(&mut self, id: BlockId, loc: Location) -> Result<()> {
+        if self.cluster.is_live(loc.worker) && self.map.confirm(id, loc)? {
+            let len = self.map.get(id).map_or(0, |info| info.block.len);
+            self.cluster.complete_write(loc.media, len);
+        }
+        Ok(())
+    }
+
+    /// Declares `worker` dead and drops its replicas, confirmed and
+    /// pending, in the same step.
+    fn mark_dead(&mut self, worker: WorkerId) {
+        self.cluster.mark_dead(worker);
+        self.map.remove_worker_replicas(worker);
+    }
+
+    /// Resolves placed media to their locations, dropping any medium no
+    /// live worker holds (its worker died since the view was taken).
+    fn locate(&self, media: Vec<MediaId>) -> Vec<Location> {
+        let at = |m| {
+            self.cluster.locate_media(m).map(|(worker, tier)| Location { worker, media: m, tier })
+        };
+        media.into_iter().filter_map(at).collect()
+    }
+}
+
 impl Master {
     /// Registers a worker.
     pub fn register_worker(&self, worker: WorkerId, rack: RackId, net_thru: f64, now_ms: u64) {
-        self.cluster.lock().register(worker, rack, net_thru, now_ms);
+        self.blocks.write().cluster.register(worker, rack, net_thru, now_ms);
     }
 
     /// Processes a heartbeat carrying the worker's drained access-heat
@@ -40,10 +83,10 @@ impl Master {
         let ctx = self.op(MetaOp::Heartbeat);
         ctx.finish_with(|| {
             self.advance_clock(now_ms);
-            let mut c = ctx.lock(&self.cluster);
-            let out = c.heartbeat(worker, media, nr_conn, now_ms);
             self.metrics.inc("master_heartbeats_total", Labels::worker(worker));
-            self.update_liveness_gauge(&c);
+            let mut bs = ctx.write(&self.blocks);
+            let out = bs.cluster.heartbeat(worker, media, nr_conn, now_ms);
+            self.update_liveness_gauge(&bs.cluster);
             out
         })?;
         self.observe_touches(touches, now_ms);
@@ -61,7 +104,7 @@ impl Master {
         let mut per_file: HashMap<INodeId, (u64, u64)> = HashMap::new();
         let blocks = self.blocks.read();
         for t in touches {
-            if let Some(info) = blocks.get(t.block) {
+            if let Some(info) = blocks.map.get(t.block) {
                 let e = per_file.entry(info.file).or_insert((0, 0));
                 e.0 += t.reads as u64;
                 e.1 += t.writes as u64;
@@ -80,9 +123,10 @@ impl Master {
     }
 
     /// Processes a full block report from a worker: confirms reported
-    /// replicas, drops replicas the master believed were on this worker
-    /// but were neither reported nor committed since the worker's previous
-    /// report (the report is a snapshot taken before it was sent — see
+    /// replicas ([`BlockState::confirm`]), drops replicas the master
+    /// believed were on this worker but were neither reported nor
+    /// committed since the worker's previous report (the report is a
+    /// snapshot taken before it was sent — see
     /// [`crate::BlockMap::apply_report`]), and returns block ids the worker
     /// should delete (blocks unknown to the namespace).
     pub fn block_report(
@@ -92,30 +136,22 @@ impl Master {
     ) -> Result<Vec<BlockId>> {
         let ctx = self.op(MetaOp::BlockReport);
         ctx.finish_with(|| {
+            let mut bs = ctx.write(&self.blocks);
             // Media the cluster cannot place (a report racing the worker's
-            // first heartbeat) are skipped; the next report covers them.
-            let located: Vec<(BlockId, Location)> = {
-                let c = ctx.lock(&self.cluster);
-                reported
-                    .iter()
-                    .filter_map(|(b, m)| {
-                        let (_, tier) = c.locate_media(*m)?;
-                        Some((b.id, Location { worker, media: *m, tier }))
-                    })
-                    .collect()
-            };
-            let mut blocks = ctx.write(&self.blocks);
-            let (invalidate, confirmed) = blocks.apply_report(worker, &located);
-            if !confirmed.is_empty() {
-                let mut c = ctx.lock(&self.cluster);
-                for (media, len) in confirmed {
-                    c.complete_write(media, len);
-                }
+            // first heartbeat, a worker not live) are skipped; the next
+            // report covers them.
+            let mut located = Vec::with_capacity(reported.len());
+            for (b, m) in reported {
+                let Some((_, tier)) = bs.cluster.locate_media(*m) else { continue };
+                let loc = Location { worker, media: *m, tier };
+                let _ = bs.confirm(b.id, loc); // an unknown block is the worker's to delete
+                located.push((b.id, loc));
             }
+            let invalidate = bs.map.apply_report(worker, &located);
             // Safe mode exits once enough blocks have a confirmed replica.
             if self.safe_mode.load(Ordering::Acquire) {
-                let total = blocks.len();
-                let available = blocks.iter().filter(|(_, i)| !i.locations.is_empty()).count();
+                let total = bs.map.len();
+                let available = bs.map.iter().filter(|(_, i)| !i.locations.is_empty()).count();
                 if total == 0 || available as f64 / total as f64 >= SAFE_MODE_THRESHOLD {
                     self.safe_mode.store(false, Ordering::Release);
                 }
@@ -125,17 +161,17 @@ impl Master {
     }
 
     /// Advances the master's failure detector; newly dead workers lose all
-    /// their replica locations (their blocks become re-replication
-    /// candidates on the next scan).
+    /// their replica locations in the same step (their blocks become
+    /// re-replication candidates on the next scan).
     pub fn tick(&self, now_ms: u64) -> Vec<WorkerId> {
         self.advance_clock(now_ms);
-        let dead = self.cluster.lock().tick(now_ms);
-        if !dead.is_empty() {
-            let mut blocks = self.blocks.write();
-            for &w in &dead {
-                blocks.remove_worker_replicas(w);
-            }
+        let mut bs = self.blocks.write();
+        let dead = bs.cluster.tick(now_ms);
+        for &w in &dead {
+            bs.mark_dead(w);
         }
+        self.update_liveness_gauge(&bs.cluster);
+        drop(bs);
         // Lease recovery: finalize files whose writers disappeared, so
         // their blocks become readable and re-replicable. The expired set
         // is re-read under the write guard — a client may have renewed
@@ -166,21 +202,20 @@ impl Master {
         if gc_dropped > 0 {
             self.metrics.add("master_heat_gc_dropped_total", Labels::NONE, gc_dropped as u64);
         }
-        self.update_liveness_gauge(&self.cluster.lock());
         dead
     }
 
-    /// Administratively kills a worker (tests, decommissioning).
+    /// Administratively declares a worker dead (tests, and the in-process
+    /// cluster's downed workers).
     pub fn kill_worker(&self, worker: WorkerId) {
-        self.cluster.lock().mark_dead(worker);
-        self.blocks.write().remove_worker_replicas(worker);
+        self.blocks.write().mark_dead(worker);
     }
 
     /// A worker's scrubber found a corrupt replica (§5: "block
     /// corruption"): drop the location, confirmed or pending, so the next
     /// replication scan re-replicates from a healthy copy.
     pub fn report_corrupt(&self, block: BlockId, location: Location) {
-        self.blocks.write().remove_replica(block, location.media);
+        self.blocks.write().map.remove_replica(block, location.media);
         self.metrics.inc("master_scrub_corrupt_total", Labels::worker(location.worker));
     }
 
@@ -188,23 +223,20 @@ impl Master {
     /// existing replicas are re-replicated elsewhere by the replication
     /// monitor, while it keeps serving reads (as an HDFS decommission).
     pub fn start_decommission(&self, worker: WorkerId) {
-        self.cluster.lock().start_decommission(worker);
+        self.blocks.write().cluster.start_decommission(worker);
     }
 
     /// Whether every block with a replica on the draining worker is fully
     /// replicated elsewhere (safe to stop the worker).
     pub fn decommission_complete(&self, worker: WorkerId) -> bool {
-        let counted = {
-            let c = self.cluster.lock();
-            if !c.is_decommissioning(worker) {
-                return false;
-            }
-            counted_replicas(&c)
-        };
         let g = self.namespace.read();
-        let blocks = self.blocks.read();
+        let bs = self.blocks.read();
+        if !bs.cluster.is_decommissioning(worker) {
+            return false;
+        }
+        let counted = counted_replicas(&bs.cluster);
         let mut hosted =
-            blocks.iter().filter(|(_, i)| i.locations.iter().any(|l| l.worker == worker));
+            bs.map.iter().filter(|(_, i)| i.locations.iter().any(|l| l.worker == worker));
         hosted.all(|(_, info)| {
             g.ns.file_meta(info.file).map_or(true, |meta| {
                 replication_state(meta.rv, &counted(&info.all_locations())).is_satisfied()
@@ -214,8 +246,9 @@ impl Master {
 
     /// Retires a drained worker: removes it from the cluster entirely.
     pub fn finalize_decommission(&self, worker: WorkerId) {
-        self.cluster.lock().clear_decommission(worker);
-        self.kill_worker(worker);
+        let mut bs = self.blocks.write();
+        bs.cluster.clear_decommission(worker);
+        bs.mark_dead(worker);
     }
 
     /// The open file at `path` that `holder` writes (see
@@ -262,28 +295,17 @@ impl Master {
             }
             let mut req = PlacementRequest::from_vector(meta.rv, len, client);
             req.excluded_workers = excluded.to_vec();
-            let bs = ctx.read(&self.blocks);
-            let snap = ctx.lock(&self.cluster).snapshot(&bs);
-            drop(bs);
-            let (locations, rounds) = self.place_and_locate(Some(&ctx), &snap, &req, |_| true)?;
-            // Partial placement is tolerated (the replication monitor tops
-            // the block up later) but at least one replica must exist.
-            if locations.is_empty() {
-                return Err(FsError::PlacementFailed(format!(
-                    "no media available for block of {path}"
-                )));
-            }
+            let (mut bs, locations, rounds) = self.place_pipeline(&ctx, &req, path)?;
             let block = Block {
                 id: BlockId(self.block_ids.next()),
                 gen: GenStamp(self.gen_stamps.next()),
                 len,
             };
-            let mut bs = ctx.write(&self.blocks);
-            bs.insert(block, file, locations.clone());
+            bs.map.insert(block, file, locations.clone());
             // The namespace append charges the tier quotas; forgetting the
             // block ends its reservations if it trips.
             if let Err(e) = g.ns.add_block(file, block.id, len) {
-                bs.remove_block(block.id);
+                bs.map.remove_block(block.id);
                 return Err(e);
             }
             drop(bs);
@@ -303,10 +325,10 @@ impl Master {
     }
 
     /// Settles a written block as its pipeline head reports it: confirms
-    /// `stored` in order, then drops each `unreached` location still
-    /// pending. Only the confirm that ends a location's pending charges
-    /// its medium, so a resend charges nothing twice; a confirmed replica
-    /// is never demoted.
+    /// `stored` in order (on live workers only, [`BlockState::confirm`]),
+    /// then drops each `unreached` location still pending. Only the
+    /// confirm that ends a location's pending charges its medium, so a
+    /// resend charges nothing twice; a confirmed replica is never demoted.
     pub fn commit_replicas(
         &self,
         block: Block,
@@ -315,15 +337,12 @@ impl Master {
     ) -> Result<()> {
         let ctx = self.op(MetaOp::CommitReplica);
         ctx.finish_with(|| {
-            let mut blocks = ctx.write(&self.blocks);
-            let mut cluster = ctx.lock(&self.cluster);
+            let mut bs = ctx.write(&self.blocks);
             for loc in stored {
-                if blocks.confirm(block.id, *loc)? {
-                    cluster.complete_write(loc.media, block.len);
-                }
+                bs.confirm(block.id, *loc)?;
             }
             for loc in unreached {
-                blocks.abandon_pending(block.id, loc);
+                bs.map.abandon_pending(block.id, loc);
             }
             Ok(())
         })
@@ -340,7 +359,8 @@ impl Master {
     /// the location back keeps the block visibly over-replicated and the
     /// next scan re-issues the delete (§5). No capacity adjustment: the
     /// replica never left the medium. A no-op if the block was deleted in
-    /// the meantime (the worker's next block report purges the replica).
+    /// the meantime (the worker's next block report purges the replica),
+    /// or if the worker was declared dead (its replicas went with it).
     pub fn reinstate_replica(&self, block: Block, loc: Location) {
         let _ = self.blocks.write().confirm(block.id, loc);
     }
@@ -357,7 +377,7 @@ impl Master {
             let mut g = ctx.write(&self.namespace);
             let (file, _) = self.leased(&mut g, path, holder)?;
             g.ns.remove_last_block(file, block.id, block.len)?;
-            ctx.write(&self.blocks).remove_block(block.id);
+            ctx.write(&self.blocks).map.remove_block(block.id);
             let seq = self.log.stage(EditOp::AbandonBlock {
                 path: path.to_string(),
                 block: block.id,
@@ -413,20 +433,12 @@ impl Master {
             }
             let mut req = PlacementRequest::from_vector(meta.rv, block.len, client);
             req.excluded_workers = excluded.to_vec();
-            let bs = ctx.read(&self.blocks);
-            let snap = ctx.lock(&self.cluster).snapshot(&bs);
-            drop(bs);
             // Place first: a placement failure must leave the old assignment
             // intact (no edit-log entry either way — replica locations are
             // never logged, exactly as in `add_block_excluding`).
-            let (locations, rounds) = self.place_and_locate(Some(&ctx), &snap, &req, |_| true)?;
-            if locations.is_empty() {
-                return Err(FsError::PlacementFailed(format!(
-                    "no media available for block of {path}"
-                )));
-            }
+            let (mut bs, locations, rounds) = self.place_pipeline(&ctx, &req, path)?;
             // The new pipeline replaces the old one and its reservations.
-            ctx.write(&self.blocks).insert(block, file, locations.clone());
+            bs.map.insert(block, file, locations.clone());
             let policy = self.placement.name().to_string();
             let chosen = locations.clone();
             self.record(DecisionKind::Reassign, block.id, file, policy, chosen, rounds);
@@ -434,15 +446,36 @@ impl Master {
         })
     }
 
-    /// The one placement step: runs the placement policy for `req` on
-    /// `snap`, then resolves every chosen medium to its location under one
-    /// cluster guard. `accept` may turn the placement down. A client op
-    /// (`ctx`) fails on a medium the cluster cannot locate; a scan skips
-    /// it. The locations reserve their media once the caller records them
-    /// as pending (`BlockMap::insert`, `BlockMap::add_pending`).
+    /// A client op's placement: the policy runs on a view read under a
+    /// shared guard released before the solve, so commits never wait on
+    /// it; the chosen media are then located under the write guard
+    /// returned with them, which the caller records the pipeline under.
+    /// A partial placement is tolerated (the monitor tops it up), an empty
+    /// one fails the op.
+    fn place_pipeline<'m>(
+        &'m self,
+        ctx: &OpCtx,
+        req: &PlacementRequest,
+        path: &str,
+    ) -> Result<(StatWriteGuard<'m, BlockState>, Vec<Location>, Vec<DecisionRound>)> {
+        let snap = ctx.read(&self.blocks).snapshot();
+        let (media, rounds) = self.placement.place_with_audit(&snap, req)?;
+        let bs = ctx.write(&self.blocks);
+        let located = bs.locate(media);
+        if located.is_empty() {
+            let msg = format!("no media available for block of {path}");
+            return Err(FsError::PlacementFailed(msg));
+        }
+        Ok((bs, located, rounds))
+    }
+
+    /// A scan's placement, under the guard the scan already holds: runs
+    /// the placement policy for `req` on `snap`, lets `accept` turn it
+    /// down, and locates the chosen media, which reserve themselves once
+    /// the scan records them as pending (`BlockMap::add_pending`).
     pub(super) fn place_and_locate(
         &self,
-        ctx: Option<&OpCtx>,
+        bs: &BlockState,
         snap: &ClusterSnapshot,
         req: &PlacementRequest,
         accept: impl FnOnce(&[MediaId]) -> bool,
@@ -451,15 +484,6 @@ impl Master {
         if !accept(&media) {
             return Ok((Vec::new(), rounds));
         }
-        let c = ctx.map_or_else(|| self.cluster.lock(), |ctx| ctx.lock(&self.cluster));
-        let mut located = Vec::with_capacity(media.len());
-        for m in media {
-            match c.locate_media(m) {
-                Some((worker, tier)) => located.push(Location { worker, media: m, tier }),
-                None if ctx.is_some() => return Err(FsError::UnknownMedia(m.to_string())),
-                None => {}
-            }
-        }
-        Ok((located, rounds))
+        Ok((bs.locate(media), rounds))
     }
 }

@@ -7,12 +7,15 @@
 //!
 //! # Concurrency (DESIGN.md §11)
 //!
-//! One [`Namespace`] behind one lock (`master.namespace`) and one
-//! [`BlockMap`] behind another (`master.blocks`) — kept apart so the one
-//! `CommitReplica` a pipeline head sends per block, and the monitor's
-//! commit of each copy, never touch the namespace lock. Lock order: namespace → blocks → cluster; the heat
-//! tracker and the audit ring are leaves. Every guard a metadata op takes
-//! goes through its [`OpCtx`], so its wait is counted as lock wait.
+//! One [`Namespace`] behind one lock (`master.namespace`), and the
+//! [`BlockMap`] with the [`ClusterState`] its replicas sit on behind
+//! another (`master.blocks`) — kept apart so the one `CommitReplica` a
+//! pipeline head sends per block, and the monitor's commit of each copy,
+//! never touch the namespace lock, and together so a replica is recorded
+//! only on a worker the same guard holds live. Lock order: namespace →
+//! blocks; the heat tracker and the audit ring are leaves. Every guard a
+//! metadata op takes goes through its [`OpCtx`], so its wait is counted as
+//! lock wait.
 //! Durability is group-committed: a mutation stages its [`EditOp`] under
 //! the namespace guard (so log order is the linearization order) and waits
 //! for the batched fsync after releasing it, so the disk sync never
@@ -195,18 +198,24 @@ struct NamespaceState {
     mounts: MountTable,
 }
 
+/// What the blocks lock guards: every block's replicas and the workers
+/// they sit on, so the two change in one step (`master/blocks.rs`).
+struct BlockState {
+    map: BlockMap,
+    cluster: ClusterState,
+}
+
 /// The OctopusFS (primary) master.
 ///
-/// Lock order (DESIGN.md §11): `namespace` → `blocks` → `cluster`; `heat`
-/// and the audit ring are leaves. No client-facing op
+/// Lock order (DESIGN.md §11): `namespace` → `blocks`; `heat` and the
+/// audit ring are leaves. No client-facing op
 /// holds a guard across an edit-log fsync or external-catalog I/O (the
 /// background `autotier_scan` syncs under the guard so it can roll back).
 pub struct Master {
     namespace: StatRwLock<NamespaceState>,
     /// Apart from the namespace so `commit_replicas` (one per block
     /// written) never takes the namespace lock.
-    blocks: StatRwLock<BlockMap>,
-    cluster: StatMutex<ClusterState>,
+    blocks: StatRwLock<BlockState>,
     log: GroupCommitLog,
     safe_mode: AtomicBool,
     clock_ms: AtomicU64,
@@ -305,7 +314,6 @@ impl Master {
         let ops = META_OP_LABELS.iter().map(|&op| OpStat::register(&metrics, op)).collect();
         let namespace_stats = LockStats::register(&metrics, "master.namespace");
         let block_stats = LockStats::register(&metrics, "master.blocks");
-        let cluster_stats = LockStats::register(&metrics, "master.cluster");
         let heat_stats = LockStats::register(&metrics, "master.heat");
         let audit_stats = LockStats::register(&metrics, "master.audit");
         Ok(Self {
@@ -317,8 +325,10 @@ impl Master {
                 },
                 namespace_stats,
             ),
-            blocks: StatRwLock::instrumented(blocks, block_stats),
-            cluster: StatMutex::instrumented(ClusterState::new(&config), cluster_stats),
+            blocks: StatRwLock::instrumented(
+                BlockState { map: blocks, cluster: ClusterState::new(&config) },
+                block_stats,
+            ),
             log: GroupCommitLog::new(log),
             safe_mode: AtomicBool::new(safe_mode),
             clock_ms: AtomicU64::new(0),

@@ -62,14 +62,11 @@ impl Master {
         }
         let mut tasks = Vec::new();
         // Both guards span the scan: the monitor sees one consistent
-        // namespace and block map, at the price of holding up writers
-        // for its duration.
+        // namespace, block map and set of live workers, at the price of
+        // holding up writers for its duration.
         let g = self.namespace.read();
-        let mut bg = self.blocks.write();
-        let (snap, counted) = {
-            let c = self.cluster.lock();
-            (c.snapshot(&bg), counted_replicas(&c))
-        };
+        let mut bs = self.blocks.write();
+        let (snap, counted) = (bs.snapshot(), counted_replicas(&bs.cluster));
         // In ascending inode id — creation order, until a slot is reused —
         // so the order of the tasks does not depend on where the inode
         // table happens to keep a file.
@@ -78,7 +75,7 @@ impl Master {
         files.sort_unstable_by_key(|&(id, _)| id);
         for (file, meta) in files {
             for &(bid, _) in &meta.blocks {
-                let Some(info) = bg.get(bid) else { continue };
+                let Some(info) = bs.map.get(bid) else { continue };
                 let block = info.block;
                 let confirmed = info.locations.clone();
                 let all = info.all_locations();
@@ -100,7 +97,7 @@ impl Master {
                     excluded_workers: Vec::new(),
                 };
                 let placed = (!req.tier_pins.is_empty())
-                    .then(|| self.place_and_locate(None, &snap, &req, |_| true).ok())
+                    .then(|| self.place_and_locate(&bs, &snap, &req, |_| true).ok())
                     .flatten()
                     .filter(|(targets, _)| !targets.is_empty());
                 if let Some((targets, rounds)) = placed {
@@ -110,7 +107,7 @@ impl Master {
                         tasks.push(ReplicationTask::Copy { block, sources, target });
                         self.metrics.inc("master_replication_tasks_total", Labels::req("copy"));
                     }
-                    bg.add_pending(bid, &targets).ok();
+                    bs.map.add_pending(bid, &targets).ok();
                     let policy = self.placement.name().to_string();
                     self.record(DecisionKind::Placement, bid, file, policy, targets, rounds);
                 }
@@ -134,7 +131,7 @@ impl Master {
                         );
                         let (Some(victim), candidates) = pick else { break };
                         current.retain(|l| l != &victim);
-                        bg.remove_replica(bid, victim.media);
+                        bs.map.remove_replica(bid, victim.media);
                         let round = DecisionRound {
                             replica_index: 0,
                             tier_pin: Some(tier),
@@ -164,8 +161,8 @@ impl Master {
         if self.in_safe_mode() {
             return Vec::new();
         }
-        let mut blocks = self.blocks.write();
-        let snap = self.cluster.lock().snapshot(&blocks);
+        let mut bs = self.blocks.write();
+        let snap = bs.snapshot();
 
         // Per-media and per-tier utilization.
         let mut tier_used = vec![(0u64, 0u64); snap.num_tiers]; // (used, cap)
@@ -203,8 +200,7 @@ impl Master {
             // The lowest-id block hosted on the overloaded medium, with no
             // pending work, that placement can move somewhere better — by
             // id, so that two identical masters move the same block.
-            let mut hosted: Vec<_> = blocks
-                .iter()
+            let mut hosted: Vec<_> = (bs.map.iter())
                 .filter(|(_, info)| info.pending.is_empty())
                 .filter(|(_, info)| info.locations.iter().any(|l| l.media == src.media))
                 .collect();
@@ -221,14 +217,14 @@ impl Master {
                 let better = |media: &[MediaId]| {
                     media.first().is_some_and(|m| frac(m) + threshold / 2.0 < src_frac)
                 };
-                let (targets, _) = self.place_and_locate(None, &snap, &req, better).ok()?;
+                let (targets, _) = self.place_and_locate(&bs, &snap, &req, better).ok()?;
                 let target = *targets.first()?;
                 let reader = ClientLocation::OnWorker(target.worker);
                 let sources = self.retrieval.order(&snap, reader, &info.locations);
                 Some((id, info.block, sources, target))
             });
             if let Some((id, block, sources, target)) = planned {
-                blocks.add_pending(id, &[target]).ok();
+                bs.map.add_pending(id, &[target]).ok();
                 tasks.push(ReplicationTask::Copy { block, sources, target });
             }
         }

@@ -120,12 +120,12 @@ impl Master {
             let g = ctx.read(&self.namespace);
             let file = g.ns.resolve(path)?;
             let meta = g.ns.file_meta(file)?;
-            let blocks = ctx.read(&self.blocks);
-            let snap = ctx.lock(&self.cluster).snapshot(&blocks);
+            let bs = ctx.read(&self.blocks);
+            let snap = bs.snapshot();
             let mut out = Vec::new();
             let mut offset = 0u64;
             for &(bid, _) in &meta.blocks {
-                let info = blocks.get(bid).ok_or_else(|| {
+                let info = bs.map.get(bid).ok_or_else(|| {
                     FsError::Internal(format!("file block {bid} missing from map"))
                 })?;
                 let (ordered, candidates) =
@@ -284,8 +284,8 @@ impl Master {
             // never finds a file whose blocks are already gone.
             let mut dropped = Vec::new();
             if !blocks.is_empty() {
-                let mut map = ctx.write(&self.blocks);
-                for info in blocks.into_iter().filter_map(|id| map.remove_block(id)) {
+                let mut bs = ctx.write(&self.blocks);
+                for info in blocks.into_iter().filter_map(|id| bs.map.remove_block(id)) {
                     dropped.extend(info.locations.into_iter().map(|l| (info.block.id, l)));
                 }
             }

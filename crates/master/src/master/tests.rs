@@ -429,6 +429,69 @@ fn stale_block_report_keeps_a_replica_committed_after_its_snapshot() {
     }
 }
 
+/// A trim victim whose worker is declared dead before its failed delete
+/// is reinstated stays gone: no later scan sends the dead worker a delete.
+#[test]
+fn a_delete_reinstated_on_a_dead_worker_is_not_recorded() {
+    let m = boot_master(4);
+    let block = put_file(&m, "/f", rv_u(3));
+    m.set_replication("/f", rv_u(2)).unwrap();
+    let tasks = m.replication_scan();
+    let [ReplicationTask::Delete { location: victim, .. }] = tasks[..] else { panic!("{tasks:?}") };
+    m.kill_worker(victim.worker);
+    m.reinstate_replica(block, victim);
+    let held = m.block_locations(block.id);
+    assert!(held.len() == 2 && held.iter().all(|l| l.worker != victim.worker), "{held:?}");
+    let tasks = m.replication_scan();
+    let on_victim = |t: &_| matches!(t, ReplicationTask::Delete { location, .. } if location.worker == victim.worker);
+    assert!(!tasks.iter().any(on_victim), "{tasks:?}");
+}
+
+/// The head's commit lands after its tail was declared dead, by
+/// `kill_worker` or by the failure detector: the tail is not recorded,
+/// and the next scan copies the block to a live worker.
+#[test]
+fn a_commit_after_its_tail_died_does_not_record_the_tail() {
+    for way in ["kill_worker", "tick"] {
+        let m = boot_master(4);
+        m.create_file_as("/f", rv_u(3), None, SYS).unwrap();
+        let (block, pipeline) = m.add_block_excluding("/f", 1 << 20, OFF, SYS, &[]).unwrap();
+        let tail = pipeline[2].worker;
+        if way == "kill_worker" {
+            m.kill_worker(tail);
+        } else {
+            let later = 10 * m.config().heartbeat_ms + 1;
+            for w in (0..4).map(WorkerId).filter(|&w| w != tail) {
+                m.heartbeat(w, media_of(w.0, 10 << 20), 0, later, &[]).unwrap();
+            }
+            assert_eq!(m.tick(later), [tail]);
+        }
+        m.commit_replicas(block, &pipeline, &[]).unwrap();
+        m.complete_file_as("/f", SYS).unwrap();
+        assert_eq!(m.block_locations(block.id), pipeline[..2], "{way}");
+        let tasks = m.replication_scan();
+        let [ReplicationTask::Copy { target, .. }] = tasks[..] else { panic!("{way}: {tasks:?}") };
+        assert_ne!(target.worker, tail, "{way}");
+    }
+}
+
+/// A block report from a worker that is not live confirms nothing; the
+/// report it sends once it has rejoined does.
+#[test]
+fn a_report_from_a_worker_that_is_not_live_confirms_nothing() {
+    let m = boot_master(3);
+    m.create_file_as("/f", rv_u(1), None, SYS).unwrap();
+    let (block, pipeline) = m.add_block_excluding("/f", 1 << 20, OFF, SYS, &[]).unwrap();
+    let at = pipeline[0];
+    m.kill_worker(at.worker);
+    assert_eq!(m.block_report(at.worker, &[(block, at.media)]).unwrap(), []);
+    assert_eq!(m.block_locations(block.id), []);
+    m.register_worker(at.worker, RackId(0), 1e9, 0);
+    m.heartbeat(at.worker, media_of(at.worker.0, 10 << 20), 0, 0, &[]).unwrap();
+    m.block_report(at.worker, &[(block, at.media)]).unwrap();
+    assert_eq!(m.block_locations(block.id), [at]);
+}
+
 #[test]
 fn checkpoint_restore_round_trip() {
     let m = boot_master(3);
@@ -447,19 +510,9 @@ fn checkpoint_restore_round_trip() {
     assert!(st.complete);
     // Locations are rebuilt from block reports.
     assert!(restored.block_locations(block.id).is_empty());
-    restored.register_worker(locs[0].worker, RackId(0), 1e9, 0);
-    let media_stats = vec![MediaStats {
-        media: locs[0].media,
-        worker: locs[0].worker,
-        rack: RackId(0),
-        tier: locs[0].tier,
-        capacity: 10 << 20,
-        remaining: 9 << 20,
-        nr_conn: 0,
-        write_thru: 1e8,
-        read_thru: 1e8,
-    }];
-    restored.heartbeat(locs[0].worker, media_stats, 0, 0, &[]).unwrap();
+    let w = locs[0].worker;
+    restored.register_worker(w, RackId(0), 1e9, 0);
+    restored.heartbeat(w, media_of(w.0, 9 << 20), 0, 0, &[]).unwrap();
     restored.block_report(locs[0].worker, &[(block, locs[0].media)]).unwrap();
     assert_eq!(restored.block_locations(block.id), vec![locs[0]]);
     // New block ids never collide with restored ones.

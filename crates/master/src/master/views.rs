@@ -63,19 +63,18 @@ impl Master {
 
     /// `getStorageTierReports` (Table 1).
     pub fn get_storage_tier_reports(&self) -> Vec<StorageTierReport> {
-        let blocks = self.blocks.read();
-        self.cluster.lock().tier_reports(&self.config.tiers, &blocks)
+        let bs = self.blocks.read();
+        bs.cluster.tier_reports(&self.config.tiers, &bs.map)
     }
 
     /// The policy-facing snapshot (exposed for harnesses and tests).
     pub fn snapshot(&self) -> ClusterSnapshot {
-        let blocks = self.blocks.read();
-        self.cluster.lock().snapshot(&blocks)
+        self.blocks.read().snapshot()
     }
 
     /// Confirmed replica locations of a block (test/diagnostic hook).
     pub fn block_locations(&self, id: BlockId) -> Vec<Location> {
-        self.blocks.read().get(id).map(|i| i.locations.clone()).unwrap_or_default()
+        self.blocks.read().map.get(id).map(|i| i.locations.clone()).unwrap_or_default()
     }
 
     /// Every `(block, owning file)` pair in the block map, in block-id
@@ -83,7 +82,7 @@ impl Master {
     /// invariant of the stress suite audits against it).
     pub fn block_inventory(&self) -> Vec<(BlockId, INodeId)> {
         let mut out: Vec<(BlockId, INodeId)> =
-            self.blocks.read().iter().map(|(id, info)| (*id, info.file)).collect();
+            self.blocks.read().map.iter().map(|(id, info)| (*id, info.file)).collect();
         out.sort_by_key(|(id, _)| *id);
         out
     }
@@ -91,14 +90,14 @@ impl Master {
     /// Still-pending (scheduled, uncommitted) replica locations of a block
     /// (test/diagnostic hook).
     pub fn pending_locations(&self, id: BlockId) -> Vec<Location> {
-        self.blocks.read().get(id).map(|i| i.pending.clone()).unwrap_or_default()
+        self.blocks.read().map.get(id).map(|i| i.pending.clone()).unwrap_or_default()
     }
 
     /// Scheduled-write bytes currently reserved against a medium: the
     /// length of every block pending there (test/diagnostic hook for
     /// reservation-leak regressions).
     pub fn scheduled_bytes(&self, media: MediaId) -> u64 {
-        self.blocks.read().reserved(media)
+        self.blocks.read().map.reserved(media)
     }
 
     /// Access-heat summary for the file at `path` as of the master's
@@ -155,34 +154,28 @@ impl Master {
     /// files, and audit-ring occupancy.
     pub fn cluster_status(&self, hot_k: usize) -> ClusterStatusReport {
         let files = self.namespace.read().ns.counts().0 as u64;
-        let (blocks, in_flight_blocks, scheduled_bytes, tiers, workers) = {
-            let g = self.blocks.read();
-            let in_flight = g.iter().filter(|(_, i)| !i.pending.is_empty()).count() as u64;
-            let c = self.cluster.lock();
-            let workers: Vec<WorkerStatusLine> = c
-                .workers()
-                .map(|w| WorkerStatusLine {
-                    worker: w.worker,
-                    rack: w.rack,
-                    live: w.live,
-                    nr_conn: w.nr_conn,
-                    last_heartbeat_ms: w.last_heartbeat_ms,
-                    media: w.media.clone(),
-                })
-                .collect();
-            let tiers = c.tier_reports(&self.config.tiers, &g);
-            (g.len() as u64, in_flight, g.total_reserved(), tiers, workers)
-        };
+        let hot = self.hot_files(hot_k);
+        let bs = self.blocks.read();
+        let workers = (bs.cluster.workers())
+            .map(|w| WorkerStatusLine {
+                worker: w.worker,
+                rack: w.rack,
+                live: w.live,
+                nr_conn: w.nr_conn,
+                last_heartbeat_ms: w.last_heartbeat_ms,
+                media: w.media.clone(),
+            })
+            .collect();
         ClusterStatusReport {
             now_ms: self.now_ms(),
             safe_mode: self.in_safe_mode(),
             files,
-            blocks,
-            in_flight_blocks,
-            scheduled_bytes,
-            tiers,
+            blocks: bs.map.len() as u64,
+            in_flight_blocks: bs.map.iter().filter(|(_, i)| !i.pending.is_empty()).count() as u64,
+            scheduled_bytes: bs.map.total_reserved(),
+            tiers: bs.cluster.tier_reports(&self.config.tiers, &bs.map),
             workers,
-            hot: self.hot_files(hot_k),
+            hot,
             decisions_recorded: self.audit.recorded(),
             decisions_retained: self.audit.len() as u64,
         }

@@ -19,15 +19,22 @@
 //!
 //! Plus two targeted regressions: a lock-order deadlock canary on
 //! renames running in opposing directions, and the rename-vs-delete race (`rename /a/x → /b/x` vs `delete /b`) that must
-//! neither deadlock nor leave an unreachable inode.
+//! neither deadlock nor leave an unreachable inode. And liveness races
+//! the block plane: one thread kills, re-registers and heartbeats
+//! workers while the others commit, locate and scan; at every quiescent
+//! point no confirmed or pending replica sits on a worker the master
+//! holds dead, and the reserved bytes are a walk of the pending replicas.
 
-use std::sync::mpsc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use octopus_common::{
-    ClientLocation, ClusterConfig, MediaId, MediaStats, RackId, ReplicationVector, TierId, WorkerId,
+    BlockId, ClientLocation, ClusterConfig, MediaId, MediaStats, RackId, ReplicationVector, TierId,
+    WorkerId,
 };
-use octopus_master::{ClientId, EditLog, Master};
+use octopus_master::{ClientId, EditLog, Master, ReplicationTask};
 
 const BLOCK_SIZE: u64 = 1 << 20;
 
@@ -36,24 +43,33 @@ const BLOCK_SIZE: u64 = 1 << 20;
 fn boot(n: u32) -> Master {
     let master = Master::new(ClusterConfig::test_cluster(n, 10 << 20, BLOCK_SIZE)).unwrap();
     for w in 0..n {
-        let rack = RackId((w % 2) as u16);
-        master.register_worker(WorkerId(w), rack, 1e9, 0);
-        let media: Vec<MediaStats> = (0..3u8)
-            .map(|t| MediaStats {
-                media: MediaId(w * 3 + t as u32),
-                worker: WorkerId(w),
-                rack,
-                tier: TierId(t),
-                capacity: 10 << 20,
-                remaining: 10 << 20,
-                nr_conn: 0,
-                write_thru: [1900.0, 340.0, 126.0][t as usize] * 1048576.0,
-                read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
-            })
-            .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
+        join(&master, WorkerId(w), 0);
     }
     master
+}
+
+/// Registers worker `w` at `now_ms` and delivers its first heartbeat.
+fn join(master: &Master, w: WorkerId, now_ms: u64) {
+    master.register_worker(w, RackId((w.0 % 2) as u16), 1e9, now_ms);
+    beat(master, w, now_ms);
+}
+
+/// One heartbeat from worker `w`: its three media, all free.
+fn beat(master: &Master, w: WorkerId, now_ms: u64) {
+    let media: Vec<MediaStats> = (0..3u8)
+        .map(|t| MediaStats {
+            media: MediaId(w.0 * 3 + t as u32),
+            worker: w,
+            rack: RackId((w.0 % 2) as u16),
+            tier: TierId(t),
+            capacity: 10 << 20,
+            remaining: 10 << 20,
+            nr_conn: 0,
+            write_thru: [1900.0, 340.0, 126.0][t as usize] * 1048576.0,
+            read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
+        })
+        .collect();
+    master.heartbeat(w, media, 0, now_ms, &[]).unwrap();
 }
 
 /// Deterministic per-thread randomness (no external RNG dependency).
@@ -358,4 +374,136 @@ fn directory_rename_carries_children() {
         assert!(master.status(&format!("/dst/deep/f{i}")).is_ok(), "child f{i} lost in move");
     }
     check_invariants(&master);
+}
+
+/// The block plane at a quiescent point: every confirmed and pending
+/// replica sits on a worker `cluster_status` reports live, and the reserved
+/// bytes are the length of every block once per pending replica.
+fn check_block_plane(m: &Master, lens: &HashMap<BlockId, u64>) {
+    let status = m.cluster_status(0);
+    let live: Vec<WorkerId> = status.workers.iter().filter(|w| w.live).map(|w| w.worker).collect();
+    let mut walk = 0;
+    for (b, _) in m.block_inventory() {
+        let (held, pending) = (m.block_locations(b), m.pending_locations(b));
+        let dead: Vec<_> =
+            held.iter().chain(&pending).filter(|l| !live.contains(&l.worker)).collect();
+        assert!(dead.is_empty(), "{b}: replicas on dead workers {dead:?} (live: {live:?})");
+        walk += lens[&b] * pending.len() as u64;
+    }
+    assert_eq!(status.scheduled_bytes, walk, "reserved bytes vs the pending walk");
+}
+
+/// Liveness races the block plane: one thread kills workers, or lets the
+/// failure detector declare one dead, and re-registers and heartbeats the
+/// one it took down before, while writers commit pipelines placed a
+/// while earlier (some stages unreached), locate, and delete, and a
+/// monitor scans and settles its tasks late (some copies fail, some
+/// deletes are reinstated). A phase ends with its last victim still
+/// dead; the block plane is audited between phases.
+#[test]
+fn liveness_races_commits_locates_and_scans() {
+    const WORKERS: u32 = 6;
+    for seed in 0..4u64 {
+        let master = boot(WORKERS);
+        for t in 0..3 {
+            master.mkdir(&format!("/w{t}")).unwrap();
+        }
+        let lens = Mutex::new(HashMap::new());
+        let hb = master.config().heartbeat_ms;
+        let mut down: Option<WorkerId> = None;
+        for phase in 0..10u64 {
+            let writing = AtomicUsize::new(3);
+            std::thread::scope(|s| {
+                let (master, lens, writing, down) = (&master, &lens, &writing, &mut down);
+                for t in 0..3 {
+                    s.spawn(move || {
+                        let mut rng = Lcg::new(seed * 1009 + phase * 31 + t);
+                        let (off, sys) = (ClientLocation::OffCluster, ClientId::SYSTEM);
+                        let mut in_flight = Vec::new();
+                        for i in 0..16 {
+                            let path = format!("/w{t}/p{phase}f{i}");
+                            let rv = rv(rng.below(3) as u8 + 1);
+                            if master.create_file_as(&path, rv, None, sys).is_ok() {
+                                let len = (rng.below(4) + 1) * 1024;
+                                if let Ok((b, ls)) =
+                                    master.add_block_excluding(&path, len, off, sys, &[])
+                                {
+                                    lens.lock().unwrap().insert(b.id, b.len);
+                                    in_flight.push((path, b, ls));
+                                }
+                            }
+                            // Each pipeline commits two writes later.
+                            if in_flight.len() > 2 || i == 15 {
+                                for (path, b, ls) in in_flight.drain(..in_flight.len().min(2)) {
+                                    let cut = rng.below(ls.len() as u64 + 1) as usize;
+                                    let _ = master.commit_replicas(b, &ls[..cut], &ls[cut..]);
+                                    let _ = master.complete_file_as(&path, sys);
+                                    let _ =
+                                        master.get_file_block_locations(&path, 0, u64::MAX, off);
+                                }
+                            }
+                            if rng.below(4) == 0 {
+                                let _ = master.delete(&format!("/w{t}/p{phase}f{}", i / 2), false);
+                            }
+                        }
+                        for (path, b, ls) in in_flight {
+                            let _ = master.commit_replicas(b, &ls, &[]);
+                            let _ = master.complete_file_as(&path, sys);
+                        }
+                        writing.fetch_sub(1, Ordering::Release);
+                    });
+                }
+                s.spawn(move || {
+                    let mut rng = Lcg::new(seed * 7 + phase);
+                    while writing.load(Ordering::Acquire) > 0 {
+                        let tasks = master.replication_scan();
+                        std::thread::yield_now();
+                        for task in tasks {
+                            match task {
+                                ReplicationTask::Copy { block, target, .. } => {
+                                    if rng.below(3) == 0 {
+                                        let _ = master.commit_replicas(block, &[], &[target]);
+                                    } else {
+                                        let _ = master.commit_replica(block, target);
+                                    }
+                                }
+                                ReplicationTask::Delete { block, location } => {
+                                    if rng.below(2) == 0 {
+                                        master.reinstate_replica(block, location);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                });
+                s.spawn(move || {
+                    let mut rng = Lcg::new(seed * 13 + phase);
+                    let mut k = 0;
+                    while writing.load(Ordering::Acquire) > 0 && k < 64 {
+                        let now = (phase * 64 + k) * 11 * hb;
+                        k += 1;
+                        if let Some(w) = down.take() {
+                            join(master, w, now);
+                        }
+                        let victim = WorkerId(rng.below(WORKERS as u64) as u32);
+                        if k % 2 == 0 {
+                            master.kill_worker(victim);
+                        } else {
+                            // Every worker but the victim beats; the failure
+                            // detector then declares the victim dead.
+                            for w in (0..WORKERS).map(WorkerId).filter(|&w| w != victim) {
+                                beat(master, w, now);
+                            }
+                            master.tick(now + 10 * hb - 1);
+                        }
+                        *down = Some(victim);
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            check_block_plane(&master, &lens.lock().unwrap());
+        }
+        assert!(master.block_inventory().len() > 100, "the writers wrote too little");
+        check_invariants(&master);
+    }
 }

@@ -14,7 +14,8 @@
 //! touched and the reservations still held. Planned copies then commit, as
 //! a worker would confirm them. At every round and every reservations line
 //! the reserved bytes the master reports must equal a walk of its pending
-//! replicas (each block's length, once per pending location).
+//! replicas (each block's length, once per pending location), and every
+//! replica in the map, confirmed or pending, must sit on a live worker.
 //!
 //! The transcript holds every decision the scans make, so a change that
 //! only moves code must leave it byte for byte; a change to a scan's
@@ -58,14 +59,32 @@ impl Transcript {
         self.lines.push(line);
     }
 
-    /// The reservation oracle: the master's reserved bytes are the sum of
-    /// `block.len` over every pending location in its block map.
-    fn check_reserved(&self, m: &Master, at: &str) {
-        let walk: u64 = (m.block_inventory().iter())
-            .map(|&(b, _)| self.lens[&b] * m.pending_locations(b).len() as u64)
-            .sum();
-        let reserved = m.cluster_status(0).scheduled_bytes;
-        assert_eq!(reserved, walk, "{}, {at}: reserved vs pending walk", self.lines[0]);
+    /// The map's oracles: the master's reserved bytes are the sum of
+    /// `block.len` over every pending location in its block map, and every
+    /// location, confirmed or pending, is on a worker it holds live.
+    fn check_map(&self, m: &Master, at: &str) {
+        let status = m.cluster_status(0);
+        let live: Vec<WorkerId> =
+            status.workers.iter().filter(|w| w.live).map(|w| w.worker).collect();
+        let mut walk = 0;
+        for (b, _) in m.block_inventory() {
+            let pending = m.pending_locations(b);
+            walk += self.lens[&b] * pending.len() as u64;
+            for l in m.block_locations(b).iter().chain(&pending) {
+                assert!(
+                    live.contains(&l.worker),
+                    "{}, {at}: b{} at {}",
+                    self.lines[0],
+                    b.0,
+                    loc(l)
+                );
+            }
+        }
+        assert_eq!(
+            status.scheduled_bytes, walk,
+            "{}, {at}: reserved vs pending walk",
+            self.lines[0]
+        );
     }
 }
 
@@ -129,7 +148,7 @@ fn event(e: &DecisionEvent) -> String {
 /// Records one round of tasks, with the audit trail of every block it
 /// touched, then commits its copies.
 fn scan_round(m: &Master, out: &mut Transcript, label: &str, tasks: Vec<ReplicationTask>) {
-    out.check_reserved(m, label);
+    out.check_map(m, label);
     out.push(format!("{label}: {} tasks", tasks.len()));
     let mut touched = BTreeSet::new();
     for t in &tasks {
@@ -166,7 +185,7 @@ fn explain(m: &Master, out: &mut Transcript, blocks: BTreeSet<BlockId>) {
 }
 
 fn reservations(m: &Master, out: &mut Transcript) {
-    out.check_reserved(m, "reservations");
+    out.check_map(m, "reservations");
     let st = m.cluster_status(0);
     out.push(format!(
         "status files={} blocks={} in_flight={} reserved={}B",
@@ -389,8 +408,9 @@ fn the_scans_plan_what_they_planned_before() {
     assert_eq!(recorded.next(), None, "the fixture holds more than the scenarios produce");
 }
 
-/// The reservation oracle over a thousand more seeded sequences, with no
-/// fixture to compare: `scripts/ci.sh` runs it in release.
+/// The map's oracles (reserved bytes, replicas on live workers) over a
+/// thousand more seeded sequences, with no fixture to compare:
+/// `scripts/ci.sh` runs it in release.
 #[test]
 #[ignore = "a 1,000-seed sweep; run in release"]
 fn reserved_bytes_are_the_pending_walk_over_a_thousand_seeds() {

@@ -31,10 +31,11 @@ echo "==> cargo test --workspace --release"
 # suite is hand-listed, so none can be silently skipped.
 cargo test --workspace --release -q
 
-echo "==> reservation oracle: 1,000 seeds"
-# The scan transcript's oracle (the reserved bytes the master reports are
-# a walk of its pending replicas, at every round) over 1,000 more seeded
-# sequences, with no fixture to compare (~2 s).
+echo "==> reservation and liveness oracle: 1,000 seeds"
+# The scan transcript's oracles (the reserved bytes the master reports are
+# a walk of its pending replicas, and every replica in its map sits on a
+# live worker, at every round) over 1,000 more seeded sequences, with no
+# fixture to compare (~2 s).
 cargo test --release -q -p octopus-master --test scan_transcript -- --ignored --exact \
     reserved_bytes_are_the_pending_walk_over_a_thousand_seeds
 
@@ -121,6 +122,25 @@ for run in $(seq 10); do
     fi
 done
 echo "one commit per block: 10/10"
+
+echo "==> one guard: 10 runs under parallel load"
+# The block map and the workers its replicas sit on share one lock
+# (`master.blocks`): the stress suite's liveness race (workers killed,
+# re-registered and heartbeated under commits, locates and scans, with no
+# replica left on a dead worker), the monitor's failure handling (a trim
+# whose victim died first) and the transport suite (a tail killed
+# mid-pipeline), 10 times back to back, 8 test threads each.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q -p octopus-master --test master_stress \
+        -- --test-threads 8 2>&1) ||
+        ! out=$(cargo test --release -q -p octopus-core --test monitor_faults \
+            --test multiplex -- --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "one guard: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "one guard: 10/10"
 
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
@@ -379,8 +399,17 @@ if ! grep -q "^mkdir " <<<"$perf_out"; then
     printf '%s\n' "$perf_out" >&2
     exit 1
 fi
-if ! grep -q "^master.namespace " <<<"$perf_out"; then
-    echo "perf smoke: master.namespace missing from the lock table" >&2
+for lock in master.namespace master.blocks; do
+    if ! grep -q "^${lock} " <<<"$perf_out"; then
+        echo "perf smoke: ${lock} missing from the lock table" >&2
+        printf '%s\n' "$perf_out" >&2
+        exit 1
+    fi
+done
+# The workers' liveness lives under master.blocks: the cluster state has
+# no lock of its own any more.
+if grep -q "^master[.]cluster " <<<"$perf_out"; then
+    echo "perf smoke: the lock table still lists a lock for the cluster state" >&2
     printf '%s\n' "$perf_out" >&2
     exit 1
 fi
