@@ -39,6 +39,7 @@
 //! - [`rpc`]: [`RpcClient`], the multiplexing, deadline-bounded transport
 //!   every networked call goes through — few connections per peer, an
 //!   in-flight map keyed by request id, and absolute per-call deadlines;
+//! - `retry`: the one retry loop, which both transports run;
 //! - [`faults`]: deterministic fault injection at the servers' response
 //!   boundary, driving the failover test suite.
 
@@ -52,6 +53,7 @@ pub mod master_server;
 pub mod monitor;
 pub mod node;
 pub mod proto;
+mod retry;
 pub mod rpc;
 pub mod server;
 pub mod transport;

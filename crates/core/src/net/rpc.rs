@@ -1,5 +1,4 @@
-//! [`RpcClient`]: multiplexed, deadline-bounded TCP RPC with bounded
-//! retries.
+//! [`RpcClient`]: multiplexed, deadline-bounded TCP RPC.
 //!
 //! Calls to one peer share a small set of connections (at most
 //! [`RpcConfig::conns_per_peer`]) instead of checking dedicated sockets in
@@ -15,26 +14,17 @@
 //! deadline a silent server does — per-syscall read timeouts, which such a
 //! server can reset indefinitely, are not used on the receive path.
 //!
-//! Backpressure: at most [`RpcConfig::max_inflight_per_peer`] calls may be
-//! outstanding to one peer; the next caller *blocks* (bounded by the
+//! Backpressure: at most [`RpcConfig::max_inflight_per_peer`] attempts may
+//! be outstanding to one peer; the next caller *blocks* (bounded by the
 //! call's own deadline budget) until a slot frees, so a storm of callers
-//! degrades to queueing instead of unbounded socket/memory growth.
+//! degrades to queueing instead of unbounded socket/memory growth. A slot
+//! is held for one attempt, never through a backoff.
 //!
-//! Retry semantics follow the keep-alive rules of HTTP clients:
-//!
-//! - A send failure on a *reused* connection is the stale keep-alive race
-//!   (the server closed it while idle); the request cannot have executed,
-//!   so another connection is tried without consuming the retry budget.
-//! - A receive failure (including a deadline expiry) is ambiguous — the
-//!   request may have executed — so it is retried only for idempotent
-//!   requests; non-idempotent requests surface the transport error to the
-//!   caller, who owns recovery (e.g. the client pipeline re-requests
-//!   placement after a failed `WriteBlock`).
-//! - Connect failures and failures on fresh connections retry up to
-//!   `max_retries` with exponential backoff plus jitter.
-//!
-//! Application-level errors ([`FsError::is_retryable`] = false) never
-//! retry: they are deterministic for a given cluster state.
+//! Retries: a call is `net::retry`'s loop, the one both transports
+//! run, sleeping through each backoff. Inside one attempt a send failure
+//! on a *reused* connection is the stale keep-alive race (the server
+//! closed it while idle): the request cannot have executed, so another
+//! connection is tried without consuming the retry budget.
 //!
 //! A block travels as its frame's body: written from the caller's shared
 //! [`bytes::Bytes`], received into a buffer of its own and decoded as a
@@ -45,6 +35,7 @@ use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex};
+use std::thread::sleep;
 use std::time::{Duration, Instant};
 
 use octopus_common::metrics::{Gauge, Labels, MetricsRegistry};
@@ -57,13 +48,7 @@ use super::proto::{
     decode_result, encode_worker_frame, FramePayload, MasterRequest, MasterResponse, WorkerRequest,
     WorkerResponse,
 };
-
-/// Which phase of the round trip failed — determines retry eligibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Send,
-    Receive,
-}
+use super::retry::{self, Failed};
 
 /// Where a waiting call stands.
 enum SlotState {
@@ -167,8 +152,6 @@ pub struct RpcClient {
     cfg: RpcConfig,
     peers: Mutex<HashMap<SocketAddr, Arc<Peer>>>,
     next_id: AtomicU64,
-    /// Deterministic jitter state (a splitmix64 walk); no RNG dependency.
-    jitter: AtomicU64,
     metrics: MetricsRegistry,
     trace: TraceCollector,
 }
@@ -180,7 +163,6 @@ impl RpcClient {
             cfg,
             peers: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            jitter: AtomicU64::new(0x243F_6A88_85A3_08D3),
             metrics: MetricsRegistry::new(),
             trace: TraceCollector::new("client"),
         }
@@ -240,17 +222,66 @@ impl RpcClient {
         Ok([&frame.head[..], frame.body.as_deref().unwrap_or_default()].concat())
     }
 
+    /// The retry loop over attempts that each hold an in-flight slot.
     fn call_labeled(
         &self,
         addr: SocketAddr,
-        payload: FramePayload,
+        mut payload: FramePayload,
         idempotent: bool,
         request_type: &'static str,
     ) -> Result<Frame> {
         let labels = Labels::req(request_type);
         self.metrics.inc("rpc_client_requests_total", labels);
         let start = Instant::now();
-        let out = self.attempt_loop(addr, payload, idempotent, labels, request_type);
+        let peer = self.peer(addr);
+        let out =
+            retry::run(&self.cfg, &self.metrics, request_type, idempotent, sleep, |attempt| {
+                let _permit = match self.acquire(&peer) {
+                    Ok(p) => p,
+                    Err(e) => return Ok(Err(e)), // a saturated peer ends the call
+                };
+                // One transport span per attempt: retries become sibling spans
+                // under the caller's span, and the backoff gap between them
+                // shows up as the parent's self time in the critical path.
+                // Untraced calls (no active span) skip both the span and the
+                // envelope, so receivers keep decoding bare payloads.
+                let mut span = trace::child(format!("rpc.{request_type}"));
+                let envelope = span.as_mut().map(|s| {
+                    s.annotate("peer", addr);
+                    s.annotate("attempt", attempt);
+                    trace::wrap_envelope(&s.context(), &[])
+                });
+
+                // Existing connections first. A send failure on a seasoned
+                // connection is the stale keep-alive race — the request never
+                // left, so trying the next connection is free. Each failure
+                // kills its connection, so this loop is bounded by the
+                // connection cap.
+                let failed = loop {
+                    let (conn, fresh) = match self.conn_for(&peer, addr) {
+                        Ok(c) => c,
+                        Err(e) => break Failed::Unsent(e),
+                    };
+                    match self.round_trip(&conn, &mut payload, envelope.as_deref(), idempotent) {
+                        Ok(frame) => return Ok(Ok(frame)),
+                        Err(Failed::Unsent(e)) => {
+                            let free = !fresh && conn.seasoned.load(Ordering::Acquire);
+                            conn.kill(&self.conn_gauge(), &e);
+                            self.forget(&peer, &conn);
+                            if !free {
+                                break Failed::Unsent(e);
+                            }
+                        }
+                        Err(lost) => break lost,
+                    }
+                };
+                if let (Some(s), Failed::Unsent(e) | Failed::Unanswered(e)) =
+                    (span.as_mut(), &failed)
+                {
+                    s.annotate("error", e);
+                }
+                Err(failed)
+            });
         self.metrics.observe_since("rpc_client_request_us", labels, start);
         if matches!(out, Err(FsError::Timeout(_))) {
             self.metrics.inc("rpc_client_timeouts_total", labels);
@@ -259,83 +290,6 @@ impl RpcClient {
             self.metrics.inc("rpc_client_failures_total", labels);
         }
         out
-    }
-
-    fn attempt_loop(
-        &self,
-        addr: SocketAddr,
-        mut payload: FramePayload,
-        idempotent: bool,
-        labels: Labels,
-        request_type: &'static str,
-    ) -> Result<Frame> {
-        let peer = self.peer(addr);
-        let _permit = self.acquire(&peer)?;
-        let mut last_err = FsError::Unreachable(format!("{addr}: no attempt made"));
-        for attempt in 0..=self.cfg.max_retries {
-            if attempt > 0 {
-                self.metrics.inc("rpc_client_retries_total", labels);
-                std::thread::sleep(self.backoff(attempt));
-            }
-
-            // One transport span per attempt: retries become sibling spans
-            // under the caller's span, and the backoff gap between them
-            // shows up as the parent's self time in the critical path.
-            // Untraced calls (no active span) skip both the span and the
-            // envelope, so receivers keep decoding bare payloads.
-            let mut span = trace::child(format!("rpc.{request_type}"));
-            let envelope = span.as_mut().map(|s| {
-                s.annotate("peer", addr);
-                s.annotate("attempt", attempt);
-                trace::wrap_envelope(&s.context(), &[])
-            });
-            let fail = |span: &mut Option<trace::SpanGuard>, e: &FsError| {
-                if let Some(s) = span.as_mut() {
-                    s.annotate("error", e);
-                }
-            };
-
-            // Existing connections first. A send failure on a seasoned
-            // connection is the stale keep-alive race — the request never
-            // left, so trying the next connection is free. Each failure
-            // kills its connection, so this loop is bounded by the
-            // connection cap.
-            loop {
-                let (conn, fresh) = match self.conn_for(&peer, addr) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        fail(&mut span, &e);
-                        last_err = e;
-                        break;
-                    }
-                };
-                match self.round_trip(&conn, &mut payload, envelope.as_deref(), idempotent) {
-                    Ok(frame) => return Ok(frame),
-                    Err((Stage::Send, e)) => {
-                        let free = !fresh && conn.seasoned.load(Ordering::Acquire);
-                        conn.kill(&self.conn_gauge(), &e);
-                        self.forget(&peer, &conn);
-                        if free {
-                            // Every later exit path records its own error,
-                            // so this one needs no bookkeeping.
-                            continue;
-                        }
-                        fail(&mut span, &e);
-                        last_err = e;
-                        break;
-                    }
-                    Err((Stage::Receive, e)) => {
-                        fail(&mut span, &e);
-                        if !idempotent {
-                            return Err(e);
-                        }
-                        last_err = e;
-                        break;
-                    }
-                }
-            }
-        }
-        Err(last_err)
     }
 
     /// One request/response exchange over an established connection: frame
@@ -349,7 +303,7 @@ impl RpcClient {
         payload: &mut FramePayload,
         envelope: Option<&[u8]>,
         idempotent: bool,
-    ) -> std::result::Result<Frame, (Stage, FsError)> {
+    ) -> std::result::Result<Frame, Failed> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(CallSlot::new());
         conn.slots.lock().unwrap().insert(id, Arc::clone(&slot));
@@ -361,45 +315,28 @@ impl RpcClient {
         };
         if let Err(e) = sent {
             conn.slots.lock().unwrap().remove(&id);
-            return Err((Stage::Send, e));
+            return Err(Failed::Unsent(e));
         }
         if !idempotent {
             payload.body = None;
         }
 
         // Absolute deadline: the full wall-clock budget for the response,
-        // regardless of how many socket reads deliver it.
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.read_timeout_ms.max(1));
-        let mut st = slot.state.lock().unwrap();
-        loop {
-            match &*st {
-                SlotState::Done(frame) => {
-                    let frame = frame.clone();
-                    drop(st);
-                    conn.seasoned.store(true, Ordering::Release);
-                    return Ok(frame);
-                }
-                SlotState::Failed(e) => {
-                    let e = e.clone();
-                    drop(st);
-                    return Err((Stage::Receive, e));
-                }
-                SlotState::Waiting => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        drop(st);
-                        conn.slots.lock().unwrap().remove(&id);
-                        return Err((
-                            Stage::Receive,
-                            FsError::Timeout(format!(
-                                "no response within {}ms",
-                                self.cfg.read_timeout_ms
-                            )),
-                        ));
-                    }
-                    let (guard, _) = slot.cv.wait_timeout(st, deadline - now).unwrap();
-                    st = guard;
-                }
+        // regardless of how many socket reads (or wake-ups) deliver it.
+        let budget = Duration::from_millis(self.cfg.read_timeout_ms.max(1));
+        let waiting = |st: &mut SlotState| matches!(st, SlotState::Waiting);
+        let st = slot.cv.wait_timeout_while(slot.state.lock().unwrap(), budget, waiting).unwrap().0;
+        match &*st {
+            SlotState::Done(frame) => {
+                conn.seasoned.store(true, Ordering::Release);
+                Ok(frame.clone())
+            }
+            SlotState::Failed(e) => Err(Failed::Unanswered(e.clone())),
+            SlotState::Waiting => {
+                drop(st);
+                conn.slots.lock().unwrap().remove(&id);
+                let ms = self.cfg.read_timeout_ms;
+                Err(Failed::Unanswered(FsError::Timeout(format!("no response within {ms}ms"))))
             }
         }
     }
@@ -533,32 +470,15 @@ impl RpcClient {
             .map_err(|e| FsError::Io(e.to_string()))?;
         Ok(conn)
     }
-
-    /// `min(base << (attempt-1), max)` plus up to 50% deterministic jitter,
-    /// so synchronized retry storms decorrelate.
-    fn backoff(&self, attempt: u32) -> Duration {
-        let base = self.cfg.backoff_base_ms.max(1);
-        let exp = base.checked_shl(attempt.saturating_sub(1).min(16)).unwrap_or(u64::MAX);
-        let capped = exp.min(self.cfg.backoff_max_ms.max(base));
-        let mut z = self.jitter.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let jitter = if capped / 2 == 0 { 0 } else { z % (capped / 2) };
-        Duration::from_millis(capped + jitter)
-    }
 }
 
 impl Drop for RpcClient {
     fn drop(&mut self) {
         // Sever every connection so demux reader threads exit instead of
         // blocking on sockets nobody will write to again.
-        let peers: Vec<_> = self.peers.lock().unwrap().drain().map(|(_, p)| p).collect();
-        let err = FsError::Unreachable("client dropped".into());
-        for peer in peers {
-            let conns: Vec<_> = peer.conns.lock().unwrap().drain(..).collect();
-            for conn in conns {
-                conn.kill(&self.conn_gauge(), &err);
-            }
+        let addrs: Vec<_> = self.peers.lock().unwrap().keys().copied().collect();
+        for addr in addrs {
+            self.evict(addr);
         }
     }
 }
@@ -795,12 +715,59 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_bounded_by_config() {
-        let client = RpcClient::new(RpcConfig { backoff_base_ms: 8, backoff_max_ms: 50, ..fast() });
-        for attempt in 1..10 {
-            let d = client.backoff(attempt);
-            assert!(d >= Duration::from_millis(8));
-            assert!(d <= Duration::from_millis(50 + 25), "attempt {attempt}: {d:?}");
-        }
+    fn a_retrying_call_holds_no_in_flight_slot_through_its_backoff() {
+        // A server answering through the fault harness: the first reply is
+        // dropped with its connection, every later one echoes.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let serve = move |mut s: TcpStream| {
+                while let Ok(Some((id, frame))) = read_mux_frame(&mut s) {
+                    let reply = FramePayload::small(frame.head.to_vec());
+                    if !super::super::faults::write_response(addr, &mut s, id, &reply).unwrap() {
+                        break;
+                    }
+                }
+            };
+            let conns: Vec<_> = listener
+                .incoming()
+                .take(2)
+                .map(|s| {
+                    let s = s.unwrap();
+                    std::thread::spawn(move || serve(s))
+                })
+                .collect();
+            for c in conns {
+                c.join().unwrap();
+            }
+        });
+        super::super::faults::inject(addr, super::super::FaultAction::DropConnection);
+
+        // One slot for the peer, and a first caller that loses its reply
+        // and backs off for 2–3 s before resending.
+        let client = RpcClient::new(RpcConfig {
+            max_inflight_per_peer: 1,
+            max_retries: 1,
+            backoff_base_ms: 2_000,
+            backoff_max_ms: 2_000,
+            read_timeout_ms: 5_000,
+            ..fast()
+        });
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| (client.call_raw(addr, b"first", true), Instant::now()));
+            while super::super::faults::pending(addr) > 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            // The second caller gets the slot while the first one waits.
+            let second = client.call_raw(addr, b"second", true);
+            let second_done = Instant::now();
+            let (first, first_done) = first.join().unwrap();
+            assert_eq!(second.unwrap(), b"second");
+            assert_eq!(first.unwrap(), b"first");
+            assert!(second_done < first_done, "the second caller waited out the first's backoff");
+        });
+        client.evict(addr);
+        server.join().unwrap();
     }
 }

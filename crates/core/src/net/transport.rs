@@ -9,7 +9,7 @@
 //! Two implementations, no third:
 //!
 //! - [`TcpTransport`]: worker ids resolve through an [`AddressMap`] and
-//!   requests travel over an [`RpcClient`] (deadlines, retries, tracing
+//!   requests travel over an [`RpcClient`] (deadlines, tracing
 //!   envelopes) — what the daemons, `NetCluster` and octobench run.
 //! - [`LocalTransport`]: requests are handed straight to the master and
 //!   worker dispatchers of the same process. No sockets and no real-time
@@ -17,21 +17,25 @@
 //!   the failure detector from a logical clock; a worker in the harness's
 //!   dead set answers with the same *retryable* error a refused
 //!   connection produces, so §3.1 recovery and §4.1 failover run the same
-//!   code on both.
+//!   code on both. A reply can be lost ([`LocalTransport::inject`]): the
+//!   callee applies the request and the caller sees the error a severed
+//!   connection gives.
 
 use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use octopus_common::metrics::MetricsRegistry;
 use octopus_common::trace::{self, TraceCollector};
 use octopus_common::{FsError, Result, RpcConfig, WorkerId};
 use octopus_master::Master;
 
+use super::faults::FaultAction;
 use super::master_server::{self, MasterState};
 use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
+use super::retry::{self, Failed};
 use super::rpc::RpcClient;
 use super::worker_server::{self, AddressMap};
 use crate::worker::Worker;
@@ -135,6 +139,9 @@ pub struct LocalTransport {
     state: MasterState,
     workers: Vec<Arc<Worker>>,
     dead: RwLock<HashSet<WorkerId>>,
+    /// Replies to lose, `(callee, request name)` with the master as
+    /// `None`, in registration order.
+    lost: Mutex<Vec<(Option<WorkerId>, &'static str)>>,
     metrics: MetricsRegistry,
     trace: TraceCollector,
 }
@@ -146,6 +153,7 @@ impl LocalTransport {
             state: MasterState::new(master),
             workers,
             dead: RwLock::new(HashSet::new()),
+            lost: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
             trace: TraceCollector::new("client"),
         }
@@ -176,11 +184,47 @@ impl LocalTransport {
             self.dead.write().remove(&id);
         }
     }
+
+    /// Loses the reply to the next `request` (a request's `name()`) that
+    /// reaches `to` — a worker, or the master for `None`: the callee
+    /// applies it, and the caller gets the retryable error a severed
+    /// connection gives. Faults are consumed in registration order. Only
+    /// [`FaultAction::DropConnection`] means something in process.
+    pub fn inject(&self, to: Option<WorkerId>, request: &'static str, action: FaultAction) {
+        assert_eq!(action, FaultAction::DropConnection, "in process, only a reply can be lost");
+        self.lost.lock().push((to, request));
+    }
+
+    /// One call through the retry loop, never waiting: a downed worker is
+    /// not served, and a fault registered for a served request loses it.
+    fn call<T>(
+        &self,
+        to: Option<WorkerId>,
+        request: &'static str,
+        idempotent: bool,
+        serve: impl Fn() -> Result<T>,
+    ) -> Result<T> {
+        let attempt = |_| {
+            if let Some(w) = to.filter(|w| self.dead.read().contains(w)) {
+                return Err(Failed::Unsent(FsError::Unreachable(format!("{w} is down"))));
+            }
+            let answer = serve();
+            let mut lost = self.lost.lock();
+            let Some(i) = lost.iter().position(|f| *f == (to, request)) else {
+                return Ok(answer);
+            };
+            lost.remove(i);
+            Err(Failed::Unanswered(FsError::Unreachable("server closed the connection".into())))
+        };
+        retry::run(&RpcConfig::default(), &self.metrics, request, idempotent, |_| {}, attempt)
+    }
 }
 
 impl Transport for LocalTransport {
     fn call_master(&self, req: MasterRequest) -> Result<MasterResponse> {
-        master_server::dispatch_traced(&self.state, req, trace::current_context())
+        self.call(None, req.name(), req.is_idempotent(), || {
+            master_server::dispatch_traced(&self.state, req.clone(), trace::current_context())
+        })
     }
 
     fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
@@ -188,10 +232,9 @@ impl Transport for LocalTransport {
             .workers
             .get(to.0 as usize)
             .ok_or_else(|| FsError::UnknownWorker(to.to_string()))?;
-        if self.dead.read().contains(&to) {
-            return Err(FsError::Unreachable(format!("{to} is down")));
-        }
-        worker_server::dispatch_traced(worker, self, req, trace::current_context())
+        self.call(Some(to), req.name(), req.is_idempotent(), || {
+            worker_server::dispatch_traced(worker, self, req.clone(), trace::current_context())
+        })
     }
 
     fn workers(&self) -> Vec<WorkerId> {

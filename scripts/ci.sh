@@ -142,6 +142,28 @@ for run in $(seq 10); do
 done
 echo "one guard: 10/10"
 
+echo "==> lost replies: 10 runs under parallel load, then 1,000 seeds"
+# Both transports run one retry loop, and the in-process cluster can lose
+# a reply after its callee applied the request: the lost-ack tests (a
+# head's commit and a monitor's copy resent once, a write re-placed, not
+# resent), the TCP/in-process parity suite and the fault-driven failover
+# and monitor suites, 10 times back to back, 8 test threads each. Then the
+# seeded sweep: writes, reads, deletes, setrep, block reports, replication
+# rounds and a killed worker under lost replies, on the logical clock
+# (~5 s); a failing seed names itself.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q -p octopus-core --test lost_replies \
+        --test transport_parity --test failover --test monitor_faults \
+        -- --test-threads 8 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "lost replies: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "lost replies: 10/10"
+cargo test --release -q -p octopus-core --test lost_replies -- --ignored --exact \
+    lost_replies_over_many_seeds
+
 echo "==> cargo test -p octopus-master (debug)"
 # Release builds wrap on integer overflow; an inode id packs a slot and a
 # generation into one u64, and quota charges multiply lengths. The
