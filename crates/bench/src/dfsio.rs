@@ -8,7 +8,7 @@
 //! Figures 2, 3, and 5 (per-task rates fall as `d` grows, exactly as the
 //! paper's curves do).
 
-use octopus_common::{ClientLocation, ReplicationVector, Result, WorkerId, MB};
+use octopus_common::{ClientLocation, ReplicationVector, Result, WorkerId};
 use octopus_core::{JobId, JobReport, SimCluster};
 
 /// Outcome of one DFSIO phase.
@@ -39,15 +39,6 @@ impl DfsioResult {
         let var = self.reports.iter().map(|r| (r.throughput_mbps() - mean).powi(2)).sum::<f64>()
             / (n - 1) as f64;
         (var / n as f64).sqrt()
-    }
-
-    /// Aggregate cluster throughput (total bytes / makespan), MB/s.
-    pub fn aggregate_mbps(&self) -> f64 {
-        if self.makespan_secs <= 0.0 {
-            return 0.0;
-        }
-        let bytes: u64 = self.reports.iter().map(|r| r.bytes).sum();
-        bytes as f64 / self.makespan_secs / MB as f64
     }
 }
 
@@ -100,7 +91,7 @@ pub fn read_workload(sim: &mut SimCluster, paths: &[String], shift: u32) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octopus_common::ClusterConfig;
+    use octopus_common::{ClusterConfig, MB};
 
     fn sim() -> SimCluster {
         let mut c = ClusterConfig::paper_cluster_scaled(0.05);
@@ -127,7 +118,6 @@ mod tests {
         let r = read_workload(&mut s, &paths, 3).unwrap();
         assert_eq!(r.reports.len(), 9);
         assert!(r.mean_task_mbps() > 0.0);
-        assert!(r.aggregate_mbps() >= r.mean_task_mbps());
     }
 
     #[test]

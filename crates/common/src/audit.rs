@@ -96,7 +96,7 @@ pub struct CandidateScore {
     pub worker: WorkerId,
     /// Its tier.
     pub tier: TierId,
-    /// The decision metric: Eq. 11 global-criterion distance for
+    /// The decision metric: Eq. 11 ideal-point distance for
     /// placements/removals (lower is better), estimated transfer rate for
     /// retrievals (higher is better).
     pub total: f64,

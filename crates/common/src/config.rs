@@ -6,9 +6,7 @@
 
 use crate::error::{FsError, Result};
 use crate::tier::{StorageTier, TierRegistry};
-use crate::topology::{RackId, Topology};
 use crate::units::{mbps_to_bytes_per_sec, DEFAULT_BLOCK_SIZE, GB};
-use crate::WorkerId;
 
 /// Configuration of one storage medium attached to a worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,15 +221,6 @@ pub struct ClusterConfig {
 pub const DEFAULT_IO_WINDOW: u32 = 4;
 
 impl ClusterConfig {
-    /// Derives the [`Topology`] from the worker descriptions.
-    pub fn topology(&self) -> Topology {
-        let mut t = Topology::new();
-        for (i, w) in self.workers.iter().enumerate() {
-            t.add_worker(WorkerId(i as u32), RackId(w.rack));
-        }
-        t
-    }
-
     /// Validates internal consistency (tier names, capacities, rates).
     pub fn validate(&self) -> Result<()> {
         if self.workers.is_empty() {
@@ -414,10 +403,7 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.workers.len(), 9);
         assert_eq!(c.num_media(), 45); // 5 media per worker
-        let topo = c.topology();
-        assert_eq!(topo.num_racks(), 3);
-        assert_eq!(topo.num_workers(), 9);
-        // HDD capacity per worker totals 400 GB.
+                                       // HDD capacity per worker totals 400 GB.
         let hdd: u64 =
             c.workers[0].media.iter().filter(|m| m.tier == "HDD").map(|m| m.capacity).sum();
         assert_eq!(hdd, 400 * GB);

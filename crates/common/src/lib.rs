@@ -2,7 +2,7 @@
 //!
 //! This crate defines the vocabulary every other OctopusFS crate speaks:
 //! storage tiers, the 64-bit [`ReplicationVector`] from the paper's API
-//! extensions (§2.3), cluster network topology (racks and workers), the
+//! extensions (§2.3), where workers and clients sit (racks), the
 //! statistics that workers report to the master via heartbeats, block
 //! metadata, checksums, configuration, and errors.
 //!
@@ -55,7 +55,7 @@ pub use repvector::{ReplicationVector, VectorDiff};
 pub use stats::{MediaStats, StorageTierReport, TierStats, WorkerStats};
 pub use status::{ClusterStatusReport, HotFile, WorkerStatusLine};
 pub use tier::{StorageTier, TierId, TierRegistry, MAX_TIERS, UNSPECIFIED_SLOT};
-pub use topology::{ClientLocation, NetDistance, RackId, Topology};
+pub use topology::{ClientLocation, RackId};
 pub use trace::{
     CriticalPath, SpanGuard, SpanId, SpanRecord, Trace, TraceCollector, TraceContext, TraceId,
     TraceSnapshot,

@@ -44,9 +44,6 @@ impl ReplicationVector {
     /// The all-zero vector (no replicas anywhere).
     pub const EMPTY: ReplicationVector = ReplicationVector(0);
 
-    /// Maximum replica count storable per slot.
-    pub const MAX_PER_SLOT: u8 = u8::MAX;
-
     /// Creates a vector from explicit per-slot counts. `counts[i]` is the
     /// count for tier slot `i`; missing slots are zero.
     pub fn from_counts(counts: &[u8], unspecified: u8) -> Self {
@@ -124,11 +121,6 @@ impl ReplicationVector {
     /// Total number of replicas (all tiers plus unspecified).
     pub fn total(self) -> u32 {
         (0..8).map(|s| self.slot(s) as u32).sum()
-    }
-
-    /// Number of replicas pinned to specific tiers (total minus `U`).
-    pub fn specified_total(self) -> u32 {
-        self.total() - self.unspecified() as u32
     }
 
     /// Whether the vector requests no replicas at all.
@@ -261,11 +253,6 @@ impl VectorDiff {
             .map(|(i, &d)| (TierId(i as u8), (-d) as u8))
     }
 
-    /// True when nothing changes.
-    pub fn is_noop(&self) -> bool {
-        self.unspecified == 0 && self.per_tier.iter().all(|&d| d == 0)
-    }
-
     /// Net change in total replica count.
     pub fn net_total(&self) -> i32 {
         self.per_tier.iter().map(|&d| d as i32).sum::<i32>() + self.unspecified as i32
@@ -285,7 +272,6 @@ mod tests {
         assert_eq!(v.storage_tier(StorageTier::Hdd), 2);
         assert_eq!(v.unspecified(), 3);
         assert_eq!(v.total(), 6);
-        assert_eq!(v.specified_total(), 3);
     }
 
     #[test]
@@ -293,7 +279,6 @@ mod tests {
         let v = ReplicationVector::from_replication_factor(3);
         assert_eq!(v.total(), 3);
         assert_eq!(v.unspecified(), 3);
-        assert_eq!(v.specified_total(), 0);
     }
 
     #[test]
@@ -353,11 +338,5 @@ mod tests {
         let v = ReplicationVector::msh(1, 0, 2);
         let got: Vec<_> = v.iter_tiers().collect();
         assert_eq!(got, vec![(TierId(0), 1), (TierId(2), 2)]);
-    }
-
-    #[test]
-    fn noop_diff() {
-        let v = ReplicationVector::msh(1, 1, 1);
-        assert!(v.diff(v).is_noop());
     }
 }

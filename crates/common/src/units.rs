@@ -28,11 +28,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// Converts bytes/sec to MB/sec (binary MB), the unit the paper reports.
-pub fn bytes_per_sec_to_mbps(bps: f64) -> f64 {
-    bps / MB as f64
-}
-
 /// Converts MB/sec (binary MB) to bytes/sec.
 pub fn mbps_to_bytes_per_sec(mbps: f64) -> f64 {
     mbps * MB as f64
@@ -49,13 +44,6 @@ mod tests {
         assert_eq!(fmt_bytes(3 * MB + MB / 2), "3.50 MB");
         assert_eq!(fmt_bytes(GB), "1.00 GB");
         assert_eq!(fmt_bytes(2 * TB), "2.00 TB");
-    }
-
-    #[test]
-    fn throughput_conversions_round_trip() {
-        let mbps = 126.3;
-        let bps = mbps_to_bytes_per_sec(mbps);
-        assert!((bytes_per_sec_to_mbps(bps) - mbps).abs() < 1e-9);
     }
 
     #[test]

@@ -273,15 +273,25 @@ impl RemoteFs {
 
     /// Deletes a path, invalidating replicas at the workers.
     pub fn delete(&self, path: &str, recursive: bool) -> Result<()> {
-        let dropped = match self.call(MasterRequest::Delete(path.into(), recursive))? {
+        let mut dropped = match self.call(MasterRequest::Delete(path.into(), recursive))? {
             MasterResponse::Dropped(d) => d,
             r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
         };
         // Best-effort: a worker that is down misses its invalidation here,
         // but the master has already dropped the blocks from the block map,
-        // so the replica is purged by the worker's next block report.
+        // so the replica is purged by the worker's next block report. So a
+        // worker that spent its retry budget once is sent nothing more:
+        // its replicas come in a row, sorted by worker.
+        dropped.sort_unstable_by_key(|(_, loc)| loc.worker);
+        let mut down = None;
         for (block, loc) in dropped {
-            let _ = self.net.call_worker(loc.worker, WorkerRequest::DeleteBlock(loc.media, block));
+            if down == Some(loc.worker) {
+                continue;
+            }
+            let req = WorkerRequest::DeleteBlock(loc.media, block);
+            if self.net.call_worker(loc.worker, req).is_err_and(|e| e.is_retryable()) {
+                down = Some(loc.worker);
+            }
         }
         Ok(())
     }

@@ -555,11 +555,6 @@ impl SimCluster {
         n
     }
 
-    /// Number of replication copy flows still in flight.
-    pub fn replication_in_flight(&self) -> usize {
-        self.repl_flows.len()
-    }
-
     /// Processes simulator events until one is worth surfacing (a job
     /// completion or a user timer). Every submitted job surfaces exactly
     /// one `JobDone`. Returns `None` when the simulation has fully drained.

@@ -9,10 +9,10 @@ use std::time::{Duration, Instant};
 use octopus_common::metrics::{GaugeGuard, Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{
-    Block, BlockData, BlockId, BlockTouches, HeatRecorder, MediaId, MediaStats, RackId, Result,
-    TierId, WorkerId,
+    Block, BlockData, BlockId, BlockTouches, FsError, HeatRecorder, MediaId, MediaStats, RackId,
+    Result, TierId, WorkerId,
 };
-use octopus_storage::{BlockStore, ConnGuard, Media, MediaManager};
+use octopus_storage::{BlockStore, ConnGuard, Media};
 
 /// One active I/O span against one medium: counted in the medium's
 /// `NrConn` (feeding heartbeats and thereby §3.2 placement) and mirrored
@@ -26,7 +26,9 @@ pub struct MediaIo {
 
 /// One worker node.
 pub struct Worker {
-    manager: MediaManager,
+    id: WorkerId,
+    rack: RackId,
+    media: Vec<Arc<Media>>,
     net_conns: Arc<AtomicU32>,
     net_bps: f64,
     emulate_bps: AtomicBool,
@@ -39,7 +41,9 @@ impl Worker {
     /// Assembles a worker from already-constructed media.
     pub fn new(worker: WorkerId, rack: RackId, media: Vec<Arc<Media>>, net_bps: f64) -> Self {
         Self {
-            manager: MediaManager::new(worker, rack, media),
+            id: worker,
+            rack,
+            media,
             net_conns: Arc::new(AtomicU32::new(0)),
             net_bps,
             emulate_bps: AtomicBool::new(false),
@@ -68,12 +72,12 @@ impl Worker {
 
     /// This worker's id.
     pub fn id(&self) -> WorkerId {
-        self.manager.worker()
+        self.id
     }
 
     /// This worker's rack.
     pub fn rack(&self) -> RackId {
-        self.manager.rack()
+        self.rack
     }
 
     /// NIC bandwidth, bytes/s.
@@ -83,12 +87,12 @@ impl Worker {
 
     /// The worker's media.
     pub fn media(&self) -> &[Arc<Media>] {
-        self.manager.media()
+        &self.media
     }
 
     /// Looks up one medium.
     pub fn medium(&self, id: MediaId) -> Result<&Arc<Media>> {
-        self.manager.get(id)
+        self.media.iter().find(|m| m.id == id).ok_or_else(|| FsError::UnknownMedia(id.to_string()))
     }
 
     /// Opens a network connection accounting guard (one per active remote
@@ -108,7 +112,7 @@ impl Worker {
     /// [`Worker::read_block`] do *not* count connections themselves, so a
     /// span covers the whole transfer exactly once.
     pub fn media_io(&self, media: MediaId) -> Result<MediaIo> {
-        let m = self.manager.get(media)?;
+        let m = self.medium(media)?;
         let gauge = self
             .metrics
             .gauge("worker_media_io_conn", self.labels().with_tier(m.tier))
@@ -134,7 +138,7 @@ impl Worker {
         if !self.emulate_bps.load(Ordering::Relaxed) {
             return None;
         }
-        let m = self.manager.get(media).ok()?;
+        let m = self.medium(media).ok()?;
         let (write_bps, read_bps) = m.throughput();
         let bps = if write { write_bps } else { read_bps };
         if bps <= 0.0 {
@@ -146,7 +150,7 @@ impl Worker {
     /// Stores a replica on the given medium. Connection accounting is the
     /// caller's via [`Worker::media_io`].
     pub fn write_block(&self, media: MediaId, block: Block, data: &BlockData) -> Result<()> {
-        let m = self.manager.get(media)?;
+        let m = self.medium(media)?;
         let labels = self.labels().with_tier(m.tier);
         let start = Instant::now();
         let out = m.store.put(block, data);
@@ -184,7 +188,7 @@ impl Worker {
         read: impl FnOnce(&dyn BlockStore) -> Result<T>,
         len: impl FnOnce(&T) -> u64,
     ) -> Result<T> {
-        let m = self.manager.get(media)?;
+        let m = self.medium(media)?;
         let labels = self.labels().with_tier(m.tier);
         let start = Instant::now();
         let out = read(&*m.store);
@@ -198,14 +202,14 @@ impl Worker {
 
     /// Deletes a replica.
     pub fn delete_block(&self, media: MediaId, block: BlockId) -> Result<()> {
-        self.manager.get(media)?.store.delete(block)
+        self.medium(media)?.store.delete(block)
     }
 
     /// The CRC-32 recorded when the replica was stored: an index lookup
     /// that never touches the payload (how a re-sent write is recognised
     /// as the block already held).
     pub fn stored_checksum(&self, media: MediaId, block: BlockId) -> Result<u32> {
-        self.manager.get(media)?.store.checksum(block)
+        self.medium(media)?.store.checksum(block)
     }
 
     /// Deletes every local replica of `block` (a master-directed
@@ -213,7 +217,7 @@ impl Worker {
     /// dropped.
     pub fn invalidate_block(&self, block: BlockId) -> u32 {
         let mut dropped = 0;
-        for m in self.manager.media() {
+        for m in &self.media {
             if m.store.contains(block) && m.store.delete(block).is_ok() {
                 dropped += 1;
             }
@@ -223,13 +227,31 @@ impl Worker {
 
     /// Whether any local medium holds the block.
     pub fn contains(&self, block: BlockId) -> bool {
-        self.manager.find_block(block).is_some()
+        self.media.iter().any(|m| m.store.contains(block))
     }
 
     /// Heartbeat payload: per-media statistics plus the NIC connection
     /// count.
     pub fn heartbeat_stats(&self) -> (Vec<MediaStats>, u32) {
-        (self.manager.stats(), self.net_conn_count())
+        let stats = self
+            .media
+            .iter()
+            .map(|m| {
+                let (write_thru, read_thru) = m.throughput();
+                MediaStats {
+                    media: m.id,
+                    worker: self.id,
+                    rack: self.rack,
+                    tier: m.tier,
+                    capacity: m.store.capacity(),
+                    remaining: m.store.remaining(),
+                    nr_conn: m.nr_conn(),
+                    write_thru,
+                    read_thru,
+                }
+            })
+            .collect();
+        (stats, self.net_conn_count())
     }
 
     /// The worker's block access-heat recorder (touched by
@@ -247,7 +269,7 @@ impl Worker {
     /// Block report payload: every block on every medium (paper §5).
     pub fn block_report(&self) -> Vec<(Block, MediaId)> {
         let mut out = Vec::new();
-        for m in self.manager.media() {
+        for m in &self.media {
             for info in m.store.blocks() {
                 out.push((info.block, m.id));
             }
@@ -259,7 +281,7 @@ impl Worker {
     /// (the periodic scrubber of §5).
     pub fn scrub(&self) -> Vec<(BlockId, MediaId)> {
         let mut corrupt = Vec::new();
-        for m in self.manager.media() {
+        for m in &self.media {
             for info in m.store.blocks() {
                 if m.store.verify(info.block.id).is_err() {
                     corrupt.push((info.block.id, m.id));
@@ -273,12 +295,12 @@ impl Worker {
 
     /// Total bytes stored.
     pub fn used(&self) -> u64 {
-        self.manager.used()
+        self.media.iter().map(|m| m.store.used()).sum()
     }
 
     /// The tier of one medium.
     pub fn tier_of(&self, media: MediaId) -> Result<TierId> {
-        Ok(self.manager.get(media)?.tier)
+        Ok(self.medium(media)?.tier)
     }
 }
 
@@ -301,6 +323,22 @@ mod tests {
             })
             .collect();
         Worker::new(WorkerId(3), RackId(1), media, 1e9)
+    }
+
+    /// Three media of 1,000 B each, with distinct tiers and throughputs.
+    fn three_media_worker() -> Worker {
+        let media = (0..3)
+            .map(|i| {
+                Arc::new(Media::new(
+                    MediaId(i),
+                    TierId(i as u8),
+                    Arc::new(MemoryStore::new(1000)),
+                    100.0 * (i + 1) as f64,
+                    200.0 * (i + 1) as f64,
+                ))
+            })
+            .collect();
+        Worker::new(WorkerId(5), RackId(1), media, 1e9)
     }
 
     fn blk(id: u64, len: u64) -> Block {
@@ -354,5 +392,42 @@ mod tests {
         assert!(w.scrub().is_empty());
         mem.corrupt(BlockId(1)).unwrap();
         assert_eq!(w.scrub(), vec![(BlockId(1), MediaId(0))]);
+    }
+
+    #[test]
+    fn stats_reflect_store_state() {
+        let w = three_media_worker();
+        let m = w.medium(MediaId(1)).unwrap();
+        m.store.put(blk(1, 100), &BlockData::generate_real(100, 1)).unwrap();
+        let _conn = m.connect();
+        let (stats, _) = w.heartbeat_stats();
+        assert_eq!(stats.len(), 3);
+        let s1 = stats.iter().find(|s| s.media == MediaId(1)).unwrap();
+        assert_eq!(s1.worker, WorkerId(5));
+        assert_eq!(s1.rack, RackId(1));
+        assert_eq!(s1.tier, TierId(1));
+        assert_eq!(s1.remaining, 900);
+        assert_eq!(s1.nr_conn, 1);
+        assert_eq!(s1.write_thru, 200.0);
+        assert_eq!(w.used(), 100);
+    }
+
+    #[test]
+    fn contains_finds_a_block_on_any_medium() {
+        let w = three_media_worker();
+        w.medium(MediaId(2))
+            .unwrap()
+            .store
+            .put(blk(9, 10), &BlockData::generate_real(10, 9))
+            .unwrap();
+        assert!(w.contains(BlockId(9)));
+        assert_eq!(w.block_report(), vec![(blk(9, 10), MediaId(2))]);
+        assert!(!w.contains(BlockId(1)));
+    }
+
+    #[test]
+    fn unknown_media_errors() {
+        let w = three_media_worker();
+        assert!(matches!(w.medium(MediaId(9)), Err(FsError::UnknownMedia(_))));
     }
 }

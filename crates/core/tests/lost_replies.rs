@@ -40,9 +40,28 @@ fn retries(cluster: &Cluster, request: &'static str) -> u64 {
     cluster.transport().metrics().counter("rpc_client_retries_total", Labels::req(request)).get()
 }
 
-/// What the master's view says each medium has left.
-fn remaining(master: &Master) -> HashMap<MediaId, u64> {
-    master.snapshot().media.iter().map(|m| (m.media, m.remaining)).collect()
+/// Each live medium's free bytes as the master counts them: its last
+/// heartbeat's `remaining` less what confirms charged since, with the
+/// bytes pending there added back.
+fn free(master: &Master) -> HashMap<MediaId, u64> {
+    let snap = master.snapshot();
+    snap.media.iter().map(|m| (m.media, m.remaining + master.scheduled_bytes(m.media))).collect()
+}
+
+/// Since `before` was read, each live medium was charged exactly `path`'s
+/// confirmed replicas there: once each, whatever was resent or re-placed.
+fn check_charged(master: &Master, before: &HashMap<MediaId, u64>, path: &str) {
+    let mut charged = HashMap::new();
+    let located = master.get_file_block_locations(path, 0, u64::MAX, ClientLocation::OffCluster);
+    for lb in located.unwrap() {
+        for l in &lb.locations {
+            *charged.entry(l.media).or_default() += lb.block.len;
+        }
+    }
+    for (media, left) in free(master) {
+        let want = charged.get(&media).map_or(0, |b| *b);
+        assert_eq!(before[&media] - left, want, "{path}: {media} charged");
+    }
 }
 
 /// The block map's oracles: the bytes the master reports reserved are the
@@ -85,7 +104,7 @@ fn only_block(client: &RemoteFs, path: &str) -> octopus_common::LocatedBlock {
 fn a_lost_commit_reply_is_resent_once_and_charges_each_medium_once() {
     let cluster = Cluster::start(config(4, MB)).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
-    let before = remaining(cluster.master());
+    let before = free(cluster.master());
     lose(&cluster, None, "CommitReplica");
     let data = payload(MB as usize, 1);
     client.write_file("/commit", &data, rf(3)).unwrap();
@@ -94,10 +113,7 @@ fn a_lost_commit_reply_is_resent_once_and_charges_each_medium_once() {
     let lb = only_block(&client, "/commit");
     assert_eq!(lb.locations.len(), 3, "confirmed on its three stages");
     assert!(cluster.master().pending_locations(lb.block.id).is_empty());
-    for (media, left) in remaining(cluster.master()) {
-        let charged = if lb.locations.iter().any(|l| l.media == media) { MB } else { 0 };
-        assert_eq!(before[&media] - left, charged, "{media} charged once per replica");
-    }
+    check_charged(cluster.master(), &before, "/commit");
     assert_eq!(client.read_file("/commit").unwrap(), data);
     check_map(cluster.master());
 }
@@ -132,8 +148,9 @@ fn a_lost_copy_reply_is_resent_and_the_copy_counts_as_landed() {
 
 /// A `WriteBlock` is not idempotent: its lost reply is not resent. The
 /// client re-places the block (§3.1 `ReassignBlock`) and the file reads
-/// back; the first pipeline's replicas are surplus, and one block-report
-/// round and one replication round leave exactly the vector's replicas.
+/// back; the first pipeline's replicas stay confirmed and charged once, as
+/// surplus, and one block-report round and one replication round leave
+/// exactly the vector's replicas.
 #[test]
 fn a_lost_write_reply_is_not_resent_and_the_block_is_placed_again() {
     let cluster = Cluster::start(config(4, MB)).unwrap();
@@ -141,10 +158,12 @@ fn a_lost_write_reply_is_not_resent_and_the_block_is_placed_again() {
     // pipeline's head, on the writer's worker.
     let head = WorkerId(0);
     let client = cluster.client(ClientLocation::OnWorker(head));
+    let before = free(cluster.master());
     lose(&cluster, Some(head), "WriteBlock");
     let data = payload(MB as usize, 3);
     client.write_file("/write", &data, rf(3)).unwrap();
     assert_eq!(retries(&cluster, "WriteBlock"), 0);
+    check_charged(cluster.master(), &before, "/write");
     let snap = cluster.transport().metrics().snapshot();
     assert_eq!(snap.counter("client_pipeline_recoveries_total"), 1);
     let applied = cluster
@@ -166,6 +185,39 @@ fn a_lost_write_reply_is_not_resent_and_the_block_is_placed_again() {
     let stored = cluster.workers().iter().filter(|w| w.contains(lb.block.id)).count();
     assert_eq!(stored, 3, "exactly the vector's replicas are stored");
     assert_eq!(client.read_file("/write").unwrap(), data);
+    check_map(cluster.master());
+}
+
+/// A delete sends one `DeleteBlock` per dropped replica, best effort: a
+/// worker that is down, though the master has not declared it dead yet,
+/// spends one retry budget and is sent nothing more. Its next block report
+/// purges the replicas it missed.
+#[test]
+fn a_down_worker_costs_a_delete_one_retry_budget() {
+    let cluster = Cluster::start(config(4, 64 * 1024)).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(8 * 64 * 1024, 4);
+    client.write_file("/del", &data, rf(3)).unwrap();
+    let blocks: Vec<_> = client.get_file_block_locations("/del", 0, u64::MAX).unwrap();
+    let held =
+        |w: WorkerId| blocks.iter().filter(|lb| lb.locations.iter().any(|l| l.worker == w)).count();
+    let down = (0..4).map(WorkerId).max_by_key(|&w| held(w)).unwrap();
+    assert!(held(down) >= 2, "{down} holds {} replicas", held(down));
+
+    cluster.transport().set_down(down, true);
+    client.delete("/del", false).unwrap();
+    let budget = u64::from(octopus_common::RpcConfig::default().max_retries);
+    assert_eq!(retries(&cluster, "DeleteBlock"), budget);
+    for w in cluster.workers().iter().filter(|w| w.id() != down) {
+        for lb in &blocks {
+            assert!(!w.contains(lb.block.id), "{} still holds {}", w.id(), lb.block.id);
+        }
+    }
+
+    cluster.transport().set_down(down, false);
+    cluster.send_block_reports().unwrap();
+    let worker = cluster.worker(down).unwrap();
+    assert!(blocks.iter().all(|lb| !worker.contains(lb.block.id)), "purged by its report");
     check_map(cluster.master());
 }
 
@@ -210,7 +262,9 @@ const BLOCK: u64 = 64 * 1024;
 /// replication rounds and a worker killed and revived, with lost replies
 /// drawn from the seed. At most three are ever registered for one request
 /// at one callee, so an idempotent request always gets through within its
-/// budget of four attempts.
+/// budget of four attempts. Besides the map's oracles and read-back, an
+/// acknowledged write charges each medium exactly its confirmed replicas
+/// there, and a replication round with every worker up fails no copy.
 fn one_seed(seed: u64) {
     let mut rng = Rng(seed);
     let cluster = Cluster::start(config(WORKERS, BLOCK)).unwrap();
@@ -240,9 +294,13 @@ fn one_seed(seed: u64) {
                 let path = format!("/f{step}");
                 let data = payload(rng.below(3 * BLOCK + 1) as usize, seed ^ step);
                 let rv = rf(1 + rng.below(3) as u8);
+                // Fresh heartbeats: every medium's free bytes are its own.
+                cluster.pump_heartbeats();
+                let before = free(cluster.master());
                 // A write whose error is a lost reply may have happened in
                 // part; only an acknowledged one must read back.
                 if client.write_file(&path, &data, rv).is_ok() {
+                    check_charged(cluster.master(), &before, &path);
                     files.push((path, data));
                 }
             }
@@ -270,7 +328,12 @@ fn one_seed(seed: u64) {
                 }
             },
             _ => {
-                cluster.run_replication_round().unwrap();
+                let net = &**cluster.transport();
+                let outcome = monitor::run_replication_round(cluster.master(), net).unwrap();
+                cluster.pump_heartbeats();
+                if dead.is_none() {
+                    assert_eq!(outcome.copies_failed, 0, "{outcome:?}");
+                }
             }
         }
         check_map(cluster.master());

@@ -53,7 +53,7 @@ fn placement_audit_reproduces_moop_argmin() {
     // Every block's Placement event must carry the per-replica candidate
     // scores, with the recorded winner being the argmin of the Eq. 11
     // totals (within the policy's tie-break epsilon) — the acceptance
-    // criterion that explain-placement reproduces the policy's ranking.
+    // check that explain-placement reproduces the policy's ranking.
     let mut rounds_checked = 0usize;
     for i in 0..25 {
         let blocks = client.get_file_block_locations(&format!("/f{i}"), 0, u64::MAX).unwrap();

@@ -405,9 +405,10 @@ impl Master {
     /// block keeps its id, generation, length, and position in
     /// `meta.blocks`; only its replica placement is replaced.
     ///
-    /// Replicas an earlier attempt already committed become surplus and
-    /// are invalidated through their owners' block reports (the same
-    /// convergence path abandoned blocks use). Placement failure leaves
+    /// Replicas an earlier attempt already committed stay confirmed, as
+    /// surplus the replication monitor trims (§5): their media hold the
+    /// block and were charged for it, so a new pipeline through one
+    /// neither reserves nor charges it again. Placement failure leaves
     /// the old assignment untouched, so the caller can retry or give up
     /// without losing state.
     pub fn reassign_block_as(
@@ -437,8 +438,14 @@ impl Master {
             // intact (no edit-log entry either way — replica locations are
             // never logged, exactly as in `add_block_excluding`).
             let (mut bs, locations, rounds) = self.place_pipeline(&ctx, &req, path)?;
-            // The new pipeline replaces the old one and its reservations.
-            bs.map.insert(block, file, locations.clone());
+            // The new pipeline replaces the old one and its reservations;
+            // the committed replicas stay.
+            let held = bs.map.get(block.id).map(|i| i.locations.clone()).unwrap_or_default();
+            let fresh = locations.iter().filter(|l| !held.contains(l)).copied().collect();
+            bs.map.insert(block, file, fresh);
+            for loc in held {
+                bs.map.confirm(block.id, loc)?;
+            }
             let policy = self.placement.name().to_string();
             let chosen = locations.clone();
             self.record(DecisionKind::Reassign, block.id, file, policy, chosen, rounds);

@@ -3,7 +3,7 @@
 //!
 //! - [`objectives`]: the four optimization objectives of §3.2 (data
 //!   balancing, load balancing, fault tolerance, throughput maximization),
-//!   their ideal upper bounds, and the global-criterion score of Eq. 11.
+//!   their ideal upper bounds, and the ideal-point distance of Eq. 11.
 //! - [`placement`]: the [`PlacementPolicy`] trait, the default MOOP policy
 //!   (Algorithms 1 and 2 with the §3.3 pruning heuristics), the four
 //!   single-objective policies used in the paper's ablation (§7.2), the

@@ -1,5 +1,5 @@
-//! The four optimization objectives of paper §3.2 and the global-criterion
-//! score of Eq. 11.
+//! The four optimization objectives of paper §3.2 and the ideal-point
+//! distance of Eq. 11.
 //!
 //! Each objective has a value function `f(m⃗)` over a list of chosen media
 //! and an ideal upper bound `f*(m⃗)` attained by a (possibly infeasible)
@@ -147,7 +147,7 @@ pub fn ideal_tm(len: usize) -> f64 {
     len as f64
 }
 
-/// The global-criterion score `‖f(m⃗) − z*(m⃗)‖₂` (Eq. 11) restricted to a
+/// The ideal-point distance `‖f(m⃗) − z*(m⃗)‖₂` (Eq. 11) restricted to a
 /// set of objectives. Lower is better; 0 would be the (generally
 /// infeasible) ideal point.
 pub fn score(chosen: &[&MediaStats], ctx: &ObjectiveContext, objectives: &[Objective]) -> f64 {

@@ -1,7 +1,7 @@
 //! Block placement policies (paper §3.3 and the §7.2 baselines).
 //!
 //! The default **MOOP policy** implements Algorithm 1 (`solve_moop`: pick
-//! the medium minimizing the global-criterion score when appended to the
+//! the medium minimizing the ideal-point distance (Eq. 11) when appended to the
 //! chosen list) inside Algorithm 2 (`place`: iterate over the replication
 //! vector, generating pruned option lists per replica). The same greedy
 //! engine parameterized with a single objective yields the paper's DB, LB,
@@ -216,7 +216,7 @@ impl GreedyPolicy {
     }
 
     /// Algorithm 1: evaluate appending each option to `chosen` and return
-    /// the option with the lowest global-criterion score. Ties (within
+    /// the option with the lowest ideal-point distance. Ties (within
     /// epsilon) break uniformly at random so equivalent media share load —
     /// without this, single-objective policies would pile every block onto
     /// the same devices.

@@ -48,11 +48,6 @@ impl ClusterSnapshot {
         self.workers.iter().find(|w| w.worker == id)
     }
 
-    /// All media on a given worker.
-    pub fn media_on_worker(&self, id: WorkerId) -> impl Iterator<Item = &MediaStats> {
-        self.media.iter().filter(move |m| m.worker == id)
-    }
-
     /// All media in a given tier.
     pub fn media_in_tier(&self, tier: TierId) -> impl Iterator<Item = &MediaStats> {
         self.media.iter().filter(move |m| m.tier == tier)
@@ -198,7 +193,6 @@ mod tests {
     #[test]
     fn lookups() {
         let s = paper_like();
-        assert_eq!(s.media_on_worker(WorkerId(0)).count(), 5);
         assert_eq!(s.media_in_tier(TierId(2)).count(), 27);
         assert!(s.media_stats(MediaId(0)).is_some());
         assert!(s.media_stats(MediaId(999)).is_none());

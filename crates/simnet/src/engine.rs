@@ -140,11 +140,6 @@ impl SimNet {
         self.flows.get(&id).map_or(0.0, |f| f.rate)
     }
 
-    /// Bytes a flow still has to transfer (0 if unknown/finished).
-    pub fn flow_remaining(&self, id: FlowId) -> f64 {
-        self.flows.get(&id).map_or(0.0, |f| f.remaining)
-    }
-
     /// Number of active flows traversing a resource.
     pub fn resource_flows(&self, r: ResourceId) -> usize {
         self.flows.values().filter(|f| f.path.contains(&r)).count()

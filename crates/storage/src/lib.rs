@@ -9,8 +9,8 @@
 //! - three implementations: [`MemoryStore`] (heap-backed, the Memory tier),
 //!   [`FileStore`] (real files on local disk, persistent tiers), and
 //!   [`SimStore`] (metadata-only, used by the simulation-scale experiments),
-//! - [`Media`] and [`MediaManager`]: per-worker bookkeeping of media,
-//!   active-connection counts, and the statistics heartbeats report,
+//! - [`Media`]: one medium's store, tier, nominal throughputs and
+//!   active-connection count, which heartbeats report,
 //! - [`probe`]: the startup I/O test that measures each medium's sustained
 //!   write/read throughput (paper §3.2, "Throughput maximization").
 
@@ -24,7 +24,7 @@ mod sim;
 mod store;
 
 pub use file::FileStore;
-pub use media::{ConnGuard, Media, MediaManager};
+pub use media::{ConnGuard, Media};
 pub use memory::MemoryStore;
 pub use probe::{probe, ProbeResult};
 pub use sim::SimStore;

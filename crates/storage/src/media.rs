@@ -1,16 +1,15 @@
 //! Per-worker media bookkeeping.
 //!
 //! A [`Media`] couples a [`BlockStore`] with its identity (tier, id), its
-//! measured throughput, and a live count of active I/O connections — the
+//! nominal throughput, and a live count of active I/O connections — the
 //! `NrConn[m]` statistic the placement and retrieval policies consume
-//! (paper §3.2, §4.2). [`MediaManager`] owns all media of one worker and
-//! produces the heartbeat statistics.
+//! (paper §3.2, §4.2). The worker that owns a medium reports these in its
+//! heartbeats.
 
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use octopus_common::{BlockId, FsError, MediaId, MediaStats, RackId, Result, TierId, WorkerId};
+use octopus_common::{MediaId, TierId};
 
 use crate::store::BlockStore;
 
@@ -23,12 +22,12 @@ pub struct Media {
     /// The block store.
     pub store: Arc<dyn BlockStore>,
     nr_conn: Arc<AtomicU32>,
-    thru: RwLock<(f64, f64)>, // (write_bps, read_bps)
+    write_bps: f64,
+    read_bps: f64,
 }
 
 impl Media {
-    /// Creates a medium with nominal throughputs (replaced by the startup
-    /// probe in real deployments; authoritative in simulations).
+    /// Creates a medium with its nominal throughputs (bytes/s).
     pub fn new(
         id: MediaId,
         tier: TierId,
@@ -36,13 +35,7 @@ impl Media {
         write_bps: f64,
         read_bps: f64,
     ) -> Self {
-        Self {
-            id,
-            tier,
-            store,
-            nr_conn: Arc::new(AtomicU32::new(0)),
-            thru: RwLock::new((write_bps, read_bps)),
-        }
+        Self { id, tier, store, nr_conn: Arc::new(AtomicU32::new(0)), write_bps, read_bps }
     }
 
     /// Current number of active I/O connections.
@@ -56,14 +49,9 @@ impl Media {
         ConnGuard { counter: Arc::clone(&self.nr_conn) }
     }
 
-    /// Records measured throughputs (bytes/s).
-    pub fn set_throughput(&self, write_bps: f64, read_bps: f64) {
-        *self.thru.write() = (write_bps, read_bps);
-    }
-
     /// `(write_bps, read_bps)`.
     pub fn throughput(&self) -> (f64, f64) {
-        *self.thru.read()
+        (self.write_bps, self.read_bps)
     }
 }
 
@@ -86,96 +74,14 @@ impl Drop for ConnGuard {
     }
 }
 
-/// All media of one worker.
-pub struct MediaManager {
-    worker: WorkerId,
-    rack: RackId,
-    media: Vec<Arc<Media>>,
-}
-
-impl MediaManager {
-    /// Creates a manager for the given worker.
-    pub fn new(worker: WorkerId, rack: RackId, media: Vec<Arc<Media>>) -> Self {
-        Self { worker, rack, media }
-    }
-
-    /// The worker owning these media.
-    pub fn worker(&self) -> WorkerId {
-        self.worker
-    }
-
-    /// The worker's rack.
-    pub fn rack(&self) -> RackId {
-        self.rack
-    }
-
-    /// All media.
-    pub fn media(&self) -> &[Arc<Media>] {
-        &self.media
-    }
-
-    /// Looks up a medium by id.
-    pub fn get(&self, id: MediaId) -> Result<&Arc<Media>> {
-        self.media.iter().find(|m| m.id == id).ok_or_else(|| FsError::UnknownMedia(id.to_string()))
-    }
-
-    /// Finds the medium holding a given block, if any.
-    pub fn find_block(&self, id: BlockId) -> Option<&Arc<Media>> {
-        self.media.iter().find(|m| m.store.contains(id))
-    }
-
-    /// The per-media statistics reported in heartbeats.
-    pub fn stats(&self) -> Vec<MediaStats> {
-        self.media
-            .iter()
-            .map(|m| {
-                let (w, r) = m.throughput();
-                MediaStats {
-                    media: m.id,
-                    worker: self.worker,
-                    rack: self.rack,
-                    tier: m.tier,
-                    capacity: m.store.capacity(),
-                    remaining: m.store.remaining(),
-                    nr_conn: m.nr_conn(),
-                    write_thru: w,
-                    read_thru: r,
-                }
-            })
-            .collect()
-    }
-
-    /// Total bytes stored across all media.
-    pub fn used(&self) -> u64 {
-        self.media.iter().map(|m| m.store.used()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::MemoryStore;
-    use octopus_common::{Block, BlockData, GenStamp};
-
-    fn manager() -> MediaManager {
-        let media = (0..3)
-            .map(|i| {
-                Arc::new(Media::new(
-                    MediaId(i),
-                    TierId(i as u8),
-                    Arc::new(MemoryStore::new(1000)),
-                    100.0 * (i + 1) as f64,
-                    200.0 * (i + 1) as f64,
-                ))
-            })
-            .collect();
-        MediaManager::new(WorkerId(5), RackId(1), media)
-    }
 
     #[test]
     fn conn_guard_counts() {
-        let mgr = manager();
-        let m = mgr.get(MediaId(0)).unwrap();
+        let m = Media::new(MediaId(0), TierId(0), Arc::new(MemoryStore::new(1000)), 100.0, 200.0);
         assert_eq!(m.nr_conn(), 0);
         let g1 = m.connect();
         let g2 = m.connect();
@@ -184,57 +90,5 @@ mod tests {
         assert_eq!(m.nr_conn(), 1);
         drop(g2);
         assert_eq!(m.nr_conn(), 0);
-    }
-
-    #[test]
-    fn stats_reflect_store_state() {
-        let mgr = manager();
-        let m = mgr.get(MediaId(1)).unwrap();
-        m.store
-            .put(
-                Block { id: BlockId(1), gen: GenStamp(0), len: 100 },
-                &BlockData::generate_real(100, 1),
-            )
-            .unwrap();
-        let _conn = m.connect();
-        let stats = mgr.stats();
-        assert_eq!(stats.len(), 3);
-        let s1 = stats.iter().find(|s| s.media == MediaId(1)).unwrap();
-        assert_eq!(s1.worker, WorkerId(5));
-        assert_eq!(s1.rack, RackId(1));
-        assert_eq!(s1.tier, TierId(1));
-        assert_eq!(s1.remaining, 900);
-        assert_eq!(s1.nr_conn, 1);
-        assert_eq!(s1.write_thru, 200.0);
-        assert_eq!(mgr.used(), 100);
-    }
-
-    #[test]
-    fn find_block_locates_medium() {
-        let mgr = manager();
-        mgr.get(MediaId(2))
-            .unwrap()
-            .store
-            .put(
-                Block { id: BlockId(9), gen: GenStamp(0), len: 10 },
-                &BlockData::generate_real(10, 9),
-            )
-            .unwrap();
-        assert_eq!(mgr.find_block(BlockId(9)).unwrap().id, MediaId(2));
-        assert!(mgr.find_block(BlockId(1)).is_none());
-    }
-
-    #[test]
-    fn unknown_media_errors() {
-        let mgr = manager();
-        assert!(matches!(mgr.get(MediaId(9)), Err(FsError::UnknownMedia(_))));
-    }
-
-    #[test]
-    fn throughput_can_be_updated_by_probe() {
-        let mgr = manager();
-        let m = mgr.get(MediaId(0)).unwrap();
-        m.set_throughput(555.0, 777.0);
-        assert_eq!(m.throughput(), (555.0, 777.0));
     }
 }

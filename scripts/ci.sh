@@ -22,13 +22,49 @@ for f in crates/master/src/master/*.rs; do
     fi
 done
 
+echo "==> third_party stand-ins"
+# Each directory in third_party/ stands in for one crates.io dependency:
+# the root manifest must name it in `exclude`, `[workspace.dependencies]`
+# and `[patch.crates-io]`, and some workspace member must depend on it, so
+# a stand-in cannot outlive its last user.
+section() {
+    awk -v want="[$1]" '$0 == want { on = 1; next } /^\[/ { on = 0 } on' Cargo.toml
+}
+workspace=$(section workspace)
+workspace_deps=$(section workspace.dependencies)
+patched=$(section patch.crates-io)
+member_deps=$(section dependencies; section dev-dependencies; cat crates/*/Cargo.toml)
+for dir in third_party/*/; do
+    name=$(basename "$dir")
+    if ! grep -q "\"third_party/${name}\"" <<<"$workspace"; then
+        echo "third_party: ${name} is not in the workspace's exclude list" >&2
+        exit 1
+    fi
+    if ! grep -q "^${name} = " <<<"$workspace_deps"; then
+        echo "third_party: ${name} is not in [workspace.dependencies]" >&2
+        exit 1
+    fi
+    if ! grep -q "^${name} = { path = \"third_party/${name}\" }" <<<"$patched"; then
+        echo "third_party: ${name} is not patched in [patch.crates-io]" >&2
+        exit 1
+    fi
+    if ! grep -q "^${name}\.workspace = true" <<<"$member_deps"; then
+        echo "third_party: no workspace member depends on ${name}" >&2
+        exit 1
+    fi
+done
+echo "third_party: $(ls -d third_party/*/ | wc -l) stand-ins, each patched in and used"
+
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test --workspace --release"
 # The whole workspace: every crate's unit tests and every integration
-# suite. The smoke sections below run benches and daemons only — no
-# suite is hand-listed, so none can be silently skipped.
+# suite, none hand-listed, so none can be silently skipped. The sections
+# below add to it: seed sweeps and repeated runs of chosen suites under
+# parallel load, the master's suites in debug, the `bytes` stand-in's
+# tests, fmt and clippy, the nine figures regenerated, then smoke runs of
+# the examples, the `exp_*` gates, octobench and the daemons.
 cargo test --workspace --release -q
 
 echo "==> reservation and liveness oracle: 1,000 seeds"
@@ -146,11 +182,13 @@ echo "==> lost replies: 10 runs under parallel load, then 1,000 seeds"
 # Both transports run one retry loop, and the in-process cluster can lose
 # a reply after its callee applied the request: the lost-ack tests (a
 # head's commit and a monitor's copy resent once, a write re-placed, not
-# resent), the TCP/in-process parity suite and the fault-driven failover
-# and monitor suites, 10 times back to back, 8 test threads each. Then the
-# seeded sweep: writes, reads, deletes, setrep, block reports, replication
-# rounds and a killed worker under lost replies, on the logical clock
-# (~5 s); a failing seed names itself.
+# resent, a down worker costing a delete one retry budget), the
+# TCP/in-process parity suite and the fault-driven failover and monitor
+# suites, 10 times back to back, 8 test threads each. Then the seeded
+# sweep: writes, reads, deletes, setrep, block reports, replication rounds
+# and a killed worker under lost replies, on the logical clock (~5 s),
+# checking read-back, the block map, each write's charge per medium and
+# that no copy fails while every worker is up; a failing seed names itself.
 for run in $(seq 10); do
     if ! out=$(cargo test --release -q -p octopus-core --test lost_replies \
         --test transport_parity --test failover --test monitor_faults \
