@@ -16,18 +16,11 @@ use std::time::Instant;
 use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, RpcConfig, MB};
 use octopus_core::NetCluster;
 
+use super::payload;
 use crate::table::{emit, f2, render};
 
 /// Blocks per client file.
 const BLOCKS: usize = 2;
-
-fn payload(len: usize, seed: u64) -> Vec<u8> {
-    let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, seed)
-    else {
-        unreachable!()
-    };
-    b.to_vec()
-}
 
 /// Full run (the `run_all` entry): clients up to 256.
 pub fn run() -> String {

@@ -17,6 +17,7 @@ use octopus_core::NetCluster;
 use octopus_master::AutoTierConfig;
 use octopus_policies::EwmaThresholdClassifier;
 
+use super::payload;
 use crate::table::{emit, f2, render};
 
 /// Files per phase working set.
@@ -27,14 +28,6 @@ const WS: usize = 2;
 const WARM_READS: usize = 4;
 /// Measured reads per working-set file per phase.
 const TIMED_READS: usize = 12;
-
-fn payload(len: usize, seed: u64) -> Vec<u8> {
-    let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, seed)
-    else {
-        unreachable!()
-    };
-    b.to_vec()
-}
 
 /// Full run (the `run_all` entry): 3 phases over 6 files.
 pub fn run() -> String {

@@ -12,18 +12,11 @@ use std::time::{Duration, Instant};
 use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, MB};
 use octopus_core::NetCluster;
 
+use super::payload;
 use crate::table::{emit, f2, render};
 
 /// Reads of the hot file per epoch.
 const READS_PER_EPOCH: usize = 4;
-
-fn payload(len: usize, seed: u64) -> Vec<u8> {
-    let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, seed)
-    else {
-        unreachable!()
-    };
-    b.to_vec()
-}
 
 /// Full run (the `run_all` entry): 20 epochs.
 pub fn run() -> String {

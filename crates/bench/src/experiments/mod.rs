@@ -19,6 +19,16 @@ pub mod table2;
 pub mod table3;
 pub mod usecase_sched;
 
+/// `len` deterministic pseudo-random bytes from `seed`: the file the
+/// real-cluster experiments write and read back.
+fn payload(len: usize, seed: u64) -> Vec<u8> {
+    let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, seed)
+    else {
+        unreachable!()
+    };
+    b.to_vec()
+}
+
 /// The six replication vectors of Figure 2, with their paper labels.
 pub fn fig2_vectors() -> Vec<(&'static str, octopus_common::ReplicationVector)> {
     use octopus_common::ReplicationVector as RV;

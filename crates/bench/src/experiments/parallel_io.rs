@@ -12,6 +12,7 @@ use std::time::Instant;
 use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, MB};
 use octopus_core::NetCluster;
 
+use super::payload;
 use crate::table::{emit, f2, render};
 
 /// Swept in-flight windows; 1 is the serial baseline.
@@ -19,14 +20,6 @@ const WINDOWS: [u32; 4] = [1, 2, 4, 8];
 
 /// Blocks per file (the ISSUE's 8-block workload).
 const BLOCKS: usize = 8;
-
-fn payload(len: usize, seed: u64) -> Vec<u8> {
-    let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, seed)
-    else {
-        unreachable!()
-    };
-    b.to_vec()
-}
 
 /// Full run (the `run_all` entry): 1 MB blocks, best of three.
 pub fn run() -> String {

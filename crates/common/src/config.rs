@@ -15,8 +15,9 @@ pub struct MediaConfig {
     pub tier: String,
     /// Capacity in bytes usable for block storage.
     pub capacity: u64,
-    /// Nominal sustained write throughput, bytes/s. The startup probe
-    /// measures the real value; simulations use this as ground truth.
+    /// Nominal sustained write throughput, bytes/s: what heartbeats report
+    /// (the paper measures it with a startup probe), the simulator's
+    /// device rate, and the pace of `emulate_media_bps`.
     pub write_bps: f64,
     /// Nominal sustained read throughput, bytes/s.
     pub read_bps: f64,
@@ -187,19 +188,11 @@ pub struct ClusterConfig {
     pub workers: Vec<WorkerConfig>,
     /// Default block size for new files.
     pub block_size: u64,
-    /// Maximum total replication for any file.
-    pub max_replication: u32,
     /// Policy tunables.
     pub policy: PolicyConfig,
     /// Heartbeat interval in milliseconds (drives staleness detection and
     /// how often NrConn/capacity stats refresh at the master).
     pub heartbeat_ms: u64,
-    /// Optional per-rack uplink bandwidth (bytes/s) for the simulator:
-    /// when set, cross-rack flows additionally traverse a shared per-rack
-    /// uplink resource, modelling the oversubscribed top-of-rack switches
-    /// behind the paper's hierarchical network topology (§3.2). `None`
-    /// models a non-blocking core (the default calibration).
-    pub rack_uplink_bps: Option<f64>,
     /// Client-side I/O window: how many blocks of one file a networked
     /// client keeps in flight concurrently (writes pipeline into distinct
     /// workers; reads fan out across replicas). `1` restores the fully
@@ -315,10 +308,8 @@ impl ClusterConfig {
             tiers: TierRegistry::standard_three(),
             workers,
             block_size: DEFAULT_BLOCK_SIZE,
-            max_replication: 16,
             policy: PolicyConfig::default(),
             heartbeat_ms: 3000,
-            rack_uplink_bps: None,
             io_window: DEFAULT_IO_WINDOW,
             emulate_media_bps: false,
         }
@@ -383,10 +374,8 @@ impl ClusterConfig {
             tiers: TierRegistry::standard_three(),
             workers,
             block_size,
-            max_replication: 16,
             policy: PolicyConfig::default(),
             heartbeat_ms: 100,
-            rack_uplink_bps: None,
             io_window: DEFAULT_IO_WINDOW,
             emulate_media_bps: false,
         }

@@ -54,7 +54,7 @@ pub use metrics::{
 pub use repvector::{ReplicationVector, VectorDiff};
 pub use stats::{MediaStats, StorageTierReport, TierStats, WorkerStats};
 pub use status::{ClusterStatusReport, HotFile, WorkerStatusLine};
-pub use tier::{StorageTier, TierId, TierRegistry, MAX_TIERS, UNSPECIFIED_SLOT};
+pub use tier::{StorageTier, TierId, TierRegistry, MAX_REPLICATION, MAX_TIERS, UNSPECIFIED_SLOT};
 pub use topology::{ClientLocation, RackId};
 pub use trace::{
     CriticalPath, SpanGuard, SpanId, SpanRecord, Trace, TraceCollector, TraceContext, TraceId,

@@ -15,7 +15,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::{FsError, Result};
-use crate::tier::{StorageTier, TierId, MAX_TIERS, UNSPECIFIED_SLOT};
+use crate::tier::{StorageTier, TierId, MAX_REPLICATION, MAX_TIERS, UNSPECIFIED_SLOT};
 
 /// Per-tier replica counts plus an unspecified count, packed into a `u64`.
 ///
@@ -135,8 +135,8 @@ impl ReplicationVector {
 
     /// Validates the vector against a cluster with `num_tiers` configured
     /// tiers: counts outside configured tiers must be zero and the total
-    /// must not exceed `max_total`.
-    pub fn validate(self, num_tiers: usize, max_total: u32) -> Result<()> {
+    /// must not exceed [`MAX_REPLICATION`].
+    pub fn validate(self, num_tiers: usize) -> Result<()> {
         for s in num_tiers as u8..MAX_TIERS as u8 {
             if self.slot(s) != 0 {
                 return Err(FsError::InvalidReplicationVector(format!(
@@ -145,9 +145,9 @@ impl ReplicationVector {
                 )));
             }
         }
-        if self.total() > max_total {
+        if self.total() > MAX_REPLICATION {
             return Err(FsError::InvalidReplicationVector(format!(
-                "total replication {} exceeds maximum {max_total}",
+                "total replication {} exceeds maximum {MAX_REPLICATION}",
                 self.total()
             )));
         }
@@ -327,10 +327,12 @@ mod tests {
     #[test]
     fn validate_rejects_unconfigured_tier_and_excess_total() {
         let v = ReplicationVector::mshru(0, 0, 0, 2, 0);
-        assert!(v.validate(3, 10).is_err()); // remote tier not configured
-        assert!(v.validate(4, 10).is_ok());
+        assert!(v.validate(3).is_err()); // remote tier not configured
+        assert!(v.validate(4).is_ok());
         let big = ReplicationVector::from_replication_factor(200);
-        assert!(big.validate(3, 16).is_err());
+        assert!(big.validate(3).is_err());
+        assert!(ReplicationVector::from_replication_factor(16).validate(3).is_ok());
+        assert!(ReplicationVector::from_replication_factor(17).validate(3).is_err());
     }
 
     #[test]

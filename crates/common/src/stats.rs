@@ -2,8 +2,8 @@
 //!
 //! Workers maintain, per storage medium, the remaining/total capacity, the
 //! number of active I/O connections, and the sustained write/read throughput
-//! measured by the startup probe; they report these to the master in
-//! heartbeats (paper §3.2). The master averages throughputs per tier and
+//! it is configured with (the paper measures it with a startup probe); they
+//! report these to the master in heartbeats (paper §3.2). The master averages throughputs per tier and
 //! exposes [`StorageTierReport`]s through the client API (§2.3, Table 1).
 
 use crate::ids::{MediaId, WorkerId};

@@ -16,6 +16,10 @@ use crate::error::{FsError, Result};
 /// Maximum number of distinct tiers a cluster may configure.
 pub const MAX_TIERS: usize = 7;
 
+/// Maximum total replication of any file: the most replicas a vector may
+/// ask for, and so the deepest write pipeline.
+pub const MAX_REPLICATION: u32 = 16;
+
 /// The replication-vector slot that holds the "Unspecified" count (paper
 /// §2.3: replicas whose tier the system chooses).
 pub const UNSPECIFIED_SLOT: u8 = 7;

@@ -1,4 +1,5 @@
-//! Wire codec for the network protocol.
+//! Wire codec for the network protocol, and the byte layout of the edit
+//! log's record bodies (`octopus-master`'s `editlog`).
 //!
 //! A deliberately small, hand-rolled, little-endian format (a DFS wants a
 //! stable wire format, not a generic serializer): primitives are
@@ -28,6 +29,7 @@ pub struct WireReader<'a> {
 
 impl<'a> WireReader<'a> {
     /// Wraps a payload.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0, shared: None, body: None }
     }
@@ -47,6 +49,7 @@ impl<'a> WireReader<'a> {
         Self { body, ..self }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             if self.pos == self.buf.len() {
@@ -78,6 +81,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Whether every byte has been consumed.
+    #[inline]
     pub fn finished(&self) -> bool {
         self.left() == 0
     }
@@ -85,6 +89,18 @@ impl<'a> WireReader<'a> {
     /// Bytes not yet consumed, the body's included.
     fn left(&self) -> usize {
         self.buf.len() - self.pos + self.body.map_or(0, |b| b.len())
+    }
+
+    /// Reads a length-prefixed UTF-8 string as a view of the buffer, so a
+    /// caller that only looks at it allocates nothing. Lengths over
+    /// [`MAX_SEQ_LEN`] are rejected before anything is taken.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str> {
+        let len = u32::get(self)? as usize;
+        if len > MAX_SEQ_LEN {
+            return Err(FsError::Io(format!("wire string length {len} too large")));
+        }
+        std::str::from_utf8(self.take(len)?).map_err(|e| FsError::Io(e.to_string()))
     }
 
     /// Asserts full consumption (protocol hygiene).
@@ -118,9 +134,11 @@ pub trait Wire: Sized {
 macro_rules! wire_int {
     ($t:ty, $n:expr) => {
         impl Wire for $t {
+            #[inline]
             fn put(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn get(r: &mut WireReader<'_>) -> Result<Self> {
                 Ok(<$t>::from_le_bytes(r.take($n)?.try_into().unwrap()))
             }
@@ -156,26 +174,31 @@ impl Wire for bool {
     }
 }
 
+/// Appends `s` as a `u32` byte length and its UTF-8 bytes: a `String`'s
+/// encoding, for callers holding a `&str`.
+///
+/// # Panics
+/// If the string exceeds [`MAX_SEQ_LEN`] bytes (the decoder would reject
+/// it, and a `u32` prefix cannot represent it faithfully).
+#[inline]
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    assert!(
+        s.len() <= MAX_SEQ_LEN,
+        "wire string of {} bytes exceeds the {MAX_SEQ_LEN}-byte cap",
+        s.len()
+    );
+    (s.len() as u32).put(buf);
+    buf.extend_from_slice(s.as_bytes());
+}
+
 impl Wire for String {
     /// # Panics
-    /// If the string exceeds [`MAX_SEQ_LEN`] bytes (the decoder would
-    /// reject it, and a `u32` prefix cannot represent it faithfully).
+    /// As [`put_str`].
     fn put(&self, buf: &mut Vec<u8>) {
-        assert!(
-            self.len() <= MAX_SEQ_LEN,
-            "wire string of {} bytes exceeds the {MAX_SEQ_LEN}-byte cap",
-            self.len()
-        );
-        (self.len() as u32).put(buf);
-        buf.extend_from_slice(self.as_bytes());
+        put_str(buf, self);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
-        let len = u32::get(r)? as usize;
-        if len > MAX_SEQ_LEN {
-            return Err(FsError::Io(format!("wire string length {len} too large")));
-        }
-        let bytes = r.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| FsError::Io(e.to_string()))
+        r.str().map(str::to_owned)
     }
 }
 
@@ -500,7 +523,7 @@ impl Wire for FsError {
             Unreachable(m) => (22, m),
         };
         buf.push(tag);
-        msg.to_string().put(buf);
+        put_str(buf, msg);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
         use FsError::*;
@@ -728,6 +751,33 @@ mod tests {
         let mut r = WireReader::new_shared(&head, 0).with_body(Some(&none));
         assert_eq!(<(u64, BlockData)>::get(&mut r).unwrap(), empty);
         r.expect_finished().unwrap();
+    }
+
+    #[test]
+    fn a_str_is_a_view_of_the_buffer_and_checked_like_a_string() {
+        let mut buf = Vec::new();
+        put_str(&mut buf, "héllo");
+        put_str(&mut buf, "");
+        assert_eq!(buf, [encode(&String::from("héllo")), encode(&String::new())].concat());
+        let mut r = WireReader::new(&buf);
+        let s = r.str().unwrap();
+        assert_eq!(s, "héllo");
+        assert!(std::ptr::eq(s.as_ptr(), buf[4..].as_ptr()), "borrowed, not copied");
+        assert_eq!(r.str().unwrap(), "");
+        assert!(r.finished());
+
+        // Over the cap, invalid UTF-8 and cut short are errors, as they are
+        // for `String`.
+        let mut huge = Vec::new();
+        ((MAX_SEQ_LEN as u32) + 1).put(&mut huge);
+        huge.extend_from_slice(b"x");
+        assert!(WireReader::new(&huge).str().is_err());
+        assert!(decode::<String>(&huge).is_err());
+        let bad = [2, 0, 0, 0, 0xC3, 0x28];
+        assert!(WireReader::new(&bad).str().is_err());
+        assert!(decode::<String>(&bad).is_err());
+        assert!(WireReader::new(&buf[..8]).str().is_err());
+        assert!(WireReader::new(&buf[..3]).str().is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use octopus_common::{
 };
 use octopus_master::{AutoTierConfig, Master, MigrationDecision};
 use octopus_policies::TierClassifier;
-use octopus_storage::{BlockStore, FileStore, Media, MemoryStore, SimStore};
+use octopus_storage::{BlockStore, FileStore, Media, MemoryStore};
 
 use crate::net::transport::{LocalTransport, Transport};
 use crate::net::{monitor, worker_server, RemoteFs};
@@ -21,13 +21,12 @@ use crate::worker::Worker;
 /// How workers back their storage media.
 #[derive(Debug, Clone)]
 pub enum StorageMode {
-    /// Every medium is heap-backed (fast; default for tests/examples).
+    /// Every medium is heap-backed (fast; default for tests/examples, and
+    /// the simulator's, whose synthetic payloads are kept as descriptors).
     InMemory,
     /// Volatile tiers are heap-backed; persistent tiers are directories
     /// under the given root (`<root>/worker_<w>/media_<m>/`).
     OnDisk(PathBuf),
-    /// Metadata-only stores (for harnesses that never read payloads).
-    Simulated,
 }
 
 /// Builds one worker of a configuration (daemon deployments, where each
@@ -72,7 +71,6 @@ fn build_workers(
             let tier_info = config.tiers.by_name(&mc.tier)?;
             let store: Arc<dyn BlockStore> = match mode {
                 StorageMode::InMemory => Arc::new(MemoryStore::new(mc.capacity)),
-                StorageMode::Simulated => Arc::new(SimStore::new(mc.capacity)),
                 StorageMode::OnDisk(root) => {
                     if tier_info.volatile {
                         Arc::new(MemoryStore::new(mc.capacity))

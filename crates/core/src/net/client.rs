@@ -516,7 +516,8 @@ impl RemoteFs {
 
     /// Transfers one already-allocated block through its pipeline — the
     /// one §3.1 recovery loop: when the pipeline's entry worker fails with
-    /// a transport error (or no stage stored the block), the block is
+    /// a transport error, does not know its medium (the address now serves
+    /// another worker), or no stage stored the block, the block is
     /// re-placed *in its slot* (`ReassignBlock`; under a window it may no
     /// longer be the file's last) on a pipeline that excludes every worker
     /// a previous attempt already failed on. Each attempt sends what
@@ -561,7 +562,10 @@ impl RemoteFs {
                     ));
                 }
                 Ok(r) => return Err(FsError::Io(format!("unexpected response {r:?}"))),
-                Err(e) if e.is_retryable() => last_err = e,
+                // Media ids are cluster-global: a head that does not know
+                // its medium is another worker now serving at that address,
+                // so it is a failed head like an unreachable one.
+                Err(e) if e.is_retryable() || matches!(e, FsError::UnknownMedia(_)) => last_err = e,
                 Err(e) => return Err(e),
             }
             log_warn!(

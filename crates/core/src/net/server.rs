@@ -44,15 +44,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use octopus_common::{log_warn, FsError, Result, ServerConfig};
+use octopus_common::{log_warn, FsError, Result, ServerConfig, MAX_REPLICATION};
 
 use super::faults;
 use super::frame::{read_mux_frame, Frame};
 use super::proto::FramePayload;
 
-/// Threads the dispatch pool grows to (`T` in the admission rule). One more
-/// than the deepest legal pipeline head (`max_replication` 16 → depth 15).
-const DISPATCH_THREADS: usize = 16;
+/// Threads the dispatch pool grows to (`T` in the admission rule): one more
+/// than the deepest legal pipeline head, whose depth is one less than its
+/// replica count.
+const DISPATCH_THREADS: usize = MAX_REPLICATION as usize;
 
 /// Concurrently open connections before the accept thread refuses more.
 const MAX_CONNECTIONS: usize = 1024;

@@ -30,8 +30,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use octopus_common::{
-    Block, BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, RackId,
-    ReplicationVector, Result, WorkerId,
+    Block, BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, ReplicationVector,
+    Result, WorkerId,
 };
 use octopus_master::{EditLog, Master, ReplicationTask};
 use octopus_simnet::{EventKind, FlowId, ResourceId, SimNet, SimTime};
@@ -157,9 +157,6 @@ pub struct SimCluster {
     last_beat_ms: u64,
     nic_in: Vec<ResourceId>,
     nic_out: Vec<ResourceId>,
-    /// Per-rack `(uplink out, uplink in)` resources when the config models
-    /// oversubscribed top-of-rack switches.
-    rack_uplinks: HashMap<RackId, (ResourceId, ResourceId)>,
     /// Per-medium `(write device, read device)` resources.
     media: HashMap<MediaId, (ResourceId, ResourceId)>,
     jobs: Vec<Job>,
@@ -174,16 +171,15 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Builds a simulated cluster from configuration. Workers use
-    /// metadata-only stores; device/NIC rates come from the config.
+    /// Builds a simulated cluster from configuration. Workers keep their
+    /// replicas in heap stores as synthetic `(len, seed)` descriptors;
+    /// device/NIC rates come from the config.
     pub fn new(config: ClusterConfig) -> Result<Self> {
-        let rack_uplink_bps = config.rack_uplink_bps;
-        let net = crate::cluster::boot(config, &StorageMode::Simulated, EditLog::in_memory())?;
+        let net = crate::cluster::boot(config, &StorageMode::InMemory, EditLog::in_memory())?;
         let mut sim = SimNet::new();
         let mut nic_in = Vec::new();
         let mut nic_out = Vec::new();
         let mut media = HashMap::new();
-        let mut rack_uplinks = HashMap::new();
         for w in net.all_workers() {
             nic_in.push(sim.add_resource(&format!("{}_in", w.id()), w.net_bps()));
             nic_out.push(sim.add_resource(&format!("{}_out", w.id()), w.net_bps()));
@@ -192,14 +188,6 @@ impl SimCluster {
                 let write = sim.add_resource(&format!("{}_w", m.id), wr);
                 media.insert(m.id, (write, sim.add_resource(&format!("{}_r", m.id), rd)));
             }
-            if let Some(bps) = rack_uplink_bps {
-                rack_uplinks.entry(w.rack()).or_insert_with(|| {
-                    (
-                        sim.add_resource(&format!("{}_up_out", w.rack()), bps),
-                        sim.add_resource(&format!("{}_up_in", w.rack()), bps),
-                    )
-                });
-            }
         }
         Ok(Self {
             net,
@@ -207,7 +195,6 @@ impl SimCluster {
             last_beat_ms: 0,
             nic_in,
             nic_out,
-            rack_uplinks,
             media,
             jobs: Vec::new(),
             done: VecDeque::new(),
@@ -338,25 +325,11 @@ impl SimCluster {
     }
 
     /// Appends one network hop `from → to` to a flow path: sender NIC out,
-    /// (cross-rack uplinks when modelled), receiver NIC in, and a network
-    /// connection on each worker end. `None` is an off-cluster endpoint
-    /// reached through the core (only the on-cluster rack's uplink applies).
+    /// receiver NIC in, and a network connection on each worker end. `None`
+    /// is an off-cluster endpoint (the core network is non-blocking).
     fn hop(&self, path: &mut FlowPath, from: Option<WorkerId>, to: Option<WorkerId>) {
         if let Some(f) = from {
             path.res.push(self.nic_out[f.0 as usize]);
-        }
-        if !self.rack_uplinks.is_empty() {
-            let rack_of = |w: WorkerId| self.workers()[w.0 as usize].rack();
-            let fr = from.map(rack_of);
-            let tr = to.map(rack_of);
-            if fr != tr {
-                if let Some(r) = fr {
-                    path.res.push(self.rack_uplinks[&r].0);
-                }
-                if let Some(r) = tr {
-                    path.res.push(self.rack_uplinks[&r].1);
-                }
-            }
         }
         if let Some(t) = to {
             path.res.push(self.nic_in[t.0 as usize]);

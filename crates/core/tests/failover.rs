@@ -8,9 +8,11 @@
 
 use std::time::{Duration, Instant};
 
-use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, RpcConfig, MB};
-use octopus_core::net::{faults, FaultAction};
-use octopus_core::NetCluster;
+use octopus_common::{
+    ClientLocation, ClusterConfig, FsError, ReplicationVector, RpcConfig, WorkerId, MB,
+};
+use octopus_core::net::{faults, FaultAction, Transport, WorkerServer};
+use octopus_core::{build_single_worker, NetCluster, StorageMode};
 
 fn config() -> ClusterConfig {
     let mut c = ClusterConfig::test_cluster(4, 64 * MB, MB);
@@ -185,6 +187,36 @@ fn pipeline_write_heals_around_a_dead_worker() {
             assert!(lb.locations.iter().all(|l| l.worker != dead));
         }
     }
+}
+
+/// Media ids are cluster-global, so a pipeline head answering
+/// `UnknownMedia` is another worker serving at a dead worker's address:
+/// the write re-places the block around it, once, instead of failing.
+#[test]
+fn a_stale_worker_address_costs_a_pipeline_recovery() {
+    let mut config = config();
+    // No heartbeat gap long enough for the master to declare worker 0
+    // dead: it keeps placing on it, at its old address.
+    config.heartbeat_ms = 60_000;
+    let mut cluster = NetCluster::start(config.clone()).unwrap();
+    let stale = cluster.worker_addr(WorkerId(0)).unwrap();
+    cluster.kill_worker(0);
+    let impostor = build_single_worker(&config, WorkerId(3), &StorageMode::InMemory).unwrap();
+    let _server =
+        WorkerServer::spawn_on(impostor.clone(), cluster.master_addr(), Default::default(), stale)
+            .unwrap();
+
+    // A co-located writer: the master puts the pipeline's head on worker 0.
+    let client = cluster.client(ClientLocation::OnWorker(WorkerId(0)));
+    let data = payload(MB as usize / 2, 7);
+    client.write_file("/stale", &data, rf(3)).unwrap();
+    let snap = cluster.transport().metrics().snapshot();
+    assert_eq!(snap.counter("client_pipeline_recoveries_total"), 1);
+    assert_eq!(client.read_file("/stale").unwrap(), data);
+    for lb in client.get_file_block_locations("/stale", 0, u64::MAX).unwrap() {
+        assert!(lb.locations.iter().all(|l| l.worker != WorkerId(0)), "{:?}", lb.locations);
+    }
+    assert_eq!(impostor.used(), 0, "the impostor stored a replica of a medium it lacks");
 }
 
 #[test]

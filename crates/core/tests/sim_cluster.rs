@@ -1,9 +1,14 @@
 //! Tests of the simulated cluster: analytic throughput checks against the
 //! calibrated device model, contention behaviour, and replication flows.
 
+use std::collections::HashMap;
+
 use octopus_common::units::mbps_to_bytes_per_sec;
-use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, StorageTier, MB};
+use octopus_common::{
+    BlockData, ClientLocation, ClusterConfig, MediaId, ReplicationVector, StorageTier, WorkerId, MB,
+};
 use octopus_core::{SimCluster, SimEvent};
+use octopus_storage::MemoryStore;
 
 /// Paper cluster with 1 MB blocks for fast tests.
 fn sim_config() -> ClusterConfig {
@@ -298,6 +303,40 @@ fn a_simulated_write_is_the_systems_traffic_in_the_registries() {
     assert_eq!(master.counter_where("master_requests_total", is("AddBlock")), 10);
     assert_eq!(master.counter_where("master_requests_total", is("CreateFile")), 1);
     assert_eq!(master.counter_where("master_requests_total", is("CompleteFile")), 1);
+}
+
+/// The simulator's replicas live in `MemoryStore`s as synthetic `(len,
+/// seed)` descriptors, never as bytes, and each medium charges exactly
+/// the lengths of the replicas it holds.
+#[test]
+fn simulated_replicas_are_synthetic_descriptors_charged_at_full_length() {
+    let mut sim = SimCluster::new(sim_config()).unwrap();
+    let len = 4 * MB + MB / 2;
+    sim.submit_write("/d", len, ReplicationVector::msh(1, 0, 2), ClientLocation::OffCluster)
+        .unwrap();
+    assert!(sim.run_to_completion()[0].failed.is_none());
+    let blocks = sim
+        .master()
+        .get_file_block_locations("/d", 0, u64::MAX, ClientLocation::OffCluster)
+        .unwrap();
+    assert_eq!(blocks.len(), 5);
+    let mut held: HashMap<MediaId, u64> = HashMap::new();
+    for lb in &blocks {
+        assert_eq!(lb.locations.len(), 3);
+        for l in &lb.locations {
+            let store = &sim.worker(l.worker).medium(l.media).unwrap().store;
+            assert!(store.as_any().is::<MemoryStore>());
+            let descriptor = BlockData::Synthetic { len: lb.block.len, seed: lb.block.id.0 };
+            assert_eq!(store.get(lb.block.id).unwrap(), descriptor);
+            *held.entry(l.media).or_default() += lb.block.len;
+        }
+    }
+    assert_eq!(held.values().sum::<u64>(), 3 * len);
+    for w in 0..9 {
+        for m in sim.worker(WorkerId(w)).media() {
+            assert_eq!(m.store.used(), held.get(&m.id).copied().unwrap_or(0), "{}", m.id);
+        }
+    }
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //! checkpoint ("fsimage") machinery built on it.
 //!
 //! Every mutation the master applies is first recorded as an [`EditOp`].
-//! Ops use a compact self-describing binary encoding (hand-rolled — a DFS
-//! edit log wants a stable on-disk format, not a generic serializer), each
-//! record protected by a CRC-32. A checkpoint is simply the namespace
+//! Ops use a compact self-describing binary encoding (a tag byte, then
+//! fields in the wire codec's layout — [`octopus_common::wire`]: little-
+//! endian integers, `u32`-length-prefixed strings; a DFS edit log wants a
+//! stable on-disk format, not a generic serializer), each record protected
+//! by a CRC-32. A checkpoint is simply the namespace
 //! re-expressed as the minimal op sequence that recreates it, so restore =
 //! replay(checkpoint) + replay(tail of the log) — exactly the HDFS
 //! fsimage/edits model the paper inherits (§2.1).
@@ -23,6 +25,7 @@ use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 use octopus_common::checksum::crc32;
+use octopus_common::wire::{put_str, Wire, WireReader};
 use octopus_common::{
     Block, BlockId, FsError, GenStamp, INodeId, ReplicationVector, Result, MAX_TIERS,
 };
@@ -130,56 +133,6 @@ const TAG_ABANDON_BLOCK: u8 = 10;
 
 const NO_QUOTA: u64 = u64::MAX;
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(FsError::Io("truncated edit record".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|e| FsError::Io(e.to_string()))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 impl<S: AsRef<str>> EditOp<S> {
     /// Encodes the op body (without record framing).
     pub fn encode(&self) -> Vec<u8> {
@@ -198,15 +151,15 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::CreateFile { path, rv, block_size } => {
                 b.push(TAG_CREATE);
                 put_str(b, path.as_ref());
-                put_u64(b, rv.to_bits());
-                put_u64(b, *block_size);
+                rv.to_bits().put(b);
+                block_size.put(b);
             }
             EditOp::AddBlock { path, block, gen, len } => {
                 b.push(TAG_ADD_BLOCK);
                 put_str(b, path.as_ref());
-                put_u64(b, block.0);
-                put_u64(b, *gen);
-                put_u64(b, *len);
+                block.0.put(b);
+                gen.put(b);
+                len.put(b);
             }
             EditOp::CloseFile { path } => {
                 b.push(TAG_CLOSE);
@@ -228,20 +181,20 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::SetReplication { path, rv } => {
                 b.push(TAG_SET_REP);
                 put_str(b, path.as_ref());
-                put_u64(b, rv.to_bits());
+                rv.to_bits().put(b);
             }
             EditOp::SetQuota { path, quota } => {
                 b.push(TAG_SET_QUOTA);
                 put_str(b, path.as_ref());
                 for t in 0..MAX_TIERS {
-                    put_u64(b, quota.per_tier[t].unwrap_or(NO_QUOTA));
+                    quota.per_tier[t].unwrap_or(NO_QUOTA).put(b);
                 }
             }
             EditOp::AbandonBlock { path, block, len } => {
                 b.push(TAG_ABANDON_BLOCK);
                 put_str(b, path.as_ref());
-                put_u64(b, block.0);
-                put_u64(b, *len);
+                block.0.put(b);
+                len.put(b);
             }
         }
     }
@@ -309,20 +262,20 @@ impl<'a> EditRef<'a> {
     /// Decodes one op body in place: paths borrow from `buf`, so replay
     /// allocates nothing it is about to throw away.
     pub fn decode_borrowed(buf: &'a [u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let tag = r.u8()?;
+        let mut r = WireReader::new(buf);
+        let tag = u8::get(&mut r)?;
         let op = match tag {
             TAG_MKDIR => EditOp::Mkdir { path: r.str()? },
             TAG_CREATE => EditOp::CreateFile {
                 path: r.str()?,
-                rv: ReplicationVector::from_bits(r.u64()?),
-                block_size: r.u64()?,
+                rv: ReplicationVector::from_bits(u64::get(&mut r)?),
+                block_size: u64::get(&mut r)?,
             },
             TAG_ADD_BLOCK => EditOp::AddBlock {
                 path: r.str()?,
-                block: BlockId(r.u64()?),
-                gen: r.u64()?,
-                len: r.u64()?,
+                block: BlockId(u64::get(&mut r)?),
+                gen: u64::get(&mut r)?,
+                len: u64::get(&mut r)?,
             },
             TAG_CLOSE => EditOp::CloseFile { path: r.str()? },
             TAG_APPEND => EditOp::AppendFile { path: r.str()? },
@@ -330,23 +283,25 @@ impl<'a> EditRef<'a> {
             TAG_DELETE => EditOp::Delete { path: r.str()? },
             TAG_SET_REP => EditOp::SetReplication {
                 path: r.str()?,
-                rv: ReplicationVector::from_bits(r.u64()?),
+                rv: ReplicationVector::from_bits(u64::get(&mut r)?),
             },
             TAG_SET_QUOTA => {
                 let path = r.str()?;
                 let mut quota = Box::new(TierQuota::unlimited());
                 for t in 0..MAX_TIERS {
-                    let v = r.u64()?;
+                    let v = u64::get(&mut r)?;
                     quota.per_tier[t] = if v == NO_QUOTA { None } else { Some(v) };
                 }
                 EditOp::SetQuota { path, quota }
             }
-            TAG_ABANDON_BLOCK => {
-                EditOp::AbandonBlock { path: r.str()?, block: BlockId(r.u64()?), len: r.u64()? }
-            }
+            TAG_ABANDON_BLOCK => EditOp::AbandonBlock {
+                path: r.str()?,
+                block: BlockId(u64::get(&mut r)?),
+                len: u64::get(&mut r)?,
+            },
             t => return Err(FsError::Io(format!("unknown edit op tag {t}"))),
         };
-        if !r.done() {
+        if !r.finished() {
             return Err(FsError::Io("trailing bytes in edit record".into()));
         }
         Ok(op)
@@ -1116,6 +1071,9 @@ mod tests {
         let mut enc = EditOp::Mkdir { path: "/x" }.encode();
         enc.push(0);
         assert!(EditOp::decode(&enc).is_err());
+        // A body cut inside its path: the length prefix promises more.
+        let enc = EditOp::Rename { src: "/from", dst: "/to" }.encode();
+        assert!(EditOp::decode(&enc[..1 + 4 + 3]).is_err());
     }
 
     #[test]

@@ -444,7 +444,7 @@ impl Master {
             let fresh = locations.iter().filter(|l| !held.contains(l)).copied().collect();
             bs.map.insert(block, file, fresh);
             for loc in held {
-                bs.map.confirm(block.id, loc)?;
+                bs.confirm(block.id, loc)?;
             }
             let policy = self.placement.name().to_string();
             let chosen = locations.clone();

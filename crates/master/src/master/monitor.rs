@@ -332,7 +332,7 @@ impl Master {
                 }
                 mem_remaining -= len;
             }
-            if to.validate(self.config.tiers.len(), self.config.max_replication).is_err() {
+            if to.validate(self.config.tiers.len()).is_err() {
                 continue;
             }
             // Apply under the write guard, re-verifying the file is

@@ -41,7 +41,7 @@ impl Master {
     ) -> Result<FileStatus> {
         let ctx = self.op(MetaOp::Create);
         ctx.finish_with(|| {
-            rv.validate(self.config.tiers.len(), self.config.max_replication)?;
+            rv.validate(self.config.tiers.len())?;
             if rv.total() == 0 {
                 return Err(FsError::InvalidReplicationVector(
                     "a file needs at least one replica".into(),
@@ -158,7 +158,7 @@ impl Master {
     pub fn set_replication(&self, path: &str, rv: ReplicationVector) -> Result<ReplicationVector> {
         let ctx = self.op(MetaOp::SetReplication);
         ctx.finish_with(|| {
-            rv.validate(self.config.tiers.len(), self.config.max_replication)?;
+            rv.validate(self.config.tiers.len())?;
             if rv.total() == 0 {
                 return Err(FsError::InvalidReplicationVector(
                     "use delete() to drop a file entirely".into(),

@@ -113,14 +113,6 @@ impl SimNet {
         id
     }
 
-    /// Cancels an active flow, returning the bytes it had left (`None` if
-    /// the flow is unknown or already finished).
-    pub fn cancel_flow(&mut self, id: FlowId) -> Option<f64> {
-        let f = self.flows.remove(&id)?;
-        self.reallocate();
-        Some(f.remaining)
-    }
-
     /// Schedules a timer event carrying `token` at absolute time `t` (which
     /// must not be in the past).
     pub fn schedule_at(&mut self, t: SimTime, token: u64) {
@@ -395,19 +387,6 @@ mod tests {
         assert_eq!(e2.kind, EventKind::FlowDone(ep));
         assert_eq!(e1.time, SimTime::ZERO);
         assert_eq!(e2.time, SimTime::ZERO);
-    }
-
-    #[test]
-    fn cancel_restores_bandwidth() {
-        let mut net = SimNet::new();
-        let link = net.add_resource("link", 100.0);
-        let f1 = net.start_flow(1000.0, vec![link]);
-        let f2 = net.start_flow(1000.0, vec![link]);
-        assert_eq!(net.flow_rate(f1), 50.0);
-        let left = net.cancel_flow(f2).unwrap();
-        assert_eq!(left, 1000.0);
-        assert_eq!(net.flow_rate(f1), 100.0);
-        assert!(net.cancel_flow(f2).is_none());
     }
 
     #[test]

@@ -6,26 +6,21 @@
 //!
 //! - [`BlockStore`]: the interface one medium exposes (put/get/delete blocks
 //!   with checksum verification),
-//! - three implementations: [`MemoryStore`] (heap-backed, the Memory tier),
-//!   [`FileStore`] (real files on local disk, persistent tiers), and
-//!   [`SimStore`] (metadata-only, used by the simulation-scale experiments),
+//! - two implementations: [`MemoryStore`] (heap-backed: the Memory tier,
+//!   every tier of an in-memory cluster, and the simulator's media, which
+//!   hold synthetic descriptors) and [`FileStore`] (real files on local
+//!   disk, persistent tiers),
 //! - [`Media`]: one medium's store, tier, nominal throughputs and
-//!   active-connection count, which heartbeats report,
-//! - [`probe`]: the startup I/O test that measures each medium's sustained
-//!   write/read throughput (paper §3.2, "Throughput maximization").
+//!   active-connection count, which heartbeats report.
 
 #![forbid(unsafe_code)]
 
 mod file;
 mod media;
 mod memory;
-mod probe;
-mod sim;
 mod store;
 
 pub use file::FileStore;
 pub use media::{ConnGuard, Media};
 pub use memory::MemoryStore;
-pub use probe::{probe, ProbeResult};
-pub use sim::SimStore;
 pub use store::{BlockStore, StoredBlockInfo};

@@ -1,4 +1,10 @@
-//! Heap-backed block store (the "Memory" tier).
+//! Heap-backed block store: the "Memory" tier, every tier of an in-memory
+//! cluster, and every medium of the simulator. A real payload is kept as
+//! its bytes; a [`BlockData::Synthetic`] payload as its 16-byte `(len,
+//! seed)` descriptor, with the block's full length charged against
+//! capacity, so a simulated 40 GB benchmark costs a few kilobytes of heap
+//! while the placement policies (and Figure 4's remaining-capacity curves)
+//! see real accounting.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

@@ -4,23 +4,51 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> master crate size"
+echo "==> non-test lines"
+# Non-test lines of each crate under crates/ (its src/), of the root
+# package's src/ and of third_party/, and their sum, so a change's line
+# counts are reproducible. A file's non-test lines are those above its
+# first #[cfg(test)]; a `tests.rs` is compiled only under cfg(test) and
+# counts as test lines.
+non_test() {
+    local n=0 f
+    for f in $(find "$1" -name '*.rs' ! -name tests.rs | sort); do
+        n=$((n + $(awk '/^ *#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")))
+    done
+    echo "$n"
+}
+total=0
+for dir in crates/*/src src third_party; do
+    n=$(non_test "$dir")
+    total=$((total + n))
+    printf '%-20s %6d non-test lines\n' "${dir%/src}" "$n"
+done
+printf '%-20s %6d non-test lines\n' "total" "$total"
 # The master is split by concern (crates/master/src/master/): no file there
 # may pass 800 lines, tests included, so the split does not grow back into
-# one file. A file's non-test lines are those above its first
-# #[cfg(test)]; a `tests.rs` is compiled only under cfg(test) and counts
-# as test lines.
-non_test=0
-for f in $(find crates/master/src -name '*.rs' ! -name tests.rs | sort); do
-    non_test=$((non_test + $(awk '/^ *#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")))
-done
-echo "master crate: ${non_test} non-test lines"
+# one file.
 for f in crates/master/src/master/*.rs; do
     if [ "$(wc -l <"$f")" -gt 800 ]; then
         echo "master split: ${f} has $(wc -l <"$f") lines, over 800" >&2
         exit 1
     fi
 done
+
+echo "==> one confirm"
+# Every replica confirm (a head's commit, a monitor's copy, a block report,
+# a reinstated delete, a reassigned block's kept replicas) goes through
+# `BlockState::confirm`, which records nothing on a worker that is not live
+# and charges the confirm that ends a pending location: the master calls
+# the block map's own `confirm` there and nowhere else.
+confirms=$(awk '/^ *(pub(\([a-z]+\))? )?fn / { f = $0 } /map\.confirm\(/ { print FILENAME ":" f }' \
+    crates/master/src/master/*.rs)
+if [ "$(grep -c . <<<"$confirms")" -ne 1 ] ||
+    ! grep -q '^crates/master/src/master/blocks.rs: *fn confirm(' <<<"$confirms"; then
+    echo "one confirm: map.confirm( is called outside BlockState::confirm:" >&2
+    printf '%s\n' "$confirms" >&2
+    exit 1
+fi
+echo "one confirm: BlockState::confirm is the block map's one confirm"
 
 echo "==> third_party stand-ins"
 # Each directory in third_party/ stands in for one crates.io dependency:
@@ -111,7 +139,8 @@ echo "==> one data path: 10 runs under parallel load"
 # The write and read engines (every size at windows 1 and 4, FileWriter,
 # read_range), the replica walk and the store step shared by the client
 # and the worker's Replicate (a resent copy, a copy paced at its target),
-# recovery around dead workers, and the exact allocation
+# recovery around dead workers and around another worker serving at a dead
+# one's address, and the exact allocation
 # counts, 10 times back to back, 8 test threads each.
 for run in $(seq 10); do
     if ! out=$(cargo test --release -q -p octopus-core --test parallel_io \
