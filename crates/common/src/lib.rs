@@ -36,7 +36,7 @@ pub mod trace;
 pub mod units;
 pub mod wire;
 
-pub use audit::{AuditRing, CandidateScore, DecisionEvent, DecisionKind, DecisionRound};
+pub use audit::{AuditRing, CandidateScore, DecisionEvent, DecisionKind, DecisionRound, EventRef};
 pub use block::{Block, BlockData, LocatedBlock, Location};
 pub use config::{
     ClusterConfig, MediaConfig, RpcConfig, ServerConfig, WorkerConfig, DEFAULT_IO_WINDOW,

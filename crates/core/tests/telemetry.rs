@@ -97,6 +97,26 @@ fn placement_audit_reproduces_moop_argmin() {
     assert!(rounds_checked >= 20, "only {rounds_checked} audited rounds verified");
 }
 
+/// `master_audit_bytes` is stamped at scrape time from the ring's own
+/// count of what it holds: after the writes of
+/// `placement_audit_reproduces_moop_argmin`, the gauge an operator reads
+/// is that count, and it covers every retained event.
+#[test]
+fn audit_bytes_gauge_is_the_rings_own_count() {
+    let cluster = NetCluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(MB as usize / 2, 42);
+    for i in 0..25 {
+        client.write_file(&format!("/f{i}"), &data, rf(2)).unwrap();
+    }
+    let master = cluster.master();
+    let snap = client.master_metrics_snapshot().unwrap();
+    assert_eq!(snap.gauge("master_audit_bytes"), master.audit_bytes() as i64);
+    // And it counts the 25 placements, not only the empty ring's table.
+    assert_eq!(master.cluster_status(0).decisions_retained, 25);
+    assert!(master.audit_bytes() > octopus_common::AuditRing::default().bytes());
+}
+
 #[test]
 fn heat_flows_from_workers_to_master() {
     let cluster = NetCluster::start(config()).unwrap();

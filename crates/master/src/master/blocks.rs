@@ -317,9 +317,8 @@ impl Master {
             });
             drop(g);
             ctx.wait_durable(&self.log, seq)?;
-            let policy = self.placement.name().to_string();
-            let chosen = locations.clone();
-            self.record(DecisionKind::Placement, block.id, file, policy, chosen, rounds);
+            let policy = self.placement.name();
+            self.record(DecisionKind::Placement, block.id, file, policy, &locations, &rounds);
             Ok((block, locations))
         })
     }
@@ -446,9 +445,8 @@ impl Master {
             for loc in held {
                 bs.confirm(block.id, loc)?;
             }
-            let policy = self.placement.name().to_string();
-            let chosen = locations.clone();
-            self.record(DecisionKind::Reassign, block.id, file, policy, chosen, rounds);
+            let policy = self.placement.name();
+            self.record(DecisionKind::Reassign, block.id, file, policy, &locations, &rounds);
             Ok(locations)
         })
     }

@@ -108,8 +108,8 @@ impl Master {
                         self.metrics.inc("master_replication_tasks_total", Labels::req("copy"));
                     }
                     bs.map.add_pending(bid, &targets).ok();
-                    let policy = self.placement.name().to_string();
-                    self.record(DecisionKind::Placement, bid, file, policy, targets, rounds);
+                    let policy = self.placement.name();
+                    self.record(DecisionKind::Placement, bid, file, policy, &targets, &rounds);
                 }
 
                 // Over-replication: pick victims per over-replicated tier,
@@ -138,8 +138,8 @@ impl Master {
                             chosen_media: Some(victim.media),
                             candidates,
                         };
-                        let (policy, chosen) = ("leave-one-out".to_string(), vec![victim]);
-                        self.record(DecisionKind::Removal, bid, file, policy, chosen, vec![round]);
+                        let (policy, chosen) = ("leave-one-out", &[victim]);
+                        self.record(DecisionKind::Removal, bid, file, policy, chosen, &[round]);
                         tasks.push(ReplicationTask::Delete { block, location: victim });
                         self.metrics.inc("master_replication_tasks_total", Labels::req("delete"));
                     }
@@ -359,7 +359,7 @@ impl Master {
             copy_bytes_planned += copy_bytes;
             let label = direction.label();
             let policy = format!("{}: {label} score={score:.3} {from} -> {to}", classifier.name());
-            self.record(DecisionKind::Migration, block, id, policy, Vec::new(), Vec::new());
+            self.record(DecisionKind::Migration, block, id, &policy, &[], &[]);
             self.metrics.inc("master_migrations_total", Labels::req(label));
             self.metrics.add("master_migration_copy_bytes_total", Labels::NONE, copy_bytes);
             decisions.push(MigrationDecision {

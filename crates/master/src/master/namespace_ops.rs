@@ -142,9 +142,8 @@ impl Master {
                         chosen_media: lb.locations.first().map(|l| l.media),
                         candidates,
                     };
-                    let policy = self.retrieval.name().to_string();
-                    let chosen = lb.locations.clone();
-                    self.record(DecisionKind::Retrieval, bid, file, policy, chosen, vec![round]);
+                    let (policy, chosen) = (self.retrieval.name(), &lb.locations);
+                    self.record(DecisionKind::Retrieval, bid, file, policy, chosen, &[round]);
                     out.push(lb);
                 }
             }

@@ -5,41 +5,34 @@
 use octopus_common::metrics::{Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{
-    BlockId, ClusterStatusReport, DecisionEvent, DecisionKind, DecisionRound, HeatInfo, HotFile,
-    INodeId, Location, MediaId, Result, StorageTierReport, WorkerStatusLine,
+    BlockId, ClusterStatusReport, DecisionEvent, DecisionKind, DecisionRound, EventRef, HeatInfo,
+    HotFile, INodeId, Location, MediaId, Result, StorageTierReport, WorkerStatusLine,
 };
 use octopus_policies::ClusterSnapshot;
 
 use super::Master;
 
 impl Master {
-    /// Pushes one decision onto the audit ring, stamped with the master's
-    /// clock: every audit record the master keeps is built here.
+    /// Records one decision on the audit ring, stamped with the master's
+    /// clock: every audit record the master keeps is made here. Nothing is
+    /// copied on the way in but the ring's record of it.
     pub(super) fn record(
         &self,
         kind: DecisionKind,
         block: BlockId,
         file: INodeId,
-        policy: String,
-        chosen: Vec<Location>,
-        rounds: Vec<DecisionRound>,
+        policy: &str,
+        chosen: &[Location],
+        rounds: &[DecisionRound],
     ) {
         let when_ms = self.now_ms();
-        self.audit.push(DecisionEvent {
-            seq: 0,
-            when_ms,
-            kind,
-            block,
-            file,
-            policy,
-            chosen,
-            rounds,
-        });
+        self.audit.record(EventRef { when_ms, kind, block, file, policy, chosen, rounds });
     }
 
     /// Stamps externally accumulated drop totals (trace spans, audit ring
-    /// evictions) into the registry. Called at `Metrics` scrape time: the
-    /// rings evict without a metrics hook of their own.
+    /// evictions) and the audit ring's heap into the registry. Called at
+    /// `Metrics` scrape time: the rings evict and grow without a metrics
+    /// hook of their own.
     pub fn stamp_scrape_metrics(&self) {
         self.metrics
             .counter("trace_spans_dropped_total", Labels::NONE)
@@ -47,6 +40,15 @@ impl Master {
         self.metrics
             .counter("master_audit_dropped_total", Labels::NONE)
             .set_max(self.audit.dropped());
+        self.metrics.gauge("master_audit_bytes", Labels::NONE).set(self.audit_bytes() as i64);
+    }
+
+    /// The heap the audit ring holds ([`AuditRing::bytes`]), as the
+    /// `master_audit_bytes` gauge reports it.
+    ///
+    /// [`AuditRing::bytes`]: octopus_common::AuditRing::bytes
+    pub fn audit_bytes(&self) -> usize {
+        self.audit.bytes()
     }
 
     /// The master's metrics registry (`master_*` counters, gauges, and
@@ -142,11 +144,7 @@ impl Master {
     /// events, oldest first (the `Migrations` RPC / `octofs-remote
     /// migrations`).
     pub fn recent_migrations(&self, n: usize) -> Vec<DecisionEvent> {
-        let mut migrations: Vec<DecisionEvent> = (self.audit.recent(usize::MAX).into_iter())
-            .filter(|e| e.kind == DecisionKind::Migration)
-            .collect();
-        migrations.drain(..migrations.len().saturating_sub(n));
-        migrations
+        self.audit.recent_of_kind(DecisionKind::Migration, n)
     }
 
     /// One-stop cluster status for the operator surface: namespace and

@@ -121,12 +121,18 @@ echo "pipelined replay: 20/20"
 echo "==> traces on demand and the buffer pool: 20 runs under parallel load"
 # The tracing suite (roots opened by the caller; untraced traffic records
 # nothing on any node), the exact allocation counts of large and small
-# files, and the pool's own unit tests, 20 times back to back, 8 test
-# threads each.
+# files, the pool's own unit tests, the exact resident cost of the audit
+# ring and the trace collector, and the audit ring's own tests (its
+# records read back bit for bit), 20 times back to back, 8 test threads
+# each.
 for run in $(seq 20); do
     if ! out=$(cargo test --release -q -p octopus-core --test trace --test alloc_budget \
         -- --test-threads 8 2>&1) ||
         ! out=$(cargo test --release -q -p octopus-core --lib net::bufpool \
+            -- --test-threads 8 2>&1) ||
+        ! out=$(cargo test --release -q -p octopus-master --test telemetry_budget \
+            -- --test-threads 8 2>&1) ||
+        ! out=$(cargo test --release -q -p octopus-common --lib audit \
             -- --test-threads 8 2>&1); then
         printf '%s\n' "$out" >&2
         echo "traces and buffer pool: run ${run} of 20 failed" >&2
