@@ -28,6 +28,7 @@ pub mod lockstat;
 pub mod log;
 pub mod metrics;
 pub mod repvector;
+pub mod rng;
 pub mod stats;
 pub mod status;
 pub mod tier;

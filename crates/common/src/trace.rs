@@ -8,7 +8,7 @@
 //! client → master → worker → media. This module is that substrate:
 //!
 //! - [`TraceId`]/[`SpanId`]: 64-bit ids from a process-seeded splitmix64
-//!   walk (no RNG dependency, no coordination).
+//!   walk ([`crate::rng::mix`]; no coordination).
 //! - [`TraceCollector`]: a per-process (per-component, in the in-process
 //!   test clusters) ring buffer of finished [`SpanRecord`]s, in the same
 //!   spirit as `MetricsRegistry` — no external deps, bounded memory, a
@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use crate::rng;
 use crate::wire::{Wire, WireReader};
 use crate::{FsError, Result};
 
@@ -162,21 +163,17 @@ pub fn unwrap_envelope(frame: &[u8]) -> Result<(Option<TraceContext>, &[u8])> {
 
 // ---------------------------------------------------------------------------
 // Id generation: a process-seeded splitmix64 walk. Deterministic given the
-// seed, collision-free within a process, no RNG dependency.
+// seed and collision-free within a process.
 // ---------------------------------------------------------------------------
 
 static ID_STATE: LazyLock<AtomicU64> = LazyLock::new(|| {
     let nanos = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.subsec_nanos()).unwrap_or(0);
-    let seed = (std::process::id() as u64) << 32 ^ nanos as u64 ^ 0x9E37_79B9_7F4A_7C15;
+    let seed = (std::process::id() as u64) << 32 ^ nanos as u64 ^ rng::GAMMA;
     AtomicU64::new(seed)
 });
 
 fn fresh_id() -> u64 {
-    let mut z = ID_STATE.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z.max(1) // 0 is reserved for "no parent"
+    rng::mix(ID_STATE.fetch_add(rng::GAMMA, Ordering::Relaxed)).max(1) // 0 is "no parent"
 }
 
 /// Wall-clock microseconds since the Unix epoch (spans from different

@@ -203,7 +203,7 @@ pub(crate) fn copy_from_slice(data: &[u8]) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::splitmix64 as next;
+    use octopus_common::rng::splitmix64 as next;
 
     fn pool() -> &'static BufPool {
         Box::leak(Box::default())

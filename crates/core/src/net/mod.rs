@@ -69,14 +69,3 @@ pub use node::{MasterNode, WorkerNode};
 pub use rpc::RpcClient;
 pub use transport::{LocalTransport, TcpTransport, Transport};
 pub use worker_server::WorkerServer;
-
-/// A seeded splitmix64 walk for this module's tests, so a failure names a
-/// reproducible run.
-#[cfg(test)]
-fn splitmix64(z: &mut u64) -> u64 {
-    *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *z;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}

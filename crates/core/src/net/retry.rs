@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use octopus_common::metrics::{Labels, MetricsRegistry};
+use octopus_common::rng;
 use octopus_common::{FsError, Result, RpcConfig};
 
 /// How one attempt went without an answer.
@@ -20,7 +21,7 @@ pub(crate) enum Failed {
     Unanswered(FsError),
 }
 
-/// Jitter state: one splitmix64 walk for the process, no RNG dependency.
+/// Jitter state: one splitmix64 walk for the process.
 static JITTER: AtomicU64 = AtomicU64::new(0x243F_6A88_85A3_08D3);
 
 /// Runs `attempt` (given its number, 0 first) until it answers or the rule
@@ -48,9 +49,7 @@ pub(crate) fn run<T>(
         let base = cfg.backoff_base_ms.max(1);
         let exp = base.checked_shl((n - 1).min(16)).unwrap_or(u64::MAX);
         let capped = exp.min(cfg.backoff_max_ms.max(base));
-        let mut z = JITTER.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let z = rng::mix(JITTER.fetch_add(rng::GAMMA, Ordering::Relaxed));
         let jitter = if capped / 2 == 0 { 0 } else { z % (capped / 2) };
         wait(Duration::from_millis(capped + jitter));
     }

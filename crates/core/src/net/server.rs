@@ -561,7 +561,7 @@ fn pool_loop(shared: Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::net::frame::write_mux_frame;
-    use crate::net::splitmix64;
+    use octopus_common::rng::splitmix64;
 
     const T: usize = DISPATCH_THREADS;
 

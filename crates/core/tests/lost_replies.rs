@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use octopus_common::metrics::Labels;
+use octopus_common::rng::splitmix64;
 use octopus_common::{
     BlockData, ClientLocation, ClusterConfig, MediaId, ReplicationVector, WorkerId, MB,
 };
@@ -225,16 +226,8 @@ fn a_down_worker_costs_a_delete_one_retry_budget() {
 struct Rng(u64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        splitmix64(&mut self.0) % n
     }
 }
 

@@ -979,6 +979,7 @@ impl Namespace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octopus_common::rng::splitmix64 as next;
 
     fn rv3() -> ReplicationVector {
         ReplicationVector::from_replication_factor(3)
@@ -1324,13 +1325,6 @@ mod tests {
         assert_ne!(next.slot(), last.slot(), "generation u32::MAX + 1 would repeat an id");
         assert!(ns.path_of(last).is_err());
         assert_eq!(ns.counts(), (1, 1));
-    }
-
-    /// A splitmix64 step, for the seeded tests below.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb) >> 11
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
+use octopus_common::rng::Rng;
 use octopus_common::{
     BlockId, ClientLocation, ClusterConfig, MediaId, MediaStats, RackId, ReplicationVector, TierId,
     WorkerId,
@@ -72,24 +73,6 @@ fn beat(master: &Master, w: WorkerId, now_ms: u64) {
     master.heartbeat(w, media, 0, now_ms, &[]).unwrap();
 }
 
-/// Deterministic per-thread randomness (no external RNG dependency).
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// The directories the mix plays in. A small name pool under a handful of
 /// directories guarantees cross-directory renames and same-path
 /// collisions between threads.
@@ -112,7 +95,7 @@ fn torture(seed: u64, threads: usize, iters: usize) -> Master {
         for t in 0..threads {
             let master = &master;
             s.spawn(move || {
-                let mut rng = Lcg::new(seed * 131 + t as u64);
+                let mut rng = Rng::seed_from_u64(seed * 131 + t as u64);
                 for _ in 0..iters {
                     let dir = DIRS[rng.below(DIRS.len() as u64) as usize];
                     let name = rng.below(12);
@@ -273,7 +256,7 @@ fn rename_opposing_directions_no_deadlock() {
             for t in 0..4 {
                 let master = &master;
                 s.spawn(move || {
-                    let mut rng = Lcg::new(t);
+                    let mut rng = Rng::seed_from_u64(t);
                     for _ in 0..200 {
                         let i = rng.below(8);
                         // Half the threads push a→b, half push b→a.
@@ -417,7 +400,7 @@ fn liveness_races_commits_locates_and_scans() {
                 let (master, lens, writing, down) = (&master, &lens, &writing, &mut down);
                 for t in 0..3 {
                     s.spawn(move || {
-                        let mut rng = Lcg::new(seed * 1009 + phase * 31 + t);
+                        let mut rng = Rng::seed_from_u64(seed * 1009 + phase * 31 + t);
                         let (off, sys) = (ClientLocation::OffCluster, ClientId::SYSTEM);
                         let mut in_flight = Vec::new();
                         for i in 0..16 {
@@ -454,7 +437,7 @@ fn liveness_races_commits_locates_and_scans() {
                     });
                 }
                 s.spawn(move || {
-                    let mut rng = Lcg::new(seed * 7 + phase);
+                    let mut rng = Rng::seed_from_u64(seed * 7 + phase);
                     while writing.load(Ordering::Acquire) > 0 {
                         let tasks = master.replication_scan();
                         std::thread::yield_now();
@@ -477,7 +460,7 @@ fn liveness_races_commits_locates_and_scans() {
                     }
                 });
                 s.spawn(move || {
-                    let mut rng = Lcg::new(seed * 13 + phase);
+                    let mut rng = Rng::seed_from_u64(seed * 13 + phase);
                     let mut k = 0;
                     while writing.load(Ordering::Acquire) > 0 && k < 64 {
                         let now = (phase * 64 + k) * 11 * hb;

@@ -84,6 +84,10 @@ pub fn scripted() -> Vec<Op> {
     ]
 }
 
+/// The generator behind [`random_ops`] and [`churn`]. It is not
+/// `octopus_common::rng` because `transcript.rs` and `scan_transcript.rs`
+/// pin its stream through the checked-in `namespace_transcript.txt` and
+/// `scan_transcript.txt`.
 pub struct Lcg(pub u64);
 
 impl Lcg {

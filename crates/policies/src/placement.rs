@@ -9,12 +9,10 @@
 //! baselines from §7.2 are implemented separately.
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::seq::{IndexedRandom, SliceRandom};
-use rand::SeedableRng;
 use std::collections::HashSet;
 
 use octopus_common::config::{PlacementPolicyKind, PolicyConfig};
+use octopus_common::rng::Rng;
 use octopus_common::{
     CandidateScore, ClientLocation, DecisionRound, FsError, MediaId, MediaStats, RackId,
     ReplicationVector, Result, TierId, WorkerId,
@@ -161,7 +159,7 @@ pub struct GreedyPolicy {
     objectives: Vec<Objective>,
     cfg: PolicyConfig,
     name: &'static str,
-    tie_rng: Mutex<StdRng>,
+    tie_rng: Mutex<Rng>,
 }
 
 impl GreedyPolicy {
@@ -171,7 +169,7 @@ impl GreedyPolicy {
             objectives: Objective::ALL.to_vec(),
             cfg,
             name: "MOOP",
-            tie_rng: Mutex::new(StdRng::seed_from_u64(0x7135)),
+            tie_rng: Mutex::new(Rng::seed_from_u64(0x7135)),
         }
     }
 
@@ -191,7 +189,7 @@ impl GreedyPolicy {
             objectives: vec![objective],
             cfg,
             name,
-            tie_rng: Mutex::new(StdRng::seed_from_u64(0x7135)),
+            tie_rng: Mutex::new(Rng::seed_from_u64(0x7135)),
         }
     }
 
@@ -212,7 +210,7 @@ impl GreedyPolicy {
             3 => "MOOP-TM",
             _ => "MOOP",
         };
-        Self { objectives, cfg, name, tie_rng: Mutex::new(StdRng::seed_from_u64(0x7135)) }
+        Self { objectives, cfg, name, tie_rng: Mutex::new(Rng::seed_from_u64(0x7135)) }
     }
 
     /// Algorithm 1: evaluate appending each option to `chosen` and return
@@ -258,7 +256,7 @@ impl GreedyPolicy {
             }
         }
         let mut rng = self.tie_rng.lock();
-        let winner = best.as_slice().choose(&mut *rng).copied();
+        let winner = rng.choose(&best).copied();
         if let (Some(a), Some(w)) = (audit, winner) {
             for c in a.iter_mut() {
                 c.chosen = c.media == w.media;
@@ -458,17 +456,14 @@ pub struct RuleBasedPolicy {
 }
 
 struct RuleState {
-    rng: StdRng,
+    rng: Rng,
     tier_cursor: usize,
 }
 
 impl RuleBasedPolicy {
     /// Creates the policy with a deterministic RNG seed.
     pub fn new(cfg: PolicyConfig, seed: u64) -> Self {
-        Self {
-            cfg,
-            state: Mutex::new(RuleState { rng: StdRng::seed_from_u64(seed), tier_cursor: 0 }),
-        }
+        Self { cfg, state: Mutex::new(RuleState { rng: Rng::seed_from_u64(seed), tier_cursor: 0 }) }
     }
 }
 
@@ -492,7 +487,7 @@ impl PlacementPolicy for RuleBasedPolicy {
         let mut racks: Vec<RackId> = snap.workers.iter().map(|w| w.rack).collect();
         racks.sort_unstable();
         racks.dedup();
-        racks.shuffle(&mut st.rng);
+        st.rng.shuffle(&mut racks);
         racks.truncate(2);
 
         // Tiers eligible for round-robin: all, except volatile ones when
@@ -541,7 +536,7 @@ impl PlacementPolicy for RuleBasedPolicy {
                     }
                 }
             };
-            let Some(&m) = candidates.as_slice().choose(&mut st.rng) else {
+            let Some(&m) = st.rng.choose(&candidates) else {
                 continue;
             };
             used_media.insert(m.media);
@@ -570,18 +565,18 @@ impl PlacementPolicy for RuleBasedPolicy {
 ///   chosen uniformly — HDFS sees the SSD as just another disk.
 pub struct HdfsPolicy {
     tier_blind: bool,
-    rng: Mutex<StdRng>,
+    rng: Mutex<Rng>,
 }
 
 impl HdfsPolicy {
     /// "Original HDFS": HDDs only.
     pub fn hdd_only(seed: u64) -> Self {
-        Self { tier_blind: false, rng: Mutex::new(StdRng::seed_from_u64(seed)) }
+        Self { tier_blind: false, rng: Mutex::new(Rng::seed_from_u64(seed)) }
     }
 
     /// "HDFS with SSD": tier-blind across non-volatile media.
     pub fn tier_blind(seed: u64) -> Self {
-        Self { tier_blind: true, rng: Mutex::new(StdRng::seed_from_u64(seed)) }
+        Self { tier_blind: true, rng: Mutex::new(Rng::seed_from_u64(seed)) }
     }
 
     /// The tier "Original HDFS" is restricted to: the slowest (by average
@@ -689,14 +684,14 @@ impl PlacementPolicy for HdfsPolicy {
             let pick_from = |pred: &dyn Fn(&MediaStats) -> bool,
                              used_media: &HashSet<MediaId>,
                              used_workers: &[WorkerId],
-                             rng: &mut StdRng| {
+                             rng: &mut Rng| {
                 let strict: Vec<&&MediaStats> = eligible
                     .iter()
                     .filter(|m| pred(m))
                     .filter(|m| !used_media.contains(&m.media))
                     .filter(|m| !used_workers.contains(&m.worker))
                     .collect();
-                if let Some(&&m) = strict.as_slice().choose(rng) {
+                if let Some(&&m) = rng.choose(&strict) {
                     return Some(m);
                 }
                 // Fallback: any unused worker, then any unused medium.
@@ -705,12 +700,12 @@ impl PlacementPolicy for HdfsPolicy {
                     .filter(|m| !used_media.contains(&m.media))
                     .filter(|m| !used_workers.contains(&m.worker))
                     .collect();
-                if let Some(&&m) = any_worker.as_slice().choose(rng) {
+                if let Some(&&m) = rng.choose(&any_worker) {
                     return Some(m);
                 }
                 let any: Vec<&&MediaStats> =
                     eligible.iter().filter(|m| !used_media.contains(&m.media)).collect();
-                any.as_slice().choose(rng).map(|&&m| m)
+                rng.choose(&any).map(|&&m| m)
             };
 
             let Some(m) = pick_from(&*want_worker, &used_media, &used_workers, &mut rng) else {

@@ -8,10 +8,9 @@
 //! [`HdfsLocalityPolicy`] baseline orders purely by network distance.
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use octopus_common::config::RetrievalPolicyKind;
+use octopus_common::rng::Rng;
 use octopus_common::{CandidateScore, ClientLocation, Location};
 
 use crate::snapshot::ClusterSnapshot;
@@ -62,13 +61,13 @@ pub fn build_retrieval_policy(kind: RetrievalPolicyKind, seed: u64) -> Box<dyn R
 /// network is the bottleneck fall back to the media rate; remaining ties
 /// are shuffled to spread load (§4.2).
 pub struct RateBasedPolicy {
-    rng: Mutex<StdRng>,
+    rng: Mutex<Rng>,
 }
 
 impl RateBasedPolicy {
     /// Creates the policy with a deterministic RNG seed for tie shuffling.
     pub fn new(seed: u64) -> Self {
-        Self { rng: Mutex::new(StdRng::seed_from_u64(seed)) }
+        Self { rng: Mutex::new(Rng::seed_from_u64(seed)) }
     }
 
     /// The estimated transfer rate for one location, plus the media-only
@@ -112,7 +111,7 @@ impl RetrievalPolicy for RateBasedPolicy {
             .iter()
             .map(|loc| {
                 let (rate, media_rate) = Self::estimate_rate(snap, client, loc);
-                (rate, media_rate, rng.random::<u64>(), *loc)
+                (rate, media_rate, rng.next_u64(), *loc)
             })
             .collect();
         keyed.sort_by(|a, b| {
@@ -154,13 +153,13 @@ impl RetrievalPolicy for RateBasedPolicy {
 /// rack-local, then off-rack), shuffling within each distance class. Tiers
 /// and device load are ignored — exactly what §7.3 compares against.
 pub struct HdfsLocalityPolicy {
-    rng: Mutex<StdRng>,
+    rng: Mutex<Rng>,
 }
 
 impl HdfsLocalityPolicy {
     /// Creates the policy with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
-        Self { rng: Mutex::new(StdRng::seed_from_u64(seed)) }
+        Self { rng: Mutex::new(Rng::seed_from_u64(seed)) }
     }
 
     fn distance_weight(snap: &ClusterSnapshot, client: ClientLocation, loc: &Location) -> u32 {
@@ -195,7 +194,7 @@ impl RetrievalPolicy for HdfsLocalityPolicy {
         let mut rng = self.rng.lock();
         let mut keyed: Vec<(u32, u64, Location)> = locations
             .iter()
-            .map(|loc| (Self::distance_weight(snap, client, loc), rng.random::<u64>(), *loc))
+            .map(|loc| (Self::distance_weight(snap, client, loc), rng.next_u64(), *loc))
             .collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         keyed.into_iter().map(|(_, _, l)| l).collect()

@@ -50,6 +50,26 @@ if [ "$(grep -c . <<<"$confirms")" -ne 1 ] ||
 fi
 echo "one confirm: BlockState::confirm is the block map's one confirm"
 
+echo "==> one generator"
+# Every random draw comes from `octopus_common::rng`: splitmix64's
+# multiplier, in any case and with or without underscores, appears in no
+# other Rust file. The benchmark keeps its own copy in
+# `crates/benchmark/src/util.rs` until a change that may edit the
+# benchmark moves it. No manifest names `rand` or `proptest`.
+copies=$(git ls-files -co --exclude-standard '*.rs' | while read -r f; do
+    if tr -d _ <"$f" | grep -qi 'bf58476d1ce4e5b9'; then echo "$f"; fi
+done | grep -vxE 'crates/common/src/rng\.rs|crates/benchmark/src/util\.rs' || true)
+if [ -n "$copies" ]; then
+    echo "one generator: splitmix64 is written out outside octopus_common::rng:" >&2
+    printf '%s\n' "$copies" >&2
+    exit 1
+fi
+if grep -nwE 'rand|proptest' $(git ls-files -co --exclude-standard '*Cargo.toml') >&2; then
+    echo "one generator: a manifest names rand or proptest" >&2
+    exit 1
+fi
+echo "one generator: octopus_common::rng is the only splitmix64"
+
 echo "==> third_party stand-ins"
 # Each directory in third_party/ stands in for one crates.io dependency:
 # the root manifest must name it in `exclude`, `[workspace.dependencies]`
