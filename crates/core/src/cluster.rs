@@ -1,7 +1,8 @@
-//! The in-process OctopusFS cluster: a master plus workers with real
-//! storage, running the networked deployment's client, worker dispatch,
-//! liveness step and §5 monitor over a [`LocalTransport`] — function
-//! calls instead of sockets, and a logical clock instead of timers.
+//! The in-process OctopusFS cluster, the in-memory test harness: a master
+//! plus workers with real bytes in heap stores, running the networked
+//! deployment's client, worker dispatch, liveness step and §5 monitor over
+//! a [`LocalTransport`] — function calls instead of sockets, and a logical
+//! clock instead of timers. Persistence is [`crate::NetCluster`]'s.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,18 +43,10 @@ pub fn build_single_worker(
     })
 }
 
-/// Builds the worker set described by a configuration.
-pub(crate) fn build_workers_for(
-    config: &ClusterConfig,
-    mode: &StorageMode,
-) -> Result<Vec<Arc<Worker>>> {
-    build_workers(config, mode, None)
-}
-
 /// Builds the workers of a configuration — all of them, or just `only` —
 /// assigning global media ids in declaration order (worker 0's media
 /// first) either way.
-fn build_workers(
+pub(crate) fn build_workers(
     config: &ClusterConfig,
     mode: &StorageMode,
     only: Option<WorkerId>,
@@ -96,17 +89,13 @@ fn build_workers(
 }
 
 /// Boots the in-process system both harnesses run — [`Cluster`] on a
-/// logical clock, [`crate::SimCluster`] on a virtual one: the workers and
-/// the master of `config` behind one [`LocalTransport`], every worker
-/// joined at t = 0 (register, first heartbeat, block report).
-pub(crate) fn boot(
-    config: ClusterConfig,
-    mode: &StorageMode,
-    log: octopus_master::EditLog,
-) -> Result<Arc<LocalTransport>> {
+/// logical clock, [`crate::SimCluster`] on a virtual one: the in-memory
+/// workers and master of `config` behind one [`LocalTransport`], every
+/// worker joined at t = 0 (register, first heartbeat, block report).
+pub(crate) fn boot(config: ClusterConfig) -> Result<Arc<LocalTransport>> {
     config.validate()?;
-    let workers = build_workers_for(&config, mode)?;
-    let master = Arc::new(Master::with_log(config, log)?);
+    let workers = build_workers(&config, &StorageMode::InMemory, None)?;
+    let master = Arc::new(Master::new(config)?);
     let net = Arc::new(LocalTransport::new(master, workers));
     for w in net.all_workers() {
         worker_server::join(w, &*net, 0, String::new())?;
@@ -123,28 +112,11 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Starts a cluster with in-memory storage.
-    pub fn start(config: ClusterConfig) -> Result<Self> {
-        Self::start_with_mode(config, StorageMode::InMemory)
-    }
-
-    /// Starts a cluster with the chosen storage mode. Workers register and
-    /// send their first heartbeats before this returns, so the cluster is
+    /// Starts a cluster with in-memory storage. Workers register and send
+    /// their first heartbeats before this returns, so the cluster is
     /// immediately usable.
-    pub fn start_with_mode(config: ClusterConfig, mode: StorageMode) -> Result<Self> {
-        Self::start_with_log(config, mode, octopus_master::EditLog::in_memory())
-    }
-
-    /// Starts a cluster whose master replays (and writes through to) the
-    /// given edit log — the persistent-deployment path: pair it with
-    /// [`StorageMode::OnDisk`] and a file-backed log, and a previous
-    /// instance's namespace and data come back.
-    pub fn start_with_log(
-        config: ClusterConfig,
-        mode: StorageMode,
-        log: octopus_master::EditLog,
-    ) -> Result<Self> {
-        let cluster = Self { net: boot(config, &mode, log)?, clock_ms: AtomicU64::new(0) };
+    pub fn start(config: ClusterConfig) -> Result<Self> {
+        let cluster = Self { net: boot(config)?, clock_ms: AtomicU64::new(0) };
         cluster.pump_heartbeats();
         Ok(cluster)
     }
@@ -230,16 +202,13 @@ impl Cluster {
         self.worker(worker)?.tier_of(media)
     }
 
-    /// Runs one balancer round (see [`Master::balancer_scan`]): executes
-    /// the proposed copies, then a replication round to trim the
-    /// now-over-replicated sources. Returns the number of moves made.
+    /// Runs one balancer round ([`monitor::run_balancer_round`]), a
+    /// heartbeat interval after the copies and another after the trim.
+    /// Returns the number of moves made.
     pub fn run_balancer_round(&self, threshold: f64, max_moves: usize) -> Result<usize> {
-        let tasks = self.master().balancer_scan(threshold, max_moves);
-        let n = monitor::run_tasks(self.master(), &*self.net, tasks, None).attempted;
-        self.pump_heartbeats();
-        // Trim the over-replicated (overloaded) sources.
-        self.run_replication_round()?;
-        Ok(n)
+        monitor::run_balancer_round(self.master(), &*self.net, threshold, max_moves, || {
+            self.pump_heartbeats()
+        })
     }
 
     /// Runs one auto-tiering round ([`monitor::run_migration_round`]):

@@ -9,9 +9,10 @@
 //! over a two-implementation transport seam ([`net::Transport`]):
 //!
 //! - [`NetCluster`] and the daemons: master and workers behind TCP
-//!   servers, real heartbeat threads.
+//!   servers, real heartbeat threads. On a file log and on-disk stores,
+//!   `NetCluster` is the persistent one-process deployment (`octofs`).
 //! - [`Cluster`]: the same code in one process over function calls, with a
-//!   logical clock — workers store actual bytes (heap or disk), the client
+//!   logical clock — workers store actual bytes (in memory), the client
 //!   pipelines real data through them, checksums are verified end to end.
 //!   Used by applications, examples, and tests.
 //!

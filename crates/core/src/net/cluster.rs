@@ -1,18 +1,19 @@
 //! [`NetCluster`]: boots a full networked deployment on loopback — the
 //! daemons' own [`MasterNode`] and one [`WorkerNode`] per worker — from a
-//! [`ClusterConfig`].
+//! [`ClusterConfig`]. On a file-backed edit log and on-disk stores it is
+//! the persistent one-process deployment `octofs --root` runs.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 use octopus_common::{ClientLocation, ClusterConfig, Result, WorkerId};
-use octopus_master::Master;
+use octopus_master::{EditLog, Master};
 
 use super::client::RemoteFs;
 use super::node::{unix_ms, MasterNode, WorkerNode};
 use super::transport::TcpTransport;
 use super::worker_server;
-use crate::cluster::{build_workers_for, StorageMode};
+use crate::cluster::{build_workers, StorageMode};
 use crate::worker::Worker;
 
 /// A running networked cluster (loopback TCP).
@@ -24,8 +25,8 @@ pub struct NetCluster {
     /// One node per worker; `None` while that worker is killed.
     nodes: Vec<Option<WorkerNode>>,
     workers: Vec<Arc<Worker>>,
-    /// The client behind [`NetCluster::metrics_snapshot`] and
-    /// [`NetCluster::trace_snapshot`] (it keeps the scrape bookkeeping).
+    /// The client behind [`NetCluster::metrics_snapshot`] (it keeps the
+    /// scrape bookkeeping).
     scraper: RemoteFs,
     heartbeat_ms: u64,
     io_window: u32,
@@ -35,23 +36,21 @@ impl NetCluster {
     /// Starts the deployment: master server, one data server per worker,
     /// registration, first heartbeats, and background heartbeat threads.
     pub fn start(config: ClusterConfig) -> Result<Self> {
-        Self::start_with_mode(config, StorageMode::InMemory)
+        Self::start_with_mode(config, StorageMode::InMemory, EditLog::in_memory())
     }
 
-    /// Starts with a specific storage mode (e.g. on-disk stores).
-    pub fn start_with_mode(config: ClusterConfig, mode: StorageMode) -> Result<Self> {
+    /// Starts with a specific storage mode and a master that replays (and
+    /// writes through to) `log`: on-disk stores and a file-backed log bring
+    /// a previous instance's namespace and data back.
+    pub fn start_with_mode(config: ClusterConfig, mode: StorageMode, log: EditLog) -> Result<Self> {
         config.validate()?;
-        let heartbeat_ms = config.heartbeat_ms;
-        let io_window = config.io_window;
-        let emulate_media_bps = config.emulate_media_bps;
-        let workers = build_workers_for(&config, &mode)?;
-        if emulate_media_bps {
-            for w in &workers {
-                w.set_emulate_media_bps(true);
-            }
+        let (heartbeat_ms, io_window) = (config.heartbeat_ms, config.io_window);
+        let workers = build_workers(&config, &mode, None)?;
+        for w in &workers {
+            w.set_emulate_media_bps(config.emulate_media_bps);
         }
-        // No timers: the tests drive §5 rounds by hand.
-        let master = MasterNode::start(Arc::new(Master::new(config)?), "127.0.0.1:0")?;
+        // No timers: the tests and `octofs` drive §5 rounds by hand.
+        let master = MasterNode::start(Arc::new(Master::with_log(config, log)?), "127.0.0.1:0")?;
         let scraper = RemoteFs::over(master.net.clone(), ClientLocation::OffCluster);
         let nodes = workers.iter().map(|_| None).collect();
         let mut cluster = Self { master, nodes, workers, scraper, heartbeat_ms, io_window };
@@ -98,6 +97,16 @@ impl NetCluster {
     /// re-replication candidates).
     pub fn tick(&self) -> Vec<WorkerId> {
         self.master().tick(unix_ms())
+    }
+
+    /// Heartbeats every running worker once, as its liveness thread would
+    /// (rounds driven by hand then see fresh media stats).
+    pub fn beat(&self) {
+        for (w, node) in self.workers.iter().zip(&self.nodes) {
+            if node.is_some() {
+                let _ = worker_server::heartbeat(w, self.transport(), unix_ms());
+            }
+        }
     }
 
     /// Runs one replication round over RPC (§5) — see
@@ -150,12 +159,6 @@ impl NetCluster {
     /// are the process-shared RPC client's (`rpc_client_*` / `client_*`).
     pub fn metrics_snapshot(&self) -> Result<octopus_common::MetricsSnapshot> {
         self.scraper.cluster_metrics_snapshot()
-    }
-
-    /// Merged cluster-wide trace snapshot — see
-    /// [`RemoteFs::cluster_trace_snapshot`].
-    pub fn trace_snapshot(&self) -> Result<octopus_common::TraceSnapshot> {
-        self.scraper.cluster_trace_snapshot()
     }
 
     /// Sends a block report for every worker whose server is up and

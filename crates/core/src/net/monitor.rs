@@ -245,6 +245,26 @@ pub fn run_replication_round(master: &Master, net: &dyn Transport) -> Result<Rep
     Ok(run_tasks(master, net, tasks, Some(round_span.context())))
 }
 
+/// Runs one balancer round ([`Master::balancer_scan`]): executes the
+/// proposed copies, then a replication round that trims the
+/// now-over-replicated (overloaded) sources. `beat` heartbeats every
+/// worker once, after the copies and after the trim, so the next scan
+/// sees fresh media stats. Returns the number of moves made.
+pub fn run_balancer_round(
+    master: &Master,
+    net: &dyn Transport,
+    threshold: f64,
+    max_moves: usize,
+    beat: impl Fn(),
+) -> Result<usize> {
+    let tasks = master.balancer_scan(threshold, max_moves);
+    let moves = run_tasks(master, net, tasks, None).attempted;
+    beat();
+    run_replication_round(master, net)?;
+    beat();
+    Ok(moves)
+}
+
 /// Asks every registered worker to scrub its replicas, reporting each
 /// worker's outcome individually — an unreachable worker surfaces as
 /// [`ScrubStatus::Unreachable`] instead of being counted as clean.

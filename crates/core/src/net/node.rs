@@ -102,7 +102,8 @@ impl WorkerNode {
         let peers = peers.unwrap_or_default();
         let server = WorkerServer::spawn_on(Arc::clone(&worker), master, Arc::clone(&peers), bind)?;
         let net = TcpTransport::new(master, peers, Arc::clone(rpc::shared()));
-        worker_server::join(&worker, &net, unix_ms(), server.addr().to_string())?;
+        let addr = server.addr().to_string();
+        worker_server::join(&worker, &net, unix_ms(), addr.clone())?;
         if refresh {
             let _ = net.refresh_workers();
         }
@@ -110,7 +111,7 @@ impl WorkerNode {
         let beat =
             Periodic::spawn(format!("octopus-{}-hb", worker.id()), heartbeat_ms, move || {
                 beats += 1;
-                worker_server::beat(&worker, &net, unix_ms(), beats);
+                worker_server::beat(&worker, &net, unix_ms(), beats, &addr);
                 if refresh {
                     let _ = net.refresh_workers();
                 }

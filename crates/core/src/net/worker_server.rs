@@ -81,13 +81,16 @@ pub fn join(worker: &Worker, net: &dyn Transport, now_ms: u64, addr: String) -> 
 }
 
 /// The `beats`-th periodic beat of a worker's liveness loop: a heartbeat,
-/// plus a full block report every [`BEATS_PER_REPORT`] beats. Failures
-/// are dropped — the next beat is the retry.
-pub fn beat(worker: &Worker, net: &dyn Transport, now_ms: u64, beats: u64) {
-    let _ = heartbeat(worker, net, now_ms);
-    if beats.is_multiple_of(BEATS_PER_REPORT) {
-        let _ = report_blocks(worker, net);
-    }
+/// plus a full block report every [`BEATS_PER_REPORT`] beats. A master
+/// that answers [`FsError::UnknownWorker`] has restarted (workers are
+/// never dropped from its map), so the worker joins it again as served at
+/// `addr`. Failures are dropped — the next beat is the retry.
+pub fn beat(worker: &Worker, net: &dyn Transport, now_ms: u64, beats: u64, addr: &str) {
+    let _ = match heartbeat(worker, net, now_ms) {
+        Err(FsError::UnknownWorker(_)) => join(worker, net, now_ms, addr.to_string()),
+        _ if beats.is_multiple_of(BEATS_PER_REPORT) => report_blocks(worker, net).map(drop),
+        _ => Ok(()),
+    };
 }
 
 /// A running worker data server.

@@ -33,11 +33,10 @@ use octopus_common::{
     Block, BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, ReplicationVector,
     Result, WorkerId,
 };
-use octopus_master::{EditLog, Master, ReplicationTask};
+use octopus_master::{Master, ReplicationTask};
 use octopus_simnet::{EventKind, FlowId, ResourceId, SimNet, SimTime};
 use octopus_storage::ConnGuard;
 
-use crate::cluster::StorageMode;
 use crate::net::transport::LocalTransport;
 use crate::net::{monitor, worker_server, RemoteFs};
 use crate::worker::Worker;
@@ -175,7 +174,7 @@ impl SimCluster {
     /// replicas in heap stores as synthetic `(len, seed)` descriptors;
     /// device/NIC rates come from the config.
     pub fn new(config: ClusterConfig) -> Result<Self> {
-        let net = crate::cluster::boot(config, &StorageMode::InMemory, EditLog::in_memory())?;
+        let net = crate::cluster::boot(config)?;
         let mut sim = SimNet::new();
         let mut nic_in = Vec::new();
         let mut nic_out = Vec::new();

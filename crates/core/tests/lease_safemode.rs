@@ -1,8 +1,11 @@
 //! End-to-end tests of write leases (single-writer semantics, expiry
 //! recovery) and master safe mode after restart.
 
+use std::sync::Arc;
+
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, MB};
-use octopus_core::Cluster;
+use octopus_core::net::{worker_server, LocalTransport};
+use octopus_core::{Cluster, RemoteFs};
 use octopus_master::{ClientId, EditLog, Master};
 
 fn config() -> ClusterConfig {
@@ -112,6 +115,39 @@ fn restored_master_starts_in_safe_mode_until_reports_arrive() {
     }
     assert!(!restored.in_safe_mode());
     restored.mkdir("/new").unwrap();
+}
+
+/// A restarted master has forgotten every worker and answers their
+/// heartbeats `UnknownWorker`: one beat joins each worker again, and its
+/// block report alone takes the master out of safe mode.
+#[test]
+fn one_beat_rejoins_a_master_that_forgot_the_worker() {
+    let cluster = Cluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(3 * MB as usize, 5);
+    client.write_file("/rejoin", &data, ReplicationVector::from_replication_factor(2)).unwrap();
+    let blocks = client.get_file_block_locations("/rejoin", 0, u64::MAX).unwrap();
+
+    let log = EditLog::from_bytes(cluster.master().checkpoint()).unwrap();
+    let restored = Arc::new(Master::with_log(cluster.master().config().clone(), log).unwrap());
+    let net = LocalTransport::new(Arc::clone(&restored), cluster.workers().to_vec());
+    assert!(restored.cluster_status(0).workers.is_empty());
+    for w in cluster.workers() {
+        // Beat 1 of the liveness loop carries no block report of its own.
+        worker_server::beat(w, &net, cluster.now_ms(), 1, "");
+    }
+
+    assert_eq!(restored.cluster_status(0).workers.len(), cluster.workers().len());
+    assert!(!restored.in_safe_mode(), "the rejoined workers' reports confirm every block");
+    for lb in &blocks {
+        let mut known = restored.block_locations(lb.block.id);
+        known.sort_by_key(|l| (l.worker, l.media));
+        let mut before = lb.locations.clone();
+        before.sort_by_key(|l| (l.worker, l.media));
+        assert_eq!(known, before, "block {}", lb.block.id);
+    }
+    let rejoined = RemoteFs::over(Arc::new(net), ClientLocation::OffCluster);
+    assert_eq!(rejoined.read_file("/rejoin").unwrap(), data);
 }
 
 #[test]

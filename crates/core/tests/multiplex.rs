@@ -9,7 +9,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use octopus_common::{
     BlockData, ClientLocation, ClusterConfig, FsError, MediaId, ReplicationVector, RpcConfig,
@@ -17,7 +17,7 @@ use octopus_common::{
 };
 use octopus_core::net::frame::{read_mux_frame, write_mux_frame};
 use octopus_core::net::proto::{MasterRequest, WorkerRequest, WorkerResponse};
-use octopus_core::net::worker_server::scrub_and_report;
+use octopus_core::net::worker_server::{call_master, scrub_and_report};
 use octopus_core::net::{MasterServer, NetCluster, RpcClient, WorkerServer};
 use octopus_core::{build_single_worker, StorageMode};
 use octopus_master::{ClientId, Master};
@@ -328,14 +328,20 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     let tail_idx = (0..cluster.workers().len())
         .find(|&i| cluster.workers()[i].id() == tail.worker)
         .expect("tail worker exists");
-    let tail_addr = cluster.worker_addr(tail.worker).unwrap();
-    cluster.kill_worker(tail_idx);
-    // Hold the dead tail's port through the write, closing every
-    // connection unanswered: tests share the process, and a worker of
-    // another test's cluster that bound it would take the forward (a
-    // forward calls no master).
-    let squatter = TcpListener::bind(tail_addr).unwrap();
+    // The dead tail serves at a listener this test holds through the
+    // write, closing every connection unanswered: re-registered there
+    // before the kill, the tail's freed port is never dialled, so a worker
+    // another test binds to it cannot take the forward (a forward calls no
+    // master).
+    let squatter = TcpListener::bind("127.0.0.1:0").unwrap();
     squatter.set_nonblocking(true).unwrap();
+    let w = &cluster.workers()[tail_idx];
+    let at = squatter.local_addr().unwrap().to_string();
+    let now_ms = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64;
+    let rejoin = MasterRequest::RegisterWorker(tail.worker, w.rack(), w.net_bps(), now_ms, at);
+    call_master(cluster.master_addr(), &rejoin).unwrap();
+    assert_eq!(cluster.worker_addr(tail.worker), squatter.local_addr().ok());
+    cluster.kill_worker(tail_idx);
     let written = AtomicBool::new(false);
 
     let data = BlockData::generate_real(MB as usize, 3);

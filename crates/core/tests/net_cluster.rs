@@ -2,7 +2,8 @@
 //! forwarding between worker data servers, real heartbeat threads.
 
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, WorkerId, MB};
-use octopus_core::NetCluster;
+use octopus_core::{NetCluster, StorageMode};
+use octopus_master::EditLog;
 
 fn config() -> ClusterConfig {
     // Fast heartbeats so background threads exercise the path during the
@@ -380,4 +381,46 @@ fn shutdown_does_not_wait_out_a_heartbeat_interval() {
     cluster.shutdown();
     let took = start.elapsed();
     assert!(took < std::time::Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+#[test]
+fn on_disk_mode_round_trip() {
+    let dir = std::env::temp_dir().join(format!(
+        "octopus_cluster_disk_{}_{}",
+        std::process::id(),
+        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+    ));
+    let config = ClusterConfig::test_cluster(6, 64 * MB, MB);
+    let mode = StorageMode::OnDisk(dir.clone());
+    let cluster = NetCluster::start_with_mode(config, mode, EditLog::in_memory()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload((MB + 123) as usize, 41);
+    client.write_file("/disk", &data, ReplicationVector::msh(1, 1, 1)).unwrap();
+    assert_eq!(client.read_file("/disk").unwrap(), data);
+    // Persistent tiers wrote real files.
+    let mut found = false;
+    for entry in walk(&dir) {
+        if entry.file_name().map(|n| n.to_string_lossy().starts_with("blk_")) == Some(true) {
+            found = true;
+        }
+    }
+    assert!(found, "expected block files under {dir:?}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        let Ok(rd) = std::fs::read_dir(&d) else { continue };
+        for e in rd.flatten() {
+            let p = e.path();
+            if p.is_dir() {
+                stack.push(p);
+            } else {
+                out.push(p);
+            }
+        }
+    }
+    out
 }

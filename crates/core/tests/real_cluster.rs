@@ -5,7 +5,7 @@
 use octopus_common::{
     ClientLocation, ClusterConfig, FsError, ReplicationVector, StorageTier, WorkerId, GB, MB,
 };
-use octopus_core::{Cluster, StorageMode};
+use octopus_core::Cluster;
 use octopus_master::TierQuota;
 
 fn test_config() -> ClusterConfig {
@@ -225,47 +225,6 @@ fn revive_worker_restores_replicas_via_block_report() {
     cluster.revive_worker(w).unwrap();
     let revived = client.get_file_block_locations("/rv", 0, u64::MAX).unwrap();
     assert_eq!(revived[0].locations.len(), 2, "block report restored the replica");
-}
-
-#[test]
-fn on_disk_mode_round_trip() {
-    let dir = std::env::temp_dir().join(format!(
-        "octopus_cluster_disk_{}_{}",
-        std::process::id(),
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-    ));
-    let cluster =
-        Cluster::start_with_mode(test_config(), StorageMode::OnDisk(dir.clone())).unwrap();
-    let client = cluster.client(ClientLocation::OffCluster);
-    let data = payload((MB + 123) as usize, 41);
-    client.write_file("/disk", &data, ReplicationVector::msh(1, 1, 1)).unwrap();
-    assert_eq!(client.read_file("/disk").unwrap(), data);
-    // Persistent tiers wrote real files.
-    let mut found = false;
-    for entry in walk(&dir) {
-        if entry.file_name().map(|n| n.to_string_lossy().starts_with("blk_")) == Some(true) {
-            found = true;
-        }
-    }
-    assert!(found, "expected block files under {dir:?}");
-    std::fs::remove_dir_all(dir).ok();
-}
-
-fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(rd) = std::fs::read_dir(&d) else { continue };
-        for e in rd.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else {
-                out.push(p);
-            }
-        }
-    }
-    out
 }
 
 #[test]

@@ -70,6 +70,17 @@ if grep -nwE 'rand|proptest' $(git ls-files -co --exclude-standard '*Cargo.toml'
 fi
 echo "one generator: octopus_common::rng is the only splitmix64"
 
+echo "==> one deployment"
+# `octofs --root` runs the daemons' own nodes in one process (`NetCluster`
+# on the daemons' file log), so no binary may build the in-process test
+# harness: no src/bin/*.rs names `LocalTransport`, `start_with_log` or a
+# bare `Cluster::` (`NetCluster::` is the deployment, and allowed).
+if grep -nE '\b(LocalTransport|start_with_log)\b|(^|[^A-Za-z0-9_])Cluster::' src/bin/*.rs >&2; then
+    echo "one deployment: a binary builds the in-process harness" >&2
+    exit 1
+fi
+echo "one deployment: every binary runs the daemons' nodes"
+
 echo "==> third_party stand-ins"
 # Each directory in third_party/ stands in for one crates.io dependency:
 # the root manifest must name it in `exclude`, `[workspace.dependencies]`
@@ -114,6 +125,20 @@ echo "==> cargo test --workspace --release"
 # tests, fmt and clippy, the nine figures regenerated, then smoke runs of
 # the examples, the `exp_*` gates, octobench and the daemons.
 cargo test --workspace --release -q
+
+echo "==> daemon durability: 20 runs"
+# The master and every worker daemon SIGKILLed in the middle of a put loop
+# and restarted on their --dir, on fresh ports: every put that exited 0
+# reads back byte for byte, 20 times back to back.
+for run in $(seq 20); do
+    if ! out=$(cargo test --release -q --test daemons -- --exact \
+        every_acknowledged_put_survives_sigkill_of_every_daemon 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "daemon durability: run ${run} of 20 failed" >&2
+        exit 1
+    fi
+done
+echo "daemon durability: 20/20"
 
 echo "==> reservation and liveness oracle: 1,000 seeds"
 # The scan transcript's oracles (the reserved bytes the master reports are

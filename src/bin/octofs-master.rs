@@ -5,10 +5,15 @@
 //! (or [`octopusfs::core::net::RemoteFs`]).
 //!
 //! ```text
-//! octofs-master --listen 127.0.0.1:7000 --workers 3 \
+//! octofs-master --listen 127.0.0.1:7000 --workers 3 [--dir PATH] \
 //!               [--block-size BYTES] [--capacity BYTES] [--heartbeat-ms MS] \
 //!               [--autotier-ms MS] [--autotier-bps B]
 //! ```
+//!
+//! With `--dir`, a restarted master replays its edit log `PATH/edits.log`
+//! (without it, a restart forgets the namespace) and the workers rejoin on
+//! their next heartbeat. `PATH` may be a root `octofs --root PATH init`
+//! made, served with `octofs-worker --dir PATH`.
 //!
 //! The `--workers/--block-size/--capacity` trio defines the expected
 //! cluster shape (three tiers per worker, as `ClusterConfig::test_cluster`
@@ -21,21 +26,23 @@
 
 #![forbid(unsafe_code)]
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use octopusfs::args::Args;
 use octopusfs::core::net::{monitor, node, MasterNode};
-use octopusfs::master::{AutoTierConfig, Master};
+use octopusfs::master::{AutoTierConfig, EditLog, Master};
 use octopusfs::policies::EwmaThresholdClassifier;
 use octopusfs::{ClusterConfig, Result};
 
-const USAGE: &str = "octofs-master --listen ADDR --workers N [--block-size B] [--capacity B] \
-                     [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]";
+const USAGE: &str = "octofs-master --listen ADDR --workers N [--dir PATH] [--block-size B] \
+                     [--capacity B] [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]";
 
 fn run(args: &[String]) -> Result<()> {
     let mut args = Args::new(USAGE, args);
     let listen = args.value("--listen")?.unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let dir: Option<PathBuf> = args.value("--dir")?;
     let (workers, block_size, capacity) = args.shape()?;
     let heartbeat_ms = args.value("--heartbeat-ms")?.unwrap_or(1000u64);
     let autotier_ms = args.value("--autotier-ms")?.unwrap_or(0u64);
@@ -44,7 +51,14 @@ fn run(args: &[String]) -> Result<()> {
 
     let mut config = ClusterConfig::test_cluster(workers, capacity, block_size);
     config.heartbeat_ms = heartbeat_ms;
-    let mut node = MasterNode::start(Arc::new(Master::new(config)?), listen.as_str())?;
+    let log = match dir {
+        Some(dir) => {
+            std::fs::create_dir_all(&dir)?;
+            EditLog::open(dir.join("edits.log"))?
+        }
+        None => EditLog::in_memory(),
+    };
+    let mut node = MasterNode::start(Arc::new(Master::with_log(config, log)?), listen.as_str())?;
     // The line below is machine-readable: tests and scripts parse it.
     println!("octofs-master listening on {}", node.addr());
 

@@ -1,12 +1,17 @@
 //! `octofs` — a command-line shell over a persistent single-process
-//! OctopusFS instance.
+//! OctopusFS deployment.
 //!
-//! The instance lives under a root directory: the master's edit log at
+//! The deployment lives under a root directory: the master's edit log at
 //! `<root>/edits.log`, a small config at `<root>/octofs.conf`, and the
-//! persistent-tier block stores under `<root>/worker_*/media_*/`. The
-//! Memory tier is volatile by design: memory-resident replicas do not
-//! survive between invocations and are re-created from persistent copies
-//! by the replication monitor on boot.
+//! persistent-tier block stores under `<root>/worker_<w>/media_<m>/`. Each
+//! invocation boots the daemons' own nodes in one process over loopback
+//! TCP ([`NetCluster`]: a `MasterNode` replaying the log, one `WorkerNode`
+//! per worker on on-disk stores), runs one command and exits. The layout
+//! is the daemons' own, so `octofs-master --dir <root>` and
+//! `octofs-worker --dir <root> --id <w>` with the same shape flags serve the
+//! same root. The Memory tier is volatile by design: memory-resident
+//! replicas do not survive between invocations and are re-created from
+//! persistent copies by the replication monitor on boot.
 //!
 //! ```text
 //! octofs --root DIR <init|balance|fsck|mkdir|put|get|cat|ls|rm|mv|append|setrep|quota|report|
@@ -14,11 +19,12 @@
 //! ```
 //!
 //! `init [--workers N] [--block-size BYTES] [--capacity BYTES]`, `balance`
-//! and `fsck` need the in-process cluster and are this binary's own. The
-//! rest are [`octopusfs::shell::COMMANDS`], the table `octofs-remote` runs
-//! against a daemon deployment (README lists each one's arguments); after
-//! `setrep` this binary also runs replication rounds, because the process
-//! is the monitor's only chance to.
+//! and `fsck` are this binary's own; `balance` and `fsck` run [`monitor`]'s
+//! rounds (the functions the master daemon's timers call) over the master
+//! node's TCP transport. The rest are [`octopusfs::shell::COMMANDS`], the
+//! table `octofs-remote` runs against a daemon deployment (README lists
+//! each one's arguments); after `setrep` this binary also runs replication
+//! rounds, because the process is the monitor's only chance to.
 
 #![forbid(unsafe_code)]
 
@@ -27,72 +33,51 @@ use std::process::ExitCode;
 
 use octopusfs::args::Args;
 use octopusfs::common::units::fmt_bytes;
+use octopusfs::core::net::{monitor, NetCluster};
 use octopusfs::master::EditLog;
 use octopusfs::shell::{self, Command};
-use octopusfs::{ClientLocation, Cluster, ClusterConfig, FsError, Result, StorageMode};
+use octopusfs::{ClientLocation, ClusterConfig, FsError, Result, StorageMode};
 
-struct Conf {
-    workers: u32,
-    block_size: u64,
-    capacity: u64,
+fn conf_path(root: &Path) -> PathBuf {
+    root.join("octofs.conf")
 }
 
-impl Conf {
-    fn path(root: &Path) -> PathBuf {
-        root.join("octofs.conf")
-    }
-
-    fn save(&self, root: &Path) -> Result<()> {
-        let body = format!(
-            "workers={}\nblock_size={}\ncapacity={}\n",
-            self.workers, self.block_size, self.capacity
-        );
-        std::fs::write(Self::path(root), body)?;
-        Ok(())
-    }
-
-    fn load(root: &Path) -> Result<Conf> {
-        let body = std::fs::read_to_string(Self::path(root)).map_err(|_| {
-            FsError::Config(format!(
-                "{} is not an octofs root (run `octofs --root {} init` first)",
-                root.display(),
-                root.display()
-            ))
-        })?;
-        let mut c = Conf { workers: 3, block_size: 1 << 20, capacity: 256 << 20 };
-        for line in body.lines() {
-            let Some((k, v)) = line.split_once('=') else { continue };
-            let v: u64 = v
-                .trim()
-                .parse()
-                .map_err(|e| FsError::Config(format!("bad config line {line:?}: {e}")))?;
-            match k.trim() {
-                "workers" => c.workers = v as u32,
-                "block_size" => c.block_size = v,
-                "capacity" => c.capacity = v,
-                _ => {}
-            }
-        }
-        Ok(c)
-    }
-
-    fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig::test_cluster(self.workers, self.capacity, self.block_size)
-    }
+/// The configuration of the deployment under `root`. `<root>/octofs.conf`
+/// holds the shape flags `init` was given, one `key=value` line each
+/// (`block_size=65536` for `--block-size 65536`), and parses as them.
+fn load_config(root: &Path) -> Result<ClusterConfig> {
+    let body = std::fs::read_to_string(conf_path(root)).map_err(|_| {
+        let root = root.display();
+        FsError::Config(format!(
+            "{root} is not an octofs root (run `octofs --root {root} init` first)"
+        ))
+    })?;
+    let flags: Vec<String> = body
+        .lines()
+        .filter_map(|line| line.split_once('='))
+        .flat_map(|(k, v)| [format!("--{}", k.trim().replace('_', "-")), v.trim().to_string()])
+        .collect();
+    let (workers, block_size, capacity) = Args::new("octofs.conf", &flags).shape()?;
+    Ok(ClusterConfig::test_cluster(workers, capacity, block_size))
 }
 
-/// Boots the persistent instance: replay the edit log, reopen the on-disk
-/// stores, block-report to leave safe mode, and heal volatile replicas.
-fn boot(root: &Path) -> Result<Cluster> {
-    let conf = Conf::load(root)?;
+/// Boots the persistent deployment: replay the edit log, reopen the
+/// on-disk stores, join every worker (register, heartbeat, block report)
+/// and leave safe mode.
+fn boot(root: &Path) -> Result<NetCluster> {
+    let config = load_config(root)?;
     let log = EditLog::open(root.join("edits.log"))?;
-    let cluster = Cluster::start_with_log(
-        conf.cluster_config(),
-        StorageMode::OnDisk(root.to_path_buf()),
-        log,
-    )?;
+    let mode = StorageMode::OnDisk(root.to_path_buf());
+    let cluster = NetCluster::start_with_mode(config, mode, log)?;
     cluster.master().leave_safe_mode();
     Ok(cluster)
+}
+
+/// One §5 replication round, then a heartbeat from every worker.
+fn repair(cluster: &NetCluster) -> Result<usize> {
+    let attempted = cluster.run_replication_round()?.attempted;
+    cluster.beat();
+    Ok(attempted)
 }
 
 /// Runs `round` until one finds nothing to do, `max` times at most; the
@@ -100,10 +85,9 @@ fn boot(root: &Path) -> Result<Cluster> {
 fn settle(max: usize, round: impl Fn() -> Result<usize>) -> Result<usize> {
     let mut total = 0;
     for _ in 0..max {
-        let n = round()?;
-        total += n;
-        if n == 0 {
-            break;
+        match round()? {
+            0 => break,
+            n => total += n,
         }
     }
     Ok(total)
@@ -126,33 +110,30 @@ fn run(args: &[String]) -> Result<()> {
             let mut flags =
                 Args::new("init [--workers N] [--block-size BYTES] [--capacity BYTES]", rest);
             let (workers, block_size, capacity) = flags.shape()?;
-            let conf = Conf { workers, block_size, capacity };
             flags.exactly::<0>()?;
             std::fs::create_dir_all(&root)?;
-            if Conf::path(&root).exists() {
-                return Err(FsError::AlreadyExists(format!(
-                    "{} is already initialized",
-                    root.display()
-                )));
+            if conf_path(&root).exists() {
+                let root = root.display();
+                return Err(FsError::AlreadyExists(format!("{root} is already initialized")));
             }
-            conf.save(&root)?;
+            let body = format!("workers={workers}\nblock_size={block_size}\ncapacity={capacity}\n");
+            std::fs::write(conf_path(&root), body)?;
             boot(&root)?; // creates the edit log and store directories
-            println!(
-                "initialized octofs at {} ({} workers, {} blocks)",
-                root.display(),
-                conf.workers,
-                fmt_bytes(conf.block_size)
-            );
+            let (root, block_size) = (root.display(), fmt_bytes(block_size));
+            println!("initialized octofs at {root} ({workers} workers, {block_size} blocks)");
         }
         "balance" => {
             let cluster = boot(&root)?;
-            let moves = settle(16, || cluster.run_balancer_round(0.05, 8))?;
+            let moves = settle(16, || {
+                let (master, net) = (cluster.master(), cluster.transport());
+                monitor::run_balancer_round(master, net, 0.05, 8, || cluster.beat())
+            })?;
             println!("balance: {moves} replica move(s)");
         }
         "fsck" => {
             let cluster = boot(&root)?;
-            let corrupt = cluster.run_scrub_round()?;
-            let repaired = settle(8, || cluster.run_replication_round())?;
+            let corrupt = cluster.run_scrub_round()?.corrupt_total();
+            let repaired = settle(8, || repair(&cluster))?;
             println!("fsck: {corrupt} corrupt replicas dropped, {repaired} repair tasks run");
         }
         _ => {
@@ -163,7 +144,7 @@ fn run(args: &[String]) -> Result<()> {
             if cmd == "setrep" {
                 // Realize the change before exiting (the process is the
                 // replication monitor's only chance to run).
-                settle(4, || cluster.run_replication_round())?;
+                settle(4, || repair(&cluster))?;
             }
         }
     }

@@ -1,8 +1,8 @@
 //! The file-system shell, written once: every command `octofs` and
-//! `octofs-remote` share, as one table over [`RemoteFs`]. The client is
-//! the same over function calls and over TCP, so the two binaries differ
-//! only in how they come by one — and in the handful of commands that need
-//! the in-process cluster itself, which `octofs` keeps.
+//! `octofs-remote` share, as one table over [`RemoteFs`]. Both run it over
+//! TCP, `octofs` against the one-process deployment it boots and
+//! `octofs-remote` against the daemons, so they differ only in how they
+//! come by a client and in `octofs`'s own `init`, `balance` and `fsck`.
 
 use std::io::Write as _;
 

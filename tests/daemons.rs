@@ -4,9 +4,11 @@
 //! cluster deployment.
 
 use std::io::{BufRead, BufReader};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 struct Daemon(Child);
 
@@ -485,4 +487,120 @@ fn one_script_prints_the_same_through_both_shells() {
 
     std::fs::remove_dir_all(tmp).ok();
     drop(daemons);
+}
+
+/// The cluster shape of the durability tests: three workers, 64 KiB blocks.
+const SHAPE: [&str; 6] = ["--workers", "3", "--block-size", "65536", "--capacity", "67108864"];
+
+/// A fresh directory under the system temp dir.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let nanos = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_nanos();
+    let dir = std::env::temp_dir().join(format!("octofs_{tag}_{}_{nanos}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Starts an `octofs-master` and three `octofs-worker`s of [`SHAPE`], every
+/// one of them on `--dir root` and on a fresh port, and waits until the
+/// workers have joined. Returns the master's address and the daemons,
+/// master first.
+fn start_on(root: &Path) -> (String, Vec<Daemon>) {
+    let owned = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    let root = root.to_str().unwrap();
+    let mut margs = owned(&["--listen", "127.0.0.1:0", "--dir", root, "--heartbeat-ms", "50"]);
+    margs.extend(owned(&SHAPE));
+    let (master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+    let mut daemons = vec![master];
+    for id in ["0", "1", "2"] {
+        let mut wargs = owned(&["--master", &addr, "--id", id, "--dir", root]);
+        wargs.extend(owned(&["--heartbeat-ms", "50"]));
+        wargs.extend(owned(&SHAPE));
+        daemons.push(spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0);
+    }
+    wait_for_workers(&addr, 3);
+    (addr, daemons)
+}
+
+/// The bytes of the `i`-th put: four blocks, different for every `i`, and
+/// ASCII, so they survive [`remote`]'s text capture.
+fn put_payload(i: usize) -> Vec<u8> {
+    (0..200_000usize).map(|j| ((j * 7 + i * 13) % 127) as u8).collect()
+}
+
+/// A master daemon that survives `kill -9`: the master and every worker
+/// are SIGKILLed in the middle of a put loop and restarted on the same
+/// `--dir` (on fresh ports). Every put that exited 0 — its replicas on the
+/// persistent tiers only, so none is volatile — reads back byte for byte.
+#[test]
+fn every_acknowledged_put_survives_sigkill_of_every_daemon() {
+    let tmp = fresh_dir("sigkill");
+    let root = tmp.join("root");
+    let (addr, daemons) = start_on(&root);
+
+    let acked = Mutex::new(Vec::new());
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0.. {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let local = tmp.join(format!("in{i}.bin"));
+                std::fs::write(&local, put_payload(i)).unwrap();
+                let path = format!("/f{i}");
+                let put = ["put", local.to_str().unwrap(), &path, "--rv", "<0,1,1>"];
+                if remote(&addr, &put).0 {
+                    acked.lock().unwrap().push(i);
+                }
+            }
+        });
+        // Kill mid-loop, once a few puts are acknowledged (Child::kill is
+        // SIGKILL), master first.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while acked.lock().unwrap().len() < 4 {
+            assert!(Instant::now() < deadline, "no put was acknowledged");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(daemons);
+        stop.store(true, Ordering::Release);
+    });
+
+    let (addr, _daemons) = start_on(&root);
+    let acked = acked.into_inner().unwrap();
+    for &i in &acked {
+        let (ok, out, err) = remote(&addr, &["cat", &format!("/f{i}")]);
+        assert!(ok, "/f{i}, acknowledged before the kill: {err}");
+        assert!(out.as_bytes() == put_payload(i), "/f{i} reads back other bytes");
+    }
+    std::fs::remove_dir_all(tmp).ok();
+}
+
+/// One layout: a root written by `octofs --root` is served by the daemons
+/// started on it (`octofs-master --dir ROOT`, `octofs-worker --dir ROOT
+/// --id i`, the same shape flags).
+#[test]
+fn the_daemons_serve_a_root_that_octofs_wrote() {
+    let tmp = fresh_dir("shared_root");
+    let root = tmp.join("root");
+    let octofs = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_octofs"))
+            .arg("--root")
+            .arg(&root)
+            .args(args)
+            .output()
+            .expect("run octofs");
+        assert!(out.status.success(), "octofs {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    let mut init = vec!["init"];
+    init.extend(SHAPE);
+    octofs(&init);
+    let local = tmp.join("in.bin");
+    std::fs::write(&local, put_payload(7)).unwrap();
+    octofs(&["put", local.to_str().unwrap(), "/shared", "--rv", "<0,1,1>"]);
+
+    let (addr, _daemons) = start_on(&root);
+    let (ok, out, err) = remote(&addr, &["cat", "/shared"]);
+    assert!(ok, "{err}");
+    assert!(out.as_bytes() == put_payload(7), "the daemons read back other bytes");
+    std::fs::remove_dir_all(tmp).ok();
 }
