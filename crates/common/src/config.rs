@@ -190,8 +190,8 @@ pub struct ClusterConfig {
     pub block_size: u64,
     /// Policy tunables.
     pub policy: PolicyConfig,
-    /// Heartbeat interval in milliseconds (drives staleness detection and
-    /// how often NrConn/capacity stats refresh at the master).
+    /// The master's heartbeat interval in ms, which workers beat at (drives
+    /// staleness detection and how often NrConn/capacity stats refresh).
     pub heartbeat_ms: u64,
     /// Client-side I/O window: how many blocks of one file a networked
     /// client keeps in flight concurrently (writes pipeline into distinct
@@ -216,14 +216,14 @@ pub const DEFAULT_IO_WINDOW: u32 = 4;
 impl ClusterConfig {
     /// Validates internal consistency (tier names, capacities, rates).
     pub fn validate(&self) -> Result<()> {
-        if self.workers.is_empty() {
-            return Err(FsError::Config("cluster has no workers".into()));
-        }
         if self.block_size == 0 {
             return Err(FsError::Config("block size must be positive".into()));
         }
         if self.io_window == 0 {
             return Err(FsError::Config("io window must be at least 1".into()));
+        }
+        if self.heartbeat_ms == 0 {
+            return Err(FsError::Config("heartbeat interval must be positive".into()));
         }
         for (i, w) in self.workers.iter().enumerate() {
             if w.media.is_empty() {
@@ -245,11 +245,6 @@ impl ClusterConfig {
             }
         }
         Ok(())
-    }
-
-    /// Total number of storage media in the cluster (the paper's `s`).
-    pub fn num_media(&self) -> usize {
-        self.workers.iter().map(|w| w.media.len()).sum()
     }
 
     /// The evaluation cluster of the paper (§7): 9 workers, each with 4 GB
@@ -391,8 +386,8 @@ mod tests {
         let c = ClusterConfig::paper_cluster();
         c.validate().unwrap();
         assert_eq!(c.workers.len(), 9);
-        assert_eq!(c.num_media(), 45); // 5 media per worker
-                                       // HDD capacity per worker totals 400 GB.
+        assert!(c.workers.iter().all(|w| w.media.len() == 5));
+        // HDD capacity per worker totals 400 GB.
         let hdd: u64 =
             c.workers[0].media.iter().filter(|m| m.tier == "HDD").map(|m| m.capacity).sum();
         assert_eq!(hdd, 400 * GB);
@@ -409,8 +404,10 @@ mod tests {
         c2.block_size = 0;
         assert!(c2.validate().is_err());
 
+        // No workers is a master's config; a zero interval is nobody's.
+        ClusterConfig::test_cluster(0, GB, DEFAULT_BLOCK_SIZE).validate().unwrap();
         let mut c3 = ClusterConfig::test_cluster(2, GB, DEFAULT_BLOCK_SIZE);
-        c3.workers.clear();
+        c3.heartbeat_ms = 0;
         assert!(c3.validate().is_err());
 
         let mut c4 = ClusterConfig::test_cluster(2, GB, DEFAULT_BLOCK_SIZE);

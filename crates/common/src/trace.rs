@@ -130,9 +130,12 @@ pub const ENVELOPE_MAGIC: u8 = 0xE7;
 /// Current envelope version.
 pub const ENVELOPE_V1: u8 = 1;
 
+/// Bytes before the payload: magic, version, a 17-byte [`TraceContext`].
+pub const ENVELOPE_LEN: usize = 2 + 17;
+
 /// Wraps a request payload in a v1 trace envelope.
 pub fn wrap_envelope(ctx: &TraceContext, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(2 + 17 + payload.len());
+    let mut buf = Vec::with_capacity(ENVELOPE_LEN + payload.len());
     buf.push(ENVELOPE_MAGIC);
     buf.push(ENVELOPE_V1);
     ctx.put(&mut buf);
@@ -157,8 +160,7 @@ pub fn unwrap_envelope(frame: &[u8]) -> Result<(Option<TraceContext>, &[u8])> {
     }
     let mut r = WireReader::new(&frame[2..]);
     let ctx = TraceContext::get(&mut r)?;
-    let consumed = 2 + 17;
-    Ok((Some(ctx), &frame[consumed..]))
+    Ok((Some(ctx), &frame[ENVELOPE_LEN..]))
 }
 
 // ---------------------------------------------------------------------------
@@ -780,6 +782,7 @@ mod tests {
         let ctx =
             TraceContext { trace_id: TraceId(7), parent_span: SpanId(9), flags: FLAG_SAMPLED };
         let payload = vec![3u8, 1, 4, 1, 5];
+        assert_eq!(wrap_envelope(&ctx, &[]).len(), ENVELOPE_LEN);
         let wrapped = wrap_envelope(&ctx, &payload);
         let (got_ctx, body) = unwrap_envelope(&wrapped).unwrap();
         assert_eq!(got_ctx, Some(ctx));

@@ -45,12 +45,15 @@ pub fn build_single_worker(
 
 /// Builds the workers of a configuration — all of them, or just `only` —
 /// assigning global media ids in declaration order (worker 0's media
-/// first) either way.
+/// first) either way. A recipe with no workers (a master's) is an error.
 pub(crate) fn build_workers(
     config: &ClusterConfig,
     mode: &StorageMode,
     only: Option<WorkerId>,
 ) -> Result<Vec<Arc<Worker>>> {
+    if config.workers.is_empty() {
+        return Err(FsError::Config("cluster has no workers".into()));
+    }
     let mut workers = Vec::new();
     let mut next_media = 0u32;
     for (wi, wc) in config.workers.iter().enumerate() {
@@ -184,7 +187,7 @@ impl Cluster {
     /// report.
     pub fn revive_worker(&self, id: WorkerId) -> Result<()> {
         self.net.set_down(id, false);
-        worker_server::join(self.worker(id)?, &*self.net, self.now_ms(), String::new())
+        worker_server::join(self.worker(id)?, &*self.net, self.now_ms(), String::new()).map(drop)
     }
 
     /// Runs one replication round (§5, [`monitor::run_replication_round`]):

@@ -28,7 +28,6 @@ pub struct NetCluster {
     /// The client behind [`NetCluster::metrics_snapshot`] (it keeps the
     /// scrape bookkeeping).
     scraper: RemoteFs,
-    heartbeat_ms: u64,
     io_window: u32,
 }
 
@@ -44,7 +43,7 @@ impl NetCluster {
     /// a previous instance's namespace and data back.
     pub fn start_with_mode(config: ClusterConfig, mode: StorageMode, log: EditLog) -> Result<Self> {
         config.validate()?;
-        let (heartbeat_ms, io_window) = (config.heartbeat_ms, config.io_window);
+        let io_window = config.io_window;
         let workers = build_workers(&config, &mode, None)?;
         for w in &workers {
             w.set_emulate_media_bps(config.emulate_media_bps);
@@ -53,7 +52,7 @@ impl NetCluster {
         let master = MasterNode::start(Arc::new(Master::with_log(config, log)?), "127.0.0.1:0")?;
         let scraper = RemoteFs::over(master.net.clone(), ClientLocation::OffCluster);
         let nodes = workers.iter().map(|_| None).collect();
-        let mut cluster = Self { master, nodes, workers, scraper, heartbeat_ms, io_window };
+        let mut cluster = Self { master, nodes, workers, scraper, io_window };
         for idx in 0..cluster.workers.len() {
             cluster.restart_worker(idx)?;
         }
@@ -192,7 +191,6 @@ impl NetCluster {
                 self.master_addr(),
                 "127.0.0.1:0",
                 Some(Arc::clone(&self.master.server.state().peers)),
-                self.heartbeat_ms,
             )?);
         }
         Ok(())

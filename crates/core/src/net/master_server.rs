@@ -171,7 +171,7 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
                 state.peers.write().insert(worker, sa);
             }
             state.addrs.write().insert(worker, addr);
-            A::Unit
+            A::Registered(master.config().heartbeat_ms)
         }
         Q::Heartbeat(worker, media, nr_conn, now_ms, touches) => {
             master.heartbeat(worker, media, nr_conn, now_ms, &touches)?;

@@ -75,7 +75,7 @@ impl Drop for Periodic {
 }
 
 /// A running worker: its data server, registered with the master, and the
-/// liveness thread ([`worker_server::beat`] every `heartbeat_ms`).
+/// liveness thread ([`worker_server::beat`] at the master's interval).
 pub struct WorkerNode {
     // Declared first so it stops first: no beat outlives the server.
     _beat: Periodic,
@@ -84,7 +84,7 @@ pub struct WorkerNode {
 
 impl WorkerNode {
     /// Serves `worker` on `bind`, joins the master at `master` (register,
-    /// first heartbeat, block report) and starts beating.
+    /// first heartbeat, block report) and beats at the master's interval.
     ///
     /// `peers` is where pipeline forwards look up the other workers. Given
     /// a map, the caller keeps it current ([`super::NetCluster`] shares the
@@ -96,14 +96,13 @@ impl WorkerNode {
         master: SocketAddr,
         bind: impl ToSocketAddrs,
         peers: Option<AddressMap>,
-        heartbeat_ms: u64,
     ) -> Result<Self> {
         let refresh = peers.is_none();
         let peers = peers.unwrap_or_default();
         let server = WorkerServer::spawn_on(Arc::clone(&worker), master, Arc::clone(&peers), bind)?;
         let net = TcpTransport::new(master, peers, Arc::clone(rpc::shared()));
         let addr = server.addr().to_string();
-        worker_server::join(&worker, &net, unix_ms(), addr.clone())?;
+        let heartbeat_ms = worker_server::join(&worker, &net, unix_ms(), addr.clone())?;
         if refresh {
             let _ = net.refresh_workers();
         }

@@ -49,7 +49,7 @@ pub enum MasterRequest {
     /// `getStorageTierReports`.
     TierReports,
     /// Worker registration; `(worker, rack, net_bps, now_ms, data-server
-    /// address)`.
+    /// address)`. Answered [`MasterResponse::Registered`].
     RegisterWorker(WorkerId, RackId, f64, u64, String),
     /// Heartbeat; `(worker, media stats, nr_conn, now_ms, block touches)`.
     /// The touches piggyback the worker's per-block read/write counts for
@@ -190,6 +190,8 @@ pub enum MasterResponse {
     External(bytes::Bytes),
     /// A directory's quota and its usage per tier slot.
     Quota(TierQuota, Vec<u64>),
+    /// A worker's registration: the master's heartbeat interval (ms).
+    Registered(u64),
 }
 
 macro_rules! tagged {
@@ -314,6 +316,7 @@ impl Wire for MasterResponse {
             // Tags 16 and 17 are retired (DESIGN.md §7): never reuse them.
             External(b) => tagged!(buf, 18, b),
             Quota(q, u) => tagged!(buf, 19, q, u),
+            Registered(ms) => tagged!(buf, 20, ms),
         }
     }
 
@@ -338,6 +341,7 @@ impl Wire for MasterResponse {
             15 => ClusterStatus(Wire::get(r)?),
             18 => External(Wire::get(r)?),
             19 => Quota(Wire::get(r)?, Wire::get(r)?),
+            20 => Registered(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master response tag {t}"))),
         })
     }
@@ -678,6 +682,7 @@ mod tests {
             vec![(Block { id: BlockId(1), gen: GenStamp(0), len: 5 }, MediaId(2))],
         ));
         rt(MasterResponse::Unit);
+        rt(MasterResponse::Registered(40));
         rt(MasterResponse::Allocated(
             Block { id: BlockId(9), gen: GenStamp(1), len: 7 },
             vec![Location { worker: WorkerId(0), media: MediaId(1), tier: TierId(2) }],

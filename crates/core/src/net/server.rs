@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use octopus_common::{log_warn, FsError, Result, ServerConfig, MAX_REPLICATION};
+use octopus_common::{log_warn, trace, FsError, Result, ServerConfig, MAX_REPLICATION};
 
 use super::faults;
 use super::frame::{read_mux_frame, Frame};
@@ -458,11 +458,10 @@ fn conn_reader(stream: TcpStream, conn_id: u64, conn: Arc<Conn>, shared: Arc<Sha
             }
             w.inflight += 1;
         }
-        // The trace envelope (if any) is 19 bytes; classification looks at
-        // the request head behind it.
+        // Classify the request head behind the trace envelope, if any.
         let head = &frame.head;
-        let bare_at = if head.first() == Some(&octopus_common::trace::ENVELOPE_MAGIC) {
-            19.min(head.len())
+        let bare_at = if head.first() == Some(&trace::ENVELOPE_MAGIC) {
+            trace::ENVELOPE_LEN.min(head.len())
         } else {
             0
         };

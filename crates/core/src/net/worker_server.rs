@@ -66,28 +66,29 @@ pub fn report_blocks(worker: &Worker, net: &dyn Transport) -> Result<u32> {
 }
 
 /// Joins the cluster: registers `worker` as served at `addr`, then the
-/// first heartbeat and block report.
-pub fn join(worker: &Worker, net: &dyn Transport, now_ms: u64, addr: String) -> Result<()> {
-    net.call_master(MasterRequest::RegisterWorker(
-        worker.id(),
-        worker.rack(),
-        worker.net_bps(),
-        now_ms,
-        addr,
-    ))?;
+/// first heartbeat and block report. Returns the master's heartbeat
+/// interval (ms), which the worker beats at.
+pub fn join(worker: &Worker, net: &dyn Transport, now_ms: u64, addr: String) -> Result<u64> {
+    let register =
+        MasterRequest::RegisterWorker(worker.id(), worker.rack(), worker.net_bps(), now_ms, addr);
+    let heartbeat_ms = match net.call_master(register)? {
+        MasterResponse::Registered(ms) => ms,
+        r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
+    };
     heartbeat(worker, net, now_ms)?;
     report_blocks(worker, net)?;
-    Ok(())
+    Ok(heartbeat_ms)
 }
 
 /// The `beats`-th periodic beat of a worker's liveness loop: a heartbeat,
 /// plus a full block report every [`BEATS_PER_REPORT`] beats. A master
 /// that answers [`FsError::UnknownWorker`] has restarted (workers are
 /// never dropped from its map), so the worker joins it again as served at
-/// `addr`. Failures are dropped — the next beat is the retry.
+/// `addr`, still beating at its first join's interval. Failures are
+/// dropped — the next beat is the retry.
 pub fn beat(worker: &Worker, net: &dyn Transport, now_ms: u64, beats: u64, addr: &str) {
     let _ = match heartbeat(worker, net, now_ms) {
-        Err(FsError::UnknownWorker(_)) => join(worker, net, now_ms, addr.to_string()),
+        Err(FsError::UnknownWorker(_)) => join(worker, net, now_ms, addr.to_string()).map(drop),
         _ if beats.is_multiple_of(BEATS_PER_REPORT) => report_blocks(worker, net).map(drop),
         _ => Ok(()),
     };

@@ -251,7 +251,7 @@ impl SimCluster {
     /// since the last event, so they are delivered late but identical,
     /// before anything happens at the new time.
     fn beat_through_gap(&mut self) {
-        let step = self.master().config().heartbeat_ms.max(1);
+        let step = self.master().config().heartbeat_ms;
         while self.last_beat_ms + step <= self.sim.now().as_millis() {
             self.last_beat_ms += step;
             self.beat(self.last_beat_ms);

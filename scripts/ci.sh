@@ -8,12 +8,24 @@ echo "==> non-test lines"
 # Non-test lines of each crate under crates/ (its src/), of the root
 # package's src/ and of third_party/, and their sum, so a change's line
 # counts are reproducible. A file's non-test lines are those above its
-# first #[cfg(test)]; a `tests.rs` is compiled only under cfg(test) and
-# counts as test lines.
+# first `#[cfg(test)] mod`, less any other `#[cfg(test)]` item (a
+# test-only method, say), which is skipped to where its braces close or
+# its `;`; a `tests.rs` is compiled only under cfg(test) and counts as
+# test lines.
 non_test() {
     local n=0 f
     for f in $(find "$1" -name '*.rs' ! -name tests.rs | sort); do
-        n=$((n + $(awk '/^ *#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")))
+        n=$((n + $(awk '
+            /^ *#\[cfg\(test\)\]/ && !skip { skip = 1; first = 1; depth = 0; next }
+            skip {
+                if (first && /^ *(pub(\([a-z]+\))? )?mod /) { exit }
+                first = 0
+                depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+                if (depth == 0 && /[};] *$/) { skip = 0 }
+                next
+            }
+            { n++ }
+            END { print n + 0 }' "$f")))
     done
     echo "$n"
 }
@@ -126,7 +138,7 @@ echo "==> cargo test --workspace --release"
 # the examples, the `exp_*` gates, octobench and the daemons.
 cargo test --workspace --release -q
 
-echo "==> daemon durability: 20 runs"
+echo "==> daemon durability: 20 runs, joins: 10 runs"
 # The master and every worker daemon SIGKILLed in the middle of a put loop
 # and restarted on their --dir, on fresh ports: every put that exited 0
 # reads back byte for byte, 20 times back to back.
@@ -139,6 +151,17 @@ for run in $(seq 20); do
     fi
 done
 echo "daemon durability: 20/20"
+# Workers given only the master's address and their ids (0, 1, 7) join,
+# beat at the master's interval and stay live: 10 times back to back.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q --test daemons -- --exact \
+        workers_given_only_their_ids_join_and_beat_at_the_masters_interval 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "daemon joins: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "daemon joins: 10/10"
 
 echo "==> reservation and liveness oracle: 1,000 seeds"
 # The scan transcript's oracles (the reserved bytes the master reports are
@@ -463,8 +486,8 @@ echo "==> operator status smoke"
 # report a non-zero capacity once the workers have heartbeated in.
 status_dir=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$status_dir"' EXIT
-./target/release/octofs-master --listen 127.0.0.1:0 --workers 2 \
-    --heartbeat-ms 100 >"$status_dir/master.log" 2>&1 &
+./target/release/octofs-master --listen 127.0.0.1:0 --heartbeat-ms 100 \
+    >"$status_dir/master.log" 2>&1 &
 for _ in $(seq 50); do
     master_addr=$(sed -n 's/^octofs-master listening on //p' "$status_dir/master.log")
     [ -n "$master_addr" ] && break
@@ -477,7 +500,7 @@ if [ -z "${master_addr:-}" ]; then
 fi
 for w in 0 1; do
     ./target/release/octofs-worker --master "$master_addr" --id "$w" \
-        --workers 2 --heartbeat-ms 100 >"$status_dir/worker$w.log" 2>&1 &
+        >"$status_dir/worker$w.log" 2>&1 &
 done
 # Tier reports materialize as worker heartbeats register media, so poll
 # until at least one non-zero-capacity tier line and a live worker show.

@@ -55,18 +55,6 @@ impl Args {
         v.parse().map(Some).map_err(|_| self.bad(format_args!("bad value {v:?} for {name}")))
     }
 
-    /// Takes out `--workers N --block-size BYTES --capacity BYTES`, in that
-    /// order: the cluster shape (three tiers per worker, as
-    /// `ClusterConfig::test_cluster` lays out) every node of one deployment
-    /// must agree on — hence one place for its defaults.
-    pub fn shape(&mut self) -> Result<(u32, u64, u64)> {
-        Ok((
-            self.value("--workers")?.unwrap_or(3),
-            self.value("--block-size")?.unwrap_or(1 << 20),
-            self.value("--capacity")?.unwrap_or(256 << 20),
-        ))
-    }
-
     /// Takes the bare flag `name` out, returning whether it was given.
     pub fn flag(&mut self, name: &str) -> bool {
         let at = self.rest.iter().position(|a| a == name);

@@ -5,9 +5,8 @@
 //! (or [`octopusfs::core::net::RemoteFs`]).
 //!
 //! ```text
-//! octofs-master --listen 127.0.0.1:7000 --workers 3 [--dir PATH] \
-//!               [--block-size BYTES] [--capacity BYTES] [--heartbeat-ms MS] \
-//!               [--autotier-ms MS] [--autotier-bps B]
+//! octofs-master --listen 127.0.0.1:7000 [--dir PATH] [--block-size BYTES] \
+//!               [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]
 //! ```
 //!
 //! With `--dir`, a restarted master replays its edit log `PATH/edits.log`
@@ -15,10 +14,10 @@
 //! their next heartbeat. `PATH` may be a root `octofs --root PATH init`
 //! made, served with `octofs-worker --dir PATH`.
 //!
-//! The `--workers/--block-size/--capacity` trio defines the expected
-//! cluster shape (three tiers per worker, as `ClusterConfig::test_cluster`
-//! lays out); every `octofs-worker` must be started with the same values
-//! so that media identities agree. `--autotier-ms` enables the
+//! The master takes only cluster-wide settings and learns each worker
+//! (rack, NIC, media) from its join and heartbeats. It answers every join
+//! with `--heartbeat-ms` (default 1000), so the workers beat at the
+//! interval its failure detector expects. `--autotier-ms` enables the
 //! auto-tiering daemon (DESIGN.md §10): every MS milliseconds a paced
 //! migration round classifies files by access heat (EWMA thresholds)
 //! and promotes/demotes them across tiers, with background copies
@@ -36,21 +35,20 @@ use octopusfs::master::{AutoTierConfig, EditLog, Master};
 use octopusfs::policies::EwmaThresholdClassifier;
 use octopusfs::{ClusterConfig, Result};
 
-const USAGE: &str = "octofs-master --listen ADDR --workers N [--dir PATH] [--block-size B] \
-                     [--capacity B] [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]";
+const USAGE: &str = "octofs-master --listen ADDR [--dir PATH] [--block-size B] \
+                     [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]";
 
 fn run(args: &[String]) -> Result<()> {
     let mut args = Args::new(USAGE, args);
     let listen = args.value("--listen")?.unwrap_or_else(|| "127.0.0.1:0".to_string());
     let dir: Option<PathBuf> = args.value("--dir")?;
-    let (workers, block_size, capacity) = args.shape()?;
+    let block_size = args.value("--block-size")?.unwrap_or(1 << 20);
     let heartbeat_ms = args.value("--heartbeat-ms")?.unwrap_or(1000u64);
     let autotier_ms = args.value("--autotier-ms")?.unwrap_or(0u64);
     let autotier_bps = args.value::<u64>("--autotier-bps")?;
     args.exactly::<0>()?;
 
-    let mut config = ClusterConfig::test_cluster(workers, capacity, block_size);
-    config.heartbeat_ms = heartbeat_ms;
+    let config = ClusterConfig { heartbeat_ms, ..ClusterConfig::test_cluster(0, 0, block_size) };
     let log = match dir {
         Some(dir) => {
             std::fs::create_dir_all(&dir)?;

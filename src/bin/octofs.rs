@@ -7,8 +7,8 @@
 //! invocation boots the daemons' own nodes in one process over loopback
 //! TCP ([`NetCluster`]: a `MasterNode` replaying the log, one `WorkerNode`
 //! per worker on on-disk stores), runs one command and exits. The layout
-//! is the daemons' own, so `octofs-master --dir <root>` and
-//! `octofs-worker --dir <root> --id <w>` with the same shape flags serve the
+//! is the daemons' own, so `octofs-master --dir <root>` and one
+//! `octofs-worker --dir <root> --id <w>` per worker of the root serve the
 //! same root. The Memory tier is volatile by design: memory-resident
 //! replicas do not survive between invocations and are re-created from
 //! persistent copies by the replication monitor on boot.
@@ -42,6 +42,16 @@ fn conf_path(root: &Path) -> PathBuf {
     root.join("octofs.conf")
 }
 
+/// Takes out `--workers N --block-size BYTES --capacity BYTES`: the shape
+/// `init` records and every boot rebuilds (`ClusterConfig::test_cluster`).
+fn shape(args: &mut Args) -> Result<(u32, u64, u64)> {
+    Ok((
+        args.value("--workers")?.unwrap_or(3),
+        args.value("--block-size")?.unwrap_or(1 << 20),
+        args.value("--capacity")?.unwrap_or(256 << 20),
+    ))
+}
+
 /// The configuration of the deployment under `root`. `<root>/octofs.conf`
 /// holds the shape flags `init` was given, one `key=value` line each
 /// (`block_size=65536` for `--block-size 65536`), and parses as them.
@@ -57,7 +67,7 @@ fn load_config(root: &Path) -> Result<ClusterConfig> {
         .filter_map(|line| line.split_once('='))
         .flat_map(|(k, v)| [format!("--{}", k.trim().replace('_', "-")), v.trim().to_string()])
         .collect();
-    let (workers, block_size, capacity) = Args::new("octofs.conf", &flags).shape()?;
+    let (workers, block_size, capacity) = shape(&mut Args::new("octofs.conf", &flags))?;
     Ok(ClusterConfig::test_cluster(workers, capacity, block_size))
 }
 
@@ -109,7 +119,7 @@ fn run(args: &[String]) -> Result<()> {
         "init" => {
             let mut flags =
                 Args::new("init [--workers N] [--block-size BYTES] [--capacity BYTES]", rest);
-            let (workers, block_size, capacity) = flags.shape()?;
+            let (workers, block_size, capacity) = shape(&mut flags)?;
             flags.exactly::<0>()?;
             std::fs::create_dir_all(&root)?;
             if conf_path(&root).exists() {

@@ -83,27 +83,18 @@ fn wait_for_workers(master: &str, workers: u32) {
 
 #[test]
 fn multiprocess_deployment_end_to_end() {
-    let shape = ["--workers", "3", "--block-size", "65536", "--capacity", "67108864"];
-    let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
-
     // Master process.
     let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
-    margs.extend(shape.clone());
+    margs.extend(["--block-size".to_string(), "65536".to_string()]);
     margs.extend(["--heartbeat-ms".to_string(), "50".to_string()]);
     let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
 
     // Three worker processes.
     let mut daemons = Vec::new();
     for id in 0..3 {
-        let mut wargs = vec![
-            "--master".to_string(),
-            master_addr.clone(),
-            "--id".to_string(),
-            id.to_string(),
-            "--heartbeat-ms".to_string(),
-            "50".to_string(),
-        ];
-        wargs.extend(shape.clone());
+        let mut wargs =
+            vec!["--master".to_string(), master_addr.clone(), "--id".to_string(), id.to_string()];
+        wargs.extend(["--capacity".to_string(), "67108864".to_string()]);
         let (d, _) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs);
         daemons.push(d);
     }
@@ -199,25 +190,16 @@ fn multiprocess_deployment_end_to_end() {
 
 #[test]
 fn daemon_deployment_self_heals_after_worker_crash() {
-    let shape = ["--workers", "4", "--block-size", "65536", "--capacity", "67108864"];
-    let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
-
     let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
-    margs.extend(shape.clone());
+    margs.extend(["--block-size".to_string(), "65536".to_string()]);
     margs.extend(["--heartbeat-ms".to_string(), "40".to_string()]);
     let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
 
     let mut daemons = Vec::new();
     for id in 0..4 {
-        let mut wargs = vec![
-            "--master".to_string(),
-            master_addr.clone(),
-            "--id".to_string(),
-            id.to_string(),
-            "--heartbeat-ms".to_string(),
-            "40".to_string(),
-        ];
-        wargs.extend(shape.clone());
+        let mut wargs =
+            vec!["--master".to_string(), master_addr.clone(), "--id".to_string(), id.to_string()];
+        wargs.extend(["--capacity".to_string(), "67108864".to_string()]);
         let (d, _) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs);
         daemons.push(d);
     }
@@ -267,10 +249,8 @@ fn worker_daemon_restart_recovers_on_disk_blocks() {
     ));
     std::fs::create_dir_all(&tmp).unwrap();
 
-    let shape = ["--workers", "2", "--block-size", "65536", "--capacity", "67108864"];
-    let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
     let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
-    margs.extend(shape.clone());
+    margs.extend(["--block-size".to_string(), "65536".to_string()]);
     margs.extend(["--heartbeat-ms".to_string(), "40".to_string()]);
     let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
 
@@ -280,12 +260,10 @@ fn worker_daemon_restart_recovers_on_disk_blocks() {
             master_addr.clone(),
             "--id".to_string(),
             id.to_string(),
-            "--heartbeat-ms".to_string(),
-            "40".to_string(),
             "--dir".to_string(),
             tmp.join(format!("w{id}")).to_string_lossy().into_owned(),
         ];
-        wargs.extend(shape.clone());
+        wargs.extend(["--capacity".to_string(), "67108864".to_string()]);
         spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs)
     };
     let (w0, _) = spawn_worker(0);
@@ -328,23 +306,15 @@ fn a_worker_started_late_stays_live_under_the_earlier_workers_heartbeats() {
     // than the dead-worker horizon (50 ms × 10), each of its heartbeats
     // declared the freshly started worker 1 dead and stripped its replica
     // locations, until worker 1's own next heartbeat revived it.
-    let shape = ["--workers", "2", "--block-size", "65536", "--capacity", "67108864"];
-    let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
     let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
-    margs.extend(shape.clone());
+    margs.extend(["--block-size".to_string(), "65536".to_string()]);
     margs.extend(["--heartbeat-ms".to_string(), "50".to_string()]);
     let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
 
     let spawn_worker = |id: u32| {
-        let mut wargs = vec![
-            "--master".to_string(),
-            master_addr.clone(),
-            "--id".to_string(),
-            id.to_string(),
-            "--heartbeat-ms".to_string(),
-            "50".to_string(),
-        ];
-        wargs.extend(shape.clone());
+        let mut wargs =
+            vec!["--master".to_string(), master_addr.clone(), "--id".to_string(), id.to_string()];
+        wargs.extend(["--capacity".to_string(), "67108864".to_string()]);
         spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
     };
     let _w0 = spawn_worker(0);
@@ -380,19 +350,38 @@ fn a_worker_started_late_stays_live_under_the_earlier_workers_heartbeats() {
 
 /// A flag with no value used to index past the argument list and panic;
 /// it is a usage error in every binary (`octofs` has its case in
-/// `tests/cli.rs`).
+/// `tests/cli.rs`). So is a flag a daemon does not take — among them the
+/// shape flags, which only `octofs init` takes — and a worker id past a
+/// `u16`. A zero heartbeat interval, which would spin the master's rounds
+/// and kill every worker, is refused before the master serves.
 #[test]
 fn a_flag_without_its_value_prints_usage_in_every_daemon_binary() {
-    for (bin, args) in [
-        (env!("CARGO_BIN_EXE_octofs-master"), &["--workers", "3", "--listen"][..]),
-        (env!("CARGO_BIN_EXE_octofs-worker"), &["--master", "127.0.0.1:1", "--id"]),
-        (env!("CARGO_BIN_EXE_octofs-remote"), &["ls", "/", "--master"]),
-        (env!("CARGO_BIN_EXE_octofs-master"), &["--bogus", "1"]),
-    ] {
-        let out = Command::new(bin).args(args).output().expect("run binary");
+    let (master, worker) =
+        (env!("CARGO_BIN_EXE_octofs-master"), env!("CARGO_BIN_EXE_octofs-worker"));
+    let usage = "usage: octofs-";
+    let mut cases = vec![
+        (master, vec!["--listen"], usage),
+        (worker, vec!["--master", "127.0.0.1:1", "--id"], usage),
+        (env!("CARGO_BIN_EXE_octofs-remote"), vec!["ls", "/", "--master"], usage),
+        (master, vec!["--bogus", "1"], usage),
+        (master, vec!["--heartbeat-ms", "0"], "heartbeat interval must be positive"),
+        (worker, vec!["--master", "127.0.0.1:1", "--id", "65536"], "bad value \"65536\""),
+    ];
+    for flag in ["--workers", "--capacity"] {
+        cases.push((master, vec![flag, "3"], "unknown flag"));
+    }
+    for flag in ["--workers", "--block-size", "--heartbeat-ms"] {
+        cases.push((
+            worker,
+            vec!["--master", "127.0.0.1:1", "--id", "0", flag, "3"],
+            "unknown flag",
+        ));
+    }
+    for (bin, args, want) in cases {
+        let out = Command::new(bin).args(&args).output().expect("run binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{bin} {args:?} succeeded");
-        assert!(stderr.contains("usage: octofs-"), "{bin} {args:?}: no usage line: {stderr}");
+        assert!(stderr.contains(want), "{bin} {args:?}: no {want:?} in: {stderr}");
         assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
 }
@@ -417,15 +406,16 @@ fn one_script_prints_the_same_through_both_shells() {
 
     let shape = ["--workers", "3", "--block-size", "65536", "--capacity", "67108864"];
     let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
+    // The master takes the block size, each worker the capacity.
     let mut margs = vec!["--listen".to_string(), "127.0.0.1:0".to_string()];
-    margs.extend(shape.clone());
+    margs.extend(shape[2..4].iter().cloned());
     margs.extend(["--heartbeat-ms".to_string(), "50".to_string()]);
     let (_master, master_addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
     let mut daemons = Vec::new();
     for id in 0..3 {
         let mut wargs = vec!["--master".to_string(), master_addr.clone(), "--id".to_string()];
-        wargs.extend([id.to_string(), "--heartbeat-ms".to_string(), "50".to_string()]);
-        wargs.extend(shape.clone());
+        wargs.push(id.to_string());
+        wargs.extend(shape[4..].iter().cloned());
         daemons.push(spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0);
     }
     wait_for_workers(&master_addr, 3);
@@ -489,7 +479,9 @@ fn one_script_prints_the_same_through_both_shells() {
     drop(daemons);
 }
 
-/// The cluster shape of the durability tests: three workers, 64 KiB blocks.
+/// The cluster shape of the durability tests, as `octofs init` takes it:
+/// three workers, 64 KiB blocks (the master's flag, `SHAPE[2..4]`), 64 MiB
+/// media (each worker's, `SHAPE[4..]`).
 const SHAPE: [&str; 6] = ["--workers", "3", "--block-size", "65536", "--capacity", "67108864"];
 
 /// A fresh directory under the system temp dir.
@@ -508,13 +500,12 @@ fn start_on(root: &Path) -> (String, Vec<Daemon>) {
     let owned = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
     let root = root.to_str().unwrap();
     let mut margs = owned(&["--listen", "127.0.0.1:0", "--dir", root, "--heartbeat-ms", "50"]);
-    margs.extend(owned(&SHAPE));
+    margs.extend(owned(&SHAPE[2..4]));
     let (master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
     let mut daemons = vec![master];
     for id in ["0", "1", "2"] {
         let mut wargs = owned(&["--master", &addr, "--id", id, "--dir", root]);
-        wargs.extend(owned(&["--heartbeat-ms", "50"]));
-        wargs.extend(owned(&SHAPE));
+        wargs.extend(owned(&SHAPE[4..]));
         daemons.push(spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0);
     }
     wait_for_workers(&addr, 3);
@@ -577,7 +568,7 @@ fn every_acknowledged_put_survives_sigkill_of_every_daemon() {
 
 /// One layout: a root written by `octofs --root` is served by the daemons
 /// started on it (`octofs-master --dir ROOT`, `octofs-worker --dir ROOT
-/// --id i`, the same shape flags).
+/// --id i`, each with its share of the shape flags).
 #[test]
 fn the_daemons_serve_a_root_that_octofs_wrote() {
     let tmp = fresh_dir("shared_root");
@@ -602,5 +593,55 @@ fn the_daemons_serve_a_root_that_octofs_wrote() {
     let (ok, out, err) = remote(&addr, &["cat", "/shared"]);
     assert!(ok, "{err}");
     assert!(out.as_bytes() == put_payload(7), "the daemons read back other bytes");
+    std::fs::remove_dir_all(tmp).ok();
+}
+
+/// Every per-node fact comes from the node and every cluster-wide one from
+/// the master: workers started with only the master's address and their
+/// ids — 0, 1 and 7, so no worker count is implied — join a master that
+/// was given no worker count, beat at the master's 40 ms interval (the
+/// default 1 s would miss its 400 ms failure deadline), and serve an rf = 3
+/// put.
+#[test]
+fn workers_given_only_their_ids_join_and_beat_at_the_masters_interval() {
+    let tmp = fresh_dir("own_facts");
+    let margs = ["--listen", "127.0.0.1:0", "--heartbeat-ms", "40"].map(String::from);
+    let (_master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+    let _workers: Vec<Daemon> = ["0", "1", "7"]
+        .into_iter()
+        .map(|id| {
+            // Staggered joins: the master's clock is the newest heartbeat
+            // stamp, so beats a second apart would leave one worker's last
+            // beat 300–700 ms behind another's, past the deadline.
+            std::thread::sleep(Duration::from_millis(300));
+            let wargs = ["--master", &addr, "--id", id].map(String::from);
+            spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
+        })
+        .collect();
+    wait_for_workers(&addr, 3);
+
+    let until = Instant::now() + Duration::from_secs(2);
+    while Instant::now() < until {
+        let (ok, out, err) = remote(&addr, &["status"]);
+        assert!(ok, "{err}");
+        let workers: Vec<&str> = out.lines().filter(|l| l.starts_with("worker ")).collect();
+        let ids: Vec<&str> = workers.iter().filter_map(|l| l.split_whitespace().nth(1)).collect();
+        assert_eq!(ids, ["0", "1", "7"], "{out}");
+        for line in workers {
+            // Live, and last heard from within the 10 × 40 ms deadline.
+            let hb = line.rsplit("hb=").next().and_then(|v| v.strip_suffix("ms"));
+            let hb: u64 = hb.and_then(|v| v.parse().ok()).expect("hb=…ms");
+            assert!(line.contains(" live ") && hb <= 400, "past the deadline: {line}\n{out}");
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
+    let local = tmp.join("in.bin");
+    std::fs::write(&local, put_payload(3)).unwrap();
+    let (ok, _, err) = remote(&addr, &["put", local.to_str().unwrap(), "/p", "--rv", "3"]);
+    assert!(ok, "{err}");
+    let (ok, out, err) = remote(&addr, &["cat", "/p"]);
+    assert!(ok, "{err}");
+    assert!(out.as_bytes() == put_payload(3), "/p reads back other bytes");
     std::fs::remove_dir_all(tmp).ok();
 }
