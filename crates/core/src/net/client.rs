@@ -24,6 +24,7 @@ use octopus_common::{
 use octopus_master::{ClientId, TierQuota};
 
 use super::bufpool;
+use super::monitor::Round;
 use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
 use super::rpc;
 use super::transport::{TcpTransport, Transport};
@@ -307,6 +308,15 @@ impl RemoteFs {
     /// Sets a directory's per-tier quota (§1's multi-tenancy mechanism).
     pub fn set_quota(&self, path: &str, quota: TierQuota) -> Result<()> {
         self.call(MasterRequest::SetQuota(path.into(), quota)).map(|_| ())
+    }
+
+    /// Runs one §5 round of `round` on the master's node and returns its
+    /// count ([`super::monitor::run_round`]).
+    pub fn run_round(&self, round: Round) -> Result<u64> {
+        match self.call(MasterRequest::RunRound(round))? {
+            MasterResponse::Count(n) => Ok(n),
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
     }
 
     /// A directory's quota and the bytes charged against it, per tier slot.

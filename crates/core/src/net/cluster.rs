@@ -48,7 +48,8 @@ impl NetCluster {
         for w in &workers {
             w.set_emulate_media_bps(config.emulate_media_bps);
         }
-        // No timers: the tests and `octofs` drive §5 rounds by hand.
+        // No timers: tests drive §5 rounds by hand, and a `RunRound`
+        // request runs one on the master node.
         let master = MasterNode::start(Arc::new(Master::with_log(config, log)?), "127.0.0.1:0")?;
         let scraper = RemoteFs::over(master.net.clone(), ClientLocation::OffCluster);
         let nodes = workers.iter().map(|_| None).collect();
@@ -96,16 +97,6 @@ impl NetCluster {
     /// re-replication candidates).
     pub fn tick(&self) -> Vec<WorkerId> {
         self.master().tick(unix_ms())
-    }
-
-    /// Heartbeats every running worker once, as its liveness thread would
-    /// (rounds driven by hand then see fresh media stats).
-    pub fn beat(&self) {
-        for (w, node) in self.workers.iter().zip(&self.nodes) {
-            if node.is_some() {
-                let _ = worker_server::heartbeat(w, self.transport(), unix_ms());
-            }
-        }
     }
 
     /// Runs one replication round over RPC (§5) — see

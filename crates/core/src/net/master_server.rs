@@ -3,18 +3,23 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use octopus_common::trace::TraceContext;
-use octopus_common::{Result, ServerConfig, WorkerId};
+use octopus_common::{FsError, Result, ServerConfig, WorkerId};
 use octopus_master::{ClientId, Master};
 
 use super::frame::Frame;
-use super::proto::{decode_request, encode_master_result_frame, MasterRequest, MasterResponse};
+use super::monitor;
+use super::proto::{
+    classify_master_request, decode_request, encode_master_result_frame, MasterRequest,
+    MasterResponse,
+};
+use super::rpc;
 use super::server::{Handler, ServerCore};
-use super::transport::resolve;
+use super::transport::{resolve, TcpTransport};
 use super::worker_server::AddressMap;
 
 /// Server-side state: the master plus the registry of worker data-server
@@ -27,12 +32,21 @@ pub struct MasterState {
     /// The same registry resolved to socket addresses at registration —
     /// what the master's own §5 monitor reaches the workers through.
     pub peers: AddressMap,
+    /// The transport the master's rounds go out through, a server's once
+    /// it is bound; a `RunRound` is refused without one.
+    pub(super) net: OnceLock<Arc<TcpTransport>>,
+    /// Held by every §5 round the master's node runs, on a timer or on
+    /// request, so no two overlap: a round's scan sees the copies of the
+    /// one before it settled, and a round that finds nothing means that
+    /// nothing is left to do.
+    pub(super) rounds: Mutex<()>,
 }
 
 impl MasterState {
     /// Fresh state around a master.
     pub fn new(master: Arc<Master>) -> Self {
-        Self { master, addrs: Arc::default(), peers: Arc::default() }
+        let (addrs, peers) = (Arc::default(), Arc::default());
+        Self { master, addrs, peers, net: OnceLock::new(), rounds: Mutex::new(()) }
     }
 }
 
@@ -67,9 +81,13 @@ impl MasterServer {
                 .and_then(|(ctx, req)| dispatch_traced(&handler_state, req, ctx));
             encode_master_result_frame(&result)
         });
-        // Master requests never issue nested worker/master RPCs: all
-        // dispatch is depth 0.
-        let core = ServerCore::spawn(bind, "octopus-master", cfg, Arc::new(|_| 0), handler)?;
+        // A round waits on workers that call back here, so it is admitted
+        // one level deep (`classify_master_request`).
+        let classify = Arc::new(classify_master_request);
+        let core = ServerCore::spawn(bind, "octopus-master", cfg, classify, handler)?;
+        let peers = Arc::clone(&state.peers);
+        let net = TcpTransport::new(core.addr(), peers, Arc::clone(rpc::shared()));
+        let _ = state.net.set(Arc::new(net));
         Ok(Self { core, state })
     }
 
@@ -204,6 +222,11 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::QuotaUsage(path) => {
             let (quota, usage) = master.quota_usage(&path)?;
             A::Quota(quota, usage.to_vec())
+        }
+        Q::RunRound(round) => {
+            let net = state.net.get().ok_or_else(|| FsError::NotReady("no transport".into()))?;
+            let _one = state.rounds.lock();
+            A::Count(monitor::run_round(master, &**net, round)?)
         }
     })
 }

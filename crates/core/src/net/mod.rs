@@ -28,8 +28,9 @@
 //! - [`client`]: [`RemoteFs`], the one client — the Table 1 API, the
 //!   windowed write pipeline with recovery (§3.1) and read failover
 //!   (§4.1);
-//! - [`monitor`]: the one §5 executor (replication, scrub, paced
-//!   migration rounds);
+//! - [`monitor`]: the one §5 executor (replication, scrub, balance and
+//!   paced migration rounds, and [`monitor::run_round`], the round a
+//!   `RunRound` request asks the master node for);
 //! - [`node`]: the one node lifecycle — [`WorkerNode`] (data server,
 //!   join, periodic beat) and [`MasterNode`] (RPC server, its transport,
 //!   the periodic §5 rounds asked for) — that `octofs-worker`,
@@ -64,7 +65,7 @@ pub use client::RemoteFs;
 pub use cluster::NetCluster;
 pub use faults::FaultAction;
 pub use master_server::MasterServer;
-pub use monitor::{MigrationRound, ReplicationOutcome, ScrubRound, ScrubStatus};
+pub use monitor::{MigrationRound, ReplicationOutcome, Round, ScrubRound, ScrubStatus};
 pub use node::{MasterNode, WorkerNode};
 pub use rpc::RpcClient;
 pub use transport::{LocalTransport, TcpTransport, Transport};

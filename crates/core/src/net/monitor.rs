@@ -1,6 +1,8 @@
 //! The networked replication monitor: executes the master's §5 tasks by
 //! RPC — copies via the target worker's `Replicate` handler, deletions via
-//! `DeleteBlock` — and drives scrub rounds across the fleet.
+//! `DeleteBlock` — and drives scrub rounds across the fleet. The master
+//! node runs these rounds on its timers and, one per `RunRound` request,
+//! on an operator's (`balance`, `fsck`, `setrep`'s wait): [`run_round`].
 //!
 //! Failure handling (the silent-swallowing bugs this module used to have):
 //!
@@ -243,6 +245,62 @@ pub fn run_replication_round(master: &Master, net: &dyn Transport) -> Result<Rep
     let tasks = master.replication_scan();
     round_span.annotate("tasks", tasks.len());
     Ok(run_tasks(master, net, tasks, Some(round_span.context())))
+}
+
+/// A §5 round an operator asks the master to run
+/// ([`super::proto::MasterRequest::RunRound`], [`run_round`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Round {
+    /// A balancer round; it counts the replicas it moved.
+    Balance,
+    /// A scrub round; it counts the corrupt replicas dropped.
+    Scrub,
+    /// A replication round; it counts the tasks it ran.
+    Repair,
+}
+
+/// A medium this far above its tier's mean utilization is overloaded.
+const BALANCE_THRESHOLD: f64 = 0.05;
+
+/// Copies one balancer round makes at most.
+const BALANCE_MOVES: usize = 8;
+
+/// Runs one round of `round` on the master's node, through the transport
+/// its timers use, and returns the round's count. A balance round, and a
+/// repair round that ran tasks, ends by waiting for a heartbeat from every
+/// worker (a balance also after its copies), so the next round's scan sees
+/// the media stats this one left.
+pub fn run_round(master: &Master, net: &dyn Transport, round: Round) -> Result<u64> {
+    let beat = || await_beats(master);
+    let n = match round {
+        Round::Balance => run_balancer_round(master, net, BALANCE_THRESHOLD, BALANCE_MOVES, beat)?,
+        Round::Scrub => run_scrub_round(master, net)?.corrupt_total() as usize,
+        Round::Repair => {
+            let attempted = run_replication_round(master, net)?.attempted;
+            if attempted > 0 {
+                beat();
+            }
+            attempted
+        }
+    };
+    Ok(n as u64)
+}
+
+/// Waits until every worker live now has heartbeated again, two heartbeat
+/// intervals at most.
+fn await_beats(master: &Master) {
+    let before = master.live_heartbeats();
+    let interval = Duration::from_millis(master.config().heartbeat_ms);
+    let poll = (interval / 16).clamp(Duration::from_millis(1), Duration::from_millis(50));
+    let deadline = Instant::now() + 2 * interval;
+    while Instant::now() < deadline {
+        let now = master.live_heartbeats();
+        // A worker gone from the live set has nothing left to report.
+        if before.iter().all(|(w, at)| now.iter().all(|(v, t)| v != w || t > at)) {
+            return;
+        }
+        std::thread::sleep(poll);
+    }
 }
 
 /// Runs one balancer round ([`Master::balancer_scan`]): executes the

@@ -139,11 +139,7 @@ impl MasterNode {
     /// Serves `master` on `bind`.
     pub fn start(master: Arc<Master>, bind: impl ToSocketAddrs) -> Result<Self> {
         let server = MasterServer::spawn_on(master, bind)?;
-        let net = Arc::new(TcpTransport::new(
-            server.addr(),
-            Arc::clone(&server.state().peers),
-            Arc::clone(rpc::shared()),
-        ));
+        let net = Arc::clone(server.state().net.get().expect("a bound server has a transport"));
         Ok(Self { rounds: Vec::new(), net, server })
     }
 
@@ -154,7 +150,8 @@ impl MasterNode {
 
     /// Starts the periodic round called `what`: `round` — a §5 replication
     /// round, a paced migration round ([`super::monitor`]) — against this
-    /// master every `interval_ms`. A failed round is logged and the next
+    /// master every `interval_ms`, never overlapping another of the node's
+    /// rounds (`MasterState::rounds`). A failed round is logged and the next
     /// one is the retry. A no-op while a round of that name is running.
     pub fn every<T>(
         &mut self,
@@ -163,9 +160,10 @@ impl MasterNode {
         round: impl Fn(&Master, &TcpTransport) -> Result<T> + Send + 'static,
     ) -> Result<()> {
         if self.rounds.iter().all(|(name, _)| *name != what) {
-            let (master, net) = (Arc::clone(&self.server.state().master), Arc::clone(&self.net));
+            let (state, net) = (Arc::clone(self.server.state()), Arc::clone(&self.net));
             let thread = Periodic::spawn(format!("octopus-{what}"), interval_ms, move || {
-                if let Err(e) = round(&master, &net) {
+                let _one = state.rounds.lock();
+                if let Err(e) = round(&state.master, &net) {
                     log_warn!(target: "net::node", "msg=\"{what} round failed\" err=\"{e}\"");
                 }
             })?;

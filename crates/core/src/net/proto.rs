@@ -14,6 +14,7 @@ use octopus_common::{
 use octopus_master::TierQuota;
 
 use super::frame::Frame;
+use super::monitor::Round;
 
 /// A request to the master.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +92,9 @@ pub enum MasterRequest {
     SetQuota(String, TierQuota),
     /// A directory's per-tier quota and the usage charged against it.
     QuotaUsage(String),
+    /// Run one §5 round of the given kind on the master's node; answered
+    /// [`MasterResponse::Count`], the round's count.
+    RunRound(Round),
 }
 
 impl MasterRequest {
@@ -147,6 +151,7 @@ impl MasterRequest {
             ReadExternal(..) => "ReadExternal",
             SetQuota(..) => "SetQuota",
             QuotaUsage(..) => "QuotaUsage",
+            RunRound(..) => "RunRound",
         }
     }
 }
@@ -192,6 +197,23 @@ pub enum MasterResponse {
     Quota(TierQuota, Vec<u64>),
     /// A worker's registration: the master's heartbeat interval (ms).
     Registered(u64),
+    /// What a round counted.
+    Count(u64),
+}
+
+/// [`MasterRequest::RunRound`]'s tag: the one master request the
+/// dispatch pool admits one level deep ([`classify_master_request`]).
+const RUN_ROUND: u8 = 34;
+
+impl Wire for Round {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let t = u8::get(r)?;
+        let kinds = [Round::Balance, Round::Scrub, Round::Repair];
+        kinds.get(t as usize).copied().ok_or_else(|| FsError::Io(format!("bad round kind {t}")))
+    }
 }
 
 macro_rules! tagged {
@@ -236,6 +258,7 @@ impl Wire for MasterRequest {
             SetQuota(p, q) => tagged!(buf, 31, p, q),
             QuotaUsage(p) => tagged!(buf, 32, p),
             CommitReplica(b, s, u) => tagged!(buf, 33, b, s, u),
+            RunRound(k) => tagged!(buf, RUN_ROUND, k),
         }
     }
 
@@ -288,6 +311,7 @@ impl Wire for MasterRequest {
             31 => SetQuota(Wire::get(r)?, Wire::get(r)?),
             32 => QuotaUsage(Wire::get(r)?),
             33 => CommitReplica(Wire::get(r)?, Wire::get(r)?, Wire::get(r)?),
+            RUN_ROUND => RunRound(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master request tag {t}"))),
         })
     }
@@ -317,6 +341,7 @@ impl Wire for MasterResponse {
             External(b) => tagged!(buf, 18, b),
             Quota(q, u) => tagged!(buf, 19, q, u),
             Registered(ms) => tagged!(buf, 20, ms),
+            Count(n) => tagged!(buf, 21, n),
         }
     }
 
@@ -342,6 +367,7 @@ impl Wire for MasterResponse {
             18 => External(Wire::get(r)?),
             19 => Quota(Wire::get(r)?, Wire::get(r)?),
             20 => Registered(Wire::get(r)?),
+            21 => Count(Wire::get(r)?),
             t => return Err(FsError::Io(format!("bad master response tag {t}"))),
         })
     }
@@ -606,15 +632,24 @@ pub fn decode_result<R: Wire>(frame: &Frame) -> Result<R> {
     }
 }
 
+/// Pipeline depth of an encoded master request (`head` as for
+/// [`classify_worker_request`]). A `RunRound` is depth 1: the round waits
+/// on workers whose calls back to this master (a scrub's `ReportCorrupt`,
+/// the heartbeats the round waits for) must still find a thread.
+/// Everything else the master answers without calling anyone (depth 0).
+pub fn classify_master_request(head: &[u8]) -> usize {
+    usize::from(head.first() == Some(&RUN_ROUND))
+}
+
 /// Pipeline depth of an encoded worker request (`head` is its frame's
 /// head from the request tag on, after any trace envelope): how many
 /// further nested worker RPC levels serving it can require. A pipeline
 /// hop (`WriteBlock` or `Forward`) with N more stages is depth N (the
-/// head's commit goes to the master, which calls nobody); `Replicate`
-/// issues one nested `ReadBlock` (depth 1); everything else resolves
-/// locally (depth 0). The dispatch pool admits a depth only while every
-/// level it raises keeps threads free for the shallower ones, which keeps
-/// nested forwards deadlock-free.
+/// head's commit goes to the master, which answers it without calling
+/// anyone); `Replicate` issues one nested `ReadBlock` (depth 1);
+/// everything else resolves locally (depth 0). The dispatch pool admits a
+/// depth only while every level it raises keeps threads free for the
+/// shallower ones, which keeps nested forwards deadlock-free.
 pub fn classify_worker_request(head: &[u8]) -> usize {
     let mut r = WireReader::new(head);
     match u8::get(&mut r) {
@@ -943,6 +978,20 @@ mod tests {
             0
         );
         assert_eq!(classify_worker_request(b""), 0); // garbage never panics
+    }
+
+    #[test]
+    fn rounds_round_trip_and_only_they_classify_one_deep_at_the_master() {
+        for round in [Round::Balance, Round::Scrub, Round::Repair] {
+            rt(MasterRequest::RunRound(round));
+            assert_eq!(classify_master_request(&encode(&MasterRequest::RunRound(round))), 1);
+        }
+        rt(MasterResponse::Count(7));
+        assert!(decode::<MasterRequest>(&[RUN_ROUND, 3]).is_err());
+        for other in [MasterRequest::Status("/".into()), MasterRequest::ClusterStatus] {
+            assert_eq!(classify_master_request(&encode(&other)), 0);
+        }
+        assert_eq!(classify_master_request(b""), 0);
     }
 
     #[test]

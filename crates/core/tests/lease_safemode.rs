@@ -150,6 +150,35 @@ fn one_beat_rejoins_a_master_that_forgot_the_worker() {
     assert_eq!(rejoined.read_file("/rejoin").unwrap(), data);
 }
 
+/// A put killed between `AddBlock` and its first stored replica leaves a
+/// block no worker holds. Safe mode does not wait for it: one beat per
+/// worker takes the replayed master out, and it takes writes again.
+#[test]
+fn a_block_a_killed_put_never_stored_does_not_hold_safe_mode() {
+    let cluster = Cluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(3 * MB as usize, 6);
+    client.write_file("/stored", &data, ReplicationVector::from_replication_factor(2)).unwrap();
+    let master = cluster.master();
+    let rv = ReplicationVector::from_replication_factor(2);
+    master.create_file_as("/torn", rv, None, client.id()).unwrap();
+    master.add_block_excluding("/torn", MB, ClientLocation::OffCluster, client.id(), &[]).unwrap();
+
+    let mut log = EditLog::in_memory();
+    log.append_batch(master.edit_ops_since(0).unwrap()).unwrap();
+    let restored = Arc::new(Master::with_log(master.config().clone(), log).unwrap());
+    assert!(restored.in_safe_mode(), "three stored blocks are awaited");
+    let net = LocalTransport::new(Arc::clone(&restored), cluster.workers().to_vec());
+    for w in cluster.workers() {
+        worker_server::beat(w, &net, cluster.now_ms(), 1, "");
+    }
+
+    assert!(!restored.in_safe_mode(), "the never-stored block held safe mode");
+    restored.mkdir("/after").unwrap();
+    let rejoined = RemoteFs::over(Arc::new(net), ClientLocation::OffCluster);
+    assert_eq!(rejoined.read_file("/stored").unwrap(), data);
+}
+
 #[test]
 fn manual_safe_mode_exit() {
     let cluster = Cluster::start(config()).unwrap();

@@ -12,13 +12,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use octopus_common::{
-    BlockData, ClientLocation, ClusterConfig, FsError, MediaId, ReplicationVector, RpcConfig,
-    ServerConfig, WorkerId, MB,
+    BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, ReplicationVector,
+    RpcConfig, ServerConfig, WorkerId, MB,
 };
 use octopus_core::net::frame::{read_mux_frame, write_mux_frame};
 use octopus_core::net::proto::{MasterRequest, WorkerRequest, WorkerResponse};
-use octopus_core::net::worker_server::{call_master, scrub_and_report};
-use octopus_core::net::{MasterServer, NetCluster, RpcClient, WorkerServer};
+use octopus_core::net::worker_server::{call_master, heartbeat, scrub_and_report};
+use octopus_core::net::{MasterServer, NetCluster, Round, RpcClient, WorkerServer};
 use octopus_core::{build_single_worker, StorageMode};
 use octopus_master::{ClientId, Master};
 
@@ -450,4 +450,78 @@ fn resending_a_stored_block_is_idempotent_when_the_bytes_match() {
     let clash =
         call_worker(head, &WorkerRequest::WriteBlock(block, pipeline[0].media, Vec::new(), other));
     assert!(clash.is_err(), "different bytes under a stored block id must be refused: {clash:?}");
+}
+
+/// A §5 round on the master waits on workers that call back into it: a
+/// scrub's `ReportCorrupt`, the heartbeats the round waits for. Sixteen
+/// rounds at once, as many as the master's dispatch threads, must leave a
+/// thread for those calls: every round returns, and heartbeats, commits
+/// and corruption reports sent meanwhile are answered without waiting for
+/// a round to end.
+#[test]
+fn sixteen_concurrent_rounds_leave_the_master_a_thread_for_their_callbacks() {
+    let mut config = ClusterConfig::test_cluster(3, 64 * MB, MB);
+    config.heartbeat_ms = 400;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster).with_rpc_config(client_cfg());
+    let data = {
+        let BlockData::Real(b) = BlockData::generate_real(2 * MB as usize, 11) else {
+            unreachable!()
+        };
+        b.to_vec()
+    };
+    client.write_file("/f", &data, ReplicationVector::from_replication_factor(2)).unwrap();
+    let blocks = client.get_file_block_locations("/f", 0, u64::MAX).unwrap();
+    for lb in &blocks {
+        let victim = lb.locations[0];
+        let worker = cluster.workers().iter().find(|w| w.id() == victim.worker).unwrap();
+        let store = &worker.medium(victim.media).unwrap().store;
+        let mem = store.as_any().downcast_ref::<octopus_storage::MemoryStore>().unwrap();
+        mem.corrupt(lb.block.id).unwrap();
+    }
+
+    let master = cluster.master_addr();
+    let kinds = [Round::Balance, Round::Scrub, Round::Repair];
+    let done = AtomicUsize::new(0);
+    let slowest = std::thread::scope(|s| {
+        let rounds: Vec<_> = (0..16)
+            .map(|i| {
+                let done = &done;
+                s.spawn(move || {
+                    let out = call_master(master, &MasterRequest::RunRound(kinds[i % 3]));
+                    done.fetch_add(1, Ordering::AcqRel);
+                    out
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        // Probe the master with the calls the rounds wait on, until every
+        // round has returned.
+        let (block, loc) = (blocks[0].block, blocks[0].locations[1]);
+        let mut slowest = Duration::ZERO;
+        while done.load(Ordering::Acquire) < rounds.len() {
+            let now_ms = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64;
+            for w in cluster.workers() {
+                let t = Instant::now();
+                heartbeat(w, cluster.transport(), now_ms).unwrap();
+                slowest = slowest.max(t.elapsed());
+            }
+            for req in [
+                MasterRequest::CommitReplica(block, vec![], vec![]),
+                MasterRequest::ReportCorrupt(block.id, Location { media: MediaId(9_999), ..loc }),
+            ] {
+                let t = Instant::now();
+                call_master(master, &req).unwrap();
+                slowest = slowest.max(t.elapsed());
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for (i, round) in rounds.into_iter().enumerate() {
+            round.join().unwrap().unwrap_or_else(|e| panic!("round {i} failed: {e}"));
+        }
+        slowest
+    });
+    // A probe that waited for a round to end took at least the round's wait.
+    assert!(slowest < Duration::from_millis(200), "a probe took {slowest:?}");
+    assert_eq!(client.read_file("/f").unwrap(), data);
 }

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use super::monitor::counted_replicas;
-use super::{BlockState, Master, MetaOp, NamespaceState, OpCtx, SAFE_MODE_THRESHOLD};
+use super::{BlockState, Master, MetaOp, NamespaceState, OpCtx};
 use crate::blockmap::replication_state;
 use crate::cluster::ClusterState;
 use crate::editlog::EditOp;
@@ -137,6 +137,8 @@ impl Master {
         let ctx = self.op(MetaOp::BlockReport);
         ctx.finish_with(|| {
             let mut bs = ctx.write(&self.blocks);
+            let safe = self.safe_mode.load(Ordering::Acquire);
+            let unreplicated = |bs: &BlockState, id| bs.map.get(id).map(|i| i.locations.is_empty());
             // Media the cluster cannot place (a report racing the worker's
             // first heartbeat, a worker not live) are skipped; the next
             // report covers them.
@@ -144,17 +146,17 @@ impl Master {
             for (b, m) in reported {
                 let Some((_, tier)) = bs.cluster.locate_media(*m) else { continue };
                 let loc = Location { worker, media: *m, tier };
+                let first = safe && unreplicated(&bs, b.id) == Some(true);
                 let _ = bs.confirm(b.id, loc); // an unknown block is the worker's to delete
+                if first && unreplicated(&bs, b.id) == Some(false) {
+                    bs.awaited.reported(b.id);
+                }
                 located.push((b.id, loc));
             }
             let invalidate = bs.map.apply_report(worker, &located);
-            // Safe mode exits once enough blocks have a confirmed replica.
-            if self.safe_mode.load(Ordering::Acquire) {
-                let total = bs.map.len();
-                let available = bs.map.iter().filter(|(_, i)| !i.locations.is_empty()).count();
-                if total == 0 || available as f64 / total as f64 >= SAFE_MODE_THRESHOLD {
-                    self.safe_mode.store(false, Ordering::Release);
-                }
+            // Safe mode exits once enough awaited blocks have a replica.
+            if safe && bs.awaited.reached() {
+                self.safe_mode.store(false, Ordering::Release);
             }
             Ok(invalidate)
         })

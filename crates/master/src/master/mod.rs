@@ -34,7 +34,7 @@ use octopus_common::lockstat::{
 use octopus_common::metrics::{BucketLayout, Counter, Histogram, Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{
-    AuditRing, ClusterConfig, FsError, HeatTracker, INodeId, IdGenerator, Result,
+    AuditRing, BlockId, ClusterConfig, FsError, HeatTracker, INodeId, IdGenerator, Result,
 };
 use octopus_policies::{
     build_placement_policy, build_retrieval_policy, PlacementPolicy, RetrievalPolicy,
@@ -50,8 +50,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Fraction of known blocks that must have at least one confirmed replica
-/// before a restarted master leaves safe mode automatically.
+/// Fraction of awaited blocks that must have at least one confirmed
+/// replica before a restarted master leaves safe mode automatically.
 const SAFE_MODE_THRESHOLD: f64 = 0.999;
 
 /// How long a client write lease lives without renewal, in heartbeat
@@ -203,6 +203,34 @@ struct NamespaceState {
 struct BlockState {
     map: BlockMap,
     cluster: ClusterState,
+    awaited: Awaited,
+}
+
+/// What safe mode waits for (§2.1): every block a replayed master knows,
+/// except the last block of each file still under construction, which an
+/// interrupted write may never have stored.
+struct Awaited {
+    /// Blocks awaited at boot.
+    total: usize,
+    /// Of those, the ones no report has given a replica yet (a block that
+    /// loses its replicas in safe mode and is reported again counts twice).
+    left: usize,
+    /// The last blocks of files under construction at boot.
+    exempt: Vec<BlockId>,
+}
+
+impl Awaited {
+    /// A report gave block `id` its first replica.
+    fn reported(&mut self, id: BlockId) {
+        if !self.exempt.contains(&id) {
+            self.left = self.left.saturating_sub(1);
+        }
+    }
+
+    /// Whether enough awaited blocks have a replica to leave safe mode.
+    fn reached(&self) -> bool {
+        (self.total - self.left) as f64 >= self.total as f64 * SAFE_MODE_THRESHOLD
+    }
 }
 
 /// The OctopusFS (primary) master.
@@ -293,7 +321,17 @@ impl Master {
         let retrieval = build_retrieval_policy(config.policy.retrieval, 0x0c70);
         // A master that boots with pre-existing blocks (restart/failover)
         // starts in safe mode until block reports confirm the data (§2.1).
-        let safe_mode = !blocks.is_empty();
+        // (A log without blocks skips the walk of its files.)
+        let exempt: Vec<BlockId> = if blocks.is_empty() {
+            Vec::new()
+        } else {
+            (ns.files().filter(|(_, meta)| !meta.complete))
+                .filter_map(|(_, meta)| Some(meta.blocks.last()?.0))
+                .collect()
+        };
+        let total = blocks.len() - exempt.len();
+        let awaited = Awaited { total, left: total, exempt };
+        let safe_mode = total > 0;
         let metrics = MetricsRegistry::new();
         // Pre-register the scrape-time drop counter so it is present (at
         // zero) in every snapshot, not only after the first wrap.
@@ -326,7 +364,7 @@ impl Master {
                 namespace_stats,
             ),
             blocks: StatRwLock::instrumented(
-                BlockState { map: blocks, cluster: ClusterState::new(&config) },
+                BlockState { map: blocks, cluster: ClusterState::new(&config), awaited },
                 block_stats,
             ),
             log: GroupCommitLog::new(log),

@@ -6,7 +6,7 @@ use octopus_common::metrics::{Labels, MetricsRegistry};
 use octopus_common::trace::TraceCollector;
 use octopus_common::{
     BlockId, ClusterStatusReport, DecisionEvent, DecisionKind, DecisionRound, EventRef, HeatInfo,
-    HotFile, INodeId, Location, MediaId, Result, StorageTierReport, WorkerStatusLine,
+    HotFile, INodeId, Location, MediaId, Result, StorageTierReport, WorkerId, WorkerStatusLine,
 };
 use octopus_policies::ClusterSnapshot;
 
@@ -145,6 +145,12 @@ impl Master {
     /// migrations`).
     pub fn recent_migrations(&self, n: usize) -> Vec<DecisionEvent> {
         self.audit.recent_of_kind(DecisionKind::Migration, n)
+    }
+
+    /// Each live worker and the stamp of its last heartbeat.
+    pub fn live_heartbeats(&self) -> Vec<(WorkerId, u64)> {
+        let bs = self.blocks.read();
+        bs.cluster.workers().filter(|w| w.live).map(|w| (w.worker, w.last_heartbeat_ms)).collect()
     }
 
     /// One-stop cluster status for the operator surface: namespace and

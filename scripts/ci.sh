@@ -91,6 +91,13 @@ if grep -nE '\b(LocalTransport|start_with_log)\b|(^|[^A-Za-z0-9_])Cluster::' src
     echo "one deployment: a binary builds the in-process harness" >&2
     exit 1
 fi
+# §5 rounds are the master node's, run on its timers or on request
+# (`RunRound`), so `octofs` drives none of its own: it names no
+# `monitor::`, no `run_*_round` and no `beat`.
+if grep -nE 'monitor::|\brun_[a-z_]*_round\b|\bbeat\b' src/bin/octofs.rs >&2; then
+    echo "one deployment: octofs drives a round of its own" >&2
+    exit 1
+fi
 echo "one deployment: every binary runs the daemons' nodes"
 
 echo "==> third_party stand-ins"
@@ -138,7 +145,7 @@ echo "==> cargo test --workspace --release"
 # the examples, the `exp_*` gates, octobench and the daemons.
 cargo test --workspace --release -q
 
-echo "==> daemon durability: 20 runs, joins: 10 runs"
+echo "==> daemon durability: 20 runs, joins and rounds: 10 runs each"
 # The master and every worker daemon SIGKILLed in the middle of a put loop
 # and restarted on their --dir, on fresh ports: every put that exited 0
 # reads back byte for byte, 20 times back to back.
@@ -162,6 +169,18 @@ for run in $(seq 10); do
     fi
 done
 echo "daemon joins: 10/10"
+# Balance, fsck and setrep driven through `octofs-remote` against daemons on
+# --dir: a flipped on-disk byte is dropped and re-replicated, a fourth empty
+# worker gets replicas moved to it, setrep returns on the new tiers; 10 times.
+for run in $(seq 10); do
+    if ! out=$(cargo test --release -q --test daemons -- --exact \
+        balance_fsck_and_setrep_act_on_running_daemons 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "daemon rounds: run ${run} of 10 failed" >&2
+        exit 1
+    fi
+done
+echo "daemon rounds: 10/10"
 
 echo "==> reservation and liveness oracle: 1,000 seeds"
 # The scan transcript's oracles (the reserved bytes the master reports are
@@ -486,6 +505,9 @@ echo "==> operator status smoke"
 # report a non-zero capacity once the workers have heartbeated in.
 status_dir=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$status_dir"' EXIT
+# The log exists before the master starts: the background job opens its
+# redirection after the fork, possibly after the first `sed` below.
+: >"$status_dir/master.log"
 ./target/release/octofs-master --listen 127.0.0.1:0 --heartbeat-ms 100 \
     >"$status_dir/master.log" 2>&1 &
 for _ in $(seq 50); do

@@ -2,8 +2,9 @@
 //! `octofs-master`/`octofs-worker` deployment.
 //!
 //! ```text
-//! octofs-remote --master ADDR <mkdir|put|get|cat|ls|rm|mv|append|setrep|quota|report|status|
-//!                              heat|explain-placement|migrations|metrics|perf|trace> [args]
+//! octofs-remote --master ADDR <mkdir|put|get|cat|ls|rm|mv|append|setrep|quota|report|balance|
+//!                              fsck|status|heat|explain-placement|migrations|metrics|perf|
+//!                              trace> [args]
 //! ```
 //!
 //! The commands are [`octopusfs::shell::COMMANDS`], the table `octofs` runs
@@ -22,6 +23,9 @@
 //! prints the critical path assembled under that root's id from the
 //! client's, the master's and every worker's ring, and dumps the span tree
 //! to `results/traces/trace-<id>.jsonl` under the working directory.
+//!
+//! `balance`, `fsck` and `setrep`'s wait are §5 rounds the master node
+//! runs, one per request, so they act on the running daemons.
 //!
 //! `status` prints the live cluster summary (per-tier capacity, per-worker
 //! lines, hottest files, per-op metadata latency); `perf [N]` ranks the

@@ -10,21 +10,19 @@
 //! is the daemons' own, so `octofs-master --dir <root>` and one
 //! `octofs-worker --dir <root> --id <w>` per worker of the root serve the
 //! same root. The Memory tier is volatile by design: memory-resident
-//! replicas do not survive between invocations and are re-created from
-//! persistent copies by the replication monitor on boot.
+//! replicas do not survive between invocations; `fsck` re-creates them
+//! from the persistent copies.
 //!
 //! ```text
-//! octofs --root DIR <init|balance|fsck|mkdir|put|get|cat|ls|rm|mv|append|setrep|quota|report|
+//! octofs --root DIR <init|mkdir|put|get|cat|ls|rm|mv|append|setrep|quota|report|balance|fsck|
 //!                    status|heat|explain-placement|migrations|metrics|perf|trace> [args]
 //! ```
 //!
-//! `init [--workers N] [--block-size BYTES] [--capacity BYTES]`, `balance`
-//! and `fsck` are this binary's own; `balance` and `fsck` run [`monitor`]'s
-//! rounds (the functions the master daemon's timers call) over the master
-//! node's TCP transport. The rest are [`octopusfs::shell::COMMANDS`], the
-//! table `octofs-remote` runs against a daemon deployment (README lists
-//! each one's arguments); after `setrep` this binary also runs replication
-//! rounds, because the process is the monitor's only chance to.
+//! `init [--workers N] [--block-size BYTES] [--capacity BYTES]` is this
+//! binary's own. The rest are [`octopusfs::shell::COMMANDS`], the table
+//! `octofs-remote` runs against a daemon deployment (README lists each
+//! one's arguments); `balance`, `fsck` and `setrep`'s wait are rounds the
+//! master node runs on request, here as there.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +31,7 @@ use std::process::ExitCode;
 
 use octopusfs::args::Args;
 use octopusfs::common::units::fmt_bytes;
-use octopusfs::core::net::{monitor, NetCluster};
+use octopusfs::core::net::NetCluster;
 use octopusfs::master::EditLog;
 use octopusfs::shell::{self, Command};
 use octopusfs::{ClientLocation, ClusterConfig, FsError, Result, StorageMode};
@@ -52,6 +50,16 @@ fn shape(args: &mut Args) -> Result<(u32, u64, u64)> {
     ))
 }
 
+/// The cluster of a shape, refused as boot would refuse it.
+fn cluster_of((workers, block_size, capacity): (u32, u64, u64)) -> Result<ClusterConfig> {
+    if workers == 0 {
+        return Err(FsError::Config("cluster has no workers".into()));
+    }
+    let config = ClusterConfig::test_cluster(workers, capacity, block_size);
+    config.validate()?;
+    Ok(config)
+}
+
 /// The configuration of the deployment under `root`. `<root>/octofs.conf`
 /// holds the shape flags `init` was given, one `key=value` line each
 /// (`block_size=65536` for `--block-size 65536`), and parses as them.
@@ -67,8 +75,7 @@ fn load_config(root: &Path) -> Result<ClusterConfig> {
         .filter_map(|line| line.split_once('='))
         .flat_map(|(k, v)| [format!("--{}", k.trim().replace('_', "-")), v.trim().to_string()])
         .collect();
-    let (workers, block_size, capacity) = shape(&mut Args::new("octofs.conf", &flags))?;
-    Ok(ClusterConfig::test_cluster(workers, capacity, block_size))
+    cluster_of(shape(&mut Args::new("octofs.conf", &flags))?)
 }
 
 /// Boots the persistent deployment: replay the edit log, reopen the
@@ -83,28 +90,8 @@ fn boot(root: &Path) -> Result<NetCluster> {
     Ok(cluster)
 }
 
-/// One §5 replication round, then a heartbeat from every worker.
-fn repair(cluster: &NetCluster) -> Result<usize> {
-    let attempted = cluster.run_replication_round()?.attempted;
-    cluster.beat();
-    Ok(attempted)
-}
-
-/// Runs `round` until one finds nothing to do, `max` times at most; the
-/// sum of what they did.
-fn settle(max: usize, round: impl Fn() -> Result<usize>) -> Result<usize> {
-    let mut total = 0;
-    for _ in 0..max {
-        match round()? {
-            0 => break,
-            n => total += n,
-        }
-    }
-    Ok(total)
-}
-
 fn run(args: &[String]) -> Result<()> {
-    let usage = format!("octofs --root DIR <init|balance|fsck|{}> [args]", shell::names());
+    let usage = format!("octofs --root DIR <init|{}> [args]", shell::names());
     let mut args = Args::new(usage.as_str(), args);
     let root: Option<PathBuf> = args.value("--root")?;
     let rest = args.rest();
@@ -121,6 +108,7 @@ fn run(args: &[String]) -> Result<()> {
                 Args::new("init [--workers N] [--block-size BYTES] [--capacity BYTES]", rest);
             let (workers, block_size, capacity) = shape(&mut flags)?;
             flags.exactly::<0>()?;
+            cluster_of((workers, block_size, capacity))?;
             std::fs::create_dir_all(&root)?;
             if conf_path(&root).exists() {
                 let root = root.display();
@@ -132,30 +120,11 @@ fn run(args: &[String]) -> Result<()> {
             let (root, block_size) = (root.display(), fmt_bytes(block_size));
             println!("initialized octofs at {root} ({workers} workers, {block_size} blocks)");
         }
-        "balance" => {
-            let cluster = boot(&root)?;
-            let moves = settle(16, || {
-                let (master, net) = (cluster.master(), cluster.transport());
-                monitor::run_balancer_round(master, net, 0.05, 8, || cluster.beat())
-            })?;
-            println!("balance: {moves} replica move(s)");
-        }
-        "fsck" => {
-            let cluster = boot(&root)?;
-            let corrupt = cluster.run_scrub_round()?.corrupt_total();
-            let repaired = settle(8, || repair(&cluster))?;
-            println!("fsck: {corrupt} corrupt replicas dropped, {repaired} repair tasks run");
-        }
         _ => {
             let command = Command::find(cmd)
                 .ok_or_else(|| args.bad(format_args!("unknown command {cmd:?}")))?;
             let cluster = boot(&root)?;
             command.run(&cluster.client(ClientLocation::OffCluster), rest)?;
-            if cmd == "setrep" {
-                // Realize the change before exiting (the process is the
-                // replication monitor's only chance to run).
-                settle(4, || repair(&cluster))?;
-            }
         }
     }
     Ok(())

@@ -2,7 +2,9 @@
 //! `octofs-remote` share, as one table over [`RemoteFs`]. Both run it over
 //! TCP, `octofs` against the one-process deployment it boots and
 //! `octofs-remote` against the daemons, so they differ only in how they
-//! come by a client and in `octofs`'s own `init`, `balance` and `fsck`.
+//! come by a client and in `octofs`'s own `init`. `balance`, `fsck` and
+//! the wait after `setrep` are §5 rounds the master node runs, one per
+//! request ([`RemoteFs::run_round`]).
 
 use std::io::Write as _;
 
@@ -10,6 +12,7 @@ use crate::args::Args;
 use crate::common::metrics::{HistogramSample, MetricsSnapshot};
 use crate::common::units::fmt_bytes;
 use crate::common::{BlockId, TraceSnapshot};
+use crate::core::net::Round;
 use crate::{FsError, RemoteFs, ReplicationVector, Result, TierQuota};
 
 /// One shell command.
@@ -34,6 +37,8 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "setrep", args: "PATH VECTOR", run: setrep },
     Command { name: "quota", args: "PATH [--tier T --bytes N | --clear]", run: quota },
     Command { name: "report", args: "", run: report },
+    Command { name: "balance", args: "", run: balance },
+    Command { name: "fsck", args: "", run: fsck },
     Command { name: "status", args: "", run: status },
     Command { name: "heat", args: "PATH", run: heat },
     Command { name: "explain-placement", args: "BLOCK_ID", run: explain_placement },
@@ -147,10 +152,26 @@ fn append(fs: &RemoteFs, mut args: Args) -> Result<()> {
     Ok(())
 }
 
+/// Runs `round` on the master until one finds nothing to do, `max` rounds
+/// at most; the sum of their counts.
+fn settle(fs: &RemoteFs, round: Round, max: usize) -> Result<u64> {
+    let mut total = 0;
+    for _ in 0..max {
+        match fs.run_round(round)? {
+            0 => break,
+            n => total += n,
+        }
+    }
+    Ok(total)
+}
+
+/// Returns once the new vector is realized, or after 4 repair rounds, as
+/// HDFS's `setrep -w` waits.
 fn setrep(fs: &RemoteFs, mut args: Args) -> Result<()> {
     let [path, rv] = args.exactly()?;
     let rv = parse_rv(&rv, &args)?;
     let old = fs.set_replication(&path, rv)?;
+    settle(fs, Round::Repair, 4)?;
     println!("replication of {path}: {old} -> {rv}");
     Ok(())
 }
@@ -196,6 +217,21 @@ fn report(fs: &RemoteFs, mut args: Args) -> Result<()> {
             r.stats.remaining_fraction() * 100.0
         );
     }
+    Ok(())
+}
+
+fn balance(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    args.exactly::<0>()?;
+    let moves = settle(fs, Round::Balance, 16)?;
+    println!("balance: {moves} replica move(s)");
+    Ok(())
+}
+
+fn fsck(fs: &RemoteFs, mut args: Args) -> Result<()> {
+    args.exactly::<0>()?;
+    let corrupt = fs.run_round(Round::Scrub)?;
+    let repaired = settle(fs, Round::Repair, 8)?;
+    println!("fsck: {corrupt} corrupt replicas dropped, {repaired} repair tasks run");
     Ok(())
 }
 

@@ -214,3 +214,19 @@ fn a_flag_without_its_value_prints_usage() {
     }
     assert_eq!(cli.ok(&["ls", "/"]), "", "a refused put or trace must not write");
 }
+
+/// A shape boot would refuse is refused before `init` writes anything, so
+/// the root is not left half-initialized: the next `init` succeeds and
+/// serves commands.
+#[test]
+fn a_refused_shape_leaves_nothing_behind() {
+    let cli = Cli::new("refused");
+    for bad in [&["init", "--workers", "0"][..], &["init", "--block-size", "0"]] {
+        let (success, _, stderr) = cli.run(bad);
+        assert!(!success && !stderr.contains("panicked"), "{bad:?}: {stderr}");
+        assert!(!cli.root.exists(), "{bad:?} left {} behind", cli.root.display());
+    }
+    cli.ok(&["init", "--workers", "3"]);
+    cli.ok(&["mkdir", "/d"]);
+    assert!(cli.ok(&["ls", "/"]).contains('d'));
+}

@@ -497,19 +497,31 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// workers have joined. Returns the master's address and the daemons,
 /// master first.
 fn start_on(root: &Path) -> (String, Vec<Daemon>) {
-    let owned = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    start_sized(root, SHAPE[5])
+}
+
+/// [`start_on`], with `capacity` bytes on each worker medium.
+fn start_sized(root: &Path, capacity: &str) -> (String, Vec<Daemon>) {
     let root = root.to_str().unwrap();
     let mut margs = owned(&["--listen", "127.0.0.1:0", "--dir", root, "--heartbeat-ms", "50"]);
     margs.extend(owned(&SHAPE[2..4]));
     let (master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
     let mut daemons = vec![master];
     for id in ["0", "1", "2"] {
-        let mut wargs = owned(&["--master", &addr, "--id", id, "--dir", root]);
-        wargs.extend(owned(&SHAPE[4..]));
-        daemons.push(spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0);
+        daemons.push(start_worker(&addr, id, root, capacity));
     }
     wait_for_workers(&addr, 3);
     (addr, daemons)
+}
+
+/// An `octofs-worker` `id` of the master at `addr`, on `--dir root`.
+fn start_worker(addr: &str, id: &str, root: &str, capacity: &str) -> Daemon {
+    let wargs = owned(&["--master", addr, "--id", id, "--dir", root, "--capacity", capacity]);
+    spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
+}
+
+fn owned(args: &[&str]) -> Vec<String> {
+    args.iter().map(|a| a.to_string()).collect()
 }
 
 /// The bytes of the `i`-th put: four blocks, different for every `i`, and
@@ -643,5 +655,88 @@ fn workers_given_only_their_ids_join_and_beat_at_the_masters_interval() {
     let (ok, out, err) = remote(&addr, &["cat", "/p"]);
     assert!(ok, "{err}");
     assert!(out.as_bytes() == put_payload(3), "/p reads back other bytes");
+    std::fs::remove_dir_all(tmp).ok();
+}
+
+/// `balance`, `fsck` and `setrep`'s wait are rounds the master daemon runs
+/// on request, so `octofs-remote` drives them against running daemons. Each
+/// worker medium holds 1 MiB and the puts fill the three workers' SSDs and
+/// HDDs to about half, so a fourth, empty worker leaves them past the
+/// balancer's 5 % over their tier's mean.
+#[test]
+fn balance_fsck_and_setrep_act_on_running_daemons() {
+    let tmp = fresh_dir("rounds");
+    let root = tmp.join("root");
+    let (addr, mut daemons) = start_sized(&root, "1048576");
+    let rv = "<0,1,1>";
+    for i in 0..8 {
+        let local = tmp.join(format!("in{i}.bin"));
+        std::fs::write(&local, put_payload(i)).unwrap();
+        let (ok, _, err) =
+            remote(&addr, &["put", local.to_str().unwrap(), &format!("/f{i}"), "--rv", rv]);
+        assert!(ok, "{err}");
+    }
+    let fs =
+        octopusfs::RemoteFs::connect(addr.parse().unwrap(), octopusfs::ClientLocation::OffCluster)
+            .unwrap();
+    // Every block of `path` on the tiers `rv` names: `[memory, SSD, HDD]`.
+    let on_tiers = |path: &str, want: [usize; 3]| {
+        for lb in fs.get_file_block_locations(path, 0, u64::MAX).unwrap() {
+            let mut have = [0; 3];
+            for l in &lb.locations {
+                have[l.tier.0 as usize] += 1;
+            }
+            assert_eq!(have, want, "{path} block {}: {:?}", lb.block.id, lb.locations);
+        }
+    };
+    let reads_back = |i: usize| {
+        let (ok, out, err) = remote(&addr, &["cat", &format!("/f{i}")]);
+        assert!(ok && out.as_bytes() == put_payload(i), "/f{i} reads back other bytes: {err}");
+    };
+
+    // One byte flipped past the header of one on-disk replica.
+    let mut replicas = Vec::new();
+    let mut dirs = vec![root.clone()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            match path.file_name().and_then(|n| n.to_str()) {
+                _ if path.is_dir() => dirs.push(path),
+                Some(name) if name.starts_with("blk_") => replicas.push(path),
+                _ => {}
+            }
+        }
+    }
+    replicas.sort();
+    let mut bytes = std::fs::read(&replicas[0]).unwrap();
+    bytes[40] ^= 0xff;
+    std::fs::write(&replicas[0], bytes).unwrap();
+    let (ok, out, err) = remote(&addr, &["fsck"]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("fsck: 1 corrupt replicas dropped, "), "{out}");
+    for i in 0..8 {
+        on_tiers(&format!("/f{i}"), [0, 1, 1]);
+        reads_back(i);
+    }
+
+    daemons.push(start_worker(&addr, "3", root.to_str().unwrap(), "1048576"));
+    wait_for_workers(&addr, 4);
+    let (ok, out, err) = remote(&addr, &["balance"]);
+    assert!(ok, "{err}");
+    let moves: u64 = out
+        .strip_prefix("balance: ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no move count in {out:?}"));
+    assert!(moves >= 1, "{out}");
+    for i in 0..8 {
+        reads_back(i);
+    }
+
+    let (ok, out, err) = remote(&addr, &["setrep", "/f0", "<0,2,0>"]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("replication of /f0: "), "{out}");
+    on_tiers("/f0", [0, 2, 0]);
+    reads_back(0);
     std::fs::remove_dir_all(tmp).ok();
 }
