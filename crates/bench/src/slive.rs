@@ -30,7 +30,7 @@ pub fn boot_master(config: ClusterConfig) -> Result<Master> {
     let mut next_media = 0u32;
     for w in 0..n {
         let rack = RackId((w % 3) as u16);
-        master.register_worker(WorkerId(w), rack, 1.25e9, 0);
+        master.register_worker(WorkerId(w), rack, 1.25e9);
         let media: Vec<MediaStats> = tiers
             .iter()
             .map(|t| {
@@ -49,7 +49,7 @@ pub fn boot_master(config: ClusterConfig) -> Result<Master> {
                 m
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0, &[])?;
+        master.heartbeat(WorkerId(w), media, 0, &[])?;
     }
     Ok(master)
 }

@@ -71,7 +71,7 @@ impl Wire for HotFile {
 /// The complete report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterStatusReport {
-    /// Master clock (heartbeat time base) when the report was built.
+    /// The master's own clock (ms, `Master::tick`) when the report was built.
     pub now_ms: u64,
     /// Whether the master is in safe mode.
     pub safe_mode: bool,

@@ -5,7 +5,6 @@
 //! clock instead of timers. Persistence is [`crate::NetCluster`]'s.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use octopus_common::{
@@ -101,17 +100,16 @@ pub(crate) fn boot(config: ClusterConfig) -> Result<Arc<LocalTransport>> {
     let master = Arc::new(Master::new(config)?);
     let net = Arc::new(LocalTransport::new(master, workers));
     for w in net.all_workers() {
-        worker_server::join(w, &*net, 0, String::new())?;
+        worker_server::join(w, &*net, String::new())?;
     }
     Ok(net)
 }
 
 /// A running in-process cluster: the harness around a [`LocalTransport`]
-/// that owns the logical clock, the dead-worker set and the background
-/// rounds a deployment runs on timers.
+/// that drives the master's logical clock and runs the background rounds a
+/// deployment runs on timers.
 pub struct Cluster {
     net: Arc<LocalTransport>,
-    clock_ms: AtomicU64,
 }
 
 impl Cluster {
@@ -119,7 +117,7 @@ impl Cluster {
     /// their first heartbeats before this returns, so the cluster is
     /// immediately usable.
     pub fn start(config: ClusterConfig) -> Result<Self> {
-        let cluster = Self { net: boot(config)?, clock_ms: AtomicU64::new(0) };
+        let cluster = Self { net: boot(config)? };
         cluster.pump_heartbeats();
         Ok(cluster)
     }
@@ -151,20 +149,14 @@ impl Cluster {
         RemoteFs::over(net, location).with_io_window(self.master().config().io_window)
     }
 
-    /// Logical cluster time in milliseconds.
-    pub fn now_ms(&self) -> u64 {
-        self.clock_ms.load(Ordering::Relaxed)
-    }
-
-    /// Advances the logical clock by one heartbeat interval and delivers
-    /// heartbeats from every live worker.
+    /// Ticks the master's logical clock one heartbeat interval on
+    /// ([`Master::tick`]), then delivers heartbeats from every live worker.
     pub fn pump_heartbeats(&self) {
-        let step = self.master().config().heartbeat_ms;
-        let now = self.clock_ms.fetch_add(step, Ordering::Relaxed) + step;
+        let master = self.master();
+        master.tick(master.now_ms() + master.config().heartbeat_ms);
         for w in self.net.live_workers() {
-            let _ = worker_server::heartbeat(&w, &*self.net, now);
+            let _ = worker_server::heartbeat(&w, &*self.net);
         }
-        self.master().tick(now);
     }
 
     /// Sends full block reports from every live worker, applying any
@@ -187,7 +179,7 @@ impl Cluster {
     /// report.
     pub fn revive_worker(&self, id: WorkerId) -> Result<()> {
         self.net.set_down(id, false);
-        worker_server::join(self.worker(id)?, &*self.net, self.now_ms(), String::new()).map(drop)
+        worker_server::join(self.worker(id)?, &*self.net, String::new()).map(drop)
     }
 
     /// Runs one replication round (§5, [`monitor::run_replication_round`]):

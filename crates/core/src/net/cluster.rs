@@ -10,7 +10,7 @@ use octopus_common::{ClientLocation, ClusterConfig, Result, WorkerId};
 use octopus_master::{EditLog, Master};
 
 use super::client::RemoteFs;
-use super::node::{unix_ms, MasterNode, WorkerNode};
+use super::node::{MasterNode, WorkerNode};
 use super::transport::TcpTransport;
 use super::worker_server;
 use crate::cluster::{build_workers, StorageMode};
@@ -90,13 +90,6 @@ impl NetCluster {
     /// re-windows a single client).
     pub fn client(&self, location: ClientLocation) -> RemoteFs {
         RemoteFs::over(self.master.net.clone(), location).with_io_window(self.io_window)
-    }
-
-    /// Advances the master's failure detector to the cluster's current
-    /// clock, returning workers newly declared dead (their replicas become
-    /// re-replication candidates).
-    pub fn tick(&self) -> Vec<WorkerId> {
-        self.master().tick(unix_ms())
     }
 
     /// Runs one replication round over RPC (§5) — see

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -13,6 +14,7 @@ use octopus_master::{ClientId, Master};
 
 use super::frame::Frame;
 use super::monitor;
+use super::node::Periodic;
 use super::proto::{
     classify_master_request, decode_request, encode_master_result_frame, MasterRequest,
     MasterResponse,
@@ -52,6 +54,8 @@ impl MasterState {
 
 /// A running master RPC server.
 pub struct MasterServer {
+    // Declared first so it stops first: no tick outlives the server.
+    clock: Option<Periodic>,
     core: ServerCore,
     state: Arc<MasterState>,
 }
@@ -68,7 +72,8 @@ impl MasterServer {
     }
 
     /// Binds with an explicit server configuration (tests shorten the idle
-    /// horizon).
+    /// horizon). Once per heartbeat interval the server ticks the master
+    /// ([`Master::tick`]) with the milliseconds since it started.
     pub fn spawn_with(
         master: Arc<Master>,
         bind: impl ToSocketAddrs,
@@ -88,7 +93,12 @@ impl MasterServer {
         let peers = Arc::clone(&state.peers);
         let net = TcpTransport::new(core.addr(), peers, Arc::clone(rpc::shared()));
         let _ = state.net.set(Arc::new(net));
-        Ok(Self { core, state })
+        let (master, start) = (Arc::clone(&state.master), Instant::now());
+        let interval_ms = master.config().heartbeat_ms;
+        let clock = Periodic::spawn("octopus-master-clock".into(), interval_ms, move || {
+            master.tick(start.elapsed().as_millis() as u64);
+        })?;
+        Ok(Self { clock: Some(clock), core, state })
     }
 
     /// The server's shared state (master + worker-address registry).
@@ -101,9 +111,10 @@ impl MasterServer {
         self.core.addr()
     }
 
-    /// Stops accepting connections and severs open ones so in-flight
-    /// callers fail fast.
+    /// Stops the master's clock, then stops accepting connections and
+    /// severs open ones so in-flight callers fail fast.
     pub fn shutdown(&mut self) {
+        self.clock = None;
         self.core.shutdown();
     }
 }
@@ -183,17 +194,16 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::List(path) => A::Entries(master.list(&path)?),
         Q::Status(path) => A::Status(master.status(&path)?),
         Q::TierReports => A::Reports(master.get_storage_tier_reports()),
-        Q::RegisterWorker(worker, rack, net_bps, now_ms, addr) => {
-            master.register_worker(worker, rack, net_bps, now_ms);
+        Q::RegisterWorker(worker, rack, net_bps, _stamp, addr) => {
+            master.register_worker(worker, rack, net_bps);
             if let Some(sa) = resolve(&addr) {
                 state.peers.write().insert(worker, sa);
             }
             state.addrs.write().insert(worker, addr);
             A::Registered(master.config().heartbeat_ms)
         }
-        Q::Heartbeat(worker, media, nr_conn, now_ms, touches) => {
-            master.heartbeat(worker, media, nr_conn, now_ms, &touches)?;
-            master.tick(now_ms);
+        Q::Heartbeat(worker, media, nr_conn, _stamp, touches) => {
+            master.heartbeat(worker, media, nr_conn, &touches)?;
             A::Unit
         }
         Q::BlockReport(worker, blocks) => A::Invalidate(master.block_report(worker, &blocks)?),

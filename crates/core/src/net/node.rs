@@ -9,7 +9,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 use octopus_common::{log_warn, FsError, Result};
 use octopus_master::Master;
@@ -19,14 +19,6 @@ use super::rpc;
 use super::transport::TcpTransport;
 use super::worker_server::{self, AddressMap, WorkerServer};
 use crate::worker::Worker;
-
-/// Heartbeat stamp: UNIX-epoch milliseconds. The master's failure detector
-/// compares stamps from different nodes, so they must share a time base —
-/// a per-process epoch makes every later-started worker look long dead to
-/// the earlier ones' heartbeats.
-pub(super) fn unix_ms() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
-}
 
 /// Blocks the calling thread for the life of the process, keeping `node`
 /// (and its threads) running: a daemon's `main` once its node is up.
@@ -102,7 +94,7 @@ impl WorkerNode {
         let server = WorkerServer::spawn_on(Arc::clone(&worker), master, Arc::clone(&peers), bind)?;
         let net = TcpTransport::new(master, peers, Arc::clone(rpc::shared()));
         let addr = server.addr().to_string();
-        let heartbeat_ms = worker_server::join(&worker, &net, unix_ms(), addr.clone())?;
+        let heartbeat_ms = worker_server::join(&worker, &net, addr.clone())?;
         if refresh {
             let _ = net.refresh_workers();
         }
@@ -110,7 +102,7 @@ impl WorkerNode {
         let beat =
             Periodic::spawn(format!("octopus-{}-hb", worker.id()), heartbeat_ms, move || {
                 beats += 1;
-                worker_server::beat(&worker, &net, unix_ms(), beats, &addr);
+                worker_server::beat(&worker, &net, beats, &addr);
                 if refresh {
                     let _ = net.refresh_workers();
                 }

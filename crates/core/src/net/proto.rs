@@ -49,12 +49,13 @@ pub enum MasterRequest {
     Status(String),
     /// `getStorageTierReports`.
     TierReports,
-    /// Worker registration; `(worker, rack, net_bps, now_ms, data-server
-    /// address)`. Answered [`MasterResponse::Registered`].
+    /// Worker registration; `(worker, rack, net_bps, stamp, data-server
+    /// address)`, answered [`MasterResponse::Registered`]. The stamp is 0,
+    /// and unread: the master keeps its own time.
     RegisterWorker(WorkerId, RackId, f64, u64, String),
-    /// Heartbeat; `(worker, media stats, nr_conn, now_ms, block touches)`.
-    /// The touches piggyback the worker's per-block read/write counts for
-    /// the heat epoch that just closed (empty when nothing was accessed).
+    /// Heartbeat; `(worker, media stats, nr_conn, stamp, block touches)`,
+    /// the stamp as above. The touches piggyback the worker's per-block
+    /// read/write counts for the heat epoch that just closed.
     Heartbeat(WorkerId, Vec<MediaStats>, u32, u64, Vec<BlockTouches>),
     /// Full block report; `(worker, (block, media) pairs)`.
     BlockReport(WorkerId, Vec<(Block, MediaId)>),
@@ -93,7 +94,8 @@ pub enum MasterRequest {
     /// A directory's per-tier quota and the usage charged against it.
     QuotaUsage(String),
     /// Run one §5 round of the given kind on the master's node; answered
-    /// [`MasterResponse::Count`], the round's count.
+    /// [`MasterResponse::Count`], the round's count. Retried as idempotent,
+    /// a round whose reply is lost runs twice and the count is the retry's.
     RunRound(Round),
 }
 
@@ -777,6 +779,10 @@ mod tests {
             vec![],
         )
         .is_idempotent());
+        // A round is retried after a lost reply, so it may run twice and
+        // the count the caller sees is the retry's alone. Exactly-once
+        // rounds wait for a call id (ROADMAP item 6(c)).
+        assert!(MasterRequest::RunRound(Round::Repair).is_idempotent());
         assert!(!MasterRequest::Delete("/f".into(), false).is_idempotent());
         assert!(!MasterRequest::Rename("/a".into(), "/b".into()).is_idempotent());
 

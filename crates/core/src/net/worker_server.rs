@@ -40,13 +40,13 @@ pub fn call_master(addr: SocketAddr, req: &MasterRequest) -> Result<MasterRespon
 /// Heartbeats between full block reports in a worker's liveness loop.
 const BEATS_PER_REPORT: u64 = 8;
 
-/// One heartbeat stamped `now_ms`: per-medium statistics and the NIC
-/// connection count, with the heat epoch that just closed piggybacked —
-/// no extra request.
-pub fn heartbeat(worker: &Worker, net: &dyn Transport, now_ms: u64) -> Result<()> {
+/// One heartbeat: per-medium statistics and the NIC connection count,
+/// with the heat epoch that just closed piggybacked — no extra request.
+/// Its stamp is 0: the master records its own time of receipt.
+pub fn heartbeat(worker: &Worker, net: &dyn Transport) -> Result<()> {
     let (stats, conns) = worker.heartbeat_stats();
     let touches = worker.drain_heat_epoch();
-    net.call_master(MasterRequest::Heartbeat(worker.id(), stats, conns, now_ms, touches))?;
+    net.call_master(MasterRequest::Heartbeat(worker.id(), stats, conns, 0, touches))?;
     Ok(())
 }
 
@@ -68,14 +68,14 @@ pub fn report_blocks(worker: &Worker, net: &dyn Transport) -> Result<u32> {
 /// Joins the cluster: registers `worker` as served at `addr`, then the
 /// first heartbeat and block report. Returns the master's heartbeat
 /// interval (ms), which the worker beats at.
-pub fn join(worker: &Worker, net: &dyn Transport, now_ms: u64, addr: String) -> Result<u64> {
+pub fn join(worker: &Worker, net: &dyn Transport, addr: String) -> Result<u64> {
     let register =
-        MasterRequest::RegisterWorker(worker.id(), worker.rack(), worker.net_bps(), now_ms, addr);
+        MasterRequest::RegisterWorker(worker.id(), worker.rack(), worker.net_bps(), 0, addr);
     let heartbeat_ms = match net.call_master(register)? {
         MasterResponse::Registered(ms) => ms,
         r => return Err(FsError::Io(format!("unexpected response {r:?}"))),
     };
-    heartbeat(worker, net, now_ms)?;
+    heartbeat(worker, net)?;
     report_blocks(worker, net)?;
     Ok(heartbeat_ms)
 }
@@ -86,9 +86,9 @@ pub fn join(worker: &Worker, net: &dyn Transport, now_ms: u64, addr: String) -> 
 /// never dropped from its map), so the worker joins it again as served at
 /// `addr`, still beating at its first join's interval. Failures are
 /// dropped — the next beat is the retry.
-pub fn beat(worker: &Worker, net: &dyn Transport, now_ms: u64, beats: u64, addr: &str) {
-    let _ = match heartbeat(worker, net, now_ms) {
-        Err(FsError::UnknownWorker(_)) => join(worker, net, now_ms, addr.to_string()).map(drop),
+pub fn beat(worker: &Worker, net: &dyn Transport, beats: u64, addr: &str) {
+    let _ = match heartbeat(worker, net) {
+        Err(FsError::UnknownWorker(_)) => join(worker, net, addr.to_string()).map(drop),
         _ if beats.is_multiple_of(BEATS_PER_REPORT) => report_blocks(worker, net).map(drop),
         _ => Ok(()),
     };

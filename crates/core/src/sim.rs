@@ -152,8 +152,6 @@ pub struct SimCluster {
     /// The system under the clock: master and workers behind the seam.
     net: Arc<LocalTransport>,
     sim: SimNet,
-    /// When the workers last beat, in virtual milliseconds.
-    last_beat_ms: u64,
     nic_in: Vec<ResourceId>,
     nic_out: Vec<ResourceId>,
     /// Per-medium `(write device, read device)` resources.
@@ -191,7 +189,6 @@ impl SimCluster {
         Ok(Self {
             net,
             sim,
-            last_beat_ms: 0,
             nic_in,
             nic_out,
             media,
@@ -240,27 +237,28 @@ impl SimCluster {
     /// Delivers every worker's heartbeat at the current virtual time, after
     /// every change of load — the model's one idealisation of the liveness
     /// loop: the master sees load the instant it changes.
-    fn push_heartbeats(&mut self) {
-        self.last_beat_ms = self.sim.now().as_millis();
-        self.beat(self.last_beat_ms);
+    fn push_heartbeats(&self) {
+        self.beat(self.sim.now().as_millis());
     }
 
     /// Delivers the periodic beats of the stretch the clock just crossed.
-    /// Real workers beat through quiet stretches too, and those beats are
-    /// the master's clock (failure detector, leases); nothing changed
+    /// Real workers beat through quiet stretches too, and the master's
+    /// timers (failure detector, leases) run through them; nothing changed
     /// since the last event, so they are delivered late but identical,
     /// before anything happens at the new time.
-    fn beat_through_gap(&mut self) {
+    fn beat_through_gap(&self) {
         let step = self.master().config().heartbeat_ms;
-        while self.last_beat_ms + step <= self.sim.now().as_millis() {
-            self.last_beat_ms += step;
-            self.beat(self.last_beat_ms);
+        while self.master().now_ms() + step <= self.sim.now().as_millis() {
+            self.beat(self.master().now_ms() + step);
         }
     }
 
+    /// Ticks the master to virtual time `now_ms` ([`Master::tick`]), then
+    /// delivers every worker's heartbeat.
     fn beat(&self, now_ms: u64) {
+        self.master().tick(now_ms);
         for w in self.net.all_workers() {
-            let _ = worker_server::heartbeat(w, &*self.net, now_ms);
+            let _ = worker_server::heartbeat(w, &*self.net);
         }
     }
 

@@ -65,7 +65,7 @@ fn inject_reads(cluster: &Cluster, path: &str, reads: u32) {
         .iter()
         .map(|lb| BlockTouches { block: lb.block.id, reads, writes: 0 })
         .collect();
-    cluster.master().observe_touches(&touches, cluster.now_ms());
+    cluster.master().observe_touches(&touches);
 }
 
 /// End-to-end on the in-process cluster: hot files gain a memory replica,
@@ -259,7 +259,6 @@ fn migration_survives_source_worker_death() {
     let cfg = AutoTierConfig::default();
     let classifier = EwmaThresholdClassifier::default();
     let promoted = eventually(Duration::from_secs(15), || {
-        cluster.tick();
         let _ = cluster.run_migration_round(&classifier, &cfg);
         client.get_file_block_locations("/src-death", 0, u64::MAX).unwrap()[0]
             .locations
@@ -300,7 +299,6 @@ fn migration_survives_destination_worker_death() {
     // Once the master declares the worker dead its pending replica is
     // dropped, and a later round re-routes the copy to a live worker.
     let promoted = eventually(Duration::from_secs(15), || {
-        cluster.tick();
         let _ = cluster.run_migration_round(&classifier, &AutoTierConfig::default());
         client.get_file_block_locations("/dst-death", 0, u64::MAX).unwrap()[0]
             .locations

@@ -161,12 +161,11 @@ fn pipeline_write_heals_around_a_dead_worker() {
         }
     }
 
-    // Once the failure detector declares the worker dead (live workers'
-    // heartbeats advance it; `tick` forces the matter), the replication
-    // monitor must top every block back up to 3 replicas (§5). Blocks that
-    // lost a downstream pipeline stage committed with fewer.
+    // Once the master's own failure detector declares the worker dead,
+    // the replication monitor must top every block back up to 3 replicas
+    // (§5). Blocks that lost a downstream pipeline stage committed with
+    // fewer.
     for _ in 0..40 {
-        cluster.tick();
         cluster.run_replication_round().unwrap();
         let healed = (0..6u64).all(|i| {
             client

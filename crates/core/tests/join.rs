@@ -29,7 +29,7 @@ fn a_master_with_no_workers_places_a_block_once_one_joins() {
     let master = Arc::new(Master::new(ClusterConfig::test_cluster(0, 0, MB)).unwrap());
     let worker = worker();
     let net = Arc::new(LocalTransport::new(master, vec![Arc::clone(&worker)]));
-    worker_server::join(&worker, &*net, 0, String::new()).unwrap();
+    worker_server::join(&worker, &*net, String::new()).unwrap();
 
     let fs = RemoteFs::over(net, ClientLocation::OffCluster);
     let data = vec![7u8; (MB + 10) as usize];
@@ -48,5 +48,5 @@ fn a_join_returns_the_masters_heartbeat_interval() {
     let master = Arc::new(Master::new(config).unwrap());
     let worker = worker();
     let net = LocalTransport::new(master, vec![Arc::clone(&worker)]);
-    assert_eq!(worker_server::join(&worker, &net, 0, String::new()).unwrap(), 40);
+    assert_eq!(worker_server::join(&worker, &net, String::new()).unwrap(), 40);
 }

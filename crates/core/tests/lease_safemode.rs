@@ -64,7 +64,6 @@ fn lease_expiry_recovers_abandoned_file() {
     for _ in 0..25 {
         cluster.pump_heartbeats();
     }
-    cluster.master().tick(cluster.now_ms());
 
     let st = cluster.master().status("/abandoned").unwrap();
     assert!(st.complete, "lease recovery finalized the file");
@@ -108,9 +107,9 @@ fn restored_master_starts_in_safe_mode_until_reports_arrive() {
 
     // Workers report their blocks: safe mode exits automatically.
     for w in cluster.workers() {
-        restored.register_worker(w.id(), w.rack(), w.net_bps(), 0);
+        restored.register_worker(w.id(), w.rack(), w.net_bps());
         let (stats, conns) = w.heartbeat_stats();
-        restored.heartbeat(w.id(), stats, conns, 0, &[]).unwrap();
+        restored.heartbeat(w.id(), stats, conns, &[]).unwrap();
         restored.block_report(w.id(), &w.block_report()).unwrap();
     }
     assert!(!restored.in_safe_mode());
@@ -134,7 +133,7 @@ fn one_beat_rejoins_a_master_that_forgot_the_worker() {
     assert!(restored.cluster_status(0).workers.is_empty());
     for w in cluster.workers() {
         // Beat 1 of the liveness loop carries no block report of its own.
-        worker_server::beat(w, &net, cluster.now_ms(), 1, "");
+        worker_server::beat(w, &net, 1, "");
     }
 
     assert_eq!(restored.cluster_status(0).workers.len(), cluster.workers().len());
@@ -170,7 +169,7 @@ fn a_block_a_killed_put_never_stored_does_not_hold_safe_mode() {
     assert!(restored.in_safe_mode(), "three stored blocks are awaited");
     let net = LocalTransport::new(Arc::clone(&restored), cluster.workers().to_vec());
     for w in cluster.workers() {
-        worker_server::beat(w, &net, cluster.now_ms(), 1, "");
+        worker_server::beat(w, &net, 1, "");
     }
 
     assert!(!restored.in_safe_mode(), "the never-stored block held safe mode");

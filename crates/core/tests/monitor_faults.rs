@@ -65,7 +65,6 @@ fn failed_delete_reinstates_replica_and_reconverges() {
     cluster.restart_worker(1).unwrap();
     let mut converged = false;
     for _ in 0..40 {
-        cluster.tick();
         let _ = cluster.run_replication_round();
         let _ = cluster.run_block_report_round();
         let locs = client.get_file_block_locations("/del", 0, u64::MAX).unwrap();
@@ -210,7 +209,6 @@ fn replication_round_with_dead_worker_stays_bounded_and_heals() {
     cluster.restart_worker(0).unwrap();
     let mut converged = false;
     for _ in 0..40 {
-        cluster.tick();
         let _ = cluster.run_replication_round();
         let _ = cluster.run_block_report_round();
         let trimmed = (0..3u64).all(|i| {

@@ -9,7 +9,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use octopus_common::{
     BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, ReplicationVector,
@@ -337,8 +337,7 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     squatter.set_nonblocking(true).unwrap();
     let w = &cluster.workers()[tail_idx];
     let at = squatter.local_addr().unwrap().to_string();
-    let now_ms = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64;
-    let rejoin = MasterRequest::RegisterWorker(tail.worker, w.rack(), w.net_bps(), now_ms, at);
+    let rejoin = MasterRequest::RegisterWorker(tail.worker, w.rack(), w.net_bps(), 0, at);
     call_master(cluster.master_addr(), &rejoin).unwrap();
     assert_eq!(cluster.worker_addr(tail.worker), squatter.local_addr().ok());
     cluster.kill_worker(tail_idx);
@@ -500,10 +499,9 @@ fn sixteen_concurrent_rounds_leave_the_master_a_thread_for_their_callbacks() {
         let (block, loc) = (blocks[0].block, blocks[0].locations[1]);
         let mut slowest = Duration::ZERO;
         while done.load(Ordering::Acquire) < rounds.len() {
-            let now_ms = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64;
             for w in cluster.workers() {
                 let t = Instant::now();
-                heartbeat(w, cluster.transport(), now_ms).unwrap();
+                heartbeat(w, cluster.transport()).unwrap();
                 slowest = slowest.max(t.elapsed());
             }
             for req in [

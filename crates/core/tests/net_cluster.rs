@@ -1,7 +1,11 @@
 //! End-to-end tests of the networked deployment: real TCP, real pipeline
 //! forwarding between worker data servers, real heartbeat threads.
 
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
+
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, WorkerId, MB};
+use octopus_core::net::proto::MasterRequest;
+use octopus_core::net::Transport;
 use octopus_core::{NetCluster, StorageMode};
 use octopus_master::EditLog;
 
@@ -249,9 +253,9 @@ fn networked_backup_tails_and_takes_over() {
     let new_master = backup.take_over(cluster.master().config().clone()).unwrap();
     assert!(new_master.in_safe_mode());
     for w in cluster.workers() {
-        new_master.register_worker(w.id(), w.rack(), w.net_bps(), 0);
+        new_master.register_worker(w.id(), w.rack(), w.net_bps());
         let (stats, conns) = w.heartbeat_stats();
-        new_master.heartbeat(w.id(), stats, conns, 0, &[]).unwrap();
+        new_master.heartbeat(w.id(), stats, conns, &[]).unwrap();
         new_master.block_report(w.id(), &w.block_report()).unwrap();
     }
     assert!(!new_master.in_safe_mode());
@@ -353,7 +357,8 @@ fn kill_restart_cycles_leave_one_liveness_thread_and_every_file_readable() {
         after - before
     );
 
-    assert!(cluster.tick().is_empty(), "no worker may look dead after the last restart");
+    let status = cluster.master().cluster_status(0);
+    assert!(status.workers.iter().all(|w| w.live), "a worker looks dead after the last restart");
     for (path, data) in &files {
         assert_eq!(&client.read_file(path).unwrap(), data, "{path}");
     }
@@ -423,4 +428,38 @@ fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
         }
     }
     out
+}
+
+/// The master keeps its own time: a heartbeat stamped a minute ahead, as
+/// from a worker whose clock runs fast, declares no worker dead and
+/// expires no lease, so the open file's writer still adds a block and
+/// completes the file under it.
+#[test]
+fn a_heartbeat_stamped_a_minute_ahead_kills_no_worker_and_expires_no_lease() {
+    let cluster = NetCluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(2 * MB as usize, 41);
+    let mut writer =
+        client.create("/open", ReplicationVector::from_replication_factor(2), None).unwrap();
+    writer.write(&data[..MB as usize]).unwrap();
+
+    let w = &cluster.workers()[0];
+    let (stats, conns) = w.heartbeat_stats();
+    let ahead = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64 + 60_000;
+    let fast = MasterRequest::Heartbeat(w.id(), stats, conns, ahead, vec![]);
+    cluster.transport().call_master(fast).unwrap();
+    let all_live = || {
+        let status = cluster.master().cluster_status(0);
+        assert!(status.workers.iter().all(|w| w.live), "{:?}", status.workers);
+    };
+    all_live();
+    let first = client.get_file_block_locations("/open", 0, u64::MAX).unwrap();
+    assert_eq!(first[0].locations.len(), 2, "{first:?}");
+    // Five of the master's own ticks later, still nobody is dead.
+    std::thread::sleep(Duration::from_millis(5 * config().heartbeat_ms));
+    all_live();
+
+    writer.write(&data[MB as usize..]).unwrap();
+    writer.close().unwrap();
+    assert_eq!(client.read_file("/open").unwrap(), data);
 }

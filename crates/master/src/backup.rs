@@ -97,7 +97,7 @@ mod tests {
         let master = Master::new(config).unwrap();
         for w in 0..n {
             let rack = RackId((w % 2) as u16);
-            master.register_worker(WorkerId(w), rack, 1e9, 0);
+            master.register_worker(WorkerId(w), rack, 1e9);
             let media: Vec<MediaStats> = (0..3u8)
                 .map(|t| MediaStats {
                     media: MediaId(w * 3 + t as u32),
@@ -111,7 +111,7 @@ mod tests {
                     read_thru: 1e8,
                 })
                 .collect();
-            master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
+            master.heartbeat(WorkerId(w), media, 0, &[]).unwrap();
         }
         master
     }

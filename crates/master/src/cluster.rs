@@ -29,8 +29,10 @@ pub struct WorkerInfo {
     pub net_thru: f64,
     /// Active network connections.
     pub nr_conn: u32,
-    /// Timestamp (ms) of the last heartbeat.
+    /// When the last heartbeat arrived, on the master's clock (ms).
     pub last_heartbeat_ms: u64,
+    /// Heartbeats received since registration.
+    pub beats: u64,
     /// Liveness flag maintained by [`ClusterState::tick`].
     pub live: bool,
 }
@@ -76,6 +78,7 @@ impl ClusterState {
                 net_thru,
                 nr_conn: 0,
                 last_heartbeat_ms: now_ms,
+                beats: 0,
                 live: true,
             },
         );
@@ -97,6 +100,7 @@ impl ClusterState {
         w.media = media;
         w.nr_conn = nr_conn;
         w.last_heartbeat_ms = now_ms;
+        w.beats += 1;
         w.live = true;
         Ok(())
     }

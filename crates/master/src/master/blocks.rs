@@ -65,9 +65,9 @@ impl BlockState {
 }
 
 impl Master {
-    /// Registers a worker.
-    pub fn register_worker(&self, worker: WorkerId, rack: RackId, net_thru: f64, now_ms: u64) {
-        self.blocks.write().cluster.register(worker, rack, net_thru, now_ms);
+    /// Registers a worker, as heard from at the master's current time.
+    pub fn register_worker(&self, worker: WorkerId, rack: RackId, net_thru: f64) {
+        self.blocks.write().cluster.register(worker, rack, net_thru, self.now_ms());
     }
 
     /// Processes a heartbeat carrying the worker's drained access-heat
@@ -77,27 +77,25 @@ impl Master {
         worker: WorkerId,
         media: Vec<MediaStats>,
         nr_conn: u32,
-        now_ms: u64,
         touches: &[BlockTouches],
     ) -> Result<()> {
         let ctx = self.op(MetaOp::Heartbeat);
         ctx.finish_with(|| {
-            self.advance_clock(now_ms);
             self.metrics.inc("master_heartbeats_total", Labels::worker(worker));
             let mut bs = ctx.write(&self.blocks);
-            let out = bs.cluster.heartbeat(worker, media, nr_conn, now_ms);
+            let out = bs.cluster.heartbeat(worker, media, nr_conn, self.now_ms());
             self.update_liveness_gauge(&bs.cluster);
             out
         })?;
-        self.observe_touches(touches, now_ms);
+        self.observe_touches(touches);
         Ok(())
     }
 
-    /// Folds per-block touch counts into the per-file EWMA heat tracker.
-    /// Touches for blocks the master no longer knows (deleted files, stale
-    /// workers) are silently dropped. Public so replaying harnesses can
-    /// inject synthetic access patterns.
-    pub fn observe_touches(&self, touches: &[BlockTouches], now_ms: u64) {
+    /// Folds per-block touch counts into the per-file EWMA heat tracker at
+    /// the master's current time. Touches for blocks the master no longer
+    /// knows (deleted files, stale workers) are silently dropped. Public so
+    /// replaying harnesses can inject synthetic access patterns.
+    pub fn observe_touches(&self, touches: &[BlockTouches]) {
         if touches.is_empty() {
             return;
         }
@@ -113,7 +111,7 @@ impl Master {
         drop(blocks);
         let mut heat = self.heat.lock();
         for (file, (reads, writes)) in per_file {
-            heat.observe(file, reads, writes, now_ms);
+            heat.observe(file, reads, writes, self.now_ms());
         }
     }
 
@@ -162,13 +160,13 @@ impl Master {
         })
     }
 
-    /// Advances the master's failure detector; newly dead workers lose all
-    /// their replica locations in the same step (their blocks become
-    /// re-replication candidates on the next scan).
+    /// Moves the master's clock to `now_ms` (never back; the only way time
+    /// reaches it) and runs the failure detector, lease recovery and heat
+    /// hygiene. Newly dead workers lose their replicas in the same step.
     pub fn tick(&self, now_ms: u64) -> Vec<WorkerId> {
-        self.advance_clock(now_ms);
+        let now = self.clock_ms.fetch_max(now_ms, Ordering::AcqRel).max(now_ms);
         let mut bs = self.blocks.write();
-        let dead = bs.cluster.tick(now_ms);
+        let dead = bs.cluster.tick(now);
         for &w in &dead {
             bs.mark_dead(w);
         }
@@ -178,7 +176,6 @@ impl Master {
         // their blocks become readable and re-replicable. The expired set
         // is re-read under the write guard — a client may have renewed
         // between the shared-mode probe and here.
-        let now = self.now_ms();
         if !self.namespace.read().leases.expired(now).is_empty() {
             let mut g = self.namespace.write();
             let mut recovered = false;

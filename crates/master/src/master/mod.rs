@@ -412,14 +412,9 @@ impl Master {
         self.placement.name()
     }
 
-    /// The master's logical clock (max over all observed timestamps).
-    fn now_ms(&self) -> u64 {
+    /// The master's clock: the newest time passed to [`Master::tick`].
+    pub fn now_ms(&self) -> u64 {
         self.clock_ms.load(Ordering::Acquire)
-    }
-
-    /// Advances the logical clock (never backwards).
-    fn advance_clock(&self, now_ms: u64) {
-        self.clock_ms.fetch_max(now_ms, Ordering::AcqRel);
     }
 
     fn check_writable(&self) -> Result<()> {

@@ -26,8 +26,8 @@ fn boot_master_from(n: u32, log: EditLog) -> Master {
     let config = ClusterConfig::test_cluster(n, 10 << 20, 1 << 20);
     let master = Master::with_log(config, log).unwrap();
     for w in 0..n {
-        master.register_worker(WorkerId(w), RackId((w % 2) as u16), 1e9, 0);
-        master.heartbeat(WorkerId(w), media_of(w, 10 << 20), 0, 0, &[]).unwrap();
+        master.register_worker(WorkerId(w), RackId((w % 2) as u16), 1e9);
+        master.heartbeat(WorkerId(w), media_of(w, 10 << 20), 0, &[]).unwrap();
     }
     master
 }
@@ -193,7 +193,8 @@ fn a_stage_that_ends_off_the_commit_path_takes_its_reservation_with_it() {
         match way {
             "kill_worker" => m.kill_worker(tail.worker),
             "tick" => {
-                m.heartbeat(head.worker, media_of(head.worker.0, 10 << 20), 0, later, &[]).unwrap();
+                m.tick(1);
+                m.heartbeat(head.worker, media_of(head.worker.0, 10 << 20), 0, &[]).unwrap();
                 assert_eq!(m.tick(later), [tail.worker]);
             }
             _ => m.report_corrupt(a.id, tail),
@@ -202,8 +203,8 @@ fn a_stage_that_ends_off_the_commit_path_takes_its_reservation_with_it() {
         assert_eq!(m.scheduled_bytes(head.media), a.len, "{way}");
 
         // The tail's worker comes back: it is seen as it heartbeats.
-        m.register_worker(tail.worker, RackId((tail.worker.0 % 2) as u16), 1e9, later);
-        m.heartbeat(tail.worker, media_of(tail.worker.0, 7 << 20), 0, later, &[]).unwrap();
+        m.register_worker(tail.worker, RackId((tail.worker.0 % 2) as u16), 1e9);
+        m.heartbeat(tail.worker, media_of(tail.worker.0, 7 << 20), 0, &[]).unwrap();
         let snap = m.snapshot();
         let seen = snap.media.iter().filter(|s| s.worker == tail.worker);
         assert!(seen.map(|s| s.remaining).eq([7 << 20; 3]), "{way}: {:?}", snap.media);
@@ -461,8 +462,9 @@ fn a_commit_after_its_tail_died_does_not_record_the_tail() {
             m.kill_worker(tail);
         } else {
             let later = 10 * m.config().heartbeat_ms + 1;
+            m.tick(1);
             for w in (0..4).map(WorkerId).filter(|&w| w != tail) {
-                m.heartbeat(w, media_of(w.0, 10 << 20), 0, later, &[]).unwrap();
+                m.heartbeat(w, media_of(w.0, 10 << 20), 0, &[]).unwrap();
             }
             assert_eq!(m.tick(later), [tail]);
         }
@@ -486,8 +488,8 @@ fn a_report_from_a_worker_that_is_not_live_confirms_nothing() {
     m.kill_worker(at.worker);
     assert_eq!(m.block_report(at.worker, &[(block, at.media)]).unwrap(), []);
     assert_eq!(m.block_locations(block.id), []);
-    m.register_worker(at.worker, RackId(0), 1e9, 0);
-    m.heartbeat(at.worker, media_of(at.worker.0, 10 << 20), 0, 0, &[]).unwrap();
+    m.register_worker(at.worker, RackId(0), 1e9);
+    m.heartbeat(at.worker, media_of(at.worker.0, 10 << 20), 0, &[]).unwrap();
     m.block_report(at.worker, &[(block, at.media)]).unwrap();
     assert_eq!(m.block_locations(block.id), [at]);
 }
@@ -511,8 +513,8 @@ fn checkpoint_restore_round_trip() {
     // Locations are rebuilt from block reports.
     assert!(restored.block_locations(block.id).is_empty());
     let w = locs[0].worker;
-    restored.register_worker(w, RackId(0), 1e9, 0);
-    restored.heartbeat(w, media_of(w.0, 9 << 20), 0, 0, &[]).unwrap();
+    restored.register_worker(w, RackId(0), 1e9);
+    restored.heartbeat(w, media_of(w.0, 9 << 20), 0, &[]).unwrap();
     restored.block_report(locs[0].worker, &[(block, locs[0].media)]).unwrap();
     assert_eq!(restored.block_locations(block.id), vec![locs[0]]);
     // New block ids never collide with restored ones.
@@ -571,8 +573,8 @@ fn put_file(m: &Master, path: &str, rv: ReplicationVector) -> Block {
     block
 }
 
-fn touch(m: &Master, block: Block, reads: u32, now_ms: u64) {
-    m.observe_touches(&[BlockTouches { block: block.id, reads, writes: 0 }], now_ms);
+fn touch(m: &Master, block: Block, reads: u32) {
+    m.observe_touches(&[BlockTouches { block: block.id, reads, writes: 0 }]);
 }
 
 #[test]
@@ -583,7 +585,7 @@ fn delete_forgets_file_heat_and_recreated_file_starts_cold() {
     // dead entry still leaked memory and polluted `hot_files`.
     let m = boot_master(3);
     let block = put_file(&m, "/f", rv_u(1));
-    touch(&m, block, 5, 0);
+    touch(&m, block, 5);
     assert_eq!(m.heat_tracked_files(), 1);
     assert_eq!(m.hot_files(10).len(), 1);
 
@@ -608,7 +610,7 @@ fn what_held_a_deleted_files_id_does_not_see_its_slots_next_tenant() {
     let m = boot_master(3);
     let old_block = put_file(&m, "/old", rv_u(1));
     let old = m.status("/old").unwrap().id;
-    touch(&m, old_block, 9, 0);
+    touch(&m, old_block, 9);
     m.delete("/old", false).unwrap();
     // Create until a file moves into the freed slot.
     let tenant = (0..100)
@@ -623,7 +625,7 @@ fn what_held_a_deleted_files_id_does_not_see_its_slots_next_tenant() {
 
     // Heat: a heartbeat that still reports touches of the deleted block
     // warms nothing, and the tenant starts cold.
-    touch(&m, old_block, 9, 0);
+    touch(&m, old_block, 9);
     assert_eq!(m.heat_tracked_files(), 0);
     assert_eq!(m.file_heat(&tenant).unwrap().score, 0.0);
     assert!(m.hot_files(10).is_empty());
@@ -643,8 +645,8 @@ fn delete_recursive_forgets_subtree_heat() {
     m.mkdir("/d").unwrap();
     let a = put_file(&m, "/d/a", rv_u(1));
     let b = put_file(&m, "/d/b", rv_u(1));
-    touch(&m, a, 3, 0);
-    touch(&m, b, 3, 0);
+    touch(&m, a, 3);
+    touch(&m, b, 3);
     assert_eq!(m.heat_tracked_files(), 2);
     m.delete("/d", true).unwrap();
     assert_eq!(m.heat_tracked_files(), 0);
@@ -656,7 +658,7 @@ fn rename_resets_heat() {
     // place; the published file should not inherit staging heat.
     let m = boot_master(3);
     let block = put_file(&m, "/staging", rv_u(1));
-    touch(&m, block, 5, 0);
+    touch(&m, block, 5);
     assert_eq!(m.heat_tracked_files(), 1);
     m.rename("/staging", "/published").unwrap();
     assert_eq!(m.heat_tracked_files(), 0, "rename must reset the file's heat");
@@ -666,7 +668,7 @@ fn rename_resets_heat() {
 fn tick_gcs_decayed_heat_entries() {
     let m = boot_master(3);
     let block = put_file(&m, "/f", rv_u(1));
-    touch(&m, block, 5, 0);
+    touch(&m, block, 5);
     assert_eq!(m.heat_tracked_files(), 1);
     // A short tick keeps the entry alive (score still well above zero).
     m.tick(100);
@@ -685,8 +687,8 @@ fn autotier_promotes_hot_and_leaves_warm_alone() {
     let warm = put_file(&m, "/warm", ReplicationVector::msh(0, 0, 1));
     // 5 touches this epoch → score 0.4·5 = 2.0 (hot); 1 touch → 0.4
     // (inside the warm hysteresis band).
-    touch(&m, hot, 5, 0);
-    touch(&m, warm, 1, 0);
+    touch(&m, hot, 5);
+    touch(&m, warm, 1);
 
     let decisions =
         m.autotier_scan(&EwmaThresholdClassifier::default(), &AutoTierConfig::default());
@@ -780,7 +782,7 @@ fn autotier_respects_round_budgets() {
         (0..4).map(|i| put_file(&m, &format!("/f{i}"), ReplicationVector::msh(0, 0, 1))).collect();
     for (i, b) in blocks.iter().enumerate() {
         // Distinct hotness so the ordering is deterministic: f0 hottest.
-        touch(&m, *b, 10 - i as u32, 0);
+        touch(&m, *b, 10 - i as u32);
     }
 
     let cfg = AutoTierConfig { max_files_per_round: 2, ..AutoTierConfig::default() };

@@ -147,10 +147,11 @@ impl Master {
         self.audit.recent_of_kind(DecisionKind::Migration, n)
     }
 
-    /// Each live worker and the stamp of its last heartbeat.
+    /// Each live worker and how many heartbeats it has sent since it
+    /// registered (a count, since several may arrive within one tick).
     pub fn live_heartbeats(&self) -> Vec<(WorkerId, u64)> {
         let bs = self.blocks.read();
-        bs.cluster.workers().filter(|w| w.live).map(|w| (w.worker, w.last_heartbeat_ms)).collect()
+        bs.cluster.workers().filter(|w| w.live).map(|w| (w.worker, w.beats)).collect()
     }
 
     /// One-stop cluster status for the operator surface: namespace and

@@ -33,7 +33,7 @@ fn boot() -> Master {
     let master = Master::new(ClusterConfig::test_cluster(4, 1 << 30, BLOCK_SIZE)).unwrap();
     for w in 0..4u32 {
         let rack = RackId((w % 2) as u16);
-        master.register_worker(WorkerId(w), rack, 1e9, 0);
+        master.register_worker(WorkerId(w), rack, 1e9);
         let media: Vec<MediaStats> = (0..3u8)
             .map(|t| MediaStats {
                 media: MediaId(w * 3 + t as u32),
@@ -47,7 +47,7 @@ fn boot() -> Master {
                 read_thru: 1e9,
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
+        master.heartbeat(WorkerId(w), media, 0, &[]).unwrap();
     }
     master
 }

@@ -44,19 +44,19 @@ const BLOCK_SIZE: u64 = 1 << 20;
 fn boot(n: u32) -> Master {
     let master = Master::new(ClusterConfig::test_cluster(n, 10 << 20, BLOCK_SIZE)).unwrap();
     for w in 0..n {
-        join(&master, WorkerId(w), 0);
+        join(&master, WorkerId(w));
     }
     master
 }
 
-/// Registers worker `w` at `now_ms` and delivers its first heartbeat.
-fn join(master: &Master, w: WorkerId, now_ms: u64) {
-    master.register_worker(w, RackId((w.0 % 2) as u16), 1e9, now_ms);
-    beat(master, w, now_ms);
+/// Registers worker `w` and delivers its first heartbeat.
+fn join(master: &Master, w: WorkerId) {
+    master.register_worker(w, RackId((w.0 % 2) as u16), 1e9);
+    beat(master, w);
 }
 
 /// One heartbeat from worker `w`: its three media, all free.
-fn beat(master: &Master, w: WorkerId, now_ms: u64) {
+fn beat(master: &Master, w: WorkerId) {
     let media: Vec<MediaStats> = (0..3u8)
         .map(|t| MediaStats {
             media: MediaId(w.0 * 3 + t as u32),
@@ -70,7 +70,7 @@ fn beat(master: &Master, w: WorkerId, now_ms: u64) {
             read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
         })
         .collect();
-    master.heartbeat(w, media, 0, now_ms, &[]).unwrap();
+    master.heartbeat(w, media, 0, &[]).unwrap();
 }
 
 /// The directories the mix plays in. A small name pool under a handful of
@@ -393,11 +393,12 @@ fn liveness_races_commits_locates_and_scans() {
         }
         let lens = Mutex::new(HashMap::new());
         let hb = master.config().heartbeat_ms;
-        let mut down: Option<WorkerId> = None;
+        let (mut down, mut round): (Option<WorkerId>, u64) = (None, 0);
         for phase in 0..10u64 {
             let writing = AtomicUsize::new(3);
             std::thread::scope(|s| {
-                let (master, lens, writing, down) = (&master, &lens, &writing, &mut down);
+                let (master, lens, writing) = (&master, &lens, &writing);
+                let (down, round) = (&mut down, &mut round);
                 for t in 0..3 {
                     s.spawn(move || {
                         let mut rng = Rng::seed_from_u64(seed * 1009 + phase * 31 + t);
@@ -463,20 +464,25 @@ fn liveness_races_commits_locates_and_scans() {
                     let mut rng = Rng::seed_from_u64(seed * 13 + phase);
                     let mut k = 0;
                     while writing.load(Ordering::Acquire) > 0 && k < 64 {
-                        let now = (phase * 64 + k) * 11 * hb;
+                        // A round is the detector's deadline, so the
+                        // workers that beat last round outlive this tick.
+                        *round += 1;
+                        let now = *round * 10 * hb;
+                        master.tick(now);
                         k += 1;
                         if let Some(w) = down.take() {
-                            join(master, w, now);
+                            join(master, w);
                         }
                         let victim = WorkerId(rng.below(WORKERS as u64) as u32);
+                        for w in (0..WORKERS).map(WorkerId).filter(|&w| w != victim) {
+                            beat(master, w);
+                        }
                         if k % 2 == 0 {
                             master.kill_worker(victim);
                         } else {
-                            // Every worker but the victim beats; the failure
-                            // detector then declares the victim dead.
-                            for w in (0..WORKERS).map(WorkerId).filter(|&w| w != victim) {
-                                beat(master, w, now);
-                            }
+                            // Every worker but the victim beat now; the
+                            // failure detector then declares the victim,
+                            // silent for a round, dead.
                             master.tick(now + 10 * hb - 1);
                         }
                         *down = Some(victim);

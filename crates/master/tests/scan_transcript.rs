@@ -96,7 +96,7 @@ fn boot() -> Master {
     let master = Master::new(ClusterConfig::test_cluster(WORKERS, CAPACITY, BLOCK_SIZE)).unwrap();
     for w in 0..WORKERS {
         let rack = RackId((w % 2) as u16);
-        master.register_worker(WorkerId(w), rack, 1e9, 0);
+        master.register_worker(WorkerId(w), rack, 1e9);
         let media: Vec<MediaStats> = (0..3u8)
             .map(|t| MediaStats {
                 media: MediaId(w * 3 + t as u32),
@@ -110,7 +110,7 @@ fn boot() -> Master {
                 read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, u32::from(w == 5), 0, &[]).unwrap();
+        master.heartbeat(WorkerId(w), media, u32::from(w == 5), &[]).unwrap();
     }
     master
 }
@@ -337,7 +337,7 @@ fn transcript_of(label: &str, ops: &[Op]) -> Vec<String> {
             touches.push(BlockTouches { block, reads: (i % 7) as u32, writes: (i % 3) as u32 });
         }
     }
-    m.observe_touches(&touches, 0);
+    m.observe_touches(&touches);
     let decisions =
         m.autotier_scan(&EwmaThresholdClassifier::default(), &AutoTierConfig::default());
     out.push(format!("autotier: {} decisions", decisions.len()));

@@ -120,7 +120,7 @@ fn boot() -> Master {
     let master = Master::new(ClusterConfig::test_cluster(WORKERS, CAPACITY, 1 << 20)).unwrap();
     for w in 0..WORKERS {
         let rack = RackId((w % 2) as u16);
-        master.register_worker(WorkerId(w), rack, 1e9, 0);
+        master.register_worker(WorkerId(w), rack, 1e9);
         let media = (0..3u8)
             .map(|t| MediaStats {
                 media: MediaId(w * 3 + t as u32),
@@ -134,7 +134,7 @@ fn boot() -> Master {
                 read_thru: [3200.0, 420.0, 177.0][t as usize] * 1048576.0,
             })
             .collect();
-        master.heartbeat(WorkerId(w), media, 0, 0, &[]).unwrap();
+        master.heartbeat(WorkerId(w), media, 0, &[]).unwrap();
     }
     master
 }

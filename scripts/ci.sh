@@ -62,6 +62,36 @@ if [ "$(grep -c . <<<"$confirms")" -ne 1 ] ||
 fi
 echo "one confirm: BlockState::confirm is the block map's one confirm"
 
+echo "==> one clock"
+# The master keeps its own time: `Master::tick` is the only way time
+# reaches it, and only the master's owner calls it, from its own clock —
+# the TCP server's detector (`MasterServer::spawn_with`), `Cluster`'s pump
+# and `SimCluster`'s beat. No request handler ticks it, so no stamp a
+# request carries moves it. Outside crates/master, no other non-test code
+# calls `.tick(` (tests, and whatever follows a file's first `#[cfg(test)]`,
+# are exempt), and no Rust file names `unix_ms` or `advance_clock`.
+ticks=$(git ls-files -co --exclude-standard '*.rs' |
+    grep -vE '^crates/master/|(^|/)tests(/|\.rs$)' |
+    xargs awk '
+        FNR == 1 { skip = 0 }
+        /^ *#\[cfg\(test\)\]/ { skip = 1 }
+        skip { next }
+        match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+        /\.tick\(/ { print FILENAME ":" f }' | sort)
+want='crates/core/src/cluster.rs:pump_heartbeats
+crates/core/src/net/master_server.rs:spawn_with
+crates/core/src/sim.rs:beat'
+if [ "$ticks" != "$want" ]; then
+    echo "one clock: .tick( is called outside the master's owners:" >&2
+    printf '%s\n' "$ticks" >&2
+    exit 1
+fi
+if git grep --untracked -nwE 'unix_ms|advance_clock' -- '*.rs' >&2; then
+    echo "one clock: a Rust file names unix_ms or advance_clock" >&2
+    exit 1
+fi
+echo "one clock: the server's detector, Cluster's pump and SimCluster's beat tick the master"
+
 echo "==> one generator"
 # Every random draw comes from `octopus_common::rng`: splitmix64's
 # multiplier, in any case and with or without underscores, appears in no
@@ -159,10 +189,13 @@ for run in $(seq 20); do
 done
 echo "daemon durability: 20/20"
 # Workers given only the master's address and their ids (0, 1, 7) join,
-# beat at the master's interval and stay live: 10 times back to back.
+# beat at the master's interval and stay live, and two SIGKILLed workers,
+# the last live one too, show DEAD within the deadline and two intervals
+# on the master's own clock: 10 times back to back.
 for run in $(seq 10); do
     if ! out=$(cargo test --release -q --test daemons -- --exact \
-        workers_given_only_their_ids_join_and_beat_at_the_masters_interval 2>&1); then
+        workers_given_only_their_ids_join_and_beat_at_the_masters_interval \
+        the_last_live_worker_is_declared_dead_within_the_deadline 2>&1); then
         printf '%s\n' "$out" >&2
         echo "daemon joins: run ${run} of 10 failed" >&2
         exit 1

@@ -50,10 +50,13 @@ fn shape(args: &mut Args) -> Result<(u32, u64, u64)> {
     ))
 }
 
-/// The cluster of a shape, refused as boot would refuse it.
+/// The cluster of a shape, refused as boot would refuse it or if it stores nothing.
 fn cluster_of((workers, block_size, capacity): (u32, u64, u64)) -> Result<ClusterConfig> {
     if workers == 0 {
         return Err(FsError::Config("cluster has no workers".into()));
+    }
+    if capacity == 0 {
+        return Err(FsError::Config("--capacity 0 leaves every medium without space".into()));
     }
     let config = ClusterConfig::test_cluster(workers, capacity, block_size);
     config.validate()?;

@@ -6,7 +6,7 @@
 //! the wait after `setrep` are §5 rounds the master node runs, one per
 //! request ([`RemoteFs::run_round`]).
 
-use std::io::Write as _;
+use std::io::{self, Write};
 
 use crate::args::Args;
 use crate::common::metrics::{HistogramSample, MetricsSnapshot};
@@ -21,7 +21,7 @@ pub struct Command {
     pub name: &'static str,
     /// Its arguments, as the usage line shows them.
     pub args: &'static str,
-    run: fn(&RemoteFs, Args) -> Result<()>,
+    run: fn(&RemoteFs, Args, &mut Vec<u8>) -> Result<()>,
 }
 
 /// Every command of the shared shell, in the order usage lists them.
@@ -59,10 +59,18 @@ impl Command {
         format!("{} {}", self.name, self.args).trim_end().to_string()
     }
 
-    /// Runs the command against `fs`; `args` are parsed against
-    /// [`Command::usage`].
+    /// Runs the command against `fs`, then prints what it wrote, even if
+    /// it failed part way; `args` are parsed against [`Command::usage`]. A
+    /// reader that has closed the pipe (`octofs-remote ls | head -1`) has
+    /// had all it asked for: that ends the output, not the command.
     pub fn run(&self, fs: &RemoteFs, args: &[String]) -> Result<()> {
-        (self.run)(fs, Args::new(self.usage(), args))
+        let mut out = Vec::new();
+        let result = (self.run)(fs, Args::new(self.usage(), args), &mut out);
+        let mut stdout = io::stdout().lock();
+        match stdout.write_all(&out).and_then(|()| stdout.flush()) {
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(e.into()),
+            _ => result,
+        }
     }
 }
 
@@ -87,12 +95,12 @@ fn count<T: std::str::FromStr>(mut args: Args, default: T) -> Result<T> {
     }
 }
 
-fn mkdir(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn mkdir(fs: &RemoteFs, mut args: Args, _: &mut Vec<u8>) -> Result<()> {
     let [path] = args.exactly()?;
     fs.mkdir(&path)
 }
 
-fn put(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn put(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let rv = match args.value::<String>("--rv")? {
         Some(v) => parse_rv(&v, &args)?,
         None => ReplicationVector::from_replication_factor(2),
@@ -100,56 +108,52 @@ fn put(fs: &RemoteFs, mut args: Args) -> Result<()> {
     let [local, path] = args.exactly()?;
     let data = std::fs::read(local)?;
     fs.write_file(&path, &data, rv)?;
-    println!("wrote {path} ({}) with vector {rv}", fmt_bytes(data.len() as u64));
-    Ok(())
+    Ok(writeln!(out, "wrote {path} ({}) with vector {rv}", fmt_bytes(data.len() as u64))?)
 }
 
-fn get(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn get(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [path, local] = args.exactly()?;
     let data = fs.read_file(&path)?;
     std::fs::write(&local, &data)?;
-    println!("copied {path} -> {local} ({})", fmt_bytes(data.len() as u64));
-    Ok(())
+    Ok(writeln!(out, "copied {path} -> {local} ({})", fmt_bytes(data.len() as u64))?)
 }
 
-fn cat(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn cat(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [path] = args.exactly()?;
-    let data = fs.read_file(&path)?;
-    std::io::stdout().write_all(&data)?;
+    *out = fs.read_file(&path)?;
     Ok(())
 }
 
-fn ls(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn ls(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let path = args.positionals(0, 1)?;
     for e in fs.list(path.first().map_or("/", String::as_str))? {
         if e.is_dir {
-            println!("d {:>10}  {}", "-", e.name);
+            writeln!(out, "d {:>10}  {}", "-", e.name)?;
         } else {
-            println!("- {:>10}  {}  {}", fmt_bytes(e.len), e.name, e.rv);
+            writeln!(out, "- {:>10}  {}  {}", fmt_bytes(e.len), e.name, e.rv)?;
         }
     }
     Ok(())
 }
 
-fn rm(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn rm(fs: &RemoteFs, mut args: Args, _: &mut Vec<u8>) -> Result<()> {
     let recursive = args.flag("-r");
     let [path] = args.exactly()?;
     fs.delete(&path, recursive)
 }
 
-fn mv(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn mv(fs: &RemoteFs, mut args: Args, _: &mut Vec<u8>) -> Result<()> {
     let [src, dst] = args.exactly()?;
     fs.rename(&src, &dst)
 }
 
-fn append(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn append(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [local, path] = args.exactly()?;
     let data = std::fs::read(local)?;
     let mut w = fs.append(&path)?;
     w.write(&data)?;
     w.close()?;
-    println!("appended {} to {path}", fmt_bytes(data.len() as u64));
-    Ok(())
+    Ok(writeln!(out, "appended {} to {path}", fmt_bytes(data.len() as u64))?)
 }
 
 /// Runs `round` on the master until one finds nothing to do, `max` rounds
@@ -167,16 +171,15 @@ fn settle(fs: &RemoteFs, round: Round, max: usize) -> Result<u64> {
 
 /// Returns once the new vector is realized, or after 4 repair rounds, as
 /// HDFS's `setrep -w` waits.
-fn setrep(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn setrep(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [path, rv] = args.exactly()?;
     let rv = parse_rv(&rv, &args)?;
     let old = fs.set_replication(&path, rv)?;
     settle(fs, Round::Repair, 4)?;
-    println!("replication of {path}: {old} -> {rv}");
-    Ok(())
+    Ok(writeln!(out, "replication of {path}: {old} -> {rv}")?)
 }
 
-fn quota(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn quota(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let clear = args.flag("--clear");
     let tier = args.value::<usize>("--tier")?;
     let bytes = args.value::<u64>("--bytes")?;
@@ -195,44 +198,43 @@ fn quota(fs: &RemoteFs, mut args: Args) -> Result<()> {
     let (quota, usage) = fs.quota_usage(&path)?;
     for (t, (limit, used)) in quota.per_tier.iter().zip(usage).enumerate() {
         match limit {
-            Some(limit) => println!("{path} tier {t}: {used} of {limit} bytes"),
-            None if used > 0 => println!("{path} tier {t}: {used} bytes, unlimited"),
+            Some(limit) => writeln!(out, "{path} tier {t}: {used} of {limit} bytes")?,
+            None if used > 0 => writeln!(out, "{path} tier {t}: {used} bytes, unlimited")?,
             None => {}
         }
     }
     Ok(())
 }
 
-fn report(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn report(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     args.exactly::<0>()?;
     let s = fs.cluster_status()?;
-    println!("{} files, {} blocks", s.files, s.blocks);
+    writeln!(out, "{} files, {} blocks", s.files, s.blocks)?;
     for r in &s.tiers {
-        println!(
+        writeln!(
+            out,
             "{:<8} media={:<3} capacity={:>10} remaining={:>10} ({:.1}%)",
             r.name,
             r.stats.num_media,
             fmt_bytes(r.stats.capacity),
             fmt_bytes(r.stats.remaining),
             r.stats.remaining_fraction() * 100.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn balance(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn balance(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     args.exactly::<0>()?;
     let moves = settle(fs, Round::Balance, 16)?;
-    println!("balance: {moves} replica move(s)");
-    Ok(())
+    Ok(writeln!(out, "balance: {moves} replica move(s)")?)
 }
 
-fn fsck(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn fsck(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     args.exactly::<0>()?;
     let corrupt = fs.run_round(Round::Scrub)?;
     let repaired = settle(fs, Round::Repair, 8)?;
-    println!("fsck: {corrupt} corrupt replicas dropped, {repaired} repair tasks run");
-    Ok(())
+    Ok(writeln!(out, "fsck: {corrupt} corrupt replicas dropped, {repaired} repair tasks run")?)
 }
 
 /// One per-op metadata latency row, joined across the `master_meta_*`
@@ -271,37 +273,38 @@ fn meta_rows(snap: &MetricsSnapshot) -> Vec<MetaRow> {
     rows
 }
 
-fn status(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn status(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     args.exactly::<0>()?;
     let s = fs.cluster_status()?;
-    println!(
+    writeln!(
+        out,
         "cluster: {} files, {} blocks ({} in flight), scheduled={}{}",
         s.files,
         s.blocks,
         s.in_flight_blocks,
         fmt_bytes(s.scheduled_bytes),
         if s.safe_mode { ", SAFE MODE" } else { "" }
-    );
-    println!(
-        "decisions: {} recorded, {} retained in audit ring",
-        s.decisions_recorded, s.decisions_retained
-    );
+    )?;
+    let (recorded, retained) = (s.decisions_recorded, s.decisions_retained);
+    writeln!(out, "decisions: {recorded} recorded, {retained} retained in audit ring")?;
     for t in &s.tiers {
         let used = t.stats.capacity.saturating_sub(t.stats.remaining);
         let pct =
             if t.stats.capacity > 0 { used as f64 / t.stats.capacity as f64 * 100.0 } else { 0.0 };
-        println!(
+        writeln!(
+            out,
             "tier {:<8} media={:<3} capacity={} used={} ({pct:.1}%)",
             t.name,
             t.stats.num_media,
             fmt_bytes(t.stats.capacity),
             fmt_bytes(used),
-        );
+        )?;
     }
     for w in &s.workers {
         let used: u64 = w.media.iter().map(|m| m.capacity.saturating_sub(m.remaining)).sum();
         let cap: u64 = w.media.iter().map(|m| m.capacity).sum();
-        println!(
+        writeln!(
+            out,
             "worker {:<4} rack={} {} conn={} used={}/{} hb={}ms",
             w.worker.0,
             w.rack.0,
@@ -310,42 +313,44 @@ fn status(fs: &RemoteFs, mut args: Args) -> Result<()> {
             fmt_bytes(used),
             fmt_bytes(cap),
             s.now_ms.saturating_sub(w.last_heartbeat_ms),
-        );
+        )?;
     }
     for h in &s.hot {
-        println!(
+        writeln!(
+            out,
             "hot {:<30} score={:.3} reads_ewma={:.2} writes_ewma={:.2}",
             h.path, h.heat.score, h.heat.reads_ewma, h.heat.writes_ewma
-        );
+        )?;
     }
     let mut rows = meta_rows(&fs.master_metrics_snapshot()?);
     rows.sort_by(|a, b| a.op.cmp(&b.op));
     for r in rows {
-        println!(
+        writeln!(
+            out,
             "meta {:<22} count={} errors={} p50={}us p99={}us",
             r.op, r.count, r.errors, r.p50, r.p99
-        );
+        )?;
     }
     Ok(())
 }
 
-fn heat(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn heat(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [path] = args.exactly()?;
     let h = fs.heat(&path)?;
-    println!(
+    Ok(writeln!(
+        out,
         "{path}: score={:.3} reads_ewma={:.2} writes_ewma={:.2} \
          cur_reads={} cur_writes={}",
         h.score, h.reads_ewma, h.writes_ewma, h.cur_reads, h.cur_writes
-    );
-    Ok(())
+    )?)
 }
 
-fn explain_placement(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn explain_placement(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [id] = args.exactly()?;
     let id: u64 = id.parse().map_err(|_| args.bad("bad block id"))?;
     let events = fs.explain_placement(BlockId(id))?;
     if events.is_empty() {
-        println!("no retained decisions for block {id}");
+        writeln!(out, "no retained decisions for block {id}")?;
     }
     for e in events {
         let chosen: Vec<String> = e
@@ -353,22 +358,24 @@ fn explain_placement(fs: &RemoteFs, mut args: Args) -> Result<()> {
             .iter()
             .map(|l| format!("w{}:m{}:t{}", l.worker.0, l.media.0, l.tier.0))
             .collect();
-        println!(
+        writeln!(
+            out,
             "#{} t={}ms {} policy={} chosen=[{}]",
             e.seq,
             e.when_ms,
             e.kind.label(),
             e.policy,
             chosen.join(", ")
-        );
+        )?;
         for r in &e.rounds {
             let pin = match r.tier_pin {
                 Some(t) => format!("tier {}", t.0),
                 None => "unpinned".to_string(),
             };
-            println!("  replica {} ({pin}):", r.replica_index);
+            writeln!(out, "  replica {} ({pin}):", r.replica_index)?;
             for c in &r.candidates {
-                println!(
+                writeln!(
+                    out,
                     "    {}w{}:m{}:t{} total={:.6} db={:.4} lb={:.4} ft={:.4} tm={:.4}",
                     if c.chosen { "* " } else { "  " },
                     c.worker.0,
@@ -379,49 +386,53 @@ fn explain_placement(fs: &RemoteFs, mut args: Args) -> Result<()> {
                     c.lb,
                     c.ft,
                     c.tm,
-                );
+                )?;
             }
         }
     }
     Ok(())
 }
 
-fn migrations(fs: &RemoteFs, args: Args) -> Result<()> {
+fn migrations(fs: &RemoteFs, args: Args, out: &mut Vec<u8>) -> Result<()> {
     let events = fs.migrations(count(args, 20u32)?)?;
     if events.is_empty() {
-        println!("no retained migration decisions");
+        writeln!(out, "no retained migration decisions")?;
     }
     for e in events {
-        println!("#{} t={}ms file={} block={} {}", e.seq, e.when_ms, e.file, e.block, e.policy);
+        writeln!(
+            out,
+            "#{} t={}ms file={} block={} {}",
+            e.seq, e.when_ms, e.file, e.block, e.policy
+        )?;
     }
     Ok(())
 }
 
-fn metrics(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn metrics(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     args.exactly::<0>()?;
-    print!("{}", fs.cluster_metrics_snapshot()?.render_text());
-    Ok(())
+    Ok(write!(out, "{}", fs.cluster_metrics_snapshot()?.render_text())?)
 }
 
-fn perf(fs: &RemoteFs, args: Args) -> Result<()> {
+fn perf(fs: &RemoteFs, args: Args, out: &mut Vec<u8>) -> Result<()> {
     let n = count(args, 10usize)?;
     let snap = fs.master_metrics_snapshot()?;
     let mut rows = meta_rows(&snap);
     if rows.is_empty() {
-        println!("no metadata operations recorded yet");
-        return Ok(());
+        return Ok(writeln!(out, "no metadata operations recorded yet")?);
     }
     // Slowest tail first: the contention view, not the volume view.
     rows.sort_by(|a, b| b.p99.cmp(&a.p99).then_with(|| a.op.cmp(&b.op)));
-    println!(
+    writeln!(
+        out,
         "{:<22} {:>9} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8}",
         "op", "count", "errors", "p50_us", "p99_us", "mean_us", "wait_p99", "log_p99"
-    );
+    )?;
     for r in rows.iter().take(n) {
-        println!(
+        writeln!(
+            out,
             "{:<22} {:>9} {:>7} {:>8} {:>8} {:>9.1} {:>9} {:>8}",
             r.op, r.count, r.errors, r.p50, r.p99, r.mean, r.wait_p99, r.log_p99
-        );
+        )?;
     }
     let mut locks: Vec<(String, String)> = snap
         .counters
@@ -431,11 +442,12 @@ fn perf(fs: &RemoteFs, args: Args) -> Result<()> {
         .collect();
     locks.sort();
     if !locks.is_empty() {
-        println!();
-        println!(
+        writeln!(out)?;
+        writeln!(
+            out,
             "{:<16} {:>4} {:>10} {:>10} {:>11} {:>11} {:>11} {:>11}",
             "lock", "mode", "acquires", "contended", "wait_p99", "wait_us", "hold_p99", "hold_us"
-        );
+        )?;
     }
     for (lock, mode) in locks {
         let by = |name: &str| {
@@ -452,7 +464,8 @@ fn perf(fs: &RemoteFs, args: Args) -> Result<()> {
         };
         let wait = sample("lock_wait_us");
         let hold = sample("lock_hold_us");
-        println!(
+        writeln!(
+            out,
             "{lock:<16} {mode:>4} {:>10} {:>10} {:>11} {:>11} {:>11} {:>11}",
             by("lock_acquire_total"),
             by("lock_contended_total"),
@@ -460,12 +473,12 @@ fn perf(fs: &RemoteFs, args: Args) -> Result<()> {
             wait.map_or(0, |h| h.sum),
             hold.map_or(0, |h| h.quantile_us(0.99)),
             hold.map_or(0, |h| h.sum),
-        );
+        )?;
     }
     Ok(())
 }
 
-fn trace(fs: &RemoteFs, mut args: Args) -> Result<()> {
+fn trace(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let p = args.positionals(2, 3)?;
     let (op, path) = (p[0].as_str(), &p[1]);
     // `None` reads; `Some(n)` writes n bytes.
@@ -486,12 +499,12 @@ fn trace(fs: &RemoteFs, mut args: Args) -> Result<()> {
     match write {
         None => {
             let data = fs.read_file(path)?;
-            println!("read {path} ({})", fmt_bytes(data.len() as u64));
+            writeln!(out, "read {path} ({})", fmt_bytes(data.len() as u64))?;
         }
         Some(n) => {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
             fs.write_file(path, &data, ReplicationVector::from_replication_factor(2))?;
-            println!("wrote {path} ({})", fmt_bytes(n as u64));
+            writeln!(out, "wrote {path} ({})", fmt_bytes(n as u64))?;
         }
     }
     let id = root.trace_id();
@@ -500,13 +513,12 @@ fn trace(fs: &RemoteFs, mut args: Args) -> Result<()> {
         .cluster_trace_snapshot()?
         .trace(id)
         .ok_or_else(|| FsError::NotFound("no assembled trace for operation".into()))?;
-    print!("{}", trace.critical_path().render());
+    write!(out, "{}", trace.critical_path().render())?;
     std::fs::create_dir_all("results/traces")?;
-    let out = format!("results/traces/trace-{}.jsonl", trace.trace_id);
+    let file = format!("results/traces/trace-{}.jsonl", trace.trace_id);
     let dump = TraceSnapshot { spans: trace.spans.clone() };
-    std::fs::write(&out, dump.to_jsonl())?;
-    println!("{} spans ({} nodes) -> {out}", trace.spans.len(), trace.nodes().len());
-    Ok(())
+    std::fs::write(&file, dump.to_jsonl())?;
+    Ok(writeln!(out, "{} spans ({} nodes) -> {file}", trace.spans.len(), trace.nodes().len())?)
 }
 
 #[cfg(test)]

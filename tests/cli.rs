@@ -230,3 +230,13 @@ fn a_refused_shape_leaves_nothing_behind() {
     cli.ok(&["mkdir", "/d"]);
     assert!(cli.ok(&["ls", "/"]).contains('d'));
 }
+
+/// A zero capacity is a shape no put could use (every medium full from
+/// the start), so `init` refuses it by name and writes nothing.
+#[test]
+fn init_refuses_a_zero_capacity_and_writes_no_config() {
+    let cli = Cli::new("zero_capacity");
+    let (success, _, stderr) = cli.run(&["init", "--capacity", "0"]);
+    assert!(!success && stderr.contains("--capacity"), "{stderr}");
+    assert!(!cli.root.join("octofs.conf").exists(), "a refused init wrote octofs.conf");
+}

@@ -622,10 +622,6 @@ fn workers_given_only_their_ids_join_and_beat_at_the_masters_interval() {
     let _workers: Vec<Daemon> = ["0", "1", "7"]
         .into_iter()
         .map(|id| {
-            // Staggered joins: the master's clock is the newest heartbeat
-            // stamp, so beats a second apart would leave one worker's last
-            // beat 300–700 ms behind another's, past the deadline.
-            std::thread::sleep(Duration::from_millis(300));
             let wargs = ["--master", &addr, "--id", id].map(String::from);
             spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
         })
@@ -739,4 +735,69 @@ fn balance_fsck_and_setrep_act_on_running_daemons() {
     on_tiers("/f0", [0, 2, 0]);
     reads_back(0);
     std::fs::remove_dir_all(tmp).ok();
+}
+
+/// The master keeps its own time, so it declares a worker dead whether or
+/// not another still beats. With a 100 ms interval (a 1 s deadline), each
+/// of two SIGKILLed workers — the last live one too — shows `DEAD` within
+/// the deadline and two intervals of its kill.
+#[test]
+fn the_last_live_worker_is_declared_dead_within_the_deadline() {
+    let margs = ["--listen", "127.0.0.1:0", "--heartbeat-ms", "100"].map(String::from);
+    let (_master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+    let mut workers: Vec<Daemon> = ["0", "1"]
+        .into_iter()
+        .map(|id| {
+            let wargs = ["--master", &addr, "--id", id].map(String::from);
+            spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
+        })
+        .collect();
+    wait_for_workers(&addr, 2);
+    let fs =
+        octopusfs::RemoteFs::connect(addr.parse().unwrap(), octopusfs::ClientLocation::OffCluster)
+            .unwrap();
+    for killed in 1..=2 {
+        let at = Instant::now();
+        drop(workers.remove(0)); // SIGKILL
+        loop {
+            let asked = at.elapsed();
+            let status = fs.cluster_status().unwrap();
+            if status.workers.iter().filter(|w| !w.live).count() == killed {
+                break;
+            }
+            assert!(
+                asked <= Duration::from_millis(1200),
+                "kill {killed}, {asked:?} on: {status:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    let (ok, out, err) = remote(&addr, &["status"]);
+    assert!(ok, "{err}");
+    let dead = out.lines().filter(|l| l.starts_with("worker ") && l.contains(" DEAD ")).count();
+    assert_eq!(dead, 2, "{out}");
+}
+
+/// A reader that closes the pipe early (`octofs-remote ls | head -1`) ends
+/// the shell's output, not the shell: no panic, and a successful exit.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let margs = ["--listen", "127.0.0.1:0"].map(String::from);
+    let (_master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+    let fs =
+        octopusfs::RemoteFs::connect(addr.parse().unwrap(), octopusfs::ClientLocation::OffCluster)
+            .unwrap();
+    for i in 0..3000 {
+        fs.mkdir(&format!("/many/directory-{i:05}")).unwrap();
+    }
+    let mut ls = Command::new(env!("CARGO_BIN_EXE_octofs-remote"))
+        .args(["--master", &addr, "ls", "/many"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run octofs-remote");
+    drop(ls.stdout.take()); // the reader goes before the first line
+    let out = ls.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success() && !stderr.contains("panicked"), "{:?}: {stderr}", out.status);
 }

@@ -41,9 +41,9 @@ fn backup_takeover_preserves_namespace_and_data() {
     // Locations come back via block reports from the (still running)
     // workers.
     for w in cluster.workers() {
-        recovered.register_worker(w.id(), w.rack(), w.net_bps(), 0);
+        recovered.register_worker(w.id(), w.rack(), w.net_bps());
         let (stats, conns) = w.heartbeat_stats();
-        recovered.heartbeat(w.id(), stats, conns, 0, &[]).unwrap();
+        recovered.heartbeat(w.id(), stats, conns, &[]).unwrap();
         recovered.block_report(w.id(), &w.block_report()).unwrap();
     }
     let blocks = recovered
