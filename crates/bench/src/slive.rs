@@ -77,13 +77,8 @@ pub fn run_slive(master: &Master, ops: usize, rv: ReplicationVector) -> Result<S
 
     let create = rate(ops, || {
         for i in 0..ops {
-            master.create_file_as(
-                &format!("/slive/dirs/d{}/f", i % ops),
-                rv,
-                None,
-                ClientId::SYSTEM,
-            )?;
-            master.complete_file_as(&format!("/slive/dirs/d{}/f", i % ops), ClientId::SYSTEM)?;
+            master.create_file_as(&format!("/slive/dirs/d{}/f", i % ops), rv, None, ClientId(1))?;
+            master.complete_file_as(&format!("/slive/dirs/d{}/f", i % ops), ClientId(1))?;
         }
         Ok(())
     })?;

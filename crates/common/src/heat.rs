@@ -109,6 +109,10 @@ pub struct HeatInfo {
     pub cur_writes: u64,
     /// The blended heat score (see module docs).
     pub score: f64,
+    /// Start of the epoch of the file's latest touch, on the master's
+    /// clock (0 for an untracked file): the recency an LRU eviction
+    /// orders by.
+    pub last_touch_ms: u64,
 }
 
 impl Wire for HeatInfo {
@@ -119,6 +123,7 @@ impl Wire for HeatInfo {
         self.cur_reads.put(buf);
         self.cur_writes.put(buf);
         self.score.put(buf);
+        self.last_touch_ms.put(buf);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(HeatInfo {
@@ -128,12 +133,14 @@ impl Wire for HeatInfo {
             cur_reads: Wire::get(r)?,
             cur_writes: Wire::get(r)?,
             score: Wire::get(r)?,
+            last_touch_ms: Wire::get(r)?,
         })
     }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct FileHeat {
+    /// The epoch of the latest touch: only [`HeatTracker::observe`] moves it.
     epoch: u64,
     reads_ewma: f64,
     writes_ewma: f64,
@@ -163,7 +170,8 @@ impl FileHeat {
         self.epoch = e;
     }
 
-    fn info(mut self, file: INodeId, e: u64, alpha: f64) -> HeatInfo {
+    fn info(mut self, file: INodeId, e: u64, alpha: f64, epoch_ms: u64) -> HeatInfo {
+        let last_touch_ms = self.epoch * epoch_ms;
         self.roll_to(e, alpha);
         let cur = (self.cur_reads + self.cur_writes) as f64;
         let ewma = self.reads_ewma + self.writes_ewma;
@@ -174,6 +182,7 @@ impl FileHeat {
             cur_reads: self.cur_reads,
             cur_writes: self.cur_writes,
             score: alpha * cur + (1.0 - alpha) * ewma,
+            last_touch_ms,
         }
     }
 }
@@ -222,7 +231,7 @@ impl HeatTracker {
     pub fn info(&self, file: INodeId, now_ms: u64) -> HeatInfo {
         let e = self.epoch(now_ms);
         match self.files.get(&file) {
-            Some(h) => h.info(file, e, self.alpha),
+            Some(h) => h.info(file, e, self.alpha, self.epoch_ms),
             None => HeatInfo { file, ..Default::default() },
         }
     }
@@ -232,7 +241,7 @@ impl HeatTracker {
     pub fn hottest(&self, k: usize, now_ms: u64) -> Vec<HeatInfo> {
         let e = self.epoch(now_ms);
         let mut all: Vec<HeatInfo> =
-            self.files.iter().map(|(f, h)| h.info(*f, e, self.alpha)).collect();
+            self.files.iter().map(|(f, h)| h.info(*f, e, self.alpha, self.epoch_ms)).collect();
         all.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.file.cmp(&b.file)));
         all.truncate(k);
         all
@@ -248,9 +257,9 @@ impl HeatTracker {
     /// dropped.
     pub fn gc(&mut self, now_ms: u64) -> usize {
         let e = self.epoch(now_ms);
-        let alpha = self.alpha;
+        let (alpha, epoch_ms) = (self.alpha, self.epoch_ms);
         let before = self.files.len();
-        self.files.retain(|f, h| h.info(*f, e, alpha).score > 1e-9);
+        self.files.retain(|f, h| h.info(*f, e, alpha, epoch_ms).score > 1e-9);
         before - self.files.len()
     }
 
@@ -304,6 +313,7 @@ mod tests {
             cur_reads: 2,
             cur_writes: 0,
             score: 1.85,
+            last_touch_ms: 6_000,
         };
         let back: HeatInfo = decode(&encode(&info)).unwrap();
         assert_eq!(back, info);
@@ -326,6 +336,19 @@ mod tests {
         assert_eq!(i.cur_writes, 2);
         // Preview: α·(4+2) + (1-α)·0 = 3.
         assert!((i.score - 3.0).abs() < 1e-12, "{}", i.score);
+    }
+
+    #[test]
+    fn last_touch_is_the_epoch_of_the_latest_observe() {
+        let mut t = HeatTracker::new(100, 0.5);
+        t.observe(INodeId(1), 1, 0, 250);
+        assert_eq!(t.info(INodeId(1), 260).last_touch_ms, 200);
+        // Queries fold and decay a copy: only a touch moves recency.
+        assert_eq!(t.info(INodeId(1), 900).last_touch_ms, 200);
+        assert_eq!(t.hottest(1, 900)[0].last_touch_ms, 200);
+        t.observe(INodeId(1), 0, 1, 720);
+        assert_eq!(t.info(INodeId(1), 900).last_touch_ms, 700);
+        assert_eq!(t.info(INodeId(2), 900).last_touch_ms, 0, "untracked");
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! `<component>.<operation>`: `client.write_file`, `client.read_replica`,
 //! `rpc.ReadBlock` (one per transport attempt, annotated `attempt=N`),
 //! `master.AddBlock`, `worker.WriteBlock`, `monitor.copy`,
-//! `cache.promote`. Annotations are free-form `key=value` pairs (tier,
-//! block id, bytes, retry number, replica index).
+//! `monitor.migration_round`. Annotations are free-form `key=value` pairs
+//! (tier, block id, bytes, retry number, replica index).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};

@@ -26,6 +26,10 @@
 //!   Used by the benchmark harness to reproduce the paper's experiments at
 //!   40 GB scale in milliseconds.
 //!
+//! Tier management (§6) is the master's one loop: its auto-tierer promotes
+//! hot files into the Memory tier and, when it is full, evicts the least
+//! recently touched memory replica ([`Cluster::run_autotier_round`]).
+//!
 //! # Quickstart
 //!
 //! ```
@@ -45,13 +49,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod cluster;
 pub mod net;
 pub mod sim;
 pub mod worker;
 
-pub use cache::{CacheAction, CacheManager};
 pub use cluster::{build_single_worker, Cluster, StorageMode};
 pub use net::client::{FileReader, FileWriter};
 pub use net::{NetCluster, RemoteFs};

@@ -863,6 +863,7 @@ mod tests {
             cur_reads: 2,
             cur_writes: 0,
             score: 2.1,
+            last_touch_ms: 4_000,
         }));
         rt(MasterResponse::Decisions(vec![DecisionEvent {
             seq: 1,

@@ -401,3 +401,126 @@ fn foreground_reads_bounded_under_background_migration() {
     assert!(promoted, "background daemon never promoted the hot files");
     assert!(!client.migrations(20).unwrap().is_empty());
 }
+
+/// Four workers whose Memory tier holds four 1 MB blocks (1 MB on each),
+/// with one heartbeat per heat epoch.
+fn small_memory_cluster() -> Cluster {
+    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
+    config.heartbeat_ms = octopus_common::heat::DEFAULT_HEAT_EPOCH_MS;
+    for w in &mut config.workers {
+        w.media[0].capacity = MB;
+    }
+    Cluster::start(config).unwrap()
+}
+
+/// Writes 2 MB files at `paths` with vector `rv`, then ticks the cluster
+/// 40 heat epochs on, so the heat the writes left decays to nothing.
+fn put_cooled(cluster: &Cluster, paths: &[(&str, ReplicationVector)]) {
+    let client = cluster.client(ClientLocation::OffCluster);
+    for (i, (path, rv)) in paths.iter().enumerate() {
+        client.write_file(path, &payload(2 * MB as usize, i as u64), *rv).unwrap();
+    }
+    for _ in 0..40 {
+        cluster.pump_heartbeats();
+    }
+}
+
+/// The auto-tierer's LRU eviction: with the Memory tier full, one round
+/// promotes the newly hot file and demotes the warm file touched longer
+/// ago, though the file touched since has the lower score.
+#[test]
+fn a_full_memory_tier_evicts_the_least_recently_touched_file() {
+    let cluster = small_memory_cluster();
+    let (pinned, disk) = (ReplicationVector::msh(1, 0, 1), ReplicationVector::msh(0, 0, 1));
+    put_cooled(&cluster, &[("/old", pinned), ("/recent", pinned), ("/new", disk)]);
+    inject_reads(&cluster, "/old", 3); // score 0.864 at the round: warm
+    cluster.pump_heartbeats();
+    cluster.pump_heartbeats();
+    inject_reads(&cluster, "/recent", 1); // score 0.8: warm, touched last
+    inject_reads(&cluster, "/new", 5); // hot
+
+    let classifier = EwmaThresholdClassifier::default();
+    // The promotion and its eviction are two files: a one-file round
+    // makes neither.
+    let one_file = AutoTierConfig { max_files_per_round: 1, ..AutoTierConfig::default() };
+    assert!(cluster.master().autotier_scan(&classifier, &one_file).is_empty());
+    let decisions = cluster.run_autotier_round(&classifier, &AutoTierConfig::default()).unwrap();
+    let moves: Vec<_> =
+        decisions.iter().map(|d| (d.path.as_str(), d.direction, d.from, d.to)).collect();
+    assert_eq!(
+        moves,
+        [
+            ("/new", MigrationDirection::Promote, disk, pinned),
+            ("/old", MigrationDirection::Demote, pinned, disk),
+        ]
+    );
+    let events = cluster.master().recent_migrations(10);
+    let eviction = events.iter().find(|e| e.policy.contains("demote")).unwrap();
+    assert!(eviction.policy.ends_with("to make room for /new"), "{}", eviction.policy);
+
+    // The §5 monitor realizes both edits once /old's memory is freed.
+    cluster.run_replication_round().unwrap();
+    cluster.run_replication_round().unwrap();
+    assert_eq!(memory_replicas(&cluster, "/new"), 1);
+    assert_eq!(memory_replicas(&cluster, "/old"), 0);
+    assert_eq!(memory_replicas(&cluster, "/recent"), 1);
+}
+
+/// A hot file larger than the whole Memory tier is not promoted, and
+/// evicts nothing trying.
+#[test]
+fn a_file_larger_than_the_memory_tier_evicts_nothing() {
+    let cluster = small_memory_cluster();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let disk = ReplicationVector::msh(0, 0, 1);
+    put_cooled(&cluster, &[("/resident", ReplicationVector::msh(1, 0, 1))]);
+    client.write_file("/big", &payload(6 * MB as usize, 9), disk).unwrap();
+    inject_reads(&cluster, "/resident", 1); // warm
+    inject_reads(&cluster, "/big", 5); // hot
+
+    let classifier = EwmaThresholdClassifier::default();
+    let decisions = cluster.run_autotier_round(&classifier, &AutoTierConfig::default()).unwrap();
+    assert!(decisions.is_empty(), "{decisions:?}");
+    assert_eq!(client.status("/resident").unwrap().rv, ReplicationVector::msh(1, 0, 1));
+    assert_eq!(client.status("/big").unwrap().rv, disk);
+}
+
+/// A memory-resident file deleted before the round is no victim: the
+/// round succeeds and promotes into the memory the delete freed.
+#[test]
+fn a_deleted_memory_resident_file_is_never_a_victim() {
+    let cluster = small_memory_cluster();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let (pinned, disk) = (ReplicationVector::msh(1, 0, 1), ReplicationVector::msh(0, 0, 1));
+    put_cooled(&cluster, &[("/gone", pinned), ("/stay", pinned), ("/hot", disk)]);
+    inject_reads(&cluster, "/gone", 1);
+    cluster.pump_heartbeats();
+    inject_reads(&cluster, "/stay", 1);
+    client.delete("/gone", false).unwrap();
+    cluster.pump_heartbeats();
+    inject_reads(&cluster, "/hot", 5);
+
+    let classifier = EwmaThresholdClassifier::default();
+    let decisions = cluster.run_autotier_round(&classifier, &AutoTierConfig::default()).unwrap();
+    let moves: Vec<_> = decisions.iter().map(|d| (d.path.as_str(), d.direction)).collect();
+    assert_eq!(moves, [("/hot", MigrationDirection::Promote)]);
+    assert_eq!(client.status("/stay").unwrap().rv, pinned);
+}
+
+/// A single touch does not promote: the file stays warm until a burst of
+/// reads makes it hot.
+#[test]
+fn a_single_touch_does_not_promote() {
+    let cluster = small_memory_cluster();
+    let disk = ReplicationVector::msh(0, 0, 1);
+    put_cooled(&cluster, &[("/once", disk)]);
+    let classifier = EwmaThresholdClassifier::default();
+    let cfg = AutoTierConfig::default();
+
+    inject_reads(&cluster, "/once", 1);
+    assert!(cluster.master().autotier_scan(&classifier, &cfg).is_empty());
+    inject_reads(&cluster, "/once", 2);
+    let decisions = cluster.master().autotier_scan(&classifier, &cfg);
+    assert_eq!(decisions.len(), 1, "{decisions:?}");
+    assert_eq!(decisions[0].direction, MigrationDirection::Promote);
+}

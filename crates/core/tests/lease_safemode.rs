@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, MB};
-use octopus_core::net::{worker_server, LocalTransport};
+use octopus_core::net::proto::MasterRequest;
+use octopus_core::net::{worker_server, LocalTransport, Transport};
 use octopus_core::{Cluster, RemoteFs};
 use octopus_master::{ClientId, EditLog, Master};
 
@@ -45,6 +46,28 @@ fn second_client_cannot_write_an_open_file() {
     // Alice closes; the lease is released and the file is readable.
     w.close().unwrap();
     assert_eq!(bob.read_file("/shared").unwrap().len(), 1024);
+}
+
+/// The holder is taken off the wire, so no id skips the lease: a raw
+/// `AddBlock` or `CompleteFile` sent with holder 0 to a file another
+/// client writes is refused like any other holder's.
+#[test]
+fn holder_zero_off_the_wire_cannot_write_another_clients_file() {
+    let cluster = Cluster::start(config()).unwrap();
+    let alice = cluster.client(ClientLocation::OffCluster);
+    let mut w = alice.create("/held", ReplicationVector::from_replication_factor(2), None).unwrap();
+    w.write(&payload(1024, 3)).unwrap();
+
+    let net = cluster.transport();
+    let off = ClientLocation::OffCluster;
+    let add = net.call_master(MasterRequest::AddBlock("/held".into(), 1024, off, 0, Vec::new()));
+    assert!(matches!(add, Err(FsError::LeaseConflict(_))), "got {add:?}");
+    let close = net.call_master(MasterRequest::CompleteFile("/held".into(), 0));
+    assert!(matches!(close, Err(FsError::LeaseConflict(_))), "got {close:?}");
+
+    // The holder's write is untouched by the refused requests.
+    w.close().unwrap();
+    assert_eq!(alice.read_file("/held").unwrap(), payload(1024, 3));
 }
 
 #[test]
@@ -93,7 +116,7 @@ fn restored_master_starts_in_safe_mode_until_reports_arrive() {
             "/new2",
             ReplicationVector::from_replication_factor(1),
             None,
-            ClientId::SYSTEM
+            ClientId(1)
         ),
         Err(FsError::NotReady(_))
     ));

@@ -317,11 +317,10 @@ fn dead_pipeline_tail_leaves_two_live_replicas_and_no_reservation_leak() {
     let mut cluster = NetCluster::start(config()).unwrap();
     let master = Arc::clone(cluster.master());
     master
-        .create_file_as("/p", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)
+        .create_file_as("/p", ReplicationVector::from_replication_factor(3), None, ClientId(1))
         .unwrap();
-    let (block, pipeline) = master
-        .add_block_excluding("/p", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
-        .unwrap();
+    let (block, pipeline) =
+        master.add_block_excluding("/p", MB, ClientLocation::OffCluster, ClientId(1), &[]).unwrap();
     assert_eq!(pipeline.len(), 3);
     let tail = pipeline[2];
 
@@ -389,11 +388,10 @@ fn a_tail_whose_ack_was_lost_is_confirmed_by_its_next_block_report() {
     let cluster = NetCluster::start(ClusterConfig { heartbeat_ms: 60_000, ..config() }).unwrap();
     let master = Arc::clone(cluster.master());
     master
-        .create_file_as("/q", ReplicationVector::from_replication_factor(3), None, ClientId::SYSTEM)
+        .create_file_as("/q", ReplicationVector::from_replication_factor(3), None, ClientId(1))
         .unwrap();
-    let (block, pipeline) = master
-        .add_block_excluding("/q", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
-        .unwrap();
+    let (block, pipeline) =
+        master.add_block_excluding("/q", MB, ClientLocation::OffCluster, ClientId(1), &[]).unwrap();
     let tail = pipeline[2];
     let tail_addr = cluster.worker_addr(tail.worker).unwrap();
     octopus_core::net::faults::inject(tail_addr, octopus_core::net::FaultAction::DropConnection);
@@ -427,11 +425,10 @@ fn resending_a_stored_block_is_idempotent_when_the_bytes_match() {
     let cluster = NetCluster::start(config()).unwrap();
     let master = Arc::clone(cluster.master());
     master
-        .create_file_as("/r", ReplicationVector::from_replication_factor(1), None, ClientId::SYSTEM)
+        .create_file_as("/r", ReplicationVector::from_replication_factor(1), None, ClientId(1))
         .unwrap();
-    let (block, pipeline) = master
-        .add_block_excluding("/r", MB, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
-        .unwrap();
+    let (block, pipeline) =
+        master.add_block_excluding("/r", MB, ClientLocation::OffCluster, ClientId(1), &[]).unwrap();
     let head = cluster.worker_addr(pipeline[0].worker).unwrap();
 
     let data = BlockData::generate_real(MB as usize, 5);

@@ -126,7 +126,7 @@ mod tests {
                 "/a/f",
                 ReplicationVector::from_replication_factor(2),
                 None,
-                ClientId::SYSTEM,
+                ClientId(1),
             )
             .unwrap();
         let n = backup.sync_from(&primary).unwrap();
@@ -148,16 +148,16 @@ mod tests {
                 "/x/f",
                 ReplicationVector::from_replication_factor(1),
                 None,
-                ClientId::SYSTEM,
+                ClientId(1),
             )
             .unwrap();
         let (block, locs) = primary
-            .add_block_excluding("/x/f", 1 << 20, ClientLocation::OffCluster, ClientId::SYSTEM, &[])
+            .add_block_excluding("/x/f", 1 << 20, ClientLocation::OffCluster, ClientId(1), &[])
             .unwrap();
         for l in &locs {
             primary.commit_replica(block, *l).unwrap();
         }
-        primary.complete_file_as("/x/f", ClientId::SYSTEM).unwrap();
+        primary.complete_file_as("/x/f", ClientId(1)).unwrap();
 
         let mut backup = BackupMaster::new();
         backup.sync_from(&primary).unwrap();

@@ -937,9 +937,9 @@ impl GroupCommitLog {
         }
     }
 
-    /// Stages an op and waits for its durability — the synchronous path
-    /// used by internal callers (auto-tiering, lease recovery) that roll
-    /// back namespace state when the log rejects an op.
+    /// Stages an op and waits for its durability, for a caller that
+    /// orders its ops by no lock of its own (the benchmark's log ledger).
+    /// The master stages under its namespace guard and waits after it.
     pub fn append_sync(&self, op: EditOp) -> Result<()> {
         let seq = self.stage(op);
         self.wait_durable(seq)

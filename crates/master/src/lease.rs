@@ -10,21 +10,10 @@ use std::collections::HashMap;
 
 use octopus_common::{FsError, Result};
 
-/// Identifies a lease holder. `SYSTEM` (id 0) is used by internal callers
-/// (replication monitor, administrative tools, direct-master tests) and
-/// bypasses conflict checks.
+/// Identifies a lease holder. Every holder, whatever its id, obeys the one
+/// single-writer rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClientId(pub u64);
-
-impl ClientId {
-    /// The internal/administrative holder; never conflicts.
-    pub const SYSTEM: ClientId = ClientId(0);
-
-    /// Whether this is the system holder.
-    pub fn is_system(self) -> bool {
-        self == Self::SYSTEM
-    }
-}
 
 #[derive(Debug, Clone)]
 struct Lease {
@@ -46,11 +35,10 @@ impl LeaseManager {
     }
 
     /// Grants (or refreshes) the lease on `path` to `holder`. Fails if a
-    /// different, unexpired, non-system holder owns it.
+    /// different, unexpired holder owns it.
     pub fn acquire(&mut self, path: &str, holder: ClientId, now_ms: u64) -> Result<()> {
         if let Some(l) = self.leases.get(path) {
-            let live = l.expires_ms > now_ms;
-            if live && !l.holder.is_system() && !holder.is_system() && l.holder != holder {
+            if l.expires_ms > now_ms && l.holder != holder {
                 return Err(FsError::LeaseConflict(format!(
                     "{path} is held by client {} until t={}ms",
                     l.holder.0, l.expires_ms
@@ -113,13 +101,13 @@ mod tests {
     }
 
     #[test]
-    fn system_bypasses() {
+    fn holder_zero_is_an_ordinary_holder() {
         let mut lm = LeaseManager::new(1000);
         lm.acquire("/f", ClientId(1), 0).unwrap();
-        lm.check("/f", ClientId::SYSTEM, 10).unwrap();
-        // ... and a system lease never blocks a client.
-        lm.acquire("/g", ClientId::SYSTEM, 0).unwrap();
-        lm.acquire("/g", ClientId(3), 10).unwrap();
+        assert!(matches!(lm.check("/f", ClientId(0), 10), Err(FsError::LeaseConflict(_))));
+        // ... and its own lease blocks another client like any other.
+        lm.acquire("/g", ClientId(0), 0).unwrap();
+        assert!(matches!(lm.acquire("/g", ClientId(3), 10), Err(FsError::LeaseConflict(_))));
     }
 
     #[test]

@@ -236,9 +236,8 @@ impl Awaited {
 /// The OctopusFS (primary) master.
 ///
 /// Lock order (DESIGN.md §11): `namespace` → `blocks`; `heat` and the
-/// audit ring are leaves. No client-facing op
-/// holds a guard across an edit-log fsync or external-catalog I/O (the
-/// background `autotier_scan` syncs under the guard so it can roll back).
+/// audit ring are leaves. No op, the auto-tierer's edits included,
+/// holds a guard across an edit-log fsync or external-catalog I/O.
 pub struct Master {
     namespace: StatRwLock<NamespaceState>,
     /// Apart from the namespace so `commit_replicas` (one per block

@@ -3,8 +3,8 @@
 
 use octopus_common::metrics::Labels;
 use octopus_common::{
-    Block, BlockId, ClientLocation, DecisionKind, DecisionRound, HeatInfo, INodeId, Location,
-    MediaId, MediaStats, ReplicationVector, StorageTier, WorkerId,
+    log_warn, Block, BlockId, ClientLocation, DecisionKind, DecisionRound, HeatInfo, INodeId,
+    Location, MediaId, MediaStats, ReplicationVector, Result, StorageTier, WorkerId,
 };
 use octopus_policies::{
     choose_replica_to_remove_explained, PlacementRequest, Temperature, TierClassifier,
@@ -239,32 +239,51 @@ impl Master {
     /// to match their temperature, are left alone; that hysteresis band
     /// stops tier ping-pong.
     ///
+    /// A promotion that does not fit the Memory tier's headroom (its own
+    /// capacity accounting, plus what this round's demotions free) evicts:
+    /// warm memory-pinned files are demoted, least recently touched first
+    /// ([`HeatInfo::last_touch_ms`], then lower score, then lower inode
+    /// id), until it fits; one that evicting them all would not fit evicts
+    /// nothing. An eviction's audit text names the file it made room for.
+    ///
     /// Vector edits are exactly what `setReplication` would do, so the §5
     /// replication monitor realizes them as ordinary copy/delete tasks on
     /// the next scan; callers wanting bounded background bandwidth execute
     /// that scan through the paced migration round (net monitor). Rounds
-    /// are bounded by `cfg` (files and copy bytes per round), promotions
-    /// are capacity-checked against the Memory tier, demotions run first
-    /// so they free budget for promotions, and every move is recorded as a
+    /// are bounded by `cfg` (files, evictions included, and copy bytes per
+    /// round), and every move is recorded as a
     /// [`DecisionKind::Migration`] audit event.
     ///
-    /// The scan collects candidates under a read guard and applies each
-    /// decision under its own write guard, re-verifying that nothing raced
-    /// in between.
+    /// The scan collects candidates under a read guard and stages each
+    /// edit under its own write guard, re-verifying that nothing raced in
+    /// between; it waits for the log after releasing the guard. A log that
+    /// fails the wait ends the round: the failure is logged, and the
+    /// decisions made before it are returned.
     pub fn autotier_scan(
         &self,
         classifier: &dyn TierClassifier,
         cfg: &AutoTierConfig,
     ) -> Vec<MigrationDecision> {
-        if self.in_safe_mode() {
-            return Vec::new();
+        let mut decisions = Vec::new();
+        if let Err(e) = self.plan_migrations(classifier, cfg, &mut decisions) {
+            log_warn!(target: "master::autotier", "msg=\"auto-tiering round ended\" err=\"{e}\"");
+        }
+        decisions
+    }
+
+    /// [`Master::autotier_scan`]'s round: each decision is pushed once its
+    /// edit is installed.
+    fn plan_migrations(
+        &self,
+        classifier: &dyn TierClassifier,
+        cfg: &AutoTierConfig,
+        decisions: &mut Vec<MigrationDecision>,
+    ) -> Result<()> {
+        let mem = StorageTier::Memory.id();
+        if self.in_safe_mode() || mem.0 as usize >= self.config.tiers.len() {
+            return Ok(()); // safe mode, or no memory tier to tier into
         }
         let now = self.now_ms();
-        let mem = StorageTier::Memory.id();
-        let hdd = StorageTier::Hdd.id();
-        if mem.0 as usize >= self.config.tiers.len() {
-            return Vec::new(); // no memory tier configured: nothing to tier
-        }
 
         // Candidates in ascending inode id: demotions are applied in this
         // order, promotions by score and then by it. The heat tracker is a
@@ -282,96 +301,155 @@ impl Master {
         };
         scored.sort_unstable_by_key(|f| f.0);
 
-        // Headroom for promotions: what the Memory tier can still absorb.
-        let reports = self.get_storage_tier_reports();
-        let mem_report = reports.iter().find(|r| r.stats.tier == mem);
-        let mut mem_remaining = mem_report.map_or(0, |r| r.stats.remaining);
-
-        // Demotions first (they free memory), then promotions hottest
-        // first, so a tight round spends its budget on the hottest files.
-        let (mut demotions, mut promotions) = (Vec::new(), Vec::new());
-        for (id, path, rv, len, b, info) in scored {
-            match classifier.classify(&info) {
-                Temperature::Cold if rv.tier(mem) > 0 => {
-                    let mut to = rv.with_tier(mem, 0);
+        // Cold memory-pinned files leave memory outright; warm ones are the
+        // eviction pool, leaving only to make room for a hot file.
+        let (mut demotions, mut pool, mut promotions) = (Vec::new(), Vec::new(), Vec::new());
+        for (id, path, from, len, block, info) in scored {
+            let temperature = classifier.classify(&info);
+            let mv = |to| Move { id, path, from, to, len, block, score: info.score };
+            match (from.tier(mem) > 0, temperature) {
+                (false, Temperature::Hot) => promotions.push(mv(from.with_tier(mem, 1))),
+                (true, Temperature::Cold | Temperature::Warm) => {
+                    let mut to = from.with_tier(mem, 0);
                     if to.total() == 0 {
                         // Never demote a file out of existence: the memory
                         // pin was its only replica, so it moves to HDD.
-                        to = to.with_tier(hdd, 1);
+                        to = to.with_tier(StorageTier::Hdd.id(), 1);
                     }
-                    demotions.push((id, path, rv, to, len, b, info.score));
-                }
-                Temperature::Hot if rv.tier(mem) == 0 => {
-                    let to = rv.with_tier(mem, 1);
-                    promotions.push((id, path, rv, to, len, b, info.score));
+                    match temperature {
+                        Temperature::Cold => demotions.push(mv(to)),
+                        _ => pool.push((info.last_touch_ms, mv(to))),
+                    }
                 }
                 _ => {}
             }
         }
-        promotions.sort_by(|a, b| b.6.partial_cmp(&a.6).unwrap().then(a.0.cmp(&b.0)));
+        // Hottest first, so a tight round spends its budget on the hottest
+        // files; victims least recently touched first.
+        promotions.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        pool.sort_by(|(ta, a), (tb, b)| {
+            ta.cmp(tb).then(a.score.total_cmp(&b.score)).then(a.id.cmp(&b.id))
+        });
 
-        let mut decisions = Vec::new();
+        let reports = self.get_storage_tier_reports();
+        let mut headroom =
+            reports.iter().find(|r| r.stats.tier == mem).map_or(0, |r| r.stats.remaining);
         let mut copy_bytes_planned = 0u64;
-        for (id, path, from, to, len, block, score) in demotions.into_iter().chain(promotions) {
+        for mv in &demotions {
             if decisions.len() >= cfg.max_files_per_round {
                 break;
             }
-            let direction = if to.tier(mem) > from.tier(mem) {
-                MigrationDirection::Promote
-            } else {
-                MigrationDirection::Demote
-            };
-            let added: u64 = from.diff(to).additions().map(|(_, n)| n as u64).sum();
-            let copy_bytes = len.saturating_mul(added);
+            let copy_bytes = mv.copy_bytes();
             if copy_bytes_planned.saturating_add(copy_bytes) > cfg.max_bytes_per_round {
                 continue; // a smaller file later in the order may still fit
             }
-            if direction == MigrationDirection::Promote {
-                if len > mem_remaining {
-                    continue; // no headroom: wait for demotions to land
-                }
-                mem_remaining -= len;
+            if let Some(d) = self.migrate(classifier, mv, None)? {
+                headroom += mv.freed();
+                copy_bytes_planned += copy_bytes;
+                decisions.push(d);
             }
-            if to.validate(self.config.tiers.len()).is_err() {
-                continue;
-            }
-            // Apply under the write guard, re-verifying the file is
-            // unchanged (same inode, vector, and length) — a rename,
-            // delete, or setReplication may have raced the scan.
-            let mut g = self.namespace.write();
-            let unchanged = g.ns.resolve(&path).is_ok_and(|rid| rid == id)
-                && g.ns.file_meta(id).is_ok_and(|m| m.rv == from && m.len == len);
-            if !unchanged {
-                continue; // raced: skip this round
-            }
-            if g.ns.set_replication(&path, to).is_err() {
-                continue; // quota: skip this round
-            }
-            // The scan holds the guard across the synchronous append (the
-            // committer path of the group commit), keeping namespace and
-            // log consistent if the write fails.
-            if self.log.append_sync(EditOp::SetReplication { path: path.clone(), rv: to }).is_err()
-            {
-                let _ = g.ns.set_replication(&path, from);
-                continue;
-            }
-            drop(g);
-            copy_bytes_planned += copy_bytes;
-            let label = direction.label();
-            let policy = format!("{}: {label} score={score:.3} {from} -> {to}", classifier.name());
-            self.record(DecisionKind::Migration, block, id, &policy, &[], &[]);
-            self.metrics.inc("master_migrations_total", Labels::req(label));
-            self.metrics.add("master_migration_copy_bytes_total", Labels::NONE, copy_bytes);
-            decisions.push(MigrationDecision {
-                file: id,
-                path,
-                score,
-                direction,
-                from,
-                to,
-                copy_bytes,
-            });
         }
-        decisions
+        let mut next_victim = 0;
+        for mv in &promotions {
+            if decisions.len() >= cfg.max_files_per_round {
+                break;
+            }
+            let (mut room, mut end) = (headroom, next_victim);
+            while room < mv.len && end < pool.len() {
+                room += pool[end].1.freed();
+                end += 1;
+            }
+            let victims = &pool[next_victim..end];
+            let copy_bytes =
+                mv.copy_bytes() + victims.iter().map(|(_, v)| v.copy_bytes()).sum::<u64>();
+            if room < mv.len
+                || decisions.len() + 1 + victims.len() > cfg.max_files_per_round
+                || copy_bytes_planned.saturating_add(copy_bytes) > cfg.max_bytes_per_round
+            {
+                continue; // a smaller file later in the order may still fit
+            }
+            // The promotion first: a file is evicted only for an edit the
+            // namespace accepted (a directory's memory quota may refuse it).
+            let Some(d) = self.migrate(classifier, mv, None)? else { continue };
+            decisions.push(d);
+            for (_, victim) in victims {
+                if let Some(d) = self.migrate(classifier, victim, Some(&mv.path))? {
+                    headroom += victim.freed();
+                    decisions.push(d);
+                }
+            }
+            headroom = headroom.saturating_sub(mv.len);
+            copy_bytes_planned += copy_bytes;
+            next_victim = end;
+        }
+        Ok(())
+    }
+
+    /// Installs one planned edit the way [`Master::set_replication`] does:
+    /// staged under the namespace write guard, if the file is unchanged
+    /// since the scan (same inode, vector and length — a rename, delete or
+    /// setReplication may have raced it), and waited for after the guard
+    /// is released. `Ok(None)` when a race or a quota refuses the edit.
+    fn migrate(
+        &self,
+        classifier: &dyn TierClassifier,
+        mv: &Move,
+        made_room_for: Option<&str>,
+    ) -> Result<Option<MigrationDecision>> {
+        if mv.to.validate(self.config.tiers.len()).is_err() {
+            return Ok(None);
+        }
+        let mut g = self.namespace.write();
+        let unchanged = g.ns.resolve(&mv.path).is_ok_and(|rid| rid == mv.id)
+            && g.ns.file_meta(mv.id).is_ok_and(|m| m.rv == mv.from && m.len == mv.len);
+        if !unchanged || g.ns.set_replication(&mv.path, mv.to).is_err() {
+            return Ok(None);
+        }
+        let seq = self.log.stage(EditOp::SetReplication { path: mv.path.clone(), rv: mv.to });
+        drop(g);
+        self.log.wait_durable(seq)?;
+        let mem = StorageTier::Memory.id();
+        let direction = if mv.to.tier(mem) > mv.from.tier(mem) {
+            MigrationDirection::Promote
+        } else {
+            MigrationDirection::Demote
+        };
+        let (label, copy_bytes, (from, to), score) =
+            (direction.label(), mv.copy_bytes(), (mv.from, mv.to), mv.score);
+        let mut policy = format!("{}: {label} score={score:.3} {from} -> {to}", classifier.name());
+        if let Some(path) = made_room_for {
+            policy += &format!(" to make room for {path}");
+        }
+        self.record(DecisionKind::Migration, mv.block, mv.id, &policy, &[], &[]);
+        self.metrics.inc("master_migrations_total", Labels::req(label));
+        self.metrics.add("master_migration_copy_bytes_total", Labels::NONE, copy_bytes);
+        let path = mv.path.clone();
+        Ok(Some(MigrationDecision { file: mv.id, path, score, direction, from, to, copy_bytes }))
+    }
+}
+
+/// One vector edit the auto-tierer plans.
+struct Move {
+    id: INodeId,
+    path: String,
+    from: ReplicationVector,
+    to: ReplicationVector,
+    len: u64,
+    block: BlockId,
+    score: f64,
+}
+
+impl Move {
+    /// Copy bytes the edit schedules: the file's length per replica added.
+    fn copy_bytes(&self) -> u64 {
+        let added: u64 = self.from.diff(self.to).additions().map(|(_, n)| n as u64).sum();
+        self.len.saturating_mul(added)
+    }
+
+    /// Memory-tier bytes the edit frees: the file's length per memory
+    /// replica dropped.
+    fn freed(&self) -> u64 {
+        let mem = StorageTier::Memory.id();
+        self.len.saturating_mul(self.from.tier(mem).saturating_sub(self.to.tier(mem)) as u64)
     }
 }

@@ -7,7 +7,8 @@ use octopus_common::{
 };
 use octopus_policies::EwmaThresholdClassifier;
 
-const SYS: ClientId = ClientId::SYSTEM;
+/// The holder these tests write as: an ordinary client.
+const SYS: ClientId = ClientId(1);
 const OFF: ClientLocation = ClientLocation::OffCluster;
 
 /// A master recovered from a checkpoint image.

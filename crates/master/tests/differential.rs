@@ -77,14 +77,12 @@ fn listing(entries: Vec<octopus_master::DirEntry>) -> Answer {
 fn on_master(m: &Master, op: &Op) -> (Answer, Option<FsError>) {
     match op {
         Op::Mkdir(p) => answer(m.mkdir(p), |()| Answer::Done),
-        Op::Create(p, rv) => {
-            answer(m.create_file_as(p, *rv, None, ClientId::SYSTEM), Answer::Status)
-        }
+        Op::Create(p, rv) => answer(m.create_file_as(p, *rv, None, ClientId(1)), Answer::Status),
         Op::AddBlock(p, len) => answer(
-            m.add_block_excluding(p, *len, ClientLocation::OffCluster, ClientId::SYSTEM, &[]),
+            m.add_block_excluding(p, *len, ClientLocation::OffCluster, ClientId(1), &[]),
             |_| Answer::Done,
         ),
-        Op::Complete(p) => answer(m.complete_file_as(p, ClientId::SYSTEM), |()| Answer::Done),
+        Op::Complete(p) => answer(m.complete_file_as(p, ClientId(1)), |()| Answer::Done),
         Op::Rename(s, d) => answer(m.rename(s, d), |()| Answer::Done),
         Op::Delete(p, r) => answer(m.delete(p, *r), |_| Answer::Done),
         Op::List(p) => answer(m.list(p), listing),
@@ -201,8 +199,8 @@ fn master_agrees_with_the_sequential_reference() {
 fn list_is_an_atomic_snapshot() {
     let master = boot();
     master.mkdir("/d").unwrap();
-    master.create_file_as("/d/a", u(1), None, ClientId::SYSTEM).unwrap();
-    master.complete_file_as("/d/a", ClientId::SYSTEM).unwrap();
+    master.create_file_as("/d/a", u(1), None, ClientId(1)).unwrap();
+    master.complete_file_as("/d/a", ClientId(1)).unwrap();
     let stop = AtomicBool::new(false);
     let start = Barrier::new(3);
     std::thread::scope(|s| {

@@ -109,7 +109,7 @@ fn torture(seed: u64, threads: usize, iters: usize) -> Master {
                                     &path,
                                     rv(rng.below(3) as u8 + 1),
                                     None,
-                                    ClientId::SYSTEM,
+                                    ClientId(1),
                                 )
                                 .is_ok()
                             {
@@ -119,16 +119,16 @@ fn torture(seed: u64, threads: usize, iters: usize) -> Master {
                                         &path,
                                         len,
                                         ClientLocation::OffCluster,
-                                        ClientId::SYSTEM,
+                                        ClientId(1),
                                         &[],
                                     ) {
                                         for l in locs {
                                             let _ = master.commit_replica(block, l);
                                         }
                                     }
-                                    let _ = master.complete_file_as(&path, ClientId::SYSTEM);
+                                    let _ = master.complete_file_as(&path, ClientId(1));
                                 } else if rng.below(2) == 0 {
-                                    let _ = master.complete_file_as(&path, ClientId::SYSTEM);
+                                    let _ = master.complete_file_as(&path, ClientId(1));
                                 }
                             }
                         }
@@ -249,8 +249,8 @@ fn rename_opposing_directions_no_deadlock() {
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
         for i in 0..8 {
-            master.create_file_as(&format!("/a/x{i}"), rv(1), None, ClientId::SYSTEM).unwrap();
-            master.complete_file_as(&format!("/a/x{i}"), ClientId::SYSTEM).unwrap();
+            master.create_file_as(&format!("/a/x{i}"), rv(1), None, ClientId(1)).unwrap();
+            master.complete_file_as(&format!("/a/x{i}"), ClientId(1)).unwrap();
         }
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -287,8 +287,8 @@ fn rename_racing_recursive_delete_of_destination() {
         let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
-        master.create_file_as("/a/x", rv(1), None, ClientId::SYSTEM).unwrap();
-        master.complete_file_as("/a/x", ClientId::SYSTEM).unwrap();
+        master.create_file_as("/a/x", rv(1), None, ClientId(1)).unwrap();
+        master.complete_file_as("/a/x", ClientId(1)).unwrap();
         std::thread::scope(|s| {
             let m1 = &master;
             let m2 = &master;
@@ -322,8 +322,8 @@ fn rename_racing_recursive_delete_of_source() {
         let master = boot(4);
         master.mkdir("/a").unwrap();
         master.mkdir("/b").unwrap();
-        master.create_file_as("/a/x", rv(1), None, ClientId::SYSTEM).unwrap();
-        master.complete_file_as("/a/x", ClientId::SYSTEM).unwrap();
+        master.create_file_as("/a/x", rv(1), None, ClientId(1)).unwrap();
+        master.complete_file_as("/a/x", ClientId(1)).unwrap();
         std::thread::scope(|s| {
             let m1 = &master;
             let m2 = &master;
@@ -348,8 +348,8 @@ fn directory_rename_carries_children() {
     master.mkdir("/src/deep").unwrap();
     for i in 0..32 {
         let p = format!("/src/deep/f{i}");
-        master.create_file_as(&p, rv(1), None, ClientId::SYSTEM).unwrap();
-        master.complete_file_as(&p, ClientId::SYSTEM).unwrap();
+        master.create_file_as(&p, rv(1), None, ClientId(1)).unwrap();
+        master.complete_file_as(&p, ClientId(1)).unwrap();
     }
     master.rename("/src", "/dst").unwrap();
     assert!(master.status("/src").is_err());
@@ -402,15 +402,15 @@ fn liveness_races_commits_locates_and_scans() {
                 for t in 0..3 {
                     s.spawn(move || {
                         let mut rng = Rng::seed_from_u64(seed * 1009 + phase * 31 + t);
-                        let (off, sys) = (ClientLocation::OffCluster, ClientId::SYSTEM);
+                        let (off, holder) = (ClientLocation::OffCluster, ClientId(1));
                         let mut in_flight = Vec::new();
                         for i in 0..16 {
                             let path = format!("/w{t}/p{phase}f{i}");
                             let rv = rv(rng.below(3) as u8 + 1);
-                            if master.create_file_as(&path, rv, None, sys).is_ok() {
+                            if master.create_file_as(&path, rv, None, holder).is_ok() {
                                 let len = (rng.below(4) + 1) * 1024;
                                 if let Ok((b, ls)) =
-                                    master.add_block_excluding(&path, len, off, sys, &[])
+                                    master.add_block_excluding(&path, len, off, holder, &[])
                                 {
                                     lens.lock().unwrap().insert(b.id, b.len);
                                     in_flight.push((path, b, ls));
@@ -421,7 +421,7 @@ fn liveness_races_commits_locates_and_scans() {
                                 for (path, b, ls) in in_flight.drain(..in_flight.len().min(2)) {
                                     let cut = rng.below(ls.len() as u64 + 1) as usize;
                                     let _ = master.commit_replicas(b, &ls[..cut], &ls[cut..]);
-                                    let _ = master.complete_file_as(&path, sys);
+                                    let _ = master.complete_file_as(&path, holder);
                                     let _ =
                                         master.get_file_block_locations(&path, 0, u64::MAX, off);
                                 }
@@ -432,7 +432,7 @@ fn liveness_races_commits_locates_and_scans() {
                         }
                         for (path, b, ls) in in_flight {
                             let _ = master.commit_replicas(b, &ls, &[]);
-                            let _ = master.complete_file_as(&path, sys);
+                            let _ = master.complete_file_as(&path, holder);
                         }
                         writing.fetch_sub(1, Ordering::Release);
                     });

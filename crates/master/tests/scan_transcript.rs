@@ -44,7 +44,8 @@ const BLOCK_SIZE: u64 = 2000;
 /// balancer's thresholds see the blocks.
 const CAPACITY: u64 = 256 << 10;
 const WORKERS: u32 = 6;
-const SYS: ClientId = ClientId::SYSTEM;
+/// The holder these tests write as: an ordinary client.
+const SYS: ClientId = ClientId(1);
 
 /// The transcript's lines, and the length of every block added so far (the
 /// reservation oracle's walk needs it).

@@ -143,12 +143,13 @@ fn boot() -> Master {
 /// placed (the audited placement) and committed where it was placed,
 /// complete. Returns the block.
 fn write(master: &Master, path: &str, rv: ReplicationVector) -> BlockId {
-    let sys = ClientId::SYSTEM;
-    master.create_file_as(path, rv, None, sys).unwrap();
-    let (block, pipeline) =
-        master.add_block_excluding(path, FILE_BYTES, ClientLocation::OffCluster, sys, &[]).unwrap();
+    let holder = ClientId(1);
+    master.create_file_as(path, rv, None, holder).unwrap();
+    let (block, pipeline) = master
+        .add_block_excluding(path, FILE_BYTES, ClientLocation::OffCluster, holder, &[])
+        .unwrap();
     master.commit_replicas(block, &pipeline, &[]).unwrap();
-    master.complete_file_as(path, sys).unwrap();
+    master.complete_file_as(path, holder).unwrap();
     block.id
 }
 

@@ -2,14 +2,27 @@
 //! an application promotes its hot working set into the Memory tier, pins
 //! it there while serving interactive queries, then demotes it — all
 //! through the public `setReplication` API, with per-tenant memory quotas
-//! keeping the tier fair.
+//! keeping the tier fair. Then the master's auto-tierer makes the same
+//! edits from access heat: one promotion, and one LRU eviction to make
+//! room for it in a full Memory tier.
 //!
 //! Run with: `cargo run --release --example tier_cache`
 
-use octopusfs::core::{CacheAction, CacheManager};
+use octopusfs::master::AutoTierConfig;
+use octopusfs::policies::EwmaThresholdClassifier;
 use octopusfs::{
-    ClientLocation, Cluster, ClusterConfig, FsError, ReplicationVector, StorageTier, TierQuota,
+    ClientLocation, Cluster, ClusterConfig, FsError, RemoteFs, ReplicationVector, StorageTier,
+    TierQuota,
 };
+
+/// The tiers every replica of `path` sits on.
+fn tiers_of(client: &RemoteFs, path: &str) -> octopusfs::Result<Vec<String>> {
+    Ok(client
+        .get_file_block_locations(path, 0, u64::MAX)?
+        .iter()
+        .flat_map(|lb| lb.locations.iter().map(|l| l.tier.to_string()))
+        .collect())
+}
 
 fn main() -> octopusfs::Result<()> {
     let config = ClusterConfig::test_cluster(6, 64 << 20, 1 << 20);
@@ -36,14 +49,7 @@ fn main() -> octopusfs::Result<()> {
     // Interactive phase: promote the hot table into memory (cache fill).
     client.set_replication("/tenants/alice/t1", ReplicationVector::msh(1, 0, 2))?;
     cluster.run_replication_round()?;
-    let tiers_of = |path: &str| -> octopusfs::Result<Vec<String>> {
-        Ok(client
-            .get_file_block_locations(path, 0, u64::MAX)?
-            .iter()
-            .flat_map(|lb| lb.locations.iter().map(|l| l.tier.to_string()))
-            .collect())
-    };
-    println!("t1 replicas now on tiers: {:?}", tiers_of("/tenants/alice/t1")?);
+    println!("t1 replicas now on tiers: {:?}", tiers_of(&client, "/tenants/alice/t1")?);
 
     // Promoting a second 2 MB table would exceed Alice's 4 MB memory
     // quota (t1 already pins 2 MB): the system refuses, protecting Bob.
@@ -73,35 +79,50 @@ fn main() -> octopusfs::Result<()> {
         usage[StorageTier::Memory.id().0 as usize]
     );
 
-    // --- Or let the CacheManager automate all of the above (§6) -----------
-    // Bob ingests tables and just *reads*; the manager watches accesses,
-    // promotes the hot set into memory, and LRU-evicts under pressure.
+    // --- Or let the master's auto-tierer do all of the above (§6) ---------
+    // The master makes the same edits from the heat workers report: a hot
+    // file gains a memory replica, and when the Memory tier is full the
+    // least recently touched memory-pinned file makes room for it. Bob's
+    // cluster has a 4 MB Memory tier (1 MB per worker) and beats once per
+    // heat epoch.
     println!(
         "
-automated cache management for bob:"
+automated tiering for bob:"
     );
-    client.set_replication("/tenants/alice/t2", ReplicationVector::msh(0, 0, 1))?;
-    cluster.run_replication_round()?; // free alice's memory for clarity
-    for t in ["hot", "warm", "cold"] {
-        client.write_file(&format!("/tenants/bob/{t}"), &table, ReplicationVector::msh(0, 0, 2))?;
+    let mut config = ClusterConfig::test_cluster(4, 64 << 20, 1 << 20);
+    config.heartbeat_ms = octopusfs::common::heat::DEFAULT_HEAT_EPOCH_MS;
+    for w in &mut config.workers {
+        w.media[0].capacity = 1 << 20;
     }
-    // Budget fits two tables; promote on the 2nd access (scan-resistant).
-    let mut cache = CacheManager::new(client.clone(), 4 << 20, 2);
-    for _ in 0..2 {
-        cache.on_access("/tenants/bob/hot")?;
-        cache.on_access("/tenants/bob/warm")?;
+    let cluster = Cluster::start(config)?;
+    let client = cluster.client(ClientLocation::OffCluster);
+    // `old` and `recent` fill the Memory tier; `new` lands on disk.
+    client.mkdir("/bob")?;
+    for (t, memory) in [("old", 1), ("recent", 1), ("new", 0)] {
+        let rv = ReplicationVector::msh(memory, 0, 1);
+        client.write_file(&format!("/bob/{t}"), &table, rv)?;
     }
-    cache.on_access("/tenants/bob/cold")?; // single scan: not promoted
-    println!("  cached after the access pattern: {:?}", cache.cached());
-    // A burst on `cold` promotes it and evicts the LRU entry.
-    let actions = [cache.on_access("/tenants/bob/cold")?].concat();
-    for a in &actions {
-        match a {
-            CacheAction::Promoted(p) => println!("  promoted {p}"),
-            CacheAction::Evicted(p) => println!("  evicted  {p} (LRU)"),
-        }
+    for _ in 0..10 {
+        cluster.pump_heartbeats(); // one heat epoch each: the ingest's write heat cools
     }
-    cluster.run_replication_round()?;
-    cluster.run_replication_round()?;
+    client.read_file("/bob/old")?;
+    cluster.pump_heartbeats();
+    client.read_file("/bob/recent")?;
+    cluster.pump_heartbeats();
+    for _ in 0..3 {
+        client.read_file("/bob/new")?; // a burst: `new` turns hot
+    }
+    cluster.pump_heartbeats();
+    let classifier = EwmaThresholdClassifier::default();
+    let decisions = cluster.run_autotier_round(&classifier, &AutoTierConfig::default())?;
+    for d in &decisions {
+        println!("  {} {} {} -> {}", d.direction.label(), d.path, d.from, d.to);
+    }
+    assert_eq!(decisions.len(), 2, "one promotion and one eviction");
+    for e in cluster.master().recent_migrations(2) {
+        println!("  audit: {}", e.policy);
+    }
+    cluster.run_replication_round()?; // realize the promotion in the freed memory
+    println!("  new's replicas now on tiers: {:?}", tiers_of(&client, "/bob/new")?);
     Ok(())
 }

@@ -130,6 +130,29 @@ if grep -nE 'monitor::|\brun_[a-z_]*_round\b|\bbeat\b' src/bin/octofs.rs >&2; th
 fi
 echo "one deployment: every binary runs the daemons' nodes"
 
+echo "==> one tiering loop"
+# The master's auto-tierer is the one loop that moves files between tiers:
+# it promotes hot files and, when the Memory tier is full, evicts the least
+# recently touched memory-pinned file. No Rust file names the client-side
+# `CacheManager` or `CacheAction` it replaced. The master stages each edit
+# under its namespace guard and waits for the log after releasing it, so no
+# non-test code in crates/master/src/master/ calls `append_sync` (tests,
+# and whatever follows a file's first `#[cfg(test)]`, are exempt).
+if git grep --untracked -nwE 'CacheManager|CacheAction' -- '*.rs' >&2; then
+    echo "one tiering loop: a Rust file names CacheManager or CacheAction" >&2
+    exit 1
+fi
+syncs=$(find crates/master/src/master -name '*.rs' ! -name tests.rs | sort | xargs awk '
+    FNR == 1 { skip = 0 }
+    /^ *#\[cfg\(test\)\]/ { skip = 1 }
+    !skip && /append_sync\(/ { print FILENAME ":" FNR }')
+if [ -n "$syncs" ]; then
+    echo "one tiering loop: the master waits for the log under its guard:" >&2
+    printf '%s\n' "$syncs" >&2
+    exit 1
+fi
+echo "one tiering loop: the auto-tierer evicts, and no master code calls append_sync"
+
 echo "==> third_party stand-ins"
 # Each directory in third_party/ stands in for one crates.io dependency:
 # the root manifest must name it in `exclude`, `[workspace.dependencies]`

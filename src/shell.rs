@@ -340,8 +340,8 @@ fn heat(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     Ok(writeln!(
         out,
         "{path}: score={:.3} reads_ewma={:.2} writes_ewma={:.2} \
-         cur_reads={} cur_writes={}",
-        h.score, h.reads_ewma, h.writes_ewma, h.cur_reads, h.cur_writes
+         cur_reads={} cur_writes={} last_touch={}ms",
+        h.score, h.reads_ewma, h.writes_ewma, h.cur_reads, h.cur_writes, h.last_touch_ms
     )?)
 }
 

@@ -801,3 +801,52 @@ fn a_closed_stdout_ends_the_output_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success() && !stderr.contains("panicked"), "{:?}: {stderr}", out.status);
 }
+
+/// `octofs-master --autotier-ms` runs the auto-tierer's paced rounds on
+/// the daemon (`--autotier-bps` caps their copies): a `<0,0,1>` file read
+/// over and over turns hot, `migrations` lists its promotion, every block
+/// gains a memory replica, and `heat` shows when it was last touched.
+#[test]
+fn the_master_daemon_promotes_a_file_read_over_and_over() {
+    let tmp = fresh_dir("autotier");
+    let mut margs = owned(&["--listen", "127.0.0.1:0", "--heartbeat-ms", "50"]);
+    margs.extend(owned(&SHAPE[2..4]));
+    margs.extend(owned(&["--autotier-ms", "100", "--autotier-bps", "8388608"]));
+    let (_master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
+    let _workers: Vec<Daemon> = ["0", "1", "2"]
+        .into_iter()
+        .map(|id| {
+            let wargs = ["--master", &addr, "--id", id].map(String::from);
+            spawn_with_addr(env!("CARGO_BIN_EXE_octofs-worker"), &wargs).0
+        })
+        .collect();
+    wait_for_workers(&addr, 3);
+    let local = tmp.join("in.bin");
+    std::fs::write(&local, put_payload(5)).unwrap();
+    let (ok, _, err) = remote(&addr, &["put", local.to_str().unwrap(), "/hot", "--rv", "<0,0,1>"]);
+    assert!(ok, "{err}");
+    let fs =
+        octopusfs::RemoteFs::connect(addr.parse().unwrap(), octopusfs::ClientLocation::OffCluster)
+            .unwrap();
+    let in_memory = || {
+        let blocks = fs.get_file_block_locations("/hot", 0, u64::MAX).unwrap();
+        blocks.iter().all(|lb| lb.locations.iter().any(|l| l.tier.0 == 0))
+    };
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let (ok, out, err) = remote(&addr, &["cat", "/hot"]);
+        assert!(ok && out.as_bytes() == put_payload(5), "/hot reads back other bytes: {err}");
+        let (ok, migrations, err) = remote(&addr, &["migrations"]);
+        assert!(ok, "{err}");
+        if migrations.contains(": promote ") && in_memory() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never promoted: {migrations}");
+    }
+    let (ok, out, err) = remote(&addr, &["heat", "/hot"]);
+    assert!(ok, "{err}");
+    let last_touch = out.rsplit("last_touch=").next().and_then(|v| v.trim().strip_suffix("ms"));
+    assert!(last_touch.is_some_and(|ms| ms.parse::<u64>().is_ok()), "{out}");
+    std::fs::remove_dir_all(tmp).ok();
+}

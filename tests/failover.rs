@@ -73,10 +73,10 @@ fn file_backed_edit_log_survives_restart() {
                 "/a/b/f",
                 ReplicationVector::from_replication_factor(2),
                 None,
-                ClientId::SYSTEM,
+                ClientId(1),
             )
             .unwrap();
-        master.complete_file_as("/a/b/f", ClientId::SYSTEM).unwrap();
+        master.complete_file_as("/a/b/f", ClientId(1)).unwrap();
         master.rename("/a/b/f", "/a/g").unwrap();
     }
     // Restart: the log is replayed from disk.
@@ -111,10 +111,10 @@ fn a_file_log_boot_reports_finger_hits_and_scan_wait() {
                     name,
                     ReplicationVector::from_replication_factor(1),
                     None,
-                    ClientId::SYSTEM,
+                    ClientId(1),
                 )
                 .unwrap();
-            master.complete_file_as(name, ClientId::SYSTEM).unwrap();
+            master.complete_file_as(name, ClientId(1)).unwrap();
         }
     }
     let recovery = Master::with_log(config(), EditLog::open(&log_path).unwrap()).unwrap();

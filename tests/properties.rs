@@ -506,8 +506,8 @@ fn group_commit_crash_replay_is_serially_reachable() {
                         let mut alive = Vec::new();
                         for i in 0..24 {
                             let private = format!("/t{t}/f{i}");
-                            master.create_file_as(&private, rv, None, ClientId::SYSTEM).unwrap();
-                            master.complete_file_as(&private, ClientId::SYSTEM).unwrap();
+                            master.create_file_as(&private, rv, None, ClientId(1)).unwrap();
+                            master.complete_file_as(&private, ClientId(1)).unwrap();
                             if rng.below(3) == 0 {
                                 master.delete(&private, false).unwrap();
                             } else {
@@ -516,8 +516,7 @@ fn group_commit_crash_replay_is_serially_reachable() {
                             let shared = format!("/shared/f{}", rng.below(6));
                             match rng.below(3) {
                                 0 => {
-                                    let _ =
-                                        master.create_file_as(&shared, rv, None, ClientId::SYSTEM);
+                                    let _ = master.create_file_as(&shared, rv, None, ClientId(1));
                                 }
                                 1 => {
                                     let _ = master.delete(&shared, false);
