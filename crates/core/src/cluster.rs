@@ -210,13 +210,16 @@ impl Cluster {
     /// classifies every file's temperature through `classifier`, installs
     /// the planned replication-vector edits (see
     /// [`Master::autotier_scan`]) and executes the resulting moves, paced
-    /// to `cfg.max_copy_bps`. Returns the planned migrations.
+    /// to `cfg.max_copy_bps`, pumping heartbeats after a pass that deleted
+    /// a replica so the promotion it made room for lands in the same round.
+    /// Returns the planned migrations.
     pub fn run_autotier_round(
         &self,
         classifier: &dyn TierClassifier,
         cfg: &AutoTierConfig,
     ) -> Result<Vec<MigrationDecision>> {
-        let round = monitor::run_migration_round(self.master(), &*self.net, classifier, cfg)?;
+        let beat = || self.pump_heartbeats();
+        let round = monitor::run_migration_round(self.master(), &*self.net, classifier, cfg, beat)?;
         self.pump_heartbeats();
         Ok(round.planned)
     }

@@ -111,7 +111,10 @@ impl NetCluster {
         classifier: &dyn octopus_policies::TierClassifier,
         cfg: &octopus_master::AutoTierConfig,
     ) -> Result<super::monitor::MigrationRound> {
-        super::monitor::run_migration_round(self.master(), self.transport(), classifier, cfg)
+        let (master, net) = (self.master(), self.transport());
+        super::monitor::run_migration_round(master, net, classifier, cfg, || {
+            super::monitor::await_beats(master)
+        })
     }
 
     /// Starts the auto-tiering daemon: a background thread that runs one
@@ -126,7 +129,9 @@ impl NetCluster {
     ) {
         self.master
             .every("autotier", interval_ms, move |master, net| {
-                super::monitor::run_migration_round(master, net, &*classifier, &cfg)
+                super::monitor::run_migration_round(master, net, &*classifier, &cfg, || {
+                    super::monitor::await_beats(master)
+                })
             })
             .expect("spawn autotier thread");
     }

@@ -288,7 +288,7 @@ pub fn run_round(master: &Master, net: &dyn Transport, round: Round) -> Result<u
 
 /// Waits until every worker live now has heartbeated again, two heartbeat
 /// intervals at most.
-fn await_beats(master: &Master) {
+pub fn await_beats(master: &Master) {
     let before = master.live_heartbeats();
     let interval = Duration::from_millis(master.config().heartbeat_ms);
     let poll = (interval / 16).clamp(Duration::from_millis(1), Duration::from_millis(50));
@@ -400,11 +400,18 @@ pub struct MigrationRound {
 /// Any replication repair work pending at the same moment executes inside
 /// the same paced loop — it is all background §5 traffic, and the cap is
 /// deliberately shared.
+///
+/// The master sees the memory a delete freed only at the worker's next
+/// heartbeat, so a promotion an eviction made room for finds no space in
+/// the pass that ran the eviction. When that pass deleted a replica, the
+/// round takes a `beat` (as [`run_balancer_round`] does) and runs one more
+/// pass under the same cap, so the promotion lands in this round.
 pub fn run_migration_round(
     master: &Master,
     net: &dyn Transport,
     classifier: &dyn TierClassifier,
     cfg: &AutoTierConfig,
+    beat: impl Fn(),
 ) -> Result<MigrationRound> {
     let mut round_span = master.trace().root_or_child("monitor.migration_round");
     let ctx = Some(round_span.context());
@@ -414,15 +421,39 @@ pub fn run_migration_round(
     let demoted = planned.len() - promoted;
     round_span.annotate("planned", planned.len());
 
-    let tasks = master.replication_scan();
-    let mut round = MigrationRound {
-        outcome: ReplicationOutcome { attempted: tasks.len(), ..Default::default() },
-        promoted,
-        demoted,
-        planned,
-        ..Default::default()
-    };
+    let mut round = MigrationRound { promoted, demoted, planned, ..Default::default() };
     let started = Instant::now();
+    run_paced_pass(master, net, cfg, ctx, started, &mut round);
+    if round.outcome.deletes_ok > 0 {
+        beat();
+        run_paced_pass(master, net, cfg, ctx, started, &mut round);
+    }
+
+    let elapsed = started.elapsed().as_secs_f64();
+    let m = master.metrics();
+    m.add("master_migration_bytes_total", Labels::NONE, round.bytes_copied);
+    m.add("master_migration_paced_ms_total", Labels::NONE, round.paced.as_millis() as u64);
+    if round.bytes_copied > 0 && elapsed > 0.0 {
+        m.gauge("master_migration_round_bps", Labels::NONE)
+            .set((round.bytes_copied as f64 / elapsed) as i64);
+    }
+    round_span.annotate("bytes", round.bytes_copied);
+    Ok(round)
+}
+
+/// One pass of a migration round: a replication scan whose tasks run one at
+/// a time, each successful copy followed by a sleep until the round's bytes
+/// since `started` are back under `cfg.max_copy_bps`.
+fn run_paced_pass(
+    master: &Master,
+    net: &dyn Transport,
+    cfg: &AutoTierConfig,
+    ctx: Option<TraceContext>,
+    started: Instant,
+    round: &mut MigrationRound,
+) {
+    let tasks = master.replication_scan();
+    round.outcome.attempted += tasks.len();
     for task in tasks {
         let ok = run_one_task(master, net, &task, ctx);
         tally(&mut round.outcome, &task, ok);
@@ -440,15 +471,4 @@ pub fn run_migration_round(
             }
         }
     }
-
-    let elapsed = started.elapsed().as_secs_f64();
-    let m = master.metrics();
-    m.add("master_migration_bytes_total", Labels::NONE, round.bytes_copied);
-    m.add("master_migration_paced_ms_total", Labels::NONE, round.paced.as_millis() as u64);
-    if round.bytes_copied > 0 && elapsed > 0.0 {
-        m.gauge("master_migration_round_bps", Labels::NONE)
-            .set((round.bytes_copied as f64 / elapsed) as i64);
-    }
-    round_span.annotate("bytes", round.bytes_copied);
-    Ok(round)
 }

@@ -12,7 +12,9 @@
 //! not: three RPCs, a loopback transfer, a copy and a CRC pass over 4 MiB.
 //! That allowance is as large as the memory tier's whole device time, so
 //! memory is checked weakly (a 2× model error would pass); SSD and HDD are
-//! checked to ~±35 % and ~±25 %.
+//! checked to ~±35 % and ~±25 %. The memory tier's wall is mostly that
+//! loopback CPU, which other load on the box stretches, so its system
+//! times are the best of three writes and three reads of the same file.
 //!
 //! Then the rf = 3 HDD write, where they must *not* agree, by a known
 //! factor — see the comment at the assertion.
@@ -99,13 +101,15 @@ fn per_tier_single_stream_times_agree_and_the_rf3_gap_is_the_known_one() {
     system_times(&cluster, "/warmup", ReplicationVector::msh(1, 0, 0), &data);
 
     let allowance = BLOCKS as f64 * PER_BLOCK_ALLOWANCE;
-    for (tier, rv) in [
-        ("memory", ReplicationVector::msh(1, 0, 0)),
-        ("ssd", ReplicationVector::msh(0, 1, 0)),
-        ("hdd", ReplicationVector::msh(0, 0, 1)),
+    for (tier, rv, runs) in [
+        ("memory", ReplicationVector::msh(1, 0, 0), 3),
+        ("ssd", ReplicationVector::msh(0, 1, 0), 1),
+        ("hdd", ReplicationVector::msh(0, 0, 1), 1),
     ] {
         let path = format!("/{tier}");
-        let (sys_w, sys_r) = system_times(&cluster, &path, rv, &data);
+        let (sys_w, sys_r) = (0..runs)
+            .map(|_| system_times(&cluster, &path, rv, &data))
+            .fold((f64::INFINITY, f64::INFINITY), |(w, r), (w1, r1)| (w.min(w1), r.min(r1)));
         let (mod_w, mod_r) = model_times(&mut sim, &path, rv);
         eprintln!(
             "MODEL-VS-SYSTEM {tier}: write {sys_w:.3}s / {mod_w:.3}s = {:.2}, \

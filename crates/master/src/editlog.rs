@@ -473,7 +473,12 @@ fn scan_buffer(len: u64) -> Vec<u8> {
 
 /// The chunks a pipelined replay's scan runs ahead into, handed between its
 /// two threads: [`SCAN_RING`] buffers allocated before the scan starts, in
-/// queues that never outgrow them.
+/// queues that never outgrow them. Waiting on it allocates nothing. Two
+/// `std::sync::mpsc::sync_channel`s would carry the same buffers, but a
+/// thread's first blocking wait on one allocates a waiter context and list,
+/// at a moment the scheduler picks: replay's peak heap would then move by a
+/// few hundred bytes from run to run, which `tests/heap_budget.rs` pins
+/// exactly.
 struct Ring {
     state: Mutex<RingState>,
     moved: Condvar,

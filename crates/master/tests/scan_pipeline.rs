@@ -10,7 +10,8 @@
 //! straddling one, the one after the big one, the last), the file cut short
 //! after `open` (an I/O error), a tear at every byte of the last record
 //! (which `open` cuts off), an op that fails to apply. And the helper has
-//! ended when `replay` returns, every time.
+//! ended when `replay` returns, every time — or unwinds, when applying an
+//! op panics.
 
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
@@ -233,5 +234,39 @@ fn an_op_that_fails_to_apply_stops_both_after_it() {
     let (applied, end) = alike("close of a missing path", &log);
     assert_eq!(applied.len(), 1_001, "record 1,000 was handed over and refused");
     assert_eq!(end, Err(FsError::NotFound("/d/missing".into())));
+    remove(&path);
+}
+
+#[test]
+fn a_panic_in_apply_leaves_no_helper_behind() {
+    let (path, _) = write_log("panic", ops(None));
+    let log = EditLog::open(&path).unwrap();
+    let _serial = serial();
+    // On a thread of its own: were the helper not stopped, the replay could
+    // not return, and this test fails at the deadline instead of hanging.
+    let (done, replayed) = std::sync::mpsc::channel();
+    let replaying = std::thread::spawn(move || {
+        let (mut applied, mut alive) = (0, 0);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            log.replay(|_| {
+                applied += 1;
+                if applied == 1_000 {
+                    alive = helpers();
+                    panic!("applying op 1,000 panicked");
+                }
+                Ok(())
+            })
+        }))
+        .is_err();
+        done.send((panicked, applied, alive)).unwrap();
+    });
+    let (panicked, applied, alive) =
+        replayed.recv_timeout(Duration::from_secs(30)).expect("the replay returned");
+    replaying.join().unwrap();
+    assert!(panicked, "the panic reached the caller");
+    assert_eq!(applied, 1_000);
+    // The scan was still running, a third of the way into the log.
+    assert_eq!(alive, 1, "the helper was alive when apply panicked");
+    assert_eq!(helpers_left(), 0, "the helper outlived a panicking replay");
     remove(&path);
 }

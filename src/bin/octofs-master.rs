@@ -72,7 +72,9 @@ fn run(args: &[String]) -> Result<()> {
         let mut cfg = AutoTierConfig::default();
         cfg.max_copy_bps = autotier_bps.unwrap_or(cfg.max_copy_bps);
         node.every("autotier", autotier_ms, move |master, net| {
-            monitor::run_migration_round(master, net, &classifier, &cfg)
+            monitor::run_migration_round(master, net, &classifier, &cfg, || {
+                monitor::await_beats(master)
+            })
         })?;
     }
     node::serve(node)
