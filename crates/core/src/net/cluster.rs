@@ -7,7 +7,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use octopus_common::{ClientLocation, ClusterConfig, Result, WorkerId};
-use octopus_master::{EditLog, Master};
+use octopus_master::{AutoTierConfig, EditLog, Master};
+use octopus_policies::TierClassifier;
 
 use super::client::RemoteFs;
 use super::node::{MasterNode, WorkerNode};
@@ -48,8 +49,8 @@ impl NetCluster {
         for w in &workers {
             w.set_emulate_media_bps(config.emulate_media_bps);
         }
-        // No timers: tests drive §5 rounds by hand, and a `RunRound`
-        // request runs one on the master node.
+        // No background loop until `start_rounds`: tests drive §5 rounds
+        // by hand, and a `RunRound` request runs one on the master node.
         let master = MasterNode::start(Arc::new(Master::with_log(config, log)?), "127.0.0.1:0")?;
         let scraper = RemoteFs::over(master.net.clone(), ClientLocation::OffCluster);
         let nodes = workers.iter().map(|_| None).collect();
@@ -108,8 +109,8 @@ impl NetCluster {
     /// see [`super::monitor::run_migration_round`].
     pub fn run_migration_round(
         &self,
-        classifier: &dyn octopus_policies::TierClassifier,
-        cfg: &octopus_master::AutoTierConfig,
+        classifier: &dyn TierClassifier,
+        cfg: &AutoTierConfig,
     ) -> Result<super::monitor::MigrationRound> {
         let (master, net) = (self.master(), self.transport());
         super::monitor::run_migration_round(master, net, classifier, cfg, || {
@@ -117,29 +118,21 @@ impl NetCluster {
         })
     }
 
-    /// Starts the auto-tiering daemon: a background thread that runs one
-    /// migration round every `interval_ms`. Idempotent — a second call is
-    /// a no-op while a daemon is running. Stopped by
-    /// [`NetCluster::stop_autotier`] or [`NetCluster::shutdown`].
-    pub fn start_autotier(
+    /// Starts the master node's background §5 loop, auto-tiering with
+    /// `tiering` or only repairing without it — see
+    /// [`MasterNode::start_rounds`]. Stopped by [`NetCluster::stop_rounds`]
+    /// or [`NetCluster::shutdown`].
+    pub fn start_rounds(
         &mut self,
-        classifier: Arc<dyn octopus_policies::TierClassifier>,
-        cfg: octopus_master::AutoTierConfig,
-        interval_ms: u64,
-    ) {
-        self.master
-            .every("autotier", interval_ms, move |master, net| {
-                super::monitor::run_migration_round(master, net, &*classifier, &cfg, || {
-                    super::monitor::await_beats(master)
-                })
-            })
-            .expect("spawn autotier thread");
+        tiering: Option<(Arc<dyn TierClassifier>, AutoTierConfig)>,
+    ) -> Result<()> {
+        self.master.start_rounds(tiering)
     }
 
-    /// Stops the auto-tiering daemon, waiting for an in-flight round to
-    /// finish. No-op if it is not running.
-    pub fn stop_autotier(&mut self) {
-        self.master.stop("autotier");
+    /// Stops the background loop, waiting for a round in flight to finish.
+    /// No-op if it is not running.
+    pub fn stop_rounds(&mut self) {
+        self.master.stop_rounds();
     }
 
     /// Merged cluster-wide metrics snapshot — see
@@ -187,7 +180,7 @@ impl NetCluster {
 
     /// Stops heartbeats and servers.
     pub fn shutdown(&mut self) {
-        self.stop_autotier();
+        self.stop_rounds();
         self.nodes.fill_with(|| None);
         self.master.shutdown();
     }

@@ -1,15 +1,14 @@
 //! The master's RPC server: a multiplexed [`super::server::ServerCore`]
 //! dispatching [`MasterRequest`]s onto an [`octopus_master::Master`].
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use octopus_common::trace::TraceContext;
-use octopus_common::{FsError, Result, ServerConfig, WorkerId};
+use octopus_common::{FsError, Result, ServerConfig};
 use octopus_master::{ClientId, Master};
 
 use super::frame::Frame;
@@ -29,26 +28,25 @@ use super::worker_server::AddressMap;
 pub struct MasterState {
     /// The master.
     pub master: Arc<Master>,
-    /// Worker data-server addresses, as the workers advertised them.
-    pub addrs: Arc<RwLock<HashMap<WorkerId, String>>>,
-    /// The same registry resolved to socket addresses at registration —
-    /// what the master's own §5 monitor reaches the workers through.
+    /// The worker registry: each worker's advertised data-server address,
+    /// resolved at registration. The master's own §5 monitor reaches the
+    /// workers through it, and clients fetch it; an address that does not
+    /// resolve is in neither.
     pub peers: AddressMap,
     /// The transport the master's rounds go out through, a server's once
     /// it is bound; a `RunRound` is refused without one.
     pub(super) net: OnceLock<Arc<TcpTransport>>,
-    /// Held by every §5 round the master's node runs, on a timer or on
-    /// request, so no two overlap: a round's scan sees the copies of the
-    /// one before it settled, and a round that finds nothing means that
-    /// nothing is left to do.
+    /// Held by every §5 round the master's node runs, in its background
+    /// loop or on request, so no two overlap: a round's scan sees the
+    /// copies of the one before it settled, and a round that finds nothing
+    /// means that nothing is left to do.
     pub(super) rounds: Mutex<()>,
 }
 
 impl MasterState {
     /// Fresh state around a master.
     pub fn new(master: Arc<Master>) -> Self {
-        let (addrs, peers) = (Arc::default(), Arc::default());
-        Self { master, addrs, peers, net: OnceLock::new(), rounds: Mutex::new(()) }
+        Self { master, peers: Arc::default(), net: OnceLock::new(), rounds: Mutex::new(()) }
     }
 }
 
@@ -199,7 +197,6 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
             if let Some(sa) = resolve(&addr) {
                 state.peers.write().insert(worker, sa);
             }
-            state.addrs.write().insert(worker, addr);
             A::Registered(master.config().heartbeat_ms)
         }
         Q::Heartbeat(worker, media, nr_conn, _stamp, touches) => {
@@ -213,7 +210,7 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         }
         Q::EditsSince(from) => A::Edits(master.edits_since(from as usize)?.into()),
         Q::WorkerAddresses => {
-            A::Addresses(state.addrs.read().iter().map(|(w, a)| (*w, a.clone())).collect())
+            A::Addresses(state.peers.read().iter().map(|(w, a)| (*w, a.to_string())).collect())
         }
         Q::Metrics => {
             master.stamp_scrape_metrics();

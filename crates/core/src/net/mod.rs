@@ -33,7 +33,7 @@
 //!   `RunRound` request asks the master node for);
 //! - [`node`]: the one node lifecycle — [`WorkerNode`] (data server,
 //!   join, periodic beat) and [`MasterNode`] (RPC server, its transport,
-//!   the periodic §5 rounds asked for) — that `octofs-worker`,
+//!   its one background §5 loop once started) — that `octofs-worker`,
 //!   `octofs-master` and [`NetCluster`] all run;
 //! - [`cluster`]: [`NetCluster`], a master node and N worker nodes on
 //!   loopback ports;

@@ -1,8 +1,9 @@
 //! The networked replication monitor: executes the master's §5 tasks by
 //! RPC — copies via the target worker's `Replicate` handler, deletions via
 //! `DeleteBlock` — and drives scrub rounds across the fleet. The master
-//! node runs these rounds on its timers and, one per `RunRound` request,
-//! on an operator's (`balance`, `fsck`, `setrep`'s wait): [`run_round`].
+//! node runs these rounds in its one background loop (a replication round,
+//! or a migration round when it tiers) and, one per `RunRound` request, on
+//! an operator's (`balance`, `fsck`, `setrep`'s wait): [`run_round`].
 //!
 //! Failure handling (the silent-swallowing bugs this module used to have):
 //!
@@ -22,11 +23,13 @@
 //!   corrupt replicas".
 //!
 //! Tasks are grouped by the worker that executes them and the per-worker
-//! batches run concurrently on scoped threads, so one dead worker costs
-//! its own RPC deadline budget — not a serial stall of every other
-//! worker's tasks.
+//! batches (lanes) run concurrently on scoped threads, so one dead worker
+//! costs its own RPC deadline budget — not a serial stall of every other
+//! worker's tasks. A migration round's lanes share one bandwidth cap
+//! ([`Pace`]); every other round runs unpaced.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use octopus_common::log_warn;
@@ -60,6 +63,42 @@ impl ReplicationOutcome {
     /// Whether every task executed successfully.
     pub fn all_ok(&self) -> bool {
         self.copies_failed == 0 && self.deletes_failed == 0
+    }
+
+    fn add(&mut self, other: ReplicationOutcome) {
+        self.attempted += other.attempted;
+        self.copies_ok += other.copies_ok;
+        self.copies_failed += other.copies_failed;
+        self.deletes_ok += other.deletes_ok;
+        self.deletes_failed += other.deletes_failed;
+    }
+}
+
+/// A bandwidth cap the lanes of one round share. After each copy it lands,
+/// a lane sleeps until the bytes the round copied ÷ the time since it
+/// started are back at or under the cap, so the round's aggregate copy
+/// rate stays under it however many lanes run. A cap of 0 paces nothing
+/// and still counts the bytes.
+pub struct Pace {
+    bps: u64,
+    started: Instant,
+    bytes: AtomicU64,
+    slept_ns: AtomicU64,
+}
+
+impl Pace {
+    /// Counts a landed copy of `len` bytes, then sleeps this lane until
+    /// the round is back under the cap.
+    fn copied(&self, len: u64) {
+        let bytes = self.bytes.fetch_add(len, Ordering::Relaxed) + len;
+        if self.bps == 0 {
+            return;
+        }
+        let target = Duration::from_secs_f64(bytes as f64 / self.bps as f64);
+        if let Some(wait) = target.checked_sub(self.started.elapsed()) {
+            std::thread::sleep(wait);
+            self.slept_ns.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -169,32 +208,6 @@ fn run_one_task(
     }
 }
 
-/// Folds one task's result into an outcome tally.
-fn tally(out: &mut ReplicationOutcome, task: &ReplicationTask, ok: bool) {
-    match (task, ok) {
-        (ReplicationTask::Copy { .. }, true) => out.copies_ok += 1,
-        (ReplicationTask::Copy { .. }, false) => out.copies_failed += 1,
-        (ReplicationTask::Delete { .. }, true) => out.deletes_ok += 1,
-        (ReplicationTask::Delete { .. }, false) => out.deletes_failed += 1,
-    }
-}
-
-/// Executes one task batch against its worker, sequentially (tasks for
-/// one worker share its data server; concurrency lives across workers).
-fn run_worker_batch(
-    master: &Master,
-    net: &dyn Transport,
-    tasks: Vec<ReplicationTask>,
-    ctx: Option<TraceContext>,
-) -> ReplicationOutcome {
-    let mut out = ReplicationOutcome::default();
-    for task in tasks {
-        let ok = run_one_task(master, net, &task, ctx);
-        tally(&mut out, &task, ok);
-    }
-    out
-}
-
 /// The worker whose data server executes a task.
 fn executing_worker(task: &ReplicationTask) -> WorkerId {
     match task {
@@ -203,34 +216,46 @@ fn executing_worker(task: &ReplicationTask) -> WorkerId {
     }
 }
 
-/// Executes `tasks` through `net`, one concurrent batch per executing
-/// worker (a dead worker's connect timeout bounds only its own batch).
-/// Failures are counted — and compensated at the master — rather than
-/// swallowed.
+/// Executes `tasks` through `net`, one concurrent lane per executing
+/// worker (a dead worker's connect timeout bounds only its own lane), a
+/// lane's tasks in turn (they share one data server), every landed copy
+/// paced by `pace` when there is one. Failures are counted — and
+/// compensated at the master — rather than swallowed.
 pub fn run_tasks(
     master: &Master,
     net: &dyn Transport,
     tasks: Vec<ReplicationTask>,
     ctx: Option<TraceContext>,
+    pace: Option<&Pace>,
 ) -> ReplicationOutcome {
     let mut total = ReplicationOutcome { attempted: tasks.len(), ..Default::default() };
     let mut by_worker: HashMap<WorkerId, Vec<ReplicationTask>> = HashMap::new();
     for task in tasks {
         by_worker.entry(executing_worker(&task)).or_default().push(task);
     }
-    let outcomes: Vec<ReplicationOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = by_worker
-            .into_values()
-            .map(|batch| s.spawn(move || run_worker_batch(master, net, batch, ctx)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()
+    let lane = |tasks: Vec<ReplicationTask>| {
+        let mut out = ReplicationOutcome::default();
+        for task in tasks {
+            match (&task, run_one_task(master, net, &task, ctx)) {
+                (ReplicationTask::Copy { block, .. }, true) => {
+                    out.copies_ok += 1;
+                    if let Some(pace) = pace {
+                        pace.copied(block.len);
+                    }
+                }
+                (ReplicationTask::Copy { .. }, false) => out.copies_failed += 1,
+                (ReplicationTask::Delete { .. }, true) => out.deletes_ok += 1,
+                (ReplicationTask::Delete { .. }, false) => out.deletes_failed += 1,
+            }
+        }
+        out
+    };
+    std::thread::scope(|s| {
+        let lanes: Vec<_> = by_worker.into_values().map(|b| s.spawn(move || lane(b))).collect();
+        for lane in lanes {
+            total.add(lane.join().unwrap_or_default());
+        }
     });
-    for o in outcomes {
-        total.copies_ok += o.copies_ok;
-        total.copies_failed += o.copies_failed;
-        total.deletes_ok += o.deletes_ok;
-        total.deletes_failed += o.deletes_failed;
-    }
 
     let m = master.metrics();
     m.add("master_replication_copy_failures_total", Labels::NONE, total.copies_failed as u64);
@@ -244,7 +269,7 @@ pub fn run_replication_round(master: &Master, net: &dyn Transport) -> Result<Rep
     let mut round_span = master.trace().root_or_child("monitor.replication_round");
     let tasks = master.replication_scan();
     round_span.annotate("tasks", tasks.len());
-    Ok(run_tasks(master, net, tasks, Some(round_span.context())))
+    Ok(run_tasks(master, net, tasks, Some(round_span.context()), None))
 }
 
 /// A §5 round an operator asks the master to run
@@ -265,11 +290,11 @@ const BALANCE_THRESHOLD: f64 = 0.05;
 /// Copies one balancer round makes at most.
 const BALANCE_MOVES: usize = 8;
 
-/// Runs one round of `round` on the master's node, through the transport
-/// its timers use, and returns the round's count. A balance round, and a
-/// repair round that ran tasks, ends by waiting for a heartbeat from every
-/// worker (a balance also after its copies), so the next round's scan sees
-/// the media stats this one left.
+/// Runs one round of `round` on the master's node, unpaced, through the
+/// transport its background loop uses, and returns the round's count. A
+/// balance round, and a repair round that ran tasks, ends by waiting for a
+/// heartbeat from every worker (a balance also after its copies), so the
+/// next round's scan sees the media stats this one left.
 pub fn run_round(master: &Master, net: &dyn Transport, round: Round) -> Result<u64> {
     let beat = || await_beats(master);
     let n = match round {
@@ -316,7 +341,7 @@ pub fn run_balancer_round(
     beat: impl Fn(),
 ) -> Result<usize> {
     let tasks = master.balancer_scan(threshold, max_moves);
-    let moves = run_tasks(master, net, tasks, None).attempted;
+    let moves = run_tasks(master, net, tasks, None, None).attempted;
     beat();
     run_replication_round(master, net)?;
     beat();
@@ -382,23 +407,23 @@ pub struct MigrationRound {
     pub outcome: ReplicationOutcome,
     /// Bytes moved by successful copies.
     pub bytes_copied: u64,
-    /// Total time this round slept to honour the bandwidth cap.
+    /// The time the round's lanes slept to honour the bandwidth cap,
+    /// summed over lanes (`master_migration_paced_ms_total` adds it up).
     pub paced: Duration,
 }
 
 /// Runs one auto-tiering round over RPC: plans migrations
-/// ([`Master::autotier_scan`]), then executes the resulting replication
-/// tasks **sequentially with paced copies** so the round's aggregate copy
-/// throughput stays at or below `cfg.max_copy_bps`. Pacing is the
-/// execution-side half of the bandwidth bound (the planner's per-round
-/// caps are the other): after each copy the round sleeps until the
-/// cumulative bytes-per-elapsed ratio is back under the cap, so a
-/// migration burst cannot starve foreground traffic. On the workers the
-/// copies additionally ride the `Replicate` handler's per-medium
-/// `media_io` guard, serializing against foreground I/O per device.
+/// ([`Master::autotier_scan`]), then runs a replication scan's tasks
+/// through [`run_tasks`] with one [`Pace`] at `cfg.max_copy_bps`, so the
+/// round's aggregate copy throughput stays at or below the cap across its
+/// lanes. Pacing is the execution-side half of the bandwidth bound (the
+/// planner's per-round caps are the other), so a migration burst cannot
+/// starve foreground traffic. On the workers the copies additionally ride
+/// the `Replicate` handler's per-medium `media_io` guard, serializing
+/// against foreground I/O per device.
 ///
-/// Any replication repair work pending at the same moment executes inside
-/// the same paced loop — it is all background §5 traffic, and the cap is
+/// Any replication repair work pending at the same moment runs under the
+/// same cap — it is all background §5 traffic, and the cap is
 /// deliberately shared.
 ///
 /// The master sees the memory a delete freed only at the worker's next
@@ -421,15 +446,23 @@ pub fn run_migration_round(
     let demoted = planned.len() - promoted;
     round_span.annotate("planned", planned.len());
 
-    let mut round = MigrationRound { promoted, demoted, planned, ..Default::default() };
-    let started = Instant::now();
-    run_paced_pass(master, net, cfg, ctx, started, &mut round);
-    if round.outcome.deletes_ok > 0 {
+    let (bytes, slept_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+    let pace = Pace { bps: cfg.max_copy_bps, started: Instant::now(), bytes, slept_ns };
+    let mut outcome = run_tasks(master, net, master.replication_scan(), ctx, Some(&pace));
+    if outcome.deletes_ok > 0 {
         beat();
-        run_paced_pass(master, net, cfg, ctx, started, &mut round);
+        outcome.add(run_tasks(master, net, master.replication_scan(), ctx, Some(&pace)));
     }
+    let elapsed = pace.started.elapsed().as_secs_f64();
+    let round = MigrationRound {
+        planned,
+        promoted,
+        demoted,
+        outcome,
+        bytes_copied: pace.bytes.into_inner(),
+        paced: Duration::from_nanos(pace.slept_ns.into_inner()),
+    };
 
-    let elapsed = started.elapsed().as_secs_f64();
     let m = master.metrics();
     m.add("master_migration_bytes_total", Labels::NONE, round.bytes_copied);
     m.add("master_migration_paced_ms_total", Labels::NONE, round.paced.as_millis() as u64);
@@ -439,36 +472,4 @@ pub fn run_migration_round(
     }
     round_span.annotate("bytes", round.bytes_copied);
     Ok(round)
-}
-
-/// One pass of a migration round: a replication scan whose tasks run one at
-/// a time, each successful copy followed by a sleep until the round's bytes
-/// since `started` are back under `cfg.max_copy_bps`.
-fn run_paced_pass(
-    master: &Master,
-    net: &dyn Transport,
-    cfg: &AutoTierConfig,
-    ctx: Option<TraceContext>,
-    started: Instant,
-    round: &mut MigrationRound,
-) {
-    let tasks = master.replication_scan();
-    round.outcome.attempted += tasks.len();
-    for task in tasks {
-        let ok = run_one_task(master, net, &task, ctx);
-        tally(&mut round.outcome, &task, ok);
-        if let (ReplicationTask::Copy { block, .. }, true) = (&task, ok) {
-            round.bytes_copied += block.len;
-            if cfg.max_copy_bps > 0 {
-                // Sleep until cumulative-bytes / elapsed ≤ max_copy_bps.
-                let target =
-                    Duration::from_secs_f64(round.bytes_copied as f64 / cfg.max_copy_bps as f64);
-                let elapsed = started.elapsed();
-                if elapsed < target {
-                    std::thread::sleep(target - elapsed);
-                    round.paced += target - elapsed;
-                }
-            }
-        }
-    }
 }

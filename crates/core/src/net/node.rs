@@ -1,9 +1,9 @@
 //! The node lifecycle, written once: what `octofs-master`, `octofs-worker`
 //! and [`super::NetCluster`] all run. A [`WorkerNode`] is a data server
 //! that has joined the master and keeps beating; a [`MasterNode`] is the
-//! RPC server, the transport its §5 rounds go out through, and whichever
-//! periodic rounds the caller starts. Dropping a node stops it. Every
-//! periodic thread of `net` is one [`Periodic`].
+//! RPC server, the transport its §5 rounds go out through, and, once the
+//! caller starts it, its one background §5 loop. Dropping a node stops
+//! it. Every periodic thread of `net` is one [`Periodic`].
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
@@ -12,9 +12,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use octopus_common::{log_warn, FsError, Result};
-use octopus_master::Master;
+use octopus_master::{AutoTierConfig, Master};
+use octopus_policies::TierClassifier;
 
 use super::master_server::MasterServer;
+use super::monitor;
 use super::rpc;
 use super::transport::TcpTransport;
 use super::worker_server::{self, AddressMap, WorkerServer};
@@ -117,11 +119,11 @@ impl WorkerNode {
 }
 
 /// A running master: its RPC server, the transport its own background
-/// work reaches the registered workers through, and the periodic rounds
-/// the caller has asked for (none until then).
+/// work reaches the registered workers through, and its background §5
+/// loop (none until the caller starts it).
 pub struct MasterNode {
-    // Before the server, so the rounds stop before it does.
-    rounds: Vec<(&'static str, Periodic)>,
+    // Before the server, so the loop stops before it does.
+    rounds: Option<Periodic>,
     /// To this master and the workers registered with it.
     pub(super) net: Arc<TcpTransport>,
     pub(super) server: MasterServer,
@@ -132,7 +134,7 @@ impl MasterNode {
     pub fn start(master: Arc<Master>, bind: impl ToSocketAddrs) -> Result<Self> {
         let server = MasterServer::spawn_on(master, bind)?;
         let net = Arc::clone(server.state().net.get().expect("a bound server has a transport"));
-        Ok(Self { rounds: Vec::new(), net, server })
+        Ok(Self { rounds: None, net, server })
     }
 
     /// The RPC address.
@@ -140,39 +142,47 @@ impl MasterNode {
         self.server.addr()
     }
 
-    /// Starts the periodic round called `what`: `round` — a §5 replication
-    /// round, a paced migration round ([`super::monitor`]) — against this
-    /// master every `interval_ms`, never overlapping another of the node's
-    /// rounds (`MasterState::rounds`). A failed round is logged and the next
-    /// one is the retry. A no-op while a round of that name is running.
-    pub fn every<T>(
+    /// Starts the node's one background §5 loop, replacing a running one:
+    /// a round every four heartbeat intervals. With `tiering`, a round is
+    /// a migration round ([`monitor::run_migration_round`]: plan with the
+    /// classifier, then run every copy, repairs included, under
+    /// `max_copy_bps`); without it, an unpaced replication round. A round
+    /// never overlaps a requested one (`MasterState::rounds`); a failed
+    /// round is logged and the next one is the retry.
+    pub fn start_rounds(
         &mut self,
-        what: &'static str,
-        interval_ms: u64,
-        round: impl Fn(&Master, &TcpTransport) -> Result<T> + Send + 'static,
+        tiering: Option<(Arc<dyn TierClassifier>, AutoTierConfig)>,
     ) -> Result<()> {
-        if self.rounds.iter().all(|(name, _)| *name != what) {
-            let (state, net) = (Arc::clone(self.server.state()), Arc::clone(&self.net));
-            let thread = Periodic::spawn(format!("octopus-{what}"), interval_ms, move || {
-                let _one = state.rounds.lock();
-                if let Err(e) = round(&state.master, &net) {
-                    log_warn!(target: "net::node", "msg=\"{what} round failed\" err=\"{e}\"");
+        self.stop_rounds();
+        let (state, net) = (Arc::clone(self.server.state()), Arc::clone(&self.net));
+        let interval_ms = 4 * state.master.config().heartbeat_ms;
+        let round = move || {
+            let _one = state.rounds.lock();
+            let master = &*state.master;
+            let done = match &tiering {
+                Some((classifier, cfg)) => {
+                    let beat = || monitor::await_beats(master);
+                    monitor::run_migration_round(master, &*net, &**classifier, cfg, beat).map(drop)
                 }
-            })?;
-            self.rounds.push((what, thread));
-        }
+                None => monitor::run_replication_round(master, &*net).map(drop),
+            };
+            if let Err(e) = done {
+                log_warn!(target: "net::node", "msg=\"background round failed\" err=\"{e}\"");
+            }
+        };
+        self.rounds = Some(Periodic::spawn("octopus-rounds".into(), interval_ms, round)?);
         Ok(())
     }
 
-    /// Stops the periodic round called `what`, waiting out one in flight.
-    pub fn stop(&mut self, what: &str) {
-        self.rounds.retain(|(name, _)| *name != what);
+    /// Stops the background loop, waiting out a round in flight.
+    pub fn stop_rounds(&mut self) {
+        self.rounds = None;
     }
 
-    /// Stops the periodic rounds, then the server (severing open
+    /// Stops the background loop, then the server (severing open
     /// connections so in-flight callers fail fast).
     pub fn shutdown(&mut self) {
-        self.rounds.clear();
+        self.stop_rounds();
         self.server.shutdown();
     }
 }

@@ -94,8 +94,9 @@ pub enum MasterRequest {
     /// A directory's per-tier quota and the usage charged against it.
     QuotaUsage(String),
     /// Run one §5 round of the given kind on the master's node; answered
-    /// [`MasterResponse::Count`], the round's count. Retried as idempotent,
-    /// a round whose reply is lost runs twice and the count is the retry's.
+    /// [`MasterResponse::Count`], the round's count. Not resent once it
+    /// left: a lost reply is the caller's retryable error, not a second
+    /// round whose count would cover only the second.
     RunRound(Round),
 }
 
@@ -103,7 +104,8 @@ impl MasterRequest {
     /// Whether a transport-level failure after the request may have
     /// executed can be retried blindly. Mutating requests are not: a
     /// duplicate `CreateFile` or `AddBlock` would corrupt the namespace
-    /// view, so their callers own recovery instead.
+    /// view, and a duplicate `RunRound` would run a second round, so their
+    /// callers own recovery instead.
     pub fn is_idempotent(&self) -> bool {
         use MasterRequest::*;
         !matches!(
@@ -116,6 +118,7 @@ impl MasterRequest {
                 | AppendFile(..)
                 | Delete(..)
                 | Rename(..)
+                | RunRound(..)
         )
     }
 
@@ -779,10 +782,9 @@ mod tests {
             vec![],
         )
         .is_idempotent());
-        // A round is retried after a lost reply, so it may run twice and
-        // the count the caller sees is the retry's alone. Exactly-once
-        // rounds wait for a call id (ROADMAP item 6(c)).
-        assert!(MasterRequest::RunRound(Round::Repair).is_idempotent());
+        // A round is not resent after a lost reply, so it never runs twice
+        // for one request.
+        assert!(!MasterRequest::RunRound(Round::Repair).is_idempotent());
         assert!(!MasterRequest::Delete("/f".into(), false).is_idempotent());
         assert!(!MasterRequest::Rename("/a".into(), "/b".into()).is_idempotent());
 

@@ -111,8 +111,10 @@ impl Transport for TcpTransport {
         self.rpc.call_master(self.master, &req)
     }
 
+    /// An id the map lacks (a worker that joined since) refreshes it once.
     fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
-        let addr = self.workers.read().get(&to).copied();
+        let find = || self.workers.read().get(&to).copied();
+        let addr = find().or_else(|| self.refresh_workers().ok().and_then(|()| find()));
         let addr = addr.ok_or_else(|| FsError::UnknownWorker(to.to_string()))?;
         self.rpc.call_worker_owned(addr, req)
     }

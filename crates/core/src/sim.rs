@@ -520,7 +520,7 @@ impl SimCluster {
             let flow = self.launch(block.len, path);
             self.repl_flows.insert(flow, task);
         }
-        monitor::run_tasks(self.master(), &*self.net, immediate, None);
+        monitor::run_tasks(self.master(), &*self.net, immediate, None, None);
         self.push_heartbeats();
         n
     }
@@ -543,7 +543,7 @@ impl SimCluster {
                 EventKind::FlowDone(f) => {
                     self.flow_guards.remove(&f);
                     if let Some(task) = self.repl_flows.remove(&f) {
-                        monitor::run_tasks(self.master(), &*self.net, vec![task], None);
+                        monitor::run_tasks(self.master(), &*self.net, vec![task], None, None);
                     } else if let Some(job) = self.flow_jobs.remove(&f) {
                         self.complete_job_flow(job);
                     } else {

@@ -14,7 +14,7 @@ use octopus_core::net::monitor::MigrationRound;
 use octopus_core::net::{faults, FaultAction};
 use octopus_core::{Cluster, NetCluster};
 use octopus_master::{AutoTierConfig, MigrationDirection, ReplicationTask};
-use octopus_policies::EwmaThresholdClassifier;
+use octopus_policies::{EwmaThresholdClassifier, TierClassifier};
 
 fn net_config(n: u32) -> ClusterConfig {
     let mut c = ClusterConfig::test_cluster(n, 64 * MB, MB);
@@ -367,14 +367,15 @@ fn foreground_reads_bounded_under_background_migration() {
     // Migrate in the background, capped at 4 MB/s, while timing
     // foreground reads.
     let cfg = AutoTierConfig { max_copy_bps: 4 * MB, ..AutoTierConfig::default() };
-    cluster.start_autotier(Arc::new(EwmaThresholdClassifier::default()), cfg, 10);
+    let classifier: Arc<dyn TierClassifier> = Arc::new(EwmaThresholdClassifier::default());
+    cluster.start_rounds(Some((classifier, cfg))).unwrap();
     let mut lat = Vec::with_capacity(60);
     for _ in 0..60 {
         let t = Instant::now();
         assert_eq!(client.read_file("/fg").unwrap(), fg);
         lat.push(t.elapsed());
     }
-    cluster.stop_autotier();
+    cluster.stop_rounds();
 
     lat.sort();
     let p99 = lat[lat.len() * 99 / 100];

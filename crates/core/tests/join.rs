@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, WorkerId, MB};
-use octopus_core::net::{worker_server, LocalTransport};
+use octopus_core::net::{worker_server, LocalTransport, MasterNode, WorkerNode};
 use octopus_core::{build_single_worker, Cluster, NetCluster, RemoteFs, SimCluster, StorageMode};
 use octopus_master::Master;
 
@@ -39,6 +39,27 @@ fn a_master_with_no_workers_places_a_block_once_one_joins() {
         assert_eq!(lb.locations.len(), 1);
         assert_eq!(lb.locations[0].worker, WorkerId(0));
     }
+}
+
+/// A client that connected before any worker joined still writes to and
+/// reads from the workers that joined later: an id its address map lacks
+/// sends it back to the master's registry once.
+#[test]
+fn a_connected_client_reaches_workers_that_joined_after_it() {
+    let master = Arc::new(Master::new(ClusterConfig::test_cluster(0, 0, MB)).unwrap());
+    let node = MasterNode::start(master, "127.0.0.1:0").unwrap();
+    let fs = RemoteFs::connect(node.addr(), ClientLocation::OffCluster).unwrap();
+    let recipe = ClusterConfig::test_cluster(3, 64 * MB, MB);
+    let _workers: Vec<WorkerNode> = (0..3)
+        .map(|id| {
+            let worker = build_single_worker(&recipe, WorkerId(id), &StorageMode::InMemory);
+            WorkerNode::start(worker.unwrap(), node.addr(), "127.0.0.1:0", None).unwrap()
+        })
+        .collect();
+
+    let data = vec![9u8; (MB + 10) as usize];
+    fs.write_file("/late", &data, ReplicationVector::from_replication_factor(3)).unwrap();
+    assert_eq!(fs.read_file("/late").unwrap(), data);
 }
 
 #[test]

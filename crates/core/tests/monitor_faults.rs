@@ -255,7 +255,7 @@ fn a_trim_whose_victim_died_before_its_delete_heals_to_the_vector() {
     let other = holders.iter().find(|l| l.worker != victim.worker).unwrap().worker;
     cluster.kill_worker(victim.worker);
     cluster.kill_worker(other);
-    let outcome = monitor::run_tasks(master, &**cluster.transport(), tasks, None);
+    let outcome = monitor::run_tasks(master, &**cluster.transport(), tasks, None, None);
     assert_eq!(outcome.deletes_failed, 1);
     for _ in 0..3 {
         cluster.run_replication_round().unwrap();

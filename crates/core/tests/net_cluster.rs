@@ -1,11 +1,11 @@
 //! End-to-end tests of the networked deployment: real TCP, real pipeline
 //! forwarding between worker data servers, real heartbeat threads.
 
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, WorkerId, MB};
 use octopus_core::net::proto::MasterRequest;
-use octopus_core::net::Transport;
+use octopus_core::net::{faults, FaultAction, Round, Transport};
 use octopus_core::{NetCluster, StorageMode};
 use octopus_master::EditLog;
 
@@ -365,27 +365,70 @@ fn kill_restart_cycles_leave_one_liveness_thread_and_every_file_readable() {
 }
 
 /// Stopping a node interrupts its threads' wait instead of sitting it out:
-/// with a one-minute heartbeat and a one-minute auto-tiering interval, a
-/// kill, a stop and the shutdown together still take well under a second.
+/// with a one-minute heartbeat (so a four-minute round interval), a kill,
+/// a stop and the shutdown together still take well under a second.
 #[test]
 fn shutdown_does_not_wait_out_a_heartbeat_interval() {
     let mut c = config();
     c.heartbeat_ms = 60_000;
     let mut cluster = NetCluster::start(c).unwrap();
-    cluster.start_autotier(
-        std::sync::Arc::new(octopus_policies::EwmaThresholdClassifier::default()),
-        octopus_master::AutoTierConfig::default(),
-        60_000,
-    );
+    let classifier: std::sync::Arc<dyn octopus_policies::TierClassifier> =
+        std::sync::Arc::new(octopus_policies::EwmaThresholdClassifier::default());
+    cluster.start_rounds(Some((classifier, octopus_master::AutoTierConfig::default()))).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     client.write_file("/f", &payload(1000, 3), ReplicationVector::msh(0, 1, 1)).unwrap();
 
     let start = std::time::Instant::now();
     cluster.kill_worker(0);
-    cluster.stop_autotier();
+    cluster.stop_rounds();
     cluster.shutdown();
     let took = start.elapsed();
     assert!(took < std::time::Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+/// The master node's background loop heals on its own: a block that lost
+/// a replica with its worker is copied back with no round run by hand.
+#[test]
+fn the_background_loop_heals_an_under_replicated_block() {
+    let mut cluster = NetCluster::start(config()).unwrap();
+    cluster.start_rounds(None).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload(1000, 5);
+    client.write_file("/f", &data, ReplicationVector::msh(0, 1, 1)).unwrap();
+    let holders =
+        || client.get_file_block_locations("/f", 0, u64::MAX).unwrap()[0].locations.clone();
+    let victim = holders()[0].worker;
+    cluster.kill_worker(cluster.workers().iter().position(|w| w.id() == victim).unwrap());
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let now = holders();
+        if now.len() == 2 && now.iter().all(|l| l.worker != victim) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never healed: {now:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(client.read_file("/f").unwrap(), data);
+}
+
+/// A `RunRound` whose reply is lost is not sent again: the caller gets the
+/// transport's retryable error and the master ran the round once. A
+/// one-minute heartbeat keeps every beat off the master while the fault
+/// is armed.
+#[test]
+fn a_round_whose_reply_is_lost_runs_once() {
+    let mut c = config();
+    c.heartbeat_ms = 60_000;
+    let cluster = NetCluster::start(c).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let scrubs = || cluster.master().metrics().snapshot().counter("master_scrub_rounds_total");
+    let before = scrubs();
+    faults::inject(cluster.master_addr(), FaultAction::DropConnection);
+    let answer = client.run_round(Round::Scrub);
+    faults::clear(cluster.master_addr());
+    assert!(answer.as_ref().is_err_and(FsError::is_retryable), "{answer:?}");
+    assert_eq!(scrubs() - before, 1, "the round ran again");
 }
 
 #[test]

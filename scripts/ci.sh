@@ -153,6 +153,36 @@ if [ -n "$syncs" ]; then
 fi
 echo "one tiering loop: the auto-tierer evicts, and no master code calls append_sync"
 
+echo "==> one §5 loop"
+# The master node runs one background §5 thread: every round is a
+# replication round, or a migration round when it tiers, and every copy of
+# a migration round, repairs included, runs through `run_tasks` under one
+# shared cap. No Rust file names the second timer's `start_autotier` or the
+# sequential `run_paced_pass`, and only the daemon test that pins it as an
+# unknown flag names `--autotier-ms`. Each `Periodic::spawn` is one thread:
+# a worker's beat, the master node's round loop, the master server's clock
+# and a backup master's tail, and no other.
+if git grep --untracked -nwE 'start_autotier|run_paced_pass' -- '*.rs' >&2 ||
+    git grep --untracked -nF -e '--autotier-ms' -- '*.rs' ':!tests/daemons.rs' >&2; then
+    echo "one §5 loop: a Rust file names a second loop, its pass or its flag" >&2
+    exit 1
+fi
+periodic=$(git ls-files -co --exclude-standard '*.rs' | xargs awk '
+    match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) {
+        f = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", f)
+    }
+    /Periodic::spawn\(/ { print FILENAME ":" f }' | sort)
+want='crates/core/src/net/backup.rs:start
+crates/core/src/net/master_server.rs:spawn_with
+crates/core/src/net/node.rs:start
+crates/core/src/net/node.rs:start_rounds'
+if [ "$periodic" != "$want" ]; then
+    echo "one §5 loop: Periodic::spawn is called outside its four threads:" >&2
+    printf '%s\n' "$periodic" >&2
+    exit 1
+fi
+echo "one §5 loop: one round thread per master node, one paced executor"
+
 echo "==> third_party stand-ins"
 # Each directory in third_party/ stands in for one crates.io dependency:
 # the root manifest must name it in `exclude`, `[workspace.dependencies]`

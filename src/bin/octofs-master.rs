@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! octofs-master --listen 127.0.0.1:7000 [--dir PATH] [--block-size BYTES] \
-//!               [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]
+//!               [--heartbeat-ms MS] [--autotier-bps B]
 //! ```
 //!
 //! With `--dir`, a restarted master replays its edit log `PATH/edits.log`
@@ -17,11 +17,12 @@
 //! The master takes only cluster-wide settings and learns each worker
 //! (rack, NIC, media) from its join and heartbeats. It answers every join
 //! with `--heartbeat-ms` (default 1000), so the workers beat at the
-//! interval its failure detector expects. `--autotier-ms` enables the
-//! auto-tiering daemon (DESIGN.md §10): every MS milliseconds a paced
-//! migration round classifies files by access heat (EWMA thresholds)
-//! and promotes/demotes them across tiers, with background copies
-//! capped at `--autotier-bps` bytes/sec (default 64 MB/s; 0 = unpaced).
+//! interval its failure detector expects. Every four intervals its one
+//! background §5 round heals under- and over-replication. `--autotier-bps`
+//! makes that round an auto-tiering round (DESIGN.md §10): it classifies
+//! files by access heat (EWMA thresholds), promotes/demotes them across
+//! tiers, and caps every background copy, repairs included, at B
+//! bytes/sec (0 = unpaced).
 
 #![forbid(unsafe_code)]
 
@@ -30,13 +31,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use octopusfs::args::Args;
-use octopusfs::core::net::{monitor, node, MasterNode};
+use octopusfs::core::net::{node, MasterNode};
 use octopusfs::master::{AutoTierConfig, EditLog, Master};
-use octopusfs::policies::EwmaThresholdClassifier;
+use octopusfs::policies::{EwmaThresholdClassifier, TierClassifier};
 use octopusfs::{ClusterConfig, Result};
 
 const USAGE: &str = "octofs-master --listen ADDR [--dir PATH] [--block-size B] \
-                     [--heartbeat-ms MS] [--autotier-ms MS] [--autotier-bps B]";
+                     [--heartbeat-ms MS] [--autotier-bps B]";
 
 fn run(args: &[String]) -> Result<()> {
     let mut args = Args::new(USAGE, args);
@@ -44,7 +45,6 @@ fn run(args: &[String]) -> Result<()> {
     let dir: Option<PathBuf> = args.value("--dir")?;
     let block_size = args.value("--block-size")?.unwrap_or(1 << 20);
     let heartbeat_ms = args.value("--heartbeat-ms")?.unwrap_or(1000u64);
-    let autotier_ms = args.value("--autotier-ms")?.unwrap_or(0u64);
     let autotier_bps = args.value::<u64>("--autotier-bps")?;
     args.exactly::<0>()?;
 
@@ -60,23 +60,11 @@ fn run(args: &[String]) -> Result<()> {
     // The line below is machine-readable: tests and scripts parse it.
     println!("octofs-master listening on {}", node.addr());
 
-    // Replication monitor (§5): periodically heal under/over-replication
-    // by RPC-ing the workers that registered.
-    node.every("replication", heartbeat_ms * 4, |master, net| {
-        monitor::run_replication_round(master, net)
-    })?;
-    // Auto-tiering daemon (DESIGN.md §10): opt-in paced migration rounds
-    // (EWMA classification → vector edits → bandwidth-capped copies).
-    if autotier_ms > 0 {
-        let classifier = EwmaThresholdClassifier::default();
-        let mut cfg = AutoTierConfig::default();
-        cfg.max_copy_bps = autotier_bps.unwrap_or(cfg.max_copy_bps);
-        node.every("autotier", autotier_ms, move |master, net| {
-            monitor::run_migration_round(master, net, &classifier, &cfg, || {
-                monitor::await_beats(master)
-            })
-        })?;
-    }
+    let tiering = autotier_bps.map(|max_copy_bps| {
+        let classifier: Arc<dyn TierClassifier> = Arc::new(EwmaThresholdClassifier::default());
+        (classifier, AutoTierConfig { max_copy_bps, ..AutoTierConfig::default() })
+    });
+    node.start_rounds(tiering)?;
     node::serve(node)
 }
 

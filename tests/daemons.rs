@@ -351,9 +351,11 @@ fn a_worker_started_late_stays_live_under_the_earlier_workers_heartbeats() {
 /// A flag with no value used to index past the argument list and panic;
 /// it is a usage error in every binary (`octofs` has its case in
 /// `tests/cli.rs`). So is a flag a daemon does not take — among them the
-/// shape flags, which only `octofs init` takes — and a worker id past a
-/// `u16`. A zero heartbeat interval, which would spin the master's rounds
-/// and kill every worker, is refused before the master serves.
+/// shape flags, which only `octofs init` takes, and the master's removed
+/// `--autotier-ms` (`--autotier-bps` alone turns tiering on) — and a worker
+/// id past a `u16`. A zero heartbeat interval, which would spin the
+/// master's rounds and kill every worker, is refused before the master
+/// serves.
 #[test]
 fn a_flag_without_its_value_prints_usage_in_every_daemon_binary() {
     let (master, worker) =
@@ -367,7 +369,7 @@ fn a_flag_without_its_value_prints_usage_in_every_daemon_binary() {
         (master, vec!["--heartbeat-ms", "0"], "heartbeat interval must be positive"),
         (worker, vec!["--master", "127.0.0.1:1", "--id", "65536"], "bad value \"65536\""),
     ];
-    for flag in ["--workers", "--capacity"] {
+    for flag in ["--workers", "--capacity", "--autotier-ms"] {
         cases.push((master, vec![flag, "3"], "unknown flag"));
     }
     for flag in ["--workers", "--block-size", "--heartbeat-ms"] {
@@ -802,16 +804,16 @@ fn a_closed_stdout_ends_the_output_quietly() {
     assert!(out.status.success() && !stderr.contains("panicked"), "{:?}: {stderr}", out.status);
 }
 
-/// `octofs-master --autotier-ms` runs the auto-tierer's paced rounds on
-/// the daemon (`--autotier-bps` caps their copies): a `<0,0,1>` file read
-/// over and over turns hot, `migrations` lists its promotion, every block
-/// gains a memory replica, and `heat` shows when it was last touched.
+/// `octofs-master --autotier-bps` makes the daemon's background round an
+/// auto-tiering round whose copies it caps: a `<0,0,1>` file read over and
+/// over turns hot, `migrations` lists its promotion, every block gains a
+/// memory replica, and `heat` shows when it was last touched.
 #[test]
 fn the_master_daemon_promotes_a_file_read_over_and_over() {
     let tmp = fresh_dir("autotier");
-    let mut margs = owned(&["--listen", "127.0.0.1:0", "--heartbeat-ms", "50"]);
+    let mut margs = owned(&["--listen", "127.0.0.1:0", "--heartbeat-ms", "25"]);
     margs.extend(owned(&SHAPE[2..4]));
-    margs.extend(owned(&["--autotier-ms", "100", "--autotier-bps", "8388608"]));
+    margs.extend(owned(&["--autotier-bps", "8388608"]));
     let (_master, addr) = spawn_with_addr(env!("CARGO_BIN_EXE_octofs-master"), &margs);
     let _workers: Vec<Daemon> = ["0", "1", "2"]
         .into_iter()
