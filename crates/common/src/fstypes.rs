@@ -22,14 +22,6 @@ pub struct FileStatus {
     pub complete: bool,
 }
 
-impl FileStatus {
-    /// Whether this is a file under an external mount (§2.4): served by
-    /// the mounted catalog, so it has no blocks and no block size.
-    pub fn is_external(&self) -> bool {
-        !self.is_dir && self.block_size == 0
-    }
-}
-
 /// One listing entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {

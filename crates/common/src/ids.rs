@@ -40,8 +40,8 @@ id_type!(
     /// — in a `FileStatus`, a heat entry, an audit event, a block's owner —
     /// never names whatever moved in afterwards. A slot on its first inode has
     /// generation 0, so until something is deleted ids read 1, 2, 3, … in
-    /// creation order (1 is `/`). Slot 0 is never an inode: `INodeId(0)`
-    /// marks entries of an external mount.
+    /// creation order (1 is `/`). Slot 0 is never an inode, so those ids,
+    /// the namespace transcripts and the golden files stay unchanged.
     INodeId,
     u64,
     "inode_"

@@ -221,7 +221,6 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
         Q::ExplainPlacement(block) => A::Decisions(master.explain(block)),
         Q::ClusterStatus => A::ClusterStatus(master.cluster_status(10)),
         Q::Migrations(n) => A::Decisions(master.recent_migrations(n as usize)),
-        Q::ReadExternal(path) => A::External(master.read_external(&path)?.into()),
         Q::SetQuota(path, quota) => {
             master.set_quota(&path, quota)?;
             A::Unit

@@ -18,7 +18,7 @@ use octopus_policies::TierClassifier;
 use super::master_server::MasterServer;
 use super::monitor;
 use super::rpc;
-use super::transport::TcpTransport;
+use super::transport::{TcpTransport, Transport};
 use super::worker_server::{self, AddressMap, WorkerServer};
 use crate::worker::Worker;
 

@@ -1,8 +1,8 @@
 //! RPC message types. Every message implements [`Wire`]; responses are
 //! encoded as `[status u8][response]` where status 0 carries the response
 //! and status 1 carries a [`FsError`] with its variant preserved. A
-//! message with a bulk field (a pipeline hop, `Data`, `Edits`, `External`)
-//! encodes it last, and travels with it as its frame's body.
+//! message with a bulk field (a pipeline hop, `Data`, `Edits`) encodes it
+//! last, and travels with it as its frame's body.
 
 use octopus_common::trace::{self, TraceContext};
 use octopus_common::wire::{Wire, WireReader};
@@ -87,8 +87,6 @@ pub enum MasterRequest {
     ClusterStatus,
     /// The `n` most recent auto-tiering migration decisions, oldest first.
     Migrations(u32),
-    /// The whole content of a file under an external mount (§2.4).
-    ReadExternal(String),
     /// Set a directory's per-tier quota; `(path, quota)`.
     SetQuota(String, TierQuota),
     /// A directory's per-tier quota and the usage charged against it.
@@ -153,7 +151,6 @@ impl MasterRequest {
             ExplainPlacement(..) => "ExplainPlacement",
             ClusterStatus => "ClusterStatus",
             Migrations(..) => "Migrations",
-            ReadExternal(..) => "ReadExternal",
             SetQuota(..) => "SetQuota",
             QuotaUsage(..) => "QuotaUsage",
             RunRound(..) => "RunRound",
@@ -196,8 +193,6 @@ pub enum MasterResponse {
     Decisions(Vec<DecisionEvent>),
     /// The live cluster status report.
     ClusterStatus(ClusterStatusReport),
-    /// The content of an externally mounted file.
-    External(bytes::Bytes),
     /// A directory's quota and its usage per tier slot.
     Quota(TierQuota, Vec<u64>),
     /// A worker's registration: the master's heartbeat interval (ms).
@@ -257,9 +252,8 @@ impl Wire for MasterRequest {
             Heat(p) => tagged!(buf, 24, p),
             ExplainPlacement(b) => tagged!(buf, 25, b),
             ClusterStatus => tagged!(buf, 26),
-            // Tags 3, 4, 27 and 28 are retired (DESIGN.md §7): never reuse them.
+            // Tags 3, 4, 27, 28 and 30 are retired (DESIGN.md §7): never reuse them.
             Migrations(n) => tagged!(buf, 29, n),
-            ReadExternal(p) => tagged!(buf, 30, p),
             SetQuota(p, q) => tagged!(buf, 31, p, q),
             QuotaUsage(p) => tagged!(buf, 32, p),
             CommitReplica(b, s, u) => tagged!(buf, 33, b, s, u),
@@ -312,7 +306,6 @@ impl Wire for MasterRequest {
             25 => ExplainPlacement(Wire::get(r)?),
             26 => ClusterStatus,
             29 => Migrations(Wire::get(r)?),
-            30 => ReadExternal(Wire::get(r)?),
             31 => SetQuota(Wire::get(r)?, Wire::get(r)?),
             32 => QuotaUsage(Wire::get(r)?),
             33 => CommitReplica(Wire::get(r)?, Wire::get(r)?, Wire::get(r)?),
@@ -342,8 +335,7 @@ impl Wire for MasterResponse {
             Heat(h) => tagged!(buf, 13, h),
             Decisions(d) => tagged!(buf, 14, d),
             ClusterStatus(c) => tagged!(buf, 15, c),
-            // Tags 16 and 17 are retired (DESIGN.md §7): never reuse them.
-            External(b) => tagged!(buf, 18, b),
+            // Tags 16, 17 and 18 are retired (DESIGN.md §7): never reuse them.
             Quota(q, u) => tagged!(buf, 19, q, u),
             Registered(ms) => tagged!(buf, 20, ms),
             Count(n) => tagged!(buf, 21, n),
@@ -369,7 +361,6 @@ impl Wire for MasterResponse {
             13 => Heat(Wire::get(r)?),
             14 => Decisions(Wire::get(r)?),
             15 => ClusterStatus(Wire::get(r)?),
-            18 => External(Wire::get(r)?),
             19 => Quota(Wire::get(r)?, Wire::get(r)?),
             20 => Registered(Wire::get(r)?),
             21 => Count(Wire::get(r)?),
@@ -595,13 +586,12 @@ pub fn encode_worker_result_frame(res: &Result<WorkerResponse>) -> FramePayload 
     }
 }
 
-/// Encodes a master result as a [`FramePayload`]. An `Edits` range or an
-/// external file's content is sent as the body.
+/// Encodes a master result as a [`FramePayload`]. An `Edits` range is sent
+/// as the body.
 pub fn encode_master_result_frame(res: &Result<MasterResponse>) -> FramePayload {
     match res {
         // Status 0, then the response's tag.
         Ok(MasterResponse::Edits(bytes)) => with_body(vec![0, 10], bytes),
-        Ok(MasterResponse::External(bytes)) => with_body(vec![0, 18], bytes),
         _ => FramePayload::small(encode_result(res)),
     }
 }
@@ -728,14 +718,12 @@ mod tests {
             vec![Location { worker: WorkerId(0), media: MediaId(1), tier: TierId(2) }],
         ));
         rt(MasterResponse::Invalidate(vec![BlockId(4), BlockId(5)]));
-        rt(MasterRequest::ReadExternal("/ext/blob".into()));
         let loc = |w| Location { worker: WorkerId(w), media: MediaId(w), tier: TierId(0) };
         rt(MasterRequest::CommitReplica(
             Block { id: BlockId(8), gen: GenStamp(2), len: 100 },
             vec![loc(0), loc(1)],
             vec![loc(2)],
         ));
-        rt(MasterResponse::External(bytes::Bytes::from_static(b"blob")));
     }
 
     #[test]
@@ -926,15 +914,10 @@ mod tests {
             Ok(WorkerResponse::Data(BlockData::Real(bytes::Bytes::from_static(b"data")), 0xfeed));
         assert_eq!(encode_worker_result_frame(&res).concat(), encode_result(&res));
 
-        for mres in [
-            MasterResponse::Edits(bytes::Bytes::from_static(b"oplog")),
-            MasterResponse::External(bytes::Bytes::from_static(b"blob")),
-        ] {
-            let mres = Ok(mres);
-            let frame = encode_master_result_frame(&mres);
-            assert!(frame.body.is_some());
-            assert_eq!(frame.concat(), encode_result(&mres));
-        }
+        let mres = Ok(MasterResponse::Edits(bytes::Bytes::from_static(b"oplog")));
+        let frame = encode_master_result_frame(&mres);
+        assert!(frame.body.is_some());
+        assert_eq!(frame.concat(), encode_result(&mres));
 
         // Small messages take the head-only path.
         let small = encode_worker_frame(&WorkerRequest::Scrub);
@@ -957,10 +940,28 @@ mod tests {
         assert!(std::ptr::eq(out.as_ptr(), body.as_ptr()), "the block is the body, not a copy");
         // The same bytes in one flat buffer decode the same.
         assert_eq!(decode_result(&received(&FramePayload::small(sent.concat()))), res);
-        // The tag of `Data` with its checksum after the block is retired.
-        let mut old = encode_result(&res);
-        old[1] = 1;
-        assert!(decode_result::<WorkerResponse>(&received(&FramePayload::small(old))).is_err());
+    }
+
+    /// Every tag in `tags` decodes as an error for `T`, bare or followed by
+    /// a field such as its old message carried.
+    fn refused<T: Wire>(tags: &[u8]) {
+        let kind = std::any::type_name::<T>();
+        for &tag in tags {
+            let mut with_field = vec![tag];
+            "/f".to_string().put(&mut with_field);
+            for m in [vec![tag], with_field] {
+                assert!(decode::<T>(&m).is_err(), "{kind} tag {tag} decoded from {m:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn retired_tags_stay_retired() {
+        // DESIGN.md §7: a retired tag is never reused.
+        refused::<MasterRequest>(&[3, 4, 27, 28, 30]);
+        refused::<MasterResponse>(&[16, 17, 18]);
+        refused::<WorkerRequest>(&[7]);
+        refused::<WorkerResponse>(&[1, 6]);
     }
 
     #[test]

@@ -54,6 +54,13 @@ pub trait Transport: Send + Sync {
     /// reachable or not.
     fn workers(&self) -> Vec<WorkerId>;
 
+    /// Brings [`Transport::workers`] up to date with the master's registry,
+    /// so a fan-out reaches workers that joined since. A no-op where the
+    /// transport already holds every worker.
+    fn refresh_workers(&self) -> Result<()> {
+        Ok(())
+    }
+
     /// Where callers of this transport record their own series
     /// (`client_*`), next to whatever the transport itself records.
     fn metrics(&self) -> &MetricsRegistry;
@@ -87,23 +94,6 @@ impl TcpTransport {
     pub fn new(master: SocketAddr, workers: AddressMap, rpc: Arc<RpcClient>) -> Self {
         Self { master, workers, rpc }
     }
-
-    /// Re-fetches the worker address registry from the master into this
-    /// transport's address map.
-    pub fn refresh_workers(&self) -> Result<()> {
-        match self.call_master(MasterRequest::WorkerAddresses)? {
-            MasterResponse::Addresses(list) => {
-                let mut map = self.workers.write();
-                for (w, a) in list {
-                    if let Some(sa) = resolve(&a) {
-                        map.insert(w, sa);
-                    }
-                }
-                Ok(())
-            }
-            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
-        }
-    }
 }
 
 impl Transport for TcpTransport {
@@ -121,6 +111,23 @@ impl Transport for TcpTransport {
 
     fn workers(&self) -> Vec<WorkerId> {
         self.workers.read().keys().copied().collect()
+    }
+
+    /// Re-fetches the worker address registry from the master into this
+    /// transport's address map.
+    fn refresh_workers(&self) -> Result<()> {
+        match self.call_master(MasterRequest::WorkerAddresses)? {
+            MasterResponse::Addresses(list) => {
+                let mut map = self.workers.write();
+                for (w, a) in list {
+                    if let Some(sa) = resolve(&a) {
+                        map.insert(w, sa);
+                    }
+                }
+                Ok(())
+            }
+            r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+        }
     }
 
     fn metrics(&self) -> &MetricsRegistry {

@@ -79,6 +79,25 @@ fn networked_write_read_lifecycle() {
 }
 
 #[test]
+fn a_whole_file_read_is_one_master_rpc() {
+    let cluster = NetCluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let data = payload((2 * MB + 5) as usize, 9);
+    client.write_file("/f", &data, ReplicationVector::from_replication_factor(2)).unwrap();
+    let requests = |name: &'static str| {
+        cluster
+            .master()
+            .metrics()
+            .snapshot()
+            .counter_where("master_requests_total", |l| l.request_type.as_deref() == Some(name))
+    };
+    let (status, located) = (requests("Status"), requests("GetBlockLocations"));
+    assert_eq!(client.read_file("/f").unwrap(), data);
+    assert_eq!(requests("Status") - status, 0, "the located blocks give the layout");
+    assert_eq!(requests("GetBlockLocations") - located, 1);
+}
+
+#[test]
 fn pinned_tiers_respected_over_the_network() {
     let cluster = NetCluster::start(config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);

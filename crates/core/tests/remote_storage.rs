@@ -1,11 +1,9 @@
-//! Tests of the two §2.4 remote-storage modes: the integrated "Remote"
-//! tier and stand-alone external mounts.
+//! Tests of §2.4's integrated remote storage: the "Remote" tier. The
+//! stand-alone mode (an external store mounted as a subtree) is not
+//! reproduced (DESIGN.md §1).
 
-use std::sync::Arc;
-
-use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, StorageTier, MB};
+use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, StorageTier, MB};
 use octopus_core::{Cluster, SimCluster};
-use octopus_master::InMemoryCatalog;
 
 fn payload(len: usize, seed: u64) -> Vec<u8> {
     let octopus_common::BlockData::Real(b) = octopus_common::BlockData::generate_real(len, seed)
@@ -75,71 +73,4 @@ fn simulated_remote_tier_is_slow() {
     .unwrap();
     let t = sim.run_to_completion()[0].throughput_mbps();
     assert!((t - 85.0).abs() < 5.0, "remote pipeline ≈ 85 MB/s, got {t:.1}");
-}
-
-#[test]
-fn standalone_mount_unified_namespace() {
-    let cluster = Cluster::start(ClusterConfig::test_cluster(4, 64 * MB, MB)).unwrap();
-    let client = cluster.client(ClientLocation::OffCluster);
-
-    let mut catalog = InMemoryCatalog::new("warehouse");
-    catalog.insert("tables/orders.parquet", payload(500_000, 7));
-    catalog.insert("tables/lineitem.parquet", payload(800_000, 8));
-    catalog.insert("manifest.json", b"{}".to_vec());
-    cluster.master().mount_external("/warehouse", Arc::new(catalog)).unwrap();
-
-    // Unified view: listing and status work through the mount.
-    let entries = client.list("/warehouse").unwrap();
-    let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
-    assert_eq!(names, vec!["manifest.json", "tables"]);
-    let st = client.status("/warehouse/tables/orders.parquet").unwrap();
-    assert!(!st.is_dir);
-    assert_eq!(st.len, 500_000);
-
-    // Reads are served by the catalog.
-    assert_eq!(client.read_file("/warehouse/manifest.json").unwrap(), b"{}");
-
-    // Import pulls an external file into the cluster tiers.
-    client.mkdir("/hot").unwrap();
-    client
-        .import_external(
-            "/warehouse/tables/orders.parquet",
-            "/hot/orders",
-            ReplicationVector::msh(1, 0, 2),
-        )
-        .unwrap();
-    let blocks = client.get_file_block_locations("/hot/orders", 0, u64::MAX).unwrap();
-    assert!(!blocks.is_empty());
-    assert_eq!(
-        client.read_file("/hot/orders").unwrap(),
-        client.read_file("/warehouse/tables/orders.parquet").unwrap()
-    );
-}
-
-#[test]
-fn mount_point_conflicts_and_misses() {
-    let cluster = Cluster::start(ClusterConfig::test_cluster(3, 64 * MB, MB)).unwrap();
-    let client = cluster.client(ClientLocation::OffCluster);
-    client.mkdir("/existing").unwrap();
-    // Cannot mount over an existing namespace path.
-    let err = cluster.master().mount_external("/existing", Arc::new(InMemoryCatalog::new("x")));
-    assert!(matches!(err, Err(FsError::AlreadyExists(_))));
-
-    cluster.master().mount_external("/ext", Arc::new(InMemoryCatalog::new("y"))).unwrap();
-    assert_eq!(cluster.master().mount_points(), vec!["/ext".to_string()]);
-    assert!(cluster.master().is_external("/ext/file"));
-    assert!(!cluster.master().is_external("/elsewhere"));
-    assert!(matches!(client.read_file("/ext/missing"), Err(FsError::NotFound(_))));
-}
-
-#[test]
-fn external_range_reads() {
-    let cluster = Cluster::start(ClusterConfig::test_cluster(3, 64 * MB, MB)).unwrap();
-    let client = cluster.client(ClientLocation::OffCluster);
-    let mut catalog = InMemoryCatalog::new("c");
-    catalog.insert("blob", (0u8..200).collect());
-    cluster.master().mount_external("/ext", Arc::new(catalog)).unwrap();
-    assert_eq!(client.read_range("/ext/blob", 10, 5).unwrap(), vec![10, 11, 12, 13, 14]);
-    assert_eq!(client.read_range("/ext/blob", 195, 100).unwrap().len(), 5);
-    assert!(client.read_range("/ext/blob", 500, 10).unwrap().is_empty());
 }

@@ -29,7 +29,6 @@ pub mod cluster;
 pub mod editlog;
 pub mod lease;
 pub mod master;
-pub mod mount;
 pub mod namespace;
 
 pub use autotier::{AutoTierConfig, MigrationDecision, MigrationDirection};
@@ -39,5 +38,4 @@ pub use cluster::{ClusterState, WorkerInfo};
 pub use editlog::{EditLog, EditOp, GroupCommitLog};
 pub use lease::{ClientId, LeaseManager};
 pub use master::{Master, ReplicationTask};
-pub use mount::{ExternalCatalog, ExternalStatus, InMemoryCatalog, LocalDirCatalog, MountTable};
 pub use namespace::{Cursor, DirEntry, FileStatus, Namespace, TierQuota};

@@ -44,7 +44,6 @@ use crate::blockmap::BlockMap;
 use crate::cluster::ClusterState;
 use crate::editlog::{decode_stream, encode_image, BlockChange, EditLog, EditOp, GroupCommitLog};
 use crate::lease::{ClientId, LeaseManager};
-use crate::mount::MountTable;
 use crate::namespace::{normalize, Cursor, Namespace};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -187,15 +186,12 @@ impl OpCtx<'_> {
     }
 }
 
-/// What the namespace lock guards: the inode tree, plus the two tables
-/// that only ever change together with it — write leases (every lease
-/// operation is part of a namespace mutation) and the mount table (its
-/// only writer, [`Master::mount_external`], needs the write guard anyway
-/// to check that the mount point is free).
+/// What the namespace lock guards: the inode tree, plus the write leases,
+/// which only ever change together with it (every lease operation is part
+/// of a namespace mutation).
 struct NamespaceState {
     ns: Namespace,
     leases: LeaseManager,
-    mounts: MountTable,
 }
 
 /// What the blocks lock guards: every block's replicas and the workers
@@ -237,7 +233,7 @@ impl Awaited {
 ///
 /// Lock order (DESIGN.md §11): `namespace` → `blocks`; `heat` and the
 /// audit ring are leaves. No op, the auto-tierer's edits included,
-/// holds a guard across an edit-log fsync or external-catalog I/O.
+/// holds a guard across an edit-log fsync.
 pub struct Master {
     namespace: StatRwLock<NamespaceState>,
     /// Apart from the namespace so `commit_replicas` (one per block
@@ -358,7 +354,6 @@ impl Master {
                 NamespaceState {
                     ns,
                     leases: LeaseManager::new(config.heartbeat_ms * LEASE_HEARTBEATS),
-                    mounts: MountTable::new(),
                 },
                 namespace_stats,
             ),

@@ -1,7 +1,5 @@
-//! Namespace operations (Table 1 plus the standard file-system calls),
-//! mounts of external catalogs (§2.4), and quotas.
-
-use std::sync::Arc;
+//! Namespace operations (Table 1 plus the standard file-system calls)
+//! and quotas.
 
 use octopus_common::{
     BlockId, ClientLocation, DecisionKind, DecisionRound, FsError, INodeId, LocatedBlock, Location,
@@ -11,7 +9,6 @@ use octopus_common::{
 use super::{Master, MetaOp, OpCtx};
 use crate::editlog::EditOp;
 use crate::lease::ClientId;
-use crate::mount::ExternalCatalog;
 use crate::namespace::{normalize, DirEntry, FileStatus, TierQuota};
 
 impl Master {
@@ -173,75 +170,16 @@ impl Master {
         })
     }
 
-    /// Status of a path. Paths under a mount point resolve against the
-    /// external catalog (§2.4, stand-alone mode).
+    /// Status of a path.
     pub fn status(&self, path: &str) -> Result<FileStatus> {
         let ctx = self.op(MetaOp::Stat);
-        ctx.finish_with(|| {
-            let g = ctx.read(&self.namespace);
-            let Some((cat, rel)) = g.mounts.resolve(path) else {
-                return g.ns.status(path);
-            };
-            drop(g); // never hold the namespace across catalog I/O
-            let st = cat.status(&rel)?;
-            Ok(FileStatus {
-                id: INodeId(0),
-                path: path.to_string(),
-                is_dir: st.is_dir,
-                len: st.len,
-                rv: ReplicationVector::EMPTY,
-                block_size: 0,
-                complete: true,
-            })
-        })
+        ctx.finish_with(|| ctx.read(&self.namespace).ns.status(path))
     }
 
-    /// Lists a directory (external catalogs included — §2.4): one atomic
-    /// snapshot of its entries.
+    /// Lists a directory: one atomic snapshot of its entries.
     pub fn list(&self, path: &str) -> Result<Vec<DirEntry>> {
         let ctx = self.op(MetaOp::List);
-        ctx.finish_with(|| {
-            let g = ctx.read(&self.namespace);
-            let Some((cat, rel)) = g.mounts.resolve(path) else {
-                return g.ns.list(path);
-            };
-            drop(g); // never hold the namespace across catalog I/O
-            cat.list(&rel)
-        })
-    }
-
-    /// Mounts an external catalog at `mount_point` (§2.4, stand-alone
-    /// remote storage). The subtree is read-only through OctopusFS.
-    pub fn mount_external(
-        &self,
-        mount_point: &str,
-        catalog: Arc<dyn ExternalCatalog>,
-    ) -> Result<()> {
-        normalize(mount_point)?;
-        let mut g = self.namespace.write();
-        // The mount point must not shadow existing namespace entries.
-        if g.ns.resolve(mount_point).is_ok() {
-            return Err(FsError::AlreadyExists(mount_point.to_string()));
-        }
-        g.mounts.add(mount_point, catalog)
-    }
-
-    /// Whether a path resolves into a mounted external catalog.
-    pub fn is_external(&self, path: &str) -> bool {
-        self.namespace.read().mounts.resolve(path).is_some()
-    }
-
-    /// Reads a whole file from a mounted external catalog.
-    pub fn read_external(&self, path: &str) -> Result<Vec<u8>> {
-        let hit = self.namespace.read().mounts.resolve(path);
-        let (cat, rel) =
-            hit.ok_or_else(|| FsError::NotFound(format!("{path} is not under a mount")))?;
-        cat.read(&rel)
-    }
-
-    /// Registered external mount points.
-    pub fn mount_points(&self) -> Vec<String> {
-        self.namespace.read().mounts.mount_points().into_iter().map(String::from).collect()
+        ctx.finish_with(|| ctx.read(&self.namespace).ns.list(path))
     }
 
     /// Renames a file or directory. The renamed subtree's heat is reset:

@@ -133,8 +133,9 @@ const _: () = assert!(std::mem::size_of::<INode>() <= 80);
 
 pub use octopus_common::{DirEntry, FileStatus};
 
-/// Slot 0 holds no inode, so "no parent", "end of the free list" and the
-/// external-mount marker `INodeId(0)` never name one.
+/// Slot 0 holds no inode, so "no parent" and "end of the free list" never
+/// name one, and ids (1 is `/`), both transcripts and both golden files
+/// stay as they were.
 const NO_SLOT: u32 = 0;
 const ROOT: u32 = 1;
 
