@@ -24,7 +24,8 @@
 //! test binary of its own; the tests in it serialize on [`MEASURING`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use octopus_common::{
@@ -44,10 +45,41 @@ static SMALL_BYTES: AtomicU64 = AtomicU64::new(0);
 /// How many allocations [`SMALL_BYTES`] counted.
 static SMALL_COUNT: AtomicU64 = AtomicU64::new(0);
 static MEASURING: Mutex<()> = Mutex::new(());
+/// Set while [`OneThread`] counts only the thread that holds it.
+static ONE_THREAD: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread holds the [`OneThread`]. Const-initialised and
+    /// without a destructor, so the allocator reads it on any thread, at
+    /// any point of its life, without allocating.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Until dropped, only the thread that made it has its allocations
+/// counted, so a stray thread's cannot land in a measured window.
+struct OneThread;
+
+impl OneThread {
+    fn new() -> Self {
+        COUNTED.with(|counted| counted.set(true));
+        ONE_THREAD.store(true, Ordering::Relaxed);
+        OneThread
+    }
+}
+
+impl Drop for OneThread {
+    fn drop(&mut self) {
+        ONE_THREAD.store(false, Ordering::Relaxed);
+        COUNTED.with(|counted| counted.set(false));
+    }
+}
 
 struct Count;
 
 fn count(size: usize) {
+    if ONE_THREAD.load(Ordering::Relaxed) && !COUNTED.with(Cell::get) {
+        return;
+    }
     if size >= SMALL {
         SMALL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
         SMALL_COUNT.fetch_add(1, Ordering::Relaxed);
@@ -264,9 +296,12 @@ fn a_small_file_rewrite_allocates_nothing_and_a_read_only_its_output() {
 /// a view of the body, `put` keeps it, `read` returns it. A 16 KiB block
 /// and a 1 MiB one each arrive in one allocation of their own length — no
 /// frame header or request head rounds them up to a larger pool class.
+/// Everything here runs on the test's thread, so only its allocations
+/// count.
 #[test]
 fn a_stored_block_is_the_body_it_arrived_in() {
     let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _one_thread = OneThread::new();
     let config = ClusterConfig::test_cluster(1, 64 * MB, MB);
     let worker =
         build_single_worker(&config, octopus_common::WorkerId(0), &StorageMode::InMemory).unwrap();

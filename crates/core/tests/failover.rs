@@ -201,9 +201,18 @@ fn a_stale_worker_address_costs_a_pipeline_recovery() {
     let stale = cluster.worker_addr(WorkerId(0)).unwrap();
     cluster.kill_worker(0);
     let impostor = build_single_worker(&config, WorkerId(3), &StorageMode::InMemory).unwrap();
-    let _server =
-        WorkerServer::spawn_on(impostor.clone(), cluster.master_addr(), Default::default(), stale)
-            .unwrap();
+    // The freed port is ephemeral: another test's socket may hold it for a
+    // while, so the bind is retried until it is free again.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let _server = loop {
+        let master = cluster.master_addr();
+        match WorkerServer::spawn_on(impostor.clone(), master, Default::default(), stale) {
+            Err(FsError::Io(e)) if e.contains("in use") && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            server => break server.unwrap(),
+        }
+    };
 
     // A co-located writer: the master puts the pipeline's head on worker 0.
     let client = cluster.client(ClientLocation::OnWorker(WorkerId(0)));

@@ -14,22 +14,20 @@
 //! The log has one representation: the framed records themselves, in a
 //! file (or, for [`EditLog::in_memory`], a byte vector). The master's heap
 //! holds its namespace, not its history — replay streams the records
-//! through a fixed ring of buffers, read and CRC-checked a chunk ahead on
-//! a helper thread, and the backup master is handed the log's own bytes.
+//! through one chunk-sized buffer on the caller's thread, and the backup
+//! master is handed the log's own bytes.
 
-use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Condvar, PoisonError};
-use std::time::{Duration, Instant};
 
 use octopus_common::checksum::crc32;
 use octopus_common::wire::{put_str, Wire, WireReader};
 use octopus_common::{
     Block, BlockId, FsError, GenStamp, INodeId, ReplicationVector, Result, MAX_TIERS,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::namespace::{Cursor, Namespace, TierQuota};
 
@@ -345,9 +343,11 @@ const HEADER: usize = 8;
 /// all the per-record state it keeps, 8 bytes per 4,096 records.
 const INDEX_STRIDE: u64 = 4096;
 
-/// Appends reach the backing in writes of about this size, so the encode
-/// buffer stays fixed however large a batch is.
-const WRITE_CHUNK: usize = 1 << 20;
+/// Log bytes move through one buffer of about this size each way: an append
+/// writes out each chunk of encoded records as soon as it fills, and a
+/// replay reads a file a chunk at a time (or a record at a time, for a
+/// record larger than that).
+const CHUNK: usize = 64 << 10;
 
 /// Most bytes one [`GroupCommitLog::tail`] reply carries (whole records; a
 /// single larger record still goes out alone).
@@ -363,18 +363,6 @@ fn frame_into(op: &EditOp, buf: &mut Vec<u8>) {
     buf[head..head + 4].copy_from_slice(&len.to_le_bytes());
     buf[head + 4..head + HEADER].copy_from_slice(&crc.to_le_bytes());
 }
-
-/// A file is scanned in chunks of this size (or of its largest record's,
-/// if that is larger).
-const SCAN_CHUNK: usize = 64 << 10;
-
-/// Chunks a pipelined replay scans ahead into: the two the scan holds (the
-/// one it fills, and the next, where the record straddling the first one's
-/// end goes) and two for apply to work on and hand back.
-const SCAN_RING: usize = 4;
-
-/// The name of the thread a file-backed [`EditLog::replay`] scans on.
-pub const SCAN_THREAD: &str = "edit-log-scan";
 
 /// A record header's body length and CRC.
 fn header(head: &[u8; HEADER]) -> (usize, u32) {
@@ -406,175 +394,36 @@ fn parse_records(buf: &[u8], f: &mut impl FnMut(&[u8]) -> Result<()>) -> (usize,
     }
 }
 
-/// The bodies of the records in `chunk`: whole, their CRCs checked by the
-/// scan that made it.
-fn bodies(mut chunk: &[u8]) -> impl Iterator<Item = &[u8]> {
-    std::iter::from_fn(move || {
-        let (head, rest) = chunk.split_first_chunk::<HEADER>()?;
-        let body;
-        (body, chunk) = rest.split_at(header(head).0);
-        Some(body)
-    })
-}
-
-/// Reads the records in the first `len` bytes of `src` into chunks of
-/// whole, CRC-checked records and hands each to `f`: a buffer and the
-/// length of the records at its front. `f` hands back a buffer for a later
-/// chunk — the same one, or another. The scan holds two, `bufs`: the one it
-/// fills and the one the record straddling that one's end moves to; a
-/// record larger than a chunk gets a chunk of its own. Stops cleanly at a
-/// truncated tail (a crash mid-append); a complete record with a bad CRC
-/// is an error, once the records before it are handed over. Returns the
+/// [`parse_records`] over the first `len` bytes of `src`, read once, in
+/// order, through one buffer: each read fills it from the first record not
+/// yet handed over, one [`CHUNK`] long (or as long as the largest record
+/// met, if that is larger). Stops cleanly at a torn tail (a crash
+/// mid-append); a complete record with a bad CRC, a short read or `f`'s
+/// error ends it, once the records before it are handed over. Returns the
 /// byte length of the whole records.
-fn scan_records(
+fn read_records(
     mut src: impl Read,
     len: u64,
-    bufs: [Vec<u8>; 2],
-    mut f: impl FnMut(Vec<u8>, usize) -> Result<Vec<u8>>,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<u64> {
-    let [mut chunk, mut next] = bufs;
-    // `chunk[..held]` is read and not yet handed over; `at` bytes are.
+    let mut buf = vec![0; len.min(CHUNK as u64) as usize];
+    // `buf[..held]` is read and not yet handed over; `at` bytes are.
     let (mut held, mut at) = (0, 0u64);
     loop {
-        let unread = len - at - held as u64;
-        let fill = unread.min((chunk.len() - held) as u64) as usize;
-        src.read_exact(&mut chunk[held..held + fill])?;
+        let fill = (len - at - held as u64).min((buf.len() - held) as u64) as usize;
+        src.read_exact(&mut buf[held..held + fill])?;
         held += fill;
-        let (used, stop) = parse_records(&chunk[..held], &mut |_| Ok(()));
-        let need = match stop {
-            Ok(need) if need as u64 <= len - at - used as u64 => need,
-            // A bad record, or the end of the whole ones (a tear past it).
-            stop => {
-                if used > 0 {
-                    f(chunk, used)?;
-                }
-                return stop.map(|_| at + used as u64);
-            }
-        };
-        if used == 0 {
-            chunk.resize(need, 0); // a record larger than the chunk
-            continue;
+        let (used, need) = parse_records(&buf[..held], &mut f);
+        let need = need?;
+        at += used as u64;
+        if need as u64 > len - at {
+            return Ok(at); // the end, or a tear
         }
-        // The record straddling the chunk's end starts the next one.
-        if next.len() < need {
-            next.resize(need, 0);
+        buf.copy_within(used..held, 0);
+        held -= used;
+        if need > buf.len() {
+            buf.resize(need, 0);
         }
-        next[..held - used].copy_from_slice(&chunk[used..held]);
-        let full = std::mem::replace(&mut chunk, next);
-        next = f(full, used)?;
-        (held, at) = (held - used, at + used as u64);
-    }
-}
-
-/// A chunk buffer for a scan of `len` bytes.
-fn scan_buffer(len: u64) -> Vec<u8> {
-    vec![0; len.min(SCAN_CHUNK as u64) as usize]
-}
-
-/// The chunks a pipelined replay's scan runs ahead into, handed between its
-/// two threads: [`SCAN_RING`] buffers allocated before the scan starts, in
-/// queues that never outgrow them. Waiting on it allocates nothing. Two
-/// `std::sync::mpsc::sync_channel`s would carry the same buffers, but a
-/// thread's first blocking wait on one allocates a waiter context and list,
-/// at a moment the scheduler picks: replay's peak heap would then move by a
-/// few hundred bytes from run to run, which `tests/heap_budget.rs` pins
-/// exactly.
-struct Ring {
-    state: Mutex<RingState>,
-    moved: Condvar,
-}
-
-struct RingState {
-    /// Scanned chunks not yet taken by apply, in log order, each with the
-    /// length of its records.
-    full: VecDeque<(Vec<u8>, usize)>,
-    /// Buffers apply is done with.
-    free: Vec<Vec<u8>>,
-    /// How the scan ended, once it has.
-    scanned: Option<Result<()>>,
-    /// Apply has stopped (an error, a panic): so must the scan.
-    hung_up: bool,
-}
-
-impl Ring {
-    /// The ring of a scan of `len` bytes, less the two buffers the scan
-    /// starts with.
-    fn new(len: u64) -> Self {
-        let mut free = Vec::with_capacity(SCAN_RING);
-        free.extend((2..SCAN_RING).map(|_| scan_buffer(len)));
-        let full = VecDeque::with_capacity(SCAN_RING);
-        let state = RingState { full, free, scanned: None, hung_up: false };
-        Self { state: Mutex::new(state), moved: Condvar::new() }
-    }
-
-    fn wait<'a>(&self, st: MutexGuard<'a, RingState>) -> MutexGuard<'a, RingState> {
-        self.moved.wait(st).unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The scan's side: hands over a chunk, and takes a free buffer once
-    /// there is one.
-    fn exchange(&self, chunk: Vec<u8>, used: usize) -> Result<Vec<u8>> {
-        let mut st = self.state.lock();
-        st.full.push_back((chunk, used));
-        self.moved.notify_all();
-        loop {
-            if st.hung_up {
-                return Err(FsError::Io("replay stopped".into()));
-            }
-            if let Some(buf) = st.free.pop() {
-                return Ok(buf);
-            }
-            st = self.wait(st);
-        }
-    }
-
-    /// The scan's side: it has ended, as `scanned` says.
-    fn finish(&self, scanned: Result<u64>) {
-        self.state.lock().scanned = Some(scanned.map(drop));
-        self.moved.notify_all();
-    }
-
-    /// Apply's side: the next chunk once it is scanned, or `None` after the
-    /// last; an error that stopped the scan comes after the chunks before
-    /// it.
-    fn next(&self) -> Result<Option<(Vec<u8>, usize)>> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(chunk) = st.full.pop_front() {
-                return Ok(Some(chunk));
-            }
-            if let Some(scanned) = st.scanned.take() {
-                return scanned.map(|()| None);
-            }
-            st = self.wait(st);
-        }
-    }
-
-    /// Apply's side: hands the body of every record scanned to `f`, in log
-    /// order, until the scan ends or either side fails, and then stops the
-    /// scan — also when `f` panics. Returns how long it waited for chunks.
-    fn apply(&self, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<Duration> {
-        let _hang_up = HangUp(self);
-        let mut waited = Duration::ZERO;
-        loop {
-            let asked = Instant::now();
-            let next = self.next()?;
-            waited += asked.elapsed();
-            let Some((chunk, used)) = next else { return Ok(waited) };
-            bodies(&chunk[..used]).try_for_each(&mut f)?;
-            self.state.lock().free.push(chunk);
-            self.moved.notify_all();
-        }
-    }
-}
-
-/// Tells the scan, when dropped, that apply has stopped.
-struct HangUp<'a>(&'a Ring);
-
-impl Drop for HangUp<'_> {
-    fn drop(&mut self) {
-        self.0.state.lock().hung_up = true;
-        self.0.moved.notify_all();
     }
 }
 
@@ -582,7 +431,7 @@ impl Drop for HangUp<'_> {
 /// holding only whole records): hops over the first `skip`, then takes
 /// records while they fit in `cap` bytes — always at least one.
 fn read_tail(src: impl Read, skip: u64, cap: usize) -> Result<Vec<u8>> {
-    let mut src = BufReader::with_capacity(64 << 10, src);
+    let mut src = BufReader::with_capacity(CHUNK, src);
     let mut head = [0u8; HEADER];
     let mut out = Vec::new();
     let mut skipped = 0;
@@ -608,7 +457,7 @@ fn read_tail(src: impl Read, skip: u64, cap: usize) -> Result<Vec<u8>> {
 }
 
 /// Decodes and hands to `f` every record of a framed stream (a checkpoint
-/// image, a shipped log tail), with [`scan_records`]' torn-tail rule.
+/// image, a shipped log tail), with [`parse_records`]' torn-tail rule.
 pub(crate) fn replay_stream(
     buf: &[u8],
     mut f: impl FnMut(EditRef<'_>) -> Result<()>,
@@ -642,6 +491,10 @@ enum Backing {
 /// where the last whole one ends, and a sparse record → offset index.
 pub struct EditLog {
     backing: Backing,
+    /// Whether a pass over the records has counted them. Until one has (a
+    /// file nothing has read yet), `records`, `valid_len` and `index` are
+    /// not known.
+    recovered: bool,
     records: u64,
     /// Bytes of whole, written records; appends land here.
     valid_len: u64,
@@ -656,6 +509,7 @@ impl EditLog {
     pub fn in_memory() -> Self {
         Self {
             backing: Backing::Mem(Vec::new()),
+            recovered: true,
             records: 0,
             valid_len: 0,
             index: Vec::new(),
@@ -666,67 +520,26 @@ impl EditLog {
     /// An in-memory log holding `bytes` — framed records such as a
     /// checkpoint image — as its history.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
-        let len = bytes.len() as u64;
-        Self::recover(Backing::Mem(bytes), len)
+        let mut log = Self { backing: Backing::Mem(bytes), recovered: false, ..Self::in_memory() };
+        log.recover()?;
+        Ok(log)
     }
 
-    /// Opens (or creates) a file-backed log. Existing records are counted
-    /// and CRC-checked, not kept; a torn tail — the partial record a crash
-    /// mid-append leaves — is cut off so the next append lands on a record
-    /// boundary. A complete record with a bad CRC is an error.
+    /// Opens (or creates) a file-backed log. It reads nothing: the log's
+    /// first [`EditLog::replay`] is its recovery.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         let append = OpenOptions::new().create(true).append(true).open(path)?;
-        let read = File::open(path)?;
-        let len = read.metadata()?.len();
-        Self::recover(Backing::File { append, read: Arc::new(Mutex::new(read)) }, len)
+        let read = Arc::new(Mutex::new(File::open(path)?));
+        Ok(Self { backing: Backing::File { append, read }, recovered: false, ..Self::in_memory() })
     }
 
-    /// Scans `len` bytes of existing records into `records`, `valid_len`
-    /// and the index, then truncates the backing to `valid_len`.
-    fn recover(backing: Backing, len: u64) -> Result<Self> {
-        let mut log = Self { backing, ..Self::in_memory() };
-        let (mut records, mut at, mut index) = (0u64, 0u64, Vec::new());
-        let valid_len = log.scan(len, |body| {
-            if records % INDEX_STRIDE == 0 {
-                index.push(at);
-            }
-            records += 1;
-            at += (HEADER + body.len()) as u64;
-            Ok(())
-        })?;
-        if valid_len < len {
-            match &mut log.backing {
-                Backing::Mem(bytes) => bytes.truncate(valid_len as usize),
-                Backing::File { append, .. } => {
-                    append.set_len(valid_len)?;
-                    append.sync_data()?;
-                }
-            }
+    /// Recovers a log nothing has read yet, with nothing to apply.
+    fn recover(&mut self) -> Result<()> {
+        if !self.recovered {
+            self.replay(|_| Ok(()))?;
         }
-        Ok(Self { records, valid_len, index, ..log })
-    }
-
-    /// Hands each whole record in the first `len` bytes of the backing to
-    /// `f`, CRC-checked, on the caller's thread: parsed where it lies in
-    /// memory, through [`scan_records`] from a file. Returns the byte
-    /// length of the whole records.
-    fn scan(&self, len: u64, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
-        match &self.backing {
-            Backing::Mem(bytes) => {
-                let (used, stop) = parse_records(&bytes[..len as usize], &mut f);
-                stop.map(|_| used as u64)
-            }
-            Backing::File { read, .. } => {
-                let mut file = read.lock();
-                file.seek(SeekFrom::Start(0))?;
-                let bufs = [scan_buffer(len), scan_buffer(len)];
-                scan_records(&mut *file, len, bufs, |chunk, used| {
-                    bodies(&chunk[..used]).try_for_each(&mut f)?;
-                    Ok(chunk)
-                })
-            }
-        }
+        Ok(())
     }
 
     /// Appends an op (written through when file-backed, not synced).
@@ -744,6 +557,7 @@ impl EditLog {
     }
 
     fn write_records(&mut self, ops: &[EditOp], sync: bool) -> Result<()> {
+        self.recover()?;
         if ops.is_empty() {
             return Ok(());
         }
@@ -761,8 +575,8 @@ impl EditLog {
         }
     }
 
-    /// Encodes `ops` into the reused buffer and writes them out in
-    /// [`WRITE_CHUNK`]s, indexing as it goes. Returns where the records
+    /// Encodes `ops` into the reused buffer and writes out each [`CHUNK`]
+    /// of it as it fills, indexing as it goes. Returns where the records
     /// end.
     fn write_framed(&mut self, ops: &[EditOp], sync: bool) -> Result<u64> {
         let mut end = self.valid_len;
@@ -772,7 +586,7 @@ impl EditLog {
                 self.index.push(end + self.buf.len() as u64);
             }
             frame_into(op, &mut self.buf);
-            if self.buf.len() >= WRITE_CHUNK {
+            if self.buf.len() >= CHUNK {
                 self.backing.write_all(&self.buf)?;
                 end += self.buf.len() as u64;
                 self.buf.clear();
@@ -786,52 +600,59 @@ impl EditLog {
         Ok(end)
     }
 
-    /// Number of recorded ops.
-    pub fn len(&self) -> usize {
-        self.records as usize
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Streams every recorded op, in order, to `f`, each decoded in place
-    /// and handed over borrowed. From a file with records, the scan — read,
-    /// CRC, record framing — runs a chunk or more ahead on a helper thread
-    /// ([`SCAN_THREAD`]) and `f` runs on the caller's; an error reaches the
-    /// caller where it is in the log, after every op before it, and the
-    /// helper has ended when this returns. Returns how long `f`'s thread
-    /// waited for the scan (zero without a helper).
-    pub fn replay(&self, mut f: impl FnMut(EditRef<'_>) -> Result<()>) -> Result<Duration> {
-        let Backing::File { read, .. } = &self.backing else {
-            return self.replay_sequential(f).map(|()| Duration::ZERO);
+    /// Streams every recorded op, in order, to `f` on the caller's thread,
+    /// each decoded in place and handed over borrowed; returns how many. A
+    /// file is read once, a [`CHUNK`] at a time ([`read_records`]). The
+    /// first replay of a log is also its recovery: it counts and indexes
+    /// the records, and cuts off a torn tail — the partial record a crash
+    /// mid-append leaves — so the next append lands on a record boundary.
+    /// A complete record with a bad CRC is an error, once every op before
+    /// it is handed over, and leaves the log as it was.
+    pub fn replay(&mut self, mut f: impl FnMut(EditRef<'_>) -> Result<()>) -> Result<u64> {
+        let recovering = !self.recovered;
+        let len = match &self.backing {
+            _ if !recovering => self.valid_len,
+            Backing::Mem(bytes) => bytes.len() as u64,
+            Backing::File { read, .. } => read.lock().metadata()?.len(),
         };
-        if self.records == 0 {
-            return Ok(Duration::ZERO);
+        // The index is sized once, for the most records `len` bytes can hold
+        // (a header and a tag byte each): nothing the pass allocates grows
+        // with the log, so its peak is its buffer above what stays.
+        let most = if recovering { len / (HEADER as u64 + 1) / INDEX_STRIDE + 1 } else { 0 };
+        let (mut records, mut at, mut index) = (0u64, 0u64, Vec::with_capacity(most as usize));
+        let mut each = |body: &[u8]| {
+            if recovering && records % INDEX_STRIDE == 0 {
+                index.push(at);
+            }
+            records += 1;
+            at += (HEADER + body.len()) as u64;
+            f(EditRef::decode_borrowed(body)?)
+        };
+        let valid_len = match &self.backing {
+            Backing::Mem(bytes) => {
+                let (used, stop) = parse_records(&bytes[..len as usize], &mut each);
+                stop.map(|_| used as u64)?
+            }
+            Backing::File { read, .. } => {
+                let mut file = read.lock();
+                file.seek(SeekFrom::Start(0))?;
+                read_records(&mut *file, len, each)?
+            }
+        };
+        if recovering {
+            if valid_len < len {
+                match &mut self.backing {
+                    Backing::Mem(bytes) => bytes.truncate(valid_len as usize),
+                    Backing::File { append, .. } => {
+                        append.set_len(valid_len)?;
+                        append.sync_data()?;
+                    }
+                }
+            }
+            (self.recovered, self.records, self.valid_len, self.index) =
+                (true, records, valid_len, index);
         }
-        let len = self.valid_len;
-        let (ring, bufs) = (Ring::new(len), [scan_buffer(len), scan_buffer(len)]);
-        let scan = || {
-            let mut file = read.lock();
-            file.seek(SeekFrom::Start(0))?;
-            scan_records(&mut *file, len, bufs, |chunk, used| ring.exchange(chunk, used))
-        };
-        std::thread::scope(|s| {
-            let helper = std::thread::Builder::new()
-                .name(SCAN_THREAD.into())
-                .spawn_scoped(s, || ring.finish(scan()))?;
-            let applied = ring.apply(|body| f(EditRef::decode_borrowed(body)?));
-            helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            applied
-        })
-    }
-
-    /// [`EditLog::replay`] without the helper: the same scan, on the
-    /// caller's thread — what the pipelined replay is held to
-    /// (`tests/scan_pipeline.rs`).
-    pub fn replay_sequential(&self, mut f: impl FnMut(EditRef<'_>) -> Result<()>) -> Result<()> {
-        self.scan(self.valid_len, |body| f(EditRef::decode_borrowed(body)?)).map(drop)
+        Ok(records)
     }
 }
 
@@ -883,16 +704,18 @@ pub struct GroupCommitLog {
 
 impl GroupCommitLog {
     /// Wraps an edit log (file-backed or in-memory) in the batcher. Ops
-    /// already in the log count as resolved.
-    pub fn new(log: EditLog) -> Self {
-        let existing = log.len() as u64;
+    /// already in the log count as resolved; a log nothing has read yet is
+    /// read here, and one that cannot be read starts the batcher poisoned.
+    pub fn new(mut log: EditLog) -> Self {
+        let poisoned = log.recover().err().map(|e| e.to_string());
+        let existing = log.records;
         Self {
             state: Mutex::new(GroupState {
                 staged: Vec::new(),
                 next_seq: existing,
                 resolved_seq: existing,
                 committing: false,
-                poisoned: None,
+                poisoned,
             }),
             log: Mutex::new(log),
             cond: Condvar::new(),
@@ -950,9 +773,10 @@ impl GroupCommitLog {
         self.wait_durable(seq)
     }
 
-    /// Number of durable ops.
+    /// Number of durable ops (0 while a log that could not be read keeps
+    /// the batcher poisoned).
     pub fn durable_len(&self) -> usize {
-        self.log.lock().len()
+        self.log.lock().records as usize
     }
 
     /// The log's own bytes from record `from` on: whole durable records,
@@ -962,7 +786,8 @@ impl GroupCommitLog {
     /// `from` to a byte range; the file is read through its second handle
     /// after release, so a tailing backup never holds up a commit.
     pub fn tail(&self, from: u64) -> Result<Vec<u8>> {
-        let log = self.log.lock();
+        let mut log = self.log.lock();
+        log.recover()?;
         if from >= log.records {
             return Ok(Vec::new());
         }
@@ -1098,57 +923,54 @@ mod tests {
         assert!(decode_stream(&bad).is_err());
     }
 
-    /// A file scan hands out what an in-place parse of the same bytes does
-    /// — records that straddle a chunk's end, one larger than a chunk —
-    /// and stops where it stops at every tear of the last two records.
+    /// A read through one chunk buffer hands out what an in-place parse of
+    /// the same bytes does — records that straddle a chunk's end, one larger
+    /// than a chunk — and stops where it stops at every tear of the last
+    /// two records.
     #[test]
     fn a_scan_through_chunks_is_a_parse_in_place() {
         let mkdir =
             |len: usize, i: usize| EditOp::Mkdir { path: format!("/{}{i:04}", "n".repeat(len)) };
         let mut ops: Vec<EditOp> = (0..1_800).map(|i| mkdir(600, i)).collect();
-        ops.push(mkdir(SCAN_CHUNK + 1_000, 0));
+        ops.push(mkdir(CHUNK + 1_000, 0));
         ops.extend((0..200).map(|i| mkdir(700, i)));
         let mut buf = Vec::new();
         ops.iter().for_each(|op| frame_into(op, &mut buf));
-        assert!(buf.len() > 2 * SCAN_CHUNK);
+        assert!(buf.len() > 2 * CHUNK);
 
-        // Each chunk handed over must hold whole records only, and the
-        // buffer handed back is a different one, as a pipelined replay's is.
-        let scan = |bytes: &[u8]| {
-            let (mut crcs, mut spare) = (Vec::new(), scan_buffer(bytes.len() as u64));
-            let bufs = [scan_buffer(bytes.len() as u64), scan_buffer(bytes.len() as u64)];
-            let scanned = scan_records(bytes, bytes.len() as u64, bufs, |chunk, used| {
-                let (whole, stop) = parse_records(&chunk[..used], &mut |_| Ok(()));
-                assert_eq!((whole, stop.is_ok()), (used, true));
-                crcs.extend(bodies(&chunk[..used]).map(crc32));
-                Ok(std::mem::replace(&mut spare, chunk))
-            });
-            (scanned, crcs)
-        };
-        let tail = 2 * (HEADER + 710);
-        let tears = (buf.len() - tail..buf.len()).step_by(7).chain([buf.len()]);
-        for cut in tears.chain([0, 3, HEADER, SCAN_CHUNK, SCAN_CHUNK + 1]) {
-            let bytes = &buf[..cut];
-            let mut in_place = Vec::new();
+        let parse = |bytes: &[u8]| {
+            let mut crcs = Vec::new();
             let mut keep = |body: &[u8]| {
-                in_place.push(crc32(body));
+                crcs.push(crc32(body));
                 Ok(())
             };
             let (used, stop) = parse_records(bytes, &mut keep);
-            let parsed = stop.map(|_| used as u64);
-            let (scanned, chunked) = scan(bytes);
-            assert!((&parsed, &in_place) == (&scanned, &chunked), "cut {cut}");
+            (stop.map(|_| used as u64), crcs)
+        };
+        let read = |bytes: &[u8]| {
+            let mut crcs = Vec::new();
+            let keep = |body: &[u8]| {
+                crcs.push(crc32(body));
+                Ok(())
+            };
+            (read_records(bytes, bytes.len() as u64, keep), crcs)
+        };
+        let tail = 2 * (HEADER + 710);
+        let tears = (buf.len() - tail..buf.len()).step_by(7).chain([buf.len()]);
+        for cut in tears.chain([0, 3, HEADER, CHUNK, CHUNK + 1]) {
+            let parsed = parse(&buf[..cut]);
+            assert!(parsed == read(&buf[..cut]), "cut {cut}");
             if cut == buf.len() {
                 let appended: Vec<u32> = ops.iter().map(|op| crc32(&op.encode())).collect();
-                assert_eq!((parsed, in_place), (Ok(cut as u64), appended));
+                assert!(parsed == (Ok(cut as u64), appended));
             }
         }
 
         // A flipped byte is a CRC error on both, wherever in a chunk it is.
-        for at in [10, SCAN_CHUNK - 1, SCAN_CHUNK + 600, buf.len() - 1] {
+        for at in [10, CHUNK - 1, CHUNK + 600, buf.len() - 1] {
             buf[at] ^= 0x40;
-            assert!(parse_records(&buf, &mut |_| Ok(())).1.is_err(), "flip at {at}");
-            assert!(scan(&buf).0.is_err(), "flip at {at}");
+            assert!(parse(&buf).0.is_err(), "flip at {at}");
+            assert!(read(&buf).0.is_err(), "flip at {at}");
             buf[at] ^= 0x40;
         }
     }
@@ -1214,7 +1036,8 @@ mod tests {
             in_memory.append_batch(half.to_vec()).unwrap();
         }
         drop(on_disk);
-        let reopened = EditLog::open(&path).unwrap();
+        let mut reopened = EditLog::open(&path).unwrap();
+        assert_eq!(reopened.replay(|_| Ok(())), Ok(ops.len() as u64));
         assert_eq!(reopened.index, in_memory.index);
         assert_eq!(reopened.index.len(), 3);
         for log in [reopened, in_memory] {

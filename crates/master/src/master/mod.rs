@@ -266,11 +266,12 @@ impl Master {
     }
 
     /// Creates a master with the supplied edit log (file-backed for
-    /// durability). Existing log contents are replayed into the namespace;
-    /// a checkpoint image is a log too (`EditLog::from_bytes`), and a
-    /// master restored from one learns its replica locations from block
-    /// reports, as in HDFS.
-    pub fn with_log(config: ClusterConfig, log: EditLog) -> Result<Self> {
+    /// durability). Existing log contents are replayed into the namespace —
+    /// from a file, in the one pass that also recovers it
+    /// ([`EditLog::replay`]); a checkpoint image is a log too
+    /// (`EditLog::from_bytes`), and a master restored from one learns its
+    /// replica locations from block reports, as in HDFS.
+    pub fn with_log(config: ClusterConfig, mut log: EditLog) -> Result<Self> {
         config.validate()?;
 
         // The block map follows the replay the way it follows the live
@@ -282,7 +283,7 @@ impl Master {
         let mut blocks = BlockMap::new();
         let (mut max_block, mut max_gen) = (0u64, 0u64);
         let started = Instant::now();
-        let scan_wait = log.replay(|op| {
+        let replayed = log.replay(|op| {
             match op.apply(&mut ns, &mut cursor)? {
                 BlockChange::Added { file, block } => {
                     max_block = max_block.max(block.id.0);
@@ -299,11 +300,10 @@ impl Master {
             Ok(())
         })?;
 
-        let (replayed, replay_us) = (log.len() as u64, started.elapsed().as_micros() as u64);
-        let scan_wait_us = scan_wait.as_micros() as u64;
+        let replay_us = started.elapsed().as_micros() as u64;
         if replayed > 0 {
             octopus_common::log_info!(
-                "msg=\"replayed {replayed} ops in {} ms\" finger_hits={} scan_wait_us={scan_wait_us}",
+                "msg=\"replayed {replayed} ops in {} ms\" finger_hits={}",
                 replay_us / 1000,
                 cursor.finger_hits
             );
@@ -331,8 +331,8 @@ impl Master {
         // Pre-register the scrape-time drop counter so it is present (at
         // zero) in every snapshot, not only after the first wrap.
         metrics.counter("master_audit_dropped_total", Labels::NONE);
-        // What the last recovery cost, how the cursor resolved its paths and
-        // placed its creates, and how long apply waited for the log's scan.
+        // What the last recovery cost, and how the cursor resolved its paths
+        // and placed its creates.
         for (name, n) in [
             ("master_replay_ops_total", replayed),
             ("master_replay_us", replay_us),
@@ -340,7 +340,6 @@ impl Master {
             ("master_replay_parent_hits_total", cursor.parent_hits),
             ("master_replay_walks_total", cursor.walks),
             ("master_replay_finger_hits_total", cursor.finger_hits),
-            ("master_replay_scan_wait_us", scan_wait_us),
         ] {
             metrics.add(name, Labels::NONE, n);
         }

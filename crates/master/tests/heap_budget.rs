@@ -13,71 +13,97 @@
 //! - a recovered master holds what the bare `Namespace` replayed from the
 //!   same ops holds, plus a constant that does not grow with the log;
 //! - replay's transient (peak minus final) does not depend on how long the
-//!   log is, block map and the scan helper's ring of chunks included;
+//!   log is, block map and the read's chunk buffer included;
+//! - a batch append's peak is one encode chunk, whatever the batch's size;
+//! - a boot reads the log file once;
 //! - a running master's heap does not grow with the ops it logs.
 //!
 //! A counting `#[global_allocator]` is process-wide, which is why this is a
-//! test binary of its own; the tests in it serialize on [`MEASURING`].
+//! test binary of its own. It counts, per thread, only the thread a window
+//! measures — everything measured here runs on its caller's thread — and
+//! the tests serialize on [`MEASURING`], so while one measures no other
+//! allocates, times or reads a file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use octopus_common::{BlockId, ClusterConfig, ReplicationVector};
 use octopus_master::{Cursor, EditLog, EditOp, Master, Namespace};
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Live allocations (`realloc` moves one, it does not make one).
-static BLOCKS: AtomicUsize = AtomicUsize::new(0);
-/// Calls that asked for memory: `alloc`, `alloc_zeroed`, `realloc`.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
 static MEASURING: Mutex<()> = Mutex::new(());
+
+/// One thread's heap counts while [`heap_during`] measures it.
+#[derive(Clone, Copy)]
+struct Counts {
+    on: bool,
+    /// Bytes allocated less bytes freed since the start.
+    live: isize,
+    peak: isize,
+    /// Allocations made less freed (`realloc` moves one, it does not make
+    /// one).
+    blocks: isize,
+    /// Calls that asked for memory: `alloc`, `alloc_zeroed`, `realloc`.
+    calls: usize,
+}
+
+const IDLE: Counts = Counts { on: false, live: 0, peak: 0, blocks: 0, calls: 0 };
+
+thread_local! {
+    /// Per thread, so a window counts the measuring thread alone and no
+    /// other thread's allocation (the harness reporting a finished test,
+    /// say) lands in it. Const-initialised and without a destructor, so the
+    /// allocator reads it on any thread, at any point of its life, without
+    /// allocating.
+    static COUNTS: Cell<Counts> = const { Cell::new(IDLE) };
+}
+
+/// Adds `bytes` (negative: freed) and `blocks` to this thread's counts,
+/// if they are on; `asked` says whether the call asked for memory.
+fn count(bytes: isize, blocks: isize, asked: bool) {
+    COUNTS.with(|counts| {
+        let mut c = counts.get();
+        if c.on {
+            c.live += bytes;
+            c.peak = c.peak.max(c.live);
+            c.blocks += blocks;
+            c.calls += usize::from(asked);
+            counts.set(c);
+        }
+    });
+}
 
 struct CountLive;
 
-fn grew(by: usize) {
-    CALLS.fetch_add(1, Ordering::Relaxed);
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only additions are relaxed atomic
-// arithmetic, which neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the only addition is arithmetic on a
+// const-initialised thread-local `Cell`, which neither allocates nor
+// unwinds.
 unsafe impl GlobalAlloc for CountLive {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
+        count(layout.size() as isize, 1, true);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
+        count(layout.size() as isize, 1, true);
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            grew(new_size - layout.size());
-        } else {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
+        count(new_size as isize - layout.size() as isize, 0, true);
         // SAFETY: `ptr`/`layout` describe a live block of this allocator,
         // i.e. of `System`, per the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        BLOCKS.fetch_sub(1, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        count(-(layout.size() as isize), -1, false);
         // SAFETY: as `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -87,7 +113,8 @@ unsafe impl GlobalAlloc for CountLive {
 static ALLOC: CountLive = CountLive;
 
 /// What `f` left on the heap — bytes and allocations — how far above that
-/// its peak was, and how often it asked the allocator for memory.
+/// its peak was, and how often it asked the allocator for memory, counting
+/// the calling thread's allocator calls only.
 struct Heap {
     kept: isize,
     transient: isize,
@@ -96,19 +123,11 @@ struct Heap {
 }
 
 fn heap_during<T>(f: impl FnOnce() -> T) -> (T, Heap) {
-    let before = LIVE.load(Ordering::Relaxed);
-    let blocks_before = BLOCKS.load(Ordering::Relaxed);
-    let calls_before = CALLS.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    COUNTS.with(|counts| counts.set(Counts { on: true, ..IDLE }));
     let out = f();
-    let after = LIVE.load(Ordering::Relaxed);
-    let peak = PEAK.load(Ordering::Relaxed);
-    let heap = Heap {
-        kept: after as isize - before as isize,
-        transient: peak as isize - after as isize,
-        kept_blocks: BLOCKS.load(Ordering::Relaxed) as isize - blocks_before as isize,
-        calls: CALLS.load(Ordering::Relaxed) - calls_before,
-    };
+    let c = COUNTS.with(|counts| counts.replace(IDLE));
+    let heap =
+        Heap { kept: c.live, transient: c.peak - c.live, kept_blocks: c.blocks, calls: c.calls };
     (out, heap)
 }
 
@@ -182,10 +201,10 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
     let mut log = EditLog::in_memory();
     log.append_batch(meta_ops()).unwrap();
     let started = Instant::now();
-    let ((ns, cursor), heap) = heap_during(|| {
+    let ((ns, cursor, replayed), heap) = heap_during(|| {
         let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
-        log.replay(|op| op.apply(&mut ns, &mut cursor).map(drop)).unwrap();
-        (ns, cursor)
+        let replayed = log.replay(|op| op.apply(&mut ns, &mut cursor).map(drop)).unwrap();
+        (ns, cursor, replayed)
     });
     let replay_s = started.elapsed().as_secs_f64();
     assert_eq!(ns.counts(), (FILES, DIRS + 2));
@@ -214,7 +233,7 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
         per_file(heap.kept_blocks),
         heap.calls,
         heap.kept_blocks,
-        heap.calls as f64 / log.len() as f64,
+        heap.calls as f64 / replayed as f64,
         FILES as f64 / replay_s,
         cursor.searches as f64 / FILES as f64,
     );
@@ -253,7 +272,7 @@ fn replay_with_the_cursor_takes_at_most_six_tenths_of_replay_without() {
     let _serial = serial();
     let mut log = EditLog::in_memory();
     log.append_batch(meta_ops()).unwrap();
-    let replay_s = |carry: bool| {
+    let mut replay_s = |carry: bool| {
         let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
         let started = Instant::now();
         log.replay(|op| {
@@ -364,9 +383,8 @@ fn a_recovered_master_holds_its_namespace_and_a_constant() {
     }
 }
 
-/// Exactly equal, not close: the file's scan runs ahead on a helper thread
-/// into a ring of buffers allocated once, so no byte of it depends on how
-/// far ahead the scan got or how often either thread waited.
+/// Exactly equal, not close: the file is read through one chunk buffer on
+/// the caller's thread, whatever its length.
 #[test]
 fn replay_transient_does_not_depend_on_log_length() {
     let _serial = serial();
@@ -384,6 +402,57 @@ fn replay_transient_does_not_depend_on_log_length() {
         heap.transient
     };
     assert_eq!(transient(10_000), transient(40_000));
+}
+
+/// The edit log's chunk (`CHUNK` in `editlog.rs`).
+const CHUNK: isize = 64 << 10;
+
+/// Exact, not close: a batch is encoded into one buffer that is written
+/// out each time it fills a chunk, so it never holds more than a chunk and
+/// a record (2 × `CHUNK` once the vector has doubled past one) — plus the
+/// batch's entries in the log's sparse index, 8 B per 4,096 records (16 B
+/// once that vector has doubled).
+#[test]
+fn a_batch_append_peaks_at_one_chunk_whatever_its_length() {
+    let _serial = serial();
+    for n in [10_000, 40_000] {
+        let path = temp_log("append");
+        let mut log = EditLog::open(&path).unwrap();
+        let ops: Vec<EditOp> = file_ops(n, false).take(n).collect();
+        let ((), heap) = heap_during(|| log.append_batch(ops).unwrap());
+        // Above the start, which held the batch: the batch is dropped inside.
+        let rise = heap.kept + heap.transient;
+        let index = 16 * n.div_ceil(4096) as isize;
+        println!("append_batch of {n} ops: the heap rose by {rise} B at its peak");
+        assert!(rise <= 2 * CHUNK + index, "append_batch of {n} ops: +{rise} B");
+        drop(log);
+        remove(&path);
+    }
+}
+
+/// Bytes this process has had `read` calls return (`/proc/self/io`).
+fn bytes_read() -> u64 {
+    let io = std::fs::read_to_string("/proc/self/io").unwrap();
+    let rchar = io.lines().find_map(|line| line.strip_prefix("rchar: "));
+    rchar.expect("an rchar line").parse().unwrap()
+}
+
+/// The boot's replay is also the log's recovery: the file is read once, not
+/// once to count and check it and again to apply it.
+#[test]
+fn a_boot_reads_the_log_once() {
+    let _serial = serial();
+    let path = write_log("once", 20_000, true);
+    let len = std::fs::metadata(&path).unwrap().len();
+    let before = bytes_read();
+    let master = recover(&path);
+    let read = bytes_read() - before;
+    assert_eq!(master.counts().0, 20_000);
+    println!("a boot from a {len} B log read {read} B");
+    // The slack is one chunk, and covers the read of `/proc/self/io`.
+    assert!((len..=len + CHUNK as u64).contains(&read), "{read} B read for a {len} B log");
+    drop(master);
+    remove(&path);
 }
 
 #[test]

@@ -1,39 +1,31 @@
-//! The pipelined replay fails exactly like the sequential one.
+//! One replay reads, checks and applies a log of several chunks.
 //!
-//! From a file, `EditLog::replay` reads, CRC-checks and frames the log on a
-//! helper thread ([`SCAN_THREAD`]) a chunk or more ahead of the caller's
-//! thread, which decodes and applies; `EditLog::replay_sequential` is the
-//! same scan on the caller's thread alone. On a log of several chunks —
-//! records straddling chunk ends, one record larger than a chunk — both
-//! must apply the same ops and stop with the same error wherever the log
-//! goes bad: a CRC flipped after `open` (the first record of a chunk, a
-//! straddling one, the one after the big one, the last), the file cut short
-//! after `open` (an I/O error), a tear at every byte of the last record
-//! (which `open` cuts off), an op that fails to apply. And the helper has
-//! ended when `replay` returns, every time — or unwinds, when applying an
-//! op panics.
+//! `EditLog::open` reads nothing; the log's first `EditLog::replay` reads
+//! the file once, in order, through one chunk buffer on the caller's
+//! thread, and decodes and applies each record. On a log of several chunks
+//! — records straddling chunk ends, one record larger than a chunk — it
+//! must apply exactly the ops before the place the log goes bad, in order,
+//! and stop there with that place's error: a flipped CRC (the first record,
+//! the one straddling the first chunk's end, the one larger than a chunk,
+//! the one after it, the last), the file cut short while it is read (an I/O
+//! error), a tear at every byte of the last record (a clean end, and the
+//! file cut back), an op that fails to apply.
 
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use octopus_common::{FsError, ReplicationVector};
-use octopus_master::editlog::{EditRef, SCAN_THREAD};
+use octopus_master::editlog::EditRef;
 use octopus_master::{Cursor, EditLog, EditOp, Namespace};
 
-/// The scan's chunk (`SCAN_CHUNK` in `editlog.rs`): where the cases put
-/// their flips and cuts. Were it to change, they would still pass — they
-/// would only test other bytes.
+/// The reader's chunk (`CHUNK` in `editlog.rs`): where the cases put their
+/// flips and cuts.
 const CHUNK: usize = 64 << 10;
 
 /// Records in the log; the one at [`BIG`] is larger than a chunk.
 const RECORDS: usize = 3_000;
 const BIG: usize = 1_500;
-
-/// Only this binary's tests start helpers; counting them needs one at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// `mkdir /d`, then creates under names of 1 to 97 bytes (so records
 /// straddle every chunk end at a different offset), one `mkdir` of a name
@@ -68,79 +60,41 @@ fn remove(log: &Path) {
 
 /// A log file of `ops`, and where each record starts (plus where the last
 /// ends).
-fn write_log(tag: &str, ops: Vec<EditOp>) -> (PathBuf, Vec<usize>) {
+fn write_log(tag: &str, ops: &[EditOp]) -> (PathBuf, Vec<usize>) {
     let mut starts = vec![0];
-    for op in &ops {
+    for op in ops {
         starts.push(starts.last().unwrap() + 8 + op.encode().len());
     }
     let path = temp_log(tag);
-    EditLog::open(&path).unwrap().append_batch(ops).unwrap();
+    EditLog::open(&path).unwrap().append_batch(ops.to_vec()).unwrap();
     assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, *starts.last().unwrap());
     (path, starts)
 }
 
-/// Threads of this process named [`SCAN_THREAD`].
-fn helpers() -> usize {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return 0 };
-    let comm = |task: std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm")).ok();
-    tasks.filter_map(|task| comm(task.ok()?)).filter(|c| c.trim_end() == SCAN_THREAD).count()
-}
-
-/// [`helpers`], once a thread that has been joined is also gone from
-/// `/proc` (the kernel drops it a moment after the join returns).
-fn helpers_left() -> usize {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let n = helpers();
-        if n == 0 || Instant::now() > deadline {
-            return n;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// The ops a replay applied, re-encoded, and how it ended.
-type Outcome = (Vec<Vec<u8>>, Result<(), FsError>);
+type Outcome = (Vec<Vec<u8>>, Result<u64, FsError>);
 
-/// Replays `log` into a fresh namespace, the pipelined way or the
-/// sequential one. For the pipelined one, also the helpers alive when the
-/// first op arrived.
-fn replay(log: &EditLog, pipelined: bool) -> (Outcome, Option<usize>) {
+/// Opens the log at `path` and replays it into a fresh namespace, calling
+/// `first` once, before the first op is applied.
+fn replay(path: &Path, first: impl FnOnce()) -> Outcome {
     let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
-    let (mut applied, mut alive) = (Vec::new(), None);
-    let mut apply = |op: EditRef<'_>| {
-        alive = alive.or_else(|| Some(helpers()));
+    let (mut applied, mut first) = (Vec::new(), Some(first));
+    let end = EditLog::open(path).unwrap().replay(|op: EditRef<'_>| {
+        if let Some(first) = first.take() {
+            first();
+        }
         applied.push(op.encode());
         op.apply(&mut ns, &mut cursor).map(drop)
-    };
-    let end = if pipelined {
-        log.replay(&mut apply).map(drop)
-    } else {
-        log.replay_sequential(&mut apply)
-    };
-    ((applied, end), alive.filter(|_| pipelined))
+    });
+    (applied, end)
 }
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// The first `n` of `ops`, encoded.
+fn encoded(ops: &[EditOp], n: usize) -> Vec<Vec<u8>> {
+    ops[..n].iter().map(EditOp::encode).collect()
 }
 
-/// Both replays of `log`: the same ops, the same end, error text included;
-/// the pipelined one ran at most one helper (one that met an early error
-/// may be gone before the first op is applied) and left none behind.
-fn alike(label: &str, log: &EditLog) -> Outcome {
-    let _serial = serial();
-    let (piped, alive) = replay(log, true);
-    assert!(alive.is_none_or(|n| n <= 1), "{label}: {alive:?} helpers during the replay");
-    assert_eq!(helpers_left(), 0, "{label}: the helper outlived the replay");
-    let (sequential, _) = replay(log, false);
-    let text = |o: &Outcome| o.1.as_ref().err().map(ToString::to_string);
-    assert_eq!(text(&piped), text(&sequential), "{label}");
-    assert!(piped == sequential, "{label}: {} ops against {}", piped.0.len(), sequential.0.len());
-    piped
-}
-
-/// Flips a bit of one byte of the file behind an open log.
+/// Flips a bit of one byte of a log file.
 fn flip(path: &Path, at: usize) {
     let byte = std::fs::read(path).unwrap()[at] ^ 0x40;
     let mut file = OpenOptions::new().write(true).open(path).unwrap();
@@ -153,28 +107,44 @@ fn record_at(starts: &[usize], at: usize) -> usize {
     starts.partition_point(|&start| start <= at) - 1
 }
 
+/// The reads a replay of the log makes, as (the first record a read's
+/// buffer holds, where the read ends): each fills the buffer from the first
+/// record not yet handed over, one chunk long, or as long as the largest
+/// record met if that is larger.
+fn reads(starts: &[usize]) -> Vec<(usize, usize)> {
+    let len = *starts.last().unwrap();
+    let (mut reads, mut first, mut buf) = (Vec::new(), 0, CHUNK);
+    while starts[first] < len {
+        let end = (starts[first] + buf).min(len);
+        reads.push((first, end));
+        first = record_at(starts, end);
+        // A record the buffer cannot hold grows it once its header is in.
+        if first < starts.len() - 1 && end >= starts[first] + 8 && end < starts[first + 1] {
+            buf = buf.max(starts[first + 1] - starts[first]);
+        }
+    }
+    reads
+}
+
 #[test]
-fn a_whole_log_replays_alike_over_several_chunks() {
-    let (path, starts) = write_log("whole", ops(None));
+fn a_whole_log_replays_once_over_several_chunks() {
+    let ops = ops(None);
+    let (path, starts) = write_log("whole", &ops);
     let len = *starts.last().unwrap();
     assert!(len > 4 * CHUNK, "{len} B is not several chunks");
     // Records straddle the first chunk's end, and the big one is larger.
     assert!(starts.iter().all(|&s| s != CHUNK));
     assert!(starts[BIG + 1] - starts[BIG] > CHUNK);
-    let log = EditLog::open(&path).unwrap();
-    let (applied, end) = alike("whole", &log);
-    assert_eq!((applied.len(), end), (RECORDS, Ok(())));
-    // The scan cannot have finished while the first chunk is applied: the
-    // log is longer than the ring, and no buffer has come back yet.
-    let _serial = serial();
-    assert_eq!(replay(&log, true).1, Some(1), "the first op arrived from a running helper");
+    let (applied, end) = replay(&path, || ());
+    assert!(applied == encoded(&ops, RECORDS), "{} ops applied", applied.len());
+    assert_eq!(end, Ok(RECORDS as u64));
     remove(&path);
 }
 
 #[test]
-fn a_crc_flipped_after_open_stops_both_at_the_same_record() {
-    let (path, starts) = write_log("crc", ops(None));
-    let log = EditLog::open(&path).unwrap();
+fn a_crc_flip_stops_the_replay_after_the_records_before_it() {
+    let ops = ops(None);
+    let (path, starts) = write_log("crc", &ops);
     let cases = [
         ("the first record", 0),
         ("the one straddling the first chunk's end, first of the next", record_at(&starts, CHUNK)),
@@ -185,88 +155,67 @@ fn a_crc_flipped_after_open_stops_both_at_the_same_record() {
     for (label, record) in cases {
         let at = starts[record + 1] - 1; // its body's last byte
         flip(&path, at);
-        let (applied, end) = alike(label, &log);
-        assert_eq!(applied.len(), record, "{label}: the ops before it, and no more");
+        let before = std::fs::read(&path).unwrap();
+        let (applied, end) = replay(&path, || ());
+        assert!(applied == encoded(&ops, record), "{label}: {} ops applied", applied.len());
         assert_eq!(end, Err(FsError::Io("edit record CRC mismatch".into())), "{label}");
+        assert!(std::fs::read(&path).unwrap() == before, "{label}: the file was modified");
         flip(&path, at);
     }
     remove(&path);
 }
 
 #[test]
-fn a_file_cut_after_open_is_the_same_io_error_for_both() {
-    let (path, starts) = write_log("cut", ops(None));
-    let log = EditLog::open(&path).unwrap();
-    let len = *starts.last().unwrap();
-    // Shortest last: each cut shortens what the one before left.
+fn a_file_cut_during_the_replay_is_an_io_error() {
+    let ops = ops(None);
+    let (path, starts) = write_log("cut_src", &ops);
+    let bytes = std::fs::read(&path).unwrap();
+    let len = bytes.len();
+    let reads = reads(&starts);
+    assert!(reads.len() > 4, "{reads:?}");
     for cut in [len - 1, starts[BIG] + 100, CHUNK + 1, CHUNK, CHUNK - 1, 5, 0] {
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(cut as u64).unwrap();
-        let label = format!("cut at {cut}");
-        let (applied, end) = alike(&label, &log);
-        // A short read, as `FsError::from(io::Error)` spells it.
-        assert!(end.is_err(), "{label}: {end:?}");
-        assert!(applied.len() <= record_at(&starts, cut), "{label}: a record past the cut");
+        std::fs::write(&path, &bytes).unwrap();
+        // The first read is in; the file loses its end before the next.
+        let (applied, end) = replay(&path, || {
+            OpenOptions::new().write(true).open(&path).unwrap().set_len(cut as u64).unwrap();
+        });
+        // The first read past the cut comes up short: every record before
+        // that read's buffer was applied, and none after.
+        let &(first, _) = reads[1..].iter().find(|&&(_, end)| end > cut).unwrap();
+        assert!(applied == encoded(&ops, first), "cut at {cut}: {} ops applied", applied.len());
+        // A short read, as `FsError::from(io::Error)` spells an
+        // `UnexpectedEof`.
+        let short = FsError::Unreachable("failed to fill whole buffer".into());
+        assert_eq!(end, Err(short), "cut at {cut}");
     }
     remove(&path);
 }
 
 #[test]
-fn every_tear_of_the_last_record_replays_alike() {
-    let (path, starts) = write_log("tear_src", ops(None));
+fn every_tear_of_the_last_record_is_cut_by_the_replay() {
+    let ops = ops(None);
+    let (path, starts) = write_log("tear_src", &ops);
     let bytes = std::fs::read(&path).unwrap();
     remove(&path);
     let path = temp_log("tear");
     for cut in starts[RECORDS - 1]..starts[RECORDS] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let log = EditLog::open(&path).unwrap();
-        let (applied, end) = alike(&format!("tear at {cut}"), &log);
-        assert_eq!((applied.len(), end), (RECORDS - 1, Ok(())), "tear at {cut}");
+        let (applied, end) = replay(&path, || ());
+        assert!(applied == encoded(&ops, RECORDS - 1), "tear at {cut}: {} ops", applied.len());
+        assert_eq!(end, Ok(RECORDS as u64 - 1), "tear at {cut}");
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(len, starts[RECORDS - 1], "tear at {cut}: not cut back");
     }
     remove(&path);
 }
 
 #[test]
-fn an_op_that_fails_to_apply_stops_both_after_it() {
+fn an_op_that_fails_to_apply_stops_the_replay_after_it() {
     let missing = EditOp::CloseFile { path: "/d/missing".into() };
-    let (path, _) = write_log("apply", ops(Some(missing)));
-    let log = EditLog::open(&path).unwrap();
-    let (applied, end) = alike("close of a missing path", &log);
-    assert_eq!(applied.len(), 1_001, "record 1,000 was handed over and refused");
+    let ops = ops(Some(missing));
+    let (path, _) = write_log("apply", &ops);
+    let (applied, end) = replay(&path, || ());
+    assert!(applied == encoded(&ops, 1_001), "record 1,000 was handed over and refused");
     assert_eq!(end, Err(FsError::NotFound("/d/missing".into())));
-    remove(&path);
-}
-
-#[test]
-fn a_panic_in_apply_leaves_no_helper_behind() {
-    let (path, _) = write_log("panic", ops(None));
-    let log = EditLog::open(&path).unwrap();
-    let _serial = serial();
-    // On a thread of its own: were the helper not stopped, the replay could
-    // not return, and this test fails at the deadline instead of hanging.
-    let (done, replayed) = std::sync::mpsc::channel();
-    let replaying = std::thread::spawn(move || {
-        let (mut applied, mut alive) = (0, 0);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            log.replay(|_| {
-                applied += 1;
-                if applied == 1_000 {
-                    alive = helpers();
-                    panic!("applying op 1,000 panicked");
-                }
-                Ok(())
-            })
-        }))
-        .is_err();
-        done.send((panicked, applied, alive)).unwrap();
-    });
-    let (panicked, applied, alive) =
-        replayed.recv_timeout(Duration::from_secs(30)).expect("the replay returned");
-    replaying.join().unwrap();
-    assert!(panicked, "the panic reached the caller");
-    assert_eq!(applied, 1_000);
-    // The scan was still running, a third of the way into the log.
-    assert_eq!(alive, 1, "the helper was alive when apply panicked");
-    assert_eq!(helpers_left(), 0, "the helper outlived a panicking replay");
     remove(&path);
 }

@@ -1,11 +1,12 @@
 //! The second restart after a torn append.
 //!
 //! A crash mid-append leaves a partial record at the end of the log file.
-//! Recovery must cut it off before the next append, or that append lands
+//! Recovery — the log's first replay, or its first append, whichever comes
+//! first — must cut it off before the next append, or that append lands
 //! *behind* the torn bytes: the restart after it then either stops short of
 //! an fsynced, acknowledged op or finds garbage where a record should be
 //! and never boots again. A *complete* record whose CRC does not match is
-//! corruption, not a tear, and stays a hard error.
+//! corruption, not a tear: the boot fails and the file is left as it was.
 
 use std::path::PathBuf;
 
@@ -46,23 +47,28 @@ fn every_tear_of_the_last_record_survives_two_restarts() {
     let (bytes, ends) =
         log_bytes("tear_src", &[mkdir("/d0"), mkdir("/d1"), mkdir("/torn/by/the/crash")]);
     let path = temp_log("tear");
-    // From "nothing of the third record" to "all but its last byte".
-    for cut in ends[1]..ends[2] {
+    // From "nothing of the third record" to "all but its last byte", with
+    // the first restart's append after its replay or straight after `open`.
+    let cuts = (ends[1]..ends[2]).flat_map(|cut| [(cut, true), (cut, false)]);
+    for (cut, replay_first) in cuts {
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
-        // First restart: the two whole records, and a file cut back to them.
+        // First restart: its replay — or, unread, its first append — finds
+        // the two whole records and cuts the file back to them.
         let mut log = EditLog::open(&path).unwrap();
-        assert_eq!(log.len(), 2, "cut {cut}");
-        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, ends[1], "cut {cut}");
+        if replay_first {
+            assert_eq!(log.replay(|_| Ok(())), Ok(2), "cut {cut}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, ends[1], "cut {cut}");
+        }
         // One more op is logged, fsynced and acknowledged.
         log.append_batch(vec![mkdir("/acked")]).unwrap();
         drop(log);
 
         // Second restart: it boots, and every acknowledged op is there.
-        let log = EditLog::open(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        assert_eq!(log.len(), 3, "cut {cut}: an acknowledged op is gone");
         let config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
-        let master = Master::with_log(config, log).unwrap();
+        let master = Master::with_log(config, EditLog::open(&path).unwrap())
+            .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        assert_eq!(master.edit_count(), 3, "cut {cut}: an acknowledged op is gone");
         for dir in ["/d0", "/d1", "/acked"] {
             assert!(master.status(dir).is_ok(), "cut {cut}: {dir} missing");
         }
@@ -80,7 +86,9 @@ fn a_complete_record_with_a_bad_crc_is_fatal_and_nothing_is_cut() {
         let mut bad = bytes.clone();
         bad[at] ^= 0x40;
         std::fs::write(&path, &bad).unwrap();
-        assert!(EditLog::open(&path).is_err(), "flip at {at}");
+        let log = EditLog::open(&path).unwrap();
+        let config = ClusterConfig::test_cluster(3, 10 << 20, 1 << 20);
+        assert!(Master::with_log(config, log).is_err(), "flip at {at}");
         assert_eq!(std::fs::read(&path).unwrap(), bad, "flip at {at}: the file was modified");
     }
     remove(&path);

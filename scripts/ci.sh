@@ -203,6 +203,18 @@ if [ "$periodic" != "$want" ]; then
 fi
 echo "one §5 loop: one round thread per master node, one paced executor"
 
+echo "==> one-pass replay: the edit log starts no thread"
+# The log is read and written on its caller's thread: no non-test line of
+# editlog.rs (those above its `#[cfg(test)] mod`) spawns a thread.
+spawns=$(awk '/^ *#\[cfg\(test\)\]/ { exit } /thread::|spawn/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/master/src/editlog.rs)
+if [ -n "$spawns" ]; then
+    echo "one-pass replay: editlog.rs starts a thread:" >&2
+    printf '%s\n' "$spawns" >&2
+    exit 1
+fi
+echo "one-pass replay: editlog.rs starts no thread"
+
 echo "==> third_party stand-ins"
 # Each directory in third_party/ stands in for one crates.io dependency:
 # the root manifest must name it in `exclude`, `[workspace.dependencies]`
@@ -299,27 +311,27 @@ echo "==> reservation and liveness oracle: 1,000 seeds"
 cargo test --release -q -p octopus-master --test scan_transcript -- --ignored --exact \
     reserved_bytes_are_the_pending_walk_over_a_thousand_seeds
 
-echo "==> pipelined replay: 20 runs under parallel load"
-# The master crate's first thread is the helper a file-backed replay scans
-# the log on, through a ring of chunk buffers. Its failure-equivalence
-# suite (pipelined vs sequential scan: CRC flips, cuts, tears, a failed
-# apply, a panicking apply; the helper gone every time) and the torn-tail
-# suite run 20 times back to back, 8 test threads each, and so does the
-# exact transient-heap equality of two replays of different lengths, which
-# holds only while the ring allocates its buffers once, before the scan
-# starts, and nothing while either thread waits. That test is a call of
-# its own, so its name filter skips no other suite.
+echo "==> one-pass replay: 20 runs under parallel load"
+# A file-backed log is read once, by its first replay, through one chunk
+# buffer on the caller's thread, which also counts, indexes and cuts a torn
+# tail. The replay suite (CRC flips, a file cut while it is read, tears, a
+# failed apply, each against the ops that went in) and the torn-tail suite
+# run 20 times back to back, 8 test threads each, and so do the exact heap
+# counts of a replay's transient (equal for two logs of different lengths)
+# and of a batch append's peak (one chunk). Those two are a call of their
+# own, so their name filter skips no other suite.
 for run in $(seq 20); do
     if ! out=$(cargo test --release -q -p octopus-master --test scan_pipeline \
         --test torn_tail -- --test-threads 8 2>&1) ||
         ! out=$(cargo test --release -q -p octopus-master --test heap_budget -- --exact \
-            replay_transient_does_not_depend_on_log_length --test-threads 8 2>&1); then
+            replay_transient_does_not_depend_on_log_length \
+            a_batch_append_peaks_at_one_chunk_whatever_its_length --test-threads 8 2>&1); then
         printf '%s\n' "$out" >&2
-        echo "pipelined replay: run ${run} of 20 failed" >&2
+        echo "one-pass replay: run ${run} of 20 failed" >&2
         exit 1
     fi
 done
-echo "pipelined replay: 20/20"
+echo "one-pass replay: 20/20"
 
 echo "==> traces on demand and the buffer pool: 20 runs under parallel load"
 # The tracing suite (roots opened by the caller; untraced traffic records
