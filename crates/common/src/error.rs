@@ -121,8 +121,9 @@ impl From<std::io::Error> for FsError {
             | K::ConnectionReset
             | K::ConnectionAborted
             | K::BrokenPipe
-            | K::NotConnected
-            | K::UnexpectedEof => FsError::Unreachable(e.to_string()),
+            | K::NotConnected => FsError::Unreachable(e.to_string()),
+            // A file that ends too soon is cut, not a peer gone away: the
+            // socket readers name their own short reads `Unreachable`.
             _ => FsError::Io(e.to_string()),
         }
     }
@@ -160,7 +161,7 @@ mod tests {
             std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "down").into();
         assert!(matches!(refused, FsError::Unreachable(_)));
         let eof: FsError = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "cut").into();
-        assert!(matches!(eof, FsError::Unreachable(_)));
+        assert!(matches!(eof, FsError::Io(_)));
     }
 
     #[test]

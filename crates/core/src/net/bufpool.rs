@@ -1,8 +1,9 @@
 //! The process-wide pool of data buffers: what a frame's head or body of
-//! 4 KiB or more is received into and what the client copies a chunk into,
-//! recycled across threads. A block travels as its frame's body, so the
-//! buffer a worker stores a replica in is one of these, of exactly the
-//! block's length.
+//! 4 KiB or more is received into, recycled across threads. A block
+//! travels as its frame's body, so the buffer a worker stores a replica in
+//! is one of these, of exactly the block's length. The client's data path
+//! takes none: a write leaves from the caller's slice and a read's bodies
+//! land in the caller's output (`net/rpc.rs`).
 //!
 //! Such a buffer is taken by whichever thread receives the frame (one of
 //! dozens of connection readers) and released by whichever thread drops the
@@ -24,11 +25,10 @@
 //! none.
 //!
 //! No recycled byte is ever visible: [`BufPool::take`] hands out a
-//! [`PooledBuf`] of exactly the requested length, and its two callers
-//! ([`super::frame::read_mux_frame`] and [`copy_from_slice`]) publish it
-//! as [`Bytes`] through [`PooledBuf::freeze`] only after `read_exact` /
-//! `copy_from_slice` overwrote all of it. A buffer dropped before that (a
-//! read error) goes back unexposed.
+//! [`PooledBuf`] of exactly the requested length, and its one caller
+//! ([`super::frame::read_body`]) publishes it as [`Bytes`] through
+//! [`PooledBuf::freeze`] only after a read overwrote all of it. A buffer
+//! dropped before that (a read error) goes back unexposed.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -105,7 +105,7 @@ impl BufPool {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The pool every connection reader and client write shares.
+    /// The pool every connection reader shares.
     pub(crate) fn global() -> &'static BufPool {
         static GLOBAL: BufPool =
             BufPool { state: Mutex::new(State { lent: 0, pooled: 0, free: BTreeMap::new() }) };
@@ -187,17 +187,6 @@ impl Drop for PooledBuf {
     fn drop(&mut self) {
         self.pool.put(std::mem::take(&mut self.buf));
     }
-}
-
-/// `Bytes::copy_from_slice`, into a pooled buffer when `data` is at least
-/// [`SMALLEST`]: the client's one copy of a chunk it is about to send.
-pub(crate) fn copy_from_slice(data: &[u8]) -> Bytes {
-    if data.len() < SMALLEST {
-        return Bytes::copy_from_slice(data);
-    }
-    let mut buf = BufPool::global().take(data.len());
-    buf.as_mut_slice().copy_from_slice(data);
-    buf.freeze()
 }
 
 #[cfg(test)]

@@ -10,8 +10,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use bytes::Bytes;
-
 use octopus_common::checksum::crc32;
 use octopus_common::log_warn;
 use octopus_common::metrics::{Labels, MetricsRegistry, MetricsSnapshot};
@@ -23,9 +21,8 @@ use octopus_common::{
 };
 use octopus_master::{ClientId, TierQuota};
 
-use super::bufpool;
 use super::monitor::Round;
-use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
+use super::proto::{BlockRef, MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
 use super::rpc;
 use super::transport::{TcpTransport, Transport};
 use super::worker_server::AddressMap;
@@ -423,9 +420,9 @@ impl RemoteFs {
         path: &str,
         block: Block,
         pipeline: Vec<Location>,
-        data: &BlockData,
+        data: BlockRef<'_>,
     ) -> Result<()> {
-        self.transfer_block(path, block, pipeline, || data.clone()).inspect_err(|_| {
+        self.transfer_block(path, block, pipeline, data).inspect_err(|_| {
             let _ = self.call(MasterRequest::AbandonBlock(path.into(), block, self.holder));
         })
     }
@@ -452,9 +449,8 @@ impl RemoteFs {
     /// Block order is the file's byte order (the master's ordering
     /// invariant — see `Master::reassign_block_as`), so `AddBlock` calls
     /// go through a turnstile that admits them strictly in chunk order
-    /// while the transfers themselves overlap. A chunk is copied out of
-    /// the caller's buffer only when it is issued, so at most a window of
-    /// blocks — never the file — is held twice.
+    /// while the transfers themselves overlap. Each block leaves straight
+    /// from the caller's buffer: the client holds no copy of it.
     ///
     /// First-error cancellation: one failed block stops further blocks
     /// from being issued, in-flight transfers drain, and every reserved
@@ -494,10 +490,7 @@ impl RemoteFs {
             // this lane runs the (long) transfer.
             sched.advance_turn();
             states[i].lock().unwrap().0 = Some(block);
-            // The one client-side copy per attempt, back in the buffer pool
-            // once its request has left.
-            let copy = || BlockData::Real(bufpool::copy_from_slice(chunks[i]));
-            match self.transfer_block(path, block, pipeline, copy) {
+            match self.transfer_block(path, block, pipeline, BlockRef::Real(chunks[i])) {
                 Ok(()) => states[i].lock().unwrap().1 = true,
                 Err(e) => {
                     if let Some(s) = bspan.as_mut() {
@@ -532,16 +525,14 @@ impl RemoteFs {
     /// another worker), or no stage stored the block, the block is
     /// re-placed *in its slot* (`ReassignBlock`; under a window it may no
     /// longer be the file's last) on a pipeline that excludes every worker
-    /// a previous attempt already failed on. Each attempt sends what
-    /// `data` makes, and holds nothing of it once it is sent: a
-    /// `WriteBlock` is never resent by the transport, so over TCP the
-    /// client's copy of a block lives only until its request has left.
+    /// a previous attempt already failed on. Every attempt sends `data`
+    /// itself.
     fn transfer_block(
         &self,
         path: &str,
         block: Block,
         mut pipeline: Vec<Location>,
-        data: impl Fn() -> BlockData,
+        data: BlockRef<'_>,
     ) -> Result<()> {
         let mut excluded: Vec<WorkerId> = Vec::new();
         let mut last_err = FsError::PlacementFailed(format!("no pipeline attempted for {path}"));
@@ -561,10 +552,7 @@ impl RemoteFs {
             let Some((first, rest)) = pipeline.split_first() else {
                 return Err(FsError::PlacementFailed(format!("empty pipeline for {path}")));
             };
-            let outcome = self.net.call_worker(
-                first.worker,
-                WorkerRequest::WriteBlock(block, first.media, rest.to_vec(), data()),
-            );
+            let outcome = self.net.write_block(first.worker, block, first.media, rest, data);
             match outcome {
                 Ok(WorkerResponse::Stored(locs)) if !locs.is_empty() => return Ok(()),
                 Ok(WorkerResponse::Stored(_)) => {
@@ -626,6 +614,7 @@ impl RemoteFs {
             len: status.len,
             pos: 0,
             cached: None,
+            block: Vec::new(),
         })
     }
 
@@ -650,11 +639,11 @@ impl RemoteFs {
 
     /// The one read engine: fills `out` with the file's bytes from offset
     /// `start`, fetching the located `blocks` that cover them with up to
-    /// `window` fetches in flight. Each block's overlap with the range is
-    /// copied out of its receive buffer straight into place as it lands
-    /// (in any order), so a read holds its output once plus at most a
-    /// window of blocks. The first failed block cancels the fan-out and
-    /// its error is returned.
+    /// `window` fetches in flight. A block the range covers whole lands
+    /// straight in its place in `out` (in any order), so a read holds its
+    /// output and nothing more; only a block cut by the range's ends lands
+    /// whole beside it first. The first failed block cancels the fan-out
+    /// and its error is returned.
     fn read_blocks_windowed(
         &self,
         blocks: &[LocatedBlock],
@@ -670,23 +659,28 @@ impl RemoteFs {
                 break;
             }
             let Some((lb, from, piece)) = work.lock().unwrap().next() else { break };
-            match self.read_block(lb) {
-                Ok(b) => piece.copy_from_slice(&b[from..from + piece.len()]),
-                Err(e) => {
-                    first_err.lock().unwrap().get_or_insert(e);
-                    break;
-                }
+            let read = if piece.len() as u64 == lb.block.len {
+                self.read_block(lb, piece)
+            } else {
+                let mut whole = vec![0u8; lb.block.len as usize];
+                self.read_block(lb, &mut whole)
+                    .map(|()| piece.copy_from_slice(&whole[from..from + piece.len()]))
+            };
+            if let Err(e) = read {
+                first_err.lock().unwrap().get_or_insert(e);
+                break;
             }
         });
         first_err.into_inner().unwrap().map_or(Ok(()), Err)
     }
 
-    /// Reads one block through the replica walk; the client reads bytes,
-    /// so a synthetic replica is refused.
-    fn read_block(&self, lb: &LocatedBlock) -> Result<Bytes> {
-        match read_replica(&*self.net, lb.block, &lb.locations)? {
-            BlockData::Real(b) => Ok(b),
-            BlockData::Synthetic { .. } => {
+    /// Reads one block through the replica walk into `dest`, exactly the
+    /// block's length; the client reads bytes, so a synthetic replica is
+    /// refused.
+    fn read_block(&self, lb: &LocatedBlock, dest: &mut [u8]) -> Result<()> {
+        match read_replica(&*self.net, lb.block, &lb.locations, Some(dest))? {
+            None => Ok(()),
+            Some(_) => {
                 Err(FsError::BlockUnavailable(format!("{}: synthetic replica", lb.block.id)))
             }
         }
@@ -694,18 +688,23 @@ impl RemoteFs {
 }
 
 /// The one §4.1 replica walk, of client reads and the worker's
-/// `Replicate` alike: asks `replicas` for `block` in order and returns the
+/// `Replicate` alike: asks `replicas` for `block` in order and takes the
 /// first whose length matches and — for real bytes — whose CRC matches the
 /// checksum recorded at write time. That CRC is the read's one end-to-end
 /// check (the server sends the recorded value without re-reading the
 /// payload): it catches a replica corrupt at rest and bytes damaged in
 /// flight alike, and either way the next replica is tried. A synthetic
 /// replica is accepted on its length.
+///
+/// Given `dest`, exactly the block's length, a client read's bytes land
+/// there — each replica tried overwrites it — and the walk returns `None`;
+/// otherwise it returns the block as received (a `Replicate` stores it).
 pub(crate) fn read_replica(
     net: &dyn Transport,
     block: Block,
     replicas: &[Location],
-) -> Result<BlockData> {
+    mut dest: Option<&mut [u8]>,
+) -> Result<Option<BlockData>> {
     let mut last_err = FsError::BlockUnavailable(format!("{}: no replicas", block.id));
     for (i, loc) in replicas.iter().enumerate() {
         // One span per replica attempt: failovers become sibling spans
@@ -717,8 +716,8 @@ pub(crate) fn read_replica(
             s.annotate("worker", loc.worker);
             s.annotate("tier", loc.tier);
         }
-        match net.call_worker(loc.worker, WorkerRequest::ReadBlock(loc.media, block.id)) {
-            Ok(WorkerResponse::Data(d, _)) if d.len() != block.len => {
+        match net.read_block(loc.worker, loc.media, block.id, dest.as_deref_mut()) {
+            Ok((Some(d), _)) if d.len() != block.len => {
                 last_err = FsError::BlockUnavailable(format!(
                     "{}: replica length {} != {}",
                     block.id,
@@ -726,12 +725,17 @@ pub(crate) fn read_replica(
                     block.len
                 ));
             }
-            Ok(WorkerResponse::Data(BlockData::Real(b), sum)) => {
+            Ok((data, sum)) => {
+                let bytes = match &data {
+                    Some(BlockData::Real(b)) => &b[..],
+                    Some(BlockData::Synthetic { .. }) => return Ok(data),
+                    None => dest.as_deref().expect("bytes land only in a slice"),
+                };
                 let verify = trace::child("client.checksum");
-                let actual = crc32(&b);
+                let actual = crc32(bytes);
                 drop(verify);
                 if actual == sum {
-                    return Ok(BlockData::Real(b));
+                    return Ok(data);
                 }
                 log_warn!(
                     target: "net::client",
@@ -745,8 +749,6 @@ pub(crate) fn read_replica(
                     s.annotate("error", "checksum mismatch");
                 }
             }
-            Ok(WorkerResponse::Data(d, _)) => return Ok(d),
-            Ok(r) => last_err = FsError::Io(format!("unexpected response {r:?}")),
             Err(e) => {
                 if let Some(s) = rep_span.as_mut() {
                     s.annotate("error", &e);
@@ -844,8 +846,11 @@ pub struct FileReader {
     path: String,
     len: u64,
     pos: u64,
-    /// `(block byte range start, payload)` of the most recently read block.
-    cached: Option<(u64, Bytes)>,
+    /// The file offset of the block in `block`, when it holds one.
+    cached: Option<u64>,
+    /// The most recently read block: a buffer the reader owns, which each
+    /// block it reads lands in.
+    block: Vec<u8>,
 }
 
 impl FileReader {
@@ -876,25 +881,26 @@ impl FileReader {
             return Ok(0);
         }
         // Serve from the cached block when possible.
-        let in_cache = self
-            .cached
-            .as_ref()
-            .filter(|(start, data)| self.pos >= *start && self.pos < *start + data.len() as u64)
-            .is_some();
-        if !in_cache {
-            let lbs = self.client.get_file_block_locations(&self.path, self.pos, 1)?;
-            let Some(lb) = lbs.first() else {
-                return Err(FsError::Internal(format!(
-                    "no block at offset {} of {}",
-                    self.pos, self.path
-                )));
-            };
-            self.cached = Some((lb.offset, self.client.read_block(lb)?));
-        }
-        let (start, data) = self.cached.as_ref().expect("cache just filled");
+        let start = match self.cached {
+            Some(start) if (start..start + self.block.len() as u64).contains(&self.pos) => start,
+            _ => {
+                let lbs = self.client.get_file_block_locations(&self.path, self.pos, 1)?;
+                let Some(lb) = lbs.first() else {
+                    return Err(FsError::Internal(format!(
+                        "no block at offset {} of {}",
+                        self.pos, self.path
+                    )));
+                };
+                self.cached = None;
+                self.block.resize(lb.block.len as usize, 0);
+                self.client.read_block(lb, &mut self.block)?;
+                self.cached = Some(lb.offset);
+                lb.offset
+            }
+        };
         let off = (self.pos - start) as usize;
-        let n = buf.len().min(data.len() - off).min((self.len - self.pos) as usize);
-        buf[..n].copy_from_slice(&data[off..off + n]);
+        let n = buf.len().min(self.block.len() - off).min((self.len - self.pos) as usize);
+        buf[..n].copy_from_slice(&self.block[off..off + n]);
         self.pos += n as u64;
         Ok(n)
     }

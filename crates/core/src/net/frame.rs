@@ -22,7 +22,9 @@
 //! a block arrives in a buffer of exactly its length, which is what a
 //! worker then stores. One of 4 KiB or more is a buffer of the
 //! process-wide pool (`net/bufpool.rs`), which gets it back when the last
-//! view of it is dropped.
+//! view of it is dropped. The RPC client's reader goes a step at a time —
+//! [`read_frame_head`], then [`read_body`] or [`skip_body`] — so a body a
+//! caller lands in its own slice never takes a buffer here.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
@@ -100,16 +102,38 @@ pub fn write_mux_frame(
     Ok(())
 }
 
+/// A frame's header and head, read ahead of its body: the request id, the
+/// head, and the length of the body that follows on the stream, if the
+/// frame has one.
+pub struct FrameHead {
+    /// The request id.
+    pub id: u64,
+    /// The head, trace envelope included.
+    pub head: Bytes,
+    /// The body's length, if the frame has a body.
+    pub body_len: Option<usize>,
+}
+
 /// Reads one mux frame, returning `(request_id, payload)`. Returns `None`
-/// on clean EOF at a frame boundary. Every length is checked against the
-/// frame's before anything is allocated for it.
+/// on clean EOF at a frame boundary.
 pub fn read_mux_frame(stream: &mut impl Read) -> Result<Option<(u64, Frame)>> {
+    let Some(FrameHead { id, head, body_len }) = read_frame_head(stream)? else {
+        return Ok(None);
+    };
+    let body = body_len.map(|n| read_body(stream, n)).transpose()?;
+    Ok(Some((id, Frame { head, body })))
+}
+
+/// Reads a frame's header and head, leaving its body (if any) on the
+/// stream. Returns `None` on clean EOF at a frame boundary. Every length is
+/// checked against the frame's before anything is allocated for it.
+pub fn read_frame_head(stream: &mut impl Read) -> Result<Option<FrameHead>> {
     let mut header = [0u8; 4 + MUX_ID_LEN];
     let mut got = 0;
     while got < header.len() {
         match stream.read(&mut header[got..]) {
             Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(FsError::Io("EOF inside mux frame header".into())),
+            Ok(0) => return Err(FsError::Unreachable("EOF inside mux frame header".into())),
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
@@ -132,7 +156,7 @@ pub fn read_mux_frame(stream: &mut impl Read) -> Result<Option<(u64, Frame)>> {
             )));
         }
         let mut field = [0u8; BODY_LEN_LEN];
-        stream.read_exact(&mut field)?;
+        fill(stream, &mut field)?;
         let body_len = u32::from_le_bytes(field) as usize;
         if body_len > payload_len - BODY_LEN_LEN {
             return Err(FsError::Io(format!("body of {body_len} bytes in a frame of {len}")));
@@ -142,24 +166,45 @@ pub fn read_mux_frame(stream: &mut impl Read) -> Result<Option<(u64, Frame)>> {
         None
     };
     let head_len = payload_len - body_len.map_or(0, |n| BODY_LEN_LEN + n);
-    let head = read_buf(stream, head_len)?;
-    let body = body_len.map(|n| read_buf(stream, n)).transpose()?;
-    Ok(Some((id, Frame { head, body })))
+    let head = read_body(stream, head_len)?;
+    Ok(Some(FrameHead { id, head, body_len }))
 }
 
 /// Reads exactly `len` bytes into a buffer of their own: a pooled one from
-/// 4 KiB up, published only once `read_exact` has overwritten all of it (on
-/// an error it drops back unexposed).
-fn read_buf(stream: &mut impl Read, len: usize) -> Result<Bytes> {
+/// 4 KiB up, published only once it is overwritten whole (on an error it
+/// drops back unexposed).
+pub fn read_body(stream: &mut impl Read, len: usize) -> Result<Bytes> {
     if len >= bufpool::SMALLEST {
         let mut buf = BufPool::global().take(len);
-        stream.read_exact(buf.as_mut_slice())?;
+        fill(stream, buf.as_mut_slice())?;
         Ok(buf.freeze())
     } else {
         let mut buf = vec![0u8; len];
-        stream.read_exact(&mut buf)?;
+        fill(stream, &mut buf)?;
         Ok(Bytes::from(buf))
     }
+}
+
+/// Reads `len` bytes of a body nobody waits for any more and drops them,
+/// through a small buffer of its own.
+pub fn skip_body(stream: &mut impl Read, len: usize) -> Result<()> {
+    let mut scratch = [0u8; 8 * 1024];
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(scratch.len());
+        fill(stream, &mut scratch[..n])?;
+        left -= n;
+    }
+    Ok(())
+}
+
+/// `read_exact`, naming a stream that ends too soon what it is on a
+/// socket: the peer went away.
+fn fill(stream: &mut impl Read, buf: &mut [u8]) -> Result<()> {
+    stream.read_exact(buf).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => FsError::Unreachable("EOF inside a mux frame".into()),
+        _ => e.into(),
+    })
 }
 
 #[cfg(test)]

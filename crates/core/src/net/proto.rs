@@ -560,16 +560,88 @@ fn with_body(mut head: Vec<u8>, body: &bytes::Bytes) -> FramePayload {
 /// Encodes a worker request as a [`FramePayload`]. A pipeline hop carrying
 /// real bytes sends the block as the body; everything else has no body.
 pub fn encode_worker_frame(req: &WorkerRequest) -> FramePayload {
-    let (tag, b, m, rest, bytes) = match req {
-        WorkerRequest::WriteBlock(b, m, rest, BlockData::Real(bytes)) => (0, b, m, rest, bytes),
-        WorkerRequest::Forward(b, m, rest, BlockData::Real(bytes)) => (8, b, m, rest, bytes),
-        _ => return FramePayload::small(octopus_common::wire::encode(req)),
-    };
-    // The hop's fields, then `BlockData::Real`'s tag.
+    match req {
+        WorkerRequest::WriteBlock(b, m, rest, BlockData::Real(bytes)) => {
+            FramePayload { head: hop_head(0, b, m, rest, bytes.len()), body: Some(bytes.clone()) }
+        }
+        WorkerRequest::Forward(b, m, rest, BlockData::Real(bytes)) => {
+            FramePayload { head: hop_head(8, b, m, rest, bytes.len()), body: Some(bytes.clone()) }
+        }
+        _ => FramePayload::small(octopus_common::wire::encode(req)),
+    }
+}
+
+/// A block's bytes as a client's write lends them: the caller's own slice,
+/// or a synthetic block (the simulator's), which has none.
+#[derive(Debug, Clone, Copy)]
+pub enum BlockRef<'a> {
+    /// Real bytes, lent.
+    Real(&'a [u8]),
+    /// A synthetic block: its length and generator seed.
+    Synthetic {
+        /// Length in bytes.
+        len: u64,
+        /// Generator seed.
+        seed: u64,
+    },
+}
+
+impl BlockRef<'_> {
+    /// The block as a message owns it: a copy of lent bytes.
+    pub fn to_data(self) -> BlockData {
+        match self {
+            BlockRef::Real(bytes) => BlockData::Real(bytes::Bytes::copy_from_slice(bytes)),
+            BlockRef::Synthetic { len, seed } => BlockData::Synthetic { len, seed },
+        }
+    }
+}
+
+/// Encodes `WriteBlock(block, media, rest, data)` as a head and the body
+/// that follows it: lent bytes travel as the body straight from `data`,
+/// and a synthetic block, which has no bytes, in the head. End to end the
+/// two are the request's `Wire` encoding.
+pub fn encode_write_block<'a>(
+    block: &Block,
+    media: &MediaId,
+    rest: &[Location],
+    data: BlockRef<'a>,
+) -> (Vec<u8>, Option<&'a [u8]>) {
+    match data {
+        BlockRef::Real(bytes) => (hop_head(0, block, media, rest, bytes.len()), Some(bytes)),
+        BlockRef::Synthetic { .. } => {
+            let req = WorkerRequest::WriteBlock(*block, *media, rest.to_vec(), data.to_data());
+            (octopus_common::wire::encode(&req), None)
+        }
+    }
+}
+
+/// A pipeline hop's head: its tag and fields, `BlockData::Real`'s tag and
+/// the body's `u32` length prefix.
+fn hop_head(tag: u8, block: &Block, media: &MediaId, rest: &[Location], len: usize) -> Vec<u8> {
     let mut head = Vec::with_capacity(64);
-    tagged!(&mut head, tag, b, m, rest);
+    tagged!(&mut head, tag, block, media);
+    // `Vec<Location>`'s encoding, of a slice.
+    (rest.len() as u32).put(&mut head);
+    rest.iter().for_each(|l| l.put(&mut head));
     head.push(0);
-    with_body(head, bytes)
+    (len as u32).put(&mut head);
+    head
+}
+
+/// Decodes the head of a `ReadBlock` response whose block was not
+/// received but landed in the caller's `len`-byte slice: the head must be
+/// a `Data` response with real bytes of that length. Returns the checksum
+/// the worker recorded at write time.
+pub fn decode_landed_data(head: &[u8], len: usize) -> Result<u32> {
+    let mut r = WireReader::new(head);
+    let (status, tag) = (u8::get(&mut r)?, u8::get(&mut r)?);
+    let sum = u32::get(&mut r)?;
+    let (real, body_len) = (u8::get(&mut r)?, u32::get(&mut r)?);
+    r.expect_finished()?;
+    if (status, tag, real, body_len as usize) != (0, 7, 0, len) {
+        return Err(FsError::Io(format!("a landed body's head is not {len} B of block data")));
+    }
+    Ok(sum)
 }
 
 /// Encodes a worker result as a [`FramePayload`]. A `Data` response with

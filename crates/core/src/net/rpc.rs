@@ -26,35 +26,59 @@
 //! closed it while idle): the request cannot have executed, so another
 //! connection is tried without consuming the retry budget.
 //!
-//! A block travels as its frame's body: written from the caller's shared
-//! [`bytes::Bytes`], received into a buffer of its own and decoded as a
-//! view of it (see [`FramePayload`]); the client never copies a block
-//! between the caller and the socket.
+//! A block travels as its frame's body, and the client holds no buffer of
+//! it in either direction: a write's body is gathered straight from the
+//! caller's slice ([`RpcClient::write_block`]), on every attempt, and a
+//! read's *lands* — the demux reader reads the response's header and head,
+//! then lends the connection's read side to the caller, which reads the
+//! body from the socket straight into its slice and hands the stream back
+//! ([`RpcClient::read_block`]). The call's absolute deadline covers the
+//! landing; a body that is cut, stalls past it or does not fit the slice
+//! kills the connection, so the stream never resumes mid-body; and a body
+//! whose caller has given up is read past. Any other body is received
+//! into a buffer of its own and decoded as a view of it.
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
+
 use octopus_common::metrics::{Gauge, Labels, MetricsRegistry};
 use octopus_common::trace::{self, TraceCollector};
 use octopus_common::wire::encode;
-use octopus_common::{FsError, Result, RpcConfig};
+use octopus_common::{Block, BlockData, BlockId, FsError, Location, MediaId, Result, RpcConfig};
 
-use super::frame::{read_mux_frame, write_mux_frame, Frame};
+use super::frame::{read_body, read_frame_head, skip_body, write_mux_frame, Frame, FrameHead};
 use super::proto::{
-    decode_result, encode_worker_frame, FramePayload, MasterRequest, MasterResponse, WorkerRequest,
-    WorkerResponse,
+    decode_landed_data, decode_result, encode_worker_frame, encode_write_block, BlockRef,
+    MasterRequest, MasterResponse, WorkerRequest, WorkerResponse,
 };
 use super::retry::{self, Failed};
+use super::transport::wrong_length;
 
 /// Where a waiting call stands.
 enum SlotState {
     Waiting,
     Done(Frame),
+    /// The response's head has arrived and its body of the given length
+    /// waits on the socket, whose read side is lent to the caller.
+    Landing(Bytes, usize, Lease),
     Failed(FsError),
+}
+
+/// A connection's read side, lent by its demux reader to the one caller
+/// whose response body comes next on it. The caller lands the body and
+/// sends the stream `back`; a lease dropped instead ends the reader, so
+/// the byte stream never resumes from the middle of a body.
+struct Lease {
+    stream: TcpStream,
+    back: SyncSender<TcpStream>,
 }
 
 /// One in-flight call: the caller parks on `cv` until the demux reader
@@ -62,11 +86,14 @@ enum SlotState {
 struct CallSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
+    /// Whether the caller registered a slice for the response body to land
+    /// in.
+    lands: bool,
 }
 
 impl CallSlot {
-    fn new() -> Self {
-        Self { state: Mutex::new(SlotState::Waiting), cv: Condvar::new() }
+    fn new(lands: bool) -> Self {
+        Self { state: Mutex::new(SlotState::Waiting), cv: Condvar::new(), lands }
     }
 
     fn resolve(&self, to: SlotState) {
@@ -75,6 +102,19 @@ impl CallSlot {
             *st = to;
             self.cv.notify_all();
         }
+    }
+
+    /// Lends the connection's read side to the waiting call to land the
+    /// `len`-byte body that follows `head`, or gives the lease back if the
+    /// call has already ended (it timed out, or its connection died).
+    fn lend(&self, head: Bytes, len: usize, lease: Lease) -> std::result::Result<(), Lease> {
+        let mut st = self.state.lock().unwrap();
+        if !matches!(*st, SlotState::Waiting) {
+            return Err(lease);
+        }
+        *st = SlotState::Landing(head, len, lease);
+        self.cv.notify_all();
+        Ok(())
     }
 }
 
@@ -188,48 +228,80 @@ impl RpcClient {
 
     /// One typed round trip to the master.
     pub fn call_master(&self, addr: SocketAddr, req: &MasterRequest) -> Result<MasterResponse> {
-        let payload = FramePayload::small(encode(req));
-        let frame = self.call_labeled(addr, payload, req.is_idempotent(), req.name())?;
+        let head = encode(req);
+        let (frame, _) =
+            self.call_labeled(addr, &head, None, None, req.is_idempotent(), req.name())?;
         decode_result::<MasterResponse>(&frame)
     }
 
     /// One typed round trip to a worker data server. A `WriteBlock`'s
     /// block travels as the frame's body (never copied into the frame).
     pub fn call_worker(&self, addr: SocketAddr, req: &WorkerRequest) -> Result<WorkerResponse> {
-        self.call_worker_owned(addr, req.clone())
+        let payload = encode_worker_frame(req);
+        let body = payload.body.as_deref();
+        let (frame, _) =
+            self.call_labeled(addr, &payload.head, body, None, req.is_idempotent(), req.name())?;
+        decode_result::<WorkerResponse>(&frame)
     }
 
-    /// [`RpcClient::call_worker`], handed the request rather than lent it:
-    /// once a request that is never sent twice has left, nothing here
-    /// holds its block any more.
-    pub(crate) fn call_worker_owned(
+    /// `WriteBlock(block, media, rest, data)` to a pipeline head, its block
+    /// lent: the frame's body leaves from `data` itself.
+    pub fn write_block(
         &self,
         addr: SocketAddr,
-        req: WorkerRequest,
+        block: Block,
+        media: MediaId,
+        rest: &[Location],
+        data: BlockRef<'_>,
     ) -> Result<WorkerResponse> {
-        let (idempotent, name) = (req.is_idempotent(), req.name());
-        let payload = encode_worker_frame(&req);
-        drop(req);
-        let frame = self.call_labeled(addr, payload, idempotent, name)?;
+        let (head, body) = encode_write_block(&block, &media, rest, data);
+        let (frame, _) = self.call_labeled(addr, &head, body, None, false, "WriteBlock")?;
         decode_result::<WorkerResponse>(&frame)
+    }
+
+    /// `ReadBlock(media, block)`, the block's bytes landing in `dest`,
+    /// which must be exactly the block's length: returns the checksum the
+    /// worker recorded at write time and, for a reply with no body to land
+    /// (a synthetic block), the block itself. A body of another length
+    /// than `dest` is refused as [`FsError::BlockUnavailable`].
+    pub fn read_block(
+        &self,
+        addr: SocketAddr,
+        media: MediaId,
+        block: BlockId,
+        dest: &mut [u8],
+    ) -> Result<(Option<BlockData>, u32)> {
+        let req = WorkerRequest::ReadBlock(media, block);
+        let len = dest.len();
+        match self.call_labeled(addr, &encode(&req), None, Some(dest), true, req.name())? {
+            (frame, true) => Ok((None, decode_landed_data(&frame.head, len)?)),
+            (frame, false) => match decode_result::<WorkerResponse>(&frame)? {
+                WorkerResponse::Data(d, sum) => Ok((Some(d), sum)),
+                r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+            },
+        }
     }
 
     /// Sends one request payload and returns the raw response payload,
     /// applying multiplexing, deadlines, and the retry policy.
     pub fn call_raw(&self, addr: SocketAddr, payload: &[u8], idempotent: bool) -> Result<Vec<u8>> {
-        let payload = FramePayload::small(payload.to_vec());
-        let frame = self.call_labeled(addr, payload, idempotent, "raw")?;
+        let (frame, _) = self.call_labeled(addr, payload, None, None, idempotent, "raw")?;
         Ok([&frame.head[..], frame.body.as_deref().unwrap_or_default()].concat())
     }
 
-    /// The retry loop over attempts that each hold an in-flight slot.
+    /// The retry loop over attempts that each hold an in-flight slot. Every
+    /// attempt sends `head` and `body` from the caller's buffers and, given
+    /// `dest`, lands a response body there. Returns the response frame and
+    /// whether its body landed (the frame then holds the head alone).
     fn call_labeled(
         &self,
         addr: SocketAddr,
-        mut payload: FramePayload,
+        head: &[u8],
+        body: Option<&[u8]>,
+        mut dest: Option<&mut [u8]>,
         idempotent: bool,
         request_type: &'static str,
-    ) -> Result<Frame> {
+    ) -> Result<(Frame, bool)> {
         let labels = Labels::req(request_type);
         self.metrics.inc("rpc_client_requests_total", labels);
         let start = Instant::now();
@@ -251,6 +323,7 @@ impl RpcClient {
                     s.annotate("attempt", attempt);
                     trace::wrap_envelope(&s.context(), &[])
                 });
+                let head = [envelope.as_deref().unwrap_or_default(), head];
 
                 // Existing connections first. A send failure on a seasoned
                 // connection is the stale keep-alive race — the request never
@@ -262,8 +335,8 @@ impl RpcClient {
                         Ok(c) => c,
                         Err(e) => break Failed::Unsent(e),
                     };
-                    match self.round_trip(&conn, &mut payload, envelope.as_deref(), idempotent) {
-                        Ok(frame) => return Ok(Ok(frame)),
+                    match self.round_trip(&conn, &head, body, dest.as_deref_mut()) {
+                        Ok(answer) => return Ok(answer),
                         Err(Failed::Unsent(e)) => {
                             let free = !fresh && conn.seasoned.load(Ordering::Acquire);
                             conn.kill(&self.conn_gauge(), &e);
@@ -293,50 +366,82 @@ impl RpcClient {
     }
 
     /// One request/response exchange over an established connection: frame
-    /// the envelope (if any) and the payload under the writer lock, then
-    /// wait on the call slot for the absolute deadline. A request that is
-    /// not `idempotent` is never sent again once it has left, so its body
-    /// is let go then, not when the response comes.
+    /// the `head` segments and the `body` under the writer lock, then wait
+    /// on the call slot for the absolute deadline — which also bounds
+    /// landing a response body in `dest`.
     fn round_trip(
         &self,
         conn: &MuxConn,
-        payload: &mut FramePayload,
-        envelope: Option<&[u8]>,
-        idempotent: bool,
-    ) -> std::result::Result<Frame, Failed> {
+        head: &[&[u8]],
+        body: Option<&[u8]>,
+        dest: Option<&mut [u8]>,
+    ) -> std::result::Result<Result<(Frame, bool)>, Failed> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(CallSlot::new());
+        let slot = Arc::new(CallSlot::new(dest.is_some()));
         conn.slots.lock().unwrap().insert(id, Arc::clone(&slot));
 
-        let sent = {
-            let mut w = conn.writer.lock().unwrap();
-            let head = [envelope.unwrap_or_default(), &payload.head[..]];
-            write_mux_frame(&mut *w, id, &head, payload.body.as_deref())
-        };
+        let sent = write_mux_frame(&mut *conn.writer.lock().unwrap(), id, head, body);
         if let Err(e) = sent {
             conn.slots.lock().unwrap().remove(&id);
             return Err(Failed::Unsent(e));
-        }
-        if !idempotent {
-            payload.body = None;
         }
 
         // Absolute deadline: the full wall-clock budget for the response,
         // regardless of how many socket reads (or wake-ups) deliver it.
         let budget = Duration::from_millis(self.cfg.read_timeout_ms.max(1));
+        let deadline = Instant::now() + budget;
+        let timeout = || {
+            let ms = self.cfg.read_timeout_ms;
+            FsError::Timeout(format!("no response within {ms}ms"))
+        };
         let waiting = |st: &mut SlotState| matches!(st, SlotState::Waiting);
-        let st = slot.cv.wait_timeout_while(slot.state.lock().unwrap(), budget, waiting).unwrap().0;
-        match &*st {
+        let mut st =
+            slot.cv.wait_timeout_while(slot.state.lock().unwrap(), budget, waiting).unwrap().0;
+        // Whatever came is taken, and the slot is marked ended under its
+        // lock: a call still waiting gives up here, so a response that
+        // arrives from now on is read past. (The mark is read by nobody.)
+        let state = std::mem::replace(&mut *st, SlotState::Failed(FsError::Timeout(String::new())));
+        drop(st);
+        match state {
             SlotState::Done(frame) => {
                 conn.seasoned.store(true, Ordering::Release);
-                Ok(frame.clone())
+                Ok(Ok((frame, false)))
             }
-            SlotState::Failed(e) => Err(Failed::Unanswered(e.clone())),
+            SlotState::Landing(head, len, mut lease) => {
+                let dest = dest.expect("a body is lent only to a call that lands one");
+                let landed = if len == dest.len() {
+                    land(&mut lease.stream, dest, deadline, timeout)
+                } else {
+                    Err(wrong_length(len, dest.len()))
+                };
+                match landed {
+                    Ok(()) => {
+                        // The reader only ends by the lease being dropped,
+                        // so it is there to take the stream back.
+                        let _ = lease.back.send(lease.stream);
+                        conn.seasoned.store(true, Ordering::Release);
+                        Ok(Ok((Frame { head, body: None }, true)))
+                    }
+                    Err(e) => {
+                        // The stream stands inside a body: nothing more is
+                        // read from it, and the connection's other calls
+                        // fail as on any dead connection.
+                        let lost = FsError::Unreachable(format!("a response body was cut: {e}"));
+                        conn.kill(&self.conn_gauge(), &lost);
+                        drop(lease);
+                        match e {
+                            // The replica, not the connection, is at fault:
+                            // an answer, not resent.
+                            FsError::BlockUnavailable(_) => Ok(Err(e)),
+                            e => Err(Failed::Unanswered(e)),
+                        }
+                    }
+                }
+            }
+            SlotState::Failed(e) => Err(Failed::Unanswered(e)),
             SlotState::Waiting => {
-                drop(st);
                 conn.slots.lock().unwrap().remove(&id);
-                let ms = self.cfg.read_timeout_ms;
-                Err(Failed::Unanswered(FsError::Timeout(format!("no response within {ms}ms"))))
+                Err(Failed::Unanswered(timeout()))
             }
         }
     }
@@ -458,18 +563,85 @@ impl RpcClient {
             .name("octopus-rpc-demux".into())
             .spawn(move || {
                 let mut stream = reader;
-                while let Ok(Some((id, frame))) = read_mux_frame(&mut stream) {
+                while let Ok(Some(FrameHead { id, head, body_len })) = read_frame_head(&mut stream)
+                {
                     let slot = demux.slots.lock().unwrap().remove(&id);
-                    if let Some(slot) = slot {
-                        slot.resolve(SlotState::Done(frame));
+                    let Some(len) = body_len else {
+                        if let Some(slot) = slot {
+                            slot.resolve(SlotState::Done(Frame { head, body: None }));
+                        }
+                        continue;
+                    };
+                    match slot {
+                        Some(slot) if slot.lands => {
+                            // The caller lands the body itself and hands
+                            // the stream back; one that already gave up
+                            // gives the lease back here, and the body is
+                            // read past.
+                            let (back, returned) = mpsc::sync_channel(1);
+                            match slot.lend(head, len, Lease { stream, back }) {
+                                Ok(()) => match returned.recv() {
+                                    Ok(s) => stream = s,
+                                    Err(_) => break,
+                                },
+                                Err(lease) => {
+                                    stream = lease.stream;
+                                    if skip_body(&mut stream, len).is_err() {
+                                        break;
+                                    }
+                                }
+                            }
+                        }
+                        Some(slot) => match read_body(&mut stream, len) {
+                            Ok(body) => {
+                                slot.resolve(SlotState::Done(Frame { head, body: Some(body) }))
+                            }
+                            Err(_) => break,
+                        },
+                        // A response with no waiter timed out: read past it.
+                        None => {
+                            if skip_body(&mut stream, len).is_err() {
+                                break;
+                            }
+                        }
                     }
-                    // A response with no waiter timed out; drop it.
                 }
                 demux.kill(&gauge, &FsError::Unreachable("server closed the connection".into()));
             })
             .map_err(|e| FsError::Io(e.to_string()))?;
         Ok(conn)
     }
+}
+
+/// Lands a response body from `stream` straight in `dest`, by the call's
+/// absolute `deadline`: each read may wait only what is left of it, so a
+/// server trickling the body cannot stretch the call. The stream leaves
+/// with no read timeout, as the demux reader expects it.
+fn land(
+    stream: &mut TcpStream,
+    dest: &mut [u8],
+    deadline: Instant,
+    timeout: impl Fn() -> FsError,
+) -> Result<()> {
+    let mut got = 0;
+    while got < dest.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timeout());
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(&mut dest[got..]) {
+            Ok(0) => return Err(FsError::Unreachable("EOF inside a response body".into())),
+            Ok(n) => got += n,
+            // A read that waited out `left`, or a signal: the deadline
+            // check above decides.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    stream.set_read_timeout(None)?;
+    Ok(())
 }
 
 impl Drop for RpcClient {
@@ -494,8 +666,11 @@ pub fn shared() -> &'static Arc<RpcClient> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame::read_mux_frame;
+    use super::super::proto::{encode_worker_result_frame, FramePayload};
     use super::*;
-    use std::io::{Read, Write};
+    use octopus_common::checksum::crc32;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::time::Instant;
 
@@ -658,6 +833,150 @@ mod tests {
         let client = RpcClient::new(RpcConfig { max_retries: 0, ..fast() });
         let err = client.call_raw(addr, b"req", true).unwrap_err();
         assert!(matches!(err, FsError::Unreachable(_) | FsError::Timeout(_)), "got {err:?}");
+        handle.join().unwrap();
+    }
+
+    /// A `Data` response frame answering request `id` with `block` as its
+    /// body: the body is the frame's last `block.len()` bytes.
+    fn data_frame(id: u64, block: &[u8]) -> Vec<u8> {
+        let data = BlockData::Real(Bytes::copy_from_slice(block));
+        let payload = encode_worker_result_frame(&Ok(WorkerResponse::Data(data, crc32(block))));
+        let mut wire = Vec::new();
+        write_mux_frame(&mut wire, id, &[&payload.head[..]], payload.body.as_deref()).unwrap();
+        wire
+    }
+
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect()
+    }
+
+    /// Lands `ReadBlock` at `addr` in a fresh `len`-byte slice.
+    fn land_block(client: &RpcClient, addr: SocketAddr, len: usize) -> Result<Vec<u8>> {
+        let mut dest = vec![0u8; len];
+        let (whole, sum) = client.read_block(addr, MediaId(0), BlockId(1), &mut dest)?;
+        assert_eq!((whole, sum), (None, crc32(&dest)), "the body landed, and its CRC came");
+        Ok(dest)
+    }
+
+    #[test]
+    fn a_body_cut_short_fails_unreachable_and_the_next_call_connects_afresh() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let block = pattern(64 * 1024, 1);
+        let served = block.clone();
+        let handle = std::thread::spawn(move || {
+            // Connection 1: the head and half the body, then close.
+            let (mut s, _) = listener.accept().unwrap();
+            let (id, _) = read_mux_frame(&mut s).unwrap().unwrap();
+            let wire = data_frame(id, &served);
+            s.write_all(&wire[..wire.len() - served.len() / 2]).unwrap();
+            drop(s);
+            // Connection 2: the whole response.
+            let (mut s, _) = listener.accept().unwrap();
+            let (id, _) = read_mux_frame(&mut s).unwrap().unwrap();
+            s.write_all(&data_frame(id, &served)).unwrap();
+            let _ = read_mux_frame(&mut s); // until the client hangs up
+        });
+        let client = RpcClient::new(RpcConfig { max_retries: 0, ..fast() });
+        let err = land_block(&client, addr, block.len()).unwrap_err();
+        assert!(matches!(err, FsError::Unreachable(_)), "got {err:?}");
+        assert!(land_block(&client, addr, block.len()).unwrap() == block, "the whole block");
+        client.evict(addr);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_body_stalled_past_the_deadline_times_out_and_is_never_resumed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The stalled body ends in a whole frame answering the next call
+        // with bogus bytes: a client that read on from the middle of the
+        // body would take that frame for its next answer.
+        let good = pattern(16 * 1024, 2);
+        let bogus: Vec<u8> = good.iter().map(|b| !b).collect();
+        let trap_len = data_frame(0, &bogus).len();
+        let stalled = [pattern(10_000, 3), vec![0; trap_len]].concat();
+        let (body_len, served) = (stalled.len(), good.clone());
+        let handle = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let (id, _) = read_mux_frame(&mut s).unwrap().unwrap();
+            let wire = data_frame(id, &stalled);
+            s.write_all(&wire[..wire.len() - trap_len]).unwrap();
+            // Past the deadline, the client must have ended this
+            // connection. Were it to send its next request here, that
+            // request gets the trap, then its true answer.
+            if let Ok(Some((id, _))) = read_mux_frame(&mut s) {
+                let _ = s.write_all(&data_frame(id, &bogus));
+                let _ = s.write_all(&data_frame(id, &served));
+                let _ = read_mux_frame(&mut s);
+                return;
+            }
+            let (mut s, _) = listener.accept().unwrap();
+            let (id, _) = read_mux_frame(&mut s).unwrap().unwrap();
+            s.write_all(&data_frame(id, &served)).unwrap();
+            let _ = read_mux_frame(&mut s);
+        });
+        let cfg = RpcConfig { max_retries: 0, read_timeout_ms: 300, ..fast() };
+        let budget = Duration::from_millis(cfg.read_timeout_ms);
+        let client = RpcClient::new(cfg);
+        let start = Instant::now();
+        let err = land_block(&client, addr, body_len).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, FsError::Timeout(_)), "got {err:?}");
+        assert!(elapsed >= budget - Duration::from_millis(50));
+        assert!(elapsed < budget + Duration::from_millis(500), "evaded deadline: {elapsed:?}");
+        let pooled = client.metrics().snapshot().gauge("rpc_client_pooled_connections");
+        assert_eq!(pooled, 0, "the stalled connection is dead");
+        let next = land_block(&client, addr, good.len()).unwrap();
+        assert!(next == good, "the next call read the rest of the stalled body as its answer");
+        client.evict(addr);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_late_response_is_read_past_and_a_concurrent_call_gets_its_own_bytes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (late, own) = (pattern(40 * 1024, 4), pattern(24 * 1024, 5));
+        let (late_sent, own_sent) = (late.clone(), own.clone());
+        let (timed_out, answer) = mpsc::channel::<()>();
+        let (got_first, first_in) = mpsc::channel::<()>();
+        let accepted = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&accepted);
+        let handle = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            counter.fetch_add(1, Ordering::SeqCst);
+            let (first, _) = read_mux_frame(&mut s).unwrap().unwrap();
+            got_first.send(()).unwrap();
+            let (second, _) = read_mux_frame(&mut s).unwrap().unwrap();
+            // The first call has given up; its answer comes anyway, ahead
+            // of the second's.
+            answer.recv().unwrap();
+            s.write_all(&data_frame(first, &late_sent)).unwrap();
+            s.write_all(&data_frame(second, &own_sent)).unwrap();
+            let _ = read_mux_frame(&mut s);
+        });
+        // One connection, so both calls share it.
+        let cfg = RpcConfig { max_retries: 0, read_timeout_ms: 600, conns_per_peer: 1, ..fast() };
+        let client = RpcClient::new(cfg);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                let out = land_block(&client, addr, late.len());
+                timed_out.send(()).unwrap();
+                out
+            });
+            // The first request is in; the second follows it with its
+            // deadline 200 ms later, room for the late answer to be read
+            // past before the second's own lands.
+            first_in.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(200));
+            let got = land_block(&client, addr, own.len()).unwrap();
+            assert!(got == own, "the second call landed another call's bytes");
+            let err = first.join().unwrap().unwrap_err();
+            assert!(matches!(err, FsError::Timeout(_)), "got {err:?}");
+        });
+        assert_eq!(accepted.load(Ordering::SeqCst), 1, "both calls went over one connection");
+        client.evict(addr);
         handle.join().unwrap();
     }
 

@@ -29,12 +29,14 @@ use parking_lot::{Mutex, RwLock};
 
 use octopus_common::metrics::MetricsRegistry;
 use octopus_common::trace::{self, TraceCollector};
-use octopus_common::{FsError, Result, RpcConfig, WorkerId};
+use octopus_common::{
+    Block, BlockData, BlockId, FsError, Location, MediaId, Result, RpcConfig, WorkerId,
+};
 use octopus_master::Master;
 
 use super::faults::FaultAction;
 use super::master_server::{self, MasterState};
-use super::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
+use super::proto::{BlockRef, MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
 use super::retry::{self, Failed};
 use super::rpc::RpcClient;
 use super::worker_server::{self, AddressMap};
@@ -49,6 +51,49 @@ pub trait Transport: Send + Sync {
     /// error ([`FsError::is_retryable`]); an id this transport cannot
     /// address at all is [`FsError::UnknownWorker`].
     fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse>;
+
+    /// `WriteBlock(block, media, rest, data)` to pipeline head `to`, its
+    /// block lent by the caller rather than handed over.
+    ///
+    /// By default the block is copied into the request: in process, that is
+    /// the one copy, the one the store keeps.
+    fn write_block(
+        &self,
+        to: WorkerId,
+        block: Block,
+        media: MediaId,
+        rest: &[Location],
+        data: BlockRef<'_>,
+    ) -> Result<WorkerResponse> {
+        self.call_worker(to, WorkerRequest::WriteBlock(block, media, rest.to_vec(), data.to_data()))
+    }
+
+    /// `ReadBlock(media, block)` to worker `to`. Given `dest`, exactly the
+    /// block's length, real bytes land there and only the checksum the
+    /// worker recorded comes back; without one, or for a synthetic block,
+    /// the block comes back whole beside it. A replica of another length
+    /// than `dest` is [`FsError::BlockUnavailable`].
+    ///
+    /// By default the reply is received whole and copied into `dest`.
+    fn read_block(
+        &self,
+        to: WorkerId,
+        media: MediaId,
+        block: BlockId,
+        dest: Option<&mut [u8]>,
+    ) -> Result<(Option<BlockData>, u32)> {
+        let (data, sum) = read_whole(self, to, media, block)?;
+        match (dest, data) {
+            (Some(dest), BlockData::Real(bytes)) => {
+                if bytes.len() != dest.len() {
+                    return Err(wrong_length(bytes.len(), dest.len()));
+                }
+                dest.copy_from_slice(&bytes);
+                Ok((None, sum))
+            }
+            (_, data) => Ok((Some(data), sum)),
+        }
+    }
 
     /// Every worker this transport can address (scrape and scrub fan-out),
     /// reachable or not.
@@ -75,6 +120,24 @@ pub trait Transport: Send + Sync {
     }
 }
 
+/// A `ReadBlock` answered whole: the block and its recorded checksum.
+fn read_whole<T: Transport + ?Sized>(
+    net: &T,
+    to: WorkerId,
+    media: MediaId,
+    block: BlockId,
+) -> Result<(BlockData, u32)> {
+    match net.call_worker(to, WorkerRequest::ReadBlock(media, block))? {
+        WorkerResponse::Data(data, sum) => Ok((data, sum)),
+        r => Err(FsError::Io(format!("unexpected response {r:?}"))),
+    }
+}
+
+/// What a read of a `got`-byte replica into a `want`-byte slice fails with.
+pub(crate) fn wrong_length(got: usize, want: usize) -> FsError {
+    FsError::BlockUnavailable(format!("a {got} B replica for a {want} B slice"))
+}
+
 /// Resolves an advertised `host:port` to a socket address (first hit).
 pub fn resolve(addr: &str) -> Option<SocketAddr> {
     addr.to_socket_addrs().ok()?.next()
@@ -96,17 +159,48 @@ impl TcpTransport {
     }
 }
 
+impl TcpTransport {
+    /// Where worker `to` serves. An id the map lacks (a worker that joined
+    /// since) refreshes it once.
+    fn addr_of(&self, to: WorkerId) -> Result<SocketAddr> {
+        let find = || self.workers.read().get(&to).copied();
+        let addr = find().or_else(|| self.refresh_workers().ok().and_then(|()| find()));
+        addr.ok_or_else(|| FsError::UnknownWorker(to.to_string()))
+    }
+}
+
 impl Transport for TcpTransport {
     fn call_master(&self, req: MasterRequest) -> Result<MasterResponse> {
         self.rpc.call_master(self.master, &req)
     }
 
-    /// An id the map lacks (a worker that joined since) refreshes it once.
     fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
-        let find = || self.workers.read().get(&to).copied();
-        let addr = find().or_else(|| self.refresh_workers().ok().and_then(|()| find()));
-        let addr = addr.ok_or_else(|| FsError::UnknownWorker(to.to_string()))?;
-        self.rpc.call_worker_owned(addr, req)
+        self.rpc.call_worker(self.addr_of(to)?, &req)
+    }
+
+    fn write_block(
+        &self,
+        to: WorkerId,
+        block: Block,
+        media: MediaId,
+        rest: &[Location],
+        data: BlockRef<'_>,
+    ) -> Result<WorkerResponse> {
+        self.rpc.write_block(self.addr_of(to)?, block, media, rest, data)
+    }
+
+    /// The body lands in `dest` straight from the socket.
+    fn read_block(
+        &self,
+        to: WorkerId,
+        media: MediaId,
+        block: BlockId,
+        dest: Option<&mut [u8]>,
+    ) -> Result<(Option<BlockData>, u32)> {
+        match dest {
+            Some(dest) => self.rpc.read_block(self.addr_of(to)?, media, block, dest),
+            None => read_whole(self, to, media, block).map(|(data, sum)| (Some(data), sum)),
+        }
     }
 
     fn workers(&self) -> Vec<WorkerId> {

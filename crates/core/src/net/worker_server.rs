@@ -250,7 +250,8 @@ fn dispatch_inner(
             let _io = (worker.connect_net(), worker.media_io(media)?);
             // The client's walk: a replica damaged at rest or in flight is
             // never propagated. The monitor that sent the copy settles it.
-            let data = read_replica(net, block, &sources)?;
+            let data = read_replica(net, block, &sources, None)?
+                .expect("a walk with no slice receives the block whole");
             store(worker, block, media, &data)?;
             Ok(WorkerResponse::Unit)
         }

@@ -30,13 +30,14 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use octopus_common::{
-    Block, BlockData, ClientLocation, ClusterConfig, FsError, Location, MediaId, ReplicationVector,
-    Result, WorkerId,
+    Block, ClientLocation, ClusterConfig, FsError, Location, MediaId, ReplicationVector, Result,
+    WorkerId,
 };
 use octopus_master::{Master, ReplicationTask};
 use octopus_simnet::{EventKind, FlowId, ResourceId, SimNet, SimTime};
 use octopus_storage::ConnGuard;
 
+use crate::net::proto::BlockRef;
 use crate::net::transport::LocalTransport;
 use crate::net::{monitor, worker_server, RemoteFs};
 use crate::worker::Worker;
@@ -562,8 +563,8 @@ impl SimCluster {
                 // The block's bytes have arrived: one `WriteBlock` to the
                 // pipeline head, as the client of the deployment sends it.
                 let (block, pipeline) = current.take().expect("write flow without a block");
-                let data = BlockData::Synthetic { len: block.len, seed: block.id.0 };
-                match client.store_block(path, block, pipeline, &data) {
+                let data = BlockRef::Synthetic { len: block.len, seed: block.id.0 };
+                match client.store_block(path, block, pipeline, data) {
                     Ok(()) => {
                         self.bytes_written += block.len;
                         self.advance_write_job(id);

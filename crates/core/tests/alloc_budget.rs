@@ -5,20 +5,20 @@
 //!
 //! Per user byte at rf=3 the data path *uses*:
 //!
-//! - write: the client's copy of each chunk (1×) and one receive buffer per
-//!   pipeline stage (3×) — the body a stage received *is* the block it
-//!   stores and forwards;
-//! - read: the client's receive buffer (1×) and the output (1×) — the
-//!   server sends its stored `Bytes`, the client copies each block out of
-//!   the body it arrived in straight into the output.
+//! - write: one receive buffer per pipeline stage (3×) — the client sends
+//!   each block straight from the caller's buffer, and the body a stage
+//!   received *is* the block it stores and forwards;
+//! - read: the output (1×) — the server sends its stored `Bytes`, and each
+//!   block's body lands from the socket straight in its place in the
+//!   output.
 //!
-//! Every one of those but the output is a buffer of the process-wide pool
-//! (`net/bufpool.rs`), so it is *allocated* only while the pool has no
-//! released buffer of its size class to hand back: the first write and the
-//! first read pay the budget above, exactly — a block travels as its
-//! frame's body, in a buffer of its own length, and the frame's header and
-//! head never share it — and from then on a read allocates its output and
-//! a rewrite of deleted bytes allocates nothing.
+//! Every receive buffer is one of the process-wide pool (`net/bufpool.rs`),
+//! so it is *allocated* only while the pool has no released buffer of its
+//! size class to hand back: the first write and the first read pay the
+//! budget above, exactly — a block travels as its frame's body, in a buffer
+//! of its own length, and the frame's header and head never share it — and
+//! from then on a read allocates its output and a rewrite of deleted bytes
+//! allocates nothing.
 //!
 //! A counting `#[global_allocator]` is process-wide, which is why this is a
 //! test binary of its own; the tests in it serialize on [`MEASURING`].
@@ -146,7 +146,10 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
 fn write_and_read_stay_within_their_payload_buffer_budget() {
     let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
-    config.heartbeat_ms = 20;
+    // No heartbeat, block report or §5 round inside the measured calls: a
+    // copy one scheduled would take a pool buffer the rewrite below counts
+    // on.
+    config.heartbeat_ms = 60_000;
     let cluster = NetCluster::start(config).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     let rf3 = ReplicationVector::from_replication_factor(3);
@@ -162,37 +165,39 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     assert!(
         write_bytes <= 4 * F,
         "write_file of {F} B at rf=3 made {write_bytes} B of large allocations \
-         (budget 4 × F: the client's copy + one receive buffer per replica)"
+         (budget 3 × F: one receive buffer per replica)"
     );
-    // The three stored replicas are new bytes no earlier buffer can back
-    // (the warm-up left four to recycle).
+    // The three stored replicas are new bytes no earlier buffer can back,
+    // and the warm-up left no buffer to recycle: the client kept none.
     assert!(write_bytes >= 3 * F - 4 * MB, "the counter saw the transfer: {write_bytes} B");
+    assert_eq!(write_bytes, 3 * F, "a first write allocates its three replicas and nothing else");
 
     let (read, read_bytes) = large_bytes_during(|| client.read_file("/f"));
     assert_eq!(read.unwrap(), data);
     assert!(
         read_bytes <= 2 * F,
         "read_file of {F} B made {read_bytes} B of large allocations \
-         (budget 2 × F: the receive buffers + the output)"
+         (budget 1 × F: the output, which every block lands in)"
     );
     assert!(read_bytes >= F, "the counter saw the output: {read_bytes} B");
+    assert_eq!(read_bytes, F, "a first read allocates its output and nothing else");
 
-    // From here on the pool is stocked. It parks released buffers only up
-    // to the bytes still lent out (`pooled ≤ lent`), so a second file stays
-    // stored while the first is deleted: its 3 × F live bytes are what lets
-    // the 3 × F released ones be kept.
+    // The pool parks released buffers only up to the bytes still lent out
+    // (`pooled ≤ lent`), so a second file stays stored while the first is
+    // deleted: its 3 × F live bytes are what lets the 3 × F released ones
+    // be kept. They are the only buffers the pool holds: every buffer lent
+    // so far is a stored replica.
     client.write_file("/g", &data, rf3).unwrap();
     client.delete("/f", false).unwrap();
 
-    // A second read: every receive buffer comes out of the pool (the
-    // window's worth the first read left, and `/f`'s), only the output is
-    // allocated.
+    // A second read allocates its output, as the first did.
     let (read, reread_bytes) = large_bytes_during(|| client.read_file("/g"));
     assert_eq!(read.unwrap(), data);
     assert_eq!(reread_bytes, F, "a second read allocates its output and nothing else");
 
-    // Delete + rewrite of the same F: the client's copies and all three
-    // stages' receive buffers are the ones the first write allocated.
+    // Delete + rewrite of the same F: all three stages' receive buffers are
+    // `/f`'s deleted replicas, which `delete` dropped from the workers'
+    // stores before it returned.
     let (rewritten, rewrite_bytes) = large_bytes_during(|| client.write_file("/f", &data, rf3));
     rewritten.unwrap();
     assert_eq!(rewrite_bytes, 0, "rewriting {F} deleted bytes must allocate no new buffer");
@@ -244,11 +249,47 @@ fn a_file_writer_allocates_what_write_file_does() {
     assert_eq!(client.read_file("/b").unwrap(), data);
 }
 
+/// The client holds no buffer of the blocks it writes: each leaves from the
+/// caller's slice. With a window of 1 the whole client runs on the calling
+/// thread, and while it writes a block of a size class no buffer has had
+/// yet — so no parked buffer could stand in for one taken from the pool —
+/// that thread allocates nothing of 4 KiB or more. A client that copied
+/// each block into a pool buffer would allocate one per block attempt here.
+#[test]
+fn a_write_takes_no_buffer_on_the_client() {
+    let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
+    config.heartbeat_ms = 60_000;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster).with_io_window(1);
+    let rf3 = ReplicationVector::from_replication_factor(3);
+    // Connections and every metric series the write records come up on a
+    // first write and read, of another class.
+    client.write_file("/warm", &payload(16 * 1024, 50), rf3).unwrap();
+    client.read_file("/warm").unwrap();
+
+    // One block of the 256 KiB class, which no other test here uses.
+    let data = payload(200 * 1024 + 3, 51);
+    let one_thread = OneThread::new();
+    let before = SMALL_COUNT.load(Ordering::Relaxed);
+    let (written, bytes) = bytes_during(&SMALL_BYTES, || client.write_file("/f", &data, rf3));
+    let allocations = SMALL_COUNT.load(Ordering::Relaxed) - before;
+    drop(one_thread);
+    written.unwrap();
+    eprintln!(
+        "alloc_budget: a {} B write allocated {allocations} buffers ≥ {SMALL} B ({bytes} B) \
+         on the client's thread",
+        data.len()
+    );
+    assert_eq!((allocations, bytes), (0, 0), "the client copied a block it wrote");
+    assert_eq!(client.read_file("/f").unwrap(), data);
+}
+
 /// `smallfile`'s file, as exact counts of allocations ≥ 4 KiB: once the
 /// pool is stocked, a 16 KiB rf=3 delete + rewrite allocates nothing and a
 /// read allocates the 16 KiB it returns. Every other buffer of that size —
-/// the client's copy, the three stages' receive buffers, the read response
-/// — is one the pool hands back, on whichever thread asks.
+/// the three stages' receive buffers — is one the pool hands back, on
+/// whichever thread asks.
 #[test]
 fn a_small_file_rewrite_allocates_nothing_and_a_read_only_its_output() {
     let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -266,9 +307,8 @@ fn a_small_file_rewrite_allocates_nothing_and_a_read_only_its_output() {
     // write, read, delete and rewrite. `/keep` stays stored throughout: its
     // live replicas are what lets `/f`'s released buffers be parked
     // (`pooled ≤ lent`). Once `/f` is deleted the pool holds its three
-    // 16 KiB replicas (each the body it arrived as), the client's 16 KiB
-    // copy, a 16 KiB read response and `/keep`'s own 48 KiB copy — 128 KiB,
-    // against the 3 × 48 KiB of `/keep`'s replicas lent.
+    // 16 KiB replicas (each the body it arrived as) — 48 KiB, against the
+    // 3 × 48 KiB of `/keep`'s replicas lent.
     client.write_file("/keep", &payload(3 * S, 34), rf3).unwrap();
     client.write_file("/f", &data, rf3).unwrap();
     assert_eq!(client.read_file("/f").unwrap(), data);

@@ -184,8 +184,8 @@ fn a_file_cut_during_the_replay_is_an_io_error() {
         let &(first, _) = reads[1..].iter().find(|&&(_, end)| end > cut).unwrap();
         assert!(applied == encoded(&ops, first), "cut at {cut}: {} ops applied", applied.len());
         // A short read, as `FsError::from(io::Error)` spells an
-        // `UnexpectedEof`.
-        let short = FsError::Unreachable("failed to fill whole buffer".into());
+        // `UnexpectedEof`: a cut file, not a network fault.
+        let short = FsError::Io("failed to fill whole buffer".into());
         assert_eq!(end, Err(short), "cut at {cut}");
     }
     remove(&path);

@@ -358,6 +358,21 @@ mod tests {
     }
 
     #[test]
+    fn a_block_file_cut_inside_its_header_reads_as_an_io_error() {
+        let dir = tmpdir("cut");
+        let s = FileStore::open(&dir, 10_000).unwrap();
+        s.put(blk(1, 100), &BlockData::generate_real(100, 1)).unwrap();
+        // The file loses its end behind the store's back, down into the
+        // header: a cut file, not a network fault.
+        let p = dir.join("blk_1.dat");
+        let raw = fs::read(&p).unwrap();
+        fs::write(&p, &raw[..HEADER_LEN / 2]).unwrap();
+        assert!(matches!(s.read(BlockId(1)), Err(FsError::Io(_))), "{:?}", s.read(BlockId(1)));
+        assert!(matches!(s.get(BlockId(1)), Err(FsError::Io(_))));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn unknown_block_errors() {
         let dir = tmpdir("missing");
         let s = FileStore::open(&dir, 100).unwrap();

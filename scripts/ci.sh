@@ -150,6 +150,22 @@ if [ -n "$mounts" ]; then
 fi
 echo "one namespace: status, list and reads answer from the namespace alone"
 
+echo "==> one copy"
+# The client holds no block buffer: a write leaves from the caller's slice
+# and a read lands in the caller's output (DESIGN.md §8, §9), so no
+# non-test code in crates/core/src/net/client.rs names the buffer pool
+# (whatever follows the file's first `#[cfg(test)]` is exempt).
+pooled=$(awk '
+    /^ *#\[cfg\(test\)\]/ { exit }
+    /bufpool/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/net/client.rs)
+if [ -n "$pooled" ]; then
+    echo "one copy: the client names the buffer pool:" >&2
+    printf '%s\n' "$pooled" >&2
+    exit 1
+fi
+echo "one copy: the client copies no block into a buffer of its own"
+
 echo "==> one tiering loop"
 # The master's auto-tierer is the one loop that moves files between tiers:
 # it promotes hot files and, when the Memory tier is full, evicts the least
@@ -376,15 +392,17 @@ echo "one data path: 10/10"
 
 echo "==> frames with bodies: 10 runs under parallel load"
 # Every RPC goes through the one frame reader: a block travels as its
-# frame's body. The frame and message unit tests (every body length, bare
-# and enveloped; hostile and cut-short bodies), the transport suite, the
-# TCP/in-process parity suite and the fault-driven failover suite, 10
+# frame's body, and a read's lands in the caller's slice. The frame,
+# message and RPC client unit tests (every body length, bare and
+# enveloped; hostile and cut-short bodies; a landing body cut, stalled past
+# its deadline, or answering a call that gave up), the transport suite,
+# the TCP/in-process parity suite and the fault-driven failover suite, 10
 # times back to back, 8 test threads each.
 for run in $(seq 10); do
     if ! out=$(cargo test --release -q -p octopus-core --test multiplex \
         --test transport_parity --test failover -- --test-threads 8 2>&1) ||
         ! out=$(cargo test --release -q -p octopus-core --lib \
-            -- net::frame net::proto --test-threads 8 2>&1); then
+            -- net::frame net::proto net::rpc --test-threads 8 2>&1); then
         printf '%s\n' "$out" >&2
         echo "frames with bodies: run ${run} of 10 failed" >&2
         exit 1
