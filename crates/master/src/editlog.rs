@@ -24,18 +24,50 @@ use std::sync::{Arc, Condvar, PoisonError};
 
 use octopus_common::checksum::crc32;
 use octopus_common::wire::{put_str, Wire, WireReader};
-use octopus_common::{
-    Block, BlockId, FsError, GenStamp, INodeId, ReplicationVector, Result, MAX_TIERS,
-};
+use octopus_common::{Block, BlockId, FsError, GenStamp, INodeId, ReplicationVector, Result};
 use parking_lot::Mutex;
 
-use crate::namespace::{Cursor, Namespace, TierQuota};
+use crate::namespace::{Cursor, Entry, Namespace, TierQuota};
 
-/// One namespace mutation. `S` is how it holds its paths: `String` for an
-/// op on its way into the log, `&str` for one borrowed out of a record
-/// during replay ([`EditRef`]).
+/// How an op holds its paths, and with them its wide payloads. An op on
+/// its way into the log owns its paths (`String`) and boxes every payload
+/// wider than a `CreateFile`'s, so the ops a batch holds are 40 bytes each;
+/// an op borrowed out of a record during replay ([`EditRef`]) holds its
+/// payloads inline, so decoding one allocates nothing.
+pub trait OpPath: AsRef<str> + Sized {
+    /// `Box<T>` for an owned op, `T` itself for a borrowed one.
+    type Wide<T>;
+    /// Holds a payload the way this kind of op does.
+    fn wide<T>(payload: T) -> Self::Wide<T>;
+    /// The payload held.
+    fn unwide<T>(held: &Self::Wide<T>) -> &T;
+}
+
+impl OpPath for String {
+    type Wide<T> = Box<T>;
+    fn wide<T>(payload: T) -> Box<T> {
+        Box::new(payload)
+    }
+    fn unwide<T>(held: &Box<T>) -> &T {
+        held
+    }
+}
+
+impl OpPath for &str {
+    type Wide<T> = T;
+    fn wide<T>(payload: T) -> T {
+        payload
+    }
+    fn unwide<T>(held: &T) -> &T {
+        held
+    }
+}
+
+/// One namespace mutation. `S` is how it holds its paths ([`OpPath`]):
+/// `String` for an op on its way into the log, `&str` for one borrowed out
+/// of a record during replay ([`EditRef`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EditOp<S = String> {
+pub enum EditOp<S: OpPath = String> {
     /// `mkdir -p path`.
     Mkdir {
         /// Directory path.
@@ -54,12 +86,8 @@ pub enum EditOp<S = String> {
     AddBlock {
         /// File path.
         path: S,
-        /// Block id.
-        block: BlockId,
-        /// Generation stamp.
-        gen: u64,
-        /// Block length.
-        len: u64,
+        /// The block: id, generation stamp and length.
+        block: S::Wide<Block>,
     },
     /// Close (complete) a file.
     CloseFile {
@@ -73,10 +101,8 @@ pub enum EditOp<S = String> {
     },
     /// Rename a file or directory.
     Rename {
-        /// Source path.
-        src: S,
-        /// Destination path.
-        dst: S,
+        /// Source and destination paths.
+        paths: S::Wide<(S, S)>,
     },
     /// Delete a file or directory subtree.
     Delete {
@@ -94,29 +120,28 @@ pub enum EditOp<S = String> {
     SetQuota {
         /// Directory path.
         path: S,
-        /// The quota, boxed: it is 112 bytes, and inline it made every op
-        /// in every staged batch and every caller's vector 136.
-        quota: Box<TierQuota>,
+        /// The quota (112 bytes).
+        quota: S::Wide<TierQuota>,
     },
     /// Remove the last (uncommitted) block of an open file — pipeline
     /// recovery abandoned it after a write failure.
     AbandonBlock {
         /// File path.
         path: S,
-        /// The abandoned block.
-        block: BlockId,
-        /// Its length (for the quota refund on replay).
-        len: u64,
+        /// The abandoned block and its length (for the quota refund on
+        /// replay).
+        block: S::Wide<(BlockId, u64)>,
     },
 }
 
 /// An op whose paths point into the record it was decoded from.
 pub type EditRef<'a> = EditOp<&'a str>;
 
-/// The group committer's staging vector and every `append_batch` caller's
-/// vector hold one of these per op: 136 bytes each while `SetQuota` carried
-/// its quota inline.
-const _: () = assert!(std::mem::size_of::<EditOp>() <= 56);
+/// The group committer's staging vector, every `append_batch` caller's
+/// vector and [`decode_stream`]'s hold one of these per op. `CreateFile`
+/// (a path, a vector and a block size) is the floor: every wider payload
+/// is boxed, and the tag lives in the path's niche.
+const _: () = assert!(std::mem::size_of::<EditOp>() == 40);
 
 const TAG_MKDIR: u8 = 1;
 const TAG_CREATE: u8 = 2;
@@ -131,7 +156,27 @@ const TAG_ABANDON_BLOCK: u8 = 10;
 
 const NO_QUOTA: u64 = u64::MAX;
 
-impl<S: AsRef<str>> EditOp<S> {
+impl<S: OpPath> EditOp<S> {
+    /// `AddBlock` of `block` to the file at `path`.
+    pub fn add_block(path: S, block: Block) -> Self {
+        EditOp::AddBlock { path, block: S::wide(block) }
+    }
+
+    /// `Rename` of `src` to `dst`.
+    pub fn rename(src: S, dst: S) -> Self {
+        EditOp::Rename { paths: S::wide((src, dst)) }
+    }
+
+    /// `SetQuota` of `quota` on the directory at `path`.
+    pub fn set_quota(path: S, quota: TierQuota) -> Self {
+        EditOp::SetQuota { path, quota: S::wide(quota) }
+    }
+
+    /// `AbandonBlock` of `block`, `len` bytes long, from the file at `path`.
+    pub fn abandon_block(path: S, block: BlockId, len: u64) -> Self {
+        EditOp::AbandonBlock { path, block: S::wide((block, len)) }
+    }
+
     /// Encodes the op body (without record framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(64);
@@ -152,11 +197,12 @@ impl<S: AsRef<str>> EditOp<S> {
                 rv.to_bits().put(b);
                 block_size.put(b);
             }
-            EditOp::AddBlock { path, block, gen, len } => {
+            EditOp::AddBlock { path, block } => {
+                let Block { id, gen, len } = *S::unwide(block);
                 b.push(TAG_ADD_BLOCK);
                 put_str(b, path.as_ref());
-                block.0.put(b);
-                gen.put(b);
+                id.0.put(b);
+                gen.0.put(b);
                 len.put(b);
             }
             EditOp::CloseFile { path } => {
@@ -167,7 +213,8 @@ impl<S: AsRef<str>> EditOp<S> {
                 b.push(TAG_APPEND);
                 put_str(b, path.as_ref());
             }
-            EditOp::Rename { src, dst } => {
+            EditOp::Rename { paths } => {
+                let (src, dst) = S::unwide(paths);
                 b.push(TAG_RENAME);
                 put_str(b, src.as_ref());
                 put_str(b, dst.as_ref());
@@ -184,14 +231,15 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::SetQuota { path, quota } => {
                 b.push(TAG_SET_QUOTA);
                 put_str(b, path.as_ref());
-                for t in 0..MAX_TIERS {
-                    quota.per_tier[t].unwrap_or(NO_QUOTA).put(b);
+                for limit in S::unwide(quota).per_tier {
+                    limit.unwrap_or(NO_QUOTA).put(b);
                 }
             }
-            EditOp::AbandonBlock { path, block, len } => {
+            EditOp::AbandonBlock { path, block } => {
+                let (id, len) = *S::unwide(block);
                 b.push(TAG_ABANDON_BLOCK);
                 put_str(b, path.as_ref());
-                block.0.put(b);
+                id.0.put(b);
                 len.put(b);
             }
         }
@@ -209,10 +257,10 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::CreateFile { path, rv, block_size } => {
                 ns.create_file_from(Some(cursor), path.as_ref(), *rv, *block_size)?;
             }
-            EditOp::AddBlock { path, block, gen, len } => {
+            EditOp::AddBlock { path, block } => {
+                let block = *S::unwide(block);
                 let file = ns.resolve_from(cursor, path.as_ref())?;
-                ns.add_block(file, *block, *len)?;
-                let block = Block { id: *block, gen: GenStamp(*gen), len: *len };
+                ns.add_block(file, block.id, block.len)?;
                 return Ok(BlockChange::Added { file, block });
             }
             EditOp::CloseFile { path } => {
@@ -223,16 +271,20 @@ impl<S: AsRef<str>> EditOp<S> {
                 let id = ns.resolve_from(cursor, path.as_ref())?;
                 ns.reopen_file(id)?;
             }
-            EditOp::Rename { src, dst } => ns.rename(src.as_ref(), dst.as_ref())?,
+            EditOp::Rename { paths } => {
+                let (src, dst) = S::unwide(paths);
+                ns.rename(src.as_ref(), dst.as_ref())?;
+            }
             EditOp::Delete { path } => {
                 return Ok(BlockChange::Removed(ns.delete(path.as_ref(), true)?.1));
             }
             EditOp::SetReplication { path, rv } => drop(ns.set_replication(path.as_ref(), *rv)?),
-            EditOp::SetQuota { path, quota } => ns.set_quota(path.as_ref(), **quota)?,
-            EditOp::AbandonBlock { path, block, len } => {
+            EditOp::SetQuota { path, quota } => ns.set_quota(path.as_ref(), *S::unwide(quota))?,
+            EditOp::AbandonBlock { path, block } => {
+                let (block, len) = *S::unwide(block);
                 let id = ns.resolve_from(cursor, path.as_ref())?;
-                ns.remove_last_block(id, *block, *len)?;
-                return Ok(BlockChange::Removed(vec![*block]));
+                ns.remove_last_block(id, block, len)?;
+                return Ok(BlockChange::Abandoned(block));
             }
         }
         Ok(BlockChange::None)
@@ -252,13 +304,15 @@ pub enum BlockChange {
         /// The block as logged.
         block: Block,
     },
-    /// These blocks are gone (a delete, an abandoned block).
+    /// A delete took these blocks with its files.
     Removed(Vec<BlockId>),
+    /// Pipeline recovery abandoned this block.
+    Abandoned(BlockId),
 }
 
 impl<'a> EditRef<'a> {
-    /// Decodes one op body in place: paths borrow from `buf`, so replay
-    /// allocates nothing it is about to throw away.
+    /// Decodes one op body in place: paths borrow from `buf` and payloads
+    /// sit in the op, so decoding allocates nothing.
     pub fn decode_borrowed(buf: &'a [u8]) -> Result<Self> {
         let mut r = WireReader::new(buf);
         let tag = u8::get(&mut r)?;
@@ -271,13 +325,15 @@ impl<'a> EditRef<'a> {
             },
             TAG_ADD_BLOCK => EditOp::AddBlock {
                 path: r.str()?,
-                block: BlockId(u64::get(&mut r)?),
-                gen: u64::get(&mut r)?,
-                len: u64::get(&mut r)?,
+                block: Block {
+                    id: BlockId(u64::get(&mut r)?),
+                    gen: GenStamp(u64::get(&mut r)?),
+                    len: u64::get(&mut r)?,
+                },
             },
             TAG_CLOSE => EditOp::CloseFile { path: r.str()? },
             TAG_APPEND => EditOp::AppendFile { path: r.str()? },
-            TAG_RENAME => EditOp::Rename { src: r.str()?, dst: r.str()? },
+            TAG_RENAME => EditOp::Rename { paths: (r.str()?, r.str()?) },
             TAG_DELETE => EditOp::Delete { path: r.str()? },
             TAG_SET_REP => EditOp::SetReplication {
                 path: r.str()?,
@@ -285,17 +341,16 @@ impl<'a> EditRef<'a> {
             },
             TAG_SET_QUOTA => {
                 let path = r.str()?;
-                let mut quota = Box::new(TierQuota::unlimited());
-                for t in 0..MAX_TIERS {
+                let mut quota = TierQuota::unlimited();
+                for limit in &mut quota.per_tier {
                     let v = u64::get(&mut r)?;
-                    quota.per_tier[t] = if v == NO_QUOTA { None } else { Some(v) };
+                    *limit = if v == NO_QUOTA { None } else { Some(v) };
                 }
                 EditOp::SetQuota { path, quota }
             }
             TAG_ABANDON_BLOCK => EditOp::AbandonBlock {
                 path: r.str()?,
-                block: BlockId(u64::get(&mut r)?),
-                len: u64::get(&mut r)?,
+                block: (BlockId(u64::get(&mut r)?), u64::get(&mut r)?),
             },
             t => return Err(FsError::Io(format!("unknown edit op tag {t}"))),
         };
@@ -305,7 +360,7 @@ impl<'a> EditRef<'a> {
         Ok(op)
     }
 
-    /// The same op, owning its paths.
+    /// The same op, owning its paths and boxing its wide payloads.
     pub fn into_owned(self) -> EditOp {
         let s = str::to_string;
         match self {
@@ -313,17 +368,15 @@ impl<'a> EditRef<'a> {
             EditOp::CreateFile { path, rv, block_size } => {
                 EditOp::CreateFile { path: s(path), rv, block_size }
             }
-            EditOp::AddBlock { path, block, gen, len } => {
-                EditOp::AddBlock { path: s(path), block, gen, len }
-            }
+            EditOp::AddBlock { path, block } => EditOp::add_block(s(path), block),
             EditOp::CloseFile { path } => EditOp::CloseFile { path: s(path) },
             EditOp::AppendFile { path } => EditOp::AppendFile { path: s(path) },
-            EditOp::Rename { src, dst } => EditOp::Rename { src: s(src), dst: s(dst) },
+            EditOp::Rename { paths: (src, dst) } => EditOp::rename(s(src), s(dst)),
             EditOp::Delete { path } => EditOp::Delete { path: s(path) },
             EditOp::SetReplication { path, rv } => EditOp::SetReplication { path: s(path), rv },
-            EditOp::SetQuota { path, quota } => EditOp::SetQuota { path: s(path), quota },
-            EditOp::AbandonBlock { path, block, len } => {
-                EditOp::AbandonBlock { path: s(path), block, len }
+            EditOp::SetQuota { path, quota } => EditOp::set_quota(s(path), quota),
+            EditOp::AbandonBlock { path, block: (block, len) } => {
+                EditOp::abandon_block(s(path), block, len)
             }
         }
     }
@@ -354,7 +407,7 @@ const CHUNK: usize = 64 << 10;
 pub(crate) const TAIL_CAP: usize = 4 << 20;
 
 /// Appends `op` to `buf` as one `[len u32][crc u32][body]` record.
-fn frame_into(op: &EditOp, buf: &mut Vec<u8>) {
+fn frame_into<S: OpPath>(op: &EditOp<S>, buf: &mut Vec<u8>) {
     let head = buf.len();
     buf.extend_from_slice(&[0; HEADER]);
     op.encode_into(buf);
@@ -818,34 +871,34 @@ impl GroupCommitLog {
     }
 }
 
-/// Expresses a namespace as the minimal op sequence recreating it (a
-/// checkpoint image), one op at a time.
-fn for_each_image_op(ns: &Namespace, mut f: impl FnMut(EditOp)) {
-    for (path, quota) in ns.iter_dirs() {
-        if path != "/" {
-            f(EditOp::Mkdir { path: path.clone() });
-        }
-        if quota != TierQuota::unlimited() {
-            f(EditOp::SetQuota { path, quota: Box::new(quota) });
-        }
-    }
-    let mut files = ns.iter_files();
-    files.sort_by(|a, b| a.1.cmp(&b.1));
-    for (_, path, meta) in files {
-        f(EditOp::CreateFile { path: path.clone(), rv: meta.rv, block_size: meta.block_size });
-        for &(block, len) in &meta.blocks {
-            f(EditOp::AddBlock { path: path.clone(), block, gen: 0, len });
-        }
-        if meta.complete {
-            f(EditOp::CloseFile { path });
-        }
-    }
-}
-
-/// Serializes a checkpoint image to bytes.
+/// Serializes a checkpoint image: the namespace as the minimal op sequence
+/// recreating it — every directory, then every file, each in path order —
+/// encoded from ops that borrow their paths from the walk.
 pub fn encode_image(ns: &Namespace) -> Vec<u8> {
     let mut out = Vec::new();
-    for_each_image_op(ns, |op| frame_into(&op, &mut out));
+    ns.for_each_by_path(|path, entry| {
+        if let Entry::Dir(quota) = entry {
+            if path != "/" {
+                frame_into(&EditOp::Mkdir { path }, &mut out);
+            }
+            if quota != TierQuota::unlimited() {
+                frame_into(&EditOp::set_quota(path, quota), &mut out);
+            }
+        }
+    });
+    ns.for_each_by_path(|path, entry| {
+        if let Entry::File(meta) = entry {
+            let create = EditOp::CreateFile { path, rv: meta.rv, block_size: meta.block_size };
+            frame_into(&create, &mut out);
+            for &(id, len) in &meta.blocks {
+                let block = Block { id, gen: GenStamp(0), len };
+                frame_into(&EditOp::add_block(path, block), &mut out);
+            }
+            if meta.complete {
+                frame_into(&EditOp::CloseFile { path }, &mut out);
+            }
+        }
+    });
     out
 }
 
@@ -861,6 +914,7 @@ mod tests {
     use super::*;
 
     fn sample_ops() -> Vec<EditOp> {
+        let block = |id, len| Block { id: BlockId(id), gen: GenStamp(3), len };
         vec![
             EditOp::Mkdir { path: "/a/b".into() },
             EditOp::CreateFile {
@@ -868,19 +922,16 @@ mod tests {
                 rv: ReplicationVector::msh(1, 0, 2),
                 block_size: 128,
             },
-            EditOp::AddBlock { path: "/a/b/f".into(), block: BlockId(5), gen: 3, len: 128 },
-            EditOp::AddBlock { path: "/a/b/f".into(), block: BlockId(9), gen: 3, len: 32 },
-            EditOp::AbandonBlock { path: "/a/b/f".into(), block: BlockId(9), len: 32 },
-            EditOp::AddBlock { path: "/a/b/f".into(), block: BlockId(6), gen: 3, len: 64 },
+            EditOp::add_block("/a/b/f".into(), block(5, 128)),
+            EditOp::add_block("/a/b/f".into(), block(9, 32)),
+            EditOp::abandon_block("/a/b/f".into(), BlockId(9), 32),
+            EditOp::add_block("/a/b/f".into(), block(6, 64)),
             EditOp::CloseFile { path: "/a/b/f".into() },
             EditOp::AppendFile { path: "/a/b/f".into() },
             EditOp::CloseFile { path: "/a/b/f".into() },
             EditOp::SetReplication { path: "/a/b/f".into(), rv: ReplicationVector::msh(0, 1, 2) },
-            EditOp::Rename { src: "/a/b/f".into(), dst: "/a/g".into() },
-            EditOp::SetQuota {
-                path: "/a".into(),
-                quota: Box::new(TierQuota::limit_tier(0, 1 << 20)),
-            },
+            EditOp::rename("/a/b/f".into(), "/a/g".into()),
+            EditOp::set_quota("/a".into(), TierQuota::limit_tier(0, 1 << 20)),
             EditOp::Delete { path: "/a/b".into() },
         ]
     }
@@ -902,7 +953,7 @@ mod tests {
         enc.push(0);
         assert!(EditOp::decode(&enc).is_err());
         // A body cut inside its path: the length prefix promises more.
-        let enc = EditOp::Rename { src: "/from", dst: "/to" }.encode();
+        let enc = EditOp::rename("/from", "/to").encode();
         assert!(EditOp::decode(&enc[..1 + 4 + 3]).is_err());
     }
 

@@ -308,12 +308,7 @@ impl Master {
                 return Err(e);
             }
             drop(bs);
-            let seq = self.log.stage(EditOp::AddBlock {
-                path: path.to_string(),
-                block: block.id,
-                gen: block.gen.0,
-                len,
-            });
+            let seq = self.log.stage(EditOp::add_block(path.to_string(), block));
             drop(g);
             ctx.wait_durable(&self.log, seq)?;
             let policy = self.placement.name();
@@ -376,11 +371,7 @@ impl Master {
             let (file, _) = self.leased(&mut g, path, holder)?;
             g.ns.remove_last_block(file, block.id, block.len)?;
             ctx.write(&self.blocks).map.remove_block(block.id);
-            let seq = self.log.stage(EditOp::AbandonBlock {
-                path: path.to_string(),
-                block: block.id,
-                len: block.len,
-            });
+            let seq = self.log.stage(EditOp::abandon_block(path.to_string(), block.id, block.len));
             drop(g);
             ctx.wait_durable(&self.log, seq)
         })

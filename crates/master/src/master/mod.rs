@@ -295,6 +295,7 @@ impl Master {
                         blocks.remove_block(id);
                     }
                 }
+                BlockChange::Abandoned(id) => drop(blocks.remove_block(id)),
                 BlockChange::None => {}
             }
             Ok(())

@@ -196,7 +196,7 @@ impl Master {
             g.ns.rename(src, dst)?;
             let moved = g.ns.subtree_files(src_id); // a rename keeps inode ids
             g.leases.rename(&normalize(src)?, &normalize(dst)?);
-            let seq = self.log.stage(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
+            let seq = self.log.stage(EditOp::rename(src.to_string(), dst.to_string()));
             drop(g);
             self.forget_heat(&ctx, moved);
             ctx.wait_durable(&self.log, seq)
@@ -247,8 +247,7 @@ impl Master {
             self.check_writable()?;
             let mut g = ctx.write(&self.namespace);
             g.ns.set_quota(path, quota)?;
-            let seq =
-                self.log.stage(EditOp::SetQuota { path: path.to_string(), quota: Box::new(quota) });
+            let seq = self.log.stage(EditOp::set_quota(path.to_string(), quota));
             drop(g);
             ctx.wait_durable(&self.log, seq)
         })

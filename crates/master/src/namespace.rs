@@ -945,18 +945,64 @@ impl Namespace {
         (0u32..).zip(self.chunks.iter().flatten()).filter(|(_, n)| !matches!(n.kind, Kind::Free))
     }
 
-    /// All directories as `(path, quota)`, sorted by path (so parents come
-    /// before children). Used by checkpointing.
-    pub fn iter_dirs(&self) -> Vec<(String, TierQuota)> {
-        let mut dirs: Vec<(String, TierQuota)> = self
-            .inodes()
-            .filter_map(|(slot, n)| match &n.kind {
-                Kind::Dir(dir) => Some((self.path_at(slot), dir.quota_usage().0)),
-                _ => None,
-            })
-            .collect();
-        dirs.sort_by(|a, b| a.0.cmp(&b.0));
-        dirs
+    /// Hands every inode to `f` with its path, in the byte order of the
+    /// paths (so a directory comes before what it holds) — the order
+    /// sorting every path would give, without building a path per inode:
+    /// each is built in one buffer the walk reuses. Used by checkpointing.
+    pub fn for_each_by_path(&self, mut f: impl FnMut(&str, Entry<'_>)) {
+        /// What the walk does next: hand over `slots` (siblings, sorted by
+        /// name, whose parent's path is `path[..dir_len]`), or step into
+        /// a directory whose parent's path is `path[..parent_len]`.
+        enum Step<'a> {
+            Slots { dir_len: usize, slots: &'a [u32] },
+            Enter { parent_len: usize, slot: u32 },
+        }
+        let root = self.dir_at(ROOT).expect("/ is a directory");
+        f("/", Entry::Dir(root.quota_usage().0));
+        let mut path = String::new();
+        let mut todo = vec![Step::Slots { dir_len: 0, slots: &root.children }];
+        while let Some(step) = todo.pop() {
+            let (dir_len, slots) = match step {
+                Step::Slots { dir_len, slots } => (dir_len, slots),
+                Step::Enter { parent_len, slot } => {
+                    path.truncate(parent_len);
+                    path.push('/');
+                    path.push_str(&self.at(slot).name);
+                    let children = &self.dir_at(slot).expect("entered a directory").children;
+                    todo.push(Step::Slots { dir_len: path.len(), slots: children });
+                    continue;
+                }
+            };
+            let Some((&slot, rest)) = slots.split_first() else { continue };
+            let node = self.at(slot);
+            path.truncate(dir_len);
+            path.push('/');
+            path.push_str(&node.name);
+            let dir = match &node.kind {
+                Kind::File(meta) => {
+                    f(&path, Entry::File(meta));
+                    todo.push(Step::Slots { dir_len, slots: rest });
+                    continue;
+                }
+                Kind::Dir(dir) => dir,
+                Kind::Free => unreachable!("slot {slot} is linked in the tree"),
+            };
+            f(&path, Entry::Dir(dir.quota_usage().0));
+            // What the directory holds sorts as `name/…`: after the
+            // siblings that extend `name` by a byte below `/` (`a-b` and
+            // `a.txt` come between `a` and `a/x`), which follow it at once.
+            let name = node.name.as_bytes();
+            let run = rest
+                .iter()
+                .take_while(|&&s| {
+                    let sibling = self.at(s).name.as_bytes();
+                    sibling.starts_with(name) && sibling.get(name.len()).is_some_and(|&b| b < b'/')
+                })
+                .count();
+            todo.push(Step::Slots { dir_len, slots: &rest[run..] });
+            todo.push(Step::Enter { parent_len: dir_len, slot });
+            todo.push(Step::Slots { dir_len, slots: &rest[..run] });
+        }
     }
 
     /// Iterates all files as `(id, meta)`, without building a path per
@@ -969,12 +1015,15 @@ impl Namespace {
             _ => None,
         })
     }
+}
 
-    /// All files as `(id, path, meta)`, in the order of
-    /// [`Namespace::files`].
-    pub fn iter_files(&self) -> Vec<(INodeId, String, &FileMeta)> {
-        self.files().map(|(id, meta)| (id, self.path_at(id.slot()), meta)).collect()
-    }
+/// An inode as [`Namespace::for_each_by_path`] hands it over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry<'a> {
+    /// A directory, with its quota.
+    Dir(TierQuota),
+    /// A file.
+    File(&'a FileMeta),
 }
 
 #[cfg(test)]
@@ -1264,18 +1313,68 @@ mod tests {
         assert_eq!(ns.file_meta(f).unwrap().rv, ReplicationVector::msh(1, 1, 1));
     }
 
+    /// Every inode's path, sorted, with whether it is a directory.
+    fn sorted_paths(ns: &Namespace) -> Vec<(String, bool)> {
+        let mut paths: Vec<(String, bool)> = ns
+            .inodes()
+            .map(|(slot, n)| (ns.path_at(slot), matches!(n.kind, Kind::Dir(_))))
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    fn walked_paths(ns: &Namespace) -> Vec<(String, bool)> {
+        let mut paths = Vec::new();
+        ns.for_each_by_path(|path, entry| {
+            paths.push((path.to_string(), matches!(entry, Entry::Dir(_))));
+        });
+        paths
+    }
+
+    /// A directory's contents sort after the siblings that extend its name
+    /// by a byte below `/`: `/a-b.c` and `/a-ba` before `/a/x`.
     #[test]
-    fn iter_files_and_counts() {
+    fn a_walk_by_path_is_the_sorted_order_of_every_path() {
         let mut ns = Namespace::new();
-        ns.mkdir("/a/b", true).unwrap();
-        ns.create_file("/a/f1", rv3(), 128).unwrap();
-        ns.create_file("/a/b/f2", rv3(), 128).unwrap();
-        let files = ns.iter_files();
-        assert_eq!(files.len(), 2);
-        let paths: Vec<&str> = files.iter().map(|(_, p, _)| p.as_str()).collect();
-        assert!(paths.contains(&"/a/f1"));
-        assert!(paths.contains(&"/a/b/f2"));
-        assert_eq!(ns.counts(), (2, 3));
+        for dir in ["/a", "/a-b/c", "/a.d/e", "/b/a", "/b/a!"] {
+            ns.mkdir(dir, true).unwrap();
+        }
+        for file in ["/a-b.c", "/a-ba", "/a/x", "/a-b/c/y", "/a.d/e/z", "/b/a!x", "/b/a ", "/c"] {
+            ns.create_file(file, rv3(), 128).unwrap();
+        }
+        let walked = walked_paths(&ns);
+        let order: Vec<&str> = walked.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            order,
+            [
+                "/", "/a", "/a-b", "/a-b.c", "/a-b/c", "/a-b/c/y", "/a-ba", "/a.d", "/a.d/e",
+                "/a.d/e/z", "/a/x", "/b", "/b/a", "/b/a ", "/b/a!", "/b/a!x", "/c",
+            ]
+        );
+        assert_eq!(walked, sorted_paths(&ns));
+        assert_eq!(ns.counts(), (8, 9));
+
+        // And over random trees of names drawn from bytes on both sides of `/`.
+        for seed in 0..20u64 {
+            let mut ns = Namespace::new();
+            let mut state = seed;
+            let name = |state: &mut u64| {
+                let len = 1 + next(state) % 3;
+                (0..len).map(|_| ['a', 'b', '-', '.', '!'][(next(state) % 5) as usize]).collect()
+            };
+            for _ in 0..300 {
+                let depth = 1 + next(&mut state) % 3;
+                let parts: Vec<String> = (0..depth).map(|_| name(&mut state)).collect();
+                let path = format!("/{}", parts.join("/"));
+                // Collisions with what exists are refused, which is fine.
+                if next(&mut state).is_multiple_of(2) {
+                    let _ = ns.mkdir(&path, true);
+                } else {
+                    let _ = ns.create_file(&path, rv3(), 128);
+                }
+            }
+            assert_eq!(walked_paths(&ns), sorted_paths(&ns), "seed {seed}");
+        }
     }
 
     #[test]

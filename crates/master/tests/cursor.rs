@@ -10,7 +10,7 @@
 //! are the ways a remembered path goes stale, and the spellings a
 //! remembered path must not answer for.
 
-use octopus_common::{BlockId, FsError};
+use octopus_common::{Block, BlockId, FsError, GenStamp};
 use octopus_master::editlog::{encode_image, BlockChange};
 use octopus_master::{Cursor, EditOp, Namespace};
 
@@ -32,17 +32,15 @@ fn edits(ops: &[Op]) -> Vec<EditOp> {
             Op::Create(path, rv) => EditOp::CreateFile { path, rv, block_size: BLOCK_SIZE },
             Op::AddBlock(path, len) => {
                 last = (path.clone(), BlockId(last.1 .0 + 1), len);
-                EditOp::AddBlock { path, block: last.1, gen: 1, len }
+                EditOp::add_block(path, Block { id: last.1, gen: GenStamp(1), len })
             }
             Op::Complete(path) => EditOp::CloseFile { path },
-            Op::Rename(src, dst) => EditOp::Rename { src, dst },
+            Op::Rename(src, dst) => EditOp::rename(src, dst),
             Op::Delete(path, _) => EditOp::Delete { path },
-            Op::SetQuota(path, quota) => EditOp::SetQuota { path, quota: Box::new(quota) },
+            Op::SetQuota(path, quota) => EditOp::set_quota(path, quota),
             Op::SetReplication(path, rv) => EditOp::SetReplication { path, rv },
             Op::Status(path) => EditOp::AppendFile { path },
-            Op::List(_) => {
-                EditOp::AbandonBlock { path: last.0.clone(), block: last.1, len: last.2 }
-            }
+            Op::List(_) => EditOp::abandon_block(last.0.clone(), last.1, last.2),
             Op::QuotaUsage(_) => return None,
         })
     };
@@ -145,7 +143,7 @@ fn the_finger_is_a_hint_checked_against_names() {
 
 #[test]
 fn a_rename_of_the_parent_is_not_closed_through() {
-    let renamed = EditOp::Rename { src: "/a".into(), dst: "/b".into() };
+    let renamed = EditOp::rename("/a".into(), "/b".into());
     let edits = [mkdir("/a"), create("/a/f"), renamed, close("/a/f"), close("/b/f")];
     let (answers, _) = both_ways("rename", &edits);
     assert_eq!(answers[3], not_found("/a/f"));

@@ -6,7 +6,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use octopus_common::rng::Rng;
-use octopus_common::{BlockId, ReplicationVector};
+use octopus_common::{Block, BlockId, GenStamp, ReplicationVector};
 use octopus_master::editlog::decode_stream;
 use octopus_master::{Cursor, EditLog, EditOp, Namespace, TierQuota};
 
@@ -34,33 +34,36 @@ fn arb_path(rng: &mut Rng) -> String {
 }
 
 fn arb_op(rng: &mut Rng) -> EditOp {
-    match rng.below(9) {
+    match rng.below(10) {
         0 => EditOp::Mkdir { path: arb_path(rng) },
         1 => EditOp::CreateFile {
             path: arb_path(rng),
             rv: ReplicationVector::from_bits(rng.next_u64()),
             block_size: 1 + rng.below((1 << 40) - 1),
         },
-        2 => EditOp::AddBlock {
-            path: arb_path(rng),
-            block: BlockId(rng.next_u64()),
-            gen: rng.next_u64(),
-            len: rng.next_u64(),
-        },
+        2 => EditOp::add_block(
+            arb_path(rng),
+            Block {
+                id: BlockId(rng.next_u64()),
+                gen: GenStamp(rng.next_u64()),
+                len: rng.next_u64(),
+            },
+        ),
         3 => EditOp::CloseFile { path: arb_path(rng) },
         4 => EditOp::AppendFile { path: arb_path(rng) },
-        5 => EditOp::Rename { src: arb_path(rng), dst: arb_path(rng) },
+        5 => EditOp::rename(arb_path(rng), arb_path(rng)),
         6 => EditOp::Delete { path: arb_path(rng) },
         7 => EditOp::SetReplication {
             path: arb_path(rng),
             rv: ReplicationVector::from_bits(rng.next_u64()),
         },
+        8 => EditOp::abandon_block(arb_path(rng), BlockId(rng.next_u64()), rng.next_u64()),
         _ => {
             let path = arb_path(rng);
             let mut quota = TierQuota::unlimited();
             // Unlimited one time in four.
             quota.per_tier[rng.below(7) as usize] = (rng.below(4) != 0).then(|| rng.next_u64());
-            EditOp::SetQuota { path, quota: Box::new(quota) }
+            EditOp::set_quota(path, quota)
         }
     }
 }

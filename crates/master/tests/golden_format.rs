@@ -8,12 +8,16 @@
 
 use std::path::{Path, PathBuf};
 
-use octopus_common::{BlockId, ClusterConfig, ReplicationVector};
+use octopus_common::{Block, BlockId, ClusterConfig, GenStamp, ReplicationVector};
 use octopus_master::editlog::{decode_image, decode_stream, encode_image};
 use octopus_master::{EditLog, EditOp, Master, Namespace, TierQuota};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+}
+
+fn block(id: u64, gen: u64, len: u64) -> Block {
+    Block { id: BlockId(id), gen: GenStamp(gen), len }
 }
 
 /// Every `EditOp` variant, in an order that replays.
@@ -22,23 +26,23 @@ fn golden_ops() -> Vec<EditOp> {
     vec![
         EditOp::Mkdir { path: "/a/b".into() },
         EditOp::Mkdir { path: "/q/ü".into() },
-        EditOp::SetQuota { path: "/q".into(), quota: TierQuota::limit_tier(1, 1 << 30).into() },
+        EditOp::set_quota("/q".into(), TierQuota::limit_tier(1, 1 << 30)),
         EditOp::CreateFile { path: f(), rv: ReplicationVector::msh(1, 0, 2), block_size: 128 },
-        EditOp::AddBlock { path: f(), block: BlockId(5), gen: 3, len: 128 },
-        EditOp::AddBlock { path: f(), block: BlockId(9), gen: 3, len: 32 },
-        EditOp::AbandonBlock { path: f(), block: BlockId(9), len: 32 },
-        EditOp::AddBlock { path: f(), block: BlockId(6), gen: 4, len: 64 },
+        EditOp::add_block(f(), block(5, 3, 128)),
+        EditOp::add_block(f(), block(9, 3, 32)),
+        EditOp::abandon_block(f(), BlockId(9), 32),
+        EditOp::add_block(f(), block(6, 4, 64)),
         EditOp::CloseFile { path: f() },
         EditOp::AppendFile { path: f() },
         EditOp::CloseFile { path: f() },
         EditOp::SetReplication { path: f(), rv: ReplicationVector::msh(0, 1, 2) },
-        EditOp::Rename { src: f(), dst: "/q/g".into() },
+        EditOp::rename(f(), "/q/g".into()),
         EditOp::CreateFile {
             path: "/a/open".into(),
             rv: ReplicationVector::from_replication_factor(2),
             block_size: 256,
         },
-        EditOp::AddBlock { path: "/a/open".into(), block: BlockId(7), gen: 5, len: 256 },
+        EditOp::add_block("/a/open".into(), block(7, 5, 256)),
         EditOp::CreateFile {
             path: "/a/b/tmp".into(),
             rv: ReplicationVector::from_replication_factor(1),

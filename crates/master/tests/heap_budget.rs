@@ -15,6 +15,10 @@
 //! - replay's transient (peak minus final) does not depend on how long the
 //!   log is, block map and the read's chunk buffer included;
 //! - a batch append's peak is one encode chunk, whatever the batch's size;
+//! - every op decodes borrowed without allocating, and replaying an
+//!   abandoned block allocates nothing;
+//! - a checkpoint image's encoder keeps only its output, and what it
+//!   holds on the way does not grow with the namespace;
 //! - a boot reads the log file once;
 //! - a running master's heap does not grow with the ops it logs.
 //!
@@ -31,8 +35,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use octopus_common::{BlockId, ClusterConfig, ReplicationVector};
-use octopus_master::{Cursor, EditLog, EditOp, Master, Namespace};
+use octopus_common::{Block, BlockId, ClusterConfig, GenStamp, ReplicationVector};
+use octopus_master::editlog::{encode_image, BlockChange, EditRef};
+use octopus_master::{Cursor, EditLog, EditOp, Master, Namespace, TierQuota};
 
 static MEASURING: Mutex<()> = Mutex::new(());
 
@@ -160,13 +165,9 @@ fn file_ops(n: usize, keep: bool) -> impl Iterator<Item = EditOp> {
         let path = || format!("/r/f{i:07}");
         let mut ops = vec![EditOp::CreateFile { path: path(), rv, block_size: 1 << 20 }];
         if !keep {
-            let block = |b| BlockId((4 * i + b) as u64 + 1);
-            ops.extend((0..4).map(|b| EditOp::AddBlock {
-                path: path(),
-                block: block(b),
-                gen: 1,
-                len: 1 << 20,
-            }));
+            let block =
+                |b| Block { id: BlockId((4 * i + b) as u64 + 1), gen: GenStamp(1), len: 1 << 20 };
+            ops.extend((0..4).map(|b| EditOp::add_block(path(), block(b))));
         }
         ops.push(EditOp::CloseFile { path: path() });
         if !keep {
@@ -473,4 +474,122 @@ fn a_running_master_does_not_grow_with_the_ops_it_logs() {
     assert!(heap.kept.abs() <= 64 << 10, "100,000 logged ops grew the heap by {} B", heap.kept);
     drop(master);
     remove(&path);
+}
+
+/// One op of every kind, owned.
+fn every_kind() -> Vec<EditOp> {
+    let f = || "/d/f".to_string();
+    let rv = ReplicationVector::msh(1, 0, 2);
+    vec![
+        EditOp::Mkdir { path: "/d".into() },
+        EditOp::CreateFile { path: f(), rv, block_size: 1 << 20 },
+        EditOp::add_block(f(), Block { id: BlockId(7), gen: GenStamp(3), len: 1 << 20 }),
+        EditOp::CloseFile { path: f() },
+        EditOp::rename(f(), "/d/g".into()),
+        EditOp::Delete { path: "/d/g".into() },
+        EditOp::SetReplication { path: f(), rv },
+        EditOp::set_quota("/d".into(), TierQuota::limit_tier(1, 1 << 30)),
+        EditOp::AppendFile { path: f() },
+        EditOp::abandon_block(f(), BlockId(7), 1 << 20),
+    ]
+}
+
+/// Borrowed ops hold their payloads inline, so a decode allocates nothing;
+/// owned ops box them, and the split loses no byte either way.
+#[test]
+fn every_op_decodes_borrowed_without_allocating_and_round_trips() {
+    let _serial = serial();
+    let ops = every_kind();
+    let mut tags: Vec<u8> = ops.iter().map(|op| op.encode()[0]).collect();
+    tags.sort_unstable();
+    assert_eq!(tags, (1..=10).collect::<Vec<u8>>(), "one op of every tag");
+    for op in ops {
+        let record = op.encode();
+        let (borrowed, heap) = heap_during(|| EditRef::decode_borrowed(&record).unwrap());
+        assert_eq!(heap.calls, 0, "decoding {op:?} borrowed allocated");
+        let mut again = Vec::new();
+        borrowed.encode_into(&mut again);
+        assert_eq!(again, record, "{op:?} borrowed");
+        let owned = borrowed.into_owned();
+        assert_eq!(owned, op);
+        again.clear();
+        owned.encode_into(&mut again);
+        assert_eq!(again, record, "{op:?} owned");
+    }
+}
+
+/// An abandoned block leaves the block map by its one id: replaying one
+/// makes no vector to carry it.
+#[test]
+fn replaying_an_abandoned_block_allocates_nothing() {
+    let _serial = serial();
+    let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+    let ops = every_kind();
+    for op in &ops[..3] {
+        op.apply(&mut ns, &mut cursor).unwrap();
+    }
+    let record = ops[9].encode();
+    let abandon = EditRef::decode_borrowed(&record).unwrap();
+    let (change, heap) = heap_during(|| abandon.apply(&mut ns, &mut cursor));
+    assert_eq!(change, Ok(BlockChange::Abandoned(BlockId(7))));
+    assert_eq!(heap.calls, 0, "replaying an abandon allocated");
+    assert!(ns.file_meta(ns.resolve("/d/f").unwrap()).unwrap().blocks.is_empty());
+}
+
+/// `n` files of two blocks each, in 20 directories (one with a quota),
+/// names of fixed width: the deepest path and the walk's depth do not
+/// depend on `n`.
+fn image_namespace(n: usize) -> Namespace {
+    let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+    let rv = ReplicationVector::from_replication_factor(3);
+    let mut ops = vec![EditOp::set_quota("/".into(), TierQuota::limit_tier(0, 1 << 40))];
+    for i in 0..n {
+        let path = format!("/r/d{:02}/f{i:07}", i % 20);
+        if i < 20 {
+            ops.push(EditOp::Mkdir { path: format!("/r/d{i:02}") });
+        }
+        ops.push(EditOp::CreateFile { path: path.clone(), rv, block_size: 1 << 20 });
+        for b in 0..2 {
+            let block = Block { id: BlockId((2 * i + b) as u64 + 1), gen: GenStamp(1), len: 100 };
+            ops.push(EditOp::add_block(path.clone(), block));
+        }
+        ops.push(EditOp::CloseFile { path });
+    }
+    for op in ops {
+        op.apply(&mut ns, &mut cursor).unwrap();
+    }
+    ns
+}
+
+/// The encoder walks the namespace in path order and frames ops that
+/// borrow their paths from the walk's one buffer: it keeps its output and
+/// nothing else, on the way it holds the same few bytes for 4 × the files,
+/// and it calls the allocator only as often more as the output doubles.
+#[test]
+fn a_checkpoint_image_allocates_only_its_output() {
+    let _serial = serial();
+    let encode = |n: usize| {
+        let ns = image_namespace(n);
+        let (image, heap) = heap_during(|| encode_image(&ns));
+        println!(
+            "image of {n} files: {} B, {} allocator calls, {} B held on the way",
+            image.len(),
+            heap.calls,
+            heap.transient
+        );
+        assert_eq!((heap.kept, heap.kept_blocks), (image.capacity() as isize, 1));
+        (heap, image.capacity())
+    };
+    let (small, small_capacity) = encode(2_000);
+    let (large, large_capacity) = encode(8_000);
+    assert_eq!(small.transient, large.transient);
+    // 4 × the files is 4 × the bytes: two more doublings of the output.
+    assert_eq!(large_capacity, 4 * small_capacity);
+    assert_eq!(
+        large.calls,
+        small.calls + 2,
+        "{} allocator calls for 2,000 files, {} for 8,000",
+        small.calls,
+        large.calls
+    );
 }
