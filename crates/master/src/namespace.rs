@@ -10,7 +10,8 @@
 //! bumps the generation and puts the slot on a free list, so the next
 //! create reuses it — the heap is a function of the live namespace — while
 //! an id that outlived its file never resolves to the newcomer. Each name
-//! is stored once, in its inode; a directory's children are slots kept
+//! is stored once, in its inode's slot: up to 7 bytes inline, a longer one
+//! as one allocation of its own. A directory's children are slots kept
 //! sorted by name and binary-searched (HDFS's `INodeDirectory` does the
 //! same); quota and usage are boxed together and exist only for
 //! directories that have either.
@@ -117,10 +118,60 @@ enum Kind {
     File(FileMeta),
 }
 
+/// The longest name a slot holds inline.
+const INLINE: usize = 7;
+
+/// A name as its slot holds it, in 16 bytes: a name of up to [`INLINE`]
+/// bytes sits in the slot, a longer one is one allocation of its own. The
+/// `Box`'s non-null pointer tells the two apart, so the enum needs no tag
+/// byte beyond the `Box` itself.
+#[derive(Debug)]
+enum Name {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Long(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Name>() == 16);
+
+impl Name {
+    fn new(name: &str) -> Self {
+        if name.len() > INLINE {
+            return Name::Long(name.into());
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..name.len()].copy_from_slice(name.as_bytes());
+        Name::Inline { len: name.len() as u8, bytes }
+    }
+
+    /// What names are compared by: `str`'s order is byte order.
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Name::Inline { len, bytes } => &bytes[..*len as usize],
+            Name::Long(name) => name.as_bytes(),
+        }
+    }
+
+    /// The name, for a caller that takes a `&str`.
+    fn as_str(&self) -> &str {
+        match self {
+            Name::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("a name is the bytes of a str")
+            }
+            Name::Long(name) => name,
+        }
+    }
+}
+
+impl Default for Name {
+    fn default() -> Self {
+        Name::new("")
+    }
+}
+
 /// One slot of the slab: 80 bytes.
 #[derive(Debug)]
 struct INode {
-    name: Box<str>,
+    name: Name,
     /// The parent directory's slot; [`NO_SLOT`] for the root.
     parent: u32,
     /// How many inodes have lived in this slot before this one.
@@ -128,7 +179,8 @@ struct INode {
     kind: Kind,
 }
 
-/// A file's fixed cost; its name and its entry in the parent come on top.
+/// A file's fixed cost, its name included up to [`INLINE`] bytes; its
+/// entry in the parent comes on top.
 const _: () = assert!(std::mem::size_of::<INode>() <= 80);
 
 pub use octopus_common::{DirEntry, FileStatus};
@@ -326,7 +378,7 @@ impl Namespace {
     /// Puts an inode in a free slot, or in a new one at the end of the
     /// slab.
     fn occupy(&mut self, name: &str, parent: u32, kind: Kind) -> Result<u32> {
-        let name = Box::from(name);
+        let name = Name::new(name);
         if self.free != NO_SLOT {
             let slot = self.free;
             let node = self.at_mut(slot);
@@ -353,7 +405,7 @@ impl Namespace {
     fn vacate(&mut self, slot: u32) {
         let head = self.free;
         let node = self.at_mut(slot);
-        node.name = Box::default();
+        node.name = Name::default();
         node.kind = Kind::Free;
         node.parent = NO_SLOT;
         if let Some(next) = node.generation.checked_add(1) {
@@ -363,9 +415,10 @@ impl Namespace {
         }
     }
 
-    /// Where `name` is (`Ok`) or belongs (`Err`) among sorted `children`.
-    fn position(&self, children: &[u32], name: &str) -> std::result::Result<usize, usize> {
-        children.binary_search_by(|&c| (*self.at(c).name).cmp(name))
+    /// Where `name` is (`Ok`) or belongs (`Err`) among sorted `children`:
+    /// by bytes, which is `str`'s order.
+    fn position(&self, children: &[u32], name: &[u8]) -> std::result::Result<usize, usize> {
+        children.binary_search_by(|&c| self.at(c).name.as_bytes().cmp(name))
     }
 
     fn dir_at(&self, slot: u32) -> Option<&Dir> {
@@ -395,7 +448,7 @@ impl Namespace {
         let node = self.at(slot);
         let parent = node.parent;
         let siblings = &self.dir_at(parent).expect("a parent is a directory").children;
-        let index = self.position(siblings, &node.name).expect("a child is linked");
+        let index = self.position(siblings, node.name.as_bytes()).expect("a child is linked");
         let children = &mut self.dir_mut(parent).children;
         children.remove(index);
         if children.len() <= children.capacity() / 4 {
@@ -409,8 +462,9 @@ impl Namespace {
         let Some(children) = self.dir_at(dir).map(|dir| &dir.children) else {
             return Err(FsError::NotADirectory(self.path_at(dir)));
         };
-        let index =
-            self.position(children, name).map_err(|_| FsError::NotFound(path.to_string()))?;
+        let index = self
+            .position(children, name.as_bytes())
+            .map_err(|_| FsError::NotFound(path.to_string()))?;
         Ok(children[index])
     }
 
@@ -445,7 +499,7 @@ impl Namespace {
         let mut cur = slot;
         while cur != ROOT {
             let node = self.at(cur);
-            names.push(&*node.name);
+            names.push(node.name.as_str());
             cur = node.parent;
         }
         if names.is_empty() {
@@ -489,14 +543,15 @@ impl Namespace {
             return Err(FsError::NotADirectory(self.path_at(parent)));
         };
         let children = &dir.children;
-        let name_at = |index: usize| &*self.at(children[index]).name;
+        let name = name.as_bytes();
+        let name_at = |index: usize| self.at(children[index]).name.as_bytes();
         if let Some(at) = finger.filter(|&at| at <= children.len()) {
             if (at == 0 || name_at(at - 1) < name) && (at == children.len() || name < name_at(at)) {
                 return Ok((at, Found::Finger));
             }
         }
         // Past the last child (a sorted image, rising names): no search.
-        if children.last().is_some_and(|&last| *self.at(last).name < *name) {
+        if children.last().is_some_and(|&last| self.at(last).name.as_bytes() < name) {
             return Ok((children.len(), Found::Push));
         }
         match self.position(children, name) {
@@ -518,7 +573,7 @@ impl Namespace {
             let Some(dir) = self.dir_at(cur) else {
                 return Err(FsError::NotADirectory(self.path_at(cur)));
             };
-            match self.position(&dir.children, comp) {
+            match self.position(&dir.children, comp.as_bytes()) {
                 Ok(index) => {
                     cur = dir.children[index];
                     if last && !(parents && self.dir_at(cur).is_some()) {
@@ -789,7 +844,7 @@ impl Namespace {
         let entries = dir.children.iter().map(|&c| {
             let child = self.at(c);
             let dir = DirEntry {
-                name: child.name.to_string(),
+                name: child.name.as_str().to_string(),
                 is_dir: true,
                 len: 0,
                 rv: ReplicationVector::EMPTY,
@@ -847,10 +902,10 @@ impl Namespace {
         self.unlink(moved);
         let node = self.at_mut(moved);
         node.parent = dst_parent;
-        node.name = Box::from(dst_name);
+        node.name = Name::new(dst_name);
         // Searched only now: unlinking may have shifted the position.
         let siblings = &self.dir_at(dst_parent).expect("checked by vacancy above").children;
-        let index = self.position(siblings, dst_name).expect_err("checked vacant above");
+        let index = self.position(siblings, dst_name.as_bytes()).expect_err("checked vacant above");
         self.dir_mut(dst_parent).children.insert(index, moved);
         self.charge(dst_parent, &charge, true);
         Ok(())
@@ -967,7 +1022,7 @@ impl Namespace {
                 Step::Enter { parent_len, slot } => {
                     path.truncate(parent_len);
                     path.push('/');
-                    path.push_str(&self.at(slot).name);
+                    path.push_str(self.at(slot).name.as_str());
                     let children = &self.dir_at(slot).expect("entered a directory").children;
                     todo.push(Step::Slots { dir_len: path.len(), slots: children });
                     continue;
@@ -977,7 +1032,7 @@ impl Namespace {
             let node = self.at(slot);
             path.truncate(dir_len);
             path.push('/');
-            path.push_str(&node.name);
+            path.push_str(node.name.as_str());
             let dir = match &node.kind {
                 Kind::File(meta) => {
                     f(&path, Entry::File(meta));
@@ -1354,13 +1409,19 @@ mod tests {
         assert_eq!(walked, sorted_paths(&ns));
         assert_eq!(ns.counts(), (8, 9));
 
-        // And over random trees of names drawn from bytes on both sides of `/`.
+        // And over random trees of names drawn from bytes on both sides of
+        // `/`: short ones, and ones of 5–10 bytes that share a 4-byte
+        // prefix, so inline and long names interleave in one directory.
         for seed in 0..20u64 {
             let mut ns = Namespace::new();
             let mut state = seed;
             let name = |state: &mut u64| {
-                let len = 1 + next(state) % 3;
-                (0..len).map(|_| ['a', 'b', '-', '.', '!'][(next(state) % 5) as usize]).collect()
+                let (prefix, len) = match next(state) % 3 {
+                    0 => (4, 1 + next(state) % 6),
+                    _ => (0, 1 + next(state) % 3),
+                };
+                let tail = (0..len).map(|_| ['a', 'b', '-', '.', '!'][(next(state) % 5) as usize]);
+                "a".repeat(prefix) + &tail.collect::<String>()
             };
             for _ in 0..300 {
                 let depth = 1 + next(&mut state) % 3;
@@ -1374,7 +1435,141 @@ mod tests {
                 }
             }
             assert_eq!(walked_paths(&ns), sorted_paths(&ns), "seed {seed}");
+            assert!(long_names(&ns) > 0, "seed {seed} drew no long name");
         }
+    }
+
+    /// Whether the name in the inode at `path` sits in its slot.
+    fn inline(ns: &Namespace, path: &str) -> bool {
+        matches!(ns.at(ns.lookup(path).unwrap()).name, Name::Inline { .. })
+    }
+
+    /// How many slots hold a name of their own allocation.
+    fn long_names(ns: &Namespace) -> usize {
+        ns.chunks.iter().flatten().filter(|node| matches!(node.name, Name::Long(_))).count()
+    }
+
+    /// 0, 7, 8 and 300 bytes, and 7 and 8 bytes whose last character is
+    /// the two-byte `é`: a name is inline by its length in bytes.
+    #[test]
+    fn names_are_inline_up_to_seven_bytes() {
+        let mut ns = Namespace::new();
+        assert_eq!(ns.at(ROOT).name.as_bytes(), b"");
+        assert!(matches!(ns.at(ROOT).name, Name::Inline { .. }));
+        assert_eq!(ns.path_of(ns.root()).unwrap(), "/");
+        let cases = [
+            ("a".repeat(7), true),
+            ("b".repeat(8), false),
+            ("c".repeat(300), false),
+            ("d".repeat(5) + "é", true),
+            ("e".repeat(6) + "é", false),
+        ];
+        ns.mkdir("/d", false).unwrap();
+        for (name, is_inline) in &cases {
+            let path = format!("/d/{name}");
+            let id = ns.create_file(&path, rv3(), 128).unwrap();
+            assert_eq!(inline(&ns, &path), *is_inline, "{} bytes", name.len());
+            assert_eq!(ns.path_of(id).unwrap(), path);
+            assert_eq!(ns.resolve(&path).unwrap(), id);
+            assert_eq!(ns.status(&path).unwrap().path, path);
+        }
+        let listed: Vec<String> = ns.list("/d").unwrap().into_iter().map(|e| e.name).collect();
+        let mut names: Vec<String> = cases.iter().map(|(name, _)| name.clone()).collect();
+        names.sort();
+        assert_eq!(listed, names);
+        assert_eq!(long_names(&ns), 3);
+        // A directory with a long name holds names of its own.
+        let dir = format!("/d/{}", "f".repeat(40));
+        ns.mkdir(&format!("{dir}/{}", "g".repeat(7)), true).unwrap();
+        let deep = ns.create_file(&format!("{dir}/{}/h", "g".repeat(7)), rv3(), 128).unwrap();
+        assert_eq!(ns.path_of(deep).unwrap(), format!("{dir}/{}/h", "g".repeat(7)));
+    }
+
+    #[test]
+    fn names_renamed_across_the_limit_keep_their_paths() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/x", false).unwrap();
+        ns.mkdir("/y", false).unwrap();
+        let (short, long, longer) = ("s".repeat(7), "l".repeat(8), "m".repeat(300));
+        let f = ns.create_file(&format!("/x/{short}"), rv3(), 128).unwrap();
+        // (from, to, long names held after): inline → long, long → long,
+        // long → inline, within /x and across to /y.
+        let moves = [
+            (format!("/x/{short}"), format!("/x/{long}"), 1),
+            (format!("/x/{long}"), format!("/x/{longer}"), 1),
+            (format!("/x/{longer}"), format!("/x/{short}"), 0),
+            (format!("/x/{short}"), format!("/y/{long}"), 1),
+            (format!("/y/{long}"), format!("/x/{longer}"), 1),
+            (format!("/x/{longer}"), format!("/y/{short}"), 0),
+        ];
+        for (from, to, held) in moves {
+            ns.rename(&from, &to).unwrap();
+            assert!(ns.resolve(&from).is_err(), "{from} is gone");
+            assert_eq!(ns.resolve(&to).unwrap(), f);
+            assert_eq!(ns.path_of(f).unwrap(), to);
+            assert_eq!(inline(&ns, &to), to.len() - 3 <= INLINE);
+            assert_eq!(long_names(&ns), held, "{from} -> {to}");
+        }
+        // A directory renamed to a long name carries its children's paths.
+        let g = ns.create_file("/x/g", rv3(), 128).unwrap();
+        ns.rename("/x", &format!("/y/{long}")).unwrap();
+        assert_eq!(ns.path_of(g).unwrap(), format!("/y/{long}/g"));
+        assert_eq!(ns.path_of(f).unwrap(), format!("/y/{short}"));
+        assert_eq!(long_names(&ns), 1);
+    }
+
+    /// A deleted tree's slots drop their long names and take the next
+    /// ones.
+    #[test]
+    fn names_of_a_deleted_tree_leave_its_slots() {
+        let mut ns = Namespace::new();
+        let top = format!("/{}", "t".repeat(20));
+        for i in 0..10 {
+            let sub = format!("{top}/{}{i:02}", "s".repeat(20));
+            ns.mkdir(&sub, true).unwrap();
+            for j in 0..10 {
+                ns.create_file(&format!("{sub}/{}{j:02}", "f".repeat(20)), rv3(), 128).unwrap();
+                ns.create_file(&format!("{sub}/short{j}"), rv3(), 128).unwrap();
+            }
+        }
+        let slots = ns.chunks.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(long_names(&ns), 111);
+        ns.delete(&top, true).unwrap();
+        assert_eq!(long_names(&ns), 0);
+        ns.mkdir("/n", false).unwrap();
+        for i in 0..200 {
+            let id = ns.create_file(&format!("/n/{}{i:03}", "n".repeat(30)), rv3(), 128).unwrap();
+            assert_eq!(ns.path_of(id).unwrap(), format!("/n/{}{i:03}", "n".repeat(30)));
+        }
+        assert_eq!(long_names(&ns), 200);
+        assert_eq!(ns.chunks.iter().map(Vec::len).sum::<usize>(), slots);
+    }
+
+    /// `a`×7 is inline, `a`×7 + `-` and `a`×8 are long, `a`×6 + `b` is
+    /// inline again: bytes order them whatever holds them, in a listing and
+    /// in a walk by path.
+    #[test]
+    fn names_sharing_a_prefix_across_the_limit_sort_by_bytes() {
+        let mut ns = Namespace::new();
+        let a7 = "a".repeat(7);
+        let a6 = "a".repeat(6);
+        let names = [format!("{a6}b"), format!("{a7}a"), a7.clone(), format!("{a7}-"), a6.clone()];
+        ns.mkdir("/p", false).unwrap();
+        for name in &names {
+            let dir = ns.mkdir(&format!("/p/{name}"), false).unwrap();
+            let x = ns.create_file(&format!("/p/{name}/x"), rv3(), 128).unwrap();
+            assert_eq!(ns.path_of(dir).unwrap(), format!("/p/{name}"));
+            assert_eq!(ns.path_of(x).unwrap(), format!("/p/{name}/x"));
+        }
+        let listed: Vec<String> = ns.list("/p").unwrap().into_iter().map(|e| e.name).collect();
+        let sorted = [a6.clone(), a7.clone(), format!("{a7}-"), format!("{a7}a"), format!("{a6}b")];
+        assert_eq!(listed, sorted);
+        assert_eq!(walked_paths(&ns), sorted_paths(&ns));
+        let walked: Vec<String> = walked_paths(&ns).into_iter().map(|(p, _)| p).collect();
+        let at = |path: String| walked.iter().position(|p| *p == path).unwrap();
+        // `/p/a…a-` sorts between `/p/a…a` and what that directory holds.
+        assert!(at(format!("/p/{a7}")) < at(format!("/p/{a7}-")));
+        assert!(at(format!("/p/{a7}-")) < at(format!("/p/{a7}/x")));
     }
 
     #[test]

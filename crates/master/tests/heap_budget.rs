@@ -2,14 +2,16 @@
 //! costs in that namespace — as exact counts of heap bytes, live
 //! allocations and allocator calls:
 //!
-//! - a file of `octobench meta`'s shape costs at most 140 bytes and 1.1
-//!   live allocations, and replaying the log that creates it calls the
-//!   allocator for what stays and for nothing else — with exactly one walk
+//! - a file of `octobench meta`'s shape costs at most 85 bytes and no
+//!   allocation of its own (its name sits in its slot), and replaying the
+//!   log that creates it calls the allocator only to grow the slab and the
+//!   directories' child vectors — with exactly one walk
 //!   from `/` per directory the log moves to, a binary search for 0.098 of
 //!   its creates (the rest link at the cursor's finger or past the last
 //!   child), and in at most 0.6 × the time a replay that walks for every op
 //!   takes;
-//! - create + delete pairs on a warm namespace reuse their slots;
+//! - create + delete pairs on a warm namespace reuse their slots, with
+//!   names held in the slot and names of their own allocation alike;
 //! - a recovered master holds what the bare `Namespace` replayed from the
 //!   same ops holds, plus a constant that does not grow with the log;
 //! - replay's transient (peak minus final) does not depend on how long the
@@ -197,7 +199,7 @@ fn meta_ops() -> Vec<EditOp> {
 }
 
 #[test]
-fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
+fn a_file_costs_85_bytes_and_replay_allocates_only_what_it_keeps() {
     let _serial = serial();
     let mut log = EditLog::in_memory();
     log.append_batch(meta_ops()).unwrap();
@@ -238,18 +240,21 @@ fn a_file_costs_140_bytes_and_replay_allocates_only_what_it_keeps() {
         FILES as f64 / replay_s,
         cursor.searches as f64 / FILES as f64,
     );
-    assert!(per_file(heap.kept) <= 140.0, "{:.1} B per file", per_file(heap.kept));
+    // An 80-byte slot, its 4-byte entry in the parent, and the directories'
+    // share.
+    assert!(per_file(heap.kept) <= 85.0, "{:.1} B per file", per_file(heap.kept));
     assert!(
-        per_file(heap.kept_blocks) <= 1.1,
+        per_file(heap.kept_blocks) <= 0.01,
         "{:.3} allocations per file",
         per_file(heap.kept_blocks)
     );
-    // Nothing is allocated per op and dropped. What is not kept is growth: a
-    // directory's child vector doubles its way to 1,000 entries (a dozen
-    // calls per directory), and the cursor's one path.
-    let growth = 12 * (DIRS + 2) + 64;
+    // Nothing is allocated per op or per file. Every call is growth: a
+    // directory's child vector doubles its way to 1,000 entries (ten calls
+    // per directory), a chunk of the slab to 4,096 slots (eleven per
+    // chunk), and the cursor's one path.
+    let growth = 10 * (DIRS + 2) + 11 * (FILES + DIRS + 4).div_ceil(4_096) + 64;
     assert!(
-        heap.calls <= heap.kept_blocks as usize + growth,
+        heap.calls <= growth,
         "replay called the allocator {} times to keep {} allocations",
         heap.calls,
         heap.kept_blocks
@@ -302,19 +307,27 @@ fn replay_with_the_cursor_takes_at_most_six_tenths_of_replay_without() {
 fn create_delete_pairs_reuse_their_slots() {
     let _serial = serial();
     let rv = ReplicationVector::from_replication_factor(1);
-    let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
-    file_ops(1_000, true).for_each(|op| drop(op.apply(&mut ns, &mut cursor).unwrap()));
-    let pair = |ns: &mut Namespace, i: usize| {
-        let path = format!("/r/t{:05}", i % 7);
-        ns.create_file(&path, rv, 1 << 20).unwrap();
-        ns.delete(&path, false).unwrap();
-    };
-    pair(&mut ns, 0);
-    let ((), heap) = heap_during(|| (0..50_000).for_each(|i| pair(&mut ns, i)));
-    println!("50,000 create+delete pairs: live heap moved by {} B", heap.kept);
-    // 0 when this test runs alone; the harness's other threads allocate too.
-    assert!(heap.kept.abs() <= 4 << 10, "50,000 pairs moved the heap by {} B", heap.kept);
-    assert_eq!(ns.counts(), (1_000, 2));
+    // A 6-byte name sits in its slot; a 20-byte one is an allocation of its
+    // own, which the delete frees.
+    for prefix in ["t", "long-name-00000"] {
+        let (mut ns, mut cursor) = (Namespace::new(), Cursor::default());
+        file_ops(1_000, true).for_each(|op| drop(op.apply(&mut ns, &mut cursor).unwrap()));
+        let pair = |ns: &mut Namespace, i: usize| {
+            let path = format!("/r/{prefix}{:05}", i % 7);
+            ns.create_file(&path, rv, 1 << 20).unwrap();
+            ns.delete(&path, false).unwrap();
+        };
+        pair(&mut ns, 0);
+        let ((), heap) = heap_during(|| (0..50_000).for_each(|i| pair(&mut ns, i)));
+        println!(
+            "50,000 create+delete pairs of {}-byte names: live heap moved by {} B",
+            prefix.len() + 5,
+            heap.kept
+        );
+        // 0 when this test runs alone; the harness's other threads allocate too.
+        assert!(heap.kept.abs() <= 4 << 10, "50,000 pairs moved the heap by {} B", heap.kept);
+        assert_eq!(ns.counts(), (1_000, 2));
+    }
 }
 
 /// One insert into a directory that already holds 100,000 entries moves

@@ -335,9 +335,10 @@ echo "==> one-pass replay: 20 runs under parallel load"
 # run 20 times back to back, 8 test threads each, and so do the exact heap
 # counts of a replay's transient (equal for two logs of different lengths),
 # of a batch append's peak (one chunk), of a borrowed decode of every op and
-# of a replayed abandon (no allocation each), and of a checkpoint image's
-# encoder (its output alone stays). Those are a call of their own, so their
-# name filter skips no other suite.
+# of a replayed abandon (no allocation each), of a checkpoint image's
+# encoder (its output alone stays) and of what a file costs (no allocation
+# of its own: its name sits in its slot). Those are a call of their own, so
+# their name filter skips no other suite.
 for run in $(seq 20); do
     if ! out=$(cargo test --release -q -p octopus-master --test scan_pipeline \
         --test torn_tail -- --test-threads 8 2>&1) ||
@@ -346,7 +347,9 @@ for run in $(seq 20); do
             a_batch_append_peaks_at_one_chunk_whatever_its_length \
             every_op_decodes_borrowed_without_allocating_and_round_trips \
             replaying_an_abandoned_block_allocates_nothing \
-            a_checkpoint_image_allocates_only_its_output --test-threads 8 2>&1); then
+            a_checkpoint_image_allocates_only_its_output \
+            a_file_costs_85_bytes_and_replay_allocates_only_what_it_keeps \
+            --test-threads 8 2>&1); then
         printf '%s\n' "$out" >&2
         echo "one-pass replay: run ${run} of 20 failed" >&2
         exit 1
