@@ -26,6 +26,11 @@
 //!   Used by the benchmark harness to reproduce the paper's experiments at
 //!   40 GB scale in milliseconds.
 //!
+//! Reads go through one engine, in the §4 retrieval order with §4.1
+//! failover: [`RemoteFs::read_file`] returns a whole file, and
+//! [`RemoteFs::read_at`] fills a slice the caller owns from any offset
+//! (HDFS's positional read), each with one master RPC.
+//!
 //! Tier management (§6) is the master's one loop: its auto-tierer promotes
 //! hot files into the Memory tier and, when it is full, evicts the least
 //! recently touched memory replica ([`Cluster::run_autotier_round`]).
@@ -45,6 +50,10 @@
 //! let rv = ReplicationVector::msh(1, 0, 2);
 //! client.write_file("/demo/hello", b"tiered storage!", rv).unwrap();
 //! assert_eq!(client.read_file("/demo/hello").unwrap(), b"tiered storage!");
+//! // Any range, into a buffer the caller keeps.
+//! let mut buf = [0u8; 8];
+//! assert_eq!(client.read_at("/demo/hello", 7, &mut buf).unwrap(), 8);
+//! assert_eq!(&buf, b"storage!");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +64,7 @@ pub mod sim;
 pub mod worker;
 
 pub use cluster::{build_single_worker, Cluster, StorageMode};
-pub use net::client::{FileReader, FileWriter};
+pub use net::client::FileWriter;
 pub use net::{NetCluster, RemoteFs};
 pub use sim::{JobId, JobReport, SimCluster, SimEvent};
 pub use worker::Worker;

@@ -590,51 +590,36 @@ impl RemoteFs {
         if let Some(s) = span.as_mut() {
             s.annotate("path", path);
         }
-        let blocks = self.get_file_block_locations(path, 0, u64::MAX)?;
-        let len = blocks.last().map_or(0, LocatedBlock::end);
-        let len = usize::try_from(len).map_err(|_| FsError::Internal(format!("{len} B file")))?;
+        let (blocks, len) = self.locate(path, 0, u64::MAX)?;
         let mut out = vec![0u8; len];
         self.read_blocks_windowed(&blocks, 0, &mut out)?;
         if let Some(s) = span.as_mut() {
-            s.annotate("bytes", out.len());
+            s.annotate("bytes", len);
         }
-        self.metrics().add("client_read_bytes_total", Labels::NONE, out.len() as u64);
         Ok(out)
     }
 
-    /// Opens a file for positional reading.
-    pub fn open(&self, path: &str) -> Result<FileReader> {
-        let status = self.status(path)?;
-        if status.is_dir {
-            return Err(FsError::IsADirectory(path.to_string()));
-        }
-        Ok(FileReader {
-            client: self.clone(),
-            path: path.to_string(),
-            len: status.len,
-            pos: 0,
-            cached: None,
-            block: Vec::new(),
-        })
+    /// The positional read (HDFS's `read(position, buf, off, len)`): fills
+    /// `buf` with the file's bytes from `offset` and returns how many it
+    /// read — fewer than `buf.len()` only where the file ends, 0 at or past
+    /// its end. One master RPC, as [`RemoteFs::read_file`]; the blocks the
+    /// range covers whole land straight in `buf`.
+    pub fn read_at(&self, path: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let (blocks, n) = self.locate(path, offset, buf.len() as u64)?;
+        self.read_blocks_windowed(&blocks, offset, &mut buf[..n])?;
+        Ok(n)
     }
 
-    /// Reads the byte range `[start, start+len)` of a file, clipped at the
-    /// length `Status` reports. A file that shrank before its blocks were
-    /// located ends where its located blocks end.
-    pub fn read_range(&self, path: &str, start: u64, len: u64) -> Result<Vec<u8>> {
-        let status = self.status(path)?;
-        if status.is_dir {
-            return Err(FsError::IsADirectory(path.to_string()));
-        }
-        let end = start.saturating_add(len).min(status.len);
-        if start >= end {
-            return Ok(Vec::new());
-        }
-        let blocks = self.get_file_block_locations(path, start, end - start)?;
-        let end = blocks.last().map_or(start, LocatedBlock::end).clamp(start, end);
-        let mut out = vec![0u8; (end - start) as usize];
-        self.read_blocks_windowed(&blocks, start, &mut out)?;
-        Ok(out)
+    /// Locates the blocks over `[offset, offset + len)` of a file — its
+    /// reads' one master RPC — and how many of those bytes they hold: the
+    /// range ends where the located blocks end (a file that shrank is read
+    /// at its own length).
+    fn locate(&self, path: &str, offset: u64, len: u64) -> Result<(Vec<LocatedBlock>, usize)> {
+        let blocks = self.get_file_block_locations(path, offset, len)?;
+        let end = blocks.last().map_or(offset, LocatedBlock::end);
+        let n = end.clamp(offset, offset.saturating_add(len)) - offset;
+        let n = usize::try_from(n).map_err(|_| FsError::Internal(format!("{n} B read")))?;
+        Ok((blocks, n))
     }
 
     /// The one read engine: fills `out` with the file's bytes from offset
@@ -643,13 +628,15 @@ impl RemoteFs {
     /// straight in its place in `out` (in any order), so a read holds its
     /// output and nothing more; only a block cut by the range's ends lands
     /// whole beside it first. The first failed block cancels the fan-out
-    /// and its error is returned.
+    /// and its error is returned; a landed read counts its bytes in
+    /// `client_read_bytes_total`.
     fn read_blocks_windowed(
         &self,
         blocks: &[LocatedBlock],
         start: u64,
         out: &mut [u8],
     ) -> Result<()> {
+        let len = out.len() as u64;
         let pieces = block_pieces(blocks, start, out)?;
         let window = self.window.min(pieces.len());
         let work = Mutex::new(pieces.into_iter());
@@ -671,7 +658,9 @@ impl RemoteFs {
                 break;
             }
         });
-        first_err.into_inner().unwrap().map_or(Ok(()), Err)
+        first_err.into_inner().unwrap().map_or(Ok(()), Err)?;
+        self.metrics().add("client_read_bytes_total", Labels::NONE, len);
+        Ok(())
     }
 
     /// Reads one block through the replica walk into `dest`, exactly the
@@ -834,93 +823,6 @@ impl Drop for FileWriter {
         if !self.closed {
             let _ = self.close();
         }
-    }
-}
-
-/// A positional reader over one file (returned by [`RemoteFs::open`]).
-///
-/// Small sequential reads are served from a one-block cache so each block
-/// is fetched (and checksum-verified) once per pass.
-pub struct FileReader {
-    client: RemoteFs,
-    path: String,
-    len: u64,
-    pos: u64,
-    /// The file offset of the block in `block`, when it holds one.
-    cached: Option<u64>,
-    /// The most recently read block: a buffer the reader owns, which each
-    /// block it reads lands in.
-    block: Vec<u8>,
-}
-
-impl FileReader {
-    /// Total file length in bytes.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current read position.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Moves the read position (clamped to the file length).
-    pub fn seek(&mut self, pos: u64) {
-        self.pos = pos.min(self.len);
-    }
-
-    /// Reads up to `buf.len()` bytes at the current position, returning
-    /// the count (0 at EOF). Fails over across replicas per §4.1.
-    pub fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-        if self.pos >= self.len || buf.is_empty() {
-            return Ok(0);
-        }
-        // Serve from the cached block when possible.
-        let start = match self.cached {
-            Some(start) if (start..start + self.block.len() as u64).contains(&self.pos) => start,
-            _ => {
-                let lbs = self.client.get_file_block_locations(&self.path, self.pos, 1)?;
-                let Some(lb) = lbs.first() else {
-                    return Err(FsError::Internal(format!(
-                        "no block at offset {} of {}",
-                        self.pos, self.path
-                    )));
-                };
-                self.cached = None;
-                self.block.resize(lb.block.len as usize, 0);
-                self.client.read_block(lb, &mut self.block)?;
-                self.cached = Some(lb.offset);
-                lb.offset
-            }
-        };
-        let off = (self.pos - start) as usize;
-        let n = buf.len().min(self.block.len() - off).min((self.len - self.pos) as usize);
-        buf[..n].copy_from_slice(&self.block[off..off + n]);
-        self.pos += n as u64;
-        Ok(n)
-    }
-
-    /// Reads exactly `buf.len()` bytes or fails.
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            let n = self.read(&mut buf[filled..])?;
-            if n == 0 {
-                return Err(FsError::InvalidArgument(format!(
-                    "unexpected EOF at {} of {} ({} bytes short)",
-                    self.pos,
-                    self.path,
-                    buf.len() - filled
-                )));
-            }
-            filled += n;
-        }
-        Ok(())
     }
 }
 

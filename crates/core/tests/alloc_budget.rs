@@ -213,6 +213,66 @@ fn write_and_read_stay_within_their_payload_buffer_budget() {
     );
 }
 
+/// A positional read lands in the caller's slice: once connections are up,
+/// a second `read_at` of an 8 MiB file into the same buffer allocates
+/// exactly 0 B of large buffers — each whole block's body lands in its
+/// place in the buffer, and the server sends the replica it holds.
+#[test]
+fn a_second_read_at_into_the_same_buffer_allocates_nothing_large() {
+    let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
+    config.heartbeat_ms = 60_000;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let rf3 = ReplicationVector::from_replication_factor(3);
+
+    const F: u64 = 8 * MB;
+    let data = payload(F as usize, 61);
+    client.write_file("/f", &data, rf3).unwrap();
+    let mut buf = vec![0u8; F as usize];
+    assert_eq!(client.read_at("/f", 0, &mut buf).unwrap(), F as usize);
+    assert_eq!(buf, data);
+
+    buf.fill(0);
+    let (read, reread_bytes) = large_bytes_during(|| client.read_at("/f", 0, &mut buf));
+    assert_eq!(read.unwrap(), F as usize);
+    assert_eq!(buf, data);
+    eprintln!("alloc_budget: a second read_at of {F} B into the same buffer: {reread_bytes} B");
+    assert_eq!(reread_bytes, 0, "a read_at into the caller's buffer allocates no payload buffer");
+}
+
+/// Only a block the range cuts lands beside the caller's slice first: a
+/// `read_at` from the middle of block 0 to the middle of block 5 of an
+/// 8 MiB file (1 MiB blocks) allocates exactly the two whole-block buffers
+/// of its cut first and last blocks, 2 × 1 MiB, and nothing else large.
+#[test]
+fn a_read_at_that_cuts_two_blocks_allocates_exactly_those_two_blocks() {
+    let _serial = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut config = ClusterConfig::test_cluster(4, 64 * MB, MB);
+    config.heartbeat_ms = 60_000;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let rf3 = ReplicationVector::from_replication_factor(3);
+
+    const F: u64 = 8 * MB;
+    let data = payload(F as usize, 62);
+    client.write_file("/f", &data, rf3).unwrap();
+    // Connections and lanes come up on a first read.
+    assert_eq!(client.read_file("/f").unwrap(), data);
+
+    let (start, end) = (MB / 2, 5 * MB + MB / 2);
+    let mut buf = vec![0u8; (end - start) as usize];
+    let (read, cut_bytes) = large_bytes_during(|| client.read_at("/f", start, &mut buf));
+    assert_eq!(read.unwrap(), buf.len());
+    assert_eq!(buf, &data[start as usize..end as usize]);
+    eprintln!(
+        "alloc_budget: a read_at of [{start}, {end}) over {MB} B blocks: {cut_bytes} B \
+         ({:.2} blocks)",
+        cut_bytes as f64 / MB as f64
+    );
+    assert_eq!(cut_bytes, 2 * MB, "a cut read allocates its two cut blocks and nothing else");
+}
+
 /// A `FileWriter` reaches blocks through the same write engine as
 /// `write_file`, slicing them straight from the caller's data: one 16 MiB
 /// `write` allocates at most one block more than `write_file` of the same

@@ -78,8 +78,10 @@ fn networked_write_read_lifecycle() {
     assert_eq!(stored, 0);
 }
 
+/// A whole-file read and a positional one across a block boundary: the
+/// blocks over the range give the layout, and no `Status` goes first.
 #[test]
-fn a_whole_file_read_is_one_master_rpc() {
+fn a_read_is_one_master_rpc() {
     let cluster = NetCluster::start(config()).unwrap();
     let client = cluster.client(ClientLocation::OffCluster);
     let data = payload((2 * MB + 5) as usize, 9);
@@ -94,6 +96,13 @@ fn a_whole_file_read_is_one_master_rpc() {
     let (status, located) = (requests("Status"), requests("GetBlockLocations"));
     assert_eq!(client.read_file("/f").unwrap(), data);
     assert_eq!(requests("Status") - status, 0, "the located blocks give the layout");
+    assert_eq!(requests("GetBlockLocations") - located, 1);
+
+    let (status, located) = (requests("Status"), requests("GetBlockLocations"));
+    let (start, mut buf) = (MB as usize / 2, vec![0u8; MB as usize]);
+    assert_eq!(client.read_at("/f", start as u64, &mut buf).unwrap(), buf.len());
+    assert_eq!(buf, &data[start..start + MB as usize]);
+    assert_eq!(requests("Status") - status, 0, "read_at sends no Status either");
     assert_eq!(requests("GetBlockLocations") - located, 1);
 }
 

@@ -1,15 +1,7 @@
-//! Tests of positional reads ([`octopus_core::FileReader`]) and append.
+//! Tests of positional reads ([`octopus_core::RemoteFs::read_at`]) and append.
 
-use std::sync::{Arc, Mutex};
-
-use octopus_common::metrics::MetricsRegistry;
-use octopus_common::trace::TraceCollector;
-use octopus_common::{
-    ClientLocation, ClusterConfig, FsError, ReplicationVector, Result, WorkerId, MB,
-};
-use octopus_core::net::proto::{MasterRequest, MasterResponse, WorkerRequest, WorkerResponse};
-use octopus_core::net::Transport;
-use octopus_core::{Cluster, RemoteFs};
+use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, MB};
+use octopus_core::Cluster;
 
 fn setup(len: usize) -> (Cluster, octopus_core::RemoteFs, Vec<u8>) {
     let cluster = Cluster::start(ClusterConfig::test_cluster(5, 64 * MB, MB)).unwrap();
@@ -23,59 +15,63 @@ fn setup(len: usize) -> (Cluster, octopus_core::RemoteFs, Vec<u8>) {
     (cluster, client, data)
 }
 
+/// A file read front to back in small pieces, each its own `read_at`:
+/// the pieces straddle block boundaries, and the read after the last byte
+/// returns 0.
 #[test]
 fn sequential_small_reads() {
     let (_c, client, data) = setup(2 * MB as usize + 500);
-    let mut r = client.open("/f").unwrap();
-    assert_eq!(r.len(), data.len() as u64);
     let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
+    let mut buf = vec![0u8; 64 * 1024 + 7];
     loop {
-        let n = r.read(&mut buf).unwrap();
+        let n = client.read_at("/f", out.len() as u64, &mut buf).unwrap();
         if n == 0 {
             break;
         }
         out.extend_from_slice(&buf[..n]);
     }
     assert_eq!(out, data);
-    assert_eq!(r.position(), data.len() as u64);
 }
 
 #[test]
-fn seek_and_read_exact() {
+fn read_at_spans_blocks_and_stops_at_the_end() {
     let (_c, client, data) = setup(3 * MB as usize);
-    let mut r = client.open("/f").unwrap();
+    let len = data.len() as u64;
 
     // Mid-file, spanning a block boundary.
     let pos = MB - 100;
-    r.seek(pos);
     let mut buf = vec![0u8; 300];
-    r.read_exact(&mut buf).unwrap();
+    assert_eq!(client.read_at("/f", pos, &mut buf).unwrap(), 300);
     assert_eq!(buf, &data[pos as usize..pos as usize + 300]);
 
-    // Backwards seek re-reads earlier data.
-    r.seek(10);
+    // An earlier offset re-reads earlier data.
     let mut buf = vec![0u8; 50];
-    r.read_exact(&mut buf).unwrap();
+    assert_eq!(client.read_at("/f", 10, &mut buf).unwrap(), 50);
     assert_eq!(buf, &data[10..60]);
 
-    // Seeking past EOF clamps; read returns 0.
-    r.seek(u64::MAX);
-    assert_eq!(r.position(), data.len() as u64);
-    assert_eq!(r.read(&mut buf).unwrap(), 0);
-
-    // read_exact past EOF errors.
-    r.seek(data.len() as u64 - 10);
+    // A read that runs past the end returns the bytes up to it.
     let mut big = vec![0u8; 100];
-    assert!(r.read_exact(&mut big).is_err());
+    assert_eq!(client.read_at("/f", len - 10, &mut big).unwrap(), 10);
+    assert_eq!(&big[..10], &data[data.len() - 10..]);
+
+    // At the end, past it and at the largest offset: 0, the buffer untouched.
+    for offset in [len, len + 1, len + MB, u64::MAX] {
+        let mut buf = vec![7u8; 50];
+        assert_eq!(client.read_at("/f", offset, &mut buf).unwrap(), 0, "offset {offset}");
+        assert_eq!(buf, vec![7u8; 50]);
+    }
+    // An empty buffer reads nothing, wherever it points.
+    assert_eq!(client.read_at("/f", MB + 3, &mut []).unwrap(), 0);
 }
 
 #[test]
-fn open_directory_rejected() {
+fn read_at_refuses_a_directory_and_a_missing_path() {
     let (_c, client, _) = setup(1024);
     client.mkdir("/dir").unwrap();
-    assert!(matches!(client.open("/dir"), Err(FsError::IsADirectory(_))));
-    // `read_file` sends no `Status`: `GetBlockLocations` refuses for it.
+    // Neither read sends a `Status`: `GetBlockLocations` refuses for both.
+    let mut buf = [0u8; 16];
+    assert!(matches!(client.read_at("/dir", 0, &mut buf), Err(FsError::IsADirectory(_))));
+    assert!(matches!(client.read_at("/missing", 0, &mut buf), Err(FsError::NotFound(_))));
     assert!(matches!(client.read_file("/dir"), Err(FsError::IsADirectory(_))));
     assert!(matches!(client.read_file("/missing"), Err(FsError::NotFound(_))));
 }
@@ -116,77 +112,4 @@ fn append_to_open_file_rejected() {
     let client = cluster.client(ClientLocation::OffCluster);
     let _w = client.create("/open", ReplicationVector::from_replication_factor(2), None).unwrap();
     assert!(client.append("/open").is_err());
-}
-
-/// A transport that runs `after_status` once, right after the first
-/// `Status` reply: what another client does between the two RPCs of a
-/// `read_range` (`Status`, then `GetBlockLocations`).
-struct ChangeAfterStatus {
-    inner: Arc<dyn Transport>,
-    after_status: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-}
-
-impl Transport for ChangeAfterStatus {
-    fn call_master(&self, req: MasterRequest) -> Result<MasterResponse> {
-        let is_status = matches!(req, MasterRequest::Status(_));
-        let reply = self.inner.call_master(req);
-        if is_status {
-            if let Some(change) = self.after_status.lock().unwrap().take() {
-                change();
-            }
-        }
-        reply
-    }
-    fn call_worker(&self, to: WorkerId, req: WorkerRequest) -> Result<WorkerResponse> {
-        self.inner.call_worker(to, req)
-    }
-    fn workers(&self) -> Vec<WorkerId> {
-        self.inner.workers()
-    }
-    fn metrics(&self) -> &MetricsRegistry {
-        self.inner.metrics()
-    }
-    fn trace(&self) -> &TraceCollector {
-        self.inner.trace()
-    }
-}
-
-/// `read_range` of all of `/f` with `change` applied between its two RPCs.
-fn read_with_change_after_status(
-    cluster: &Cluster,
-    change: impl FnOnce(RemoteFs) + Send + 'static,
-) -> Result<Vec<u8>> {
-    let other = cluster.client(ClientLocation::OffCluster);
-    let net = Arc::new(ChangeAfterStatus {
-        inner: cluster.transport().clone(),
-        after_status: Mutex::new(Some(Box::new(move || change(other)))),
-    });
-    RemoteFs::over(net, ClientLocation::OffCluster).with_io_window(4).read_range("/f", 0, u64::MAX)
-}
-
-/// A range read is clipped at the length its `Status` reported, and laid
-/// out from the located blocks: a file that grew in between reads up to
-/// that length, one that shrank reads at its own length — never a panic,
-/// never an error, never zero padding.
-#[test]
-fn read_range_lays_out_from_the_located_blocks_not_the_earlier_status() {
-    let (cluster, _client, data) = setup(2 * MB as usize + 100);
-
-    let extra: Vec<u8> = (0..70_000u32).map(|i| (i % 251) as u8 + 1).collect();
-    let grown = read_with_change_after_status(&cluster, move |other| {
-        let mut w = other.append("/f").unwrap();
-        w.write(&extra).unwrap();
-        w.close().unwrap();
-    })
-    .unwrap();
-    assert_eq!(grown, data, "the range ends at the length Status reported");
-
-    let short: Vec<u8> = data[..MB as usize + 7].to_vec();
-    let rewritten = short.clone();
-    let shrunk = read_with_change_after_status(&cluster, move |other| {
-        other.delete("/f", false).unwrap();
-        other.write_file("/f", &rewritten, ReplicationVector::from_replication_factor(2)).unwrap();
-    })
-    .unwrap();
-    assert_eq!(shrunk, short, "the re-created file is read at its own length, no zero tail");
 }

@@ -5,7 +5,7 @@
 use octopus_common::{
     ClientLocation, ClusterConfig, FsError, ReplicationVector, StorageTier, WorkerId, GB, MB,
 };
-use octopus_core::Cluster;
+use octopus_core::{Cluster, RemoteFs};
 use octopus_master::TierQuota;
 
 fn test_config() -> ClusterConfig {
@@ -44,6 +44,14 @@ fn write_read_multi_block_round_trip() {
     }
 }
 
+/// `read_at` of `n` bytes at `start`, cut to what it read.
+fn range_of(client: &RemoteFs, path: &str, start: u64, n: usize) -> Vec<u8> {
+    let mut buf = vec![0u8; n];
+    let got = client.read_at(path, start, &mut buf).unwrap();
+    buf.truncate(got);
+    buf
+}
+
 #[test]
 fn range_reads() {
     let cluster = Cluster::start(test_config()).unwrap();
@@ -51,15 +59,15 @@ fn range_reads() {
     let data = payload((2 * MB + 100) as usize, 1);
     client.write_file("/f", &data, ReplicationVector::from_replication_factor(2)).unwrap();
     // Within one block.
-    assert_eq!(client.read_range("/f", 10, 100).unwrap(), &data[10..110]);
+    assert_eq!(range_of(&client, "/f", 10, 100), &data[10..110]);
     // Spanning the block boundary.
     let start = MB as usize - 50;
-    assert_eq!(client.read_range("/f", start as u64, 100).unwrap(), &data[start..start + 100]);
+    assert_eq!(range_of(&client, "/f", start as u64, 100), &data[start..start + 100]);
     // Tail clamped to EOF.
-    let tail = client.read_range("/f", data.len() as u64 - 10, 1000).unwrap();
+    let tail = range_of(&client, "/f", data.len() as u64 - 10, 1000);
     assert_eq!(tail, &data[data.len() - 10..]);
     // Past EOF → empty.
-    assert!(client.read_range("/f", data.len() as u64 + 5, 10).unwrap().is_empty());
+    assert!(range_of(&client, "/f", data.len() as u64 + 5, 10).is_empty());
 }
 
 #[test]

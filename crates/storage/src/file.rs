@@ -86,11 +86,14 @@ impl FileStore {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            let Some(id) = name
-                .strip_prefix("blk_")
-                .and_then(|s| s.strip_suffix(".dat"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
+            let Some(stem) = name.strip_prefix("blk_") else { continue };
+            if stem.ends_with(".tmp") {
+                // A put that died between create and rename: never
+                // indexed, so nothing else would ever delete it.
+                let _ = fs::remove_file(entry.path());
+                continue;
+            }
+            let Some(id) = stem.strip_suffix(".dat").and_then(|s| s.parse::<u64>().ok()) else {
                 continue;
             };
             let mut f = fs::File::open(entry.path())?;
@@ -99,6 +102,11 @@ impl FileStore {
                 continue; // truncated file: skip; scrubber will re-replicate
             }
             let Ok(hdr) = decode_header(&h) else { continue };
+            // A real block cut short is not reported either, so §5
+            // re-replicates it rather than a read's CRC finding it.
+            if hdr.kind == KIND_REAL && f.metadata()?.len() < HEADER_LEN as u64 + hdr.len {
+                continue;
+            }
             let block = Block { id: BlockId(id), gen: GenStamp(hdr.gen), len: hdr.len };
             used += hdr.len;
             index.insert(block.id, StoredBlockInfo { block, checksum: hdr.checksum });
@@ -369,6 +377,51 @@ mod tests {
         fs::write(&p, &raw[..HEADER_LEN / 2]).unwrap();
         assert!(matches!(s.read(BlockId(1)), Err(FsError::Io(_))), "{:?}", s.read(BlockId(1)));
         assert!(matches!(s.get(BlockId(1)), Err(FsError::Io(_))));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// What a put killed between create and rename leaves, `blk_N.K.tmp`,
+    /// is deleted at open; the blocks beside it are indexed as before.
+    #[test]
+    fn open_deletes_the_temp_files_of_unfinished_puts() {
+        let dir = tmpdir("tmp");
+        FileStore::open(&dir, 10_000)
+            .unwrap()
+            .put(blk(1, 100), &BlockData::generate_real(100, 1))
+            .unwrap();
+        let data = BlockData::generate_real(100, 2);
+        write_block_file(&dir.join("blk_2.0.tmp"), &blk(2, 100), &data, data.checksum()).unwrap();
+        fs::write(dir.join("blk_3.7.tmp"), b"a put cut mid-write").unwrap();
+        let s = FileStore::open(&dir, 10_000).unwrap();
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["blk_1.dat"], "open leaves no *.tmp file");
+        assert_eq!((s.blocks().len(), s.used()), (1, 100));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// A real block file shorter than its header says is left out of the
+    /// index and of `used`, so the worker does not report it; a synthetic
+    /// block's file is its header alone and still counts.
+    #[test]
+    fn open_skips_a_real_block_file_cut_short() {
+        let dir = tmpdir("short");
+        {
+            let s = FileStore::open(&dir, 10_000).unwrap();
+            s.put(blk(1, 500), &BlockData::generate_real(500, 1)).unwrap();
+            s.put(blk(2, 300), &BlockData::generate_real(300, 2)).unwrap();
+            s.put(blk(3, 200), &BlockData::Synthetic { len: 200, seed: 3 }).unwrap();
+        }
+        let f = fs::OpenOptions::new().write(true).open(dir.join("blk_1.dat")).unwrap();
+        f.set_len((HEADER_LEN + 499) as u64).unwrap();
+        let s = FileStore::open(&dir, 10_000).unwrap();
+        let mut ids: Vec<u64> = s.blocks().iter().map(|b| b.block.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [2, 3], "the cut block is not indexed");
+        assert!(!s.contains(BlockId(1)));
+        assert_eq!(s.used(), 300 + 200);
         fs::remove_dir_all(dir).ok();
     }
 

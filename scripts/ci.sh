@@ -166,6 +166,26 @@ if [ -n "$pooled" ]; then
 fi
 echo "one copy: the client copies no block into a buffer of its own"
 
+echo "==> one read engine"
+# Every read lands through one engine (DESIGN.md §8): `RemoteFs::read_file`
+# and the positional `RemoteFs::read_at` share one locate→land step, so no
+# non-test code under crates/*/src or src names the ranged copy or the
+# cursor they replaced (tests, and whatever follows a file's first
+# `#[cfg(test)]`, are exempt).
+readers=$(git ls-files -co --exclude-standard 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' \
+    'src/*.rs' 'src/**/*.rs' | grep -v '/tests\.rs$' | xargs awk '
+    FNR == 1 { skip = 0 }
+    /^ *#\[cfg\(test\)\]/ { skip = 1 }
+    !skip && /(^|[^A-Za-z0-9_])(read_range|FileReader)([^A-Za-z0-9_]|$)/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [ -n "$readers" ]; then
+    echo "one read engine: non-test code names read_range or FileReader:" >&2
+    printf '%s\n' "$readers" >&2
+    exit 1
+fi
+echo "one read engine: read_file and read_at land through one engine"
+
 echo "==> one tiering loop"
 # The master's auto-tierer is the one loop that moves files between tiers:
 # it promotes hot files and, when the Memory tier is full, evicts the least
@@ -360,10 +380,11 @@ echo "one-pass replay: 20/20"
 echo "==> traces on demand and the buffer pool: 20 runs under parallel load"
 # The tracing suite (roots opened by the caller; untraced traffic records
 # nothing on any node), the exact allocation counts of large and small
-# files, the pool's own unit tests, the exact resident cost of the audit
-# ring and the trace collector, and the audit ring's own tests (its
-# records read back bit for bit), 20 times back to back, 8 test threads
-# each.
+# files and of `read_at` into the caller's buffer (a second read of it and
+# a read that cuts two blocks), the pool's own unit tests, the exact
+# resident cost of the audit ring and the trace collector, and the audit
+# ring's own tests (its records read back bit for bit), 20 times back to
+# back, 8 test threads each.
 for run in $(seq 20); do
     if ! out=$(cargo test --release -q -p octopus-core --test trace --test alloc_budget \
         -- --test-threads 8 2>&1) ||
@@ -382,7 +403,7 @@ echo "traces and buffer pool: 20/20"
 
 echo "==> one data path: 10 runs under parallel load"
 # The write and read engines (every size at windows 1 and 4, FileWriter,
-# read_range), the replica walk and the store step shared by the client
+# read_at), the replica walk and the store step shared by the client
 # and the worker's Replicate (a resent copy, a copy paced at its target),
 # recovery around dead workers and around another worker serving at a dead
 # one's address, and the exact allocation

@@ -111,11 +111,34 @@ fn put(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     Ok(writeln!(out, "wrote {path} ({}) with vector {rv}", fmt_bytes(data.len() as u64))?)
 }
 
+/// Streams the file to `LOCAL` through one buffer of `io_window × block
+/// size` bytes: one `status`, then a `read_at` per piece, each written out
+/// before the next, so `get` never holds the whole file. A failed read
+/// leaves no partial copy behind.
 fn get(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {
     let [path, local] = args.exactly()?;
-    let data = fs.read_file(&path)?;
-    std::fs::write(&local, &data)?;
-    Ok(writeln!(out, "copied {path} -> {local} ({})", fmt_bytes(data.len() as u64))?)
+    let status = fs.status(&path)?;
+    if status.is_dir {
+        return Err(FsError::IsADirectory(path));
+    }
+    let piece = u64::from(fs.io_window()) * status.block_size;
+    let mut buf = vec![0u8; piece.min(status.len) as usize];
+    let mut file = std::fs::File::create(&local)?;
+    let mut copy = || -> Result<u64> {
+        let mut copied = 0;
+        while copied < status.len {
+            let want = buf.len().min((status.len - copied) as usize);
+            let n = fs.read_at(&path, copied, &mut buf[..want])?;
+            if n == 0 {
+                break;
+            }
+            file.write_all(&buf[..n])?;
+            copied += n as u64;
+        }
+        Ok(copied)
+    };
+    let copied = copy().inspect_err(|_| drop(std::fs::remove_file(&local)))?;
+    Ok(writeln!(out, "copied {path} -> {local} ({})", fmt_bytes(copied))?)
 }
 
 fn cat(fs: &RemoteFs, mut args: Args, out: &mut Vec<u8>) -> Result<()> {

@@ -94,6 +94,59 @@ fn full_lifecycle_across_invocations() {
     assert!(stderr.contains("not found"), "{stderr}");
 }
 
+/// `get` streams a file of many blocks a window of blocks at a time: 17
+/// full 64 KiB blocks and an odd tail arrive byte for byte. A directory or
+/// a missing path fails before any local file is made, and a read that
+/// fails (every replica corrupt) leaves no partial copy.
+#[test]
+fn get_streams_a_file_of_many_blocks() {
+    let cli = Cli::new("get");
+    cli.ok(&["init", "--workers", "3", "--block-size", "65536"]);
+    let local = cli.root.join("big.bin");
+    let data: Vec<u8> =
+        (0..17 * 65_536 + 4_321u32).map(|i| (i % 251) as u8 ^ (i >> 16) as u8).collect();
+    std::fs::write(&local, &data).unwrap();
+    cli.ok(&["put", local.to_str().unwrap(), "/big"]);
+
+    let out = cli.root.join("big.out");
+    let printed = cli.ok(&["get", "/big", out.to_str().unwrap()]);
+    assert!(printed.starts_with("copied /big -> "), "{printed}");
+    assert!(std::fs::read(&out).unwrap() == data, "get must copy every byte");
+
+    cli.ok(&["mkdir", "/dir"]);
+    for (path, error) in [("/dir", "is a directory"), ("/missing", "not found")] {
+        let refused = cli.root.join("refused.out");
+        let (success, _, stderr) = cli.run(&["get", path, refused.to_str().unwrap()]);
+        assert!(!success && stderr.contains(error), "get {path}: {stderr}");
+        assert!(!refused.exists(), "get {path} made a local file");
+    }
+
+    for replica in block_files(&cli.root) {
+        let mut bytes = std::fs::read(&replica).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&replica, bytes).unwrap();
+    }
+    let failed = cli.root.join("failed.out");
+    let (success, _, stderr) = cli.run(&["get", "/big", failed.to_str().unwrap()]);
+    assert!(!success, "a get of corrupt replicas must fail");
+    assert!(!failed.exists(), "a failed get left a partial copy: {stderr}");
+}
+
+/// Every `blk_*.dat` under `dir`.
+fn block_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy();
+        if path.is_dir() {
+            found.extend(block_files(&path));
+        } else if name.starts_with("blk_") && name.ends_with(".dat") {
+            found.push(path);
+        }
+    }
+    found
+}
+
 #[test]
 fn init_is_guarded() {
     let cli = Cli::new("guard");
